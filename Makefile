@@ -46,13 +46,17 @@ test-race:
 # out across GOMAXPROCS workers (-workers 0) with bit-identical
 # results, which is what pays for the doubled seed window. Exit 1
 # means an invariant was violated and a reproducer was printed. The
-# second sweep turns on membership churn (rmnode) against raft-member,
-# whose compaction-bound, snapshot-install, and config-safety
-# invariants gate every remove → compact → re-add → InstallSnapshot
-# pipeline the generator finds.
+# second sweep puts raft under message loss, duplication and reordering
+# (the default mix has neither drop nor dup): those are the faults its
+# replication flow control recovers from — a reject round trip, a stale
+# or repeated answer, the heartbeat rewind. The third turns on
+# membership churn (rmnode) against raft-member, whose compaction-bound,
+# snapshot-install, and config-safety invariants gate every remove →
+# compact → re-add → InstallSnapshot pipeline the generator finds.
 explore:
 	$(GO) run ./cmd/consensus-explore -protocol all -seeds 48 -faults 4 -workers 0
-	$(GO) run ./cmd/consensus-explore -protocol raft-member -seeds 24 -faults 3 -workers 0 -classes rmnode,crash,partition
+	$(GO) run ./cmd/consensus-explore -protocol raft -seeds 96 -faults 5 -workers 0 -classes drop,dup,delay,crash,partition
+	$(GO) run ./cmd/consensus-explore -protocol raft-member -seeds 128 -faults 3 -workers 0 -classes rmnode,crash,partition
 
 # Full gate: everything CI runs, in order. The golden step verifies the
 # pinned experiment artifacts byte-for-byte (no -update), and the shard
@@ -84,11 +88,13 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS)
 
 # Machine-readable benchmark record: same sweep as `make bench`,
-# rendered to BENCH_10.json (ns/op, B/op, allocs/op per benchmark) for
-# mechanical before/after comparison across PRs.
+# rendered to $(BENCH_JSON) (ns/op, B/op, allocs/op per benchmark) for
+# mechanical before/after comparison across PRs. A PR that records one
+# names it after itself: `make bench-json BENCH_JSON=BENCH_13.json`.
+BENCH_JSON ?= BENCH_12.json
 bench-json:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS) > bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_10.json < bench.out
+	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) < bench.out
 	@rm -f bench.out
 
 # Re-record the experiment golden artifacts after an intentional

@@ -1,9 +1,9 @@
 // benchjson converts `go test -bench -benchmem` text output into a
 // JSON benchmark record, one entry per benchmark with ns/op, B/op and
 // allocs/op, so successive PRs can diff performance numbers
-// mechanically (see `make bench-json`, which writes BENCH_7.json).
+// mechanically (see `make bench-json`, which writes $(BENCH_JSON)).
 //
-//	go test -bench=. -benchmem -run='^$' ./... | benchjson -o BENCH_7.json
+//	go test -bench=. -benchmem -run='^$' ./... | benchjson -o BENCH_12.json
 //
 // Unknown trailing metrics (e.g. ReportMetric outputs such as
 // "failover-ticks") are preserved under "metrics". Lines that are not

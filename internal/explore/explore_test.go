@@ -214,6 +214,32 @@ func TestKnownBadConfigCaughtAndShrunk(t *testing.T) {
 	}
 }
 
+// A shrink candidate that panics the protocol still fails: the shrinker
+// keeps it as the smaller reproducer instead of letting the panic abort
+// the campaign. The fixture violates at four nodes and panics at three,
+// the size pass 3 tries.
+func TestShrinkKeepsPanickingCandidate(t *testing.T) {
+	p := splitBrainPaxos()
+	build := p.New
+	p.MinNodes = 3
+	p.New = func(n int, seed uint64) *Episode {
+		if n < 4 {
+			panic("fixture: too small a cluster")
+		}
+		return build(n, seed)
+	}
+	sh := ShrinkSchedule(p, 5, 0, 0, nemesis.Schedule{}, 0)
+	if sh.Final.Outcome != OutcomeViolation || sh.Final.Violation.Invariant != "panic" {
+		t.Fatalf("panicking candidate not kept as a failure: %+v", sh.Final)
+	}
+	if sh.Nodes != 3 {
+		t.Fatalf("shrunk to %d nodes, want the panicking 3", sh.Nodes)
+	}
+	if sp := sh.Final.Spec(sh.Schedule); sp.Hash != "" {
+		t.Fatalf("a panicked run has no trace to hash, spec carries %q", sp.Hash)
+	}
+}
+
 func TestShrinkKeepsEssentialFault(t *testing.T) {
 	// A healthy protocol never violates, so ShrinkSchedule on a clean
 	// run returns immediately with the original schedule.

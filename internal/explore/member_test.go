@@ -33,6 +33,66 @@ func TestRaftMemberSnapshotCatchUp(t *testing.T) {
 	}
 }
 
+// Three shrunk reproducers from the 400-seed sweep that broke agreement
+// when AddNode swapped the fresh instance in at once: each re-admits a
+// node one to three ticks after voting it out, before the removal can
+// have committed, so a member every config still counted came back
+// having forgotten its term, its vote and the entries it had
+// acknowledged. Seed 108 ended in an index-out-of-range panic at a
+// leader told of a match beyond its log, 267 in a log-prefix-agreement
+// violation, 335 in a follower truncating a committed index. With the
+// swap deferred until the removal commits all three run clean (267 at
+// the full horizon: the shrinker had cut it just past the violation,
+// before the re-admission can finish).
+func TestRaftMemberReaddBeforeRemovalCommits(t *testing.T) {
+	p, _ := Lookup("raft-member")
+	for _, spec := range []string{
+		`nemesis/v1
+protocol raft-member
+nodes 5
+seed 108
+horizon 600
+events 4
+partition 42 0,4,3|2,1
+heal 132
+rmnode 173 3
+addnode 174 3
+end
+`, `nemesis/v1
+protocol raft-member
+nodes 5
+seed 267
+horizon 600
+events 4
+partition 262 1,4,2|3,0
+rmnode 283 4
+addnode 286 4
+heal 327
+end
+`, `nemesis/v1
+protocol raft-member
+nodes 5
+seed 335
+horizon 600
+events 6
+crash 30 1
+restart 32 1
+partition 203 1,4|0,2,3
+rmnode 236 2
+addnode 239 2
+heal 398
+end
+`} {
+		sp, err := nemesis.Decode([]byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, _ := Replay(p, sp); res.Outcome != OutcomeOK {
+			t.Errorf("seed %d: outcome %s (violation %v)", sp.Seed, res.Outcome, res.Violation)
+		}
+	}
+}
+
 // A seeded campaign mixing membership churn with crashes and
 // partitions: no schedule may produce a safety violation, and the
 // sweep must be deterministic end to end.

@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"fmt"
+
 	"fortyconsensus/internal/nemesis"
 	"fortyconsensus/internal/types"
 )
@@ -29,9 +31,9 @@ type ShrinkResult struct {
 // DefaultShrinkBudget bounds re-runs per shrink.
 const DefaultShrinkBudget = 200
 
-// ShrinkSchedule minimizes a violating run. The caller guarantees that
-// RunOnce(p, seed, nodes, horizon, sched) violates; the returned triple
-// violates too.
+// ShrinkSchedule minimizes a failing run: one that violates an
+// invariant or panics the protocol. The caller guarantees that
+// (p, seed, nodes, horizon, sched) fails; the returned triple fails too.
 func ShrinkSchedule(p Protocol, seed uint64, nodes, horizon int, sched nemesis.Schedule, budget int) ShrinkResult {
 	if budget <= 0 {
 		budget = DefaultShrinkBudget
@@ -43,7 +45,7 @@ func ShrinkSchedule(p Protocol, seed uint64, nodes, horizon int, sched nemesis.S
 		horizon = p.Horizon
 	}
 	sr := ShrinkResult{Schedule: sched, Nodes: nodes, Horizon: horizon}
-	sr.Final = RunOnce(p, seed, nodes, horizon, sched)
+	sr.Final = runCandidate(p, seed, nodes, horizon, sched)
 	sr.Runs++
 	if sr.Final.Outcome != OutcomeViolation {
 		return sr // nothing to shrink; report the run as-is
@@ -52,7 +54,7 @@ func ShrinkSchedule(p Protocol, seed uint64, nodes, horizon int, sched nemesis.S
 		if sr.Runs >= budget {
 			return false
 		}
-		r := RunOnce(p, seed, n, h, cand)
+		r := runCandidate(p, seed, n, h, cand)
 		sr.Runs++
 		if r.Outcome != OutcomeViolation {
 			return false
@@ -118,6 +120,26 @@ func ShrinkSchedule(p Protocol, seed uint64, nodes, horizon int, sched nemesis.S
 		try(cand, sr.Nodes, h)
 	}
 	return sr
+}
+
+// runCandidate is RunOnce for a shrink candidate. A simpler schedule
+// may turn the invariant violation being shrunk into a protocol panic
+// (a node asserting on state the violation corrupted). That candidate
+// still fails, so it is kept — as a violation named "panic", with no
+// trace hash to verify, whose replay panics the same way — instead of
+// aborting the campaign that was only minimizing a failure it had
+// already found.
+func runCandidate(p Protocol, seed uint64, nodes, horizon int, sched nemesis.Schedule) (res Result) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = Result{
+				Protocol: p.Name, Nodes: nodes, Seed: seed, Horizon: horizon,
+				Outcome: OutcomeViolation, ViolationAt: -1,
+				Violation: &Violation{Invariant: "panic", Detail: fmt.Sprint(r)},
+			}
+		}
+	}()
+	return RunOnce(p, seed, nodes, horizon, sched)
 }
 
 // pair indexes one fault's initiate and recovery events in a schedule

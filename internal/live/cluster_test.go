@@ -2,12 +2,15 @@ package live
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"fortyconsensus/internal/kvstore"
+	"fortyconsensus/internal/raft"
 	"fortyconsensus/internal/types"
 )
 
@@ -210,5 +213,29 @@ func TestClusterMultiPaxosBackend(t *testing.T) {
 	}
 	if string(got) != "10" {
 		t.Fatalf("pxc = %q, want 10", got)
+	}
+}
+
+// A peer message the module inbox cannot take is counted: raft recovers
+// a lost append with a reject round trip, so the loss has to be visible
+// to whoever reads /metrics. A stopped node refuses every message, which
+// is the cheapest way to make Deliver say no.
+func TestInboxDropsCounted(t *testing.T) {
+	servers, _ := startCluster(t, 1, 1, BackendRaft, 9)
+	s := servers[0]
+	s.Close()
+	frame := RaftCodec{}.Append([]byte{0, 0, 0, 0}, raft.Message{Kind: raft.MsgAppend, From: 1, To: 0, Term: 1})
+	s.onPeerFrame(1, frame)
+	s.onPeerFrame(1, frame)
+	if got := s.Metrics().InboxDrops(); got != 2 {
+		t.Fatalf("InboxDrops = %d, want 2", got)
+	}
+	rec := httptest.NewRecorder()
+	s.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var snap struct {
+		InboxDrops uint64 `json:"inbox_drops"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil || snap.InboxDrops != 2 {
+		t.Fatalf("/metrics inbox_drops = %d (err %v), want 2", snap.InboxDrops, err)
 	}
 }

@@ -26,6 +26,9 @@ type ServerMetrics struct {
 	applied   atomic.Uint64 // log entries applied across shards
 	notLeader atomic.Uint64 // submissions redirected
 	badReq    atomic.Uint64 // undecodable requests
+	// inboxDrops counts peer messages lost to a full (or stopped) module
+	// inbox, across shards.
+	inboxDrops atomic.Uint64
 
 	started time.Time
 }
@@ -53,6 +56,10 @@ func (m *ServerMetrics) Committed() uint64 {
 	return m.commits.Total()
 }
 
+// InboxDrops returns how many peer messages a full or stopped module
+// inbox has lost, across shards.
+func (m *ServerMetrics) InboxDrops() uint64 { return m.inboxDrops.Load() }
+
 // Applied returns the total log entries applied across shards.
 func (m *ServerMetrics) Applied() uint64 { return m.applied.Load() }
 
@@ -65,14 +72,15 @@ func (m *ServerMetrics) LatencySummary() metrics.Summary {
 
 // snapshot is the JSON shape /metrics serves.
 type metricsSnapshot struct {
-	UptimeSec float64           `json:"uptime_sec"`
-	Requests  uint64            `json:"requests"`
-	Applied   uint64            `json:"applied"`
-	NotLeader uint64            `json:"not_leader"`
-	BadReq    uint64            `json:"bad_requests"`
-	Commits   map[string]uint64 `json:"commits_per_shard"`
-	Latency   metrics.Summary   `json:"latency_us"`
-	Transport TransportStats    `json:"transport"`
+	UptimeSec  float64           `json:"uptime_sec"`
+	Requests   uint64            `json:"requests"`
+	Applied    uint64            `json:"applied"`
+	NotLeader  uint64            `json:"not_leader"`
+	BadReq     uint64            `json:"bad_requests"`
+	InboxDrops uint64            `json:"inbox_drops"`
+	Commits    map[string]uint64 `json:"commits_per_shard"`
+	Latency    metrics.Summary   `json:"latency_us"`
+	Transport  TransportStats    `json:"transport"`
 }
 
 func (m *ServerMetrics) snapshot(tr *Transport) metricsSnapshot {
@@ -84,14 +92,15 @@ func (m *ServerMetrics) snapshot(tr *Transport) metricsSnapshot {
 	lat := m.latency.Snapshot()
 	m.mu.Unlock()
 	return metricsSnapshot{
-		UptimeSec: time.Since(m.started).Seconds(),
-		Requests:  m.requests.Load(),
-		Applied:   m.applied.Load(),
-		NotLeader: m.notLeader.Load(),
-		BadReq:    m.badReq.Load(),
-		Commits:   commits,
-		Latency:   lat,
-		Transport: tr.Stats(),
+		UptimeSec:  time.Since(m.started).Seconds(),
+		Requests:   m.requests.Load(),
+		Applied:    m.applied.Load(),
+		NotLeader:  m.notLeader.Load(),
+		BadReq:     m.badReq.Load(),
+		InboxDrops: m.inboxDrops.Load(),
+		Commits:    commits,
+		Latency:    lat,
+		Transport:  tr.Stats(),
 	}
 }
 

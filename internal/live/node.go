@@ -67,11 +67,12 @@ type Node[M any] struct {
 // through Step without touching send); after runs on the loop
 // goroutine after every event, once the module's outbox is drained.
 func NewNode[M any](mod Module[M], self types.NodeID, dest func(M) types.NodeID, send func(M), after func(), cfg NodeConfig) *Node[M] {
+	cfg = cfg.withDefaults()
 	return &Node[M]{
 		mod: mod, self: self, dest: dest, send: send, after: after,
-		cfg:   cfg.withDefaults(),
-		inbox: make(chan M, cfg.withDefaults().InboxLen),
-		calls: make(chan func(), cfg.withDefaults().CallLen),
+		cfg:   cfg,
+		inbox: make(chan M, cfg.InboxLen),
+		calls: make(chan func(), cfg.CallLen),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}

@@ -349,13 +349,18 @@ func (g *smrGroup[M]) send(m M) {
 	g.srv.tr.Send(g.dest(m), frame)
 }
 
-// deliver decodes one inbound module message and enqueues it.
+// deliver decodes one inbound module message and enqueues it. A full
+// inbox loses the message, which the protocols survive as they survive
+// a lossy link — but not for free (raft answers a lost append with a
+// reject round trip), so the loss is counted.
 func (g *smrGroup[M]) deliver(payload []byte) {
 	m, err := g.codec.Decode(payload)
 	if err != nil {
 		return
 	}
-	g.node.Deliver(m)
+	if !g.node.Deliver(m) {
+		g.srv.met.inboxDrops.Add(1)
+	}
 }
 
 // submit runs the leadership check and submission on the loop.

@@ -86,6 +86,43 @@ func BenchmarkLeaderAppendBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkLeaderPipelined is servebench's raft.d32 round without the
+// codec: a burst of 32 submits at the leader, then deliveries until the
+// group is quiet, driven by hand with both followers acknowledging. One
+// op is one committed entry; entries-sent/op is how many times the
+// leader put an entry into an AppendEntries per commit (2 = once per
+// follower, the floor).
+func BenchmarkLeaderPipelined(b *testing.B) {
+	const depth = 32
+	g := newTrio(b)
+	val := types.Value("bench-value-0123456789abcdef")
+	entries, ops := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for ops < b.N {
+		for i := 0; i < depth; i++ {
+			g.lead.Submit(val)
+		}
+		for quiet := false; !quiet; {
+			quiet = true
+			for _, n := range g.nodes {
+				for _, m := range n.Drain() {
+					entries += len(m.Entries)
+					g.nodes[m.To].Step(m)
+					quiet = false
+				}
+			}
+		}
+		for _, n := range g.nodes {
+			n.TakeDecisions()
+		}
+		ops += depth
+	}
+	b.StopTimer()
+	g.converged()
+	b.ReportMetric(float64(entries)/float64(ops), "entries-sent/op")
+}
+
 // BenchmarkElectionTimeout is the failover ablation: shorter election
 // timeouts recover leadership faster but risk spurious elections under
 // jittery networks. Reported as ticks-to-new-leader after a crash.

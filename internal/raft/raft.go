@@ -201,9 +201,7 @@ type Node struct {
 	selfRemovedAt types.Seq
 	passive       bool
 
-	// Snapshot transfer progress per follower (leader side) and the
-	// chunk assembler (follower side).
-	snapXfer map[types.NodeID]int
+	// Chunk assembler for an incoming snapshot transfer (follower side).
 	asm      snapshot.Assembler
 	asmIndex types.Seq
 	// installed surfaces the most recently installed snapshot so the
@@ -214,9 +212,9 @@ type Node struct {
 	// Candidate state.
 	votes *quorum.Tally
 
-	// Leader state.
-	nextIndex  map[types.NodeID]types.Seq
-	matchIndex map[types.NodeID]types.Seq
+	// Leader state: replication progress per follower (never for the
+	// leader itself, whose match is its lastIndex). nil unless leading.
+	prs map[types.NodeID]*progress
 
 	queued []types.Value // submissions awaiting a known leader
 
@@ -310,7 +308,6 @@ func (n *Node) appendLocal(v types.Value) {
 		return // invalid or overlapping membership change: drop
 	}
 	n.appendEntry(LogEntry{Term: n.term, Val: v})
-	n.matchIndex[n.id] = n.lastIndex()
 	n.maybeCommit() // a single-node cluster commits immediately
 	n.replicateAll()
 }
@@ -336,8 +333,7 @@ func (n *Node) becomeFollower(term Term, lead types.NodeID) {
 	n.role = follower
 	n.lead = lead
 	n.votes = nil
-	n.nextIndex, n.matchIndex = nil, nil
-	n.snapXfer = nil
+	n.prs = nil
 	if lead >= 0 {
 		n.passive = false // heard from a live leader: full citizen now
 	}
@@ -377,67 +373,145 @@ func (n *Node) campaign() {
 func (n *Node) becomeLeader() {
 	n.role = leader
 	n.lead = n.id
-	n.nextIndex = make(map[types.NodeID]types.Seq, len(n.members))
-	n.matchIndex = make(map[types.NodeID]types.Seq, len(n.members))
+	n.prs = make(map[types.NodeID]*progress, len(n.members))
 	for _, p := range n.members {
-		n.nextIndex[p] = n.lastIndex() + 1
-		n.matchIndex[p] = 0
+		if p != n.id {
+			n.prs[p] = &progress{next: n.lastIndex() + 1}
+		}
 	}
-	n.snapXfer = nil
-	n.matchIndex[n.id] = n.lastIndex()
 	// A no-op entry from the new term lets the leader commit immediately
 	// (the classic "commit a current-term entry first" rule).
 	n.log = append(n.log, LogEntry{Term: n.term})
-	n.matchIndex[n.id] = n.lastIndex()
 	queued := n.queued
 	n.queued = nil
 	for _, v := range queued {
 		n.log = append(n.log, LogEntry{Term: n.term, Val: v})
-		n.matchIndex[n.id] = n.lastIndex()
 	}
-	n.hbIn = 0
-	n.maybeCommit()
-	n.replicateAll()
+	n.maybeCommit() // a single-node cluster commits immediately
+	n.heartbeat()   // announce the term: the first probe of every follower
 }
 
+// progressState says how the leader is feeding one follower.
+type progressState uint8
+
+const (
+	// stateProbe: the leader does not know where the follower's log
+	// ends. One append starting at next is outstanding and next stays
+	// put; only its ack, its reject or the heartbeat sends again.
+	stateProbe progressState = iota
+	// stateReplicate: the follower's log matches the leader's through
+	// match. Sends are optimistic: next moves past whatever leaves, so
+	// every entry leaves once.
+	stateReplicate
+	// stateSnapshot: the entries the follower needs are compacted away.
+	// One chunk at snapOff is outstanding; only its ack, its nack or the
+	// heartbeat sends again.
+	stateSnapshot
+)
+
+// progress is the leader's record of one follower (etcd-raft's
+// Progress, minus the in-flight window: MaxBatch and the acks pace
+// catch-up). The zero state is a probe.
+type progress struct {
+	state      progressState
+	match      types.Seq // highest index known to be in the follower's log
+	next       types.Seq // first index not sent yet (the probe's first index while probing)
+	commitSent types.Seq // LeaderCommit of the last append sent
+	snapOff    int       // offset of the outstanding snapshot chunk
+}
+
+// replicateAll offers every follower what it has not been sent. A round
+// that reached all of them is as good as a heartbeat and pushes the
+// next one back. A round that skipped someone does not: a follower
+// that is probing or mid-snapshot has one frame outstanding, and if
+// that frame was lost only the heartbeat resends it, so sustained
+// submits must not keep postponing it.
 func (n *Node) replicateAll() {
+	all := true
 	for _, p := range n.members {
-		if p != n.id {
-			n.replicateTo(p)
+		if p != n.id && !n.replicateTo(p) {
+			all = false
 		}
+	}
+	if all {
+		n.hbIn = n.cfg.HeartbeatTicks
+	}
+}
+
+// replicateTo sends p the entries and the commit index it has not been
+// sent, if any, and reports whether it sent. Submit, acks and commit
+// advances all call it; what leaves, and whether, is decided here.
+func (n *Node) replicateTo(p types.NodeID) bool {
+	pr := n.prs[p]
+	if pr == nil {
+		// Not leading any more: the commit that brought us here was of our
+		// own removal, and a node that has stepped down sends no appends.
+		return false
+	}
+	switch pr.state {
+	case stateProbe, stateSnapshot:
+		return false
+	case stateReplicate:
+	}
+	if pr.next > n.lastIndex() && n.commitIndex <= pr.commitSent {
+		return false
+	}
+	n.sendNext(p, pr)
+	return true
+}
+
+// heartbeat is the only timer-driven send. A follower with entries sent
+// but unacknowledged for a whole interval (the frames, or their acks,
+// were lost) is rewound to what it is known to hold; a probe or a
+// snapshot chunk is repeated; everyone else gets an empty append.
+func (n *Node) heartbeat() {
+	for _, p := range n.members {
+		if p == n.id {
+			continue
+		}
+		pr := n.prs[p]
+		if pr.state == stateReplicate && pr.match+1 < pr.next {
+			pr.next = pr.match + 1
+		}
+		n.sendNext(p, pr)
 	}
 	n.hbIn = n.cfg.HeartbeatTicks
 }
 
-func (n *Node) replicateTo(p types.NodeID) {
-	next := n.nextIndex[p]
-	if next < 1 {
-		next = 1
+// sendNext sends p one frame unconditionally: the outstanding snapshot
+// chunk when the entries it needs are compacted away, else an append
+// carrying entries [next, next+MaxBatch) — none if next is past the log,
+// which is the heartbeat and the commit notice.
+func (n *Node) sendNext(p types.NodeID, pr *progress) {
+	if pr.state != stateSnapshot && pr.next <= n.snapIndex {
+		pr.state, pr.snapOff = stateSnapshot, 0
 	}
-	if next <= n.snapIndex {
-		// The entries this follower needs were compacted away: stream the
-		// snapshot instead, resuming at the follower's last acked offset.
-		n.sendSnapChunk(p)
+	if pr.state == stateSnapshot {
+		n.sendSnapChunk(p, pr.snapOff)
 		return
 	}
-	prev := next - 1
+	prev := pr.next - 1
 	hi := n.lastIndex()
 	if max := prev + types.Seq(n.cfg.MaxBatch); hi > max {
 		hi = max
 	}
 	var batch []LogEntry
-	if hi >= next {
+	if hi >= pr.next {
 		// Exact-size header copy: in-flight messages must not alias the
 		// log's backing array (a later truncate-and-append would rewrite
 		// them), but the Values inside are immutable and shared.
-		batch = make([]LogEntry, hi-next+1)
-		copy(batch, n.log[next-n.snapIndex:hi-n.snapIndex+1])
+		batch = make([]LogEntry, hi-prev)
+		copy(batch, n.log[pr.next-n.snapIndex:hi-n.snapIndex+1])
 	}
 	n.send(Message{
 		Kind: MsgAppend, To: p,
 		PrevIndex: prev, PrevTerm: n.at(prev).Term,
 		Entries: batch, LeaderCommit: n.commitIndex,
 	})
+	if pr.state == stateReplicate {
+		pr.next = hi + 1
+	}
+	pr.commitSent = n.commitIndex
 }
 
 // Step consumes one delivered message.
@@ -516,9 +590,16 @@ func (n *Node) onAppend(m Message) {
 		entries = entries[drop:]
 		prevIndex, prevTerm = n.snapIndex, n.snapTerm
 	}
-	// Log Matching check.
-	if prevIndex > n.lastIndex() || n.at(prevIndex).Term != prevTerm {
-		n.send(Message{Kind: MsgAppendResp, To: m.From, Success: false, MatchIndex: n.commitIndex})
+	// Log Matching check. The reject echoes the PrevIndex it refused, so
+	// the leader can tell it from rejects of frames it has since resent,
+	// and hints where to resume: our last index if the gap is past our
+	// log, else our commit index (which surely matches the leader's log).
+	if prevIndex > n.lastIndex() {
+		n.send(Message{Kind: MsgAppendResp, To: m.From, PrevIndex: m.PrevIndex, MatchIndex: n.lastIndex()})
+		return
+	}
+	if n.at(prevIndex).Term != prevTerm {
+		n.send(Message{Kind: MsgAppendResp, To: m.From, PrevIndex: m.PrevIndex, MatchIndex: n.commitIndex})
 		return
 	}
 	// Append, truncating conflicts.
@@ -544,6 +625,12 @@ func (n *Node) onAppend(m Message) {
 		}
 		n.advanceCommit(upTo)
 	}
+	if len(m.Entries) == 0 {
+		// A matched empty append (heartbeat, commit notice) tells the
+		// leader nothing it does not know: no answer, as Multi-Paxos does
+		// not answer a commit.
+		return
+	}
 	n.send(Message{Kind: MsgAppendResp, To: m.From, Success: true, MatchIndex: match})
 }
 
@@ -551,26 +638,54 @@ func (n *Node) onAppendResp(m Message) {
 	if n.role != leader || m.Term != n.term {
 		return
 	}
-	if !m.Success {
-		// Back off toward the follower's commit frontier and retry.
-		next := n.nextIndex[m.From]
-		if m.MatchIndex+1 < next {
-			n.nextIndex[m.From] = m.MatchIndex + 1
-		} else if next > 1 {
-			n.nextIndex[m.From] = next - 1
-		}
-		n.replicateTo(m.From)
+	pr := n.prs[m.From]
+	if pr == nil {
+		return // not, or no longer, in the config
+	}
+	if m.Success {
+		n.onMatched(m.From, pr, m.MatchIndex)
 		return
 	}
-	delete(n.snapXfer, m.From)
-	if m.MatchIndex > n.matchIndex[m.From] {
-		n.matchIndex[m.From] = m.MatchIndex
+	// A reject names the PrevIndex it refused. Only the first reject of
+	// a frame still believed delivered counts; rejects of the frames
+	// that were in flight behind it, and duplicates, change nothing.
+	switch pr.state {
+	case stateProbe:
+		if m.PrevIndex != pr.next-1 {
+			return
+		}
+	case stateReplicate:
+		if m.PrevIndex <= pr.match {
+			return
+		}
+	case stateSnapshot:
+		return
 	}
-	n.nextIndex[m.From] = m.MatchIndex + 1
+	pr.next = m.PrevIndex
+	if hint := m.MatchIndex + 1; hint < pr.next {
+		pr.next = hint
+	}
+	if pr.next <= pr.match {
+		pr.next = pr.match + 1
+	}
+	pr.state = stateProbe
+	n.sendNext(m.From, pr)
+}
+
+// onMatched records that p's log is known to match through idx, which
+// ends a probe whose first index it reaches, and carries on from there.
+func (n *Node) onMatched(p types.NodeID, pr *progress, idx types.Seq) {
+	if idx > pr.match {
+		pr.match = idx
+	}
+	if pr.next <= pr.match {
+		pr.next = pr.match + 1
+	}
+	if pr.state == stateProbe && pr.next == pr.match+1 {
+		pr.state = stateReplicate
+	}
 	n.maybeCommit()
-	if n.nextIndex[m.From] <= n.lastIndex() {
-		n.replicateTo(m.From)
-	}
+	n.replicateTo(p)
 }
 
 // maybeCommit advances the commit index to the highest current-term
@@ -582,7 +697,11 @@ func (n *Node) maybeCommit() {
 	}
 	matches := n.matchScratch[:0]
 	for _, p := range n.members {
-		matches = append(matches, n.matchIndex[p])
+		if p == n.id {
+			matches = append(matches, n.lastIndex())
+		} else {
+			matches = append(matches, n.prs[p].match)
+		}
 	}
 	// Insertion sort, descending: clusters are small and sort.Slice's
 	// closure would allocate on every commit check.
@@ -624,7 +743,7 @@ func (n *Node) Tick() {
 	case leader:
 		n.hbIn--
 		if n.hbIn <= 0 {
-			n.replicateAll()
+			n.heartbeat()
 		}
 	case follower, candidate:
 		n.electionIn--

@@ -14,7 +14,7 @@ import (
 // Compaction folds the applied prefix of the log into an encoded
 // snapshot.Snapshot; the in-memory log keeps a sentinel at snapIndex
 // carrying snapTerm, so the AppendEntries consistency check still works
-// at the boundary. A follower whose nextIndex falls at or below
+// at the boundary. A follower whose next index falls at or below
 // snapIndex cannot be caught up by entries — the leader streams the
 // snapshot in offset-resumable chunks instead (MsgSnap/MsgSnapResp) and
 // resumes replication above it once the follower reports the install.
@@ -69,16 +69,37 @@ func (n *Node) TakeInstalledSnapshot() *snapshot.Snapshot {
 }
 
 func (n *Node) setMembers(ms []types.NodeID) {
+	old := n.members
 	n.members = ms
 	n.q = quorum.Majority{N: len(ms)}
-	if n.role == leader {
-		for _, p := range ms {
-			if _, ok := n.nextIndex[p]; !ok {
-				n.nextIndex[p] = n.lastIndex() + 1
-				n.matchIndex[p] = 0
-			}
+	if n.role != leader {
+		return
+	}
+	// Keep the progress of members that stay, and probe a new member with
+	// the entry admitting it.
+	prs := make(map[types.NodeID]*progress, len(ms))
+	for _, p := range ms {
+		if p == n.id {
+			continue
+		}
+		pr := n.prs[p]
+		if pr == nil {
+			pr = &progress{next: n.lastIndex()}
+			n.sendNext(p, pr)
+		}
+		prs[p] = pr
+	}
+	// A member that left is sent what it has not been sent one last time,
+	// which ends with the entry removing it: a node that never learns it
+	// was voted out keeps campaigning against the members that remain.
+	// Then it is forgotten (a node re-admitted under the same ID must not
+	// inherit a match it may no longer hold).
+	for _, p := range old {
+		if pr := n.prs[p]; pr != nil && prs[p] == nil {
+			n.sendNext(p, pr)
 		}
 	}
+	n.prs = prs
 }
 
 // confAllowed vets a membership change at the leader: well-formed, not
@@ -171,20 +192,19 @@ func (n *Node) Compact(upTo types.Seq, state []byte) bool {
 	}
 	n.confLog = keep
 	// In-flight transfer offsets point into the superseded snapshot.
-	n.snapXfer = nil
+	for _, p := range n.members {
+		if pr := n.prs[p]; pr != nil && pr.state == stateSnapshot {
+			pr.snapOff = 0
+		}
+	}
 	return true
 }
 
-// sendSnapChunk streams the next chunk of the current snapshot to p,
-// resuming at the follower's last acked offset.
-func (n *Node) sendSnapChunk(p types.NodeID) {
+// sendSnapChunk sends p the chunk of the current snapshot at off.
+func (n *Node) sendSnapChunk(p types.NodeID, off int) {
 	if n.snapData == nil {
 		return
 	}
-	if n.snapXfer == nil {
-		n.snapXfer = make(map[types.NodeID]int)
-	}
-	off := n.snapXfer[p]
 	chunk, done := snapshot.ChunkAt(n.snapData, off, n.cfg.SnapChunk)
 	n.send(Message{
 		Kind: MsgSnap, To: p,
@@ -263,32 +283,28 @@ func (n *Node) onSnapResp(m Message) {
 	if n.role != leader || m.Term != n.term {
 		return
 	}
+	pr := n.prs[m.From]
+	if pr == nil {
+		return // not, or no longer, in the config
+	}
 	if m.Done {
-		// Install (or already-covered) report: resume entry replication.
-		delete(n.snapXfer, m.From)
-		if m.MatchIndex > n.matchIndex[m.From] {
-			n.matchIndex[m.From] = m.MatchIndex
+		// Install (or already-covered) report: the follower's log is the
+		// snapshot through MatchIndex; resume entry replication above it.
+		if pr.state == stateSnapshot {
+			pr.state = stateReplicate
 		}
-		if m.MatchIndex+1 > n.nextIndex[m.From] {
-			n.nextIndex[m.From] = m.MatchIndex + 1
-		}
-		n.maybeCommit()
-		if n.role == leader && n.nextIndex[m.From] <= n.lastIndex() {
-			n.replicateTo(m.From)
-		}
+		n.onMatched(m.From, pr, m.MatchIndex)
 		return
 	}
+	if pr.state != stateSnapshot {
+		return // ack of a transfer that has ended
+	}
+	// Progress ack or offset nack: either way the follower named the
+	// offset it wants next — of the current snapshot, or of a superseded
+	// one, which restarts the transfer.
+	pr.snapOff = int(m.Offset)
 	if m.PrevIndex != n.snapIndex {
-		// Ack for a superseded snapshot: restart from the current one.
-		delete(n.snapXfer, m.From)
-		n.sendSnapChunk(m.From)
-		return
+		pr.snapOff = 0
 	}
-	// Progress ack or offset nack: either way the follower told us the
-	// offset it wants next.
-	if n.snapXfer == nil {
-		n.snapXfer = make(map[types.NodeID]int)
-	}
-	n.snapXfer[m.From] = int(m.Offset)
-	n.sendSnapChunk(m.From)
+	n.sendSnapChunk(m.From, pr.snapOff)
 }

@@ -305,7 +305,16 @@ func TestMembershipRemoveAndLeaderStepDown(t *testing.T) {
 	}
 
 	// Remove the leader: it must step down once the entry commits, and
-	// the survivor wins the next election.
+	// the survivor wins the next election. The runner drains a node after
+	// every Step, so the tap sees exactly what each Step left in Drain: a
+	// node that has stepped down sends nothing a leader sends.
+	var afterStepDown []Message
+	c.Intercept(lead.id, func(m Message) []Message {
+		if !lead.IsLeader() && (m.Kind == MsgAppend || m.Kind == MsgSnap) {
+			afterStepDown = append(afterStepDown, m)
+		}
+		return []Message{m}
+	})
 	lead.Submit(confVal(snapshot.ConfRemove, lead.id))
 	var next *Node
 	ok := c.RunUntil(func() bool {
@@ -322,6 +331,9 @@ func TestMembershipRemoveAndLeaderStepDown(t *testing.T) {
 	}
 	if lead.IsLeader() {
 		t.Fatal("removed leader still leads")
+	}
+	if len(afterStepDown) > 0 {
+		t.Fatalf("stepped-down node sent %v: %+v", afterStepDown[0].Kind, afterStepDown[0])
 	}
 	if got := next.Members(); len(got) != 1 || got[0] != next.id {
 		t.Fatalf("successor members: %v", got)
