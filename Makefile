@@ -5,7 +5,8 @@ GO ?= go
 # test-race covers them specifically so the race detector's cost stays
 # proportionate. explore's campaign worker pool and the shard stack it
 # drives joined the list when campaigns went parallel; live is the
-# real-time runtime (TCP transport, per-module event loops, client).
+# real-time runtime (TCP transport, mutex-serialized module turns,
+# client).
 RACE_PKGS := ./internal/runner ./internal/simnet ./internal/experiments ./internal/explore ./internal/shard/... ./internal/live ./internal/snapshot
 
 # The sharded-KV stack gated explicitly in ci: the cross-shard 2PC
@@ -15,8 +16,9 @@ SHARD_PKGS := ./internal/shard/... ./internal/explore ./internal/workload
 
 # Everything `make bench` measures: the simulation hot path plus the
 # protocol hot paths the allocation discipline tracks (raft append,
-# shard 2PC commit, explore episodes and campaign scaling).
-BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/shard ./internal/explore
+# shard 2PC commit, explore episodes and campaign scaling), and
+# live.Node's cost per event.
+BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/shard ./internal/explore ./internal/live
 
 .PHONY: all build test test-race bench bench-json golden lint explore ci cover serve-smoke
 
@@ -38,8 +40,12 @@ lint:
 test: build lint
 	$(GO) test ./...
 
+# live.Node's single-threaded module contract rests on a mutex whose
+# only dynamic check is the TestNode* hammer tests, so they run twenty
+# times over on top of the package once.
 test-race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race ./internal/live -run 'TestNode' -count=20
 
 # Bounded deterministic fault campaign: every registered protocol, a
 # fixed seed window, the default crash-model fault mix. Episodes fan

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"flag"
@@ -33,16 +32,19 @@ func usage() {
 
 func main() {
 	var (
-		addrsFlag = flag.String("addrs", "", "comma-separated node addresses to contact")
+		addrsFlag = flag.String("addrs", "", "comma-separated node addresses to contact (host:port or id=host:port)")
 		timeout   = flag.Duration("timeout", 2*time.Second, "per-node request timeout")
 	)
 	flag.Parse()
 	if *addrsFlag == "" || flag.NArg() < 1 {
 		usage()
 	}
-	addrs := strings.Split(*addrsFlag, ",")
-	for i := range addrs {
-		addrs[i] = strings.TrimSpace(addrs[i])
+	// Every address is contacted directly, so the id= of an
+	// id=host:port entry (consensus-load's form) is accepted and unused.
+	addrs, _, err := live.ParseAddrs(*addrsFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "consensus-admin: %v\n", err)
+		os.Exit(2)
 	}
 
 	switch flag.Arg(0) {

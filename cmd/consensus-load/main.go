@@ -5,6 +5,10 @@
 //	consensus-load -addrs 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 \
 //	    -workers 8 -duration 5s
 //
+// When -addrs is not the cluster's full ordered peer list (a node was
+// voted out, or only some nodes are named), write each entry as
+// id=host:port so leader hints find the right address.
+//
 // Exits nonzero if no operation committed — a burst against a dead or
 // leaderless cluster fails loudly, which the smoke script relies on.
 package main
@@ -14,7 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,7 +29,7 @@ import (
 
 func main() {
 	var (
-		addrsFlag = flag.String("addrs", "", "comma-separated server addresses; index = node ID")
+		addrsFlag = flag.String("addrs", "", "comma-separated server addresses: host:port (index = node ID) or id=host:port")
 		shards    = flag.Int("shards", 2, "cluster shard count (must match the servers)")
 		workers   = flag.Int("workers", 8, "concurrent closed-loop workers")
 		duration  = flag.Duration("duration", 3*time.Second, "how long to run")
@@ -41,9 +44,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "consensus-load: -addrs is required")
 		os.Exit(2)
 	}
-	addrs := strings.Split(*addrsFlag, ",")
-	for i := range addrs {
-		addrs[i] = strings.TrimSpace(addrs[i])
+	addrs, ids, err := live.ParseAddrs(*addrsFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "consensus-load: %v\n", err)
+		os.Exit(2)
 	}
 	base := *session
 	if base == 0 {
@@ -56,6 +60,7 @@ func main() {
 
 	cl, err := live.NewClient(live.ClientConfig{
 		Addrs:          addrs,
+		IDs:            ids,
 		Shards:         *shards,
 		SessionBase:    types.ClientID(base),
 		AttemptTimeout: *timeout,

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,9 +29,13 @@ var errNotLeader = errors.New("live: not leader")
 
 // ClientConfig wires a Client to a cluster.
 type ClientConfig struct {
-	// Addrs lists the cluster's TCP addresses; the slice index is the
-	// node ID (matching the servers' Addrs map keys).
+	// Addrs lists the TCP addresses of the nodes this client may use.
 	Addrs []string
+	// IDs names the node behind each address (the servers' Addrs map
+	// keys), so a NotLeader hint — a node ID — finds the right address
+	// when Addrs is not the full ordered peer set. Same length as Addrs;
+	// nil means Addrs[i] is node i.
+	IDs []types.NodeID
 	// Shards must match the servers' shard count (default 2): the
 	// client hashes keys with the same partition map to route each
 	// operation straight to its owning group's leader guess.
@@ -49,6 +55,28 @@ type ClientConfig struct {
 	RetryBackoff time.Duration
 	// MaxFrame caps response frames (DefaultMaxFrame if 0).
 	MaxFrame int
+}
+
+// ParseAddrs parses a comma-separated node list whose entries are
+// either all host:port (ids is nil: entry i is node i) or all
+// id=host:port — the command-line form of ClientConfig.Addrs and IDs.
+func ParseAddrs(list string) (addrs []string, ids []types.NodeID, err error) {
+	for _, entry := range strings.Split(list, ",") {
+		name, addr, named := strings.Cut(strings.TrimSpace(entry), "=")
+		if !named {
+			addrs = append(addrs, name)
+			continue
+		}
+		id, perr := strconv.ParseInt(name, 10, 64)
+		if perr != nil || id < 0 {
+			return nil, nil, fmt.Errorf("live: bad node id in address entry %q", entry)
+		}
+		addrs, ids = append(addrs, addr), append(ids, types.NodeID(id))
+	}
+	if ids != nil && len(ids) != len(addrs) {
+		return nil, nil, fmt.Errorf("live: address list %q names some nodes but not all", list)
+	}
+	return addrs, ids, nil
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
@@ -83,9 +111,11 @@ type Client struct {
 	seq   atomic.Uint64 // per-request session/seqno counter
 	reqID atomic.Uint64 // per-attempt match token
 
+	// A node is referred to by its position in cfg.Addrs throughout;
+	// a hint's node ID is turned into one by position.
 	mu     sync.Mutex
-	conns  []*cconn // index = node ID; nil or dead = (re)dial
-	leader []int    // per-shard leader guess (node index); -1 unknown
+	conns  []*cconn // nil or dead = (re)dial
+	leader []int    // per-shard leader guess; -1 unknown
 	closed bool
 }
 
@@ -95,6 +125,15 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("live: client needs at least one address")
+	}
+	if cfg.IDs == nil {
+		cfg.IDs = make([]types.NodeID, len(cfg.Addrs))
+		for i := range cfg.IDs {
+			cfg.IDs[i] = types.NodeID(i)
+		}
+	}
+	if len(cfg.IDs) != len(cfg.Addrs) {
+		return nil, fmt.Errorf("live: client has %d node IDs for %d addresses", len(cfg.IDs), len(cfg.Addrs))
 	}
 	c := &Client{
 		cfg:    cfg,
@@ -106,6 +145,17 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		c.leader[i] = -1
 	}
 	return c, nil
+}
+
+// position resolves a node ID to its index in cfg.Addrs, or -1 if the
+// client was not given that node.
+func (c *Client) position(id types.NodeID) int {
+	for i, have := range c.cfg.IDs {
+		if have == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Do executes one KV command against the cluster and returns the
@@ -137,7 +187,7 @@ func (c *Client) Do(cmd kvstore.Command) (types.Value, error) {
 			if errors.Is(err, ErrClientClosed) {
 				return nil, err
 			}
-			lastErr = fmt.Errorf("node %d: %w", node, err)
+			lastErr = fmt.Errorf("node %d: %w", c.cfg.IDs[node], err)
 			c.dropLeader(sh, node)
 			node = -1
 			time.Sleep(c.cfg.RetryBackoff)
@@ -148,9 +198,10 @@ func (c *Client) Do(cmd kvstore.Command) (types.Value, error) {
 			c.setLeader(sh, node)
 			return resp.Result, nil
 		case StatusNotLeader:
-			lastErr = fmt.Errorf("node %d: %w", node, errNotLeader)
+			lastErr = fmt.Errorf("node %d: %w", c.cfg.IDs[node], errNotLeader)
 			c.dropLeader(sh, node)
-			if hint := int(resp.Leader); hint >= 0 && hint < len(c.cfg.Addrs) && hint != node {
+			// A hint naming a node the client was not given is no hint.
+			if hint := c.position(types.NodeID(resp.Leader)); hint >= 0 && hint != node {
 				node = hint // fresh hint: redirect immediately
 				continue
 			}
@@ -159,7 +210,7 @@ func (c *Client) Do(cmd kvstore.Command) (types.Value, error) {
 		case StatusBadRequest:
 			return nil, fmt.Errorf("live: server rejected request: %s", resp.Result)
 		default: // StatusUnavailable and anything unknown
-			lastErr = fmt.Errorf("node %d: unavailable", node)
+			lastErr = fmt.Errorf("node %d: unavailable", c.cfg.IDs[node])
 			c.dropLeader(sh, node)
 			node = -1
 			time.Sleep(c.cfg.RetryBackoff)
@@ -261,13 +312,15 @@ func (c *Client) attempt(node int, req Request) (Response, error) {
 		cn.fail(err)
 		return Response{}, err
 	}
+	timeout := time.NewTimer(c.cfg.AttemptTimeout)
+	defer timeout.Stop() // a reply takes its timer out of the heap with it
 	select {
 	case resp, ok := <-ch:
 		if !ok {
 			return Response{}, errors.New("connection lost")
 		}
 		return resp, nil
-	case <-time.After(c.cfg.AttemptTimeout):
+	case <-timeout.C:
 		cn.unregister(req.ReqID)
 		return Response{}, errors.New("attempt timed out")
 	}

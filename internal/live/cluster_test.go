@@ -2,21 +2,28 @@ package live
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"fortyconsensus/internal/kvstore"
-	"fortyconsensus/internal/raft"
 	"fortyconsensus/internal/types"
 )
 
 // startCluster brings up n live servers on loopback ports and returns
 // them with the client-facing address list (index = node ID).
 func startCluster(t *testing.T, n, shards int, backend string, seed uint64) ([]*Server, []string) {
+	t.Helper()
+	return startClusterWith(t, n, ServerConfig{
+		Shards: shards, Backend: backend, TickEvery: time.Millisecond, Seed: seed,
+	}, nil)
+}
+
+// startClusterWith is startCluster over a config template (Self and
+// Addrs are filled in per node); only the nodes in campaigners — all
+// of them when nil — start able to campaign, the rest passive (Join).
+func startClusterWith(t *testing.T, n int, tmpl ServerConfig, campaigners map[int]bool) ([]*Server, []string) {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make(map[types.NodeID]string, n)
@@ -32,14 +39,10 @@ func startCluster(t *testing.T, n, shards int, backend string, seed uint64) ([]*
 	}
 	servers := make([]*Server, n)
 	for i := 0; i < n; i++ {
-		srv, err := NewServerOn(lns[i], ServerConfig{
-			Self:      types.NodeID(i),
-			Addrs:     addrs,
-			Shards:    shards,
-			Backend:   backend,
-			TickEvery: time.Millisecond,
-			Seed:      seed,
-		})
+		cfg := tmpl
+		cfg.Self, cfg.Addrs = types.NodeID(i), addrs
+		cfg.Join = campaigners != nil && !campaigners[i]
+		srv, err := NewServerOn(lns[i], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,26 +219,56 @@ func TestClusterMultiPaxosBackend(t *testing.T) {
 	}
 }
 
-// A peer message the module inbox cannot take is counted: raft recovers
-// a lost append with a reject round trip, so the loss has to be visible
-// to whoever reads /metrics. A stopped node refuses every message, which
-// is the cheapest way to make Deliver say no.
-func TestInboxDropsCounted(t *testing.T) {
-	servers, _ := startCluster(t, 1, 1, BackendRaft, 9)
-	s := servers[0]
-	s.Close()
-	frame := RaftCodec{}.Append([]byte{0, 0, 0, 0}, raft.Message{Kind: raft.MsgAppend, From: 1, To: 0, Term: 1})
-	s.onPeerFrame(1, frame)
-	s.onPeerFrame(1, frame)
-	if got := s.Metrics().InboxDrops(); got != 2 {
-		t.Fatalf("InboxDrops = %d, want 2", got)
+// TestClientFollowsHintByNodeID gives a client three of a four-node
+// cluster's addresses — nodes 1, 2 and 3, so list positions are not
+// node IDs — and has node 2 lead: the other three start passive, which
+// keeps them from campaigning but not from voting. The client's first
+// attempt lands on node 1, whose NotLeader hint of 2 must take it to
+// node 2's address; read as a position it names node 3, whose own hint
+// of 2 then looks stale, and the rotation never reaches node 2.
+func TestClientFollowsHintByNodeID(t *testing.T) {
+	servers, addrs := startClusterWith(t, 4, ServerConfig{
+		Shards: 1, Backend: BackendRaft, TickEvery: time.Millisecond, Seed: 5,
+	}, map[int]bool{2: true})
+	if lead := findLeader(t, servers, 0); lead != 2 {
+		t.Fatalf("node %d leads; only node 2 may campaign", lead)
 	}
-	rec := httptest.NewRecorder()
-	s.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	var snap struct {
-		InboxDrops uint64 `json:"inbox_drops"`
+
+	cl, err := NewClient(ClientConfig{
+		Addrs: []string{addrs[1], addrs[2], addrs[3]}, IDs: []types.NodeID{1, 2, 3},
+		Shards: 1, SessionBase: 140_000,
+		AttemptTimeout: time.Second, Deadline: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil || snap.InboxDrops != 2 {
-		t.Fatalf("/metrics inbox_drops = %d (err %v), want 2", snap.InboxDrops, err)
+	defer cl.Close()
+	if _, err := cl.Do(kvstore.Incr("hinted", 1)); err != nil {
+		t.Fatalf("incr through a hint to node 2: %v", err)
+	}
+	if got := servers[2].Metrics().Committed(); got != 1 {
+		t.Fatalf("node 2 answered %d commits, want 1", got)
+	}
+	if guess := cl.leaderGuess(0); guess != 1 {
+		t.Fatalf("leader cache holds position %d, want 1 (node 2's)", guess)
+	}
+}
+
+func TestParseAddrs(t *testing.T) {
+	addrs, ids, err := ParseAddrs("a:1, b:2")
+	if err != nil || ids != nil || len(addrs) != 2 || addrs[1] != "b:2" {
+		t.Fatalf("plain list: %v %v %v", addrs, ids, err)
+	}
+	addrs, ids, err = ParseAddrs("1=a:1,3=b:2")
+	if err != nil || len(addrs) != 2 || addrs[1] != "b:2" || len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
+		t.Fatalf("named list: %v %v %v", addrs, ids, err)
+	}
+	for _, bad := range []string{"1=a:1,b:2", "x=a:1", "-1=a:1"} {
+		if _, _, err := ParseAddrs(bad); err == nil {
+			t.Errorf("ParseAddrs(%q) accepted", bad)
+		}
+	}
+	if _, err := NewClient(ClientConfig{Addrs: []string{"a:1", "b:2"}, IDs: []types.NodeID{1}}); err == nil {
+		t.Error("NewClient accepted one ID for two addresses")
 	}
 }

@@ -20,11 +20,13 @@
 //	              best-effort — a dead peer's frames are dropped, which
 //	              is exactly the fault model every protocol here already
 //	              tolerates.
-//	node.go       the tick-translation driver: one goroutine per hosted
-//	              module runs a select loop over {inbox, ticker, calls},
-//	              so Step/Tick/Submit are serialized without any
-//	              protocol-level locking. Self-addressed messages
-//	              short-circuit through Step without touching the wire.
+//	node.go       the tick-translation driver. A hosted module has no
+//	              goroutine of its own: a message, a call or a tick runs
+//	              as one turn (the event, the outbox pumped dry, the
+//	              after hook) under the node's mutex, on the goroutine
+//	              that brought it, so Step/Tick/Submit are serialized
+//	              without any protocol-level locking. Self-addressed
+//	              messages short-circuit through Step within the turn.
 //	server.go     a Server hosts one replica of every shard group (raft
 //	              or multipaxos per group) applying shard.Store through
 //	              smr.Executor, routes client requests to the owning
@@ -36,6 +38,21 @@
 //	              in-flight requests demultiplexed by request ID).
 //	metrics.go    a mutex-guarded view over internal/metrics counters
 //	              and histograms, served as JSON over HTTP.
+//
+// Who runs a group's turn, and what it may take while it does:
+//
+//	peer conn reader ──Deliver──┐
+//	client conn loop ──Call─────┼─▶ Node.mu ─▶ Step | fn | Tick
+//	node ticker ───────Tick─────┘              pump ─▶ send  ─▶ Transport.mu ─▶ peer queue ─▶ writer goroutine
+//	                                           after ─▶ reply ─▶ ClientConn.mu ─▶ conn queue ─▶ writer goroutine
+//
+// Lock order: a node's mutex, then Transport.mu or ClientConn.mu, both
+// held only for a non-blocking enqueue. Nothing takes a node's mutex
+// while holding either (Transport.Close holds Transport.mu while it
+// closes connections and never calls into a group), and no turn takes a
+// second node's mutex. The writer goroutines are the only place a
+// socket is written: a turn's frames coalesce into one write there, and
+// a slow peer or client fills its own bounded queue, not a group's turn.
 //
 // What carries over from the simulation and what does not: replica
 // state transitions remain deterministic functions of the delivered

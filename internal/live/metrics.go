@@ -16,34 +16,37 @@ import (
 // client operations, a submit→apply latency histogram (microseconds),
 // and request accounting. It reuses internal/metrics' CounterSet and
 // Histogram behind a mutex — those types are single-threaded by
-// design, and here shard event loops and the HTTP endpoint race.
+// design, and here shard groups' turns and the HTTP endpoint race.
 type ServerMetrics struct {
-	mu      sync.Mutex
-	commits *metrics.CounterSet // per-shard ops committed and answered here
-	latency *metrics.Histogram  // submit→apply, µs
+	mu         sync.Mutex
+	commits    *metrics.CounterSet // per-shard ops committed and answered here
+	latency    *metrics.Histogram  // submit→apply, µs
+	shardNames []string            // commits' counter name per shard, built once
 
 	requests  atomic.Uint64 // client requests received
 	applied   atomic.Uint64 // log entries applied across shards
 	notLeader atomic.Uint64 // submissions redirected
 	badReq    atomic.Uint64 // undecodable requests
-	// inboxDrops counts peer messages lost to a full (or stopped) module
-	// inbox, across shards.
-	inboxDrops atomic.Uint64
 
 	started time.Time
 }
 
-func newServerMetrics() *ServerMetrics {
-	return &ServerMetrics{
-		commits: metrics.NewCounterSet(),
-		latency: metrics.NewHistogram(),
-		started: time.Now(),
+func newServerMetrics(shards int) *ServerMetrics {
+	m := &ServerMetrics{
+		commits:    metrics.NewCounterSet(),
+		latency:    metrics.NewHistogram(),
+		shardNames: make([]string, shards),
+		started:    time.Now(),
 	}
+	for i := range m.shardNames {
+		m.shardNames[i] = fmt.Sprintf("shard%d", i)
+	}
+	return m
 }
 
 func (m *ServerMetrics) observeCommit(shard int, lat time.Duration) {
 	m.mu.Lock()
-	m.commits.Add(fmt.Sprintf("shard%d", shard), 1)
+	m.commits.Add(m.shardNames[shard], 1)
 	m.latency.Add(int(lat.Microseconds()))
 	m.mu.Unlock()
 }
@@ -55,10 +58,6 @@ func (m *ServerMetrics) Committed() uint64 {
 	defer m.mu.Unlock()
 	return m.commits.Total()
 }
-
-// InboxDrops returns how many peer messages a full or stopped module
-// inbox has lost, across shards.
-func (m *ServerMetrics) InboxDrops() uint64 { return m.inboxDrops.Load() }
 
 // Applied returns the total log entries applied across shards.
 func (m *ServerMetrics) Applied() uint64 { return m.applied.Load() }
@@ -72,15 +71,14 @@ func (m *ServerMetrics) LatencySummary() metrics.Summary {
 
 // snapshot is the JSON shape /metrics serves.
 type metricsSnapshot struct {
-	UptimeSec  float64           `json:"uptime_sec"`
-	Requests   uint64            `json:"requests"`
-	Applied    uint64            `json:"applied"`
-	NotLeader  uint64            `json:"not_leader"`
-	BadReq     uint64            `json:"bad_requests"`
-	InboxDrops uint64            `json:"inbox_drops"`
-	Commits    map[string]uint64 `json:"commits_per_shard"`
-	Latency    metrics.Summary   `json:"latency_us"`
-	Transport  TransportStats    `json:"transport"`
+	UptimeSec float64           `json:"uptime_sec"`
+	Requests  uint64            `json:"requests"`
+	Applied   uint64            `json:"applied"`
+	NotLeader uint64            `json:"not_leader"`
+	BadReq    uint64            `json:"bad_requests"`
+	Commits   map[string]uint64 `json:"commits_per_shard"`
+	Latency   metrics.Summary   `json:"latency_us"`
+	Transport TransportStats    `json:"transport"`
 }
 
 func (m *ServerMetrics) snapshot(tr *Transport) metricsSnapshot {
@@ -92,15 +90,14 @@ func (m *ServerMetrics) snapshot(tr *Transport) metricsSnapshot {
 	lat := m.latency.Snapshot()
 	m.mu.Unlock()
 	return metricsSnapshot{
-		UptimeSec:  time.Since(m.started).Seconds(),
-		Requests:   m.requests.Load(),
-		Applied:    m.applied.Load(),
-		NotLeader:  m.notLeader.Load(),
-		BadReq:     m.badReq.Load(),
-		InboxDrops: m.inboxDrops.Load(),
-		Commits:    commits,
-		Latency:    lat,
-		Transport:  tr.Stats(),
+		UptimeSec: time.Since(m.started).Seconds(),
+		Requests:  m.requests.Load(),
+		Applied:   m.applied.Load(),
+		NotLeader: m.notLeader.Load(),
+		BadReq:    m.badReq.Load(),
+		Commits:   commits,
+		Latency:   lat,
+		Transport: tr.Stats(),
 	}
 }
 

@@ -21,88 +21,96 @@ type NodeConfig struct {
 	// (default 2ms). Every protocol timeout in the module's config is
 	// expressed in ticks; this is the only place ticks meet the clock.
 	TickEvery time.Duration
-	// InboxLen bounds the inbound message queue (default 4096). A full
-	// inbox drops messages — the lossy-network fault model again.
-	InboxLen int
-	// CallLen bounds the queued closures (default 1024).
-	CallLen int
 }
 
 func (c NodeConfig) withDefaults() NodeConfig {
 	if c.TickEvery <= 0 {
 		c.TickEvery = 2 * time.Millisecond
 	}
-	if c.InboxLen <= 0 {
-		c.InboxLen = 4096
-	}
-	if c.CallLen <= 0 {
-		c.CallLen = 1024
-	}
 	return c
 }
 
-// Node runs one protocol module on a single goroutine: a select loop
-// over the inbox, the tick ticker, and queued calls. Because only the
-// loop goroutine ever touches the module, the protocol needs no
-// locking — the simulator's single-threaded contract carries over
-// verbatim. All module access from outside goes through Call/CallWait.
+// Node hosts one protocol module without a goroutine of its own: an
+// event — an inbound message, a tick, a call — runs as one turn on the
+// goroutine that brought it (a peer connection's reader, a client
+// connection's request loop, the ticker), under the node's mutex. A
+// turn is the event, then the module's outbox pumped dry, then the
+// after hook. The mutex keeps the simulator's single-threaded module
+// contract, so the protocol needs no locking of its own; all module
+// access from outside goes through Call.
 type Node[M any] struct {
 	mod   Module[M]
 	self  types.NodeID
 	dest  func(M) types.NodeID
 	send  func(M) // deliver one outbound message (dest != self)
 	after func()  // post-event hook: pump decisions, route replies
-
 	cfg   NodeConfig
-	inbox chan M
-	calls chan func()
-	stop  chan struct{}
-	done  chan struct{}
 
-	startOnce, closeOnce sync.Once
+	mu      sync.Mutex // held for a whole turn
+	started bool
+	stopped bool
+	stop    chan struct{}  // closed by Close: ends the ticker
+	ticker  sync.WaitGroup // the ticker goroutine
 }
 
 // NewNode wraps mod. dest extracts a message's destination; send
 // delivers outbound messages (self-addressed ones short-circuit
-// through Step without touching send); after runs on the loop
-// goroutine after every event, once the module's outbox is drained.
+// through Step without touching send); after runs at the end of every
+// turn, once the module's outbox is drained.
+//
+// send and after run with the node's mutex held, on whichever goroutine
+// has the turn: they must not block and must not call back into this
+// Node.
 func NewNode[M any](mod Module[M], self types.NodeID, dest func(M) types.NodeID, send func(M), after func(), cfg NodeConfig) *Node[M] {
-	cfg = cfg.withDefaults()
 	return &Node[M]{
 		mod: mod, self: self, dest: dest, send: send, after: after,
-		cfg:   cfg,
-		inbox: make(chan M, cfg.InboxLen),
-		calls: make(chan func(), cfg.CallLen),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		cfg:  cfg.withDefaults(),
+		stop: make(chan struct{}),
 	}
 }
 
-// Start launches the event loop.
+// Start launches the ticker, the one goroutine a node owns. Deliver
+// and Call work without it; only ticks need Start.
 func (n *Node[M]) Start() {
-	n.startOnce.Do(func() { go n.loop() })
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.started || n.stopped {
+		return
+	}
+	n.started = true
+	n.ticker.Add(1)
+	go n.tickLoop()
 }
 
-func (n *Node[M]) loop() {
-	defer close(n.done)
-	ticker := time.NewTicker(n.cfg.TickEvery)
-	defer ticker.Stop()
+// tickLoop translates wall-clock time into Tick turns.
+func (n *Node[M]) tickLoop() {
+	defer n.ticker.Done()
+	t := time.NewTicker(n.cfg.TickEvery)
+	defer t.Stop()
 	for {
 		select {
 		case <-n.stop:
 			return
-		case m := <-n.inbox:
-			n.mod.Step(m)
-		case <-ticker.C:
-			n.mod.Tick()
-		case fn := <-n.calls:
-			fn()
-		}
-		n.pump()
-		if n.after != nil {
-			n.after()
+		case <-t.C:
+			n.turn(n.mod.Tick)
 		}
 	}
+}
+
+// turn runs one event to completion under the node's mutex, reporting
+// false (event not run) if the node has stopped.
+func (n *Node[M]) turn(event func()) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopped {
+		return false
+	}
+	event()
+	n.pump()
+	if n.after != nil {
+		n.after()
+	}
+	return true
 }
 
 // pump drains the module's outbox until it stays empty: self-addressed
@@ -124,66 +132,34 @@ func (n *Node[M]) pump() {
 	}
 }
 
-// Deliver enqueues one inbound message without blocking; it reports
-// false (message dropped) when the inbox is full or the node stopped.
+// Deliver steps one inbound message through the module on the calling
+// goroutine, waiting for a turn in progress; it reports false (message
+// dropped) only when the node has stopped. A module that cannot keep up
+// therefore holds its callers back — for a peer connection's reader,
+// that is TCP backpressure on the sender.
 func (n *Node[M]) Deliver(m M) bool {
-	select {
-	case <-n.stop:
-		return false
-	default:
-	}
-	select {
-	case n.inbox <- m:
-		return true
-	default:
-		return false
-	}
+	return n.turn(func() { n.mod.Step(m) })
 }
 
-// Call queues fn to run on the loop goroutine — the only legal way to
-// touch the module from outside. It reports false if the node has
-// stopped (fn will never run); a full call queue blocks, which is
-// deliberate backpressure on request dispatch.
-func (n *Node[M]) Call(fn func()) bool {
-	// Check stop on its own first: with both channels ready, a single
-	// select would pick randomly, letting a Call slip in after Close.
-	select {
-	case <-n.stop:
-		return false
-	default:
-	}
-	select {
-	case <-n.stop:
-		return false
-	case n.calls <- fn:
-		return true
-	}
-}
+// Call runs fn as one turn on the calling goroutine and returns when it
+// has finished — the only legal way to touch the module from outside.
+// It reports false if the node has stopped (fn did not run). fn must
+// not block and must not call back into this Node.
+func (n *Node[M]) Call(fn func()) bool { return n.turn(fn) }
 
-// CallWait runs fn on the loop goroutine and waits for it to finish,
-// reporting false if the node stopped first.
-func (n *Node[M]) CallWait(fn func()) bool {
-	ran := make(chan struct{})
-	if !n.Call(func() { fn(); close(ran) }) {
-		return false
-	}
-	select {
-	case <-ran:
-		return true
-	case <-n.done:
-		// The loop exited with our call still queued.
-		select {
-		case <-ran:
-			return true
-		default:
-			return false
-		}
-	}
-}
+// CallWait is Call: with no queue between caller and module, every
+// call has finished by the time it returns.
+func (n *Node[M]) CallWait(fn func()) bool { return n.turn(fn) }
 
-// Close stops the loop and waits for it to exit. Idempotent.
+// Close stops the node and returns once no turn is running and the
+// ticker has exited: after it, nothing reaches the module or the hooks,
+// and Deliver/Call report false. Idempotent.
 func (n *Node[M]) Close() {
-	n.closeOnce.Do(func() { close(n.stop) })
-	n.Start() // a never-started node still closes cleanly
-	<-n.done
+	n.mu.Lock()
+	if !n.stopped {
+		n.stopped = true
+		close(n.stop)
+	}
+	n.mu.Unlock()
+	n.ticker.Wait()
 }

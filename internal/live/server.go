@@ -67,7 +67,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 }
 
 // Server is one live cluster node: a transport, one hosted module per
-// shard group (each on its own event-loop goroutine), and the client
+// shard group (each behind its own live.Node lock), and the client
 // request path routing operations to the owning group by key hash.
 type Server struct {
 	cfg ServerConfig
@@ -117,7 +117,7 @@ func NewServerOn(ln net.Listener, cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg: cfg,
 		pm:  shard.NewPartitionMap(cfg.Shards),
-		met: newServerMetrics(),
+		met: newServerMetrics(cfg.Shards),
 	}
 	s.tr = NewTransport(ln, TransportConfig{
 		Self:        cfg.Self,
@@ -160,7 +160,7 @@ func mixSeed(seed, i uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Start launches the transport and every group's event loop.
+// Start launches the transport and every group's ticker.
 func (s *Server) Start() {
 	s.tr.Start()
 	for _, g := range s.grs {
@@ -181,7 +181,7 @@ func (s *Server) Metrics() *ServerMetrics { return s.met }
 func (s *Server) TransportStats() TransportStats { return s.tr.Stats() }
 
 // Leader reports shard sh's leadership as seen by this node:
-// (thisNodeLeads, believedLeader). ok is false if the group's loop has
+// (thisNodeLeads, believedLeader). ok is false if the group has
 // stopped or sh is out of range.
 func (s *Server) Leader(sh int) (isLeader bool, leader types.NodeID, ok bool) {
 	if sh < 0 || sh >= len(s.grs) {
@@ -190,8 +190,9 @@ func (s *Server) Leader(sh int) (isLeader bool, leader types.NodeID, ok bool) {
 	return s.grs[sh].leaderInfo()
 }
 
-// InspectStore runs fn against shard sh's state machine on the
-// group's event loop — the legal way to read replicated state.
+// InspectStore runs fn against shard sh's state machine as one turn of
+// the group's node — the legal way to read replicated state. fn must
+// not block or call back into the server.
 func (s *Server) InspectStore(sh int, fn func(st *shard.Store)) bool {
 	if sh < 0 || sh >= len(s.grs) {
 		return false
@@ -206,7 +207,8 @@ func (s *Server) SnapshotKV(sh int) ([]byte, bool) {
 	return snap, ok
 }
 
-// onPeerFrame routes one inter-node frame to its shard group:
+// onPeerFrame routes one inter-node frame to its shard group, whose
+// turn then runs on this goroutine (the peer connection's reader):
 // payload = u32 group index | module message bytes.
 func (s *Server) onPeerFrame(from types.NodeID, payload []byte) {
 	if len(payload) < 4 {
@@ -244,8 +246,8 @@ func (s *Server) serveClient(cc *ClientConn) {
 }
 
 // Close shuts the node down: metrics endpoints, then the transport
-// (no new requests, peer IO stops), then every group loop. Safe to
-// call more than once.
+// (no new requests, peer IO stops), then every group. Safe to call
+// more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -291,10 +293,10 @@ type pendingReq struct {
 	start time.Time
 }
 
-// smrGroup hosts one shard group's module: the live.Node event loop,
-// the wire codec, the smr executor applying shard.Store, and the
-// pending-reply table. Everything below node is touched only on the
-// loop goroutine.
+// smrGroup hosts one shard group's module: the live.Node that
+// serializes its turns, the wire codec, the smr executor applying
+// shard.Store, and the pending-reply table. Everything below node is
+// touched only inside a turn, under the node's lock.
 type smrGroup[M any] struct {
 	srv   *Server
 	idx   int
@@ -306,7 +308,7 @@ type smrGroup[M any] struct {
 	store *shard.Store
 
 	// comp is the module's compaction surface (nil if unsupported).
-	// lastCompact and installs are loop-goroutine state like exec.
+	// lastCompact and installs are turn state like exec.
 	comp        compactor
 	lastCompact types.Seq
 	installs    int
@@ -349,21 +351,19 @@ func (g *smrGroup[M]) send(m M) {
 	g.srv.tr.Send(g.dest(m), frame)
 }
 
-// deliver decodes one inbound module message and enqueues it. A full
-// inbox loses the message, which the protocols survive as they survive
-// a lossy link — but not for free (raft answers a lost append with a
-// reject round trip), so the loss is counted.
+// deliver decodes one inbound module message and steps it through the
+// module on the calling reader goroutine. Only a stopped group refuses
+// it, and a message for a group that is shutting down needs no count.
 func (g *smrGroup[M]) deliver(payload []byte) {
 	m, err := g.codec.Decode(payload)
 	if err != nil {
 		return
 	}
-	if !g.node.Deliver(m) {
-		g.srv.met.inboxDrops.Add(1)
-	}
+	g.node.Deliver(m)
 }
 
-// submit runs the leadership check and submission on the loop.
+// submit runs the leadership check and submission as one turn, on the
+// client connection's goroutine.
 func (g *smrGroup[M]) submit(cc *ClientConn, req Request) {
 	ok := g.node.Call(func() {
 		if !g.mod.IsLeader() {
@@ -401,7 +401,7 @@ func (g *smrGroup[M]) prunePending() {
 
 // pumpDecisions restores any freshly installed snapshot, applies newly
 // committed slots, answers their waiting clients, and compacts on
-// cadence. Runs on the loop goroutine after every event.
+// cadence. Runs at the end of every turn, under the node's lock.
 func (g *smrGroup[M]) pumpDecisions() {
 	if g.comp != nil {
 		if snap := g.comp.TakeInstalledSnapshot(); snap != nil {
@@ -461,7 +461,7 @@ func (g *smrGroup[M]) inspect(fn func(st *shard.Store)) bool {
 	return g.node.CallWait(func() { fn(g.store) })
 }
 
-// status snapshots the group's replication state on the loop goroutine.
+// status snapshots the group's replication state in one turn.
 func (g *smrGroup[M]) status() (GroupStatus, bool) {
 	var st GroupStatus
 	ok := g.node.CallWait(func() {

@@ -379,8 +379,8 @@ func (t *Transport) Close() {
 
 // ClientConn is one inbound client connection: framed reads on the
 // serving goroutine, framed writes through a bounded queue drained by
-// a dedicated writer (so a slow client never blocks a shard's event
-// loop — its responses drop and its retries re-read the dedup cache).
+// a dedicated writer (so a slow client never blocks a shard group's
+// turn — its responses drop and its retries re-read the dedup cache).
 type ClientConn struct {
 	c        net.Conn
 	br       *bufio.Reader

@@ -126,7 +126,7 @@ wait "$P0" 2>/dev/null
 P0=""
 
 echo "serve-smoke: load burst 3 (reshaped cluster 1,2,3)"
-"$DIR/consensus-load" -addrs "$A1,$A2,$A3" -duration 2s -workers 8 -session 130000 \
+"$DIR/consensus-load" -addrs "1=$A1,2=$A2,3=$A3" -duration 2s -workers 8 -session 130000 \
     || die "load burst 3 committed nothing; reshaped cluster did not serve"
 
 echo "serve-smoke: graceful shutdown"
