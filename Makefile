@@ -20,7 +20,7 @@ SHARD_PKGS := ./internal/shard/... ./internal/explore ./internal/workload
 # live.Node's cost per event.
 BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/shard ./internal/explore ./internal/live
 
-.PHONY: all build test test-race bench bench-json golden lint explore ci cover serve-smoke
+.PHONY: all build test test-race bench bench-json golden lint explore examples ci cover serve-smoke
 
 all: build test
 
@@ -64,10 +64,17 @@ explore:
 	$(GO) run ./cmd/consensus-explore -protocol raft -seeds 96 -faults 5 -workers 0 -classes drop,dup,delay,crash,partition
 	$(GO) run ./cmd/consensus-explore -protocol raft-member -seeds 128 -faults 3 -workers 0 -classes rmnode,crash,partition
 
+# The simulator examples sit on the protocol packages' Cluster API and
+# have no tests of their own: each must run to completion and exit 0.
+examples:
+	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./examples/bank > /dev/null
+	$(GO) run ./examples/byzantine > /dev/null
+
 # Full gate: everything CI runs, in order. The golden step verifies the
 # pinned experiment artifacts byte-for-byte (no -update), and the shard
 # stack runs uncached so the 2PC and linearizability tests always fire.
-ci: build lint explore
+ci: build lint explore examples
 	$(GO) test -race ./...
 	$(GO) test $(SHARD_PKGS) -count=1
 	$(GO) test ./internal/experiments -run TestGoldenArtifacts -count=1
@@ -96,9 +103,13 @@ bench:
 # Machine-readable benchmark record: same sweep as `make bench`,
 # rendered to $(BENCH_JSON) (ns/op, B/op, allocs/op per benchmark) for
 # mechanical before/after comparison across PRs. A PR that records one
-# names it after itself: `make bench-json BENCH_JSON=BENCH_13.json`.
-BENCH_JSON ?= BENCH_12.json
+# names it after itself: `make bench-json BENCH_JSON=BENCH_14.json`.
+# There is no default, so a forgotten name cannot overwrite an old
+# record.
 bench-json:
+ifndef BENCH_JSON
+	$(error bench-json needs a target file: make bench-json BENCH_JSON=BENCH_<pr>.json)
+endif
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS) > bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) < bench.out
 	@rm -f bench.out

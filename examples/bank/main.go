@@ -46,8 +46,7 @@ func (s *shard) apply(all []*shard, cmd kvstore.Command) types.Value {
 	for ticks := 0; ticks < 2000; ticks++ {
 		var out types.Value
 		for _, sh := range all {
-			sh.cluster.Step()
-			for _, r := range sh.cluster.Pump() {
+			for _, r := range sh.cluster.RunPumped(1) {
 				if sh == s && r.SeqNo == seq && r.Node == s.leader.Leader() {
 					out = r.Result
 				}
@@ -136,7 +135,7 @@ func main() {
 	fmt.Printf("total money = %d (expected %d) %s\n", total, accounts*initialBal,
 		check(total == accounts*initialBal))
 	for i, s := range shards {
-		if err := smr.CheckPrefixConsistency(s.cluster.Execs...); err != nil {
+		if err := smr.CheckPrefixConsistency(s.cluster.Execs()...); err != nil {
 			log.Fatalf("shard %d inconsistent: %v", i, err)
 		}
 	}

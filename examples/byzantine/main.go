@@ -48,14 +48,14 @@ func pbftDemo() {
 		c.Submit(0, req(uint64(i), kvstore.Incr("balance", 100)))
 	}
 	c.RunPumped(2000)
-	if err := smr.CheckPrefixConsistency(c.Execs[0], c.Execs[1], c.Execs[2]); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()[0], c.Execs()[1], c.Execs()[2]); err != nil {
 		fmt.Printf("  UNEXPECTED divergence: %v\n", err)
 		return
 	}
-	frontier := c.Replicas[0].ExecutedFrontier()
+	frontier := c.Nodes[0].ExecutedFrontier()
 	fmt.Printf("  correct replicas executed %d/5 commands in identical order ✓\n", frontier)
 	store := kvstore.New()
-	for _, d := range c.Execs[0].Applied() {
+	for _, d := range c.Execs()[0].Applied() {
 		if r, err := smr.DecodeRequest(d.Val); err == nil {
 			store.Apply(r.Op)
 		}
@@ -96,7 +96,7 @@ func paxosDemo() {
 		}
 	}()
 	c.RunPumped(300)
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		fmt.Printf("  replicas diverged: %v\n", err)
 		fmt.Println("  ⇒ crash-fault consensus is NOT byzantine fault tolerant (as the paper warns)")
 		return

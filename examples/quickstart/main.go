@@ -59,7 +59,7 @@ func main() {
 	}
 
 	// 4. Audit: every replica applied the identical command sequence.
-	if err := smr.CheckPrefixConsistency(cluster.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(cluster.Execs()...); err != nil {
 		log.Fatalf("CONSISTENCY VIOLATION: %v", err)
 	}
 	fmt.Printf("\nall %d replicas applied identical logs (%d slots committed) ✓\n",
@@ -85,7 +85,7 @@ func main() {
 		Client: 1, SeqNo: 9, Op: kvstore.Put("after", []byte("failover")).Encode(),
 	}))
 	cluster.RunPumped(300)
-	if err := smr.CheckPrefixConsistency(cluster.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(cluster.Execs()...); err != nil {
 		log.Fatalf("CONSISTENCY VIOLATION after failover: %v", err)
 	}
 	fmt.Printf("new leader %v committed slot %d; logs still consistent ✓\n",

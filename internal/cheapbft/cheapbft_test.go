@@ -12,32 +12,18 @@ import (
 
 // cluster is the test harness: 2f+1 replicas plus executors.
 type cluster struct {
-	*runner.Cluster[Message]
-	reps  []*Replica
-	execs []*smr.Executor
-	f     int
+	*runner.SMRCluster[Message, *Replica]
 }
 
 func newCluster(f int, fabric *simnet.Fabric, cfg Config) *cluster {
 	n := 2*f + 1
 	cfg.N, cfg.F = n, f
-	rc := runner.New(runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind})
-	c := &cluster{Cluster: rc, f: f}
-	for i := 0; i < n; i++ {
-		rep := NewReplica(types.NodeID(i), cfg)
-		c.reps = append(c.reps, rep)
-		rc.Add(types.NodeID(i), rep)
-		c.execs = append(c.execs, smr.NewExecutor(types.NodeID(i), kvstore.New()))
+	reps := make([]*Replica, n)
+	for i := range reps {
+		reps[i] = NewReplica(types.NodeID(i), cfg)
 	}
-	return c
-}
-
-func (c *cluster) pump() {
-	for i, rep := range c.reps {
-		for _, d := range rep.TakeDecisions() {
-			c.execs[i].Commit(d)
-		}
-	}
+	rc := runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind}
+	return &cluster{runner.NewSMRCluster(rc, reps, func() smr.StateMachine { return kvstore.New() })}
 }
 
 func (c *cluster) submit(at types.NodeID, req types.Value) {
@@ -45,15 +31,8 @@ func (c *cluster) submit(at types.NodeID, req types.Value) {
 }
 
 func (c *cluster) executedEverywhere(seq types.Seq, skip ...types.NodeID) bool {
-	sk := map[types.NodeID]bool{}
-	for _, s := range skip {
-		sk[s] = true
-	}
-	for _, rep := range c.reps {
-		if sk[rep.id] || c.Crashed(rep.id) {
-			continue
-		}
-		if rep.ExecutedFrontier() < seq {
+	for i, rep := range c.Nodes {
+		if c.Correct(types.NodeID(i), skip) && rep.ExecutedFrontier() < seq {
 			return false
 		}
 	}
@@ -76,8 +55,8 @@ func TestCheapTinyCommitsWithActiveSubset(t *testing.T) {
 	if st.ByKind["update"] == 0 {
 		t.Fatalf("no passive updates flowed: %v", st.ByKind)
 	}
-	c.pump()
-	if err := smr.CheckPrefixConsistency(c.execs...); err != nil {
+	c.Pump()
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -85,7 +64,7 @@ func TestCheapTinyCommitsWithActiveSubset(t *testing.T) {
 func TestActiveSetSize(t *testing.T) {
 	c := newCluster(2, nil, Config{}) // n=5, active=3
 	active := 0
-	for _, rep := range c.reps {
+	for _, rep := range c.Nodes {
 		if rep.isActive(rep.id) {
 			active++
 		}
@@ -120,17 +99,17 @@ func TestPanicSwitchesToMinBFT(t *testing.T) {
 	c.submit(0, req(1, 1, kvstore.Put("k", []byte("v"))))
 	if !c.RunUntil(func() bool { return c.executedEverywhere(1, 1) }, 4000) {
 		t.Fatalf("request never recovered after active-replica crash (modes: %v %v)",
-			c.reps[0].Mode(), c.reps[2].Mode())
+			c.Nodes[0].Mode(), c.Nodes[2].Mode())
 	}
-	if c.reps[0].Mode() != ModeMinBFT && c.reps[2].Mode() != ModeMinBFT {
-		t.Fatalf("no replica reached MinBFT mode: %v/%v", c.reps[0].Mode(), c.reps[2].Mode())
+	if c.Nodes[0].Mode() != ModeMinBFT && c.Nodes[2].Mode() != ModeMinBFT {
+		t.Fatalf("no replica reached MinBFT mode: %v/%v", c.Nodes[0].Mode(), c.Nodes[2].Mode())
 	}
 	st := c.Stats()
 	if st.ByKind["panic"] == 0 || st.ByKind["history"] == 0 || st.ByKind["switch"] == 0 {
 		t.Fatalf("CheapSwitch phases missing: %v", st.ByKind)
 	}
-	c.pump()
-	if err := smr.CheckPrefixConsistency(c.execs[0], c.execs[2]); err != nil {
+	c.Pump()
+	if err := smr.CheckPrefixConsistency(c.Execs()[0], c.Execs()[2]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -146,8 +125,8 @@ func TestMinBFTModeToleratesSilentReplica(t *testing.T) {
 	if !c.RunUntil(func() bool { return c.executedEverywhere(2, 1) }, 2000) {
 		t.Fatal("MinBFT mode stalled with one silent replica")
 	}
-	c.pump()
-	if err := smr.CheckPrefixConsistency(c.execs[0], c.execs[2]); err != nil {
+	c.Pump()
+	if err := smr.CheckPrefixConsistency(c.Execs()[0], c.Execs()[2]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -159,12 +138,12 @@ func TestSwitchBackAfterQuietPeriod(t *testing.T) {
 	c.RunUntil(func() bool { return c.executedEverywhere(1, 1) }, 4000)
 	c.Restart(1)
 	ok := c.RunUntil(func() bool {
-		return c.reps[0].Mode() == ModeCheapTiny && c.reps[2].Mode() == ModeCheapTiny
+		return c.Nodes[0].Mode() == ModeCheapTiny && c.Nodes[2].Mode() == ModeCheapTiny
 	}, 4000)
 	if !ok {
-		t.Fatalf("never switched back: %v/%v", c.reps[0].Mode(), c.reps[2].Mode())
+		t.Fatalf("never switched back: %v/%v", c.Nodes[0].Mode(), c.Nodes[2].Mode())
 	}
-	if c.reps[0].Epoch() == 0 {
+	if c.Nodes[0].Epoch() == 0 {
 		t.Fatal("switch-back kept the old epoch")
 	}
 }
@@ -200,14 +179,14 @@ func TestChaosConsistency(t *testing.T) {
 		for i := 1; i <= 12; i++ {
 			c.submit(types.NodeID(i%3), req(1, uint64(i), kvstore.Incr("n", 1)))
 			c.Run(70)
-			c.pump()
-			if err := smr.CheckPrefixConsistency(c.execs...); err != nil {
+			c.Pump()
+			if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
 		if !c.executedEverywhere(12) {
 			t.Fatalf("seed %d: stalled at %d/%d/%d", seed,
-				c.reps[0].ExecutedFrontier(), c.reps[1].ExecutedFrontier(), c.reps[2].ExecutedFrontier())
+				c.Nodes[0].ExecutedFrontier(), c.Nodes[1].ExecutedFrontier(), c.Nodes[2].ExecutedFrontier())
 		}
 	}
 }

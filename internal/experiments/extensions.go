@@ -135,9 +135,9 @@ func X2SMRThroughput() Result {
 		for _, r := range newReqs() {
 			c.Submit(0, r)
 		}
-		c.RunUntil(func() bool { return c.Replicas[0].ExecutedFrontier() >= ops }, 20000)
+		c.RunUntil(func() bool { return c.Nodes[0].ExecutedFrontier() >= ops }, 20000)
 		elapsed := c.Now() - start
-		t.AddRowf("pbft", 4, int(c.Replicas[0].ExecutedFrontier()), elapsed, float64(c.Stats().Sent)/ops)
+		t.AddRowf("pbft", 4, int(c.Nodes[0].ExecutedFrontier()), elapsed, float64(c.Stats().Sent)/ops)
 	}
 	{
 		c := minbft.NewCluster(1, nil, minbft.Config{}, kvSM)
@@ -146,9 +146,9 @@ func X2SMRThroughput() Result {
 		for _, r := range newReqs() {
 			c.Submit(0, r)
 		}
-		c.RunUntil(func() bool { return c.Replicas[0].ExecutedFrontier() >= ops }, 20000)
+		c.RunUntil(func() bool { return c.Nodes[0].ExecutedFrontier() >= ops }, 20000)
 		elapsed := c.Now() - start
-		t.AddRowf("minbft", 3, int(c.Replicas[0].ExecutedFrontier()), elapsed, float64(c.Stats().Sent)/ops)
+		t.AddRowf("minbft", 3, int(c.Nodes[0].ExecutedFrontier()), elapsed, float64(c.Stats().Sent)/ops)
 	}
 	{
 		c := hotstuff.NewCluster(1, nil, hotstuff.Config{ViewTimeout: 20, MaxBatch: 16}, kvSM)
@@ -160,7 +160,7 @@ func X2SMRThroughput() Result {
 		}
 		committed := func() int {
 			n := 0
-			for _, d := range c.Execs[0].Applied() {
+			for _, d := range c.Execs()[0].Applied() {
 				if _, err := smr.DecodeRequest(d.Val); err == nil {
 					n++
 				}

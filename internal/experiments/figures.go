@@ -194,9 +194,9 @@ func F5HotStuffPipeline() Result {
 			c := hotstuff.NewCluster(f, nil, hotstuff.Config{ViewTimeout: 40}, nil)
 			c.Run(80) // bootstrap
 			c.ResetStats()
-			before := c.Replicas[0].CommittedBlocks()
+			before := c.Nodes[0].CommittedBlocks()
 			c.Run(100)
-			blocks := c.Replicas[0].CommittedBlocks() - before
+			blocks := c.Nodes[0].CommittedBlocks() - before
 			msgs := 0.0
 			if blocks > 0 {
 				msgs = float64(c.Stats().Sent) / float64(blocks)
@@ -221,7 +221,7 @@ func F5HotStuffPipeline() Result {
 			for i := 1; i <= 10; i++ {
 				c.Submit(0, req(uint64(i)))
 			}
-			c.RunUntil(func() bool { return c.Replicas[0].ExecutedFrontier() >= 10 }, 3000)
+			c.RunUntil(func() bool { return c.Nodes[0].ExecutedFrontier() >= 10 }, 3000)
 			msgs := float64(c.Stats().Sent) / 10
 			// Force one view change for its cost.
 			vcC := pbft.NewCluster(f, nil, pbft.Config{RequestTimeout: 25}, nil)
@@ -238,9 +238,9 @@ func F5HotStuffPipeline() Result {
 	for _, vt := range []int{40, 20, 10} {
 		c := hotstuff.NewCluster(1, nil, hotstuff.Config{ViewTimeout: vt}, nil)
 		c.Run(2 * vt)
-		before := c.Replicas[0].CommittedBlocks()
+		before := c.Nodes[0].CommittedBlocks()
 		c.Run(100)
-		pipe.AddRowf(vt, c.Replicas[0].CommittedBlocks()-before)
+		pipe.AddRowf(vt, c.Nodes[0].CommittedBlocks()-before)
 	}
 	return Result{ID: "F5", Caption: "Linear message complexity, linear view change, request pipelining", Artifact: t.String() + "\n" + pipe.String()}
 }
@@ -267,7 +267,7 @@ func F6XFT() Result {
 		c := pbft.NewCluster(1, nil, pbft.Config{}, nil)
 		ticks, msgs := measure(c.Cluster, 0,
 			func() { c.Submit(0, req(1)) },
-			func() bool { return c.Replicas[0].ExecutedFrontier() >= 1 })
+			func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 })
 		t.AddRowf("pbft", 4, 3, ticks, msgs)
 	}
 	{

@@ -127,7 +127,7 @@ func T1Characterization() Result {
 			c := pbft.NewCluster(1, nil, pbft.Config{}, nil)
 			return measure(c.Cluster, 0,
 				func() { c.Submit(0, req(1)) },
-				func() bool { return c.Replicas[0].ExecutedFrontier() >= 1 })
+				func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 })
 		}},
 		{"zyzzyva", 4, func() (int, int) {
 			c := zyzzyva.NewCluster(1, 1, nil, zyzzyva.Config{})
@@ -140,11 +140,11 @@ func T1Characterization() Result {
 			c := hotstuff.NewCluster(1, nil, hotstuff.Config{ViewTimeout: 10}, nil)
 			c.Run(30)
 			c.ResetStats()
-			before := c.Replicas[0].CommittedBlocks()
+			before := c.Nodes[0].CommittedBlocks()
 			start := c.Now()
 			c.Submit(req(1))
-			c.RunUntil(func() bool { return c.Replicas[0].CommittedBlocks() > before+2 }, 500)
-			blocks := c.Replicas[0].CommittedBlocks() - before
+			c.RunUntil(func() bool { return c.Nodes[0].CommittedBlocks() > before+2 }, 500)
+			blocks := c.Nodes[0].CommittedBlocks() - before
 			msgs := c.Stats().Sent
 			if blocks > 0 {
 				msgs /= blocks
@@ -155,7 +155,7 @@ func T1Characterization() Result {
 			c := minbft.NewCluster(1, nil, minbft.Config{}, nil)
 			return measure(c.Cluster, 0,
 				func() { c.Submit(0, req(1)) },
-				func() bool { return c.Replicas[0].ExecutedFrontier() >= 1 })
+				func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 })
 		}},
 		{"cheapbft", 3, func() (int, int) {
 			rc := runner.New(runner.Config[cheapbft.Message]{Dest: cheapbft.Dest, Src: cheapbft.Src, Kind: cheapbft.Kind})
@@ -244,7 +244,7 @@ func T2PBFTComplexity() Result {
 		for i := 1; i <= ops; i++ {
 			c.ResetStats()
 			c.Submit(0, req(uint64(i)))
-			c.RunUntil(func() bool { return c.Replicas[0].ExecutedFrontier() >= types.Seq(i) }, 2000)
+			c.RunUntil(func() bool { return c.Nodes[0].ExecutedFrontier() >= types.Seq(i) }, 2000)
 			sent += c.Stats().Sent
 		}
 		perOp := float64(sent) / ops

@@ -147,8 +147,7 @@ func (ep *memberEpisode) swapIn(id types.NodeID) {
 	fresh := raft.New(id, raft.Config{
 		Peers: nodeIDs(ep.size), Passive: true, Seed: ep.seed ^ uint64(id)<<32,
 	})
-	ep.c.Nodes[i] = fresh
-	ep.c.Add(id, fresh)
+	ep.c.Set(id, fresh, nil)
 	ep.tr.Reset(i)
 	ep.applied[i] = 0
 	ep.nodeFp[i] = fnvOffset

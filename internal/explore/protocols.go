@@ -11,6 +11,7 @@ import (
 	"fortyconsensus/internal/pbft"
 	"fortyconsensus/internal/quorum"
 	"fortyconsensus/internal/raft"
+	"fortyconsensus/internal/runner"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/types"
 )
@@ -104,16 +105,19 @@ func newPaxosEpisode(n int, seed uint64) *Episode {
 	}
 }
 
-// --- leader-based SMR: Raft, Multi-Paxos, Flexible Paxos ---
+// --- log-committing SMR: Raft, Multi-Paxos, Flexible Paxos, PBFT, HotStuff ---
 
-func newRaftEpisode(n int, seed uint64) *Episode {
-	c := raft.NewCluster(n, campaignFabric(seed), raft.Config{Seed: seed}, nil)
-	tr := NewLogTracker(n)
+// smrEpisode is the episode every log-committing protocol runs: on its
+// cadence submit hands the cluster one command, cmd(now), its own way,
+// the cluster steps, and each replica's drained decisions feed the
+// log-prefix tracker.
+func smrEpisode[M any, N runner.SMRNode[M]](c *runner.SMRCluster[M, N], cadence int, submit func(now int)) *Episode {
+	tr := NewLogTracker(len(c.Nodes))
 	return &Episode{
 		Target: c.Cluster,
 		Tick: func(now int) {
-			if now%submitCadence == 5 {
-				submitToLeader(c.Crashed, c.Nodes, cmd(now))
+			if now%cadence == 5 {
+				submit(now)
 			}
 			c.Step()
 			for i, ds := range c.TakeAllDecisions() {
@@ -127,25 +131,18 @@ func newRaftEpisode(n int, seed uint64) *Episode {
 	}
 }
 
+func newRaftEpisode(n int, seed uint64) *Episode {
+	c := raft.NewCluster(n, campaignFabric(seed), raft.Config{Seed: seed}, nil)
+	return smrEpisode(c.SMRCluster, submitCadence, func(now int) {
+		submitToLeader(c.Crashed, c.Nodes, cmd(now))
+	})
+}
+
 func newMultiPaxosEpisode(n int, seed uint64) *Episode {
 	c := multipaxos.NewCluster(n, campaignFabric(seed), multipaxos.Config{Seed: seed}, nil)
-	tr := NewLogTracker(n)
-	return &Episode{
-		Target: c.Cluster,
-		Tick: func(now int) {
-			if now%submitCadence == 5 {
-				submitToLeader(c.Crashed, c.Nodes, cmd(now))
-			}
-			c.Step()
-			for i, ds := range c.TakeAllDecisions() {
-				tr.Observe(i, ds)
-			}
-		},
-		Check:       tr.Violation,
-		Fingerprint: tr.Fingerprint,
-		Healthy:     func() bool { return tr.MinCount() >= 1 },
-		Stats:       c.Stats,
-	}
+	return smrEpisode(c.SMRCluster, submitCadence, func(now int) {
+		submitToLeader(c.Crashed, c.Nodes, cmd(now))
+	})
 }
 
 func newFlexPaxosEpisode(n int, seed uint64) *Episode {
@@ -160,85 +157,44 @@ func newFlexPaxosEpisode(n int, seed uint64) *Episode {
 	if err != nil {
 		panic("explore: flexpaxos episode: " + err.Error())
 	}
-	tr := NewLogTracker(n)
-	return &Episode{
-		Target: c.Cluster,
-		Tick: func(now int) {
-			if now%submitCadence == 5 {
-				submitToLeader(c.Crashed, c.Nodes, cmd(now))
-			}
-			c.Step()
-			for i, ds := range c.TakeAllDecisions() {
-				tr.Observe(i, ds)
-			}
-		},
-		Check:       tr.Violation,
-		Fingerprint: tr.Fingerprint,
-		Healthy:     func() bool { return tr.MinCount() >= 1 },
-		Stats:       c.Stats,
-	}
+	return smrEpisode(c.SMRCluster, submitCadence, func(now int) {
+		submitToLeader(c.Crashed, c.Nodes, cmd(now))
+	})
 }
 
-// --- byzantine SMR: PBFT, HotStuff ---
+// bftCadence is the byzantine protocols' submit interval: their commit
+// paths take more rounds than the crash-model ones.
+const bftCadence = 30
+
+// bftFaults sizes a 3f+1 cluster from the campaign's node count.
+func bftFaults(n int) int {
+	if f := (n - 1) / 3; f >= 1 {
+		return f
+	}
+	return 1
+}
 
 func newPBFTEpisode(n int, seed uint64) *Episode {
-	f := (n - 1) / 3
-	if f < 1 {
-		f = 1
-	}
-	c := pbft.NewCluster(f, campaignFabric(seed), pbft.Config{}, nil)
-	size := len(c.Replicas)
-	tr := NewLogTracker(size)
-	return &Episode{
-		Target: c.Cluster,
-		Tick: func(now int) {
-			if now%30 == 5 {
-				// Rotate the entry replica; backups flood requests to the
-				// primary, so any live replica works.
-				for off := 0; off < size; off++ {
-					at := types.NodeID((now/30 + off) % size)
-					if !c.Crashed(at) {
-						c.Submit(at, cmd(now))
-						break
-					}
-				}
+	c := pbft.NewCluster(bftFaults(n), campaignFabric(seed), pbft.Config{}, nil)
+	size := len(c.Nodes)
+	return smrEpisode(c.SMRCluster, bftCadence, func(now int) {
+		// Rotate the entry replica; backups flood requests to the
+		// primary, so any live replica works.
+		for off := 0; off < size; off++ {
+			at := types.NodeID((now/bftCadence + off) % size)
+			if !c.Crashed(at) {
+				c.Submit(at, cmd(now))
+				break
 			}
-			c.Step()
-			for i, ds := range c.TakeAllDecisions() {
-				tr.Observe(i, ds)
-			}
-		},
-		Check:       tr.Violation,
-		Fingerprint: tr.Fingerprint,
-		Healthy:     func() bool { return tr.MinCount() >= 1 },
-		Stats:       c.Stats,
-	}
+		}
+	})
 }
 
 func newHotStuffEpisode(n int, seed uint64) *Episode {
-	f := (n - 1) / 3
-	if f < 1 {
-		f = 1
-	}
-	c := hotstuff.NewCluster(f, campaignFabric(seed), hotstuff.Config{}, nil)
-	size := len(c.Replicas)
-	tr := NewLogTracker(size)
-	return &Episode{
-		Target: c.Cluster,
-		Tick: func(now int) {
-			if now%30 == 5 {
-				c.Submit(cmd(now)) // broadcast; rotating leaders pick it up
-			}
-			c.Step()
-			for i, ds := range c.TakeAllDecisions() {
-				tr.Observe(i, ds)
-			}
-		},
-		Check:       tr.Violation,
-		Fingerprint: tr.Fingerprint,
-		Healthy:     func() bool { return tr.MinCount() >= 1 },
-		Stats:       c.Stats,
-	}
+	c := hotstuff.NewCluster(bftFaults(n), campaignFabric(seed), hotstuff.Config{}, nil)
+	return smrEpisode(c.SMRCluster, bftCadence, func(now int) {
+		c.Submit(cmd(now)) // broadcast; rotating leaders pick it up
+	})
 }
 
 // --- atomic commitment: 2PC, 3PC ---

@@ -42,7 +42,7 @@ func shardEpisode(n int, seed uint64, unsafe bool) *Episode {
 	})
 	trs := make([]*LogTracker, shards)
 	for i := range trs {
-		trs[i] = NewLogTracker(svc.Groups()[i].Replicas())
+		trs[i] = NewLogTracker(len(svc.Groups()[i].Stores()))
 	}
 	at := NewAtomicTracker()
 

@@ -6,10 +6,9 @@ import (
 	"fortyconsensus/internal/types"
 )
 
-// Cluster bundles Flexible Paxos replicas over one fabric.
+// Cluster is the simulated SMR cluster over Flexible Paxos nodes.
 type Cluster struct {
-	*runner.Cluster[Message]
-	Nodes []*Node
+	*runner.SMRCluster[Message, *Node]
 }
 
 // NewCluster builds n replicas (IDs 0..n-1); cfg.Quorums.N is forced to
@@ -17,41 +16,14 @@ type Cluster struct {
 // systems (Q1+Q2 <= N).
 func NewCluster(n int, fabric *simnet.Fabric, cfg Config) (*Cluster, error) {
 	cfg.Quorums.N = n
-	rc := runner.New(runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind})
-	c := &Cluster{Cluster: rc}
-	for i := 0; i < n; i++ {
+	nodes := make([]*Node, n)
+	for i := range nodes {
 		node, err := New(types.NodeID(i), cfg)
 		if err != nil {
 			return nil, err
 		}
-		c.Nodes = append(c.Nodes, node)
-		rc.Add(types.NodeID(i), node)
+		nodes[i] = node
 	}
-	return c, nil
-}
-
-// TakeAllDecisions drains every replica's decision queue, indexed by
-// replica position.
-func (c *Cluster) TakeAllDecisions() [][]types.Decision {
-	out := make([][]types.Decision, len(c.Nodes))
-	for i, n := range c.Nodes {
-		out[i] = n.TakeDecisions()
-	}
-	return out
-}
-
-// WaitLeader runs until a live leader exists, returning it (nil on
-// timeout).
-func (c *Cluster) WaitLeader(maxTicks int) *Node {
-	var lead *Node
-	c.RunUntil(func() bool {
-		for _, n := range c.Nodes {
-			if n.IsLeader() && !c.Crashed(n.id) {
-				lead = n
-				return true
-			}
-		}
-		return false
-	}, maxTicks)
-	return lead
+	rc := runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind}
+	return &Cluster{runner.NewSMRCluster(rc, nodes, nil)}, nil
 }

@@ -24,7 +24,7 @@ func BenchmarkBatchSize(b *testing.B) {
 				done := func() bool {
 					c.Pump()
 					n := 0
-					for range c.Execs[0].Applied() {
+					for range c.Execs()[0].Applied() {
 						n++
 					}
 					return n >= ops
@@ -49,9 +49,9 @@ func BenchmarkViewTimeout(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := NewCluster(1, nil, Config{ViewTimeout: vt}, nil)
 				c.Run(2 * vt)
-				before := c.Replicas[0].CommittedBlocks()
+				before := c.Nodes[0].CommittedBlocks()
 				c.Run(100)
-				blocks = c.Replicas[0].CommittedBlocks() - before
+				blocks = c.Nodes[0].CommittedBlocks() - before
 			}
 			b.ReportMetric(float64(blocks), "blocks/100ticks")
 		})

@@ -9,12 +9,10 @@ import (
 	"fortyconsensus/internal/types"
 )
 
-// Cluster bundles 3f+1 HotStuff replicas with SMR executors.
+// Cluster is the simulated SMR cluster over 3f+1 HotStuff replicas,
+// plus HotStuff's client entry point and checks.
 type Cluster struct {
-	*runner.Cluster[Message]
-	Replicas []*Replica
-	Execs    []*smr.Executor
-	F        int
+	*runner.SMRCluster[Message, *Replica]
 }
 
 // NewCluster builds a 3f+1 replica cluster sharing one keyring.
@@ -24,57 +22,18 @@ func NewCluster(f int, fabric *simnet.Fabric, cfg Config, newSM func() smr.State
 	if cfg.Keyring == nil {
 		cfg.Keyring = chaincrypto.NewKeyring(n, 0x40757ff)
 	}
-	rc := runner.New(runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind})
-	c := &Cluster{Cluster: rc, F: f}
-	for i := 0; i < n; i++ {
-		rep := NewReplica(types.NodeID(i), cfg)
-		c.Replicas = append(c.Replicas, rep)
-		rc.Add(types.NodeID(i), rep)
-		if newSM != nil {
-			c.Execs = append(c.Execs, smr.NewExecutor(types.NodeID(i), newSM()))
-		}
+	reps := make([]*Replica, n)
+	for i := range reps {
+		reps[i] = NewReplica(types.NodeID(i), cfg)
 	}
-	return c
-}
-
-// Pump drains decisions into executors and returns replies.
-func (c *Cluster) Pump() []types.Reply {
-	var replies []types.Reply
-	for i, rep := range c.Replicas {
-		for _, d := range rep.TakeDecisions() {
-			if c.Execs != nil {
-				replies = append(replies, c.Execs[i].Commit(d)...)
-			}
-		}
-	}
-	return replies
-}
-
-// RunPumped runs ticks steps, pumping each step.
-func (c *Cluster) RunPumped(ticks int) []types.Reply {
-	var replies []types.Reply
-	for i := 0; i < ticks; i++ {
-		c.Step()
-		replies = append(replies, c.Pump()...)
-	}
-	return replies
-}
-
-// TakeAllDecisions drains every replica's decision queue, indexed by
-// replica position. It consumes the same queue Pump does; use one or
-// the other per run.
-func (c *Cluster) TakeAllDecisions() [][]types.Decision {
-	out := make([][]types.Decision, len(c.Replicas))
-	for i, rep := range c.Replicas {
-		out[i] = rep.TakeDecisions()
-	}
-	return out
+	rc := runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind}
+	return &Cluster{runner.NewSMRCluster(rc, reps, newSM)}
 }
 
 // Submit queues a request at every replica (any rotating leader will
 // include it; commit-time dedup keeps it exactly-once).
 func (c *Cluster) Submit(req types.Value) {
-	for i := range c.Replicas {
+	for i := range c.Nodes {
 		c.Inject(Message{Kind: MsgRequest, From: -1, To: types.NodeID(i), Req: req})
 	}
 }
@@ -82,16 +41,9 @@ func (c *Cluster) Submit(req types.Value) {
 // MinExecuted returns the lowest committed height among live replicas,
 // skipping the listed byzantine ones.
 func (c *Cluster) MinExecuted(byzantine ...types.NodeID) uint64 {
-	skip := map[types.NodeID]bool{}
-	for _, b := range byzantine {
-		skip[b] = true
-	}
 	min := ^uint64(0)
-	for _, rep := range c.Replicas {
-		if skip[rep.id] || c.Crashed(rep.id) {
-			continue
-		}
-		if rep.ExecutedHeight() < min {
+	for i, rep := range c.Nodes {
+		if c.Correct(types.NodeID(i), byzantine) && rep.ExecutedHeight() < min {
 			min = rep.ExecutedHeight()
 		}
 	}

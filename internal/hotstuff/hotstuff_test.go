@@ -19,7 +19,7 @@ func TestChainCommitsRequest(t *testing.T) {
 	c := NewCluster(1, nil, Config{ViewTimeout: 10}, kvSM)
 	c.Submit(req(1, 1, kvstore.Put("k", []byte("v"))))
 	ok := c.RunUntil(func() bool {
-		return len(c.Execs[0].Applied()) > 0
+		return len(c.Execs()[0].Applied()) > 0
 	}, 2000)
 	// Pump inside RunUntil doesn't happen; drive explicitly.
 	if !ok {
@@ -31,7 +31,7 @@ func TestChainCommitsRequest(t *testing.T) {
 	for i := 0; i < 500 && !found; i++ {
 		c.Step()
 		c.Pump()
-		for _, d := range c.Execs[0].Applied() {
+		for _, d := range c.Execs()[0].Applied() {
 			r, err := smr.DecodeRequest(d.Val)
 			if err == nil && r.SeqNo == 1 {
 				found = true
@@ -41,7 +41,7 @@ func TestChainCommitsRequest(t *testing.T) {
 	if !found {
 		t.Fatal("request never committed through the chain")
 	}
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -51,9 +51,9 @@ func TestPipelineOneBlockPerView(t *testing.T) {
 	// blocks grow roughly linearly with time.
 	c := NewCluster(1, nil, Config{ViewTimeout: 50}, nil)
 	c.Run(60) // bootstrap past the first timeout
-	start := c.Replicas[0].CommittedBlocks()
+	start := c.Nodes[0].CommittedBlocks()
 	c.Run(200)
-	grown := c.Replicas[0].CommittedBlocks() - start
+	grown := c.Nodes[0].CommittedBlocks() - start
 	if grown < 20 {
 		t.Fatalf("pipeline committed only %d blocks in 200 ticks", grown)
 	}
@@ -64,7 +64,7 @@ func TestLeaderRotation(t *testing.T) {
 	// views. Views advance by more than n over a run.
 	c := NewCluster(1, nil, Config{ViewTimeout: 30}, nil)
 	c.Run(400)
-	if v := c.Replicas[0].View(); v < 8 {
+	if v := c.Nodes[0].View(); v < 8 {
 		t.Fatalf("views advanced only to %d", v)
 	}
 }
@@ -75,9 +75,9 @@ func TestLinearMessageComplexity(t *testing.T) {
 		c := NewCluster(f, nil, Config{ViewTimeout: 40}, nil)
 		c.Run(80)
 		c.ResetStats()
-		before := c.Replicas[0].CommittedBlocks()
+		before := c.Nodes[0].CommittedBlocks()
 		c.Run(300)
-		blocks := c.Replicas[0].CommittedBlocks() - before
+		blocks := c.Nodes[0].CommittedBlocks() - before
 		if blocks == 0 {
 			t.Fatal("no blocks committed")
 		}
@@ -96,7 +96,7 @@ func TestSilentReplicaTolerated(t *testing.T) {
 	c.Submit(req(1, 1, kvstore.Put("k", []byte("v"))))
 	committed := func() bool {
 		c.Pump()
-		for _, d := range c.Execs[0].Applied() {
+		for _, d := range c.Execs()[0].Applied() {
 			if r, err := smr.DecodeRequest(d.Val); err == nil && r.SeqNo == 1 {
 				return true
 			}
@@ -129,7 +129,7 @@ func TestSafetyPrefixAgreement(t *testing.T) {
 		for i := 1; i <= 10; i++ {
 			c.Submit(req(1, uint64(i), kvstore.Incr("n", 1)))
 			c.RunPumped(80)
-			if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+			if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
@@ -144,7 +144,7 @@ func TestExactlyOnceAcrossLeaders(t *testing.T) {
 	c.RunPumped(800)
 	store := kvstore.New()
 	count := 0
-	for _, d := range c.Execs[0].Applied() {
+	for _, d := range c.Execs()[0].Applied() {
 		if r, err := smr.DecodeRequest(d.Val); err == nil {
 			store.Apply(r.Op)
 			count++
@@ -188,7 +188,7 @@ func TestLockedQCPreventsConflictingCommit(t *testing.T) {
 	c.Run(300) // neither side has a quorum: no commits beyond pre-partition
 	fab.Heal()
 	c.RunPumped(600)
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -45,6 +45,9 @@ type GroupStatus struct {
 	Installs  int     `json:"installs"` // snapshots installed from peers
 	Members   []int64 `json:"members"`  // current config (sorted)
 	Digest    string  `json:"digest"`   // FNV-64 of the committed KV state
+	// RestoreFailed: a snapshot installed from a peer did not restore;
+	// the replica applies nothing past it and refuses client requests.
+	RestoreFailed bool `json:"restore_failed"`
 }
 
 // NodeStatus is one node's full admin status.

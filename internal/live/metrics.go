@@ -27,6 +27,9 @@ type ServerMetrics struct {
 	applied   atomic.Uint64 // log entries applied across shards
 	notLeader atomic.Uint64 // submissions redirected
 	badReq    atomic.Uint64 // undecodable requests
+	// restoreFailed counts groups whose replica could not restore an
+	// installed snapshot and has stopped applying and answering.
+	restoreFailed atomic.Uint64
 
 	started time.Time
 }
@@ -79,6 +82,8 @@ type metricsSnapshot struct {
 	Commits   map[string]uint64 `json:"commits_per_shard"`
 	Latency   metrics.Summary   `json:"latency_us"`
 	Transport TransportStats    `json:"transport"`
+
+	RestoreFailed uint64 `json:"restore_failed"`
 }
 
 func (m *ServerMetrics) snapshot(tr *Transport) metricsSnapshot {
@@ -98,6 +103,8 @@ func (m *ServerMetrics) snapshot(tr *Transport) metricsSnapshot {
 		Commits:   commits,
 		Latency:   lat,
 		Transport: tr.Stats(),
+
+		RestoreFailed: m.restoreFailed.Load(),
 	}
 }
 

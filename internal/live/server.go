@@ -138,7 +138,7 @@ func NewServerOn(ln net.Listener, cfg ServerConfig) (*Server, error) {
 
 // newGroup builds the hosted module for one shard group.
 func newGroup(s *Server, idx int, peers []types.NodeID) (hostedGroup, error) {
-	seed := mixSeed(s.cfg.Seed, uint64(idx))
+	seed := shard.MixSeed(s.cfg.Seed, uint64(idx))
 	switch s.cfg.Backend {
 	case BackendRaft:
 		mod := raft.New(s.cfg.Self, raft.Config{Peers: peers, Seed: seed, Passive: s.cfg.Join})
@@ -149,15 +149,6 @@ func newGroup(s *Server, idx int, peers []types.NodeID) (hostedGroup, error) {
 	default:
 		return nil, fmt.Errorf("live: unknown backend %q", s.cfg.Backend)
 	}
-}
-
-// mixSeed derives a per-shard seed (splitmix64 finalizer), matching
-// internal/shard's derivation so seeded behavior lines up.
-func mixSeed(seed, i uint64) uint64 {
-	z := seed + 0x9e3779b97f4a7c15*(i+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Start launches the transport and every group's ticker.
@@ -274,10 +265,10 @@ func (s *Server) Close() {
 // stream. raft.Node and multipaxos.Node both satisfy it unchanged.
 type SMRModule[M any] interface {
 	Module[M]
+	smr.Module
 	Submit(types.Value)
 	IsLeader() bool
 	Leader() types.NodeID
-	TakeDecisions() []types.Decision
 }
 
 // sessKey identifies one client request for reply routing.
@@ -293,9 +284,10 @@ type pendingReq struct {
 	start time.Time
 }
 
-// smrGroup hosts one shard group's module: the live.Node that
-// serializes its turns, the wire codec, the smr executor applying
-// shard.Store, and the pending-reply table. Everything below node is
+// smrGroup is the live driver of smr.Replica for one shard group: the
+// live.Node that serializes the module's turns, the wire codec, the
+// Replica that moves committed decisions into shard.Store and compacts
+// on cadence, and the pending-reply table. Everything below node is
 // touched only inside a turn, under the node's lock.
 type smrGroup[M any] struct {
 	srv   *Server
@@ -304,25 +296,15 @@ type smrGroup[M any] struct {
 	codec Codec[M]
 	dest  func(M) types.NodeID
 	node  *Node[M]
-	exec  *smr.Executor
+	rep   *smr.Replica
 	store *shard.Store
 
-	// comp is the module's compaction surface (nil if unsupported).
-	// lastCompact and installs are turn state like exec.
-	comp        compactor
-	lastCompact types.Seq
-	installs    int
+	// restoreFailed latches the first failed snapshot restore: the
+	// replica applies nothing after it, so the group stops taking
+	// client requests.
+	restoreFailed bool
 
 	pending map[sessKey]*pendingReq
-}
-
-// compactor is the optional module surface the group needs for log
-// compaction and snapshot catch-up; raft.Node and multipaxos.Node both
-// provide it.
-type compactor interface {
-	Compact(upTo types.Seq, state []byte) bool
-	TakeInstalledSnapshot() *snapshot.Snapshot
-	Members() []types.NodeID
 }
 
 func newSMRGroup[M any](s *Server, idx int, mod SMRModule[M], codec Codec[M], dest func(M) types.NodeID) *smrGroup[M] {
@@ -331,11 +313,8 @@ func newSMRGroup[M any](s *Server, idx int, mod SMRModule[M], codec Codec[M], de
 		store:   shard.NewStore(),
 		pending: make(map[sessKey]*pendingReq),
 	}
-	if c, ok := any(mod).(compactor); ok {
-		g.comp = c
-	}
-	g.exec = smr.NewExecutor(s.cfg.Self, g.store)
-	g.node = NewNode[M](mod, s.cfg.Self, dest, g.send, g.pumpDecisions, NodeConfig{
+	g.rep = smr.NewReplica(s.cfg.Self, mod, g.store)
+	g.node = NewNode[M](mod, s.cfg.Self, dest, g.send, g.afterTurn, NodeConfig{
 		TickEvery: s.cfg.TickEvery,
 	})
 	return g
@@ -366,6 +345,10 @@ func (g *smrGroup[M]) deliver(payload []byte) {
 // client connection's goroutine.
 func (g *smrGroup[M]) submit(cc *ClientConn, req Request) {
 	ok := g.node.Call(func() {
+		if g.restoreFailed {
+			cc.Send(Response{ReqID: req.ReqID, Status: StatusUnavailable, Leader: -1})
+			return
+		}
 		if !g.mod.IsLeader() {
 			g.srv.met.notLeader.Add(1)
 			cc.Send(Response{ReqID: req.ReqID, Status: StatusNotLeader, Leader: int64(g.mod.Leader())})
@@ -399,52 +382,28 @@ func (g *smrGroup[M]) prunePending() {
 	}
 }
 
-// pumpDecisions restores any freshly installed snapshot, applies newly
-// committed slots, answers their waiting clients, and compacts on
-// cadence. Runs at the end of every turn, under the node's lock.
-func (g *smrGroup[M]) pumpDecisions() {
-	if g.comp != nil {
-		if snap := g.comp.TakeInstalledSnapshot(); snap != nil {
-			// The peer that compacted built State with the same executor
-			// codec (SnapshotState); a failed restore means a corrupt
-			// transfer and is dropped — the module retries the install.
-			if err := g.exec.RestoreState(snap.State); err == nil {
-				g.installs++
-				g.lastCompact = snap.LastIndex
-			}
+// afterTurn ends every turn, under the node's lock: pump the replica,
+// answer the clients whose requests it applied, compact on cadence.
+func (g *smrGroup[M]) afterTurn() {
+	_, replies, err := g.rep.Pump()
+	if err != nil {
+		if !g.restoreFailed {
+			g.restoreFailed = true
+			g.srv.met.restoreFailed.Add(1)
 		}
-	}
-	for _, d := range g.mod.TakeDecisions() {
-		for _, r := range g.exec.Commit(d) {
-			g.srv.met.applied.Add(1)
-			p, ok := g.pending[sessKey{r.Client, r.SeqNo}]
-			if !ok {
-				continue
-			}
-			delete(g.pending, sessKey{r.Client, r.SeqNo})
-			g.srv.met.observeCommit(g.idx, time.Since(p.start))
-			p.cc.Send(Response{ReqID: p.reqID, Status: StatusOK, Leader: int64(g.srv.cfg.Self), Result: r.Result})
-		}
-	}
-	g.maybeCompact()
-}
-
-// maybeCompact folds the applied prefix into a snapshot once the apply
-// frontier has outrun the last compaction by SnapshotEvery slots. The
-// module may refuse (e.g. a pending reconfiguration epoch); the next
-// pump simply retries.
-func (g *smrGroup[M]) maybeCompact() {
-	every := g.srv.cfg.SnapshotEvery
-	if g.comp == nil || every <= 0 {
 		return
 	}
-	upTo := g.exec.NextSlot() - 1
-	if upTo < g.lastCompact+types.Seq(every) {
-		return
+	for _, r := range replies {
+		g.srv.met.applied.Add(1)
+		p, ok := g.pending[sessKey{r.Client, r.SeqNo}]
+		if !ok {
+			continue
+		}
+		delete(g.pending, sessKey{r.Client, r.SeqNo})
+		g.srv.met.observeCommit(g.idx, time.Since(p.start))
+		p.cc.Send(Response{ReqID: p.reqID, Status: StatusOK, Leader: int64(g.srv.cfg.Self), Result: r.Result})
 	}
-	if g.comp.Compact(upTo, g.exec.SnapshotState()) {
-		g.lastCompact = upTo
-	}
+	g.rep.CompactEvery(g.srv.cfg.SnapshotEvery)
 }
 
 func (g *smrGroup[M]) start() { g.node.Start() }
@@ -469,12 +428,14 @@ func (g *smrGroup[M]) status() (GroupStatus, bool) {
 			Shard:    g.idx,
 			IsLeader: g.mod.IsLeader(),
 			Leader:   int64(g.mod.Leader()),
-			Commit:   uint64(g.exec.NextSlot() - 1),
-			Installs: g.installs,
+			Commit:   uint64(g.rep.Exec().NextSlot() - 1),
+			Installs: g.rep.Installs(),
 			Digest:   kvDigest(g.store.KV().Snapshot()),
+
+			RestoreFailed: g.restoreFailed,
 		}
-		if g.comp != nil {
-			for _, m := range g.comp.Members() {
+		if mod, ok := any(g.mod).(interface{ Members() []types.NodeID }); ok {
+			for _, m := range mod.Members() {
 				st.Members = append(st.Members, int64(m))
 			}
 		}

@@ -8,52 +8,22 @@ import (
 	"fortyconsensus/internal/types"
 )
 
-// Cluster bundles 2f+1 MinBFT replicas with SMR executors.
+// Cluster is the simulated SMR cluster over 2f+1 MinBFT replicas, plus
+// MinBFT's client entry point and checks.
 type Cluster struct {
-	*runner.Cluster[Message]
-	Replicas []*Replica
-	Execs    []*smr.Executor
-	F        int
+	*runner.SMRCluster[Message, *Replica]
 }
 
 // NewCluster builds a 2f+1 replica cluster; newSM may be nil.
 func NewCluster(f int, fabric *simnet.Fabric, cfg Config, newSM func() smr.StateMachine) *Cluster {
 	n := quorum.Trusted{F: f}.Size()
 	cfg.N, cfg.F = n, f
-	rc := runner.New(runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind})
-	c := &Cluster{Cluster: rc, F: f}
-	for i := 0; i < n; i++ {
-		rep := NewReplica(types.NodeID(i), cfg)
-		c.Replicas = append(c.Replicas, rep)
-		rc.Add(types.NodeID(i), rep)
-		if newSM != nil {
-			c.Execs = append(c.Execs, smr.NewExecutor(types.NodeID(i), newSM()))
-		}
+	reps := make([]*Replica, n)
+	for i := range reps {
+		reps[i] = NewReplica(types.NodeID(i), cfg)
 	}
-	return c
-}
-
-// Pump drains decisions into executors and returns replies.
-func (c *Cluster) Pump() []types.Reply {
-	var replies []types.Reply
-	for i, rep := range c.Replicas {
-		for _, d := range rep.TakeDecisions() {
-			if c.Execs != nil {
-				replies = append(replies, c.Execs[i].Commit(d)...)
-			}
-		}
-	}
-	return replies
-}
-
-// RunPumped runs ticks steps, pumping each step.
-func (c *Cluster) RunPumped(ticks int) []types.Reply {
-	var replies []types.Reply
-	for i := 0; i < ticks; i++ {
-		c.Step()
-		replies = append(replies, c.Pump()...)
-	}
-	return replies
+	rc := runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind}
+	return &Cluster{runner.NewSMRCluster(rc, reps, newSM)}
 }
 
 // Submit injects a client request at the given replica.
@@ -64,15 +34,8 @@ func (c *Cluster) Submit(at types.NodeID, req types.Value) {
 // ExecutedEverywhere reports whether every live correct replica has
 // executed through seq.
 func (c *Cluster) ExecutedEverywhere(seq types.Seq, skip ...types.NodeID) bool {
-	sk := map[types.NodeID]bool{}
-	for _, s := range skip {
-		sk[s] = true
-	}
-	for _, rep := range c.Replicas {
-		if sk[rep.id] || c.Crashed(rep.id) {
-			continue
-		}
-		if rep.ExecutedFrontier() < seq {
+	for i, rep := range c.Nodes {
+		if c.Correct(types.NodeID(i), skip) && rep.ExecutedFrontier() < seq {
 			return false
 		}
 	}

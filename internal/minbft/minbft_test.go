@@ -31,15 +31,15 @@ func TestTwoPhaseCommit(t *testing.T) {
 		t.Fatal("unexpected third phase")
 	}
 	c.Pump()
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestReplicaCountIsTwoFPlusOne(t *testing.T) {
 	c := NewCluster(2, nil, Config{}, nil)
-	if len(c.Replicas) != 5 {
-		t.Fatalf("f=2 built %d replicas, want 5", len(c.Replicas))
+	if len(c.Nodes) != 5 {
+		t.Fatalf("f=2 built %d replicas, want 5", len(c.Nodes))
 	}
 }
 
@@ -50,10 +50,10 @@ func TestManyRequestsOrdered(t *testing.T) {
 		c.Submit(0, req(1, uint64(i), kvstore.Incr("n", 1)))
 	}
 	if !c.RunUntil(func() bool { return c.ExecutedEverywhere(total) }, 3000) {
-		t.Fatalf("stalled at %d", c.Replicas[0].ExecutedFrontier())
+		t.Fatalf("stalled at %d", c.Nodes[0].ExecutedFrontier())
 	}
 	c.Pump()
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -78,7 +78,7 @@ func TestUSIGPreventsEquivocation(t *testing.T) {
 	})
 	c.Submit(0, reqA)
 	c.RunPumped(1000)
-	if err := smr.CheckPrefixConsistency(c.Execs[1], c.Execs[2]); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()[1], c.Execs()[2]); err != nil {
 		t.Fatalf("equivocation broke safety: %v", err)
 	}
 }
@@ -137,13 +137,13 @@ func TestPrimaryCrashViewChange(t *testing.T) {
 	if !c.RunUntil(func() bool { return c.ExecutedEverywhere(1, 0) }, 4000) {
 		t.Fatal("view change never recovered the request")
 	}
-	for _, rep := range c.Replicas[1:] {
+	for _, rep := range c.Nodes[1:] {
 		if rep.View() == 0 {
 			t.Fatalf("replica %v still in view 0", rep.id)
 		}
 	}
 	c.Pump()
-	if err := smr.CheckPrefixConsistency(c.Execs[1], c.Execs[2]); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()[1], c.Execs()[2]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,7 +164,7 @@ func TestCommittedSlotSurvivesViewChange(t *testing.T) {
 	}
 	c.Pump()
 	for _, i := range []int{1, 2} {
-		applied := c.Execs[i].Applied()
+		applied := c.Execs()[i].Applied()
 		if len(applied) < 2 || !applied[0].Val.Equal(r1) {
 			t.Fatalf("replica %d lost the committed slot: %v", i, applied)
 		}
@@ -194,12 +194,12 @@ func TestChaosAgreement(t *testing.T) {
 		for i := 1; i <= 10; i++ {
 			c.Submit(types.NodeID(i%3), req(1, uint64(i), kvstore.Incr("n", 1)))
 			c.RunPumped(60)
-			if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+			if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
 		if !c.ExecutedEverywhere(10) {
-			t.Fatalf("seed %d: stalled at %d", seed, c.Replicas[0].ExecutedFrontier())
+			t.Fatalf("seed %d: stalled at %d", seed, c.Nodes[0].ExecutedFrontier())
 		}
 	}
 }

@@ -38,11 +38,10 @@ func TestCompactAndStateTransferCatchUp(t *testing.T) {
 		if n == straggler {
 			continue
 		}
-		upTo := c.Execs[i].NextSlot() - 1
-		if !n.Compact(upTo, c.Execs[i].SnapshotState()) {
-			t.Fatalf("node %v: compact at %d refused", n.id, upTo)
+		if !c.Reps[i].Compact() {
+			t.Fatalf("node %v: compact refused", n.id)
 		}
-		if n.CompactFrontier() != upTo {
+		if upTo := c.Reps[i].Exec().NextSlot() - 1; n.CompactFrontier() != upTo {
 			t.Fatalf("node %v: compact frontier %d, want %d", n.id, n.CompactFrontier(), upTo)
 		}
 	}
@@ -64,7 +63,7 @@ func TestCompactAndStateTransferCatchUp(t *testing.T) {
 	if straggler.CompactFrontier() == 0 {
 		t.Fatal("straggler caught up without a state transfer (compacted slots should be unreachable)")
 	}
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -157,16 +156,14 @@ func TestJoinerCatchesUpThroughSnapshotAndCommits(t *testing.T) {
 			leadIdx = i
 		}
 	}
-	if !lead.Compact(c.Execs[leadIdx].NextSlot()-1, c.Execs[leadIdx].SnapshotState()) {
+	if !c.Reps[leadIdx].Compact() {
 		t.Fatal("compact")
 	}
 
 	// Admit node 3 as a passive joiner wired into the same runner.
 	joiner := New(3, Config{Peers: []types.NodeID{0, 1, 2, 3}, Passive: true, Seed: 45})
-	jexec := smr.NewExecutor(3, kvstore.New())
-	c.Cluster.Add(3, joiner)
-	c.Nodes = append(c.Nodes, joiner)
-	c.Execs = append(c.Execs, jexec)
+	c.Set(3, joiner, kvstore.New())
+	jexec := c.Reps[3].Exec()
 	lead.Submit(confVal(snapshot.ConfAdd, 3))
 	c.RunPumped(600)
 
@@ -180,7 +177,7 @@ func TestJoinerCatchesUpThroughSnapshotAndCommits(t *testing.T) {
 		t.Fatalf("joiner members %v", got)
 	}
 	// The joiner's executor matches the leader's, byte for byte.
-	if !bytes.Equal(jexec.SnapshotState(), c.Execs[leadIdx].SnapshotState()) {
+	if !bytes.Equal(jexec.SnapshotState(), c.Execs()[leadIdx].SnapshotState()) {
 		t.Fatal("joiner application state diverged")
 	}
 	// And it participates: new commits still flow with 4 members.
@@ -190,7 +187,7 @@ func TestJoinerCatchesUpThroughSnapshotAndCommits(t *testing.T) {
 	if len(replies) == 0 {
 		t.Fatal("4-member cluster stopped committing")
 	}
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -66,7 +66,7 @@ func TestReplicateAndApply(t *testing.T) {
 	if !found {
 		t.Fatal("no reply for seq 2 from leader")
 	}
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -135,7 +135,7 @@ func TestLeaderFailover(t *testing.T) {
 	if !got2 {
 		t.Fatal("post-failover submission never committed")
 	}
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -181,7 +181,7 @@ func TestRecoveryPreservesAcceptedEntries(t *testing.T) {
 		if c.Crashed(n.id) {
 			continue
 		}
-		for _, d := range c.Execs[i].Applied() {
+		for _, d := range c.Execs()[i].Applied() {
 			if d.Val.Equal(v) {
 				committed = true
 			}
@@ -212,7 +212,7 @@ func TestSafetyUnderChaos(t *testing.T) {
 			} else if rng.Bool(0.25) && liveCount(c) > 3 {
 				c.Crash(victim)
 			}
-			if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+			if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
 			}
 		}
@@ -240,15 +240,15 @@ func TestThroughputManyCommands(t *testing.T) {
 		lead.Submit(req(1, uint64(i), kvstore.Incr("n", 1)))
 	}
 	c.RunPumped(1500)
-	if got := c.Execs[int(lead.id)].NextSlot(); got < total {
+	if got := c.Execs()[int(lead.id)].NextSlot(); got < total {
 		t.Fatalf("leader applied only %d/%d", got-1, total)
 	}
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 	// Final counter value must be exactly total (each Incr applied once).
 	store := kvstore.New()
-	for _, d := range c.Execs[int(lead.id)].Applied() {
+	for _, d := range c.Execs()[int(lead.id)].Applied() {
 		r, err := smr.DecodeRequest(d.Val)
 		if err == nil {
 			store.Apply(r.Op)
@@ -284,7 +284,7 @@ func TestLaggingFollowerCatchesUp(t *testing.T) {
 	if !ok {
 		t.Fatalf("straggler frontier = %d, want ≥ 20", straggler.CommitFrontier())
 	}
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }

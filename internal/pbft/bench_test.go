@@ -14,7 +14,7 @@ func BenchmarkCommitThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := NewCluster(1, nil, Config{}, nil)
 		c.Submit(0, req(1, 1, kvstore.Noop()))
-		if !c.RunUntil(func() bool { return c.Replicas[0].ExecutedFrontier() >= 1 }, 300) {
+		if !c.RunUntil(func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 }, 300) {
 			b.Fatal("no commit")
 		}
 	}
@@ -32,10 +32,10 @@ func BenchmarkCheckpointInterval(b *testing.B) {
 				for s := 1; s <= 64; s++ {
 					c.Submit(0, req(1, uint64(s), kvstore.Incr("n", 1)))
 				}
-				c.RunUntil(func() bool { return c.Replicas[0].ExecutedFrontier() >= 64 }, 5000)
+				c.RunUntil(func() bool { return c.Nodes[0].ExecutedFrontier() >= 64 }, 5000)
 				c.Run(30)
 				msgs = c.Stats().ByKind["checkpoint"]
-				slots = len(c.Replicas[0].slots)
+				slots = len(c.Nodes[0].slots)
 			}
 			b.ReportMetric(float64(msgs), "checkpoint-msgs")
 			b.ReportMetric(float64(slots), "live-slots")
@@ -52,7 +52,7 @@ func BenchmarkScaleN(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := NewCluster(f, nil, Config{}, nil)
 				c.Submit(0, req(1, 1, kvstore.Noop()))
-				c.RunUntil(func() bool { return c.Replicas[0].ExecutedFrontier() >= 1 }, 500)
+				c.RunUntil(func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 }, 500)
 				sent = c.Stats().Sent
 			}
 			b.ReportMetric(float64(sent), "msgs/op")

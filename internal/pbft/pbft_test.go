@@ -22,7 +22,7 @@ func TestNormalCaseCommit(t *testing.T) {
 	if !c.RunUntil(func() bool { return c.ExecutedEverywhere(1) }, 300) {
 		t.Fatal("request never executed everywhere")
 	}
-	replies := c.Pump()
+	replies, _ := c.Pump()
 	val, n := MatchingReplies(replies, 1, 1)
 	if n < c.F+1 {
 		t.Fatalf("only %d matching replies, need %d", n, c.F+1)
@@ -30,7 +30,7 @@ func TestNormalCaseCommit(t *testing.T) {
 	if !val.Equal(kvstore.ReplyOK) {
 		t.Fatalf("reply = %q", val)
 	}
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -68,10 +68,10 @@ func TestManyRequestsOrdered(t *testing.T) {
 		c.Submit(0, req(1, uint64(i), kvstore.Incr("n", 1)))
 	}
 	if !c.RunUntil(func() bool { return c.ExecutedEverywhere(total) }, 3000) {
-		t.Fatalf("executed frontier stalled at %d", c.Replicas[0].ExecutedFrontier())
+		t.Fatalf("executed frontier stalled at %d", c.Nodes[0].ExecutedFrontier())
 	}
 	c.Pump()
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -83,7 +83,7 @@ func TestCheckpointGarbageCollection(t *testing.T) {
 	}
 	c.RunUntil(func() bool { return c.ExecutedEverywhere(40) }, 3000)
 	c.Run(50) // let checkpoint votes settle
-	for _, rep := range c.Replicas {
+	for _, rep := range c.Nodes {
 		if rep.LastStable() < 8 {
 			t.Fatalf("replica %v never stabilized a checkpoint (lastStable=%d)", rep.id, rep.LastStable())
 		}
@@ -112,13 +112,13 @@ func TestCrashedPrimaryViewChange(t *testing.T) {
 	if !c.RunUntil(func() bool { return c.ExecutedEverywhere(1, 0) }, 3000) {
 		t.Fatal("view change never recovered the request")
 	}
-	for _, rep := range c.Replicas[1:] {
+	for _, rep := range c.Nodes[1:] {
 		if rep.View() == 0 {
 			t.Fatalf("replica %v still in view 0", rep.id)
 		}
 	}
 	c.Pump()
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -131,7 +131,7 @@ func TestPreparedRequestSurvivesViewChange(t *testing.T) {
 	c.Submit(0, r1)
 	// Let the request prepare but cut the primary before commits spread.
 	c.RunUntil(func() bool {
-		for _, s := range c.Replicas[1].slots {
+		for _, s := range c.Nodes[1].slots {
 			if s.prepared {
 				return true
 			}
@@ -145,7 +145,7 @@ func TestPreparedRequestSurvivesViewChange(t *testing.T) {
 	c.Pump()
 	// The value at slot 1 must be r1 on all live replicas.
 	for i := 1; i < 4; i++ {
-		applied := c.Execs[i].Applied()
+		applied := c.Execs()[i].Applied()
 		if len(applied) == 0 || !applied[0].Val.Equal(r1) {
 			t.Fatalf("replica %d slot 1 = %v", i, applied)
 		}
@@ -171,7 +171,7 @@ func TestEquivocatingPrimaryCaught(t *testing.T) {
 	})
 	c.Submit(0, reqA)
 	c.RunPumped(2000)
-	if err := smr.CheckPrefixConsistency(c.Execs[1], c.Execs[2], c.Execs[3]); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()[1], c.Execs()[2], c.Execs()[3]); err != nil {
 		t.Fatalf("equivocation broke safety: %v", err)
 	}
 }
@@ -192,7 +192,7 @@ func TestByzantineBackupGarbagePrepares(t *testing.T) {
 		t.Fatal("garbage digests blocked progress")
 	}
 	c.Pump()
-	if err := smr.CheckPrefixConsistency(c.Execs[0], c.Execs[1], c.Execs[2]); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()[0], c.Execs()[1], c.Execs()[2]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -207,7 +207,7 @@ func TestSafetyUnderChaos(t *testing.T) {
 			seq++
 			c.Submit(types.NodeID(rng.Intn(4)), req(1, seq, kvstore.Incr("n", 1)))
 			c.RunPumped(60)
-			if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+			if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
 			}
 		}
@@ -236,7 +236,7 @@ func TestClientRetryDeduped(t *testing.T) {
 	c.Submit(0, r) // client retry of the same request
 	c.Run(200)
 	c.Pump()
-	for _, rep := range c.Replicas {
+	for _, rep := range c.Nodes {
 		if rep.ExecutedFrontier() > 1 {
 			t.Fatalf("retry re-executed: frontier=%d", rep.ExecutedFrontier())
 		}
@@ -259,7 +259,7 @@ func TestLaggingReplicaCatchesUp(t *testing.T) {
 	if !c.RunUntil(func() bool { return c.ExecutedEverywhere(12, 3) }, 3000) {
 		t.Fatal("main group stalled")
 	}
-	if c.Replicas[3].ExecutedFrontier() != 0 {
+	if c.Nodes[3].ExecutedFrontier() != 0 {
 		t.Fatal("isolated replica executed something")
 	}
 	// Reconnect: checkpoint broadcasts trigger fetch; f+1 matching
@@ -272,11 +272,11 @@ func TestLaggingReplicaCatchesUp(t *testing.T) {
 	for i := 13; i <= 16; i++ {
 		c.Submit(0, req(1, uint64(i), kvstore.Incr("n", 1)))
 	}
-	if !c.RunUntil(func() bool { return c.Replicas[3].ExecutedFrontier() >= 12 }, 5000) {
-		t.Fatalf("straggler stuck at %d", c.Replicas[3].ExecutedFrontier())
+	if !c.RunUntil(func() bool { return c.Nodes[3].ExecutedFrontier() >= 12 }, 5000) {
+		t.Fatalf("straggler stuck at %d", c.Nodes[3].ExecutedFrontier())
 	}
 	c.Pump()
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }

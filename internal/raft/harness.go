@@ -7,90 +7,24 @@ import (
 	"fortyconsensus/internal/types"
 )
 
-// Cluster bundles Raft replicas with per-replica SMR executors.
+// Cluster is the simulated SMR cluster over Raft nodes, plus Raft's own
+// checks.
 type Cluster struct {
-	*runner.Cluster[Message]
-	Nodes []*Node
-	Execs []*smr.Executor
+	*runner.SMRCluster[Message, *Node]
 }
 
 // NewCluster builds n replicas (IDs 0..n-1); newSM may be nil.
 func NewCluster(n int, fabric *simnet.Fabric, cfg Config, newSM func() smr.StateMachine) *Cluster {
-	peers := make([]types.NodeID, n)
-	for i := range peers {
-		peers[i] = types.NodeID(i)
+	cfg.Peers = make([]types.NodeID, n)
+	for i := range cfg.Peers {
+		cfg.Peers[i] = types.NodeID(i)
 	}
-	cfg.Peers = peers
-	rc := runner.New(runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind})
-	c := &Cluster{Cluster: rc}
-	for i := 0; i < n; i++ {
-		node := New(types.NodeID(i), cfg)
-		c.Nodes = append(c.Nodes, node)
-		rc.Add(types.NodeID(i), node)
-		if newSM != nil {
-			c.Execs = append(c.Execs, smr.NewExecutor(types.NodeID(i), newSM()))
-		}
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		nodes[i] = New(types.NodeID(i), cfg)
 	}
-	return c
-}
-
-// Pump drains decisions into executors, returning replies. A node that
-// installed a snapshot has its executor restored from the snapshot's
-// application state before any post-snapshot decisions apply.
-func (c *Cluster) Pump() []types.Reply {
-	var replies []types.Reply
-	for i, n := range c.Nodes {
-		if c.Execs != nil {
-			if snap := n.TakeInstalledSnapshot(); snap != nil {
-				if err := c.Execs[i].RestoreState(snap.State); err != nil {
-					panic("raft: harness snapshot restore: " + err.Error())
-				}
-			}
-		}
-		for _, d := range n.TakeDecisions() {
-			if c.Execs != nil {
-				replies = append(replies, c.Execs[i].Commit(d)...)
-			}
-		}
-	}
-	return replies
-}
-
-// RunPumped runs ticks steps, pumping each step.
-func (c *Cluster) RunPumped(ticks int) []types.Reply {
-	var replies []types.Reply
-	for i := 0; i < ticks; i++ {
-		c.Step()
-		replies = append(replies, c.Pump()...)
-	}
-	return replies
-}
-
-// TakeAllDecisions drains every replica's decision queue, indexed by
-// replica position. It consumes the same queue Pump does; use one or
-// the other per run.
-func (c *Cluster) TakeAllDecisions() [][]types.Decision {
-	out := make([][]types.Decision, len(c.Nodes))
-	for i, n := range c.Nodes {
-		out[i] = n.TakeDecisions()
-	}
-	return out
-}
-
-// WaitLeader runs until a live leader exists, returning it (nil on
-// timeout).
-func (c *Cluster) WaitLeader(maxTicks int) *Node {
-	var lead *Node
-	c.RunUntil(func() bool {
-		for _, n := range c.Nodes {
-			if n.IsLeader() && !c.Crashed(n.id) {
-				lead = n
-				return true
-			}
-		}
-		return false
-	}, maxTicks)
-	return lead
+	rc := runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind}
+	return &Cluster{runner.NewSMRCluster(rc, nodes, newSM)}
 }
 
 // CheckLogMatching verifies the Log Matching property across all nodes:

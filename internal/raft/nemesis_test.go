@@ -58,8 +58,7 @@ func (pc *persistentCluster) Restart(id types.NodeID) {
 	if err := pc.pers[id].Restore(fresh); err != nil {
 		pc.t.Fatalf("restore node %d: %v", id, err)
 	}
-	pc.Nodes[id] = fresh
-	pc.Add(id, fresh)
+	pc.Set(id, fresh, nil)
 	pc.Cluster.Restart(id)
 	if err := pc.Cluster.CheckLogMatching(); err != nil {
 		pc.t.Fatalf("log matching broken right after recovery of node %d: %v", id, err)

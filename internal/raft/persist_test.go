@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fortyconsensus/internal/kvstore"
-	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/types"
 	"fortyconsensus/internal/wal"
 )
@@ -153,9 +152,7 @@ func TestCrashRecoveryPreservesSafety(t *testing.T) {
 	if reborn.term == 0 || reborn.lastIndex() == 0 {
 		t.Fatal("journal restored nothing")
 	}
-	c.Nodes[2] = reborn
-	c.Add(2, reborn)
-	c.Execs[2] = smr.NewExecutor(2, kvstore.New())
+	c.Set(2, reborn, kvstore.New())
 	c.Restart(2)
 
 	lead2 := c.WaitLeader(1000)

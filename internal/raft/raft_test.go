@@ -54,7 +54,7 @@ func TestReplicationAndApply(t *testing.T) {
 	if !got.Equal(types.Value("v")) {
 		t.Fatalf("GET via raft = %q", got)
 	}
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CheckLogMatching(); err != nil {
@@ -118,7 +118,7 @@ func TestLeaderFailover(t *testing.T) {
 	if !found {
 		t.Fatal("post-failover entry not committed")
 	}
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,12 +203,12 @@ func TestLogRepairAfterDivergence(t *testing.T) {
 	if err := c.CheckLogMatching(); err != nil {
 		t.Fatal(err)
 	}
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 	// The orphan entries must not appear in any committed prefix.
 	for i := range c.Nodes {
-		for _, d := range c.Execs[i].Applied() {
+		for _, d := range c.Execs()[i].Applied() {
 			if d.Val.Equal(types.Value("orphan")) {
 				t.Fatal("uncommitted orphan entry survived")
 			}
@@ -235,7 +235,7 @@ func TestSafetyUnderChaos(t *testing.T) {
 			} else if rng.Bool(0.25) && live(c) > 3 {
 				c.Crash(victim)
 			}
-			if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+			if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
 			}
 			if err := c.CheckLogMatching(); err != nil {

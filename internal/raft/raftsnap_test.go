@@ -431,9 +431,8 @@ func TestClusterCompactionCatchUpWithExecutors(t *testing.T) {
 		if n == straggler {
 			continue
 		}
-		upTo := c.Execs[i].NextSlot() - 1
-		if !n.Compact(upTo, c.Execs[i].SnapshotState()) {
-			t.Fatalf("node %v: compact at %d refused", n.id, upTo)
+		if !c.Reps[i].Compact() {
+			t.Fatalf("node %v: compact refused", n.id)
 		}
 	}
 	c.Heal()
@@ -444,7 +443,7 @@ func TestClusterCompactionCatchUpWithExecutors(t *testing.T) {
 	if straggler.SnapshotIndex() == 0 {
 		t.Fatal("straggler caught up without installing a snapshot")
 	}
-	if err := smr.CheckPrefixConsistency(c.Execs...); err != nil {
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CheckLogMatching(); err != nil {
@@ -453,7 +452,7 @@ func TestClusterCompactionCatchUpWithExecutors(t *testing.T) {
 	// All replicas agree on the application state.
 	var digest string
 	for i := range c.Nodes {
-		d := fmt.Sprintf("%x", c.Execs[i].SnapshotState())
+		d := fmt.Sprintf("%x", c.Execs()[i].SnapshotState())
 		if digest == "" {
 			digest = d
 		} else if d != digest {

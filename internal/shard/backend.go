@@ -14,9 +14,8 @@ import (
 )
 
 // Group is one shard's replicated SMR group: a consensus cluster whose
-// replicas apply Store. The consensus protocol is pluggable — any
-// harness that can submit to a leader, step its runner, and expose its
-// decision streams and fault surface fits.
+// replicas apply Store. The interface hides only the protocol's message
+// type; one type, group, implements it for every backend.
 type Group interface {
 	nemesis.Target
 	nemesis.ByzTarget
@@ -31,12 +30,8 @@ type Group interface {
 	// executors and returns the (replies, per-replica decisions) both
 	// produced this tick.
 	Pump() ([]types.Reply, [][]types.Decision)
-	// Crashed reports whether the replica with the given local ID is
-	// currently crashed.
-	Crashed(local types.NodeID) bool
-	// Replicas returns the group size.
-	Replicas() int
-	// Stores returns the per-replica shard state machines.
+	// Stores returns the per-replica shard state machines; its length
+	// is the group size.
 	Stores() []*Store
 	// Stats returns the group runner's message and fault counters.
 	Stats() runner.Stats
@@ -49,208 +44,81 @@ const (
 	BackendPBFT       = "pbft"
 )
 
+// group is a simulated SMR cluster of any protocol whose replicas apply
+// Store. The fault surface, Step, Pump and Stats are the embedded
+// cluster's; a backend adds its constructor and how a request enters
+// the protocol.
+type group[M any, N runner.SMRNode[M]] struct {
+	*runner.SMRCluster[M, N]
+	stores []*Store
+	submit func(v types.Value) bool
+}
+
+func (g *group[M, N]) Submit(v types.Value) bool { return g.submit(v) }
+func (g *group[M, N]) Stores() []*Store          { return g.stores }
+
 // NewGroup builds one shard group of the named backend over its own
 // seeded fabric. PBFT sizes itself to 3f+1 >= replicas.
 func NewGroup(backend string, replicas int, seed uint64) (Group, error) {
 	fabric := simnet.NewFabric(simnet.Options{MinDelay: 1, MaxDelay: 3, Seed: seed})
+	var stores []*Store
+	newSM := func() smr.StateMachine {
+		st := NewStore()
+		stores = append(stores, st)
+		return st
+	}
 	switch backend {
 	case BackendRaft:
-		g := &raftGroup{stores: newStores(replicas)}
-		g.c = raft.NewCluster(replicas, fabric, raft.Config{Seed: seed}, nil)
-		g.execs = newExecs(replicas, g.stores)
-		return g, nil
+		c := raft.NewCluster(replicas, fabric, raft.Config{Seed: seed}, newSM)
+		submit := func(v types.Value) bool { return submitToClaimants(c.SMRCluster, v) }
+		return &group[raft.Message, *raft.Node]{c.SMRCluster, stores, submit}, nil
 	case BackendMultiPaxos:
-		g := &paxosGroup{stores: newStores(replicas)}
-		g.c = multipaxos.NewCluster(replicas, fabric, multipaxos.Config{Seed: seed}, nil)
-		g.execs = newExecs(replicas, g.stores)
-		return g, nil
+		c := multipaxos.NewCluster(replicas, fabric, multipaxos.Config{Seed: seed}, newSM)
+		submit := func(v types.Value) bool { return submitToClaimants(c.SMRCluster, v) }
+		return &group[multipaxos.Message, *multipaxos.Node]{c.SMRCluster, stores, submit}, nil
 	case BackendPBFT:
 		f := (replicas - 1) / 3
 		if f < 1 {
 			f = 1
 		}
-		g := &pbftGroup{}
-		g.c = pbft.NewCluster(f, fabric, pbft.Config{}, nil)
-		n := len(g.c.Replicas)
-		g.stores = newStores(n)
-		g.execs = newExecs(n, g.stores)
-		return g, nil
+		c := pbft.NewCluster(f, fabric, pbft.Config{}, newSM)
+		// PBFT backups forward client requests to the primary, so the
+		// first live replica is entry point enough.
+		submit := func(v types.Value) bool {
+			for i := range c.Nodes {
+				if id := types.NodeID(i); !c.Crashed(id) {
+					c.Submit(id, v)
+					return true
+				}
+			}
+			return false
+		}
+		return &group[pbft.Message, *pbft.Replica]{c.SMRCluster, stores, submit}, nil
 	default:
 		return nil, fmt.Errorf("shard: unknown backend %q", backend)
 	}
 }
 
-func newStores(n int) []*Store {
-	stores := make([]*Store, n)
-	for i := range stores {
-		stores[i] = NewStore()
-	}
-	return stores
+// leaderNode is a replica of a protocol with a stable leader that takes
+// client requests directly.
+type leaderNode[M any] interface {
+	runner.SMRNode[M]
+	IsLeader() bool
+	Submit(types.Value)
 }
 
-func newExecs(n int, stores []*Store) []*smr.Executor {
-	execs := make([]*smr.Executor, n)
-	for i := range execs {
-		execs[i] = smr.NewExecutor(types.NodeID(i), stores[i])
-	}
-	return execs
-}
-
-// pump drains decision streams into executors, producing replies. The
-// shared shape of every backend's Pump.
-func pump(execs []*smr.Executor, all [][]types.Decision) []types.Reply {
-	var replies []types.Reply
-	for i, ds := range all {
-		for _, d := range ds {
-			replies = append(replies, execs[i].Commit(d)...)
-		}
-	}
-	return replies
-}
-
-// --- Raft backend ---
-
-type raftGroup struct {
-	c      *raft.Cluster
-	execs  []*smr.Executor
-	stores []*Store
-}
-
-func (g *raftGroup) Step() { g.c.Cluster.Step() }
-
-// Submit hands v to every live node claiming leadership: under a
-// partition a deposed leader may still claim the title, and stopping
-// at the first claimant would starve the majority side's real leader.
-// Duplicates are deduplicated by the smr executor's (client, seqno)
-// cache, so over-submitting is safe.
-func (g *raftGroup) Submit(v types.Value) bool {
+// submitToClaimants hands v to every live node claiming leadership:
+// under a partition a deposed leader may still claim the title, and
+// stopping at the first claimant would starve the majority side's real
+// leader. Duplicates are deduplicated by the smr executor's (client,
+// seqno) cache, so over-submitting is safe.
+func submitToClaimants[M any, N leaderNode[M]](c *runner.SMRCluster[M, N], v types.Value) bool {
 	sent := false
-	for i, n := range g.c.Nodes {
-		if !g.c.Crashed(types.NodeID(i)) && n.IsLeader() {
+	for i, n := range c.Nodes {
+		if !c.Crashed(types.NodeID(i)) && n.IsLeader() {
 			n.Submit(v)
 			sent = true
 		}
 	}
 	return sent
 }
-
-func (g *raftGroup) Pump() ([]types.Reply, [][]types.Decision) {
-	ds := g.c.TakeAllDecisions()
-	return pump(g.execs, ds), ds
-}
-
-func (g *raftGroup) Crashed(local types.NodeID) bool { return g.c.Crashed(local) }
-func (g *raftGroup) Replicas() int                   { return len(g.c.Nodes) }
-func (g *raftGroup) Stores() []*Store                { return g.stores }
-func (g *raftGroup) Stats() runner.Stats             { return g.c.Stats() }
-
-func (g *raftGroup) Crash(id types.NodeID)                             { g.c.Crash(id) }
-func (g *raftGroup) Restart(id types.NodeID)                           { g.c.Restart(id) }
-func (g *raftGroup) Partition(groups ...[]types.NodeID)                { g.c.Partition(groups...) }
-func (g *raftGroup) Heal()                                             { g.c.Heal() }
-func (g *raftGroup) CutLink(from, to types.NodeID)                     { g.c.CutLink(from, to) }
-func (g *raftGroup) RestoreLink(from, to types.NodeID)                 { g.c.RestoreLink(from, to) }
-func (g *raftGroup) SetLinkDelay(from, to types.NodeID, lo, hi int)    { g.c.SetLinkDelay(from, to, lo, hi) }
-func (g *raftGroup) ClearLinkDelay(from, to types.NodeID)              { g.c.ClearLinkDelay(from, to) }
-func (g *raftGroup) SetDropRate(p float64)                             { g.c.SetDropRate(p) }
-func (g *raftGroup) ClearDropRate()                                    { g.c.ClearDropRate() }
-func (g *raftGroup) SetDupRate(p float64)                              { g.c.SetDupRate(p) }
-func (g *raftGroup) ClearDupRate()                                     { g.c.ClearDupRate() }
-func (g *raftGroup) ArmByzantine(id types.NodeID, mode string)         { g.c.ArmByzantine(id, mode) }
-func (g *raftGroup) DisarmByzantine(id types.NodeID)                   { g.c.DisarmByzantine(id) }
-
-// --- Multi-Paxos backend ---
-
-type paxosGroup struct {
-	c      *multipaxos.Cluster
-	execs  []*smr.Executor
-	stores []*Store
-}
-
-func (g *paxosGroup) Step() { g.c.Cluster.Step() }
-
-// Submit mirrors raftGroup.Submit: every live leadership claimant
-// gets the request; smr dedup absorbs the duplicates.
-func (g *paxosGroup) Submit(v types.Value) bool {
-	sent := false
-	for i, n := range g.c.Nodes {
-		if !g.c.Crashed(types.NodeID(i)) && n.IsLeader() {
-			n.Submit(v)
-			sent = true
-		}
-	}
-	return sent
-}
-
-func (g *paxosGroup) Pump() ([]types.Reply, [][]types.Decision) {
-	ds := g.c.TakeAllDecisions()
-	return pump(g.execs, ds), ds
-}
-
-func (g *paxosGroup) Crashed(local types.NodeID) bool { return g.c.Crashed(local) }
-func (g *paxosGroup) Replicas() int                   { return len(g.c.Nodes) }
-func (g *paxosGroup) Stores() []*Store                { return g.stores }
-func (g *paxosGroup) Stats() runner.Stats             { return g.c.Stats() }
-
-func (g *paxosGroup) Crash(id types.NodeID)                          { g.c.Crash(id) }
-func (g *paxosGroup) Restart(id types.NodeID)                        { g.c.Restart(id) }
-func (g *paxosGroup) Partition(groups ...[]types.NodeID)             { g.c.Partition(groups...) }
-func (g *paxosGroup) Heal()                                          { g.c.Heal() }
-func (g *paxosGroup) CutLink(from, to types.NodeID)                  { g.c.CutLink(from, to) }
-func (g *paxosGroup) RestoreLink(from, to types.NodeID)              { g.c.RestoreLink(from, to) }
-func (g *paxosGroup) SetLinkDelay(from, to types.NodeID, lo, hi int) { g.c.SetLinkDelay(from, to, lo, hi) }
-func (g *paxosGroup) ClearLinkDelay(from, to types.NodeID)           { g.c.ClearLinkDelay(from, to) }
-func (g *paxosGroup) SetDropRate(p float64)                          { g.c.SetDropRate(p) }
-func (g *paxosGroup) ClearDropRate()                                 { g.c.ClearDropRate() }
-func (g *paxosGroup) SetDupRate(p float64)                           { g.c.SetDupRate(p) }
-func (g *paxosGroup) ClearDupRate()                                  { g.c.ClearDupRate() }
-func (g *paxosGroup) ArmByzantine(id types.NodeID, mode string)      { g.c.ArmByzantine(id, mode) }
-func (g *paxosGroup) DisarmByzantine(id types.NodeID)                { g.c.DisarmByzantine(id) }
-
-// --- PBFT backend ---
-
-type pbftGroup struct {
-	c      *pbft.Cluster
-	execs  []*smr.Executor
-	stores []*Store
-}
-
-func (g *pbftGroup) Step() { g.c.Cluster.Step() }
-
-// Submit enters through the first live replica: PBFT backups forward
-// client requests to the primary, so any live entry point works.
-func (g *pbftGroup) Submit(v types.Value) bool {
-	for i := range g.c.Replicas {
-		id := types.NodeID(i)
-		if !g.c.Crashed(id) {
-			g.c.Submit(id, v)
-			return true
-		}
-	}
-	return false
-}
-
-func (g *pbftGroup) Pump() ([]types.Reply, [][]types.Decision) {
-	ds := g.c.TakeAllDecisions()
-	return pump(g.execs, ds), ds
-}
-
-func (g *pbftGroup) Crashed(local types.NodeID) bool { return g.c.Crashed(local) }
-func (g *pbftGroup) Replicas() int                   { return len(g.c.Replicas) }
-func (g *pbftGroup) Stores() []*Store                { return g.stores }
-func (g *pbftGroup) Stats() runner.Stats             { return g.c.Stats() }
-
-func (g *pbftGroup) Crash(id types.NodeID)                          { g.c.Crash(id) }
-func (g *pbftGroup) Restart(id types.NodeID)                        { g.c.Restart(id) }
-func (g *pbftGroup) Partition(groups ...[]types.NodeID)             { g.c.Partition(groups...) }
-func (g *pbftGroup) Heal()                                          { g.c.Heal() }
-func (g *pbftGroup) CutLink(from, to types.NodeID)                  { g.c.CutLink(from, to) }
-func (g *pbftGroup) RestoreLink(from, to types.NodeID)              { g.c.RestoreLink(from, to) }
-func (g *pbftGroup) SetLinkDelay(from, to types.NodeID, lo, hi int) { g.c.SetLinkDelay(from, to, lo, hi) }
-func (g *pbftGroup) ClearLinkDelay(from, to types.NodeID)           { g.c.ClearLinkDelay(from, to) }
-func (g *pbftGroup) SetDropRate(p float64)                          { g.c.SetDropRate(p) }
-func (g *pbftGroup) ClearDropRate()                                 { g.c.ClearDropRate() }
-func (g *pbftGroup) SetDupRate(p float64)                           { g.c.SetDupRate(p) }
-func (g *pbftGroup) ClearDupRate()                                  { g.c.ClearDupRate() }
-func (g *pbftGroup) ArmByzantine(id types.NodeID, mode string)      { g.c.ArmByzantine(id, mode) }
-func (g *pbftGroup) DisarmByzantine(id types.NodeID)                { g.c.DisarmByzantine(id) }

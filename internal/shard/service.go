@@ -149,7 +149,7 @@ func NewService(cfg Config) *Service {
 		metrics:   newMetrics(),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		g, err := NewGroup(cfg.Backend, cfg.Replicas, mixSeed(cfg.Seed, uint64(i)))
+		g, err := NewGroup(cfg.Backend, cfg.Replicas, MixSeed(cfg.Seed, uint64(i)))
 		if err != nil {
 			panic(err)
 		}
@@ -166,8 +166,11 @@ func NewService(cfg Config) *Service {
 	return s
 }
 
-// mixSeed derives a per-shard fabric seed (splitmix64 finalizer).
-func mixSeed(seed, i uint64) uint64 {
+// MixSeed derives shard i's seed from the service seed (splitmix64
+// finalizer): the shard's fabric and its modules' private RNGs take it.
+// The live runtime seeds its hosted modules with the same derivation,
+// which is what lets a live cluster be compared with a simulated one.
+func MixSeed(seed, i uint64) uint64 {
 	z := seed + 0x9e3779b97f4a7c15*(i+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -427,7 +430,7 @@ func (s *Service) locate(id types.NodeID) (int, types.NodeID, bool) {
 	}
 	sh := int(id) / s.cfg.Replicas
 	local := types.NodeID(int(id) % s.cfg.Replicas)
-	if int(local) >= s.groups[sh].Replicas() {
+	if int(local) >= len(s.groups[sh].Stores()) {
 		return 0, 0, false
 	}
 	return sh, local, true

@@ -1,0 +1,121 @@
+package smr
+
+import (
+	"fmt"
+
+	"fortyconsensus/internal/snapshot"
+	"fortyconsensus/internal/types"
+)
+
+// Module is the part of a consensus module a Replica consumes: its
+// stream of committed decisions.
+type Module interface {
+	TakeDecisions() []types.Decision
+}
+
+// Compactor is the optional module surface for log compaction and
+// snapshot catch-up; raft.Node and multipaxos.Node provide it.
+type Compactor interface {
+	Compact(upTo types.Seq, state []byte) bool
+	TakeInstalledSnapshot() *snapshot.Snapshot
+}
+
+// Replica is how one replica's committed decisions reach its state
+// machine: the module's decision stream, an Executor applying it, and —
+// when the module can compact — the snapshot policy between the two.
+// The simulated cluster (runner.SMRCluster) and the live runtime
+// (live.Server) are its two drivers; each calls Pump after the module
+// has taken a step. A Replica is as single-threaded as the module it
+// reads.
+type Replica struct {
+	mod  Module
+	comp Compactor // nil: the module cannot compact
+	exec *Executor // nil: no state machine, decisions only
+
+	lastCompact types.Seq // frontier of the last compaction or install
+	installs    int
+	err         error // a failed snapshot restore; the replica is dead
+	replies     []types.Reply
+}
+
+// NewReplica hosts mod's decision stream for node, applying it to sm.
+// A nil sm leaves the replica without an executor: Pump only hands the
+// decisions back and installed snapshots stay with the module.
+func NewReplica(node types.NodeID, mod Module, sm StateMachine) *Replica {
+	r := &Replica{mod: mod}
+	if sm == nil {
+		return r
+	}
+	r.exec = NewExecutor(node, sm)
+	r.comp, _ = mod.(Compactor)
+	return r
+}
+
+// Pump moves what the module committed since the last call into the
+// state machine: a snapshot the module installed from a peer is
+// restored first, so no decision past it meets the old state, then each
+// drained decision is committed in order. It returns the decisions and
+// the client replies they produced; replies is only valid until the
+// next Pump.
+//
+// A snapshot that does not restore leaves a replica whose module has
+// moved past slots its state machine never saw. That replica cannot
+// apply anything again: the Pump that hit it and every later one return
+// the error, with the drained decisions and no replies.
+func (r *Replica) Pump() (decided []types.Decision, replies []types.Reply, err error) {
+	if r.comp != nil && r.err == nil {
+		if snap := r.comp.TakeInstalledSnapshot(); snap != nil {
+			if rerr := r.exec.RestoreState(snap.State); rerr != nil {
+				r.err = fmt.Errorf("smr: restore snapshot at slot %d: %w", snap.LastIndex, rerr)
+			} else {
+				r.installs++
+				r.lastCompact = snap.LastIndex
+			}
+		}
+	}
+	decided = r.mod.TakeDecisions()
+	if r.exec == nil || r.err != nil {
+		return decided, nil, r.err
+	}
+	r.replies = r.replies[:0]
+	for _, d := range decided {
+		r.replies = append(r.replies, r.exec.Commit(d)...)
+	}
+	return decided, r.replies, nil
+}
+
+// Compact folds everything applied so far into a snapshot and hands it
+// to the module, which drops the log prefix the snapshot covers. It
+// reports whether the module took it: a module may refuse (a pending
+// reconfiguration epoch, nothing new applied), and one that cannot
+// compact always does.
+func (r *Replica) Compact() bool {
+	if r.comp == nil || r.err != nil {
+		return false
+	}
+	upTo := r.exec.NextSlot() - 1
+	if !r.comp.Compact(upTo, r.exec.SnapshotState()) {
+		return false
+	}
+	r.lastCompact = upTo
+	return true
+}
+
+// CompactEvery is the compaction cadence: it compacts once the apply
+// frontier has outrun the last compaction (or installed snapshot) by
+// every slots. A refused compaction is retried by the next call.
+// every <= 0 never compacts.
+func (r *Replica) CompactEvery(every int) {
+	if r.comp == nil || every <= 0 {
+		return
+	}
+	if r.exec.NextSlot()-1 >= r.lastCompact+types.Seq(every) {
+		r.Compact()
+	}
+}
+
+// Exec returns the replica's executor, nil without a state machine.
+func (r *Replica) Exec() *Executor { return r.exec }
+
+// Installs counts the snapshots restored from peers.
+func (r *Replica) Installs() int { return r.installs }

@@ -1,0 +1,198 @@
+package smr
+
+import (
+	"errors"
+	"testing"
+
+	"fortyconsensus/internal/kvstore"
+	"fortyconsensus/internal/snapshot"
+	"fortyconsensus/internal/types"
+)
+
+// fakeModule is a consensus module reduced to what a Replica sees: a
+// decision queue, an installed-snapshot slot, and a Compact that can be
+// told to refuse.
+type fakeModule struct {
+	decided   []types.Decision
+	installed *snapshot.Snapshot
+	refuse    bool
+	compacted []types.Seq // upTo of every accepted Compact
+	offered   int         // Compact calls, accepted or not
+}
+
+func (m *fakeModule) TakeDecisions() []types.Decision {
+	ds := m.decided
+	m.decided = nil
+	return ds
+}
+
+func (m *fakeModule) TakeInstalledSnapshot() *snapshot.Snapshot {
+	s := m.installed
+	m.installed = nil
+	return s
+}
+
+func (m *fakeModule) Compact(upTo types.Seq, state []byte) bool {
+	m.offered++
+	if m.refuse {
+		return false
+	}
+	m.compacted = append(m.compacted, upTo)
+	return true
+}
+
+func incr(slot types.Seq, seq uint64) types.Decision {
+	return types.Decision{Slot: slot, Val: EncodeRequest(types.Request{
+		Client: 7, SeqNo: seq, Op: kvstore.Incr("n", 1).Encode(),
+	})}
+}
+
+// snapshotAt builds the snapshot a peer that applied incr 1..upTo would
+// ship.
+func snapshotAt(upTo types.Seq) *snapshot.Snapshot {
+	src := NewExecutor(9, kvstore.New())
+	for s := types.Seq(1); s <= upTo; s++ {
+		src.Commit(incr(s, uint64(s)))
+	}
+	return &snapshot.Snapshot{LastIndex: upTo, State: src.SnapshotState()}
+}
+
+func mustPump(t *testing.T, r *Replica) []types.Reply {
+	t.Helper()
+	_, replies, err := r.Pump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return replies
+}
+
+func TestReplicaRestoresBeforePostSnapshotDecisions(t *testing.T) {
+	mod := &fakeModule{}
+	r := NewReplica(0, mod, kvstore.New())
+	mod.decided = []types.Decision{incr(1, 1), incr(2, 2)}
+	if got := mustPump(t, r); len(got) != 2 {
+		t.Fatalf("replies before install: %+v", got)
+	}
+	// The module installed a snapshot through slot 10 and, in the same
+	// step, committed slot 11: the one Pump must restore first, or slot
+	// 11 would park behind the gap 3..10 forever.
+	mod.installed = snapshotAt(10)
+	mod.decided = []types.Decision{incr(11, 11)}
+	replies := mustPump(t, r)
+	if len(replies) != 1 || string(replies[0].Result) != "11" {
+		t.Fatalf("slot 11 applied to the wrong state: %+v", replies)
+	}
+	if r.Exec().NextSlot() != 12 || r.Installs() != 1 {
+		t.Fatalf("next slot %d, installs %d", r.Exec().NextSlot(), r.Installs())
+	}
+}
+
+func TestReplicaTruncatedSnapshotSurfacesAndStopsApplying(t *testing.T) {
+	mod := &fakeModule{}
+	store := kvstore.New()
+	r := NewReplica(0, mod, store)
+	mod.decided = []types.Decision{incr(1, 1)}
+	mustPump(t, r)
+	before := string(store.Snapshot())
+
+	snap := snapshotAt(10)
+	snap.State = snap.State[:len(snap.State)-3]
+	mod.installed = snap
+	mod.decided = []types.Decision{incr(11, 11)}
+	ds, replies, err := r.Pump()
+	if !errors.Is(err, ErrDecode) {
+		t.Fatalf("truncated snapshot state: err = %v, want ErrDecode", err)
+	}
+	if len(ds) != 1 || len(replies) != 0 {
+		t.Fatalf("failed pump returned %d decisions, %d replies", len(ds), len(replies))
+	}
+	// The failure is permanent: the module's log starts past the
+	// snapshot, so nothing can fill the gap. Later decisions — even the
+	// contiguous slot 2 — are not applied, the error keeps coming, and
+	// the replica neither installs nor compacts.
+	mod.decided = []types.Decision{incr(2, 2), incr(12, 12)}
+	if _, replies, err := r.Pump(); err == nil || len(replies) != 0 {
+		t.Fatalf("pump after failed restore: replies %+v, err %v", replies, err)
+	}
+	if got := string(store.Snapshot()); got != before {
+		t.Fatal("state machine changed after the failed restore")
+	}
+	if r.Exec().NextSlot() != 2 || r.Installs() != 0 {
+		t.Fatalf("next slot %d, installs %d", r.Exec().NextSlot(), r.Installs())
+	}
+	if r.Compact() || mod.offered != 0 {
+		t.Fatal("a dead replica offered the module a snapshot")
+	}
+}
+
+func TestReplicaCompactCadence(t *testing.T) {
+	mod := &fakeModule{refuse: true}
+	r := NewReplica(0, mod, kvstore.New())
+	for s := types.Seq(1); s <= 5; s++ {
+		mod.decided = append(mod.decided, incr(s, uint64(s)))
+	}
+	mustPump(t, r)
+	r.CompactEvery(8)
+	if mod.offered != 0 {
+		t.Fatal("compacted 5 slots in, cadence 8")
+	}
+	r.CompactEvery(0)
+	if mod.offered != 0 {
+		t.Fatal("cadence 0 compacted")
+	}
+	// Due at 5 but refused: every later call offers again, at the
+	// frontier of the moment.
+	r.CompactEvery(5)
+	r.CompactEvery(5)
+	if mod.offered != 2 || len(mod.compacted) != 0 {
+		t.Fatalf("offered %d, accepted %v", mod.offered, mod.compacted)
+	}
+	mod.refuse = false
+	mod.decided = []types.Decision{incr(6, 6)}
+	mustPump(t, r)
+	r.CompactEvery(5)
+	if len(mod.compacted) != 1 || mod.compacted[0] != 6 {
+		t.Fatalf("accepted %v, want [6]", mod.compacted)
+	}
+	r.CompactEvery(5)
+	if mod.offered != 3 {
+		t.Fatal("compacted again with nothing new applied")
+	}
+	// An installed snapshot moves the cadence's base to its index: the
+	// next compaction is due 5 slots past 20, not past 6.
+	mod.installed = snapshotAt(20)
+	for s := types.Seq(21); s <= 24; s++ {
+		mod.decided = append(mod.decided, incr(s, uint64(s)))
+	}
+	mustPump(t, r)
+	r.CompactEvery(5)
+	if mod.offered != 3 {
+		t.Fatal("compacted 4 slots past an installed snapshot, cadence 5")
+	}
+	mod.decided = []types.Decision{incr(25, 25)}
+	mustPump(t, r)
+	r.CompactEvery(5)
+	if len(mod.compacted) != 2 || mod.compacted[1] != 25 {
+		t.Fatalf("accepted %v, want [6 25]", mod.compacted)
+	}
+}
+
+func TestReplicaWithoutStateMachineYieldsDecisionsOnly(t *testing.T) {
+	mod := &fakeModule{installed: snapshotAt(3)}
+	r := NewReplica(0, mod, nil)
+	mod.decided = []types.Decision{incr(4, 4), incr(5, 5)}
+	ds, replies, err := r.Pump()
+	if err != nil || len(ds) != 2 || replies != nil {
+		t.Fatalf("decisions %d, replies %v, err %v", len(ds), replies, err)
+	}
+	if mod.installed == nil {
+		t.Fatal("a replica with nothing to restore consumed the module's installed snapshot")
+	}
+	if r.Exec() != nil || r.Compact() {
+		t.Fatal("executor or compaction without a state machine")
+	}
+	r.CompactEvery(1)
+	if mod.offered != 0 {
+		t.Fatal("compaction offered without a state machine")
+	}
+}

@@ -11,32 +11,18 @@ import (
 )
 
 type cluster struct {
-	*runner.Cluster[Message]
-	reps  []*Replica
-	execs []*smr.Executor
-	f     int
+	*runner.SMRCluster[Message, *Replica]
 }
 
 func newCluster(f int, fabric *simnet.Fabric, cfg Config) *cluster {
 	n := 2*f + 1
 	cfg.N, cfg.F = n, f
-	rc := runner.New(runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind})
-	c := &cluster{Cluster: rc, f: f}
-	for i := 0; i < n; i++ {
-		rep := NewReplica(types.NodeID(i), cfg)
-		c.reps = append(c.reps, rep)
-		rc.Add(types.NodeID(i), rep)
-		c.execs = append(c.execs, smr.NewExecutor(types.NodeID(i), kvstore.New()))
+	reps := make([]*Replica, n)
+	for i := range reps {
+		reps[i] = NewReplica(types.NodeID(i), cfg)
 	}
-	return c
-}
-
-func (c *cluster) pump() {
-	for i, rep := range c.reps {
-		for _, d := range rep.TakeDecisions() {
-			c.execs[i].Commit(d)
-		}
-	}
+	rc := runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind}
+	return &cluster{runner.NewSMRCluster(rc, reps, func() smr.StateMachine { return kvstore.New() })}
 }
 
 func (c *cluster) submit(at types.NodeID, req types.Value) {
@@ -44,15 +30,8 @@ func (c *cluster) submit(at types.NodeID, req types.Value) {
 }
 
 func (c *cluster) executedEverywhere(seq types.Seq, skip ...types.NodeID) bool {
-	sk := map[types.NodeID]bool{}
-	for _, s := range skip {
-		sk[s] = true
-	}
-	for _, rep := range c.reps {
-		if sk[rep.id] || c.Crashed(rep.id) {
-			continue
-		}
-		if rep.ExecutedFrontier() < seq {
+	for i, rep := range c.Nodes {
+		if c.Correct(types.NodeID(i), skip) && rep.ExecutedFrontier() < seq {
 			return false
 		}
 	}
@@ -75,8 +54,8 @@ func TestCommonCaseCommit(t *testing.T) {
 	if st.ByKind["update"] == 0 {
 		t.Fatalf("no lazy updates: %v", st.ByKind)
 	}
-	c.pump()
-	if err := smr.CheckPrefixConsistency(c.execs...); err != nil {
+	c.Pump()
+	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -118,15 +97,15 @@ func TestGroupMemberCrashTriggersViewChange(t *testing.T) {
 	c.Crash(1) // follower of view 0's group {0,1}
 	c.submit(0, req(1, 1, kvstore.Put("k", []byte("v"))))
 	if !c.RunUntil(func() bool { return c.executedEverywhere(1, 1) }, 4000) {
-		t.Fatalf("view change never recovered (views: %d/%d)", c.reps[0].View(), c.reps[2].View())
+		t.Fatalf("view change never recovered (views: %d/%d)", c.Nodes[0].View(), c.Nodes[2].View())
 	}
-	for _, rep := range []*Replica{c.reps[0], c.reps[2]} {
+	for _, rep := range []*Replica{c.Nodes[0], c.Nodes[2]} {
 		if rep.View() == 0 {
 			t.Fatalf("replica %v still in view 0", rep.id)
 		}
 	}
-	c.pump()
-	if err := smr.CheckPrefixConsistency(c.execs[0], c.execs[2]); err != nil {
+	c.Pump()
+	if err := smr.CheckPrefixConsistency(c.Execs()[0], c.Execs()[2]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,8 +117,8 @@ func TestLeaderCrashRecovery(t *testing.T) {
 	if !c.RunUntil(func() bool { return c.executedEverywhere(1, 0) }, 4000) {
 		t.Fatal("leader crash never recovered")
 	}
-	c.pump()
-	if err := smr.CheckPrefixConsistency(c.execs[1], c.execs[2]); err != nil {
+	c.Pump()
+	if err := smr.CheckPrefixConsistency(c.Execs()[1], c.Execs()[2]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,9 +137,9 @@ func TestCommittedEntrySurvivesViewChange(t *testing.T) {
 	if !c.RunUntil(func() bool { return c.executedEverywhere(2, 1) }, 4000) {
 		t.Fatal("post-crash commit failed")
 	}
-	c.pump()
+	c.Pump()
 	for _, i := range []int{0, 2} {
-		applied := c.execs[i].Applied()
+		applied := c.Execs()[i].Applied()
 		if len(applied) < 2 || !applied[0].Val.Equal(r1) {
 			t.Fatalf("replica %d lost slot 1: %v", i, applied)
 		}
@@ -181,14 +160,14 @@ func TestSafetyOutsideAnarchy(t *testing.T) {
 	})
 	for i := 1; i <= 5; i++ {
 		c.submit(0, req(1, uint64(i), kvstore.Incr("n", 1)))
-		c.RunPumpedTicks(300)
-		if err := smr.CheckPrefixConsistency(c.execs[0], c.execs[2]); err != nil {
+		c.RunPumped(300)
+		if err := smr.CheckPrefixConsistency(c.Execs()[0], c.Execs()[2]); err != nil {
 			t.Fatalf("non-anarchy safety violated: %v", err)
 		}
 	}
 	if !c.executedEverywhere(5, 1) {
 		t.Fatalf("byzantine group member blocked progress permanently (frontiers %d/%d)",
-			c.reps[0].ExecutedFrontier(), c.reps[2].ExecutedFrontier())
+			c.Nodes[0].ExecutedFrontier(), c.Nodes[2].ExecutedFrontier())
 	}
 }
 
@@ -196,7 +175,7 @@ func TestSafetyOutsideAnarchy(t *testing.T) {
 func (c *cluster) RunPumpedTicks(n int) {
 	for i := 0; i < n; i++ {
 		c.Step()
-		c.pump()
+		c.Pump()
 	}
 }
 
@@ -206,8 +185,8 @@ func TestChaosConsistency(t *testing.T) {
 		c := newCluster(1, fab, Config{RequestTimeout: 35})
 		for i := 1; i <= 10; i++ {
 			c.submit(types.NodeID(i%3), req(1, uint64(i), kvstore.Incr("n", 1)))
-			c.RunPumpedTicks(80)
-			if err := smr.CheckPrefixConsistency(c.execs...); err != nil {
+			c.RunPumped(80)
+			if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
