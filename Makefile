@@ -20,7 +20,7 @@ SHARD_PKGS := ./internal/shard/... ./internal/explore ./internal/workload
 # live.Node's cost per event.
 BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/shard ./internal/explore ./internal/live
 
-.PHONY: all build test test-race bench bench-json golden lint explore examples ci cover serve-smoke
+.PHONY: all build test test-race bench bench-json golden lint explore examples fuzz ci cover serve-smoke
 
 all: build test
 
@@ -71,10 +71,32 @@ examples:
 	$(GO) run ./examples/bank > /dev/null
 	$(GO) run ./examples/byzantine > /dev/null
 
+# Every decoder that takes bytes from a socket or a disk has a native
+# fuzz target asserting "no panic; error, or exact re-encode", seeded
+# from its round-trip tests. go test runs one target per invocation, so
+# each gets three seconds: enough to walk the seeds' truncations and
+# single-field mutations, short enough for ci. A failure writes its
+# input under the package's testdata/fuzz, which then fails plain
+# `go test` until fixed.
+FUZZ_TARGETS := \
+	./internal/wire:FuzzReader \
+	./internal/live:FuzzRaftCodec ./internal/live:FuzzMultiPaxosCodec \
+	./internal/live:FuzzDecodeRequest ./internal/live:FuzzDecodeResponse ./internal/live:FuzzDecodeHello \
+	./internal/kvstore:FuzzDecode ./internal/kvstore:FuzzRestore \
+	./internal/smr:FuzzDecodeRequest ./internal/smr:FuzzRestoreState \
+	./internal/snapshot:FuzzDecode ./internal/snapshot:FuzzDecodeConfChange \
+	./internal/shard:FuzzDecodeCmd ./internal/shard:FuzzStoreRestore
+
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test $${t%%:*} -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime 3s || exit 1; \
+	done
+
 # Full gate: everything CI runs, in order. The golden step verifies the
 # pinned experiment artifacts byte-for-byte (no -update), and the shard
 # stack runs uncached so the 2PC and linearizability tests always fire.
-ci: build lint explore examples
+ci: build lint explore examples fuzz
 	$(GO) test -race ./...
 	$(GO) test $(SHARD_PKGS) -count=1
 	$(GO) test ./internal/experiments -run TestGoldenArtifacts -count=1

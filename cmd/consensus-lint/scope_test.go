@@ -33,6 +33,7 @@ var protocolPackages = []string{
 	"internal/trustedhw",
 	"internal/types",
 	"internal/upright",
+	"internal/wire",
 	"internal/xft",
 	"internal/zyzzyva",
 }

@@ -13,10 +13,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 
 	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wire"
 )
 
 // Op codes for the command codec.
@@ -40,52 +42,29 @@ type Command struct {
 // ErrDecode reports a malformed encoded command.
 var ErrDecode = errors.New("kvstore: malformed command")
 
+// MaxKeyLen is the longest key the command codec can carry: the key's
+// length prefix is a u16. Encode does not check it; whoever accepts keys
+// from outside (live.Client) does.
+const MaxKeyLen = math.MaxUint16
+
 // Encode serializes the command:
 // u8 op | u16 keyLen | key | u32 valLen | val | u32 expLen | exp.
 func (c Command) Encode() types.Value {
 	buf := make([]byte, 0, 1+2+len(c.Key)+4+len(c.Value)+4+len(c.Expected))
 	buf = append(buf, c.Op)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(c.Key)))
-	buf = append(buf, c.Key...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Value)))
-	buf = append(buf, c.Value...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Expected)))
-	buf = append(buf, c.Expected...)
+	buf = wire.AppendBytes16(buf, c.Key)
+	buf = wire.AppendBytes32(buf, c.Value)
+	buf = wire.AppendBytes32(buf, c.Expected)
 	return types.Value(buf)
 }
 
-// Decode parses a serialized command.
+// Decode parses a serialized command. Value and Expected are copies:
+// the command outlives v.
 func Decode(v types.Value) (Command, error) {
-	b := []byte(v)
-	if len(b) < 3 {
+	r := wire.NewReader(v)
+	c := Command{Op: r.U8(), Key: string(r.View16()), Value: r.Copy32(), Expected: r.Copy32()}
+	if !r.Done() {
 		return Command{}, ErrDecode
-	}
-	var c Command
-	c.Op = b[0]
-	b = b[1:]
-	kl := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < kl+4 {
-		return Command{}, ErrDecode
-	}
-	c.Key = string(b[:kl])
-	b = b[kl:]
-	vl := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if len(b) < vl+4 {
-		return Command{}, ErrDecode
-	}
-	if vl > 0 {
-		c.Value = append([]byte(nil), b[:vl]...)
-	}
-	b = b[vl:]
-	el := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if len(b) != el {
-		return Command{}, ErrDecode
-	}
-	if el > 0 {
-		c.Expected = append([]byte(nil), b[:el]...)
 	}
 	return c, nil
 }
@@ -203,53 +182,38 @@ func (s *Store) Len() int { return len(s.data) }
 // Applied returns the number of commands applied so far.
 func (s *Store) Applied() uint64 { return s.applied }
 
-// Snapshot serializes the full store deterministically (sorted keys).
+// Snapshot serializes the full store deterministically (sorted keys):
+// u64 applied | u32 nKeys | nKeys × (u16 keyLen | key | u32 valLen | val).
 func (s *Store) Snapshot() []byte {
 	keys := det.SortedKeys(s.data)
 	var buf []byte
 	buf = binary.BigEndian.AppendUint64(buf, s.applied)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(keys)))
 	for _, k := range keys {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
-		buf = append(buf, k...)
-		v := s.data[k]
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v)))
-		buf = append(buf, v...)
+		buf = wire.AppendBytes16(buf, k)
+		buf = wire.AppendBytes32(buf, s.data[k])
 	}
 	return buf
 }
 
-// Restore replaces the store's contents from a snapshot.
+// Restore replaces the store's contents from a snapshot. Keys must
+// ascend strictly, as Snapshot writes them, so one state has one
+// encoding. Malformed input is an error and leaves the store untouched.
 func (s *Store) Restore(snap []byte) error {
-	if len(snap) < 12 {
-		return fmt.Errorf("kvstore: snapshot too short")
-	}
-	applied := binary.BigEndian.Uint64(snap)
-	snap = snap[8:]
-	n := int(binary.BigEndian.Uint32(snap))
-	snap = snap[4:]
+	r := wire.NewReader(snap)
+	applied := r.U64()
+	n := r.Count(2 + 4)
 	data := make(map[string][]byte, n)
+	prev := ""
 	for i := 0; i < n; i++ {
-		if len(snap) < 2 {
-			return fmt.Errorf("kvstore: truncated snapshot key %d", i)
+		k := string(r.View16())
+		if i > 0 && k <= prev {
+			return fmt.Errorf("kvstore: snapshot truncated or out of order at key %d", i)
 		}
-		kl := int(binary.BigEndian.Uint16(snap))
-		snap = snap[2:]
-		if len(snap) < kl+4 {
-			return fmt.Errorf("kvstore: truncated snapshot key %d", i)
-		}
-		k := string(snap[:kl])
-		snap = snap[kl:]
-		vl := int(binary.BigEndian.Uint32(snap))
-		snap = snap[4:]
-		if len(snap) < vl {
-			return fmt.Errorf("kvstore: truncated snapshot value for %q", k)
-		}
-		data[k] = append([]byte(nil), snap[:vl]...)
-		snap = snap[vl:]
+		data[k], prev = r.Copy32(), k
 	}
-	if len(snap) != 0 {
-		return fmt.Errorf("kvstore: %d trailing snapshot bytes", len(snap))
+	if !r.Done() {
+		return fmt.Errorf("kvstore: snapshot truncated or has trailing bytes")
 	}
 	s.data, s.applied = data, applied
 	return nil

@@ -2,6 +2,8 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -177,6 +179,30 @@ func TestSnapshotRestoreRejectsCorrupt(t *testing.T) {
 	}
 	if err := New().Restore(append(snap, 0)); err == nil {
 		t.Fatal("restored snapshot with trailing bytes")
+	}
+	// A key count the bytes cannot hold must be refused before it sizes
+	// the map: 0xFFFFFFFF, and one more than the single key present.
+	for _, count := range []uint32{0xFFFFFFFF, 2} {
+		bomb := append([]byte(nil), snap...)
+		binary.BigEndian.PutUint32(bomb[8:], count)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := New().Restore(bomb)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; err == nil || grew > 1<<20 {
+			t.Fatalf("key count %#x: err=%v after allocating %d bytes", count, err, grew)
+		}
+	}
+	// Keys out of Snapshot's order, or repeated, are not a second
+	// encoding of the same store.
+	s.Apply(Put("b", []byte("2")).Encode())
+	two := s.Snapshot()
+	if err := New().Restore(two); err != nil {
+		t.Fatal(err)
+	}
+	swapped := bytes.Replace(bytes.Replace(two, []byte("a"), []byte("c"), 1), []byte("b"), []byte("a"), 1)
+	if err := New().Restore(swapped); err == nil {
+		t.Fatal("restored a snapshot whose keys descend")
 	}
 }
 

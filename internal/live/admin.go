@@ -9,6 +9,7 @@ import (
 
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wire"
 )
 
 // Cluster administration rides the client wire protocol: admin requests
@@ -63,7 +64,7 @@ func AdminStatusOp() []byte { return []byte{OpAdminStatus} }
 func AdminAddNodeOp(id types.NodeID, addr string) []byte {
 	b := appendU8(nil, OpAdminAddNode)
 	b = appendI64(b, int64(id))
-	return appendValue(b, []byte(addr))
+	return wire.AppendBytes32(b, addr)
 }
 
 // AdminRemoveNodeOp encodes an OpAdminRemoveNode payload for id.
@@ -92,10 +93,10 @@ func (s *Server) handleAdmin(cc *ClientConn, req Request) {
 		cc.Send(Response{ReqID: req.ReqID, Status: StatusBadRequest, Leader: -1,
 			Result: types.Value(why)})
 	}
-	r := rbuf{b: req.Op}
-	switch r.u8() {
+	r := wire.NewReader(req.Op)
+	switch r.U8() {
 	case OpAdminStatus:
-		if !r.done() {
+		if !r.Done() {
 			bad("malformed status request")
 			return
 		}
@@ -115,17 +116,17 @@ func (s *Server) handleAdmin(cc *ClientConn, req Request) {
 		}
 		cc.Send(Response{ReqID: req.ReqID, Status: StatusOK, Leader: int64(s.cfg.Self), Result: buf})
 	case OpAdminAddNode:
-		id := types.NodeID(r.i64())
-		addr := string(r.value())
-		if !r.done() || addr == "" {
+		id := types.NodeID(r.I64())
+		addr := string(r.View32())
+		if !r.Done() || addr == "" {
 			bad("malformed add-node request")
 			return
 		}
 		s.AddPeer(id, addr)
 		s.answerConf(cc, req, snapshot.ConfChange{Op: snapshot.ConfAdd, Node: id})
 	case OpAdminRemoveNode:
-		id := types.NodeID(r.i64())
-		if !r.done() {
+		id := types.NodeID(r.I64())
+		if !r.Done() {
 			bad("malformed remove-node request")
 			return
 		}

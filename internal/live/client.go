@@ -50,12 +50,11 @@ type ClientConfig struct {
 	AttemptTimeout time.Duration
 	// Deadline bounds a whole operation including retries (default 20s).
 	Deadline time.Duration
-	// RetryBackoff is the pause between failed attempts (default 25ms).
-	// Leader redirects with a fresh hint skip it.
-	RetryBackoff time.Duration
-	// MaxFrame caps response frames (DefaultMaxFrame if 0).
-	MaxFrame int
 }
+
+// retryBackoff is the pause between failed attempts. Leader redirects
+// with a fresh hint skip it.
+const retryBackoff = 25 * time.Millisecond
 
 // ParseAddrs parses a comma-separated node list whose entries are
 // either all host:port (ids is nil: entry i is node i) or all
@@ -88,12 +87,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 20 * time.Second
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 25 * time.Millisecond
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
 	}
 	return c
 }
@@ -160,8 +153,12 @@ func (c *Client) position(id types.NodeID) int {
 
 // Do executes one KV command against the cluster and returns the
 // committed result. It retries across redirects, timeouts, and node
-// failures until ClientConfig.Deadline.
+// failures until ClientConfig.Deadline. A key the command codec cannot
+// carry is refused before anything is sent.
 func (c *Client) Do(cmd kvstore.Command) (types.Value, error) {
+	if len(cmd.Key) > kvstore.MaxKeyLen {
+		return nil, fmt.Errorf("live: key of %d bytes exceeds kvstore.MaxKeyLen (%d)", len(cmd.Key), kvstore.MaxKeyLen)
+	}
 	k := c.seq.Add(1)
 	req := Request{
 		Client: c.cfg.SessionBase + types.ClientID(k),
@@ -190,7 +187,7 @@ func (c *Client) Do(cmd kvstore.Command) (types.Value, error) {
 			lastErr = fmt.Errorf("node %d: %w", c.cfg.IDs[node], err)
 			c.dropLeader(sh, node)
 			node = -1
-			time.Sleep(c.cfg.RetryBackoff)
+			time.Sleep(retryBackoff)
 			continue
 		}
 		switch resp.Status {
@@ -206,14 +203,14 @@ func (c *Client) Do(cmd kvstore.Command) (types.Value, error) {
 				continue
 			}
 			node = (node + 1) % len(c.cfg.Addrs)
-			time.Sleep(c.cfg.RetryBackoff)
+			time.Sleep(retryBackoff)
 		case StatusBadRequest:
 			return nil, fmt.Errorf("live: server rejected request: %s", resp.Result)
 		default: // StatusUnavailable and anything unknown
 			lastErr = fmt.Errorf("node %d: unavailable", c.cfg.IDs[node])
 			c.dropLeader(sh, node)
 			node = -1
-			time.Sleep(c.cfg.RetryBackoff)
+			time.Sleep(retryBackoff)
 		}
 	}
 }
@@ -344,7 +341,7 @@ func (c *Client) conn(node int) (*cconn, error) {
 	if err != nil {
 		return nil, err
 	}
-	cn := newCConn(conn, c.cfg.MaxFrame)
+	cn := newCConn(conn)
 	// Any connection death invalidates every leader guess at this node;
 	// a losing dial racer triggers it too, which only costs a re-probe.
 	cn.onDead = func() { c.dropLeaderNode(node) }
@@ -377,7 +374,6 @@ func (c *Client) conn(node int) (*cconn, error) {
 type cconn struct {
 	conn net.Conn
 	br   *bufio.Reader
-	max  int
 
 	wmu sync.Mutex // serializes frame writes
 	bw  *bufio.Writer
@@ -391,12 +387,11 @@ type cconn struct {
 	dead    bool
 }
 
-func newCConn(conn net.Conn, maxFrame int) *cconn {
+func newCConn(conn net.Conn) *cconn {
 	return &cconn{
 		conn:    conn,
 		br:      bufio.NewReader(conn),
 		bw:      bufio.NewWriter(conn),
-		max:     maxFrame,
 		pending: make(map[uint64]chan Response),
 	}
 }
@@ -437,7 +432,7 @@ func (cn *cconn) write(frame []byte) error {
 // every waiting attempt is failed so it can retry elsewhere.
 func (cn *cconn) readLoop() {
 	for {
-		payload, err := ReadFrame(cn.br, cn.max)
+		payload, err := ReadFrame(cn.br, DefaultMaxFrame)
 		if err != nil {
 			cn.fail(err)
 			return

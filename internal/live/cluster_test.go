@@ -2,8 +2,10 @@ package live
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -270,5 +272,45 @@ func TestParseAddrs(t *testing.T) {
 	}
 	if _, err := NewClient(ClientConfig{Addrs: []string{"a:1", "b:2"}, IDs: []types.NodeID{1}}); err == nil {
 		t.Error("NewClient accepted one ID for two addresses")
+	}
+}
+
+// A key longer than kvstore.MaxKeyLen would wrap the command codec's
+// u16 length prefix and reach the server as a different command, so Do
+// must refuse it before it dials: the listener here never sees a
+// connection.
+func TestClientRefusesOverlongKey(t *testing.T) {
+	ln, addr, err := Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan int)
+	go func() {
+		n := 0
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				accepted <- n
+				return
+			}
+			n++
+			conn.Close()
+		}
+	}()
+	cl, err := NewClient(ClientConfig{Addrs: []string{addr}, AttemptTimeout: 50 * time.Millisecond, Deadline: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	key := strings.Repeat("k", kvstore.MaxKeyLen+4) // 65 539 bytes: wraps to a 3-byte key
+	if _, err := cl.Do(kvstore.Put(key, []byte("v"))); err == nil || errors.Is(err, ErrDeadline) {
+		t.Fatalf("Do with a %d-byte key: %v, want an immediate refusal", len(key), err)
+	}
+	ln.Close()
+	if n := <-accepted; n != 0 {
+		t.Fatalf("the over-long key reached the network: %d connections", n)
+	}
+	if _, err := cl.Do(kvstore.Get(key[:kvstore.MaxKeyLen])); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("a %d-byte key is legal and must be attempted: %v", kvstore.MaxKeyLen, err)
 	}
 }

@@ -3,8 +3,6 @@ package live
 import (
 	"encoding/binary"
 	"errors"
-
-	"fortyconsensus/internal/types"
 )
 
 // Codec serializes one protocol message type for the wire. Codecs are
@@ -16,6 +14,9 @@ type Codec[M any] interface {
 	Append(dst []byte, m M) []byte
 	// Decode parses one serialized message. It must never panic on
 	// malformed input — torn frames and version skew surface as errors.
+	// Decoders read with wire.Reader and take byte strings with Copy32:
+	// the frame buffer is transport-owned, while decoded values flow
+	// into protocol logs under the types.Value immutability discipline.
 	Decode(b []byte) (M, error)
 }
 
@@ -28,87 +29,3 @@ func appendU8(b []byte, v uint8) []byte   { return append(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 func appendI64(b []byte, v int64) []byte  { return binary.BigEndian.AppendUint64(b, uint64(v)) }
-
-// appendValue writes a u32 length prefix then the bytes. nil and empty
-// both encode as length 0 (types.Value.Equal treats them as equal).
-func appendValue(b []byte, v []byte) []byte {
-	b = appendU32(b, uint32(len(v)))
-	return append(b, v...)
-}
-
-// rbuf is a sticky-error reader over one frame. Every accessor returns
-// the zero value once err is set, so decoders read fields
-// unconditionally and check Err once at the end.
-type rbuf struct {
-	b   []byte
-	err bool
-}
-
-func (r *rbuf) fail() { r.err = true }
-
-func (r *rbuf) u8() uint8 {
-	if r.err || len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *rbuf) u32() uint32 {
-	if r.err || len(r.b) < 4 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *rbuf) u64() uint64 {
-	if r.err || len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *rbuf) i64() int64 { return int64(r.u64()) }
-
-// count reads a u32 element count and rejects counts that could not
-// possibly fit in the remaining bytes (each element needs at least
-// minSize bytes), so a corrupt frame cannot trigger a huge allocation.
-func (r *rbuf) count(minSize int) int {
-	n := int(r.u32())
-	if r.err || n*minSize > len(r.b) {
-		r.fail()
-		return 0
-	}
-	return n
-}
-
-// value reads a u32-length-prefixed byte string. Length 0 decodes to
-// nil. The returned slice is an independent copy: the frame buffer is
-// transport-owned and reused, while decoded values flow into protocol
-// logs under the types.Value immutability discipline.
-func (r *rbuf) value() types.Value {
-	n := int(r.u32())
-	if r.err || n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		r.b = r.b[0:]
-		return nil
-	}
-	v := make(types.Value, n)
-	copy(v, r.b[:n])
-	r.b = r.b[n:]
-	return v
-}
-
-// done reports whether the frame was consumed exactly.
-func (r *rbuf) done() bool { return !r.err && len(r.b) == 0 }

@@ -3,6 +3,7 @@ package live
 import (
 	"fortyconsensus/internal/multipaxos"
 	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wire"
 )
 
 // MultiPaxosCodec serializes multipaxos.Message with the same
@@ -18,40 +19,40 @@ func (MultiPaxosCodec) Append(dst []byte, m multipaxos.Message) []byte {
 	dst = appendI64(dst, int64(m.Ballot.Owner))
 	dst = appendU64(dst, uint64(m.Slot))
 	dst = appendU64(dst, uint64(m.Commit))
-	dst = appendValue(dst, m.Val)
+	dst = wire.AppendBytes32(dst, m.Val)
 	dst = appendU32(dst, uint32(len(m.Entries)))
 	for _, e := range m.Entries {
 		dst = appendU64(dst, uint64(e.Slot))
 		dst = appendU64(dst, e.AcceptNum.Num)
 		dst = appendI64(dst, int64(e.AcceptNum.Owner))
-		dst = appendValue(dst, e.Val)
+		dst = wire.AppendBytes32(dst, e.Val)
 	}
 	return dst
 }
 
 // Decode implements Codec[multipaxos.Message].
 func (MultiPaxosCodec) Decode(b []byte) (multipaxos.Message, error) {
-	r := rbuf{b: b}
+	r := wire.NewReader(b)
 	var m multipaxos.Message
-	m.Kind = multipaxos.MsgKind(r.u8())
-	m.From = types.NodeID(r.i64())
-	m.To = types.NodeID(r.i64())
-	m.Ballot.Num = r.u64()
-	m.Ballot.Owner = types.NodeID(r.i64())
-	m.Slot = types.Seq(r.u64())
-	m.Commit = types.Seq(r.u64())
-	m.Val = r.value()
-	n := r.count(28) // slot + ballot (16) + value length minimum
+	m.Kind = multipaxos.MsgKind(r.U8())
+	m.From = types.NodeID(r.I64())
+	m.To = types.NodeID(r.I64())
+	m.Ballot.Num = r.U64()
+	m.Ballot.Owner = types.NodeID(r.I64())
+	m.Slot = types.Seq(r.U64())
+	m.Commit = types.Seq(r.U64())
+	m.Val = r.Copy32()
+	n := r.Count(28) // slot + ballot (16) + value length minimum
 	if n > 0 {
 		m.Entries = make([]multipaxos.Entry, n)
 		for i := range m.Entries {
-			m.Entries[i].Slot = types.Seq(r.u64())
-			m.Entries[i].AcceptNum.Num = r.u64()
-			m.Entries[i].AcceptNum.Owner = types.NodeID(r.i64())
-			m.Entries[i].Val = r.value()
+			m.Entries[i].Slot = types.Seq(r.U64())
+			m.Entries[i].AcceptNum.Num = r.U64()
+			m.Entries[i].AcceptNum.Owner = types.NodeID(r.I64())
+			m.Entries[i].Val = r.Copy32()
 		}
 	}
-	if !r.done() || m.Kind < multipaxos.MsgPrepare || m.Kind > multipaxos.MsgState {
+	if !r.Done() || m.Kind < multipaxos.MsgPrepare || m.Kind > multipaxos.MsgState {
 		return multipaxos.Message{}, ErrCodec
 	}
 	return m, nil

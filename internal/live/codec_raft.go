@@ -3,6 +3,7 @@ package live
 import (
 	"fortyconsensus/internal/raft"
 	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wire"
 )
 
 // RaftCodec serializes raft.Message. Field order is fixed; every field
@@ -24,45 +25,45 @@ func (RaftCodec) Append(dst []byte, m raft.Message) []byte {
 	dst = appendU64(dst, uint64(m.LeaderCommit))
 	dst = appendU8(dst, b2u(m.Success))
 	dst = appendU64(dst, uint64(m.MatchIndex))
-	dst = appendValue(dst, m.Val)
+	dst = wire.AppendBytes32(dst, m.Val)
 	dst = appendU32(dst, m.Offset)
 	dst = appendU8(dst, b2u(m.Done))
 	dst = appendU32(dst, uint32(len(m.Entries)))
 	for _, e := range m.Entries {
 		dst = appendU64(dst, uint64(e.Term))
-		dst = appendValue(dst, e.Val)
+		dst = wire.AppendBytes32(dst, e.Val)
 	}
 	return dst
 }
 
 // Decode implements Codec[raft.Message].
 func (RaftCodec) Decode(b []byte) (raft.Message, error) {
-	r := rbuf{b: b}
+	r := wire.NewReader(b)
 	var m raft.Message
-	m.Kind = raft.MsgKind(r.u8())
-	m.From = types.NodeID(r.i64())
-	m.To = types.NodeID(r.i64())
-	m.Term = raft.Term(r.u64())
-	m.LastLogIndex = types.Seq(r.u64())
-	m.LastLogTerm = raft.Term(r.u64())
-	m.Granted = r.u8() != 0
-	m.PrevIndex = types.Seq(r.u64())
-	m.PrevTerm = raft.Term(r.u64())
-	m.LeaderCommit = types.Seq(r.u64())
-	m.Success = r.u8() != 0
-	m.MatchIndex = types.Seq(r.u64())
-	m.Val = r.value()
-	m.Offset = r.u32()
-	m.Done = r.u8() != 0
-	n := r.count(12) // 8-byte term + 4-byte value length minimum
+	m.Kind = raft.MsgKind(r.U8())
+	m.From = types.NodeID(r.I64())
+	m.To = types.NodeID(r.I64())
+	m.Term = raft.Term(r.U64())
+	m.LastLogIndex = types.Seq(r.U64())
+	m.LastLogTerm = raft.Term(r.U64())
+	m.Granted = r.Bool()
+	m.PrevIndex = types.Seq(r.U64())
+	m.PrevTerm = raft.Term(r.U64())
+	m.LeaderCommit = types.Seq(r.U64())
+	m.Success = r.Bool()
+	m.MatchIndex = types.Seq(r.U64())
+	m.Val = r.Copy32()
+	m.Offset = r.U32()
+	m.Done = r.Bool()
+	n := r.Count(12) // 8-byte term + 4-byte value length minimum
 	if n > 0 {
 		m.Entries = make([]raft.LogEntry, n)
 		for i := range m.Entries {
-			m.Entries[i].Term = raft.Term(r.u64())
-			m.Entries[i].Val = r.value()
+			m.Entries[i].Term = raft.Term(r.U64())
+			m.Entries[i].Val = r.Copy32()
 		}
 	}
-	if !r.done() || m.Kind < raft.MsgRequestVote || m.Kind > raft.MsgSnapResp {
+	if !r.Done() || m.Kind < raft.MsgRequestVote || m.Kind > raft.MsgSnapResp {
 		return raft.Message{}, ErrCodec
 	}
 	return m, nil

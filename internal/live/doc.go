@@ -13,6 +13,9 @@
 //	codec.go      stateless per-message binary codecs (Codec[M]); every
 //	              frame decodes independently, so a reconnect never
 //	              loses codec state the way a streaming gob would.
+//	              Every decoder here (messages, hello, client requests
+//	              and responses, admin ops, the peer frame prefix) reads
+//	              through internal/wire's Reader.
 //	transport.go  per-peer connection management: one writer goroutine
 //	              per peer with a bounded outbound queue, dial-on-demand
 //	              with exponential backoff, and outbound batching (the
@@ -37,8 +40,8 @@
 //	              redirect following, retry with backoff across nodes,
 //	              per-attempt timeouts, and request pipelining (many
 //	              in-flight requests demultiplexed by request ID).
-//	metrics.go    a mutex-guarded view over internal/metrics counters
-//	              and histograms, served as JSON over HTTP.
+//	metrics.go    mutex-guarded per-shard counters and a fixed-size
+//	              log-bucket latency histogram, served as JSON over HTTP.
 //
 // Who runs a group's turn, and what it may take while it does:
 //

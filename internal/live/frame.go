@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+
+	"fortyconsensus/internal/wire"
 )
 
 // DefaultMaxFrame bounds a single frame's payload. Large enough for a
@@ -66,10 +68,12 @@ func encodeHello(role byte, id int64) []byte {
 
 // decodeHello parses a hello payload into (role, id).
 func decodeHello(b []byte) (byte, int64, error) {
-	if len(b) != 9 || (b[0] != helloPeer && b[0] != helloClient) {
+	r := wire.NewReader(b)
+	role, id := r.U8(), r.I64()
+	if !r.Done() || (role != helloPeer && role != helloClient) {
 		return 0, 0, errors.New("live: malformed hello frame")
 	}
-	return b[0], int64(binary.BigEndian.Uint64(b[1:])), nil
+	return role, id, nil
 }
 
 // Listen opens a listener on an ephemeral localhost port and returns

@@ -61,7 +61,7 @@ func TestRestoreFailureIsCountedAndRefusesClients(t *testing.T) {
 
 	c1, c2 := net.Pipe()
 	defer c2.Close()
-	cc := newClientConn(c1, bufio.NewReader(c1), DefaultMaxFrame)
+	cc := newClientConn(c1, bufio.NewReader(c1))
 	defer cc.Close()
 	g.submit(cc, Request{ReqID: 5, Client: 1, SeqNo: 1, Op: kvstore.Put("k", []byte("v")).Encode()})
 	resp, err := decodeResponse(<-cc.out)

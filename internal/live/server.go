@@ -16,6 +16,7 @@ import (
 	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wire"
 )
 
 // Backends the live runtime can host per shard group.
@@ -202,14 +203,12 @@ func (s *Server) SnapshotKV(sh int) ([]byte, bool) {
 // turn then runs on this goroutine (the peer connection's reader):
 // payload = u32 group index | module message bytes.
 func (s *Server) onPeerFrame(from types.NodeID, payload []byte) {
-	if len(payload) < 4 {
+	r := wire.NewReader(payload)
+	idx := r.U32()
+	if r.Err() != nil || idx >= uint32(len(s.grs)) {
 		return
 	}
-	idx := int(uint32(payload[0])<<24 | uint32(payload[1])<<16 | uint32(payload[2])<<8 | uint32(payload[3]))
-	if idx < 0 || idx >= len(s.grs) {
-		return
-	}
-	s.grs[idx].deliver(payload[4:])
+	s.grs[idx].deliver(r.View(r.Len()))
 }
 
 // serveClient runs one client connection's request loop.
@@ -323,9 +322,7 @@ func newSMRGroup[M any](s *Server, idx int, mod SMRModule[M], codec Codec[M], de
 // send encodes one outbound module message and hands it to the
 // transport, prefixed with the group index.
 func (g *smrGroup[M]) send(m M) {
-	frame := make([]byte, 4, 64)
-	idx := uint32(g.idx)
-	frame[0], frame[1], frame[2], frame[3] = byte(idx>>24), byte(idx>>16), byte(idx>>8), byte(idx)
+	frame := appendU32(make([]byte, 0, 64), uint32(g.idx))
 	frame = g.codec.Append(frame, m)
 	g.srv.tr.Send(g.dest(m), frame)
 }

@@ -18,21 +18,6 @@ type TransportConfig struct {
 	Self  types.NodeID
 	Addrs map[types.NodeID]string
 
-	// MaxFrame caps a single frame's payload (DefaultMaxFrame if 0).
-	MaxFrame int
-	// QueueLen bounds each peer's outbound queue (default 1024). A full
-	// queue drops the oldest-waiting frames implicitly by dropping the
-	// new one — best-effort delivery, the protocols' native fault model.
-	QueueLen int
-	// BatchMax bounds how many queued frames one writer pass drains
-	// before flushing (default 128): outbound batching amortizes the
-	// syscall and the TCP push over bursts.
-	BatchMax int
-	// DialTimeout bounds one connection attempt (default 500ms).
-	DialTimeout time.Duration
-	// BackoffMin/BackoffMax bound the reconnect backoff (20ms..1s).
-	BackoffMin, BackoffMax time.Duration
-
 	// OnPeerFrame receives every inbound peer frame, on the connection's
 	// read goroutine. The payload buffer is owned by the callee.
 	OnPeerFrame func(from types.NodeID, payload []byte)
@@ -41,27 +26,21 @@ type TransportConfig struct {
 	OnClient func(cc *ClientConn)
 }
 
-func (c TransportConfig) withDefaults() TransportConfig {
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 1024
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 128
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 500 * time.Millisecond
-	}
-	if c.BackoffMin <= 0 {
-		c.BackoffMin = 20 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = time.Second
-	}
-	return c
-}
+// The transport's fixed sizes and timings.
+const (
+	// peerQueueLen bounds each peer's outbound queue. A full queue drops
+	// the new frame — best-effort delivery, the protocols' native fault
+	// model.
+	peerQueueLen = 1024
+	// writeBatchMax bounds how many queued frames one writer pass drains
+	// before flushing: outbound batching amortizes the syscall and the
+	// TCP push over bursts.
+	writeBatchMax = 128
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 500 * time.Millisecond
+	// backoffMin and backoffMax bound the reconnect backoff.
+	backoffMin, backoffMax = 20 * time.Millisecond, time.Second
+)
 
 // TransportStats counts wire activity (all counters monotonic).
 type TransportStats struct {
@@ -93,7 +72,6 @@ type Transport struct {
 // map is cloned: AddPeer grows the transport's copy without mutating
 // the caller's.
 func NewTransport(ln net.Listener, cfg TransportConfig) *Transport {
-	cfg = cfg.withDefaults()
 	addrs := make(map[types.NodeID]string, len(cfg.Addrs))
 	for _, id := range det.SortedKeys(cfg.Addrs) {
 		addrs[id] = cfg.Addrs[id]
@@ -153,7 +131,7 @@ func (t *Transport) Stats() TransportStats {
 // use. A full queue, an unknown peer, or a closed transport drops the
 // frame (counted, never blocking the caller).
 func (t *Transport) Send(to types.NodeID, payload []byte) {
-	if len(payload) > t.cfg.MaxFrame {
+	if len(payload) > DefaultMaxFrame {
 		t.dropped.Add(1)
 		return
 	}
@@ -171,7 +149,7 @@ func (t *Transport) Send(to types.NodeID, payload []byte) {
 			t.dropped.Add(1)
 			return
 		}
-		p = &peer{id: to, addr: addr, ch: make(chan []byte, t.cfg.QueueLen)}
+		p = &peer{id: to, addr: addr, ch: make(chan []byte, peerQueueLen)}
 		t.peers[to] = p
 		t.wg.Add(1)
 		go t.writeLoop(p)
@@ -201,14 +179,14 @@ func (t *Transport) writeLoop(p *peer) {
 	defer t.wg.Done()
 	var conn net.Conn
 	var bw *bufio.Writer
-	backoff := t.cfg.BackoffMin
+	backoff := backoffMin
 	defer func() {
 		if conn != nil {
 			conn.Close()
 		}
 	}()
 	everConnected := false
-	batch := make([][]byte, 0, t.cfg.BatchMax)
+	batch := make([][]byte, 0, writeBatchMax)
 	for {
 		var first []byte
 		select {
@@ -218,7 +196,7 @@ func (t *Transport) writeLoop(p *peer) {
 		}
 		batch = append(batch[:0], first)
 	drain:
-		for len(batch) < t.cfg.BatchMax {
+		for len(batch) < writeBatchMax {
 			select {
 			case f := <-p.ch:
 				batch = append(batch, f)
@@ -227,7 +205,7 @@ func (t *Transport) writeLoop(p *peer) {
 			}
 		}
 		if conn == nil {
-			c, err := net.DialTimeout("tcp", p.addr, t.cfg.DialTimeout)
+			c, err := net.DialTimeout("tcp", p.addr, dialTimeout)
 			if err != nil {
 				t.dropped.Add(uint64(len(batch)))
 				select {
@@ -235,14 +213,14 @@ func (t *Transport) writeLoop(p *peer) {
 					return
 				case <-time.After(backoff):
 				}
-				if backoff *= 2; backoff > t.cfg.BackoffMax {
-					backoff = t.cfg.BackoffMax
+				if backoff *= 2; backoff > backoffMax {
+					backoff = backoffMax
 				}
 				continue
 			}
 			conn = c
 			bw = bufio.NewWriter(conn)
-			backoff = t.cfg.BackoffMin
+			backoff = backoffMin
 			if everConnected {
 				t.reconnects.Add(1)
 			}
@@ -300,7 +278,7 @@ func (t *Transport) handleConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(conn)
 	br := bufio.NewReader(conn)
-	hello, err := ReadFrame(br, t.cfg.MaxFrame)
+	hello, err := ReadFrame(br, DefaultMaxFrame)
 	if err != nil {
 		conn.Close()
 		return
@@ -314,7 +292,7 @@ func (t *Transport) handleConn(conn net.Conn) {
 	case helloPeer:
 		from := types.NodeID(id)
 		for {
-			payload, err := ReadFrame(br, t.cfg.MaxFrame)
+			payload, err := ReadFrame(br, DefaultMaxFrame)
 			if err != nil {
 				conn.Close()
 				return
@@ -325,7 +303,7 @@ func (t *Transport) handleConn(conn net.Conn) {
 			}
 		}
 	case helloClient:
-		cc := newClientConn(conn, br, t.cfg.MaxFrame)
+		cc := newClientConn(conn, br)
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()
@@ -382,10 +360,9 @@ func (t *Transport) Close() {
 // a dedicated writer (so a slow client never blocks a shard group's
 // turn — its responses drop and its retries re-read the dedup cache).
 type ClientConn struct {
-	c        net.Conn
-	br       *bufio.Reader
-	bw       *bufio.Writer
-	maxFrame int
+	c  net.Conn
+	br *bufio.Reader
+	bw *bufio.Writer
 
 	mu     sync.Mutex
 	closed bool
@@ -394,16 +371,13 @@ type ClientConn struct {
 	closeOnce sync.Once
 }
 
-func newClientConn(c net.Conn, br *bufio.Reader, maxFrame int) *ClientConn {
-	return &ClientConn{
-		c: c, br: br, bw: bufio.NewWriter(c), maxFrame: maxFrame,
-		out: make(chan []byte, 256),
-	}
+func newClientConn(c net.Conn, br *bufio.Reader) *ClientConn {
+	return &ClientConn{c: c, br: br, bw: bufio.NewWriter(c), out: make(chan []byte, 256)}
 }
 
 // ReadRequest reads and decodes the next request frame.
 func (cc *ClientConn) ReadRequest() (Request, error) {
-	payload, err := ReadFrame(cc.br, cc.maxFrame)
+	payload, err := ReadFrame(cc.br, DefaultMaxFrame)
 	if err != nil {
 		return Request{}, err
 	}

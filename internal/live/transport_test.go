@@ -152,14 +152,14 @@ func TestTransportDropsOnUnknownPeerAndOversize(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTransport(ln, TransportConfig{
-		Self: 0, Addrs: map[types.NodeID]string{0: addr}, MaxFrame: 64, OnPeerFrame: sink.on,
+		Self: 0, Addrs: map[types.NodeID]string{0: addr}, OnPeerFrame: sink.on,
 	})
 	tr.Start()
 	defer tr.Close()
 
 	tr.Send(9, []byte("no such peer"))
 	tr.Send(0, []byte("to self goes nowhere"))
-	tr.Send(9, make([]byte, 65))
+	tr.Send(9, make([]byte, DefaultMaxFrame+1))
 	if s := tr.Stats(); s.Dropped != 3 {
 		t.Fatalf("dropped = %d, want 3", s.Dropped)
 	}

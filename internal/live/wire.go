@@ -2,6 +2,7 @@ package live
 
 import (
 	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wire"
 )
 
 // Client request/response wire format. Requests carry the client's own
@@ -43,21 +44,21 @@ func (q Request) encode() []byte {
 	b = appendU64(b, q.ReqID)
 	b = appendI64(b, int64(q.Client))
 	b = appendU64(b, q.SeqNo)
-	b = appendValue(b, q.Op)
+	b = wire.AppendBytes32(b, q.Op)
 	return b
 }
 
 func decodeRequest(b []byte) (Request, error) {
-	r := rbuf{b: b}
+	r := wire.NewReader(b)
 	var q Request
-	if r.u8() != tagRequest {
+	if r.U8() != tagRequest {
 		return Request{}, ErrCodec
 	}
-	q.ReqID = r.u64()
-	q.Client = types.ClientID(r.i64())
-	q.SeqNo = r.u64()
-	q.Op = r.value()
-	if !r.done() {
+	q.ReqID = r.U64()
+	q.Client = types.ClientID(r.I64())
+	q.SeqNo = r.U64()
+	q.Op = r.Copy32()
+	if !r.Done() {
 		return Request{}, ErrCodec
 	}
 	return q, nil
@@ -77,21 +78,21 @@ func (p Response) encode() []byte {
 	b = appendU64(b, p.ReqID)
 	b = appendU8(b, p.Status)
 	b = appendI64(b, p.Leader)
-	b = appendValue(b, p.Result)
+	b = wire.AppendBytes32(b, p.Result)
 	return b
 }
 
 func decodeResponse(b []byte) (Response, error) {
-	r := rbuf{b: b}
+	r := wire.NewReader(b)
 	var p Response
-	if r.u8() != tagResponse {
+	if r.U8() != tagResponse {
 		return Response{}, ErrCodec
 	}
-	p.ReqID = r.u64()
-	p.Status = r.u8()
-	p.Leader = r.i64()
-	p.Result = r.value()
-	if !r.done() {
+	p.ReqID = r.U64()
+	p.Status = r.U8()
+	p.Leader = r.I64()
+	p.Result = r.Copy32()
+	if !r.Done() {
 		return Response{}, ErrCodec
 	}
 	return p, nil

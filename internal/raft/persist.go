@@ -7,6 +7,7 @@ import (
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
 	"fortyconsensus/internal/wal"
+	"fortyconsensus/internal/wire"
 )
 
 // Persister journals a Raft node's hard state — current term, vote, and
@@ -140,33 +141,30 @@ func (p *Persister) Restore(n *Node) error {
 		}
 		n.installSnapshot(snap, rawSnap)
 	}
-	err = p.log.Replay(func(r wal.Record) error {
-		switch r.Type {
+	err = p.log.Replay(func(rec wal.Record) error {
+		r := wire.NewReader(rec.Payload)
+		switch rec.Type {
 		case recHardState:
-			if len(r.Payload) != 16 {
+			term, vote := Term(r.U64()), types.NodeID(r.U64())-1
+			if !r.Done() {
 				return fmt.Errorf("raft: bad hard-state record")
 			}
-			n.term = Term(binary.BigEndian.Uint64(r.Payload[:8]))
-			n.votedFor = types.NodeID(binary.BigEndian.Uint64(r.Payload[8:])) - 1
+			n.term, n.votedFor = term, vote
 		case recAppend:
-			if len(r.Payload) < 16 {
+			idx, term := types.Seq(r.U64()), Term(r.U64())
+			val := types.Value(r.Copy(r.Len()))
+			if r.Err() != nil {
 				return fmt.Errorf("raft: bad append record")
 			}
-			idx := types.Seq(binary.BigEndian.Uint64(r.Payload[:8]))
-			term := Term(binary.BigEndian.Uint64(r.Payload[8:16]))
 			if idx != n.lastIndex()+1 {
 				return fmt.Errorf("raft: append gap: %d after %d", idx, n.lastIndex())
 			}
-			var val types.Value
-			if len(r.Payload) > 16 {
-				val = append(types.Value(nil), r.Payload[16:]...)
-			}
 			n.appendEntry(LogEntry{Term: term, Val: val})
 		case recTruncate:
-			if len(r.Payload) != 8 {
+			keep := types.Seq(r.U64())
+			if !r.Done() {
 				return fmt.Errorf("raft: bad truncate record")
 			}
-			keep := types.Seq(binary.BigEndian.Uint64(r.Payload))
 			if keep > n.lastIndex() {
 				return fmt.Errorf("raft: truncate beyond log: %d > %d", keep, n.lastIndex())
 			}
@@ -175,7 +173,7 @@ func (p *Persister) Restore(n *Node) error {
 			}
 			n.truncateFrom(keep + 1)
 		default:
-			return fmt.Errorf("raft: unknown record type %d", r.Type)
+			return fmt.Errorf("raft: unknown record type %d", rec.Type)
 		}
 		return nil
 	})

@@ -1,9 +1,14 @@
 package raft
 
 import (
+	"bytes"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"fortyconsensus/internal/kvstore"
+	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/types"
 	"fortyconsensus/internal/wal"
 )
@@ -176,5 +181,71 @@ func TestRestoreRequiresFreshNode(t *testing.T) {
 	n.log = append(n.log, LogEntry{Term: 1})
 	if err := p.Restore(n); err == nil {
 		t.Fatal("restore into a dirty node accepted")
+	}
+}
+
+// A WAL directory written by the commit before internal/wire existed —
+// a follower that journaled three entries, compacted at index 2 with an
+// smr.Executor's state (so the snapshot file holds a snapshot/v1 blob),
+// appended two more, and had index 5 overwritten by a term-3 leader —
+// must restore to the same node, executor and store today.
+func TestRestoreReadsParentWrittenWAL(t *testing.T) {
+	files := map[string]string{
+		"snapshot": "57534e315200000097534e50310000000000000002000000000000000200000003000000000000000000000000000000" +
+			"0100000000000000020000005f00000000000000030000000200000000000000070000000000000001000000024f4b00" +
+			"000000000000090000000000000001000000023431000000230000000000000002000000020005616c70686100000003" +
+			"6f6e6500016e0000000234312b261f5e469f0895",
+		"000001.wal": "0000001101000000000000000200000000000000006898a5d70000003002000000000000000300000000000000020000" +
+			"0000000000070000000000000002020004626574610000000000000000b30808980000002e0200000000000000040000" +
+			"000000000002000000000000000900000000000000020500016e00000001310000000020316ad7000000170200000000" +
+			"000000050000000000000002646f6f6d656435d6e4300000001101000000000000000300000000000000009ca6739f00" +
+			"00000903000000000000000465d0f3950000001102000000000000000500000000000000035c85fcd8",
+	}
+	dir := t.TempDir()
+	for name, h := range files {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := New(1, Config{Peers: []types.NodeID{0, 1, 2}, Seed: 3}.withDefaults())
+	if err := openPersister(t, dir).Restore(n); err != nil {
+		t.Fatal(err)
+	}
+	if n.term != 3 || n.votedFor != -1 || n.snapIndex != 2 || n.lastIndex() != 5 {
+		t.Fatalf("restored term=%d voted=%d snap=%d last=%d, want 3 -1 2 5", n.term, n.votedFor, n.snapIndex, n.lastIndex())
+	}
+	incr := smr.EncodeRequest(types.Request{Client: 9, SeqNo: 2, Op: kvstore.Incr("n", 1).Encode()})
+	if e := n.at(4); e.Term != 2 || !e.Val.Equal(incr) {
+		t.Fatalf("entry 4 = %+v", e)
+	}
+	if e := n.at(5); e.Term != 3 || e.Val != nil {
+		t.Fatalf("entry 5 = %+v, want the term-3 no-op that replaced %q", e, "doomed")
+	}
+	snap := n.TakeInstalledSnapshot()
+	if snap == nil || snap.LastIndex != 2 || snap.LastTerm != 2 || len(snap.Members) != 3 {
+		t.Fatalf("installed snapshot = %+v", snap)
+	}
+	kv := kvstore.New()
+	exec := smr.NewExecutor(1, kv)
+	if err := exec.RestoreState(snap.State); err != nil {
+		t.Fatal(err)
+	}
+	alpha, _ := kv.Get("alpha")
+	cnt, _ := kv.Get("n")
+	if exec.NextSlot() != 3 || string(alpha) != "one" || string(cnt) != "41" {
+		t.Fatalf("restored executor next=%d alpha=%q n=%q", exec.NextSlot(), alpha, cnt)
+	}
+	// Client 9's session survived: replaying its first request is
+	// answered from the dedup table, not executed again.
+	first := smr.EncodeRequest(types.Request{Client: 9, SeqNo: 1, Op: kvstore.Incr("n", 41).Encode()})
+	if r := exec.Commit(types.Decision{Slot: 3, Val: first}); len(r) != 1 || string(r[0].Result) != "41" {
+		t.Fatalf("replayed request answered %+v", r)
+	}
+	if !bytes.Equal(exec.SnapshotState()[8:], snap.State[8:]) {
+		t.Fatal("executor state re-encodes differently from the parent's bytes")
 	}
 }

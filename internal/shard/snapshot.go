@@ -8,7 +8,7 @@ import (
 	"fortyconsensus/internal/commit"
 	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/kvstore"
-	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wire"
 )
 
 // Store snapshot codec. A shard replica's transaction correctness
@@ -32,19 +32,19 @@ const storeSnapVersion = 1
 // ErrSnapshot reports a malformed shard store snapshot.
 var ErrSnapshot = errors.New("shard: malformed store snapshot")
 
+var errSnapOrder = fmt.Errorf("%w: truncated, or a table's keys do not ascend", ErrSnapshot)
+
 // Snapshot serializes the full shard state machine deterministically.
 func (s *Store) Snapshot() []byte {
 	kv := s.kv.Snapshot()
 	buf := make([]byte, 0, 1+4+len(kv)+64)
 	buf = append(buf, storeSnapVersion)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(kv)))
-	buf = append(buf, kv...)
+	buf = wire.AppendBytes32(buf, kv)
 
 	lockKeys := det.SortedKeys(s.locks)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(lockKeys)))
 	for _, k := range lockKeys {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
-		buf = append(buf, k...)
+		buf = wire.AppendBytes16(buf, k)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(s.locks[k]))
 	}
 
@@ -55,14 +55,11 @@ func (s *Store) Snapshot() []byte {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(tx))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.cmds)))
 		for _, c := range st.cmds {
-			enc := c.Encode()
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(enc)))
-			buf = append(buf, enc...)
+			buf = wire.AppendBytes32(buf, c.Encode())
 		}
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.keys)))
 		for _, k := range st.keys {
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
-			buf = append(buf, k...)
+			buf = wire.AppendBytes16(buf, k)
 		}
 	}
 
@@ -80,53 +77,56 @@ func appendOutcomeMap(buf []byte, m map[commit.TxID]commit.Outcome) []byte {
 	return buf
 }
 
-// Restore replaces the store's contents from a Snapshot blob. Malformed
-// input is an explicit error and leaves the store untouched.
+// Restore replaces the store's contents from a Snapshot blob. Every
+// table's keys must ascend strictly, as Snapshot writes them, so one
+// state has one encoding. Malformed input is an explicit error and
+// leaves the store untouched.
 func (s *Store) Restore(snap []byte) error {
-	d := snapReader{b: snap}
-	if v := d.u8(); v != storeSnapVersion {
-		if d.err != nil {
-			return d.err
-		}
+	r := wire.NewReader(snap)
+	if v := r.U8(); r.Err() == nil && v != storeSnapVersion {
 		return fmt.Errorf("%w: version %d", ErrSnapshot, v)
 	}
-	kvBytes := d.bytes(int(d.u32()))
-	nl := int(d.u32())
+	kvBytes := r.View32() // kvstore.Restore copies what it keeps
+
+	nl := r.Count(2 + 8)
 	locks := make(map[string]commit.TxID, nl)
-	for i := 0; i < nl && d.err == nil; i++ {
-		k := string(d.bytes(int(d.u16())))
-		locks[k] = commit.TxID(d.u64())
+	prevKey := ""
+	for i := 0; i < nl; i++ {
+		k := string(r.View16())
+		if i > 0 && k <= prevKey {
+			return errSnapOrder
+		}
+		locks[k], prevKey = commit.TxID(r.U64()), k
 	}
-	ns := int(d.u32())
+
+	ns := r.Count(8 + 4 + 4)
 	staged := make(map[commit.TxID]*stagedTxn, ns)
-	for i := 0; i < ns && d.err == nil; i++ {
-		tx := commit.TxID(d.u64())
+	var prevTx commit.TxID
+	for i := 0; i < ns; i++ {
+		tx := commit.TxID(r.U64())
+		if i > 0 && tx <= prevTx {
+			return errSnapOrder
+		}
 		st := &stagedTxn{}
-		nc := int(d.u32())
-		for j := 0; j < nc && d.err == nil; j++ {
-			enc := d.bytes(int(d.u32()))
-			if d.err != nil {
-				break
-			}
-			c, err := kvstore.Decode(types.Value(enc))
+		for j, nc := 0, r.Count(4); j < nc; j++ {
+			c, err := kvstore.Decode(r.View32())
 			if err != nil {
 				return fmt.Errorf("%w: staged command: %v", ErrSnapshot, err)
 			}
 			st.cmds = append(st.cmds, c)
 		}
-		nk := int(d.u32())
-		for j := 0; j < nk && d.err == nil; j++ {
-			st.keys = append(st.keys, string(d.bytes(int(d.u16()))))
+		for j, nk := 0, r.Count(2); j < nk; j++ {
+			st.keys = append(st.keys, string(r.View16()))
 		}
-		staged[tx] = st
+		staged[tx], prevTx = st, tx
 	}
-	outcomes := d.outcomeMap()
-	decided := d.outcomeMap()
-	if d.err != nil {
-		return d.err
+
+	outcomes, decided := readOutcomeMap(&r), readOutcomeMap(&r)
+	if outcomes == nil || decided == nil {
+		return errSnapOrder
 	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrSnapshot, len(d.b))
+	if !r.Done() {
+		return fmt.Errorf("%w: truncated or trailing bytes", ErrSnapshot)
 	}
 	kv := kvstore.New()
 	if err := kv.Restore(kvBytes); err != nil {
@@ -139,76 +139,17 @@ func (s *Store) Restore(snap []byte) error {
 	return nil
 }
 
-// snapReader is a sticky-error cursor over a snapshot blob: the first
-// short read latches the error and every later read returns zeros, so
-// decode loops stay flat.
-type snapReader struct {
-	b   []byte
-	err error
-}
-
-func (d *snapReader) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated", ErrSnapshot)
-	}
-}
-
-func (d *snapReader) u8() uint8 {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *snapReader) u16() uint16 {
-	if d.err != nil || len(d.b) < 2 {
-		d.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint16(d.b)
-	d.b = d.b[2:]
-	return v
-}
-
-func (d *snapReader) u32() uint32 {
-	if d.err != nil || len(d.b) < 4 {
-		d.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *snapReader) u64() uint64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *snapReader) bytes(n int) []byte {
-	if d.err != nil || n < 0 || len(d.b) < n {
-		d.fail()
-		return nil
-	}
-	v := append([]byte(nil), d.b[:n]...)
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *snapReader) outcomeMap() map[commit.TxID]commit.Outcome {
-	n := int(d.u32())
+// readOutcomeMap returns nil if the transactions do not ascend strictly.
+func readOutcomeMap(r *wire.Reader) map[commit.TxID]commit.Outcome {
+	n := r.Count(8 + 1)
 	m := make(map[commit.TxID]commit.Outcome, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		tx := commit.TxID(d.u64())
-		m[tx] = commit.Outcome(d.u8())
+	var prev commit.TxID
+	for i := 0; i < n; i++ {
+		tx := commit.TxID(r.U64())
+		if i > 0 && tx <= prev {
+			return nil
+		}
+		m[tx], prev = commit.Outcome(r.U8()), tx
 	}
 	return m
 }

@@ -7,6 +7,7 @@ import (
 	"fortyconsensus/internal/commit"
 	"fortyconsensus/internal/kvstore"
 	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wire"
 )
 
 // Transaction command kinds, layered above the kvstore op codes in the
@@ -58,9 +59,7 @@ func (c Cmd) Encode() types.Value {
 	case TxApply, TxPrepare:
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(c.Cmds)))
 		for _, kc := range c.Cmds {
-			enc := kc.Encode()
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(enc)))
-			buf = append(buf, enc...)
+			buf = wire.AppendBytes32(buf, kc.Encode())
 		}
 	case TxDecide:
 		buf = append(buf, uint8(c.Outcome))
@@ -72,56 +71,32 @@ func (c Cmd) Encode() types.Value {
 // length prefix so truncated, oversized, or trailing-garbage inputs
 // return ErrDecode rather than panicking.
 func DecodeCmd(v types.Value) (Cmd, error) {
-	b := []byte(v)
-	if len(b) < 9 {
-		return Cmd{}, ErrDecode
-	}
-	c := Cmd{Kind: b[0], Tx: commit.TxID(binary.BigEndian.Uint64(b[1:]))}
-	b = b[9:]
+	r := wire.NewReader(v)
+	c := Cmd{Kind: r.U8(), Tx: commit.TxID(r.U64())}
 	switch c.Kind {
 	case TxApply, TxPrepare:
-		if len(b) < 2 {
-			return Cmd{}, ErrDecode
-		}
-		n := int(binary.BigEndian.Uint16(b))
-		b = b[2:]
+		n := r.Count16(4)
 		if n > MaxTxnOps {
 			return Cmd{}, ErrDecode
 		}
 		c.Cmds = make([]kvstore.Command, 0, n)
 		for i := 0; i < n; i++ {
-			if len(b) < 4 {
-				return Cmd{}, ErrDecode
-			}
-			l := int(binary.BigEndian.Uint32(b))
-			b = b[4:]
-			if l < 0 || len(b) < l {
-				return Cmd{}, ErrDecode
-			}
-			kc, err := kvstore.Decode(types.Value(b[:l]))
+			kc, err := kvstore.Decode(r.View32())
 			if err != nil {
 				return Cmd{}, ErrDecode
 			}
 			c.Cmds = append(c.Cmds, kc)
-			b = b[l:]
-		}
-		if len(b) != 0 {
-			return Cmd{}, ErrDecode
 		}
 	case TxCommit, TxAbort:
-		if len(b) != 0 {
-			return Cmd{}, ErrDecode
-		}
 	case TxDecide:
-		if len(b) != 1 {
+		c.Outcome = commit.Outcome(r.U8())
+		if c.Outcome != commit.Committed && c.Outcome != commit.Aborted {
 			return Cmd{}, ErrDecode
 		}
-		o := commit.Outcome(b[0])
-		if o != commit.Committed && o != commit.Aborted {
-			return Cmd{}, ErrDecode
-		}
-		c.Outcome = o
 	default:
+		return Cmd{}, ErrDecode
+	}
+	if !r.Done() {
 		return Cmd{}, ErrDecode
 	}
 	return c, nil

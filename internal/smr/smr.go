@@ -14,6 +14,7 @@ import (
 	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wire"
 )
 
 // StateMachine is the replicated application. kvstore.Store and
@@ -40,19 +41,16 @@ func EncodeRequest(r types.Request) types.Value {
 // ErrDecode reports a malformed encoded request.
 var ErrDecode = errors.New("smr: malformed request encoding")
 
-// DecodeRequest unpacks a consensus value into a client request.
+// DecodeRequest unpacks a consensus value into a client request. Op is
+// a copy: the request outlives v.
 func DecodeRequest(v types.Value) (types.Request, error) {
-	if len(v) < 16 {
+	r := wire.NewReader(v)
+	req := types.Request{Client: types.ClientID(r.U64()), SeqNo: r.U64()}
+	req.Op = r.Copy(r.Len())
+	if r.Err() != nil {
 		return types.Request{}, ErrDecode
 	}
-	r := types.Request{
-		Client: types.ClientID(binary.BigEndian.Uint64(v)),
-		SeqNo:  binary.BigEndian.Uint64(v[8:]),
-	}
-	if len(v) > 16 {
-		r.Op = append(types.Value(nil), v[16:]...)
-	}
-	return r, nil
+	return req, nil
 }
 
 // Executor applies committed decisions to a state machine in slot order,
@@ -158,13 +156,9 @@ func (e *Executor) SnapshotState() []byte {
 	for _, c := range clients {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(c))
 		buf = binary.BigEndian.AppendUint64(buf, e.lastSeq[c])
-		r := e.lastReply[c]
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(r)))
-		buf = append(buf, r...)
+		buf = wire.AppendBytes32(buf, e.lastReply[c])
 	}
-	sm := e.sm.Snapshot()
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(sm)))
-	return append(buf, sm...)
+	return wire.AppendBytes32(buf, e.sm.Snapshot())
 }
 
 // RestoreState replaces the executor's sessions and state machine from
@@ -174,40 +168,24 @@ func (e *Executor) SnapshotState() []byte {
 // so post-restore audits cover only the suffix. Malformed input is an
 // explicit error and leaves the executor untouched.
 func (e *Executor) RestoreState(data []byte) error {
-	if len(data) < 12 {
-		return ErrDecode
-	}
-	next := types.Seq(binary.BigEndian.Uint64(data))
-	n := int(binary.BigEndian.Uint32(data[8:]))
-	off := 12
+	r := wire.NewReader(data)
+	next := types.Seq(r.U64())
+	n := r.Count(8 + 8 + 4)
 	lastSeq := make(map[types.ClientID]uint64, n)
 	lastReply := make(map[types.ClientID]types.Value, n)
+	var prev types.ClientID
 	for i := 0; i < n; i++ {
-		if len(data) < off+20 {
-			return ErrDecode
+		c := types.ClientID(r.U64())
+		if i > 0 && c <= prev {
+			return ErrDecode // clients ascend strictly, as SnapshotState writes them
 		}
-		c := types.ClientID(binary.BigEndian.Uint64(data[off:]))
-		seq := binary.BigEndian.Uint64(data[off+8:])
-		rl := int(binary.BigEndian.Uint32(data[off+16:]))
-		off += 20
-		if rl > len(data)-off {
-			return ErrDecode
-		}
-		lastSeq[c] = seq
-		if rl > 0 {
-			lastReply[c] = types.Value(append([]byte(nil), data[off:off+rl]...))
-		}
-		off += rl
+		lastSeq[c], lastReply[c], prev = r.U64(), r.Copy32(), c
 	}
-	if len(data) < off+4 {
+	sm := r.View32() // the state machine copies what it keeps
+	if !r.Done() {
 		return ErrDecode
 	}
-	sl := int(binary.BigEndian.Uint32(data[off:]))
-	off += 4
-	if sl != len(data)-off {
-		return ErrDecode
-	}
-	if err := e.sm.Restore(data[off : off+sl]); err != nil {
+	if err := e.sm.Restore(sm); err != nil {
 		return err
 	}
 	e.next = next

@@ -2,6 +2,8 @@ package smr
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"fortyconsensus/internal/kvstore"
@@ -89,6 +91,31 @@ func TestRestoreStateTruncationErrors(t *testing.T) {
 	}
 	if err := NewExecutor(1, kvstore.New()).RestoreState(append(append([]byte(nil), blob...), 0)); err == nil {
 		t.Fatal("trailing byte restored without error")
+	}
+	// A client count the bytes cannot hold must be refused before it
+	// sizes the session maps: 0xFFFFFFFF, and one more than the bytes
+	// after it could hold at 20 bytes a client.
+	for _, count := range []uint32{0xFFFFFFFF, uint32(len(blob)-12)/20 + 1} {
+		bomb := append([]byte(nil), blob...)
+		binary.BigEndian.PutUint32(bomb[8:], count)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := NewExecutor(1, kvstore.New()).RestoreState(bomb)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; err == nil || grew > 1<<20 {
+			t.Fatalf("client count %#x: err=%v after allocating %d bytes", count, err, grew)
+		}
+	}
+	// Two sessions out of SnapshotState's order are not a second
+	// encoding of the same executor.
+	commitReq(src, 2, 5, 1, kvstore.Put("key", []byte("v2")))
+	two := src.SnapshotState()
+	if err := NewExecutor(1, kvstore.New()).RestoreState(two); err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint64(two[12:], 9) // client 3 → 9, now above client 5
+	if err := NewExecutor(1, kvstore.New()).RestoreState(two); err == nil {
+		t.Fatal("restored a snapshot whose clients descend")
 	}
 }
 

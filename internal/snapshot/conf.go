@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wire"
 )
 
 // Config-change log entries. A membership change is an ordinary
@@ -63,29 +64,22 @@ func EncodeConfChange(c ConfChange) types.Value {
 
 // IsConfChange reports whether v carries the config-change prefix.
 func IsConfChange(v types.Value) bool {
-	if len(v) < 8 {
-		return false
-	}
-	for i := range confMagic {
-		if v[i] != confMagic[i] {
-			return false
-		}
-	}
-	return true
+	return len(v) >= len(confMagic) && [len(confMagic)]byte(v) == confMagic
 }
 
 // DecodeConfChange parses a config-change value. Call IsConfChange
 // first; a prefixed but malformed body is an explicit error.
 func DecodeConfChange(v types.Value) (ConfChange, error) {
-	if !IsConfChange(v) || len(v) != 17 {
+	if !IsConfChange(v) {
 		return ConfChange{}, ErrConfChange
 	}
-	c := ConfChange{
-		Op:   ConfOp(v[8]),
-		Node: types.NodeID(int64(binary.BigEndian.Uint64(v[9:]))),
+	r := wire.NewReader(v[len(confMagic):])
+	c := ConfChange{Op: ConfOp(r.U8()), Node: types.NodeID(r.I64())}
+	if !r.Done() {
+		return ConfChange{}, ErrConfChange
 	}
 	if c.Op != ConfAdd && c.Op != ConfRemove {
-		return ConfChange{}, fmt.Errorf("%w: op %d", ErrConfChange, v[8])
+		return ConfChange{}, fmt.Errorf("%w: op %d", ErrConfChange, c.Op)
 	}
 	return c, nil
 }

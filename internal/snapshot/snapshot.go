@@ -18,12 +18,14 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 
 	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wire"
 )
 
 // Snapshot is one encoded state-transfer unit.
@@ -73,8 +75,7 @@ func Encode(s Snapshot) []byte {
 	for _, m := range s.Members {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(int64(m)))
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.State)))
-	buf = append(buf, s.State...)
+	buf = wire.AppendBytes32(buf, s.State)
 	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
 }
 
@@ -82,50 +83,31 @@ func Encode(s Snapshot) []byte {
 // magic, unknown version, short headers, short body, bad checksum,
 // trailing garbage — yields an explicit error, never a partial value.
 func Decode(b []byte) (Snapshot, error) {
-	if len(b) < 4 {
+	r := wire.NewReader(b)
+	mg, ver := r.View(len(magic)), r.U8()
+	if r.Err() != nil {
 		return Snapshot{}, ErrTruncated
 	}
-	if b[0] != magic[0] || b[1] != magic[1] || b[2] != magic[2] {
+	if !bytes.Equal(mg, magic[:]) {
 		return Snapshot{}, ErrVersion
 	}
-	if b[3] != version {
-		return Snapshot{}, fmt.Errorf("%w: %q", ErrVersion, b[3])
+	if ver != version {
+		return Snapshot{}, fmt.Errorf("%w: %q", ErrVersion, ver)
 	}
-	if len(b) < 4+8+8+4 {
-		return Snapshot{}, ErrTruncated
-	}
-	s := Snapshot{
-		LastIndex: types.Seq(binary.BigEndian.Uint64(b[4:])),
-		LastTerm:  binary.BigEndian.Uint64(b[12:]),
-	}
-	n := int(binary.BigEndian.Uint32(b[20:]))
-	off := 24
-	if n > (len(b)-off)/8 {
-		return Snapshot{}, ErrTruncated
-	}
-	if n > 0 {
+	s := Snapshot{LastIndex: types.Seq(r.U64()), LastTerm: r.U64()}
+	if n := r.Count(8); n > 0 {
 		s.Members = make([]types.NodeID, n)
 		for i := range s.Members {
-			s.Members[i] = types.NodeID(int64(binary.BigEndian.Uint64(b[off:])))
-			off += 8
+			s.Members[i] = types.NodeID(r.I64())
 		}
 	}
-	if len(b) < off+4 {
-		return Snapshot{}, ErrTruncated
+	s.State = r.Copy32()
+	body := len(b) - r.Len()
+	sum := r.U32()
+	if !r.Done() {
+		return Snapshot{}, ErrTruncated // short, or trailing bytes
 	}
-	sl := int(binary.BigEndian.Uint32(b[off:]))
-	off += 4
-	if sl > len(b)-off-4 {
-		return Snapshot{}, ErrTruncated
-	}
-	if sl > 0 {
-		s.State = append([]byte(nil), b[off:off+sl]...)
-	}
-	off += sl
-	if len(b) != off+4 {
-		return Snapshot{}, fmt.Errorf("%w: %d trailing bytes", ErrTruncated, len(b)-off-4)
-	}
-	if crc32.Checksum(b[:off], crcTable) != binary.BigEndian.Uint32(b[off:]) {
+	if crc32.Checksum(b[:body], crcTable) != sum {
 		return Snapshot{}, ErrChecksum
 	}
 	return s, nil
