@@ -64,12 +64,15 @@ explore:
 	$(GO) run ./cmd/consensus-explore -protocol raft -seeds 96 -faults 5 -workers 0 -classes drop,dup,delay,crash,partition
 	$(GO) run ./cmd/consensus-explore -protocol raft-member -seeds 128 -faults 3 -workers 0 -classes rmnode,crash,partition
 
-# The simulator examples sit on the protocol packages' Cluster API and
-# have no tests of their own: each must run to completion and exit 0.
+# The examples sit on the protocol packages' Cluster API — tcpraft on
+# internal/live over localhost TCP — and have no tests of their own:
+# each checks its own result and must run to completion and exit 0.
 examples:
 	$(GO) run ./examples/quickstart > /dev/null
 	$(GO) run ./examples/bank > /dev/null
 	$(GO) run ./examples/byzantine > /dev/null
+	$(GO) run ./examples/blockchain > /dev/null
+	$(GO) run ./examples/tcpraft > /dev/null
 
 # Every decoder that takes bytes from a socket or a disk has a native
 # fuzz target asserting "no panic; error, or exact re-encode", seeded

@@ -16,7 +16,6 @@ var protocolPackages = []string{
 	"internal/core",
 	"internal/det",
 	"internal/fastpaxos",
-	"internal/flexpaxos",
 	"internal/hotstuff",
 	"internal/minbft",
 	"internal/multipaxos",

@@ -6,7 +6,6 @@ import (
 	"fortyconsensus/internal/cheapbft"
 	"fortyconsensus/internal/core"
 	"fortyconsensus/internal/fastpaxos"
-	"fortyconsensus/internal/flexpaxos"
 	"fortyconsensus/internal/hotstuff"
 	"fortyconsensus/internal/kvstore"
 	"fortyconsensus/internal/metrics"
@@ -58,6 +57,18 @@ func measure[M any](c *runner.Cluster[M], warmup int, submit func(), done func()
 	return c.Now() - start, c.Stats().Sent
 }
 
+// multiPaxosProbe is T1's probe for a 3-node Multi-Paxos cluster under
+// cfg; Flexible Paxos is the same probe with cfg.Quorums set.
+func multiPaxosProbe(cfg multipaxos.Config) func() (int, int) {
+	return func() (int, int) {
+		c := multipaxos.NewCluster(3, nil, cfg, nil)
+		lead := c.WaitLeader(500)
+		return measure(c.Cluster, 20,
+			func() { lead.Submit(req(1)) },
+			func() bool { return lead.CommitFrontier() >= 1 })
+	}
+}
+
 // T1Characterization regenerates the paper's per-protocol fact boxes:
 // claimed aspects beside measured commit latency and message cost.
 func T1Characterization() Result {
@@ -71,13 +82,7 @@ func T1Characterization() Result {
 				func() { c.Nodes[0].Propose(types.Value("v")) },
 				func() bool { _, ok := c.Nodes[0].Decided(); return ok })
 		}},
-		{"multipaxos", 3, func() (int, int) {
-			c := multipaxos.NewCluster(3, nil, multipaxos.Config{Seed: 1}, nil)
-			lead := c.WaitLeader(500)
-			return measure(c.Cluster, 20,
-				func() { lead.Submit(req(1)) },
-				func() bool { return lead.CommitFrontier() >= 1 })
-		}},
+		{"multipaxos", 3, multiPaxosProbe(multipaxos.Config{Seed: 1})},
 		{"raft", 3, func() (int, int) {
 			c := raft.NewCluster(3, nil, raft.Config{Seed: 2}, nil)
 			lead := c.WaitLeader(500)
@@ -101,28 +106,7 @@ func T1Characterization() Result {
 				},
 				func() bool { _, ok := nodes[0].Decided(); return ok })
 		}},
-		{"flexpaxos", 3, func() (int, int) {
-			rc := runner.New(runner.Config[flexpaxos.Message]{Dest: flexpaxos.Dest, Src: flexpaxos.Src, Kind: flexpaxos.Kind})
-			nodes := make([]*flexpaxos.Node, 3)
-			for i := range nodes {
-				n, _ := flexpaxos.New(types.NodeID(i), flexpaxos.Config{Quorums: quorum.Flexible{N: 3, Q1: 2, Q2: 2}, Seed: 3})
-				nodes[i] = n
-				rc.Add(types.NodeID(i), n)
-			}
-			var lead *flexpaxos.Node
-			rc.RunUntil(func() bool {
-				for _, n := range nodes {
-					if n.IsLeader() {
-						lead = n
-						return true
-					}
-				}
-				return false
-			}, 1000)
-			return measure(rc, 10,
-				func() { lead.Submit(types.Value("v")) },
-				func() bool { return lead.CommitFrontier() >= 1 })
-		}},
+		{"flexpaxos", 3, multiPaxosProbe(multipaxos.Config{Seed: 3, Quorums: quorum.Flexible{N: 3, Q1: 2, Q2: 2}})},
 		{"pbft", 4, func() (int, int) {
 			c := pbft.NewCluster(1, nil, pbft.Config{}, nil)
 			return measure(c.Cluster, 0,

@@ -21,7 +21,7 @@ var pinSeeds = []uint64{1, 2, 3}
 var pinnedHashes = map[string][]string{
 	"2pc":         {"740fba0d384e118e3b24f26828477d1a", "e335d2063b8e5d8eb67334dc1cd32ddc", "e96ca90542adab8f6ed3a6f97d3de76e"},
 	"3pc":         {"c0fa677cb709cecfcaed40f012406996", "7c9c1a4cc081220cb5be90fa9361b49f", "0591384fdf30c4a20013216fcc36939d"},
-	"flexpaxos":   {"84315c5efece63d4c7ef9a064864987c", "9020c1419fb4b8686a0b4227f512c862", "5f543dcbce856af7e869aeea4d3dd763"},
+	"flexpaxos":   {"878735dfebb5ec44328936b63de34334", "156195b7fcce12a45307da4643286085", "d38722e01b66363159e3b375bae6a1d5"},
 	"hotstuff":    {"8301ea5661852642ea7cfbf6991c47ec", "7ab240df5ee3be994678c4b480a4574d", "77e24b503c95acde3f5a777369056b28"},
 	"multipaxos":  {"30b1bf8136e5953cfda5441b0375f556", "7278b3d306551aa1d05c48ba530b429e", "7dd4dd55d63c1f36c182dd6fb9921100"},
 	"paxos":       {"11bde38dc5dfa2370af1815e15500ca7", "6768eb3b4c7368ec4d579254dd15c3e8", "d8394ade356430df2a943ae19aa220e6"},

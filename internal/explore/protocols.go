@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fortyconsensus/internal/commit"
-	"fortyconsensus/internal/flexpaxos"
 	"fortyconsensus/internal/hotstuff"
 	"fortyconsensus/internal/multipaxos"
 	"fortyconsensus/internal/paxos"
@@ -139,10 +138,7 @@ func newRaftEpisode(n int, seed uint64) *Episode {
 }
 
 func newMultiPaxosEpisode(n int, seed uint64) *Episode {
-	c := multipaxos.NewCluster(n, campaignFabric(seed), multipaxos.Config{Seed: seed}, nil)
-	return smrEpisode(c.SMRCluster, submitCadence, func(now int) {
-		submitToLeader(c.Crashed, c.Nodes, cmd(now))
-	})
+	return multiPaxosEpisode(n, multipaxos.Config{Seed: seed})
 }
 
 func newFlexPaxosEpisode(n int, seed uint64) *Episode {
@@ -152,11 +148,11 @@ func newFlexPaxosEpisode(n int, seed uint64) *Episode {
 	if q2 < 1 {
 		q2 = 1
 	}
-	cfg := flexpaxos.Config{Quorums: quorum.Flexible{N: n, Q1: n + 1 - q2, Q2: q2}, Seed: seed}
-	c, err := flexpaxos.NewCluster(n, campaignFabric(seed), cfg)
-	if err != nil {
-		panic("explore: flexpaxos episode: " + err.Error())
-	}
+	return multiPaxosEpisode(n, multipaxos.Config{Seed: seed, Quorums: quorum.Flexible{N: n, Q1: n + 1 - q2, Q2: q2}})
+}
+
+func multiPaxosEpisode(n int, cfg multipaxos.Config) *Episode {
+	c := multipaxos.NewCluster(n, campaignFabric(cfg.Seed), cfg, nil)
 	return smrEpisode(c.SMRCluster, submitCadence, func(now int) {
 		submitToLeader(c.Crashed, c.Nodes, cmd(now))
 	})

@@ -56,8 +56,15 @@ func (n *Node) latestMembers() []types.NodeID {
 	return n.configs[len(n.configs)-1].members
 }
 
-func (n *Node) quorumFor(slot types.Seq) int {
-	return quorum.Majority{N: len(n.membersFor(slot))}.Threshold()
+// quorumsFor returns how many votes end phase 1 and how many end phase
+// 2 for slot: the configured Flexible pair, else a majority of the
+// slot's member set for both.
+func (n *Node) quorumsFor(slot types.Seq) (q1, q2 int) {
+	if n.cfg.flexible() {
+		return n.cfg.Quorums.Q1, n.cfg.Quorums.Q2
+	}
+	m := quorum.Majority{N: len(n.membersFor(slot))}.Threshold()
+	return m, m
 }
 
 func (n *Node) isMember(id types.NodeID) bool {
@@ -88,10 +95,12 @@ func (n *Node) TakeInstalledSnapshot() *snapshot.Snapshot {
 // confAllowed vets a membership change at the proposer: well-formed,
 // not a no-op, never empties the cluster, and at most one in flight —
 // the i+Alpha schedule assumes changes apply in choose order, which a
-// second overlapping change could violate under leader turnover.
+// second overlapping change could violate under leader turnover. A
+// Flexible pair is sized for the bootstrap members (Q1+Q2 > N stops
+// holding as N grows), so a node configured with one refuses them all.
 func (n *Node) confAllowed(v types.Value) bool {
 	cc, err := snapshot.DecodeConfChange(v)
-	if err != nil {
+	if err != nil || n.cfg.flexible() {
 		return false
 	}
 	if len(n.configs) > 0 && n.configs[len(n.configs)-1].from > n.commitSeq {

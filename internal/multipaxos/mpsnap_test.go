@@ -15,7 +15,18 @@ func confVal(op snapshot.ConfOp, node types.NodeID) types.Value {
 }
 
 func TestCompactAndStateTransferCatchUp(t *testing.T) {
-	c := NewCluster(3, nil, Config{Seed: 41}, kvSM)
+	t.Run("majority", func(t *testing.T) { testCompactAndStateTransferCatchUp(t, Config{Seed: 41}) })
+	// Q2=1: the leader commits alone, so both followers may trail what
+	// it compacts.
+	t.Run("Q1=3,Q2=1", func(t *testing.T) {
+		cfg := flex(3, 3, 1)
+		cfg.Seed = 41
+		testCompactAndStateTransferCatchUp(t, cfg)
+	})
+}
+
+func testCompactAndStateTransferCatchUp(t *testing.T, cfg Config) {
+	c := NewCluster(3, nil, cfg, kvSM)
 	lead := c.WaitLeader(500)
 	if lead == nil {
 		t.Fatal("no leader")
@@ -116,10 +127,10 @@ func TestConfChangeEffectiveAtAlpha(t *testing.T) {
 	}
 	// Slots below the activation point still use the old 3-member
 	// quorum; slots at or above it need 3 of 4.
-	if q := lead.quorumFor(ep.from - 1); q != 2 {
+	if _, q := lead.quorumsFor(ep.from - 1); q != 2 {
 		t.Fatalf("pre-activation quorum %d, want 2", q)
 	}
-	if q := lead.quorumFor(ep.from); q != 3 {
+	if _, q := lead.quorumsFor(ep.from); q != 3 {
 		t.Fatalf("post-activation quorum %d, want 3", q)
 	}
 	// A second change is refused while this one's epoch is pending.

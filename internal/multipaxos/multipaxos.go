@@ -8,6 +8,10 @@
 // all slots at once), Replication (phase 2, Accept/Accepted per slot),
 // and Decision (asynchronous Commit broadcast).
 //
+// Flexible Paxos is the same node with Config.Quorums set: phase 1 waits
+// for Q1 votes and phase 2 for Q2 instead of a majority each, and
+// nothing else — message flow, catch-up, compaction — differs.
+//
 // Profile: partially-synchronous, crash, pessimistic, known, 2f+1 nodes,
 // 2 phases in steady state, O(N) messages per decision.
 package multipaxos
@@ -24,7 +28,7 @@ import (
 )
 
 func init() {
-	core.Register(core.Profile{
+	p := core.Profile{
 		Name:                 "multipaxos",
 		Synchrony:            core.PartiallySynchronous,
 		Failure:              core.Crash,
@@ -41,7 +45,14 @@ func init() {
 			core.LeaderElection, core.ValueDiscovery, core.FTAgreement, core.Decision,
 		},
 		Notes: "phase 1 amortized over the log; heartbeat-based leader lease",
-	})
+	}
+	core.Register(p)
+	// Flexible Paxos is this package with Config.Quorums set: the same
+	// flow, f bounded by min(N−Q1, N−Q2).
+	p.Name = "flexpaxos"
+	p.NodesFormula = "2f+1 (Q1+Q2 > N)"
+	p.Notes = "decoupled election/replication quorums; smaller Q2 ⇒ cheaper commits"
+	core.Register(p)
 }
 
 // MsgKind enumerates Multi-Paxos message types.
@@ -122,7 +133,20 @@ type Config struct {
 	Passive bool
 	// Seed seeds the node's private RNG.
 	Seed uint64
+	// Quorums, when set, makes this Flexible Paxos (Howard, Malkhi &
+	// Spiegelman, OPODIS 2016): phase 1 tallies to Q1 and phase 2 to Q2
+	// instead of both to a majority. Only election and replication
+	// quorums must intersect (Q1+Q2 > N), so replication quorums shrink
+	// as election quorums grow, "with no changes to the Paxos message
+	// flow". The zero value is a majority of each slot's member set.
+	// The pair is sized for the bootstrap Peers: New panics on a pair
+	// that is invalid or whose N is not len(Peers), and a node with one
+	// refuses membership changes (see confAllowed).
+	Quorums quorum.Flexible
 }
+
+// flexible reports whether a Flexible pair replaces the majority.
+func (c Config) flexible() bool { return c.Quorums != (quorum.Flexible{}) }
 
 func (c Config) withDefaults() Config {
 	if c.HeartbeatTicks <= 0 {
@@ -159,7 +183,6 @@ type Node struct {
 	id  types.NodeID
 	cfg Config
 	rng *simnet.RNG
-	q   quorum.Majority
 
 	role   role
 	ballot types.Ballot // promised ballot (acceptor) = current view
@@ -207,11 +230,14 @@ type Node struct {
 // New builds a Multi-Paxos replica.
 func New(id types.NodeID, cfg Config) *Node {
 	cfg = cfg.withDefaults()
+	if q := cfg.Quorums; cfg.flexible() && (!q.Valid() || q.N != len(cfg.Peers)) {
+		// Non-intersecting quorums lose chosen values on a leader change.
+		panic(fmt.Sprintf("multipaxos: invalid quorum system %s for %d peers", q.Describe(), len(cfg.Peers)))
+	}
 	n := &Node{
 		id:       id,
 		cfg:      cfg,
 		rng:      simnet.NewRNG(cfg.Seed ^ (uint64(id)+1)<<24),
-		q:        quorum.Majority{N: len(cfg.Peers)},
 		lead:     -1,
 		accepted: make(map[types.Seq]acceptedEntry),
 		chosen:   make(map[types.Seq]types.Value),
@@ -237,8 +263,11 @@ func (n *Node) send(m Message) {
 // broadcast fans out to the newest epoch's members — including an epoch
 // not yet in force, so a just-admitted node starts receiving heartbeats
 // (and can catch up) before its activation slot arrives.
-func (n *Node) broadcast(m Message) {
-	for _, p := range n.latestMembers() {
+func (n *Node) broadcast(m Message) { n.sendAll(n.latestMembers(), m) }
+
+// sendAll sends m to every node in to but this one.
+func (n *Node) sendAll(to []types.NodeID, m Message) {
+	for _, p := range to {
 		if p == n.id {
 			continue
 		}
@@ -290,30 +319,55 @@ func (n *Node) propose(v types.Value) {
 	}
 	slot := n.nextSlot
 	n.nextSlot++
-	st := &slotState{val: v, votes: quorum.NewTally(n.quorumFor(slot))}
-	n.inflight[slot] = st
-	// Self-accept locally (the leader is also an acceptor).
-	n.accepted[slot] = acceptedEntry{num: n.curBallot, val: v}
-	st.votes.Add(n.id)
-	n.broadcast(Message{Kind: MsgAccept, Ballot: n.curBallot, Slot: slot, Val: v})
+	n.accept(slot, v)
 }
 
-// campaign starts phase 1 for the whole log — the view change.
+// accept runs phase 2 for slot under the leader's ballot: the leader,
+// itself an acceptor, accepts locally, asks the slot's other acceptors
+// — its epoch's members, who may no longer be the newest epoch's — and
+// counts its own vote like anyone's: a replication quorum of one is
+// already met.
+func (n *Node) accept(slot types.Seq, v types.Value) {
+	_, q2 := n.quorumsFor(slot)
+	st := &slotState{val: v, votes: quorum.NewTally(q2)}
+	n.inflight[slot] = st
+	n.accepted[slot] = acceptedEntry{num: n.curBallot, val: v}
+	n.sendAll(n.membersFor(slot), Message{Kind: MsgAccept, Ballot: n.curBallot, Slot: slot, Val: v})
+	n.vote(slot, st, n.id)
+}
+
+// vote counts from's phase-2 vote for slot and, once the tally is met,
+// decides the slot and tells the learners.
+func (n *Node) vote(slot types.Seq, st *slotState, from types.NodeID) {
+	if !st.votes.Add(from) {
+		return
+	}
+	delete(n.inflight, slot)
+	n.learn(slot, st.val)
+	n.broadcast(Message{Kind: MsgCommit, Slot: slot, Val: st.val})
+}
+
+// campaign starts phase 1 for the whole log — the view change. Like an
+// Accept, the Prepare goes to the members whose votes the tally counts:
+// the epoch of the first undecided slot.
 func (n *Node) campaign() {
 	n.elections++
 	n.role = candidate
 	n.ballot = n.ballot.Next(n.id)
 	n.curBallot = n.ballot
-	n.prepAcks = quorum.NewTally(n.quorumFor(n.commitSeq + 1))
+	q1, _ := n.quorumsFor(n.commitSeq + 1)
+	n.prepAcks = quorum.NewTally(q1)
 	n.recovered = make(map[types.Seq]acceptedEntry)
 	// Merge own acceptor log.
 	for s, e := range n.accepted {
 		n.recovered[s] = e
 	}
-	n.prepAcks.Add(n.id)
 	n.ackCommit, n.ackFrom = n.commitSeq, n.id
 	n.resetElectionTimer()
-	n.broadcast(Message{Kind: MsgPrepare, Ballot: n.curBallot})
+	n.sendAll(n.membersFor(n.commitSeq+1), Message{Kind: MsgPrepare, Ballot: n.curBallot})
+	if n.prepAcks.Add(n.id) {
+		n.becomeLeader() // an election quorum of one: nobody to wait for
+	}
 }
 
 // Step consumes one delivered message.
@@ -442,12 +496,7 @@ func (n *Node) becomeLeader() {
 		}
 	}
 	for s := n.commitSeq + 1; s < n.nextSlot; s++ {
-		e := n.recovered[s]
-		st := &slotState{val: e.val, votes: quorum.NewTally(n.quorumFor(s))}
-		n.inflight[s] = st
-		n.accepted[s] = acceptedEntry{num: n.curBallot, val: e.val}
-		st.votes.Add(n.id)
-		n.broadcast(Message{Kind: MsgAccept, Ballot: n.curBallot, Slot: s, Val: e.val})
+		n.accept(s, n.recovered[s].val)
 	}
 	queued := n.queued
 	n.queued = nil
@@ -486,16 +535,9 @@ func (n *Node) onAccepted(m Message) {
 	if n.role != leader || m.Ballot != n.curBallot {
 		return
 	}
-	st, ok := n.inflight[m.Slot]
-	if !ok {
-		return
+	if st, ok := n.inflight[m.Slot]; ok {
+		n.vote(m.Slot, st, m.From)
 	}
-	if !st.votes.Add(m.From) {
-		return
-	}
-	delete(n.inflight, m.Slot)
-	n.learn(m.Slot, st.val)
-	n.broadcast(Message{Kind: MsgCommit, Slot: m.Slot, Val: st.val})
 }
 
 // learn records a chosen slot and advances the contiguous commit

@@ -193,9 +193,17 @@ func TestRecoveryPreservesAcceptedEntries(t *testing.T) {
 }
 
 func TestSafetyUnderChaos(t *testing.T) {
+	// minLive keeps an election quorum up: 3 for a majority of 5, Q1=4
+	// for the Flexible pair.
+	t.Run("majority", func(t *testing.T) { testSafetyUnderChaos(t, Config{}, 3) })
+	t.Run("Q1=4,Q2=2", func(t *testing.T) { testSafetyUnderChaos(t, flex(5, 4, 2), 4) })
+}
+
+func testSafetyUnderChaos(t *testing.T, cfg Config, minLive int) {
 	for seed := uint64(0); seed < 15; seed++ {
 		fab := simnet.NewFabric(simnet.Options{MinDelay: 1, MaxDelay: 6, DropRate: 0.1, DupRate: 0.05, Seed: seed})
-		c := NewCluster(5, fab, Config{Seed: seed}, kvSM)
+		cfg.Seed = seed
+		c := NewCluster(5, fab, cfg, kvSM)
 		rng := simnet.NewRNG(seed + 1000)
 		seq := uint64(0)
 		for round := 0; round < 30; round++ {
@@ -209,7 +217,7 @@ func TestSafetyUnderChaos(t *testing.T) {
 			victim := types.NodeID(rng.Intn(5))
 			if c.Crashed(victim) {
 				c.Restart(victim)
-			} else if rng.Bool(0.25) && liveCount(c) > 3 {
+			} else if rng.Bool(0.25) && liveCount(c) > minLive {
 				c.Crash(victim)
 			}
 			if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
