@@ -20,7 +20,7 @@ SHARD_PKGS := ./internal/shard/... ./internal/explore ./internal/workload
 # live.Node's cost per event.
 BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/shard ./internal/explore ./internal/live
 
-.PHONY: all build test test-race bench bench-json golden lint explore examples fuzz ci cover serve-smoke
+.PHONY: all build test test-race bench bench-json bench-pairs golden lint explore examples fuzz ci cover serve-smoke
 
 all: build test
 
@@ -138,6 +138,21 @@ endif
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS) > bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) < bench.out
 	@rm -f bench.out
+
+# Alternating base/change pairs of one servebench workload — what a
+# performance claim in CHANGES.md quotes: cmd/servebench built from
+# $(BASE) (a git archive under .bench_build/) and from the working tree,
+# PAIRS pairs run alternating which side goes first, then per end-to-end
+# metric each side's median [quartiles], the pairs the change won, and
+# failed ops. One 10-pair table is ≈5 min; run it on an otherwise idle
+# machine, on a seed not used while developing. Not part of ci.
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+ifeq ($(and $(BASE),$(WORKLOAD)),)
+	$(error bench-pairs needs a base and a workload: make bench-pairs BASE=HEAD~1 WORKLOAD=raft-serial [PAIRS=10] [SEED=1])
+endif
+	GO=$(GO) ./scripts/servebench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # Re-record the experiment golden artifacts after an intentional
 # output change. Review the diff before committing.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fortyconsensus/internal/kvstore"
+	"fortyconsensus/internal/shard"
 	"fortyconsensus/internal/types"
 )
 
@@ -59,6 +60,22 @@ func startClusterWith(t *testing.T, n int, tmpl ServerConfig, campaigners map[in
 		}
 	})
 	return servers, addrList
+}
+
+// sameKV reports whether every server holds the same KV contents for
+// shard sh. The snapshot's first 8 bytes, the applied counter, are
+// skipped: leader no-ops inflate it differently per node.
+func sameKV(sh int, servers ...*Server) bool {
+	first, ok := servers[0].SnapshotKV(sh)
+	if !ok || len(first) < 8 {
+		return false
+	}
+	for _, s := range servers[1:] {
+		if snap, ok := s.SnapshotKV(sh); !ok || len(snap) < 8 || !bytes.Equal(first[8:], snap[8:]) {
+			return false
+		}
+	}
+	return true
 }
 
 // findLeader polls until some running server claims leadership of sh.
@@ -138,13 +155,7 @@ func TestClusterSmoke(t *testing.T) {
 		}
 	}
 	for sh := 0; sh < 2; sh++ {
-		waitFor(t, 10*time.Second, func() bool {
-			a, okA := sA.SnapshotKV(sh)
-			b, okB := sB.SnapshotKV(sh)
-			// Skip the 8-byte applied counter: leader no-ops inflate it
-			// differently per node; the KV contents must match exactly.
-			return okA && okB && len(a) >= 8 && len(b) >= 8 && bytes.Equal(a[8:], b[8:])
-		})
+		waitFor(t, 10*time.Second, func() bool { return sameKV(sh, sA, sB) })
 	}
 
 	// Metrics sanity: the surviving nodes committed real operations.
@@ -218,6 +229,75 @@ func TestClusterMultiPaxosBackend(t *testing.T) {
 	}
 	if string(got) != "10" {
 		t.Fatalf("pxc = %q, want 10", got)
+	}
+}
+
+// TestWriteCostsFourFramesAndFollowersLearnItIdle pins the decision
+// stage on the wire, for both backends. A write is two frames out and
+// two votes back; what the followers may apply rides the next write's
+// frames, so N sequential writes move 4N peer frames plus whatever
+// heartbeats the elapsed ticks allow (two unanswered frames each) — it
+// was 6N with a commit notice per write. And when the writes stop, the
+// heartbeat alone brings every replica's store to the leader's.
+func TestWriteCostsFourFramesAndFollowersLearnItIdle(t *testing.T) {
+	const (
+		writes         = 200
+		tick           = time.Millisecond // startCluster's
+		heartbeatTicks = 5                // both modules' default
+	)
+	for _, backend := range []string{BackendRaft, BackendMultiPaxos} {
+		t.Run(backend, func(t *testing.T) {
+			servers, addrList := startCluster(t, 3, 1, backend, 11)
+			cl, err := NewClient(ClientConfig{
+				Addrs: addrList, Shards: 1, SessionBase: 110_000,
+				AttemptTimeout: 2 * time.Second, Deadline: 20 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			incr := func() {
+				t.Helper()
+				if _, err := cl.Do(kvstore.Incr("n", 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sent := func() (sum uint64) {
+				for _, s := range servers {
+					sum += s.TransportStats().Sent
+				}
+				return sum
+			}
+			agree := func() bool { return sameKV(0, servers...) }
+
+			incr() // the election is over and every peer connection is dialled
+			waitFor(t, 5*time.Second, agree)
+			start, before := time.Now(), sent()
+			for i := 0; i < writes; i++ {
+				incr()
+			}
+			acked := time.Now()
+			// Nothing is submitted from here on: only the heartbeat can carry
+			// the last commit index to the followers.
+			waitFor(t, 5*time.Second, agree)
+			t.Logf("stores agreed %v after the last acknowledged write", time.Since(acked))
+			for i, s := range servers {
+				var n []byte
+				s.InspectStore(0, func(st *shard.Store) { n, _ = st.KV().Get("n") })
+				if string(n) != fmt.Sprint(writes+1) {
+					t.Fatalf("node %d holds n=%q, want %d", i, n, writes+1)
+				}
+			}
+
+			frames := sent() - before
+			ticks := uint64(time.Since(start)/tick) + 1
+			// Two intervals and the warm-up write's last frames of slack.
+			bound := 4*writes + 2*(ticks/heartbeatTicks+2) + 4
+			t.Logf("%d writes in %d ticks: %d peer frames (bound %d)", writes, ticks, frames, bound)
+			if frames < 4*writes || frames > bound {
+				t.Fatalf("%d writes moved %d peer frames, want between %d and %d", writes, frames, 4*writes, bound)
+			}
+		})
 	}
 }
 

@@ -171,3 +171,49 @@ func TestCodecCorruptCountRejected(t *testing.T) {
 		t.Fatal("corrupt count decoded without error")
 	}
 }
+
+// An outbound frame is one allocation — the exact-size copy the
+// transport queues — however many appends the codec needs to build it,
+// and it decodes to what was sent behind the group index.
+func TestFrameIsOneAllocation(t *testing.T) {
+	val := types.Value("a 48-byte client request, as servebench sends them..")
+	rg := &smrGroup[raft.Message]{idx: 3, codec: RaftCodec{}}
+	app := raft.Message{
+		Kind: raft.MsgAppend, From: 0, To: 1, Term: 2, PrevIndex: 9, PrevTerm: 2, LeaderCommit: 8,
+		Entries: []raft.LogEntry{{Term: 2, Val: val}},
+	}
+	pg := &smrGroup[multipaxos.Message]{idx: 3, codec: MultiPaxosCodec{}}
+	acc := multipaxos.Message{
+		Kind: multipaxos.MsgAccept, From: 0, To: 1, Ballot: types.Ballot{Num: 2}, Slot: 10, Val: val, Commit: 8,
+	}
+	if n := testing.AllocsPerRun(100, func() { rg.frame(app) }); n != 1 {
+		t.Errorf("raft one-entry append: %v allocations per frame, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { pg.frame(acc) }); n != 1 {
+		t.Errorf("multipaxos one-value accept: %v allocations per frame, want 1", n)
+	}
+
+	f := rg.frame(app)
+	if len(f) != cap(f) {
+		t.Errorf("frame of %d bytes in a buffer of %d", len(f), cap(f))
+	}
+	if got, err := (RaftCodec{}).Decode(f[4:]); err != nil || !reflect.DeepEqual(got, app) || f[3] != 3 {
+		t.Errorf("append frame decodes to %+v (%v) for group %d", got, err, f[3])
+	}
+	// The scratch is reused, so an earlier frame must not change under a
+	// later one — the transport still holds it.
+	held := append([]byte(nil), f...)
+	rg.frame(raft.Message{Kind: raft.MsgAppendResp, From: 1, To: 0, Term: 2, Success: true, MatchIndex: 10})
+	if !reflect.DeepEqual(f, held) {
+		t.Error("a later frame rewrote an earlier one")
+	}
+	if got, err := (MultiPaxosCodec{}).Decode(pg.frame(acc)[4:]); err != nil || !reflect.DeepEqual(got, acc) {
+		t.Errorf("accept frame decodes to %+v (%v)", got, err)
+	}
+
+	// A frame past maxFrameScratch is built and the buffer let go.
+	big := raft.Message{Kind: raft.MsgSnap, Val: make(types.Value, maxFrameScratch)}
+	if f := rg.frame(big); len(f) <= maxFrameScratch || rg.enc != nil {
+		t.Errorf("%d-byte frame left a %d-byte scratch behind", len(f), cap(rg.enc))
+	}
+}

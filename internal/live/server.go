@@ -304,6 +304,8 @@ type smrGroup[M any] struct {
 	restoreFailed bool
 
 	pending map[sessKey]*pendingReq
+
+	enc []byte // frame's scratch, reused across sends
 }
 
 func newSMRGroup[M any](s *Server, idx int, mod SMRModule[M], codec Codec[M], dest func(M) types.NodeID) *smrGroup[M] {
@@ -322,9 +324,26 @@ func newSMRGroup[M any](s *Server, idx int, mod SMRModule[M], codec Codec[M], de
 // send encodes one outbound module message and hands it to the
 // transport, prefixed with the group index.
 func (g *smrGroup[M]) send(m M) {
-	frame := appendU32(make([]byte, 0, 64), uint32(g.idx))
-	frame = g.codec.Append(frame, m)
-	g.srv.tr.Send(g.dest(m), frame)
+	g.srv.tr.Send(g.dest(m), g.frame(m))
+}
+
+// maxFrameScratch is the largest encoding buffer a group keeps between
+// sends; a snapshot transfer's outgrows it and is let go.
+const maxFrameScratch = 64 << 10
+
+// frame encodes m behind the group index. The codec appends field by
+// field into the group's scratch — sends are turns, so the node's lock
+// serialises them — and the transport, which queues what it is handed,
+// gets one copy of exactly the encoded size: one allocation per frame,
+// whatever the codec's layout.
+func (g *smrGroup[M]) frame(m M) []byte {
+	g.enc = g.codec.Append(appendU32(g.enc[:0], uint32(g.idx)), m)
+	out := make([]byte, len(g.enc))
+	copy(out, g.enc)
+	if cap(g.enc) > maxFrameScratch {
+		g.enc = nil
+	}
+	return out
 }
 
 // deliver decodes one inbound module message and steps it through the

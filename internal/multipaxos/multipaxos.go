@@ -6,7 +6,11 @@
 //
 // The paper's three stages map directly: Leader Election (phase 1 over
 // all slots at once), Replication (phase 2, Accept/Accepted per slot),
-// and Decision (asynchronous Commit broadcast).
+// and Decision — asynchronous, and not a message of its own: the leader
+// decides a slot when its tally is met and tells nobody; its commit
+// frontier rides the next Accept, or the heartbeat when there is none,
+// and an acceptor learns from it the slots it accepted under that same
+// ballot (see learnThrough).
 //
 // Flexible Paxos is the same node with Config.Quorums set: phase 1 waits
 // for Q1 votes and phase 2 for Q2 instead of a majority each, and
@@ -111,8 +115,8 @@ type Message struct {
 	Ballot   types.Ballot
 	Slot     types.Seq
 	Val      types.Value
-	Entries  []Entry   // Ack: all accepted entries; Commit batches reuse Entries
-	Commit   types.Seq // Heartbeat: leader's commit frontier
+	Entries  []Entry   // Ack: all accepted entries; Commit: the catch-up batch
+	Commit   types.Seq // Accept, Heartbeat: leader's commit frontier; Ack, State: sender's
 }
 
 // Runner accessors.
@@ -332,19 +336,19 @@ func (n *Node) accept(slot types.Seq, v types.Value) {
 	st := &slotState{val: v, votes: quorum.NewTally(q2)}
 	n.inflight[slot] = st
 	n.accepted[slot] = acceptedEntry{num: n.curBallot, val: v}
-	n.sendAll(n.membersFor(slot), Message{Kind: MsgAccept, Ballot: n.curBallot, Slot: slot, Val: v})
+	n.sendAll(n.membersFor(slot), Message{Kind: MsgAccept, Ballot: n.curBallot, Slot: slot, Val: v, Commit: n.commitSeq})
 	n.vote(slot, st, n.id)
 }
 
 // vote counts from's phase-2 vote for slot and, once the tally is met,
-// decides the slot and tells the learners.
+// decides the slot. Nobody is told: the learners hear of it from the
+// commit frontier on the next Accept or heartbeat.
 func (n *Node) vote(slot types.Seq, st *slotState, from types.NodeID) {
 	if !st.votes.Add(from) {
 		return
 	}
 	delete(n.inflight, slot)
 	n.learn(slot, st.val)
-	n.broadcast(Message{Kind: MsgCommit, Slot: slot, Val: st.val})
 }
 
 // campaign starts phase 1 for the whole log — the view change. Like an
@@ -384,11 +388,10 @@ func (n *Node) Step(m Message) {
 	case MsgAccepted:
 		n.onAccepted(m)
 	case MsgCommit:
-		for _, e := range m.Entries {
-			n.learn(e.Slot, e.Val)
-		}
-		if m.Val != nil {
-			n.learn(m.Slot, m.Val)
+		if n.role != leader { // see learnThrough: a leader learns by its own tally only
+			for _, e := range m.Entries {
+				n.learn(e.Slot, e.Val)
+			}
 		}
 	case MsgHeartbeat:
 		n.onHeartbeat(m)
@@ -403,7 +406,9 @@ func (n *Node) Step(m Message) {
 	case MsgCatchup:
 		n.onCatchup(m)
 	case MsgState:
-		n.onState(m)
+		if n.role != leader { // as MsgCommit
+			n.onState(m)
+		}
 	}
 }
 
@@ -526,6 +531,7 @@ func (n *Node) onAccept(m Message) {
 		n.resetElectionTimer()
 		n.accepted[m.Slot] = acceptedEntry{num: m.Ballot, val: m.Val}
 		n.send(Message{Kind: MsgAccepted, To: m.From, Ballot: m.Ballot, Slot: m.Slot})
+		n.learnThrough(m.Ballot, m.Commit)
 		return
 	}
 	n.send(Message{Kind: MsgNack, To: m.From, Ballot: n.ballot})
@@ -551,6 +557,30 @@ func (n *Node) learn(slot types.Seq, val types.Value) {
 	}
 	n.chosen[slot] = val
 	n.advanceFrontier()
+}
+
+// learnThrough is the Decision stage at an acceptor. The leader of
+// ballot b says its commit frontier is commit; this node learns, in slot
+// order from its own frontier, every slot up to there that it accepted
+// under b itself, and stops at the first it did not.
+//
+// Why the value it holds is the chosen one: a leader proposes at most
+// one value per slot under b, only for slots above the frontier it was
+// elected with, and while it leads its frontier moves by its own tallies
+// alone (Step keeps catch-up answers from a leader). So a slot at or
+// below commit for which an Accept under b exists was decided by b's
+// tally, on the value of that Accept — the one held here. A slot held
+// under an older ballot proves nothing: the value b's leader recovered
+// for it may be another. That slot, and any this node never accepted,
+// waits for the heartbeat's catch-up, which names values.
+func (n *Node) learnThrough(b types.Ballot, commit types.Seq) {
+	for n.commitSeq < commit {
+		e, ok := n.accepted[n.commitSeq+1]
+		if !ok || e.num != b {
+			return
+		}
+		n.learn(n.commitSeq+1, e.val)
+	}
 }
 
 // advanceFrontier emits decisions for the contiguous chosen prefix.
@@ -588,6 +618,7 @@ func (n *Node) onHeartbeat(m Message) {
 		n.becomeFollowerOf(m.From)
 	}
 	n.resetElectionTimer()
+	n.learnThrough(m.Ballot, m.Commit)
 	if m.Commit > n.commitSeq {
 		n.send(Message{Kind: MsgCatchup, To: m.From, Slot: n.commitSeq + 1})
 	}

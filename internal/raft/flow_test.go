@@ -72,13 +72,39 @@ func (g *trio) burst(k int) {
 	}
 }
 
-func (g *trio) converged() {
+// heartbeat runs the leader's clock through one heartbeat interval and
+// delivers what that sends.
+func (g *trio) heartbeat() []Message {
+	for i := 0; i < g.lead.cfg.HeartbeatTicks; i++ {
+		g.lead.Tick()
+	}
+	return g.pump(nil)
+}
+
+// replicated: every log ends where the leader's does and the leader has
+// committed all of it. What the followers have committed is one frame
+// behind — LeaderCommit rides the next append or the heartbeat.
+func (g *trio) replicated() {
 	g.tb.Helper()
 	last := g.lead.lastIndex()
+	if g.lead.CommitFrontier() != last {
+		g.tb.Fatalf("leader committed %d of %d", g.lead.CommitFrontier(), last)
+	}
 	for _, n := range g.nodes {
-		if n.lastIndex() != last || n.CommitFrontier() != last {
-			g.tb.Fatalf("node %v at last=%d commit=%d, leader's log ends at %d",
-				n.id, n.lastIndex(), n.CommitFrontier(), last)
+		if n.lastIndex() != last {
+			g.tb.Fatalf("node %v's log ends at %d, leader's at %d", n.id, n.lastIndex(), last)
+		}
+	}
+}
+
+// converged: replicated, and every follower has committed all of it too.
+func (g *trio) converged() {
+	g.tb.Helper()
+	g.replicated()
+	last := g.lead.lastIndex()
+	for _, n := range g.nodes {
+		if n.CommitFrontier() != last {
+			g.tb.Fatalf("node %v committed %d of %d", n.id, n.CommitFrontier(), last)
 		}
 	}
 }
@@ -101,7 +127,7 @@ func TestBurstSendsEveryEntryOnce(t *testing.T) {
 	base := g.lead.lastIndex()
 	g.burst(32)
 	sent := g.pump(nil)
-	g.converged()
+	g.replicated()
 	for _, p := range []types.NodeID{1, 2} {
 		count := entriesTo(sent, p)
 		for idx := base + 1; idx <= base+32; idx++ {
@@ -112,11 +138,68 @@ func TestBurstSendsEveryEntryOnce(t *testing.T) {
 		if len(count) != 32 {
 			t.Errorf("node %v was sent %d distinct indices, want 32", p, len(count))
 		}
+		// All 32 appends left before the first ack came back, so none of
+		// them carried a commit index past the election's.
+		if got := g.nodes[p].CommitFrontier(); got != base {
+			t.Errorf("node %v committed %d with no frame to learn it from, want %d", p, got, base)
+		}
 	}
-	// 2 appends, 2 acks and a 2-message commit notice per entry, the
-	// notice unanswered: Multi-Paxos' accept/accepted/commit.
-	if len(sent) != 6*32 {
-		t.Errorf("burst of 32 cost %d messages, want %d", len(sent), 6*32)
+	// 2 appends and 2 acks per entry and nothing for the commits:
+	// Multi-Paxos' accept/accepted.
+	if len(sent) != 4*32 {
+		t.Errorf("burst of 32 cost %d messages, want %d", len(sent), 4*32)
+	}
+}
+
+// A commit advance is not a reason to send: the ack that commits an
+// entry leaves the leader's outbox empty, and the next append carries
+// the new commit index for free.
+func TestCommitAdvanceSendsNothing(t *testing.T) {
+	g := newTrio(t)
+	g.burst(1)
+	var acks []Message
+	for _, m := range g.lead.Drain() {
+		g.nodes[m.To].Step(m)
+		acks = append(acks, g.nodes[m.To].Drain()...)
+	}
+	before := g.lead.CommitFrontier()
+	for _, m := range acks {
+		g.lead.Step(m)
+	}
+	if g.lead.CommitFrontier() != before+1 {
+		t.Fatalf("the acks did not commit: %d → %d", before, g.lead.CommitFrontier())
+	}
+	if out := g.lead.Drain(); len(out) != 0 {
+		t.Fatalf("the commit advance sent %+v", out)
+	}
+	g.burst(1)
+	out := g.lead.Drain()
+	if len(out) != 2 {
+		t.Fatalf("the next submit sent %d messages, want one append per follower", len(out))
+	}
+	for _, m := range out {
+		if m.Kind != MsgAppend || len(m.Entries) != 1 || m.LeaderCommit != before+1 {
+			t.Fatalf("next append %+v, want one entry and LeaderCommit %d", m, before+1)
+		}
+	}
+}
+
+// When the traffic stops, the last commit reaches the followers on the
+// heartbeat: within HeartbeatTicks, in one unanswered empty append each.
+func TestIdleFollowersLearnTheLastCommitAtTheHeartbeat(t *testing.T) {
+	g := newTrio(t)
+	g.burst(3)
+	g.pump(nil)
+	g.replicated()
+	sent := g.heartbeat()
+	g.converged()
+	if len(sent) != 2 {
+		t.Fatalf("the heartbeat round cost %d messages, want 2: %+v", len(sent), sent)
+	}
+	for _, m := range sent {
+		if m.Kind != MsgAppend || len(m.Entries) != 0 || m.LeaderCommit != g.lead.lastIndex() {
+			t.Fatalf("heartbeat frame %+v, want an empty append carrying commit %d", m, g.lead.lastIndex())
+		}
 	}
 }
 
@@ -132,7 +215,7 @@ func TestLostAppendRecoversThroughReject(t *testing.T) {
 		}
 		return false
 	})
-	g.converged() // no Tick anywhere: the reject did it
+	g.replicated() // no Tick anywhere: the reject did it
 	count := entriesTo(sent, 1)
 	for idx := base + 1; idx <= base+32; idx++ {
 		want := 1
@@ -149,11 +232,12 @@ func TestLostAppendRecoversThroughReject(t *testing.T) {
 			rejects++
 		}
 	}
-	// One reject per frame behind the lost one, plus one per commit notice
-	// that reached node 1 while it was behind: many rejects, one resend.
-	if rejects < 22 {
-		t.Errorf("%d rejects, want at least one per frame behind the lost one (22)", rejects)
+	// One reject per frame behind the lost one: many rejects, one resend.
+	if rejects != 22 {
+		t.Errorf("%d rejects, want one per frame behind the lost one (22)", rejects)
 	}
+	g.heartbeat()
+	g.converged()
 }
 
 func TestAllInFlightLostRecoversAtHeartbeat(t *testing.T) {
@@ -170,17 +254,21 @@ func TestAllInFlightLostRecoversAtHeartbeat(t *testing.T) {
 		g.lead.Tick()
 	}
 	g.pump(nil)
-	g.converged()
+	g.replicated() // the heartbeat resent the burst
+	g.heartbeat()
+	g.converged() // and the next one told the followers it is committed
 }
 
 func TestLostAckRecoversAtHeartbeat(t *testing.T) {
 	g := newTrio(t)
 	g.burst(4)
 	g.pump(func(m Message) bool { return m.Kind == MsgAppendResp })
-	for i := 0; i < g.lead.cfg.HeartbeatTicks; i++ {
-		g.lead.Tick()
+	if got := g.lead.CommitFrontier(); got != g.lead.lastIndex()-4 {
+		t.Fatalf("commit moved to %d with every ack lost", got)
 	}
-	g.pump(nil)
+	g.heartbeat()
+	g.replicated() // the heartbeat resent the burst, and these acks arrived
+	g.heartbeat()
 	g.converged()
 }
 

@@ -6,6 +6,11 @@
 // entries from its own term by counting replicas, which transitively
 // commits earlier entries).
 //
+// A commit is not a message: the leader's commit index rides whichever
+// AppendEntries leaves next (Message.LeaderCommit) and, when no entries
+// are waiting, the heartbeat — one committed entry costs an append and
+// an ack per follower, as Multi-Paxos' accept/accepted.
+//
 // Profile: partially-synchronous, crash, pessimistic, known participants,
 // 2f+1 nodes, leader-based, O(N) messages per committed entry.
 package raft
@@ -98,7 +103,7 @@ type Message struct {
 	PrevIndex    types.Seq
 	PrevTerm     Term
 	Entries      []LogEntry
-	LeaderCommit types.Seq
+	LeaderCommit types.Seq // on every append; the only way followers learn a commit
 	Success      bool
 	MatchIndex   types.Seq
 
@@ -413,11 +418,10 @@ const (
 // Progress, minus the in-flight window: MaxBatch and the acks pace
 // catch-up). The zero state is a probe.
 type progress struct {
-	state      progressState
-	match      types.Seq // highest index known to be in the follower's log
-	next       types.Seq // first index not sent yet (the probe's first index while probing)
-	commitSent types.Seq // LeaderCommit of the last append sent
-	snapOff    int       // offset of the outstanding snapshot chunk
+	state   progressState
+	match   types.Seq // highest index known to be in the follower's log
+	next    types.Seq // first index not sent yet (the probe's first index while probing)
+	snapOff int       // offset of the outstanding snapshot chunk
 }
 
 // replicateAll offers every follower what it has not been sent. A round
@@ -438,9 +442,11 @@ func (n *Node) replicateAll() {
 	}
 }
 
-// replicateTo sends p the entries and the commit index it has not been
-// sent, if any, and reports whether it sent. Submit, acks and commit
-// advances all call it; what leaves, and whether, is decided here.
+// replicateTo sends p the entries it has not been sent, if any, and
+// reports whether it sent. Submit and acks call it; what leaves, and
+// whether, is decided here. A commit advance is not a reason to send:
+// LeaderCommit rides whichever append leaves next, and when none does,
+// the heartbeat.
 func (n *Node) replicateTo(p types.NodeID) bool {
 	pr := n.prs[p]
 	if pr == nil {
@@ -453,7 +459,7 @@ func (n *Node) replicateTo(p types.NodeID) bool {
 		return false
 	case stateReplicate:
 	}
-	if pr.next > n.lastIndex() && n.commitIndex <= pr.commitSent {
+	if pr.next > n.lastIndex() {
 		return false
 	}
 	n.sendNext(p, pr)
@@ -481,7 +487,7 @@ func (n *Node) heartbeat() {
 // sendNext sends p one frame unconditionally: the outstanding snapshot
 // chunk when the entries it needs are compacted away, else an append
 // carrying entries [next, next+MaxBatch) — none if next is past the log,
-// which is the heartbeat and the commit notice.
+// which is the heartbeat.
 func (n *Node) sendNext(p types.NodeID, pr *progress) {
 	if pr.state != stateSnapshot && pr.next <= n.snapIndex {
 		pr.state, pr.snapOff = stateSnapshot, 0
@@ -511,7 +517,6 @@ func (n *Node) sendNext(p types.NodeID, pr *progress) {
 	if pr.state == stateReplicate {
 		pr.next = hi + 1
 	}
-	pr.commitSent = n.commitIndex
 }
 
 // Step consumes one delivered message.
@@ -626,9 +631,9 @@ func (n *Node) onAppend(m Message) {
 		n.advanceCommit(upTo)
 	}
 	if len(m.Entries) == 0 {
-		// A matched empty append (heartbeat, commit notice) tells the
-		// leader nothing it does not know: no answer, as Multi-Paxos does
-		// not answer a commit.
+		// A matched empty append (the heartbeat) tells the leader nothing
+		// it does not know: no answer, as Multi-Paxos does not answer a
+		// heartbeat it has nothing to ask about.
 		return
 	}
 	n.send(Message{Kind: MsgAppendResp, To: m.From, Success: true, MatchIndex: match})
@@ -713,8 +718,6 @@ func (n *Node) maybeCommit() {
 	candidate := matches[n.q.Threshold()-1]
 	if candidate > n.commitIndex && candidate > n.snapIndex && n.at(candidate).Term == n.term {
 		n.advanceCommit(candidate)
-		// Propagate the new commit index promptly.
-		n.replicateAll()
 	}
 }
 

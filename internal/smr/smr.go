@@ -91,6 +91,16 @@ func (e *Executor) Commit(d types.Decision) []types.Reply {
 	if d.Slot < e.next {
 		return nil // already applied (duplicate decision)
 	}
+	if d.Slot == e.next && len(e.pending) == 0 {
+		// In order with nothing parked — every decision of a live group and
+		// of a healthy simulation: nothing to hold, nothing to look up.
+		r, ok := e.apply(d.Slot, d.Val)
+		e.next++
+		if !ok {
+			return nil
+		}
+		return []types.Reply{r}
+	}
 	if prev, ok := e.pending[d.Slot]; ok {
 		if !prev.Equal(d.Val) {
 			panic(fmt.Sprintf("smr: node %v slot %d decided twice: %q vs %q", e.node, d.Slot, prev, d.Val))

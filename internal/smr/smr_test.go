@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"fortyconsensus/internal/kvstore"
@@ -116,6 +117,83 @@ func TestExecutorInOrderApply(t *testing.T) {
 	}
 	if e.NextSlot() != 3 {
 		t.Fatalf("next slot = %d", e.NextSlot())
+	}
+}
+
+// The in-order stream takes Commit's direct path; a gap parks slots and
+// takes the map path until it is filled, after which the stream is
+// direct again. Either way every slot applies once, in order.
+func TestExecutorInOrderStreamAroundAGap(t *testing.T) {
+	e := NewExecutor(0, kvstore.New())
+	commit := func(slot types.Seq) int {
+		return len(e.Commit(types.Decision{Slot: slot, Val: req(1, uint64(slot), kvstore.Incr("n", 1))}))
+	}
+	for _, step := range []struct {
+		slot    types.Seq
+		replies int
+	}{
+		{1, 1}, {2, 1}, // direct
+		{4, 0}, {5, 0}, // parked
+		{3, 3},         // fills the gap
+		{6, 1}, {7, 1}, // direct again
+		{7, 0}, {2, 0}, // duplicates of applied slots
+	} {
+		if got := commit(step.slot); got != step.replies {
+			t.Fatalf("slot %d produced %d replies, want %d", step.slot, got, step.replies)
+		}
+	}
+	if e.NextSlot() != 8 || len(e.pending) != 0 {
+		t.Fatalf("next slot %d with %d parked, want 8 and 0", e.NextSlot(), len(e.pending))
+	}
+	for i, d := range e.Applied() {
+		if d.Slot != types.Seq(i+1) {
+			t.Fatalf("apply history position %d holds slot %d", i, d.Slot)
+		}
+	}
+	if r := e.Commit(types.Decision{Slot: 8, Val: req(2, 1, kvstore.Get("n"))}); len(r) != 1 || !r[0].Result.Equal(types.Value("7")) {
+		t.Fatalf("counter after 7 increments: %+v", r)
+	}
+}
+
+// nopSM applies nothing, so what is left is the executor's own cost.
+type nopSM struct{}
+
+func (nopSM) Apply(types.Value) types.Value { return nil }
+func (nopSM) Snapshot() []byte              { return nil }
+func (nopSM) Restore([]byte) error          { return nil }
+
+// inOrder returns a function committing the next slot of one session's
+// stream each time it is called.
+func inOrder(e *Executor) func() {
+	slot := types.Seq(0)
+	val := EncodeRequest(types.Request{Client: 1}) // SeqNo patched per slot
+	return func() {
+		slot++
+		v := append(types.Value(nil), val...)
+		binary.BigEndian.PutUint64(v[8:], uint64(slot))
+		e.Commit(types.Decision{Slot: slot, Val: v})
+	}
+}
+
+// An in-order decision costs the executor one allocation, the reply
+// slice (the other is this test's own value; the apply history's
+// doubling rounds to zero).
+func TestCommitInOrderAllocs(t *testing.T) {
+	e := NewExecutor(0, nopSM{})
+	if allocs := testing.AllocsPerRun(2000, inOrder(e)); allocs != 2 {
+		t.Fatalf("in-order Commit: %v allocs per decision, want 2", allocs)
+	}
+	if e.NextSlot() != 2002 {
+		t.Fatalf("next slot %d after 2001 in-order commits", e.NextSlot())
+	}
+}
+
+func BenchmarkCommitInOrder(b *testing.B) {
+	commit := inOrder(NewExecutor(0, nopSM{}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		commit()
 	}
 }
 
