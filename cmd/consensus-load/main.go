@@ -10,7 +10,13 @@
 // id=host:port so leader hints find the right address.
 //
 // Exits nonzero if no operation committed — a burst against a dead or
-// leaderless cluster fails loudly, which the smoke script relies on.
+// leaderless cluster fails loudly, which the smoke script relies on —
+// or if the cluster did not do what it acknowledged: the working set's
+// counters are read before and after the run, and they must have risen
+// by at least the number of acknowledged Incrs and at most that plus
+// the Incrs that failed (applied or not, unknown). The check assumes
+// nobody else writes the same -keys meanwhile. Throughput is also
+// printed per 10 s interval, so a cluster that slows as it runs shows.
 package main
 
 import (
@@ -18,7 +24,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fortyconsensus/internal/kvstore"
@@ -72,12 +80,43 @@ func main() {
 	}
 	defer cl.Close()
 
+	// counters sums the working set's counters as the cluster holds them.
+	counters := func() (sum int64) {
+		for k := 0; k < *keys; k++ {
+			res, err := cl.Do(kvstore.Get(fmt.Sprintf("load-%d", k)))
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "consensus-load: reading load-%d: %v\n", k, err)
+				os.Exit(1)
+			}
+			n, _ := strconv.ParseInt(string(res), 10, 64) // NOT_FOUND reads as 0
+			sum += n
+		}
+		return sum
+	}
+	before := counters()
+
 	type workerResult struct {
 		latUS []int // latency per successful op, microseconds
 		errs  int
+		acked int // Incrs acknowledged
+		lost  int // Incrs that failed: applied or not, unknown
 	}
 	results := make([]workerResult, *workers)
-	stop := time.Now().Add(*duration)
+	var done atomic.Int64 // operations acknowledged so far
+	start := time.Now()
+	stop := start.Add(*duration)
+	reported := make(chan struct{})
+	go func() {
+		defer close(reported)
+		var last int64
+		for at := start.Add(interval); at.Before(stop) || at.Equal(stop); at = at.Add(interval) {
+			time.Sleep(time.Until(at))
+			n := done.Load()
+			fmt.Printf("consensus-load: interval %s-%s %.1f ops/s\n",
+				at.Sub(start)-interval, at.Sub(start), float64(n-last)/interval.Seconds())
+			last = n
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < *workers; w++ {
 		wg.Add(1)
@@ -87,31 +126,38 @@ func main() {
 			r := &results[w]
 			for time.Now().Before(stop) {
 				key := fmt.Sprintf("load-%d", rng.Intn(*keys))
-				var cmd kvstore.Command
-				if rng.Intn(100) < *writePct {
+				cmd, write := kvstore.Get(key), rng.Intn(100) < *writePct
+				if write {
 					cmd = kvstore.Incr(key, 1)
-				} else {
-					cmd = kvstore.Get(key)
 				}
 				t0 := time.Now()
 				_, err := cl.Do(cmd)
 				if err != nil {
 					r.errs++
+					if write {
+						r.lost++
+					}
 					continue
 				}
+				if write {
+					r.acked++
+				}
+				done.Add(1)
 				r.latUS = append(r.latUS, int(time.Since(t0).Microseconds()))
 			}
 		}(w)
 	}
 	wg.Wait()
+	<-reported
+	applied := counters() - before
 
 	hist := metrics.NewHistogram()
-	errs := 0
+	var errs, acked, lost int
 	for _, r := range results {
 		for _, l := range r.latUS {
 			hist.Add(l)
 		}
-		errs += r.errs
+		errs, acked, lost = errs+r.errs, acked+r.acked, lost+r.lost
 	}
 	sum := hist.Snapshot()
 	tput := float64(sum.Count) / duration.Seconds()
@@ -123,4 +169,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "consensus-load: no operation committed")
 		os.Exit(1)
 	}
+	if applied < int64(acked) || applied > int64(acked+lost) {
+		fmt.Fprintf(os.Stderr, "consensus-load: NOT verified: the counters rose by %d over %d acknowledged Incrs and %d of unknown fate\n", applied, acked, lost)
+		os.Exit(1)
+	}
+	fmt.Printf("consensus-load: verified: applied=%d acked=%d unknown=%d\n", applied, acked, lost)
 }
+
+// interval is how often throughput is printed while the run lasts.
+const interval = 10 * time.Second

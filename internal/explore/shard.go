@@ -91,7 +91,7 @@ func shardEpisode(n int, seed uint64, unsafe bool) *Episode {
 				if wave%5 == 2 {
 					// Single-shard fast path rides the same wave.
 					svc.SubmitPerShard(map[int][]kvstore.Command{
-						b: {kvstore.Put(key(b, wave)+"s", val(wave)), kvstore.Put(mk + "s", val(wave))},
+						b: {kvstore.Put(key(b, wave)+"s", val(wave)), kvstore.Put(mk+"s", val(wave))},
 					})
 				}
 			}

@@ -43,9 +43,11 @@ type GroupStatus struct {
 	Leader    int64   `json:"leader"` // believed leader; -1 unknown
 	Commit    uint64  `json:"commit"` // applied frontier (slots)
 	SnapIndex uint64  `json:"snap_index"`
-	Installs  int     `json:"installs"` // snapshots installed from peers
-	Members   []int64 `json:"members"`  // current config (sorted)
-	Digest    string  `json:"digest"`   // FNV-64 of the committed KV state
+	Installs  int     `json:"installs"`   // snapshots installed from peers
+	Sessions  int     `json:"sessions"`   // executor dedup entries, one per client session seen
+	SnapBytes int     `json:"snap_bytes"` // last snapshot taken or installed: sessions + store
+	Members   []int64 `json:"members"`    // current config (sorted)
+	Digest    string  `json:"digest"`     // FNV-64 of the committed KV state
 	// RestoreFailed: a snapshot installed from a peer did not restore;
 	// the replica applies nothing past it and refuses client requests.
 	RestoreFailed bool `json:"restore_failed"`

@@ -40,11 +40,14 @@ type ClientConfig struct {
 	// client hashes keys with the same partition map to route each
 	// operation straight to its owning group's leader guess.
 	Shards int
-	// SessionBase offsets this client's smr session IDs. Each request
-	// runs under its own session (SessionBase+k with SeqNo k), so
-	// pipelined requests never trip the executor's one-outstanding-
-	// per-client dedup, while a retry reuses its session and stays
-	// exactly-once. Distinct concurrent Clients need disjoint bases.
+	// SessionBase offsets this client's smr session IDs: it uses
+	// SessionBase+1, +2, … up to its peak number of concurrent Do/Go
+	// calls and no further, so the bases of Clients that share a cluster
+	// need only differ by more than that. A base must not be used twice
+	// against the same cluster, not even by a later process: a fresh
+	// Client restarts every session's seqnos at 1, below what the
+	// servers' dedup tables remember, and its requests would be refused
+	// as stale copies.
 	SessionBase types.ClientID
 	// AttemptTimeout bounds one request attempt (default 1s).
 	AttemptTimeout time.Duration
@@ -94,14 +97,13 @@ func (c ClientConfig) withDefaults() ClientConfig {
 // Client talks to a live cluster: it dials nodes lazily, routes each
 // operation to the shard leader it last saw (following NotLeader
 // redirects and failing over across nodes), retries under a deadline,
-// and pipelines safely — every in-flight request has its own smr
-// session, and concurrent Do/Go calls multiplex over one connection
-// per node.
+// and pipelines safely — every in-flight operation owns an smr session
+// for as long as it runs, and concurrent Do/Go calls multiplex over one
+// connection per node.
 type Client struct {
 	cfg ClientConfig
 	pm  shard.PartitionMap
 
-	seq   atomic.Uint64 // per-request session/seqno counter
 	reqID atomic.Uint64 // per-attempt match token
 
 	// A node is referred to by its position in cfg.Addrs throughout;
@@ -110,6 +112,19 @@ type Client struct {
 	conns  []*cconn // nil or dead = (re)dial
 	leader []int    // per-shard leader guess; -1 unknown
 	closed bool
+	// The session window: the sessions no operation holds, and how many
+	// were ever opened — the peak number of operations in flight at once.
+	free   []session
+	minted uint64
+}
+
+// session is one smr client session: its ID and the last seqno issued
+// under it. One Do holds it at a time, so it never has two requests
+// outstanding and its seqnos only rise — the contract smr.Executor's
+// one-entry-per-session dedup table is written for.
+type session struct {
+	id  types.ClientID
+	seq uint64
 }
 
 // NewClient builds a client; no connection is made until the first
@@ -159,12 +174,15 @@ func (c *Client) Do(cmd kvstore.Command) (types.Value, error) {
 	if len(cmd.Key) > kvstore.MaxKeyLen {
 		return nil, fmt.Errorf("live: key of %d bytes exceeds kvstore.MaxKeyLen (%d)", len(cmd.Key), kvstore.MaxKeyLen)
 	}
-	k := c.seq.Add(1)
-	req := Request{
-		Client: c.cfg.SessionBase + types.ClientID(k),
-		SeqNo:  k,
-		Op:     cmd.Encode(),
-	}
+	// The session is this operation's through every retry and redirect,
+	// and goes back whatever the outcome. After a deadline the abandoned
+	// request may still commit: ahead of the session's next one it
+	// executes, behind it the executor refuses it as stale — either is a
+	// legal end for an operation whose caller was told "unknown".
+	sess := c.takeSession()
+	sess.seq++
+	defer c.putSession(sess)
+	req := Request{Client: sess.id, SeqNo: sess.seq, Op: cmd.Encode()}
 	sh := c.pm.Shard(cmd.Key)
 	deadline := time.Now().Add(c.cfg.Deadline)
 	node := c.leaderGuess(sh)
@@ -256,6 +274,26 @@ func (c *Client) Close() {
 			cn.fail(ErrClientClosed)
 		}
 	}
+}
+
+// takeSession hands the caller a session nobody else holds, opening a
+// new one only when every session ever opened is in use.
+func (c *Client) takeSession() session {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.free); n > 0 {
+		s := c.free[n-1]
+		c.free = c.free[:n-1]
+		return s
+	}
+	c.minted++
+	return session{id: c.cfg.SessionBase + types.ClientID(c.minted)}
+}
+
+func (c *Client) putSession(s session) {
+	c.mu.Lock()
+	c.free = append(c.free, s)
+	c.mu.Unlock()
 }
 
 func (c *Client) leaderGuess(sh int) int {

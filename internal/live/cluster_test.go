@@ -5,11 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"fortyconsensus/internal/kvstore"
+	"fortyconsensus/internal/raft"
 	"fortyconsensus/internal/shard"
 	"fortyconsensus/internal/types"
 )
@@ -174,7 +178,8 @@ func TestClusterSmoke(t *testing.T) {
 }
 
 // TestClusterPipelining drives many concurrent in-flight operations
-// through one client; per-request sessions keep them all exactly-once.
+// through one client; each holds a session of its own while it runs,
+// which keeps them all exactly-once.
 func TestClusterPipelining(t *testing.T) {
 	_, addrList := startCluster(t, 3, 2, BackendRaft, 7)
 	cl, err := NewClient(ClientConfig{
@@ -202,6 +207,231 @@ func TestClusterPipelining(t *testing.T) {
 	}
 	if string(got) != fmt.Sprint(n) {
 		t.Fatalf("counter = %q, want %d (retries must not double-apply)", got, n)
+	}
+}
+
+// groupSessions polls every node's admin status until all of them have
+// applied the same frontier on every group, and returns one node's
+// groups: the session table and the last snapshot as the cluster agrees
+// on them.
+func groupSessions(t *testing.T, addrs []string) []GroupStatus {
+	t.Helper()
+	var groups []GroupStatus
+	waitFor(t, 10*time.Second, func() bool {
+		for i, addr := range addrs {
+			st, ok := adminStatus(t, addr)
+			if !ok {
+				return false
+			}
+			if i == 0 {
+				groups = st.Groups
+				continue
+			}
+			for sh, g := range st.Groups {
+				if g.Commit != groups[sh].Commit || g.Sessions != groups[sh].Sessions {
+					return false
+				}
+			}
+		}
+		return true
+	})
+	return groups
+}
+
+// TestClientSessionWindow pins what a client costs the cluster: one
+// dedup entry per group for each operation it ever had in flight at
+// once, not one per operation. Two thousand sequential operations leave
+// one session on each group, K concurrent callers at most K, the
+// snapshots that carry the table stay the size of the store, and the
+// executors of a live group keep no apply history.
+func TestClientSessionWindow(t *testing.T) {
+	const every = 128
+	cluster := func(t *testing.T, seed uint64) ([]*Server, []string) {
+		return startClusterWith(t, 3, ServerConfig{
+			Shards: 2, Backend: BackendRaft, TickEvery: time.Millisecond, Seed: seed, SnapshotEvery: every,
+		}, nil)
+	}
+	client := func(t *testing.T, addrs []string, base types.ClientID) *Client {
+		cl, err := NewClient(ClientConfig{
+			Addrs: addrs, Shards: 2, SessionBase: base,
+			AttemptTimeout: 2 * time.Second, Deadline: 20 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cl.Close)
+		return cl
+	}
+
+	t.Run("sequential", func(t *testing.T) {
+		servers, addrs := cluster(t, 31)
+		cl := client(t, addrs, 150_000)
+		const ops, keys = 2000, 16
+		var early []GroupStatus
+		for i := 0; i < ops; i++ {
+			if _, err := cl.Do(kvstore.Incr(fmt.Sprintf("seq-%d", i%keys), 1)); err != nil {
+				t.Fatalf("incr %d: %v", i, err)
+			}
+			if i == ops/4 {
+				early = groupSessions(t, addrs)
+			}
+		}
+		for sh, g := range groupSessions(t, addrs) {
+			if g.Commit < ops/4 {
+				t.Fatalf("shard %d applied %d slots: the keys did not spread over both groups", sh, g.Commit)
+			}
+			if g.Sessions != 1 {
+				t.Errorf("shard %d holds %d sessions after %d sequential operations, want 1", sh, g.Sessions, ops)
+			}
+			// The counters gain digits; the table gains nothing.
+			if g.SnapBytes == 0 || g.SnapBytes > early[sh].SnapBytes+2*keys {
+				t.Errorf("shard %d: snapshot of %d bytes, %d a quarter of the way in", sh, g.SnapBytes, early[sh].SnapBytes)
+			}
+		}
+		for i, s := range servers {
+			for sh, hg := range s.grs {
+				g := hg.(*smrGroup[raft.Message])
+				g.node.CallWait(func() {
+					if h := g.rep.Exec().Applied(); h != nil {
+						t.Errorf("node %d shard %d keeps an apply history of %d slots", i, sh, len(h))
+					}
+				})
+			}
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		_, addrs := cluster(t, 37)
+		cl := client(t, addrs, 160_000)
+		const callers, each = 6, 150
+		var wg sync.WaitGroup
+		for w := 0; w < callers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					if _, err := cl.Do(kvstore.Incr(fmt.Sprintf("par-%d", (w+i)%8), 1)); err != nil {
+						t.Errorf("caller %d incr %d: %v", w, i, err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for sh, g := range groupSessions(t, addrs) {
+			if g.Sessions < 1 || g.Sessions > callers {
+				t.Errorf("shard %d holds %d sessions after %d concurrent callers, want 1..%d", sh, g.Sessions, callers, callers)
+			}
+		}
+	})
+}
+
+// TestClientRetriesStayExactlyOnce gives a client an AttemptTimeout of
+// about one round trip, so a large share of its attempts are given up on
+// while their request is already in the log, and the operation is sent
+// again — same session, same seqno, fresh ReqID — to be answered from the
+// dedup table while the first reply arrives for an attempt nobody waits
+// on. However often that happens, every acknowledged Incr moved its
+// counter by exactly one and no two of them saw the same value.
+func TestClientRetriesStayExactlyOnce(t *testing.T) {
+	servers, addrs := startCluster(t, 3, 2, BackendRaft, 23)
+	newClient := func(base types.ClientID, attempt time.Duration) *Client {
+		cl, err := NewClient(ClientConfig{
+			Addrs: addrs, Shards: 2, SessionBase: base,
+			AttemptTimeout: attempt, Deadline: 10 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cl.Close)
+		return cl
+	}
+	patient := newClient(170_000, 2*time.Second)
+	const callers, each, keys = 4, 40, 8
+	counters := func() (vals [keys]int) {
+		for k := range vals {
+			res, err := patient.Do(kvstore.Get(fmt.Sprintf("retry-%d", k)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals[k], _ = strconv.Atoi(string(res)) // NOT_FOUND reads as 0
+		}
+		return vals
+	}
+	frontier := func() (sum uint64) {
+		for _, g := range groupSessions(t, addrs) {
+			sum += g.Commit
+		}
+		return sum
+	}
+	// round drives callers closed loops of Incrs through cl, checks the
+	// counters against what was acknowledged, and returns the median
+	// latency and how many second copies of a request the log took.
+	round := func(cl *Client) (time.Duration, int) {
+		var mu sync.Mutex
+		var acked [keys][]string // values acknowledged Incrs returned
+		var unknown [keys]int    // Incrs that failed: applied or not, unknown
+		var lat []time.Duration
+		before, log := counters(), frontier()
+		var wg sync.WaitGroup
+		for w := 0; w < callers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					k := (w + i) % keys
+					t0 := time.Now()
+					res, err := cl.Do(kvstore.Incr(fmt.Sprintf("retry-%d", k), 1))
+					mu.Lock()
+					if err != nil {
+						unknown[k]++
+					} else {
+						acked[k] = append(acked[k], string(res))
+						lat = append(lat, time.Since(t0))
+					}
+					mu.Unlock()
+				}
+			}(w)
+		}
+		wg.Wait()
+		entries := int(frontier() - log)
+		for k, after := range counters() {
+			seen := make(map[string]bool)
+			for _, v := range acked[k] {
+				if seen[v] {
+					t.Fatalf("retry-%d: two acknowledged Incrs both returned %s", k, v)
+				}
+				seen[v] = true
+			}
+			if moved := after - before[k]; moved < len(acked[k]) || moved > len(acked[k])+unknown[k] {
+				t.Fatalf("retry-%d moved by %d: %d Incrs acknowledged, %d of unknown fate", k, moved, len(acked[k]), unknown[k])
+			}
+		}
+		if len(lat) == 0 {
+			t.Fatal("no operation was acknowledged")
+		}
+		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		// Every log entry past one per operation is a retry that committed
+		// a second copy of its request.
+		return lat[len(lat)/2], entries - callers*each
+	}
+
+	// The patient client measures the round trip under this load; the
+	// timeout then halves until at least a fifth of the operations commit
+	// twice (the first round usually does: about half its attempts lose).
+	attempt, _ := round(patient)
+	for base := types.ClientID(180_000); ; base, attempt = base+10_000, attempt/2 {
+		if attempt < 10*time.Microsecond {
+			t.Fatal("no attempt timeout forced retries")
+		}
+		_, copies := round(newClient(base, attempt))
+		t.Logf("attempt timeout %v: %d second copies committed over %d operations", attempt, copies, callers*each)
+		if copies >= callers*each/5 {
+			break
+		}
+	}
+	for sh := 0; sh < 2; sh++ {
+		waitFor(t, 10*time.Second, func() bool { return sameKV(sh, servers...) })
 	}
 }
 

@@ -448,6 +448,9 @@ func (g *smrGroup[M]) status() (GroupStatus, bool) {
 			Installs: g.rep.Installs(),
 			Digest:   kvDigest(g.store.KV().Snapshot()),
 
+			Sessions:  g.rep.Exec().Sessions(),
+			SnapBytes: g.rep.SnapshotBytes(),
+
 			RestoreFailed: g.restoreFailed,
 		}
 		if mod, ok := any(g.mod).(interface{ Members() []types.NodeID }); ok {

@@ -204,13 +204,13 @@ func TestSpecRoundTrip(t *testing.T) {
 
 func TestSpecDecodeErrors(t *testing.T) {
 	cases := []string{
-		"",                                  // empty
-		"nemesis/v2\nprotocol x\n",          // bad header
-		"nemesis/v1\nprotocol raft\n",       // no events
-		"nemesis/v1\nprotocol raft\nnodes 3\nseed 1\nhorizon 10\nevents 1\ncrash 5 0\n",  // no end
-		"nemesis/v1\nprotocol raft\nnodes 3\nseed 1\nhorizon 10\nevents 2\ncrash 5 0\nend\n", // count mismatch
+		"",                            // empty
+		"nemesis/v2\nprotocol x\n",    // bad header
+		"nemesis/v1\nprotocol raft\n", // no events
+		"nemesis/v1\nprotocol raft\nnodes 3\nseed 1\nhorizon 10\nevents 1\ncrash 5 0\n",           // no end
+		"nemesis/v1\nprotocol raft\nnodes 3\nseed 1\nhorizon 10\nevents 2\ncrash 5 0\nend\n",      // count mismatch
 		"nemesis/v1\nprotocol raft\nnodes 3\nseed 1\nhorizon 10\nevents 1\nfrobnicate 5 0\nend\n", // bad op
-		"nemesis/v1\nnodes 3\nseed 1\nhorizon 10\nevents 0\nend\n", // missing protocol
+		"nemesis/v1\nnodes 3\nseed 1\nhorizon 10\nevents 0\nend\n",                                // missing protocol
 	}
 	for i, c := range cases {
 		if _, err := Decode([]byte(c)); err == nil {

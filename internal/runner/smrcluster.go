@@ -43,9 +43,14 @@ func NewSMRCluster[M any, N SMRNode[M]](cfg Config[M], nodes []N, newSM func() s
 // Set makes node the replica with the given id, hosted by a fresh
 // Replica over sm (nil for none): it replaces the node already there —
 // a reboot from disk, a fresh instance of a removed member — or, with
-// id == len(Nodes), joins as a new one.
+// id == len(Nodes), joins as a new one. The cluster is the auditor of
+// its replicas, so each executor keeps its apply history (Execs,
+// smr.CheckPrefixConsistency).
 func (c *SMRCluster[M, N]) Set(id types.NodeID, node N, sm smr.StateMachine) {
 	rep := smr.NewReplica(id, node, sm)
+	if exec := rep.Exec(); exec != nil {
+		exec.KeepHistory()
+	}
 	if int(id) == len(c.Nodes) {
 		c.Nodes = append(c.Nodes, node)
 		c.Reps = append(c.Reps, rep)

@@ -73,8 +73,8 @@ type stagedTxn struct {
 // duplicate log entries) safe.
 type Store struct {
 	kv       *kvstore.Store
-	locks    map[string]commit.TxID      // key -> owning prepared txn
-	staged   map[commit.TxID]*stagedTxn  // prepared, undecided txns
+	locks    map[string]commit.TxID     // key -> owning prepared txn
+	staged   map[commit.TxID]*stagedTxn // prepared, undecided txns
 	outcomes map[commit.TxID]commit.Outcome
 	decided  map[commit.TxID]commit.Outcome // home-shard decision records
 	events   []Event

@@ -33,6 +33,7 @@ type Replica struct {
 	exec *Executor // nil: no state machine, decisions only
 
 	lastCompact types.Seq // frontier of the last compaction or install
+	snapBytes   int       // size of the snapshot taken or installed there
 	installs    int
 	err         error // a failed snapshot restore; the replica is dead
 	replies     []types.Reply
@@ -69,7 +70,7 @@ func (r *Replica) Pump() (decided []types.Decision, replies []types.Reply, err e
 				r.err = fmt.Errorf("smr: restore snapshot at slot %d: %w", snap.LastIndex, rerr)
 			} else {
 				r.installs++
-				r.lastCompact = snap.LastIndex
+				r.lastCompact, r.snapBytes = snap.LastIndex, len(snap.State)
 			}
 		}
 	}
@@ -93,11 +94,11 @@ func (r *Replica) Compact() bool {
 	if r.comp == nil || r.err != nil {
 		return false
 	}
-	upTo := r.exec.NextSlot() - 1
-	if !r.comp.Compact(upTo, r.exec.SnapshotState()) {
+	upTo, state := r.exec.NextSlot()-1, r.exec.SnapshotState()
+	if !r.comp.Compact(upTo, state) {
 		return false
 	}
-	r.lastCompact = upTo
+	r.lastCompact, r.snapBytes = upTo, len(state)
 	return true
 }
 
@@ -119,3 +120,7 @@ func (r *Replica) Exec() *Executor { return r.exec }
 
 // Installs counts the snapshots restored from peers.
 func (r *Replica) Installs() int { return r.installs }
+
+// SnapshotBytes is the size of the last snapshot this replica took or
+// installed: executor sessions plus state machine, 0 before the first.
+func (r *Replica) SnapshotBytes() int { return r.snapBytes }

@@ -144,8 +144,8 @@ func TestReplicaCompactCadence(t *testing.T) {
 	// frontier of the moment.
 	r.CompactEvery(5)
 	r.CompactEvery(5)
-	if mod.offered != 2 || len(mod.compacted) != 0 {
-		t.Fatalf("offered %d, accepted %v", mod.offered, mod.compacted)
+	if mod.offered != 2 || len(mod.compacted) != 0 || r.SnapshotBytes() != 0 {
+		t.Fatalf("offered %d, accepted %v, snapshot of %d bytes", mod.offered, mod.compacted, r.SnapshotBytes())
 	}
 	mod.refuse = false
 	mod.decided = []types.Decision{incr(6, 6)}
@@ -154,6 +154,9 @@ func TestReplicaCompactCadence(t *testing.T) {
 	if len(mod.compacted) != 1 || mod.compacted[0] != 6 {
 		t.Fatalf("accepted %v, want [6]", mod.compacted)
 	}
+	if want := len(r.Exec().SnapshotState()); r.SnapshotBytes() != want {
+		t.Fatalf("snapshot of %d bytes reported, the one taken has %d", r.SnapshotBytes(), want)
+	}
 	r.CompactEvery(5)
 	if mod.offered != 3 {
 		t.Fatal("compacted again with nothing new applied")
@@ -161,10 +164,14 @@ func TestReplicaCompactCadence(t *testing.T) {
 	// An installed snapshot moves the cadence's base to its index: the
 	// next compaction is due 5 slots past 20, not past 6.
 	mod.installed = snapshotAt(20)
+	installed := len(mod.installed.State)
 	for s := types.Seq(21); s <= 24; s++ {
 		mod.decided = append(mod.decided, incr(s, uint64(s)))
 	}
 	mustPump(t, r)
+	if r.SnapshotBytes() != installed {
+		t.Fatalf("snapshot of %d bytes reported, the one installed has %d", r.SnapshotBytes(), installed)
+	}
 	r.CompactEvery(5)
 	if mod.offered != 3 {
 		t.Fatal("compacted 4 slots past an installed snapshot, cadence 5")

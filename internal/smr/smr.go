@@ -61,12 +61,18 @@ type Executor struct {
 	sm      StateMachine
 	next    types.Seq
 	pending map[types.Seq]types.Value
-	// lastSeq and lastReply implement client-session dedup: a request
-	// whose seqno is not greater than the last executed one returns the
-	// cached reply without re-executing.
+	// lastSeq and lastReply implement client-session dedup, one entry per
+	// session: a request whose seqno is the last executed one returns the
+	// cached reply without re-executing, an older one returns nothing. A
+	// session is assumed to have one request outstanding at a time and
+	// seqnos that only rise (live.Client's session window; one session per
+	// request in the simulated shard service).
 	lastSeq   map[types.ClientID]uint64
 	lastReply map[types.ClientID]types.Value
-	applied   []types.Decision // full apply history for consistency audits
+	// The apply history behind Applied and CheckPrefixConsistency, kept
+	// only once KeepHistory has asked for it: it grows with every slot.
+	keepHistory bool
+	applied     []types.Decision
 }
 
 // NewExecutor returns an executor for node applying to sm, starting at
@@ -122,8 +128,17 @@ func (e *Executor) Commit(d types.Decision) []types.Reply {
 	}
 }
 
+// KeepHistory makes the executor record every decision it applies from
+// here on, for Applied and CheckPrefixConsistency. The auditor asks —
+// runner.SMRCluster does for every simulated replica; a live group,
+// which would hold its log's values a second time for as long as it
+// runs, does not.
+func (e *Executor) KeepHistory() { e.keepHistory = true }
+
 func (e *Executor) apply(slot types.Seq, val types.Value) (types.Reply, bool) {
-	e.applied = append(e.applied, types.Decision{Slot: slot, Val: val})
+	if e.keepHistory {
+		e.applied = append(e.applied, types.Decision{Slot: slot, Val: val})
+	}
 	if snapshot.IsConfChange(val) {
 		// Membership changes are consumed by the protocol layer at
 		// append/learn time; the state machine never sees them. They stay
@@ -137,7 +152,13 @@ func (e *Executor) apply(slot types.Seq, val types.Value) (types.Reply, bool) {
 		e.sm.Apply(val)
 		return types.Reply{}, false
 	}
-	if req.SeqNo <= e.lastSeq[req.Client] && e.lastSeq[req.Client] != 0 {
+	if last := e.lastSeq[req.Client]; last != 0 && req.SeqNo <= last {
+		if req.SeqNo < last {
+			// A copy of a request its session has moved past: whoever sent it
+			// was answered, or gave up and was told "unknown". The cached
+			// reply belongs to a later request, so there is none to give.
+			return types.Reply{}, false
+		}
 		return types.Reply{
 			Client: req.Client, SeqNo: req.SeqNo,
 			Result: e.lastReply[req.Client], Node: e.node,
@@ -151,6 +172,10 @@ func (e *Executor) apply(slot types.Seq, val types.Value) (types.Reply, bool) {
 
 // NextSlot returns the first unapplied slot (the apply frontier).
 func (e *Executor) NextSlot() types.Seq { return e.next }
+
+// Sessions returns the number of client sessions in the dedup table —
+// what every SnapshotState encodes on top of the state machine.
+func (e *Executor) Sessions() int { return len(e.lastSeq) }
 
 // SnapshotState serializes the executor's session state plus the state
 // machine for a snapshot covering every slot below NextSlot():
@@ -174,7 +199,7 @@ func (e *Executor) SnapshotState() []byte {
 // RestoreState replaces the executor's sessions and state machine from
 // a SnapshotState blob and fast-forwards the apply frontier to the
 // snapshot's. Pending out-of-order commits at or below the new frontier
-// are dropped (the snapshot subsumes them); the applied history resets,
+// are dropped (the snapshot subsumes them); a kept apply history resets,
 // so post-restore audits cover only the suffix. Malformed input is an
 // explicit error and leaves the executor untouched.
 func (e *Executor) RestoreState(data []byte) error {
@@ -209,7 +234,8 @@ func (e *Executor) RestoreState(data []byte) error {
 	return nil
 }
 
-// Applied returns the executor's full apply history in order.
+// Applied returns the apply history in order: everything applied since
+// KeepHistory (or the last RestoreState), nil if it was never asked for.
 func (e *Executor) Applied() []types.Decision { return e.applied }
 
 // CheckPrefixConsistency verifies that every executor applied the same
@@ -217,8 +243,14 @@ func (e *Executor) Applied() []types.Decision { return e.applied }
 // invariant. Histories are aligned by slot, not list position: an
 // executor restored from a snapshot has a history starting mid-log, and
 // only the overlapping slot range is compared. It returns an error
-// naming the first divergence.
+// naming the first divergence, or an executor that keeps no history:
+// there is nothing to compare, which is not the same as agreement.
 func CheckPrefixConsistency(execs ...*Executor) error {
+	for _, e := range execs {
+		if !e.keepHistory {
+			return fmt.Errorf("smr: node %v keeps no apply history to check (KeepHistory was not called)", e.node)
+		}
+	}
 	for i := 0; i < len(execs); i++ {
 		for j := i + 1; j < len(execs); j++ {
 			a, b := execs[i].Applied(), execs[j].Applied()

@@ -12,6 +12,14 @@ func req(client types.ClientID, seq uint64, cmd kvstore.Command) types.Value {
 	return EncodeRequest(types.Request{Client: client, SeqNo: seq, Op: cmd.Encode()})
 }
 
+// audited returns an executor over a fresh kvstore that keeps its apply
+// history, as runner.SMRCluster's do.
+func audited(node types.NodeID) *Executor {
+	e := NewExecutor(node, kvstore.New())
+	e.KeepHistory()
+	return e
+}
+
 func TestRequestCodec(t *testing.T) {
 	r := types.Request{Client: 7, SeqNo: 42, Op: types.Value("payload")}
 	got, err := DecodeRequest(EncodeRequest(r))
@@ -87,21 +95,26 @@ func TestDecodeRequestMutationsNeverPanic(t *testing.T) {
 	}
 }
 
-// TestDedupRetriedSeqnoAfterLater documents the executor's dedup
-// hazard: once a client's seqno advances, a stale retry of an OLDER
-// seqno returns the LATEST cached reply labelled with the old seqno.
-// Coordinators must therefore never reuse a seqno for a different
-// request (shard's coordinator reissues with fresh seqnos).
+// TestDedupRetriedSeqnoAfterLater: once a session's seqno has advanced,
+// a late copy of an OLDER seqno neither re-executes nor is answered. The
+// only reply cached is the latest one; handing it out under the old
+// label (what this test used to pin as "the documented hazard") would
+// tell whoever still listens for the old request another request's
+// result.
 func TestDedupRetriedSeqnoAfterLater(t *testing.T) {
 	e := NewExecutor(0, kvstore.New())
 	e.Commit(types.Decision{Slot: 1, Val: req(5, 1, kvstore.Incr("n", 1))})
 	e.Commit(types.Decision{Slot: 2, Val: req(5, 2, kvstore.Incr("n", 10))})
-	r := e.Commit(types.Decision{Slot: 3, Val: req(5, 1, kvstore.Incr("n", 1))})
-	if len(r) != 1 || r[0].SeqNo != 1 {
-		t.Fatalf("stale retry replies = %+v", r)
+	if r := e.Commit(types.Decision{Slot: 3, Val: req(5, 1, kvstore.Incr("n", 1))}); len(r) != 0 {
+		t.Fatalf("stale seqno 1 answered after seqno 2 executed: %+v", r)
 	}
-	if !r[0].Result.Equal(types.Value("11")) {
-		t.Fatalf("stale retry returned %q; the documented hazard is the cached latest reply (11)", r[0].Result)
+	// The latest seqno is still answered from the cache, under its own label.
+	r := e.Commit(types.Decision{Slot: 4, Val: req(5, 2, kvstore.Incr("n", 10))})
+	if len(r) != 1 || r[0].SeqNo != 2 || !r[0].Result.Equal(types.Value("11")) {
+		t.Fatalf("retry of the latest seqno: %+v, want the cached 11", r)
+	}
+	if r := e.Commit(types.Decision{Slot: 5, Val: req(6, 1, kvstore.Get("n"))}); !r[0].Result.Equal(types.Value("11")) {
+		t.Fatalf("n = %q after a stale copy and a retry, want 11 (neither may re-execute)", r[0].Result)
 	}
 }
 
@@ -124,7 +137,7 @@ func TestExecutorInOrderApply(t *testing.T) {
 // takes the map path until it is filled, after which the stream is
 // direct again. Either way every slot applies once, in order.
 func TestExecutorInOrderStreamAroundAGap(t *testing.T) {
-	e := NewExecutor(0, kvstore.New())
+	e := audited(0)
 	commit := func(slot types.Seq) int {
 		return len(e.Commit(types.Decision{Slot: slot, Val: req(1, uint64(slot), kvstore.Incr("n", 1))}))
 	}
@@ -144,6 +157,9 @@ func TestExecutorInOrderStreamAroundAGap(t *testing.T) {
 	}
 	if e.NextSlot() != 8 || len(e.pending) != 0 {
 		t.Fatalf("next slot %d with %d parked, want 8 and 0", e.NextSlot(), len(e.pending))
+	}
+	if len(e.Applied()) != 7 {
+		t.Fatalf("apply history holds %d slots, want 7", len(e.Applied()))
 	}
 	for i, d := range e.Applied() {
 		if d.Slot != types.Seq(i+1) {
@@ -176,8 +192,7 @@ func inOrder(e *Executor) func() {
 }
 
 // An in-order decision costs the executor one allocation, the reply
-// slice (the other is this test's own value; the apply history's
-// doubling rounds to zero).
+// slice (the other is this test's own value).
 func TestCommitInOrderAllocs(t *testing.T) {
 	e := NewExecutor(0, nopSM{})
 	if allocs := testing.AllocsPerRun(2000, inOrder(e)); allocs != 2 {
@@ -216,7 +231,7 @@ func TestExecutorHoldsGaps(t *testing.T) {
 }
 
 func TestExecutorDuplicateDecisionIgnored(t *testing.T) {
-	e := NewExecutor(0, kvstore.New())
+	e := audited(0)
 	d := types.Decision{Slot: 1, Val: req(1, 1, kvstore.Incr("n", 1))}
 	e.Commit(d)
 	if got := e.Commit(d); got != nil {
@@ -268,8 +283,7 @@ func TestNonRequestValuesApplyWithoutReply(t *testing.T) {
 }
 
 func TestPrefixConsistencyDetectsDivergence(t *testing.T) {
-	a := NewExecutor(0, kvstore.New())
-	b := NewExecutor(1, kvstore.New())
+	a, b := audited(0), audited(1)
 	a.Commit(types.Decision{Slot: 1, Val: req(1, 1, kvstore.Put("k", []byte("same")))})
 	b.Commit(types.Decision{Slot: 1, Val: req(1, 1, kvstore.Put("k", []byte("same")))})
 	if err := CheckPrefixConsistency(a, b); err != nil {
@@ -281,9 +295,36 @@ func TestPrefixConsistencyDetectsDivergence(t *testing.T) {
 		t.Fatalf("longer prefix flagged: %v", err)
 	}
 	// Divergence is flagged.
-	c := NewExecutor(2, kvstore.New())
+	c := audited(2)
 	c.Commit(types.Decision{Slot: 1, Val: req(1, 1, kvstore.Put("k", []byte("DIFFERENT")))})
 	if err := CheckPrefixConsistency(a, c); err == nil {
 		t.Fatal("divergence not detected")
+	}
+}
+
+// The apply history is the auditor's, not every executor's: one that was
+// not asked keeps none however much it commits, and checking it is an
+// error — two empty histories used to compare as agreement.
+func TestHistoryIsOptIn(t *testing.T) {
+	e := NewExecutor(0, nopSM{})
+	commit := inOrder(e)
+	for i := 0; i < 100_000; i++ {
+		commit()
+	}
+	if e.NextSlot() != 100_001 || e.Applied() != nil {
+		t.Fatalf("next slot %d with %d slots of history, want 100001 and none", e.NextSlot(), len(e.Applied()))
+	}
+	if e.Sessions() != 1 {
+		t.Fatalf("%d sessions after one session's stream, want 1", e.Sessions())
+	}
+	if err := CheckPrefixConsistency(e, e); err == nil {
+		t.Fatal("an executor with no history passed the prefix check")
+	}
+	if err := CheckPrefixConsistency(audited(1), e); err == nil {
+		t.Fatal("an audited executor checked against one with no history passed")
+	}
+	// Asked but idle is not the same thing: nothing applied, nothing to differ on.
+	if err := CheckPrefixConsistency(audited(1), audited(2)); err != nil {
+		t.Fatalf("two audited executors that applied nothing: %v", err)
 	}
 }

@@ -122,6 +122,7 @@ func TestRestoreStateTruncationErrors(t *testing.T) {
 func TestExecutorSkipsConfChanges(t *testing.T) {
 	sm := kvstore.New()
 	e := NewExecutor(0, sm)
+	e.KeepHistory()
 	cc := snapshot.EncodeConfChange(snapshot.ConfChange{Op: snapshot.ConfAdd, Node: 3})
 	replies := e.Commit(types.Decision{Slot: 1, Val: cc})
 	if len(replies) != 0 {
@@ -140,12 +141,12 @@ func TestExecutorSkipsConfChanges(t *testing.T) {
 }
 
 func TestPrefixConsistencySlotAligned(t *testing.T) {
-	full := NewExecutor(0, kvstore.New())
+	full := audited(0)
 	for s := types.Seq(1); s <= 6; s++ {
 		commitReq(full, s, 1, uint64(s), kvstore.Put("k", []byte{byte(s)}))
 	}
 	// A restored replica whose history starts at slot 5.
-	joined := NewExecutor(1, kvstore.New())
+	joined := audited(1)
 	src := NewExecutor(2, kvstore.New())
 	for s := types.Seq(1); s <= 4; s++ {
 		commitReq(src, s, 1, uint64(s), kvstore.Put("k", []byte{byte(s)}))
@@ -160,7 +161,7 @@ func TestPrefixConsistencySlotAligned(t *testing.T) {
 		t.Fatalf("aligned histories flagged: %v", err)
 	}
 	// A real divergence in the overlap is still caught.
-	bad := NewExecutor(3, kvstore.New())
+	bad := audited(3)
 	if err := bad.RestoreState(src.SnapshotState()); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,9 @@
 # only catch up through a snapshot transfer — asserted via admin
 # status), votes an original node out and kills it, pushes a final
 # burst through the reshaped cluster, and requires clean SIGTERM exits.
+# Every burst is checked by consensus-load itself: it exits nonzero if
+# nothing committed or if the counters it incremented did not rise by
+# what the cluster acknowledged.
 set -u
 
 BASE_PORT="${SMOKE_BASE_PORT:-49531}"
@@ -68,7 +71,7 @@ sleep 1
 
 echo "serve-smoke: load burst 1 (full cluster)"
 "$DIR/consensus-load" -addrs "$PEERS" -duration 2s -workers 8 -session 110000 \
-    || die "load burst 1 committed nothing"
+    || die "load burst 1 committed nothing, or not what it acknowledged"
 
 # Every original node must have compacted before the join: the joiner's
 # log prefix is then gone cluster-wide, so only an InstallSnapshot can
@@ -107,7 +110,7 @@ poll_until 30 "joiner snapshot install + 4-member config" joined
 
 echo "serve-smoke: load burst 2 (4-node cluster)"
 "$DIR/consensus-load" -addrs "$PEERS4" -duration 2s -workers 8 -session 120000 \
-    || die "load burst 2 committed nothing after the join"
+    || die "load burst 2 after the join committed nothing, or not what it acknowledged"
 
 echo "serve-smoke: voting node 0 out"
 "$DIR/consensus-admin" -addrs "$PEERS4" remove-node 0 \
@@ -127,7 +130,7 @@ P0=""
 
 echo "serve-smoke: load burst 3 (reshaped cluster 1,2,3)"
 "$DIR/consensus-load" -addrs "1=$A1,2=$A2,3=$A3" -duration 2s -workers 8 -session 130000 \
-    || die "load burst 3 committed nothing; reshaped cluster did not serve"
+    || die "load burst 3 committed nothing, or not what it acknowledged; reshaped cluster did not serve"
 
 echo "serve-smoke: graceful shutdown"
 kill -TERM "$P1" "$P2" "$P3"
