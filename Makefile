@@ -20,7 +20,7 @@ SHARD_PKGS := ./internal/shard/... ./internal/explore ./internal/workload
 # live.Node's cost per event.
 BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/shard ./internal/explore ./internal/live
 
-.PHONY: all build test test-race bench bench-json bench-pairs golden lint explore examples fuzz ci cover serve-smoke soak
+.PHONY: all build test test-race bench bench-pairs bench-pair golden lint explore examples fuzz ci cover serve-smoke soak
 
 all: build test
 
@@ -103,11 +103,15 @@ fuzz:
 # Full gate: everything CI runs, in order. The golden step verifies the
 # pinned experiment artifacts byte-for-byte (no -update), and the shard
 # stack runs uncached so the 2PC and linearizability tests always fire.
+# The last step is a seconds-long self-test of the pair tool, HEAD
+# against the working tree for one pair: both sides must build and
+# report; what the numbers say is not looked at.
 ci: build lint explore examples fuzz
 	$(GO) test -race ./...
 	$(GO) test $(SHARD_PKGS) -count=1
 	$(GO) test ./internal/experiments -run TestGoldenArtifacts -count=1
 	$(MAKE) serve-smoke
+	$(MAKE) bench-pair BASE=HEAD PKG=./internal/kvstore RUN=. PAIRS=1
 
 # End-to-end smoke over real processes and sockets: build the serve and
 # load CLIs, run a 3-node local cluster, push a load burst through the
@@ -143,20 +147,6 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS)
 
-# Machine-readable benchmark record: same sweep as `make bench`,
-# rendered to $(BENCH_JSON) (ns/op, B/op, allocs/op per benchmark) for
-# mechanical before/after comparison across PRs. A PR that records one
-# names it after itself: `make bench-json BENCH_JSON=BENCH_14.json`.
-# There is no default, so a forgotten name cannot overwrite an old
-# record.
-bench-json:
-ifndef BENCH_JSON
-	$(error bench-json needs a target file: make bench-json BENCH_JSON=BENCH_<pr>.json)
-endif
-	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS) > bench.out
-	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) < bench.out
-	@rm -f bench.out
-
 # Alternating base/change pairs of one servebench workload — what a
 # performance claim in CHANGES.md quotes: cmd/servebench built from
 # $(BASE) (a git archive under .bench_build/) and from the working tree,
@@ -171,6 +161,19 @@ ifeq ($(and $(BASE),$(WORKLOAD)),)
 	$(error bench-pairs needs a base and a workload: make bench-pairs BASE=HEAD~1 WORKLOAD=raft-serial [PAIRS=10] [SEED=1])
 endif
 	GO=$(GO) ./scripts/servebench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
+
+# The same for `go test -bench`: package $(PKG)'s benchmarks matching
+# $(RUN), both test binaries built once (go test -c) and alternated at a
+# fixed iteration count, ns/op and allocs/op per benchmark. One unpaired
+# `make bench` reading on a shared host says nothing about a change
+# (EXPERIMENTS.md, "What the BENCH files recorded"). BENCHTIME sizes the
+# run to the benchmark: make bench-pair BASE=HEAD~1 PKG=./internal/shard
+# RUN=CrossShardCommit BENCHTIME=2000x.
+bench-pair:
+ifeq ($(and $(BASE),$(PKG),$(RUN)),)
+	$(error bench-pair needs a base, a package and a benchmark pattern: make bench-pair BASE=HEAD~1 PKG=./internal/raft RUN=Persistence [PAIRS=10] [BENCHTIME=1000x])
+endif
+	GO=$(GO) ./scripts/servebench_pairs.sh $(BASE) $(PKG) '$(RUN)' $(PAIRS)
 
 # Re-record the experiment golden artifacts after an intentional
 # output change. Review the diff before committing.

@@ -96,7 +96,7 @@ func main() {
 	before := counters()
 
 	type workerResult struct {
-		latUS []int // latency per successful op, microseconds
+		lat   metrics.Histogram // latency per successful op, microseconds
 		errs  int
 		acked int // Incrs acknowledged
 		lost  int // Incrs that failed: applied or not, unknown
@@ -143,7 +143,7 @@ func main() {
 					r.acked++
 				}
 				done.Add(1)
-				r.latUS = append(r.latUS, int(time.Since(t0).Microseconds()))
+				r.lat.Add(int(time.Since(t0).Microseconds()))
 			}
 		}(w)
 	}
@@ -151,12 +151,11 @@ func main() {
 	<-reported
 	applied := counters() - before
 
-	hist := metrics.NewHistogram()
+	var hist metrics.Histogram
 	var errs, acked, lost int
-	for _, r := range results {
-		for _, l := range r.latUS {
-			hist.Add(l)
-		}
+	for i := range results {
+		r := &results[i]
+		hist.Merge(&r.lat)
 		errs, acked, lost = errs+r.errs, acked+r.acked, lost+r.lost
 	}
 	sum := hist.Snapshot()

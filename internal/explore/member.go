@@ -3,11 +3,14 @@ package explore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 
 	"fortyconsensus/internal/nemesis"
 	"fortyconsensus/internal/raft"
 	"fortyconsensus/internal/runner"
+	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
 )
@@ -24,14 +27,20 @@ import (
 // crash-recovery model does not allow (agreement broke on 3 of 400
 // seeds when the swap was immediate).
 //
+// Every node is hosted the way a live group hosts it: an smr.Replica
+// over a state machine (here a digest of the commands applied), whose
+// Pump restores an installed snapshot before it applies the decisions
+// past it and whose CompactEvery takes the snapshots.
+//
 // On top of the shared log-prefix invariants it checks:
 //
 //   - apply-contiguity: a node's committed slots advance by exactly one,
 //     except across a snapshot install (which jumps to the snapshot
 //     index).
-//   - snapshot-install: an installed snapshot's application state must
-//     be byte-identical to the canonical digest of the committed prefix
-//     it claims to summarize.
+//   - snapshot-install: an installed snapshot must restore, and its
+//     application state must be byte-identical to the state a replica
+//     that applied the committed prefix it claims to summarize would
+//     snapshot.
 //   - config-safety: the member set a snapshot carries must equal the
 //     fold of all committed config entries up to its index.
 //   - compaction-bound: no node's snapshot index may exceed its commit
@@ -55,18 +64,16 @@ type memberEpisode struct {
 	// Canonical committed history, folded in contiguous slot order.
 	cursor  types.Seq            // highest slot folded so far
 	canonFp uint64               // rolling digest of the fold at cursor
-	fpAt    map[types.Seq]uint64 // digest after each folded slot
+	canon   *smr.Executor        // the fold applied: what a replica at cursor holds
+	stateAt map[types.Seq][]byte // canon's snapshot after each folded slot
 	memAt   map[types.Seq]string // member set after each folded slot
 	members []types.NodeID       // member fold at cursor
 
-	applied  []types.Seq // per node: last applied slot (contiguity check)
-	nodeFp   []uint64    // per node: digest of its own applied prefix
 	lastSnap []types.Seq // per node: last seen snapshot index
 
 	pending       []nemesis.Event // membership changes awaiting commitment
 	swapped       bool            // pending[0] is an add whose fresh instance is in
 	installs      int
-	compactions   int
 	expectInstall bool // an add happened after every member had compacted
 	violation     *Violation
 }
@@ -76,15 +83,14 @@ func newRaftMemberEpisode(n int, seed uint64) *Episode {
 	ep := &memberEpisode{
 		c: c, tr: NewLogTracker(n), seed: seed, size: n,
 		canonFp:  fnvOffset,
-		fpAt:     map[types.Seq]uint64{},
+		canon:    smr.NewExecutor(0, &digestSM{fnvOffset}),
+		stateAt:  map[types.Seq][]byte{},
 		memAt:    map[types.Seq]string{},
 		members:  nodeIDs(n),
-		applied:  make([]types.Seq, n),
-		nodeFp:   make([]uint64, n),
 		lastSnap: make([]types.Seq, n),
 	}
-	for i := range ep.nodeFp {
-		ep.nodeFp[i] = fnvOffset
+	for i := range c.Nodes {
+		ep.host(i)
 	}
 	return &Episode{
 		Target: memberTarget{Cluster: c.Cluster, ep: ep},
@@ -115,6 +121,50 @@ func newRaftMemberEpisode(n int, seed uint64) *Episode {
 		},
 		Stats: c.Stats,
 	}
+}
+
+// digestSM is the state machine a raft-member replica hosts: a rolling
+// digest of the commands applied, which is all its snapshot holds.
+type digestSM struct{ fp uint64 }
+
+func (s *digestSM) Apply(cmd types.Value) types.Value {
+	s.fp = fnvMixUint(s.fp, uint64(len(cmd)))
+	for _, b := range cmd {
+		s.fp = fnvMix(s.fp, b)
+	}
+	return nil
+}
+
+func (s *digestSM) Snapshot() []byte { return binary.LittleEndian.AppendUint64(nil, s.fp) }
+
+func (s *digestSM) Restore(snap []byte) error {
+	if len(snap) != 8 {
+		return errors.New("explore: a digest snapshot is 8 bytes")
+	}
+	s.fp = binary.LittleEndian.Uint64(snap)
+	return nil
+}
+
+// watchedNode is the module node i's replica reads: the raft node, with
+// every snapshot it installed checked on its way to the replica.
+type watchedNode struct {
+	*raft.Node
+	ep *memberEpisode
+	i  int
+}
+
+func (w watchedNode) TakeInstalledSnapshot() *snapshot.Snapshot {
+	snap := w.Node.TakeInstalledSnapshot()
+	if snap != nil {
+		w.ep.installs++
+		w.ep.checkInstall(w.i, snap)
+	}
+	return snap
+}
+
+// host puts node i behind a fresh replica over an empty digest.
+func (ep *memberEpisode) host(i int) {
+	ep.c.Reps[i] = smr.NewReplica(types.NodeID(i), watchedNode{ep.c.Nodes[i], ep, i}, &digestSM{fnvOffset})
 }
 
 // memberTarget extends the runner cluster with nemesis.MemberTarget:
@@ -148,9 +198,8 @@ func (ep *memberEpisode) swapIn(id types.NodeID) {
 		Peers: nodeIDs(ep.size), Passive: true, Seed: ep.seed ^ uint64(id)<<32,
 	})
 	ep.c.Set(id, fresh, nil)
+	ep.host(i)
 	ep.tr.Reset(i)
-	ep.applied[i] = 0
-	ep.nodeFp[i] = fnvOffset
 	ep.lastSnap[i] = 0
 	ep.c.Restart(id)
 	// If every surviving member has already compacted, the joiner's
@@ -176,7 +225,7 @@ func (ep *memberEpisode) driveMembership() {
 		return
 	}
 	e := ep.pending[0]
-	inFold := memberIn(ep.members, e.Node)
+	inFold := slices.Contains(ep.members, e.Node)
 	if (e.Op == nemesis.OpAddNode) == inFold {
 		ep.pending = ep.pending[1:]
 		ep.swapped = false
@@ -190,7 +239,7 @@ func (ep *memberEpisode) driveMembership() {
 		if ep.c.Crashed(types.NodeID(i)) || !n.IsLeader() {
 			continue
 		}
-		if memberIn(n.Members(), e.Node) != inFold {
+		if slices.Contains(n.Members(), e.Node) != inFold {
 			return // appended, waiting for commit (or a revert)
 		}
 		op := snapshot.ConfRemove
@@ -202,92 +251,66 @@ func (ep *memberEpisode) driveMembership() {
 	}
 }
 
-// observe drains installs and decisions from every node, folds the
-// canonical history forward, compacts eager nodes, and runs the
-// per-tick invariant checks.
+// observe pumps every node's replica — installs restored, decisions
+// applied — folds the canonical history forward, compacts eager nodes,
+// and runs the per-tick invariant checks.
 func (ep *memberEpisode) observe() {
-	for i, n := range ep.c.Nodes {
-		if snap := n.TakeInstalledSnapshot(); snap != nil {
-			ep.installs++
-			ep.checkInstall(i, snap)
-			ep.applied[i] = snap.LastIndex
-			if fp, ok := ep.fpAt[snap.LastIndex]; ok {
-				ep.nodeFp[i] = fp
-			}
+	for i, rep := range ep.c.Reps {
+		ds, _, err := rep.Pump()
+		if err != nil {
+			ep.violate("snapshot-install", "node %d: %v", i, err)
 		}
-		ds := n.TakeDecisions()
-		for _, d := range ds {
-			if d.Slot != ep.applied[i]+1 && ep.violation == nil {
-				ep.violation = &Violation{
-					Invariant: "apply-contiguity",
-					Detail: fmt.Sprintf("node %d applied slot %d after %d without a snapshot install",
-						i, d.Slot, ep.applied[i]),
-				}
+		// The executor applies a decision only when it is the next slot:
+		// it stands on the last of ds exactly if ds continued, one slot at
+		// a time, from where it stood (after the restore, if there was one).
+		front := rep.Exec().NextSlot() - 1
+		for k, d := range ds {
+			if d.Slot != front-types.Seq(len(ds)-1-k) {
+				ep.violate("apply-contiguity", "node %d decided slot %d out of turn: %d decisions left its replica at slot %d with no snapshot install to explain it",
+					i, d.Slot, len(ds), front)
 			}
-			ep.applied[i] = d.Slot
-			ep.nodeFp[i] = mixDecision(ep.nodeFp[i], d)
 		}
 		ep.tr.Observe(i, ds)
 	}
 	ep.foldCanonical()
 	for i, n := range ep.c.Nodes {
-		if n.CommitFrontier()-n.SnapshotIndex() >= memberCompactLag {
-			var st [8]byte
-			binary.LittleEndian.PutUint64(st[:], ep.nodeFp[i])
-			if n.Compact(n.CommitFrontier(), st[:]) {
-				ep.compactions++
-			}
-		}
+		ep.c.Reps[i].CompactEvery(memberCompactLag)
 		si := n.SnapshotIndex()
-		if ep.violation == nil && (si > n.CommitFrontier() || si < ep.lastSnap[i]) {
-			ep.violation = &Violation{
-				Invariant: "compaction-bound",
-				Detail: fmt.Sprintf("node %d snapshot index %d vs commit %d (was %d)",
-					i, si, n.CommitFrontier(), ep.lastSnap[i]),
-			}
+		if si > n.CommitFrontier() || si < ep.lastSnap[i] {
+			ep.violate("compaction-bound", "node %d snapshot index %d vs commit %d (was %d)",
+				i, si, n.CommitFrontier(), ep.lastSnap[i])
 		}
 		ep.lastSnap[i] = si
+	}
+}
+
+// violate records the episode's first violation.
+func (ep *memberEpisode) violate(invariant, format string, args ...any) {
+	if ep.violation == nil {
+		ep.violation = &Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)}
 	}
 }
 
 // checkInstall verifies an installed snapshot against the canonical
 // committed history at its index.
 func (ep *memberEpisode) checkInstall(node int, snap *snapshot.Snapshot) {
-	if ep.violation != nil {
-		return
-	}
-	fp, ok := ep.fpAt[snap.LastIndex]
+	want, ok := ep.stateAt[snap.LastIndex]
 	if !ok {
-		ep.violation = &Violation{
-			Invariant: "snapshot-install",
-			Detail: fmt.Sprintf("node %d installed a snapshot at %d, beyond the canonical frontier %d",
-				node, snap.LastIndex, ep.cursor),
-		}
-		return
-	}
-	var want [8]byte
-	binary.LittleEndian.PutUint64(want[:], fp)
-	if !bytes.Equal(snap.State, want[:]) {
-		ep.violation = &Violation{
-			Invariant: "snapshot-install",
-			Detail: fmt.Sprintf("node %d: snapshot state at %d is %x, canonical digest is %x",
-				node, snap.LastIndex, snap.State, want),
-		}
-		return
-	}
-	if got := fmt.Sprint(snap.Members); got != ep.memberFoldAt(snap.LastIndex) {
-		ep.violation = &Violation{
-			Invariant: "config-safety",
-			Detail: fmt.Sprintf("node %d: snapshot at %d carries members %s, committed history says %s",
-				node, snap.LastIndex, got, ep.memberFoldAt(snap.LastIndex)),
-		}
+		ep.violate("snapshot-install", "node %d installed a snapshot at %d, beyond the canonical frontier %d",
+			node, snap.LastIndex, ep.cursor)
+	} else if !bytes.Equal(snap.State, want) {
+		ep.violate("snapshot-install", "node %d: snapshot state at %d is %x, the canonical replica's is %x",
+			node, snap.LastIndex, snap.State, want)
+	} else if got := fmt.Sprint(snap.Members); got != ep.memAt[snap.LastIndex] {
+		ep.violate("config-safety", "node %d: snapshot at %d carries members %s, committed history says %s",
+			node, snap.LastIndex, got, ep.memAt[snap.LastIndex])
 	}
 }
 
 // foldCanonical advances the canonical fold over the contiguous prefix
 // of slots some node has committed, folding config entries into the
-// canonical member set and recording per-slot digests for install
-// checks.
+// canonical member set and recording what a replica holds after each
+// slot for install checks.
 func (ep *memberEpisode) foldCanonical() {
 	for {
 		v, ok := ep.tr.canonical[ep.cursor+1]
@@ -295,33 +318,17 @@ func (ep *memberEpisode) foldCanonical() {
 			return
 		}
 		ep.cursor++
-		ep.canonFp = mixDecision(ep.canonFp, types.Decision{Slot: ep.cursor, Val: v})
+		d := types.Decision{Slot: ep.cursor, Val: v}
+		ep.canonFp = mixDecision(ep.canonFp, d)
+		ep.canon.Commit(d)
 		if snapshot.IsConfChange(v) {
 			if cc, err := snapshot.DecodeConfChange(v); err == nil {
 				ep.members = cc.Apply(ep.members)
 			}
 		}
-		ep.fpAt[ep.cursor] = ep.canonFp
+		ep.stateAt[ep.cursor] = ep.canon.SnapshotState()
 		ep.memAt[ep.cursor] = fmt.Sprint(ep.members)
 	}
-}
-
-// memberFoldAt returns the canonical member set after slot (the
-// bootstrap set below the first folded slot).
-func (ep *memberEpisode) memberFoldAt(slot types.Seq) string {
-	if s, ok := ep.memAt[slot]; ok {
-		return s
-	}
-	return fmt.Sprint(nodeIDs(ep.size))
-}
-
-func memberIn(ms []types.NodeID, id types.NodeID) bool {
-	for _, m := range ms {
-		if m == id {
-			return true
-		}
-	}
-	return false
 }
 
 func mixDecision(fp uint64, d types.Decision) uint64 {

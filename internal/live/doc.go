@@ -40,13 +40,13 @@
 //	              redirect following, retry with backoff across nodes,
 //	              per-attempt timeouts, and request pipelining (many
 //	              in-flight requests demultiplexed by request ID).
-//	metrics.go    mutex-guarded per-shard counters and a fixed-size
-//	              log-bucket latency histogram, served as JSON over HTTP.
+//	metrics.go    mutex-guarded per-shard counters and a submit→apply
+//	              metrics.Histogram (fixed-size), served as JSON over HTTP.
 //
 // Who runs a group's turn, and what it may take while it does:
 //
 //	peer conn reader ──Deliver──┐
-//	client conn loop ──Call─────┼─▶ Node.mu ─▶ Step | fn | Tick
+//	client conn loop ──CallWait─┼─▶ Node.mu ─▶ Step | fn | Tick
 //	node ticker ───────Tick─────┘              pump ─▶ send  ─▶ Transport.mu ─▶ peer queue ─▶ writer goroutine
 //	                                           after ─▶ reply ─▶ ClientConn.mu ─▶ conn queue ─▶ writer goroutine
 //

@@ -3,8 +3,6 @@ package live
 import (
 	"encoding/json"
 	"fmt"
-	"math"
-	"math/bits"
 	"net"
 	"net/http"
 	"sync"
@@ -21,7 +19,7 @@ import (
 type ServerMetrics struct {
 	mu         sync.Mutex
 	commits    *metrics.CounterSet // per-shard ops committed and answered here
-	latency    latencyHist         // submit→apply, µs
+	latency    metrics.Histogram   // submit→apply, µs
 	shardNames []string            // commits' counter name per shard, built once
 
 	requests  atomic.Uint64 // client requests received
@@ -50,7 +48,7 @@ func newServerMetrics(shards int) *ServerMetrics {
 func (m *ServerMetrics) observeCommit(shard int, lat time.Duration) {
 	m.mu.Lock()
 	m.commits.Add(m.shardNames[shard], 1)
-	m.latency.add(lat.Microseconds())
+	m.latency.Add(int(lat.Microseconds()))
 	m.mu.Unlock()
 }
 
@@ -69,83 +67,7 @@ func (m *ServerMetrics) Applied() uint64 { return m.applied.Load() }
 func (m *ServerMetrics) LatencySummary() metrics.Summary {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.latency.summary()
-}
-
-// latencyHist counts samples in log-spaced buckets, so a server that
-// runs for days keeps a constant footprint and a scrape costs
-// O(buckets) under the mutex every commit takes. Values below 64 have
-// a bucket each; above, each power of two splits into 2^latSubBits = 32
-// buckets, so a bucket is at most 1/32 ≈ 3.1 % of its lower bound wide
-// and its midpoint is within 1.6 % of any sample in it.
-type latencyHist struct {
-	counts   [latBuckets]uint64
-	n, sum   uint64
-	min, max int64
-}
-
-const (
-	latSubBits = 5
-	latBuckets = (64 - latSubBits) << latSubBits // the last covers up to 2^63-1
-)
-
-// latBucket maps a sample to its bucket, latBucketMid a bucket to its
-// middle value.
-func latBucket(v int64) int {
-	exp := bits.Len64(uint64(v)) - 1 - latSubBits // the octave's shift; negative in the exact range
-	if exp <= 0 {
-		return int(v)
-	}
-	return exp<<latSubBits + int(v>>exp)
-}
-
-func latBucketMid(b int) int64 {
-	exp := b>>latSubBits - 1
-	if exp <= 0 {
-		return int64(b)
-	}
-	lo := int64(b&(1<<latSubBits-1)|1<<latSubBits) << exp
-	return lo + (1<<exp-1)/2
-}
-
-func (h *latencyHist) add(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.counts[latBucket(v)]++
-	h.n++
-	h.sum += uint64(v)
-}
-
-// summary reports the distribution in metrics.Summary's shape: count,
-// mean, min and max are exact, percentiles come from the buckets.
-func (h *latencyHist) summary() metrics.Summary {
-	if h.n == 0 {
-		return metrics.Summary{}
-	}
-	return metrics.Summary{
-		Count: int(h.n), Mean: float64(h.sum) / float64(h.n),
-		Min: int(h.min), P50: h.percentile(50), P90: h.percentile(90), P99: h.percentile(99), Max: int(h.max),
-	}
-}
-
-// percentile returns the midpoint of the bucket holding the sample
-// metrics.Histogram.Percentile would pick, clamped to [min, max].
-func (h *latencyHist) percentile(p float64) int {
-	rank := uint64(math.Ceil(p / 100 * float64(h.n)))
-	seen := uint64(0)
-	for b := range h.counts {
-		if seen += h.counts[b]; seen >= rank {
-			return int(min(max(latBucketMid(b), h.min), h.max))
-		}
-	}
-	return int(h.max)
+	return m.latency.Snapshot()
 }
 
 // snapshot is the JSON shape /metrics serves.
@@ -168,7 +90,7 @@ func (m *ServerMetrics) snapshot(tr *Transport) metricsSnapshot {
 	for _, name := range m.commits.Names() {
 		commits[name] = m.commits.Get(name)
 	}
-	lat := m.latency.summary()
+	lat := m.latency.Snapshot()
 	m.mu.Unlock()
 	return metricsSnapshot{
 		UptimeSec: time.Since(m.started).Seconds(),

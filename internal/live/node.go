@@ -37,7 +37,7 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // turn is the event, then the module's outbox pumped dry, then the
 // after hook. The mutex keeps the simulator's single-threaded module
 // contract, so the protocol needs no locking of its own; all module
-// access from outside goes through Call.
+// access from outside goes through CallWait.
 type Node[M any] struct {
 	mod   Module[M]
 	self  types.NodeID
@@ -70,7 +70,7 @@ func NewNode[M any](mod Module[M], self types.NodeID, dest func(M) types.NodeID,
 }
 
 // Start launches the ticker, the one goroutine a node owns. Deliver
-// and Call work without it; only ticks need Start.
+// and CallWait work without it; only ticks need Start.
 func (n *Node[M]) Start() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -141,19 +141,15 @@ func (n *Node[M]) Deliver(m M) bool {
 	return n.turn(func() { n.mod.Step(m) })
 }
 
-// Call runs fn as one turn on the calling goroutine and returns when it
-// has finished — the only legal way to touch the module from outside.
-// It reports false if the node has stopped (fn did not run). fn must
-// not block and must not call back into this Node.
-func (n *Node[M]) Call(fn func()) bool { return n.turn(fn) }
-
-// CallWait is Call: with no queue between caller and module, every
-// call has finished by the time it returns.
+// CallWait runs fn as one turn on the calling goroutine and returns
+// when it has finished — the only legal way to touch the module from
+// outside. It reports false if the node has stopped (fn did not run).
+// fn must not block and must not call back into this Node.
 func (n *Node[M]) CallWait(fn func()) bool { return n.turn(fn) }
 
 // Close stops the node and returns once no turn is running and the
 // ticker has exited: after it, nothing reaches the module or the hooks,
-// and Deliver/Call report false. Idempotent.
+// and Deliver/CallWait report false. Idempotent.
 func (n *Node[M]) Close() {
 	n.mu.Lock()
 	if !n.stopped {

@@ -114,7 +114,7 @@ func TestNodeSelfRouting(t *testing.T) {
 
 	// Queue a self-addressed outbound message via a call, then verify
 	// pump steps it inline instead of sending it.
-	n.Call(func() { mod.outbox = append(mod.outbox, fakeMsg{to: 0, tag: "loopback"}) })
+	n.CallWait(func() { mod.outbox = append(mod.outbox, fakeMsg{to: 0, tag: "loopback"}) })
 	waitFor(t, 2*time.Second, func() bool {
 		for _, tag := range mod.steppedTags() {
 			if tag == "loopback" {
@@ -162,8 +162,8 @@ func TestNodeCallSemantics(t *testing.T) {
 	if n.Deliver(fakeMsg{}) {
 		t.Fatal("Deliver succeeded after Close")
 	}
-	if n.Call(func() {}) {
-		t.Fatal("Call succeeded after Close")
+	if n.CallWait(func() {}) {
+		t.Fatal("CallWait succeeded after Close")
 	}
 	if n.CallWait(func() {}) {
 		t.Fatal("CallWait succeeded after Close")
@@ -248,7 +248,7 @@ func TestNodeTurnsNeverOverlap(t *testing.T) {
 	wg.Wait()
 	waitFor(t, 2*time.Second, func() bool {
 		ticked := false
-		n.Call(func() { ticked = mod.ticks > 0 })
+		n.CallWait(func() { ticked = mod.ticks > 0 })
 		return ticked
 	})
 	n.Close()
@@ -266,7 +266,7 @@ func TestNodeTurnsNeverOverlap(t *testing.T) {
 // never started: the event, then the outbox pumped dry — a
 // self-addressed message steps within the same turn, and what that
 // step emits is sent — then the after hook exactly once; all of it
-// before Call or Deliver returns.
+// before CallWait or Deliver returns.
 func TestNodeTurnIsSynchronous(t *testing.T) {
 	mod := &fakeModule{}
 	var sent []string
@@ -274,8 +274,8 @@ func TestNodeTurnIsSynchronous(t *testing.T) {
 	n := newFakeNode(mod, func(m fakeMsg) { sent = append(sent, m.tag) }, func() { afters++ })
 	defer n.Close()
 
-	if !n.Call(func() { mod.outbox = append(mod.outbox, fakeMsg{to: 0, tag: "echo"}) }) {
-		t.Fatal("Call before Start refused")
+	if !n.CallWait(func() { mod.outbox = append(mod.outbox, fakeMsg{to: 0, tag: "echo"}) }) {
+		t.Fatal("CallWait before Start refused")
 	}
 	if got := mod.steppedTags(); len(got) != 1 || got[0] != "echo" {
 		t.Fatalf("stepped %v inside the turn, want [echo]", got)

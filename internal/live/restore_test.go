@@ -49,7 +49,7 @@ func TestRestoreFailureIsCountedAndRefusesClients(t *testing.T) {
 	defer g.close()
 
 	for i := 0; i < 3; i++ {
-		g.node.Call(func() {}) // a turn: the after hook pumps the replica
+		g.node.CallWait(func() {}) // a turn: the after hook pumps the replica
 	}
 	if got := s.met.snapshot(s.tr).RestoreFailed; got != 1 {
 		t.Fatalf("restore_failed = %d after one failed restore, want 1", got)

@@ -360,7 +360,7 @@ func (g *smrGroup[M]) deliver(payload []byte) {
 // submit runs the leadership check and submission as one turn, on the
 // client connection's goroutine.
 func (g *smrGroup[M]) submit(cc *ClientConn, req Request) {
-	ok := g.node.Call(func() {
+	ok := g.node.CallWait(func() {
 		if g.restoreFailed {
 			cc.Send(Response{ReqID: req.ReqID, Status: StatusUnavailable, Leader: -1})
 			return

@@ -7,17 +7,52 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"strings"
 
 	"fortyconsensus/internal/det"
 )
 
-// Histogram accumulates integer samples (latencies in ticks, message
-// counts per operation) and reports order statistics.
+// Histogram accumulates integer samples (latencies in ticks or
+// microseconds, message counts per operation) in fixed log-spaced
+// buckets: Add allocates nothing and the value's footprint never
+// grows, so the simulator, a server that runs for days and the load
+// generator all keep the same type. Count, Sum, Mean, Min and Max are
+// exact. Percentiles are exact for samples below 2·histSub = 128, which
+// have a bucket each; above that each power of two splits into
+// histSub = 64 buckets, a percentile is reported as its bucket's
+// midpoint (clamped to [Min, Max]) and is within 1/128 ≈ 0.8 % of the
+// sample a sorted slice would have picked. Negative samples count as 0.
+// The zero value is an empty histogram.
 type Histogram struct {
-	samples []int
-	sorted  bool
+	counts   [histBuckets]uint64
+	n, sum   uint64
+	min, max int
+}
+
+const (
+	histSubBits = 6
+	histSub     = 1 << histSubBits
+	histBuckets = (64 - histSubBits) << histSubBits // the last covers up to 2^63-1
+)
+
+// bucketOf maps a sample to its bucket, bucketMid a bucket to its
+// middle value.
+func bucketOf(v int) int {
+	exp := bits.Len64(uint64(v)) - 1 - histSubBits // the octave's shift; not positive in the exact range
+	if exp <= 0 {
+		return v
+	}
+	return exp<<histSubBits + v>>exp
+}
+
+func bucketMid(b int) int {
+	exp := b>>histSubBits - 1
+	if exp <= 0 {
+		return b
+	}
+	lo := (b&(histSub-1) | histSub) << exp
+	return lo + (1<<exp-1)/2
 }
 
 // NewHistogram returns an empty histogram.
@@ -25,71 +60,72 @@ func NewHistogram() *Histogram { return &Histogram{} }
 
 // Add records one sample.
 func (h *Histogram) Add(v int) {
-	h.samples = append(h.samples, v)
-	h.sorted = false
+	if v < 0 {
+		v = 0
+	}
+	if h.n == 0 || v < h.min {
+		h.min = v
+	}
+	if v > h.max {
+		h.max = v
+	}
+	h.counts[bucketOf(v)]++
+	h.n++
+	h.sum += uint64(v)
+}
+
+// Merge adds every sample o holds, as if each had been Added to h.
+func (h *Histogram) Merge(o *Histogram) {
+	if o.n == 0 {
+		return
+	}
+	if h.n == 0 || o.min < h.min {
+		h.min = o.min
+	}
+	h.max = max(h.max, o.max)
+	for b := range o.counts {
+		h.counts[b] += o.counts[b]
+	}
+	h.n += o.n
+	h.sum += o.sum
 }
 
 // Count returns the number of samples.
-func (h *Histogram) Count() int { return len(h.samples) }
+func (h *Histogram) Count() int { return int(h.n) }
 
 // Sum returns the total of all samples.
-func (h *Histogram) Sum() int {
-	s := 0
-	for _, v := range h.samples {
-		s += v
-	}
-	return s
-}
+func (h *Histogram) Sum() int { return int(h.sum) }
 
 // Mean returns the arithmetic mean, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	return float64(h.Sum()) / float64(len(h.samples))
+	return float64(h.sum) / float64(h.n)
 }
 
-func (h *Histogram) sort() {
-	if !h.sorted {
-		sort.Ints(h.samples)
-		h.sorted = true
-	}
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100), or 0 with no
-// samples.
+// Percentile returns the p-th percentile (0 < p <= 100) — the sample of
+// rank ⌈p/100·n⌉, to the bucket precision the type's comment states —
+// or 0 with no samples.
 func (h *Histogram) Percentile(p float64) int {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	h.sort()
-	idx := int(math.Ceil(p/100*float64(len(h.samples)))) - 1
-	if idx < 0 {
-		idx = 0
+	rank := max(1, uint64(math.Ceil(p/100*float64(h.n))))
+	seen := uint64(0)
+	for b := range h.counts {
+		if seen += h.counts[b]; seen >= rank {
+			return min(max(bucketMid(b), h.min), h.max)
+		}
 	}
-	if idx >= len(h.samples) {
-		idx = len(h.samples) - 1
-	}
-	return h.samples[idx]
+	return h.max
 }
 
 // Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() int {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sort()
-	return h.samples[0]
-}
+func (h *Histogram) Min() int { return h.min }
 
 // Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() int {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sort()
-	return h.samples[len(h.samples)-1]
-}
+func (h *Histogram) Max() int { return h.max }
 
 // Summary renders "mean/p50/p99 (n)" for table cells.
 func (h *Histogram) Summary() string {

@@ -1,8 +1,12 @@
 package metrics
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestHistogramSnapshot(t *testing.T) {
@@ -109,5 +113,102 @@ func TestTrimFloat(t *testing.T) {
 	}
 	if trimFloat(3.14159) != "3.142" {
 		t.Fatalf("trimFloat pi = %q", trimFloat(3.14159))
+	}
+}
+
+// Bucket numbers follow sample order across the whole int64 range,
+// samples below 128 have a bucket to themselves, and every other sample
+// lands in a bucket whose midpoint is within 1/128 of it.
+func TestLatencyBucketsAreLogSpaced(t *testing.T) {
+	prev := -1
+	for _, v := range []int{0, 1, 31, 32, 63, 64, 65, 87, 127, 128, 129, 255, 256, 1000, 1023, 1024, 99_999, 1 << 20, 1<<40 + 12345, math.MaxInt64} {
+		b := bucketOf(v)
+		if b < prev || b >= histBuckets {
+			t.Fatalf("bucketOf(%d) = %d after %d; buckets must not descend or leave [0, %d)", v, b, prev, histBuckets)
+		}
+		prev = b
+		mid := bucketMid(b)
+		if v < 2*histSub && mid != v {
+			t.Fatalf("sample %d is in the exact range but its bucket %d reports %d", v, b, mid)
+		}
+		if math.Abs(float64(mid-v)) > float64(v)/128 {
+			t.Fatalf("sample %d sits in bucket %d with midpoint %d: more than 1/128 off", v, b, mid)
+		}
+	}
+	for v := 1; v < 1<<16; v++ {
+		if bucketOf(v) < bucketOf(v-1) || bucketOf(bucketMid(bucketOf(v))) != bucketOf(v) {
+			t.Fatalf("bucketOf descends at %d, or bucket %d's midpoint lies outside it", v, bucketOf(v))
+		}
+	}
+}
+
+// exactSnapshot is what the sample-keeping histogram this type replaced
+// reported: order statistics of the sorted samples, rank ⌈p/100·n⌉.
+func exactSnapshot(samples []int) Summary {
+	s := append([]int(nil), samples...)
+	sort.Ints(s)
+	sum := 0
+	for _, v := range s {
+		sum += v
+	}
+	at := func(p float64) int { return s[int(math.Ceil(p/100*float64(len(s))))-1] }
+	return Summary{Count: len(s), Mean: float64(sum) / float64(len(s)), Min: s[0], P50: at(50), P90: at(90), P99: at(99), Max: s[len(s)-1]}
+}
+
+// A million observations leave the histogram's footprint where it
+// started — no allocation per sample, a fixed-size value — and its
+// percentiles stay within the bucket error of the exact ones; two
+// histograms merged report what one fed both streams reports.
+func TestLatencyHistConstantFootprintAndAccuracy(t *testing.T) {
+	var whole, even, odd Histogram
+	samples := make([]int, 1_000_000)
+	rng := rand.New(rand.NewSource(1))
+	for i := range samples {
+		// Log-normal around 60 µs with a long tail, like submit→apply.
+		samples[i] = int(60 * math.Exp(rng.NormFloat64()))
+		whole.Add(samples[i])
+		if i%2 == 0 {
+			even.Add(samples[i])
+		} else {
+			odd.Add(samples[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { odd.Add(75) }); allocs != 0 {
+		t.Fatalf("Add allocates %.1f times per sample", allocs)
+	}
+	for i := 0; i < 1001; i++ { // AllocsPerRun calls the function once more than it counts
+		samples = append(samples, 75)
+		whole.Add(75)
+	}
+	if size := unsafe.Sizeof(whole); size > 32<<10 {
+		t.Fatalf("Histogram is %d bytes; it must stay a small fixed-size value", size)
+	}
+	got, want := whole.Snapshot(), exactSnapshot(samples)
+	if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max || math.Abs(got.Mean-want.Mean) > 1e-6 {
+		t.Fatalf("count, mean, min and max are exact: got %+v, want %+v", got, want)
+	}
+	for _, p := range []struct {
+		name      string
+		got, want int
+	}{{"p50", got.P50, want.P50}, {"p90", got.P90, want.P90}, {"p99", got.P99, want.P99}} {
+		if p.want < 2*histSub && p.got != p.want {
+			t.Errorf("%s = %d, exact %d: percentiles below %d are exact", p.name, p.got, p.want, 2*histSub)
+		}
+		if off := math.Abs(float64(p.got-p.want)) / float64(p.want); off > 1.0/128 {
+			t.Errorf("%s = %d, exact %d: %.2f%% off, bucket error is 0.8%%", p.name, p.got, p.want, 100*off)
+		}
+	}
+	even.Merge(&odd)
+	if even != whole {
+		t.Errorf("Merge(even, odd) = %+v, one histogram fed both streams = %+v", even.Snapshot(), got)
+	}
+	var empty Histogram
+	empty.Merge(&Histogram{})
+	if empty.Snapshot() != (Summary{}) {
+		t.Error("an empty histogram must summarize to zeros")
+	}
+	empty.Merge(&whole)
+	if empty != whole {
+		t.Error("merging into an empty histogram must copy the other")
 	}
 }

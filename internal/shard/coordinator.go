@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"cmp"
+	"slices"
+
 	"fortyconsensus/internal/commit"
 	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/kvstore"
@@ -86,7 +89,8 @@ type Coordinator struct {
 	client  types.ClientID // base of this coordinator's session range
 	seq     uint64
 	pending map[uint64]*pendingReq
-	txns    map[commit.TxID]*coordTxn
+	txns    map[commit.TxID]*coordTxn // every transaction ever driven: Knows
+	open    []*coordTxn               // the unfinished ones, ascending TxID: what Tick walks
 
 	submit     func(shard int, req types.Value) bool
 	retryEvery int
@@ -140,6 +144,8 @@ func (co *Coordinator) Begin(tx commit.TxID, cmds map[int][]kvstore.Command, now
 		begunAt: now,
 	}
 	co.txns[tx] = t
+	at, _ := co.openIndex(tx)
+	co.open = slices.Insert(co.open, at, t)
 	if len(shards) == 1 {
 		t.phase = phApplying
 		co.send(pApply, tx, shards[0], Apply(tx, cmds[shards[0]]), now)
@@ -309,8 +315,16 @@ func (co *Coordinator) onFinished(p *pendingReq, t *coordTxn, res types.Value, n
 	}
 }
 
+// openIndex finds tx's place in co.open.
+func (co *Coordinator) openIndex(tx commit.TxID) (int, bool) {
+	return slices.BinarySearchFunc(co.open, tx, func(t *coordTxn, tx commit.TxID) int { return cmp.Compare(t.tx, tx) })
+}
+
 func (co *Coordinator) finish(t *coordTxn, o commit.Outcome, now int) {
 	t.phase = phDone
+	if at, ok := co.openIndex(t.tx); ok {
+		co.open = slices.Delete(co.open, at, at+1)
+	}
 	co.done = append(co.done, TxnResult{
 		Tx: t.tx, Shards: t.shards, Outcome: o, BegunAt: t.begunAt, DoneAt: now,
 	})
@@ -332,8 +346,7 @@ func (co *Coordinator) Tick(now int) {
 	if co.unsafe {
 		return
 	}
-	for _, tx := range det.SortedKeys(co.txns) {
-		t := co.txns[tx]
+	for _, t := range co.open {
 		if t.phase == phPreparing && now-t.begunAt >= co.voteWait {
 			t.intent = commit.Aborted
 			co.decide(t, now)
@@ -352,15 +365,4 @@ func (co *Coordinator) TakeCompleted() []TxnResult {
 func (co *Coordinator) Knows(tx commit.TxID) bool {
 	_, ok := co.txns[tx]
 	return ok
-}
-
-// Unresolved counts transactions not yet finished.
-func (co *Coordinator) Unresolved() int {
-	n := 0
-	for _, t := range co.txns {
-		if t.phase != phDone {
-			n++
-		}
-	}
-	return n
 }

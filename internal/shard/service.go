@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"fortyconsensus/internal/commit"
 	"fortyconsensus/internal/det"
@@ -120,10 +121,10 @@ type Service struct {
 	coords [2]*Coordinator
 	down   [2]bool
 
-	now     int
-	nextTx  commit.TxID
-	txns    map[commit.TxID]*txnRecord
-	txOrder []commit.TxID
+	now    int
+	nextTx commit.TxID
+	txns   map[commit.TxID]*txnRecord
+	txOpen []commit.TxID // the unfinished ones, oldest first
 
 	kvSeq       uint64
 	kvPending   map[uint64]*pendingKV
@@ -214,7 +215,7 @@ func (s *Service) SubmitPerShard(perShard map[int][]kvstore.Command) commit.TxID
 	s.nextTx++
 	tx := s.nextTx
 	s.txns[tx] = &txnRecord{cmds: perShard, begunAt: s.now}
-	s.txOrder = append(s.txOrder, tx)
+	s.txOpen = append(s.txOpen, tx)
 	s.metrics.Begun++
 	if !s.down[0] {
 		s.coords[0].Begin(tx, perShard, s.now)
@@ -267,25 +268,15 @@ func (s *Service) TakeDecisions(shard int) [][]types.Decision {
 }
 
 // Unresolved counts transactions submitted but not yet finished.
-func (s *Service) Unresolved() int {
-	n := 0
-	for _, tx := range s.txOrder {
-		if !s.txns[tx].done {
-			n++
-		}
-	}
-	return n
-}
+func (s *Service) Unresolved() int { return len(s.txOpen) }
 
 // OldestUnresolvedAge returns the age in ticks of the oldest unfinished
 // transaction (0 if none).
 func (s *Service) OldestUnresolvedAge() int {
-	for _, tx := range s.txOrder {
-		if !s.txns[tx].done {
-			return s.now - s.txns[tx].begunAt
-		}
+	if len(s.txOpen) == 0 {
+		return 0
 	}
-	return 0
+	return s.now - s.txns[s.txOpen[0]].begunAt
 }
 
 // Step advances the whole service one tick: coordinators fire timeouts
@@ -370,11 +361,8 @@ func (s *Service) markSeen(r types.Reply) bool {
 // crashed. Both paths are idempotent, and the home-shard decision latch
 // makes concurrent drivers converge.
 func (s *Service) adoptOverdue() {
-	for _, tx := range s.txOrder {
+	for _, tx := range s.txOpen {
 		rec := s.txns[tx]
-		if rec.done {
-			continue
-		}
 		if !s.down[0] && !s.coords[0].Knows(tx) {
 			s.coords[0].Begin(tx, rec.cmds, s.now)
 		}
@@ -398,6 +386,9 @@ func (s *Service) collectCompletions() {
 			}
 			rec.done = true
 			rec.outcome = res.Outcome
+			if at, ok := slices.BinarySearch(s.txOpen, res.Tx); ok {
+				s.txOpen = slices.Delete(s.txOpen, at, at+1)
+			}
 			s.metrics.Done++
 			if len(res.Shards) > 1 {
 				s.metrics.Cross++

@@ -28,6 +28,11 @@
 #                   how a CHANGES.md entry quotes an older commit's drift
 #                   (one from before `sessions`/`snap_bytes` existed
 #                   fails those two checks by construction)
+#
+# The source trees of other revisions under .bench_build/ (this script's
+# and servebench_pairs.sh's) are deleted: they are full copies of old
+# source that `grep -r` over the checkout would walk into. Run one
+# invocation of either script at a time.
 set -u
 
 SECS="${SOAK_SECONDS:-120}"
@@ -53,9 +58,12 @@ SRC="$ROOT"
 if [ -n "$REV" ]; then
     SHA="$(git -C "$ROOT" rev-parse --verify "$REV^{commit}")" || die "unknown revision $REV"
     SRC="$ROOT/.bench_build/soak/$SHA"
-    if [ ! -d "$SRC" ]; then
-        mkdir -p "$SRC" && git -C "$ROOT" archive "$SHA" | tar -x -C "$SRC" || die "git archive $SHA"
-    fi
+fi
+for tree in "$ROOT"/.bench_build/soak/* "$ROOT"/.bench_build/pairs/base-*; do
+    [ "$tree" = "$SRC" ] || rm -rf "$tree"
+done
+if [ ! -d "$SRC" ]; then
+    mkdir -p "$SRC" && git -C "$ROOT" archive "$SHA" | tar -x -C "$SRC" || die "git archive $SHA"
 fi
 echo "soak: building CLIs from $SRC"
 (cd "$SRC" && go build -o "$DIR" ./cmd/consensus-serve ./cmd/consensus-load ./cmd/consensus-admin) \
