@@ -20,7 +20,7 @@ SHARD_PKGS := ./internal/shard/... ./internal/explore ./internal/workload
 # live.Node's cost per event.
 BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/shard ./internal/explore ./internal/live
 
-.PHONY: all build test test-race bench bench-pairs bench-pair golden lint explore examples fuzz ci cover serve-smoke soak
+.PHONY: all build test test-race bench bench-pairs bench-pair golden lint explore examples fuzz ci cover serve-smoke soak loc
 
 all: build test
 
@@ -140,6 +140,11 @@ soak:
 cover:
 	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/... ./...
 	$(GO) tool cover -func=coverage.out | tail -1
+
+# The size figure ROADMAP.md and CHANGES.md quote: lines of tracked
+# non-test Go outside the benchmark's own directory.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^cmd/servebench' | xargs cat | wc -l
 
 # Micro-benchmarks for the simulation and protocol hot paths (runner
 # event loop, SHA256d mining substrate, PoW mining loop, raft leader

@@ -5,41 +5,22 @@
 //	consensus-bench            # run every experiment
 //	consensus-bench t1 f7      # run selected experiments by ID
 //	consensus-bench -list      # list experiment IDs
-//	consensus-bench -json      # machine-readable per-experiment metrics
-//
-// With -json, each experiment is run sequentially and reported as one
-// JSON object per line: its ID, caption, wall-clock milliseconds, the
-// message-complexity counters the simulation runners accumulated while
-// it ran, and the rendered artifact.
 //
 // Experiment IDs and their mapping to the paper's artifacts are indexed
 // in EXPERIMENTS.md.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"fortyconsensus/internal/experiments"
-	"fortyconsensus/internal/runner"
 )
-
-// report is one experiment's -json record.
-type report struct {
-	ID       string       `json:"id"`
-	Caption  string       `json:"caption"`
-	WallMS   float64      `json:"wallMillis"`
-	Stats    runner.Stats `json:"stats"`
-	Artifact string       `json:"artifact"`
-}
 
 func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	asJSON := flag.Bool("json", false, "emit one JSON object per experiment with wall-clock and message stats")
 	flag.Parse()
 
 	if *list {
@@ -52,27 +33,14 @@ func main() {
 		ids = experiments.IDs()
 	}
 	exit := 0
-	enc := json.NewEncoder(os.Stdout)
 	for _, id := range ids {
-		before := runner.GlobalStats()
-		start := time.Now()
 		r, err := experiments.Run(id)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			exit = 1
 			continue
 		}
-		if *asJSON {
-			enc.Encode(report{
-				ID:       r.ID,
-				Caption:  r.Caption,
-				WallMS:   float64(time.Since(start).Microseconds()) / 1000,
-				Stats:    runner.GlobalStats().Sub(before),
-				Artifact: r.Artifact,
-			})
-		} else {
-			fmt.Printf("=== %s — %s ===\n%s\n", r.ID, r.Caption, r.Artifact)
-		}
+		fmt.Printf("=== %s — %s ===\n%s\n", r.ID, r.Caption, r.Artifact)
 	}
 	os.Exit(exit)
 }

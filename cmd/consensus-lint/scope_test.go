@@ -31,7 +31,6 @@ var protocolPackages = []string{
 	"internal/snapshot",
 	"internal/trustedhw",
 	"internal/types",
-	"internal/upright",
 	"internal/wire",
 	"internal/xft",
 	"internal/zyzzyva",

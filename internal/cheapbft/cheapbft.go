@@ -202,7 +202,6 @@ type Replica struct {
 	histApplied bool
 	switchSince int
 	quietSince  int
-	switches    int
 
 	out []Message
 }
@@ -264,9 +263,6 @@ func (r *Replica) Mode() Mode { return r.mode }
 
 // Epoch returns the protocol-instance number.
 func (r *Replica) Epoch() uint64 { return r.epoch }
-
-// Switches returns how many protocol switches this replica performed.
-func (r *Replica) Switches() int { return r.switches }
 
 // ExecutedFrontier returns the contiguous executed slot frontier.
 func (r *Replica) ExecutedFrontier() types.Seq { return r.exec }
@@ -555,7 +551,6 @@ func (r *Replica) beginSwitch() {
 		return
 	}
 	r.mode = ModeSwitching
-	r.switches++
 	r.switchVote = quorum.NewTally(r.cfg.F) // f matching SWITCH messages stabilize
 	r.histEpoch = r.epoch + 1
 	r.histApplied = false
@@ -736,7 +731,6 @@ func (r *Replica) doSwitchBack() {
 	r.mode = ModeCheapTiny
 	r.quietSince = r.now
 	r.panicked = false
-	r.switches++
 }
 
 // Drain returns pending outbound messages.

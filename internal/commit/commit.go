@@ -229,13 +229,6 @@ func (c *Coordinator) send(m Message) {
 	c.out = append(c.out, m)
 }
 
-// Finished drains completed transactions.
-func (c *Coordinator) Finished() []*Txn {
-	f := c.finished
-	c.finished = nil
-	return f
-}
-
 // Step consumes one delivered message.
 func (c *Coordinator) Step(m Message) {
 	ct, ok := c.txns[m.Tx]

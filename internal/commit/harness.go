@@ -37,9 +37,6 @@ func NewCluster(cohorts int, fabric *simnet.Fabric, proto Protocol, vote Voter, 
 	return c
 }
 
-// OutcomeAt reports cohort i's (0-based) view of tx.
-func (c *Cluster) OutcomeAt(i int, tx TxID) Outcome { return c.Cohorts[i].Outcome(tx) }
-
 // Outcomes returns every cohort's view of tx, indexed by cohort
 // position.
 func (c *Cluster) Outcomes(tx TxID) []Outcome {

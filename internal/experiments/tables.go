@@ -19,7 +19,6 @@ import (
 	"fortyconsensus/internal/seemore"
 	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/types"
-	"fortyconsensus/internal/upright"
 	"fortyconsensus/internal/xft"
 	"fortyconsensus/internal/zyzzyva"
 )
@@ -153,16 +152,10 @@ func T1Characterization() Result {
 				func() bool { return reps[0].ExecutedFrontier() >= 1 })
 		}},
 		{"upright", 6, func() (int, int) {
-			cfg := upright.Config{M: 1, C: 1}
-			rc := runner.New(runner.Config[upright.Message]{Dest: upright.Dest, Src: upright.Src, Kind: upright.Kind})
-			reps := make([]*upright.Replica, cfg.N())
-			for i := range reps {
-				reps[i] = upright.NewReplica(types.NodeID(i), cfg)
-				rc.Add(types.NodeID(i), reps[i])
-			}
-			return measure(rc, 0,
-				func() { rc.Inject(upright.Message{Kind: upright.MsgRequest, From: -1, To: 0, Req: req(1)}) },
-				func() bool { return reps[0].ExecutedFrontier() >= 1 })
+			c := pbft.NewCluster(1, nil, pbft.Config{C: 1}, nil)
+			return measure(c.Cluster, 0,
+				func() { c.Submit(0, req(1)) },
+				func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 })
 		}},
 		{"seemore", 6, func() (int, int) {
 			cfg := seemore.Config{M: 1, C: 1, Mode: seemore.Mode1TrustedCentralized}
@@ -301,22 +294,17 @@ func T4HybridQuorums() Result {
 		h := quorum.Hybrid{M: m, C: c}
 		committed := "yes"
 		{
-			cfg := upright.Config{M: m, C: c}
-			rc := runner.New(runner.Config[upright.Message]{Dest: upright.Dest, Src: upright.Src, Kind: upright.Kind})
-			reps := make([]*upright.Replica, cfg.N())
-			for i := 0; i < cfg.N(); i++ {
-				reps[i] = upright.NewReplica(types.NodeID(i), cfg)
-				rc.Add(types.NodeID(i), reps[i])
-			}
+			cl := pbft.NewCluster(m, nil, pbft.Config{C: c}, nil)
+			n := len(cl.Nodes)
 			// Crash the last c replicas; mute m more as byzantine-silent.
 			for i := 0; i < c; i++ {
-				rc.Crash(types.NodeID(cfg.N() - 1 - i))
+				cl.Crash(types.NodeID(n - 1 - i))
 			}
 			for i := 0; i < m; i++ {
-				rc.Intercept(types.NodeID(cfg.N()-1-c-i), func(msg upright.Message) []upright.Message { return nil })
+				cl.Intercept(types.NodeID(n-1-c-i), func(pbft.Message) []pbft.Message { return nil })
 			}
-			rc.Inject(upright.Message{Kind: upright.MsgRequest, From: -1, To: 0, Req: req(1)})
-			ok := rc.RunUntil(func() bool { return reps[0].ExecutedFrontier() >= 1 }, 2000)
+			cl.Submit(0, req(1))
+			ok := cl.RunUntil(func() bool { return cl.Nodes[0].ExecutedFrontier() >= 1 }, 2000)
 			if !ok {
 				committed = "NO"
 			}

@@ -174,7 +174,7 @@ func (c Campaign) merge(res *CampaignResult, seed uint64, o *episodeOut) {
 		}
 		row[o.res.Outcome]++
 	}
-	addStats(&res.Exposure, o.res.Stats)
+	res.Exposure.Add(o.res.Stats)
 	if c.Log != nil {
 		c.Log("seed %d: %s (faults %d, hash %s)", seed, o.res.Outcome, o.sched.FaultCount(), o.res.Hash)
 	}
@@ -205,20 +205,4 @@ func (c Campaign) generate(seed uint64, members []types.NodeID, horizon int) nem
 		Classes: c.Classes,
 		MaxDown: c.MaxDown,
 	})
-}
-
-// addStats accumulates b into dst in place — the campaign-lifetime
-// aggregate allocates nothing per episode. ByKind is deliberately not
-// merged: Exposure reports fault and message totals only, as it always
-// has.
-func addStats(dst *runner.Stats, b runner.Stats) {
-	dst.Sent += b.Sent
-	dst.Delivered += b.Delivered
-	dst.Dropped += b.Dropped
-	dst.Ticks += b.Ticks
-	dst.Crashes += b.Crashes
-	dst.Restarts += b.Restarts
-	dst.Partitions += b.Partitions
-	dst.Heals += b.Heals
-	dst.CutLinks += b.CutLinks
 }

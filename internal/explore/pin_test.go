@@ -32,6 +32,7 @@ var pinnedHashes = map[string][]string{
 	"raft":        {"cae9a32b6852eba2334e42733209cbb7", "c58688ce9542c10c44a40996084c343c", "51209c94287e70a82151ccbcd6113c8c"},
 	"raft-member": {"98bf36a80f2f77e9171ec4db651046d5", "20da887edacac5e5f1b3d627277c8b1f", "c31f563cbd991e59928a07517d22f197"},
 	"shard":       {"ed530aa4bdf0eb4909ff8820edfe64b0", "15e399ca538acb852b6812ec3dfbbda8", "2051ff391a89fc856d9200f9c3c55752"},
+	"upright":     {"75d2c0b713a9a4ef7757e6487fde346c", "8c76cd9d1b1a24b5685168b3ef40f015", "ee5348e9a1e5909d4d09589be5f2bf40"},
 }
 
 // pinClasses is the fault mix a protocol's pin runs under: the default

@@ -27,6 +27,7 @@ func init() {
 	Register(Protocol{Name: "multipaxos", Nodes: 5, MinNodes: 3, Horizon: 600, New: newMultiPaxosEpisode})
 	Register(Protocol{Name: "flexpaxos", Nodes: 5, MinNodes: 3, Horizon: 600, New: newFlexPaxosEpisode})
 	Register(Protocol{Name: "pbft", Nodes: 4, MinNodes: 4, Horizon: 400, New: newPBFTEpisode})
+	Register(Protocol{Name: "upright", Nodes: 6, MinNodes: 6, Horizon: 400, New: newUpRightEpisode})
 	Register(Protocol{Name: "hotstuff", Nodes: 4, MinNodes: 4, Horizon: 400, New: newHotStuffEpisode})
 	Register(Protocol{Name: "2pc", Nodes: 4, MinNodes: 3, Horizon: 600, New: newCommitEpisode(commit.TwoPC)})
 	Register(Protocol{Name: "3pc", Nodes: 4, MinNodes: 3, Horizon: 600, New: newCommitEpisode(commit.ThreePC)})
@@ -104,7 +105,7 @@ func newPaxosEpisode(n int, seed uint64) *Episode {
 	}
 }
 
-// --- log-committing SMR: Raft, Multi-Paxos, Flexible Paxos, PBFT, HotStuff ---
+// --- log-committing SMR: Raft, Multi-Paxos, Flexible Paxos, PBFT, UpRight, HotStuff ---
 
 // smrEpisode is the episode every log-committing protocol runs: on its
 // cadence submit hands the cluster one command, cmd(now), its own way,
@@ -171,7 +172,17 @@ func bftFaults(n int) int {
 }
 
 func newPBFTEpisode(n int, seed uint64) *Episode {
-	c := pbft.NewCluster(bftFaults(n), campaignFabric(seed), pbft.Config{}, nil)
+	return pbftEpisode(bftFaults(n), 0, seed)
+}
+
+// newUpRightEpisode is PBFT at one byzantine plus one crash fault: six
+// replicas whatever n says (MinNodes pins the shrinker to the same six).
+func newUpRightEpisode(_ int, seed uint64) *Episode {
+	return pbftEpisode(1, 1, seed)
+}
+
+func pbftEpisode(f, crash int, seed uint64) *Episode {
+	c := pbft.NewCluster(f, campaignFabric(seed), pbft.Config{C: crash}, nil)
 	size := len(c.Nodes)
 	return smrEpisode(c.SMRCluster, bftCadence, func(now int) {
 		// Rotate the entry replica; backups flood requests to the

@@ -449,6 +449,7 @@ func (g *smrGroup[M]) status() (GroupStatus, bool) {
 			Digest:   kvDigest(g.store.KV().Snapshot()),
 
 			Sessions:  g.rep.Exec().Sessions(),
+			SnapIndex: uint64(g.rep.SnapshotIndex()),
 			SnapBytes: g.rep.SnapshotBytes(),
 
 			RestoreFailed: g.restoreFailed,
@@ -457,12 +458,6 @@ func (g *smrGroup[M]) status() (GroupStatus, bool) {
 			for _, m := range mod.Members() {
 				st.Members = append(st.Members, int64(m))
 			}
-		}
-		switch mod := any(g.mod).(type) {
-		case interface{ SnapshotIndex() types.Seq }: // raft
-			st.SnapIndex = uint64(mod.SnapshotIndex())
-		case interface{ CompactFrontier() types.Seq }: // multipaxos
-			st.SnapIndex = uint64(mod.CompactFrontier())
 		}
 	})
 	return st, ok

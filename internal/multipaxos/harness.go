@@ -7,6 +7,10 @@ import (
 	"fortyconsensus/internal/types"
 )
 
+// smr.Replica finds the compaction surface by type assertion: a Node
+// that fell short of it would silently never compact.
+var _ smr.Compactor = (*Node)(nil)
+
 // Cluster is the simulated SMR cluster over Multi-Paxos nodes.
 type Cluster struct {
 	*runner.SMRCluster[Message, *Node]

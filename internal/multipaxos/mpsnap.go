@@ -81,8 +81,8 @@ func (n *Node) Members() []types.NodeID {
 	return append([]types.NodeID(nil), n.latestMembers()...)
 }
 
-// CompactFrontier returns the highest compacted slot (0 = dense log).
-func (n *Node) CompactFrontier() types.Seq { return n.compactSeq }
+// SnapshotIndex returns the highest compacted slot (0 = dense log).
+func (n *Node) SnapshotIndex() types.Seq { return n.compactSeq }
 
 // TakeInstalledSnapshot drains the most recently installed snapshot so
 // the host can restore its executor before consuming further decisions.

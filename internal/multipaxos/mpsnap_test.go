@@ -52,8 +52,8 @@ func testCompactAndStateTransferCatchUp(t *testing.T, cfg Config) {
 		if !c.Reps[i].Compact() {
 			t.Fatalf("node %v: compact refused", n.id)
 		}
-		if upTo := c.Reps[i].Exec().NextSlot() - 1; n.CompactFrontier() != upTo {
-			t.Fatalf("node %v: compact frontier %d, want %d", n.id, n.CompactFrontier(), upTo)
+		if upTo := c.Reps[i].Exec().NextSlot() - 1; n.SnapshotIndex() != upTo {
+			t.Fatalf("node %v: compact frontier %d, want %d", n.id, n.SnapshotIndex(), upTo)
 		}
 	}
 	// Two replicas compacted at the same frontier hold identical bytes.
@@ -71,7 +71,7 @@ func testCompactAndStateTransferCatchUp(t *testing.T, cfg Config) {
 	if straggler.CommitFrontier() != lead.CommitFrontier() {
 		t.Fatalf("straggler commit %d, leader %d", straggler.CommitFrontier(), lead.CommitFrontier())
 	}
-	if straggler.CompactFrontier() == 0 {
+	if straggler.SnapshotIndex() == 0 {
 		t.Fatal("straggler caught up without a state transfer (compacted slots should be unreachable)")
 	}
 	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
@@ -181,7 +181,7 @@ func TestJoinerCatchesUpThroughSnapshotAndCommits(t *testing.T) {
 	if joiner.CommitFrontier() != lead.CommitFrontier() {
 		t.Fatalf("joiner commit %d, leader %d", joiner.CommitFrontier(), lead.CommitFrontier())
 	}
-	if joiner.CompactFrontier() == 0 {
+	if joiner.SnapshotIndex() == 0 {
 		t.Fatal("joiner caught up without installing the state-transfer snapshot")
 	}
 	if got := joiner.Members(); len(got) != 4 {

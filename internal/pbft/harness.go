@@ -1,25 +1,24 @@
 package pbft
 
 import (
-	"fortyconsensus/internal/quorum"
 	"fortyconsensus/internal/runner"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/types"
 )
 
-// Cluster is the simulated SMR cluster over 3f+1 PBFT replicas, plus
+// Cluster is the simulated SMR cluster over 3f+2c+1 PBFT replicas, plus
 // PBFT's client entry point and checks.
 type Cluster struct {
 	*runner.SMRCluster[Message, *Replica]
 	F int
 }
 
-// NewCluster builds a 3f+1 replica cluster; newSM may be nil.
+// NewCluster builds a cluster tolerating f byzantine and cfg.C crash
+// faults — 3f+1 replicas at cfg.C = 0; newSM may be nil.
 func NewCluster(f int, fabric *simnet.Fabric, cfg Config, newSM func() smr.StateMachine) *Cluster {
-	n := quorum.Byzantine{F: f}.Size()
-	cfg.N, cfg.F = n, f
-	reps := make([]*Replica, n)
+	cfg.F = f
+	reps := make([]*Replica, cfg.Quorums().Size())
 	for i := range reps {
 		reps[i] = NewReplica(types.NodeID(i), cfg)
 	}

@@ -9,6 +9,15 @@
 // plus timeout-triggered view changes and periodic checkpoints for
 // garbage collection.
 //
+// UpRight (Clement et al., SOSP 2009) is the same flow under a hybrid
+// failure model: up to m byzantine and c crash faults at once, with
+// 3m+2c+1 replicas, quorums of 2m+c+1 and m+1 wherever PBFT says f+1
+// ("at least one correct replica"). Every threshold here is read off
+// quorum.Hybrid{M: Config.F, C: Config.C}; Config.C = 0 is PBFT and
+// Config.C > 0 is UpRight's agreement core. UpRight's other ideas —
+// separating the request path from the control path, speculative
+// execution — live in the zyzzyva package.
+//
 // Profile (the fact box): partially-synchronous, byzantine, pessimistic,
 // known participants, 3f+1 nodes, 3 phases, O(n²) messages (view change
 // O(n³): every replica's view-change carries O(n) certificates and the
@@ -46,6 +55,27 @@ func init() {
 			core.LeaderElection, core.ValueDiscovery, core.FTAgreement, core.Decision,
 		},
 		Notes: "pre-prepare/prepare/commit; checkpoints every K slots",
+	})
+	core.Register(core.Profile{
+		Name:      "upright",
+		Synchrony: core.PartiallySynchronous,
+		Failure:   core.Hybrid,
+		Strategy:  core.Pessimistic,
+		Awareness: core.KnownParticipants,
+		// Profiles are one-parameter, UpRight's budget is the pair (m, c):
+		// the registry reports the pure-byzantine degenerate (c=0) so its
+		// single-parameter arithmetic stays meaningful. The canonical
+		// 3m+2c+1 is checked in the quorum package, hybrid_test.go and T4.
+		NodesFor:             func(f int) int { return quorum.Hybrid{M: f}.Size() },
+		NodesFormula:         "3m+2c+1",
+		QuorumFor:            func(f int) int { return quorum.Hybrid{M: f}.Threshold() },
+		CommitPhases:         3,
+		Complexity:           core.Quadratic,
+		ViewChangeComplexity: core.Quadratic,
+		Decomposition: []core.Phase{
+			core.LeaderElection, core.ValueDiscovery, core.FTAgreement, core.Decision,
+		},
+		Notes: "hybrid m byzantine + c crash; quorum 2m+c+1 of 3m+2c+1",
 	})
 }
 
@@ -125,12 +155,14 @@ func Src(m Message) types.NodeID  { return m.From }
 func Dest(m Message) types.NodeID { return m.To }
 func Kind(m Message) string       { return m.Kind.String() }
 
-// Config tunes a replica.
+// Config tunes a replica. The cluster size is not a setting: it is
+// Quorums().Size().
 type Config struct {
-	// N is the cluster size (3f+1).
-	N int
-	// F is the tolerated byzantine faults.
+	// F is the tolerated byzantine faults (UpRight's m).
 	F int
+	// C is the crash faults tolerated on top of F. Zero is PBFT; above
+	// zero the replicas run UpRight's hybrid quorums.
+	C int
 	// CheckpointEvery triggers a checkpoint each K executed slots.
 	// Default 16.
 	CheckpointEvery int
@@ -138,6 +170,10 @@ type Config struct {
 	// age before the replica votes to change views. Default 60.
 	RequestTimeout int
 }
+
+// Quorums is the quorum system every threshold is read from: network
+// 3F+2C+1, quorum 2F+C+1, intersection F+1.
+func (c Config) Quorums() quorum.Hybrid { return quorum.Hybrid{M: c.F, C: c.C} }
 
 func (c Config) withDefaults() Config {
 	if c.CheckpointEvery <= 0 {
@@ -165,6 +201,7 @@ type slot struct {
 type Replica struct {
 	id  types.NodeID
 	cfg Config
+	q   quorum.Hybrid // cfg.Quorums()
 	now int
 
 	view       types.View
@@ -194,7 +231,8 @@ type Replica struct {
 	vcVotes      map[types.View]map[types.NodeID]Message
 
 	// Catch-up: per-slot digest votes from fetch responses; a slot is
-	// adopted once f+1 distinct peers report the same content.
+	// adopted once f+1 distinct peers (a weak certificate) report the
+	// same content.
 	fetchVotes map[types.Seq]*quorum.ValueTally
 	fetchVals  map[string]types.Value
 	lastFetch  int
@@ -205,18 +243,13 @@ type Replica struct {
 	out []Message
 }
 
-// NewReplica builds replica id of a 3f+1 cluster.
+// NewReplica builds replica id of a cfg.Quorums().Size() cluster.
 func NewReplica(id types.NodeID, cfg Config) *Replica {
 	cfg = cfg.withDefaults()
-	if cfg.N == 0 {
-		cfg.N = quorum.Byzantine{F: cfg.F}.Size()
-	}
-	if cfg.F == 0 && cfg.N > 1 {
-		cfg.F = (cfg.N - 1) / 3
-	}
 	return &Replica{
 		id:          id,
 		cfg:         cfg,
+		q:           cfg.Quorums(),
 		slots:       make(map[types.Seq]*slot),
 		pending:     make(map[chaincrypto.Digest]pendingReq),
 		done:        make(map[chaincrypto.Digest]bool),
@@ -233,10 +266,7 @@ type pendingReq struct {
 	since int
 }
 
-func (r *Replica) quorumSize() int { return quorum.Byzantine{F: r.cfg.F}.Threshold() }
-func (r *Replica) primary() types.NodeID {
-	return r.view.Primary(r.cfg.N)
-}
+func (r *Replica) primary() types.NodeID { return r.view.Primary(r.q.Size()) }
 
 // IsPrimary reports whether this replica currently leads.
 func (r *Replica) IsPrimary() bool { return r.primary() == r.id }
@@ -266,7 +296,7 @@ func (r *Replica) send(m Message) {
 }
 
 func (r *Replica) broadcast(m Message) {
-	for i := 0; i < r.cfg.N; i++ {
+	for i := 0; i < r.q.Size(); i++ {
 		p := types.NodeID(i)
 		if p == r.id {
 			continue
@@ -288,8 +318,8 @@ func (r *Replica) getSlot(seq types.Seq) *slot {
 	s, ok := r.slots[seq]
 	if !ok {
 		s = &slot{
-			prepares: quorum.NewTally(r.quorumSize() - 1), // excludes primary's implicit prepare
-			commits:  quorum.NewTally(r.quorumSize()),
+			prepares: quorum.NewTally(r.q.Threshold() - 1), // excludes primary's implicit prepare
+			commits:  quorum.NewTally(r.q.Threshold()),
 		}
 		r.slots[seq] = s
 	}
@@ -411,7 +441,7 @@ func (r *Replica) maybePrepared(seq types.Seq, s *slot) {
 	if s.prepared || !s.prePrepared {
 		return
 	}
-	need := r.quorumSize() - 1 // 2f prepares + the pre-prepare itself
+	need := r.q.Threshold() - 1 // 2f prepares + the pre-prepare itself
 	have := s.prepares.Count()
 	if r.IsPrimary() {
 		have++ // primary's pre-prepare doubles as its prepare
@@ -514,7 +544,7 @@ func (r *Replica) onFetchResp(m Message) {
 		}
 		vt, ok := r.fetchVotes[p.Seq]
 		if !ok {
-			vt = quorum.NewValueTally(r.cfg.F + 1)
+			vt = quorum.NewValueTally(r.q.Intersection())
 			r.fetchVotes[p.Seq] = vt
 		}
 		key := p.Digest.String()
@@ -540,7 +570,7 @@ func (r *Replica) onCheckpointVote(seq types.Seq, d chaincrypto.Digest, from typ
 	}
 	vt, ok := r.checkpoints[seq]
 	if !ok {
-		vt = quorum.NewValueTally(r.quorumSize())
+		vt = quorum.NewValueTally(r.q.Threshold())
 		r.checkpoints[seq] = vt
 	}
 	if vt.Add(from, d.String()) {
@@ -589,7 +619,7 @@ func (r *Replica) onViewChange(m Message) {
 	r.recordViewChange(m.View, m.From, m)
 	// Liveness rule: seeing f+1 view-changes for a higher view, join it
 	// even if our own timer hasn't fired.
-	if len(r.vcVotes[m.View]) >= r.cfg.F+1 && (!r.viewChanging || r.targetView < m.View) {
+	if len(r.vcVotes[m.View]) >= r.q.Intersection() && (!r.viewChanging || r.targetView < m.View) {
 		r.startViewChange(m.View)
 	}
 }
@@ -605,7 +635,7 @@ func (r *Replica) recordViewChange(v types.View, from types.NodeID, m Message) {
 	}
 	votes[from] = m
 	// The new primary assembles NEW-VIEW at 2f+1 view-change votes.
-	if v.Primary(r.cfg.N) == r.id && len(votes) >= r.quorumSize() {
+	if v.Primary(r.q.Size()) == r.id && len(votes) >= r.q.Threshold() {
 		r.emitNewView(v, votes)
 	}
 }
@@ -654,7 +684,7 @@ func (r *Replica) emitNewView(v types.View, votes map[types.NodeID]Message) {
 }
 
 func (r *Replica) onNewView(m Message) {
-	if m.View < r.view || m.From != m.View.Primary(r.cfg.N) {
+	if m.View < r.view || m.From != m.View.Primary(r.q.Size()) {
 		return
 	}
 	r.enterView(m.View)
@@ -675,8 +705,8 @@ func (r *Replica) enterView(v types.View) {
 		if !s.committed {
 			s.prePrepared = false
 			s.prepared = false
-			s.prepares = quorum.NewTally(r.quorumSize() - 1)
-			s.commits = quorum.NewTally(r.quorumSize())
+			s.prepares = quorum.NewTally(r.q.Threshold() - 1)
+			s.commits = quorum.NewTally(r.q.Threshold())
 		}
 	}
 	for view := range r.vcVotes {

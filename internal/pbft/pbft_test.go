@@ -284,7 +284,7 @@ func TestLaggingReplicaCatchesUp(t *testing.T) {
 func TestFetchRespForgeryNeedsQuorum(t *testing.T) {
 	// A single byzantine peer cannot inject fake slots: adoption needs
 	// f+1 matching responses.
-	r := NewReplica(0, Config{N: 4, F: 1})
+	r := NewReplica(0, Config{F: 1})
 	forged := types.Value("forged-entry")
 	resp := Message{Kind: MsgFetchResp, From: 3, To: 0, Slots: []PreparedProof{
 		{Seq: 1, Digest: chaincrypto.Hash(forged), Req: forged},

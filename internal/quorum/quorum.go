@@ -99,9 +99,6 @@ func (f Flexible) Describe() string {
 	return fmt.Sprintf("flexible(q1=%d,q2=%d,n=%d)", f.Q1, f.Q2, f.N)
 }
 
-// Phase1 returns the leader-election threshold.
-func (f Flexible) Phase1() int { return f.Q1 }
-
 // Trusted is the quorum system of trusted-component BFT (MinBFT,
 // CheapBFT, TrInc): a trusted monotonic counter or attested log strips
 // byzantine replicas of equivocation, so f byzantine faults need only

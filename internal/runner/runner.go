@@ -25,7 +25,6 @@ package runner
 
 import (
 	"sort"
-	"sync"
 
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/types"
@@ -56,7 +55,6 @@ type Config[M any] struct {
 }
 
 // Stats aggregates message-complexity metrics for an experiment run.
-// The JSON tags serve cmd/consensus-bench -json.
 //
 // The fault-event counters record the run's fault exposure — how much
 // chaos the cluster was subjected to — so campaign output
@@ -65,17 +63,37 @@ type Config[M any] struct {
 // Cluster method, whether or not the call changed state (crashing an
 // already-crashed node still counts as an injected fault event).
 type Stats struct {
-	Sent      int            `json:"sent"`      // messages handed to the fabric
-	Delivered int            `json:"delivered"` // messages that reached a Step call
-	Dropped   int            `json:"dropped"`   // lost to drops, partitions, or crashes
-	ByKind    map[string]int `json:"byKind"`    // delivered counts per message kind
-	Ticks     int            `json:"ticks"`     // elapsed logical time
+	Sent      int            // messages handed to the fabric
+	Delivered int            // messages that reached a Step call
+	Dropped   int            // lost to drops, partitions, or crashes
+	ByKind    map[string]int // delivered counts per message kind
+	Ticks     int            // elapsed logical time
 
-	Crashes    int `json:"crashes,omitempty"`    // Crash calls
-	Restarts   int `json:"restarts,omitempty"`   // Restart calls
-	Partitions int `json:"partitions,omitempty"` // Partition calls
-	Heals      int `json:"heals,omitempty"`      // Heal calls
-	CutLinks   int `json:"cutLinks,omitempty"`   // CutLink calls
+	Crashes    int // Crash calls
+	Restarts   int // Restart calls
+	Partitions int // Partition calls
+	Heals      int // Heal calls
+	CutLinks   int // CutLink calls
+}
+
+// Add folds o's counters into s: how a service sums its groups and a
+// campaign its episodes. ByKind is made on first use.
+func (s *Stats) Add(o Stats) {
+	s.Sent += o.Sent
+	s.Delivered += o.Delivered
+	s.Dropped += o.Dropped
+	s.Ticks += o.Ticks
+	s.Crashes += o.Crashes
+	s.Restarts += o.Restarts
+	s.Partitions += o.Partitions
+	s.Heals += o.Heals
+	s.CutLinks += o.CutLinks
+	if s.ByKind == nil && len(o.ByKind) > 0 {
+		s.ByKind = make(map[string]int, len(o.ByKind))
+	}
+	for k, v := range o.ByKind {
+		s.ByKind[k] += v
+	}
 }
 
 // event is one queued message. The sequence number breaks ties between
@@ -192,11 +210,6 @@ type Cluster[M any] struct {
 	seq   uint64
 	now   int
 	stats Stats
-
-	// Global-aggregate bookkeeping: the portion of stats (and ticks)
-	// already flushed into the process-wide counters.
-	flushed    Stats
-	flushedNow int
 }
 
 // New builds an empty cluster.
@@ -404,9 +417,7 @@ func (c *Cluster[M]) Stats() Stats {
 // ResetStats zeroes message accounting (useful to measure steady state
 // after warmup).
 func (c *Cluster[M]) ResetStats() {
-	c.flushGlobal()
 	c.stats = Stats{ByKind: make(map[string]int)}
-	c.flushed = Stats{}
 }
 
 // Inject queues a message from outside the cluster (a client) for
@@ -545,13 +556,11 @@ func (c *Cluster[M]) Run(n int) {
 	for i := 0; i < n; i++ {
 		c.Step()
 	}
-	c.flushGlobal()
 }
 
 // RunUntil steps until pred returns true or maxTicks elapse, reporting
 // whether pred fired.
 func (c *Cluster[M]) RunUntil(pred func() bool, maxTicks int) bool {
-	defer c.flushGlobal()
 	for i := 0; i < maxTicks; i++ {
 		if pred() {
 			return true
@@ -563,91 +572,3 @@ func (c *Cluster[M]) RunUntil(pred func() bool, maxTicks int) bool {
 
 // Pending returns the number of in-flight messages.
 func (c *Cluster[M]) Pending() int { return c.queue.count }
-
-// ---------------------------------------------------------------------------
-// Process-wide accounting
-
-// global accumulates accounting across every cluster in the process, so
-// tooling (cmd/consensus-bench -json) can report per-experiment message
-// totals without threading a collector through each experiment.
-var global struct {
-	mu sync.Mutex
-	s  Stats
-}
-
-// GlobalStats snapshots the process-wide aggregate of all clusters'
-// accounting. Clusters flush their deltas at the end of every Run and
-// RunUntil, so a caller that runs experiments sequentially can diff
-// snapshots taken around each one.
-func GlobalStats() Stats {
-	global.mu.Lock()
-	defer global.mu.Unlock()
-	s := global.s
-	s.ByKind = make(map[string]int, len(global.s.ByKind))
-	for k, v := range global.s.ByKind {
-		s.ByKind[k] = v
-	}
-	return s
-}
-
-// Sub returns the counter-wise difference s - prev, for diffing two
-// GlobalStats snapshots.
-func (s Stats) Sub(prev Stats) Stats {
-	d := Stats{
-		Sent:       s.Sent - prev.Sent,
-		Delivered:  s.Delivered - prev.Delivered,
-		Dropped:    s.Dropped - prev.Dropped,
-		Ticks:      s.Ticks - prev.Ticks,
-		Crashes:    s.Crashes - prev.Crashes,
-		Restarts:   s.Restarts - prev.Restarts,
-		Partitions: s.Partitions - prev.Partitions,
-		Heals:      s.Heals - prev.Heals,
-		CutLinks:   s.CutLinks - prev.CutLinks,
-		ByKind:     make(map[string]int),
-	}
-	for k, v := range s.ByKind {
-		if dv := v - prev.ByKind[k]; dv != 0 {
-			d.ByKind[k] = dv
-		}
-	}
-	return d
-}
-
-// flushGlobal adds this cluster's accounting since the last flush to
-// the process-wide aggregate.
-func (c *Cluster[M]) flushGlobal() {
-	dSent := c.stats.Sent - c.flushed.Sent
-	dDelivered := c.stats.Delivered - c.flushed.Delivered
-	dDropped := c.stats.Dropped - c.flushed.Dropped
-	dTicks := c.now - c.flushedNow
-	dCrashes := c.stats.Crashes - c.flushed.Crashes
-	dRestarts := c.stats.Restarts - c.flushed.Restarts
-	dPartitions := c.stats.Partitions - c.flushed.Partitions
-	dHeals := c.stats.Heals - c.flushed.Heals
-	dCutLinks := c.stats.CutLinks - c.flushed.CutLinks
-	if dSent == 0 && dDelivered == 0 && dDropped == 0 && dTicks == 0 &&
-		dCrashes == 0 && dRestarts == 0 && dPartitions == 0 && dHeals == 0 && dCutLinks == 0 {
-		return
-	}
-	global.mu.Lock()
-	global.s.Sent += dSent
-	global.s.Delivered += dDelivered
-	global.s.Dropped += dDropped
-	global.s.Ticks += dTicks
-	global.s.Crashes += dCrashes
-	global.s.Restarts += dRestarts
-	global.s.Partitions += dPartitions
-	global.s.Heals += dHeals
-	global.s.CutLinks += dCutLinks
-	if global.s.ByKind == nil {
-		global.s.ByKind = make(map[string]int)
-	}
-	for k, v := range c.stats.ByKind {
-		if dv := v - c.flushed.ByKind[k]; dv != 0 {
-			global.s.ByKind[k] += dv
-		}
-	}
-	global.mu.Unlock()
-	c.flushedNow = c.now
-	c.flushed = c.Stats()
-}

@@ -397,18 +397,22 @@ func TestFaultEventCounters(t *testing.T) {
 		t.Fatalf("fault counters = %+v", st)
 	}
 
-	// Counters flow through Sub like the message counters.
-	d := st.Sub(Stats{Crashes: 1, CutLinks: 1, ByKind: map[string]int{}})
-	if d.Crashes != 1 || d.CutLinks != 1 || d.Restarts != 1 {
-		t.Fatalf("Sub fault counters = %+v", d)
+	// Counters flow through Add like the message counters, and ByKind
+	// is made on first use.
+	c.Inject(pingMsg{from: -1, to: 0, hop: 0, kind: "ping"})
+	c.Run(3)
+	st = c.Stats()
+	var sum Stats
+	sum.Add(st)
+	sum.Add(st)
+	if sum.Crashes != 4 || sum.Restarts != 2 || sum.Partitions != 2 || sum.Heals != 2 || sum.CutLinks != 4 {
+		t.Fatalf("Add fault counters = %+v", sum)
 	}
-
-	// And into the global aggregate at flush time.
-	before := GlobalStats()
-	c.Run(1)
-	diff := GlobalStats().Sub(before)
-	if diff.Crashes != 2 || diff.Restarts != 1 || diff.Partitions != 1 || diff.Heals != 1 || diff.CutLinks != 2 {
-		t.Fatalf("global fault counters = %+v", diff)
+	if sum.Sent != 2*st.Sent || sum.Delivered != 2*st.Delivered || sum.Dropped != 2*st.Dropped || sum.Ticks != 2*st.Ticks {
+		t.Fatalf("Add message counters = %+v, want twice %+v", sum, st)
+	}
+	if st.ByKind["ping"] == 0 || sum.ByKind["ping"] != 2*st.ByKind["ping"] {
+		t.Fatalf("Add ByKind = %v, want twice %v", sum.ByKind, st.ByKind)
 	}
 }
 

@@ -39,7 +39,7 @@ func init() {
 		Failure:   core.Hybrid,
 		Strategy:  core.Pessimistic,
 		Awareness: core.KnownParticipants,
-		// Single-parameter view: m=c=f (see upright for the same note).
+		// Single-parameter view: m=c=f (pbft's upright profile takes c=0).
 		NodesFor:             func(f int) int { return quorum.Hybrid{M: f, C: f}.Size() },
 		NodesFormula:         "3m+2c+1",
 		QuorumFor:            func(f int) int { return quorum.Hybrid{M: f, C: f}.Threshold() },

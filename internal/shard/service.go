@@ -567,20 +567,13 @@ func (s *Service) DisarmByzantine(id types.NodeID) {
 // service-level fault counters.
 func (s *Service) Stats() runner.Stats {
 	var out runner.Stats
-	out.ByKind = make(map[string]int)
+	ticks := 0
 	for _, g := range s.groups {
 		st := g.Stats()
-		out.Sent += st.Sent
-		out.Delivered += st.Delivered
-		out.Dropped += st.Dropped
-		out.CutLinks += st.CutLinks
-		if st.Ticks > out.Ticks {
-			out.Ticks = st.Ticks
-		}
-		for _, k := range det.SortedKeys(st.ByKind) {
-			out.ByKind[k] += st.ByKind[k]
-		}
+		out.Add(st)
+		ticks = max(ticks, st.Ticks)
 	}
+	out.Ticks = ticks // groups step in lockstep: elapsed time is not a sum
 	out.Crashes = s.crashes
 	out.Restarts = s.restarts
 	out.Partitions = s.partitions

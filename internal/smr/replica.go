@@ -18,6 +18,8 @@ type Module interface {
 type Compactor interface {
 	Compact(upTo types.Seq, state []byte) bool
 	TakeInstalledSnapshot() *snapshot.Snapshot
+	// SnapshotIndex is the highest compacted slot, 0 for a dense log.
+	SnapshotIndex() types.Seq
 }
 
 // Replica is how one replica's committed decisions reach its state
@@ -117,6 +119,15 @@ func (r *Replica) CompactEvery(every int) {
 
 // Exec returns the replica's executor, nil without a state machine.
 func (r *Replica) Exec() *Executor { return r.exec }
+
+// SnapshotIndex is the highest slot the module has compacted away: 0
+// for a dense log, or a module that cannot compact.
+func (r *Replica) SnapshotIndex() types.Seq {
+	if r.comp == nil {
+		return 0
+	}
+	return r.comp.SnapshotIndex()
+}
 
 // Installs counts the snapshots restored from peers.
 func (r *Replica) Installs() int { return r.installs }

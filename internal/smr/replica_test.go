@@ -41,6 +41,17 @@ func (m *fakeModule) Compact(upTo types.Seq, state []byte) bool {
 	return true
 }
 
+func (m *fakeModule) SnapshotIndex() types.Seq {
+	if len(m.compacted) == 0 {
+		return 0
+	}
+	return m.compacted[len(m.compacted)-1]
+}
+
+// Replica finds the compaction surface by type assertion, so a fake
+// that falls short of it would silently never compact.
+var _ Compactor = (*fakeModule)(nil)
+
 func incr(slot types.Seq, seq uint64) types.Decision {
 	return types.Decision{Slot: slot, Val: EncodeRequest(types.Request{
 		Client: 7, SeqNo: seq, Op: kvstore.Incr("n", 1).Encode(),
@@ -151,8 +162,8 @@ func TestReplicaCompactCadence(t *testing.T) {
 	mod.decided = []types.Decision{incr(6, 6)}
 	mustPump(t, r)
 	r.CompactEvery(5)
-	if len(mod.compacted) != 1 || mod.compacted[0] != 6 {
-		t.Fatalf("accepted %v, want [6]", mod.compacted)
+	if len(mod.compacted) != 1 || mod.compacted[0] != 6 || r.SnapshotIndex() != 6 {
+		t.Fatalf("accepted %v, snapshot index %d, want [6] and 6", mod.compacted, r.SnapshotIndex())
 	}
 	if want := len(r.Exec().SnapshotState()); r.SnapshotBytes() != want {
 		t.Fatalf("snapshot of %d bytes reported, the one taken has %d", r.SnapshotBytes(), want)
@@ -195,8 +206,8 @@ func TestReplicaWithoutStateMachineYieldsDecisionsOnly(t *testing.T) {
 	if mod.installed == nil {
 		t.Fatal("a replica with nothing to restore consumed the module's installed snapshot")
 	}
-	if r.Exec() != nil || r.Compact() {
-		t.Fatal("executor or compaction without a state machine")
+	if r.Exec() != nil || r.Compact() || r.SnapshotIndex() != 0 {
+		t.Fatal("executor, compaction or snapshot index without a state machine")
 	}
 	r.CompactEvery(1)
 	if mod.offered != 0 {

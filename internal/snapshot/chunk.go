@@ -18,9 +18,6 @@ func ChunkAt(data []byte, off, size int) ([]byte, bool) {
 		size = DefaultChunkSize
 	}
 	if off < 0 || off >= len(data) {
-		if off == 0 && len(data) == 0 {
-			return nil, true
-		}
 		return nil, true
 	}
 	end := off + size

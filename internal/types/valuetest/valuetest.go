@@ -70,12 +70,3 @@ func Poison[E any](batch []E, p E) {
 		batch[i] = p
 	}
 }
-
-// PoisonBytes scribbles over every byte of v. Use it on a Value the
-// test owns exclusively to prove a receiver did NOT alias bytes it was
-// required to treat as shared-immutable input it had already copied.
-func PoisonBytes(v types.Value) {
-	for i := range v {
-		v[i] ^= 0xA5
-	}
-}

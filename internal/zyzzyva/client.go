@@ -74,9 +74,6 @@ func (c *Client) Submit(op types.Value) {
 	c.send(Message{Kind: MsgRequest, To: 0, Req: body.Clone()}) // view-0 primary
 }
 
-// Busy reports whether a request is outstanding.
-func (c *Client) Busy() bool { return c.req != nil }
-
 // Completions drains finished requests.
 func (c *Client) Completions() []Completion {
 	d := c.done
