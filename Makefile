@@ -16,9 +16,9 @@ SHARD_PKGS := ./internal/shard/... ./internal/explore ./internal/workload
 
 # Everything `make bench` measures: the simulation hot path plus the
 # protocol hot paths the allocation discipline tracks (raft append,
-# shard 2PC commit, explore episodes and campaign scaling), and
-# live.Node's cost per event.
-BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/shard ./internal/explore ./internal/live
+# multipaxos write and phase-1 answer by log length, shard 2PC commit,
+# explore episodes and campaign scaling), and live.Node's cost per event.
+BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/multipaxos ./internal/shard ./internal/explore ./internal/live
 
 .PHONY: all build test test-race bench bench-pairs bench-pair golden lint explore examples fuzz ci cover serve-smoke soak loc
 

@@ -462,6 +462,41 @@ func TestClusterMultiPaxosBackend(t *testing.T) {
 	}
 }
 
+// TestMultiPaxosFailsOverWithALongLog is TestClusterSmoke's kill on the
+// multipaxos backend, with a log that no longer fits a frame: phase 1
+// answers with the undecided tail, not the log. When an Ack carried every
+// accepted slot, Transport.Send dropped it as oversize and the group
+// never led again.
+func TestMultiPaxosFailsOverWithALongLog(t *testing.T) {
+	servers, addrList := startCluster(t, 3, 1, BackendMultiPaxos, 5)
+	cl, err := NewClient(ClientConfig{
+		Addrs: addrList, Shards: 1, SessionBase: 75_000,
+		AttemptTimeout: 2 * time.Second, Deadline: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	val := make([]byte, 8<<10)
+	for i := 0; i < DefaultMaxFrame/len(val)+100; i++ {
+		if _, err := cl.Do(kvstore.Put("big", val)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	dead := findLeader(t, servers, 0)
+	servers[dead].Close()
+	servers[dead] = nil
+	for i := 0; i < 20; i++ {
+		if _, err := cl.Do(kvstore.Incr("after", 1)); err != nil {
+			t.Fatalf("incr %d after the leader was closed: %v", i, err)
+		}
+	}
+	if got, err := cl.Do(kvstore.Get("after")); err != nil || string(got) != "20" {
+		t.Fatalf("after = %q, %v; want 20", got, err)
+	}
+}
+
 // TestWriteCostsFourFramesAndFollowersLearnItIdle pins the decision
 // stage on the wire, for both backends. A write is two frames out and
 // two votes back; what the followers may apply rides the next write's

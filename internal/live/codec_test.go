@@ -2,6 +2,7 @@ package live
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"fortyconsensus/internal/multipaxos"
@@ -125,6 +126,35 @@ func TestRaftCodecTruncation(t *testing.T) {
 		if _, err := c.Decode(append(append([]byte{}, b...), 0xff)); err == nil {
 			t.Fatal("trailing garbage decoded without error")
 		}
+	}
+}
+
+// What an acceptor answers a Prepare with is a frame, and a frame has a
+// limit: the Ack names the slots above the acceptor's commit frontier, so
+// its size does not follow the log's. With every accepted slot in it,
+// this one was 300,000 entries and 18,900,057 bytes.
+func TestLongLogAckFitsAFrame(t *testing.T) {
+	const slots = 300_000
+	lead := types.Ballot{Num: 1, Owner: 0}
+	acc := multipaxos.New(1, multipaxos.Config{Peers: []types.NodeID{0, 1, 2}})
+	val := types.Value(strings.Repeat("v", 23))
+	for s := types.Seq(1); s <= slots; s++ {
+		acc.Step(multipaxos.Message{Kind: multipaxos.MsgAccept, From: 0, To: 1, Ballot: lead, Slot: s, Val: val, Commit: s - 1})
+		acc.Drain()
+	}
+	if acc.CommitFrontier() != slots-1 {
+		t.Fatalf("acceptor learned %d of %d slots from the frontiers its accepts carried", acc.CommitFrontier(), slots-1)
+	}
+	acc.Step(multipaxos.Message{Kind: multipaxos.MsgPrepare, From: 2, To: 1, Ballot: types.Ballot{Num: 2, Owner: 2}})
+	out := acc.Drain()
+	if len(out) != 1 || out[0].Kind != multipaxos.MsgAck || out[0].Commit != slots-1 {
+		t.Fatalf("answer to the prepare: %+v", out)
+	}
+	if es := out[0].Entries; len(es) != 1 || es[0].Slot != slots || es[0].AcceptNum != lead {
+		t.Fatalf("ack carries %d entries, want the one undecided slot", len(es))
+	}
+	if n := len(MultiPaxosCodec{}.Append(nil, out[0])); n >= 1<<10 {
+		t.Fatalf("ack encodes to %d bytes (DefaultMaxFrame %d)", n, DefaultMaxFrame)
 	}
 }
 

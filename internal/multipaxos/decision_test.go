@@ -83,7 +83,7 @@ func (g *trio) decided(want ...types.Value) {
 			g.tb.Fatalf("node %v's frontier is %d, want %d", n.id, n.CommitFrontier(), len(want))
 		}
 		for i, v := range want {
-			if got := n.chosen[types.Seq(i+1)]; !got.Equal(v) {
+			if got := n.log.get(types.Seq(i + 1)).chosen; !got.Equal(v) {
 				g.tb.Fatalf("node %v decided %q at slot %d, want %q", n.id, got, i+1, v)
 			}
 		}
@@ -189,7 +189,7 @@ func TestFrontierNeverLearnsASlotAcceptedUnderAnOlderBallot(t *testing.T) {
 	deposed := g.elect(0, nil)
 	deposed.Submit(x)
 	deposed.Drain() // both accepts lost
-	if e := deposed.accepted[1]; !e.val.Equal(x) {
+	if e := deposed.log.get(1); !e.val.Equal(x) {
 		t.Fatalf("node 0 holds %+v at slot 1, want x under its own ballot", e)
 	}
 
@@ -197,7 +197,7 @@ func TestFrontierNeverLearnsASlotAcceptedUnderAnOlderBallot(t *testing.T) {
 	lead := g.elect(2, toDeposed)
 	lead.Submit(y)
 	g.pump(toDeposed)
-	if lead.CommitFrontier() != 1 || !lead.chosen[1].Equal(y) {
+	if lead.CommitFrontier() != 1 || !lead.log.get(1).chosen.Equal(y) {
 		t.Fatalf("node 2 did not decide y at slot 1: frontier %d", lead.CommitFrontier())
 	}
 
@@ -209,12 +209,12 @@ func TestFrontierNeverLearnsASlotAcceptedUnderAnOlderBallot(t *testing.T) {
 	if !stamped {
 		t.Fatal("node 0 was not sent Accept(b, 2, z, Commit: 1)")
 	}
-	if e := deposed.accepted[2]; e.num != lead.curBallot || !e.val.Equal(z) {
+	if e := deposed.log.get(2); e.num != lead.curBallot || !e.val.Equal(z) {
 		t.Fatalf("node 0 holds %+v at slot 2, want z under %v", e, lead.curBallot)
 	}
 	if ds := deposed.TakeDecisions(); deposed.CommitFrontier() != 0 || len(ds) != 0 {
 		t.Fatalf("node 0 learned %+v from a frontier covering a slot it accepted under %v",
-			ds, deposed.accepted[1].num)
+			ds, deposed.log.get(1).num)
 	}
 
 	// The heartbeat names the frontier again; node 0 still cannot take its
@@ -289,6 +289,65 @@ func TestLeaderIgnoresCatchUpAnswers(t *testing.T) {
 	for _, m := range lead.Drain() {
 		if m.Kind != MsgAccept || m.Commit != 0 {
 			t.Fatalf("%+v, want an accept carrying frontier 0", m)
+		}
+	}
+}
+
+// Phase 1 is about the undecided tail, however long the log under it. A
+// leader decides 5,000 slots, gets three more accepted and is lost before
+// it hears a vote. The next leader recovers exactly those three from an
+// Ack that carries nothing else — the acker's frontier rides Commit, and a
+// candidate behind it would catch up before leading — decides them, and
+// goes on to new writes.
+func TestNewLeaderRecoversOnlyTheUndecidedTail(t *testing.T) {
+	g := newTrio(t)
+	old := g.elect(0, nil)
+	const decided = 5000
+	for i := 0; i < decided; i++ {
+		old.Submit(types.Value(fmt.Sprintf("v%d", i)))
+	}
+	g.pump(nil)
+	g.heartbeat(old)
+	tail := []types.Value{types.Value("x"), types.Value("y"), types.Value("z")}
+	for _, v := range tail {
+		old.Submit(v)
+	}
+	g.pump(func(m Message) bool { return m.To == 0 }) // the votes are lost
+
+	gone := func(m Message) bool { return m.To == 0 || m.From == 0 }
+	next := g.nodes[1]
+	for i := 0; i < 200 && next.role == follower; i++ {
+		next.Tick()
+	}
+	acks := 0
+	for _, m := range g.pump(gone) {
+		if m.Kind != MsgAck {
+			continue
+		}
+		acks++
+		if len(m.Entries) != len(tail) || m.Entries[0].Slot != decided+1 || m.Commit != decided {
+			t.Fatalf("ack from node %v carries %d entries at frontier %d, want slots %d..%d only",
+				m.From, len(m.Entries), m.Commit, decided+1, decided+len(tail))
+		}
+	}
+	if acks != 1 || !next.IsLeader() {
+		t.Fatalf("node 1 leads: %v, after %d acks", next.IsLeader(), acks)
+	}
+	w := types.Value("w")
+	next.Submit(w)
+	g.pump(gone)
+	for i := 0; i < next.cfg.HeartbeatTicks; i++ {
+		next.Tick()
+	}
+	g.pump(gone)
+	for _, n := range g.nodes[1:] {
+		if n.CommitFrontier() != decided+4 {
+			t.Fatalf("node %v's frontier is %d, want %d", n.id, n.CommitFrontier(), decided+4)
+		}
+		for i, v := range append(tail, w) {
+			if got := n.log.get(types.Seq(decided + 1 + i)).chosen; !got.Equal(v) {
+				t.Fatalf("node %v decided %q at slot %d, want %q", n.id, got, decided+1+i, v)
+			}
 		}
 	}
 }

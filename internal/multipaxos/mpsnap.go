@@ -3,7 +3,6 @@ package multipaxos
 import (
 	"sort"
 
-	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/quorum"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
@@ -12,7 +11,7 @@ import (
 // Log compaction, state-transfer catch-up, and alpha-delayed
 // reconfiguration.
 //
-// Compaction deletes chosen/accepted slots at or below a frontier the
+// Compaction drops the log's slots at or below a frontier the
 // host has already applied, keeping an encoded snapshot instead. A
 // lagging replica whose catch-up request starts in the compacted range
 // receives the whole snapshot in one MsgState (multipaxos messages
@@ -106,8 +105,8 @@ func (n *Node) confAllowed(v types.Value) bool {
 	if len(n.configs) > 0 && n.configs[len(n.configs)-1].from > n.commitSeq {
 		return false // an epoch is still waiting to activate
 	}
-	for _, s := range det.SortedKeys(n.inflight) {
-		if snapshot.IsConfChange(n.inflight[s].val) {
+	for s := n.commitSeq + 1; s < n.nextSlot; s++ {
+		if sl := n.log.get(s); sl != nil && sl.votes != nil && snapshot.IsConfChange(sl.val) {
 			return false
 		}
 	}
@@ -145,16 +144,7 @@ func (n *Node) Compact(upTo types.Seq, state []byte) bool {
 	}
 	n.snapData = snapshot.Encode(snap)
 	n.compactSeq = upTo
-	for _, s := range det.SortedKeys(n.chosen) {
-		if s <= upTo {
-			delete(n.chosen, s)
-		}
-	}
-	for _, s := range det.SortedKeys(n.accepted) {
-		if s <= upTo {
-			delete(n.accepted, s)
-		}
-	}
+	n.log.dropThrough(upTo)
 	// Collapse epochs: everything at or below upTo+1 is summarized by
 	// the snapshot's member set.
 	eff := cfgEpoch{from: 0, members: snap.Members}
@@ -180,16 +170,7 @@ func (n *Node) onState(m Message) {
 	n.commitSeq = snap.LastIndex
 	n.compactSeq = snap.LastIndex
 	n.snapData = append([]byte(nil), m.Val...)
-	for _, s := range det.SortedKeys(n.chosen) {
-		if s <= snap.LastIndex {
-			delete(n.chosen, s)
-		}
-	}
-	for _, s := range det.SortedKeys(n.accepted) {
-		if s <= snap.LastIndex {
-			delete(n.accepted, s)
-		}
-	}
+	n.log.dropThrough(snap.LastIndex)
 	// Undrained decisions below the snapshot are subsumed by the
 	// installed state the host restores from.
 	n.decisions = nil

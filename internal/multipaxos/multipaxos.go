@@ -115,7 +115,7 @@ type Message struct {
 	Ballot   types.Ballot
 	Slot     types.Seq
 	Val      types.Value
-	Entries  []Entry   // Ack: all accepted entries; Commit: the catch-up batch
+	Entries  []Entry   // Ack: the entries accepted above Commit; Commit: the catch-up batch
 	Commit   types.Seq // Accept, Heartbeat: leader's commit frontier; Ack, State: sender's
 }
 
@@ -170,18 +170,6 @@ const (
 	leader
 )
 
-// slotState tracks one in-flight phase-2 instance at the leader.
-type slotState struct {
-	val   types.Value
-	votes *quorum.Tally
-}
-
-// acceptedEntry is acceptor state for one slot.
-type acceptedEntry struct {
-	num types.Ballot
-	val types.Value
-}
-
 // Node is one Multi-Paxos replica.
 type Node struct {
 	id  types.NodeID
@@ -192,19 +180,15 @@ type Node struct {
 	ballot types.Ballot // promised ballot (acceptor) = current view
 	lead   types.NodeID // believed leader (-1 unknown)
 
-	// Acceptor log.
-	accepted map[types.Seq]acceptedEntry
-
-	// Committed log (learner).
-	chosen    map[types.Seq]types.Value
+	// Acceptor, learner and open phase-2 state per slot (log.go).
+	log       plog
 	commitSeq types.Seq // contiguous commit frontier
 	decisions []types.Decision
 
 	// Leader state.
 	curBallot  types.Ballot
 	prepAcks   *quorum.Tally
-	recovered  map[types.Seq]acceptedEntry // merged from acks
-	inflight   map[types.Seq]*slotState
+	recovered  map[types.Seq]Entry // merged from acks
 	nextSlot   types.Seq
 	queued     []types.Value // submissions waiting for leadership
 	elections  int           // leader elections started (metric)
@@ -243,8 +227,6 @@ func New(id types.NodeID, cfg Config) *Node {
 		cfg:      cfg,
 		rng:      simnet.NewRNG(cfg.Seed ^ (uint64(id)+1)<<24),
 		lead:     -1,
-		accepted: make(map[types.Seq]acceptedEntry),
-		chosen:   make(map[types.Seq]types.Value),
 		nextSlot: 1,
 		passive:  cfg.Passive,
 	}
@@ -333,22 +315,20 @@ func (n *Node) propose(v types.Value) {
 // already met.
 func (n *Node) accept(slot types.Seq, v types.Value) {
 	_, q2 := n.quorumsFor(slot)
-	st := &slotState{val: v, votes: quorum.NewTally(q2)}
-	n.inflight[slot] = st
-	n.accepted[slot] = acceptedEntry{num: n.curBallot, val: v}
+	sl := n.log.at(slot) // never nil: a leader's slots are dense up to nextSlot
+	sl.num, sl.val, sl.accepted, sl.votes = n.curBallot, v, true, quorum.NewTally(q2)
 	n.sendAll(n.membersFor(slot), Message{Kind: MsgAccept, Ballot: n.curBallot, Slot: slot, Val: v, Commit: n.commitSeq})
-	n.vote(slot, st, n.id)
+	n.vote(slot, sl, n.id)
 }
 
 // vote counts from's phase-2 vote for slot and, once the tally is met,
 // decides the slot. Nobody is told: the learners hear of it from the
 // commit frontier on the next Accept or heartbeat.
-func (n *Node) vote(slot types.Seq, st *slotState, from types.NodeID) {
-	if !st.votes.Add(from) {
-		return
+func (n *Node) vote(slot types.Seq, sl *slot, from types.NodeID) {
+	if sl.votes.Add(from) {
+		sl.votes = nil
+		n.learn(slot, sl.val)
 	}
-	delete(n.inflight, slot)
-	n.learn(slot, st.val)
 }
 
 // campaign starts phase 1 for the whole log — the view change. Like an
@@ -361,10 +341,10 @@ func (n *Node) campaign() {
 	n.curBallot = n.ballot
 	q1, _ := n.quorumsFor(n.commitSeq + 1)
 	n.prepAcks = quorum.NewTally(q1)
-	n.recovered = make(map[types.Seq]acceptedEntry)
-	// Merge own acceptor log.
-	for s, e := range n.accepted {
-		n.recovered[s] = e
+	n.recovered = make(map[types.Seq]Entry)
+	// Merge what an Ack of its own would carry.
+	for _, e := range n.log.acceptedAbove(n.commitSeq) {
+		n.recovered[e.Slot] = e
 	}
 	n.ackCommit, n.ackFrom = n.commitSeq, n.id
 	n.resetElectionTimer()
@@ -416,15 +396,11 @@ func (n *Node) onPrepare(m Message) {
 	if n.ballot.LessEq(m.Ballot) {
 		n.ballot = m.Ballot
 		n.becomeFollowerOf(m.From)
-		// Report the FULL accepted log, not just the uncommitted tail: a
-		// new leader may lag behind the commit frontier, and without the
-		// committed slots in some ack it would no-op-fill chosen slots.
-		entries := make([]Entry, 0, len(n.accepted))
-		for _, s := range det.SortedKeys(n.accepted) {
-			e := n.accepted[s]
-			entries = append(entries, Entry{Slot: s, AcceptNum: e.num, Val: e.val})
-		}
-		n.send(Message{Kind: MsgAck, To: m.From, Ballot: m.Ballot, Entries: entries, Commit: n.commitSeq})
+		// Report the uncommitted tail only. A candidate behind any quorum
+		// acker's frontier does not lead (onAck defers and catches up), so
+		// by the time becomeLeader reads what was recovered, every slot at
+		// or below this frontier is one it has learned, not one it recovers.
+		n.send(Message{Kind: MsgAck, To: m.From, Ballot: m.Ballot, Entries: n.log.acceptedAbove(n.commitSeq), Commit: n.commitSeq})
 		return
 	}
 	n.send(Message{Kind: MsgNack, To: m.From, Ballot: n.ballot})
@@ -433,7 +409,6 @@ func (n *Node) onPrepare(m Message) {
 func (n *Node) becomeFollowerOf(lead types.NodeID) {
 	n.role = follower
 	n.lead = lead
-	n.inflight = nil
 	if lead >= 0 {
 		n.passive = false // heard from a live leader: full citizen now
 	}
@@ -453,8 +428,8 @@ func (n *Node) onAck(m Message) {
 		return
 	}
 	for _, e := range m.Entries {
-		if cur, ok := n.recovered[e.Slot]; !ok || cur.num.Less(e.AcceptNum) {
-			n.recovered[e.Slot] = acceptedEntry{num: e.AcceptNum, val: e.Val}
+		if cur, ok := n.recovered[e.Slot]; !ok || cur.AcceptNum.Less(e.AcceptNum) {
+			n.recovered[e.Slot] = e
 		}
 	}
 	if m.Commit > n.ackCommit {
@@ -478,30 +453,17 @@ func (n *Node) onAck(m Message) {
 func (n *Node) becomeLeader() {
 	n.role = leader
 	n.lead = n.id
-	n.inflight = make(map[types.Seq]*slotState)
 	// The new log frontier starts after both the commit frontier and the
 	// highest recovered slot.
 	n.nextSlot = n.commitSeq + 1
-	slots := make([]types.Seq, 0, len(n.recovered))
 	for _, s := range det.SortedKeys(n.recovered) {
-		if s > n.commitSeq {
-			slots = append(slots, s)
-		}
-	}
-	for _, s := range slots {
-		if s >= n.nextSlot {
-			n.nextSlot = s + 1
-		}
+		n.nextSlot = max(n.nextSlot, s+1)
 	}
 	// Gaps between commitSeq and nextSlot that no ack reported get no-op
-	// values so the log stays dense (classic Multi-Paxos hole filling).
+	// values — a missing entry's nil Val — so the log stays dense (classic
+	// Multi-Paxos hole filling).
 	for s := n.commitSeq + 1; s < n.nextSlot; s++ {
-		if _, ok := n.recovered[s]; !ok {
-			n.recovered[s] = acceptedEntry{val: types.Value(nil)}
-		}
-	}
-	for s := n.commitSeq + 1; s < n.nextSlot; s++ {
-		n.accept(s, n.recovered[s].val)
+		n.accept(s, n.recovered[s].Val)
 	}
 	queued := n.queued
 	n.queued = nil
@@ -529,7 +491,14 @@ func (n *Node) onAccept(m Message) {
 			n.becomeFollowerOf(m.From)
 		}
 		n.resetElectionTimer()
-		n.accepted[m.Slot] = acceptedEntry{num: m.Ballot, val: m.Val}
+		// A compacted slot was decided here: vote, with nothing to hold.
+		if m.Slot > n.compactSeq {
+			sl := n.log.at(m.Slot)
+			if sl == nil {
+				return // too far ahead (maxAhead): no vote
+			}
+			sl.num, sl.val, sl.accepted = m.Ballot, m.Val, true
+		}
 		n.send(Message{Kind: MsgAccepted, To: m.From, Ballot: m.Ballot, Slot: m.Slot})
 		n.learnThrough(m.Ballot, m.Commit)
 		return
@@ -541,21 +510,30 @@ func (n *Node) onAccepted(m Message) {
 	if n.role != leader || m.Ballot != n.curBallot {
 		return
 	}
-	if st, ok := n.inflight[m.Slot]; ok {
-		n.vote(m.Slot, st, m.From)
+	// An open tally is one of this ballot: a deposed leader's stay behind
+	// until the slot is accepted again or compacted.
+	if sl := n.log.get(m.Slot); sl != nil && sl.votes != nil && sl.num == n.curBallot {
+		n.vote(m.Slot, sl, m.From)
 	}
 }
 
 // learn records a chosen slot and advances the contiguous commit
 // frontier, emitting decisions in order.
 func (n *Node) learn(slot types.Seq, val types.Value) {
-	if prev, ok := n.chosen[slot]; ok {
-		if !prev.Equal(val) {
-			panic(fmt.Sprintf("multipaxos: node %v slot %d chosen twice: %q vs %q", n.id, slot, prev, val))
+	if slot <= n.compactSeq {
+		return
+	}
+	sl := n.log.at(slot)
+	if sl == nil {
+		return // too far ahead (maxAhead)
+	}
+	if sl.learned {
+		if !sl.chosen.Equal(val) {
+			panic(fmt.Sprintf("multipaxos: node %v slot %d chosen twice: %q vs %q", n.id, slot, sl.chosen, val))
 		}
 		return
 	}
-	n.chosen[slot] = val
+	sl.chosen, sl.learned = val, true
 	n.advanceFrontier()
 }
 
@@ -575,11 +553,11 @@ func (n *Node) learn(slot types.Seq, val types.Value) {
 // waits for the heartbeat's catch-up, which names values.
 func (n *Node) learnThrough(b types.Ballot, commit types.Seq) {
 	for n.commitSeq < commit {
-		e, ok := n.accepted[n.commitSeq+1]
-		if !ok || e.num != b {
+		sl := n.log.get(n.commitSeq + 1)
+		if sl == nil || !sl.accepted || sl.num != b {
 			return
 		}
-		n.learn(n.commitSeq+1, e.val)
+		n.learn(n.commitSeq+1, sl.val)
 	}
 }
 
@@ -588,11 +566,12 @@ func (n *Node) learnThrough(b types.Ballot, commit types.Seq) {
 // slots that arrived before the install filled the gap below them.
 func (n *Node) advanceFrontier() {
 	for {
-		v, ok := n.chosen[n.commitSeq+1]
-		if !ok {
+		sl := n.log.get(n.commitSeq + 1)
+		if sl == nil || !sl.learned {
 			return
 		}
 		n.commitSeq++
+		v := sl.chosen
 		n.decisions = append(n.decisions, types.Decision{Slot: n.commitSeq, Val: v})
 		if snapshot.IsConfChange(v) {
 			// A config chosen at slot i governs slots >= i+Alpha. Every
@@ -645,8 +624,8 @@ func (n *Node) onCatchup(m Message) {
 	}
 	entries := make([]Entry, 0, max)
 	for s := m.Slot; s <= n.commitSeq && len(entries) < 64; s++ {
-		if v, ok := n.chosen[s]; ok {
-			entries = append(entries, Entry{Slot: s, Val: v})
+		if sl := n.log.get(s); sl != nil && sl.learned {
+			entries = append(entries, Entry{Slot: s, Val: sl.chosen})
 		}
 	}
 	if len(entries) > 0 {

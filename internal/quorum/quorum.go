@@ -11,6 +11,7 @@ package quorum
 
 import (
 	"fmt"
+	"slices"
 
 	"fortyconsensus/internal/types"
 )
@@ -133,27 +134,27 @@ func (h Hybrid) Intersection() int { return 2*h.Threshold() - h.Size() }
 
 // Tally counts distinct votes toward a threshold. Duplicate votes from
 // the same node are ignored, which is what makes retransmission safe.
+// Voters sit in a slice searched linearly: clusters are tens of nodes.
 type Tally struct {
-	votes map[types.NodeID]struct{}
+	votes []types.NodeID
 	need  int
 }
 
 // NewTally returns a tally requiring need distinct votes.
 func NewTally(need int) *Tally {
-	return &Tally{votes: make(map[types.NodeID]struct{}), need: need}
+	return &Tally{votes: make([]types.NodeID, 0, need), need: need}
 }
 
 // Add records a vote from n and reports whether the threshold is now met.
 func (t *Tally) Add(n types.NodeID) bool {
-	t.votes[n] = struct{}{}
+	if !t.Has(n) {
+		t.votes = append(t.votes, n)
+	}
 	return t.Reached()
 }
 
 // Has reports whether n already voted.
-func (t *Tally) Has(n types.NodeID) bool {
-	_, ok := t.votes[n]
-	return ok
-}
+func (t *Tally) Has(n types.NodeID) bool { return slices.Contains(t.votes, n) }
 
 // Count returns the number of distinct votes.
 func (t *Tally) Count() int { return len(t.votes) }
@@ -163,9 +164,6 @@ func (t *Tally) Need() int { return t.need }
 
 // Reached reports whether the threshold is met.
 func (t *Tally) Reached() bool { return len(t.votes) >= t.need }
-
-// Voters returns the set of voters (shared map; callers must not mutate).
-func (t *Tally) Voters() map[types.NodeID]struct{} { return t.votes }
 
 // ValueTally counts votes per candidate value, used where voters may
 // disagree (Fast Paxos collision recovery, interactive consistency).

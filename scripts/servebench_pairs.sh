@@ -33,11 +33,12 @@
 # result, not an error.
 #
 # Every run's readings are kept in .bench_build/pairs/ next to the
-# binaries. A workload or benchmark the base does not know fails as
-# incomplete. The source trees of other revisions under .bench_build/
-# (this script's and soak.sh's) are deleted: they are full copies of old
-# source that `grep -r` over the checkout would walk into. Run one
-# invocation of either script at a time.
+# binaries. A workload the base does not know fails as incomplete; a
+# benchmark in a test file the base does not have is lent to it (below).
+# The source trees of other revisions under .bench_build/ (this script's
+# and soak.sh's) are deleted: they are full copies of old source that
+# `grep -r` over the checkout would walk into. Run one invocation of
+# either script at a time.
 set -euo pipefail
 
 usage() {
@@ -112,6 +113,19 @@ done
 if [ ! -d "$SRC" ]; then
     mkdir -p "$SRC"
     git -C "$ROOT" archive "$SHA" | tar -x -C "$SRC"
+fi
+# A benchmark the change introduces has no file at the base. Lend the
+# base checkout each *_test.go of PKG that declares a benchmark and that
+# BASE itself does not have — a file of its own is never replaced — so
+# that the change which adds a benchmark can measure its parent with it.
+# (It builds there if it is written against what the base exports.)
+if [ -n "${PKG:-}" ] && [ -d "$SRC/$PKG" ]; then
+    for f in $(grep -ls '^func Benchmark' "$ROOT/$PKG"/*_test.go); do
+        name="$(basename "$f")"
+        ! git -C "$ROOT" cat-file -e "$SHA:${PKG#./}/$name" 2>/dev/null || continue
+        cp "$f" "$SRC/$PKG/$name"
+        echo "pairs: base has no $PKG/$name: using the working tree's"
+    done
 fi
 (cd "$SRC" && "$GO" "${BUILD[0]}" -o "$SRC/$BIN" "${BUILD[@]:1}")
 (cd "$ROOT" && "$GO" "${BUILD[0]}" -o "$OUT/change-$BIN" "${BUILD[@]:1}")
