@@ -25,6 +25,7 @@ var protocolPackages = []string{
 	"internal/pow",
 	"internal/quorum",
 	"internal/raft",
+	"internal/readindex",
 	"internal/seemore",
 	"internal/shard",
 	"internal/smr",

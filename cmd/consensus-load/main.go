@@ -96,7 +96,7 @@ func main() {
 	before := counters()
 
 	type workerResult struct {
-		lat   metrics.Histogram // latency per successful op, microseconds
+		lat   [2]metrics.Histogram // latency per successful read, write: microseconds
 		errs  int
 		acked int // Incrs acknowledged
 		lost  int // Incrs that failed: applied or not, unknown
@@ -126,9 +126,9 @@ func main() {
 			r := &results[w]
 			for time.Now().Before(stop) {
 				key := fmt.Sprintf("load-%d", rng.Intn(*keys))
-				cmd, write := kvstore.Get(key), rng.Intn(100) < *writePct
+				cmd, write, kind := kvstore.Get(key), rng.Intn(100) < *writePct, 0
 				if write {
-					cmd = kvstore.Incr(key, 1)
+					cmd, kind = kvstore.Incr(key, 1), 1
 				}
 				t0 := time.Now()
 				_, err := cl.Do(cmd)
@@ -143,7 +143,7 @@ func main() {
 					r.acked++
 				}
 				done.Add(1)
-				r.lat.Add(int(time.Since(t0).Microseconds()))
+				r.lat[kind].Add(int(time.Since(t0).Microseconds()))
 			}
 		}(w)
 	}
@@ -152,10 +152,14 @@ func main() {
 	applied := counters() - before
 
 	var hist metrics.Histogram
+	var kinds [2]metrics.Histogram
 	var errs, acked, lost int
 	for i := range results {
 		r := &results[i]
-		hist.Merge(&r.lat)
+		for k := range kinds {
+			hist.Merge(&r.lat[k])
+			kinds[k].Merge(&r.lat[k])
+		}
 		errs, acked, lost = errs+r.errs, acked+r.acked, lost+r.lost
 	}
 	sum := hist.Snapshot()
@@ -163,6 +167,11 @@ func main() {
 	fmt.Printf("consensus-load: ops=%d errors=%d throughput=%.1f ops/s\n", sum.Count, errs, tput)
 	fmt.Printf("consensus-load: latency_us p50=%d p90=%d p99=%d max=%d mean=%.1f\n",
 		sum.P50, sum.P90, sum.P99, sum.Max, sum.Mean)
+	// Reads leave the log and writes do not, so each kind has its own line.
+	for k, name := range []string{"read", "write"} {
+		ks := kinds[k].Snapshot()
+		fmt.Printf("consensus-load: latency_us %s ops=%d p50=%d p99=%d\n", name, ks.Count, ks.P50, ks.P99)
+	}
 
 	if sum.Count == 0 {
 		fmt.Fprintln(os.Stderr, "consensus-load: no operation committed")

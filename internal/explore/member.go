@@ -135,6 +135,8 @@ func (s *digestSM) Apply(cmd types.Value) types.Value {
 	return nil
 }
 
+func (s *digestSM) Query(types.Value) types.Value { return nil }
+
 func (s *digestSM) Snapshot() []byte { return binary.LittleEndian.AppendUint64(nil, s.fp) }
 
 func (s *digestSM) Restore(snap []byte) error {
@@ -256,7 +258,7 @@ func (ep *memberEpisode) driveMembership() {
 // and runs the per-tick invariant checks.
 func (ep *memberEpisode) observe() {
 	for i, rep := range ep.c.Reps {
-		ds, _, err := rep.Pump()
+		ds, _, _, err := rep.Pump()
 		if err != nil {
 			ep.violate("snapshot-install", "node %d: %v", i, err)
 		}

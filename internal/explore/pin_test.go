@@ -14,7 +14,9 @@ var pinSeeds = []uint64{1, 2, 3}
 // over pinSeeds with generated 4-fault schedules, recorded at commit
 // e9fbf09 (PR 13); flexpaxos re-recorded in PR 16, and the five built on
 // the raft and multipaxos modules (flexpaxos, multipaxos, raft,
-// raft-member, shard) in PR 18, when decisions stopped being messages.
+// raft-member, shard) in PR 18, when decisions stopped being messages;
+// shard again when its read-your-writes probes became reads a leader
+// confirms with a probe round instead of log entries.
 // A trace hash folds every tick's committed-state
 // fingerprint and the run's final message and fault counters, so any
 // change to what a harness submits, when it steps, or what its nodes
@@ -31,7 +33,7 @@ var pinnedHashes = map[string][]string{
 	"pbft":        {"464dae8fae68dec3098a6ddce5dd155b", "bc44e7a244089401ec15e606d478a9b2", "9a63c9851448337cebf8685db05a22f2"},
 	"raft":        {"cae9a32b6852eba2334e42733209cbb7", "c58688ce9542c10c44a40996084c343c", "51209c94287e70a82151ccbcd6113c8c"},
 	"raft-member": {"98bf36a80f2f77e9171ec4db651046d5", "20da887edacac5e5f1b3d627277c8b1f", "c31f563cbd991e59928a07517d22f197"},
-	"shard":       {"ed530aa4bdf0eb4909ff8820edfe64b0", "15e399ca538acb852b6812ec3dfbbda8", "2051ff391a89fc856d9200f9c3c55752"},
+	"shard":       {"c720b21b1c6fcb4bc8f54f54233037b0", "ec45b23c8eb9f1e4511bdf775aa2d205", "66abb27541c91020419d18f5d04cd36e"},
 	"upright":     {"75d2c0b713a9a4ef7757e6487fde346c", "8c76cd9d1b1a24b5685168b3ef40f015", "ee5348e9a1e5909d4d09589be5f2bf40"},
 }
 

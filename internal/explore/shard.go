@@ -106,8 +106,11 @@ func shardEpisode(n int, seed uint64, unsafe bool) *Episode {
 			}
 			// Read-your-writes probes: once a marked transaction
 			// commits, read its marker back from the shard that wrote
-			// it. The probe enters that shard's log after the TxCommit
-			// entry, so a correct shard must serve the value.
+			// it. The probe is a read, not a log entry: a leader serves it
+			// only once a quorum has confirmed it still leads, at a commit
+			// index past the TxCommit entry, so a correct shard must serve
+			// the value — and a deposed leader that skipped the quorum
+			// would not.
 			if len(markers) > 0 { // most ticks carry none: skip the sorted-keys allocation
 				for _, tx := range det.SortedKeys(markers) {
 					if done, outcome := svc.TxDone(tx); done {

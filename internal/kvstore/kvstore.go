@@ -170,6 +170,19 @@ func (s *Store) Apply(cmd types.Value) types.Value {
 	}
 }
 
+// Query answers a GET without applying it: nothing changes, not even the
+// applied count a snapshot carries. Anything else is ReplyBadCmd.
+func (s *Store) Query(cmd types.Value) types.Value {
+	c, err := Decode(cmd)
+	if err != nil || c.Op != OpGet {
+		return ReplyBadCmd
+	}
+	if v, ok := s.data[c.Key]; ok {
+		return append(types.Value(nil), v...)
+	}
+	return ReplyNotFound
+}
+
 // Get reads a key directly (local, possibly stale read).
 func (s *Store) Get(key string) ([]byte, bool) {
 	v, ok := s.data[key]

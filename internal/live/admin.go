@@ -92,7 +92,7 @@ func (s *Server) AddPeer(id types.NodeID, addr string) { s.tr.AddPeer(id, addr) 
 func (s *Server) handleAdmin(cc *ClientConn, req Request) {
 	bad := func(why string) {
 		s.met.badReq.Add(1)
-		cc.Send(Response{ReqID: req.ReqID, Status: StatusBadRequest, Leader: -1,
+		s.respond(cc, Response{ReqID: req.ReqID, Status: StatusBadRequest, Leader: -1,
 			Result: types.Value(why)})
 	}
 	r := wire.NewReader(req.Op)
@@ -106,7 +106,7 @@ func (s *Server) handleAdmin(cc *ClientConn, req Request) {
 		for _, g := range s.grs {
 			gs, ok := g.status()
 			if !ok {
-				cc.Send(Response{ReqID: req.ReqID, Status: StatusUnavailable, Leader: -1})
+				s.respond(cc, Response{ReqID: req.ReqID, Status: StatusUnavailable, Leader: -1})
 				return
 			}
 			st.Groups = append(st.Groups, gs)
@@ -116,7 +116,7 @@ func (s *Server) handleAdmin(cc *ClientConn, req Request) {
 			bad(fmt.Sprintf("status encoding: %v", err))
 			return
 		}
-		cc.Send(Response{ReqID: req.ReqID, Status: StatusOK, Leader: int64(s.cfg.Self), Result: buf})
+		s.respond(cc, Response{ReqID: req.ReqID, Status: StatusOK, Leader: int64(s.cfg.Self), Result: buf})
 	case OpAdminAddNode:
 		id := types.NodeID(r.I64())
 		addr := string(r.View32())

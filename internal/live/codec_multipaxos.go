@@ -19,6 +19,7 @@ func (MultiPaxosCodec) Append(dst []byte, m multipaxos.Message) []byte {
 	dst = appendI64(dst, int64(m.Ballot.Owner))
 	dst = appendU64(dst, uint64(m.Slot))
 	dst = appendU64(dst, uint64(m.Commit))
+	dst = appendU64(dst, m.Read)
 	dst = wire.AppendBytes32(dst, m.Val)
 	dst = appendU32(dst, uint32(len(m.Entries)))
 	for _, e := range m.Entries {
@@ -41,6 +42,7 @@ func (MultiPaxosCodec) Decode(b []byte) (multipaxos.Message, error) {
 	m.Ballot.Owner = types.NodeID(r.I64())
 	m.Slot = types.Seq(r.U64())
 	m.Commit = types.Seq(r.U64())
+	m.Read = r.U64()
 	m.Val = r.Copy32()
 	n := r.Count(28) // slot + ballot (16) + value length minimum
 	if n > 0 {
@@ -52,7 +54,7 @@ func (MultiPaxosCodec) Decode(b []byte) (multipaxos.Message, error) {
 			m.Entries[i].Val = r.Copy32()
 		}
 	}
-	if !r.Done() || m.Kind < multipaxos.MsgPrepare || m.Kind > multipaxos.MsgState {
+	if !r.Done() || m.Kind < multipaxos.MsgPrepare || m.Kind > multipaxos.MsgReadResp {
 		return multipaxos.Message{}, ErrCodec
 	}
 	return m, nil

@@ -28,6 +28,7 @@ func (RaftCodec) Append(dst []byte, m raft.Message) []byte {
 	dst = wire.AppendBytes32(dst, m.Val)
 	dst = appendU32(dst, m.Offset)
 	dst = appendU8(dst, b2u(m.Done))
+	dst = appendU64(dst, m.Read)
 	dst = appendU32(dst, uint32(len(m.Entries)))
 	for _, e := range m.Entries {
 		dst = appendU64(dst, uint64(e.Term))
@@ -55,6 +56,7 @@ func (RaftCodec) Decode(b []byte) (raft.Message, error) {
 	m.Val = r.Copy32()
 	m.Offset = r.U32()
 	m.Done = r.Bool()
+	m.Read = r.U64()
 	n := r.Count(12) // 8-byte term + 4-byte value length minimum
 	if n > 0 {
 		m.Entries = make([]raft.LogEntry, n)
@@ -63,7 +65,7 @@ func (RaftCodec) Decode(b []byte) (raft.Message, error) {
 			m.Entries[i].Val = r.Copy32()
 		}
 	}
-	if !r.Done() || m.Kind < raft.MsgRequestVote || m.Kind > raft.MsgSnapResp {
+	if !r.Done() || m.Kind < raft.MsgRequestVote || m.Kind > raft.MsgReadResp {
 		return raft.Message{}, ErrCodec
 	}
 	return m, nil

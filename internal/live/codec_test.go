@@ -32,6 +32,8 @@ func raftMessages() []raft.Message {
 		},
 		{Kind: raft.MsgSnapResp, From: 4, To: 0, Term: 9, Success: true, Offset: 8192},
 		{Kind: raft.MsgSnapResp, From: 4, To: 0, Term: 9, Success: true, Done: true, MatchIndex: 20},
+		{Kind: raft.MsgRead, From: 0, To: 2, Term: 9, Read: 1 << 40},
+		{Kind: raft.MsgReadResp, From: 2, To: 0, Term: 10, Read: 17},
 	}
 }
 
@@ -48,6 +50,8 @@ func paxosMessages() []multipaxos.Message {
 		{Kind: multipaxos.MsgAccept, From: 1, To: 0, Ballot: types.Ballot{Num: 3, Owner: 1}, Slot: 7, Val: types.Value("v")},
 		{Kind: multipaxos.MsgCatchup, From: 0, To: 1, Commit: 11},
 		{Kind: multipaxos.MsgState, From: 1, To: 0, Val: types.Value("encoded snapshot"), Commit: 40},
+		{Kind: multipaxos.MsgRead, From: 1, To: 2, Ballot: types.Ballot{Num: 3, Owner: 1}, Read: 1 << 40},
+		{Kind: multipaxos.MsgReadResp, From: 2, To: 1, Ballot: types.Ballot{Num: 3, Owner: 1}, Read: 17},
 	}
 }
 
@@ -194,8 +198,13 @@ func TestCodecCorruptCountRejected(t *testing.T) {
 	c := RaftCodec{}
 	m := raft.Message{Kind: raft.MsgAppend, Entries: []raft.LogEntry{{Term: 1, Val: types.Value("x")}}}
 	b := c.Append(nil, m)
-	// The entry count is the u32 right before the single 13-byte entry.
-	countOff := len(b) - 13 - 4
+	// The count is the u32 that ends the fixed fields, wherever they end:
+	// the same message with no entries encodes to exactly those fields.
+	m.Entries = nil
+	countOff := len(c.Append(nil, m)) - 4
+	if b[countOff+3] != 1 {
+		t.Fatalf("byte %d is not the low byte of an entry count of 1: %x", countOff+3, b)
+	}
 	b[countOff], b[countOff+1], b[countOff+2], b[countOff+3] = 0xff, 0xff, 0xff, 0xff
 	if _, err := c.Decode(b); err == nil {
 		t.Fatal("corrupt count decoded without error")

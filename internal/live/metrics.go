@@ -13,13 +13,14 @@ import (
 )
 
 // ServerMetrics aggregates one server's counters: per-shard committed
-// client operations, a submit→apply latency histogram (microseconds),
-// and request accounting. The CounterSet and the histogram sit behind
-// a mutex: shard groups' turns and the HTTP endpoint race.
+// client operations, a submit→answer latency histogram (microseconds),
+// read and request accounting, and drops by reason. The CounterSet and
+// the histogram sit behind a mutex: shard groups' turns and the HTTP
+// endpoint race.
 type ServerMetrics struct {
 	mu         sync.Mutex
 	commits    *metrics.CounterSet // per-shard ops committed and answered here
-	latency    metrics.Histogram   // submit→apply, µs
+	latency    metrics.Histogram   // submit→answer, µs: writes to their applied reply, reads to theirs
 	shardNames []string            // commits' counter name per shard, built once
 
 	requests  atomic.Uint64 // client requests received
@@ -29,6 +30,13 @@ type ServerMetrics struct {
 	// restoreFailed counts groups whose replica could not restore an
 	// installed snapshot and has stopped applying and answering.
 	restoreFailed atomic.Uint64
+
+	replyDropped     atomic.Uint64 // refused by a client connection: queue full or closed
+	peerDecodeErrors atomic.Uint64 // peer frames that did not decode
+
+	// Reads, served beside the log: answered, dropped as the module
+	// stopped leading, probes sent, answered only after a heartbeat re-ask.
+	readsServed, readsDropped, readProbes, readsReasked atomic.Uint64
 
 	started time.Time
 }
@@ -52,6 +60,14 @@ func (m *ServerMetrics) observeCommit(shard int, lat time.Duration) {
 	m.mu.Unlock()
 }
 
+// observeRead records a read answered, in the writes' histogram.
+func (m *ServerMetrics) observeRead(lat time.Duration) {
+	m.readsServed.Add(1)
+	m.mu.Lock()
+	m.latency.Add(int(lat.Microseconds()))
+	m.mu.Unlock()
+}
+
 // Committed returns the total client operations committed and answered
 // by this server.
 func (m *ServerMetrics) Committed() uint64 {
@@ -63,7 +79,7 @@ func (m *ServerMetrics) Committed() uint64 {
 // Applied returns the total log entries applied across shards.
 func (m *ServerMetrics) Applied() uint64 { return m.applied.Load() }
 
-// LatencySummary snapshots the submit→apply latency distribution.
+// LatencySummary snapshots the submit→answer latency distribution.
 func (m *ServerMetrics) LatencySummary() metrics.Summary {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -78,10 +94,13 @@ type metricsSnapshot struct {
 	NotLeader uint64            `json:"not_leader"`
 	BadReq    uint64            `json:"bad_requests"`
 	Commits   map[string]uint64 `json:"commits_per_shard"`
-	Latency   metrics.Summary   `json:"latency_us"`
+	Latency   metrics.Summary   `json:"latency_us"` // submit→answer, reads included
+	Reads     map[string]uint64 `json:"reads"`
 	Transport TransportStats    `json:"transport"`
 
-	RestoreFailed uint64 `json:"restore_failed"`
+	RestoreFailed    uint64 `json:"restore_failed"`
+	ReplyDropped     uint64 `json:"reply_dropped"`
+	PeerDecodeErrors uint64 `json:"peer_decode_errors"`
 }
 
 func (m *ServerMetrics) snapshot(tr *Transport) metricsSnapshot {
@@ -100,9 +119,13 @@ func (m *ServerMetrics) snapshot(tr *Transport) metricsSnapshot {
 		BadReq:    m.badReq.Load(),
 		Commits:   commits,
 		Latency:   lat,
+		Reads: map[string]uint64{"served": m.readsServed.Load(), "dropped_not_leader": m.readsDropped.Load(),
+			"probes_sent": m.readProbes.Load(), "answered_after_reask": m.readsReasked.Load()},
 		Transport: tr.Stats(),
 
-		RestoreFailed: m.restoreFailed.Load(),
+		RestoreFailed:    m.restoreFailed.Load(),
+		ReplyDropped:     m.replyDropped.Load(),
+		PeerDecodeErrors: m.peerDecodeErrors.Load(),
 	}
 }
 

@@ -63,7 +63,7 @@ func TestRestoreFailureIsCountedAndRefusesClients(t *testing.T) {
 	defer c2.Close()
 	cc := newClientConn(c1, bufio.NewReader(c1))
 	defer cc.Close()
-	g.submit(cc, Request{ReqID: 5, Client: 1, SeqNo: 1, Op: kvstore.Put("k", []byte("v")).Encode()})
+	g.submit(cc, Request{ReqID: 5, Client: 1, SeqNo: 1, Op: kvstore.Put("k", []byte("v")).Encode()}, false)
 	resp, err := decodeResponse(<-cc.out)
 	if err != nil || resp.ReqID != 5 || resp.Status != StatusUnavailable {
 		t.Fatalf("submit to a wedged group answered %+v (%v), want StatusUnavailable", resp, err)

@@ -88,7 +88,7 @@ type hostedGroup interface {
 	start()
 	close()
 	deliver(payload []byte)
-	submit(cc *ClientConn, req Request)
+	submit(cc *ClientConn, req Request, read bool)
 	leaderInfo() (isLeader bool, leader types.NodeID, ok bool)
 	inspect(fn func(st *shard.Store)) bool
 	status() (GroupStatus, bool)
@@ -206,6 +206,7 @@ func (s *Server) onPeerFrame(from types.NodeID, payload []byte) {
 	r := wire.NewReader(payload)
 	idx := r.U32()
 	if r.Err() != nil || idx >= uint32(len(s.grs)) {
+		s.met.peerDecodeErrors.Add(1)
 		return
 	}
 	s.grs[idx].deliver(r.View(r.Len()))
@@ -226,12 +227,20 @@ func (s *Server) serveClient(cc *ClientConn) {
 		cmd, derr := kvstore.Decode(req.Op)
 		if derr != nil || req.SeqNo == 0 {
 			s.met.badReq.Add(1)
-			cc.Send(Response{ReqID: req.ReqID, Status: StatusBadRequest, Leader: -1,
+			s.respond(cc, Response{ReqID: req.ReqID, Status: StatusBadRequest, Leader: -1,
 				Result: types.Value("undecodable command")})
 			continue
 		}
 		g := s.grs[s.pm.Shard(cmd.Key)]
-		g.submit(cc, req)
+		g.submit(cc, req, cmd.Op == kvstore.OpGet)
+	}
+}
+
+// respond queues a response on the client's connection, counting one the
+// connection refused (its queue is full, or it has closed).
+func (s *Server) respond(cc *ClientConn, resp Response) {
+	if !cc.Send(resp) {
+		s.met.replyDropped.Add(1)
 	}
 }
 
@@ -260,14 +269,16 @@ func (s *Server) Close() {
 // --- the generic hosted group ---
 
 // SMRModule is the surface a hostable consensus module must offer:
-// the runner contract plus submission, leadership, and the decision
-// stream. raft.Node and multipaxos.Node both satisfy it unchanged.
+// the runner contract plus submission, reads, leadership, and the
+// decision stream. raft.Node and multipaxos.Node both satisfy it.
 type SMRModule[M any] interface {
 	Module[M]
 	smr.Module
+	smr.Reader
 	Submit(types.Value)
 	IsLeader() bool
 	Leader() types.NodeID
+	ReadStats() (probes, reasked int)
 }
 
 // sessKey identifies one client request for reply routing.
@@ -276,11 +287,12 @@ type sessKey struct {
 	seqno  uint64
 }
 
-// pendingReq is one accepted submission awaiting its committed reply.
+// pendingReq is one accepted submission or read awaiting its answer.
 type pendingReq struct {
 	cc    *ClientConn
 	reqID uint64
 	start time.Time
+	read  bool
 }
 
 // smrGroup is the live driver of smr.Replica for one shard group: the
@@ -304,6 +316,8 @@ type smrGroup[M any] struct {
 	restoreFailed bool
 
 	pending map[sessKey]*pendingReq
+
+	probes, reasked int // the module's read counters, as last added to srv.met
 
 	enc []byte // frame's scratch, reused across sends
 }
@@ -352,34 +366,39 @@ func (g *smrGroup[M]) frame(m M) []byte {
 func (g *smrGroup[M]) deliver(payload []byte) {
 	m, err := g.codec.Decode(payload)
 	if err != nil {
+		g.srv.met.peerDecodeErrors.Add(1)
 		return
 	}
 	g.node.Deliver(m)
 }
 
 // submit runs the leadership check and submission as one turn, on the
-// client connection's goroutine.
-func (g *smrGroup[M]) submit(cc *ClientConn, req Request) {
+// client connection's goroutine; a read goes to smr.Replica.Read.
+func (g *smrGroup[M]) submit(cc *ClientConn, req Request, read bool) {
 	ok := g.node.CallWait(func() {
 		if g.restoreFailed {
-			cc.Send(Response{ReqID: req.ReqID, Status: StatusUnavailable, Leader: -1})
+			g.srv.respond(cc, Response{ReqID: req.ReqID, Status: StatusUnavailable, Leader: -1})
 			return
 		}
 		if !g.mod.IsLeader() {
 			g.srv.met.notLeader.Add(1)
-			cc.Send(Response{ReqID: req.ReqID, Status: StatusNotLeader, Leader: int64(g.mod.Leader())})
+			g.srv.respond(cc, Response{ReqID: req.ReqID, Status: StatusNotLeader, Leader: int64(g.mod.Leader())})
 			return
 		}
 		g.prunePending()
 		g.pending[sessKey{req.Client, req.SeqNo}] = &pendingReq{
-			cc: cc, reqID: req.ReqID, start: time.Now(),
+			cc: cc, reqID: req.ReqID, start: time.Now(), read: read,
+		}
+		if read {
+			g.rep.Read(req.Client, req.SeqNo, req.Op)
+			return
 		}
 		g.mod.Submit(smr.EncodeRequest(types.Request{
 			Client: req.Client, SeqNo: req.SeqNo, Op: req.Op,
 		}))
 	})
 	if !ok {
-		cc.Send(Response{ReqID: req.ReqID, Status: StatusUnavailable, Leader: -1})
+		g.srv.respond(cc, Response{ReqID: req.ReqID, Status: StatusUnavailable, Leader: -1})
 	}
 }
 
@@ -399,9 +418,10 @@ func (g *smrGroup[M]) prunePending() {
 }
 
 // afterTurn ends every turn, under the node's lock: pump the replica,
-// answer the clients whose requests it applied, compact on cadence.
+// answer the clients whose requests it applied or whose reads it served,
+// redirect those whose reads the module dropped, compact on cadence.
 func (g *smrGroup[M]) afterTurn() {
-	_, replies, err := g.rep.Pump()
+	_, replies, dropped, err := g.rep.Pump()
 	if err != nil {
 		if !g.restoreFailed {
 			g.restoreFailed = true
@@ -409,15 +429,34 @@ func (g *smrGroup[M]) afterTurn() {
 		}
 		return
 	}
+	met := g.srv.met
 	for _, r := range replies {
-		g.srv.met.applied.Add(1)
 		p, ok := g.pending[sessKey{r.Client, r.SeqNo}]
+		if !ok || !p.read {
+			met.applied.Add(1) // a log entry; a read is none
+		}
 		if !ok {
 			continue
 		}
 		delete(g.pending, sessKey{r.Client, r.SeqNo})
-		g.srv.met.observeCommit(g.idx, time.Since(p.start))
-		p.cc.Send(Response{ReqID: p.reqID, Status: StatusOK, Leader: int64(g.srv.cfg.Self), Result: r.Result})
+		if p.read {
+			met.observeRead(time.Since(p.start))
+		} else {
+			met.observeCommit(g.idx, time.Since(p.start))
+		}
+		g.srv.respond(p.cc, Response{ReqID: p.reqID, Status: StatusOK, Leader: int64(g.srv.cfg.Self), Result: r.Result})
+	}
+	for _, r := range dropped {
+		met.readsDropped.Add(1)
+		if p, ok := g.pending[sessKey{r.Client, r.SeqNo}]; ok {
+			delete(g.pending, sessKey{r.Client, r.SeqNo})
+			g.srv.respond(p.cc, Response{ReqID: p.reqID, Status: StatusNotLeader, Leader: int64(g.mod.Leader())})
+		}
+	}
+	if probes, reasked := g.mod.ReadStats(); probes != g.probes || reasked != g.reasked {
+		met.readProbes.Add(uint64(probes - g.probes))
+		met.readsReasked.Add(uint64(reasked - g.reasked))
+		g.probes, g.reasked = probes, reasked
 	}
 	g.rep.CompactEvery(g.srv.cfg.SnapshotEvery)
 }

@@ -26,6 +26,7 @@ import (
 	"fortyconsensus/internal/core"
 	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/quorum"
+	"fortyconsensus/internal/readindex"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
@@ -70,9 +71,11 @@ const (
 	MsgAccepted
 	MsgCommit
 	MsgHeartbeat
-	MsgForward // request forwarded to the leader
-	MsgCatchup // follower asks for committed slots it is missing
-	MsgState   // state transfer: snapshot replacing compacted slots
+	MsgForward  // request forwarded to the leader
+	MsgCatchup  // follower asks for committed slots it is missing
+	MsgState    // state transfer: snapshot replacing compacted slots
+	MsgRead     // read probe: is this still the leader's ballot?
+	MsgReadResp // the probe's answer from an acceptor that holds it
 )
 
 func (k MsgKind) String() string {
@@ -97,6 +100,10 @@ func (k MsgKind) String() string {
 		return "catchup"
 	case MsgState:
 		return "state-transfer"
+	case MsgRead:
+		return "read"
+	case MsgReadResp:
+		return "read-resp"
 	}
 	return fmt.Sprintf("MsgKind(%d)", uint8(k))
 }
@@ -117,6 +124,7 @@ type Message struct {
 	Val      types.Value
 	Entries  []Entry   // Ack: the entries accepted above Commit; Commit: the catch-up batch
 	Commit   types.Seq // Accept, Heartbeat: leader's commit frontier; Ack, State: sender's
+	Read     uint64    // Read, Accept: the leader's newest read round, echoed by ReadResp, Accepted (read.go)
 }
 
 // Runner accessors.
@@ -212,7 +220,10 @@ type Node struct {
 	// effect for slots >= i+Alpha; configs[0] is the bootstrap config.
 	configs []cfgEpoch
 
-	out []Message
+	reads     readindex.Tracker // read.go
+	readFloor types.Seq         // the last slot the leader recovered: no read confirms below it
+
+	out, spare []Message // the outbox and what the last Drain handed out: swapped, never regrown
 }
 
 // New builds a Multi-Paxos replica.
@@ -317,7 +328,7 @@ func (n *Node) accept(slot types.Seq, v types.Value) {
 	_, q2 := n.quorumsFor(slot)
 	sl := n.log.at(slot) // never nil: a leader's slots are dense up to nextSlot
 	sl.num, sl.val, sl.accepted, sl.votes = n.curBallot, v, true, quorum.NewTally(q2)
-	n.sendAll(n.membersFor(slot), Message{Kind: MsgAccept, Ballot: n.curBallot, Slot: slot, Val: v, Commit: n.commitSeq})
+	n.sendAll(n.membersFor(slot), Message{Kind: MsgAccept, Ballot: n.curBallot, Slot: slot, Val: v, Commit: n.commitSeq, Read: n.reads.Round()})
 	n.vote(slot, sl, n.id)
 }
 
@@ -389,6 +400,12 @@ func (n *Node) Step(m Message) {
 		if n.role != leader { // as MsgCommit
 			n.onState(m)
 		}
+	case MsgRead:
+		n.onRead(m)
+	case MsgReadResp:
+		if n.role == leader && m.Ballot == n.curBallot {
+			n.reads.Answer(m.From, m.Read)
+		}
 	}
 }
 
@@ -409,6 +426,7 @@ func (n *Node) onPrepare(m Message) {
 func (n *Node) becomeFollowerOf(lead types.NodeID) {
 	n.role = follower
 	n.lead = lead
+	n.reads.Reset()
 	if lead >= 0 {
 		n.passive = false // heard from a live leader: full citizen now
 	}
@@ -459,6 +477,7 @@ func (n *Node) becomeLeader() {
 	for _, s := range det.SortedKeys(n.recovered) {
 		n.nextSlot = max(n.nextSlot, s+1)
 	}
+	n.readFloor = n.nextSlot - 1
 	// Gaps between commitSeq and nextSlot that no ack reported get no-op
 	// values — a missing entry's nil Val — so the log stays dense (classic
 	// Multi-Paxos hole filling).
@@ -479,6 +498,7 @@ func (n *Node) onNack(m Message) {
 		if n.role != follower {
 			n.role = follower
 			n.lead = -1
+			n.reads.Reset()
 			n.resetElectionTimer()
 		}
 	}
@@ -499,7 +519,7 @@ func (n *Node) onAccept(m Message) {
 			}
 			sl.num, sl.val, sl.accepted = m.Ballot, m.Val, true
 		}
-		n.send(Message{Kind: MsgAccepted, To: m.From, Ballot: m.Ballot, Slot: m.Slot})
+		n.send(Message{Kind: MsgAccepted, To: m.From, Ballot: m.Ballot, Slot: m.Slot, Read: m.Read})
 		n.learnThrough(m.Ballot, m.Commit)
 		return
 	}
@@ -510,6 +530,7 @@ func (n *Node) onAccepted(m Message) {
 	if n.role != leader || m.Ballot != n.curBallot {
 		return
 	}
+	n.reads.Answer(m.From, m.Read)
 	// An open tally is one of this ballot: a deposed leader's stay behind
 	// until the slot is accepted again or compacted.
 	if sl := n.log.get(m.Slot); sl != nil && sl.votes != nil && sl.num == n.curBallot {
@@ -642,6 +663,7 @@ func (n *Node) Tick() {
 		if n.hbCooldown <= 0 {
 			n.hbCooldown = n.cfg.HeartbeatTicks
 			n.broadcast(Message{Kind: MsgHeartbeat, Ballot: n.curBallot, Commit: n.commitSeq})
+			n.reask()
 		}
 	case follower, candidate:
 		n.electionIn--
@@ -656,9 +678,12 @@ func (n *Node) Tick() {
 	}
 }
 
-// Drain returns pending outbound messages.
+// Drain returns pending outbound messages. The slice is valid until the
+// next Drain, which reuses it: a caller that keeps a message past that
+// copies it (the runner and the live host send each one on at once).
 func (n *Node) Drain() []Message {
 	out := n.out
-	n.out = nil
+	clear(n.spare) // what the last Drain returned is void now: let it go
+	n.out, n.spare = n.spare[:0], out
 	return out
 }

@@ -20,6 +20,7 @@ import (
 
 	"fortyconsensus/internal/core"
 	"fortyconsensus/internal/quorum"
+	"fortyconsensus/internal/readindex"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
@@ -66,6 +67,8 @@ const (
 	MsgForward
 	MsgSnap     // InstallSnapshot: one chunk of an encoded snapshot
 	MsgSnapResp // InstallSnapshot response: progress ack or install report
+	MsgRead     // ReadIndex probe: is this still the leader's term?
+	MsgReadResp // the probe's answer, under the answerer's term
 )
 
 func (k MsgKind) String() string {
@@ -84,6 +87,10 @@ func (k MsgKind) String() string {
 		return "install-snapshot"
 	case MsgSnapResp:
 		return "install-snapshot-resp"
+	case MsgRead:
+		return "read"
+	case MsgReadResp:
+		return "read-resp"
 	}
 	return fmt.Sprintf("MsgKind(%d)", uint8(k))
 }
@@ -116,6 +123,8 @@ type Message struct {
 	// completes the snapshot (request) / the install finished (response).
 	Offset uint32
 	Done   bool
+
+	Read uint64 // the leader's newest read round on MsgRead and MsgAppend, echoed in their answers (read.go)
 }
 
 // Runner accessors.
@@ -229,7 +238,10 @@ type Node struct {
 
 	matchScratch []types.Seq // maybeCommit scratch, reused across checks
 
-	out []Message
+	reads     readindex.Tracker // read.go
+	readFloor types.Seq         // this term's no-op: no read confirms before it commits
+
+	out, spare []Message // the outbox and what the last Drain handed out: swapped, never regrown
 }
 
 // New builds a Raft replica.
@@ -339,6 +351,7 @@ func (n *Node) becomeFollower(term Term, lead types.NodeID) {
 	n.lead = lead
 	n.votes = nil
 	n.prs = nil
+	n.reads.Reset()
 	if lead >= 0 {
 		n.passive = false // heard from a live leader: full citizen now
 	}
@@ -387,6 +400,7 @@ func (n *Node) becomeLeader() {
 	// A no-op entry from the new term lets the leader commit immediately
 	// (the classic "commit a current-term entry first" rule).
 	n.log = append(n.log, LogEntry{Term: n.term})
+	n.readFloor = n.lastIndex()
 	queued := n.queued
 	n.queued = nil
 	for _, v := range queued {
@@ -481,6 +495,7 @@ func (n *Node) heartbeat() {
 		}
 		n.sendNext(p, pr)
 	}
+	n.reask()
 	n.hbIn = n.cfg.HeartbeatTicks
 }
 
@@ -512,7 +527,7 @@ func (n *Node) sendNext(p types.NodeID, pr *progress) {
 	n.send(Message{
 		Kind: MsgAppend, To: p,
 		PrevIndex: prev, PrevTerm: n.at(prev).Term,
-		Entries: batch, LeaderCommit: n.commitIndex,
+		Entries: batch, LeaderCommit: n.commitIndex, Read: n.reads.Round(),
 	})
 	if pr.state == stateReplicate {
 		pr.next = hi + 1
@@ -537,6 +552,12 @@ func (n *Node) Step(m Message) {
 		n.onSnap(m)
 	case MsgSnapResp:
 		n.onSnapResp(m)
+	case MsgRead:
+		n.onRead(m)
+	case MsgReadResp:
+		if n.role == leader && m.Term == n.term {
+			n.reads.Answer(m.From, m.Read)
+		}
 	case MsgForward:
 		if n.role == leader {
 			n.appendLocal(m.Val)
@@ -578,7 +599,7 @@ func (n *Node) onVote(m Message) {
 
 func (n *Node) onAppend(m Message) {
 	if m.Term < n.term {
-		n.send(Message{Kind: MsgAppendResp, To: m.From, Success: false, MatchIndex: 0})
+		n.send(Message{Kind: MsgAppendResp, To: m.From, Success: false, MatchIndex: 0, Read: m.Read})
 		return
 	}
 	n.becomeFollower(m.Term, m.From)
@@ -589,7 +610,7 @@ func (n *Node) onAppend(m Message) {
 		// and re-anchor the consistency check at the snapshot boundary.
 		drop := n.snapIndex - prevIndex
 		if types.Seq(len(entries)) <= drop {
-			n.send(Message{Kind: MsgAppendResp, To: m.From, Success: true, MatchIndex: n.snapIndex})
+			n.send(Message{Kind: MsgAppendResp, To: m.From, Success: true, MatchIndex: n.snapIndex, Read: m.Read})
 			return
 		}
 		entries = entries[drop:]
@@ -600,11 +621,11 @@ func (n *Node) onAppend(m Message) {
 	// and hints where to resume: our last index if the gap is past our
 	// log, else our commit index (which surely matches the leader's log).
 	if prevIndex > n.lastIndex() {
-		n.send(Message{Kind: MsgAppendResp, To: m.From, PrevIndex: m.PrevIndex, MatchIndex: n.lastIndex()})
+		n.send(Message{Kind: MsgAppendResp, To: m.From, PrevIndex: m.PrevIndex, MatchIndex: n.lastIndex(), Read: m.Read})
 		return
 	}
 	if n.at(prevIndex).Term != prevTerm {
-		n.send(Message{Kind: MsgAppendResp, To: m.From, PrevIndex: m.PrevIndex, MatchIndex: n.commitIndex})
+		n.send(Message{Kind: MsgAppendResp, To: m.From, PrevIndex: m.PrevIndex, MatchIndex: n.commitIndex, Read: m.Read})
 		return
 	}
 	// Append, truncating conflicts.
@@ -636,13 +657,14 @@ func (n *Node) onAppend(m Message) {
 		// heartbeat it has nothing to ask about.
 		return
 	}
-	n.send(Message{Kind: MsgAppendResp, To: m.From, Success: true, MatchIndex: match})
+	n.send(Message{Kind: MsgAppendResp, To: m.From, Success: true, MatchIndex: match, Read: m.Read})
 }
 
 func (n *Node) onAppendResp(m Message) {
 	if n.role != leader || m.Term != n.term {
 		return
 	}
+	n.reads.Answer(m.From, m.Read)
 	pr := n.prs[m.From]
 	if pr == nil {
 		return // not, or no longer, in the config
@@ -762,9 +784,12 @@ func (n *Node) Tick() {
 	}
 }
 
-// Drain returns pending outbound messages.
+// Drain returns pending outbound messages. The slice is valid until the
+// next Drain, which reuses it: a caller that keeps a message past that
+// copies it (the runner and the live host send each one on at once).
 func (n *Node) Drain() []Message {
 	out := n.out
-	n.out = nil
+	clear(n.spare) // what the last Drain returned is void now: let it go
+	n.out, n.spare = n.spare[:0], out
 	return out
 }

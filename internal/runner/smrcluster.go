@@ -82,15 +82,16 @@ func (c *SMRCluster[M, N]) Correct(id types.NodeID, faulty []types.NodeID) bool 
 }
 
 // Pump drains every replica's newly committed decisions into its state
-// machine and returns the client replies that produced, in node order,
-// and the decisions, indexed like Nodes. Call after Step/Run. A replica
-// that cannot restore an installed snapshot panics: in simulation that
-// is a broken snapshot codec, not a fault to ride out.
+// machine and returns the client replies that produced, and the reads
+// answered, in node order, and the decisions, indexed like Nodes. Call
+// after Step/Run. A replica that cannot restore an installed snapshot
+// panics: in simulation that is a broken snapshot codec, not a fault to
+// ride out. A dropped read goes unreported: simulated clients retry.
 func (c *SMRCluster[M, N]) Pump() ([]types.Reply, [][]types.Decision) {
 	var replies []types.Reply
 	decided := make([][]types.Decision, len(c.Reps))
 	for i, r := range c.Reps {
-		ds, rs, err := r.Pump()
+		ds, rs, _, err := r.Pump()
 		if err != nil {
 			panic(fmt.Sprintf("runner: node %d: %v", i, err))
 		}

@@ -26,6 +26,9 @@ type Group interface {
 	// leader, reporting whether one was found. A false return is not an
 	// error: the caller retries after the group re-stabilizes.
 	Submit(v types.Value) bool
+	// Read is Submit for a GET: raft and Multi-Paxos serve it beside the
+	// log (smr.Replica.Read); PBFT orders it like a write.
+	Read(req types.Request) bool
 	// Pump drains newly committed decisions into the per-replica
 	// executors and returns the (replies, per-replica decisions) both
 	// produced this tick.
@@ -52,10 +55,12 @@ type group[M any, N runner.SMRNode[M]] struct {
 	*runner.SMRCluster[M, N]
 	stores []*Store
 	submit func(v types.Value) bool
+	read   func(req types.Request) bool
 }
 
-func (g *group[M, N]) Submit(v types.Value) bool { return g.submit(v) }
-func (g *group[M, N]) Stores() []*Store          { return g.stores }
+func (g *group[M, N]) Submit(v types.Value) bool   { return g.submit(v) }
+func (g *group[M, N]) Read(req types.Request) bool { return g.read(req) }
+func (g *group[M, N]) Stores() []*Store            { return g.stores }
 
 // NewGroup builds one shard group of the named backend over its own
 // seeded fabric. PBFT sizes itself to 3f+1 >= replicas.
@@ -70,12 +75,10 @@ func NewGroup(backend string, replicas int, seed uint64) (Group, error) {
 	switch backend {
 	case BackendRaft:
 		c := raft.NewCluster(replicas, fabric, raft.Config{Seed: seed}, newSM)
-		submit := func(v types.Value) bool { return submitToClaimants(c.SMRCluster, v) }
-		return &group[raft.Message, *raft.Node]{c.SMRCluster, stores, submit}, nil
+		return leaderGroup(c.SMRCluster, stores), nil
 	case BackendMultiPaxos:
 		c := multipaxos.NewCluster(replicas, fabric, multipaxos.Config{Seed: seed}, newSM)
-		submit := func(v types.Value) bool { return submitToClaimants(c.SMRCluster, v) }
-		return &group[multipaxos.Message, *multipaxos.Node]{c.SMRCluster, stores, submit}, nil
+		return leaderGroup(c.SMRCluster, stores), nil
 	case BackendPBFT:
 		f := (replicas - 1) / 3
 		if f < 1 {
@@ -93,7 +96,8 @@ func NewGroup(backend string, replicas int, seed uint64) (Group, error) {
 			}
 			return false
 		}
-		return &group[pbft.Message, *pbft.Replica]{c.SMRCluster, stores, submit}, nil
+		read := func(req types.Request) bool { return submit(smr.EncodeRequest(req)) }
+		return &group[pbft.Message, *pbft.Replica]{c.SMRCluster, stores, submit, read}, nil
 	default:
 		return nil, fmt.Errorf("shard: unknown backend %q", backend)
 	}
@@ -107,18 +111,26 @@ type leaderNode[M any] interface {
 	Submit(types.Value)
 }
 
-// submitToClaimants hands v to every live node claiming leadership:
+// leaderGroup hands requests to every live node claiming leadership:
 // under a partition a deposed leader may still claim the title, and
 // stopping at the first claimant would starve the majority side's real
-// leader. Duplicates are deduplicated by the smr executor's (client,
-// seqno) cache, so over-submitting is safe.
-func submitToClaimants[M any, N leaderNode[M]](c *runner.SMRCluster[M, N], v types.Value) bool {
-	sent := false
-	for i, n := range c.Nodes {
-		if !c.Crashed(types.NodeID(i)) && n.IsLeader() {
-			n.Submit(v)
-			sent = true
+// leader. Duplicates are safe: the smr executor's (client, seqno) cache
+// dedups writes, and a deposed claimant cannot confirm a read.
+func leaderGroup[M any, N leaderNode[M]](c *runner.SMRCluster[M, N], stores []*Store) *group[M, N] {
+	claimants := func(f func(i int, n N)) bool {
+		sent := false
+		for i, n := range c.Nodes {
+			if !c.Crashed(types.NodeID(i)) && n.IsLeader() {
+				f(i, n)
+				sent = true
+			}
 		}
+		return sent
 	}
-	return sent
+	return &group[M, N]{c, stores,
+		func(v types.Value) bool { return claimants(func(_ int, n N) { n.Submit(v) }) },
+		func(q types.Request) bool {
+			return claimants(func(i int, _ N) { c.Reps[i].Read(q.Client, q.SeqNo, q.Op) })
+		},
+	}
 }

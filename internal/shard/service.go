@@ -80,8 +80,17 @@ type txnRecord struct {
 // pendingKV is one in-flight pass-through KV request.
 type pendingKV struct {
 	shard    int
-	req      types.Value
+	req      types.Request
+	enc      types.Value // encoded for the log; nil for a GET (Group.Read)
 	issuedAt int
+}
+
+func (s *Service) sendKV(p *pendingKV) {
+	if p.enc == nil {
+		s.groups[p.shard].Read(p.req)
+	} else {
+		s.groups[p.shard].Submit(p.enc)
+	}
 }
 
 // Metrics aggregates per-shard and per-transaction counters.
@@ -239,16 +248,19 @@ func (s *Service) SubmitKV(c kvstore.Command) uint64 {
 }
 
 // SubmitKVAt sends one plain KV command to an explicit shard (probes
-// read marker keys back from the shard that wrote them). The request is
-// retried under its seqno until some replica answers; replies surface
-// through TakeKVReplies.
+// read marker keys back from the shard that wrote them); a GET is read,
+// not logged. The request is retried under its seqno until some replica
+// answers; replies surface through TakeKVReplies.
 func (s *Service) SubmitKVAt(shard int, c kvstore.Command) uint64 {
 	s.kvSeq++
-	req := smr.EncodeRequest(types.Request{
+	p := &pendingKV{shard: shard, issuedAt: s.now, req: types.Request{
 		Client: kvClientBase + types.ClientID(s.kvSeq), SeqNo: s.kvSeq, Op: c.Encode(),
-	})
-	s.kvPending[s.kvSeq] = &pendingKV{shard: shard, req: req, issuedAt: s.now}
-	s.groups[shard].Submit(req)
+	}}
+	if c.Op != kvstore.OpGet {
+		p.enc = smr.EncodeRequest(p.req)
+	}
+	s.kvPending[s.kvSeq] = p
+	s.sendKV(p)
 	return s.kvSeq
 }
 
@@ -294,7 +306,7 @@ func (s *Service) Step() {
 		p := s.kvPending[seqno]
 		if s.now-p.issuedAt >= s.cfg.RetryEvery {
 			p.issuedAt = s.now
-			s.groups[p.shard].Submit(p.req)
+			s.sendKV(p)
 		}
 	}
 	for i, g := range s.groups {

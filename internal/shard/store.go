@@ -140,6 +140,15 @@ func (s *Store) Apply(cmd types.Value) types.Value {
 	return kvstore.ReplyBadCmd
 }
 
+// Query answers a plain GET as kvstore.Store.Query does: committed data,
+// prepare-locked or not, as Apply reads it. A transaction is ReplyBadCmd.
+func (s *Store) Query(cmd types.Value) types.Value {
+	if IsTxnCmd(cmd) {
+		return kvstore.ReplyBadCmd
+	}
+	return s.kv.Query(cmd)
+}
+
 // applyKV runs one plain kvstore command, honouring prepare locks.
 func (s *Store) applyKV(cmd types.Value) types.Value {
 	c, err := kvstore.Decode(cmd)

@@ -70,7 +70,7 @@ func snapshotAt(upTo types.Seq) *snapshot.Snapshot {
 
 func mustPump(t *testing.T, r *Replica) []types.Reply {
 	t.Helper()
-	_, replies, err := r.Pump()
+	_, replies, _, err := r.Pump()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestReplicaTruncatedSnapshotSurfacesAndStopsApplying(t *testing.T) {
 	snap.State = snap.State[:len(snap.State)-3]
 	mod.installed = snap
 	mod.decided = []types.Decision{incr(11, 11)}
-	ds, replies, err := r.Pump()
+	ds, replies, _, err := r.Pump()
 	if !errors.Is(err, ErrDecode) {
 		t.Fatalf("truncated snapshot state: err = %v, want ErrDecode", err)
 	}
@@ -122,7 +122,7 @@ func TestReplicaTruncatedSnapshotSurfacesAndStopsApplying(t *testing.T) {
 	// contiguous slot 2 — are not applied, the error keeps coming, and
 	// the replica neither installs nor compacts.
 	mod.decided = []types.Decision{incr(2, 2), incr(12, 12)}
-	if _, replies, err := r.Pump(); err == nil || len(replies) != 0 {
+	if _, replies, _, err := r.Pump(); err == nil || len(replies) != 0 {
 		t.Fatalf("pump after failed restore: replies %+v, err %v", replies, err)
 	}
 	if got := string(store.Snapshot()); got != before {
@@ -199,7 +199,7 @@ func TestReplicaWithoutStateMachineYieldsDecisionsOnly(t *testing.T) {
 	mod := &fakeModule{installed: snapshotAt(3)}
 	r := NewReplica(0, mod, nil)
 	mod.decided = []types.Decision{incr(4, 4), incr(5, 5)}
-	ds, replies, err := r.Pump()
+	ds, replies, _, err := r.Pump()
 	if err != nil || len(ds) != 2 || replies != nil {
 		t.Fatalf("decisions %d, replies %v, err %v", len(ds), replies, err)
 	}
@@ -212,5 +212,75 @@ func TestReplicaWithoutStateMachineYieldsDecisionsOnly(t *testing.T) {
 	r.CompactEvery(1)
 	if mod.offered != 0 {
 		t.Fatal("compaction offered without a state machine")
+	}
+}
+
+// fakeReader is a fakeModule that confirms or drops reads when told to.
+type fakeReader struct {
+	fakeModule
+	asked  []uint64
+	states []types.ReadState
+}
+
+func (m *fakeReader) ReadIndex(id uint64) { m.asked = append(m.asked, id) }
+
+func (m *fakeReader) TakeReads() []types.ReadState {
+	s := m.states
+	m.states = nil
+	return s
+}
+
+var _ Reader = (*fakeReader)(nil)
+
+func readN() types.Value { return kvstore.Get("n").Encode() }
+
+// A read runs through Query, never Apply: the executor's snapshot and
+// the store's applied count — both state every replica must agree on —
+// are what they were.
+func TestReplicaReadChangesNothing(t *testing.T) {
+	mod := &fakeReader{}
+	store := kvstore.New()
+	r := NewReplica(0, mod, store)
+	mod.decided = []types.Decision{incr(1, 1), incr(2, 2)}
+	mustPump(t, r)
+	snap, applied := string(r.Exec().SnapshotState()), store.Applied()
+
+	r.Read(8, 1, readN())
+	if len(mod.asked) != 1 {
+		t.Fatalf("module asked %v", mod.asked)
+	}
+	mod.states = []types.ReadState{{ID: mod.asked[0], Index: 2}}
+	replies := mustPump(t, r)
+	if len(replies) != 1 || replies[0].Client != 8 || replies[0].SeqNo != 1 || string(replies[0].Result) != "2" {
+		t.Fatalf("read answered %+v, want n = 2 for client 8", replies)
+	}
+	if string(r.Exec().SnapshotState()) != snap || store.Applied() != applied {
+		t.Fatal("a read changed the snapshot state or the applied count")
+	}
+}
+
+// A confirmed read runs once the apply frontier reaches its index, after
+// the decision that takes it there; a dropped one is reported, not run.
+func TestReplicaReadWaitsForItsIndex(t *testing.T) {
+	mod := &fakeReader{}
+	r := NewReplica(0, mod, kvstore.New())
+	mod.decided = []types.Decision{incr(1, 1)}
+	mustPump(t, r)
+
+	r.Read(8, 1, readN())
+	r.Read(9, 1, readN())
+	mod.states = []types.ReadState{{ID: 1, Index: 3}, {ID: 2, Dropped: true}}
+	_, replies, dropped, err := r.Pump()
+	if err != nil || len(replies) != 0 || len(dropped) != 1 || dropped[0].Client != 9 {
+		t.Fatalf("before slot 3: replies %+v, dropped %+v, err %v", replies, dropped, err)
+	}
+	mod.decided = []types.Decision{incr(2, 2)}
+	if replies := mustPump(t, r); len(replies) != 1 {
+		t.Fatalf("at slot 2: %+v, want the increment's reply alone", replies)
+	}
+	mod.decided = []types.Decision{incr(3, 3)}
+	replies = mustPump(t, r)
+	if len(replies) != 2 || replies[1].Client != 8 || string(replies[1].Result) != "3" {
+		t.Fatalf("at slot 3: %+v, want the increment's reply, then the read's n = 3", replies)
 	}
 }

@@ -21,9 +21,13 @@ import (
 // shard.Store implement it. Snapshot must serialize the complete state
 // deterministically (two replicas that applied the same command prefix
 // produce identical bytes); Restore replaces the state from a snapshot
-// and rejects malformed input with an error.
+// and rejects malformed input with an error. Query runs a read-only
+// command that never entered the log (Replica.Read) and must change
+// nothing — not even what Snapshot writes, or replicas that served
+// different reads would stop agreeing byte for byte.
 type StateMachine interface {
 	Apply(cmd types.Value) types.Value
+	Query(cmd types.Value) types.Value
 	Snapshot() []byte
 	Restore(snap []byte) error
 }

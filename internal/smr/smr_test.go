@@ -175,6 +175,7 @@ func TestExecutorInOrderStreamAroundAGap(t *testing.T) {
 type nopSM struct{}
 
 func (nopSM) Apply(types.Value) types.Value { return nil }
+func (nopSM) Query(types.Value) types.Value { return nil }
 func (nopSM) Snapshot() []byte              { return nil }
 func (nopSM) Restore([]byte) error          { return nil }
 

@@ -153,3 +153,11 @@ type Reply struct {
 	Result Value
 	Node   NodeID // which replica produced the reply
 }
+
+// ReadState is the outcome of a read a leader confirms without a log
+// entry: the commit frontier to serve it at, or dropped (lost the lead).
+type ReadState struct {
+	ID      uint64
+	Index   Seq
+	Dropped bool
+}
