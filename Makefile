@@ -62,11 +62,16 @@ test-race:
 # or repeated answer, the heartbeat rewind. The third turns on
 # membership churn (rmnode) against raft-member, whose compaction-bound,
 # snapshot-install, and config-safety invariants gate every remove →
-# compact → re-add → InstallSnapshot pipeline the generator finds.
+# compact → re-add → InstallSnapshot pipeline the generator finds. The
+# last two put the trusted-counter pair under loss, duplication and a
+# muted or duplicating replica: both used to break log-prefix agreement
+# there, and a view change (CheapSwitch) is where they did.
 explore:
 	$(GO) run ./cmd/consensus-explore -protocol all -seeds 48 -faults 4 -workers 0
 	$(GO) run ./cmd/consensus-explore -protocol raft -seeds 96 -faults 5 -workers 0 -classes drop,dup,delay,crash,partition
 	$(GO) run ./cmd/consensus-explore -protocol raft-member -seeds 128 -faults 3 -workers 0 -classes rmnode,crash,partition
+	$(GO) run ./cmd/consensus-explore -protocol minbft -seeds 600 -faults 4 -workers 0 -classes crash,partition,drop,dup,delay,byz
+	$(GO) run ./cmd/consensus-explore -protocol cheapbft -seeds 600 -faults 4 -workers 0 -classes crash,partition,drop,dup,delay,byz
 
 # The examples sit on the protocol packages' Cluster API — tcpraft on
 # internal/live over localhost TCP — and have no tests of their own:

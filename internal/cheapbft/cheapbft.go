@@ -7,14 +7,18 @@
 //	CheapTiny   — normal case: only f+1 replicas are active; the other f
 //	              stay passive and receive state updates. Two phases
 //	              (prepare, commit) among the actives.
-//	CheapSwitch — on any suspected fault a replica PANICs; the leader of
-//	              the next epoch assembles an abort history, replicas
-//	              validate it and send SWITCH messages; after f matching
-//	              switches the history is stable and the group
-//	              transitions.
-//	MinBFT      — fallback: all 2f+1 replicas run MinBFT-style
-//	              prepare/commit until a quiet period allows switching
-//	              back to CheapTiny.
+//	CheapSwitch — on any suspected fault a replica PANICs with its
+//	              report; the leader of the next epoch merges f+1
+//	              reports into the abort history, replicas validate it
+//	              and send SWITCH messages; after f matching switches
+//	              the history is stable and the group transitions.
+//	MinBFT      — fallback: all 2f+1 replicas run MinBFT's prepare/commit
+//	              until a quiet period allows switching back to CheapTiny.
+//
+// The fallback is MinBFT's own ordering core (minbft.Core), which also
+// orders CheapTiny's slots, so those survive the switch as they are, and
+// CheapSwitch is MinBFT's view change under another name: the same
+// report, merge and install.
 //
 // Profile: partially-synchronous, hybrid, optimistic (f+1 active),
 // known participants, f+1 of 2f+1 nodes active, 2 phases, O(N).
@@ -25,7 +29,7 @@ import (
 
 	"fortyconsensus/internal/chaincrypto"
 	"fortyconsensus/internal/core"
-	"fortyconsensus/internal/det"
+	"fortyconsensus/internal/minbft"
 	"fortyconsensus/internal/quorum"
 	"fortyconsensus/internal/trustedhw"
 	"fortyconsensus/internal/types"
@@ -108,12 +112,6 @@ func (k MsgKind) String() string {
 	return fmt.Sprintf("MsgKind(%d)", uint8(k))
 }
 
-// Entry is one slot of an abort history or update batch.
-type Entry struct {
-	Seq types.Seq
-	Req types.Value
-}
-
 // Message is a CheapBFT wire message.
 type Message struct {
 	Kind     MsgKind
@@ -123,7 +121,7 @@ type Message struct {
 	Req      types.Value
 	Digest   chaincrypto.Digest
 	Cert     trustedhw.Certificate
-	Entries  []Entry
+	Entries  []minbft.Entry
 	Executed types.Seq
 }
 
@@ -137,7 +135,7 @@ func (m Message) body() []byte {
 		chaincrypto.HashUint64(uint64(m.Executed)),
 	}
 	for _, e := range m.Entries {
-		parts = append(parts, chaincrypto.HashUint64(uint64(e.Seq)), e.Req)
+		parts = append(parts, chaincrypto.HashUint64(uint64(e.Seq)), chaincrypto.HashUint64(uint64(e.View)), e.Req)
 	}
 	d := chaincrypto.Hash(parts...)
 	return d[:]
@@ -170,45 +168,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type slot struct {
-	req       types.Value
-	digest    chaincrypto.Digest
-	commits   *quorum.Tally
-	committed bool
-	started   int
-}
-
 // Replica is one CheapBFT node.
 type Replica struct {
 	id   types.NodeID
 	cfg  Config
 	cash *trustedhw.CASH
-	now  int
+	core *minbft.Core
 
 	mode  Mode
 	epoch uint64
 
-	seq     types.Seq
-	slots   map[types.Seq]*slot
-	exec    types.Seq
-	decided []types.Decision
-
-	pending map[chaincrypto.Digest]pend
-	done    map[chaincrypto.Digest]bool
-
-	panicked    bool
+	// CheapSwitch state, for the switch from epoch to epoch+1: the PANIC
+	// reports gathered, the abort history once adopted, and the SWITCH
+	// votes that make it stable.
+	panics      minbft.Reports
+	history     *minbft.Report
 	switchVote  *quorum.Tally
-	histEpoch   uint64
-	histApplied bool
 	switchSince int
 	quietSince  int
 
 	out []Message
-}
-
-type pend struct {
-	req   types.Value
-	since int
 }
 
 // NewReplica builds replica id of a 2f+1 cluster.
@@ -218,21 +197,12 @@ func NewReplica(id types.NodeID, cfg Config) *Replica {
 		cfg.N = quorum.Trusted{F: cfg.F}.Size()
 	}
 	return &Replica{
-		id:      id,
-		cfg:     cfg,
-		cash:    trustedhw.NewCASH(id, cfg.Secret),
-		slots:   make(map[types.Seq]*slot),
-		pending: make(map[chaincrypto.Digest]pend),
-		done:    make(map[chaincrypto.Digest]bool),
+		id:     id,
+		cfg:    cfg,
+		cash:   trustedhw.NewCASH(id, cfg.Secret),
+		core:   minbft.NewCore(cfg.F),
+		panics: make(minbft.Reports),
 	}
-}
-
-// activeCount returns how many replicas participate in agreement now.
-func (r *Replica) activeCount() int {
-	if r.mode == ModeMinBFT {
-		return r.cfg.N
-	}
-	return r.cfg.F + 1
 }
 
 // isActive reports whether the given replica is in the active set. In
@@ -251,9 +221,13 @@ func (r *Replica) isActive(id types.NodeID) bool {
 	return false
 }
 
-func (r *Replica) primary() types.NodeID {
-	return types.NodeID(int(r.epoch) % r.cfg.N)
-}
+func (r *Replica) primary() types.NodeID { return r.leaderOf(r.epoch) }
+
+// leaderOf returns epoch e's primary, which is also the replica that
+// leads the switch into e.
+func (r *Replica) leaderOf(e uint64) types.NodeID { return types.NodeID(int(e) % r.cfg.N) }
+
+func (r *Replica) view() types.View { return types.View(r.epoch) }
 
 // IsPrimary reports whether this replica leads.
 func (r *Replica) IsPrimary() bool { return r.primary() == r.id }
@@ -265,14 +239,10 @@ func (r *Replica) Mode() Mode { return r.mode }
 func (r *Replica) Epoch() uint64 { return r.epoch }
 
 // ExecutedFrontier returns the contiguous executed slot frontier.
-func (r *Replica) ExecutedFrontier() types.Seq { return r.exec }
+func (r *Replica) ExecutedFrontier() types.Seq { return r.core.ExecutedFrontier() }
 
 // TakeDecisions drains executed decisions in order.
-func (r *Replica) TakeDecisions() []types.Decision {
-	d := r.decided
-	r.decided = nil
-	return d
-}
+func (r *Replica) TakeDecisions() []types.Decision { return r.core.TakeDecisions() }
 
 func (r *Replica) send(m Message) {
 	m.From = r.id
@@ -292,70 +262,39 @@ func (r *Replica) certSend(m Message, to ...types.NodeID) {
 	}
 }
 
-func (r *Replica) activeSet() []types.NodeID {
+// others lists, in ID order, every other replica that keep selects.
+func (r *Replica) others(keep func(types.NodeID) bool) []types.NodeID {
 	var ids []types.NodeID
 	for i := 0; i < r.cfg.N; i++ {
-		if r.isActive(types.NodeID(i)) {
-			ids = append(ids, types.NodeID(i))
-		}
-	}
-	return ids
-}
-
-func (r *Replica) othersActive() []types.NodeID {
-	var ids []types.NodeID
-	for _, id := range r.activeSet() {
-		if id != r.id {
+		if id := types.NodeID(i); id != r.id && keep(id) {
 			ids = append(ids, id)
 		}
 	}
 	return ids
 }
 
-func (r *Replica) passiveSet() []types.NodeID {
-	var ids []types.NodeID
-	for i := 0; i < r.cfg.N; i++ {
-		if !r.isActive(types.NodeID(i)) {
-			ids = append(ids, types.NodeID(i))
-		}
-	}
-	return ids
-}
+func (r *Replica) isPassive(id types.NodeID) bool { return !r.isActive(id) }
 
-func (r *Replica) everyoneElse() []types.NodeID {
-	var ids []types.NodeID
-	for i := 0; i < r.cfg.N; i++ {
-		if types.NodeID(i) != r.id {
-			ids = append(ids, types.NodeID(i))
-		}
-	}
-	return ids
-}
+func anyone(types.NodeID) bool { return true }
 
 // Submit hands a client request to this replica.
 func (r *Replica) Submit(req types.Value) {
 	r.Step(Message{Kind: MsgRequest, From: r.id, To: r.id, Req: req})
 }
 
-// Step consumes one delivered message.
+// Step consumes one delivered message. Requests travel uncertified;
+// every other kind must carry a CASH certificate from its sender under
+// the epoch it names.
 func (r *Replica) Step(m Message) {
-	//lint:allow exhaustive uncertified kinds only; every certified kind falls through to the verified switch below
+	if m.Kind != MsgRequest && m.From != r.id &&
+		(r.cash.VerifyCert(m.Cert, m.Epoch, m.body()) != nil || m.Cert.Node != m.From) {
+		return
+	}
 	switch m.Kind {
 	case MsgRequest:
 		r.onRequest(m)
-		return
 	case MsgPanic:
 		r.onPanic(m)
-		return
-	}
-	// Certified kinds: verify the CASH certificate under its epoch.
-	if m.From != r.id {
-		if r.cash.VerifyCert(m.Cert, m.Epoch, m.body()) != nil || m.Cert.Node != m.From {
-			return
-		}
-	}
-	//lint:allow exhaustive MsgRequest and MsgPanic already returned from the uncertified switch above
-	switch m.Kind {
 	case MsgPrepare:
 		r.onPrepare(m)
 	case MsgCommit:
@@ -372,130 +311,69 @@ func (r *Replica) Step(m Message) {
 }
 
 func (r *Replica) onRequest(m Message) {
-	d := chaincrypto.Hash(m.Req)
-	if r.done[d] {
+	fresh, ok := r.core.Pend(m.Req)
+	if !ok {
 		return
-	}
-	first := false
-	if _, ok := r.pending[d]; !ok {
-		r.pending[d] = pend{req: m.Req.Clone(), since: r.now}
-		first = true
 	}
 	if r.IsPrimary() && r.mode != ModeSwitching {
-		r.prepare(m.Req, d)
+		r.prepare(m.Req)
 		return
 	}
-	if first {
-		for _, id := range r.everyoneElse() {
+	if fresh {
+		for _, id := range r.others(anyone) {
 			r.send(Message{Kind: MsgRequest, To: id, Req: m.Req.Clone()})
 		}
 	}
 }
 
-func (r *Replica) prepare(req types.Value, d chaincrypto.Digest) {
-	for _, s := range r.slots {
-		if s.digest == d && s.req != nil {
-			return
-		}
+func (r *Replica) prepare(req types.Value) {
+	if seq, d, ok := r.core.Propose(req, r.view()); ok {
+		r.propose(seq, req, d)
 	}
-	r.seq++
-	seq := r.seq
-	s := r.getSlot(seq)
-	s.req = req.Clone()
-	s.digest = d
-	s.started = r.now
-	s.commits.Add(r.id)
-	r.certSend(Message{Kind: MsgPrepare, Seq: seq, Req: req.Clone(), Digest: d}, r.othersActive()...)
-	r.maybeCommit(seq, s)
 }
 
-func (r *Replica) getSlot(seq types.Seq) *slot {
-	s, ok := r.slots[seq]
-	if !ok {
-		// CheapTiny requires *all* f+1 actives; MinBFT mode needs f+1
-		// of 2f+1 — both are activeCount-dependent thresholds.
-		need := r.cfg.F + 1
-		s = &slot{commits: quorum.NewTally(need), started: r.now}
-		r.slots[seq] = s
-	}
-	return s
+// propose sends the prepare for req at seq to the other active replicas.
+func (r *Replica) propose(seq types.Seq, req types.Value, d chaincrypto.Digest) {
+	r.certSend(Message{Kind: MsgPrepare, Seq: seq, Req: req.Clone(), Digest: d}, r.others(r.isActive)...)
+	r.update(r.core.Commit(seq, req, d, r.view(), r.id))
 }
 
 func (r *Replica) onPrepare(m Message) {
-	if m.Epoch != r.epoch || m.From != r.primary() || r.mode == ModeSwitching {
+	// Passive replicas wait for updates.
+	if m.Epoch != r.epoch || m.From != r.primary() || r.mode == ModeSwitching || !r.isActive(r.id) ||
+		chaincrypto.Hash(m.Req) != m.Digest {
 		return
 	}
-	if !r.isActive(r.id) {
-		return // passive replicas wait for updates
-	}
-	if chaincrypto.Hash(m.Req) != m.Digest {
-		return
-	}
-	s := r.getSlot(m.Seq)
-	if s.req != nil && s.digest != m.Digest {
+	if !r.core.Accept(m.Seq, m.Req, m.Digest, r.view()) {
 		r.panic()
 		return
 	}
-	s.req = m.Req.Clone()
-	s.digest = m.Digest
-	s.started = r.now
-	s.commits.Add(m.From)
-	s.commits.Add(r.id)
-	delete(r.pending, m.Digest)
-	if m.Seq > r.seq {
-		r.seq = m.Seq
-	}
-	r.certSend(Message{Kind: MsgCommit, Seq: m.Seq, Digest: m.Digest, Req: m.Req.Clone()}, r.othersActive()...)
-	r.maybeCommit(m.Seq, s)
+	r.certSend(Message{Kind: MsgCommit, Seq: m.Seq, Digest: m.Digest, Req: m.Req.Clone()}, r.others(r.isActive)...)
+	r.update(r.core.Commit(m.Seq, m.Req, m.Digest, r.view(), m.From, r.id))
 }
 
+// onCommit counts an active replica's commit. In CheapTiny the f+1
+// votes the core waits for are every active replica; in MinBFT mode,
+// f+1 of 2f+1.
 func (r *Replica) onCommit(m Message) {
-	if m.Epoch != r.epoch || r.mode == ModeSwitching || !r.isActive(m.From) || !r.isActive(r.id) {
+	if m.Epoch != r.epoch || r.mode == ModeSwitching || !r.isActive(m.From) || !r.isActive(r.id) ||
+		chaincrypto.Hash(m.Req) != m.Digest {
 		return
 	}
-	s := r.getSlot(m.Seq)
-	if s.req == nil {
-		s.req = m.Req.Clone()
-		s.digest = m.Digest
-	}
-	if s.digest != m.Digest {
-		return
-	}
-	s.commits.Add(m.From)
-	r.maybeCommit(m.Seq, s)
+	r.update(r.core.Commit(m.Seq, m.Req, m.Digest, r.view(), m.From))
 }
 
-func (r *Replica) maybeCommit(seq types.Seq, s *slot) {
-	if s.committed || s.req == nil {
+// update has the CheapTiny primary stream newly executed slots to the
+// passive replicas.
+func (r *Replica) update(executed []types.Decision) {
+	if !r.IsPrimary() || r.mode != ModeCheapTiny {
 		return
 	}
-	// CheapTiny: every active replica must have committed (f+1 of f+1).
-	// MinBFT mode: f+1 of 2f+1 suffice.
-	need := r.cfg.F + 1
-	if s.commits.Count() < need {
-		return
-	}
-	s.committed = true
-	r.executeReady()
-}
-
-func (r *Replica) executeReady() {
-	for {
-		s, ok := r.slots[r.exec+1]
-		if !ok || !s.committed {
-			return
-		}
-		r.exec++
-		r.decided = append(r.decided, types.Decision{Slot: r.exec, Val: s.req})
-		r.done[s.digest] = true
-		delete(r.pending, s.digest)
-		// The primary streams committed state to passive replicas.
-		if r.IsPrimary() && r.mode == ModeCheapTiny {
-			r.certSend(Message{
-				Kind: MsgUpdate, Seq: r.exec,
-				Entries: []Entry{{Seq: r.exec, Req: s.req.Clone()}},
-			}, r.passiveSet()...)
-		}
+	for _, d := range executed {
+		r.certSend(Message{
+			Kind: MsgUpdate, Seq: d.Slot,
+			Entries: []minbft.Entry{{Seq: d.Slot, View: r.view(), Req: d.Val.Clone()}},
+		}, r.others(r.isPassive)...)
 	}
 }
 
@@ -508,103 +386,72 @@ func (r *Replica) onUpdate(m Message) {
 		return
 	}
 	for _, e := range m.Entries {
-		if e.Seq != r.exec+1 {
-			continue
-		}
-		r.exec = e.Seq
-		r.decided = append(r.decided, types.Decision{Slot: e.Seq, Val: e.Req.Clone()})
-		d := chaincrypto.Hash(e.Req)
-		r.done[d] = true
-		delete(r.pending, d)
+		r.core.Learn(e.Seq, e.Req)
 	}
 }
 
-// panic triggers CheapSwitch.
+// panic starts CheapSwitch, which is MinBFT's view change under another
+// name: this replica's report (its executed frontier and every slot
+// above it) goes, CASH-certified, to every other replica, and ordering
+// stops until the next epoch's leader has merged f+1 reports into the
+// abort history.
 func (r *Replica) panic() {
-	if r.panicked || r.mode == ModeSwitching {
-		return
-	}
-	r.panicked = true
-	for _, id := range r.everyoneElse() {
-		r.send(Message{Kind: MsgPanic, To: id, Epoch: r.epoch})
-	}
-	r.beginSwitch()
-}
-
-func (r *Replica) onPanic(m Message) {
-	if m.Epoch != r.epoch || r.mode == ModeSwitching {
-		return
-	}
-	if !r.panicked {
-		r.panicked = true
-		for _, id := range r.everyoneElse() {
-			r.send(Message{Kind: MsgPanic, To: id, Epoch: r.epoch})
-		}
-	}
-	r.beginSwitch()
-}
-
-// beginSwitch enters CheapSwitch; the next epoch's leader assembles and
-// broadcasts the abort history.
-func (r *Replica) beginSwitch() {
 	if r.mode == ModeSwitching {
 		return
 	}
 	r.mode = ModeSwitching
 	r.switchVote = quorum.NewTally(r.cfg.F) // f matching SWITCH messages stabilize
-	r.histEpoch = r.epoch + 1
-	r.histApplied = false
-	r.switchSince = r.now
-	next := types.NodeID(int(r.histEpoch) % r.cfg.N)
-	if next == r.id {
-		entries := make([]Entry, 0, len(r.slots))
-		for _, seq := range det.SortedKeys(r.slots) {
-			if s := r.slots[seq]; seq > r.exec && s.req != nil {
-				entries = append(entries, Entry{Seq: seq, Req: s.req.Clone()})
-			}
-		}
-		hist := Message{Kind: MsgHistory, Epoch: r.epoch, Executed: r.exec, Entries: entries}
-		r.certSend(hist, r.everyoneElse()...)
-		// The leader votes for its own history so that peers with only
-		// one live counterpart can still gather f SWITCH messages.
-		hist.From = r.id
-		r.certSend(Message{Kind: MsgSwitch, Epoch: r.epoch, Digest: chaincrypto.Hash(hist.body())}, r.everyoneElse()...)
-		r.adoptHistory(r.exec, entries)
+	r.history = nil
+	r.switchSince = r.core.Now()
+	rep := r.core.Report()
+	r.panics.Add(r.id, rep.Executed, rep.Entries)
+	r.certSend(Message{Kind: MsgPanic, Executed: rep.Executed, Entries: rep.Entries}, r.others(anyone)...)
+	r.lead()
+}
+
+// onPanic records a peer's report and joins its PANIC.
+func (r *Replica) onPanic(m Message) {
+	if m.Epoch != r.epoch {
+		return
 	}
+	r.panics.Add(m.From, m.Executed, m.Entries)
+	r.panic()
+	r.lead()
+}
+
+// lead has the next epoch's leader, once it holds f+1 reports, merge
+// them into the abort history, send it with its own SWITCH vote (so that
+// peers with only one live counterpart can still gather f), and adopt
+// it.
+func (r *Replica) lead() {
+	if r.mode != ModeSwitching || r.history != nil || r.leaderOf(r.epoch+1) != r.id || len(r.panics) < r.cfg.F+1 {
+		return
+	}
+	exec, entries := r.panics.Merge(types.View(r.epoch + 1))
+	hist := Message{Kind: MsgHistory, Epoch: r.epoch, Executed: exec, Entries: entries}
+	r.certSend(hist, r.others(anyone)...)
+	r.certSend(Message{Kind: MsgSwitch, Digest: chaincrypto.Hash(hist.body())}, r.others(anyone)...)
+	r.adoptHistory(exec, entries)
 }
 
 // onHistory validates the abort history against local state and votes.
 func (r *Replica) onHistory(m Message) {
-	if r.mode != ModeSwitching || m.Epoch != r.epoch {
-		return
-	}
-	if m.From != types.NodeID(int(r.epoch+1)%r.cfg.N) {
+	if r.mode != ModeSwitching || m.Epoch != r.epoch || m.From != r.leaderOf(r.epoch+1) {
 		return
 	}
 	// Validation: the history must not contradict anything we executed.
-	for _, e := range m.Entries {
-		if e.Seq <= r.exec {
-			if s, ok := r.slots[e.Seq]; ok && s.req != nil && !s.req.Equal(e.Req) {
-				return // invalid history; stay panicked, epoch stalls
-			}
-		}
+	if !r.core.Consistent(m.Entries) {
+		return // invalid history; stay panicked, epoch stalls
 	}
-	r.certSend(Message{Kind: MsgSwitch, Epoch: r.epoch, Digest: chaincrypto.Hash(m.body())}, r.everyoneElse()...)
+	r.certSend(Message{Kind: MsgSwitch, Digest: chaincrypto.Hash(m.body())}, r.others(anyone)...)
 	r.adoptHistory(m.Executed, m.Entries)
 }
 
-func (r *Replica) adoptHistory(executed types.Seq, entries []Entry) {
-	if r.histApplied {
+func (r *Replica) adoptHistory(executed types.Seq, entries []minbft.Entry) {
+	if r.history != nil {
 		return
 	}
-	r.histApplied = true
-	// Execute anything the history shows committed that we miss.
-	for _, e := range entries {
-		if e.Seq > r.exec {
-			r.pending[chaincrypto.Hash(e.Req)] = pend{req: e.Req.Clone(), since: r.now}
-		}
-	}
-	_ = executed
+	r.history = &minbft.Report{Executed: executed, Entries: append([]minbft.Entry(nil), entries...)}
 	r.maybeFinishSwitch()
 }
 
@@ -616,101 +463,63 @@ func (r *Replica) onSwitch(m Message) {
 	r.maybeFinishSwitch()
 }
 
+// maybeFinishSwitch installs a stable abort history: the CASH epoch
+// advances (old-instance certificates die here) and all replicas run
+// MinBFT, whose primary re-proposes every survivor at its own slot
+// before anything new.
 func (r *Replica) maybeFinishSwitch() {
-	if !r.histApplied || r.switchVote == nil || !r.switchVote.Reached() {
+	if r.history == nil || !r.switchVote.Reached() {
 		return
 	}
-	// Transition: advance the CASH epoch (old-instance certificates die
-	// here) and run MinBFT with all replicas.
-	r.epoch = r.histEpoch
-	r.cash.AdvanceEpoch()
-	for r.cash.Epoch() < r.epoch {
-		r.cash.AdvanceEpoch()
+	hist := r.history
+	r.enterEpoch(r.epoch+1, ModeMinBFT)
+	for _, e := range r.core.Install(r.view(), hist.Executed, hist.Entries, r.IsPrimary()) {
+		r.propose(e.Seq, e.Req, chaincrypto.Hash(e.Req))
 	}
-	r.mode = ModeMinBFT
-	r.panicked = false
-	r.quietSince = r.now
-	// Reset uncommitted slots; the new primary re-proposes survivors.
-	for seq, s := range r.slots {
-		if !s.committed {
-			delete(r.slots, seq)
-			if s.req != nil && !r.done[s.digest] {
-				r.pending[s.digest] = pend{req: s.req, since: r.now}
-			}
-		}
-	}
-	if r.seq < r.exec {
-		r.seq = r.exec
-	}
-	for d, p := range r.pending {
-		p.since = r.now
-		r.pending[d] = p
-	}
-	if r.IsPrimary() {
-		for _, d := range det.SortedKeysFunc(r.pending, chaincrypto.Digest.Compare) {
-			r.prepare(r.pending[d].req, d)
-		}
-	} else {
+	if !r.IsPrimary() {
 		// Hand surviving requests to the new primary.
-		for _, d := range det.SortedKeysFunc(r.pending, chaincrypto.Digest.Compare) {
-			r.send(Message{Kind: MsgRequest, To: r.primary(), Req: r.pending[d].req.Clone()})
+		for _, req := range r.core.Pending() {
+			r.send(Message{Kind: MsgRequest, To: r.primary(), Req: req.Clone()})
 		}
 	}
 }
 
+// enterEpoch moves this replica, and its CASH, to epoch e in mode.
+func (r *Replica) enterEpoch(e uint64, mode Mode) {
+	r.epoch = e
+	for r.cash.Epoch() < e {
+		r.cash.AdvanceEpoch()
+	}
+	r.mode = mode
+	r.panics = make(minbft.Reports)
+	r.quietSince = r.core.Now()
+}
+
 // Tick ages in-flight slots toward PANIC and drives switch-back.
 func (r *Replica) Tick() {
-	r.now++
+	r.core.Tick()
+	now := r.core.Now()
 	switch r.mode {
 	case ModeCheapTiny:
-		if !r.isActive(r.id) {
-			return
-		}
-		//lint:allow maporder any timed-out slot triggers the same single panic; which fires first is immaterial
-		for seq, s := range r.slots {
-			if seq > r.exec && s.req != nil && !s.committed && r.now-s.started > r.cfg.RequestTimeout {
-				r.panic()
-				return
-			}
-		}
-		//lint:allow maporder any timed-out request triggers the same single panic; which fires first is immaterial
-		for _, p := range r.pending {
-			if r.now-p.since > r.cfg.RequestTimeout {
-				r.panic()
-				return
-			}
+		if r.isActive(r.id) && (r.core.Stuck(r.cfg.RequestTimeout) || r.core.Waiting(r.cfg.RequestTimeout)) {
+			r.panic()
 		}
 	case ModeMinBFT:
-		for _, d := range det.SortedKeysFunc(r.pending, chaincrypto.Digest.Compare) {
-			p := r.pending[d]
-			if r.now-p.since > 2*r.cfg.RequestTimeout {
-				// The MinBFT-mode primary is stalling: panic again so
-				// the epoch (and primary) advances.
-				r.panic()
-				return
-			}
-			if r.now-p.since > r.cfg.RequestTimeout {
-				p.since = r.now
-				r.pending[d] = p
-				r.send(Message{Kind: MsgRequest, To: r.primary(), Req: p.req.Clone()})
-			}
+		for _, req := range r.core.Resend(r.cfg.RequestTimeout) {
+			r.send(Message{Kind: MsgRequest, To: r.primary(), Req: req.Clone()})
 		}
-		if r.IsPrimary() && r.cfg.QuietTicks > 0 && r.now-r.quietSince > r.cfg.QuietTicks && len(r.pending) == 0 {
+		if r.IsPrimary() && r.cfg.QuietTicks > 0 && now-r.quietSince > r.cfg.QuietTicks && r.core.Idle() {
 			// Fault-free quiet period: the primary announces the return
 			// to CheapTiny so every replica advances its epoch together.
-			r.certSend(Message{Kind: MsgSwitchBack}, r.everyoneElse()...)
-			r.doSwitchBack()
+			r.certSend(Message{Kind: MsgSwitchBack}, r.others(anyone)...)
+			r.enterEpoch(r.epoch+1, ModeCheapTiny)
 		}
 	case ModeSwitching:
 		// A stalled switch (e.g. the next leader is the faulty node)
-		// escalates to the epoch after.
-		if r.now-r.switchSince > 2*r.cfg.RequestTimeout {
-			r.mode = ModeCheapTiny // re-enter to allow beginSwitch
-			r.epoch = r.histEpoch
-			for r.cash.Epoch() < r.epoch {
-				r.cash.AdvanceEpoch()
-			}
-			r.beginSwitch()
+		// escalates: PANIC again, in the next epoch, to the leader after.
+		if now-r.switchSince > 2*r.cfg.RequestTimeout {
+			r.enterEpoch(r.epoch+1, ModeCheapTiny)
+			r.panic()
 		}
 	}
 }
@@ -720,17 +529,7 @@ func (r *Replica) onSwitchBack(m Message) {
 	if r.mode != ModeMinBFT || m.Epoch != r.epoch || m.From != r.primary() {
 		return
 	}
-	r.doSwitchBack()
-}
-
-func (r *Replica) doSwitchBack() {
-	r.epoch++
-	for r.cash.Epoch() < r.epoch {
-		r.cash.AdvanceEpoch()
-	}
-	r.mode = ModeCheapTiny
-	r.quietSince = r.now
-	r.panicked = false
+	r.enterEpoch(r.epoch+1, ModeCheapTiny)
 }
 
 // Drain returns pending outbound messages.

@@ -4,49 +4,21 @@ import (
 	"testing"
 
 	"fortyconsensus/internal/kvstore"
-	"fortyconsensus/internal/runner"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/types"
 )
 
-// cluster is the test harness: 2f+1 replicas plus executors.
-type cluster struct {
-	*runner.SMRCluster[Message, *Replica]
-}
-
-func newCluster(f int, fabric *simnet.Fabric, cfg Config) *cluster {
-	n := 2*f + 1
-	cfg.N, cfg.F = n, f
-	reps := make([]*Replica, n)
-	for i := range reps {
-		reps[i] = NewReplica(types.NodeID(i), cfg)
-	}
-	rc := runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind}
-	return &cluster{runner.NewSMRCluster(rc, reps, func() smr.StateMachine { return kvstore.New() })}
-}
-
-func (c *cluster) submit(at types.NodeID, req types.Value) {
-	c.Inject(Message{Kind: MsgRequest, From: -1, To: at, Req: req})
-}
-
-func (c *cluster) executedEverywhere(seq types.Seq, skip ...types.NodeID) bool {
-	for i, rep := range c.Nodes {
-		if c.Correct(types.NodeID(i), skip) && rep.ExecutedFrontier() < seq {
-			return false
-		}
-	}
-	return true
-}
+func kvSM() smr.StateMachine { return kvstore.New() }
 
 func req(client types.ClientID, seq uint64, cmd kvstore.Command) types.Value {
 	return smr.EncodeRequest(types.Request{Client: client, SeqNo: seq, Op: cmd.Encode()})
 }
 
 func TestCheapTinyCommitsWithActiveSubset(t *testing.T) {
-	c := newCluster(1, nil, Config{})
-	c.submit(0, req(1, 1, kvstore.Put("k", []byte("v"))))
-	if !c.RunUntil(func() bool { return c.executedEverywhere(1) }, 500) {
+	c := NewCluster(1, nil, Config{}, kvSM)
+	c.Submit(0, req(1, 1, kvstore.Put("k", []byte("v"))))
+	if !c.RunUntil(func() bool { return c.ExecutedEverywhere(1) }, 500) {
 		t.Fatal("request never executed on all replicas")
 	}
 	// Passive replica (id 2 in epoch 0, f=1) executed via updates, not
@@ -62,7 +34,7 @@ func TestCheapTinyCommitsWithActiveSubset(t *testing.T) {
 }
 
 func TestActiveSetSize(t *testing.T) {
-	c := newCluster(2, nil, Config{}) // n=5, active=3
+	c := NewCluster(2, nil, Config{}, kvSM) // n=5, active=3
 	active := 0
 	for _, rep := range c.Nodes {
 		if rep.isActive(rep.id) {
@@ -78,11 +50,11 @@ func TestCheapTinyCheaperThanFullGroup(t *testing.T) {
 	// Steady-state agreement traffic involves only f+1 replicas: with
 	// f=1 (n=3) each request costs prepare(1) + commit(1→1 each way
 	// among 2 actives) + update(1) — far less than 3f+1 BFT.
-	c := newCluster(1, nil, Config{})
+	c := NewCluster(1, nil, Config{}, kvSM)
 	for i := 1; i <= 20; i++ {
-		c.submit(0, req(1, uint64(i), kvstore.Incr("n", 1)))
+		c.Submit(0, req(1, uint64(i), kvstore.Incr("n", 1)))
 	}
-	c.RunUntil(func() bool { return c.executedEverywhere(20) }, 2000)
+	c.RunUntil(func() bool { return c.ExecutedEverywhere(20) }, 2000)
 	st := c.Stats()
 	perReq := float64(st.Sent) / 20
 	if perReq > 8 {
@@ -94,10 +66,10 @@ func TestPanicSwitchesToMinBFT(t *testing.T) {
 	// Crash an active backup: the primary's in-flight slot times out,
 	// PANIC flows, CheapSwitch runs, and the group finishes the request
 	// in MinBFT mode using the previously passive replica.
-	c := newCluster(1, nil, Config{RequestTimeout: 25})
+	c := NewCluster(1, nil, Config{RequestTimeout: 25}, kvSM)
 	c.Crash(1) // active backup in epoch 0
-	c.submit(0, req(1, 1, kvstore.Put("k", []byte("v"))))
-	if !c.RunUntil(func() bool { return c.executedEverywhere(1, 1) }, 4000) {
+	c.Submit(0, req(1, 1, kvstore.Put("k", []byte("v"))))
+	if !c.RunUntil(func() bool { return c.ExecutedEverywhere(1, 1) }, 4000) {
 		t.Fatalf("request never recovered after active-replica crash (modes: %v %v)",
 			c.Nodes[0].Mode(), c.Nodes[2].Mode())
 	}
@@ -117,12 +89,12 @@ func TestPanicSwitchesToMinBFT(t *testing.T) {
 func TestMinBFTModeToleratesSilentReplica(t *testing.T) {
 	// After switching, f+1 of 2f+1 commits suffice: the crashed replica
 	// stays down and progress continues.
-	c := newCluster(1, nil, Config{RequestTimeout: 25})
+	c := NewCluster(1, nil, Config{RequestTimeout: 25}, kvSM)
 	c.Crash(1)
-	c.submit(0, req(1, 1, kvstore.Incr("n", 1)))
-	c.RunUntil(func() bool { return c.executedEverywhere(1, 1) }, 4000)
-	c.submit(0, req(1, 2, kvstore.Incr("n", 1)))
-	if !c.RunUntil(func() bool { return c.executedEverywhere(2, 1) }, 2000) {
+	c.Submit(0, req(1, 1, kvstore.Incr("n", 1)))
+	c.RunUntil(func() bool { return c.ExecutedEverywhere(1, 1) }, 4000)
+	c.Submit(0, req(1, 2, kvstore.Incr("n", 1)))
+	if !c.RunUntil(func() bool { return c.ExecutedEverywhere(2, 1) }, 2000) {
 		t.Fatal("MinBFT mode stalled with one silent replica")
 	}
 	c.Pump()
@@ -132,10 +104,10 @@ func TestMinBFTModeToleratesSilentReplica(t *testing.T) {
 }
 
 func TestSwitchBackAfterQuietPeriod(t *testing.T) {
-	c := newCluster(1, nil, Config{RequestTimeout: 25, QuietTicks: 60})
+	c := NewCluster(1, nil, Config{RequestTimeout: 25, QuietTicks: 60}, kvSM)
 	c.Crash(1)
-	c.submit(0, req(1, 1, kvstore.Noop()))
-	c.RunUntil(func() bool { return c.executedEverywhere(1, 1) }, 4000)
+	c.Submit(0, req(1, 1, kvstore.Noop()))
+	c.RunUntil(func() bool { return c.ExecutedEverywhere(1, 1) }, 4000)
 	c.Restart(1)
 	ok := c.RunUntil(func() bool {
 		return c.Nodes[0].Mode() == ModeCheapTiny && c.Nodes[2].Mode() == ModeCheapTiny
@@ -167,7 +139,7 @@ func TestEpochIsolationOfCertificates(t *testing.T) {
 	forged.Epoch = 1
 	b.epoch = 1
 	b.Step(forged)
-	if b.seq != 0 {
+	if b.ExecutedFrontier() != 0 {
 		t.Fatal("cross-epoch replay accepted")
 	}
 }
@@ -175,16 +147,16 @@ func TestEpochIsolationOfCertificates(t *testing.T) {
 func TestChaosConsistency(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		fab := simnet.NewFabric(simnet.Options{MinDelay: 1, MaxDelay: 4, Seed: seed})
-		c := newCluster(1, fab, Config{RequestTimeout: 40})
+		c := NewCluster(1, fab, Config{RequestTimeout: 40}, kvSM)
 		for i := 1; i <= 12; i++ {
-			c.submit(types.NodeID(i%3), req(1, uint64(i), kvstore.Incr("n", 1)))
+			c.Submit(types.NodeID(i%3), req(1, uint64(i), kvstore.Incr("n", 1)))
 			c.Run(70)
 			c.Pump()
 			if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
-		if !c.executedEverywhere(12) {
+		if !c.ExecutedEverywhere(12) {
 			t.Fatalf("seed %d: stalled at %d/%d/%d", seed,
 				c.Nodes[0].ExecutedFrontier(), c.Nodes[1].ExecutedFrontier(), c.Nodes[2].ExecutedFrontier())
 		}

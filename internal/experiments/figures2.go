@@ -226,40 +226,34 @@ func F11SpannerStyle2PC() Result {
 func F12CheapSwitch() Result {
 	t := metrics.NewTable("F12 — CheapBFT protocol switch (f=1, 3 replicas)",
 		"phase", "active replicas", "msgs/op or ticks")
-	newc := func() (*runner.Cluster[cheapbft.Message], []*cheapbft.Replica) {
-		rc := runner.New(runner.Config[cheapbft.Message]{Dest: cheapbft.Dest, Src: cheapbft.Src, Kind: cheapbft.Kind})
-		reps := make([]*cheapbft.Replica, 3)
-		for i := range reps {
-			reps[i] = cheapbft.NewReplica(types.NodeID(i), cheapbft.Config{N: 3, F: 1, RequestTimeout: 25})
-			rc.Add(types.NodeID(i), reps[i])
-		}
-		return rc, reps
+	newc := func() *cheapbft.Cluster {
+		return cheapbft.NewCluster(1, nil, cheapbft.Config{RequestTimeout: 25}, nil)
 	}
 	// Steady state CheapTiny.
 	{
-		rc, reps := newc()
+		c := newc()
 		for i := 1; i <= 10; i++ {
-			rc.Inject(cheapbft.Message{Kind: cheapbft.MsgRequest, From: -1, To: 0, Req: req(uint64(i))})
+			c.Submit(0, req(uint64(i)))
 		}
-		rc.RunUntil(func() bool { return reps[0].ExecutedFrontier() >= 10 }, 3000)
-		t.AddRowf("cheaptiny msgs/op", 2, float64(rc.Stats().Sent)/10)
+		c.RunUntil(func() bool { return c.Nodes[0].ExecutedFrontier() >= 10 }, 3000)
+		t.AddRowf("cheaptiny msgs/op", 2, float64(c.Stats().Sent)/10)
 	}
 	// Switch latency and MinBFT-mode cost.
 	{
-		rc, reps := newc()
-		rc.Crash(1) // active backup
-		rc.Inject(cheapbft.Message{Kind: cheapbft.MsgRequest, From: -1, To: 0, Req: req(1)})
-		start := rc.Now()
-		rc.RunUntil(func() bool {
-			return reps[0].Mode() == cheapbft.ModeMinBFT && reps[0].ExecutedFrontier() >= 1
+		c := newc()
+		c.Crash(1) // active backup
+		c.Submit(0, req(1))
+		start := c.Now()
+		c.RunUntil(func() bool {
+			return c.Nodes[0].Mode() == cheapbft.ModeMinBFT && c.Nodes[0].ExecutedFrontier() >= 1
 		}, 6000)
-		t.AddRowf("panic→minbft switch ticks", 3, rc.Now()-start)
-		rc.ResetStats()
+		t.AddRowf("panic→minbft switch ticks", 3, c.Now()-start)
+		c.ResetStats()
 		for i := 2; i <= 11; i++ {
-			rc.Inject(cheapbft.Message{Kind: cheapbft.MsgRequest, From: -1, To: 0, Req: req(uint64(i))})
+			c.Submit(0, req(uint64(i)))
 		}
-		rc.RunUntil(func() bool { return reps[0].ExecutedFrontier() >= 11 }, 3000)
-		t.AddRowf("minbft-mode msgs/op", 3, float64(rc.Stats().Sent)/10)
+		c.RunUntil(func() bool { return c.Nodes[0].ExecutedFrontier() >= 11 }, 3000)
+		t.AddRowf("minbft-mode msgs/op", 3, float64(c.Stats().Sent)/10)
 	}
 	return Result{ID: "F12", Caption: "CheapTiny → CheapSwitch → MinBFT and back", Artifact: t.String()}
 }

@@ -141,15 +141,10 @@ func T1Characterization() Result {
 				func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 })
 		}},
 		{"cheapbft", 3, func() (int, int) {
-			rc := runner.New(runner.Config[cheapbft.Message]{Dest: cheapbft.Dest, Src: cheapbft.Src, Kind: cheapbft.Kind})
-			reps := make([]*cheapbft.Replica, 3)
-			for i := range reps {
-				reps[i] = cheapbft.NewReplica(types.NodeID(i), cheapbft.Config{N: 3, F: 1})
-				rc.Add(types.NodeID(i), reps[i])
-			}
-			return measure(rc, 0,
-				func() { rc.Inject(cheapbft.Message{Kind: cheapbft.MsgRequest, From: -1, To: 0, Req: req(1)}) },
-				func() bool { return reps[0].ExecutedFrontier() >= 1 })
+			c := cheapbft.NewCluster(1, nil, cheapbft.Config{}, nil)
+			return measure(c.Cluster, 0,
+				func() { c.Submit(0, req(1)) },
+				func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 })
 		}},
 		{"upright", 6, func() (int, int) {
 			c := pbft.NewCluster(1, nil, pbft.Config{C: 1}, nil)
@@ -261,24 +256,11 @@ func T3TrustedHW() Result {
 			t.AddRowf("minbft", f, n, n, ticks, msgs)
 		}
 		{
-			n := quorum.Trusted{F: f}.Size()
-			rc := runner.New(runner.Config[cheapbft.Message]{Dest: cheapbft.Dest, Src: cheapbft.Src, Kind: cheapbft.Kind})
-			reps := make([]*cheapbft.Replica, n)
-			for i := 0; i < n; i++ {
-				reps[i] = cheapbft.NewReplica(types.NodeID(i), cheapbft.Config{N: n, F: f})
-				rc.Add(types.NodeID(i), reps[i])
-			}
-			rc.Inject(cheapbft.Message{Kind: cheapbft.MsgRequest, From: -1, To: 0, Req: req(1)})
-			start := rc.Now()
-			rc.RunUntil(func() bool {
-				for _, r := range reps {
-					if r.ExecutedFrontier() < 1 {
-						return false
-					}
-				}
-				return true
-			}, 2000)
-			t.AddRowf("cheapbft", f, n, f+1, rc.Now()-start, rc.Stats().Sent)
+			c := cheapbft.NewCluster(f, nil, cheapbft.Config{}, nil)
+			ticks, msgs := measure(c.Cluster, 0,
+				func() { c.Submit(0, req(1)) },
+				func() bool { return c.ExecutedEverywhere(1) })
+			t.AddRowf("cheapbft", f, len(c.Nodes), f+1, ticks, msgs)
 		}
 	}
 	return Result{ID: "T3", Caption: "PBFT vs MinBFT vs CheapBFT", Artifact: t.String()}

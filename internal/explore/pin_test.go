@@ -16,7 +16,10 @@ var pinSeeds = []uint64{1, 2, 3}
 // the raft and multipaxos modules (flexpaxos, multipaxos, raft,
 // raft-member, shard) in PR 18, when decisions stopped being messages;
 // shard again when its read-your-writes probes became reads a leader
-// confirms with a probe round instead of log entries.
+// confirms with a probe round instead of log entries. minbft and
+// cheapbft joined when they got campaigns: minbft's rows are its parent
+// commit's, and so is cheapbft's seed-2 row; seeds 1 and 3 PANIC, and
+// moved when CheapSwitch began merging f+1 PANIC reports.
 // A trace hash folds every tick's committed-state
 // fingerprint and the run's final message and fault counters, so any
 // change to what a harness submits, when it steps, or what its nodes
@@ -26,8 +29,10 @@ var pinSeeds = []uint64{1, 2, 3}
 var pinnedHashes = map[string][]string{
 	"2pc":         {"740fba0d384e118e3b24f26828477d1a", "e335d2063b8e5d8eb67334dc1cd32ddc", "e96ca90542adab8f6ed3a6f97d3de76e"},
 	"3pc":         {"c0fa677cb709cecfcaed40f012406996", "7c9c1a4cc081220cb5be90fa9361b49f", "0591384fdf30c4a20013216fcc36939d"},
+	"cheapbft":    {"e99b53cc4f9153115ce3c02811c4a195", "faa8f32a0a574d47a415d9dd15b790b0", "f7b4c1fe0e238237aa566512b1c08a5d"},
 	"flexpaxos":   {"a352b4a8fcc1279dd1026e1e06dd072d", "c9d552f67cd73f995d65b84c85855668", "a3314b98a6669e09349344b9859642b6"},
 	"hotstuff":    {"8301ea5661852642ea7cfbf6991c47ec", "7ab240df5ee3be994678c4b480a4574d", "77e24b503c95acde3f5a777369056b28"},
+	"minbft":      {"a1637e6a8448ca1588c0be6ed3258c70", "94d0e65fb2dbaed09d9f0df503b58d21", "412ce36150ee75d54710af2b0a4b6ea4"},
 	"multipaxos":  {"6eaa5464222cd9c1abd5ec49a208fdc5", "46cfd7eeaea4230baed003b539a84467", "9c34cd412e725137f506a31c79eba8f3"},
 	"paxos":       {"11bde38dc5dfa2370af1815e15500ca7", "6768eb3b4c7368ec4d579254dd15c3e8", "d8394ade356430df2a943ae19aa220e6"},
 	"pbft":        {"464dae8fae68dec3098a6ddce5dd155b", "bc44e7a244089401ec15e606d478a9b2", "9a63c9851448337cebf8685db05a22f2"},

@@ -3,8 +3,10 @@ package explore
 import (
 	"fmt"
 
+	"fortyconsensus/internal/cheapbft"
 	"fortyconsensus/internal/commit"
 	"fortyconsensus/internal/hotstuff"
+	"fortyconsensus/internal/minbft"
 	"fortyconsensus/internal/multipaxos"
 	"fortyconsensus/internal/paxos"
 	"fortyconsensus/internal/pbft"
@@ -29,6 +31,8 @@ func init() {
 	Register(Protocol{Name: "pbft", Nodes: 4, MinNodes: 4, Horizon: 400, New: newPBFTEpisode})
 	Register(Protocol{Name: "upright", Nodes: 6, MinNodes: 6, Horizon: 400, New: newUpRightEpisode})
 	Register(Protocol{Name: "hotstuff", Nodes: 4, MinNodes: 4, Horizon: 400, New: newHotStuffEpisode})
+	Register(Protocol{Name: "minbft", Nodes: 3, MinNodes: 3, Horizon: 400, New: newMinBFTEpisode})
+	Register(Protocol{Name: "cheapbft", Nodes: 3, MinNodes: 3, Horizon: 400, New: newCheapBFTEpisode})
 	Register(Protocol{Name: "2pc", Nodes: 4, MinNodes: 3, Horizon: 600, New: newCommitEpisode(commit.TwoPC)})
 	Register(Protocol{Name: "3pc", Nodes: 4, MinNodes: 3, Horizon: 600, New: newCommitEpisode(commit.ThreePC)})
 }
@@ -105,7 +109,7 @@ func newPaxosEpisode(n int, seed uint64) *Episode {
 	}
 }
 
-// --- log-committing SMR: Raft, Multi-Paxos, Flexible Paxos, PBFT, UpRight, HotStuff ---
+// --- log-committing SMR: Raft, Multi-Paxos, Flexible Paxos, PBFT, UpRight, HotStuff, MinBFT, CheapBFT ---
 
 // smrEpisode is the episode every log-committing protocol runs: on its
 // cadence submit hands the cluster one command, cmd(now), its own way,
@@ -164,12 +168,7 @@ func multiPaxosEpisode(n int, cfg multipaxos.Config) *Episode {
 const bftCadence = 30
 
 // bftFaults sizes a 3f+1 cluster from the campaign's node count.
-func bftFaults(n int) int {
-	if f := (n - 1) / 3; f >= 1 {
-		return f
-	}
-	return 1
-}
+func bftFaults(n int) int { return max((n-1)/3, 1) }
 
 func newPBFTEpisode(n int, seed uint64) *Episode {
 	return pbftEpisode(bftFaults(n), 0, seed)
@@ -183,18 +182,35 @@ func newUpRightEpisode(_ int, seed uint64) *Episode {
 
 func pbftEpisode(f, crash int, seed uint64) *Episode {
 	c := pbft.NewCluster(f, campaignFabric(seed), pbft.Config{C: crash}, nil)
-	size := len(c.Nodes)
-	return smrEpisode(c.SMRCluster, bftCadence, func(now int) {
-		// Rotate the entry replica; backups flood requests to the
-		// primary, so any live replica works.
+	return smrEpisode(c.SMRCluster, bftCadence, submitRotating(len(c.Nodes), c.Crashed, c.Submit))
+}
+
+// submitRotating is the primary-backup BFT workload: it rotates the
+// entry replica, skipping crashed ones; backups flood requests to the
+// primary, so any live replica works.
+func submitRotating(size int, crashed func(types.NodeID) bool, submit func(types.NodeID, types.Value)) func(now int) {
+	return func(now int) {
 		for off := 0; off < size; off++ {
 			at := types.NodeID((now/bftCadence + off) % size)
-			if !c.Crashed(at) {
-				c.Submit(at, cmd(now))
-				break
+			if !crashed(at) {
+				submit(at, cmd(now))
+				return
 			}
 		}
-	})
+	}
+}
+
+// trustedFaults sizes a 2f+1 trusted-counter cluster the same way.
+func trustedFaults(n int) int { return max((n-1)/2, 1) }
+
+func newMinBFTEpisode(n int, seed uint64) *Episode {
+	c := minbft.NewCluster(trustedFaults(n), campaignFabric(seed), minbft.Config{}, nil)
+	return smrEpisode(c.SMRCluster, bftCadence, submitRotating(len(c.Nodes), c.Crashed, c.Submit))
+}
+
+func newCheapBFTEpisode(n int, seed uint64) *Episode {
+	c := cheapbft.NewCluster(trustedFaults(n), campaignFabric(seed), cheapbft.Config{}, nil)
+	return smrEpisode(c.SMRCluster, bftCadence, submitRotating(len(c.Nodes), c.Crashed, c.Submit))
 }
 
 func newHotStuffEpisode(n int, seed uint64) *Episode {

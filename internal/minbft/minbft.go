@@ -13,7 +13,9 @@
 // USIG certificate over its canonical body; receivers hold out-of-order
 // messages until the gap fills. A faulty primary that withholds part of
 // its stream stalls its backups' monitors, their request timers fire,
-// and a view change installs the next primary.
+// and a view change installs the next primary, merging f+1 replicas'
+// reports so that every surviving slot keeps its number (core.go, the
+// ordering core CheapBFT runs too).
 //
 // Profile: partially-synchronous, hybrid (byzantine + trusted
 // component), pessimistic, known participants, 2f+1 nodes, 2 phases,
@@ -25,7 +27,6 @@ import (
 
 	"fortyconsensus/internal/chaincrypto"
 	"fortyconsensus/internal/core"
-	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/quorum"
 	"fortyconsensus/internal/trustedhw"
 	"fortyconsensus/internal/types"
@@ -78,12 +79,6 @@ func (k MsgKind) String() string {
 	return fmt.Sprintf("MsgKind(%d)", uint8(k))
 }
 
-// Entry is one ordered slot carried in view-change/new-view payloads.
-type Entry struct {
-	Seq types.Seq
-	Req types.Value
-}
-
 // Message is a MinBFT wire message.
 type Message struct {
 	Kind     MsgKind
@@ -113,7 +108,7 @@ func (m Message) Body() []byte {
 		chaincrypto.HashUint64(uint64(m.PrimaryUI.Node)),
 	}
 	for _, e := range m.Entries {
-		parts = append(parts, chaincrypto.HashUint64(uint64(e.Seq)), e.Req)
+		parts = append(parts, chaincrypto.HashUint64(uint64(e.Seq)), chaincrypto.HashUint64(uint64(e.View)), e.Req)
 	}
 	d := chaincrypto.Hash(parts...)
 	return d[:]
@@ -144,42 +139,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type slot struct {
-	req       types.Value
-	digest    chaincrypto.Digest
-	commits   *quorum.Tally
-	committed bool
-}
-
 // Replica is one MinBFT node.
 type Replica struct {
 	id   types.NodeID
 	cfg  Config
 	usig *trustedhw.USIG
 	mon  *trustedhw.Monitor
-	held map[types.NodeID]map[uint64]Message
-	now  int
+	held map[heldAt]Message // certified messages ahead of their sender's stream
+	core *Core
 
-	view    types.View
-	seq     types.Seq // primary's next slot
-	slots   map[types.Seq]*slot
-	exec    types.Seq
-	decided []types.Decision
-
-	pending map[chaincrypto.Digest]pend
-	done    map[chaincrypto.Digest]bool
-
+	view         types.View
 	viewChanging bool
 	vcTarget     types.View
-	vcVotes      map[types.View]map[types.NodeID]Message
-	viewChanges  int
+	vcVotes      map[types.View]Reports
 
 	out []Message
 }
 
-type pend struct {
-	req   types.Value
-	since int
+type heldAt struct {
+	from    types.NodeID
+	counter uint64
 }
 
 // NewReplica builds replica id of a 2f+1 cluster.
@@ -193,11 +172,9 @@ func NewReplica(id types.NodeID, cfg Config) *Replica {
 		cfg:     cfg,
 		usig:    trustedhw.NewUSIG(id, cfg.Secret),
 		mon:     trustedhw.NewMonitor(),
-		held:    make(map[types.NodeID]map[uint64]Message),
-		slots:   make(map[types.Seq]*slot),
-		pending: make(map[chaincrypto.Digest]pend),
-		done:    make(map[chaincrypto.Digest]bool),
-		vcVotes: make(map[types.View]map[types.NodeID]Message),
+		held:    make(map[heldAt]Message),
+		core:    NewCore(cfg.F),
+		vcVotes: make(map[types.View]Reports),
 	}
 }
 
@@ -210,23 +187,11 @@ func (r *Replica) IsPrimary() bool { return r.primary() == r.id }
 // View returns the current view.
 func (r *Replica) View() types.View { return r.view }
 
-// ViewChanges returns how many view changes this replica entered.
-func (r *Replica) ViewChanges() int { return r.viewChanges }
-
 // ExecutedFrontier returns the contiguous executed slot frontier.
-func (r *Replica) ExecutedFrontier() types.Seq { return r.exec }
+func (r *Replica) ExecutedFrontier() types.Seq { return r.core.ExecutedFrontier() }
 
 // TakeDecisions drains executed decisions in order.
-func (r *Replica) TakeDecisions() []types.Decision {
-	d := r.decided
-	r.decided = nil
-	return d
-}
-
-func (r *Replica) send(m Message) {
-	m.From = r.id
-	r.out = append(r.out, m)
-}
+func (r *Replica) TakeDecisions() []types.Decision { return r.core.TakeDecisions() }
 
 // certifyAndBroadcast signs one logical message with the next USIG
 // counter and multicasts it (one counter per multicast: every receiver
@@ -253,44 +218,35 @@ func (r *Replica) Submit(req types.Value) {
 // sequencing for certified kinds.
 func (r *Replica) Step(m Message) {
 	if m.Kind == MsgRequest {
-		r.onRequest(m)
+		r.process(m)
 		return
 	}
-	if m.From == r.id {
-		return
-	}
-	if r.usig.VerifyUI(m.UI, m.Body()) != nil || m.UI.Node != m.From {
+	if m.From == r.id || r.usig.VerifyUI(m.UI, m.Body()) != nil || m.UI.Node != m.From {
 		return
 	}
 	if !r.mon.Accept(m.UI) {
 		if m.UI.Counter > r.mon.Expected(m.From) {
-			holds, ok := r.held[m.From]
-			if !ok {
-				holds = make(map[uint64]Message)
-				r.held[m.From] = holds
-			}
-			holds[m.UI.Counter] = m
+			r.held[heldAt{m.From, m.UI.Counter}] = m
 		}
 		return
 	}
 	r.process(m)
 	// Drain now-contiguous held messages from this sender.
 	for {
-		next, ok := r.held[m.From][r.mon.Expected(m.From)]
-		if !ok {
+		at := heldAt{m.From, r.mon.Expected(m.From)}
+		next, ok := r.held[at]
+		if !ok || !r.mon.Accept(next.UI) {
 			return
 		}
-		if !r.mon.Accept(next.UI) {
-			return
-		}
-		delete(r.held[m.From], next.UI.Counter)
+		delete(r.held, at)
 		r.process(next)
 	}
 }
 
 func (r *Replica) process(m Message) {
-	//lint:allow exhaustive Step consumes MsgRequest before USIG sequencing; process sees only the UI-certified kinds
 	switch m.Kind {
+	case MsgRequest:
+		r.onRequest(m)
 	case MsgPrepare:
 		r.onPrepare(m)
 	case MsgCommit:
@@ -303,130 +259,60 @@ func (r *Replica) process(m Message) {
 }
 
 func (r *Replica) onRequest(m Message) {
-	d := chaincrypto.Hash(m.Req)
-	if r.done[d] {
+	fresh, ok := r.core.Pend(m.Req)
+	if !ok {
 		return
-	}
-	first := false
-	if _, ok := r.pending[d]; !ok {
-		r.pending[d] = pend{req: m.Req.Clone(), since: r.now}
-		first = true
 	}
 	if r.IsPrimary() && !r.viewChanging {
-		r.prepare(m.Req, d)
+		r.prepare(m.Req)
 		return
 	}
-	if first && m.Kind == MsgRequest {
+	if fresh {
 		// Flood so every replica arms its timer against the primary.
 		for i := 0; i < r.cfg.N; i++ {
 			if types.NodeID(i) != r.id {
-				r.send(Message{Kind: MsgRequest, To: types.NodeID(i), Req: m.Req.Clone()})
+				r.out = append(r.out, Message{Kind: MsgRequest, From: r.id, To: types.NodeID(i), Req: m.Req.Clone()})
 			}
 		}
 	}
 }
 
 // prepare is the primary's ordering step.
-func (r *Replica) prepare(req types.Value, d chaincrypto.Digest) {
-	for _, s := range r.slots {
-		if s.digest == d && s.req != nil {
-			return // already ordered
-		}
+func (r *Replica) prepare(req types.Value) {
+	if seq, d, ok := r.core.Propose(req, r.view); ok {
+		r.propose(seq, req, d)
 	}
-	r.seq++
-	seq := r.seq
-	s := r.getSlot(seq)
-	s.req = req.Clone()
-	s.digest = d
-	s.commits.Add(r.id) // the prepare doubles as the primary's commit
-	r.certifyAndBroadcast(Message{Kind: MsgPrepare, View: r.view, Seq: seq, Req: req.Clone(), Digest: d})
-	r.maybeCommit(seq, s)
 }
 
-func (r *Replica) getSlot(seq types.Seq) *slot {
-	s, ok := r.slots[seq]
-	if !ok {
-		s = &slot{commits: quorum.NewTally(r.quorum())}
-		r.slots[seq] = s
-	}
-	return s
+// propose sends the prepare for req at seq.
+func (r *Replica) propose(seq types.Seq, req types.Value, d chaincrypto.Digest) {
+	r.certifyAndBroadcast(Message{Kind: MsgPrepare, View: r.view, Seq: seq, Req: req.Clone(), Digest: d})
+	r.core.Commit(seq, req, d, r.view, r.id) // the prepare doubles as the primary's commit
 }
 
 func (r *Replica) onPrepare(m Message) {
-	if m.View != r.view || m.From != r.primary() || r.viewChanging {
+	if m.View != r.view || m.From != r.primary() || r.viewChanging || chaincrypto.Hash(m.Req) != m.Digest {
 		return
 	}
-	if chaincrypto.Hash(m.Req) != m.Digest {
-		return
-	}
-	s := r.getSlot(m.Seq)
-	if s.req != nil && s.digest != m.Digest {
+	if !r.core.Accept(m.Seq, m.Req, m.Digest, m.View) {
 		// Same slot, different content: impossible from a correct
 		// primary and prevented for byzantine ones by the counter
 		// stream — but guard anyway and demand a new view.
 		r.startViewChange(r.view + 1)
 		return
 	}
-	s.req = m.Req.Clone()
-	s.digest = m.Digest
-	s.commits.Add(m.From)
-	s.commits.Add(r.id)
-	delete(r.pending, m.Digest)
-	if m.Seq > r.seq {
-		r.seq = m.Seq
-	}
 	r.certifyAndBroadcast(Message{
 		Kind: MsgCommit, View: m.View, Seq: m.Seq, Req: m.Req.Clone(),
 		Digest: m.Digest, PrimaryUI: m.UI,
 	})
-	r.maybeCommit(m.Seq, s)
+	r.core.Commit(m.Seq, m.Req, m.Digest, m.View, m.From, r.id)
 }
 
 func (r *Replica) onCommit(m Message) {
-	if m.View != r.view || r.viewChanging {
+	if m.View != r.view || r.viewChanging || m.PrimaryUI.Node != r.primary() || chaincrypto.Hash(m.Req) != m.Digest {
 		return
 	}
-	if chaincrypto.Hash(m.Req) != m.Digest {
-		return
-	}
-	if m.PrimaryUI.Node != r.primary() {
-		return
-	}
-	s := r.getSlot(m.Seq)
-	if s.req == nil {
-		// Commit arrived before our prepare (or the primary skipped us):
-		// adopt the relayed content — the committing replica only sends
-		// it after consuming the primary's certified prepare.
-		s.req = m.Req.Clone()
-		s.digest = m.Digest
-	}
-	if s.digest != m.Digest {
-		return
-	}
-	s.commits.Add(m.PrimaryUI.Node)
-	s.commits.Add(m.From)
-	r.maybeCommit(m.Seq, s)
-}
-
-func (r *Replica) maybeCommit(seq types.Seq, s *slot) {
-	if s.committed || s.req == nil || !s.commits.Reached() {
-		return
-	}
-	s.committed = true
-	r.executeReady()
-}
-
-func (r *Replica) executeReady() {
-	for {
-		s, ok := r.slots[r.exec+1]
-		if !ok || !s.committed {
-			return
-		}
-		r.exec++
-		r.decided = append(r.decided, types.Decision{Slot: r.exec, Val: s.req})
-		r.done[s.digest] = true
-		delete(r.pending, s.digest)
-	}
+	r.core.Commit(m.Seq, m.Req, m.Digest, m.View, m.PrimaryUI.Node, m.From)
 }
 
 func (r *Replica) startViewChange(target types.View) {
@@ -434,100 +320,53 @@ func (r *Replica) startViewChange(target types.View) {
 		return
 	}
 	r.viewChanging = true
-	r.viewChanges++
 	r.vcTarget = target
-	entries := make([]Entry, 0, len(r.slots))
-	for _, seq := range det.SortedKeys(r.slots) {
-		if s := r.slots[seq]; seq > r.exec && s.req != nil {
-			entries = append(entries, Entry{Seq: seq, Req: s.req.Clone()})
-		}
-	}
-	vc := Message{Kind: MsgViewChange, View: target, Executed: r.exec, Entries: entries}
-	r.record(target, r.id, vc)
-	r.certifyAndBroadcast(vc)
+	rep := r.core.Report()
+	r.record(target, r.id, rep.Executed, rep.Entries)
+	r.certifyAndBroadcast(Message{Kind: MsgViewChange, View: target, Executed: rep.Executed, Entries: rep.Entries})
 }
 
 func (r *Replica) onViewChange(m Message) {
 	if m.View <= r.view {
 		return
 	}
-	r.record(m.View, m.From, m)
+	r.record(m.View, m.From, m.Executed, m.Entries)
 	// Join a view change once any peer votes for it and our own requests
 	// are aging, or once a quorum-1 of peers demand it.
 	if !r.viewChanging || r.vcTarget < m.View {
-		if r.anyPendingOld() || len(r.vcVotes[m.View]) >= r.quorum()-1 {
+		if r.core.Waiting(r.cfg.RequestTimeout/2) || len(r.vcVotes[m.View]) >= r.quorum()-1 {
 			r.startViewChange(m.View)
 		}
 	}
 }
 
-func (r *Replica) anyPendingOld() bool {
-	for _, p := range r.pending {
-		if r.now-p.since > r.cfg.RequestTimeout/2 {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *Replica) record(v types.View, from types.NodeID, m Message) {
+func (r *Replica) record(v types.View, from types.NodeID, executed types.Seq, entries []Entry) {
 	votes, ok := r.vcVotes[v]
 	if !ok {
-		votes = make(map[types.NodeID]Message)
+		votes = make(Reports)
 		r.vcVotes[v] = votes
 	}
-	if _, dup := votes[from]; dup {
+	if !votes.Add(from, executed, entries) {
 		return
 	}
-	votes[from] = m
-	if v.Primary(r.cfg.N) == r.id && len(votes) >= r.quorum() {
-		r.emitNewView(v, votes)
+	if v.Primary(r.cfg.N) == r.id && len(votes) >= r.quorum() && r.view < v {
+		exec, entries := votes.Merge(v)
+		r.certifyAndBroadcast(Message{Kind: MsgNewView, View: v, Executed: exec, Entries: entries})
+		r.applyNewView(v, exec, entries)
 	}
-}
-
-func (r *Replica) emitNewView(v types.View, votes map[types.NodeID]Message) {
-	if r.view >= v {
-		return
-	}
-	// Adopt the highest executed frontier and the union of uncommitted
-	// entries. A committed slot is never lost: its f+1 commit quorum
-	// intersects the f+1 view-change quorum in a correct replica whose
-	// report carries the slot (or already counts it as executed).
-	maxExec := types.Seq(0)
-	for _, vc := range votes {
-		if vc.Executed > maxExec {
-			maxExec = vc.Executed
-		}
-	}
-	merged := make(map[types.Seq]types.Value)
-	for _, vc := range votes {
-		for _, e := range vc.Entries {
-			if e.Seq > maxExec {
-				if _, ok := merged[e.Seq]; !ok {
-					merged[e.Seq] = e.Req
-				}
-			}
-		}
-	}
-	seqs := det.SortedKeys(merged)
-	entries := make([]Entry, 0, len(seqs))
-	for _, s := range seqs {
-		entries = append(entries, Entry{Seq: s, Req: merged[s].Clone()})
-	}
-	r.certifyAndBroadcast(Message{Kind: MsgNewView, View: v, Executed: maxExec, Entries: entries})
-	r.applyNewView(v, entries)
 }
 
 func (r *Replica) onNewView(m Message) {
 	if m.View < r.view || m.From != m.View.Primary(r.cfg.N) {
 		return
 	}
-	r.applyNewView(m.View, m.Entries)
+	r.applyNewView(m.View, m.Executed, m.Entries)
 }
 
-// applyNewView installs the view; the new primary re-prepares every
-// surviving uncommitted entry under fresh counters.
-func (r *Replica) applyNewView(v types.View, entries []Entry) {
+// applyNewView installs view v from the merged reports; its primary
+// re-proposes every survivor at its own slot, under a fresh counter,
+// before anything new.
+func (r *Replica) applyNewView(v types.View, executed types.Seq, survivors []Entry) {
 	r.view = v
 	r.viewChanging = false
 	for view := range r.vcVotes {
@@ -535,53 +374,16 @@ func (r *Replica) applyNewView(v types.View, entries []Entry) {
 			delete(r.vcVotes, view)
 		}
 	}
-	// Drop uncommitted slot state: the new primary re-orders survivors.
-	for seq, s := range r.slots {
-		if !s.committed {
-			delete(r.slots, seq)
-			if s.req != nil && !r.done[s.digest] {
-				r.pending[s.digest] = pend{req: s.req, since: r.now}
-			}
-		}
-	}
-	if r.seq < r.exec {
-		r.seq = r.exec
-	}
-	// Find the highest committed slot to continue numbering from.
-	for seq := range r.slots {
-		if seq > r.seq {
-			r.seq = seq
-		}
-	}
-	for d, p := range r.pending {
-		p.since = r.now
-		r.pending[d] = p
-	}
-	if r.IsPrimary() {
-		for _, e := range entries {
-			d := chaincrypto.Hash(e.Req)
-			if !r.done[d] {
-				r.pending[d] = pend{req: e.Req.Clone(), since: r.now}
-			}
-		}
-		for _, d := range det.SortedKeysFunc(r.pending, chaincrypto.Digest.Compare) {
-			r.prepare(r.pending[d].req, d)
-		}
+	for _, e := range r.core.Install(v, executed, survivors, r.IsPrimary()) {
+		r.propose(e.Seq, e.Req, chaincrypto.Hash(e.Req))
 	}
 }
 
 // Tick ages pending requests toward view changes.
 func (r *Replica) Tick() {
-	r.now++
-	if r.viewChanging {
-		return
-	}
-	//lint:allow maporder any timed-out request triggers the same single view change; which fires first is immaterial
-	for _, p := range r.pending {
-		if r.now-p.since > r.cfg.RequestTimeout {
-			r.startViewChange(r.view + 1)
-			return
-		}
+	r.core.Tick()
+	if !r.viewChanging && r.core.Waiting(r.cfg.RequestTimeout) {
+		r.startViewChange(r.view + 1)
 	}
 }
 

@@ -102,12 +102,12 @@ func TestOutOfOrderHeldByMonitor(t *testing.T) {
 		t.Fatalf("primary emitted %d prepares to backup 1", len(prepares))
 	}
 	backup.Step(prepares[1]) // counter 2 first
-	if backup.seq != 0 {
-		t.Fatal("out-of-order prepare processed early")
+	if sent := backup.Drain(); len(sent) != 0 || len(backup.held) != 1 {
+		t.Fatalf("out-of-order prepare processed early: %d commits sent, %d held", len(sent), len(backup.held))
 	}
 	backup.Step(prepares[0]) // gap fills; both process
-	if backup.seq != 2 {
-		t.Fatalf("held prepare not drained: seq=%d", backup.seq)
+	if backup.ExecutedFrontier() != 2 {
+		t.Fatalf("held prepare not drained: executed %d", backup.ExecutedFrontier())
 	}
 }
 

@@ -1,7 +1,7 @@
 package multipaxos
 
 import (
-	"sort"
+	"slices"
 
 	"fortyconsensus/internal/quorum"
 	"fortyconsensus/internal/snapshot"
@@ -34,10 +34,6 @@ const Alpha = 8
 type cfgEpoch struct {
 	from    types.Seq
 	members []types.NodeID
-}
-
-func sortNodeIDs(ms []types.NodeID) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
 }
 
 // membersFor returns the member set governing slot.
@@ -175,7 +171,7 @@ func (n *Node) onState(m Message) {
 	// installed state the host restores from.
 	n.decisions = nil
 	ms := append([]types.NodeID(nil), snap.Members...)
-	sortNodeIDs(ms)
+	slices.Sort(ms)
 	n.configs = []cfgEpoch{{from: 0, members: ms}}
 	cp := snap
 	n.installed = &cp

@@ -22,6 +22,7 @@ package multipaxos
 
 import (
 	"fmt"
+	"slices"
 
 	"fortyconsensus/internal/core"
 	"fortyconsensus/internal/det"
@@ -242,7 +243,7 @@ func New(id types.NodeID, cfg Config) *Node {
 		passive:  cfg.Passive,
 	}
 	boot := append([]types.NodeID(nil), cfg.Peers...)
-	sortNodeIDs(boot)
+	slices.Sort(boot)
 	n.configs = []cfgEpoch{{from: 0, members: boot}}
 	n.resetElectionTimer()
 	return n

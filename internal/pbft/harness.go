@@ -10,7 +10,7 @@ import (
 // Cluster is the simulated SMR cluster over 3f+2c+1 PBFT replicas, plus
 // PBFT's client entry point and checks.
 type Cluster struct {
-	*runner.SMRCluster[Message, *Replica]
+	*runner.FrontierCluster[Message, *Replica]
 	F int
 }
 
@@ -23,23 +23,12 @@ func NewCluster(f int, fabric *simnet.Fabric, cfg Config, newSM func() smr.State
 		reps[i] = NewReplica(types.NodeID(i), cfg)
 	}
 	rc := runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind}
-	return &Cluster{SMRCluster: runner.NewSMRCluster(rc, reps, newSM), F: f}
+	return &Cluster{FrontierCluster: &runner.FrontierCluster[Message, *Replica]{SMRCluster: runner.NewSMRCluster(rc, reps, newSM)}, F: f}
 }
 
 // Submit injects a client request at the given replica.
 func (c *Cluster) Submit(at types.NodeID, req types.Value) {
 	c.Inject(Message{Kind: MsgRequest, From: -1, To: at, Req: req})
-}
-
-// ExecutedEverywhere reports whether every live, correct replica has
-// executed through seq. byzantine lists replicas excluded from the check.
-func (c *Cluster) ExecutedEverywhere(seq types.Seq, byzantine ...types.NodeID) bool {
-	for i, rep := range c.Nodes {
-		if c.Correct(types.NodeID(i), byzantine) && rep.ExecutedFrontier() < seq {
-			return false
-		}
-	}
-	return true
 }
 
 // MatchingReplies counts replies for (client, seqno) agreeing on the

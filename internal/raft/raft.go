@@ -17,6 +17,7 @@ package raft
 
 import (
 	"fmt"
+	"slices"
 
 	"fortyconsensus/internal/core"
 	"fortyconsensus/internal/quorum"
@@ -258,7 +259,7 @@ func New(id types.NodeID, cfg Config) *Node {
 		passive:  cfg.Passive,
 	}
 	n.members = append([]types.NodeID(nil), cfg.Peers...)
-	sortNodeIDs(n.members)
+	slices.Sort(n.members)
 	n.resetElectionTimer()
 	return n
 }

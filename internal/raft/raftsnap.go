@@ -1,7 +1,7 @@
 package raft
 
 import (
-	"sort"
+	"slices"
 
 	"fortyconsensus/internal/quorum"
 	"fortyconsensus/internal/snapshot"
@@ -28,10 +28,6 @@ import (
 // entry can be truncated away on leader change, so every node remembers
 // the member set in force before each uncommitted config entry and
 // reverts on conflict truncation.
-
-func sortNodeIDs(ms []types.NodeID) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-}
 
 // confRecord remembers the member set in force before the config entry
 // at index, so a conflict truncation of that entry can revert it.
@@ -270,7 +266,7 @@ func (n *Node) installSnapshot(snap snapshot.Snapshot, raw []byte) {
 	// installed state the host restores from.
 	n.decisions = nil
 	ms := append([]types.NodeID(nil), snap.Members...)
-	sortNodeIDs(ms)
+	slices.Sort(ms)
 	n.confLog = nil
 	n.selfRemovedAt = 0
 	n.setMembers(ms)

@@ -81,6 +81,24 @@ func (c *SMRCluster[M, N]) Correct(id types.NodeID, faulty []types.NodeID) bool 
 	return !c.Crashed(id)
 }
 
+// FrontierCluster is an SMRCluster whose nodes report the contiguous
+// slot frontier they have executed, as the BFT replicas do.
+type FrontierCluster[M any, N interface {
+	SMRNode[M]
+	ExecutedFrontier() types.Seq
+}] struct{ *SMRCluster[M, N] }
+
+// ExecutedEverywhere reports whether every correct replica (Correct)
+// has executed through seq.
+func (c *FrontierCluster[M, N]) ExecutedEverywhere(seq types.Seq, faulty ...types.NodeID) bool {
+	for i, n := range c.Nodes {
+		if c.Correct(types.NodeID(i), faulty) && n.ExecutedFrontier() < seq {
+			return false
+		}
+	}
+	return true
+}
+
 // Pump drains every replica's newly committed decisions into its state
 // machine and returns the client replies that produced, and the reads
 // answered, in node order, and the decisions, indexed like Nodes. Call
