@@ -17,8 +17,9 @@ SHARD_PKGS := ./internal/shard/... ./internal/explore ./internal/workload
 # Everything `make bench` measures: the simulation hot path plus the
 # protocol hot paths the allocation discipline tracks (raft append,
 # multipaxos write and phase-1 answer by log length, shard 2PC commit,
-# explore episodes and campaign scaling), and live.Node's cost per event.
-BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/multipaxos ./internal/shard ./internal/explore ./internal/live
+# explore episodes and campaign scaling), live.Node's cost per event, and
+# the smr executor's cost per decision, lone or batched.
+BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/multipaxos ./internal/shard ./internal/explore ./internal/live ./internal/smr
 
 .PHONY: all build test test-race bench bench-pairs bench-pair golden lint explore examples fuzz ci cover serve-smoke soak loc
 
@@ -95,7 +96,7 @@ FUZZ_TARGETS := \
 	./internal/live:FuzzRaftCodec ./internal/live:FuzzMultiPaxosCodec \
 	./internal/live:FuzzDecodeRequest ./internal/live:FuzzDecodeResponse ./internal/live:FuzzDecodeHello \
 	./internal/kvstore:FuzzDecode ./internal/kvstore:FuzzRestore \
-	./internal/smr:FuzzDecodeRequest ./internal/smr:FuzzRestoreState \
+	./internal/smr:FuzzDecodeRequest ./internal/smr:FuzzDecodeBatch ./internal/smr:FuzzRestoreState \
 	./internal/snapshot:FuzzDecode ./internal/snapshot:FuzzDecodeConfChange \
 	./internal/shard:FuzzDecodeCmd ./internal/shard:FuzzStoreRestore
 

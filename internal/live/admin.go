@@ -40,8 +40,9 @@ const (
 type GroupStatus struct {
 	Shard     int     `json:"shard"`
 	IsLeader  bool    `json:"is_leader"`
-	Leader    int64   `json:"leader"` // believed leader; -1 unknown
-	Commit    uint64  `json:"commit"` // applied frontier (slots)
+	Leader    int64   `json:"leader"`      // believed leader; -1 unknown
+	Commit    uint64  `json:"commit"`      // applied frontier (log slots)
+	Ops       uint64  `json:"ops_applied"` // client requests applied here, a batch's one each (smr.Executor.OpsApplied)
 	SnapIndex uint64  `json:"snap_index"`
 	Installs  int     `json:"installs"`   // snapshots installed from peers
 	Sessions  int     `json:"sessions"`   // executor dedup entries, one per client session seen
@@ -90,11 +91,7 @@ func (s *Server) AddPeer(id types.NodeID, addr string) { s.tr.AddPeer(id, addr) 
 
 // handleAdmin answers one admin request on the connection's goroutine.
 func (s *Server) handleAdmin(cc *ClientConn, req Request) {
-	bad := func(why string) {
-		s.met.badReq.Add(1)
-		s.respond(cc, Response{ReqID: req.ReqID, Status: StatusBadRequest, Leader: -1,
-			Result: types.Value(why)})
-	}
+	bad := func(why string) { s.refuse(cc, req, why) }
 	r := wire.NewReader(req.Op)
 	switch r.U8() {
 	case OpAdminStatus:

@@ -121,10 +121,14 @@ type Client struct {
 // session is one smr client session: its ID and the last seqno issued
 // under it. One Do holds it at a time, so it never has two requests
 // outstanding and its seqnos only rise — the contract smr.Executor's
-// one-entry-per-session dedup table is written for.
+// one-entry-per-session dedup table is written for. The same holding
+// lets every attempt of every operation on it wait on one reply channel
+// and one timer.
 type session struct {
-	id  types.ClientID
-	seq uint64
+	id    types.ClientID
+	seq   uint64
+	reply chan Response // empty whenever no attempt is waiting on it
+	timer *time.Timer   // stopped and drained whenever no attempt runs
 }
 
 // NewClient builds a client; no connection is made until the first
@@ -133,6 +137,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("live: client needs at least one address")
+	}
+	if cfg.SessionBase < 0 {
+		// The server refuses every negative client ID: a log value that
+		// starts with one would read as a conf change or a batch.
+		return nil, fmt.Errorf("live: negative session base %d", cfg.SessionBase)
 	}
 	if cfg.IDs == nil {
 		cfg.IDs = make([]types.NodeID, len(cfg.Addrs))
@@ -197,7 +206,7 @@ func (c *Client) Do(cmd kvstore.Command) (types.Value, error) {
 		if node < 0 || node >= len(c.cfg.Addrs) {
 			node = attempt % len(c.cfg.Addrs)
 		}
-		resp, err := c.attempt(node, req)
+		resp, err := c.attempt(node, req, sess)
 		if err != nil {
 			if errors.Is(err, ErrClientClosed) {
 				return nil, err
@@ -287,7 +296,9 @@ func (c *Client) takeSession() session {
 		return s
 	}
 	c.minted++
-	return session{id: c.cfg.SessionBase + types.ClientID(c.minted)}
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return session{id: c.cfg.SessionBase + types.ClientID(c.minted), reply: make(chan Response, 1), timer: t}
 }
 
 func (c *Client) putSession(s session) {
@@ -331,33 +342,42 @@ func (c *Client) dropLeaderNode(node int) {
 	c.mu.Unlock()
 }
 
-// attempt sends req to one node and waits for its response.
-func (c *Client) attempt(node int, req Request) (Response, error) {
+// attempt sends req to one node under a fresh ReqID and waits, on the
+// session's channel and timer, for the response to that ReqID.
+func (c *Client) attempt(node int, req Request, sess session) (Response, error) {
 	cn, err := c.conn(node)
 	if err != nil {
 		return Response{}, err
 	}
 	req.ReqID = c.reqID.Add(1)
-	ch, err := cn.register(req.ReqID)
-	if err != nil {
+	if err := cn.register(req.ReqID, sess.reply); err != nil {
 		return Response{}, err
 	}
 	if err := cn.write(req.encode()); err != nil {
-		cn.unregister(req.ReqID)
+		cn.abandon(req.ReqID, sess.reply)
 		cn.fail(err)
 		return Response{}, err
 	}
-	timeout := time.NewTimer(c.cfg.AttemptTimeout)
-	defer timeout.Stop() // a reply takes its timer out of the heap with it
+	sess.timer.Reset(c.cfg.AttemptTimeout)
 	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return Response{}, errors.New("connection lost")
-		}
+	case resp := <-sess.reply:
+		stopTimer(sess.timer)
 		return resp, nil
-	case <-timeout.C:
-		cn.unregister(req.ReqID)
+	case <-cn.dead:
+		stopTimer(sess.timer)
+		cn.abandon(req.ReqID, sess.reply)
+		return Response{}, errors.New("connection lost")
+	case <-sess.timer.C:
+		cn.abandon(req.ReqID, sess.reply)
 		return Response{}, errors.New("attempt timed out")
+	}
+}
+
+// stopTimer stops a running timer and drains a fire nobody received, so
+// that the session's next Reset starts from an empty channel.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		<-t.C
 	}
 }
 
@@ -420,9 +440,13 @@ type cconn struct {
 	// connection dies (leader-cache invalidation).
 	onDead func()
 
+	// pending maps each waiting attempt's ReqID to its session's reply
+	// channel. Only readLoop, which then sends the reply, and abandon
+	// remove an entry; a reply whose ReqID is not here — its attempt gave
+	// up — is dropped, so it never answers a later attempt.
 	mu      sync.Mutex
 	pending map[uint64]chan Response
-	dead    bool
+	dead    chan struct{} // closed by fail: wakes every waiter
 }
 
 func newCConn(conn net.Conn) *cconn {
@@ -431,30 +455,40 @@ func newCConn(conn net.Conn) *cconn {
 		br:      bufio.NewReader(conn),
 		bw:      bufio.NewWriter(conn),
 		pending: make(map[uint64]chan Response),
+		dead:    make(chan struct{}),
 	}
 }
 
 func (cn *cconn) isDead() bool {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	return cn.dead
-}
-
-func (cn *cconn) register(reqID uint64) (chan Response, error) {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if cn.dead {
-		return nil, errors.New("connection lost")
+	select {
+	case <-cn.dead:
+		return true
+	default:
+		return false
 	}
-	ch := make(chan Response, 1)
-	cn.pending[reqID] = ch
-	return ch, nil
 }
 
-func (cn *cconn) unregister(reqID uint64) {
+func (cn *cconn) register(reqID uint64, ch chan Response) error {
 	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	if cn.isDead() {
+		return errors.New("connection lost")
+	}
+	cn.pending[reqID] = ch
+	return nil
+}
+
+// abandon withdraws a waiting attempt. If readLoop took its entry
+// first, the reply is on its way into ch and is drained here, so the
+// session's channel is empty for its next attempt.
+func (cn *cconn) abandon(reqID uint64, ch chan Response) {
+	cn.mu.Lock()
+	_, waiting := cn.pending[reqID]
 	delete(cn.pending, reqID)
 	cn.mu.Unlock()
+	if !waiting {
+		<-ch
+	}
 }
 
 func (cn *cconn) write(frame []byte) error {
@@ -470,7 +504,7 @@ func (cn *cconn) write(frame []byte) error {
 // every waiting attempt is failed so it can retry elsewhere.
 func (cn *cconn) readLoop() {
 	for {
-		payload, err := ReadFrame(cn.br, DefaultMaxFrame)
+		payload, err := readFrameInPlace(cn.br)
 		if err != nil {
 			cn.fail(err)
 			return
@@ -482,34 +516,26 @@ func (cn *cconn) readLoop() {
 		}
 		cn.mu.Lock()
 		ch, ok := cn.pending[resp.ReqID]
-		if ok {
-			delete(cn.pending, resp.ReqID)
-		}
+		delete(cn.pending, resp.ReqID)
 		cn.mu.Unlock()
 		if ok {
-			ch <- resp // buffered; never blocks
+			ch <- resp // buffered and empty while its attempt waits: never blocks
 		}
 	}
 }
 
 // fail kills the connection and wakes every waiting attempt. The
-// cause is not recorded — waiters see a closed channel and retry.
+// cause is not recorded — waiters see dead closed and retry.
 func (cn *cconn) fail(_ error) {
 	cn.mu.Lock()
-	if cn.dead {
+	if cn.isDead() {
 		cn.mu.Unlock()
 		return
 	}
-	cn.dead = true
-	pending := cn.pending
-	cn.pending = nil
+	close(cn.dead)
 	cn.mu.Unlock()
 	cn.conn.Close()
 	if cn.onDead != nil {
 		cn.onDead()
-	}
-	//lint:allow maporder failure wakeup; waiters are independent and order-insensitive
-	for _, ch := range pending {
-		close(ch)
 	}
 }

@@ -358,9 +358,9 @@ func TestClientRetriesStayExactlyOnce(t *testing.T) {
 		}
 		return vals
 	}
-	frontier := func() (sum uint64) {
+	applied := func() (sum uint64) {
 		for _, g := range groupSessions(t, addrs) {
-			sum += g.Commit
+			sum += g.Ops
 		}
 		return sum
 	}
@@ -372,7 +372,7 @@ func TestClientRetriesStayExactlyOnce(t *testing.T) {
 		var acked [keys][]string // values acknowledged Incrs returned
 		var unknown [keys]int    // Incrs that failed: applied or not, unknown
 		var lat []time.Duration
-		before, log := counters(), frontier()
+		before, log := counters(), applied()
 		var wg sync.WaitGroup
 		for w := 0; w < callers; w++ {
 			wg.Add(1)
@@ -394,7 +394,7 @@ func TestClientRetriesStayExactlyOnce(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		entries := int(frontier() - log)
+		requests := int(applied() - log)
 		for k, after := range counters() {
 			seen := make(map[string]bool)
 			for _, v := range acked[k] {
@@ -411,9 +411,9 @@ func TestClientRetriesStayExactlyOnce(t *testing.T) {
 			t.Fatal("no operation was acknowledged")
 		}
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		// Every log entry past one per operation is a retry that committed
-		// a second copy of its request.
-		return lat[len(lat)/2], entries - callers*each
+		// Every request the log carried past one per operation is a retry
+		// that committed a second copy of it.
+		return lat[len(lat)/2], requests - callers*each
 	}
 
 	// The patient client measures the round trip under this load; the

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -50,6 +51,33 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// readFrameInPlace is ReadFrame over a connection's reader without the
+// copy: a frame that fits br's buffer is returned as a view of it, valid
+// only until the next read from br; a larger one, or a failed stream, is
+// ReadFrame's. The three socket readers use it, and the decoders behind
+// them copy whatever they keep (wire.Reader.Copy*).
+func readFrameInPlace(br *bufio.Reader) ([]byte, error) {
+	if hdr, err := br.Peek(4); err == nil {
+		if n := 4 + int(binary.BigEndian.Uint32(hdr)); n <= br.Size() {
+			if b, err := br.Peek(n); err == nil {
+				br.Discard(n)
+				return b[4:], nil
+			}
+		}
+	}
+	return ReadFrame(br, DefaultMaxFrame)
+}
+
+// frameBuffered reports whether br's buffer already holds a whole frame,
+// so that reading it makes no syscall.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4) // buffered: cannot fail
+	return br.Buffered() >= 4+int(binary.BigEndian.Uint32(hdr))
 }
 
 // Connection roles, declared by the first frame on every connection.

@@ -23,10 +23,12 @@ type ServerMetrics struct {
 	latency    metrics.Histogram   // submit→answer, µs: writes to their applied reply, reads to theirs
 	shardNames []string            // commits' counter name per shard, built once
 
-	requests  atomic.Uint64 // client requests received
-	applied   atomic.Uint64 // log entries applied across shards
-	notLeader atomic.Uint64 // submissions redirected
-	badReq    atomic.Uint64 // undecodable requests
+	requests atomic.Uint64 // client requests received
+	// Client writes applied across shards, and the log entries that carried
+	// them as this node proposed them leading: on a leader, ops per entry.
+	applied, proposed atomic.Uint64
+	notLeader         atomic.Uint64 // submissions redirected
+	badReq            atomic.Uint64 // undecodable requests
 	// restoreFailed counts groups whose replica could not restore an
 	// installed snapshot and has stopped applying and answering.
 	restoreFailed atomic.Uint64
@@ -76,7 +78,7 @@ func (m *ServerMetrics) Committed() uint64 {
 	return m.commits.Total()
 }
 
-// Applied returns the total log entries applied across shards.
+// Applied returns the total client writes applied across shards.
 func (m *ServerMetrics) Applied() uint64 { return m.applied.Load() }
 
 // LatencySummary snapshots the submit→answer latency distribution.
@@ -90,7 +92,8 @@ func (m *ServerMetrics) LatencySummary() metrics.Summary {
 type metricsSnapshot struct {
 	UptimeSec float64           `json:"uptime_sec"`
 	Requests  uint64            `json:"requests"`
-	Applied   uint64            `json:"applied"`
+	Applied   uint64            `json:"applied"`          // client writes
+	Proposed  uint64            `json:"proposed_entries"` // log entries carrying them, as leader
 	NotLeader uint64            `json:"not_leader"`
 	BadReq    uint64            `json:"bad_requests"`
 	Commits   map[string]uint64 `json:"commits_per_shard"`
@@ -115,6 +118,7 @@ func (m *ServerMetrics) snapshot(tr *Transport) metricsSnapshot {
 		UptimeSec: time.Since(m.started).Seconds(),
 		Requests:  m.requests.Load(),
 		Applied:   m.applied.Load(),
+		Proposed:  m.proposed.Load(),
 		NotLeader: m.notLeader.Load(),
 		BadReq:    m.badReq.Load(),
 		Commits:   commits,

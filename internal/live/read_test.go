@@ -151,7 +151,7 @@ func TestDroppedReadIsRedirectedAtOnce(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c2.Close()
 	cc := newClientConn(c1, bufio.NewReader(c1))
-	g.submit(cc, Request{ReqID: 5, Client: 1, SeqNo: 1, Op: kvstore.Get("k").Encode()}, true)
+	g.serve(cc, []clientOp{{Request{ReqID: 5, Client: 1, SeqNo: 1, Op: kvstore.Get("k").Encode()}, true}})
 	select {
 	case b := <-cc.out:
 		resp, _ := decodeResponse(b)
@@ -169,7 +169,7 @@ func TestDroppedReadIsRedirectedAtOnce(t *testing.T) {
 	}
 
 	cc.Close()
-	g.submit(cc, Request{ReqID: 6, Client: 1, SeqNo: 2, Op: kvstore.Get("k").Encode()}, true)
+	g.serve(cc, []clientOp{{Request{ReqID: 6, Client: 1, SeqNo: 2, Op: kvstore.Get("k").Encode()}, true}})
 	s.onPeerFrame(1, []byte{0, 0, 0, 0, 0xff})
 	s.onPeerFrame(1, []byte{0, 0})
 	m := s.met.snapshot(s.tr)

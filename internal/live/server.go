@@ -88,7 +88,7 @@ type hostedGroup interface {
 	start()
 	close()
 	deliver(payload []byte)
-	submit(cc *ClientConn, req Request, read bool)
+	serve(cc *ClientConn, ops []clientOp)
 	leaderInfo() (isLeader bool, leader types.NodeID, ok bool)
 	inspect(fn func(st *shard.Store)) bool
 	status() (GroupStatus, bool)
@@ -212,28 +212,67 @@ func (s *Server) onPeerFrame(from types.NodeID, payload []byte) {
 	s.grs[idx].deliver(r.View(r.Len()))
 }
 
-// serveClient runs one client connection's request loop.
+// serveClient runs one client connection's request loop. A pass reads
+// the next request, then every request frame the connection's read
+// buffer already holds whole — a burst bounded by the buffer, read with
+// no further syscall — and hands each shard group its share of the
+// burst as one turn.
 func (s *Server) serveClient(cc *ClientConn) {
+	shares := make([][]clientOp, len(s.grs))
 	for {
 		req, err := cc.ReadRequest()
+		for err == nil {
+			s.route(cc, req, shares)
+			if !frameBuffered(cc.br) {
+				break
+			}
+			req, err = cc.ReadRequest()
+		}
+		for i, share := range shares {
+			if len(share) > 0 {
+				s.grs[i].serve(cc, share)
+				shares[i] = share[:0]
+			}
+		}
 		if err != nil {
 			return
 		}
-		s.met.requests.Add(1)
-		if len(req.Op) > 0 && req.Op[0] >= OpAdminStatus && req.Op[0] <= opAdminMax {
-			s.handleAdmin(cc, req)
-			continue
-		}
-		cmd, derr := kvstore.Decode(req.Op)
-		if derr != nil || req.SeqNo == 0 {
-			s.met.badReq.Add(1)
-			s.respond(cc, Response{ReqID: req.ReqID, Status: StatusBadRequest, Leader: -1,
-				Result: types.Value("undecodable command")})
-			continue
-		}
-		g := s.grs[s.pm.Shard(cmd.Key)]
-		g.submit(cc, req, cmd.Op == kvstore.OpGet)
 	}
+}
+
+// clientOp is one client request on its way to its shard group.
+type clientOp struct {
+	Request
+	read bool
+}
+
+// route answers an admin or malformed request at once and appends any
+// other to its shard group's share of the burst.
+func (s *Server) route(cc *ClientConn, req Request, shares [][]clientOp) {
+	s.met.requests.Add(1)
+	if req.Client < 0 {
+		// A log value starts with its client ID, and the conf-change and
+		// batch magics both start with the high bit set.
+		s.refuse(cc, req, "reserved client id")
+		return
+	}
+	if len(req.Op) > 0 && req.Op[0] >= OpAdminStatus && req.Op[0] <= opAdminMax {
+		s.handleAdmin(cc, req)
+		return
+	}
+	cmd, derr := kvstore.Decode(req.Op)
+	if derr != nil || req.SeqNo == 0 {
+		s.refuse(cc, req, "undecodable command")
+		return
+	}
+	sh := s.pm.Shard(cmd.Key)
+	shares[sh] = append(shares[sh], clientOp{req, cmd.Op == kvstore.OpGet})
+}
+
+// refuse answers a request the server cannot take StatusBadRequest.
+func (s *Server) refuse(cc *ClientConn, req Request, why string) {
+	s.met.badReq.Add(1)
+	s.respond(cc, Response{ReqID: req.ReqID, Status: StatusBadRequest, Leader: -1, Result: types.Value(why)})
 }
 
 // respond queues a response on the client's connection, counting one the
@@ -319,7 +358,8 @@ type smrGroup[M any] struct {
 
 	probes, reasked int // the module's read counters, as last added to srv.met
 
-	enc []byte // frame's scratch, reused across sends
+	enc    []byte          // frame's scratch, reused across sends
+	writes []types.Request // serve's scratch: one turn's writes
 }
 
 func newSMRGroup[M any](s *Server, idx int, mod SMRModule[M], codec Codec[M], dest func(M) types.NodeID) *smrGroup[M] {
@@ -372,33 +412,43 @@ func (g *smrGroup[M]) deliver(payload []byte) {
 	g.node.Deliver(m)
 }
 
-// submit runs the leadership check and submission as one turn, on the
-// client connection's goroutine; a read goes to smr.Replica.Read.
-func (g *smrGroup[M]) submit(cc *ClientConn, req Request, read bool) {
+// serve runs one connection's burst for this group as one turn, on the
+// connection's goroutine. Each request gets the leadership check and a
+// pending entry; a read goes to smr.Replica.Read, and the writes become
+// one Submit (smr.EncodeBatch: a lone write is its request value).
+func (g *smrGroup[M]) serve(cc *ClientConn, ops []clientOp) {
 	ok := g.node.CallWait(func() {
-		if g.restoreFailed {
-			g.srv.respond(cc, Response{ReqID: req.ReqID, Status: StatusUnavailable, Leader: -1})
-			return
+		now := time.Now()
+		for _, op := range ops {
+			if g.restoreFailed {
+				g.srv.respond(cc, Response{ReqID: op.ReqID, Status: StatusUnavailable, Leader: -1})
+				continue
+			}
+			if !g.mod.IsLeader() {
+				g.srv.met.notLeader.Add(1)
+				g.srv.respond(cc, Response{ReqID: op.ReqID, Status: StatusNotLeader, Leader: int64(g.mod.Leader())})
+				continue
+			}
+			g.prunePending()
+			g.pending[sessKey{op.Client, op.SeqNo}] = &pendingReq{
+				cc: cc, reqID: op.ReqID, start: now, read: op.read,
+			}
+			if op.read {
+				g.rep.Read(op.Client, op.SeqNo, op.Op)
+				continue
+			}
+			g.writes = append(g.writes, types.Request{Client: op.Client, SeqNo: op.SeqNo, Op: op.Op})
 		}
-		if !g.mod.IsLeader() {
-			g.srv.met.notLeader.Add(1)
-			g.srv.respond(cc, Response{ReqID: req.ReqID, Status: StatusNotLeader, Leader: int64(g.mod.Leader())})
-			return
+		if len(g.writes) > 0 {
+			g.mod.Submit(smr.EncodeBatch(g.writes))
+			g.srv.met.proposed.Add(1)
+			g.writes = g.writes[:0]
 		}
-		g.prunePending()
-		g.pending[sessKey{req.Client, req.SeqNo}] = &pendingReq{
-			cc: cc, reqID: req.ReqID, start: time.Now(), read: read,
-		}
-		if read {
-			g.rep.Read(req.Client, req.SeqNo, req.Op)
-			return
-		}
-		g.mod.Submit(smr.EncodeRequest(types.Request{
-			Client: req.Client, SeqNo: req.SeqNo, Op: req.Op,
-		}))
 	})
 	if !ok {
-		g.srv.respond(cc, Response{ReqID: req.ReqID, Status: StatusUnavailable, Leader: -1})
+		for _, op := range ops {
+			g.srv.respond(cc, Response{ReqID: op.ReqID, Status: StatusUnavailable, Leader: -1})
+		}
 	}
 }
 
@@ -433,7 +483,7 @@ func (g *smrGroup[M]) afterTurn() {
 	for _, r := range replies {
 		p, ok := g.pending[sessKey{r.Client, r.SeqNo}]
 		if !ok || !p.read {
-			met.applied.Add(1) // a log entry; a read is none
+			met.applied.Add(1) // a client write applied; a read is none
 		}
 		if !ok {
 			continue
@@ -484,6 +534,7 @@ func (g *smrGroup[M]) status() (GroupStatus, bool) {
 			IsLeader: g.mod.IsLeader(),
 			Leader:   int64(g.mod.Leader()),
 			Commit:   uint64(g.rep.Exec().NextSlot() - 1),
+			Ops:      g.rep.Exec().OpsApplied(),
 			Installs: g.rep.Installs(),
 			Digest:   kvDigest(g.store.KV().Snapshot()),
 

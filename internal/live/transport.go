@@ -19,7 +19,9 @@ type TransportConfig struct {
 	Addrs map[types.NodeID]string
 
 	// OnPeerFrame receives every inbound peer frame, on the connection's
-	// read goroutine. The payload buffer is owned by the callee.
+	// read goroutine. The payload may be a view of the connection's read
+	// buffer: it is valid only until the callee returns, which copies what
+	// it keeps.
 	OnPeerFrame func(from types.NodeID, payload []byte)
 	// OnClient serves one client connection; it is called on the
 	// connection's goroutine and returns when the connection is done.
@@ -292,7 +294,7 @@ func (t *Transport) handleConn(conn net.Conn) {
 	case helloPeer:
 		from := types.NodeID(id)
 		for {
-			payload, err := ReadFrame(br, DefaultMaxFrame)
+			payload, err := readFrameInPlace(br)
 			if err != nil {
 				conn.Close()
 				return
@@ -377,7 +379,7 @@ func newClientConn(c net.Conn, br *bufio.Reader) *ClientConn {
 
 // ReadRequest reads and decodes the next request frame.
 func (cc *ClientConn) ReadRequest() (Request, error) {
-	payload, err := ReadFrame(cc.br, DefaultMaxFrame)
+	payload, err := readFrameInPlace(cc.br)
 	if err != nil {
 		return Request{}, err
 	}

@@ -18,9 +18,13 @@ import (
 // log one to three times — the first attempt and its retries — at
 // arbitrary later positions, so a copy may commit after its successor,
 // after its caller was answered, or after its caller gave up; a reply
-// may be lost on the way back. TestSessionWindowExactlyOnce runs that
-// traffic against a real Executor over a kvstore and checks what the
-// client library promises on top of it.
+// may be lost on the way back. A log entry carries one copy alone, or a
+// batch of up to four taken from any sessions (what live.Server forms
+// from a connection's burst), so a copy may also commit beside copies of
+// other operations, of itself, or again in a later batch.
+// TestSessionWindowExactlyOnce runs that traffic against a real Executor
+// over a kvstore and checks what the client library promises on top of
+// it.
 
 const (
 	modelSessions = 3
@@ -37,8 +41,17 @@ type modelOp struct {
 func (o modelOp) key() string   { return fmt.Sprintf("s%d-%d", o.sess, o.seq) }
 func (o modelOp) delta() int64  { return int64(o.sess)*1000 + int64(o.seq) }
 func (o modelOp) reply() string { return strconv.FormatInt(o.delta(), 10) }
-func (o modelOp) value() types.Value {
-	return req(o.sess, o.seq, kvstore.Incr(o.key(), o.delta()))
+func (o modelOp) request() types.Request {
+	return types.Request{Client: o.sess, SeqNo: o.seq, Op: kvstore.Incr(o.key(), o.delta()).Encode()}
+}
+
+// entryValue is the log value carrying ops: a lone request, or a batch.
+func entryValue(ops []modelOp) types.Value {
+	reqs := make([]types.Request, len(ops))
+	for i, op := range ops {
+		reqs[i] = op.request()
+	}
+	return EncodeBatch(reqs)
 }
 
 // recordingSM is a kvstore that remembers the key of every command it
@@ -102,19 +115,31 @@ func runSessionModel(seed int64, overlap bool) error {
 				inflight = append(inflight, op)
 			}
 		case pick < 9 && len(inflight) > 0:
-			i := rng.Intn(len(inflight))
-			op := inflight[i]
-			inflight = append(inflight[:i], inflight[i+1:]...)
+			var entry []modelOp
+			for n := 1 + rng.Intn(4); n > 0 && len(inflight) > 0; n-- {
+				i := rng.Intn(len(inflight))
+				entry = append(entry, inflight[i])
+				inflight = append(inflight[:i], inflight[i+1:]...)
+			}
 			slot++
-			replies := e.Commit(types.Decision{Slot: slot, Val: op.value()})
+			replies := e.Commit(types.Decision{Slot: slot, Val: entryValue(entry)})
+			answered := make(map[modelOp]bool)
 			for _, r := range replies {
-				if label := (modelOp{r.Client, r.SeqNo}); string(r.Result) != label.reply() {
+				label := modelOp{r.Client, r.SeqNo}
+				if string(r.Result) != label.reply() {
 					return fmt.Errorf("slot %d: reply labelled %v carries %q, another operation's result", slot, label, r.Result)
 				}
+				if !slices.Contains(entry, label) {
+					return fmt.Errorf("slot %d: reply labelled %v, which the entry %v does not carry", slot, label, entry)
+				}
+				answered[label] = true
 			}
-			if isWaiting(op) {
-				if len(replies) != 1 || replies[0].Client != op.sess || replies[0].SeqNo != op.seq {
-					return fmt.Errorf("slot %d: %v is outstanding and its commit was not answered (replies %+v)", slot, op, replies)
+			for _, op := range entry {
+				if !isWaiting(op) {
+					continue
+				}
+				if !answered[op] {
+					return fmt.Errorf("slot %d: %v is outstanding and its commit in %v was not answered (replies %+v)", slot, op, entry, replies)
 				}
 				if rng.Intn(4) > 0 { // else the reply is lost on its way back
 					acked[op] = true

@@ -35,11 +35,13 @@ type StateMachine interface {
 // EncodeRequest packs a client request into a consensus value:
 // u64 client | u64 seqno | op bytes.
 func EncodeRequest(r types.Request) types.Value {
-	buf := make([]byte, 0, 16+len(r.Op))
+	return appendRequest(make([]byte, 0, 16+len(r.Op)), r)
+}
+
+func appendRequest(buf []byte, r types.Request) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(r.Client))
 	buf = binary.BigEndian.AppendUint64(buf, r.SeqNo)
-	buf = append(buf, r.Op...)
-	return types.Value(buf)
+	return append(buf, r.Op...)
 }
 
 // ErrDecode reports a malformed encoded request.
@@ -48,13 +50,76 @@ var ErrDecode = errors.New("smr: malformed request encoding")
 // DecodeRequest unpacks a consensus value into a client request. Op is
 // a copy: the request outlives v.
 func DecodeRequest(v types.Value) (types.Request, error) {
-	r := wire.NewReader(v)
-	req := types.Request{Client: types.ClientID(r.U64()), SeqNo: r.U64()}
-	req.Op = r.Copy(r.Len())
-	if r.Err() != nil {
+	req, ok := viewRequest(v)
+	if !ok {
 		return types.Request{}, ErrDecode
 	}
+	req.Op = append(types.Value(nil), req.Op...) // nil when empty
 	return req, nil
+}
+
+// viewRequest is DecodeRequest with Op aliasing v, for the executor: a
+// decided value is never written again, so nothing need be copied.
+func viewRequest(v []byte) (types.Request, bool) {
+	r := wire.NewReader(v)
+	req := types.Request{Client: types.ClientID(r.U64()), SeqNo: r.U64()}
+	req.Op = r.View(r.Len())
+	return req, r.Err() == nil
+}
+
+// batchMagic opens a batch value. Its first byte has the high bit set,
+// as the conf-change magic's does: a request value starts with its
+// client ID, and a live server refuses every negative one, so no client
+// request is ever read as either.
+var batchMagic = [8]byte{0xB4, 0x7C, 'B', 'A', 'T', 'C', 'H', 0x01}
+
+// EncodeBatch packs one or more client requests into one consensus
+// value that the Executor applies as those requests, in order. A lone
+// request is its EncodeRequest value; two or more are a batch:
+// magic(8) | u32 n ≥ 2 | n × (u32 len | EncodeRequest value).
+func EncodeBatch(reqs []types.Request) types.Value {
+	if len(reqs) == 1 {
+		return EncodeRequest(reqs[0])
+	}
+	size := len(batchMagic) + 4
+	for _, r := range reqs {
+		size += 4 + 16 + len(r.Op)
+	}
+	buf := append(make([]byte, 0, size), batchMagic[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(reqs)))
+	for _, r := range reqs {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(16+len(r.Op)))
+		buf = appendRequest(buf, r)
+	}
+	return types.Value(buf)
+}
+
+// isBatch reports whether v carries the batch prefix.
+func isBatch(v types.Value) bool {
+	return len(v) >= len(batchMagic) && [len(batchMagic)]byte(v) == batchMagic
+}
+
+// DecodeBatch appends the requests of batch value v to reqs; every Op
+// aliases v. A batch that is truncated, whose count disagrees with its
+// body or is under two, or that holds a value too short to be a request
+// is ErrDecode, and then nothing is appended.
+func DecodeBatch(v types.Value, reqs []types.Request) ([]types.Request, error) {
+	if !isBatch(v) {
+		return reqs, ErrDecode
+	}
+	r := wire.NewReader(v[len(batchMagic):])
+	n, base := r.Count(4+16), len(reqs)
+	for i := 0; i < n; i++ {
+		req, ok := viewRequest(r.View32())
+		if !ok {
+			return reqs[:base], ErrDecode
+		}
+		reqs = append(reqs, req)
+	}
+	if !r.Done() || n < 2 {
+		return reqs[:base], ErrDecode
+	}
+	return reqs, nil
 }
 
 // Executor applies committed decisions to a state machine in slot order,
@@ -77,6 +142,10 @@ type Executor struct {
 	// only once KeepHistory has asked for it: it grows with every slot.
 	keepHistory bool
 	applied     []types.Decision
+
+	ops     uint64          // client requests applied, a batch's one each
+	replies []types.Reply   // what Commit returns, reused by the next one
+	batch   []types.Request // a batch's requests, decoded before any runs
 }
 
 // NewExecutor returns an executor for node applying to sm, starting at
@@ -94,22 +163,21 @@ func NewExecutor(node types.NodeID, sm StateMachine) *Executor {
 
 // Commit hands the executor one decided slot. It returns the replies
 // produced by every newly applicable slot (possibly none, if the slot is
-// ahead of the apply frontier; possibly several, if it fills a gap).
+// ahead of the apply frontier; possibly several, if it fills a gap or
+// holds a batch), in a slice that is valid until the next Commit.
 // Committing two different values to one slot panics: that is a consensus
 // safety violation, and the simulation must fail loudly.
 func (e *Executor) Commit(d types.Decision) []types.Reply {
 	if d.Slot < e.next {
 		return nil // already applied (duplicate decision)
 	}
+	e.replies = e.replies[:0]
 	if d.Slot == e.next && len(e.pending) == 0 {
 		// In order with nothing parked — every decision of a live group and
 		// of a healthy simulation: nothing to hold, nothing to look up.
-		r, ok := e.apply(d.Slot, d.Val)
+		e.apply(d.Slot, d.Val)
 		e.next++
-		if !ok {
-			return nil
-		}
-		return []types.Reply{r}
+		return e.replies
 	}
 	if prev, ok := e.pending[d.Slot]; ok {
 		if !prev.Equal(d.Val) {
@@ -118,16 +186,13 @@ func (e *Executor) Commit(d types.Decision) []types.Reply {
 		return nil
 	}
 	e.pending[d.Slot] = d.Val
-	var replies []types.Reply
 	for {
 		val, ok := e.pending[e.next]
 		if !ok {
-			return replies
+			return e.replies
 		}
 		delete(e.pending, e.next)
-		if r, ok := e.apply(e.next, val); ok {
-			replies = append(replies, r)
-		}
+		e.apply(e.next, val)
 		e.next++
 	}
 }
@@ -139,7 +204,8 @@ func (e *Executor) Commit(d types.Decision) []types.Reply {
 // runs, does not.
 func (e *Executor) KeepHistory() { e.keepHistory = true }
 
-func (e *Executor) apply(slot types.Seq, val types.Value) (types.Reply, bool) {
+// apply runs one decided value, appending its replies to e.replies.
+func (e *Executor) apply(slot types.Seq, val types.Value) {
 	if e.keepHistory {
 		e.applied = append(e.applied, types.Decision{Slot: slot, Val: val})
 	}
@@ -147,31 +213,50 @@ func (e *Executor) apply(slot types.Seq, val types.Value) (types.Reply, bool) {
 		// Membership changes are consumed by the protocol layer at
 		// append/learn time; the state machine never sees them. They stay
 		// in the applied history so replica audits align slot-for-slot.
-		return types.Reply{}, false
+		return
 	}
-	req, err := DecodeRequest(val)
-	if err != nil {
+	if isBatch(val) {
+		// Decoded whole before anything runs: a malformed batch applies
+		// nothing, not a prefix.
+		var err error
+		if e.batch, err = DecodeBatch(val, e.batch[:0]); err == nil {
+			for _, req := range e.batch {
+				e.execute(req)
+			}
+		}
+		clear(e.batch)
+		return
+	}
+	req, ok := viewRequest(val)
+	if !ok {
 		// Not a client request (e.g. a leader no-op): apply raw with no
 		// reply routing.
 		e.sm.Apply(val)
-		return types.Reply{}, false
+		return
 	}
+	e.execute(req)
+}
+
+// execute runs one client request through its session's dedup entry.
+func (e *Executor) execute(req types.Request) {
+	e.ops++
 	if last := e.lastSeq[req.Client]; last != 0 && req.SeqNo <= last {
 		if req.SeqNo < last {
 			// A copy of a request its session has moved past: whoever sent it
 			// was answered, or gave up and was told "unknown". The cached
 			// reply belongs to a later request, so there is none to give.
-			return types.Reply{}, false
+			return
 		}
-		return types.Reply{
+		e.replies = append(e.replies, types.Reply{
 			Client: req.Client, SeqNo: req.SeqNo,
 			Result: e.lastReply[req.Client], Node: e.node,
-		}, true
+		})
+		return
 	}
 	res := e.sm.Apply(req.Op)
 	e.lastSeq[req.Client] = req.SeqNo
 	e.lastReply[req.Client] = res
-	return types.Reply{Client: req.Client, SeqNo: req.SeqNo, Result: res, Node: e.node}, true
+	e.replies = append(e.replies, types.Reply{Client: req.Client, SeqNo: req.SeqNo, Result: res, Node: e.node})
 }
 
 // NextSlot returns the first unapplied slot (the apply frontier).
@@ -180,6 +265,12 @@ func (e *Executor) NextSlot() types.Seq { return e.next }
 // Sessions returns the number of client sessions in the dedup table —
 // what every SnapshotState encodes on top of the state machine.
 func (e *Executor) Sessions() int { return len(e.lastSeq) }
+
+// OpsApplied counts the client requests this executor has taken from the
+// log, each request of a batch as one, whether it ran or its session's
+// dedup entry answered or refused it. It is this process's count: a
+// snapshot neither carries it nor resets it.
+func (e *Executor) OpsApplied() uint64 { return e.ops }
 
 // SnapshotState serializes the executor's session state plus the state
 // machine for a snapshot covering every slot below NextSlot():

@@ -2,6 +2,7 @@ package smr
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"fortyconsensus/internal/kvstore"
@@ -192,12 +193,13 @@ func inOrder(e *Executor) func() {
 	}
 }
 
-// An in-order decision costs the executor one allocation, the reply
-// slice (the other is this test's own value).
+// An in-order decision costs the executor nothing: the reply slice is
+// reused from one Commit to the next. The one allocation is this test's
+// own value.
 func TestCommitInOrderAllocs(t *testing.T) {
 	e := NewExecutor(0, nopSM{})
-	if allocs := testing.AllocsPerRun(2000, inOrder(e)); allocs != 2 {
-		t.Fatalf("in-order Commit: %v allocs per decision, want 2", allocs)
+	if allocs := testing.AllocsPerRun(2000, inOrder(e)); allocs != 1 {
+		t.Fatalf("in-order Commit: %v allocs per decision, want 1", allocs)
 	}
 	if e.NextSlot() != 2002 {
 		t.Fatalf("next slot %d after 2001 in-order commits", e.NextSlot())
@@ -213,12 +215,136 @@ func BenchmarkCommitInOrder(b *testing.B) {
 	}
 }
 
+// BenchmarkCommitBatch commits in-order decisions of ops requests each,
+// one per session: ops=1 is a lone request value, the others a batch.
+// ns/req is the executor's cost per client request.
+func BenchmarkCommitBatch(b *testing.B) {
+	for _, ops := range []int{1, 4, 32} {
+		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
+			reqs := make([]types.Request, ops)
+			for i := range reqs {
+				reqs[i].Client = types.ClientID(i + 1)
+			}
+			val := EncodeBatch(reqs)
+			e := NewExecutor(0, nopSM{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for slot := 1; slot <= b.N; slot++ {
+				v := append(types.Value(nil), val...)
+				for i := 0; i < ops; i++ {
+					at := 8 // the lone request's seqno
+					if ops > 1 {
+						at = 12 + i*20 + 4 + 8 // past magic and count, then request i's length and client
+					}
+					binary.BigEndian.PutUint64(v[at:], uint64(slot))
+				}
+				if len(e.Commit(types.Decision{Slot: types.Seq(slot), Val: v})) != ops {
+					b.Fatal("a request went unanswered")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ops), "ns/req")
+		})
+	}
+}
+
+// A batch runs its requests in order, one reply each, under their own
+// labels: a Get behind a Put of another session sees the Put.
+func TestBatchRunsInOrderOneReplyEach(t *testing.T) {
+	e := NewExecutor(0, kvstore.New())
+	batch := EncodeBatch([]types.Request{
+		{Client: 1, SeqNo: 1, Op: kvstore.Put("a", []byte("x")).Encode()},
+		{Client: 2, SeqNo: 4, Op: kvstore.Get("a").Encode()},
+		{Client: 3, SeqNo: 9, Op: kvstore.Incr("n", 5).Encode()},
+	})
+	r := e.Commit(types.Decision{Slot: 1, Val: batch})
+	want := []types.Reply{
+		{Client: 1, SeqNo: 1, Result: kvstore.ReplyOK},
+		{Client: 2, SeqNo: 4, Result: types.Value("x")},
+		{Client: 3, SeqNo: 9, Result: types.Value("5")},
+	}
+	if len(r) != len(want) {
+		t.Fatalf("%d replies to a batch of 3: %+v", len(r), r)
+	}
+	for i, w := range want {
+		if r[i].Client != w.Client || r[i].SeqNo != w.SeqNo || !r[i].Result.Equal(w.Result) {
+			t.Fatalf("reply %d = %+v, want %+v", i, r[i], w)
+		}
+	}
+	if e.NextSlot() != 2 || e.OpsApplied() != 3 {
+		t.Fatalf("next slot %d, %d ops applied; want 2 and 3", e.NextSlot(), e.OpsApplied())
+	}
+	if lone := (types.Request{Client: 1, SeqNo: 1}); !EncodeBatch([]types.Request{lone}).Equal(EncodeRequest(lone)) {
+		t.Fatal("a batch of one request is not that request's value")
+	}
+}
+
+// A copy of an executed request inside a batch is answered from its
+// session's cache and does not run again; its neighbour runs.
+func TestBatchDuplicateAnsweredFromCache(t *testing.T) {
+	e := NewExecutor(0, kvstore.New())
+	e.Commit(types.Decision{Slot: 1, Val: req(5, 1, kvstore.Incr("n", 1))})
+	r := e.Commit(types.Decision{Slot: 2, Val: EncodeBatch([]types.Request{
+		{Client: 5, SeqNo: 1, Op: kvstore.Incr("n", 1).Encode()},
+		{Client: 6, SeqNo: 1, Op: kvstore.Incr("n", 10).Encode()},
+	})})
+	if len(r) != 2 || r[0].Client != 5 || !r[0].Result.Equal(types.Value("1")) || !r[1].Result.Equal(types.Value("11")) {
+		t.Fatalf("replies %+v, want session 5's cached 1 and session 6's 11", r)
+	}
+}
+
+// A copy of a request its session has moved past gets no reply inside a
+// batch either, and does not run.
+func TestBatchStaleCopyGetsNoReply(t *testing.T) {
+	e := NewExecutor(0, kvstore.New())
+	e.Commit(types.Decision{Slot: 1, Val: req(5, 1, kvstore.Incr("n", 1))})
+	e.Commit(types.Decision{Slot: 2, Val: req(5, 2, kvstore.Incr("n", 1))})
+	r := e.Commit(types.Decision{Slot: 3, Val: EncodeBatch([]types.Request{
+		{Client: 5, SeqNo: 1, Op: kvstore.Incr("n", 1).Encode()},
+		{Client: 7, SeqNo: 1, Op: kvstore.Get("n").Encode()},
+	})})
+	if len(r) != 1 || r[0].Client != 7 || !r[0].Result.Equal(types.Value("2")) {
+		t.Fatalf("replies %+v, want only session 7's, reading 2", r)
+	}
+}
+
+// A batch that does not decode whole applies nothing — not a prefix of
+// its requests, not the raw value — and panics nowhere; its slot is
+// still consumed.
+func TestMalformedBatchAppliesNothing(t *testing.T) {
+	good := EncodeBatch([]types.Request{
+		{Client: 1, SeqNo: 1, Op: kvstore.Incr("n", 1).Encode()},
+		{Client: 2, SeqNo: 1, Op: kvstore.Incr("n", 1).Encode()},
+	})
+	miscount := func(n uint32) types.Value {
+		v := good.Clone()
+		binary.BigEndian.PutUint32(v[8:], n)
+		return v
+	}
+	short := good.Clone()
+	binary.BigEndian.PutUint32(short[12:], 15)      // the first request's length: under a request header
+	one := miscount(1)[:len(good)-(len(good)-12)/2] // a well-formed batch of one: a lone request has one encoding
+	bad := []types.Value{miscount(0), miscount(1), miscount(3), miscount(1 << 31), short, one, append(good.Clone(), 0)}
+	for n := len(batchMagic); n < len(good); n++ {
+		bad = append(bad, good[:n])
+	}
+	for _, v := range bad {
+		sm := kvstore.New()
+		e := NewExecutor(0, sm)
+		if r := e.Commit(types.Decision{Slot: 1, Val: v}); len(r) != 0 {
+			t.Fatalf("%x answered %+v", v, r)
+		}
+		if sm.Applied() != 0 || e.OpsApplied() != 0 || e.NextSlot() != 2 {
+			t.Fatalf("%x: %d commands run, %d ops, next slot %d; want none and slot 1 consumed", v, sm.Applied(), e.OpsApplied(), e.NextSlot())
+		}
+	}
+}
+
 func TestExecutorHoldsGaps(t *testing.T) {
 	e := NewExecutor(0, kvstore.New())
-	if got := e.Commit(types.Decision{Slot: 3, Val: req(1, 3, kvstore.Get("x"))}); got != nil {
+	if got := e.Commit(types.Decision{Slot: 3, Val: req(1, 3, kvstore.Get("x"))}); len(got) != 0 {
 		t.Fatalf("applied slot 3 before 1-2: %+v", got)
 	}
-	if got := e.Commit(types.Decision{Slot: 2, Val: req(1, 2, kvstore.Put("x", []byte("v")))}); got != nil {
+	if got := e.Commit(types.Decision{Slot: 2, Val: req(1, 2, kvstore.Put("x", []byte("v")))}); len(got) != 0 {
 		t.Fatalf("applied slot 2 before 1: %+v", got)
 	}
 	got := e.Commit(types.Decision{Slot: 1, Val: req(1, 1, kvstore.Noop())})
@@ -235,7 +361,7 @@ func TestExecutorDuplicateDecisionIgnored(t *testing.T) {
 	e := audited(0)
 	d := types.Decision{Slot: 1, Val: req(1, 1, kvstore.Incr("n", 1))}
 	e.Commit(d)
-	if got := e.Commit(d); got != nil {
+	if got := e.Commit(d); len(got) != 0 {
 		t.Fatalf("duplicate decision re-applied: %+v", got)
 	}
 	if len(e.Applied()) != 1 {

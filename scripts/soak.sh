@@ -4,8 +4,8 @@
 #
 # Starts three consensus-serve processes with -snapshot-every 1024,
 # runs one consensus-load against them for SOAK_SECONDS and samples the
-# cluster every 10 s through `consensus-admin status` and ps: applied
-# frontier (ops/s of the interval), each server's RSS, the largest
+# cluster every 10 s through `consensus-admin status` and ps: client
+# ops applied (ops/s of the interval), each server's RSS, the largest
 # session table and the largest snapshot over all groups and nodes (and,
 # not checked, the most snapshots any replica had to install from a
 # peer: a follower that fell behind the leader's compaction).
@@ -81,9 +81,11 @@ sleep 1
 
 # Every sample reads each node's status once. field_max <name>: the
 # largest value of a numeric field over every group of every node, or -
-# if no node reports the field. frontier: the applied slots of the node
-# that has applied most, summed over its groups (a node's status starts
-# on the one unindented line, its address).
+# if no node reports the field. frontier: the client ops applied by the
+# node that has applied most, summed over its groups (a node's status
+# starts on the one unindented line, its address). A group's "commit" is
+# its log frontier, and a log entry may carry a batch of ops; a build
+# from before "ops_applied" existed (SOAK_REV) is read by its "commit".
 sample_status() {
     local a
     STATUS=$(for a in "${A[@]}"; do "$DIR/consensus-admin" -addrs "$a" status; done)
@@ -94,9 +96,11 @@ field_max() {
         END { if (seen) print m; else print "-" }'
 }
 frontier() {
-    echo "$STATUS" | awk -F: '
+    local f='"ops_applied"'
+    echo "$STATUS" | grep -q "$f" || f='"commit"'
+    echo "$STATUS" | awk -F: -v f="$f" '
         /^[^ \t]/ { if (s > m) m = s; s = 0 }
-        $1 ~ /"commit"/ { gsub(/[^0-9]/, "", $2); s += $2 }
+        $1 ~ f { gsub(/[^0-9]/, "", $2); s += $2 }
         END { if (s > m) m = s; print m + 0 }'
 }
 rss_kb() { ps -o rss= -p "$1" | tr -d ' '; }
