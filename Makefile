@@ -98,7 +98,8 @@ FUZZ_TARGETS := \
 	./internal/kvstore:FuzzDecode ./internal/kvstore:FuzzRestore \
 	./internal/smr:FuzzDecodeRequest ./internal/smr:FuzzDecodeBatch ./internal/smr:FuzzRestoreState \
 	./internal/snapshot:FuzzDecode ./internal/snapshot:FuzzDecodeConfChange \
-	./internal/shard:FuzzDecodeCmd ./internal/shard:FuzzStoreRestore
+	./internal/shard:FuzzDecodeCmd ./internal/shard:FuzzStoreRestore \
+	./internal/wal:FuzzReplay ./internal/raft:FuzzRestore
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

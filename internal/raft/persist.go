@@ -19,14 +19,11 @@ import (
 // The protocol node stays a pure state machine: the persister *observes*
 // it after each Step/Tick batch (Sync), diffing term and vote against a
 // shadow copy and journaling the log from the lowest index the node has
-// changed since the last Sync — one record per new entry, whatever the
-// log's length. Once the node compacts its log, the persister writes
-// the encoded snapshot to the WAL's snapshot file (pruning every
-// journal segment) and re-journals the hard state plus the surviving
-// suffix — recovery is then snapshot-then-suffix: install the snapshot,
-// replay the journal on top. Replay applies records in order: term/vote
-// updates, log truncations, entry appends; all indices are global
-// (snapshot-offset aware).
+// changed since the last Sync. A Sync is one wal call, so one fsync: an
+// Append of the hard state, a truncation and the new entries, or, once
+// the node has compacted, a Snapshot whose new journal is the hard state
+// and the surviving suffix. Recovery installs the snapshot, then replays
+// the journal on top; all indices are global (snapshot-offset aware).
 type Persister struct {
 	log *wal.Log
 
@@ -61,49 +58,45 @@ func NewPersister(l *wal.Log) *Persister {
 // delivering, or accept the simulation-level simplification of syncing
 // per tick (what the tests do).
 func (p *Persister) Sync(n *Node) error {
-	from := n.unsynced
-	if n.snapIndex > p.base {
-		// The node compacted (or installed a snapshot) past our base.
-		// Writing the snapshot file prunes the whole journal, so the
-		// shadow resets and the hard state plus suffix re-journal below.
-		if err := p.log.SnapshotTyped(snapKindRaft, n.snapData); err != nil {
-			return err
-		}
-		p.base = n.snapIndex
-		p.length = n.snapIndex
-		p.term, p.votedFor = 0, -1 // force a hard-state re-append
-		from = 0                   // the whole suffix is new to the journal
+	from, length := n.unsynced, p.length
+	snapshotting := n.snapIndex > p.base
+	if snapshotting {
+		// The node compacted (or installed a snapshot) past our base. The
+		// snapshot replaces the whole journal, so the new one carries the
+		// hard state and every entry above the snapshot.
+		from, length = 0, n.snapIndex
 	}
-	if n.term != p.term || n.votedFor != p.votedFor {
-		var buf [16]byte
-		binary.BigEndian.PutUint64(buf[:8], uint64(n.term))
-		binary.BigEndian.PutUint64(buf[8:], uint64(n.votedFor)+1) // -1 → 0
-		if err := p.log.Append(wal.Record{Type: recHardState, Payload: buf[:]}); err != nil {
-			return err
-		}
-		p.term, p.votedFor = n.term, n.votedFor
+	var recs []wal.Record
+	if snapshotting || n.term != p.term || n.votedFor != p.votedFor {
+		hs := binary.BigEndian.AppendUint64(make([]byte, 0, 16), uint64(n.term))
+		hs = binary.BigEndian.AppendUint64(hs, uint64(n.votedFor)+1) // -1 → 0
+		recs = append(recs, wal.Record{Type: recHardState, Payload: hs})
 	}
 	// A change at or below what is durable truncates the journal's log
 	// back to just before it; the entries from there on are appended anew.
-	if from > 0 && from <= p.length {
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(from-1))
-		if err := p.log.Append(wal.Record{Type: recTruncate, Payload: buf[:]}); err != nil {
-			return err
-		}
-		p.length = from - 1
+	if from > 0 && from <= length {
+		recs = append(recs, wal.Record{Type: recTruncate, Payload: binary.BigEndian.AppendUint64(nil, uint64(from-1))})
+		length = from - 1
 	}
-	for i := p.length + 1; i <= n.lastIndex(); i++ {
+	for i := length + 1; i <= n.lastIndex(); i++ {
 		e := n.at(i)
 		payload := make([]byte, 16+len(e.Val))
 		binary.BigEndian.PutUint64(payload[:8], uint64(i))
 		binary.BigEndian.PutUint64(payload[8:16], uint64(e.Term))
 		copy(payload[16:], e.Val)
-		if err := p.log.Append(wal.Record{Type: recAppend, Payload: payload}); err != nil {
-			return err
-		}
-		p.length = i
+		recs = append(recs, wal.Record{Type: recAppend, Payload: payload})
 	}
+	var err error
+	if snapshotting {
+		err = p.log.Snapshot(snapKindRaft, n.snapData, recs...)
+	} else {
+		err = p.log.Append(recs...)
+	}
+	if err != nil {
+		return err
+	}
+	p.term, p.votedFor = n.term, n.votedFor
+	p.base, p.length = n.snapIndex, n.lastIndex()
 	n.unsynced = 0
 	return nil
 }
@@ -117,7 +110,7 @@ func (p *Persister) Restore(n *Node) error {
 	if n.lastIndex() != 0 || n.term != 0 {
 		return fmt.Errorf("raft: Restore requires a fresh node")
 	}
-	snapKind, rawSnap, err := p.log.LoadSnapshotTyped()
+	snapKind, rawSnap, err := p.log.LoadSnapshot()
 	if err != nil {
 		return err
 	}
@@ -131,6 +124,9 @@ func (p *Persister) Restore(n *Node) error {
 		}
 		n.installSnapshot(snap, rawSnap)
 	}
+	// The snapshot fixes the log through snapIndex. A journal record that
+	// reaches below it comes from the journal a crash left beside a newer
+	// snapshot: appends there are skipped, truncations stop above it.
 	err = p.log.Replay(func(rec wal.Record) error {
 		r := wire.NewReader(rec.Payload)
 		switch rec.Type {
@@ -146,6 +142,9 @@ func (p *Persister) Restore(n *Node) error {
 			if r.Err() != nil {
 				return fmt.Errorf("raft: bad append record")
 			}
+			if idx <= n.snapIndex {
+				return nil
+			}
 			if idx != n.lastIndex()+1 {
 				return fmt.Errorf("raft: append gap: %d after %d", idx, n.lastIndex())
 			}
@@ -158,10 +157,7 @@ func (p *Persister) Restore(n *Node) error {
 			if keep > n.lastIndex() {
 				return fmt.Errorf("raft: truncate beyond log: %d > %d", keep, n.lastIndex())
 			}
-			if keep < n.snapIndex {
-				return fmt.Errorf("raft: truncate below snapshot: %d < %d", keep, n.snapIndex)
-			}
-			n.truncateFrom(keep + 1)
+			n.truncateFrom(max(keep, n.snapIndex) + 1)
 		default:
 			return fmt.Errorf("raft: unknown record type %d", rec.Type)
 		}
@@ -170,10 +166,8 @@ func (p *Persister) Restore(n *Node) error {
 	if err != nil {
 		return err
 	}
-	// Sync the shadow to the restored state.
 	p.term, p.votedFor = n.term, n.votedFor
-	p.base = n.snapIndex
-	p.length = n.lastIndex()
+	p.base, p.length = n.snapIndex, n.lastIndex()
 	n.unsynced = 0
 	return nil
 }

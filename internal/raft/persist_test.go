@@ -209,6 +209,42 @@ func TestSyncAfterOneAppendWritesOneRecord(t *testing.T) {
 	}
 }
 
+// The journal a fixed sequence of non-snapshotting Syncs writes — a vote,
+// three appends, then a term change that truncates and re-appends — is
+// pinned byte for byte: how many writes carry the records may change,
+// the records may not.
+func TestJournalBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	p := openPersister(t, dir)
+	n := New(1, Config{Peers: []types.NodeID{0, 1, 2}, Seed: 3})
+	steps := []Message{
+		{Kind: MsgRequestVote, From: 0, To: 1, Term: 1},
+		{Kind: MsgAppend, From: 0, To: 1, Term: 2,
+			Entries: []LogEntry{{Term: 2, Val: types.Value("a")}, {Term: 2, Val: types.Value("b")}, {Term: 2, Val: types.Value("c")}}},
+		{Kind: MsgAppend, From: 2, To: 1, Term: 3, PrevIndex: 1, PrevTerm: 2,
+			Entries: []LogEntry{{Term: 3, Val: types.Value("B")}, {Term: 3, Val: types.Value("C")}}},
+	}
+	for _, m := range steps {
+		n.Step(m)
+		n.Drain()
+		if err := p.Sync(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "000000110100000000000000010000000000000001835c2afd0000001101000000000000000200000000000000006898a5d7" +
+		"00000012020000000000000001000000000000000261a849925800000012020000000000000002000000000000000262e30f9bb2" +
+		"00000012020000000000000003000000000000000263da3263140000001101000000000000000300000000000000009ca6739f" +
+		"000000090300000000000000015021e78900000012020000000000000002000000000000000342d0108d1b" +
+		"00000012020000000000000003000000000000000343e92d75bd"
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("journal bytes moved:\n got %x\nwant %s", got, want)
+	}
+}
+
 func TestRestoreRequiresFreshNode(t *testing.T) {
 	dir := t.TempDir()
 	p := openPersister(t, dir)
@@ -283,4 +319,77 @@ func TestRestoreReadsParentWrittenWAL(t *testing.T) {
 	if !bytes.Equal(exec.SnapshotState()[8:], snap.State[8:]) {
 		t.Fatal("executor state re-encodes differently from the parent's bytes")
 	}
+}
+
+// FuzzRestore: Restore of any snapshot file and journal never panics. It
+// fails, or yields a node whose re-journal restores to the same term,
+// vote and log.
+func FuzzRestore(f *testing.F) {
+	// Seeds: the files the round-trip tests write — a journal with a vote,
+	// appends and a truncation, then a snapshot with the suffix after it.
+	dir := f.TempDir()
+	l, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	p := NewPersister(l)
+	n := New(1, Config{Peers: []types.NodeID{0, 1, 2}, Seed: 3})
+	for _, m := range []Message{
+		{Kind: MsgRequestVote, From: 0, To: 1, Term: 1},
+		{Kind: MsgAppend, From: 0, To: 1, Term: 2, Entries: []LogEntry{{Term: 2, Val: types.Value("a")}, {Term: 2, Val: types.Value("b")}}},
+		{Kind: MsgAppend, From: 2, To: 1, Term: 3, PrevIndex: 1, PrevTerm: 2, LeaderCommit: 2, Entries: []LogEntry{{Term: 3, Val: types.Value("B")}}},
+	} {
+		n.Step(m)
+		n.Drain()
+		if err := p.Sync(n); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seed := func() {
+		snap, _ := os.ReadFile(filepath.Join(dir, "snapshot"))
+		journal, _ := os.ReadFile(filepath.Join(dir, "000001.wal"))
+		f.Add(snap, journal)
+	}
+	seed()
+	n.Compact(1, []byte("state@1"))
+	n.Step(Message{Kind: MsgAppend, From: 2, To: 1, Term: 3, PrevIndex: 2, PrevTerm: 3, Entries: []LogEntry{{Term: 3, Val: types.Value("C")}}})
+	if err := p.Sync(n); err != nil {
+		f.Fatal(err)
+	}
+	seed()
+	l.Close()
+
+	cfg := Config{Peers: []types.NodeID{0, 1, 2}, Seed: 3}
+	f.Fuzz(func(t *testing.T, snap, journal []byte) {
+		dir := t.TempDir()
+		if len(snap) > 0 {
+			if err := os.WriteFile(filepath.Join(dir, "snapshot"), snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, "000001.wal"), journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n := New(1, cfg)
+		if err := openPersister(t, dir).Restore(n); err != nil {
+			return
+		}
+		again := t.TempDir()
+		if err := openPersister(t, again).Sync(n); err != nil {
+			t.Fatal(err)
+		}
+		m := New(1, cfg)
+		if err := openPersister(t, again).Restore(m); err != nil {
+			t.Fatalf("re-journal of a restored node does not restore: %v", err)
+		}
+		if m.term != n.term || m.votedFor != n.votedFor || m.snapIndex != n.snapIndex || len(m.log) != len(n.log) {
+			t.Fatalf("re-journal restored term %d vote %d snap %d len %d, want %d %d %d %d",
+				m.term, m.votedFor, m.snapIndex, len(m.log), n.term, n.votedFor, n.snapIndex, len(n.log))
+		}
+		for i := range n.log {
+			if m.log[i].Term != n.log[i].Term || !m.log[i].Val.Equal(n.log[i].Val) {
+				t.Fatalf("re-journal restored entry %d as %+v, want %+v", types.Seq(i)+n.snapIndex, m.log[i], n.log[i])
+			}
+		}
+	})
 }

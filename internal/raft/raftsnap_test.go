@@ -507,7 +507,7 @@ func TestPersisterSnapshotThenSuffix(t *testing.T) {
 		t.Fatal("restored snapshot state not surfaced")
 	}
 	// A second restore cycle after more writes keeps working (the WAL
-	// pruned its journal when the snapshot was written).
+	// replaced its journal when the snapshot was written).
 	if err := p2.Sync(fresh); err != nil {
 		t.Fatal(err)
 	}

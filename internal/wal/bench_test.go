@@ -16,7 +16,7 @@ func BenchmarkAppend(b *testing.B) {
 			}
 			defer l.Close()
 			payload := make([]byte, 128)
-			b.SetBytes(int64(len(payload)) + frameOverhead)
+			b.SetBytes(int64(len(payload)) + 4 + 1 + 4) // length, type, checksum
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := l.Append(Record{Type: 1, Payload: payload}); err != nil {

@@ -1,13 +1,18 @@
 // Package wal implements the durable write-ahead log replicas use to
-// survive crash-restart: an append-only record stream with per-record
-// CRC-32C checksums, segment rotation, and snapshot-based truncation.
+// survive crash-restart: one journal file of length-prefixed,
+// CRC-32C-checked records, beside an optional snapshot file that
+// replaces the journal whole. Consensus protocols here are in-memory
+// state machines; durability is layered on by journaling their events
+// (accepted ballots, log entries, votes) and replaying them on restart.
 //
-// Consensus protocols in this repository are in-memory state machines;
-// durability is layered on by journaling protocol events (accepted
-// ballots, log entries, votes) through a Log and replaying them on
-// restart. The format is deliberately simple — length-prefixed records
-// with a checksum trailer — because recovery-correctness, not I/O
-// throughput, is what the experiments exercise.
+// Group commit: one Append is one write and one fsync, however many
+// records it carries. Crash order: Snapshot makes the snapshot file
+// durable (tmp file, fsync, rename, directory fsync) before it replaces
+// the journal the same way, so a crash leaves the old or the new
+// snapshot, the latter possibly beside the old journal; replay must
+// skip journaled state the snapshot already covers. The first failed
+// write, fsync, truncate or rename poisons the Log — what reached the
+// disk is unknown — and every later Append, Snapshot and Close returns it.
 package wal
 
 import (
@@ -15,10 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // Record is one journaled event: a caller-defined type tag plus payload.
@@ -52,258 +55,257 @@ const TypeReservedBase uint8 = 0xF0
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// frame: u32 length | u8 type | payload | u32 crc(type+payload)
-const frameOverhead = 4 + 1 + 4
+const (
+	journalName  = "000001.wal"
+	snapshotName = "snapshot"
+)
 
 // Options tunes a Log. The zero value is usable.
 type Options struct {
-	// SegmentBytes rotates to a new segment file once the active one
-	// exceeds this size. Default 4 MiB.
-	SegmentBytes int64
-	// NoSync skips fsync on append (for benchmarks that measure protocol
+	// NoSync skips every fsync (for benchmarks that measure protocol
 	// cost rather than disk cost).
 	NoSync bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
-	}
-	return o
+// fsys is every call through which a Log changes the disk; osFS is the
+// real one, and tests substitute one that fails or stops partway.
+type fsys interface {
+	open(name string, flag int) (*os.File, error)
+	write(f *os.File, b []byte) (int, error)
+	sync(f *os.File) error
+	truncate(f *os.File, size int64) error
+	rename(from, to string) error
+	close(f *os.File) error
 }
 
-// Log is an append-only record journal stored as numbered segment files
-// (000001.wal, 000002.wal, ...) in one directory, plus an optional
-// snapshot file that allows older segments to be pruned.
+type osFS struct{}
+
+func (osFS) open(name string, flag int) (*os.File, error) { return os.OpenFile(name, flag, 0o644) }
+func (osFS) write(f *os.File, b []byte) (int, error)      { return f.Write(b) }
+func (osFS) sync(f *os.File) error                        { return f.Sync() }
+func (osFS) truncate(f *os.File, size int64) error        { return f.Truncate(size) }
+func (osFS) rename(from, to string) error                 { return os.Rename(from, to) }
+func (osFS) close(f *os.File) error                       { return f.Close() }
+
+// Log is an append-only record journal stored as one file, 000001.wal,
+// in a directory, beside an optional snapshot file.
 type Log struct {
 	dir    string
-	opt    Options
+	fs     fsys
+	noSync bool
 	active *os.File
-	seq    int   // active segment number
-	size   int64 // active segment size
-	closed bool
+	buf    []byte // framing buffer, reused across calls
+	err    error  // the first I/O failure, sticky; ErrClosed after Close
 }
 
-// Open opens (creating if needed) the log in dir.
+// Open opens (creating if needed) the log in dir. A torn tail — the
+// remains of an append a crash cut short — is cut off, so that what this
+// Log appends lands where the next Replay reads.
 func Open(dir string, opt Options) (*Log, error) {
-	opt = opt.withDefaults()
+	return open(dir, opt, osFS{})
+}
+
+func open(dir string, opt Options, fs fsys) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
+	path := filepath.Join(dir, journalName)
+	if js, _ := filepath.Glob(filepath.Join(dir, "*.wal")); len(js) > 1 || len(js) == 1 && js[0] != path {
+		return nil, fmt.Errorf("wal: %s holds a journal other than %s", dir, journalName)
 	}
-	seq := 1
-	if len(segs) > 0 {
-		seq = segs[len(segs)-1]
+	b, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("wal: %w", err)
 	}
-	f, err := os.OpenFile(segmentPath(dir, seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := fs.open(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	return &Log{dir: dir, opt: opt, active: f, seq: seq, size: st.Size()}, nil
-}
-
-func segmentPath(dir string, seq int) string {
-	return filepath.Join(dir, fmt.Sprintf("%06d.wal", seq))
-}
-
-func listSegments(dir string) ([]int, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var segs []int
-	for _, e := range ents {
-		var n int
-		if _, err := fmt.Sscanf(e.Name(), "%06d.wal", &n); err == nil {
-			segs = append(segs, n)
+	l := &Log{dir: dir, fs: fs, noSync: opt.NoSync, active: f}
+	// A journal corrupt before its tail is left alone: Replay reports it.
+	if end, err := scan(b, func(Record) error { return nil }); err == nil && end < len(b) {
+		if l.check(fs.truncate(f, int64(end))) != nil || l.sync(f) != nil {
+			fs.close(f)
+			return nil, l.err
 		}
 	}
-	sort.Ints(segs)
-	return segs, nil
+	return l, nil
 }
 
-// Append journals one record, rotating segments as needed. Record
-// types at or above TypeReservedBase are rejected.
-func (l *Log) Append(r Record) error {
-	if l.closed {
-		return ErrClosed
+// check records err as the log's sticky error if it is the first, and
+// returns the sticky error.
+func (l *Log) check(err error) error {
+	if err != nil && l.err == nil {
+		l.err = fmt.Errorf("wal: %w", err)
 	}
-	if r.Type >= TypeReservedBase {
-		return fmt.Errorf("%w: %#x", ErrReservedType, r.Type)
-	}
-	if l.size >= l.opt.SegmentBytes {
-		if err := l.rotate(); err != nil {
-			return err
-		}
-	}
-	buf := make([]byte, frameOverhead+len(r.Payload))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(1+len(r.Payload)))
-	buf[4] = r.Type
-	copy(buf[5:], r.Payload)
-	crc := crc32.Checksum(buf[4:5+len(r.Payload)], crcTable)
-	binary.BigEndian.PutUint32(buf[5+len(r.Payload):], crc)
-	if _, err := l.active.Write(buf); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.size += int64(len(buf))
-	if !l.opt.NoSync {
-		if err := l.active.Sync(); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-	}
-	return nil
+	return l.err
 }
 
-func (l *Log) rotate() error {
-	if err := l.active.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+func (l *Log) sync(f *os.File) error {
+	if l.noSync {
+		return nil
 	}
-	l.seq++
-	f, err := os.OpenFile(segmentPath(l.dir, l.seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return l.check(l.fs.sync(f))
+}
+
+// write issues b as one write to f and makes it durable.
+func (l *Log) write(f *os.File, b []byte) error {
+	if _, err := l.fs.write(f, b); err != nil {
+		return l.check(err)
+	}
+	return l.sync(f)
+}
+
+// Append journals recs with one write and one fsync. Record types at or
+// above TypeReservedBase are rejected before anything is written.
+func (l *Log) Append(recs ...Record) error {
+	if l.err != nil {
+		return l.err
+	}
+	buf, err := frame(l.buf[:0], recs)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return err
 	}
-	l.active, l.size = f, 0
-	return nil
+	l.buf = buf
+	if len(buf) == 0 {
+		return nil
+	}
+	return l.write(l.active, buf)
+}
+
+// frame appends recs to buf, each as u32 length | u8 type | payload |
+// u32 crc32c(type+payload).
+func frame(buf []byte, recs []Record) ([]byte, error) {
+	for _, r := range recs {
+		if r.Type >= TypeReservedBase {
+			return buf, fmt.Errorf("%w: %#x", ErrReservedType, r.Type)
+		}
+		start := len(buf)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(1+len(r.Payload)))
+		buf = append(buf, r.Type)
+		buf = append(buf, r.Payload...)
+		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start+4:], crcTable))
+	}
+	return buf, nil
 }
 
 // Replay streams every intact record (oldest first) to fn. A corrupt or
 // torn tail record ends replay without error; any other corruption
 // returns ErrCorrupt.
 func (l *Log) Replay(fn func(Record) error) error {
-	segs, err := listSegments(l.dir)
-	if err != nil {
-		return err
-	}
-	for _, seg := range segs {
-		if err := replaySegment(segmentPath(l.dir, seg), fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func replaySegment(path string, fn func(Record) error) error {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(filepath.Join(l.dir, journalName))
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	defer f.Close()
-	var hdr [4]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return nil // torn length prefix: treat as tail
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
+	_, err = scan(b, fn)
+	return err
+}
+
+// scan hands each intact record framed in b to fn and returns the
+// offset just past the last one. A record cut short or failing its
+// checksum ends the walk without error: it is the tail of an append a
+// crash interrupted.
+func scan(b []byte, fn func(Record) error) (int, error) {
+	off := 0
+	for len(b)-off >= 4 {
+		n := int(binary.BigEndian.Uint32(b[off:]))
 		if n == 0 || n > 64<<20 {
-			return fmt.Errorf("%w: absurd record length %d", ErrCorrupt, n)
+			return off, fmt.Errorf("%w: absurd record length %d", ErrCorrupt, n)
 		}
-		body := make([]byte, n+4)
-		if _, err := io.ReadFull(f, body); err != nil {
-			return nil // torn body: tail of an interrupted append
+		end := off + 4 + n + 4
+		if end > len(b) {
+			break
 		}
-		want := binary.BigEndian.Uint32(body[n:])
-		if crc32.Checksum(body[:n], crcTable) != want {
-			return nil // checksum mismatch at tail
+		body := b[off+4 : off+4+n : off+4+n]
+		if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(b[end-4:]) {
+			break
 		}
 		if body[0] >= TypeReservedBase {
-			return fmt.Errorf("%w: %#x in journal", ErrReservedType, body[0])
+			return off, fmt.Errorf("%w: %#x in journal", ErrReservedType, body[0])
 		}
-		if err := fn(Record{Type: body[0], Payload: body[1:n]}); err != nil {
-			return err
+		if err := fn(Record{Type: body[0], Payload: body[1:]}); err != nil {
+			return off, err
 		}
+		off = end
 	}
+	return off, nil
 }
 
 // Snapshot-file header: "WSN" ver(u8='1') | u8 kind | u32 payload len |
 // payload | u32 crc32c(header+payload). The kind byte tags what the
-// payload encodes (caller-defined, e.g. a raft snapshot/v1 blob vs. an
-// opaque checkpoint) so recovery can refuse payloads it does not
-// understand instead of misreading them.
+// payload encodes (caller-defined, e.g. a raft snapshot/v1 blob) so
+// recovery can refuse payloads it does not understand instead of
+// misreading them.
 var snapMagic = [3]byte{'W', 'S', 'N'}
 
 const (
 	snapVersion   = '1'
 	snapHeaderLen = 3 + 1 + 1 + 4
-	// SnapKindOpaque is the kind used by the untyped Snapshot API.
-	SnapKindOpaque uint8 = 0
 )
 
-// Snapshot atomically replaces the log's snapshot with payload (tagged
-// SnapKindOpaque) and prunes all completed segments; subsequent Replay
-// starts from the snapshot.
-func (l *Log) Snapshot(payload []byte) error {
-	return l.SnapshotTyped(SnapKindOpaque, payload)
-}
-
-// SnapshotTyped is Snapshot with an explicit kind tag in the header.
-func (l *Log) SnapshotTyped(kind uint8, payload []byte) error {
-	if l.closed {
-		return ErrClosed
+// Snapshot replaces the log's snapshot with payload, tagged kind, then
+// its journal with journal: the records that still apply on top of the
+// snapshot. Each file is durable before the next step starts.
+func (l *Log) Snapshot(kind uint8, payload []byte, journal ...Record) error {
+	if l.err != nil {
+		return l.err
 	}
-	buf := make([]byte, 0, snapHeaderLen+len(payload)+4)
-	buf = append(buf, snapMagic[:]...)
-	buf = append(buf, snapVersion, kind)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-	tmp := filepath.Join(l.dir, "snapshot.tmp")
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, "snapshot")); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	// Prune everything before the active segment and restart it: the
-	// snapshot now subsumes them.
-	segs, err := listSegments(l.dir)
+	jb, err := frame(l.buf[:0], journal)
 	if err != nil {
 		return err
 	}
-	for _, seg := range segs {
-		if seg != l.seq {
-			if err := os.Remove(segmentPath(l.dir, seg)); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-		}
+	l.buf = jb
+	sb := make([]byte, 0, snapHeaderLen+len(payload)+4)
+	sb = append(sb, snapMagic[:]...)
+	sb = append(sb, snapVersion, kind)
+	sb = binary.BigEndian.AppendUint32(sb, uint32(len(payload)))
+	sb = append(sb, payload...)
+	sb = binary.BigEndian.AppendUint32(sb, crc32.Checksum(sb, crcTable))
+	if err := l.replace(snapshotName, sb); err != nil {
+		return err
 	}
-	if err := l.active.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	if err := l.replace(journalName, jb); err != nil {
+		return err
 	}
-	if err := os.Remove(segmentPath(l.dir, l.seq)); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	f, err := os.OpenFile(segmentPath(l.dir, l.seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := l.fs.open(filepath.Join(l.dir, journalName), os.O_WRONLY|os.O_APPEND)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return l.check(err)
 	}
-	l.active, l.size = f, 0
+	// The old journal is unlinked and superseded: its close error
+	// changes nothing.
+	_ = l.fs.close(l.active)
+	l.active = f
 	return nil
 }
 
-// LoadSnapshot returns the current snapshot payload, or nil if none.
-func (l *Log) LoadSnapshot() ([]byte, error) {
-	_, payload, err := l.LoadSnapshotTyped()
-	return payload, err
+// replace makes b the durable content of the file name in the log's
+// directory: tmp file, fsync, rename, and a directory fsync that makes
+// the rename durable.
+func (l *Log) replace(name string, b []byte) error {
+	tmp := filepath.Join(l.dir, name+".tmp")
+	f, err := l.fs.open(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
+	if err != nil {
+		return l.check(err)
+	}
+	l.write(f, b)
+	l.check(l.fs.close(f)) // check keeps the first error
+	if l.err != nil || l.check(l.fs.rename(tmp, filepath.Join(l.dir, name))) != nil {
+		return l.err
+	}
+	d, err := l.fs.open(l.dir, os.O_RDONLY)
+	if err != nil {
+		return l.check(err)
+	}
+	defer l.fs.close(d)
+	return l.sync(d)
 }
 
-// LoadSnapshotTyped returns the snapshot's kind tag and payload, or
+// LoadSnapshot returns the snapshot's kind tag and payload, or
 // (0, nil, nil) when no snapshot exists. A header with unknown magic or
 // version yields ErrSnapshotVersion; any truncation or corruption of
 // the file yields ErrCorrupt — never a partial payload.
-func (l *Log) LoadSnapshotTyped() (uint8, []byte, error) {
-	b, err := os.ReadFile(filepath.Join(l.dir, "snapshot"))
+func (l *Log) LoadSnapshot() (uint8, []byte, error) {
+	b, err := os.ReadFile(filepath.Join(l.dir, snapshotName))
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil, nil
 	}
@@ -342,15 +344,16 @@ func decodeSnapshotFile(b []byte) (uint8, []byte, error) {
 	return kind, payload, nil
 }
 
-// Close flushes and closes the active segment.
+// Close flushes and closes the journal. After an I/O failure it returns
+// that first error.
 func (l *Log) Close() error {
-	if l.closed {
+	if l.err == ErrClosed {
 		return nil
 	}
-	l.closed = true
-	if err := l.active.Sync(); err != nil {
-		l.active.Close()
-		return fmt.Errorf("wal: %w", err)
+	l.sync(l.active)
+	err := l.check(l.fs.close(l.active))
+	if err == nil {
+		l.err = ErrClosed
 	}
-	return l.active.Close()
+	return err
 }

@@ -85,27 +85,6 @@ func TestReplaySurvivesReopen(t *testing.T) {
 	}
 }
 
-func TestSegmentRotation(t *testing.T) {
-	l, dir := openTemp(t, Options{SegmentBytes: 64})
-	defer l.Close()
-	payload := bytes.Repeat([]byte("x"), 40)
-	for i := 0; i < 10; i++ {
-		if err := l.Append(Record{Type: 1, Payload: payload}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Fatalf("expected rotation, got %d segments", len(segs))
-	}
-	if got := collect(t, l); len(got) != 10 {
-		t.Fatalf("replay across segments got %d records", len(got))
-	}
-}
-
 func TestTornTailIgnored(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -134,6 +113,62 @@ func TestTornTailIgnored(t *testing.T) {
 	defer l2.Close()
 	if got := collect(t, l2); len(got) != 4 {
 		t.Fatalf("replay after torn tail got %d records, want 4", len(got))
+	}
+}
+
+// A node restarted over a torn tail journals where the next replay will
+// read: Open cuts the torn record off before the first append.
+func TestAppendAfterTornTailSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := l.Append(Record{Type: 1, Payload: []byte("entry")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	path := filepath.Join(dir, "000001.wal")
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Append(Record{Type: 2, Payload: []byte("after restart")}); err != nil {
+		t.Fatal(err)
+	}
+	l2.Close()
+	l3, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l3.Close()
+	got := collect(t, l3)
+	if len(got) != 5 || got[4].Type != 2 || string(got[4].Payload) != "after restart" {
+		t.Fatalf("replay after a restart over a torn tail got %d records %+v, want the 4 intact ones and the new one", len(got), got)
+	}
+}
+
+// A directory holding a journal file besides 000001.wal — a segment an
+// older version rotated to — is refused, not half replayed.
+func TestOpenRejectsSecondJournal(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"000001.wal", "000002.wal"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l, err := Open(dir, Options{}); err == nil {
+		l.Close()
+		t.Fatal("Open ignored a second journal file")
 	}
 }
 
@@ -166,31 +201,27 @@ func TestCorruptTailChecksum(t *testing.T) {
 }
 
 func TestSnapshotPrunesAndReplays(t *testing.T) {
-	l, dir := openTemp(t, Options{SegmentBytes: 64})
+	l, _ := openTemp(t, Options{})
 	defer l.Close()
 	for i := 0; i < 10; i++ {
 		l.Append(Record{Type: 1, Payload: bytes.Repeat([]byte("y"), 40)})
 	}
-	if err := l.Snapshot([]byte("state@10")); err != nil {
+	if err := l.Snapshot(0, []byte("state@10"), Record{Type: 3, Payload: []byte("kept")}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := l.LoadSnapshot()
+	_, snap, err := l.LoadSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(snap) != "state@10" {
 		t.Fatalf("snapshot = %q", snap)
 	}
-	if got := collect(t, l); len(got) != 0 {
-		t.Fatalf("replay after snapshot got %d records, want 0", len(got))
-	}
-	segs, _ := listSegments(dir)
-	if len(segs) != 1 {
-		t.Fatalf("snapshot left %d segments", len(segs))
+	if got := collect(t, l); len(got) != 1 || string(got[0].Payload) != "kept" {
+		t.Fatalf("replay after snapshot got %+v, want only the record it journaled", got)
 	}
 	// New appends after snapshot replay normally.
 	l.Append(Record{Type: 2, Payload: []byte("post")})
-	if got := collect(t, l); len(got) != 1 {
+	if got := collect(t, l); len(got) != 2 {
 		t.Fatalf("post-snapshot append lost")
 	}
 }
@@ -198,7 +229,7 @@ func TestSnapshotPrunesAndReplays(t *testing.T) {
 func TestLoadSnapshotMissing(t *testing.T) {
 	l, _ := openTemp(t, Options{})
 	defer l.Close()
-	snap, err := l.LoadSnapshot()
+	_, snap, err := l.LoadSnapshot()
 	if err != nil || snap != nil {
 		t.Fatalf("missing snapshot: %v, %v", snap, err)
 	}
@@ -210,7 +241,7 @@ func TestClosedLogRejects(t *testing.T) {
 	if err := l.Append(Record{Type: 1}); err != ErrClosed {
 		t.Fatalf("append on closed log: %v", err)
 	}
-	if err := l.Snapshot(nil); err != ErrClosed {
+	if err := l.Snapshot(0, nil); err != ErrClosed {
 		t.Fatalf("snapshot on closed log: %v", err)
 	}
 	if err := l.Close(); err != nil {
@@ -248,4 +279,44 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzReplay: Open and Replay of any journal never panic, and a clean
+// replay hands over exactly the intact prefix of the file — re-framing
+// the records rebuilds it — which is all Open leaves of the file.
+func FuzzReplay(f *testing.F) {
+	seed, _ := frame(nil, []Record{
+		{Type: 1, Payload: []byte("accepted ballot 3.1")},
+		{Type: 2, Payload: []byte("value slot 7")},
+		{Type: 1},
+	})
+	f.Add(seed)
+	f.Add(seed[:len(seed)-3])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "000001.wal")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		var recs []Record
+		if l.Replay(func(r Record) error { recs = append(recs, r); return nil }) != nil {
+			return // corrupt before its tail: an error, not records
+		}
+		reframed, err := frame(nil, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		left, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(b, reframed) || !bytes.Equal(left, reframed) {
+			t.Fatalf("replayed %d records re-framing to %x; input %x, file after Open %x", len(recs), reframed, b, left)
+		}
+	})
 }
