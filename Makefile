@@ -50,7 +50,7 @@ test: build lint
 # times over on top of the package once.
 test-race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race ./internal/live -run 'TestNode' -count=20
+	$(GO) test -race ./internal/live -run 'TestNode|TestTransport' -count=20
 
 # Bounded deterministic fault campaign: every registered protocol, a
 # fixed seed window, the default crash-model fault mix. Episodes fan

@@ -9,6 +9,9 @@
 //	consensus-serve -id 2 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 &
 //
 // SIGINT/SIGTERM shuts the node down gracefully and prints a summary.
+// Its reconnects= counts redials this node made: a node pair shares one
+// connection, which the lower ID dials, so the highest ID always
+// reports 0.
 // -metrics serves JSON counters on /metrics (and /healthz).
 package main
 

@@ -16,13 +16,18 @@
 //	              Every decoder here (messages, hello, client requests
 //	              and responses, admin ops, the peer frame prefix) reads
 //	              through internal/wire's Reader.
-//	transport.go  per-peer connection management: one writer goroutine
-//	              per peer with a bounded outbound queue, dial-on-demand
-//	              with exponential backoff, and outbound batching (the
-//	              writer drains the queue and flushes once). Delivery is
-//	              best-effort — a dead peer's frames are dropped, which
-//	              is exactly the fault model every protocol here already
-//	              tolerates.
+//	transport.go  peer and client connections over one listener. A node
+//	              pair shares one TCP connection, dialed by the lower ID
+//	              (eagerly, redialed with exponential backoff); the
+//	              higher ID's reader hands the accepted socket to its
+//	              writer, so both directions' frames travel on it and a
+//	              reply carries the TCP ACK its request drew. One writer
+//	              goroutine per peer with a bounded outbound queue, and
+//	              outbound batching (the writer drains the queue and
+//	              flushes once). Frames wait in the queue while no
+//	              connection is up; a full queue drops the new one.
+//	              Delivery is best-effort — the fault model every
+//	              protocol here already tolerates.
 //	node.go       the tick-translation driver. A hosted module has no
 //	              goroutine of its own: a message, a call or a tick runs
 //	              as one turn (the event, the outbox pumped dry, the
@@ -50,13 +55,24 @@
 //	node ticker ───────Tick─────┘              pump ─▶ send  ─▶ Transport.mu ─▶ peer queue ─▶ writer goroutine
 //	                                           after ─▶ reply ─▶ ClientConn.mu ─▶ conn queue ─▶ writer goroutine
 //
+// One TCP connection per node pair. Every peer connection, dialed or
+// accepted, enters through servePeer, which hands the socket to the
+// peer's writer and then reads it until it dies:
+//
+//	node 0 (lower ID)                        node 1
+//	dialLoop ─── dial, hello ──────────────▶ acceptLoop ─▶ handleConn
+//	  └ servePeer                              └ servePeer
+//	      socket ─▶ writer(1)                      socket ─▶ writer(0)
+//	      reads frames 1→0 ◀═══ one socket ═══▶    reads frames 0→1
+//
 // Lock order: a node's mutex, then Transport.mu or ClientConn.mu, both
 // held only for a non-blocking enqueue. Nothing takes a node's mutex
-// while holding either (Transport.Close holds Transport.mu while it
-// closes connections and never calls into a group), and no turn takes a
-// second node's mutex. The writer goroutines are the only place a
-// socket is written: a turn's frames coalesce into one write there, and
-// a slow peer or client fills its own bounded queue, not a group's turn.
+// while holding either (Transport.Close and servePeer hold Transport.mu
+// while they close connections and never call into a group), and no
+// turn takes a second node's mutex. The writer goroutines are the only
+// place a socket is written (after a peer connection's hello): a turn's
+// frames coalesce into one write there, and a slow peer or client fills
+// its own bounded queue, not a group's turn.
 //
 // What carries over from the simulation and what does not: replica
 // state transitions remain deterministic functions of the delivered

@@ -86,9 +86,12 @@ const (
 	helloClient = 0x43 // 'C': client request/response traffic follows
 )
 
+// helloLen is a hello payload's size: the role byte and a u64 ID.
+const helloLen = 9
+
 // encodeHello builds the role-declaration frame payload.
 func encodeHello(role byte, id int64) []byte {
-	b := make([]byte, 0, 9)
+	b := make([]byte, 0, helloLen)
 	b = append(b, role)
 	b = binary.BigEndian.AppendUint64(b, uint64(id))
 	return b

@@ -48,13 +48,15 @@ const (
 type TransportStats struct {
 	Sent       uint64 `json:"sent"`        // frames written to a peer socket
 	Dropped    uint64 `json:"dropped"`     // frames dropped (full queue, dead peer, oversize)
-	Reconnects uint64 `json:"reconnects"`  // successful re-dials after a connection loss
+	Reconnects uint64 `json:"reconnects"`  // successful re-dials after a connection loss (dialing side only)
 	PeerFrames uint64 `json:"peer_frames"` // inbound peer frames delivered
 }
 
 // Transport moves opaque frames between cluster nodes and serves
-// client connections, all over one TCP listener. Outbound delivery is
-// best-effort and ordered per peer (single writer goroutine each).
+// client connections, all over one TCP listener. A node pair shares one
+// connection, dialed by the lower ID, so a reply carries the TCP ACK its
+// request drew. Outbound delivery is best-effort and ordered per peer
+// (single writer goroutine each).
 type Transport struct {
 	cfg TransportConfig
 	ln  net.Listener
@@ -89,9 +91,10 @@ func NewTransport(ln net.Listener, cfg TransportConfig) *Transport {
 }
 
 // AddPeer registers a peer address discovered after construction, so a
-// node that joined a running cluster becomes reachable. First write
-// wins: an id with a known address keeps it (its writer goroutine owns
-// a snapshot of the address, so silently repointing would split them).
+// node that joined a running cluster becomes reachable; a started
+// transport dials it at once if this node is the pair's lower ID. First
+// write wins: an id with a known address keeps it (its dialer owns a
+// snapshot of the address, so silently repointing would split them).
 func (t *Transport) AddPeer(id types.NodeID, addr string) {
 	if addr == "" || id == t.cfg.Self {
 		return
@@ -100,13 +103,17 @@ func (t *Transport) AddPeer(id types.NodeID, addr string) {
 	defer t.mu.Unlock()
 	if _, known := t.cfg.Addrs[id]; !known {
 		t.cfg.Addrs[id] = addr
+		if t.started && !t.closed && id > t.cfg.Self {
+			t.wg.Add(1)
+			go t.dialLoop(t.peerLocked(id), addr)
+		}
 	}
 }
 
 // Addr returns the listening address.
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
 
-// Start launches the accept loop.
+// Start launches the accept loop and dials every known higher-ID peer.
 func (t *Transport) Start() {
 	t.mu.Lock()
 	if t.started || t.closed {
@@ -114,6 +121,12 @@ func (t *Transport) Start() {
 		return
 	}
 	t.started = true
+	for _, id := range det.SortedKeys(t.cfg.Addrs) {
+		if id > t.cfg.Self {
+			t.wg.Add(1)
+			go t.dialLoop(t.peerLocked(id), t.cfg.Addrs[id])
+		}
+	}
 	t.mu.Unlock()
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -130,7 +143,8 @@ func (t *Transport) Stats() TransportStats {
 }
 
 // Send enqueues one frame for the peer, creating its writer on first
-// use. A full queue, an unknown peer, or a closed transport drops the
+// use. The frame waits in the queue while no connection to the peer is
+// up. A full queue, an unknown peer, or a closed transport drops the
 // frame (counted, never blocking the caller).
 func (t *Transport) Send(to types.NodeID, payload []byte) {
 	if len(payload) > DefaultMaxFrame {
@@ -145,16 +159,12 @@ func (t *Transport) Send(to types.NodeID, payload []byte) {
 	}
 	p, ok := t.peers[to]
 	if !ok {
-		addr, known := t.cfg.Addrs[to]
-		if !known || to == t.cfg.Self {
+		if _, known := t.cfg.Addrs[to]; !known || to == t.cfg.Self {
 			t.mu.Unlock()
 			t.dropped.Add(1)
 			return
 		}
-		p = &peer{id: to, addr: addr, ch: make(chan []byte, peerQueueLen)}
-		t.peers[to] = p
-		t.wg.Add(1)
-		go t.writeLoop(p)
+		p = t.peerLocked(to)
 	}
 	t.mu.Unlock()
 	select {
@@ -164,37 +174,116 @@ func (t *Transport) Send(to types.NodeID, payload []byte) {
 	}
 }
 
-// peer is one outbound connection's state; only its writer goroutine
-// touches the socket.
+// peer is one node pair's outbound state; past the hello, only its
+// writer goroutine writes the pair's socket.
 type peer struct {
-	id   types.NodeID
-	addr string
-	ch   chan []byte
+	id    types.NodeID
+	ch    chan []byte
+	conns chan net.Conn // the pair's live connection, handed to the writer
+	conn  net.Conn      // the last one handed over; guarded by Transport.mu
 }
 
-// writeLoop owns a peer's socket: it dials on demand with exponential
-// backoff, writes the peer's waiting frames in batches, and flushes once per
-// batch. Any write error tears the connection down for re-dial; the
-// in-flight batch is dropped, not retried — retransmission is the
-// protocols' job.
+// peerLocked returns id's peer, creating it and its writer on first
+// use. t.mu held, transport not closed.
+func (t *Transport) peerLocked(id types.NodeID) *peer {
+	p, ok := t.peers[id]
+	if !ok {
+		p = &peer{id: id, ch: make(chan []byte, peerQueueLen), conns: make(chan net.Conn)}
+		t.peers[id] = p
+		t.wg.Add(1)
+		go t.writeLoop(p)
+	}
+	return p
+}
+
+// dialLoop keeps the pair's connection up from the lower ID's side: it
+// dials, says hello, serves the connection until it dies, and dials
+// again, after a backoff that doubles while dials fail.
+func (t *Transport) dialLoop(p *peer, addr string) {
+	defer t.wg.Done()
+	var backoff time.Duration
+	everConnected := false
+	for {
+		select {
+		case <-t.stop:
+			return
+		case <-time.After(backoff):
+		}
+		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+		if err == nil {
+			if err = WriteFrame(conn, encodeHello(helloPeer, int64(t.cfg.Self))); err != nil {
+				conn.Close()
+			}
+		}
+		if err != nil {
+			backoff = min(max(2*backoff, backoffMin), backoffMax)
+			continue
+		}
+		if everConnected {
+			t.reconnects.Add(1)
+		}
+		everConnected, backoff = true, backoffMin
+		t.servePeer(p, conn, bufio.NewReader(conn))
+	}
+}
+
+// servePeer runs one peer connection, dialed or accepted: it closes the
+// pair's previous connection, which a new one means is dead (and which
+// may hold the writer in a stuck write), hands the socket to the peer's
+// writer, then delivers the frames it reads until the connection dies.
+func (t *Transport) servePeer(p *peer, conn net.Conn, br *bufio.Reader) {
+	defer conn.Close()
+	t.mu.Lock()
+	if p.conn != nil {
+		p.conn.Close()
+	}
+	p.conn = conn
+	t.mu.Unlock()
+	select {
+	case <-t.stop:
+		return
+	case p.conns <- conn:
+	}
+	for {
+		payload, err := readFrameInPlace(br)
+		if err != nil {
+			return
+		}
+		t.peerFrames.Add(1)
+		if t.cfg.OnPeerFrame != nil {
+			t.cfg.OnPeerFrame(p.id, payload)
+		}
+	}
+}
+
+// writeLoop owns the writes to a peer's socket: it writes the peer's
+// waiting frames in batches and flushes once per batch. With no
+// connection up, frames wait in the queue. Any write error tears the
+// connection down until servePeer hands over the next one; the in-flight
+// batch is dropped, not retried — retransmission is the protocols' job.
 func (t *Transport) writeLoop(p *peer) {
 	defer t.wg.Done()
 	var conn net.Conn
 	var bw *bufio.Writer
-	backoff := backoffMin
 	defer func() {
 		if conn != nil {
 			conn.Close()
 		}
 	}()
-	everConnected := false
 	batch := make([][]byte, 0, writeBatchMax)
 	for {
+		var in chan []byte
+		if conn != nil {
+			in = p.ch
+		}
 		var first []byte
 		select {
 		case <-t.stop:
 			return
-		case first = <-p.ch:
+		case conn = <-p.conns:
+			bw = bufio.NewWriter(conn)
+			continue
+		case first = <-in:
 		}
 		batch = append(batch[:0], first)
 	drain:
@@ -204,34 +293,6 @@ func (t *Transport) writeLoop(p *peer) {
 				batch = append(batch, f)
 			default:
 				break drain
-			}
-		}
-		if conn == nil {
-			c, err := net.DialTimeout("tcp", p.addr, dialTimeout)
-			if err != nil {
-				t.dropped.Add(uint64(len(batch)))
-				select {
-				case <-t.stop:
-					return
-				case <-time.After(backoff):
-				}
-				if backoff *= 2; backoff > backoffMax {
-					backoff = backoffMax
-				}
-				continue
-			}
-			conn = c
-			bw = bufio.NewWriter(conn)
-			backoff = backoffMin
-			if everConnected {
-				t.reconnects.Add(1)
-			}
-			everConnected = true
-			if err := WriteFrame(bw, encodeHello(helloPeer, int64(t.cfg.Self))); err != nil {
-				conn.Close()
-				conn = nil
-				t.dropped.Add(uint64(len(batch)))
-				continue
 			}
 		}
 		writeErr := false
@@ -280,7 +341,7 @@ func (t *Transport) handleConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(conn)
 	br := bufio.NewReader(conn)
-	hello, err := ReadFrame(br, DefaultMaxFrame)
+	hello, err := ReadFrame(br, helloLen)
 	if err != nil {
 		conn.Close()
 		return
@@ -292,18 +353,17 @@ func (t *Transport) handleConn(conn net.Conn) {
 	}
 	switch role {
 	case helloPeer:
+		// Only the pair's lower ID dials.
 		from := types.NodeID(id)
-		for {
-			payload, err := readFrameInPlace(br)
-			if err != nil {
-				conn.Close()
-				return
-			}
-			t.peerFrames.Add(1)
-			if t.cfg.OnPeerFrame != nil {
-				t.cfg.OnPeerFrame(from, payload)
-			}
+		t.mu.Lock()
+		if t.closed || from >= t.cfg.Self {
+			t.mu.Unlock()
+			conn.Close()
+			return
 		}
+		p := t.peerLocked(from)
+		t.mu.Unlock()
+		t.servePeer(p, conn, br)
 	case helloClient:
 		cc := newClientConn(conn, br)
 		t.mu.Lock()

@@ -1,8 +1,10 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -173,4 +175,133 @@ func TestTransportCloseIdempotent(t *testing.T) {
 	t1.Close()
 	// Sends after close drop without blocking or panicking.
 	t0.Send(1, []byte("late"))
+}
+
+// acceptedConns counts the connections t has accepted and still holds
+// (peer connections only, in a test that opens no client connection).
+func acceptedConns(t *Transport) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.conns)
+}
+
+func TestTransportOneConnectionPerPair(t *testing.T) {
+	const nodes, perPeer = 3, 50
+	addrs := make(map[types.NodeID]string)
+	lns := make([]net.Listener, nodes)
+	for i := range lns {
+		ln, addr, err := Listen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[types.NodeID(i)] = ln, addr
+	}
+	sinks := make([]frameSink, nodes)
+	trs := make([]*Transport, nodes)
+	for i := range trs {
+		trs[i] = NewTransport(lns[i], TransportConfig{Self: types.NodeID(i), Addrs: addrs, OnPeerFrame: sinks[i].on})
+		trs[i].Start()
+		defer trs[i].Close()
+	}
+	for k := 0; k < perPeer; k++ {
+		for i, tr := range trs {
+			for j := range trs {
+				if i != j {
+					tr.Send(types.NodeID(j), []byte(fmt.Sprintf("%d-%03d", i, k)))
+				}
+			}
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		for i := range sinks {
+			if len(sinks[i].snapshot()) != (nodes-1)*perPeer {
+				return false
+			}
+		}
+		return true
+	})
+	for i := range sinks {
+		next := make(map[types.NodeID]int)
+		sinks[i].mu.Lock()
+		for n, f := range sinks[i].frames {
+			from := sinks[i].froms[n]
+			if want := fmt.Sprintf("%d-%03d", from, next[from]); f != want {
+				t.Errorf("node %d: frame %d from %d is %q, want %q", i, n, from, f, want)
+			}
+			next[from]++
+		}
+		sinks[i].mu.Unlock()
+		// Node i is the higher ID of exactly i pairs, so it accepted i
+		// connections and dialed the rest.
+		if got := acceptedConns(trs[i]); got != i {
+			t.Errorf("node %d accepted %d peer connections, want %d", i, got, i)
+		}
+	}
+}
+
+func TestTransportLowerSideRestart(t *testing.T) {
+	var sink0, sink1 frameSink
+	t0, t1 := newPair(t, &sink0, &sink1)
+	defer t1.Close()
+
+	t1.Send(0, []byte("before restart"))
+	waitFor(t, 2*time.Second, func() bool { return len(sink0.snapshot()) == 1 })
+
+	// Kill node 0, the pair's dialer, and bring a new transport up on
+	// the same address: it dials node 1, whose queued frames then flow.
+	addr0 := t0.Addr()
+	t0.Close()
+	var ln0b net.Listener
+	var err error
+	waitFor(t, 2*time.Second, func() bool {
+		ln0b, err = net.Listen("tcp", addr0)
+		return err == nil
+	})
+	var sink0b frameSink
+	t0b := NewTransport(ln0b, TransportConfig{Self: 0, Addrs: map[types.NodeID]string{0: addr0, 1: t1.Addr()}, OnPeerFrame: sink0b.on})
+	t0b.Start()
+	defer t0b.Close()
+
+	waitFor(t, 5*time.Second, func() bool {
+		t1.Send(0, []byte("after restart"))
+		return len(sink0b.snapshot()) > 0
+	})
+	t0b.Send(1, []byte("from the new node 0"))
+	waitFor(t, 2*time.Second, func() bool {
+		got := sink1.snapshot()
+		return len(got) > 0 && got[len(got)-1] == "from the new node 0"
+	})
+	if n := acceptedConns(t0b); n != 0 {
+		t.Fatalf("the new node 0 accepted %d peer connections: node 1 dialed it", n)
+	}
+	if s := t1.Stats(); s.Reconnects != 0 {
+		t.Fatalf("node 1 reconnects = %d, want 0: only the lower ID dials", s.Reconnects)
+	}
+}
+
+func TestTransportHelloReadUnderItsOwnCap(t *testing.T) {
+	ln, addr, err := Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTransport(ln, TransportConfig{Self: 0, Addrs: map[types.NodeID]string{0: addr}})
+	tr.Start()
+	defer tr.Close()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The header of a 16 MB first frame, and nothing after it: a hello
+	// is 9 bytes, so the server must refuse it at once, not wait for
+	// the rest.
+	if _, err := conn.Write([]byte{0x01, 0x00, 0x00, 0x00}); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	var b [1]byte
+	if _, err := conn.Read(b[:]); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read = %v, want the connection closed within 1 s", err)
+	}
 }

@@ -16,7 +16,10 @@
 # did not rise by what the cluster acknowledged.
 set -u
 
-BASE_PORT="${SMOKE_BASE_PORT:-49531}"
+# Below Linux's ephemeral range (32768–60999): a node that dials its
+# peers as it starts must not get, as a source port, the port a peer
+# is about to bind.
+BASE_PORT="${SMOKE_BASE_PORT:-29531}"
 DIR="$(mktemp -d)"
 P0=""; P1=""; P2=""; P3=""; M0=""; M1=""; M2=""
 FAIL=0

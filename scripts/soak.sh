@@ -22,7 +22,8 @@
 #                   ROADMAP's ten minutes)
 #   SOAK_BACKEND    raft | multipaxos (default raft)
 #   SOAK_WORKERS    closed-loop load workers (default 4)
-#   SOAK_BASE_PORT  first of three ports (default 49541)
+#   SOAK_BASE_PORT  first of three ports (default 29541, below the
+#                   kernel's ephemeral range, as in serve_smoke.sh)
 #   SOAK_REV        build the CLIs from a git archive of this revision
 #                   under .bench_build/soak/ instead of the working tree:
 #                   how a CHANGES.md entry quotes an older commit's drift
@@ -38,7 +39,7 @@ set -u
 SECS="${SOAK_SECONDS:-120}"
 BACKEND="${SOAK_BACKEND:-raft}"
 WORKERS="${SOAK_WORKERS:-4}"
-BASE_PORT="${SOAK_BASE_PORT:-49541}"
+BASE_PORT="${SOAK_BASE_PORT:-29541}"
 REV="${SOAK_REV:-}"
 STEP=10
 [ "$SECS" -ge $((2 * STEP)) ] && [ $((SECS % STEP)) -eq 0 ] \
