@@ -99,7 +99,8 @@ FUZZ_TARGETS := \
 	./internal/smr:FuzzDecodeRequest ./internal/smr:FuzzDecodeBatch ./internal/smr:FuzzRestoreState \
 	./internal/snapshot:FuzzDecode ./internal/snapshot:FuzzDecodeConfChange \
 	./internal/shard:FuzzDecodeCmd ./internal/shard:FuzzStoreRestore \
-	./internal/wal:FuzzReplay ./internal/raft:FuzzRestore
+	./internal/wal:FuzzReplay ./internal/raft:FuzzRestore \
+	./internal/nemesis:FuzzDecode
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

@@ -79,3 +79,22 @@ func TestRunOnceHashesPinned(t *testing.T) {
 		}
 	}
 }
+
+// shardAllClassesHashes is the shard episode's trace hash over pinSeeds
+// with generated 6-fault schedules drawn from nemesis.AllClasses: the
+// pin that sends drop, dup and byz through shard.Service's fault
+// surface, which the shard row above (the default crash-model mix)
+// never does.
+var shardAllClassesHashes = []string{"9c62fb6ce46c437974f59190dbff59dc", "214328806e307377de76d8825a487ed4", "7686f5b62378d4c4f5e1756ebaa47a0e"}
+
+func TestShardAllClassesHashesPinned(t *testing.T) {
+	p := mustLookup(t, "shard")
+	var got []string
+	for _, seed := range pinSeeds {
+		sched := genSchedule(seed, p.Nodes, p.Horizon, 6, nemesis.AllClasses)
+		got = append(got, RunOnce(p, seed, 0, 0, sched).Hash)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(shardAllClassesHashes) {
+		t.Errorf("trace hashes %q, pinned %q", got, shardAllClassesHashes)
+	}
+}

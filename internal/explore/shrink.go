@@ -101,8 +101,7 @@ func ShrinkSchedule(p Protocol, seed uint64, nodes, horizon int, sched nemesis.S
 
 	// Pass 3: shrink the cluster toward the protocol's floor.
 	for n := sr.Nodes - 1; n >= p.MinNodes && sr.Runs < budget; n-- {
-		cand, ok := restrictToNodes(sr.Schedule, n)
-		if !ok || !try(cand, n, sr.Horizon) {
+		if !try(restrictToNodes(sr.Schedule, n), n, sr.Horizon) {
 			break
 		}
 	}
@@ -190,9 +189,8 @@ func withoutPair(s nemesis.Schedule, p pair) nemesis.Schedule {
 // partition groups are trimmed to surviving members. Global-keyed
 // recoveries (heal/cleardrop/cleardup) are over-dropped when any fault
 // of their class goes — the candidate only has to still violate, so a
-// slightly harsher schedule is acceptable. ok is always true today; the
-// signature leaves room for stricter feasibility rules.
-func restrictToNodes(s nemesis.Schedule, n int) (nemesis.Schedule, bool) {
+// slightly harsher schedule is acceptable.
+func restrictToNodes(s nemesis.Schedule, n int) nemesis.Schedule {
 	keep := func(id types.NodeID) bool { return int(id) < n }
 	dropKeys := map[string]bool{}
 	var out nemesis.Schedule
@@ -239,5 +237,5 @@ func restrictToNodes(s nemesis.Schedule, n int) (nemesis.Schedule, bool) {
 		}
 		final.Events = append(final.Events, e)
 	}
-	return final, true
+	return final
 }

@@ -19,9 +19,12 @@
 //
 // Every fault is a *pair* of events — an initiating event and its
 // matching recovery (crash→restart, partition→heal, cut→restore,
-// delay→cleardelay, drop→cleardrop, dup→cleardup, byz→clearbyz) — which
-// is what lets the shrinker in internal/explore drop whole faults and
-// shorten fault windows while keeping schedules well-formed.
+// delay→cleardelay, drop→cleardrop, dup→cleardup, byz→clearbyz,
+// rmnode→addnode) — which is what lets the shrinker in internal/explore
+// drop whole faults and shorten fault windows while keeping schedules
+// well-formed. The pairing is the numbering (an initiating Op is odd and
+// its recovery is the next one), and one table, ops, holds each op's
+// spec keyword and scope, which every per-op question reads.
 package nemesis
 
 import (
@@ -32,8 +35,9 @@ import (
 	"fortyconsensus/internal/types"
 )
 
-// Op enumerates fault-schedule operations. Ops come in
-// initiate/recover pairs; IsRecovery and Recovery relate them.
+// Op enumerates fault-schedule operations. Ops come in initiate/recover
+// pairs numbered so that every initiating op is odd and its recovery is
+// the next op; IsRecovery, Recovery and Initiator read that numbering.
 type Op uint8
 
 const (
@@ -55,43 +59,56 @@ const (
 	OpAddNode    // re-admit it as a fresh, stateless joiner
 )
 
+// scope is what an op acts on: which Event fields it reads, the
+// arguments it takes in a spec, and what Key matches its pair on.
+type scope uint8
+
+const (
+	scopeNone      scope = iota // nothing: the tick alone
+	scopeNode                   // Node
+	scopeLink                   // the directed link From→To
+	scopePartition              // Groups
+	scopeRate                   // a fabric-wide Rate
+)
+
+// ops is the op table: each op's spec keyword and scope, indexed by Op.
+var ops = [...]struct {
+	keyword string
+	scope   scope
+}{
+	OpCrash:       {"crash", scopeNode},
+	OpRestart:     {"restart", scopeNode},
+	OpPartition:   {"partition", scopePartition},
+	OpHeal:        {"heal", scopeNone},
+	OpCutLink:     {"cut", scopeLink},
+	OpRestoreLink: {"restore", scopeLink},
+	OpDelaySet:    {"delay", scopeLink},
+	OpDelayClear:  {"cleardelay", scopeLink},
+	OpDropRate:    {"drop", scopeRate},
+	OpDropClear:   {"cleardrop", scopeNone},
+	OpDupRate:     {"dup", scopeRate},
+	OpDupClear:    {"cleardup", scopeNone},
+	OpByzantine:   {"byz", scopeNode},
+	OpByzClear:    {"clearbyz", scopeNode},
+	OpRemoveNode:  {"rmnode", scopeNode},
+	OpAddNode:     {"addnode", scopeNode},
+}
+
+func (o Op) valid() bool { return o >= OpCrash && int(o) < len(ops) }
+
+func (o Op) scope() scope {
+	if !o.valid() {
+		return scopeNone
+	}
+	return ops[o].scope
+}
+
 // String returns the op's spec-file keyword.
 func (o Op) String() string {
-	switch o {
-	case OpCrash:
-		return "crash"
-	case OpRestart:
-		return "restart"
-	case OpPartition:
-		return "partition"
-	case OpHeal:
-		return "heal"
-	case OpCutLink:
-		return "cut"
-	case OpRestoreLink:
-		return "restore"
-	case OpDelaySet:
-		return "delay"
-	case OpDelayClear:
-		return "cleardelay"
-	case OpDropRate:
-		return "drop"
-	case OpDropClear:
-		return "cleardrop"
-	case OpDupRate:
-		return "dup"
-	case OpDupClear:
-		return "cleardup"
-	case OpByzantine:
-		return "byz"
-	case OpByzClear:
-		return "clearbyz"
-	case OpRemoveNode:
-		return "rmnode"
-	case OpAddNode:
-		return "addnode"
+	if !o.valid() {
+		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
-	return fmt.Sprintf("Op(%d)", uint8(o))
+	return ops[o].keyword
 }
 
 // Class names the fault family for survival-matrix rows: the initiating
@@ -100,33 +117,12 @@ func (o Op) String() string {
 func (o Op) Class() string { return o.Initiator().String() }
 
 // IsRecovery reports whether o is the recovery half of a fault pair.
-func (o Op) IsRecovery() bool {
-	switch o {
-	case OpRestart, OpHeal, OpRestoreLink, OpDelayClear, OpDropClear, OpDupClear, OpByzClear, OpAddNode:
-		return true
-	}
-	return false
-}
+func (o Op) IsRecovery() bool { return o.valid() && o%2 == 0 }
 
 // Recovery returns the op that undoes o (o itself if already a recovery).
 func (o Op) Recovery() Op {
-	switch o {
-	case OpCrash:
-		return OpRestart
-	case OpPartition:
-		return OpHeal
-	case OpCutLink:
-		return OpRestoreLink
-	case OpDelaySet:
-		return OpDelayClear
-	case OpDropRate:
-		return OpDropClear
-	case OpDupRate:
-		return OpDupClear
-	case OpByzantine:
-		return OpByzClear
-	case OpRemoveNode:
-		return OpAddNode
+	if o.valid() && !o.IsRecovery() {
+		return o + 1
 	}
 	return o
 }
@@ -134,23 +130,8 @@ func (o Op) Recovery() Op {
 // Initiator returns the op that o undoes (o itself if already an
 // initiator).
 func (o Op) Initiator() Op {
-	switch o {
-	case OpRestart:
-		return OpCrash
-	case OpHeal:
-		return OpPartition
-	case OpRestoreLink:
-		return OpCutLink
-	case OpDelayClear:
-		return OpDelaySet
-	case OpDropClear:
-		return OpDropRate
-	case OpDupClear:
-		return OpDupRate
-	case OpByzClear:
-		return OpByzantine
-	case OpAddNode:
-		return OpRemoveNode
+	if o.IsRecovery() {
+		return o - 1
 	}
 	return o
 }
@@ -179,17 +160,17 @@ type Event struct {
 }
 
 // Key identifies what an event acts on, so an initiating event can be
-// matched with its recovery: crash/restart match on node, link ops on
-// the directed link, global ops on the op family alone.
+// matched with its recovery: node ops match on the node, link ops on the
+// directed link, and the rest on the op family alone (partition, drop
+// and dup are one global state each).
 func (e Event) Key() string {
-	switch e.Op.Initiator() {
-	case OpCrash, OpByzantine, OpRemoveNode:
+	switch e.Op.scope() {
+	case scopeNode:
 		return e.Op.Class() + ":" + e.Node.String()
-	case OpCutLink, OpDelaySet:
+	case scopeLink:
 		return e.Op.Class() + ":" + e.From.String() + ">" + e.To.String()
-	default: // partition, drop, dup: one global state each
-		return e.Op.Class()
 	}
+	return e.Op.Class()
 }
 
 // Target is the surface a schedule is applied through. *runner.Cluster[M]
@@ -278,31 +259,20 @@ func (s *Schedule) MaxTick() int {
 
 // Validate rejects events that a Target could not apply meaningfully:
 // negative ticks, partitions with fewer than two groups, rates outside
-// [0,1], unknown ops.
+// [0,1] (NaN included), byzantine events without a mode, unknown ops.
 func (s *Schedule) Validate() error {
 	for i, e := range s.Events {
-		if e.At < 0 {
+		switch {
+		case e.At < 0:
 			return fmt.Errorf("nemesis: event %d (%s): negative tick %d", i, e.Op, e.At)
-		}
-		switch e.Op {
-		case OpPartition:
-			if len(e.Groups) < 2 {
-				return fmt.Errorf("nemesis: event %d: partition needs >= 2 groups", i)
-			}
-		case OpDropRate, OpDupRate:
-			if e.Rate < 0 || e.Rate > 1 {
-				return fmt.Errorf("nemesis: event %d (%s): rate %v outside [0,1]", i, e.Op, e.Rate)
-			}
-		case OpByzantine:
-			if e.Mode == "" {
-				return fmt.Errorf("nemesis: event %d: byzantine event without mode", i)
-			}
-		case OpCrash, OpRestart, OpHeal, OpCutLink, OpRestoreLink,
-			OpDelaySet, OpDelayClear, OpDropClear, OpDupClear, OpByzClear,
-			OpRemoveNode, OpAddNode:
-			// no extra constraints
-		default:
+		case !e.Op.valid():
 			return fmt.Errorf("nemesis: event %d: unknown op %d", i, uint8(e.Op))
+		case e.Op == OpPartition && len(e.Groups) < 2:
+			return fmt.Errorf("nemesis: event %d: partition needs >= 2 groups", i)
+		case e.Op.scope() == scopeRate && !(e.Rate >= 0 && e.Rate <= 1):
+			return fmt.Errorf("nemesis: event %d (%s): rate %v outside [0,1]", i, e.Op, e.Rate)
+		case e.Op == OpByzantine && e.Mode == "":
+			return fmt.Errorf("nemesis: event %d: byzantine event without mode", i)
 		}
 	}
 	return nil

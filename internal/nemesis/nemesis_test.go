@@ -3,6 +3,7 @@ package nemesis
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"fortyconsensus/internal/simnet"
@@ -171,19 +172,25 @@ func TestGenerateRespectsMaxDown(t *testing.T) {
 	}
 }
 
-func TestSpecRoundTrip(t *testing.T) {
-	sched := Generate(simnet.NewRNG(99), GenConfig{
-		Nodes: nodeIDs(4), Horizon: 300, Faults: 7, Classes: AllClasses,
-	})
-	sp := &Spec{
+// roundTripSpec is TestSpecRoundTrip's spec: a generated schedule over
+// every class, with every optional header field set.
+func roundTripSpec() *Spec {
+	return &Spec{
 		Protocol:  "raft",
 		Nodes:     4,
 		Seed:      12345,
 		Horizon:   300,
 		Hash:      "deadbeef",
 		Violation: "log-prefix agreement: slot 3 differs",
-		Schedule:  sched,
+		Schedule: Generate(simnet.NewRNG(99), GenConfig{
+			Nodes: nodeIDs(4), Horizon: 300, Faults: 7, Classes: AllClasses,
+		}),
 	}
+}
+
+func TestSpecRoundTrip(t *testing.T) {
+	sp := roundTripSpec()
+	sched := sp.Schedule
 	enc := sp.Encode()
 	got, err := Decode(enc)
 	if err != nil {
@@ -202,17 +209,21 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeErrorCases are specs Decode must refuse.
+var decodeErrorCases = []string{
+	"",                            // empty
+	"nemesis/v2\nprotocol x\n",    // bad header
+	"nemesis/v1\nprotocol raft\n", // no events
+	"nemesis/v1\nprotocol raft\nnodes 3\nseed 1\nhorizon 10\nevents 1\ncrash 5 0\n",               // no end
+	"nemesis/v1\nprotocol raft\nnodes 3\nseed 1\nhorizon 10\nevents 2\ncrash 5 0\nend\n",          // count mismatch
+	"nemesis/v1\nprotocol raft\nnodes 3\nseed 1\nhorizon 10\nevents 1\nfrobnicate 5 0\nend\n",     // bad op
+	"nemesis/v1\nnodes 3\nseed 1\nhorizon 10\nevents 0\nend\n",                                    // missing protocol
+	"nemesis/v1\nprotocol raft\nnodes 3\nseed 1\nhorizon 10\nevents -1\ncrash 5 0\nheal 6\nend\n", // negative count
+	"nemesis/v1\nprotocol raft\nnodes 3\nseed 1\nhorizon 10\nevents 1\ndrop 5 NaN\nend\n",         // NaN rate
+}
+
 func TestSpecDecodeErrors(t *testing.T) {
-	cases := []string{
-		"",                            // empty
-		"nemesis/v2\nprotocol x\n",    // bad header
-		"nemesis/v1\nprotocol raft\n", // no events
-		"nemesis/v1\nprotocol raft\nnodes 3\nseed 1\nhorizon 10\nevents 1\ncrash 5 0\n",           // no end
-		"nemesis/v1\nprotocol raft\nnodes 3\nseed 1\nhorizon 10\nevents 2\ncrash 5 0\nend\n",      // count mismatch
-		"nemesis/v1\nprotocol raft\nnodes 3\nseed 1\nhorizon 10\nevents 1\nfrobnicate 5 0\nend\n", // bad op
-		"nemesis/v1\nnodes 3\nseed 1\nhorizon 10\nevents 0\nend\n",                                // missing protocol
-	}
-	for i, c := range cases {
+	for i, c := range decodeErrorCases {
 		if _, err := Decode([]byte(c)); err == nil {
 			t.Errorf("case %d: expected decode error", i)
 		}
@@ -229,4 +240,118 @@ func TestClassKeywords(t *testing.T) {
 	if _, ok := ClassByKeyword("restart"); ok {
 		t.Fatal("recovery keyword resolved as a class")
 	}
+}
+
+// allOpsSpec holds one event of each of the 16 ops, each recovery right
+// after its initiator.
+func allOpsSpec() *Spec {
+	return &Spec{Protocol: "raft", Nodes: 5, Seed: 7, Horizon: 400, Hash: "0123abcd", Violation: "agreement: slot 2 differs",
+		Schedule: Schedule{Events: []Event{
+			{At: 10, Op: OpCrash, Node: 1},
+			{At: 20, Op: OpRestart, Node: 1},
+			{At: 30, Op: OpPartition, Groups: [][]types.NodeID{{0, 1}, {2, 3, 4}}},
+			{At: 40, Op: OpHeal},
+			{At: 50, Op: OpCutLink, From: 2, To: 3},
+			{At: 60, Op: OpRestoreLink, From: 2, To: 3},
+			{At: 70, Op: OpDelaySet, From: 3, To: 4, Lo: 5, Hi: 9},
+			{At: 80, Op: OpDelayClear, From: 3, To: 4},
+			{At: 90, Op: OpDropRate, Rate: 0.25},
+			{At: 100, Op: OpDropClear},
+			{At: 110, Op: OpDupRate, Rate: 0.125},
+			{At: 120, Op: OpDupClear},
+			{At: 130, Op: OpByzantine, Node: 4, Mode: "mute"},
+			{At: 140, Op: OpByzClear, Node: 4},
+			{At: 150, Op: OpRemoveNode, Node: 2},
+			{At: 160, Op: OpAddNode, Node: 2},
+		}}}
+}
+
+// allOpsBytes and allOpsKeys pin what allOpsSpec encodes to and its
+// events' pairing keys: replay files on disk are written in this form.
+const allOpsBytes = `nemesis/v1
+protocol raft
+nodes 5
+seed 7
+horizon 400
+hash 0123abcd
+violation agreement: slot 2 differs
+events 16
+crash 10 1
+restart 20 1
+partition 30 0,1|2,3,4
+heal 40
+cut 50 2 3
+restore 60 2 3
+delay 70 3 4 5 9
+cleardelay 80 3 4
+drop 90 0.25
+cleardrop 100
+dup 110 0.125
+cleardup 120
+byz 130 4 mute
+clearbyz 140 4
+rmnode 150 2
+addnode 160 2
+end
+`
+
+var allOpsKeys = []string{
+	"crash:n1", "crash:n1", "partition", "partition", "cut:n2>n3", "cut:n2>n3", "delay:n3>n4", "delay:n3>n4",
+	"drop", "drop", "dup", "dup", "byz:n4", "byz:n4", "rmnode:n2", "rmnode:n2",
+}
+
+func TestSpecBytesPinned(t *testing.T) {
+	sp := allOpsSpec()
+	if got := string(sp.Encode()); got != allOpsBytes {
+		t.Fatalf("encoded as\n%s\npinned\n%s", got, allOpsBytes)
+	}
+	got, err := Decode([]byte(allOpsBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sp) {
+		t.Fatalf("decoded %+v, want %+v", got, sp)
+	}
+	var keys []string
+	for i, e := range sp.Schedule.Events {
+		keys = append(keys, e.Key())
+		if i%2 == 1 {
+			continue
+		}
+		r := sp.Schedule.Events[i+1]
+		if e.Op.IsRecovery() || !r.Op.IsRecovery() || e.Op.Recovery() != r.Op || r.Op.Initiator() != e.Op ||
+			r.Op.Recovery() != r.Op || e.Op.Initiator() != e.Op || r.Op.Class() != e.Op.String() {
+			t.Errorf("%s/%s do not pair", e.Op, r.Op)
+		}
+	}
+	if fmt.Sprintf("%q", keys) != fmt.Sprintf("%q", allOpsKeys) {
+		t.Errorf("keys %q, pinned %q", keys, allOpsKeys)
+	}
+}
+
+// FuzzDecode: no panic; an error, or a spec whose encoding decodes to
+// an equal spec and re-encodes to the same bytes.
+func FuzzDecode(f *testing.F) {
+	f.Add(roundTripSpec().Encode())
+	f.Add(allOpsSpec().Encode())
+	for _, c := range decodeErrorCases {
+		f.Add([]byte(c))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		sp, err := Decode(b)
+		if err != nil {
+			return
+		}
+		enc := sp.Encode()
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("%q decoded, but its encoding %q does not: %v", b, enc, err)
+		}
+		if !reflect.DeepEqual(again, sp) {
+			t.Fatalf("%q decoded to %+v, its encoding to %+v", b, sp, again)
+		}
+		if enc2 := again.Encode(); !bytes.Equal(enc2, enc) {
+			t.Fatalf("%q re-encodes as %q, then %q", b, enc, enc2)
+		}
+	})
 }

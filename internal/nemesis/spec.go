@@ -68,14 +68,19 @@ func (sp *Spec) Encode() []byte {
 	return []byte(b.String())
 }
 
+// encodeEvent writes an event as its keyword, its tick, the arguments
+// its scope names, then delay's bounds or byz's mode.
 func encodeEvent(e Event) string {
-	at := strconv.Itoa(e.At)
-	switch e.Op {
-	case OpCrash, OpRestart, OpByzClear, OpRemoveNode, OpAddNode:
-		return fmt.Sprintf("%s %s %d", e.Op, at, int(e.Node))
-	case OpByzantine:
-		return fmt.Sprintf("%s %s %d %s", e.Op, at, int(e.Node), e.Mode)
-	case OpPartition:
+	if !e.Op.valid() {
+		return fmt.Sprintf("# unknown op %d", uint8(e.Op))
+	}
+	words := []string{e.Op.String(), strconv.Itoa(e.At)}
+	switch e.Op.scope() {
+	case scopeNode:
+		words = append(words, strconv.Itoa(int(e.Node)))
+	case scopeLink:
+		words = append(words, strconv.Itoa(int(e.From)), strconv.Itoa(int(e.To)))
+	case scopePartition:
 		groups := make([]string, len(e.Groups))
 		for i, g := range e.Groups {
 			ids := make([]string, len(g))
@@ -84,17 +89,17 @@ func encodeEvent(e Event) string {
 			}
 			groups[i] = strings.Join(ids, ",")
 		}
-		return fmt.Sprintf("%s %s %s", e.Op, at, strings.Join(groups, "|"))
-	case OpHeal, OpDropClear, OpDupClear:
-		return fmt.Sprintf("%s %s", e.Op, at)
-	case OpCutLink, OpRestoreLink, OpDelayClear:
-		return fmt.Sprintf("%s %s %d %d", e.Op, at, int(e.From), int(e.To))
-	case OpDelaySet:
-		return fmt.Sprintf("%s %s %d %d %d %d", e.Op, at, int(e.From), int(e.To), e.Lo, e.Hi)
-	case OpDropRate, OpDupRate:
-		return fmt.Sprintf("%s %s %s", e.Op, at, strconv.FormatFloat(e.Rate, 'g', -1, 64))
+		words = append(words, strings.Join(groups, "|"))
+	case scopeRate:
+		words = append(words, strconv.FormatFloat(e.Rate, 'g', -1, 64))
 	}
-	return fmt.Sprintf("# unknown op %d", uint8(e.Op))
+	switch e.Op {
+	case OpDelaySet:
+		words = append(words, strconv.Itoa(e.Lo), strconv.Itoa(e.Hi))
+	case OpByzantine:
+		words = append(words, e.Mode)
+	}
+	return strings.Join(words, " ")
 }
 
 // opsByKeyword maps spec keywords back to ops.
@@ -133,7 +138,7 @@ func Decode(data []byte) (*Spec, error) {
 	lines := strings.Split(string(data), "\n")
 	sp := &Spec{}
 	state := 0 // 0 = expect header, 1 = fields, 2 = events, 3 = done
-	wantEvents := -1
+	var wantEvents int
 	for ln, raw := range lines {
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -158,7 +163,7 @@ func Decode(data []byte) (*Spec, error) {
 				}
 				if done {
 					wantEvents, err = strconv.Atoi(fields[1])
-					if err != nil {
+					if err != nil || wantEvents < 0 {
 						return nil, errf("bad event count %q", fields[1])
 					}
 					state = 2
@@ -184,7 +189,7 @@ func Decode(data []byte) (*Spec, error) {
 	if state != 3 {
 		return nil, fmt.Errorf("nemesis: spec truncated (missing end)")
 	}
-	if wantEvents >= 0 && wantEvents != len(sp.Schedule.Events) {
+	if wantEvents != len(sp.Schedule.Events) {
 		return nil, fmt.Errorf("nemesis: spec declares %d events, has %d", wantEvents, len(sp.Schedule.Events))
 	}
 	if sp.Protocol == "" {
@@ -262,66 +267,65 @@ func (sp *Spec) parseField(key string, args []string, line string) (bool, error)
 	return false, nil
 }
 
+// decodeEvent reads what encodeEvent writes: the integers (tick, then
+// the node or link, then delay's bounds) and at most one word after
+// them (partition groups, a rate, or byz's mode).
 func decodeEvent(fields []string) (Event, error) {
-	var e Event
 	op, ok := opsByKeyword[fields[0]]
 	if !ok {
-		return e, fmt.Errorf("unknown op %q", fields[0])
+		return Event{}, fmt.Errorf("unknown op %q", fields[0])
 	}
-	e.Op = op
+	e := Event{Op: op}
+	var node, from, to int
+	ints := []*int{&e.At}
+	switch op.scope() {
+	case scopeNode:
+		ints = append(ints, &node)
+	case scopeLink:
+		ints = append(ints, &from, &to)
+	}
+	if op == OpDelaySet {
+		ints = append(ints, &e.Lo, &e.Hi)
+	}
+	want := len(ints)
+	if op.scope() == scopePartition || op.scope() == scopeRate || op == OpByzantine {
+		want++
+	}
 	args := fields[1:]
-	need := func(n int) error {
-		if len(args) < n {
-			return fmt.Errorf("%s needs %d argument(s)", op, n)
-		}
-		return nil
+	if len(args) < want {
+		return e, fmt.Errorf("%s needs %d argument(s)", op, want)
 	}
-	atoi := func(s string) (int, error) {
-		n, err := strconv.Atoi(s)
+	for i, p := range ints {
+		n, err := strconv.Atoi(args[i])
 		if err != nil {
-			return 0, fmt.Errorf("%s: bad integer %q", op, s)
+			return e, fmt.Errorf("%s: bad integer %q", op, args[i])
 		}
-		return n, nil
+		*p = n
 	}
-	if err := need(1); err != nil {
-		return e, err
+	e.Node, e.From, e.To = types.NodeID(node), types.NodeID(from), types.NodeID(to)
+	if want == len(ints) {
+		return e, nil
 	}
-	at, err := atoi(args[0])
-	if err != nil {
-		return e, err
-	}
-	e.At = at
-	args = args[1:]
-
-	switch op {
-	case OpCrash, OpRestart, OpByzClear, OpByzantine, OpRemoveNode, OpAddNode:
-		if err := need(1); err != nil {
-			return e, err
-		}
-		n, err := atoi(args[0])
+	word := args[len(ints)]
+	switch {
+	case op == OpByzantine:
+		e.Mode = word
+	case op.scope() == scopeRate:
+		rate, err := strconv.ParseFloat(word, 64)
 		if err != nil {
-			return e, err
+			return e, fmt.Errorf("%s: bad rate %q", op, word)
 		}
-		e.Node = types.NodeID(n)
-		if op == OpByzantine {
-			if len(args) < 2 {
-				return e, fmt.Errorf("byz needs a mode")
-			}
-			e.Mode = args[1]
-		}
-	case OpPartition:
-		if err := need(1); err != nil {
-			return e, err
-		}
-		for _, part := range strings.Split(args[0], "|") {
+		e.Rate = rate
+	default: // partition
+		for _, part := range strings.Split(word, "|") {
 			var g []types.NodeID
 			for _, idStr := range strings.Split(part, ",") {
 				if idStr == "" {
 					continue
 				}
-				id, err := atoi(idStr)
+				id, err := strconv.Atoi(idStr)
 				if err != nil {
-					return e, err
+					return e, fmt.Errorf("%s: bad integer %q", op, idStr)
 				}
 				g = append(g, types.NodeID(id))
 			}
@@ -329,41 +333,6 @@ func decodeEvent(fields []string) (Event, error) {
 				e.Groups = append(e.Groups, g)
 			}
 		}
-	case OpHeal, OpDropClear, OpDupClear:
-		// tick only
-	case OpCutLink, OpRestoreLink, OpDelayClear, OpDelaySet:
-		if err := need(2); err != nil {
-			return e, err
-		}
-		from, err := atoi(args[0])
-		if err != nil {
-			return e, err
-		}
-		to, err := atoi(args[1])
-		if err != nil {
-			return e, err
-		}
-		e.From, e.To = types.NodeID(from), types.NodeID(to)
-		if op == OpDelaySet {
-			if err := need(4); err != nil {
-				return e, err
-			}
-			if e.Lo, err = atoi(args[2]); err != nil {
-				return e, err
-			}
-			if e.Hi, err = atoi(args[3]); err != nil {
-				return e, err
-			}
-		}
-	case OpDropRate, OpDupRate:
-		if err := need(1); err != nil {
-			return e, err
-		}
-		rate, err := strconv.ParseFloat(args[0], 64)
-		if err != nil {
-			return e, fmt.Errorf("%s: bad rate %q", op, args[0])
-		}
-		e.Rate = rate
 	}
 	return e, nil
 }

@@ -24,6 +24,8 @@
 package runner
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"fortyconsensus/internal/simnet"
@@ -198,13 +200,7 @@ type Cluster[M any] struct {
 	slots      []int32                // NodeID -> slot for small non-negative IDs
 	slotsExtra map[types.NodeID]int32 // fallback for negative or huge IDs
 
-	// pausedUnknown and interceptUnknown hold Crash/Intercept calls for
-	// IDs that have no node yet; Add transfers them to the slot tables.
-	pausedUnknown    map[types.NodeID]bool
-	interceptUnknown map[types.NodeID]Interceptor[M]
-
-	dirty   []int32 // slots with possibly non-empty outboxes, deduped via isDirty
-	scratch []int32 // recycled batch buffer for collect
+	dirty []int32 // slots with possibly non-empty outboxes, deduped via isDirty
 
 	queue wheel[M]
 	seq   uint64
@@ -243,10 +239,8 @@ func (c *Cluster[M]) Add(id types.NodeID, n Node[M]) {
 	s := int32(len(c.nodes))
 	c.nodes = append(c.nodes, n)
 	c.ids = append(c.ids, id)
-	c.intercept = append(c.intercept, c.interceptUnknown[id])
-	delete(c.interceptUnknown, id)
-	c.paused = append(c.paused, c.pausedUnknown[id])
-	delete(c.pausedUnknown, id)
+	c.intercept = append(c.intercept, nil)
+	c.paused = append(c.paused, false)
 	c.isDirty = append(c.isDirty, false)
 
 	if id >= 0 && id < maxDenseID {
@@ -281,27 +275,20 @@ func (c *Cluster[M]) Node(id types.NodeID) Node[M] {
 	return nil
 }
 
-// Intercept installs a byzantine outbox mutator for node id.
+// Intercept installs a byzantine outbox mutator for node id; an id with
+// no node is ignored.
 func (c *Cluster[M]) Intercept(id types.NodeID, f Interceptor[M]) {
 	if s := c.slot(id); s != noSlot {
 		c.intercept[s] = f
-		return
 	}
-	if c.interceptUnknown == nil {
-		c.interceptUnknown = make(map[types.NodeID]Interceptor[M])
-	}
-	c.interceptUnknown[id] = f
 }
 
 // Crash stops a node from stepping/ticking and cuts it off the network.
+// An id with no node is only taken off the fabric; nothing is kept for
+// a node Added under it later.
 func (c *Cluster[M]) Crash(id types.NodeID) {
 	if s := c.slot(id); s != noSlot {
 		c.paused[s] = true
-	} else {
-		if c.pausedUnknown == nil {
-			c.pausedUnknown = make(map[types.NodeID]bool)
-		}
-		c.pausedUnknown[id] = true
 	}
 	c.stats.Crashes++
 	c.cfg.Fabric.Crash(id)
@@ -314,8 +301,6 @@ func (c *Cluster[M]) Crash(id types.NodeID) {
 func (c *Cluster[M]) Restart(id types.NodeID) {
 	if s := c.slot(id); s != noSlot {
 		c.paused[s] = false
-	} else {
-		delete(c.pausedUnknown, id)
 	}
 	c.stats.Restarts++
 	c.cfg.Fabric.Restart(id)
@@ -388,12 +373,11 @@ func (c *Cluster[M]) DisarmByzantine(id types.NodeID) {
 	c.Intercept(id, nil)
 }
 
-// Crashed reports whether id is currently crashed.
+// Crashed reports whether node id is currently crashed (false for an id
+// with no node).
 func (c *Cluster[M]) Crashed(id types.NodeID) bool {
-	if s := c.slot(id); s != noSlot {
-		return c.paused[s]
-	}
-	return c.pausedUnknown[id]
+	s := c.slot(id)
+	return s != noSlot && c.paused[s]
 }
 
 // Now returns the current logical time in ticks.
@@ -462,49 +446,32 @@ func (c *Cluster[M]) markDirty(s int32) {
 
 // collect drains the outboxes of dirty nodes — those that Stepped or
 // Ticked since the last collect — into the fabric, applying
-// interceptors. A node that emitted is drained again on the next round
-// (mirroring the previous implementation's loop-until-quiet sweep), so
-// a message generated in response to a Tick is posted in the same tick.
-// Rounds process nodes in NodeID order to keep schedules replayable.
+// interceptors, in NodeID order to keep schedules replayable. One pass
+// suffices: Drain hands back the outbox and sending steps no node, so
+// a drained node has nothing left until it Steps or Ticks again.
 func (c *Cluster[M]) collect() {
-	for len(c.dirty) > 0 {
-		batch := c.dirty
-		c.dirty = c.scratch[:0]
-		if len(batch) > 1 {
-			sorted := true
-			for i := 1; i < len(batch); i++ {
-				if c.ids[batch[i-1]] > c.ids[batch[i]] {
-					sorted = false
-					break
-				}
-			}
-			if !sorted {
-				sort.Slice(batch, func(i, j int) bool { return c.ids[batch[i]] < c.ids[batch[j]] })
-			}
-		}
-		for _, s := range batch {
-			c.isDirty[s] = false
-			if c.paused[s] {
-				continue
-			}
-			out := c.nodes[s].Drain()
-			if len(out) == 0 {
-				continue
-			}
-			mut := c.intercept[s]
-			for _, m := range out {
-				if mut == nil {
-					c.send(m)
-					continue
-				}
-				for _, mm := range mut(m) {
-					c.send(mm)
-				}
-			}
-			c.markDirty(s)
-		}
-		c.scratch = batch[:0]
+	batch := c.dirty
+	byID := func(a, b int32) int { return cmp.Compare(c.ids[a], c.ids[b]) }
+	if !slices.IsSortedFunc(batch, byID) {
+		slices.SortFunc(batch, byID)
 	}
+	for _, s := range batch {
+		c.isDirty[s] = false
+		if c.paused[s] {
+			continue
+		}
+		mut := c.intercept[s]
+		for _, m := range c.nodes[s].Drain() {
+			if mut == nil {
+				c.send(m)
+				continue
+			}
+			for _, mm := range mut(m) {
+				c.send(mm)
+			}
+		}
+	}
+	c.dirty = batch[:0]
 }
 
 // deliver hands one due message to its destination node.

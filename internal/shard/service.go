@@ -118,11 +118,15 @@ func newMetrics() *Metrics {
 // and the coordinators occupy the two IDs above the replicas — so fault
 // schedules and the explore harness can aim at any piece of it.
 //
-// Simplifications, documented for the fault surface: coordinators crash
-// and restart (crash freezes the coordinator and drops its inbound
-// replies; state is retained, matching runner.Restart semantics for
-// replicas) but do not participate in partitions, and cross-shard link
-// faults are no-ops because shards run on disjoint fabrics.
+// Simplifications, documented for the fault surface: every fault is
+// projected through one of three helpers — onReplica (one replica),
+// onLink (a link inside one shard) and onEvery (every shard's fabric) —
+// with Partition splitting its groups per shard itself. Coordinators
+// crash and restart (crash freezes the coordinator and drops its
+// inbound replies; state is retained, matching runner.Restart semantics
+// for replicas) but take no other fault: they sit in no partition, own
+// no link (cross-shard link faults are no-ops too, because shards run
+// on disjoint fabrics), and are never byzantine.
 type Service struct {
 	cfg    Config
 	pm     PartitionMap
@@ -421,27 +425,55 @@ func (s *Service) locate(id types.NodeID) (int, types.NodeID, bool) {
 	return sh, local, true
 }
 
+// onReplica applies f to the group hosting global replica id, under its
+// local ID, reporting whether id is a replica.
+func (s *Service) onReplica(id types.NodeID, f func(g Group, local types.NodeID)) bool {
+	sh, local, ok := s.locate(id)
+	if ok {
+		f(s.groups[sh], local)
+	}
+	return ok
+}
+
+// onLink applies f to the group hosting both ends of from→to. Links
+// exist only inside one shard: cross-shard and coordinator links are
+// no-ops, because shards run on disjoint fabrics.
+func (s *Service) onLink(from, to types.NodeID, f func(g Group, from, to types.NodeID)) {
+	fs, fl, ok1 := s.locate(from)
+	ts, tl, ok2 := s.locate(to)
+	if ok1 && ok2 && fs == ts {
+		f(s.groups[fs], fl, tl)
+	}
+}
+
+// onEvery applies f to every shard group.
+func (s *Service) onEvery(f func(g Group)) {
+	for _, g := range s.groups {
+		f(g)
+	}
+}
+
+// setDown freezes or thaws the coordinator with global ID id, if it is
+// one.
+func (s *Service) setDown(id types.NodeID, down bool) {
+	if i := int(id - s.coordBase()); i >= 0 && i < len(s.coords) {
+		s.down[i] = down
+	}
+}
+
 // Crash pauses a replica or freezes a coordinator.
 func (s *Service) Crash(id types.NodeID) {
 	s.crashes++
-	if sh, local, ok := s.locate(id); ok {
-		s.groups[sh].Crash(local)
-		return
-	}
-	if i := int(id - s.coordBase()); i >= 0 && i < len(s.coords) {
-		s.down[i] = true
+	if !s.onReplica(id, Group.Crash) {
+		s.setDown(id, true)
 	}
 }
 
 // Restart resumes a crashed replica or coordinator.
 func (s *Service) Restart(id types.NodeID) {
 	s.restarts++
-	if sh, local, ok := s.locate(id); ok {
-		s.groups[sh].Restart(local)
-		return
-	}
-	if i := int(id - s.coordBase()); i >= 0 && i < len(s.coords) {
-		s.down[i] = false
+	if !s.onReplica(id, Group.Restart) {
+		s.setDown(id, false)
 	}
 }
 
@@ -472,90 +504,27 @@ func (s *Service) Partition(groups ...[]types.NodeID) {
 // Heal clears every shard's partition.
 func (s *Service) Heal() {
 	s.heals++
-	for _, g := range s.groups {
-		g.Heal()
-	}
+	s.onEvery(Group.Heal)
 }
 
-// CutLink severs a directed link when both ends live in one shard;
-// cross-shard and coordinator links do not exist, so those are no-ops.
-func (s *Service) CutLink(from, to types.NodeID) {
-	fs, fl, ok1 := s.locate(from)
-	ts, tl, ok2 := s.locate(to)
-	if ok1 && ok2 && fs == ts {
-		s.groups[fs].CutLink(fl, tl)
-	}
-}
-
-// RestoreLink undoes CutLink under the same projection.
-func (s *Service) RestoreLink(from, to types.NodeID) {
-	fs, fl, ok1 := s.locate(from)
-	ts, tl, ok2 := s.locate(to)
-	if ok1 && ok2 && fs == ts {
-		s.groups[fs].RestoreLink(fl, tl)
-	}
-}
-
-// SetLinkDelay stretches a same-shard link.
+// CutLink, RestoreLink, SetLinkDelay and ClearLinkDelay act on a
+// same-shard link (onLink); the rate faults on every shard's fabric;
+// ArmByzantine and DisarmByzantine on a replica's interceptor, never a
+// coordinator's (coordinators are trusted in 2PC).
+func (s *Service) CutLink(from, to types.NodeID)     { s.onLink(from, to, Group.CutLink) }
+func (s *Service) RestoreLink(from, to types.NodeID) { s.onLink(from, to, Group.RestoreLink) }
 func (s *Service) SetLinkDelay(from, to types.NodeID, lo, hi int) {
-	fs, fl, ok1 := s.locate(from)
-	ts, tl, ok2 := s.locate(to)
-	if ok1 && ok2 && fs == ts {
-		s.groups[fs].SetLinkDelay(fl, tl, lo, hi)
-	}
+	s.onLink(from, to, func(g Group, from, to types.NodeID) { g.SetLinkDelay(from, to, lo, hi) })
 }
-
-// ClearLinkDelay undoes SetLinkDelay under the same projection.
-func (s *Service) ClearLinkDelay(from, to types.NodeID) {
-	fs, fl, ok1 := s.locate(from)
-	ts, tl, ok2 := s.locate(to)
-	if ok1 && ok2 && fs == ts {
-		s.groups[fs].ClearLinkDelay(fl, tl)
-	}
-}
-
-// SetDropRate applies a uniform drop rate to every shard fabric.
-func (s *Service) SetDropRate(p float64) {
-	for _, g := range s.groups {
-		g.SetDropRate(p)
-	}
-}
-
-// ClearDropRate clears drop rates everywhere.
-func (s *Service) ClearDropRate() {
-	for _, g := range s.groups {
-		g.ClearDropRate()
-	}
-}
-
-// SetDupRate applies a uniform duplication rate to every shard fabric.
-func (s *Service) SetDupRate(p float64) {
-	for _, g := range s.groups {
-		g.SetDupRate(p)
-	}
-}
-
-// ClearDupRate clears duplication rates everywhere.
-func (s *Service) ClearDupRate() {
-	for _, g := range s.groups {
-		g.ClearDupRate()
-	}
-}
-
-// ArmByzantine arms a replica's canned interceptor; coordinator IDs are
-// ignored (coordinators are trusted in 2PC).
+func (s *Service) ClearLinkDelay(from, to types.NodeID) { s.onLink(from, to, Group.ClearLinkDelay) }
+func (s *Service) SetDropRate(p float64)                { s.onEvery(func(g Group) { g.SetDropRate(p) }) }
+func (s *Service) ClearDropRate()                       { s.onEvery(Group.ClearDropRate) }
+func (s *Service) SetDupRate(p float64)                 { s.onEvery(func(g Group) { g.SetDupRate(p) }) }
+func (s *Service) ClearDupRate()                        { s.onEvery(Group.ClearDupRate) }
 func (s *Service) ArmByzantine(id types.NodeID, mode string) {
-	if sh, local, ok := s.locate(id); ok {
-		s.groups[sh].ArmByzantine(local, mode)
-	}
+	s.onReplica(id, func(g Group, local types.NodeID) { g.ArmByzantine(local, mode) })
 }
-
-// DisarmByzantine undoes ArmByzantine.
-func (s *Service) DisarmByzantine(id types.NodeID) {
-	if sh, local, ok := s.locate(id); ok {
-		s.groups[sh].DisarmByzantine(local)
-	}
-}
+func (s *Service) DisarmByzantine(id types.NodeID) { s.onReplica(id, Group.DisarmByzantine) }
 
 // Stats sums the shard groups' runner statistics, folding in the
 // service-level fault counters.
