@@ -20,6 +20,10 @@ func (MultiPaxosCodec) Append(dst []byte, m multipaxos.Message) []byte {
 	dst = appendU64(dst, uint64(m.Slot))
 	dst = appendU64(dst, uint64(m.Commit))
 	dst = appendU64(dst, m.Read)
+	if carriesChunk(m.Kind) {
+		dst = appendU32(dst, m.Offset)
+		dst = appendU8(dst, b2u(m.Done))
+	}
 	dst = wire.AppendBytes32(dst, m.Val)
 	dst = appendU32(dst, uint32(len(m.Entries)))
 	for _, e := range m.Entries {
@@ -43,6 +47,10 @@ func (MultiPaxosCodec) Decode(b []byte) (multipaxos.Message, error) {
 	m.Slot = types.Seq(r.U64())
 	m.Commit = types.Seq(r.U64())
 	m.Read = r.U64()
+	if carriesChunk(m.Kind) {
+		m.Offset = r.U32()
+		m.Done = r.Bool()
+	}
 	m.Val = r.Copy32()
 	n := r.Count(28) // slot + ballot (16) + value length minimum
 	if n > 0 {
@@ -58,4 +66,10 @@ func (MultiPaxosCodec) Decode(b []byte) (multipaxos.Message, error) {
 		return multipaxos.Message{}, ErrCodec
 	}
 	return m, nil
+}
+
+// carriesChunk reports whether messages of kind k carry a snapshot
+// chunk's offset and last flag; no other kind spends the bytes.
+func carriesChunk(k multipaxos.MsgKind) bool {
+	return k == multipaxos.MsgCatchup || k == multipaxos.MsgState
 }

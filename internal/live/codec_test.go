@@ -47,8 +47,8 @@ func paxosMessages() []multipaxos.Message {
 			},
 		},
 		{Kind: multipaxos.MsgAccept, From: 1, To: 0, Ballot: types.Ballot{Num: 3, Owner: 1}, Slot: 7, Val: types.Value("v")},
-		{Kind: multipaxos.MsgCatchup, From: 0, To: 1, Commit: 11},
-		{Kind: multipaxos.MsgState, From: 1, To: 0, Val: types.Value("encoded snapshot"), Commit: 40},
+		{Kind: multipaxos.MsgCatchup, From: 0, To: 1, Slot: 12, Offset: 8192},
+		{Kind: multipaxos.MsgState, From: 1, To: 0, Slot: 30, Val: types.Value("snapshot chunk bytes"), Offset: 8192, Done: true, Commit: 40},
 		{Kind: multipaxos.MsgRead, From: 1, To: 2, Ballot: types.Ballot{Num: 3, Owner: 1}, Read: 1 << 40},
 		{Kind: multipaxos.MsgReadResp, From: 2, To: 1, Ballot: types.Ballot{Num: 3, Owner: 1}, Read: 17},
 	}

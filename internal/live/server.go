@@ -384,7 +384,8 @@ func (g *smrGroup[M]) send(m M) {
 }
 
 // maxFrameScratch is the largest encoding buffer a group keeps between
-// sends; a snapshot transfer's outgrows it and is let go.
+// sends; a catch-up batch of large values (up to snapshot.BatchBytes)
+// outgrows it and is let go.
 const maxFrameScratch = 64 << 10
 
 // frame encodes m behind the group index. The codec appends field by

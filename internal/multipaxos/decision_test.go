@@ -281,7 +281,7 @@ func TestLeaderIgnoresCatchUpAnswers(t *testing.T) {
 	lead.Drain()
 	lead.Step(Message{Kind: MsgCommit, From: 1, To: 0, Entries: []Entry{{Slot: 1, Val: types.Value("y")}}})
 	snap := snapshot.Encode(snapshot.Snapshot{LastIndex: 4, Members: []types.NodeID{0, 1, 2}})
-	lead.Step(Message{Kind: MsgState, From: 1, To: 0, Val: types.Value(snap), Commit: 4})
+	lead.Step(Message{Kind: MsgState, From: 1, To: 0, Slot: 4, Val: types.Value(snap), Done: true, Commit: 4})
 	if lead.CommitFrontier() != 0 || lead.TakeInstalledSnapshot() != nil || len(lead.TakeDecisions()) != 0 {
 		t.Fatalf("a leader learned from a catch-up answer: frontier %d", lead.CommitFrontier())
 	}

@@ -240,7 +240,7 @@ func TestPagedLogMatchesMapModel(t *testing.T) {
 				}
 				what = fmt.Sprintf("install through %d", last)
 				snap := snapshot.Encode(snapshot.Snapshot{LastIndex: last, Members: members})
-				n.Step(Message{Kind: MsgState, From: 0, To: 1, Val: types.Value(snap), Commit: last})
+				n.Step(Message{Kind: MsgState, From: 0, To: 1, Slot: last, Val: types.Value(snap), Done: true, Commit: last})
 				n.Drain()
 				if n.TakeInstalledSnapshot() == nil {
 					t.Fatalf("seed %d: %s: nothing installed", seed, what)

@@ -14,9 +14,10 @@ import (
 // Compaction drops the log's slots at or below a frontier the
 // host has already applied, keeping an encoded snapshot instead. A
 // lagging replica whose catch-up request starts in the compacted range
-// receives the whole snapshot in one MsgState (multipaxos messages
-// already carry full commit batches, so chunking stays a raft-only
-// concern) and then re-requests the uncompacted suffix.
+// pulls the snapshot in raft's chunks: each MsgCatchup names the offset
+// its snapshot.Receiver wants, the MsgStates answering it carry the
+// chunks from there to the end of that snapshot.Window, and the
+// installed replica then asks for the uncompacted suffix.
 //
 // Membership follows the slot-scheduled rule from SMR reconfiguration
 // literature (and the ISSUE's i+alpha requirement): a config change
@@ -122,10 +123,11 @@ func (n *Node) confAllowed(v types.Value) bool {
 // is state. The snapshot's single member set summarizes epochs active
 // by upTo+1; any later epoch survives only as its conf entry in the
 // suffix, so compaction is refused when it would delete such an entry
-// (upTo at or past a choose slot whose epoch activates above upTo+1).
+// (upTo at or past a choose slot whose epoch activates above upTo+1),
+// and while this replica serves a snapshot transfer (holdCompact).
 // Reports whether anything was compacted.
 func (n *Node) Compact(upTo types.Seq, state []byte) bool {
-	if upTo <= n.compactSeq || upTo > n.commitSeq {
+	if upTo <= n.compactSeq || upTo > n.commitSeq || n.CompactHeld() {
 		return false
 	}
 	for _, e := range n.configs {
@@ -154,18 +156,31 @@ func (n *Node) Compact(upTo types.Seq, state []byte) bool {
 	return true
 }
 
-// onState installs a state-transfer snapshot at a lagging replica,
-// fast-forwarding its commit frontier past the sender's compacted
-// prefix. Anything newer than the snapshot arrives through the normal
-// catch-up path afterwards.
+// CompactHeld reports whether Compact refuses for now: a snapshot
+// transfer this node serves is under way (holdCompact).
+func (n *Node) CompactHeld() bool { return n.holdCompact > 0 }
+
+// onState takes one chunk of a state-transfer snapshot at a lagging
+// replica and asks for the next. The last chunk installs it,
+// fast-forwarding the commit frontier past the sender's compacted
+// prefix; anything newer arrives through the normal catch-up path.
 func (n *Node) onState(m Message) {
-	snap, err := snapshot.Decode(m.Val)
-	if err != nil || snap.LastIndex <= n.commitSeq {
-		return // corrupt or stale: ignore, catch-up will retry
+	if m.Slot <= n.commitSeq {
+		return // stale: the frontier is past this snapshot
+	}
+	from := n.recv.Offset()
+	raw, snap, _ := n.recv.Take(m.Slot, int(m.Offset), m.Val, m.Done)
+	if snap == nil {
+		// Ask for the next window once this one is whole; a lost chunk
+		// is asked for again at the heartbeat (Stalled).
+		if n.recv.Offset()/snapshot.Window > from/snapshot.Window {
+			n.catchup(m.From)
+		}
+		return
 	}
 	n.commitSeq = snap.LastIndex
 	n.compactSeq = snap.LastIndex
-	n.snapData = append([]byte(nil), m.Val...)
+	n.snapData = raw
 	n.log.dropThrough(snap.LastIndex)
 	// Undrained decisions below the snapshot are subsumed by the
 	// installed state the host restores from.
@@ -173,13 +188,18 @@ func (n *Node) onState(m Message) {
 	ms := append([]types.NodeID(nil), snap.Members...)
 	slices.Sort(ms)
 	n.configs = []cfgEpoch{{from: 0, members: ms}}
-	cp := snap
-	n.installed = &cp
+	n.installed = snap
 	// Chosen slots that arrived before the install may now sit directly
 	// above the new frontier; emit them before asking for more.
 	n.advanceFrontier()
 	// Pull the uncompacted suffix immediately.
 	if m.Commit > n.commitSeq {
-		n.send(Message{Kind: MsgCatchup, To: m.From, Slot: n.commitSeq + 1})
+		n.catchup(m.From)
 	}
+}
+
+// catchup asks replica to for the committed slots above the frontier,
+// naming the offset the receiver wants should they be compacted away.
+func (n *Node) catchup(to types.NodeID) {
+	n.send(Message{Kind: MsgCatchup, To: to, Slot: n.commitSeq + 1, Offset: uint32(n.recv.Offset())})
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"fortyconsensus/internal/kvstore"
+	"fortyconsensus/internal/runner"
+	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
@@ -200,5 +202,147 @@ func TestJoinerCatchesUpThroughSnapshotAndCommits(t *testing.T) {
 	}
 	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stateTransfer brings replica 2 of a 3-node cluster back after 0 and 1
+// compacted their logs into a snapshot carrying stateLen state bytes,
+// over links of 1–3 ticks that drop and duplicate at the given rates;
+// lose, if set, may drop any message a replica sends. With writes, the
+// leader proposes a value every tick of the transfer and 0 and 1 try to
+// compact through their frontier, as hosts under load do. It returns
+// the MsgState frames sent after the restart, the largest chunk one
+// carried, the ticks until 2 installed, and the state it installed.
+func stateTransfer(t *testing.T, stateLen int, drop, dup float64, lose func(Message) bool, writes bool) (frames, maxChunk, ticks int, state []byte) {
+	t.Helper()
+	fab := simnet.NewFabric(simnet.Options{MinDelay: 1, MaxDelay: 3, Seed: 7})
+	c := runner.New(runner.Config[Message]{Fabric: fab, Dest: Dest, Src: Src, Kind: Kind})
+	peers := []types.NodeID{0, 1, 2}
+	nodes := make([]*Node, len(peers))
+	for i, id := range peers {
+		nodes[i] = New(id, Config{Peers: peers, Seed: 7})
+		c.Add(id, nodes[i])
+		c.Intercept(id, func(m Message) []Message {
+			if m.Kind == MsgState {
+				frames++
+				maxChunk = max(maxChunk, len(m.Val))
+			}
+			if lose != nil && lose(m) {
+				return nil
+			}
+			return []Message{m}
+		})
+	}
+	c.Crash(2)
+	var lead *Node
+	if !c.RunUntil(func() bool {
+		lead = nodes[0]
+		if !lead.IsLeader() {
+			lead = nodes[1]
+		}
+		return lead.IsLeader()
+	}, 1000) {
+		t.Fatal("no leader")
+	}
+	for i := 1; i <= 8; i++ {
+		lead.Submit(types.Value{byte(i)})
+	}
+	c.Run(50)
+	want := bytes.Repeat([]byte{0xA5}, stateLen)
+	for _, n := range nodes[:2] {
+		if !n.Compact(n.CommitFrontier(), want) {
+			t.Fatalf("node %v: compact refused", n.id)
+		}
+	}
+	fab.SetDropRate(drop)
+	fab.SetDupRate(dup)
+	frames, maxChunk = 0, 0
+	start := c.Now()
+	c.Restart(2)
+	var snap *snapshot.Snapshot
+	if !c.RunUntil(func() bool {
+		if writes {
+			lead.Submit(types.Value("w"))
+			for _, n := range nodes[:2] {
+				n.Compact(n.CommitFrontier(), want)
+			}
+		}
+		snap = nodes[2].TakeInstalledSnapshot()
+		return snap != nil
+	}, 100*(stateLen/snapshot.ChunkSize)+1000) {
+		t.Fatalf("%d state bytes, drop %v, dup %v: no install after %d ticks and %d frames", stateLen, drop, dup, c.Now()-start, frames)
+	}
+	return frames, maxChunk, c.Now() - start, snap.State
+}
+
+// A snapshot larger than the live transport's frame limit (16 MiB,
+// live.DefaultMaxFrame) moves in ChunkSize pieces, one chain of them:
+// each chunk once, plus at most one per heartbeat.
+func TestStateTransferIsChunkedAndLinear(t *testing.T) {
+	stateLen := 16<<20 + snapshot.ChunkSize
+	frames, maxChunk, ticks, state := stateTransfer(t, stateLen, 0, 0, nil, false)
+	chunks := stateLen/snapshot.ChunkSize + 1 // plus the snapshot's header bytes
+	t.Logf("%d chunks: %d MsgState frames, installed after %d ticks", chunks, frames, ticks)
+	if maxChunk > snapshot.ChunkSize {
+		t.Fatalf("a MsgState carried %d bytes, over the %d-byte chunk", maxChunk, snapshot.ChunkSize)
+	}
+	if !bytes.Equal(state, bytes.Repeat([]byte{0xA5}, stateLen)) {
+		t.Fatalf("installed %d state bytes, not the leader's %d", len(state), stateLen)
+	}
+	if bound := chunks + ticks/5 + 8; frames > bound {
+		t.Fatalf("%d chunks over %d ticks took %d MsgState frames, want at most %d", chunks, ticks, frames, bound)
+	}
+}
+
+// The twin of raft's TestSnapshotChunkLossResumesAtOffset: one lost
+// chunk is asked for again at its offset, never from zero, and a
+// transfer installs whatever drops and duplicates it meets.
+func TestStateTransferChunkLossResumesAtOffset(t *testing.T) {
+	dropped := -1
+	var afterDrop []int // offsets sent after the loss
+	stateTransfer(t, 3*snapshot.ChunkSize, 0, 0, func(m Message) bool {
+		if m.Kind != MsgState {
+			return false
+		}
+		if dropped < 0 && m.Offset > 0 {
+			dropped = int(m.Offset)
+			return true // lose exactly one mid-transfer chunk
+		}
+		if dropped >= 0 {
+			afterDrop = append(afterDrop, int(m.Offset))
+		}
+		return false
+	}, false)
+	if dropped < 0 {
+		t.Fatal("transfer finished in a single chunk; test needs a multi-chunk snapshot")
+	}
+	for _, off := range afterDrop {
+		if off < dropped {
+			t.Fatalf("transfer restarted at offset %d after losing offset %d", off, dropped)
+		}
+	}
+	for _, chunks := range []int{1, 4, 64, 256} {
+		stateLen := (chunks-1)*snapshot.ChunkSize + 1
+		frames, _, ticks, state := stateTransfer(t, stateLen, 0.1, 0.1, nil, false)
+		t.Logf("%d chunks: %d MsgState frames, installed after %d ticks", chunks, frames, ticks)
+		if !bytes.Equal(state, bytes.Repeat([]byte{0xA5}, stateLen)) {
+			t.Fatalf("%d chunks: installed %d state bytes, not the leader's %d", chunks, len(state), stateLen)
+		}
+	}
+}
+
+// A replica serving a snapshot compacts nothing until the transfer ends:
+// a compaction would name a new snapshot and start the transfer over, so
+// under steady writes a transfer longer than the compaction cadence
+// would never finish.
+func TestStateTransferSurvivesCompaction(t *testing.T) {
+	stateLen := 64 * snapshot.ChunkSize
+	frames, _, ticks, state := stateTransfer(t, stateLen, 0, 0, nil, true)
+	t.Logf("%d state bytes under writes: %d MsgState frames, installed after %d ticks", stateLen, frames, ticks)
+	if !bytes.Equal(state, bytes.Repeat([]byte{0xA5}, stateLen)) {
+		t.Fatalf("installed %d state bytes, not the leader's %d", len(state), stateLen)
+	}
+	if frames > stateLen/snapshot.ChunkSize+1 {
+		t.Fatalf("%d MsgState frames for %d chunks: some chunk went twice", frames, stateLen/snapshot.ChunkSize+1)
 	}
 }

@@ -73,7 +73,7 @@ const (
 	MsgCommit
 	MsgHeartbeat
 	MsgCatchup  // follower asks for committed slots it is missing
-	MsgState    // state transfer: snapshot replacing compacted slots
+	MsgState    // state transfer: one chunk of the snapshot replacing compacted slots
 	MsgRead     // read probe: is this still the leader's ballot?
 	MsgReadResp // the probe's answer from an acceptor that holds it
 )
@@ -122,6 +122,8 @@ type Message struct {
 	Val      types.Value
 	Entries  []Entry   // Ack: the entries accepted above Commit; Commit: the catch-up batch
 	Commit   types.Seq // Accept, Heartbeat: leader's commit frontier; Ack, State: sender's
+	Offset   uint32    // State: the chunk's byte offset; Catchup: the offset the asker's receiver wants
+	Done     bool      // State: the chunk is the snapshot's last
 	Read     uint64    // Read, Accept: the leader's newest read round, echoed by ReadResp, Accepted (read.go)
 }
 
@@ -212,6 +214,10 @@ type Node struct {
 	compactSeq types.Seq
 	snapData   []byte
 	installed  *snapshot.Snapshot
+	recv       snapshot.Receiver // an incoming snapshot transfer
+	// holdCompact counts down the ticks Compact still refuses: it is
+	// reset whenever this replica serves a snapshot chunk.
+	holdCompact int
 
 	// Membership epochs, oldest first. A config chosen at slot i takes
 	// effect for slots >= i+Alpha; configs[0] is the bootstrap config.
@@ -433,7 +439,7 @@ func (n *Node) onAck(m Message) {
 		// An acker is committed past us and may have compacted the slots
 		// we are missing — leading now would no-op-fill chosen slots.
 		// Catch up from that acker and let the election timer retry.
-		n.send(Message{Kind: MsgCatchup, To: n.ackFrom, Slot: n.commitSeq + 1})
+		n.catchup(n.ackFrom)
 		return
 	}
 	n.becomeLeader()
@@ -587,8 +593,8 @@ func (n *Node) onHeartbeat(m Message) {
 	}
 	n.resetElectionTimer()
 	n.learnThrough(m.Ballot, m.Commit)
-	if m.Commit > n.commitSeq {
-		n.send(Message{Kind: MsgCatchup, To: m.From, Slot: n.commitSeq + 1})
+	if m.Commit > n.commitSeq && n.recv.Stalled() {
+		n.catchup(m.From)
 	}
 }
 
@@ -598,10 +604,19 @@ func (n *Node) onCatchup(m Message) {
 	// Any replica may serve catch-up: chosen values and snapshots are
 	// final facts, so a follower answering a deferring candidate is safe.
 	if m.Slot <= n.compactSeq && n.snapData != nil {
-		// The requested slots were compacted away: state-transfer the
-		// snapshot instead. The follower asks again for anything above it.
-		n.send(Message{Kind: MsgState, To: m.From, Val: types.Value(n.snapData), Commit: n.commitSeq})
-		return
+		// The requested slots were compacted away: send the snapshot's
+		// chunks from the asked offset to the end of its window instead,
+		// and compact nothing while the transfer lasts, which would start
+		// it over. The follower asks for the next window, and then for
+		// anything above the snapshot.
+		n.holdCompact = n.cfg.ElectionTimeoutTicks
+		for off := int(m.Offset); ; off += snapshot.ChunkSize {
+			chunk, done := snapshot.ChunkAt(n.snapData, off)
+			n.send(Message{Kind: MsgState, To: m.From, Slot: n.compactSeq, Val: types.Value(chunk), Offset: uint32(off), Done: done, Commit: n.commitSeq})
+			if done || (off+snapshot.ChunkSize)%snapshot.Window == 0 {
+				return
+			}
+		}
 	}
 	// Exact-capacity batch: the frontier bounds how many slots remain.
 	max := 64
@@ -612,9 +627,10 @@ func (n *Node) onCatchup(m Message) {
 		return
 	}
 	entries := make([]Entry, 0, max)
-	for s := m.Slot; s <= n.commitSeq && len(entries) < 64; s++ {
+	for s, size := m.Slot, 0; s <= n.commitSeq && len(entries) < 64 && size < snapshot.BatchBytes; s++ {
 		if sl := n.log.get(s); sl != nil && sl.learned {
 			entries = append(entries, Entry{Slot: s, Val: sl.chosen})
+			size += len(sl.chosen)
 		}
 	}
 	if len(entries) > 0 {
@@ -625,6 +641,7 @@ func (n *Node) onCatchup(m Message) {
 // Tick advances timers: leaders heartbeat, followers run election
 // timeouts, candidates retry.
 func (n *Node) Tick() {
+	n.holdCompact = max(n.holdCompact-1, 0)
 	switch n.role {
 	case leader:
 		n.hbCooldown--

@@ -119,6 +119,8 @@ type Message struct {
 	// InstallSnapshot: chunk byte offset (request: offset of Val;
 	// response: next offset the follower wants) and whether the chunk
 	// completes the snapshot (request) / the install finished (response).
+	// Success on a request asks for an answer even from a follower that
+	// already holds the chunk (raftsnap.go).
 	Offset uint32
 	Done   bool
 
@@ -158,7 +160,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxBatch bounds the entries one AppendEntries carries.
+// maxBatch bounds the entries one AppendEntries carries, and
+// snapshot.BatchBytes their values.
 const maxBatch = 64
 
 type role uint8
@@ -206,9 +209,10 @@ type Node struct {
 	selfRemovedAt types.Seq
 	passive       bool
 
-	// Chunk assembler for an incoming snapshot transfer (follower side).
-	asm      snapshot.Assembler
-	asmIndex types.Seq
+	recv snapshot.Receiver // an incoming snapshot transfer (follower side)
+	// holdCompact counts down the ticks Compact still refuses: it is
+	// reset whenever a follower's answer draws the next snapshot chunk.
+	holdCompact int
 	// installed surfaces the most recently installed snapshot so the
 	// host can restore its executor/state machine; drained by
 	// TakeInstalledSnapshot.
@@ -410,10 +414,11 @@ const (
 // Progress, minus the in-flight window: maxBatch and the acks pace
 // catch-up). The zero state is a probe.
 type progress struct {
-	state   progressState
-	match   types.Seq // highest index known to be in the follower's log
-	next    types.Seq // first index not sent yet (the probe's first index while probing)
-	snapOff int       // offset of the outstanding snapshot chunk
+	state    progressState
+	match    types.Seq // highest index known to be in the follower's log
+	next     types.Seq // first index not sent yet (the probe's first index while probing)
+	snapOff  int       // offset of the outstanding snapshot chunk
+	snapSeen int       // snapOff at the last heartbeat
 }
 
 // replicateAll offers every follower what it has not been sent. A round
@@ -471,6 +476,13 @@ func (n *Node) heartbeat() {
 		if pr.state == stateReplicate && pr.match+1 < pr.next {
 			pr.next = pr.match + 1
 		}
+		if pr.state == stateSnapshot {
+			// A transfer that stood still for a whole interval lost a chunk
+			// or the answer to it: the resend asks for an answer.
+			n.sendSnapChunk(p, pr.snapOff, pr.snapOff == pr.snapSeen)
+			pr.snapSeen = pr.snapOff
+			continue
+		}
 		n.sendNext(p, pr)
 	}
 	n.reask()
@@ -486,13 +498,14 @@ func (n *Node) sendNext(p types.NodeID, pr *progress) {
 		pr.state, pr.snapOff = stateSnapshot, 0
 	}
 	if pr.state == stateSnapshot {
-		n.sendSnapChunk(p, pr.snapOff)
+		n.sendSnapChunk(p, pr.snapOff, false)
 		return
 	}
 	prev := pr.next - 1
-	hi := n.lastIndex()
-	if max := prev + types.Seq(maxBatch); hi > max {
-		hi = max
+	hi := prev
+	for size := 0; hi < n.lastIndex() && hi-prev < maxBatch && size < snapshot.BatchBytes; {
+		hi++
+		size += len(n.at(hi).Val)
 	}
 	var batch []LogEntry
 	if hi >= pr.next {
@@ -734,6 +747,7 @@ func (n *Node) advanceCommit(to types.Seq) {
 
 // Tick advances timers.
 func (n *Node) Tick() {
+	n.holdCompact = max(n.holdCompact-1, 0)
 	switch n.role {
 	case leader:
 		n.hbIn--

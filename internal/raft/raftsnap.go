@@ -16,7 +16,8 @@ import (
 // carrying snapTerm, so the AppendEntries consistency check still works
 // at the boundary. A follower whose next index falls at or below
 // snapIndex cannot be caught up by entries — the leader streams the
-// snapshot in offset-resumable chunks instead (MsgSnap/MsgSnapResp) and
+// snapshot in offset-resumable chunks instead (MsgSnap/MsgSnapResp, into
+// the snapshot.Receiver Multi-Paxos' state transfer uses too) and
 // resumes replication above it once the follower reports the install.
 //
 // Membership uses the single-server change rule from Ongaro's
@@ -163,9 +164,10 @@ func (n *Node) membersAt(idx types.Seq) []types.NodeID {
 // application payload is state (the host's executor+state-machine
 // bytes). upTo must be applied already; compacting at or past the apply
 // frontier would discard entries the host never saw. Reports whether
-// anything was compacted.
+// anything was compacted: it refuses while a follower is taking a
+// snapshot transfer (holdCompact).
 func (n *Node) Compact(upTo types.Seq, state []byte) bool {
-	if upTo <= n.snapIndex || upTo > n.applied {
+	if upTo <= n.snapIndex || upTo > n.applied || n.CompactHeld() {
 		return false
 	}
 	term := n.at(upTo).Term
@@ -188,17 +190,16 @@ func (n *Node) Compact(upTo types.Seq, state []byte) bool {
 		}
 	}
 	n.confLog = keep
-	// In-flight transfer offsets point into the superseded snapshot.
-	for _, p := range n.members {
-		if pr := n.prs[p]; pr != nil && pr.state == stateSnapshot {
-			pr.snapOff = 0
-		}
-	}
 	return true
 }
 
-// sendSnapChunk sends p the chunk of the current snapshot at off.
-func (n *Node) sendSnapChunk(p types.NodeID, off int) {
+// CompactHeld reports whether Compact refuses for now: a snapshot
+// transfer this node serves is under way (holdCompact).
+func (n *Node) CompactHeld() bool { return n.holdCompact > 0 }
+
+// sendSnapChunk sends p the chunk of the current snapshot at off; ask
+// asks for an answer even if p already holds it.
+func (n *Node) sendSnapChunk(p types.NodeID, off int, ask bool) {
 	if n.snapData == nil {
 		return
 	}
@@ -206,15 +207,14 @@ func (n *Node) sendSnapChunk(p types.NodeID, off int) {
 	n.send(Message{
 		Kind: MsgSnap, To: p,
 		PrevIndex: n.snapIndex, PrevTerm: n.snapTerm,
-		LeaderCommit: n.commitIndex,
-		Val:          types.Value(chunk), Offset: uint32(off), Done: done,
+		LeaderCommit: n.commitIndex, Success: ask,
+		Val: types.Value(chunk), Offset: uint32(off), Done: done,
 	})
 }
 
-// onSnap handles one InstallSnapshot chunk at a follower. Chunks must
-// arrive in offset order; anything else is nacked with the offset the
-// follower wants next, which also makes the transfer resume cleanly
-// after message loss.
+// onSnap handles one InstallSnapshot chunk at a follower: the receiver
+// takes it, and the follower answers with the offset it wants next,
+// unless the chunk was one it already held and no answer was asked for.
 func (n *Node) onSnap(m Message) {
 	if m.Term < n.term {
 		n.send(Message{Kind: MsgSnapResp, To: m.From, Success: false, PrevIndex: m.PrevIndex})
@@ -227,40 +227,23 @@ func (n *Node) onSnap(m Message) {
 		n.send(Message{Kind: MsgSnapResp, To: m.From, Success: true, Done: true, MatchIndex: n.commitIndex})
 		return
 	}
-	if n.asmIndex != m.PrevIndex {
-		n.asm.Reset()
-		n.asmIndex = m.PrevIndex
-	}
-	if int(m.Offset) != n.asm.Offset() {
-		n.send(Message{Kind: MsgSnapResp, To: m.From, Success: false,
-			PrevIndex: m.PrevIndex, Offset: uint32(n.asm.Offset())})
-		return
-	}
-	n.asm.Add(int(m.Offset), []byte(m.Val))
-	if !m.Done {
+	raw, snap, ask := n.recv.Take(m.PrevIndex, int(m.Offset), m.Val, m.Done)
+	if snap != nil {
+		n.installSnapshot(*snap, raw)
+		n.send(Message{Kind: MsgSnapResp, To: m.From, Success: true, Done: true, MatchIndex: n.snapIndex})
+	} else if ask || m.Success {
 		n.send(Message{Kind: MsgSnapResp, To: m.From, Success: true,
-			PrevIndex: m.PrevIndex, Offset: uint32(n.asm.Offset())})
-		return
+			PrevIndex: m.PrevIndex, Offset: uint32(n.recv.Offset())})
 	}
-	raw := n.asm.Take()
-	n.asmIndex = 0
-	snap, err := snapshot.Decode(raw)
-	if err != nil || snap.LastIndex != m.PrevIndex {
-		// Corrupt or mismatched assembly: restart the transfer.
-		n.send(Message{Kind: MsgSnapResp, To: m.From, Success: false,
-			PrevIndex: m.PrevIndex, Offset: 0})
-		return
-	}
-	n.installSnapshot(snap, raw)
-	n.send(Message{Kind: MsgSnapResp, To: m.From, Success: true, Done: true, MatchIndex: n.snapIndex})
 }
 
 // installSnapshot replaces the node's log prefix and membership with the
-// snapshot's. The caller guarantees snap.LastIndex > commitIndex.
+// snapshot's, keeping raw, its encoding, which the caller hands over.
+// The caller guarantees snap.LastIndex > commitIndex.
 func (n *Node) installSnapshot(snap snapshot.Snapshot, raw []byte) {
 	n.snapIndex = snap.LastIndex
 	n.snapTerm = Term(snap.LastTerm)
-	n.snapData = append([]byte(nil), raw...)
+	n.snapData = raw
 	n.log = []LogEntry{{Term: n.snapTerm}}
 	n.commitIndex, n.applied = n.snapIndex, n.snapIndex
 	// Undrained decisions below the snapshot are subsumed by the
@@ -296,12 +279,11 @@ func (n *Node) onSnapResp(m Message) {
 	if pr.state != stateSnapshot {
 		return // ack of a transfer that has ended
 	}
-	// Progress ack or offset nack: either way the follower named the
-	// offset it wants next — of the current snapshot, or of a superseded
-	// one, which restarts the transfer.
+	// The follower named the offset it wants next. An offset into a
+	// superseded snapshot costs one chunk: the follower's receiver starts
+	// over and asks for 0. While it answers, compact nothing, which
+	// would start the transfer over.
 	pr.snapOff = int(m.Offset)
-	if m.PrevIndex != n.snapIndex {
-		pr.snapOff = 0
-	}
-	n.sendSnapChunk(m.From, pr.snapOff)
+	n.holdCompact = n.cfg.ElectionTimeoutTicks
+	n.sendSnapChunk(m.From, pr.snapOff, false)
 }

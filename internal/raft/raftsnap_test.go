@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"fortyconsensus/internal/kvstore"
+	"fortyconsensus/internal/runner"
+	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
@@ -510,5 +512,117 @@ func TestPersisterSnapshotThenSuffix(t *testing.T) {
 	// replaced its journal when the snapshot was written).
 	if err := p2.Sync(fresh); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// snapTransfer brings follower 2 of a 3-node cluster back after nodes 0
+// and 1 compacted their logs into a snapshot of the given number of
+// chunks, over links of 1–3 ticks that drop and duplicate at the given
+// rates. With writes, the leader proposes a value every tick of the
+// transfer and 0 and 1 try to compact through their frontier, as hosts
+// under load do. It returns the MsgSnap frames sent after the restart,
+// the ticks until 2 installed, and the state it installed.
+func snapTransfer(t *testing.T, chunks int, drop, dup float64, writes bool) (frames, ticks int, state []byte) {
+	t.Helper()
+	fab := simnet.NewFabric(simnet.Options{MinDelay: 1, MaxDelay: 3, Seed: 7})
+	c := runner.New(runner.Config[Message]{Fabric: fab, Dest: Dest, Src: Src, Kind: Kind})
+	peers := []types.NodeID{0, 1, 2}
+	nodes := make([]*Node, len(peers))
+	for i, id := range peers {
+		nodes[i] = New(id, Config{Peers: peers, Seed: 7})
+		c.Add(id, nodes[i])
+		c.Intercept(id, func(m Message) []Message {
+			if m.Kind == MsgSnap {
+				frames++
+			}
+			return []Message{m}
+		})
+	}
+	c.Crash(2)
+	var lead *Node
+	if !c.RunUntil(func() bool {
+		lead = nodes[0]
+		if !lead.IsLeader() {
+			lead = nodes[1]
+		}
+		return lead.IsLeader()
+	}, 1000) {
+		t.Fatal("no leader")
+	}
+	for i := 1; i <= 8; i++ {
+		lead.Submit(types.Value{byte(i)})
+	}
+	c.Run(50)
+	// The encoded snapshot is the state plus a few dozen header bytes.
+	want := bytes.Repeat([]byte{0xA5}, (chunks-1)*snapshot.ChunkSize+1)
+	for _, n := range nodes[:2] {
+		n.TakeDecisions()
+		if !n.Compact(n.CommitFrontier(), want) {
+			t.Fatalf("node %v: compact refused", n.id)
+		}
+	}
+	fab.SetDropRate(drop)
+	fab.SetDupRate(dup)
+	frames, start := 0, c.Now()
+	c.Restart(2)
+	var snap *snapshot.Snapshot
+	if !c.RunUntil(func() bool {
+		if writes {
+			lead.Submit(types.Value("w"))
+			for _, n := range nodes[:2] {
+				n.TakeDecisions()
+				n.Compact(n.CommitFrontier(), want)
+			}
+		}
+		snap = nodes[2].TakeInstalledSnapshot()
+		return snap != nil
+	}, 100*chunks+1000) {
+		t.Fatalf("%d chunks, drop %v, dup %v: no install after %d ticks and %d frames", chunks, drop, dup, c.Now()-start, frames)
+	}
+	return frames, c.Now() - start, snap.State
+}
+
+// A duplicate chunk draws no answer, so a transfer is one chain of
+// chunks: the leader sends each chunk once, plus at most one resend per
+// heartbeat, however long the transfer takes.
+func TestSnapshotTransferIsLinear(t *testing.T) {
+	for _, chunks := range []int{64, 256} {
+		frames, ticks, state := snapTransfer(t, chunks, 0, 0, false)
+		t.Logf("%d chunks: %d MsgSnap frames, installed after %d ticks", chunks, frames, ticks)
+		if len(state) != (chunks-1)*snapshot.ChunkSize+1 {
+			t.Fatalf("%d chunks: installed %d state bytes", chunks, len(state))
+		}
+		if bound := chunks + ticks/5 + 8; frames > bound {
+			t.Fatalf("%d chunks over %d ticks took %d MsgSnap frames, want at most %d", chunks, ticks, frames, bound)
+		}
+	}
+}
+
+// A lost chunk, a lost answer and a duplicated chunk all leave the
+// transfer moving: the heartbeat resends the outstanding chunk, and asks
+// for an answer once a whole interval has passed without one.
+func TestSnapshotTransferSurvivesDropAndDup(t *testing.T) {
+	for _, chunks := range []int{1, 4, 64, 256} {
+		frames, ticks, state := snapTransfer(t, chunks, 0.1, 0.1, false)
+		t.Logf("%d chunks: %d MsgSnap frames, installed after %d ticks", chunks, frames, ticks)
+		if want := bytes.Repeat([]byte{0xA5}, (chunks-1)*snapshot.ChunkSize+1); !bytes.Equal(state, want) {
+			t.Fatalf("%d chunks: installed %d state bytes, not the leader's %d", chunks, len(state), len(want))
+		}
+	}
+}
+
+// The leader compacts nothing while a follower takes a snapshot: a
+// compaction would name a new snapshot and start the transfer over, so
+// under steady writes a transfer longer than the compaction cadence
+// would never finish.
+func TestSnapshotTransferSurvivesCompaction(t *testing.T) {
+	const chunks = 64
+	frames, ticks, state := snapTransfer(t, chunks, 0, 0, true)
+	t.Logf("%d chunks under writes: %d MsgSnap frames, installed after %d ticks", chunks, frames, ticks)
+	if want := bytes.Repeat([]byte{0xA5}, (chunks-1)*snapshot.ChunkSize+1); !bytes.Equal(state, want) {
+		t.Fatalf("installed %d state bytes, not the leader's %d", len(state), len(want))
+	}
+	if bound := chunks + ticks/5 + 8; frames > bound {
+		t.Fatalf("%d chunks over %d ticks took %d MsgSnap frames, want at most %d: the transfer started over", chunks, ticks, frames, bound)
 	}
 }

@@ -17,6 +17,9 @@ type Module interface {
 // snapshot catch-up; raft.Node and multipaxos.Node provide it.
 type Compactor interface {
 	Compact(upTo types.Seq, state []byte) bool
+	// CompactHeld reports whether Compact refuses for now whatever it
+	// is offered (a snapshot transfer it serves would start over).
+	CompactHeld() bool
 	TakeInstalledSnapshot() *snapshot.Snapshot
 	// SnapshotIndex is the highest compacted slot, 0 for a dense log.
 	SnapshotIndex() types.Seq
@@ -162,8 +165,8 @@ func (r *Replica) serveReads() (dropped []types.Reply) {
 // reconfiguration epoch, nothing new applied), and one that cannot
 // compact always does.
 func (r *Replica) Compact() bool {
-	if r.comp == nil || r.err != nil {
-		return false
+	if r.comp == nil || r.err != nil || r.comp.CompactHeld() {
+		return false // a held module is not worth a state encoded for nothing
 	}
 	upTo, state := r.exec.NextSlot()-1, r.exec.SnapshotState()
 	if !r.comp.Compact(upTo, state) {

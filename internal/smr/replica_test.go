@@ -32,6 +32,8 @@ func (m *fakeModule) TakeInstalledSnapshot() *snapshot.Snapshot {
 	return s
 }
 
+func (m *fakeModule) CompactHeld() bool { return false }
+
 func (m *fakeModule) Compact(upTo types.Seq, state []byte) bool {
 	m.offered++
 	if m.refuse {

@@ -1,13 +1,16 @@
 package snapshot
 
-// Chunked, offset-resumable transfer. The sender slices one immutable
-// encoded snapshot into fixed-size chunks addressed by byte offset; the
-// receiver assembles them strictly in order, acknowledging the next
-// offset it needs. Because every chunk names its offset, a transfer
-// survives message loss, duplication, and leader retransmission from an
-// arbitrary position: the receiver simply re-states the offset it wants
-// and the sender resumes there. A new snapshot (different LastIndex)
-// resets the assembler.
+import "fortyconsensus/internal/types"
+
+// Chunked, offset-resumable transfer, the one both raft and Multi-Paxos
+// use. The sender slices one immutable encoded snapshot into fixed-size
+// chunks addressed by byte offset; the receiver assembles them in offset
+// order and asks for the next offset it needs (raft after every chunk,
+// Multi-Paxos after every Window). Because every chunk names its offset,
+// a transfer survives loss and retransmission from any position: the
+// receiver re-states the offset it wants and the sender resumes there.
+// A chunk the receiver already holds draws no answer, so a duplicated
+// chunk never starts a second chain of requests.
 
 // ChunkAt returns the chunk of data starting at off, at most ChunkSize
 // bytes, and whether it is the final chunk. It returns nil, true for an
@@ -27,31 +30,88 @@ func ChunkAt(data []byte, off int) ([]byte, bool) {
 // ChunkSize is the snapshot transfer chunk size.
 const ChunkSize = 4096
 
-// Assembler accumulates in-order chunks of one snapshot transfer.
-type Assembler struct {
-	buf []byte
+// Window is how much of a snapshot one Multi-Paxos pull asks for: a
+// pull at off is answered by the chunks from off to the next multiple of
+// Window, and taking the last of them asks for the next window.
+const Window = 16 * ChunkSize
+
+// BatchBytes bounds the values one catch-up batch carries (a raft
+// append, a Multi-Paxos MsgCommit): a batch stops at the entry that
+// reaches it, so it always carries one and stays far below a transport's
+// frame limit however large the entries are.
+const BatchBytes = 1 << 20
+
+// Receiver assembles the transfer of one snapshot, named by its
+// LastIndex. A chunk of another index starts the transfer over. The
+// blob grows in offset order; a chunk less than a Window past Offset
+// waits until the chunks before it arrive, as one pull's chunks may
+// overtake each other.
+type Receiver struct {
+	index types.Seq
+	buf   []byte
+	ahead map[int]pending // chunks past Offset, by offset
+	seen  [2]int          // Offset at the last two Stalled calls, older first
 }
 
-// Offset returns the next byte offset the assembler needs.
-func (a *Assembler) Offset() int { return len(a.buf) }
+type pending struct {
+	chunk []byte
+	last  bool
+}
 
-// Add appends a chunk that must start exactly at Offset(); it reports
-// whether the chunk was accepted. Out-of-order chunks are rejected
-// (the caller answers with the wanted Offset so the sender can resume).
-func (a *Assembler) Add(off int, chunk []byte) bool {
-	if off != len(a.buf) {
-		return false
+// Offset returns the next byte offset the receiver needs.
+func (r *Receiver) Offset() int { return len(r.buf) }
+
+// Stalled reports whether Offset has not moved since the call before
+// last: a host that calls it once a heartbeat re-asks only for a
+// transfer that lost a chunk or its request, not for a window still on
+// its way.
+func (r *Receiver) Stalled() bool {
+	stalled := r.seen[0] == len(r.buf)
+	r.seen = [2]int{r.seen[1], len(r.buf)}
+	return stalled
+}
+
+// Take steps one chunk at off of the snapshot whose LastIndex is index;
+// last marks the final chunk. Once the final chunk completes a blob that
+// decodes and covers index, Take returns it (raw, which the caller owns,
+// and decoded) and the receiver is empty again. Otherwise ask reports
+// whether the sender should be told Offset: yes after a new chunk or a
+// gap, and after a blob that failed to decode (the transfer restarts at
+// 0); no for a chunk the receiver already holds.
+func (r *Receiver) Take(index types.Seq, off int, chunk []byte, last bool) (raw []byte, snap *Snapshot, ask bool) {
+	if index != r.index {
+		r.reset(index)
 	}
-	a.buf = append(a.buf, chunk...)
-	return true
+	if off > len(r.buf) && off < len(r.buf)+Window {
+		if r.ahead == nil {
+			r.ahead = make(map[int]pending)
+		}
+		r.ahead[off] = pending{chunk, last}
+	}
+	if off != len(r.buf) {
+		return nil, nil, off > len(r.buf)
+	}
+	for !last {
+		r.buf = append(r.buf, chunk...)
+		next, ok := r.ahead[len(r.buf)]
+		if !ok {
+			return nil, nil, true
+		}
+		delete(r.ahead, len(r.buf))
+		chunk, last = next.chunk, next.last
+	}
+	raw = append(r.buf, chunk...)
+	r.reset(index)
+	s, err := Decode(raw)
+	if err != nil || s.LastIndex != index {
+		return nil, nil, true
+	}
+	return raw, &s, false
 }
 
-// Take returns the assembled bytes and resets the assembler.
-func (a *Assembler) Take() []byte {
-	b := a.buf
-	a.buf = nil
-	return b
+// reset empties the receiver for a transfer of index. An empty receiver
+// is stalled at once, so the next heartbeat asks for what it needs.
+func (r *Receiver) reset(index types.Seq) {
+	r.index, r.buf, r.seen = index, nil, [2]int{}
+	clear(r.ahead)
 }
-
-// Reset discards any partial transfer.
-func (a *Assembler) Reset() { a.buf = nil }

@@ -78,9 +78,9 @@ func TestDecodeVersionErrors(t *testing.T) {
 }
 
 func TestChunkTransferResume(t *testing.T) {
-	data := bytes.Repeat([]byte("0123456789"), 2000) // 20000 bytes: five chunks
+	data := Encode(Snapshot{LastIndex: 7, State: bytes.Repeat([]byte("0123456789"), 2000)}) // five chunks
 
-	var asm Assembler
+	var r Receiver
 	off := 0
 	steps := 0
 	for {
@@ -88,20 +88,20 @@ func TestChunkTransferResume(t *testing.T) {
 		chunk, done := ChunkAt(data, off)
 		// Lose every third chunk once: the sender retransmits from the
 		// receiver's stated offset.
-		if steps%3 == 0 && off == asm.Offset() && steps < 40 {
+		if steps%3 == 0 && off == r.Offset() && steps < 40 {
 			continue // dropped on the wire; receiver never saw it
 		}
-		if !asm.Add(off, chunk) {
-			off = asm.Offset() // receiver nacks with the offset it wants
-			continue
+		raw, snap, ask := r.Take(7, off, chunk, done)
+		if snap != nil {
+			if !bytes.Equal(raw, data) || snap.LastIndex != 7 {
+				t.Fatalf("assembled %d bytes through %d, want %d through 7", len(raw), snap.LastIndex, len(data))
+			}
+			return
 		}
-		if done {
-			break
+		if !ask {
+			t.Fatalf("step %d: a new chunk at %d drew no answer", steps, off)
 		}
-		off = asm.Offset()
-	}
-	if got := asm.Take(); !bytes.Equal(got, data) {
-		t.Fatalf("assembled %d bytes, want %d", len(got), len(data))
+		off = r.Offset() // the receiver answers with the offset it wants
 	}
 }
 
@@ -121,19 +121,85 @@ func TestChunkAtEdges(t *testing.T) {
 	}
 }
 
-func TestAssemblerRejectsOutOfOrder(t *testing.T) {
-	var a Assembler
-	if !a.Add(0, []byte("ab")) {
-		t.Fatal("in-order chunk rejected")
+// A gap is answered with the offset the receiver wants; a chunk it
+// already holds is not, so a duplicated chunk never starts a second
+// chain of requests. A chunk of another index starts the transfer over,
+// and a blob that does not decode to its index restarts it at 0.
+func TestReceiverTakesChunksInOrder(t *testing.T) {
+	data := Encode(Snapshot{LastIndex: 9, State: bytes.Repeat([]byte{7}, ChunkSize)}) // two chunks
+	first, _ := ChunkAt(data, 0)
+	var r Receiver
+	if _, _, ask := r.Take(9, 0, first, false); !ask || r.Offset() != ChunkSize {
+		t.Fatalf("in-order chunk: ask %v, offset %d", ask, r.Offset())
 	}
-	if a.Add(5, []byte("zz")) {
-		t.Fatal("gap chunk accepted")
+	if _, _, ask := r.Take(9, 0, first, false); ask || r.Offset() != ChunkSize {
+		t.Fatalf("duplicate chunk: ask %v, offset %d", ask, r.Offset())
 	}
-	if a.Add(0, []byte("ab")) {
-		t.Fatal("duplicate chunk accepted")
+	if _, _, ask := r.Take(9, 2*ChunkSize, []byte("zz"), false); !ask || r.Offset() != ChunkSize {
+		t.Fatalf("gap chunk: ask %v, offset %d", ask, r.Offset())
 	}
-	if a.Offset() != 2 {
-		t.Fatalf("offset %d want 2", a.Offset())
+	if _, _, ask := r.Take(10, ChunkSize, []byte("zz"), false); !ask || r.Offset() != 0 {
+		t.Fatalf("chunk of a newer snapshot: ask %v, offset %d, want a restart at 0", ask, r.Offset())
+	}
+	r.Take(9, 0, first, false)
+	if _, snap, ask := r.Take(9, ChunkSize, []byte("not the rest"), true); snap != nil || !ask || r.Offset() != 0 {
+		t.Fatalf("corrupt blob: snap %v, ask %v, offset %d", snap != nil, ask, r.Offset())
+	}
+	whole := Encode(Snapshot{LastIndex: 8})
+	if _, snap, _ := r.Take(9, 0, whole, true); snap != nil || r.Offset() != 0 {
+		t.Fatal("a blob through 8 installed as the snapshot through 9")
+	}
+	raw, snap, ask := r.Take(8, 0, whole, true)
+	if snap == nil || snap.LastIndex != 8 || !bytes.Equal(raw, whole) || ask {
+		t.Fatalf("whole snapshot in one chunk: snap %+v, ask %v", snap, ask)
+	}
+}
+
+// One pull's chunks may overtake each other: a chunk less than a Window
+// past Offset waits for the ones before it; one farther is let go.
+func TestReceiverHoldsChunksThatOvertake(t *testing.T) {
+	data := Encode(Snapshot{LastIndex: 5, State: bytes.Repeat([]byte{3}, Window)}) // one chunk past a window
+	var r Receiver
+	for _, off := range []int{Window, 2 * ChunkSize, ChunkSize} {
+		chunk, last := ChunkAt(data, off)
+		if _, snap, ask := r.Take(5, off, chunk, last); snap != nil || !ask || r.Offset() != 0 {
+			t.Fatalf("chunk at %d before 0: ask %v, offset %d", off, ask, r.Offset())
+		}
+	}
+	first, _ := ChunkAt(data, 0)
+	if _, _, ask := r.Take(5, 0, first, false); !ask || r.Offset() != 3*ChunkSize {
+		t.Fatalf("the overtaken first chunk: ask %v, offset %d, want the held two taken after it", ask, r.Offset())
+	}
+	var raw []byte
+	var snap *Snapshot
+	for off := r.Offset(); snap == nil && off < len(data); off += ChunkSize {
+		chunk, last := ChunkAt(data, off)
+		raw, snap, _ = r.Take(5, off, chunk, last)
+	}
+	if snap == nil || !bytes.Equal(raw, data) {
+		t.Fatal("the snapshot did not install byte-identical")
+	}
+}
+
+// Stalled is true at a transfer's start, once Offset has stood still
+// for two calls (not after one: a window may still be on its way), and
+// right after the transfer starts over.
+func TestReceiverStalled(t *testing.T) {
+	var r Receiver
+	if !r.Stalled() {
+		t.Fatal("a receiver with nothing is not stalled")
+	}
+	data := Encode(Snapshot{LastIndex: 5, State: bytes.Repeat([]byte{3}, ChunkSize)})
+	first, _ := ChunkAt(data, 0)
+	r.Take(5, 0, first, false)
+	for i, want := range []bool{false, false, true, true} {
+		if got := r.Stalled(); got != want {
+			t.Fatalf("call %d after a chunk: stalled %v, want %v", i+1, got, want)
+		}
+	}
+	r.Take(6, ChunkSize, first, false) // a newer snapshot: the transfer starts over
+	if !r.Stalled() {
+		t.Fatal("a receiver that started over is not stalled")
 	}
 }
 

@@ -9,9 +9,10 @@
 # only catch up through a snapshot transfer — asserted via admin
 # status), votes an original node out and kills it, pushes a final
 # burst through the reshaped cluster, and requires clean SIGTERM exits.
-# Then a second, Multi-Paxos cluster takes a read-heavy burst (95% Gets,
-# which are served beside the log), loses its shard-0 leader to kill -9,
-# and takes another. Every burst is checked by consensus-load itself: it
+# Then a second, Multi-Paxos cluster, compacting too, takes a read-heavy
+# burst (95% Gets, which are served beside the log), grows to 4 with a
+# joiner that can only catch up through a snapshot transfer, loses its
+# shard-0 leader to kill -9, and takes another. Every burst is checked by consensus-load itself: it
 # exits nonzero if nothing committed or if the counters it incremented
 # did not rise by what the cluster acknowledged.
 set -u
@@ -21,11 +22,11 @@ set -u
 # is about to bind.
 BASE_PORT="${SMOKE_BASE_PORT:-29531}"
 DIR="$(mktemp -d)"
-P0=""; P1=""; P2=""; P3=""; M0=""; M1=""; M2=""
+P0=""; P1=""; P2=""; P3=""; M0=""; M1=""; M2=""; M3=""
 FAIL=0
 
 cleanup() {
-    for pid in "$P0" "$P1" "$P2" "$P3" "$M0" "$M1" "$M2"; do
+    for pid in "$P0" "$P1" "$P2" "$P3" "$M0" "$M1" "$M2" "$M3"; do
         [ -n "$pid" ] && kill -9 "$pid" 2>/dev/null
     done
     rm -rf "$DIR"
@@ -78,12 +79,12 @@ echo "serve-smoke: load burst 1 (full cluster)"
 "$DIR/consensus-load" -addrs "$PEERS" -duration 2s -workers 8 -session 110000 \
     || die "load burst 1 committed nothing, or not what it acknowledged"
 
-# Every original node must have compacted before the join: the joiner's
-# log prefix is then gone cluster-wide, so only an InstallSnapshot can
-# catch it up.
+# compacted <addr...> — every node named has compacted. Before a join:
+# the joiner's log prefix is then gone cluster-wide, so only a snapshot
+# transfer can catch it up.
 compacted() {
     local addr out
-    for addr in "$A0" "$A1" "$A2"; do
+    for addr in "$@"; do
         out=$(status_of "$addr") || return 1
         echo "$out" | grep -q '"snap_index": 0[^0-9]' && return 1
         echo "$out" | grep -q '"snap_index":' || return 1
@@ -91,7 +92,7 @@ compacted() {
     return 0
 }
 echo "serve-smoke: waiting for every node to compact"
-poll_until 20 "log compaction on all nodes" compacted
+poll_until 20 "log compaction on all nodes" compacted "$A0" "$A1" "$A2"
 
 echo "serve-smoke: joining node 3 on $A3"
 "$DIR/consensus-serve" -id 3 -peers "$PEERS4" -tick 1ms -join -snapshot-every 8 >"$DIR/n3.log" 2>&1 & P3=$!
@@ -99,11 +100,12 @@ sleep 0.5
 "$DIR/consensus-admin" -addrs "$PEERS" add-node 3 "$A3" \
     || die "add-node was not submitted on any node"
 
-# Snapshot catch-up assertion: the joiner must report at least one
-# installed snapshot and a 4-member config on every shard group.
+# joined <addr> — snapshot catch-up assertion: the joiner (node 3) must
+# report at least one installed snapshot and a 4-member config on every
+# shard group.
 joined() {
     local out
-    out=$(status_of "$A3") || return 1
+    out=$(status_of "$1") || return 1
     echo "$out" | grep -q '"installs": 0[^0-9]' && return 1
     echo "$out" | grep -q '"installs":' || return 1
     # Inside the indented members arrays, ids sit alone on a line; the
@@ -111,7 +113,7 @@ joined() {
     [ "$(echo "$out" | grep -c '^[[:space:]]*3$')" -ge 2 ]
 }
 echo "serve-smoke: waiting for node 3 to catch up via snapshot"
-poll_until 30 "joiner snapshot install + 4-member config" joined
+poll_until 30 "joiner snapshot install + 4-member config" joined "$A3"
 
 echo "serve-smoke: load burst 2 (4-node cluster)"
 "$DIR/consensus-load" -addrs "$PEERS4" -duration 2s -workers 8 -session 120000 \
@@ -163,23 +165,36 @@ done
 B0="127.0.0.1:$((BASE_PORT + 4))"
 B1="127.0.0.1:$((BASE_PORT + 5))"
 B2="127.0.0.1:$((BASE_PORT + 6))"
+B3="127.0.0.1:$((BASE_PORT + 7))"
 MPEERS="$B0,$B1,$B2"
-echo "serve-smoke: starting 3-node multipaxos cluster on $MPEERS"
-"$DIR/consensus-serve" -id 0 -peers "$MPEERS" -tick 1ms -backend multipaxos >"$DIR/m0.log" 2>&1 & M0=$!
-"$DIR/consensus-serve" -id 1 -peers "$MPEERS" -tick 1ms -backend multipaxos >"$DIR/m1.log" 2>&1 & M1=$!
-"$DIR/consensus-serve" -id 2 -peers "$MPEERS" -tick 1ms -backend multipaxos >"$DIR/m2.log" 2>&1 & M2=$!
+MPEERS4="$MPEERS,$B3"
+echo "serve-smoke: starting 3-node multipaxos cluster on $MPEERS (snapshot-every 8)"
+"$DIR/consensus-serve" -id 0 -peers "$MPEERS" -tick 1ms -backend multipaxos -snapshot-every 8 >"$DIR/m0.log" 2>&1 & M0=$!
+"$DIR/consensus-serve" -id 1 -peers "$MPEERS" -tick 1ms -backend multipaxos -snapshot-every 8 >"$DIR/m1.log" 2>&1 & M1=$!
+"$DIR/consensus-serve" -id 2 -peers "$MPEERS" -tick 1ms -backend multipaxos -snapshot-every 8 >"$DIR/m2.log" 2>&1 & M2=$!
 sleep 1
 
-# mp_burst <session> — a read-heavy burst that must verify with no errors.
+# mp_burst <session> <addrs> — a read-heavy burst that must verify with
+# no errors.
 mp_burst() {
     local out
-    out=$("$DIR/consensus-load" -addrs "$MPEERS" -duration 2s -workers 8 -write-pct 5 -session "$1") \
+    out=$("$DIR/consensus-load" -addrs "$2" -duration 2s -workers 8 -write-pct 5 -session "$1") \
         || die "multipaxos burst (session $1) committed nothing, or not what it acknowledged: $out"
     echo "$out" | grep -q 'errors=0 ' || die "multipaxos burst (session $1) had failed operations: $out"
     echo "$out" | grep 'latency_us\|verified'
 }
 echo "serve-smoke: multipaxos burst 1 (95% reads)"
-mp_burst 140000
+mp_burst 140000 "$MPEERS"
+
+echo "serve-smoke: waiting for every multipaxos node to compact"
+poll_until 20 "multipaxos log compaction on all nodes" compacted "$B0" "$B1" "$B2"
+echo "serve-smoke: joining multipaxos node 3 on $B3"
+"$DIR/consensus-serve" -id 3 -peers "$MPEERS4" -tick 1ms -join -backend multipaxos -snapshot-every 8 >"$DIR/m3.log" 2>&1 & M3=$!
+sleep 0.5
+"$DIR/consensus-admin" -addrs "$MPEERS" add-node 3 "$B3" \
+    || die "multipaxos add-node was not submitted on any node"
+echo "serve-smoke: waiting for multipaxos node 3 to catch up via snapshot"
+poll_until 30 "multipaxos joiner snapshot install + 4-member config" joined "$B3"
 
 # leads_shard0 <addr> — succeeds if the node at addr leads shard 0.
 leads_shard0() {
@@ -189,7 +204,7 @@ leads_shard0() {
 }
 LEAD=""
 for _ in $(seq 1 50); do
-    for i in 0 1 2; do
+    for i in 0 1 2 3; do
         eval "addr=\$B$i"
         leads_shard0 "$addr" && LEAD=$i && break 2
     done
@@ -202,14 +217,15 @@ kill -9 "$LPID" 2>/dev/null
 wait "$LPID" 2>/dev/null
 eval "M$LEAD=''"
 
+# Three of four remain: still a majority of the 4-member config.
 echo "serve-smoke: multipaxos burst 2 (after the leader's kill)"
-mp_burst 150000
+mp_burst 150000 "$MPEERS4"
 
-for pid in "$M0" "$M1" "$M2"; do
+for pid in "$M0" "$M1" "$M2" "$M3"; do
     [ -n "$pid" ] || continue
     kill -TERM "$pid"
     wait "$pid" || die "multipaxos node (pid $pid) exited nonzero on SIGTERM"
 done
-M0=""; M1=""; M2=""
+M0=""; M1=""; M2=""; M3=""
 
-echo "serve-smoke: PASS (survivors committed $TOTAL ops; join-by-snapshot and removal verified; multipaxos reads verified across a leader kill)"
+echo "serve-smoke: PASS (survivors committed $TOTAL ops; join-by-snapshot and removal verified on raft; multipaxos join-by-snapshot and reads verified across a leader kill)"
