@@ -66,13 +66,16 @@ test-race:
 # compact → re-add → InstallSnapshot pipeline the generator finds. The
 # last two put the trusted-counter pair under loss, duplication and a
 # muted or duplicating replica: both used to break log-prefix agreement
-# there, and a view change (CheapSwitch) is where they did.
+# there, and a view change (CheapSwitch) is where they did. The last puts
+# Multi-Paxos under loss: its tick push and the catch-up request that
+# rewinds it are what heal a lost Accept or Commit.
 explore:
 	$(GO) run ./cmd/consensus-explore -protocol all -seeds 48 -faults 4 -workers 0
 	$(GO) run ./cmd/consensus-explore -protocol raft -seeds 96 -faults 5 -workers 0 -classes drop,dup,delay,crash,partition
 	$(GO) run ./cmd/consensus-explore -protocol raft-member -seeds 128 -faults 3 -workers 0 -classes rmnode,crash,partition
 	$(GO) run ./cmd/consensus-explore -protocol minbft -seeds 600 -faults 4 -workers 0 -classes crash,partition,drop,dup,delay,byz
 	$(GO) run ./cmd/consensus-explore -protocol cheapbft -seeds 600 -faults 4 -workers 0 -classes crash,partition,drop,dup,delay,byz
+	$(GO) run ./cmd/consensus-explore -protocol multipaxos -seeds 300 -faults 4 -workers 0 -classes drop,dup,delay,crash,partition
 
 # The examples sit on the protocol packages' Cluster API — tcpraft on
 # internal/live over localhost TCP — and have no tests of their own:

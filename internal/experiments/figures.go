@@ -102,7 +102,10 @@ func F3FlexibleQuorums() Result {
 	for q2 := 1; q2 <= 3; q2++ {
 		q := quorum.Flexible{N: 5, Q1: 5 - q2 + 1, Q2: q2}
 		fab := simnet.NewFabric(simnet.Options{Seed: 42})
-		c := multipaxos.NewCluster(5, fab, multipaxos.Config{Seed: 42, Quorums: q}, nil)
+		// The election timeout outlasts a round trip on the slow links
+		// (80–100 ticks): a slow acceptor's timer must not depend on how
+		// the link delays happen to fall.
+		c := multipaxos.NewCluster(5, fab, multipaxos.Config{Seed: 42, Quorums: q, ElectionTimeoutTicks: 100}, nil)
 		lead := c.WaitLeader(1000)
 		if lead == nil {
 			panic(fmt.Sprintf("F3: no leader under %s", q.Describe()))

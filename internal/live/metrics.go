@@ -37,7 +37,7 @@ type ServerMetrics struct {
 	peerDecodeErrors atomic.Uint64 // peer frames that did not decode
 
 	// Reads, served beside the log: answered, dropped as the module
-	// stopped leading, probes sent, answered only after a heartbeat re-ask.
+	// stopped leading, probes sent, answered only after a tick re-asked.
 	readsServed, readsDropped, readProbes, readsReasked atomic.Uint64
 
 	started time.Time

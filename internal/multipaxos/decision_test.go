@@ -15,17 +15,10 @@ import (
 // trio is three nodes; nobody leads until elect.
 type trio struct {
 	tb    testing.TB
-	nodes [3]*Node
+	nodes []*Node
 }
 
-func newTrio(tb testing.TB) *trio {
-	g := &trio{tb: tb}
-	peers := []types.NodeID{0, 1, 2}
-	for i := range g.nodes {
-		g.nodes[i] = New(types.NodeID(i), Config{Peers: peers, Seed: 41})
-	}
-	return g
-}
+func newTrio(tb testing.TB) *trio { return newGroup(tb, 3) }
 
 // pump delivers what the nodes have drained, and what that makes them
 // send, until the group is quiet; drop (if non-nil) loses a message.
@@ -66,13 +59,15 @@ func (g *trio) elect(id types.NodeID, drop func(Message) bool) *Node {
 	return n
 }
 
-// heartbeat runs lead's clock through one heartbeat interval and
-// delivers what that sends.
+// heartbeat runs lead's clock through one heartbeat interval,
+// delivering what each tick sends before the next.
 func (g *trio) heartbeat(lead *Node) []Message {
+	var sent []Message
 	for i := 0; i < lead.cfg.HeartbeatTicks; i++ {
 		lead.Tick()
+		sent = append(sent, g.pump(nil)...)
 	}
-	return g.pump(nil)
+	return sent
 }
 
 // decided checks that every node has decided exactly want, in order.
@@ -98,27 +93,49 @@ func kinds(sent []Message) map[MsgKind]int {
 	return count
 }
 
-func TestPipelinedSubmitsCostFourMessagesEach(t *testing.T) {
+// pushes are the heartbeats in sent that carry chosen slots.
+func pushes(sent []Message) []Message {
+	var out []Message
+	for _, m := range sent {
+		if m.Kind == MsgHeartbeat && len(m.Entries) > 0 {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// Pipelined submits go to the pick alone, an accept and an accepted per
+// value; the first tick sends the other follower every decided value in
+// one unanswered heartbeat.
+func TestPipelinedSubmitsCostTwoMessagesEach(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
 	for i := 0; i < 32; i++ {
 		lead.Submit(types.Value(fmt.Sprintf("v%d", i)))
 	}
 	sent := g.pump(nil)
-	// 2 accepts and 2 accepteds per value and nothing for the decisions:
-	// raft's append/ack.
-	if k := kinds(sent); len(sent) != 4*32 || k[MsgAccept] != 2*32 || k[MsgAccepted] != 2*32 {
-		t.Fatalf("32 pipelined submits cost %d messages (%v), want 64 accepts and 64 accepteds", len(sent), k)
+	// 1 accept and 1 accepted per value and nothing for the decisions:
+	// raft's append/ack to its Threshold()−1 picks.
+	if k := kinds(sent); len(sent) != 2*32 || k[MsgAccept] != 32 || k[MsgAccepted] != 32 {
+		t.Fatalf("32 pipelined submits cost %d messages (%v), want 32 accepts and 32 accepteds", len(sent), k)
 	}
 	if lead.CommitFrontier() != 32 {
 		t.Fatalf("leader decided %d of 32", lead.CommitFrontier())
 	}
 	// All 32 accepts left before the first vote came back, so none of them
-	// carried a frontier.
+	// carried a frontier; node 1 was sent nothing.
 	for _, n := range g.nodes[1:] {
 		if n.CommitFrontier() != 0 {
 			t.Fatalf("node %v learned %d slots with no frame to learn them from", n.id, n.CommitFrontier())
 		}
+	}
+	lead.Tick()
+	push := g.pump(nil)
+	if len(push) != 1 || push[0].Kind != MsgHeartbeat || push[0].To != 1 || len(push[0].Entries) != 32 {
+		t.Fatalf("the tick sent %+v, want one heartbeat of 32 to node 1", push)
+	}
+	if got := g.nodes[1].CommitFrontier(); got != 32 {
+		t.Fatalf("node 1 learned %d of the 32 slots the tick sent it", got)
 	}
 }
 
@@ -145,8 +162,8 @@ func TestCommitAdvanceSendsNothing(t *testing.T) {
 	}
 	lead.Submit(types.Value("b"))
 	out := lead.Drain()
-	if len(out) != 2 {
-		t.Fatalf("the next submit sent %d messages, want one accept per acceptor", len(out))
+	if len(out) != 1 {
+		t.Fatalf("the next submit sent %d messages, want one accept to the pick", len(out))
 	}
 	for _, m := range out {
 		if m.Kind != MsgAccept || m.Slot != 2 || m.Commit != 1 {
@@ -159,9 +176,11 @@ func TestCommitAdvanceSendsNothing(t *testing.T) {
 	}
 }
 
-// When the traffic stops, the last decisions reach the acceptors on the
-// heartbeat: within HeartbeatTicks, one frame each, and nobody has to
-// ask for a value it already holds.
+// When the traffic stops, the last decisions reach the acceptors within
+// HeartbeatTicks, one frame each, and nobody has to ask for a value it
+// already holds: the follower the submits skipped in the tick's push, a
+// heartbeat that names them, and the pick in a bare heartbeat — the one
+// follower no frame this interval told the frontier.
 func TestIdleFollowersLearnTheLastCommitAtTheHeartbeat(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
@@ -172,23 +191,27 @@ func TestIdleFollowersLearnTheLastCommitAtTheHeartbeat(t *testing.T) {
 	g.pump(nil)
 	sent := g.heartbeat(lead)
 	g.decided(vals...)
-	if k := kinds(sent); len(sent) != 2 || k[MsgHeartbeat] != 2 {
-		t.Fatalf("the heartbeat round cost %d messages (%v), want 2 heartbeats", len(sent), k)
+	if k := kinds(sent); len(sent) != 2 || k[MsgHeartbeat] != 2 || len(sent[0].Entries) != 3 || len(sent[1].Entries) != 0 {
+		t.Fatalf("the heartbeat interval cost %d messages (%v), want a push of 3 slots and a bare heartbeat", len(sent), k)
+	}
+	if sent[0].To != 1 || sent[1].To != 2 {
+		t.Fatalf("the push went to %v and the bare heartbeat to %v, want 1 and 2", sent[0].To, sent[1].To)
 	}
 }
 
 // The rule that makes the frontier safe. Node 0 holds (b_old, 1, x): it
 // proposed x as leader and nobody heard. Node 2 then leads under b with
 // node 1's vote, decides y at slot 1, and node 0 misses that Accept too.
-// The first frame of b that reaches node 0 is Accept(b, 2, z, Commit: 1):
-// it holds a value at slot 1 and the leader says slot 1 is decided, but
-// the value is from another ballot and is not the one decided.
+// Node 1's vote for z at slot 2 is lost, so the tick sends node 0
+// Accept(b, 2, z, Commit: 1), and the push naming y beside it is lost:
+// node 0 holds a value at slot 1 and the leader says slot 1 is decided,
+// but the value is from another ballot and is not the one decided.
 func TestFrontierNeverLearnsASlotAcceptedUnderAnOlderBallot(t *testing.T) {
 	g := newTrio(t)
 	x, y, z := types.Value("x"), types.Value("y"), types.Value("z")
 	deposed := g.elect(0, nil)
 	deposed.Submit(x)
-	deposed.Drain() // both accepts lost
+	deposed.Drain() // the accept is lost
 	if e := deposed.log.get(1); !e.val.Equal(x) {
 		t.Fatalf("node 0 holds %+v at slot 1, want x under its own ballot", e)
 	}
@@ -202,9 +225,14 @@ func TestFrontierNeverLearnsASlotAcceptedUnderAnOlderBallot(t *testing.T) {
 	}
 
 	lead.Submit(z)
+	g.pump(func(m Message) bool { return m.Kind == MsgAccepted })
+	lead.Tick()
 	var stamped bool
-	for _, m := range g.pump(nil) {
+	for _, m := range lead.Drain() {
 		stamped = stamped || (m.Kind == MsgAccept && m.To == 0 && m.Slot == 2 && m.Commit == 1)
+		if len(pushes([]Message{m})) == 0 {
+			g.nodes[m.To].Step(m)
+		}
 	}
 	if !stamped {
 		t.Fatal("node 0 was not sent Accept(b, 2, z, Commit: 1)")
@@ -216,16 +244,20 @@ func TestFrontierNeverLearnsASlotAcceptedUnderAnOlderBallot(t *testing.T) {
 		t.Fatalf("node 0 learned %+v from a frontier covering a slot it accepted under %v",
 			ds, deposed.log.get(1).num)
 	}
+	g.pump(nil) // node 0's vote decides z
 
 	// The heartbeat names the frontier again; node 0 still cannot take its
 	// own word for slot 1, asks, and is told y.
 	sent := g.heartbeat(lead)
-	if k := kinds(sent); k[MsgCatchup] != 1 || k[MsgCommit] != 1 {
-		t.Fatalf("heartbeat round %v, want one catch-up request and one batch", k)
+	if k := kinds(sent); k[MsgCatchup] != 1 || len(pushes(sent)) != 1 {
+		t.Fatalf("heartbeat interval %v, want one catch-up request and one push", k)
 	}
 	g.decided(y, z)
 }
 
+// An Accept lost on its way to the pick costs a tick: the tick sends the
+// other follower the slot, whose vote decides it. The pick takes the
+// slots around the hole, asks for it at the heartbeat, and is sent it.
 func TestLostAcceptIsHealedFromTheHeartbeat(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
@@ -233,13 +265,14 @@ func TestLostAcceptIsHealedFromTheHeartbeat(t *testing.T) {
 	for _, v := range vals {
 		lead.Submit(v)
 	}
-	g.pump(func(m Message) bool { return m.Kind == MsgAccept && m.To == 1 && m.Slot == 2 })
-	if lead.CommitFrontier() != 3 {
-		t.Fatalf("leader decided %d of 3 with node 2 voting", lead.CommitFrontier())
+	g.pump(func(m Message) bool { return m.Kind == MsgAccept && m.To == 2 && m.Slot == 2 })
+	if lead.CommitFrontier() != 1 {
+		t.Fatalf("leader's frontier is %d with the pick's vote for slot 2 lost, want 1", lead.CommitFrontier())
 	}
-	// Node 1 takes slot 1 from the frontier, stops at the hole, and asks
-	// from there; node 2 takes all three and asks for nothing.
 	sent := g.heartbeat(lead)
+	if lead.CommitFrontier() != 3 {
+		t.Fatalf("leader decided %d of 3 a heartbeat interval later", lead.CommitFrontier())
+	}
 	g.decided(vals...)
 	var asked []Message
 	for _, m := range sent {
@@ -247,19 +280,19 @@ func TestLostAcceptIsHealedFromTheHeartbeat(t *testing.T) {
 			asked = append(asked, m)
 		}
 	}
-	if len(asked) != 1 || asked[0].From != 1 || asked[0].Slot != 2 {
-		t.Fatalf("catch-up requests %+v, want one from node 1 starting at slot 2", asked)
+	if len(asked) != 1 || asked[0].From != 2 || asked[0].Slot != 2 {
+		t.Fatalf("catch-up requests %+v, want one from node 2 starting at slot 2", asked)
 	}
 
-	// A catch-up request that was duplicated on the way is answered again,
-	// with slots its sender has since learned from the frontier: learning
-	// a slot twice with one value is not an event.
+	// A catch-up request that was duplicated on the way rewinds the push
+	// again, and is answered with slots its sender has since learned:
+	// learning a slot twice with one value is not an event.
 	for _, n := range g.nodes[1:] {
 		n.TakeDecisions()
 		lead.Step(Message{Kind: MsgCatchup, From: n.id, To: lead.id, Slot: 1})
 	}
-	if k := kinds(g.pump(nil)); k[MsgCommit] != 2 {
-		t.Fatalf("answers to the repeated requests: %v, want 2 batches", k)
+	if sent := g.pump(nil); len(sent) != 2 || len(pushes(sent)) != 2 {
+		t.Fatalf("answers to the repeated requests: %v, want 2 pushes", kinds(sent))
 	}
 	g.decided(vals...)
 	for _, n := range g.nodes[1:] {

@@ -125,7 +125,13 @@ func (n *Node) confAllowed(v types.Value) bool {
 // suffix, so compaction is refused when it would delete such an entry
 // (upTo at or past a choose slot whose epoch activates above upTo+1),
 // and while this replica serves a snapshot transfer (holdCompact).
-// Reports whether anything was compacted.
+// Reports whether anything was compacted. A leader first pushes each
+// follower not yet sent upTo: a tick's lag is not worth a snapshot.
+//
+// The snapshot's LastTerm is 0: Multi-Paxos never reads it, and a
+// replica's ballot is no fact about slot upTo, so every replica that
+// compacts upTo with the same state writes the same bytes — which a
+// transfer that switches sender mid-way relies on.
 func (n *Node) Compact(upTo types.Seq, state []byte) bool {
 	if upTo <= n.compactSeq || upTo > n.commitSeq || n.CompactHeld() {
 		return false
@@ -135,10 +141,17 @@ func (n *Node) Compact(upTo types.Seq, state []byte) bool {
 			return false
 		}
 	}
+	if n.role == leader {
+		for _, p := range n.latestMembers() {
+			if pr := n.prs[p]; pr != nil && pr.sent < upTo {
+				n.push(p, pr)
+			}
+		}
+	}
 	snap := snapshot.Snapshot{
-		LastIndex: upTo, LastTerm: n.ballot.Num,
-		Members: append([]types.NodeID(nil), n.membersFor(upTo+1)...),
-		State:   state,
+		LastIndex: upTo,
+		Members:   append([]types.NodeID(nil), n.membersFor(upTo+1)...),
+		State:     state,
 	}
 	n.snapData = snapshot.Encode(snap)
 	n.compactSeq = upTo

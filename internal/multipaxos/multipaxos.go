@@ -12,6 +12,10 @@
 // and an acceptor learns from it the slots it accepted under that same
 // ballot (see learnThrough).
 //
+// Phase 2 goes to a quorum: an Accept leaves at once only for the Q2−1
+// acceptors that answered the highest slots, and once a tick the leader
+// pushes every other follower what it has not been sent.
+//
 // Flexible Paxos is the same node with Config.Quorums set: phase 1 waits
 // for Q1 votes and phase 2 for Q2 instead of a majority each, and
 // nothing else — message flow, catch-up, compaction — differs.
@@ -120,7 +124,7 @@ type Message struct {
 	Ballot   types.Ballot
 	Slot     types.Seq
 	Val      types.Value
-	Entries  []Entry   // Ack: the entries accepted above Commit; Commit: the catch-up batch
+	Entries  []Entry   // Ack: the entries accepted above Commit; Commit, Heartbeat: chosen slots
 	Commit   types.Seq // Accept, Heartbeat: leader's commit frontier; Ack, State: sender's
 	Offset   uint32    // State: the chunk's byte offset; Catchup: the offset the asker's receiver wants
 	Done     bool      // State: the chunk is the snapshot's last
@@ -195,6 +199,8 @@ type Node struct {
 
 	// Leader state.
 	curBallot  types.Ballot
+	prs        map[types.NodeID]*progress // per follower, reset by becomeLeader
+	picks      []types.NodeID             // accept's scratch: whom a new slot goes to
 	prepAcks   *quorum.Tally
 	recovered  map[types.Seq]Entry // merged from acks
 	nextSlot   types.Seq
@@ -208,6 +214,7 @@ type Node struct {
 
 	// Follower timers.
 	electionIn int
+	askIn      int // ticks until a heartbeat may draw another MsgCatchup
 	passive    bool
 
 	// Compaction: slots at or below compactSeq live only in snapData.
@@ -260,11 +267,6 @@ func (n *Node) send(m Message) {
 	n.out = append(n.out, m)
 }
 
-// broadcast fans out to the newest epoch's members — including an epoch
-// not yet in force, so a just-admitted node starts receiving heartbeats
-// (and can catch up) before its activation slot arrives.
-func (n *Node) broadcast(m Message) { n.sendAll(n.latestMembers(), m) }
-
 // sendAll sends m to every node in to but this one.
 func (n *Node) sendAll(to []types.NodeID, m Message) {
 	for _, p := range to {
@@ -315,23 +317,84 @@ func (n *Node) Submit(v types.Value) {
 }
 
 // accept runs phase 2 for slot under the leader's ballot: the leader,
-// itself an acceptor, accepts locally, asks the slot's other acceptors
-// — its epoch's members, who may no longer be the newest epoch's — and
-// counts its own vote like anyone's: a replication quorum of one is
-// already met.
+// itself an acceptor, accepts locally, asks the Q2−1 of the slot's other
+// acceptors — its epoch's members, who may no longer be the newest
+// epoch's — that answered the highest slots (all of them for a
+// membership change), and counts its own vote like anyone's.
 func (n *Node) accept(slot types.Seq, v types.Value) {
 	_, q2 := n.quorumsFor(slot)
 	sl := n.log.at(slot) // never nil: a leader's slots are dense up to nextSlot
 	sl.num, sl.val, sl.accepted, sl.votes = n.curBallot, v, true, quorum.NewTally(q2)
-	n.sendAll(n.membersFor(slot), Message{Kind: MsgAccept, Ballot: n.curBallot, Slot: slot, Val: v, Commit: n.commitSeq, Read: n.reads.Round()})
+	to := n.membersFor(slot)
+	if !snapshot.IsConfChange(v) {
+		to = quorum.Pick(n.picks, to, n.id, q2, func(p types.NodeID) types.Seq { return n.progress(p).acked })
+		n.picks = to
+	}
+	for _, p := range to {
+		if p != n.id {
+			n.sendAccept(p, slot, sl)
+		}
+	}
 	n.vote(slot, sl, n.id)
 }
 
+// progress is the leader's record of a follower, which it first takes
+// to hold the commit frontier: one that does not asks (MsgCatchup).
+type progress struct {
+	sent  types.Seq // every slot at or below it was sent, in an Accept or a heartbeat
+	acked types.Seq // the highest slot it answered
+	told  types.Seq // 1 + the commit frontier the last message this heartbeat interval carried; 0 = none sent
+}
+
+func (n *Node) progress(p types.NodeID) *progress {
+	if n.prs[p] == nil {
+		n.prs[p] = &progress{sent: n.commitSeq}
+	}
+	return n.prs[p]
+}
+
+func (n *Node) sendAccept(p types.NodeID, s types.Seq, sl *slot) {
+	pr := n.progress(p)
+	n.send(Message{Kind: MsgAccept, To: p, Ballot: n.curBallot, Slot: s, Val: sl.val, Commit: n.commitSeq, Read: n.reads.Round()})
+	if pr.sent+1 == s {
+		pr.sent = s
+	}
+	pr.told = n.commitSeq + 1
+}
+
+// push sends p what it has not been sent, up to snapshot.BatchBytes: the
+// chosen slots in one heartbeat, each open slot as an Accept. An open
+// slot of an epoch p is not a member of ends the push: p may not vote
+// on it, and is sent it once it is chosen. A follower not sent the
+// compacted prefix is pulling the snapshot.
+func (n *Node) push(p types.NodeID, pr *progress) {
+	var chosen []Entry
+	for size := 0; pr.sent >= n.compactSeq && pr.sent+1 < n.nextSlot && size < snapshot.BatchBytes; {
+		sl := n.log.get(pr.sent + 1) // never nil: a leader's slots are dense up to nextSlot
+		if sl.learned {
+			pr.sent++
+			chosen = append(chosen, Entry{Slot: pr.sent, Val: sl.chosen})
+			size += len(sl.chosen)
+		} else if slices.Contains(n.membersFor(pr.sent+1), p) {
+			n.sendAccept(p, pr.sent+1, sl) // which moves sent past it
+			size += len(sl.val)
+		} else {
+			break
+		}
+	}
+	if len(chosen) > 0 {
+		n.send(Message{Kind: MsgHeartbeat, To: p, Ballot: n.curBallot, Commit: n.commitSeq, Entries: chosen})
+		pr.told = n.commitSeq + 1
+	}
+}
+
 // vote counts from's phase-2 vote for slot and, once the tally is met,
-// decides the slot. Nobody is told: the learners hear of it from the
-// commit frontier on the next Accept or heartbeat.
+// decides the slot. Only a member of the slot's own epoch votes on it: a
+// joiner's or a removed leader's vote makes no quorum of that epoch.
+// Nobody is told: the learners hear of it from the commit frontier on
+// the next Accept or heartbeat.
 func (n *Node) vote(slot types.Seq, sl *slot, from types.NodeID) {
-	if sl.votes.Add(from) {
+	if slices.Contains(n.membersFor(slot), from) && sl.votes.Add(from) {
 		sl.votes = nil
 		n.learn(slot, sl.val)
 	}
@@ -450,6 +513,7 @@ func (n *Node) onAck(m Message) {
 func (n *Node) becomeLeader() {
 	n.role = leader
 	n.lead = n.id
+	n.prs = make(map[types.NodeID]*progress)
 	// The new log frontier starts after both the commit frontier and the
 	// highest recovered slot.
 	n.nextSlot = n.commitSeq + 1
@@ -505,6 +569,8 @@ func (n *Node) onAccepted(m Message) {
 		return
 	}
 	n.reads.Answer(m.From, m.Read)
+	pr := n.progress(m.From)
+	pr.acked = max(pr.acked, m.Slot)
 	// An open tally is one of this ballot: a deposed leader's stay behind
 	// until the slot is accepted again or compacted.
 	if sl := n.log.get(m.Slot); sl != nil && sl.votes != nil && sl.num == n.curBallot {
@@ -545,7 +611,7 @@ func (n *Node) learn(slot types.Seq, val types.Value) {
 // tally, on the value of that Accept — the one held here. A slot held
 // under an older ballot proves nothing: the value b's leader recovered
 // for it may be another. That slot, and any this node never accepted,
-// waits for the heartbeat's catch-up, which names values.
+// waits for a push or a Commit, which name values.
 func (n *Node) learnThrough(b types.Ballot, commit types.Seq) {
 	for n.commitSeq < commit {
 		sl := n.log.get(n.commitSeq + 1)
@@ -582,6 +648,9 @@ func (n *Node) advanceFrontier() {
 	}
 }
 
+// onHeartbeat takes a heartbeat, which a push fills with chosen slots. A
+// follower still short of the frontier asks, at most once an interval:
+// the pushes already on their way when it asked are not lost ones.
 func (n *Node) onHeartbeat(m Message) {
 	if m.Ballot.Less(n.ballot) {
 		n.send(Message{Kind: MsgNack, To: m.From, Ballot: n.ballot})
@@ -592,15 +661,24 @@ func (n *Node) onHeartbeat(m Message) {
 		n.becomeFollowerOf(m.From)
 	}
 	n.resetElectionTimer()
+	for _, e := range m.Entries {
+		n.learn(e.Slot, e.Val)
+	}
 	n.learnThrough(m.Ballot, m.Commit)
-	if m.Commit > n.commitSeq && n.recv.Stalled() {
+	if m.Commit > n.commitSeq && n.askIn <= 0 && n.recv.Stalled() {
+		n.askIn = n.cfg.HeartbeatTicks
 		n.catchup(m.From)
 	}
 }
 
-// onCatchup streams committed slots from the requested frontier to a
-// lagging follower, batched into one message.
+// onCatchup serves a lagging replica the committed slots from the one it
+// names: the leader rewinds its push there, anyone else sends a Commit.
 func (n *Node) onCatchup(m Message) {
+	var pr *progress
+	if n.role == leader {
+		pr = n.progress(m.From)
+		pr.sent = m.Slot - 1
+	}
 	// Any replica may serve catch-up: chosen values and snapshots are
 	// final facts, so a follower answering a deferring candidate is safe.
 	if m.Slot <= n.compactSeq && n.snapData != nil {
@@ -618,16 +696,12 @@ func (n *Node) onCatchup(m Message) {
 			}
 		}
 	}
-	// Exact-capacity batch: the frontier bounds how many slots remain.
-	max := 64
-	if span := int(n.commitSeq - m.Slot + 1); span < max {
-		max = span
-	}
-	if max <= 0 {
+	if pr != nil {
+		n.push(m.From, pr)
 		return
 	}
-	entries := make([]Entry, 0, max)
-	for s, size := m.Slot, 0; s <= n.commitSeq && len(entries) < 64 && size < snapshot.BatchBytes; s++ {
+	var entries []Entry
+	for s, size := m.Slot, 0; s <= n.commitSeq && size < snapshot.BatchBytes; s++ {
 		if sl := n.log.get(s); sl != nil && sl.learned {
 			entries = append(entries, Entry{Slot: s, Val: sl.chosen})
 			size += len(sl.chosen)
@@ -638,19 +712,34 @@ func (n *Node) onCatchup(m Message) {
 	}
 }
 
-// Tick advances timers: leaders heartbeat, followers run election
-// timeouts, candidates retry.
+// Tick advances timers. The leader pushes every follower of the newest
+// epoch (a joiner too) what it lacks, so a stalled pick costs a tick, and
+// each HeartbeatTicks heartbeats one that nothing told the frontier.
 func (n *Node) Tick() {
 	n.holdCompact = max(n.holdCompact-1, 0)
 	switch n.role {
 	case leader:
 		n.hbCooldown--
-		if n.hbCooldown <= 0 {
+		beat := n.hbCooldown <= 0
+		if beat {
 			n.hbCooldown = n.cfg.HeartbeatTicks
-			n.broadcast(Message{Kind: MsgHeartbeat, Ballot: n.curBallot, Commit: n.commitSeq})
-			n.reask()
 		}
+		for _, p := range n.latestMembers() {
+			if p == n.id {
+				continue
+			}
+			pr := n.progress(p)
+			n.push(p, pr)
+			if beat {
+				if pr.told != n.commitSeq+1 {
+					n.send(Message{Kind: MsgHeartbeat, To: p, Ballot: n.curBallot, Commit: n.commitSeq})
+				}
+				pr.told = 0
+			}
+		}
+		n.reask(beat)
 	case follower, candidate:
+		n.askIn = max(n.askIn-1, 0)
 		n.electionIn--
 		if n.electionIn <= 0 {
 			if n.passive || !n.isMember(n.id) {

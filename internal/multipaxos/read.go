@@ -34,7 +34,7 @@ func (n *Node) TakeReads() []types.ReadState {
 	return n.reads.Take()
 }
 
-// ReadStats returns the probes sent and the reads the heartbeat re-asked.
+// ReadStats returns the probes sent and the reads a tick re-asked.
 func (n *Node) ReadStats() (probes, reasked int) { return n.reads.Stats() }
 
 // eachReadQuorum calls f with the members governing the first undecided
@@ -64,9 +64,11 @@ func (n *Node) onRead(m Message) {
 	n.send(Message{Kind: MsgReadResp, To: m.From, Ballot: m.Ballot, Read: m.Read})
 }
 
-// reask re-sends the newest round to whoever has not answered it.
-func (n *Node) reask() {
-	if !n.reads.Waiting() {
+// reask, once a tick, re-sends the newest round to whoever has not
+// answered it: at the first tick a read waited through whole, and on
+// every beat while reads wait.
+func (n *Node) reask(beat bool) {
+	if !n.reads.Aged() && !(beat && n.reads.Waiting()) {
 		return
 	}
 	n.eachReadQuorum(func(members []types.NodeID, _ int) {

@@ -1,6 +1,7 @@
 package multipaxos
 
 import (
+	"slices"
 	"testing"
 
 	"fortyconsensus/internal/quorum"
@@ -28,22 +29,22 @@ func TestReadNeedsAQuorumOfAnswersToARoundIssuedAfterIt(t *testing.T) {
 	lead := g.elect(0, nil)
 	lead.ReadIndex(1)
 	out := lead.Drain()
-	if to := probes(out); len(out) != 1 || len(to) != 1 || to[0] != 1 {
-		t.Fatalf("read 1 sent %+v, want one probe, to node 1: Q2 of three is the leader and one acceptor", out)
+	if to := probes(out); len(out) != 1 || len(to) != 1 || to[0] != 2 {
+		t.Fatalf("read 1 sent %+v, want one probe, to node 2: Q2 of three is the leader and one acceptor", out)
 	}
 	if rs := lead.TakeReads(); len(rs) != 0 {
 		t.Fatalf("confirmed with no answer: %+v", rs)
 	}
-	g.nodes[1].Step(out[0])
-	answer := g.nodes[1].Drain()[0]
+	g.nodes[2].Step(out[0])
+	answer := g.nodes[2].Drain()[0]
 	lead.ReadIndex(2)
 	probe2 := lead.Drain()[0]
 	lead.Step(answer)
 	if rs := takeReads(lead); len(rs) != 1 || rs[0] != (types.ReadState{ID: 1, Index: lead.CommitFrontier()}) {
 		t.Fatalf("after the answer to read 1's round: %+v, want read 1 confirmed at the frontier", rs)
 	}
-	g.nodes[1].Step(probe2)
-	lead.Step(g.nodes[1].Drain()[0])
+	g.nodes[2].Step(probe2)
+	lead.Step(g.nodes[2].Drain()[0])
 	if rs := takeReads(lead); len(rs) != 1 || rs[0].ID != 2 || rs[0].Dropped {
 		t.Fatalf("after the answer to read 2's round: %+v", rs)
 	}
@@ -106,31 +107,34 @@ func TestCutOffLeaderNeverConfirmsAndDropsTheReadWhenItStepsDown(t *testing.T) {
 	}
 }
 
+// The twin of raft's: the probe goes to node 2 on a tie, and with node
+// 2 gone the second tick, the first the read waited through whole,
+// re-asks every follower that has not answered.
 func TestThriftyProbeFallsBackToTheHeartbeat(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
-	down := func(m Message) bool { return m.From == 1 || m.To == 1 }
+	down := func(m Message) bool { return m.From == 2 || m.To == 2 }
 	lead.ReadIndex(1)
-	if to := probes(g.pump(down)); len(to) != 1 || to[0] != 1 {
-		t.Fatalf("first probe went to %v, want [1]", to)
+	if to := probes(g.pump(down)); len(to) != 1 || to[0] != 2 {
+		t.Fatalf("first probe went to %v, want [2]", to)
 	}
 	confirmedAt := 0
-	for tick := 1; tick <= lead.cfg.HeartbeatTicks+1 && confirmedAt == 0; tick++ {
+	for tick := 1; tick <= 2 && confirmedAt == 0; tick++ {
 		lead.Tick()
 		g.pump(down)
 		if rs := lead.TakeReads(); len(rs) == 1 && !rs[0].Dropped {
 			confirmedAt = tick
 		}
 	}
-	if confirmedAt == 0 {
-		t.Fatalf("read 1 not confirmed within HeartbeatTicks+1 = %d ticks of node 1 going silent", lead.cfg.HeartbeatTicks+1)
+	if confirmedAt != 2 {
+		t.Fatalf("read 1 confirmed at tick %d of node 2 going silent, want 2", confirmedAt)
 	}
 	if probes, reasked := lead.ReadStats(); probes != 3 || reasked != 1 {
 		t.Fatalf("read stats: %d probes, %d re-asked reads; want 3 and 1", probes, reasked)
 	}
 	lead.ReadIndex(2)
-	if to := probes(g.pump(down)); len(to) != 1 || to[0] != 2 {
-		t.Fatalf("second read probed %v, want [2]: node 2 answered the newest round", to)
+	if to := probes(g.pump(down)); len(to) != 1 || to[0] != 1 {
+		t.Fatalf("second read probed %v, want [1]: node 1 answered the newest round", to)
 	}
 	if rs := lead.TakeReads(); len(rs) != 1 || rs[0].ID != 2 {
 		t.Fatalf("read 2: %+v", rs)
@@ -176,7 +180,7 @@ func TestReadWaitsForTheSlotsTheLeaderRecovered(t *testing.T) {
 // Q2 = 1: the leader's own answer is a replication quorum, so a read
 // confirms in the call that makes it. (Q1 = 3 is what pays for that.)
 func TestFlexibleQ2OfOneReadSendsNothing(t *testing.T) {
-	g := &trio{tb: t}
+	g := &trio{tb: t, nodes: make([]*Node, 3)}
 	peers := []types.NodeID{0, 1, 2}
 	for i := range g.nodes {
 		g.nodes[i] = New(types.NodeID(i), Config{Peers: peers, Seed: 41, Quorums: quorum.Flexible{N: 3, Q1: 3, Q2: 1}})
@@ -206,38 +210,37 @@ func TestDrainedMessagesSurviveTheNextStep(t *testing.T) {
 			t.Fatalf("message %d changed under a step: %+v, was %+v", i, out[i], held[i])
 		}
 	}
-	if next := lead.Drain(); len(next) != 3 || &next[0] == &out[0] {
+	if next := lead.Drain(); len(next) != 2 || &next[0] == &out[0] {
 		t.Fatalf("second drain: %d messages, sharing the first's buffer %v", len(next), &next[0] == &out[0])
 	}
 }
 
 // While a membership epoch is scheduled past the frontier, a read must
 // reach Q2 of its members too: here Q2 of {0,1,2} is two answers, and
-// of {0,1,2,3} three.
+// of {0,1,2,3} three. Both picks take node 2 on the tie and node 3 is
+// not there, so node 2's answer confirms nothing until the second tick,
+// the first the read waited through whole, re-asks node 1.
 func TestReadReachesTheScheduledEpochToo(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
 	lead.configs = append(lead.configs, cfgEpoch{from: lead.CommitFrontier() + Alpha, members: []types.NodeID{0, 1, 2, 3}})
+	absent := func(m Message) bool { return m.To == 3 }
 	lead.ReadIndex(1)
-	var answers []Message
-	for _, m := range lead.Drain() {
-		if m.To != 3 {
-			g.nodes[m.To].Step(m)
-			answers = append(answers, g.nodes[m.To].Drain()...)
-		}
+	if to := probes(g.pump(absent)); !slices.Equal(to, []types.NodeID{2, 3, 2}) {
+		t.Fatalf("probes to %v, want node 2 for {0,1,2}, nodes 3 and 2 for {0,1,2,3}", to)
 	}
-	if len(answers) < 2 || answers[0].From != 1 {
-		t.Fatalf("answers %+v, want node 1's first and node 2's", answers)
-	}
-	lead.Step(answers[0])
 	if rs := lead.TakeReads(); len(rs) != 0 {
-		t.Fatalf("node 1's answer, two of the scheduled epoch's four, confirmed %+v", rs)
+		t.Fatalf("node 2's answer, two of the scheduled epoch's four, confirmed %+v", rs)
 	}
-	for _, m := range answers[1:] {
-		lead.Step(m)
+	lead.Tick()
+	g.pump(absent)
+	if rs := lead.TakeReads(); len(rs) != 0 {
+		t.Fatalf("confirmed %+v at the first tick, with nobody re-asked", rs)
 	}
+	lead.Tick()
+	g.pump(absent)
 	if rs := lead.TakeReads(); len(rs) != 1 || rs[0].Dropped {
-		t.Fatalf("three answers of four: %+v", rs)
+		t.Fatalf("three answers of four, node 1 re-asked: %+v", rs)
 	}
 }
 
@@ -247,7 +250,7 @@ func TestAnAcceptedForALaterAcceptConfirmsARead(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
 	lead.ReadIndex(1)
-	lead.Drain() // the probe to node 1 is lost
+	lead.Drain() // the probe, to node 2, is lost
 	lead.Submit(types.Value("w"))
 	g.pump(func(m Message) bool { return m.To == 1 || m.From == 1 })
 	if rs := lead.TakeReads(); len(rs) != 1 || rs[0].ID != 1 || rs[0].Dropped {

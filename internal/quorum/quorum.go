@@ -10,6 +10,7 @@
 package quorum
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -220,4 +221,26 @@ func (v *ValueTally) Total() int {
 		n += t.Count()
 	}
 	return n
+}
+
+// Pick is whom a leader asks when it needs a quorum of need among
+// members, itself included: the fewest of the others, highest rank
+// first, ties going to the later member. Phase 2 ranks a follower by the
+// highest entry it acknowledged, a read probe by the newest round it
+// answered. It reuses buf's array.
+func Pick[R cmp.Ordered](buf, members []types.NodeID, self types.NodeID, need int, rank func(types.NodeID) R) []types.NodeID {
+	buf = buf[:0]
+	for i := len(members) - 1; i >= 0; i-- {
+		if p := members[i]; p == self {
+			need--
+		} else {
+			buf = append(buf, p)
+		}
+	}
+	for i := 1; i < len(buf); i++ {
+		for j := i; j > 0 && rank(buf[j]) > rank(buf[j-1]); j-- {
+			buf[j], buf[j-1] = buf[j-1], buf[j]
+		}
+	}
+	return buf[:min(max(need, 0), len(buf))]
 }

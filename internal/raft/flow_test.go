@@ -15,14 +15,20 @@ import (
 // trio is node 0 leading nodes 1 and 2, every follower out of its probe.
 type trio struct {
 	tb    testing.TB
-	nodes [3]*Node
+	nodes []*Node
 	lead  *Node
 }
 
-func newTrio(tb testing.TB) *trio {
+func newTrio(tb testing.TB) *trio { return newGroup(tb, 3) }
+
+// newGroup is a trio of n: node 0 leading nodes 1..n-1.
+func newGroup(tb testing.TB, n int) *trio {
 	tb.Helper()
-	g := &trio{tb: tb}
-	peers := []types.NodeID{0, 1, 2}
+	g := &trio{tb: tb, nodes: make([]*Node, n)}
+	peers := make([]types.NodeID, n)
+	for i := range peers {
+		peers[i] = types.NodeID(i)
+	}
 	for i := range g.nodes {
 		g.nodes[i] = New(types.NodeID(i), Config{Peers: peers, Seed: 31})
 	}
@@ -72,13 +78,15 @@ func (g *trio) burst(k int) {
 	}
 }
 
-// heartbeat runs the leader's clock through one heartbeat interval and
-// delivers what that sends.
+// heartbeat runs the leader's clock through one heartbeat interval,
+// delivering what each tick sends before the next.
 func (g *trio) heartbeat() []Message {
+	var sent []Message
 	for i := 0; i < g.lead.cfg.HeartbeatTicks; i++ {
 		g.lead.Tick()
+		sent = append(sent, g.pump(nil)...)
 	}
-	return g.pump(nil)
+	return sent
 }
 
 // replicated: every log ends where the leader's does and the leader has
@@ -122,12 +130,33 @@ func entriesTo(sent []Message, p types.NodeID) map[types.Seq]int {
 	return count
 }
 
+// A burst goes to the pick alone, each entry once; the first tick sends
+// the other follower all of it, once, in one append.
 func TestBurstSendsEveryEntryOnce(t *testing.T) {
 	g := newTrio(t)
 	base := g.lead.lastIndex()
 	g.burst(32)
 	sent := g.pump(nil)
+	// 1 append and 1 ack per entry and nothing for the commits:
+	// Multi-Paxos' accept/accepted to its Q2−1 picks.
+	if len(sent) != 2*32 {
+		t.Errorf("burst of 32 cost %d messages, want %d", len(sent), 2*32)
+	}
+	if g.lead.CommitFrontier() != base+32 {
+		t.Fatalf("the pick's acks committed %d, want %d", g.lead.CommitFrontier(), base+32)
+	}
+	// All 32 appends left before the first ack came back, so none of
+	// them carried a commit index past the election's.
+	if got := g.nodes[2].CommitFrontier(); got != base {
+		t.Errorf("node 2 committed %d with no frame to learn it from, want %d", got, base)
+	}
+	g.lead.Tick()
+	push := g.pump(nil)
+	if len(push) != 2 || push[0].To != 1 || len(push[0].Entries) != 32 {
+		t.Fatalf("the tick sent %+v, want one append of 32 to node 1 and its ack", push)
+	}
 	g.replicated()
+	sent = append(sent, push...)
 	for _, p := range []types.NodeID{1, 2} {
 		count := entriesTo(sent, p)
 		for idx := base + 1; idx <= base+32; idx++ {
@@ -138,16 +167,6 @@ func TestBurstSendsEveryEntryOnce(t *testing.T) {
 		if len(count) != 32 {
 			t.Errorf("node %v was sent %d distinct indices, want 32", p, len(count))
 		}
-		// All 32 appends left before the first ack came back, so none of
-		// them carried a commit index past the election's.
-		if got := g.nodes[p].CommitFrontier(); got != base {
-			t.Errorf("node %v committed %d with no frame to learn it from, want %d", p, got, base)
-		}
-	}
-	// 2 appends and 2 acks per entry and nothing for the commits:
-	// Multi-Paxos' accept/accepted.
-	if len(sent) != 4*32 {
-		t.Errorf("burst of 32 cost %d messages, want %d", len(sent), 4*32)
 	}
 }
 
@@ -174,8 +193,8 @@ func TestCommitAdvanceSendsNothing(t *testing.T) {
 	}
 	g.burst(1)
 	out := g.lead.Drain()
-	if len(out) != 2 {
-		t.Fatalf("the next submit sent %d messages, want one append per follower", len(out))
+	if len(out) != 1 {
+		t.Fatalf("the next submit sent %d messages, want one append to the pick", len(out))
 	}
 	for _, m := range out {
 		if m.Kind != MsgAppend || len(m.Entries) != 1 || m.LeaderCommit != before+1 {
@@ -184,22 +203,25 @@ func TestCommitAdvanceSendsNothing(t *testing.T) {
 	}
 }
 
-// When the traffic stops, the last commit reaches the followers on the
-// heartbeat: within HeartbeatTicks, in one unanswered empty append each.
+// When the traffic stops, the last commit reaches the followers within
+// HeartbeatTicks: the follower the burst skipped in the tick's append,
+// which carries it, and the pick in an unanswered empty append — the
+// one follower no append this interval told it to.
 func TestIdleFollowersLearnTheLastCommitAtTheHeartbeat(t *testing.T) {
 	g := newTrio(t)
 	g.burst(3)
 	g.pump(nil)
-	g.replicated()
 	sent := g.heartbeat()
 	g.converged()
-	if len(sent) != 2 {
-		t.Fatalf("the heartbeat round cost %d messages, want 2: %+v", len(sent), sent)
+	if len(sent) != 3 {
+		t.Fatalf("the heartbeat interval cost %d messages, want 3: %+v", len(sent), sent)
 	}
-	for _, m := range sent {
-		if m.Kind != MsgAppend || len(m.Entries) != 0 || m.LeaderCommit != g.lead.lastIndex() {
-			t.Fatalf("heartbeat frame %+v, want an empty append carrying commit %d", m, g.lead.lastIndex())
-		}
+	last := g.lead.lastIndex()
+	if m := sent[0]; m.Kind != MsgAppend || m.To != 1 || len(m.Entries) != 3 || m.LeaderCommit != last {
+		t.Fatalf("tick frame %+v, want node 1's three entries carrying commit %d", m, last)
+	}
+	if m := sent[2]; m.Kind != MsgAppend || m.To != 2 || len(m.Entries) != 0 || m.LeaderCommit != last {
+		t.Fatalf("heartbeat frame %+v, want an empty append to node 2 carrying commit %d", m, last)
 	}
 }
 
@@ -209,26 +231,29 @@ func TestLostAppendRecoversThroughReject(t *testing.T) {
 	g.burst(32)
 	lost, dropped := base+10, false
 	sent := g.pump(func(m Message) bool {
-		if !dropped && m.Kind == MsgAppend && m.To == 1 && m.PrevIndex+1 == lost {
+		if !dropped && m.Kind == MsgAppend && m.To == 2 && m.PrevIndex+1 == lost {
 			dropped = true
 			return true
 		}
 		return false
 	})
-	g.replicated() // no Tick anywhere: the reject did it
-	count := entriesTo(sent, 1)
+	// No Tick anywhere: the reject did it, for the pick.
+	if g.nodes[2].lastIndex() != base+32 || g.lead.CommitFrontier() != base+32 {
+		t.Fatalf("node 2 holds %d, leader committed %d; want %d", g.nodes[2].lastIndex(), g.lead.CommitFrontier(), base+32)
+	}
+	count := entriesTo(sent, 2)
 	for idx := base + 1; idx <= base+32; idx++ {
 		want := 1
 		if idx >= lost {
 			want = 2 // the lost frame and the 22 rejected behind it, resent once
 		}
 		if count[idx] != want {
-			t.Errorf("index %d went to node 1 %d times, want %d", idx, count[idx], want)
+			t.Errorf("index %d went to node 2 %d times, want %d", idx, count[idx], want)
 		}
 	}
 	rejects := 0
 	for _, m := range sent {
-		if m.Kind == MsgAppendResp && m.From == 1 && !m.Success {
+		if m.Kind == MsgAppendResp && m.From == 2 && !m.Success {
 			rejects++
 		}
 	}
@@ -243,18 +268,22 @@ func TestLostAppendRecoversThroughReject(t *testing.T) {
 func TestAllInFlightLostRecoversAtHeartbeat(t *testing.T) {
 	g := newTrio(t)
 	g.burst(8)
-	g.pump(func(m Message) bool { return m.Kind == MsgAppend })
+	lost := func(m Message) bool { return m.Kind == MsgAppend }
+	g.pump(lost) // the pick's eight, and below the first tick's push to node 1
+	for i := 0; i < g.lead.cfg.HeartbeatTicks-1; i++ {
+		g.lead.Tick()
+		for _, m := range g.pump(lost) {
+			if m.To == 2 {
+				t.Fatalf("tick %d: resent before the heartbeat interval was over: %+v", i, m)
+			}
+		}
+	}
 	if got := g.lead.CommitFrontier(); got != g.lead.lastIndex()-8 {
 		t.Fatalf("commit moved to %d with every append lost", got)
 	}
-	for i := 0; i < g.lead.cfg.HeartbeatTicks; i++ {
-		if len(g.pump(nil)) != 0 {
-			t.Fatalf("tick %d: resent before the heartbeat interval was over", i)
-		}
-		g.lead.Tick()
-	}
+	g.lead.Tick()
 	g.pump(nil)
-	g.replicated() // the heartbeat resent the burst
+	g.replicated() // the heartbeat resent the burst to both
 	g.heartbeat()
 	g.converged() // and the next one told the followers it is committed
 }
@@ -429,12 +458,17 @@ func TestOutstandingSnapshotChunkNotResentBySubmit(t *testing.T) {
 func TestSubmitsDoNotStarveALostProbe(t *testing.T) {
 	g := newTrio(t)
 	base := g.lead.lastIndex()
-	g.burst(2)
-	// Node 1 loses base+1, refuses base+2, and the probe that answers the
-	// reject is lost as well.
-	g.pump(func(m Message) bool {
+	// Node 1 loses base+1, sent by the first tick, refuses base+2, sent
+	// by the second, and the probe that answers the reject is lost too.
+	lost := func(m Message) bool {
 		return m.Kind == MsgAppend && m.To == 1 && len(m.Entries) > 0 && m.PrevIndex == base
-	})
+	}
+	for i := 0; i < 2; i++ {
+		g.burst(1)
+		g.pump(nil)
+		g.lead.Tick()
+		g.pump(lost)
+	}
 	if pr := g.lead.prs[1]; pr.state != stateProbe {
 		t.Fatalf("node 1 should be left probing: %+v", *pr)
 	}
@@ -444,6 +478,8 @@ func TestSubmitsDoNotStarveALostProbe(t *testing.T) {
 		g.lead.Tick()
 	}
 	g.pump(nil)
+	g.replicated()
+	g.heartbeat()
 	g.converged()
 }
 

@@ -8,8 +8,11 @@
 //
 // A commit is not a message: the leader's commit index rides whichever
 // AppendEntries leaves next (Message.LeaderCommit) and, when no entries
-// are waiting, the heartbeat — one committed entry costs an append and
-// an ack per follower, as Multi-Paxos' accept/accepted.
+// are waiting, the heartbeat. Phase 2 goes to a quorum: a new entry
+// leaves at once only for the Threshold()−1 followers that have
+// acknowledged most, and every other follower is sent what it lacks once
+// a tick — one committed entry costs an append and an ack per picked
+// follower, as Multi-Paxos' accept/accepted.
 //
 // Profile: partially-synchronous, crash, pessimistic, known participants,
 // 2f+1 nodes, leader-based, O(N) messages per committed entry.
@@ -229,7 +232,8 @@ type Node struct {
 	hbIn       int
 	elections  int
 
-	matchScratch []types.Seq // maybeCommit scratch, reused across checks
+	matchScratch []types.Seq    // maybeCommit scratch, reused across checks
+	picks        []types.NodeID // Submit's scratch: whom a new entry goes to
 
 	reads     readindex.Tracker // read.go
 	readFloor types.Seq         // this term's no-op: no read confirms before it commits
@@ -308,12 +312,22 @@ func (n *Node) Submit(v types.Value) {
 	if n.role != leader {
 		return
 	}
-	if snapshot.IsConfChange(v) && !n.confAllowed(v) {
+	conf := snapshot.IsConfChange(v)
+	if conf && !n.confAllowed(v) {
 		return // invalid or overlapping membership change: drop
 	}
 	n.appendEntry(LogEntry{Term: n.term, Val: v})
 	n.maybeCommit() // a single-node cluster commits immediately
-	n.replicateAll()
+	to := n.members // a membership change goes to every follower at once
+	if !conf {
+		to = quorum.Pick(n.picks, n.members, n.id, n.q.Threshold(), func(p types.NodeID) types.Seq { return n.prs[p].match })
+		n.picks = to
+	}
+	for _, p := range to {
+		if p != n.id {
+			n.replicateTo(p)
+		}
+	}
 }
 
 // appendEntry appends one entry at lastIndex+1, consuming a membership
@@ -389,7 +403,8 @@ func (n *Node) becomeLeader() {
 	n.appendEntry(LogEntry{Term: n.term})
 	n.readFloor = n.lastIndex()
 	n.maybeCommit() // a single-node cluster commits immediately
-	n.heartbeat()   // announce the term: the first probe of every follower
+	n.hbIn = n.cfg.HeartbeatTicks
+	n.pass(true) // announce the term: the first probe of every follower
 }
 
 // progressState says how the leader is feeding one follower.
@@ -417,76 +432,55 @@ type progress struct {
 	state    progressState
 	match    types.Seq // highest index known to be in the follower's log
 	next     types.Seq // first index not sent yet (the probe's first index while probing)
+	stale    types.Seq // next at the previous tick: what lies below it had a whole tick to be acknowledged
+	told     types.Seq // 1 + the LeaderCommit of the last append this heartbeat interval; 0 = none sent
+	behind   bool      // the last append stopped short of the log's end: its ack sends the next
 	snapOff  int       // offset of the outstanding snapshot chunk
 	snapSeen int       // snapOff at the last heartbeat
 }
 
-// replicateAll offers every follower what it has not been sent. A round
-// that reached all of them is as good as a heartbeat and pushes the
-// next one back. A round that skipped someone does not: a follower
-// that is probing or mid-snapshot has one frame outstanding, and if
-// that frame was lost only the heartbeat resends it, so sustained
-// submits must not keep postponing it.
-func (n *Node) replicateAll() {
-	all := true
-	for _, p := range n.members {
-		if p != n.id && !n.replicateTo(p) {
-			all = false
-		}
-	}
-	if all {
-		n.hbIn = n.cfg.HeartbeatTicks
+// replicateTo sends p what it has not been sent, if it is replicating and
+// there is any: a commit advance alone is no reason (LeaderCommit rides
+// the next append, or the heartbeat).
+func (n *Node) replicateTo(p types.NodeID) {
+	// nil: not leading any more — the commit that brought us here was of
+	// our own removal, and a node that has stepped down sends no appends.
+	if pr := n.prs[p]; pr != nil && pr.state == stateReplicate && pr.next <= n.lastIndex() {
+		n.sendNext(p, pr)
 	}
 }
 
-// replicateTo sends p the entries it has not been sent, if any, and
-// reports whether it sent. Submit and acks call it; what leaves, and
-// whether, is decided here. A commit advance is not a reason to send:
-// LeaderCommit rides whichever append leaves next, and when none does,
-// the heartbeat.
-func (n *Node) replicateTo(p types.NodeID) bool {
-	pr := n.prs[p]
-	if pr == nil {
-		// Not leading any more: the commit that brought us here was of our
-		// own removal, and a node that has stepped down sends no appends.
-		return false
-	}
-	switch pr.state {
-	case stateProbe, stateSnapshot:
-		return false
-	case stateReplicate:
-	}
-	if pr.next > n.lastIndex() {
-		return false
-	}
-	n.sendNext(p, pr)
-	return true
-}
-
-// heartbeat is the only timer-driven send. A follower with entries sent
-// but unacknowledged for a whole interval (the frames, or their acks,
-// were lost) is rewound to what it is known to hold; a probe or a
-// snapshot chunk is repeated; everyone else gets an empty append.
-func (n *Node) heartbeat() {
+// pass, every tick, sends each replicating follower one batch of what it
+// lacks, so a stalled pick delays a commit by a tick at most. On a beat
+// it is the heartbeat: what is unacknowledged since before the previous
+// tick (lost) is rewound, a probe or chunk repeated, and a follower no
+// append this interval told the commit index gets an empty one.
+func (n *Node) pass(beat bool) {
 	for _, p := range n.members {
 		if p == n.id {
 			continue
 		}
 		pr := n.prs[p]
-		if pr.state == stateReplicate && pr.match+1 < pr.next {
+		if beat && pr.state == stateReplicate && pr.match+1 < pr.stale {
 			pr.next = pr.match + 1
 		}
-		if pr.state == stateSnapshot {
-			// A transfer that stood still for a whole interval lost a chunk
-			// or the answer to it: the resend asks for an answer.
-			n.sendSnapChunk(p, pr.snapOff, pr.snapOff == pr.snapSeen)
-			pr.snapSeen = pr.snapOff
-			continue
+		pr.stale = pr.next
+		switch {
+		case pr.state == stateSnapshot:
+			if beat {
+				// A transfer that stood still for a whole interval lost a chunk
+				// or the answer to it: the resend asks for an answer.
+				n.sendSnapChunk(p, pr.snapOff, pr.snapOff == pr.snapSeen)
+				pr.snapSeen = pr.snapOff
+			}
+		case pr.state == stateReplicate && pr.next <= n.lastIndex(),
+			beat && (pr.state == stateProbe || pr.told != n.commitIndex+1):
+			n.sendNext(p, pr)
 		}
-		n.sendNext(p, pr)
+		if beat {
+			pr.told = 0
+		}
 	}
-	n.reask()
-	n.hbIn = n.cfg.HeartbeatTicks
 }
 
 // sendNext sends p one frame unconditionally: the outstanding snapshot
@@ -495,7 +489,7 @@ func (n *Node) heartbeat() {
 // which is the heartbeat.
 func (n *Node) sendNext(p types.NodeID, pr *progress) {
 	if pr.state != stateSnapshot && pr.next <= n.snapIndex {
-		pr.state, pr.snapOff = stateSnapshot, 0
+		pr.state, pr.snapOff, pr.behind = stateSnapshot, 0, true
 	}
 	if pr.state == stateSnapshot {
 		n.sendSnapChunk(p, pr.snapOff, false)
@@ -520,6 +514,7 @@ func (n *Node) sendNext(p types.NodeID, pr *progress) {
 		PrevIndex: prev, PrevTerm: n.at(prev).Term,
 		Entries: batch, LeaderCommit: n.commitIndex, Read: n.reads.Round(),
 	})
+	pr.told, pr.behind = n.commitIndex+1, hi < n.lastIndex()
 	if pr.state == stateReplicate {
 		pr.next = hi + 1
 	}
@@ -683,7 +678,8 @@ func (n *Node) onAppendResp(m Message) {
 }
 
 // onMatched records that p's log is known to match through idx, which
-// ends a probe whose first index it reaches, and carries on from there.
+// ends a probe whose first index it reaches, and carries on from there
+// if the last append stopped short of the log's end (catch-up).
 func (n *Node) onMatched(p types.NodeID, pr *progress, idx types.Seq) {
 	if idx > pr.match {
 		pr.match = idx
@@ -695,7 +691,9 @@ func (n *Node) onMatched(p types.NodeID, pr *progress, idx types.Seq) {
 		pr.state = stateReplicate
 	}
 	n.maybeCommit()
-	n.replicateTo(p)
+	if pr.behind {
+		n.replicateTo(p)
+	}
 }
 
 // maybeCommit advances the commit index to the highest current-term
@@ -751,9 +749,12 @@ func (n *Node) Tick() {
 	switch n.role {
 	case leader:
 		n.hbIn--
-		if n.hbIn <= 0 {
-			n.heartbeat()
+		beat := n.hbIn <= 0
+		if beat {
+			n.hbIn = n.cfg.HeartbeatTicks
 		}
+		n.pass(beat)
+		n.reask(beat)
 	case follower, candidate:
 		n.electionIn--
 		if n.electionIn <= 0 {

@@ -165,10 +165,16 @@ func (n *Node) membersAt(idx types.Seq) []types.NodeID {
 // bytes). upTo must be applied already; compacting at or past the apply
 // frontier would discard entries the host never saw. Reports whether
 // anything was compacted: it refuses while a follower is taking a
-// snapshot transfer (holdCompact).
+// snapshot transfer (holdCompact). A leader first sends each replicating
+// follower what it lacks below upTo: a tick's lag is not worth a snapshot.
 func (n *Node) Compact(upTo types.Seq, state []byte) bool {
 	if upTo <= n.snapIndex || upTo > n.applied || n.CompactHeld() {
 		return false
+	}
+	for _, p := range n.members {
+		if pr := n.prs[p]; pr != nil && pr.state == stateReplicate && pr.next <= upTo {
+			n.sendNext(p, pr)
+		}
 	}
 	term := n.at(upTo).Term
 	tail := make([]LogEntry, n.lastIndex()-upTo+1)

@@ -27,7 +27,7 @@ func (n *Node) TakeReads() []types.ReadState {
 	return n.reads.Take()
 }
 
-// ReadStats returns the probes sent and the reads the heartbeat re-asked.
+// ReadStats returns the probes sent and the reads a tick re-asked.
 func (n *Node) ReadStats() (probes, reasked int) { return n.reads.Stats() }
 
 // onRead answers a probe: one of this term is as good as a heartbeat.
@@ -38,8 +38,13 @@ func (n *Node) onRead(m Message) {
 	n.send(Message{Kind: MsgReadResp, To: m.From, Read: m.Read})
 }
 
-// reask re-sends the newest round to whoever has not answered it.
-func (n *Node) reask() {
+// reask, once a tick, re-sends the newest round to whoever has not
+// answered it: at the first tick a read waited through whole, and on
+// every beat while reads wait.
+func (n *Node) reask(beat bool) {
+	if !n.reads.Aged() && !beat {
+		return
+	}
 	round, to := n.reads.Reask(n.members, n.id)
 	for _, p := range to {
 		n.send(Message{Kind: MsgRead, To: p, Read: round})

@@ -28,14 +28,14 @@ func TestReadNeedsAQuorumOfAnswersToARoundIssuedAfterIt(t *testing.T) {
 	g := newTrio(t)
 	g.lead.ReadIndex(1)
 	out := g.lead.Drain()
-	if to := probes(out); len(out) != 1 || len(to) != 1 || to[0] != 1 {
-		t.Fatalf("read 1 sent %+v, want one probe, to node 1: a majority of three is the leader and one follower", out)
+	if to := probes(out); len(out) != 1 || len(to) != 1 || to[0] != 2 {
+		t.Fatalf("read 1 sent %+v, want one probe, to node 2: a majority of three is the leader and one follower", out)
 	}
 	if rs := g.lead.TakeReads(); len(rs) != 0 {
 		t.Fatalf("confirmed with no answer: %+v", rs)
 	}
-	g.nodes[1].Step(out[0])
-	answer := g.nodes[1].Drain()[0]
+	g.nodes[2].Step(out[0])
+	answer := g.nodes[2].Drain()[0]
 
 	// Read 2 arrives while read 1's answer is on its way: that answer is to
 	// a round issued before read 2, and confirms read 1 only.
@@ -45,8 +45,8 @@ func TestReadNeedsAQuorumOfAnswersToARoundIssuedAfterIt(t *testing.T) {
 	if rs := takeReads(g.lead); len(rs) != 1 || rs[0] != (types.ReadState{ID: 1, Index: g.lead.CommitFrontier()}) {
 		t.Fatalf("after the answer to read 1's round: %+v, want read 1 confirmed at the commit index", rs)
 	}
-	g.nodes[1].Step(probe2)
-	g.lead.Step(g.nodes[1].Drain()[0])
+	g.nodes[2].Step(probe2)
+	g.lead.Step(g.nodes[2].Drain()[0])
 	if rs := takeReads(g.lead); len(rs) != 1 || rs[0].ID != 2 || rs[0].Dropped {
 		t.Fatalf("after the answer to read 2's round: %+v", rs)
 	}
@@ -100,35 +100,36 @@ func TestCutOffLeaderNeverConfirmsAndDropsTheReadWhenItStepsDown(t *testing.T) {
 	}
 }
 
-// The probe goes to the follower that answered the newest round, node 1
-// on a tie. With node 1 gone the heartbeat re-asks every follower that
-// has not answered; node 2 does within the interval, and the next read
-// goes to node 2 alone.
+// The probe goes to the follower that answered the newest round, node 2
+// on a tie. With node 2 gone, the first tick the read has waited through
+// whole re-asks every follower that has not answered — the second tick,
+// not the heartbeat; node 1 answers, and the next read goes to node 1
+// alone.
 func TestThriftyProbeFallsBackToTheHeartbeat(t *testing.T) {
 	g := newTrio(t)
-	down := func(m Message) bool { return m.From == 1 || m.To == 1 }
+	down := func(m Message) bool { return m.From == 2 || m.To == 2 }
 	g.lead.ReadIndex(1)
-	if to := probes(g.pump(down)); len(to) != 1 || to[0] != 1 {
-		t.Fatalf("first probe went to %v, want [1]", to)
+	if to := probes(g.pump(down)); len(to) != 1 || to[0] != 2 {
+		t.Fatalf("first probe went to %v, want [2]", to)
 	}
 	confirmedAt := 0
-	for tick := 1; tick <= g.lead.cfg.HeartbeatTicks+1 && confirmedAt == 0; tick++ {
+	for tick := 1; tick <= 2 && confirmedAt == 0; tick++ {
 		g.lead.Tick()
 		g.pump(down)
 		if rs := g.lead.TakeReads(); len(rs) == 1 && !rs[0].Dropped {
 			confirmedAt = tick
 		}
 	}
-	if confirmedAt == 0 {
-		t.Fatalf("read 1 not confirmed within HeartbeatTicks+1 = %d ticks of node 1 going silent", g.lead.cfg.HeartbeatTicks+1)
+	if confirmedAt != 2 {
+		t.Fatalf("read 1 confirmed at tick %d of node 2 going silent, want 2", confirmedAt)
 	}
-	// The heartbeat re-asked both followers: neither had answered.
+	// The tick re-asked both followers: neither had answered.
 	if probes, reasked := g.lead.ReadStats(); probes != 3 || reasked != 1 {
 		t.Fatalf("read stats: %d probes, %d re-asked reads; want 3 and 1", probes, reasked)
 	}
 	g.lead.ReadIndex(2)
-	if to := probes(g.pump(down)); len(to) != 1 || to[0] != 2 {
-		t.Fatalf("second read probed %v, want [2]: node 2 answered the newest round", to)
+	if to := probes(g.pump(down)); len(to) != 1 || to[0] != 1 {
+		t.Fatalf("second read probed %v, want [1]: node 1 answered the newest round", to)
 	}
 	if rs := g.lead.TakeReads(); len(rs) != 1 || rs[0].ID != 2 {
 		t.Fatalf("read 2: %+v", rs)
@@ -138,7 +139,7 @@ func TestThriftyProbeFallsBackToTheHeartbeat(t *testing.T) {
 // A new leader's commit index may stand below entries a previous leader
 // acknowledged; its no-op commits past them. A read waits for that.
 func TestReadWaitsForTheLeadersFirstCommit(t *testing.T) {
-	g := &trio{tb: t}
+	g := &trio{tb: t, nodes: make([]*Node, 3)}
 	for i := range g.nodes {
 		g.nodes[i] = New(types.NodeID(i), Config{Peers: []types.NodeID{0, 1, 2}, Seed: 31})
 	}
@@ -205,7 +206,7 @@ func TestDrainedMessagesSurviveTheNextStep(t *testing.T) {
 		}
 	}
 	next := g.lead.Drain()
-	if len(next) != 3 || &next[0] == &out[0] {
+	if len(next) != 2 || &next[0] == &out[0] {
 		t.Fatalf("second drain: %d messages, sharing the first's buffer %v", len(next), &next[0] == &out[0])
 	}
 }
@@ -215,7 +216,7 @@ func TestDrainedMessagesSurviveTheNextStep(t *testing.T) {
 func TestAnAckToALaterAppendConfirmsARead(t *testing.T) {
 	g := newTrio(t)
 	g.lead.ReadIndex(1)
-	g.lead.Drain() // the probe to node 1 is lost
+	g.lead.Drain() // the probe, to node 2, is lost
 	g.lead.Submit(types.Value("w"))
 	g.pump(func(m Message) bool { return m.To == 1 || m.From == 1 })
 	if rs := g.lead.TakeReads(); len(rs) != 1 || rs[0].ID != 1 || rs[0].Dropped {

@@ -9,9 +9,9 @@
 package readindex
 
 import (
-	"cmp"
 	"slices"
 
+	"fortyconsensus/internal/quorum"
 	"fortyconsensus/internal/types"
 )
 
@@ -26,6 +26,7 @@ type read struct {
 // stands for a newer one.
 type Tracker struct {
 	round    uint64                  // newest round issued
+	ticked   uint64                  // newest round issued at the last Aged call
 	answered map[types.NodeID]uint64 // newest round each follower answered
 	pending  []read                  // rounds ascend
 	done     []types.ReadState
@@ -58,48 +59,54 @@ func (t *Tracker) Answer(from types.NodeID, r uint64) {
 	t.answered[from] = max(t.answered[from], r)
 }
 
-// rank orders members but self by the newest round each answered, ties
-// in member order, and says how many of them a quorum of need needs.
-func (t *Tracker) rank(members []types.NodeID, self types.NodeID, need int) ([]types.NodeID, int) {
-	t.ranked = t.ranked[:0]
-	for _, p := range members {
-		if p == self {
-			need--
-		} else {
-			t.ranked = append(t.ranked, p)
-		}
-	}
-	slices.SortStableFunc(t.ranked, func(a, b types.NodeID) int {
-		return cmp.Compare(t.answered[b], t.answered[a])
-	})
-	return t.ranked, max(need, 0)
+// Pick is whom a round goes to: the fewest of members that make a quorum
+// of need with the leader, newest answerers first (quorum.Pick); valid
+// until the next call.
+func (t *Tracker) Pick(members []types.NodeID, self types.NodeID, need int) []types.NodeID {
+	t.ranked = quorum.Pick(t.ranked, members, self, need, t.newest)
+	t.probes += len(t.ranked)
+	return t.ranked
 }
 
-// Pick is whom a round goes to: the fewest of members that make a quorum
-// of need with the leader, newest answerers first; valid until the next
-// call.
-func (t *Tracker) Pick(members []types.NodeID, self types.NodeID, need int) []types.NodeID {
-	ranked, n := t.rank(members, self, need)
-	n = min(n, len(ranked))
-	t.probes += n
-	return ranked[:n]
-}
+// newest is the newest round p answered.
+func (t *Tracker) newest(p types.NodeID) uint64 { return t.answered[p] }
 
 // Reached is the newest round a quorum of need among members answered,
-// the leader answering every round it issues.
+// the leader answering every round it issues: the round the last of
+// Pick's members answered, 0 when members are too few.
 func (t *Tracker) Reached(members []types.NodeID, self types.NodeID, need int) uint64 {
-	switch ranked, n := t.rank(members, self, need); {
-	case n > len(ranked):
+	t.ranked = quorum.Pick(t.ranked, members, self, need, t.newest)
+	if slices.Contains(members, self) {
+		need--
+	}
+	switch {
+	case need > len(t.ranked):
 		return 0
-	case n > 0:
-		return t.answered[ranked[n-1]]
+	case need > 0:
+		return t.answered[t.ranked[need-1]]
 	}
 	return t.round
 }
 
-// Reask is Pick's fallback, for the heartbeat: while a read waits, the
-// newest round and the members but self yet to answer it. A chosen
-// follower gone silent costs one interval and is not chosen again.
+// Aged, called once a tick, reports whether a read has waited through a
+// whole tick and was never re-asked: one issued before the previous call
+// still waits.
+func (t *Tracker) Aged() bool {
+	aged := false
+	for _, r := range t.pending {
+		if r.round > t.ticked {
+			break
+		}
+		aged = aged || !r.reasked
+	}
+	t.ticked = t.round
+	return aged
+}
+
+// Reask is Pick's fallback, for a read Aged found waiting and, while
+// reads wait, the heartbeat: the newest round and the members but self
+// yet to answer it. A chosen follower gone silent costs one tick and is
+// not chosen again.
 func (t *Tracker) Reask(members []types.NodeID, self types.NodeID) (uint64, []types.NodeID) {
 	t.ranked = t.ranked[:0]
 	if len(t.pending) == 0 {
@@ -156,5 +163,5 @@ func (t *Tracker) Take() []types.ReadState {
 }
 
 // Stats returns the probes sent and the reads confirmed only after a
-// heartbeat re-asked: the thrifty pick's misses.
+// tick re-asked: the thrifty pick's misses.
 func (t *Tracker) Stats() (probes, reasks int) { return t.probes, t.reasks }

@@ -33,9 +33,9 @@ type Snapshot struct {
 	// LastIndex is the highest log index the snapshot covers; the log
 	// below and including it may be discarded.
 	LastIndex types.Seq
-	// LastTerm is the raft term (or paxos ballot number) of the entry at
-	// LastIndex, needed for the AppendEntries consistency check at the
-	// snapshot boundary.
+	// LastTerm is the raft term of the entry at LastIndex, needed for
+	// the AppendEntries consistency check at the snapshot boundary.
+	// Multi-Paxos never reads it and writes 0.
 	LastTerm uint64
 	// Members is the cluster configuration in effect at LastIndex.
 	Members []types.NodeID
