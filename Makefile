@@ -17,9 +17,10 @@ SHARD_PKGS := ./internal/shard/... ./internal/explore ./internal/workload
 # Everything `make bench` measures: the simulation hot path plus the
 # protocol hot paths the allocation discipline tracks (raft append,
 # multipaxos write and phase-1 answer by log length, shard 2PC commit,
-# explore episodes and campaign scaling), live.Node's cost per event, and
-# the smr executor's cost per decision, lone or batched.
-BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/multipaxos ./internal/shard ./internal/explore ./internal/live ./internal/smr
+# explore episodes and campaign scaling), live.Node's cost per event, the
+# smr executor's cost per decision, lone or batched, and the kvstore's
+# cost per applied command.
+BENCH_PKGS := ./internal/runner ./internal/chaincrypto ./internal/pow ./internal/raft ./internal/multipaxos ./internal/shard ./internal/explore ./internal/live ./internal/smr ./internal/kvstore
 
 .PHONY: all build test test-race bench bench-pairs bench-pair golden lint explore examples fuzz ci cover serve-smoke soak loc
 

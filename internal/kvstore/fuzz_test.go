@@ -13,8 +13,13 @@ func FuzzDecode(f *testing.F) {
 		f.Add([]byte(c.Encode()))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if c, err := Decode(b); err == nil && !bytes.Equal(c.Encode(), b) {
+		c, err := Decode(b)
+		if err == nil && !bytes.Equal(c.Encode(), b) {
 			t.Fatalf("%x decoded to %+v, which re-encodes to %x", b, c, c.Encode())
+		}
+		op, key, val, exp, ok := View(b)
+		if ok != (err == nil) || op != c.Op || string(key) != c.Key || !bytes.Equal(val, c.Value) || !bytes.Equal(exp, c.Expected) {
+			t.Fatalf("%x viewed as (%d %q %x %x %v), decoded as %+v (%v)", b, op, key, val, exp, ok, c, err)
 		}
 	})
 }

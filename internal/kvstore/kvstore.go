@@ -61,13 +61,27 @@ func (c Command) Encode() types.Value {
 // Decode parses a serialized command. Value and Expected are copies:
 // the command outlives v.
 func Decode(v types.Value) (Command, error) {
-	r := wire.NewReader(v)
-	c := Command{Op: r.U8(), Key: string(r.View16()), Value: r.Copy32(), Expected: r.Copy32()}
-	if !r.Done() {
+	op, key, val, exp, ok := View(v)
+	if !ok {
 		return Command{}, ErrDecode
 	}
-	return c, nil
+	return Command{Op: op, Key: string(key), Value: owned(val), Expected: owned(exp)}, nil
 }
+
+// View parses a serialized command in place: key, val and exp are views
+// of v, valid for as long as v is, and ok is false on a malformed
+// command. It is Decode for a caller that only reads the command.
+func View(v types.Value) (op uint8, key, val, exp []byte, ok bool) {
+	r := wire.NewReader(v)
+	op, key, val, exp = r.U8(), r.View16(), r.View32(), r.View32()
+	if !r.Done() {
+		return 0, nil, nil, nil, false
+	}
+	return op, key, val, exp, true
+}
+
+// owned copies b, or is nil when b is empty.
+func owned(b []byte) []byte { return append([]byte(nil), b...) }
 
 // Convenience constructors.
 
@@ -105,64 +119,81 @@ var (
 
 // Store is the state machine. It is not safe for concurrent use; the SMR
 // layer applies commands from a single goroutine in commit order.
+//
+// No stored value is ever written in place: a write replaces the key's
+// slice. So a reply shares the stored bytes (a Get returns them, an Incr
+// stores the bytes it replies), and so may whoever holds a reply.
 type Store struct {
-	data    map[string][]byte
+	data    map[string]stored
 	applied uint64 // number of commands applied, for audit
 }
 
+// stored is one value beside the map's own string of its key, so that a
+// write to a key already present converts no key bytes.
+type stored struct {
+	key string
+	val []byte
+}
+
 // New returns an empty store.
-func New() *Store { return &Store{data: make(map[string][]byte)} }
+func New() *Store { return &Store{data: make(map[string]stored)} }
+
+// set stores val under key.
+func (s *Store) set(key, val []byte) {
+	e, ok := s.data[string(key)]
+	if !ok {
+		e.key = string(key)
+	}
+	e.val = val
+	s.data[e.key] = e
+}
 
 // Apply executes one encoded command and returns its reply. Unknown or
 // malformed commands yield ReplyBadCmd deterministically rather than an
 // error: every replica must produce the same result for every input.
 func (s *Store) Apply(cmd types.Value) types.Value {
 	s.applied++
-	c, err := Decode(cmd)
-	if err != nil {
+	op, key, val, exp, ok := View(cmd)
+	if !ok {
 		return ReplyBadCmd
 	}
-	switch c.Op {
+	switch op {
 	case OpGet:
-		if v, ok := s.data[c.Key]; ok {
-			return append(types.Value(nil), v...)
-		}
-		return ReplyNotFound
+		return s.get(key)
 	case OpPut:
-		s.data[c.Key] = append([]byte(nil), c.Value...)
+		s.set(key, owned(val))
 		return ReplyOK
 	case OpDelete:
-		if _, ok := s.data[c.Key]; !ok {
+		if _, ok := s.data[string(key)]; !ok {
 			return ReplyNotFound
 		}
-		delete(s.data, c.Key)
+		delete(s.data, string(key))
 		return ReplyOK
 	case OpCAS:
-		cur, ok := s.data[c.Key]
-		if !ok && len(c.Expected) != 0 {
+		cur, ok := s.data[string(key)]
+		if !ok && len(exp) != 0 {
 			return ReplyCASFail
 		}
-		if ok && string(cur) != string(c.Expected) {
+		if ok && string(cur.val) != string(exp) {
 			return ReplyCASFail
 		}
-		s.data[c.Key] = append([]byte(nil), c.Value...)
+		s.set(key, owned(val))
 		return ReplyOK
 	case OpIncr:
-		delta, err := strconv.ParseInt(string(c.Value), 10, 64)
+		delta, err := strconv.ParseInt(string(val), 10, 64)
 		if err != nil {
 			return ReplyBadCmd
 		}
 		cur := int64(0)
-		if v, ok := s.data[c.Key]; ok {
-			cur, err = strconv.ParseInt(string(v), 10, 64)
+		if v, ok := s.data[string(key)]; ok {
+			cur, err = strconv.ParseInt(string(v.val), 10, 64)
 			if err != nil {
 				return ReplyBadCmd
 			}
 		}
-		cur += delta
-		out := strconv.FormatInt(cur, 10)
-		s.data[c.Key] = []byte(out)
-		return types.Value(out)
+		out := strconv.AppendInt(nil, cur+delta, 10)
+		s.set(key, out)
+		return out
 	case OpNoop:
 		return ReplyOK
 	default:
@@ -170,23 +201,28 @@ func (s *Store) Apply(cmd types.Value) types.Value {
 	}
 }
 
+// get answers a GET with the stored bytes themselves.
+func (s *Store) get(key []byte) types.Value {
+	if v, ok := s.data[string(key)]; ok {
+		return v.val
+	}
+	return ReplyNotFound
+}
+
 // Query answers a GET without applying it: nothing changes, not even the
 // applied count a snapshot carries. Anything else is ReplyBadCmd.
 func (s *Store) Query(cmd types.Value) types.Value {
-	c, err := Decode(cmd)
-	if err != nil || c.Op != OpGet {
+	op, key, _, _, ok := View(cmd)
+	if !ok || op != OpGet {
 		return ReplyBadCmd
 	}
-	if v, ok := s.data[c.Key]; ok {
-		return append(types.Value(nil), v...)
-	}
-	return ReplyNotFound
+	return s.get(key)
 }
 
 // Get reads a key directly (local, possibly stale read).
 func (s *Store) Get(key string) ([]byte, bool) {
 	v, ok := s.data[key]
-	return v, ok
+	return v.val, ok
 }
 
 // Len returns the number of live keys.
@@ -204,7 +240,7 @@ func (s *Store) Snapshot() []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(keys)))
 	for _, k := range keys {
 		buf = wire.AppendBytes16(buf, k)
-		buf = wire.AppendBytes32(buf, s.data[k])
+		buf = wire.AppendBytes32(buf, s.data[k].val)
 	}
 	return buf
 }
@@ -216,14 +252,14 @@ func (s *Store) Restore(snap []byte) error {
 	r := wire.NewReader(snap)
 	applied := r.U64()
 	n := r.Count(2 + 4)
-	data := make(map[string][]byte, n)
+	data := make(map[string]stored, n)
 	prev := ""
 	for i := 0; i < n; i++ {
 		k := string(r.View16())
 		if i > 0 && k <= prev {
 			return fmt.Errorf("kvstore: snapshot truncated or out of order at key %d", i)
 		}
-		data[k], prev = r.Copy32(), k
+		data[k], prev = stored{k, r.Copy32()}, k
 	}
 	if !r.Done() {
 		return fmt.Errorf("kvstore: snapshot truncated or has trailing bytes")

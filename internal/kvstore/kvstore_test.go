@@ -113,6 +113,29 @@ func TestStoreIncr(t *testing.T) {
 	}
 }
 
+// The apply path reads a command in place: a Get replies with the stored
+// bytes and allocates nothing, and an Incr of a key already present
+// allocates only the digits it both stores and replies.
+func TestApplyAllocations(t *testing.T) {
+	s := New()
+	s.Apply(Put("key-000001", make([]byte, 64)).Encode())
+	get, incr := Get("key-000001").Encode(), Incr("n", 1).Encode()
+	s.Apply(incr)
+	if n := testing.AllocsPerRun(1000, func() { s.Apply(get) }); n != 0 {
+		t.Fatalf("Apply(Get) costs %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { s.Query(get) }); n != 0 {
+		t.Fatalf("Query(Get) costs %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { s.Apply(incr) }); n > 1 {
+		t.Fatalf("Apply(Incr) of a present key costs %v allocations, want at most 1", n)
+	}
+	got := s.Apply(incr)
+	if v, _ := s.Get("n"); string(v) != "1003" || string(got) != "1003" {
+		t.Fatalf("after 1003 Incrs the store holds %q and replied %q", v, got)
+	}
+}
+
 func TestStoreBadCommandsDeterministic(t *testing.T) {
 	s := New()
 	if got := s.Apply(types.Value("junk")); !got.Equal(ReplyBadCmd) {

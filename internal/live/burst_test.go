@@ -212,7 +212,7 @@ func startFakeServer(t *testing.T) *fakeServer {
 func (f *fakeServer) answer(t *testing.T, r fakeReq, result string) {
 	t.Helper()
 	resp := Response{ReqID: r.ReqID, Status: StatusOK, Leader: 0, Result: types.Value(result)}
-	if err := WriteFrame(r.conn, resp.encode()); err != nil {
+	if err := WriteFrame(r.conn, resp.appendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -20,11 +20,17 @@ const DefaultMaxFrame = 16 << 20
 var ErrFrameTooLarge = errors.New("live: frame exceeds size limit")
 
 // WriteFrame writes one length-prefixed frame: u32 big-endian payload
-// length, then the payload. The caller flushes any buffering.
+// length, then the payload. The caller flushes any buffering. A writer
+// that lends out its free buffer (bufio.Writer, bytes.Buffer) takes the
+// prefix there, so a frame into it allocates nothing; any other writer
+// gets the prefix in a slice of its own.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		hdr = ab.AvailableBuffer()
+	}
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)

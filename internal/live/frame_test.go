@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -43,6 +44,16 @@ func (o oneByteReader) Read(p []byte) (int, error) {
 		p = p[:1]
 	}
 	return o.r.Read(p)
+}
+
+// A frame into a bufio.Writer takes its length prefix in the writer's
+// own buffer: no header escapes to the heap.
+func TestWriteFrameIntoBufioAllocatesNothing(t *testing.T) {
+	bw := bufio.NewWriter(io.Discard)
+	payload := make([]byte, 100)
+	if n := testing.AllocsPerRun(1000, func() { WriteFrame(bw, payload) }); n != 0 {
+		t.Fatalf("a frame into a bufio.Writer costs %v allocations, want 0", n)
+	}
 }
 
 func TestFramePartialReads(t *testing.T) {

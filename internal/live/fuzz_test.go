@@ -44,11 +44,11 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 func FuzzDecodeResponse(f *testing.F) {
-	f.Add(Response{ReqID: 1, Status: StatusOK, Leader: 2, Result: []byte("OK")}.encode())
-	f.Add(Response{ReqID: 9, Status: StatusNotLeader, Leader: -1}.encode())
+	f.Add(Response{ReqID: 1, Status: StatusOK, Leader: 2, Result: []byte("OK")}.appendTo(nil))
+	f.Add(Response{ReqID: 9, Status: StatusNotLeader, Leader: -1}.appendTo(nil))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if p, err := decodeResponse(b); err == nil && !bytes.Equal(p.encode(), b) {
-			t.Fatalf("%x decoded to %+v, which re-encodes to %x", b, p, p.encode())
+		if p, err := decodeResponse(b); err == nil && !bytes.Equal(p.appendTo(nil), b) {
+			t.Fatalf("%x decoded to %+v, which re-encodes to %x", b, p, p.appendTo(nil))
 		}
 	})
 }

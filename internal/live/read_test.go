@@ -153,16 +153,15 @@ func TestDroppedReadIsRedirectedAtOnce(t *testing.T) {
 	cc := newClientConn(c1, bufio.NewReader(c1))
 	g.serve(cc, []clientOp{{Request{ReqID: 5, Client: 1, SeqNo: 1, Op: kvstore.Get("k").Encode()}, true}})
 	select {
-	case b := <-cc.out:
-		resp, _ := decodeResponse(b)
+	case resp := <-cc.out:
 		t.Fatalf("an unconfirmed read was answered: %+v", resp)
 	case <-time.After(20 * time.Millisecond):
 	}
 	g.node.Deliver(raft.Message{Kind: raft.MsgAppend, From: 2, To: 0, Term: mod.Term() + 1})
 	select {
-	case b := <-cc.out:
-		if resp, err := decodeResponse(b); err != nil || resp.ReqID != 5 || resp.Status != StatusNotLeader || resp.Leader != 2 {
-			t.Fatalf("dropped read answered %+v (%v), want StatusNotLeader naming node 2", resp, err)
+	case resp := <-cc.out:
+		if resp.ReqID != 5 || resp.Status != StatusNotLeader || resp.Leader != 2 {
+			t.Fatalf("dropped read answered %+v, want StatusNotLeader naming node 2", resp)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("the dropped read was not answered")

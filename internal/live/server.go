@@ -260,13 +260,13 @@ func (s *Server) route(cc *ClientConn, req Request, shares [][]clientOp) {
 		s.handleAdmin(cc, req)
 		return
 	}
-	cmd, derr := kvstore.Decode(req.Op)
-	if derr != nil || req.SeqNo == 0 {
+	op, key, _, _, ok := kvstore.View(req.Op)
+	if !ok || req.SeqNo == 0 {
 		s.refuse(cc, req, "undecodable command")
 		return
 	}
-	sh := s.pm.Shard(cmd.Key)
-	shares[sh] = append(shares[sh], clientOp{req, cmd.Op == kvstore.OpGet})
+	sh := s.pm.Shard(string(key))
+	shares[sh] = append(shares[sh], clientOp{req, op == kvstore.OpGet})
 }
 
 // refuse answers a request the server cannot take StatusBadRequest.

@@ -421,6 +421,10 @@ func (t *Transport) Close() {
 // serving goroutine, framed writes through a bounded queue drained by
 // a dedicated writer (so a slow client never blocks a shard group's
 // turn — its responses drop and its retries re-read the dedup cache).
+// The queue holds responses, not their encodings: the writer encodes
+// each into one reused buffer, so a reply's Result must not change
+// once it is sent. None does: kvstore.Store writes no stored value in
+// place, and every other Result is made for its reply.
 type ClientConn struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -428,13 +432,13 @@ type ClientConn struct {
 
 	mu     sync.Mutex
 	closed bool
-	out    chan []byte
+	out    chan Response
 
 	closeOnce sync.Once
 }
 
 func newClientConn(c net.Conn, br *bufio.Reader) *ClientConn {
-	return &ClientConn{c: c, br: br, bw: bufio.NewWriter(c), out: make(chan []byte, 256)}
+	return &ClientConn{c: c, br: br, bw: bufio.NewWriter(c), out: make(chan Response, 256)}
 }
 
 // ReadRequest reads and decodes the next request frame.
@@ -455,7 +459,7 @@ func (cc *ClientConn) Send(p Response) bool {
 		return false
 	}
 	select {
-	case cc.out <- p.encode():
+	case cc.out <- p:
 		return true
 	default:
 		return false
@@ -464,7 +468,9 @@ func (cc *ClientConn) Send(p Response) bool {
 
 // writeLoop drains the response queue, batching flushes.
 func (cc *ClientConn) writeLoop() {
-	for payload := range cc.out {
+	var payload []byte
+	for p := range cc.out {
+		payload = p.appendTo(payload[:0])
 		if err := WriteFrame(cc.bw, payload); err != nil {
 			cc.Close()
 			continue // keep draining so Close's channel close releases us

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -303,5 +304,45 @@ func TestTransportHelloReadUnderItsOwnCap(t *testing.T) {
 	var b [1]byte
 	if _, err := conn.Read(b[:]); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("read = %v, want the connection closed within 1 s", err)
+	}
+}
+
+// A reply is queued as it is and encoded on the connection's writer:
+// Send allocates nothing, and the writer's one reused buffer frames
+// replies of any length in turn.
+func TestClientConnSendAllocatesNothing(t *testing.T) {
+	c1, c2 := net.Pipe()
+	defer c2.Close()
+	cc := newClientConn(c1, bufio.NewReader(c1))
+	defer cc.Close()
+	resp := Response{ReqID: 7, Status: StatusOK, Leader: 1, Result: types.Value("42")}
+	if n := testing.AllocsPerRun(100, func() {
+		cc.Send(resp)
+		<-cc.out
+	}); n != 0 {
+		t.Fatalf("ClientConn.Send costs %v allocations, want 0", n)
+	}
+
+	go cc.writeLoop()
+	want := []Response{
+		{ReqID: 1, Status: StatusOK, Leader: 1, Result: types.Value("a longer result first")},
+		{ReqID: 2, Status: StatusNotLeader, Leader: -1},
+		{ReqID: 3, Status: StatusOK, Leader: 1, Result: types.Value("7")},
+	}
+	for _, p := range want {
+		if !cc.Send(p) {
+			t.Fatal("Send refused a reply on an open connection")
+		}
+	}
+	br := bufio.NewReader(c2)
+	for _, w := range want {
+		b, err := ReadFrame(br, DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeResponse(b)
+		if err != nil || got.ReqID != w.ReqID || got.Status != w.Status || got.Leader != w.Leader || string(got.Result) != string(w.Result) {
+			t.Fatalf("the writer framed %+v (%v), want %+v", got, err, w)
+		}
 	}
 }

@@ -72,8 +72,8 @@ type Response struct {
 	Result types.Value
 }
 
-func (p Response) encode() []byte {
-	b := make([]byte, 0, 1+8+1+8+4+len(p.Result))
+// appendTo appends the response's encoding to b.
+func (p Response) appendTo(b []byte) []byte {
 	b = appendU8(b, tagResponse)
 	b = appendU64(b, p.ReqID)
 	b = appendU8(b, p.Status)

@@ -142,7 +142,8 @@ type Config struct {
 	// HeartbeatTicks is the leader's heartbeat interval. Default 5.
 	HeartbeatTicks int
 	// ElectionTimeoutTicks is the base follower timeout before running
-	// for leadership; each node adds seeded jitter. Default 30.
+	// for leadership; each node adds seeded jitter. A node that has
+	// promised no ballot skips the base. Default 30.
 	ElectionTimeoutTicks int
 	// Passive starts the node as a non-campaigning joiner until it first
 	// hears from a leader (see raft.Config.Passive for the rationale).
@@ -258,8 +259,16 @@ func New(id types.NodeID, cfg Config) *Node {
 	return n
 }
 
+// resetElectionTimer is raft.Node.resetElectionTimer's rule with a
+// promised ballot in place of a term: a node that has promised none has
+// heard no leader, so it skips the ElectionTimeoutTicks base and waits
+// one tick plus the seeded jitter.
 func (n *Node) resetElectionTimer() {
-	n.electionIn = n.cfg.ElectionTimeoutTicks + n.rng.Intn(n.cfg.ElectionTimeoutTicks)
+	base := n.cfg.ElectionTimeoutTicks
+	if n.ballot.IsZero() {
+		base = 1
+	}
+	n.electionIn = base + n.rng.Intn(n.cfg.ElectionTimeoutTicks)
 }
 
 func (n *Node) send(m Message) {

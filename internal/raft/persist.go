@@ -169,5 +169,10 @@ func (p *Persister) Restore(n *Node) error {
 	p.term, p.votedFor = n.term, n.votedFor
 	p.base, p.length = n.snapIndex, n.lastIndex()
 	n.unsynced = 0
+	if n.term > 0 {
+		// New armed the fresh node's short timer; a node that has seen a
+		// term waits the full base, so it cannot unseat a live leader.
+		n.resetElectionTimer()
+	}
 	return nil
 }

@@ -141,7 +141,8 @@ type Config struct {
 	// HeartbeatTicks is the leader's AppendEntries interval. Default 5.
 	HeartbeatTicks int
 	// ElectionTimeoutTicks is the base follower timeout; each reset adds
-	// seeded jitter in [0, ElectionTimeoutTicks). Default 30.
+	// seeded jitter in [0, ElectionTimeoutTicks). A node that has seen no
+	// term skips the base (see resetElectionTimer). Default 30.
 	ElectionTimeoutTicks int
 	// Passive starts the node as a non-voting joiner: it never campaigns
 	// until it first hears from a leader. A fresh node added to a running
@@ -260,8 +261,19 @@ func New(id types.NodeID, cfg Config) *Node {
 	return n
 }
 
+// resetElectionTimer arms ElectionTimeoutTicks plus a seeded jitter in
+// [0, ElectionTimeoutTicks), or at term 0 one tick plus the jitter. The
+// base keeps a follower from timing out between a live leader's
+// heartbeats, and a node at term 0 has never heard one, so a freshly
+// booted group elects within the jitter; the jitter keeps its nodes from
+// splitting the vote. A node restored from its journal holds a term and
+// waits the full base (Persister.Restore).
 func (n *Node) resetElectionTimer() {
-	n.electionIn = n.cfg.ElectionTimeoutTicks + n.rng.Intn(n.cfg.ElectionTimeoutTicks)
+	base := n.cfg.ElectionTimeoutTicks
+	if n.term == 0 {
+		base = 1
+	}
+	n.electionIn = base + n.rng.Intn(n.cfg.ElectionTimeoutTicks)
 }
 
 func (n *Node) lastIndex() types.Seq { return n.snapIndex + types.Seq(len(n.log)-1) }

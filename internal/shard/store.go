@@ -151,12 +151,9 @@ func (s *Store) Query(cmd types.Value) types.Value {
 
 // applyKV runs one plain kvstore command, honouring prepare locks.
 func (s *Store) applyKV(cmd types.Value) types.Value {
-	c, err := kvstore.Decode(cmd)
-	if err != nil {
-		return s.kv.Apply(cmd) // kvstore renders its own BAD_COMMAND
-	}
-	if isWrite(c.Op) && len(s.locks) > 0 {
-		if _, held := s.locks[c.Key]; held {
+	// A malformed command falls through: kvstore renders its own BAD_COMMAND.
+	if op, key, _, _, ok := kvstore.View(cmd); ok && isWrite(op) && len(s.locks) > 0 {
+		if _, held := s.locks[string(key)]; held {
 			return ReplyLocked
 		}
 	}
