@@ -49,6 +49,15 @@ type GroupStatus struct {
 	SnapBytes int     `json:"snap_bytes"` // last snapshot taken or installed: sessions + store
 	Members   []int64 `json:"members"`    // current config (sorted)
 	Digest    string  `json:"digest"`     // FNV-64 of the committed KV state
+	// LeaderChanges counts the times this node's believed leader turned
+	// to a known node: the boot election is the first.
+	LeaderChanges int `json:"leader_changes"`
+	// LeaderlessMs is the last stretch, in milliseconds, in which this
+	// node named no leader: at boot it runs from the group's start, and
+	// while no leader is named it is the stretch so far. It leaves out
+	// the failure detection wait, while the node still names a leader
+	// that died: that ends when a candidate's ballot or term reaches it.
+	LeaderlessMs float64 `json:"leaderless_ms"`
 	// RestoreFailed: a snapshot installed from a peer did not restore;
 	// the replica applies nothing past it and refuses client requests.
 	RestoreFailed bool `json:"restore_failed"`

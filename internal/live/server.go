@@ -360,6 +360,13 @@ type smrGroup[M any] struct {
 
 	probes, reasked int // the module's read counters, as last added to srv.met
 
+	// The believed leader as the last turn left it, for status'
+	// leader_changes and leaderless_ms (leaderChanged).
+	lead          types.NodeID
+	leaderChanges int
+	leaderlessAt  time.Time     // when the current leaderless stretch began; zero while a leader is named
+	leaderless    time.Duration // the last finished leaderless stretch
+
 	enc    []byte          // frame's scratch, reused across sends
 	writes []types.Request // serve's scratch: one turn's writes
 }
@@ -369,6 +376,7 @@ func newSMRGroup[M any](s *Server, idx int, mod SMRModule[M], codec Codec[M], de
 		srv: s, idx: idx, mod: mod, codec: codec, dest: dest,
 		store:   shard.NewStore(),
 		pending: make(map[types.ClientID]pendingReq),
+		lead:    -1,
 	}
 	g.rep = smr.NewReplica(s.cfg.Self, mod, g.store)
 	g.node = NewNode[M](mod, s.cfg.Self, dest, g.send, g.afterTurn, NodeConfig{
@@ -504,10 +512,42 @@ func (g *smrGroup[M]) afterTurn() {
 		met.readsReasked.Add(uint64(reasked - g.reasked))
 		g.probes, g.reasked = probes, reasked
 	}
+	if lead := g.mod.Leader(); lead != g.lead {
+		g.leaderChanged(lead)
+	}
 	g.rep.CompactEvery(g.srv.cfg.SnapshotEvery)
 }
 
-func (g *smrGroup[M]) start() { g.node.Start() }
+// leaderChanged records a turn that left the module naming another
+// leader, or none: a known one is a leader change, and none opens a
+// leaderless stretch that the next known one closes.
+func (g *smrGroup[M]) leaderChanged(lead types.NodeID) {
+	now := time.Now()
+	switch {
+	case lead < 0:
+		g.leaderlessAt = now
+	case g.lead < 0 && !g.leaderlessAt.IsZero():
+		g.leaderless = now.Sub(g.leaderlessAt)
+		g.leaderlessAt = time.Time{}
+	}
+	if lead >= 0 {
+		g.leaderChanges++
+	}
+	g.lead = lead
+}
+
+// millis is d in milliseconds, to the microsecond.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+
+// start opens the boot's leaderless stretch, then the ticker.
+func (g *smrGroup[M]) start() {
+	g.node.CallWait(func() {
+		if g.lead < 0 {
+			g.leaderlessAt = time.Now()
+		}
+	})
+	g.node.Start()
+}
 func (g *smrGroup[M]) close() { g.node.Close() }
 
 func (g *smrGroup[M]) leaderInfo() (bool, types.NodeID, bool) {
@@ -539,6 +579,12 @@ func (g *smrGroup[M]) status() (GroupStatus, bool) {
 			SnapBytes: g.rep.SnapshotBytes(),
 
 			RestoreFailed: g.restoreFailed,
+
+			LeaderChanges: g.leaderChanges,
+			LeaderlessMs:  millis(g.leaderless),
+		}
+		if g.lead < 0 && !g.leaderlessAt.IsZero() {
+			st.LeaderlessMs = millis(time.Since(g.leaderlessAt))
 		}
 		for _, m := range g.mod.Members() {
 			st.Members = append(st.Members, int64(m))

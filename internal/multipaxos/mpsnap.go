@@ -144,9 +144,10 @@ func (n *Node) Compact(upTo types.Seq, state []byte) bool {
 	if n.role == leader {
 		for _, p := range n.latestMembers() {
 			if pr := n.prs[p]; pr != nil && pr.sent < upTo {
-				n.push(p, pr)
+				n.push(p, pr, n.nextSlot-1)
 			}
 		}
+		n.pushRemoved()
 	}
 	snap := snapshot.Snapshot{
 		LastIndex: upTo,

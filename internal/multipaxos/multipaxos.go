@@ -143,7 +143,8 @@ type Config struct {
 	HeartbeatTicks int
 	// ElectionTimeoutTicks is the base follower timeout before running
 	// for leadership; each node adds seeded jitter. A node that has
-	// promised no ballot skips the base. Default 30.
+	// promised no ballot arms only a jitter in [1, HeartbeatTicks].
+	// Default 30.
 	ElectionTimeoutTicks int
 	// Passive starts the node as a non-campaigning joiner until it first
 	// hears from a leader (see raft.Config.Passive for the rationale).
@@ -262,13 +263,13 @@ func New(id types.NodeID, cfg Config) *Node {
 // resetElectionTimer is raft.Node.resetElectionTimer's rule with a
 // promised ballot in place of a term: a node that has promised none has
 // heard no leader, so it skips the ElectionTimeoutTicks base and waits
-// one tick plus the seeded jitter.
+// one tick plus a seeded jitter in [0, HeartbeatTicks).
 func (n *Node) resetElectionTimer() {
-	base := n.cfg.ElectionTimeoutTicks
 	if n.ballot.IsZero() {
-		base = 1
+		n.electionIn = 1 + n.rng.Intn(n.cfg.HeartbeatTicks)
+		return
 	}
-	n.electionIn = base + n.rng.Intn(n.cfg.ElectionTimeoutTicks)
+	n.electionIn = n.cfg.ElectionTimeoutTicks + n.rng.Intn(n.cfg.ElectionTimeoutTicks)
 }
 
 func (n *Node) send(m Message) {
@@ -371,14 +372,14 @@ func (n *Node) sendAccept(p types.NodeID, s types.Seq, sl *slot) {
 	pr.told = n.commitSeq + 1
 }
 
-// push sends p what it has not been sent, up to snapshot.BatchBytes: the
-// chosen slots in one heartbeat, each open slot as an Accept. An open
-// slot of an epoch p is not a member of ends the push: p may not vote
-// on it, and is sent it once it is chosen. A follower not sent the
-// compacted prefix is pulling the snapshot.
-func (n *Node) push(p types.NodeID, pr *progress) {
+// push sends p what it has not been sent through slot through, up to
+// snapshot.BatchBytes: the chosen slots in one heartbeat, each open slot
+// as an Accept. An open slot of an epoch p is not a member of ends the
+// push: p may not vote on it, and is sent it once it is chosen. A
+// follower not sent the compacted prefix is pulling the snapshot.
+func (n *Node) push(p types.NodeID, pr *progress, through types.Seq) {
 	var chosen []Entry
-	for size := 0; pr.sent >= n.compactSeq && pr.sent+1 < n.nextSlot && size < snapshot.BatchBytes; {
+	for size := 0; pr.sent >= n.compactSeq && pr.sent < through && size < snapshot.BatchBytes; {
 		sl := n.log.get(pr.sent + 1) // never nil: a leader's slots are dense up to nextSlot
 		if sl.learned {
 			pr.sent++
@@ -415,6 +416,7 @@ func (n *Node) vote(slot types.Seq, sl *slot, from types.NodeID) {
 func (n *Node) campaign() {
 	n.elections++
 	n.role = candidate
+	n.lead = -1 // as raft's candidate: it names no leader until one leads
 	n.ballot = n.ballot.Next(n.id)
 	n.curBallot = n.ballot
 	q1, _ := n.quorumsFor(n.commitSeq + 1)
@@ -504,14 +506,18 @@ func (n *Node) onAck(m Message) {
 	if m.Commit > n.ackCommit {
 		n.ackCommit, n.ackFrom = m.Commit, m.From
 	}
+	asked := n.prepAcks.Reached()
 	if !n.prepAcks.Add(m.From) {
 		return
 	}
 	if n.ackCommit > n.commitSeq {
 		// An acker is committed past us and may have compacted the slots
 		// we are missing — leading now would no-op-fill chosen slots.
-		// Catch up from that acker and let the election timer retry.
-		n.catchup(n.ackFrom)
+		// Catch up from that acker, once: asking again on a later ack
+		// would start a snapshot transfer over from its first chunk.
+		if !asked {
+			n.catchup(n.ackFrom)
+		}
 		return
 	}
 	n.becomeLeader()
@@ -706,7 +712,7 @@ func (n *Node) onCatchup(m Message) {
 		}
 	}
 	if pr != nil {
-		n.push(m.From, pr)
+		n.push(m.From, pr, n.nextSlot-1)
 		return
 	}
 	var entries []Entry
@@ -721,9 +727,31 @@ func (n *Node) onCatchup(m Message) {
 	}
 }
 
+// pushRemoved sends each member a chosen config removed what it has not
+// been sent through the slot that removed it, and a commit frontier
+// past that slot: it learns it is out, and never campaigns. After that
+// it hears nothing more.
+func (n *Node) pushRemoved() {
+	for i := 1; i < len(n.configs); i++ {
+		through := n.configs[i].from - Alpha
+		for _, p := range n.configs[i-1].members {
+			if p == n.id || n.isMember(p) {
+				continue
+			}
+			pr := n.progress(p)
+			n.push(p, pr, through)
+			if pr.told <= through {
+				n.send(Message{Kind: MsgHeartbeat, To: p, Ballot: n.curBallot, Commit: through})
+				pr.told = through + 1
+			}
+		}
+	}
+}
+
 // Tick advances timers. The leader pushes every follower of the newest
 // epoch (a joiner too) what it lacks, so a stalled pick costs a tick, and
-// each HeartbeatTicks heartbeats one that nothing told the frontier.
+// each HeartbeatTicks heartbeats one that nothing told the frontier; a
+// removed member it pushes through its removal (pushRemoved).
 func (n *Node) Tick() {
 	n.holdCompact = max(n.holdCompact-1, 0)
 	switch n.role {
@@ -738,7 +766,7 @@ func (n *Node) Tick() {
 				continue
 			}
 			pr := n.progress(p)
-			n.push(p, pr)
+			n.push(p, pr, n.nextSlot-1)
 			if beat {
 				if pr.told != n.commitSeq+1 {
 					n.send(Message{Kind: MsgHeartbeat, To: p, Ballot: n.curBallot, Commit: n.commitSeq})
@@ -746,6 +774,7 @@ func (n *Node) Tick() {
 				pr.told = 0
 			}
 		}
+		n.pushRemoved()
 		n.reask(beat)
 	case follower, candidate:
 		n.askIn = max(n.askIn-1, 0)

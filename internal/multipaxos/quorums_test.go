@@ -55,10 +55,9 @@ func TestRemoveDownToOneMemberKeepsCommitting(t *testing.T) {
 	c, lead := ledCluster(t, 2, nil, Config{}, 61)
 	other := c.Nodes[1-int(lead.id)]
 	lead.Submit(confVal(snapshot.ConfRemove, other.id))
-	// Idle: the removed node stops hearing heartbeats, campaigns once,
-	// learns of its removal while catching up and goes quiet. The
-	// survivor must then win an election whose quorum — the next slot is
-	// still inside the alpha window — counts the node it removed.
+	// Idle: the removed node is pushed its removal and goes quiet, so
+	// the survivor still leads, and its quorum — the next slot is still
+	// inside the alpha window — counts the node it removed.
 	c.RunPumped(400)
 	if len(lead.configs) != 2 || c.WaitLeader(500) != lead {
 		t.Fatalf("survivor did not lead again after the removal (configs %v, elections %d)", lead.configs, lead.Elections())

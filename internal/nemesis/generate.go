@@ -1,6 +1,7 @@
 package nemesis
 
 import (
+	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/types"
 )
@@ -112,9 +113,8 @@ func Generate(rng *simnet.RNG, cfg GenConfig) Schedule {
 	// here because each node holds at most one open window at a time.
 	downAt := func(start, end int) int {
 		n := 0
-		//lint:allow maporder counts windows overlapping the span; the total is the same in any iteration order
-		for _, ws := range downWindows {
-			if overlapping(ws, start, end) > 0 {
+		for _, node := range det.SortedKeys(downWindows) {
+			if overlapping(downWindows[node], start, end) > 0 {
 				n++
 			}
 		}

@@ -171,6 +171,7 @@ func (t *Tally) Reached() bool { return len(t.votes) >= t.need }
 type ValueTally struct {
 	votes map[string]*Tally
 	need  int
+	total int // distinct (node, value) votes, kept as they are added
 }
 
 // NewValueTally returns a per-value tally with the given threshold.
@@ -185,6 +186,9 @@ func (v *ValueTally) Add(n types.NodeID, key string) bool {
 	if !ok {
 		t = NewTally(v.need)
 		v.votes[key] = t
+	}
+	if !t.Has(n) {
+		v.total++
 	}
 	return t.Add(n)
 }
@@ -214,14 +218,7 @@ func (v *ValueTally) Leader() (string, int) {
 }
 
 // Total returns the number of distinct (node,value) votes recorded.
-func (v *ValueTally) Total() int {
-	n := 0
-	//lint:allow maporder summing counts is commutative; the total is order-independent
-	for _, t := range v.votes {
-		n += t.Count()
-	}
-	return n
-}
+func (v *ValueTally) Total() int { return v.total }
 
 // Pick is whom a leader asks when it needs a quorum of need among
 // members, itself included: the fewest of the others, highest rank

@@ -142,7 +142,8 @@ type Config struct {
 	HeartbeatTicks int
 	// ElectionTimeoutTicks is the base follower timeout; each reset adds
 	// seeded jitter in [0, ElectionTimeoutTicks). A node that has seen no
-	// term skips the base (see resetElectionTimer). Default 30.
+	// term arms only a jitter in [1, HeartbeatTicks] (see
+	// resetElectionTimer). Default 30.
 	ElectionTimeoutTicks int
 	// Passive starts the node as a non-voting joiner: it never campaigns
 	// until it first hears from a leader. A fresh node added to a running
@@ -262,18 +263,19 @@ func New(id types.NodeID, cfg Config) *Node {
 }
 
 // resetElectionTimer arms ElectionTimeoutTicks plus a seeded jitter in
-// [0, ElectionTimeoutTicks), or at term 0 one tick plus the jitter. The
-// base keeps a follower from timing out between a live leader's
-// heartbeats, and a node at term 0 has never heard one, so a freshly
-// booted group elects within the jitter; the jitter keeps its nodes from
-// splitting the vote. A node restored from its journal holds a term and
-// waits the full base (Persister.Restore).
+// [0, ElectionTimeoutTicks), or at term 0 one tick plus a jitter in
+// [0, HeartbeatTicks). The base keeps a follower from timing out between
+// a live leader's heartbeats, and a node at term 0 has never heard one;
+// its jitter only has to order the fresh candidates, so that the first
+// one's RequestVote lands before the others fire, and one heartbeat
+// interval is the round trip the config promises. A node restored from
+// its journal holds a term and waits the full base (Persister.Restore).
 func (n *Node) resetElectionTimer() {
-	base := n.cfg.ElectionTimeoutTicks
 	if n.term == 0 {
-		base = 1
+		n.electionIn = 1 + n.rng.Intn(n.cfg.HeartbeatTicks)
+		return
 	}
-	n.electionIn = base + n.rng.Intn(n.cfg.ElectionTimeoutTicks)
+	n.electionIn = n.cfg.ElectionTimeoutTicks + n.rng.Intn(n.cfg.ElectionTimeoutTicks)
 }
 
 func (n *Node) lastIndex() types.Seq { return n.snapIndex + types.Seq(len(n.log)-1) }
@@ -535,7 +537,15 @@ func (n *Node) sendNext(p types.NodeID, pr *progress) {
 // Step consumes one delivered message.
 func (n *Node) Step(m Message) {
 	if m.Term > n.term {
+		// A follower's countdown runs on: only its leader's message or a
+		// vote it grants re-arms it (Raft's Figure 2), so a lagging node
+		// that campaigns and cannot win does not hold off the nodes that
+		// can. A fresh node's short timer ends with its first term.
+		running, keep := n.electionIn, n.role == follower && n.term > 0
 		n.becomeFollower(m.Term, -1)
+		if keep {
+			n.electionIn = running
+		}
 	}
 	switch m.Kind {
 	case MsgRequestVote:

@@ -58,6 +58,26 @@ status_of() {
     "$DIR/consensus-admin" -addrs "$1" status
 }
 
+# groups_of <addr> — prints the node's groups, one JSON object a line.
+groups_of() {
+    status_of "$1" | tr -d ' \t\n' | sed 's/},{/}\n{/g'
+    echo
+}
+
+# shard_field <addr> <shard> <field> — prints one group's numeric field.
+shard_field() {
+    groups_of "$1" | grep "\"shard\":$2," | sed -n "s/.*\"$3\":\([0-9.e+-]*\).*/\1/p"
+}
+
+# print_elections <addr...> — every group's leader changes and its last
+# leaderless stretch; at boot, the wait for its first leader.
+print_elections() {
+    local addr
+    for addr in "$@"; do
+        groups_of "$addr" | sed -n "s/.*\"leader_changes\":\([0-9]*\),\"leaderless_ms\":\([0-9.e+-]*\),.*\"shard\":\([0-9]*\),.*/  $addr shard \3: leader_changes=\1 leaderless_ms=\2/p"
+    done
+}
+
 echo "serve-smoke: building CLIs"
 go build -o "$DIR" ./cmd/consensus-serve ./cmd/consensus-load ./cmd/consensus-admin \
     || die "build failed"
@@ -74,6 +94,8 @@ echo "serve-smoke: starting 3-node cluster on $PEERS (snapshot-every 8)"
 "$DIR/consensus-serve" -id 1 -peers "$PEERS" -tick 1ms -snapshot-every 8 >"$DIR/n1.log" 2>&1 & P1=$!
 "$DIR/consensus-serve" -id 2 -peers "$PEERS" -tick 1ms -snapshot-every 8 >"$DIR/n2.log" 2>&1 & P2=$!
 sleep 1
+echo "serve-smoke: boot elections (raft)"
+print_elections "$A0" "$A1" "$A2"
 
 echo "serve-smoke: load burst 1 (full cluster)"
 "$DIR/consensus-load" -addrs "$PEERS" -duration 2s -workers 8 -session 110000 \
@@ -173,6 +195,8 @@ echo "serve-smoke: starting 3-node multipaxos cluster on $MPEERS (snapshot-every
 "$DIR/consensus-serve" -id 1 -peers "$MPEERS" -tick 1ms -backend multipaxos -snapshot-every 8 >"$DIR/m1.log" 2>&1 & M1=$!
 "$DIR/consensus-serve" -id 2 -peers "$MPEERS" -tick 1ms -backend multipaxos -snapshot-every 8 >"$DIR/m2.log" 2>&1 & M2=$!
 sleep 1
+echo "serve-smoke: boot elections (multipaxos)"
+print_elections "$B0" "$B1" "$B2"
 
 # mp_burst <session> <addrs> — a read-heavy burst that must verify with
 # no errors.
@@ -212,6 +236,13 @@ for _ in $(seq 1 50); do
 done
 [ -n "$LEAD" ] || die "no multipaxos node leads shard 0"
 eval "LPID=\$M$LEAD"
+# Each survivor's shard-0 leader changes before the kill.
+CHANGES=""
+for i in 0 1 2 3; do
+    [ "$i" = "$LEAD" ] && continue
+    eval "addr=\$B$i"
+    CHANGES="$CHANGES $i:$(shard_field "$addr" 0 leader_changes)"
+done
 echo "serve-smoke: killing multipaxos shard-0 leader node $LEAD (pid $LPID)"
 kill -9 "$LPID" 2>/dev/null
 wait "$LPID" 2>/dev/null
@@ -220,6 +251,22 @@ eval "M$LEAD=''"
 # Three of four remain: still a majority of the 4-member config.
 echo "serve-smoke: multipaxos burst 2 (after the leader's kill)"
 mp_burst 150000 "$MPEERS4"
+
+# A survivor must have named a new shard-0 leader. The leaderless_ms of
+# the one that won is the failover's election round as it saw it; the
+# failure detection before it is not in the number, and a survivor
+# that promised the winner went from the old leader to it directly.
+ROSE=""
+for entry in $CHANGES; do
+    i="${entry%%:*}"; was="${entry#*:}"
+    eval "addr=\$B$i"
+    now=$(shard_field "$addr" 0 leader_changes)
+    echo "serve-smoke: node $i shard 0 after the kill: leader_changes $was -> $now, leaderless_ms=$(shard_field "$addr" 0 leaderless_ms), is_leader=$(groups_of "$addr" | grep '"shard":0,' | sed -n 's/.*"is_leader":\([a-z]*\).*/\1/p')"
+    if [ -n "$was" ] && [ -n "$now" ] && [ "$now" -gt "$was" ]; then
+        ROSE=$i
+    fi
+done
+[ -n "$ROSE" ] || die "no multipaxos survivor counted a shard-0 leader change after the leader's kill ($CHANGES)"
 
 for pid in "$M0" "$M1" "$M2" "$M3"; do
     [ -n "$pid" ] || continue
