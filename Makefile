@@ -103,7 +103,7 @@ FUZZ_TARGETS := \
 	./internal/smr:FuzzDecodeRequest ./internal/smr:FuzzDecodeBatch ./internal/smr:FuzzRestoreState \
 	./internal/snapshot:FuzzDecode ./internal/snapshot:FuzzDecodeConfChange \
 	./internal/shard:FuzzDecodeCmd ./internal/shard:FuzzStoreRestore \
-	./internal/wal:FuzzReplay ./internal/raft:FuzzRestore \
+	./internal/wal:FuzzReplay ./internal/raft:FuzzRestore ./internal/multipaxos:FuzzRestore \
 	./internal/nemesis:FuzzDecode
 
 fuzz:

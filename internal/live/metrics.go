@@ -104,6 +104,11 @@ type metricsSnapshot struct {
 	RestoreFailed    uint64 `json:"restore_failed"`
 	ReplyDropped     uint64 `json:"reply_dropped"`
 	PeerDecodeErrors uint64 `json:"peer_decode_errors"`
+
+	// Per shard, admin status' election gauges (GroupStatus), read at
+	// the scrape.
+	LeaderChanges map[string]int     `json:"leader_changes"`
+	LeaderlessMs  map[string]float64 `json:"leaderless_ms"`
 }
 
 func (m *ServerMetrics) snapshot(tr *Transport) metricsSnapshot {
@@ -141,7 +146,14 @@ func (s *Server) MetricsHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(s.met.snapshot(s.tr))
+		snap := s.met.snapshot(s.tr)
+		snap.LeaderChanges, snap.LeaderlessMs = map[string]int{}, map[string]float64{}
+		for i, g := range s.grs {
+			if changes, ms, ok := g.elections(); ok {
+				snap.LeaderChanges[s.met.shardNames[i]], snap.LeaderlessMs[s.met.shardNames[i]] = changes, ms
+			}
+		}
+		enc.Encode(snap)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")

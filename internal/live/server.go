@@ -92,6 +92,7 @@ type hostedGroup interface {
 	leaderInfo() (isLeader bool, leader types.NodeID, ok bool)
 	inspect(fn func(st *shard.Store)) bool
 	status() (GroupStatus, bool)
+	elections() (changes int, leaderlessMs float64, ok bool)
 	submitConf(cc snapshot.ConfChange) bool
 }
 
@@ -579,18 +580,28 @@ func (g *smrGroup[M]) status() (GroupStatus, bool) {
 			SnapBytes: g.rep.SnapshotBytes(),
 
 			RestoreFailed: g.restoreFailed,
-
-			LeaderChanges: g.leaderChanges,
-			LeaderlessMs:  millis(g.leaderless),
 		}
-		if g.lead < 0 && !g.leaderlessAt.IsZero() {
-			st.LeaderlessMs = millis(time.Since(g.leaderlessAt))
-		}
+		st.LeaderChanges, st.LeaderlessMs = g.leaderGauges()
 		for _, m := range g.mod.Members() {
 			st.Members = append(st.Members, int64(m))
 		}
 	})
 	return st, ok
+}
+
+// leaderGauges returns leader_changes and leaderless_ms (GroupStatus);
+// call it inside the group's turn.
+func (g *smrGroup[M]) leaderGauges() (int, float64) {
+	if g.lead < 0 && !g.leaderlessAt.IsZero() {
+		return g.leaderChanges, millis(time.Since(g.leaderlessAt))
+	}
+	return g.leaderChanges, millis(g.leaderless)
+}
+
+// elections reads leaderGauges in one turn, for the /metrics scrape.
+func (g *smrGroup[M]) elections() (changes int, leaderlessMs float64, ok bool) {
+	ok = g.node.CallWait(func() { changes, leaderlessMs = g.leaderGauges() })
+	return changes, leaderlessMs, ok
 }
 
 // submitConf submits a membership change if this node leads the group,

@@ -6,6 +6,7 @@ import (
 
 	"fortyconsensus/internal/multipaxos"
 	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wal"
 )
 
 // The benchmarks go through the exported surface only, so that this file
@@ -110,5 +111,44 @@ func BenchmarkCompactEvery1024(b *testing.B) {
 				n.Compact(n.CommitFrontier(), state)
 			}
 		}
+	}
+}
+
+// BenchmarkPersistSynced is raft's benchmark of the same name on a
+// single-member Multi-Paxos leader: one Persister.Sync that journals k
+// new accepted slots with fsync on, which group commit bounds at one
+// fsync whatever k.
+func BenchmarkPersistSynced(b *testing.B) {
+	for _, k := range []int{1, 16, 64} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			l, err := wal.Open(b.TempDir(), wal.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			p := multipaxos.NewPersister(l)
+			n := multipaxos.New(0, multipaxos.Config{Peers: []types.NodeID{0}, Seed: 11})
+			for i := 0; i < 100 && !n.IsLeader(); i++ {
+				n.Tick()
+			}
+			if !n.IsLeader() {
+				b.Fatal("single-member node failed to elect itself")
+			}
+			n.Drain()
+			if err := p.Sync(n); err != nil {
+				b.Fatal(err)
+			}
+			val := types.Value("sixteen byte val")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < k; j++ {
+					n.Submit(val)
+				}
+				n.TakeDecisions()
+				if err := p.Sync(n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -71,6 +71,31 @@ func TestElectionTimerTakesTheBaseOnceABallotIsSeen(t *testing.T) {
 	}
 }
 
+// A node restored from its journal has promised a ballot: it waits the
+// full base, as raft's restored node does, so it cannot depose a live
+// leader the moment it is back.
+func TestRestoredNodeWaitsTheFullBase(t *testing.T) {
+	const timeout = 30
+	dir := t.TempDir()
+	old := New(2, Config{Peers: trioPeers, ElectionTimeoutTicks: timeout, Seed: 1})
+	old.Step(Message{Kind: MsgAccept, From: 1, To: 2, Ballot: types.Ballot{Num: 3, Owner: 1}, Slot: 1, Val: types.Value("x")})
+	if err := openPersister(t, dir).Sync(old); err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		n := New(2, Config{Peers: trioPeers, ElectionTimeoutTicks: timeout, Seed: seed})
+		if err := openPersister(t, dir).Restore(n); err != nil {
+			t.Fatal(err)
+		}
+		if n.ballot != old.ballot {
+			t.Fatalf("restored ballot %v, want %v", n.ballot, old.ballot)
+		}
+		if n.electionIn < timeout {
+			t.Fatalf("seed %d: a restored node that promised %v armed %d ticks, want at least %d", seed, n.ballot, n.electionIn, timeout)
+		}
+	}
+}
+
 // A joiner's timer is as short as a fresh node's, and it still never
 // campaigns: it re-arms instead, until it hears a leader.
 func TestPassiveFreshNodeNeverCampaigns(t *testing.T) {

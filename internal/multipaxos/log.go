@@ -64,6 +64,18 @@ func (l *plog) at(s types.Seq) *slot {
 	return &l.pages[i][(s-l.origin)%pageSlots]
 }
 
+// end returns the first slot past the log's last page.
+func (l *plog) end() types.Seq { return l.origin + types.Seq(len(l.pages))*pageSlots }
+
+// grow is at without the maxAhead bound: it first adds nil pages up to
+// the one s falls in.
+func (l *plog) grow(s types.Seq) *slot {
+	for s >= l.origin && l.end() <= s {
+		l.pages = append(l.pages, nil)
+	}
+	return l.at(s)
+}
+
 // acceptedAbove lists, in slot order, what the acceptor holds above from.
 func (l *plog) acceptedAbove(from types.Seq) []Entry {
 	var out []Entry

@@ -192,6 +192,20 @@ func (n *Node) onState(m Message) {
 		}
 		return
 	}
+	n.installSnapshot(snap, raw)
+	// Chosen slots that arrived before the install may now sit directly
+	// above the new frontier; emit them before asking for more.
+	n.advanceFrontier()
+	// Pull the uncompacted suffix immediately.
+	if m.Commit > n.commitSeq {
+		n.catchup(m.From)
+	}
+}
+
+// installSnapshot replaces the node's compacted prefix, commit frontier
+// and membership with the snapshot's, keeping raw, its encoding. The
+// caller guarantees snap.LastIndex > commitSeq.
+func (n *Node) installSnapshot(snap *snapshot.Snapshot, raw []byte) {
 	n.commitSeq = snap.LastIndex
 	n.compactSeq = snap.LastIndex
 	n.snapData = raw
@@ -203,13 +217,6 @@ func (n *Node) onState(m Message) {
 	slices.Sort(ms)
 	n.configs = []cfgEpoch{{from: 0, members: ms}}
 	n.installed = snap
-	// Chosen slots that arrived before the install may now sit directly
-	// above the new frontier; emit them before asking for more.
-	n.advanceFrontier()
-	// Pull the uncompacted suffix immediately.
-	if m.Commit > n.commitSeq {
-		n.catchup(m.From)
-	}
 }
 
 // catchup asks replica to for the committed slots above the frontier,

@@ -196,6 +196,7 @@ type Node struct {
 
 	// Acceptor, learner and open phase-2 state per slot (log.go).
 	log       plog
+	unsynced  types.Seq // lowest slot accepted since the last Persister.Sync; 0 = none
 	commitSeq types.Seq // contiguous commit frontier
 	decisions []types.Decision
 
@@ -272,6 +273,14 @@ func (n *Node) resetElectionTimer() {
 	n.electionIn = n.cfg.ElectionTimeoutTicks + n.rng.Intn(n.cfg.ElectionTimeoutTicks)
 }
 
+// touch records that slot s's accepted ballot and value changed, for
+// Persister.Sync.
+func (n *Node) touch(s types.Seq) {
+	if n.unsynced == 0 || s < n.unsynced {
+		n.unsynced = s
+	}
+}
+
 func (n *Node) send(m Message) {
 	m.From = n.id
 	n.out = append(n.out, m)
@@ -335,6 +344,7 @@ func (n *Node) accept(slot types.Seq, v types.Value) {
 	_, q2 := n.quorumsFor(slot)
 	sl := n.log.at(slot) // never nil: a leader's slots are dense up to nextSlot
 	sl.num, sl.val, sl.accepted, sl.votes = n.curBallot, v, true, quorum.NewTally(q2)
+	n.touch(slot)
 	to := n.membersFor(slot)
 	if !snapshot.IsConfChange(v) {
 		to = quorum.Pick(n.picks, to, n.id, q2, func(p types.NodeID) types.Seq { return n.progress(p).acked })
@@ -571,6 +581,7 @@ func (n *Node) onAccept(m Message) {
 				return // too far ahead (maxAhead): no vote
 			}
 			sl.num, sl.val, sl.accepted = m.Ballot, m.Val, true
+			n.touch(m.Slot)
 		}
 		n.send(Message{Kind: MsgAccepted, To: m.From, Ballot: m.Ballot, Slot: m.Slot, Read: m.Read})
 		n.learnThrough(m.Ballot, m.Commit)

@@ -178,14 +178,19 @@ func TestCrashRecoveryPreservesSafety(t *testing.T) {
 // whole log: on a long log, one append is one record, and nothing new is
 // none.
 func TestSyncAfterOneAppendWritesOneRecord(t *testing.T) {
-	p := openPersister(t, t.TempDir())
+	l, err := wal.Open(t.TempDir(), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	p := NewPersister(l)
 	n := soloLeader(t, 0)
 	for i := 0; i < 100_000; i++ {
 		n.Submit(types.Value{byte(i)})
 	}
 	records := func() int {
 		count := 0
-		if err := p.log.Replay(func(wal.Record) error { count++; return nil }); err != nil {
+		if err := l.Replay(func(wal.Record) error { count++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		return count

@@ -296,8 +296,8 @@ func (c *Cluster[M]) Crash(id types.NodeID) {
 
 // Restart resumes a crashed node. Protocol state is whatever the node
 // object still holds; protocols that persist via WAL reload externally
-// (replace the node via Add after restoring — see the raft crash-recovery
-// tests for the pattern).
+// (replace the node via Add after restoring — the persistentCluster of
+// raft's and multipaxos' nemesis_test.go is the pattern).
 func (c *Cluster[M]) Restart(id types.NodeID) {
 	if s := c.slot(id); s != noSlot {
 		c.paused[s] = false

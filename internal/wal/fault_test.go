@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"fortyconsensus/internal/multipaxos"
 	"fortyconsensus/internal/raft"
 	"fortyconsensus/internal/types"
 	"fortyconsensus/internal/wal"
@@ -195,6 +196,150 @@ func TestSnapshotSyncCrashMatrix(t *testing.T) {
 		}
 		if v := values(got); !reflect.DeepEqual(v, want) {
 			t.Fatalf("crash after %d operations (%q): restored log %q, want %q", k, f.Ops, v, want)
+		}
+		if syncErr == nil {
+			if k < 10 {
+				t.Fatalf("a snapshotting Sync took only %d operations", k)
+			}
+			return
+		}
+	}
+}
+
+// The same fault seams under the Multi-Paxos mapping: node 1 of a trio
+// as an acceptor, stepped by hand.
+
+var ballot1, ballot2 = types.Ballot{Num: 1, Owner: 0}, types.Ballot{Num: 2, Owner: 2}
+
+func accept(n *multipaxos.Node, b types.Ballot, slot types.Seq, val string) {
+	n.Step(multipaxos.Message{Kind: multipaxos.MsgAccept, From: b.Owner, To: 1, Ballot: b, Slot: slot, Val: types.Value(val)})
+	n.Drain()
+}
+
+// acceptedAndCommitted is node 1 after accepting five slots under ballot
+// 1.0 and learning from the leader's heartbeat that all five are chosen.
+func acceptedAndCommitted() *multipaxos.Node {
+	n := multipaxos.New(1, multipaxos.Config{Peers: peers, Seed: 3})
+	for s := types.Seq(1); s <= 5; s++ {
+		accept(n, ballot1, s, fmt.Sprint("e", s))
+	}
+	n.Step(multipaxos.Message{Kind: multipaxos.MsgHeartbeat, From: 0, To: 1, Ballot: ballot1, Commit: 5})
+	n.Drain()
+	n.TakeDecisions()
+	return n
+}
+
+func restoreAcceptor(t *testing.T, dir string) *multipaxos.Node {
+	t.Helper()
+	l, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	n := multipaxos.New(1, multipaxos.Config{Peers: peers, Seed: 3})
+	if err := multipaxos.NewPersister(l).Restore(n); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	return n
+}
+
+// acceptorState reads a restored acceptor from outside: its promise from
+// the Nack a Prepare of the zero ballot draws, and its accepted slots
+// from the Ack of a Prepare above every ballot, as "slot:ballot:value",
+// with the snapshot's slots as "snap".
+func acceptorState(n *multipaxos.Node) (types.Ballot, []string) {
+	var promised types.Ballot
+	n.Step(multipaxos.Message{Kind: multipaxos.MsgPrepare, From: 2, To: 1})
+	for _, m := range n.Drain() {
+		if m.Kind == multipaxos.MsgNack {
+			promised = m.Ballot
+		}
+	}
+	var out []string
+	for i := types.Seq(1); i <= n.SnapshotIndex(); i++ {
+		out = append(out, "snap")
+	}
+	n.Step(multipaxos.Message{Kind: multipaxos.MsgPrepare, From: 2, To: 1, Ballot: types.Ballot{Num: 99, Owner: 2}})
+	for _, m := range n.Drain() {
+		for _, e := range m.Entries {
+			out = append(out, fmt.Sprintf("%d:%v:%s", e.Slot, e.AcceptNum, e.Val))
+		}
+	}
+	return promised, out
+}
+
+// One Multi-Paxos Sync that journals a ballot change, an overwritten slot
+// and 64 new accepts is one write and one fsync.
+func TestMultiPaxosSyncIsOneWriteAndOneFsync(t *testing.T) {
+	f := &wal.Faults{}
+	l, err := wal.OpenFaulty(t.TempDir(), wal.Options{}, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	p := multipaxos.NewPersister(l)
+	n := multipaxos.New(1, multipaxos.Config{Peers: peers, Seed: 3})
+	for s, v := range []string{"a", "b", "c"} {
+		accept(n, ballot1, types.Seq(s+1), v)
+	}
+	if err := p.Sync(n); err != nil {
+		t.Fatal(err)
+	}
+	accept(n, ballot2, 2, "B")
+	for s := types.Seq(4); s < 4+64; s++ {
+		accept(n, ballot2, s, fmt.Sprint("v", s))
+	}
+	f.Ops = nil
+	if err := p.Sync(n); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"write 000001.wal", "sync 000001.wal"}; !reflect.DeepEqual(f.Ops, want) {
+		t.Fatalf("a Sync of a ballot, an overwrite and 64 accepts did %q, want %q", f.Ops, want)
+	}
+	records := 0
+	if err := l.Replay(func(wal.Record) error { records++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	// The first Sync: promise and three slots; the second: promise,
+	// truncate to slot 1, slots 2 and 3 again and the 64 new ones.
+	if want := 1 + 3 + 1 + 1 + 2 + 64; records != want {
+		t.Fatalf("journal holds %d records, want %d", records, want)
+	}
+}
+
+// A crash at any step of a Multi-Paxos snapshotting Sync leaves a
+// journal that restores: the promise of the last completed Sync still
+// binds, and every slot that Sync held is accepted or in the snapshot.
+func TestMultiPaxosSnapshotSyncCrashMatrix(t *testing.T) {
+	for k := 0; ; k++ {
+		dir := t.TempDir()
+		f := &wal.Faults{}
+		l, err := wal.OpenFaulty(dir, wal.Options{}, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := multipaxos.NewPersister(l)
+		n := acceptedAndCommitted()
+		if err := p.Sync(n); err != nil {
+			t.Fatal(err)
+		}
+		if !n.Compact(3, []byte("state@3")) {
+			t.Fatal("compact")
+		}
+		f.CrashAfter(k)
+		syncErr := p.Sync(n)
+		l.Close()
+
+		promised, got := acceptorState(restoreAcceptor(t, dir))
+		if promised != ballot1 {
+			t.Fatalf("crash after %d operations (%q): restored promise %v, want %v", k, f.Ops, promised, ballot1)
+		}
+		want := []string{"1:1.0:e1", "2:1.0:e2", "3:1.0:e3", "4:1.0:e4", "5:1.0:e5"}
+		if len(got) > 0 && got[0] == "snap" {
+			copy(want, []string{"snap", "snap", "snap"})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("crash after %d operations (%q): restored %q, want %q", k, f.Ops, got, want)
 		}
 		if syncErr == nil {
 			if k < 10 {

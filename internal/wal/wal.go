@@ -167,26 +167,39 @@ func (l *Log) Append(recs ...Record) error {
 		return err
 	}
 	l.buf = buf
-	if len(buf) == 0 {
-		return nil
-	}
-	return l.write(l.active, buf)
+	return l.append(buf)
 }
 
-// frame appends recs to buf, each as u32 length | u8 type | payload |
-// u32 crc32c(type+payload).
+// append writes framed records b with one write and one fsync.
+func (l *Log) append(b []byte) error {
+	if l.err != nil || len(b) == 0 {
+		return l.err
+	}
+	return l.write(l.active, b)
+}
+
+// frame appends recs to buf.
 func frame(buf []byte, recs []Record) ([]byte, error) {
 	for _, r := range recs {
 		if r.Type >= TypeReservedBase {
 			return buf, fmt.Errorf("%w: %#x", ErrReservedType, r.Type)
 		}
-		start := len(buf)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(1+len(r.Payload)))
-		buf = append(buf, r.Type)
-		buf = append(buf, r.Payload...)
-		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start+4:], crcTable))
+		buf = appendRecord(buf, r.Type, r.Payload)
 	}
 	return buf, nil
+}
+
+// appendRecord appends one record to buf, its payload the words, each a
+// u64, then val: u32 length | u8 type | payload | u32 crc32c(type+payload).
+func appendRecord(buf []byte, typ uint8, val []byte, words ...uint64) []byte {
+	start := len(buf)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(1+8*len(words)+len(val)))
+	buf = append(buf, typ)
+	for _, w := range words {
+		buf = binary.BigEndian.AppendUint64(buf, w)
+	}
+	buf = append(buf, val...)
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start+4:], crcTable))
 }
 
 // Replay streams every intact record (oldest first) to fn. A corrupt or
@@ -255,6 +268,14 @@ func (l *Log) Snapshot(kind uint8, payload []byte, journal ...Record) error {
 		return err
 	}
 	l.buf = jb
+	return l.snapshot(kind, payload, jb)
+}
+
+// snapshot is Snapshot with the new journal framed already, as jb.
+func (l *Log) snapshot(kind uint8, payload, jb []byte) error {
+	if l.err != nil {
+		return l.err
+	}
 	sb := make([]byte, 0, snapHeaderLen+len(payload)+4)
 	sb = append(sb, snapMagic[:]...)
 	sb = append(sb, snapVersion, kind)
