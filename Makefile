@@ -47,11 +47,12 @@ test: build lint
 	$(GO) test ./...
 
 # live.Node's single-threaded module contract rests on a mutex whose
-# only dynamic check is the TestNode* hammer tests, so they run twenty
+# only dynamic check is the TestNode* hammer tests, and live.Client's
+# combined request writes on the TestClient* ones, so they run twenty
 # times over on top of the package once.
 test-race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race ./internal/live -run 'TestNode|TestTransport' -count=20
+	$(GO) test -race ./internal/live -run 'TestNode|TestTransport|TestClient' -count=20
 
 # Bounded deterministic fault campaign: every registered protocol, a
 # fixed seed window, the default crash-model fault mix. Episodes fan

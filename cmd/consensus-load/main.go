@@ -103,6 +103,7 @@ func main() {
 	}
 	results := make([]workerResult, *workers)
 	var done atomic.Int64 // operations acknowledged so far
+	wire0 := cl.Stats()
 	start := time.Now()
 	stop := start.Add(*duration)
 	reported := make(chan struct{})
@@ -148,6 +149,7 @@ func main() {
 		}(w)
 	}
 	wg.Wait()
+	wire := cl.Stats()
 	<-reported
 	applied := counters() - before
 
@@ -164,7 +166,10 @@ func main() {
 	}
 	sum := hist.Snapshot()
 	tput := float64(sum.Count) / duration.Seconds()
-	fmt.Printf("consensus-load: ops=%d errors=%d throughput=%.1f ops/s\n", sum.Count, errs, tput)
+	// Frames per write: how many workers' requests left in one write(2).
+	frames, writes := wire.Frames-wire0.Frames, wire.Writes-wire0.Writes
+	fmt.Printf("consensus-load: ops=%d errors=%d throughput=%.1f ops/s frames_per_write=%.2f\n",
+		sum.Count, errs, tput, float64(frames)/float64(max(writes, 1)))
 	fmt.Printf("consensus-load: latency_us p50=%d p90=%d p99=%d max=%d mean=%.1f\n",
 		sum.P50, sum.P90, sum.P99, sum.Max, sum.Mean)
 	// Reads leave the log and writes do not, so each kind has its own line.

@@ -2,9 +2,12 @@ package live
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -105,9 +108,13 @@ type Client struct {
 	pm  shard.PartitionMap
 
 	reqID atomic.Uint64 // per-attempt match token
+	stats clientStats   // shared by every connection
 
 	// A node is referred to by its position in cfg.Addrs throughout;
-	// a hint's node ID is turned into one by position.
+	// a hint's node ID is turned into one by position. cfg.Addrs,
+	// cfg.IDs and conns only grow, under mu, when a NotLeader reply
+	// names a node the client was not given (hint): a slice read under
+	// mu is a consistent view whose elements never change.
 	mu     sync.Mutex
 	conns  []*cconn // nil or dead = (re)dial
 	leader []int    // per-shard leader guess; -1 unknown
@@ -143,14 +150,17 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		// starts with one would read as a conf change or a batch.
 		return nil, fmt.Errorf("live: negative session base %d", cfg.SessionBase)
 	}
+	if len(cfg.IDs) != len(cfg.Addrs) && cfg.IDs != nil {
+		return nil, fmt.Errorf("live: client has %d node IDs for %d addresses", len(cfg.IDs), len(cfg.Addrs))
+	}
+	// Copies: a redirect to a node the client was not given appends to
+	// both, and must not write into the caller's arrays.
+	cfg.Addrs, cfg.IDs = slices.Clone(cfg.Addrs), slices.Clone(cfg.IDs)
 	if cfg.IDs == nil {
 		cfg.IDs = make([]types.NodeID, len(cfg.Addrs))
 		for i := range cfg.IDs {
 			cfg.IDs[i] = types.NodeID(i)
 		}
-	}
-	if len(cfg.IDs) != len(cfg.Addrs) {
-		return nil, fmt.Errorf("live: client has %d node IDs for %d addresses", len(cfg.IDs), len(cfg.Addrs))
 	}
 	c := &Client{
 		cfg:    cfg,
@@ -164,15 +174,54 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// position resolves a node ID to its index in cfg.Addrs, or -1 if the
-// client was not given that node.
-func (c *Client) position(id types.NodeID) int {
-	for i, have := range c.cfg.IDs {
+// ClientStats counts a client's request frames and the socket writes
+// that carried them, over every connection it ever made: frames per
+// write is how many callers' requests left together.
+type ClientStats struct {
+	Frames, Writes uint64
+}
+
+type clientStats struct {
+	frames, writes atomic.Uint64
+}
+
+// Stats returns the client's frame and write counts so far.
+func (c *Client) Stats() ClientStats {
+	return ClientStats{Frames: c.stats.frames.Load(), Writes: c.stats.writes.Load()}
+}
+
+// nodes returns the client's node IDs by position.
+func (c *Client) nodes() []types.NodeID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cfg.IDs
+}
+
+// position resolves a node ID to its index in ids, or -1 if ids does
+// not hold it.
+func position(ids []types.NodeID, id types.NodeID) int {
+	for i, have := range ids {
 		if have == id {
 			return i
 		}
 	}
 	return -1
+}
+
+// hint resolves a NotLeader reply's leader to a position. A node the
+// client was not given is adopted at the address the reply carries; a
+// hint with neither a known ID nor an address is no hint (-1).
+func (c *Client) hint(resp Response) int {
+	id := types.NodeID(resp.Leader)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if at := position(c.cfg.IDs, id); at >= 0 || resp.Leader < 0 || len(resp.Result) == 0 || c.closed {
+		return at
+	}
+	c.cfg.Addrs = append(c.cfg.Addrs, string(resp.Result))
+	c.cfg.IDs = append(c.cfg.IDs, id)
+	c.conns = append(c.conns, nil)
+	return len(c.cfg.IDs) - 1
 }
 
 // Do executes one KV command against the cluster and returns the
@@ -203,15 +252,16 @@ func (c *Client) Do(cmd kvstore.Command) (types.Value, error) {
 			}
 			return nil, fmt.Errorf("%w: %v", ErrDeadline, lastErr)
 		}
-		if node < 0 || node >= len(c.cfg.Addrs) {
-			node = attempt % len(c.cfg.Addrs)
+		ids := c.nodes()
+		if node < 0 || node >= len(ids) {
+			node = attempt % len(ids)
 		}
 		resp, err := c.attempt(node, req, sess)
 		if err != nil {
 			if errors.Is(err, ErrClientClosed) {
 				return nil, err
 			}
-			lastErr = fmt.Errorf("node %d: %w", c.cfg.IDs[node], err)
+			lastErr = fmt.Errorf("node %d: %w", ids[node], err)
 			c.dropLeader(sh, node)
 			node = -1
 			time.Sleep(retryBackoff)
@@ -222,19 +272,18 @@ func (c *Client) Do(cmd kvstore.Command) (types.Value, error) {
 			c.setLeader(sh, node)
 			return resp.Result, nil
 		case StatusNotLeader:
-			lastErr = fmt.Errorf("node %d: %w", c.cfg.IDs[node], errNotLeader)
+			lastErr = fmt.Errorf("node %d: %w", ids[node], errNotLeader)
 			c.dropLeader(sh, node)
-			// A hint naming a node the client was not given is no hint.
-			if hint := c.position(types.NodeID(resp.Leader)); hint >= 0 && hint != node {
+			if hint := c.hint(resp); hint >= 0 && hint != node {
 				node = hint // fresh hint: redirect immediately
 				continue
 			}
-			node = (node + 1) % len(c.cfg.Addrs)
+			node = (node + 1) % len(ids)
 			time.Sleep(retryBackoff)
 		case StatusBadRequest:
 			return nil, fmt.Errorf("live: server rejected request: %s", resp.Result)
 		default: // StatusUnavailable and anything unknown
-			lastErr = fmt.Errorf("node %d: unavailable", c.cfg.IDs[node])
+			lastErr = fmt.Errorf("node %d: unavailable", ids[node])
 			c.dropLeader(sh, node)
 			node = -1
 			time.Sleep(retryBackoff)
@@ -353,7 +402,7 @@ func (c *Client) attempt(node int, req Request, sess session) (Response, error) 
 	if err := cn.register(req.ReqID, sess.reply); err != nil {
 		return Response{}, err
 	}
-	if err := cn.write(req.encode()); err != nil {
+	if err := cn.send(req); err != nil {
 		cn.abandon(req.ReqID, sess.reply)
 		cn.fail(err)
 		return Response{}, err
@@ -392,21 +441,20 @@ func (c *Client) conn(node int) (*cconn, error) {
 		c.mu.Unlock()
 		return cn, nil
 	}
+	addr := c.cfg.Addrs[node]
 	c.mu.Unlock()
 
 	// Dial outside the lock; losers of a dial race just get replaced.
-	conn, err := net.DialTimeout("tcp", c.cfg.Addrs[node], c.cfg.AttemptTimeout)
+	conn, err := net.DialTimeout("tcp", addr, c.cfg.AttemptTimeout)
 	if err != nil {
 		return nil, err
 	}
-	cn := newCConn(conn)
+	cn := newCConn(conn, &c.stats)
 	// Any connection death invalidates every leader guess at this node;
 	// a losing dial racer triggers it too, which only costs a re-probe.
 	cn.onDead = func() { c.dropLeaderNode(node) }
-	if err := cn.write(encodeHello(helloClient, int64(c.cfg.SessionBase))); err != nil {
-		cn.fail(err)
-		return nil, err
-	}
+	// The hello leaves in the first request's write.
+	cn.out = append(binary.BigEndian.AppendUint32(nil, helloLen), encodeHello(helloClient, int64(c.cfg.SessionBase))...)
 	go cn.readLoop()
 
 	c.mu.Lock()
@@ -426,15 +474,23 @@ func (c *Client) conn(node int) (*cconn, error) {
 	return cn, nil
 }
 
-// cconn is one client→server connection: writes serialized by a
-// mutex, responses demultiplexed to waiting attempts by request ID on
-// a dedicated read goroutine.
+// cconn is one client→server connection: request frames flat-combined
+// into shared writes (send), responses demultiplexed to waiting attempts
+// by request ID on a dedicated read goroutine.
 type cconn struct {
-	conn net.Conn
-	br   *bufio.Reader
+	conn  net.Conn
+	br    *bufio.Reader
+	stats *clientStats
 
-	wmu sync.Mutex // serializes frame writes
-	bw  *bufio.Writer
+	// The combined write path. out holds the frames queued for the next
+	// write and spare the buffer the last write took, to become out once
+	// that write is done; writing is set while one caller writes for
+	// all. After a failed write writing stays set: the connection is
+	// finished, and its writer's attempt fails it.
+	wmu     sync.Mutex
+	out     []byte
+	spare   []byte
+	writing bool
 
 	// onDead, if set before the first write, runs once when the
 	// connection dies (leader-cache invalidation).
@@ -449,11 +505,11 @@ type cconn struct {
 	dead    chan struct{} // closed by fail: wakes every waiter
 }
 
-func newCConn(conn net.Conn) *cconn {
+func newCConn(conn net.Conn, stats *clientStats) *cconn {
 	return &cconn{
 		conn:    conn,
 		br:      bufio.NewReader(conn),
-		bw:      bufio.NewWriter(conn),
+		stats:   stats,
 		pending: make(map[uint64]chan Response),
 		dead:    make(chan struct{}),
 	}
@@ -491,13 +547,47 @@ func (cn *cconn) abandon(reqID uint64, ch chan Response) {
 	}
 }
 
-func (cn *cconn) write(frame []byte) error {
+// send queues req as one frame and sees it written, flat-combined: a
+// caller that finds another's write in progress leaves its frame for
+// that writer's next round and returns at once; one that finds none
+// becomes the writer. The writer yields once first, so the callers the
+// last batch of replies woke queue their frames behind its own, then
+// writes whatever is queued, one write per round, until a round finds
+// nothing. A nil return means the frame is written or in the hands of
+// a writer; a failed write is reported to the writer alone, whose
+// attempt fails the connection, and every other waiter wakes on dead.
+func (cn *cconn) send(req Request) error {
 	cn.wmu.Lock()
-	defer cn.wmu.Unlock()
-	if err := WriteFrame(cn.bw, frame); err != nil {
-		return err
+	at := len(cn.out)
+	cn.out = req.appendTo(append(cn.out, 0, 0, 0, 0))
+	binary.BigEndian.PutUint32(cn.out[at:], uint32(len(cn.out)-at-4))
+	cn.stats.frames.Add(1)
+	if cn.writing {
+		cn.wmu.Unlock()
+		return nil
 	}
-	return cn.bw.Flush()
+	cn.writing = true
+	cn.wmu.Unlock()
+	runtime.Gosched()
+	cn.wmu.Lock()
+	for len(cn.out) > 0 {
+		buf := cn.out
+		cn.out, cn.spare = cn.spare[:0], nil
+		cn.wmu.Unlock()
+		_, err := cn.conn.Write(buf)
+		cn.stats.writes.Add(1)
+		if err != nil {
+			return err
+		}
+		if cap(buf) > maxFrameScratch {
+			buf = nil // a burst of large values: let it go
+		}
+		cn.wmu.Lock()
+		cn.spare = buf
+	}
+	cn.writing = false
+	cn.wmu.Unlock()
+	return nil
 }
 
 // readLoop demultiplexes responses until the connection dies; then

@@ -578,7 +578,8 @@ func TestWriteCostsTwoFramesAndFollowersLearnItIdle(t *testing.T) {
 // keeps them from campaigning but not from voting. The client's first
 // attempt lands on node 1, whose NotLeader hint of 2 must take it to
 // node 2's address; read as a position it names node 3, whose own hint
-// of 2 then looks stale, and the rotation never reaches node 2.
+// of 2 then looks stale, and the rotation never reaches node 2. A
+// client given node 1 alone follows the address in node 1's reply.
 func TestClientFollowsHintByNodeID(t *testing.T) {
 	servers, addrs := startClusterWith(t, 4, ServerConfig{
 		Shards: 1, Backend: BackendRaft, TickEvery: time.Millisecond, Seed: 5,
@@ -604,6 +605,24 @@ func TestClientFollowsHintByNodeID(t *testing.T) {
 	}
 	if guess := cl.leaderGuess(0); guess != 1 {
 		t.Fatalf("leader cache holds position %d, want 1 (node 2's)", guess)
+	}
+
+	// Given node 1 alone, the client reaches node 2 at the address node
+	// 1's NotLeader reply carries.
+	lone, err := NewClient(ClientConfig{
+		Addrs: []string{addrs[1]}, IDs: []types.NodeID{1},
+		Shards: 1, SessionBase: 141_000,
+		AttemptTimeout: time.Second, Deadline: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lone.Close()
+	if _, err := lone.Do(kvstore.Incr("hinted", 1)); err != nil {
+		t.Fatalf("incr through a hint to a node the client was not given: %v", err)
+	}
+	if got := servers[2].Metrics().Committed(); got != 2 {
+		t.Fatalf("node 2 answered %d commits, want 2", got)
 	}
 }
 

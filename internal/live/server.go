@@ -438,7 +438,7 @@ func (g *smrGroup[M]) serve(cc *ClientConn, ops []clientOp) {
 			}
 			if !g.mod.IsLeader() {
 				g.srv.met.notLeader.Add(1)
-				g.srv.respond(cc, Response{ReqID: op.ReqID, Status: StatusNotLeader, Leader: int64(g.mod.Leader())})
+				g.redirect(cc, op.ReqID)
 				continue
 			}
 			g.pending[op.Client] = pendingReq{
@@ -461,6 +461,19 @@ func (g *smrGroup[M]) serve(cc *ClientConn, ops []clientOp) {
 			g.srv.respond(cc, Response{ReqID: op.ReqID, Status: StatusUnavailable, Leader: -1})
 		}
 	}
+}
+
+// redirect answers reqID StatusNotLeader, naming the group's leader by
+// ID and, in Result, by the address this node's transport dials it at
+// (joiners that AddPeer taught it included), so a client that was not
+// given the leader's address can still reach it.
+func (g *smrGroup[M]) redirect(cc *ClientConn, reqID uint64) {
+	lead := g.mod.Leader()
+	resp := Response{ReqID: reqID, Status: StatusNotLeader, Leader: int64(lead)}
+	if lead >= 0 {
+		resp.Result = types.Value(g.srv.tr.peerAddr(lead))
+	}
+	g.srv.respond(cc, resp)
 }
 
 // waiting takes the pending entry r answers, if the session still
@@ -505,7 +518,7 @@ func (g *smrGroup[M]) afterTurn() {
 	for _, r := range dropped {
 		met.readsDropped.Add(1)
 		if p, ok := g.waiting(r); ok {
-			g.srv.respond(p.cc, Response{ReqID: p.reqID, Status: StatusNotLeader, Leader: int64(g.mod.Leader())})
+			g.redirect(p.cc, p.reqID)
 		}
 	}
 	if probes, reasked := g.mod.ReadStats(); probes != g.probes || reasked != g.reasked {

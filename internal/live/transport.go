@@ -110,6 +110,13 @@ func (t *Transport) AddPeer(id types.NodeID, addr string) {
 	}
 }
 
+// peerAddr returns the address the transport holds for id, "" if none.
+func (t *Transport) peerAddr(id types.NodeID) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.cfg.Addrs[id]
+}
+
 // Addr returns the listening address.
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
 

@@ -22,7 +22,8 @@ const (
 	// StatusOK carries the committed operation's result.
 	StatusOK = uint8(iota)
 	// StatusNotLeader rejects a submission on a non-leader; Leader
-	// carries a hint (-1 when the node knows no leader).
+	// carries a hint (-1 when the node knows no leader) and Result that
+	// node's address, when the answering node knows it.
 	StatusNotLeader
 	// StatusBadRequest rejects a request the server could not parse.
 	StatusBadRequest
@@ -39,7 +40,11 @@ type Request struct {
 }
 
 func (q Request) encode() []byte {
-	b := make([]byte, 0, 1+8+8+8+4+len(q.Op))
+	return q.appendTo(make([]byte, 0, 1+8+8+8+4+len(q.Op)))
+}
+
+// appendTo appends the request's encoding to b.
+func (q Request) appendTo(b []byte) []byte {
 	b = appendU8(b, tagRequest)
 	b = appendU64(b, q.ReqID)
 	b = appendI64(b, int64(q.Client))
@@ -68,8 +73,8 @@ func decodeRequest(b []byte) (Request, error) {
 type Response struct {
 	ReqID  uint64
 	Status uint8
-	Leader int64 // StatusNotLeader hint; -1 = unknown
-	Result types.Value
+	Leader int64       // StatusNotLeader hint; -1 = unknown
+	Result types.Value // StatusNotLeader: the hinted node's address, or empty
 }
 
 // appendTo appends the response's encoding to b.
