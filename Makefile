@@ -31,8 +31,8 @@ build:
 	$(GO) vet ./...
 
 # Static analysis: go vet plus the repo's own determinism-contract
-# multichecker — six analyzers (nodeterm, determtaint, valueown,
-# exhaustive, maporder, quorumlit) over every package in the module,
+# multichecker — seven analyzers (nodeterm, determtaint, valueown,
+# exhaustive, maporder, quorumlit, deadcode) over every package in the module,
 # with per-analyzer wall-clock timing. Zero unsuppressed findings is a
 # merge requirement; see DESIGN.md "Determinism contract". gofmt comes
 # first: any file it would rewrite fails the target (testdata/ holds
@@ -155,9 +155,12 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # The size figure ROADMAP.md and CHANGES.md quote: lines of tracked
-# non-test Go outside the benchmark's own directory.
+# non-test Go outside the benchmark's own directory, then the same with
+# tests counted, so code moved into a _test.go file reads as moved, not
+# deleted.
 loc:
-	@git ls-files '*.go' | grep -v _test.go | grep -v '^cmd/servebench' | xargs cat | wc -l
+	@echo "non-test $$(git ls-files '*.go' | grep -v _test.go | grep -v '^cmd/servebench' | xargs cat | wc -l)"
+	@echo "all-go   $$(git ls-files '*.go' | grep -v '^cmd/servebench' | xargs cat | wc -l)"
 
 # Micro-benchmarks for the simulation and protocol hot paths (runner
 # event loop, SHA256d mining substrate, PoW mining loop, raft leader

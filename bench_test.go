@@ -56,10 +56,17 @@ func TestExperimentsRegenerate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take ~1 minute")
 	}
-	for _, r := range experiments.RunAll() {
-		if r.Artifact == "" {
-			t.Errorf("%s produced an empty artifact", r.ID)
-		}
-		t.Logf("%s — %s: ok (%d bytes)", r.ID, r.Caption, len(r.Artifact))
+	for _, id := range experiments.IDs() {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			r, err := experiments.Run(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Artifact == "" {
+				t.Errorf("%s produced an empty artifact", r.ID)
+			}
+			t.Logf("%s — %s: ok (%d bytes)", r.ID, r.Caption, len(r.Artifact))
+		})
 	}
 }

@@ -1,6 +1,6 @@
 // Command consensus-lint is the repo's determinism-contract
 // multichecker (DESIGN.md, "Determinism contract"). It loads the whole
-// module, builds a package-level call graph, and runs six analyzers:
+// module, builds a package-level call graph, and runs seven analyzers:
 //
 //	nodeterm    no wall-clock, global randomness, env reads,
 //	            goroutines or channels in protocol code (direct uses,
@@ -15,6 +15,8 @@
 //	            cover every declared constant
 //	maporder    no order-sensitive effects inside range-over-map
 //	quorumlit   no hand-rolled quorum arithmetic outside internal/quorum
+//	deadcode    no function or method that no main, init or
+//	            package-level initialiser of the module can reach
 //
 // maporder and quorumlit run over every package in the module — the
 // harness and CLIs pin golden artifacts too. The four protocol-contract
@@ -23,6 +25,9 @@
 // examples and the linter itself), which legitimately runs goroutines,
 // real sockets and wall-clock benchmarks. internal/quorum is exempt
 // from quorumlit — it is where the arithmetic is supposed to live.
+// deadcode runs over every package but the test-support ones
+// (testSupport), and leaves alone the functions awaitingDurability
+// names until a program calls them.
 //
 // Findings are suppressed site-by-site with
 //
@@ -55,6 +60,7 @@ import (
 
 	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/lint/analysis"
+	"fortyconsensus/internal/lint/deadcode"
 	"fortyconsensus/internal/lint/determtaint"
 	"fortyconsensus/internal/lint/exhaustive"
 	"fortyconsensus/internal/lint/maporder"
@@ -88,6 +94,29 @@ var protocolExempt = []string{
 	"internal/shard/histcheck",
 }
 
+// testSupport names the packages only tests import. deadcode skips
+// them: their functions are reached from _test.go files, which no
+// program is.
+var testSupport = []string{
+	"internal/lint/analysistest",
+	"internal/shard/histcheck",
+	"internal/types/valuetest",
+}
+
+// awaitingDurability names the persistence functions a node restarted
+// from disk will call, and no program calls yet. deadcode leaves them
+// alone and reports each one once it becomes reachable, so the change
+// that restarts nodes from disk empties this list.
+var awaitingDurability = []string{
+	"fortyconsensus/internal/wal.NewJournal",
+	"(*fortyconsensus/internal/wal.Journal).Sync",
+	"fortyconsensus/internal/raft.NewPersister",
+	"(*fortyconsensus/internal/raft.Persister).Sync",
+	"fortyconsensus/internal/multipaxos.NewPersister",
+	"(*fortyconsensus/internal/multipaxos.Persister).Sync",
+	"fortyconsensus/internal/multipaxos.packBallot",
+}
+
 // scopes pairs every analyzer with the package prefixes it skips.
 var scopes = []struct {
 	analyzer *analysis.Analyzer
@@ -99,6 +128,7 @@ var scopes = []struct {
 	{exhaustive.Analyzer, protocolExempt},
 	{maporder.Analyzer, nil},
 	{quorumlit.Analyzer, []string{"internal/quorum"}},
+	{deadcode.New(awaitingDurability), testSupport},
 }
 
 // finding is one diagnostic in the stable machine-readable form the
@@ -151,11 +181,10 @@ func run(patterns []string, verbose, jsonOut, timing bool) error {
 		rel string
 		pkg *analysis.Package
 	}
-	var targets []target
-	for _, dir := range dirs {
+	load := func(dir string) (string, *analysis.Package, error) {
 		rel, err := filepath.Rel(moduleDir, dir)
 		if err != nil || strings.HasPrefix(rel, "..") {
-			return fmt.Errorf("%s is outside module %s", dir, modulePath)
+			return "", nil, fmt.Errorf("%s is outside module %s", dir, modulePath)
 		}
 		rel = filepath.ToSlash(rel)
 		importPath := modulePath
@@ -163,10 +192,26 @@ func run(patterns []string, verbose, jsonOut, timing bool) error {
 			importPath = modulePath + "/" + rel
 		}
 		pkg, err := loader.LoadDir(dir, importPath)
+		return rel, pkg, err
+	}
+	var targets []target
+	for _, dir := range dirs {
+		rel, pkg, err := load(dir)
 		if err != nil {
 			return err
 		}
 		targets = append(targets, target{rel: rel, pkg: pkg})
+	}
+	// deadcode judges reachability from every main of the module, so
+	// the program holds the whole module whatever the targets are.
+	all, err := expand([]string{filepath.Join(moduleDir, "...")})
+	if err != nil {
+		return err
+	}
+	for _, dir := range all {
+		if _, _, err := load(dir); err != nil {
+			return err
+		}
 	}
 	loadElapsed := time.Since(loadStart)
 	graphStart := time.Now()
@@ -194,7 +239,7 @@ func run(patterns []string, verbose, jsonOut, timing bool) error {
 			}
 			fmt.Fprintf(os.Stderr, "checking %s (%s)\n", t.pkg.Path, strings.Join(names, ","))
 		}
-		diags, err := analysis.RunProgramTimed(prog, t.pkg,
+		diags, err := analysis.Run(prog, t.pkg,
 			func(a *analysis.Analyzer, d time.Duration) { perAnalyzer[a.Name] += d },
 			analyzers...)
 		if err != nil {

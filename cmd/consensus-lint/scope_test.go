@@ -53,6 +53,28 @@ var mustBeExempt = []string{
 	"internal/simnet",
 }
 
+// testSupportPinned is exactly the set of packages deadcode skips:
+// packages only _test.go files import. A package added here stops being
+// checked for code no program reaches, so it is a decision of its own.
+var testSupportPinned = []string{
+	"internal/lint/analysistest",
+	"internal/shard/histcheck",
+	"internal/types/valuetest",
+}
+
+// awaitingDurabilityAllowed bounds awaitingDurability: the persistence
+// functions crash-restart from disk will call. The list may lose
+// entries, as their callers land, and never gain one.
+var awaitingDurabilityAllowed = []string{
+	"fortyconsensus/internal/wal.NewJournal",
+	"(*fortyconsensus/internal/wal.Journal).Sync",
+	"fortyconsensus/internal/raft.NewPersister",
+	"(*fortyconsensus/internal/raft.Persister).Sync",
+	"fortyconsensus/internal/multipaxos.NewPersister",
+	"(*fortyconsensus/internal/multipaxos.Persister).Sync",
+	"fortyconsensus/internal/multipaxos.packBallot",
+}
+
 func moduleRoot(t *testing.T) string {
 	t.Helper()
 	dir, err := os.Getwd()
@@ -109,6 +131,39 @@ func TestScopeListsExistOnDisk(t *testing.T) {
 	check(protocolPackages, "protocolPackages")
 	check(mustBeExempt, "mustBeExempt")
 	check(protocolExempt, "protocolExempt")
+	check(testSupport, "testSupport")
+}
+
+// TestDeadcodeExemptionsPinned pins deadcode's two declared lists: the
+// test-support packages exactly, and the awaiting list to a subset of
+// the seven persistence functions. It also keeps deadcode among the
+// analyzers the linter runs (and -time lists).
+func TestDeadcodeExemptionsPinned(t *testing.T) {
+	if strings.Join(testSupport, " ") != strings.Join(testSupportPinned, " ") {
+		t.Errorf("testSupport = %q, pinned %q", testSupport, testSupportPinned)
+	}
+	allowed := make(map[string]bool)
+	for _, name := range awaitingDurabilityAllowed {
+		allowed[name] = true
+	}
+	for _, name := range awaitingDurability {
+		if !allowed[name] {
+			t.Errorf("awaitingDurability gained %s; the list may only shrink", name)
+		}
+		allowed[name] = false
+	}
+	ran := false
+	for _, s := range scopes {
+		if s.analyzer.Name == "deadcode" {
+			ran = true
+			if strings.Join(s.exempt, " ") != strings.Join(testSupportPinned, " ") {
+				t.Errorf("deadcode skips %q, want exactly the test-support packages", s.exempt)
+			}
+		}
+	}
+	if !ran {
+		t.Error("consensus-lint does not run deadcode")
+	}
 }
 
 // allowDirectivesPinned is how many //lint:allow directives the module

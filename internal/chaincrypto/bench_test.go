@@ -49,7 +49,7 @@ func BenchmarkMerkleRoot(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if MerkleRoot(leaves).IsZero() {
+		if MerkleRoot(leaves) == (Digest{}) {
 			b.Fatal("zero root")
 		}
 	}
@@ -61,7 +61,7 @@ func BenchmarkDoubleHash84(b *testing.B) {
 	msg := make([]byte, 84)
 	for i := 0; i < b.N; i++ {
 		msg[80] = byte(i)
-		if DoubleHash(msg).IsZero() {
+		if DoubleHash(msg) == (Digest{}) {
 			b.Fatal("zero digest")
 		}
 	}
@@ -76,7 +76,7 @@ func BenchmarkSHA256dMidstate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tail[16] = byte(i)
-		if ms.SumDouble(tail).IsZero() {
+		if ms.SumDouble(tail) == (Digest{}) {
 			b.Fatal("zero digest")
 		}
 	}

@@ -1,12 +1,11 @@
 // Package chaincrypto supplies the cryptographic building blocks the
-// surveyed protocols assume: per-link message authenticators (PBFT MACs),
-// digital signatures (Zyzzyva commit certificates, blockchain
-// transactions), quorum certificates standing in for HotStuff's
-// (k,n)-threshold signatures, Merkle trees (Bitcoin block bodies), and
-// hashing helpers.
+// surveyed protocols assume: digital signatures (Zyzzyva commit
+// certificates, blockchain transactions), quorum certificates standing in
+// for HotStuff's (k,n)-threshold signatures, Merkle roots (Bitcoin block
+// bodies), and hashing helpers.
 //
 // Everything is built on the Go standard library (crypto/ed25519,
-// crypto/hmac, crypto/sha256). The threshold-signature substitution —
+// crypto/sha256). The threshold-signature substitution —
 // an aggregated list of Ed25519 signatures verified k-of-n — preserves
 // the communication pattern HotStuff's linearity argument relies on:
 // n votes flow to the leader, one certificate flows back out.
@@ -15,7 +14,6 @@ package chaincrypto
 import (
 	"bytes"
 	"crypto/ed25519"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding"
 	"encoding/binary"
@@ -32,9 +30,6 @@ type Digest [32]byte
 
 // String renders a short hex prefix for traces.
 func (d Digest) String() string { return fmt.Sprintf("%x", d[:6]) }
-
-// IsZero reports whether d is the all-zero digest.
-func (d Digest) IsZero() bool { return d == Digest{} }
 
 // Compare orders digests bytewise (negative when d < o), giving
 // protocol sweeps a total order over request digests: replicas iterate
@@ -200,53 +195,6 @@ func (ms *SHA256dMidstate) sumDoubleFast(tail []byte) Digest {
 }
 
 // ---------------------------------------------------------------------------
-// Per-link authenticators (MACs)
-
-// Authenticator provides pairwise HMAC-SHA256 message authentication, the
-// MAC scheme PBFT uses on the fast path. Each ordered node pair shares a
-// derived key; a byzantine node cannot forge a MAC between two correct
-// nodes because it never learns their pairwise key.
-type Authenticator struct {
-	master []byte
-	self   types.NodeID
-}
-
-// NewAuthenticator derives node self's authenticator from a cluster
-// master secret. In production each pair would run a key exchange; a
-// shared master with pairwise derivation reproduces the trust structure
-// for simulation (the fault injector never hands byzantine nodes other
-// pairs' keys).
-func NewAuthenticator(master []byte, self types.NodeID) *Authenticator {
-	m := make([]byte, len(master))
-	copy(m, master)
-	return &Authenticator{master: m, self: self}
-}
-
-func pairKey(master []byte, a, b types.NodeID) []byte {
-	if b < a {
-		a, b = b, a
-	}
-	mac := hmac.New(sha256.New, master)
-	mac.Write(HashUint64(uint64(a)))
-	mac.Write(HashUint64(uint64(b)))
-	return mac.Sum(nil)
-}
-
-// MAC computes the authenticator for msg on the link self->to.
-func (a *Authenticator) MAC(to types.NodeID, msg []byte) []byte {
-	mac := hmac.New(sha256.New, pairKey(a.master, a.self, to))
-	mac.Write(msg)
-	return mac.Sum(nil)
-}
-
-// Verify checks a MAC received from node from.
-func (a *Authenticator) Verify(from types.NodeID, msg, tag []byte) bool {
-	mac := hmac.New(sha256.New, pairKey(a.master, a.self, from))
-	mac.Write(msg)
-	return hmac.Equal(tag, mac.Sum(nil))
-}
-
-// ---------------------------------------------------------------------------
 // Signatures
 
 // Keyring maps every node in a cluster to an Ed25519 key pair and holds
@@ -381,54 +329,4 @@ func MerkleRoot(leaves [][]byte) Digest {
 		level = next
 	}
 	return level[0]
-}
-
-// MerkleProof is an inclusion proof for one leaf: the sibling hashes on
-// the path to the root, with Left marking siblings that sit left of the
-// running hash.
-type MerkleProof struct {
-	Index    int
-	Siblings []Digest
-	Left     []bool
-}
-
-// BuildMerkleProof returns the proof for leaves[index].
-func BuildMerkleProof(leaves [][]byte, index int) (MerkleProof, error) {
-	if index < 0 || index >= len(leaves) {
-		return MerkleProof{}, fmt.Errorf("chaincrypto: proof index %d out of range %d", index, len(leaves))
-	}
-	level := make([]Digest, len(leaves))
-	for i, l := range leaves {
-		level[i] = DoubleHash(l)
-	}
-	proof := MerkleProof{Index: index}
-	pos := index
-	for len(level) > 1 {
-		if len(level)%2 == 1 {
-			level = append(level, level[len(level)-1])
-		}
-		sib := pos ^ 1
-		proof.Siblings = append(proof.Siblings, level[sib])
-		proof.Left = append(proof.Left, sib < pos)
-		next := make([]Digest, 0, len(level)/2)
-		for i := 0; i < len(level); i += 2 {
-			next = append(next, DoubleHash(level[i][:], level[i+1][:]))
-		}
-		level = next
-		pos /= 2
-	}
-	return proof, nil
-}
-
-// VerifyMerkleProof checks that leaf is included under root via proof.
-func VerifyMerkleProof(root Digest, leaf []byte, proof MerkleProof) bool {
-	h := DoubleHash(leaf)
-	for i, sib := range proof.Siblings {
-		if proof.Left[i] {
-			h = DoubleHash(sib[:], h[:])
-		} else {
-			h = DoubleHash(h[:], sib[:])
-		}
-	}
-	return h == root
 }

@@ -235,9 +235,6 @@ func (r *Replica) IsPrimary() bool { return r.primary() == r.id }
 // Mode returns the running sub-protocol.
 func (r *Replica) Mode() Mode { return r.mode }
 
-// Epoch returns the protocol-instance number.
-func (r *Replica) Epoch() uint64 { return r.epoch }
-
 // ExecutedFrontier returns the contiguous executed slot frontier.
 func (r *Replica) ExecutedFrontier() types.Seq { return r.core.ExecutedFrontier() }
 

@@ -106,7 +106,7 @@ func TestMinBFTModeToleratesSilentReplica(t *testing.T) {
 func TestSwitchBackAfterQuietPeriod(t *testing.T) {
 	c := NewCluster(1, nil, Config{RequestTimeout: 25, QuietTicks: 60}, kvSM)
 	c.Crash(1)
-	c.Submit(0, req(1, 1, kvstore.Noop()))
+	c.Submit(0, req(1, 1, kvstore.Command{Op: kvstore.OpNoop}))
 	c.RunUntil(func() bool { return c.ExecutedEverywhere(1, 1) }, 4000)
 	c.Restart(1)
 	ok := c.RunUntil(func() bool {
@@ -115,7 +115,7 @@ func TestSwitchBackAfterQuietPeriod(t *testing.T) {
 	if !ok {
 		t.Fatalf("never switched back: %v/%v", c.Nodes[0].Mode(), c.Nodes[2].Mode())
 	}
-	if c.Nodes[0].Epoch() == 0 {
+	if c.Nodes[0].epoch == 0 {
 		t.Fatal("switch-back kept the old epoch")
 	}
 }
@@ -126,7 +126,7 @@ func TestEpochIsolationOfCertificates(t *testing.T) {
 	cfg := Config{N: 3, F: 1}.withDefaults()
 	a := NewReplica(0, cfg)
 	b := NewReplica(1, cfg)
-	a.Submit(req(1, 1, kvstore.Noop()))
+	a.Submit(req(1, 1, kvstore.Command{Op: kvstore.OpNoop}))
 	var prep Message
 	for _, m := range a.Drain() {
 		if m.Kind == MsgPrepare && m.To == 1 {

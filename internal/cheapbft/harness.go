@@ -9,7 +9,7 @@ import (
 )
 
 // Cluster is the simulated SMR cluster over 2f+1 CheapBFT replicas, plus
-// CheapBFT's client entry point and checks.
+// CheapBFT's client entry point.
 type Cluster struct {
 	*runner.FrontierCluster[Message, *Replica]
 }

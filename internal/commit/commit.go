@@ -385,11 +385,6 @@ func (h *Cohort) Outcome(tx TxID) Outcome {
 	return Pending
 }
 
-// BlockedCount returns how many transactions are currently blocked
-// (prepared past the decision deadline with no outcome) — the 2PC
-// blocking metric.
-func (h *Cohort) BlockedCount() int { return h.blocked }
-
 func (h *Cohort) send(m Message) {
 	m.From = h.id
 	h.out = append(h.out, m)

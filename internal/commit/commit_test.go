@@ -77,7 +77,7 @@ func TestTwoPCBlocksOnCoordinatorCrash(t *testing.T) {
 	}
 	blocked := 0
 	for _, h := range c.Cohorts {
-		blocked += h.BlockedCount()
+		blocked += h.blocked
 	}
 	if blocked != 3 {
 		t.Fatalf("blocked cohorts = %d, want 3", blocked)
@@ -272,4 +272,22 @@ func TestThreePCConcurrentWithCoordinatorCrash(t *testing.T) {
 	if !ok {
 		t.Fatal("termination left transactions unsettled")
 	}
+}
+
+// Unanimous reports whether every cohort holds the same non-pending
+// outcome for tx, and what it is.
+func (c *Cluster) Unanimous(tx TxID) (Outcome, bool) {
+	first := Pending
+	for _, h := range c.Cohorts {
+		o := h.Outcome(tx)
+		if o == Pending {
+			return Pending, false
+		}
+		if first == Pending {
+			first = o
+		} else if o != first {
+			return Pending, false
+		}
+	}
+	return first, first != Pending
 }

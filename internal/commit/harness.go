@@ -46,21 +46,3 @@ func (c *Cluster) Outcomes(tx TxID) []Outcome {
 	}
 	return out
 }
-
-// Unanimous reports whether every cohort holds the same non-pending
-// outcome for tx, and what it is.
-func (c *Cluster) Unanimous(tx TxID) (Outcome, bool) {
-	first := Pending
-	for _, h := range c.Cohorts {
-		o := h.Outcome(tx)
-		if o == Pending {
-			return Pending, false
-		}
-		if first == Pending {
-			first = o
-		} else if o != first {
-			return Pending, false
-		}
-	}
-	return first, first != Pending
-}

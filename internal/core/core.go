@@ -209,12 +209,6 @@ func Register(p Profile) {
 	registry[p.Name] = p
 }
 
-// Lookup returns the named profile.
-func Lookup(name string) (Profile, bool) {
-	p, ok := registry[name]
-	return p, ok
-}
-
 // All returns every registered profile sorted by name.
 func All() []Profile {
 	out := make([]Profile, 0, len(registry))
@@ -222,35 +216,4 @@ func All() []Profile {
 		out = append(out, registry[name])
 	}
 	return out
-}
-
-// Measured captures what an experiment actually observed for a protocol,
-// for comparison against the claimed profile.
-type Measured struct {
-	Name         string
-	Faults       int // fault budget the run tolerated
-	Nodes        int // replicas deployed
-	Quorum       int // votes observed to commit
-	CommitPhases int // message delays proposal→commit observed
-	MsgsPerOp    float64
-}
-
-// Conformance compares a measurement to the claim, returning a list of
-// human-readable deviations (empty means conformant).
-func Conformance(m Measured) []string {
-	p, ok := registry[m.Name]
-	if !ok {
-		return []string{fmt.Sprintf("no claimed profile for %q", m.Name)}
-	}
-	var devs []string
-	if want := p.NodesFor(m.Faults); want != m.Nodes {
-		devs = append(devs, fmt.Sprintf("nodes: claimed %s=%d at f=%d, measured %d", p.NodesFormula, want, m.Faults, m.Nodes))
-	}
-	if want := p.QuorumFor(m.Faults); want != m.Quorum {
-		devs = append(devs, fmt.Sprintf("quorum: claimed %d at f=%d, measured %d", want, m.Faults, m.Quorum))
-	}
-	if m.CommitPhases != p.CommitPhases && (p.AltPhases == 0 || m.CommitPhases != p.AltPhases) {
-		devs = append(devs, fmt.Sprintf("phases: claimed %s, measured %d", p.PhasesString(), m.CommitPhases))
-	}
-	return devs
 }

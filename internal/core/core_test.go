@@ -25,17 +25,13 @@ func sampleProfile(name string) Profile {
 
 func TestRegisterAndLookup(t *testing.T) {
 	Register(sampleProfile("test-proto-a"))
-	p, ok := Lookup("test-proto-a")
-	if !ok || p.Name != "test-proto-a" {
-		t.Fatal("lookup failed")
-	}
-	if _, ok := Lookup("nope"); ok {
-		t.Fatal("phantom lookup")
-	}
 	found := false
 	for _, p := range All() {
 		if p.Name == "test-proto-a" {
 			found = true
+		}
+		if p.Name == "nope" {
+			t.Fatal("phantom profile")
 		}
 	}
 	if !found {
@@ -113,22 +109,6 @@ func TestDecompositionString(t *testing.T) {
 		if !strings.Contains(s, part) {
 			t.Fatalf("decomposition %q missing %q", s, part)
 		}
-	}
-}
-
-func TestConformance(t *testing.T) {
-	Register(sampleProfile("test-conform"))
-	ok := Measured{Name: "test-conform", Faults: 1, Nodes: 3, Quorum: 2, CommitPhases: 2}
-	if devs := Conformance(ok); len(devs) != 0 {
-		t.Fatalf("conformant measurement flagged: %v", devs)
-	}
-	bad := Measured{Name: "test-conform", Faults: 1, Nodes: 4, Quorum: 3, CommitPhases: 5}
-	devs := Conformance(bad)
-	if len(devs) != 3 {
-		t.Fatalf("expected 3 deviations, got %v", devs)
-	}
-	if devs := Conformance(Measured{Name: "ghost"}); len(devs) != 1 {
-		t.Fatalf("unknown protocol: %v", devs)
 	}
 }
 

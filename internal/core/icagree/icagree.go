@@ -1,19 +1,18 @@
-// Package icagree implements the Pease–Shostak–Lamport interactive
-// consistency exchange the paper walks through on its "Reaching Agreement
-// in the Presence of Fault" slides: each process sends its private value
-// to all, collects the received values into a vector, re-exchanges the
-// vectors, and takes a per-element majority, marking elements without a
-// majority UNKNOWN.
+// Package icagree implements Pease–Shostak–Lamport interactive
+// consistency, the problem the paper walks through on its "Reaching
+// Agreement in the Presence of Fault" slides, as the recursive Oral
+// Messages algorithm OM(m) (RunOM): every process acts as commander once,
+// and each element of the result vector is a majority over the relays,
+// UNKNOWN where no majority exists.
 //
-// The package reproduces both slide cases: with N = 4, f = 1 the correct
-// processes agree on every element (faulty entries resolve to a common
-// UNKNOWN or a common value); with N = 3, f = 1 — below the 3f+1 bound —
-// the correct processes' result vectors diverge. Experiment F9 asserts
-// exactly this.
+// With N ≥ 3m+1 the correct processes agree on every element and keep
+// each other's values; below the bound their vectors can diverge.
+// Experiment F9 measures exactly this. The slides' simplified two-round
+// exchange (N = 4 and N = 3 with f = 1) lives in the package's tests,
+// where OM(1) is checked against it.
 package icagree
 
 import (
-	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/types"
 )
@@ -34,88 +33,6 @@ type Process struct {
 
 // Result is one process's final vector, indexed by process ID.
 type Result map[types.NodeID]string
-
-// Run executes the two-round exchange among procs and returns the result
-// vector computed by each honest process (faulty processes get no entry:
-// the algorithm makes no promises about them).
-func Run(procs []*Process) map[types.NodeID]Result {
-	// Round 1: everyone sends its value to everyone else. received1[j][i]
-	// is what j heard from i about i's own value.
-	received1 := make(map[types.NodeID]map[types.NodeID]string, len(procs))
-	for _, p := range procs {
-		received1[p.ID] = make(map[types.NodeID]string, len(procs))
-	}
-	for _, from := range procs {
-		for _, to := range procs {
-			v := from.Value
-			if from.Lie != nil {
-				v = from.Lie(1, to.ID, from.ID, v)
-			}
-			received1[to.ID][from.ID] = v
-		}
-	}
-
-	// Round 2: everyone relays its whole vector to everyone else.
-	// received2[j][k][i] is what j heard from k about i's value.
-	received2 := make(map[types.NodeID]map[types.NodeID]map[types.NodeID]string, len(procs))
-	for _, p := range procs {
-		received2[p.ID] = make(map[types.NodeID]map[types.NodeID]string, len(procs))
-	}
-	for _, from := range procs {
-		for _, to := range procs {
-			relay := make(map[types.NodeID]string, len(procs))
-			for _, id := range det.SortedKeys(received1[from.ID]) {
-				v := received1[from.ID][id]
-				if from.Lie != nil {
-					v = from.Lie(2, to.ID, id, v)
-				}
-				relay[id] = v
-			}
-			received2[to.ID][from.ID] = relay
-		}
-	}
-
-	// Round 3 (local): per-element majority, element i decided as in
-	// OM(1) with i as commander. Process j's votes for element i are
-	// i's direct round-1 value plus the round-2 relays from every third
-	// party k ∉ {i, j}. Excluding i's own round-2 relay is what makes a
-	// faulty element resolve identically everywhere: all honest
-	// processes then vote over the same multiset of round-1 lies.
-	// Including j's own round-1 reception (and nothing else from j) is
-	// what preserves honest values at N = 3f+1 and loses them below it —
-	// the slides' Case I versus Case II.
-	results := make(map[types.NodeID]Result, len(procs))
-	for _, j := range procs {
-		if j.Lie != nil {
-			continue
-		}
-		res := make(Result, len(procs))
-		for _, i := range procs {
-			if i.ID == j.ID {
-				res[i.ID] = j.Value
-				continue
-			}
-			counts := map[string]int{}
-			votes := 0
-			if v, ok := received1[j.ID][i.ID]; ok {
-				counts[v]++
-				votes++
-			}
-			for _, k := range procs {
-				if k.ID == j.ID || k.ID == i.ID {
-					continue
-				}
-				if v, ok := received2[j.ID][k.ID][i.ID]; ok {
-					counts[v]++
-					votes++
-				}
-			}
-			res[i.ID] = majority(counts, votes)
-		}
-		results[j.ID] = res
-	}
-	return results
-}
 
 func majority(counts map[string]int, votes int) string {
 	//lint:allow maporder at most one value can hold a strict majority, so the returned winner is order-independent

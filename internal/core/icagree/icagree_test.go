@@ -3,9 +3,92 @@ package icagree
 import (
 	"testing"
 
+	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/types"
 )
+
+// Run executes the slides' two-round exchange among procs and returns the result
+// vector computed by each honest process (faulty processes get no entry:
+// the algorithm makes no promises about them).
+func Run(procs []*Process) map[types.NodeID]Result {
+	// Round 1: everyone sends its value to everyone else. received1[j][i]
+	// is what j heard from i about i's own value.
+	received1 := make(map[types.NodeID]map[types.NodeID]string, len(procs))
+	for _, p := range procs {
+		received1[p.ID] = make(map[types.NodeID]string, len(procs))
+	}
+	for _, from := range procs {
+		for _, to := range procs {
+			v := from.Value
+			if from.Lie != nil {
+				v = from.Lie(1, to.ID, from.ID, v)
+			}
+			received1[to.ID][from.ID] = v
+		}
+	}
+
+	// Round 2: everyone relays its whole vector to everyone else.
+	// received2[j][k][i] is what j heard from k about i's value.
+	received2 := make(map[types.NodeID]map[types.NodeID]map[types.NodeID]string, len(procs))
+	for _, p := range procs {
+		received2[p.ID] = make(map[types.NodeID]map[types.NodeID]string, len(procs))
+	}
+	for _, from := range procs {
+		for _, to := range procs {
+			relay := make(map[types.NodeID]string, len(procs))
+			for _, id := range det.SortedKeys(received1[from.ID]) {
+				v := received1[from.ID][id]
+				if from.Lie != nil {
+					v = from.Lie(2, to.ID, id, v)
+				}
+				relay[id] = v
+			}
+			received2[to.ID][from.ID] = relay
+		}
+	}
+
+	// Round 3 (local): per-element majority, element i decided as in
+	// OM(1) with i as commander. Process j's votes for element i are
+	// i's direct round-1 value plus the round-2 relays from every third
+	// party k ∉ {i, j}. Excluding i's own round-2 relay is what makes a
+	// faulty element resolve identically everywhere: all honest
+	// processes then vote over the same multiset of round-1 lies.
+	// Including j's own round-1 reception (and nothing else from j) is
+	// what preserves honest values at N = 3f+1 and loses them below it —
+	// the slides' Case I versus Case II.
+	results := make(map[types.NodeID]Result, len(procs))
+	for _, j := range procs {
+		if j.Lie != nil {
+			continue
+		}
+		res := make(Result, len(procs))
+		for _, i := range procs {
+			if i.ID == j.ID {
+				res[i.ID] = j.Value
+				continue
+			}
+			counts := map[string]int{}
+			votes := 0
+			if v, ok := received1[j.ID][i.ID]; ok {
+				counts[v]++
+				votes++
+			}
+			for _, k := range procs {
+				if k.ID == j.ID || k.ID == i.ID {
+					continue
+				}
+				if v, ok := received2[j.ID][k.ID][i.ID]; ok {
+					counts[v]++
+					votes++
+				}
+			}
+			res[i.ID] = majority(counts, votes)
+		}
+		results[j.ID] = res
+	}
+	return results
+}
 
 func honest(id types.NodeID, v string) *Process { return &Process{ID: id, Value: v} }
 

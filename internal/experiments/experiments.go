@@ -7,10 +7,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	// The commitment protocols register their C&C profiles on import;
 	// F10/F11 reference them even though their agreement cores are
@@ -55,42 +53,4 @@ func Run(id string) (Result, error) {
 		return Result{}, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
 	}
 	return r(), nil
-}
-
-// RunAll executes every experiment and returns results in ID order.
-//
-// Experiments are independent, seeded simulations, so they run
-// concurrently on a GOMAXPROCS-bounded worker pool; each experiment's
-// artifact is identical to a sequential run's. The registry is
-// read-only after package init, so workers share it without locking.
-func RunAll() []Result {
-	ids := IDs()
-	out := make([]Result, len(ids))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers <= 1 {
-		for i, id := range ids {
-			out[i] = registry[id]()
-		}
-		return out
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				out[i] = registry[ids[i]]()
-			}
-		}()
-	}
-	for i := range ids {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return out
 }

@@ -135,6 +135,3 @@ func (t *LogTracker) MinCount() int {
 	}
 	return min
 }
-
-// Slots returns how many distinct slots have committed anywhere.
-func (t *LogTracker) Slots() int { return len(t.canonical) }

@@ -10,7 +10,7 @@ import (
 )
 
 // Cluster is the simulated SMR cluster over 3f+1 HotStuff replicas,
-// plus HotStuff's client entry point and checks.
+// plus HotStuff's client entry point.
 type Cluster struct {
 	*runner.SMRCluster[Message, *Replica]
 }
@@ -36,16 +36,4 @@ func (c *Cluster) Submit(req types.Value) {
 	for i := range c.Nodes {
 		c.Inject(Message{Kind: MsgRequest, From: -1, To: types.NodeID(i), Req: req})
 	}
-}
-
-// MinExecuted returns the lowest committed height among live replicas,
-// skipping the listed byzantine ones.
-func (c *Cluster) MinExecuted(byzantine ...types.NodeID) uint64 {
-	min := ^uint64(0)
-	for i, rep := range c.Nodes {
-		if c.Correct(types.NodeID(i), byzantine) && rep.ExecutedHeight() < min {
-			min = rep.ExecutedHeight()
-		}
-	}
-	return min
 }

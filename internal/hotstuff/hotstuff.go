@@ -201,12 +201,6 @@ func (r *Replica) quorum() int { return quorum.Byzantine{F: r.cfg.F}.Threshold()
 
 func (r *Replica) leaderOf(v types.View) types.NodeID { return v.Primary(r.cfg.N) }
 
-// View returns the current view.
-func (r *Replica) View() types.View { return r.view }
-
-// ExecutedHeight returns the committed block-height frontier.
-func (r *Replica) ExecutedHeight() uint64 { return r.executed }
-
 // CommittedBlocks returns how many blocks this replica has committed.
 func (r *Replica) CommittedBlocks() int { return r.committedViews }
 

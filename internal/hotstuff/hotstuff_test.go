@@ -64,7 +64,7 @@ func TestLeaderRotation(t *testing.T) {
 	// views. Views advance by more than n over a run.
 	c := NewCluster(1, nil, Config{ViewTimeout: 30}, nil)
 	c.Run(400)
-	if v := c.Nodes[0].View(); v < 8 {
+	if v := c.Nodes[0].view; v < 8 {
 		t.Fatalf("views advanced only to %d", v)
 	}
 }
@@ -191,4 +191,16 @@ func TestLockedQCPreventsConflictingCommit(t *testing.T) {
 	if err := smr.CheckPrefixConsistency(c.Execs()...); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// MinExecuted returns the lowest committed height among live replicas,
+// skipping the listed byzantine ones.
+func (c *Cluster) MinExecuted(byzantine ...types.NodeID) uint64 {
+	min := ^uint64(0)
+	for i, rep := range c.Nodes {
+		if c.Correct(types.NodeID(i), byzantine) && rep.executed < min {
+			min = rep.executed
+		}
+	}
+	return min
 }

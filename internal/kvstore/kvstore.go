@@ -106,9 +106,6 @@ func Incr(key string, delta int64) Command {
 	return Command{Op: OpIncr, Key: key, Value: []byte(strconv.FormatInt(delta, 10))}
 }
 
-// Noop builds a command that changes nothing (leader no-ops).
-func Noop() Command { return Command{Op: OpNoop} }
-
 // Reply payloads.
 var (
 	ReplyOK       = types.Value("OK")
@@ -228,9 +225,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // Len returns the number of live keys.
 func (s *Store) Len() int { return len(s.data) }
 
-// Applied returns the number of commands applied so far.
-func (s *Store) Applied() uint64 { return s.applied }
-
 // Snapshot serializes the full store deterministically (sorted keys):
 // u64 applied | u32 nKeys | nKeys × (u16 keyLen | key | u32 valLen | val).
 func (s *Store) Snapshot() []byte {
@@ -266,19 +260,4 @@ func (s *Store) Restore(snap []byte) error {
 	}
 	s.data, s.applied = data, applied
 	return nil
-}
-
-// Digest returns a deterministic fingerprint of the store state, used by
-// replica-consistency checks and PBFT checkpoints.
-func (s *Store) Digest() string {
-	return fmt.Sprintf("%x-%d", len(s.Snapshot()), checksum(s.Snapshot()))
-}
-
-func checksum(b []byte) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }

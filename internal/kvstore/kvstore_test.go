@@ -17,7 +17,7 @@ func TestCommandCodecRoundTrip(t *testing.T) {
 		Delete("gone"),
 		CAS("k", []byte("old"), []byte("new")),
 		Incr("counter", -42),
-		Noop(),
+		Command{Op: OpNoop},
 		Put("", nil),
 		{Op: OpPut, Key: "k", Value: []byte{}, Expected: []byte{}},
 	}
@@ -151,7 +151,7 @@ func TestDeterminismAcrossReplicas(t *testing.T) {
 	// state and identical replies.
 	script := []Command{
 		Put("x", []byte("1")), Incr("n", 7), Get("x"), CAS("x", []byte("1"), []byte("2")),
-		Delete("y"), Put("y", []byte("z")), Get("y"), Incr("n", -3), Noop(),
+		Delete("y"), Put("y", []byte("z")), Get("y"), Incr("n", -3), Command{Op: OpNoop},
 	}
 	a, b := New(), New()
 	for _, c := range script {
@@ -161,11 +161,11 @@ func TestDeterminismAcrossReplicas(t *testing.T) {
 			t.Fatalf("replies diverge on %+v: %q vs %q", c, ra, rb)
 		}
 	}
-	if a.Digest() != b.Digest() {
+	if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
 		t.Fatal("state digests diverge")
 	}
-	if a.Applied() != uint64(len(script)) {
-		t.Fatalf("applied = %d", a.Applied())
+	if a.applied != uint64(len(script)) {
+		t.Fatalf("applied = %d", a.applied)
 	}
 }
 
@@ -180,14 +180,14 @@ func TestSnapshotRestore(t *testing.T) {
 	if err := r.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if r.Digest() != s.Digest() {
+	if !bytes.Equal(r.Snapshot(), s.Snapshot()) {
 		t.Fatal("restored digest differs")
 	}
 	if v, ok := r.Get("b"); !ok || string(v) != "two" {
 		t.Fatalf("restored b = %q/%v", v, ok)
 	}
-	if r.Applied() != s.Applied() {
-		t.Fatalf("applied counter not restored: %d vs %d", r.Applied(), s.Applied())
+	if r.applied != s.applied {
+		t.Fatalf("applied counter not restored: %d vs %d", r.applied, s.applied)
 	}
 }
 

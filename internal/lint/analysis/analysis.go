@@ -71,28 +71,18 @@ type Diagnostic struct {
 	Message  string
 }
 
-// Run applies analyzers to pkg, filters the results through the
-// package's //lint:allow directives, and returns the surviving
-// diagnostics in file/line order. Malformed directives (no check name
-// or no reason) are reported as diagnostics of category "directive",
-// and so is any directive that suppressed nothing even though its
-// check ran — a stale suppression is a correctness argument nobody is
-// using, and deleting it is the only way to keep the audit trail
-// honest.
-func Run(pkg *Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
-	return RunProgram(nil, pkg, analyzers...)
-}
-
-// RunProgram is Run with a whole-program view attached to each Pass,
-// enabling the interprocedural analyzers. prog may be nil.
-func RunProgram(prog *Program, pkg *Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
-	return RunProgramTimed(prog, pkg, nil, analyzers...)
-}
-
-// RunProgramTimed additionally reports each analyzer's wall-clock run
-// time over this package to onTime (when non-nil), so drivers can
-// show where a lint pass spends its budget.
-func RunProgramTimed(prog *Program, pkg *Package, onTime func(a *Analyzer, elapsed time.Duration), analyzers ...*Analyzer) ([]Diagnostic, error) {
+// Run applies analyzers to pkg, with the whole-program view prog (nil
+// for intra-package reasoning only) attached to each Pass, filters the
+// results through the package's //lint:allow directives, and returns
+// the surviving diagnostics in file/line order. Malformed directives
+// (no check name or no reason) are reported as diagnostics of category
+// "directive", and so is any directive that suppressed nothing even
+// though its check ran — a stale suppression is a correctness argument
+// nobody is using, and deleting it is the only way to keep the audit
+// trail honest. onTime, when non-nil, receives each analyzer's
+// wall-clock run time over this package, so drivers can show where a
+// lint pass spends its budget.
+func Run(prog *Program, pkg *Package, onTime func(a *Analyzer, elapsed time.Duration), analyzers ...*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{

@@ -32,7 +32,7 @@ func TestDirectiveValidationAndSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(pkg, retAnalyzer)
+	diags, err := analysis.Run(nil, pkg, nil, retAnalyzer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestUnusedDirectiveReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(pkg, retAnalyzer)
+	diags, err := analysis.Run(nil, pkg, nil, retAnalyzer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestUnusedDirectiveReported(t *testing.T) {
 	}
 	// A check that did not run gets the benefit of the doubt: running
 	// no analyzers must report nothing, used or not.
-	diags, err = analysis.Run(pkg)
+	diags, err = analysis.Run(nil, pkg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 			t.Errorf("fixture package %s not found under %s", name, src)
 			continue
 		}
-		diags, err := analysis.RunProgram(prog, pkg, a)
+		diags, err := analysis.Run(prog, pkg, nil, a)
 		if err != nil {
 			t.Errorf("running %s on %s: %v", a.Name, name, err)
 			continue

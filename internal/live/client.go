@@ -44,7 +44,7 @@ type ClientConfig struct {
 	// operation straight to its owning group's leader guess.
 	Shards int
 	// SessionBase offsets this client's smr session IDs: it uses
-	// SessionBase+1, +2, … up to its peak number of concurrent Do/Go
+	// SessionBase+1, +2, … up to its peak number of concurrent Do
 	// calls and no further, so the bases of Clients that share a cluster
 	// need only differ by more than that. A base must not be used twice
 	// against the same cluster, not even by a later process: a fresh
@@ -101,8 +101,8 @@ func (c ClientConfig) withDefaults() ClientConfig {
 // operation to the shard leader it last saw (following NotLeader
 // redirects and failing over across nodes), retries under a deadline,
 // and pipelines safely — every in-flight operation owns an smr session
-// for as long as it runs, and concurrent Do/Go calls multiplex over one
-// connection per node.
+// for as long as it runs, and concurrent Do calls from many goroutines
+// multiplex over one connection per node.
 type Client struct {
 	cfg ClientConfig
 	pm  shard.PartitionMap
@@ -289,31 +289,6 @@ func (c *Client) Do(cmd kvstore.Command) (types.Value, error) {
 			time.Sleep(retryBackoff)
 		}
 	}
-}
-
-// Call is one in-flight pipelined operation started by Go.
-type Call struct {
-	Result types.Value
-	Err    error
-	done   chan struct{}
-}
-
-// Wait blocks until the operation finishes and returns its outcome.
-func (cl *Call) Wait() (types.Value, error) {
-	<-cl.done
-	return cl.Result, cl.Err
-}
-
-// Go starts cmd without waiting — the pipelining entry point. The
-// returned Call's Wait reports the outcome; any number of calls may be
-// in flight at once.
-func (c *Client) Go(cmd kvstore.Command) *Call {
-	cl := &Call{done: make(chan struct{})}
-	go func() {
-		defer close(cl.done)
-		cl.Result, cl.Err = c.Do(cmd)
-	}()
-	return cl
 }
 
 // Close tears down every connection; in-flight operations fail.

@@ -684,3 +684,28 @@ func TestClientRefusesOverlongKey(t *testing.T) {
 		t.Fatalf("a %d-byte key is legal and must be attempted: %v", kvstore.MaxKeyLen, err)
 	}
 }
+
+// Call is one in-flight pipelined operation started by Go.
+type Call struct {
+	Result types.Value
+	Err    error
+	done   chan struct{}
+}
+
+// Wait blocks until the operation finishes and returns its outcome.
+func (cl *Call) Wait() (types.Value, error) {
+	<-cl.done
+	return cl.Result, cl.Err
+}
+
+// Go starts cmd without waiting — the pipelining entry point. The
+// returned Call's Wait reports the outcome; any number of calls may be
+// in flight at once.
+func (c *Client) Go(cmd kvstore.Command) *Call {
+	cl := &Call{done: make(chan struct{})}
+	go func() {
+		defer close(cl.done)
+		cl.Result, cl.Err = c.Do(cmd)
+	}()
+	return cl
+}

@@ -58,8 +58,9 @@ func TestLiveSimEquivalence(t *testing.T) {
 		Shards: shards, Replicas: 3, Backend: shard.BackendRaft, Seed: 11,
 	})
 	svc.Run(300) // let every group elect
+	pm := shard.NewPartitionMap(shards)
 	for i, op := range ops {
-		seq := svc.SubmitKV(op)
+		seq := svc.SubmitKVAt(pm.Shard(op.Key), op)
 		replied := false
 		for step := 0; step < 5000 && !replied; step++ {
 			svc.Step()

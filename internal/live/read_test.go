@@ -140,10 +140,12 @@ func TestDroppedReadIsRedirectedAtOnce(t *testing.T) {
 	mod := raft.New(0, raft.Config{Peers: []types.NodeID{0, 1, 2}})
 	g := newSMRGroup[raft.Message](s, 0, mod, RaftCodec{}, raft.Dest)
 	defer g.close()
-	for mod.Term() == 0 {
+	// A fresh node campaigns, in term 1, within HeartbeatTicks (5) ticks;
+	// its next campaign is an election timeout (30 ticks) away.
+	for i := 0; i < 5; i++ {
 		g.node.CallWait(mod.Tick)
 	}
-	g.node.Deliver(raft.Message{Kind: raft.MsgVote, From: 1, To: 0, Term: mod.Term(), Granted: true})
+	g.node.Deliver(raft.Message{Kind: raft.MsgVote, From: 1, To: 0, Term: 1, Granted: true})
 	if !mod.IsLeader() {
 		t.Fatal("node 0 does not lead")
 	}
@@ -157,7 +159,7 @@ func TestDroppedReadIsRedirectedAtOnce(t *testing.T) {
 		t.Fatalf("an unconfirmed read was answered: %+v", resp)
 	case <-time.After(20 * time.Millisecond):
 	}
-	g.node.Deliver(raft.Message{Kind: raft.MsgAppend, From: 2, To: 0, Term: mod.Term() + 1})
+	g.node.Deliver(raft.Message{Kind: raft.MsgAppend, From: 2, To: 0, Term: 2})
 	select {
 	case resp := <-cc.out:
 		if resp.ReqID != 5 || resp.Status != StatusNotLeader || resp.Leader != 2 {

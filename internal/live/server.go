@@ -164,9 +164,6 @@ func (s *Server) Start() {
 // Addr returns the node's listening address.
 func (s *Server) Addr() string { return s.tr.Addr() }
 
-// Shards returns the shard-group count.
-func (s *Server) Shards() int { return s.cfg.Shards }
-
 // Metrics returns the server's live counters.
 func (s *Server) Metrics() *ServerMetrics { return s.met }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Cluster is the simulated SMR cluster over 2f+1 MinBFT replicas, plus
-// MinBFT's client entry point and checks.
+// MinBFT's client entry point.
 type Cluster struct {
 	*runner.FrontierCluster[Message, *Replica]
 }

@@ -184,9 +184,6 @@ func (r *Replica) primary() types.NodeID { return r.view.Primary(r.cfg.N) }
 // IsPrimary reports whether this replica leads the current view.
 func (r *Replica) IsPrimary() bool { return r.primary() == r.id }
 
-// View returns the current view.
-func (r *Replica) View() types.View { return r.view }
-
 // ExecutedFrontier returns the contiguous executed slot frontier.
 func (r *Replica) ExecutedFrontier() types.Seq { return r.core.ExecutedFrontier() }
 

@@ -89,8 +89,8 @@ func TestOutOfOrderHeldByMonitor(t *testing.T) {
 	cfg := Config{N: 3, F: 1}.withDefaults()
 	primary := NewReplica(0, cfg)
 	backup := NewReplica(1, cfg)
-	primary.Submit(req(1, 1, kvstore.Noop()))
-	primary.Submit(req(1, 2, kvstore.Noop()))
+	primary.Submit(req(1, 1, kvstore.Command{Op: kvstore.OpNoop}))
+	primary.Submit(req(1, 2, kvstore.Command{Op: kvstore.OpNoop}))
 	out := primary.Drain()
 	var prepares []Message
 	for _, m := range out {
@@ -138,7 +138,7 @@ func TestPrimaryCrashViewChange(t *testing.T) {
 		t.Fatal("view change never recovered the request")
 	}
 	for _, rep := range c.Nodes[1:] {
-		if rep.View() == 0 {
+		if rep.view == 0 {
 			t.Fatalf("replica %v still in view 0", rep.id)
 		}
 	}
@@ -174,7 +174,7 @@ func TestCommittedSlotSurvivesViewChange(t *testing.T) {
 func TestLinearMessageComplexity(t *testing.T) {
 	msgs := func(f int) int {
 		c := NewCluster(f, nil, Config{}, nil)
-		c.Submit(0, req(1, 1, kvstore.Noop()))
+		c.Submit(0, req(1, 1, kvstore.Command{Op: kvstore.OpNoop}))
 		c.RunUntil(func() bool { return c.ExecutedEverywhere(1) }, 500)
 		return c.Stats().Sent
 	}

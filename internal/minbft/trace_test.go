@@ -62,8 +62,8 @@ var traceScenarios = []struct {
 			c.Run(10)
 		}
 		c.RunUntil(func() bool { return c.ExecutedEverywhere(8, 0) }, 4000)
-		if !c.ExecutedEverywhere(8, 0) || c.Nodes[1].View() == 0 {
-			t.Fatalf("view-change: executed %d in view %d", c.Nodes[1].ExecutedFrontier(), c.Nodes[1].View())
+		if !c.ExecutedEverywhere(8, 0) || c.Nodes[1].view == 0 {
+			t.Fatalf("view-change: executed %d in view %d", c.Nodes[1].ExecutedFrontier(), c.Nodes[1].view)
 		}
 		return trace()
 	}},

@@ -147,14 +147,14 @@ func TestRecoveryPreservesAcceptedEntries(t *testing.T) {
 	// Old leader replicates an entry to a majority then dies before
 	// committing; the new leader must re-propose and commit that entry,
 	// not lose it.
-	c := NewCluster(5, nil, Config{Seed: 6}, kvSM)
+	fab := simnet.NewFabric(simnet.Options{})
+	c := NewCluster(5, fab, Config{Seed: 6}, kvSM)
 	lead := c.WaitLeader(500)
 	if lead == nil {
 		t.Fatal("no leader")
 	}
 	// Cut the leader's *incoming* links so it never sees Accepted votes,
 	// but its Accepts still go out.
-	fab := c.Fabric()
 	for _, n := range c.Nodes {
 		if n.id != lead.id {
 			fab.CutLink(n.id, lead.id)

@@ -246,17 +246,6 @@ func (s *Schedule) Classes() []string {
 	return det.SortedKeys(seen)
 }
 
-// MaxTick returns the largest event tick (0 for an empty schedule).
-func (s *Schedule) MaxTick() int {
-	max := 0
-	for _, e := range s.Events {
-		if e.At > max {
-			max = e.At
-		}
-	}
-	return max
-}
-
 // Validate rejects events that a Target could not apply meaningfully:
 // negative ticks, partitions with fewer than two groups, rates outside
 // [0,1] (NaN included), byzantine events without a mode, unknown ops.
@@ -353,6 +342,3 @@ func (in *Injector) Fire(t Target, now int) int {
 	}
 	return fired
 }
-
-// Done reports whether every event has fired.
-func (in *Injector) Done() bool { return in.next >= len(in.events) }

@@ -70,7 +70,7 @@ func TestInjectorOrderAndTiming(t *testing.T) {
 			t.Fatalf("applied %v, want %v", tgt.log, want)
 		}
 	}
-	if !in.Done() {
+	if in.next < len(in.events) {
 		t.Fatal("injector not done after horizon")
 	}
 
@@ -354,4 +354,15 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("%q re-encodes as %q, then %q", b, enc, enc2)
 		}
 	})
+}
+
+// MaxTick returns the largest event tick (0 for an empty schedule).
+func (s *Schedule) MaxTick() int {
+	max := 0
+	for _, e := range s.Events {
+		if e.At > max {
+			max = e.At
+		}
+	}
+	return max
 }

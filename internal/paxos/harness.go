@@ -56,26 +56,3 @@ func (c *Cluster) DecidedValues() []types.Value {
 	}
 	return out
 }
-
-// Agreement returns the decided value (nil if no node has decided) and
-// whether agreement holds: ok is false only when two nodes decided
-// different values — a safety violation. With zero or one decided node,
-// ok is vacuously true.
-func (c *Cluster) Agreement() (types.Value, bool) {
-	var v types.Value
-	seen := false
-	for _, n := range c.Nodes {
-		d, ok := n.Decided()
-		if !ok {
-			continue
-		}
-		if !seen {
-			v, seen = d, true
-			continue
-		}
-		if !v.Equal(d) {
-			return nil, false
-		}
-	}
-	return v, true
-}

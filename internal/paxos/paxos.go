@@ -179,9 +179,6 @@ func (n *Node) Decided() (types.Value, bool) { return n.decision, n.decided }
 // dueling-proposer livelock metric.
 func (n *Node) Restarts() int { return n.restarts }
 
-// Ballot returns the acceptor's current ballot (for tests).
-func (n *Node) Ballot() types.Ballot { return n.ballotNum }
-
 func (n *Node) startBallot() {
 	n.restarts++
 	n.curBallot = n.ballotNum.Next(n.id)

@@ -13,7 +13,7 @@ import (
 func BenchmarkCommitThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := NewCluster(1, nil, Config{}, nil)
-		c.Submit(0, req(1, 1, kvstore.Noop()))
+		c.Submit(0, req(1, 1, kvstore.Command{Op: kvstore.OpNoop}))
 		if !c.RunUntil(func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 }, 300) {
 			b.Fatal("no commit")
 		}
@@ -51,7 +51,7 @@ func BenchmarkScaleN(b *testing.B) {
 			var sent int
 			for i := 0; i < b.N; i++ {
 				c := NewCluster(f, nil, Config{}, nil)
-				c.Submit(0, req(1, 1, kvstore.Noop()))
+				c.Submit(0, req(1, 1, kvstore.Command{Op: kvstore.OpNoop}))
 				c.RunUntil(func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 }, 500)
 				sent = c.Stats().Sent
 			}

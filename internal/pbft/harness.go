@@ -8,7 +8,7 @@ import (
 )
 
 // Cluster is the simulated SMR cluster over 3f+2c+1 PBFT replicas, plus
-// PBFT's client entry point and checks.
+// PBFT's client entry point.
 type Cluster struct {
 	*runner.FrontierCluster[Message, *Replica]
 	F int
@@ -29,23 +29,4 @@ func NewCluster(f int, fabric *simnet.Fabric, cfg Config, newSM func() smr.State
 // Submit injects a client request at the given replica.
 func (c *Cluster) Submit(at types.NodeID, req types.Value) {
 	c.Inject(Message{Kind: MsgRequest, From: -1, To: at, Req: req})
-}
-
-// MatchingReplies counts replies for (client, seqno) agreeing on the
-// same result; a client accepts at f+1 matching replies.
-func MatchingReplies(replies []types.Reply, client types.ClientID, seqno uint64) (types.Value, int) {
-	counts := map[string]int{}
-	var best types.Value
-	bestN := 0
-	for _, r := range replies {
-		if r.Client != client || r.SeqNo != seqno {
-			continue
-		}
-		counts[string(r.Result)]++
-		if counts[string(r.Result)] > bestN {
-			bestN = counts[string(r.Result)]
-			best = r.Result
-		}
-	}
-	return best, bestN
 }

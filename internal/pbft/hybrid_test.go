@@ -3,6 +3,7 @@ package pbft
 import (
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"fortyconsensus/internal/chaincrypto"
@@ -44,6 +45,12 @@ func spendBudget(cl *Cluster, m, c, extra int) []types.NodeID {
 	return faulty
 }
 
+// need reads how many distinct votes t asks for. Tally keeps it
+// unexported, and only this test looks.
+func need(t *quorum.Tally) int {
+	return int(reflect.ValueOf(t).Elem().FieldByName("need").Int())
+}
+
 func TestHybridThresholds(t *testing.T) {
 	for m := 0; m <= 3; m++ {
 		for c := 0; c <= 3; c++ {
@@ -58,13 +65,13 @@ func TestHybridThresholds(t *testing.T) {
 			// A slot's certificates: 2m+c prepares beside the pre-prepare,
 			// 2m+c+1 commits.
 			s := cl.Nodes[0].getSlot(1)
-			if s.prepares.Need() != 2*m+c || s.commits.Need() != 2*m+c+1 {
-				t.Fatalf("m=%d c=%d: slot needs %d prepares, %d commits", m, c, s.prepares.Need(), s.commits.Need())
+			if need(s.prepares) != 2*m+c || need(s.commits) != 2*m+c+1 {
+				t.Fatalf("m=%d c=%d: slot needs %d prepares, %d commits", m, c, need(s.prepares), need(s.commits))
 			}
 			// Entering a view re-arms an uncommitted slot the same.
 			cl.Nodes[0].enterView(1)
-			if s.prepares.Need() != 2*m+c || s.commits.Need() != 2*m+c+1 {
-				t.Fatalf("m=%d c=%d: after a view change the slot needs %d prepares, %d commits", m, c, s.prepares.Need(), s.commits.Need())
+			if need(s.prepares) != 2*m+c || need(s.commits) != 2*m+c+1 {
+				t.Fatalf("m=%d c=%d: after a view change the slot needs %d prepares, %d commits", m, c, need(s.prepares), need(s.commits))
 			}
 		}
 	}
@@ -138,7 +145,7 @@ func TestHybridCrashOnlyMatchesPaxosSizes(t *testing.T) {
 	for c := 1; c <= 3; c++ {
 		q, maj := Config{C: c}.Quorums(), quorum.MajorityFor(c)
 		if q.Size() != maj.Size() || q.Threshold() != maj.Threshold() {
-			t.Fatalf("c=%d: %s, want %s", c, q.Describe(), maj.Describe())
+			t.Fatalf("c=%d: %+v, want %+v", c, q, maj)
 		}
 	}
 	cl := NewCluster(0, nil, Config{C: 2}, nil)
@@ -155,7 +162,7 @@ func TestHybridByzantineOnlyMatchesPBFTSizes(t *testing.T) {
 	for f := 0; f <= 3; f++ {
 		q, byz := Config{F: f}.Quorums(), quorum.Byzantine{F: f}
 		if q.Size() != byz.Size() || q.Threshold() != byz.Threshold() || q.Intersection() != f+1 {
-			t.Fatalf("f=%d: %s i=%d, want %s i=%d", f, q.Describe(), q.Intersection(), byz.Describe(), f+1)
+			t.Fatalf("f=%d: %+v i=%d, want %+v i=%d", f, q, q.Intersection(), byz, f+1)
 		}
 	}
 }
@@ -209,8 +216,8 @@ func TestHybridCrashedPrimaryViewChange(t *testing.T) {
 		t.Fatal("request never committed past the crashed primary")
 	}
 	for i := 1; i <= 4; i++ {
-		if rep := cl.Nodes[i]; rep.View() == 0 || rep.ViewChanges() == 0 {
-			t.Fatalf("replica %d: view %d after %d view changes", i, rep.View(), rep.ViewChanges())
+		if rep := cl.Nodes[i]; rep.view == 0 || rep.viewChanges == 0 {
+			t.Fatalf("replica %d: view %d after %d view changes", i, rep.view, rep.viewChanges)
 		}
 	}
 }
@@ -257,8 +264,8 @@ func TestHybridNewViewAtQuorum(t *testing.T) {
 		for peers, from := 0, 2; ; peers, from = peers+1, from+1 {
 			opened := sent(r, MsgNewView)
 			if peers == 2*m+c {
-				if !opened || r.View() != 1 {
-					t.Fatalf("view %d, new-view sent %v at %d peer votes", r.View(), opened, peers)
+				if !opened || r.view != 1 {
+					t.Fatalf("view %d, new-view sent %v at %d peer votes", r.view, opened, peers)
 				}
 				return
 			}
@@ -276,12 +283,12 @@ func TestHybridCheckpointStabilisesAtQuorum(t *testing.T) {
 		const seq = 16
 		d := chaincrypto.Hash(chaincrypto.HashUint64(seq))
 		for from := 1; from <= 2*m+c+1; from++ {
-			if r.LastStable() != 0 {
+			if r.lastStable != 0 {
 				t.Fatalf("checkpoint stable at %d votes, quorum is %d", from-1, 2*m+c+1)
 			}
 			r.Step(Message{Kind: MsgCheckpoint, From: types.NodeID(from), Seq: seq, StateDigest: d})
 		}
-		if r.LastStable() != seq {
+		if r.lastStable != seq {
 			t.Fatalf("checkpoint not stable at %d votes", 2*m+c+1)
 		}
 	})
@@ -293,12 +300,12 @@ func TestHybridViewChangeJoinedAtIntersection(t *testing.T) {
 	eachGridPoint(t, func(t *testing.T, m, c int) {
 		r := NewReplica(0, Config{F: m, C: c})
 		for from := 1; from <= m+1; from++ {
-			if r.ViewChanges() != 0 {
+			if r.viewChanges != 0 {
 				t.Fatalf("joined at %d votes, intersection is %d", from-1, m+1)
 			}
 			r.Step(Message{Kind: MsgViewChange, From: types.NodeID(from), View: 2})
 		}
-		if r.ViewChanges() != 1 {
+		if r.viewChanges != 1 {
 			t.Fatalf("not joined at %d votes", m+1)
 		}
 		for _, out := range r.Drain() {
@@ -368,9 +375,9 @@ func TestZeroCrashBudgetIsParentPBFT(t *testing.T) {
 			cl.Run(40)
 		}
 		cl.Run(200)
-		if !cl.ExecutedEverywhere(12) || cl.Nodes[1].View() == 0 || cl.Nodes[1].LastStable() < 8 {
+		if !cl.ExecutedEverywhere(12) || cl.Nodes[1].view == 0 || cl.Nodes[1].lastStable < 8 {
 			t.Fatalf("f=%d: the run no longer covers what it pins: executed everywhere %v, view %d, stable %d",
-				f, cl.ExecutedEverywhere(12), cl.Nodes[1].View(), cl.Nodes[1].LastStable())
+				f, cl.ExecutedEverywhere(12), cl.Nodes[1].view, cl.Nodes[1].lastStable)
 		}
 		if got := fmt.Sprintf("%x", h.Sum(nil)); got != parentSequence[f] {
 			t.Errorf("f=%d: message sequence %s (%d sent), parent's is %s", f, got, cl.Stats().Sent, parentSequence[f])

@@ -271,17 +271,8 @@ func (r *Replica) primary() types.NodeID { return r.view.Primary(r.q.Size()) }
 // IsPrimary reports whether this replica currently leads.
 func (r *Replica) IsPrimary() bool { return r.primary() == r.id }
 
-// View returns the current view number.
-func (r *Replica) View() types.View { return r.view }
-
-// ViewChanges returns how many view changes this replica has entered.
-func (r *Replica) ViewChanges() int { return r.viewChanges }
-
 // ExecutedFrontier returns the contiguous execution frontier.
 func (r *Replica) ExecutedFrontier() types.Seq { return r.executed }
-
-// LastStable returns the last stable checkpoint sequence.
-func (r *Replica) LastStable() types.Seq { return r.lastStable }
 
 // TakeDecisions drains executed (slot, value) pairs in order.
 func (r *Replica) TakeDecisions() []types.Decision {

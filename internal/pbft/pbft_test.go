@@ -37,7 +37,7 @@ func TestNormalCaseCommit(t *testing.T) {
 
 func TestThreePhases(t *testing.T) {
 	c := NewCluster(1, nil, Config{}, nil)
-	c.Submit(0, req(1, 1, kvstore.Noop()))
+	c.Submit(0, req(1, 1, kvstore.Command{Op: kvstore.OpNoop}))
 	c.RunUntil(func() bool { return c.ExecutedEverywhere(1) }, 300)
 	st := c.Stats()
 	for _, k := range []string{"pre-prepare", "prepare", "commit"} {
@@ -79,17 +79,17 @@ func TestManyRequestsOrdered(t *testing.T) {
 func TestCheckpointGarbageCollection(t *testing.T) {
 	c := NewCluster(1, nil, Config{CheckpointEvery: 8}, nil)
 	for i := 1; i <= 40; i++ {
-		c.Submit(0, req(1, uint64(i), kvstore.Noop()))
+		c.Submit(0, req(1, uint64(i), kvstore.Command{Op: kvstore.OpNoop}))
 	}
 	c.RunUntil(func() bool { return c.ExecutedEverywhere(40) }, 3000)
 	c.Run(50) // let checkpoint votes settle
 	for _, rep := range c.Nodes {
-		if rep.LastStable() < 8 {
-			t.Fatalf("replica %v never stabilized a checkpoint (lastStable=%d)", rep.id, rep.LastStable())
+		if rep.lastStable < 8 {
+			t.Fatalf("replica %v never stabilized a checkpoint (lastStable=%d)", rep.id, rep.lastStable)
 		}
 		for seq := range rep.slots {
-			if seq <= rep.LastStable() {
-				t.Fatalf("replica %v kept slot %d below stable %d", rep.id, seq, rep.LastStable())
+			if seq <= rep.lastStable {
+				t.Fatalf("replica %v kept slot %d below stable %d", rep.id, seq, rep.lastStable)
 			}
 		}
 	}
@@ -113,7 +113,7 @@ func TestCrashedPrimaryViewChange(t *testing.T) {
 		t.Fatal("view change never recovered the request")
 	}
 	for _, rep := range c.Nodes[1:] {
-		if rep.View() == 0 {
+		if rep.view == 0 {
 			t.Fatalf("replica %v still in view 0", rep.id)
 		}
 	}
@@ -220,7 +220,7 @@ func TestViewChangeMessageComplexity(t *testing.T) {
 	// state. (The O(n³) claim is exercised quantitatively in bench T2.)
 	c := NewCluster(1, nil, Config{RequestTimeout: 25}, nil)
 	c.Crash(0)
-	c.Submit(1, req(1, 1, kvstore.Noop()))
+	c.Submit(1, req(1, 1, kvstore.Command{Op: kvstore.OpNoop}))
 	c.RunUntil(func() bool { return c.ExecutedEverywhere(1, 0) }, 3000)
 	st := c.Stats()
 	if st.ByKind["view-change"] == 0 || st.ByKind["new-view"] == 0 {
@@ -299,4 +299,23 @@ func TestFetchRespForgeryNeedsQuorum(t *testing.T) {
 	if r.ExecutedFrontier() != 1 {
 		t.Fatal("f+1 matching responses did not commit the slot")
 	}
+}
+
+// MatchingReplies counts replies for (client, seqno) agreeing on the
+// same result; a client accepts at f+1 matching replies.
+func MatchingReplies(replies []types.Reply, client types.ClientID, seqno uint64) (types.Value, int) {
+	counts := map[string]int{}
+	var best types.Value
+	bestN := 0
+	for _, r := range replies {
+		if r.Client != client || r.SeqNo != seqno {
+			continue
+		}
+		counts[string(r.Result)]++
+		if counts[string(r.Result)] > bestN {
+			bestN = counts[string(r.Result)]
+			best = r.Result
+		}
+	}
+	return best, bestN
 }

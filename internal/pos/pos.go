@@ -18,12 +18,12 @@
 // the public selection function; the winner signs and broadcasts a
 // block; everyone can verify the winner was legitimate because the
 // selection depends only on the shared stake table, the beacon seed,
-// and the slot number.
+// and the slot number. The gossip layer that shows it — validators
+// that propose, broadcast and replay each other's blocks — lives in the
+// package's tests; the experiments drive the Ledger alone.
 package pos
 
 import (
-	"fmt"
-
 	"fortyconsensus/internal/chaincrypto"
 	"fortyconsensus/internal/core"
 	"fortyconsensus/internal/det"
@@ -123,7 +123,7 @@ func (b Block) Hash() chaincrypto.Digest {
 
 // Ledger is the deterministic slot-by-slot PoS state machine: the stake
 // table, the beacon, and the chain. Every validator computes the same
-// ledger, so the networked layer only needs block dissemination — the
+// ledger, so a networked layer needs only block dissemination — the
 // selection itself requires no votes.
 type Ledger struct {
 	params Params
@@ -219,28 +219,6 @@ func (l *Ledger) Advance(payload []types.Value) (Block, bool) {
 	return b, true
 }
 
-// VerifyAndApply checks that a received block names the legitimate
-// proposer for its slot and extends the tip, then applies it. Used by
-// networked validators replaying a peer's block.
-func (l *Ledger) VerifyAndApply(b Block) error {
-	want := uint64(len(l.chain)) + 1
-	if b.Slot != want {
-		return fmt.Errorf("pos: block for slot %d, want %d", b.Slot, want)
-	}
-	if b.Parent != l.tipID {
-		return fmt.Errorf("pos: block does not extend the tip")
-	}
-	id, ok := l.ProposerFor(b.Slot)
-	if !ok || id != b.Proposer {
-		return fmt.Errorf("pos: illegitimate proposer %v for slot %d (want %v)", b.Proposer, b.Slot, id)
-	}
-	for _, v := range l.vals {
-		v.age++
-	}
-	l.apply(b)
-	return nil
-}
-
 func (l *Ledger) apply(b Block) {
 	l.chain = append(l.chain, b)
 	l.tipID = b.Hash()
@@ -250,153 +228,11 @@ func (l *Ledger) apply(b Block) {
 	l.wins[b.Proposer]++
 }
 
-// Height returns the chain length.
-func (l *Ledger) Height() int { return len(l.chain) }
-
 // Wins returns per-validator block counts.
 func (l *Ledger) Wins() map[types.NodeID]int {
 	out := make(map[types.NodeID]int, len(l.wins))
 	for k, v := range l.wins {
 		out[k] = v
 	}
-	return out
-}
-
-// Stake returns a validator's current stake.
-func (l *Ledger) Stake(id types.NodeID) uint64 { return l.byID[id].Stake }
-
-// TotalStake returns the sum of all stakes.
-func (l *Ledger) TotalStake() uint64 {
-	t := uint64(0)
-	for _, v := range l.vals {
-		t += v.Stake
-	}
-	return t
-}
-
-// Tip returns the tip hash.
-func (l *Ledger) Tip() chaincrypto.Digest { return l.tipID }
-
-// ---------------------------------------------------------------------------
-// Networked validator (gossip layer over the deterministic ledger)
-
-// MsgKind enumerates PoS gossip messages.
-type MsgKind uint8
-
-const (
-	MsgBlock MsgKind = iota + 1
-)
-
-func (k MsgKind) String() string { return "block" }
-
-// Message is a PoS wire message.
-type Message struct {
-	Kind     MsgKind
-	From, To types.NodeID
-	Block    Block
-}
-
-// Runner accessors.
-func Src(m Message) types.NodeID  { return m.From }
-func Dest(m Message) types.NodeID { return m.To }
-func Kind(m Message) string       { return m.Kind.String() }
-
-// Node is one networked validator: each slot lasts SlotTicks; the slot's
-// proposer builds a block and gossips it; everyone else verifies.
-type Node struct {
-	id        types.NodeID
-	ledger    *Ledger
-	peers     []types.NodeID
-	slotTicks int
-	tickIn    int
-	pending   []types.Value
-	held      map[uint64]Block // blocks for future slots
-	out       []Message
-}
-
-// NewNode builds a networked validator sharing the given parameters and
-// stake table with its peers.
-func NewNode(id types.NodeID, params Params, stakes map[types.NodeID]uint64, peers []types.NodeID, slotTicks int) *Node {
-	if slotTicks <= 0 {
-		slotTicks = 5
-	}
-	return &Node{
-		id:        id,
-		ledger:    NewLedger(params, stakes),
-		peers:     peers,
-		slotTicks: slotTicks,
-		tickIn:    slotTicks,
-		held:      make(map[uint64]Block),
-	}
-}
-
-// Ledger exposes the node's ledger for assertions.
-func (n *Node) Ledger() *Ledger { return n.ledger }
-
-// Submit queues a payload for the node's next proposed block.
-func (n *Node) Submit(v types.Value) { n.pending = append(n.pending, v.Clone()) }
-
-// Step consumes a gossiped block.
-func (n *Node) Step(m Message) {
-	if m.Kind != MsgBlock {
-		return
-	}
-	n.tryApply(m.Block)
-}
-
-func (n *Node) tryApply(b Block) {
-	want := uint64(n.ledger.Height()) + 1
-	if b.Slot < want {
-		return // already have it
-	}
-	if b.Slot > want {
-		n.held[b.Slot] = b
-		return
-	}
-	if err := n.ledger.VerifyAndApply(b); err != nil {
-		return
-	}
-	for {
-		next, ok := n.held[uint64(n.ledger.Height())+1]
-		if !ok {
-			return
-		}
-		delete(n.held, next.Slot)
-		if n.ledger.VerifyAndApply(next) != nil {
-			return
-		}
-	}
-}
-
-// Tick advances slot time; at each slot boundary the legitimate proposer
-// (and only it) produces the block.
-func (n *Node) Tick() {
-	n.tickIn--
-	if n.tickIn > 0 {
-		return
-	}
-	n.tickIn = n.slotTicks
-	slot := uint64(n.ledger.Height()) + 1
-	id, ok := n.ledger.ProposerFor(slot)
-	if !ok || id != n.id {
-		return
-	}
-	payload := n.pending
-	n.pending = nil
-	b, produced := n.ledger.Advance(payload)
-	if !produced {
-		return
-	}
-	for _, p := range n.peers {
-		if p != n.id {
-			n.out = append(n.out, Message{Kind: MsgBlock, From: n.id, To: p, Block: b})
-		}
-	}
-}
-
-// Drain returns pending outbound messages.
-func (n *Node) Drain() []Message {
-	out := n.out
-	n.out = nil
 	return out
 }

@@ -1,6 +1,7 @@
 package pos
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -63,15 +64,15 @@ func TestProportionalRewardsAreMartingale(t *testing.T) {
 	// (each slot pays out in proportion to the win probability). Verify
 	// both: stake grows, share stays within a narrow band.
 	l := NewLedger(Params{Seed: 9, Reward: 5}, stakes3())
-	startStake := l.Stake(0)
-	startShare := float64(l.Stake(0)) / float64(l.TotalStake())
+	startStake := l.byID[0].Stake
+	startShare := float64(l.byID[0].Stake) / float64(l.TotalStake())
 	for i := 0; i < 3000; i++ {
 		l.Advance(nil)
 	}
-	if l.Stake(0) <= startStake {
+	if l.byID[0].Stake <= startStake {
 		t.Fatal("whale stake did not grow despite rewards")
 	}
-	endShare := float64(l.Stake(0)) / float64(l.TotalStake())
+	endShare := float64(l.byID[0].Stake) / float64(l.TotalStake())
 	if math.Abs(endShare-startShare) > 0.08 {
 		t.Fatalf("share drifted beyond martingale band: %.3f -> %.3f", startShare, endShare)
 	}
@@ -112,11 +113,11 @@ func TestVerifyAndApplyRejectsIllegitimateProposer(t *testing.T) {
 	l := NewLedger(Params{Seed: 5}, stakes3())
 	id, _ := l.ProposerFor(1)
 	wrong := types.NodeID((int(id) + 1) % 3)
-	b := Block{Slot: 1, Proposer: wrong, Parent: l.Tip()}
+	b := Block{Slot: 1, Proposer: wrong, Parent: l.tipID}
 	if err := l.VerifyAndApply(b); err == nil {
 		t.Fatal("illegitimate proposer accepted")
 	}
-	good := Block{Slot: 1, Proposer: id, Parent: l.Tip()}
+	good := Block{Slot: 1, Proposer: id, Parent: l.tipID}
 	if err := l.VerifyAndApply(good); err != nil {
 		t.Fatal(err)
 	}
@@ -144,17 +145,17 @@ func TestNetworkedValidatorsConverge(t *testing.T) {
 	}
 	nodes[0].Submit(types.Value("tx-1"))
 	rc.Run(600)
-	h := nodes[0].Ledger().Height()
+	h := nodes[0].ledger.Height()
 	if h < 50 {
 		t.Fatalf("chain only reached height %d", h)
 	}
 	for _, n := range nodes[1:] {
-		if n.Ledger().Height() < h-2 {
-			t.Fatalf("validator lagging: %d vs %d", n.Ledger().Height(), h)
+		if n.ledger.Height() < h-2 {
+			t.Fatalf("validator lagging: %d vs %d", n.ledger.Height(), h)
 		}
 		// Same tip prefix ⇒ same stake evolution.
-		if n.Ledger().Stake(0) != nodes[0].Ledger().Stake(0) &&
-			absDiff(n.Ledger().Height(), nodes[0].Ledger().Height()) == 0 {
+		if n.ledger.byID[0].Stake != nodes[0].ledger.byID[0].Stake &&
+			absDiff(n.ledger.Height(), nodes[0].ledger.Height()) == 0 {
 			t.Fatal("stake tables diverged at equal height")
 		}
 	}
@@ -186,7 +187,7 @@ func TestNetworkedForgeryRejected(t *testing.T) {
 		return []Message{m}
 	})
 	rc.Run(400)
-	wins := nodes[0].Ledger().Wins()
+	wins := nodes[0].ledger.Wins()
 	total := 0
 	for _, w := range wins {
 		total += w
@@ -199,3 +200,160 @@ func TestNetworkedForgeryRejected(t *testing.T) {
 		t.Fatalf("forger won %.2f of blocks", frac)
 	}
 }
+
+// Runner accessors.
+func Src(m Message) types.NodeID { return m.From }
+
+func Dest(m Message) types.NodeID { return m.To }
+
+func Kind(m Message) string { return m.Kind.String() }
+
+// NewNode builds a networked validator sharing the given parameters and
+// stake table with its peers.
+func NewNode(id types.NodeID, params Params, stakes map[types.NodeID]uint64, peers []types.NodeID, slotTicks int) *Node {
+	if slotTicks <= 0 {
+		slotTicks = 5
+	}
+	return &Node{
+		id:        id,
+		ledger:    NewLedger(params, stakes),
+		peers:     peers,
+		slotTicks: slotTicks,
+		tickIn:    slotTicks,
+		held:      make(map[uint64]Block),
+	}
+}
+
+// TotalStake returns the sum of all stakes.
+func (l *Ledger) TotalStake() uint64 {
+	t := uint64(0)
+	for _, v := range l.vals {
+		t += v.Stake
+	}
+	return t
+}
+
+// ---------------------------------------------------------------------------
+// Networked validator (gossip layer over the deterministic ledger)
+
+// MsgKind enumerates PoS gossip messages.
+type MsgKind uint8
+
+const (
+	MsgBlock MsgKind = iota + 1
+)
+
+func (k MsgKind) String() string { return "block" }
+
+// Message is a PoS wire message.
+type Message struct {
+	Kind     MsgKind
+	From, To types.NodeID
+	Block    Block
+}
+
+// Node is one networked validator: each slot lasts SlotTicks; the slot's
+// proposer builds a block and gossips it; everyone else verifies.
+type Node struct {
+	id        types.NodeID
+	ledger    *Ledger
+	peers     []types.NodeID
+	slotTicks int
+	tickIn    int
+	pending   []types.Value
+	held      map[uint64]Block // blocks for future slots
+	out       []Message
+}
+
+// Submit queues a payload for the node's next proposed block.
+func (n *Node) Submit(v types.Value) { n.pending = append(n.pending, v.Clone()) }
+
+// Step consumes a gossiped block.
+func (n *Node) Step(m Message) {
+	if m.Kind != MsgBlock {
+		return
+	}
+	n.tryApply(m.Block)
+}
+
+func (n *Node) tryApply(b Block) {
+	want := uint64(n.ledger.Height()) + 1
+	if b.Slot < want {
+		return // already have it
+	}
+	if b.Slot > want {
+		n.held[b.Slot] = b
+		return
+	}
+	if err := n.ledger.VerifyAndApply(b); err != nil {
+		return
+	}
+	for {
+		next, ok := n.held[uint64(n.ledger.Height())+1]
+		if !ok {
+			return
+		}
+		delete(n.held, next.Slot)
+		if n.ledger.VerifyAndApply(next) != nil {
+			return
+		}
+	}
+}
+
+// Tick advances slot time; at each slot boundary the legitimate proposer
+// (and only it) produces the block.
+func (n *Node) Tick() {
+	n.tickIn--
+	if n.tickIn > 0 {
+		return
+	}
+	n.tickIn = n.slotTicks
+	slot := uint64(n.ledger.Height()) + 1
+	id, ok := n.ledger.ProposerFor(slot)
+	if !ok || id != n.id {
+		return
+	}
+	payload := n.pending
+	n.pending = nil
+	b, produced := n.ledger.Advance(payload)
+	if !produced {
+		return
+	}
+	for _, p := range n.peers {
+		if p != n.id {
+			n.out = append(n.out, Message{Kind: MsgBlock, From: n.id, To: p, Block: b})
+		}
+	}
+}
+
+// Drain returns pending outbound messages.
+func (n *Node) Drain() []Message {
+	out := n.out
+	n.out = nil
+	return out
+}
+
+// VerifyAndApply checks that a received block names the legitimate
+// proposer for its slot and extends the tip, then applies it. Used by
+// networked validators replaying a peer's block.
+func (l *Ledger) VerifyAndApply(b Block) error {
+	want := uint64(len(l.chain)) + 1
+	if b.Slot != want {
+		return fmt.Errorf("pos: block for slot %d, want %d", b.Slot, want)
+	}
+	if b.Parent != l.tipID {
+		return fmt.Errorf("pos: block does not extend the tip")
+	}
+	id, ok := l.ProposerFor(b.Slot)
+	if !ok || id != b.Proposer {
+		return fmt.Errorf("pos: illegitimate proposer %v for slot %d (want %v)", b.Proposer, b.Slot, id)
+	}
+	for _, v := range l.vals {
+		v.age++
+	}
+	l.apply(b)
+	return nil
+}
+
+// Height returns the chain length.
+func (l *Ledger) Height() int { return len(l.chain) }

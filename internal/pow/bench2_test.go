@@ -19,7 +19,7 @@ func BenchmarkMineBlock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := NewChain(p)
 		blk := &Block{
-			Header: Header{Version: 2, PrevHash: c.Genesis(), Bits: c.NextBits(), Timestamp: uint64(i)},
+			Header: Header{Version: 2, PrevHash: c.genesis, Bits: c.NextBits(), Timestamp: uint64(i)},
 			Txs:    []Tx{CoinbaseFor(i, 1, 50)},
 		}
 		blk.Header.MerkleRoot = blk.MerkleRoot()

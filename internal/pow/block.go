@@ -78,14 +78,6 @@ func (h *Header) encodeInto(buf *[headerLen]byte) {
 	binary.LittleEndian.PutUint32(buf[80:84], h.Nonce)
 }
 
-// Encode serializes the header for hashing (Bitcoin's layout, with a
-// 64-bit timestamp).
-func (h Header) Encode() []byte {
-	var buf [headerLen]byte
-	h.encodeInto(&buf)
-	return buf[:]
-}
-
 // Hash returns the header's SHA256d digest.
 func (h Header) Hash() chaincrypto.Digest {
 	var buf [headerLen]byte

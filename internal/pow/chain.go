@@ -51,9 +51,6 @@ func (c *Chain) Tip() (chaincrypto.Digest, uint64, uint32) {
 // Height returns the best-chain height.
 func (c *Chain) Height() uint64 { return c.tip.height }
 
-// Genesis returns the genesis hash.
-func (c *Chain) Genesis() chaincrypto.Digest { return c.genesis }
-
 // Has reports whether the chain knows the block.
 func (c *Chain) Has(id chaincrypto.Digest) bool {
 	_, ok := c.nodes[id]

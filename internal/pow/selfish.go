@@ -56,12 +56,6 @@ func NewSelfishMiner(id types.NodeID, cfg MinerConfig) *SelfishMiner {
 	}
 }
 
-// Mined returns blocks the attacker found (public or withheld).
-func (s *SelfishMiner) Mined() int { return s.mined }
-
-// PublicChain returns the attacker's view of the public chain.
-func (s *SelfishMiner) PublicChain() *Chain { return s.pub }
-
 func (s *SelfishMiner) send(msg Message) {
 	msg.From = s.id
 	s.out = append(s.out, msg)

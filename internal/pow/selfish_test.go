@@ -99,7 +99,7 @@ func TestSelfishMinerAdoptsWhenBehind(t *testing.T) {
 	rc.Add(1, a)
 	rc.RunUntil(func() bool { return h.Chain().Height() >= 20 }, 2_000_000)
 	rc.Run(10)
-	cp := CommonPrefix(h.Chain(), a.PublicChain())
+	cp := CommonPrefix(h.Chain(), a.pub)
 	if cp < int(h.Chain().Height())-2 {
 		t.Fatalf("weak attacker diverged: common prefix %d of %d", cp, h.Chain().Height())
 	}

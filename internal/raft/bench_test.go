@@ -21,7 +21,7 @@ func BenchmarkReplicate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		target := lead.CommitFrontier() + 1
-		lead.Submit(req(1, uint64(i+1), kvstore.Noop()))
+		lead.Submit(req(1, uint64(i+1), kvstore.Command{Op: kvstore.OpNoop}))
 		if !c.RunUntil(func() bool { return lead.CommitFrontier() >= target }, 200) {
 			b.Fatal("commit stalled")
 		}

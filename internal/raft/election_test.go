@@ -16,10 +16,10 @@ var trioPeers = []types.NodeID{1, 2, 3}
 // nextCampaign ticks n until it starts an election and returns the tick
 // it did, or 0 if it had not by limit.
 func nextCampaign(n *Node, limit int) int {
-	ran := n.Elections()
+	ran := n.elections
 	for tick := 1; tick <= limit; tick++ {
 		n.Tick()
-		if n.Elections() > ran {
+		if n.elections > ran {
 			return tick
 		}
 	}
@@ -58,7 +58,7 @@ func TestElectionTimerTakesTheBaseOnceATermIsSeen(t *testing.T) {
 			t.Fatalf("seed %d: a fresh node did not campaign within %d ticks", seed, timeout)
 		}
 		inBase(t, "campaigned once", seed, ran)
-		if at := nextCampaign(ran, 2*timeout); ran.Elections() != 2 || at < timeout {
+		if at := nextCampaign(ran, 2*timeout); ran.elections != 2 || at < timeout {
 			t.Fatalf("seed %d: a lost candidate ran again %d ticks later, want at least %d", seed, at, timeout)
 		}
 	}
@@ -79,8 +79,8 @@ func TestPassiveFreshNodeNeverCampaigns(t *testing.T) {
 				t.Fatalf("seed %d: a passive node sent %v", seed, m.Kind)
 			}
 		}
-		if n.Elections() != 0 || n.term != 0 {
-			t.Fatalf("seed %d: a passive node ran %d elections, term %d", seed, n.Elections(), n.term)
+		if n.elections != 0 || n.term != 0 {
+			t.Fatalf("seed %d: a passive node ran %d elections, term %d", seed, n.elections, n.term)
 		}
 	}
 }

@@ -308,7 +308,7 @@ func TestLostAckRecoversAtHeartbeat(t *testing.T) {
 func TestStaleResponsesMoveNothing(t *testing.T) {
 	g := newTrio(t)
 	base := g.lead.lastIndex()
-	term := g.lead.Term()
+	term := g.lead.term
 	g.burst(4)
 	g.lead.Drain() // node 1's frames: this test answers for it
 	pr := g.lead.prs[1]
@@ -529,7 +529,7 @@ func TestRemovedFollowerIsSentItsRemoval(t *testing.T) {
 	for i := 0; i < 10*gone.cfg.ElectionTimeoutTicks; i++ {
 		gone.Tick()
 	}
-	if out := gone.Drain(); len(out) != 0 || gone.Elections() != 0 {
+	if out := gone.Drain(); len(out) != 0 || gone.elections != 0 {
 		t.Fatalf("removed node campaigned: %+v", out)
 	}
 }

@@ -78,7 +78,7 @@ func checkCommittedPrefix(c *Cluster) error {
 			if b.CommitFrontier() < min {
 				min = b.CommitFrontier()
 			}
-			la, lb := a.Log(), b.Log()
+			la, lb := a.log, b.log
 			for k := types.Seq(1); k <= min; k++ {
 				if la[k].Term != lb[k].Term || !la[k].Val.Equal(lb[k].Val) {
 					return fmt.Errorf("committed prefix diverges at slot %d between nodes %d and %d", k, i, j)

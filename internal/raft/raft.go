@@ -298,17 +298,8 @@ func (n *Node) IsLeader() bool { return n.role == leader }
 // Leader returns the believed leader, or -1.
 func (n *Node) Leader() types.NodeID { return n.lead }
 
-// Term returns the current term.
-func (n *Node) Term() Term { return n.term }
-
-// Elections returns how many elections this node has started.
-func (n *Node) Elections() int { return n.elections }
-
 // CommitFrontier returns the commit index.
 func (n *Node) CommitFrontier() types.Seq { return n.commitIndex }
-
-// Log returns the node's log (sentinel included) for invariant checks.
-func (n *Node) Log() []LogEntry { return n.log }
 
 // TakeDecisions drains newly committed decisions in order.
 func (n *Node) TakeDecisions() []types.Decision {

@@ -25,7 +25,7 @@ func TestElectionProducesSingleLeader(t *testing.T) {
 		leaders := map[Term][]types.NodeID{}
 		for _, n := range c.Nodes {
 			if n.IsLeader() {
-				leaders[n.Term()] = append(leaders[n.Term()], n.id)
+				leaders[n.term] = append(leaders[n.term], n.id)
 			}
 		}
 		for term, ids := range leaders {
@@ -120,8 +120,8 @@ func TestLeaderFailover(t *testing.T) {
 	if !ok {
 		t.Fatal("no new leader")
 	}
-	if next.Term() <= lead.Term() {
-		t.Fatalf("new leader term %d not past %d", next.Term(), lead.Term())
+	if next.term <= lead.term {
+		t.Fatalf("new leader term %d not past %d", next.term, lead.term)
 	}
 	next.Submit(req(1, 6, kvstore.Incr("n", 1)))
 	replies := c.RunPumped(300)
@@ -317,4 +317,40 @@ func TestNoOpCommitOnElection(t *testing.T) {
 	if !c.RunUntil(func() bool { return lead.CommitFrontier() >= 1 }, 200) {
 		t.Fatal("no-op never committed")
 	}
+}
+
+// CheckLogMatching verifies the Log Matching property across all nodes:
+// if two logs hold an entry with the same index and term, the logs are
+// identical up through that index. Logs are aligned by global index, so
+// replicas that compacted different prefixes compare only over the
+// range both still hold.
+func (c *Cluster) CheckLogMatching() error {
+	for i := 0; i < len(c.Nodes); i++ {
+		for j := i + 1; j < len(c.Nodes); j++ {
+			na, nb := c.Nodes[i], c.Nodes[j]
+			a, b := na.log, nb.log
+			baseA, baseB := na.SnapshotIndex(), nb.SnapshotIndex()
+			lo := baseA
+			if baseB > lo {
+				lo = baseB
+			}
+			hi := baseA + types.Seq(len(a)-1)
+			if h := baseB + types.Seq(len(b)-1); h < hi {
+				hi = h
+			}
+			for k := hi; k > lo; k-- {
+				if a[k-baseA].Term == b[k-baseB].Term {
+					// Everything at and below k (that both hold) must match.
+					for l := lo + 1; l <= k; l++ {
+						ea, eb := a[l-baseA], b[l-baseB]
+						if ea.Term != eb.Term || !ea.Val.Equal(eb.Val) {
+							return &logMatchError{na.id, nb.id, k, l}
+						}
+					}
+					break
+				}
+			}
+		}
+	}
+	return nil
 }

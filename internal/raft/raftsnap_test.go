@@ -72,8 +72,8 @@ func TestCompactBounds(t *testing.T) {
 	if !n.Compact(n.CommitFrontier(), []byte("s")) {
 		t.Fatal("compaction at the commit frontier refused")
 	}
-	if n.SnapshotIndex() != n.CommitFrontier() || len(n.Log()) != 1 {
-		t.Fatalf("snapIndex=%d commit=%d loglen=%d", n.SnapshotIndex(), n.CommitFrontier(), len(n.Log()))
+	if n.SnapshotIndex() != n.CommitFrontier() || len(n.log) != 1 {
+		t.Fatalf("snapIndex=%d commit=%d loglen=%d", n.SnapshotIndex(), n.CommitFrontier(), len(n.log))
 	}
 	// The node keeps working past the boundary.
 	n.Submit(types.Value("after"))

@@ -57,7 +57,7 @@ func TestReadAnswersUnderAnOlderTermNeverCount(t *testing.T) {
 	g.lead.ReadIndex(1)
 	probe := g.lead.Drain()[0]
 	for _, from := range []types.NodeID{1, 2} {
-		g.lead.Step(Message{Kind: MsgReadResp, From: from, To: 0, Term: g.lead.Term() - 1, Read: probe.Read})
+		g.lead.Step(Message{Kind: MsgReadResp, From: from, To: 0, Term: g.lead.term - 1, Read: probe.Read})
 	}
 	if rs := g.lead.TakeReads(); len(rs) != 0 {
 		t.Fatalf("answers from an older term confirmed %+v", rs)

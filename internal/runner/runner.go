@@ -267,14 +267,6 @@ func (c *Cluster[M]) Add(id types.NodeID, n Node[M]) {
 	c.order[i] = s
 }
 
-// Node returns the node registered under id, or nil.
-func (c *Cluster[M]) Node(id types.NodeID) Node[M] {
-	if s := c.slot(id); s != noSlot {
-		return c.nodes[s]
-	}
-	return nil
-}
-
 // Intercept installs a byzantine outbox mutator for node id; an id with
 // no node is ignored.
 func (c *Cluster[M]) Intercept(id types.NodeID, f Interceptor[M]) {
@@ -382,9 +374,6 @@ func (c *Cluster[M]) Crashed(id types.NodeID) bool {
 
 // Now returns the current logical time in ticks.
 func (c *Cluster[M]) Now() int { return c.now }
-
-// Fabric returns the cluster's network fabric for fault injection.
-func (c *Cluster[M]) Fabric() *simnet.Fabric { return c.cfg.Fabric }
 
 // Stats returns a snapshot of the run's message accounting.
 func (c *Cluster[M]) Stats() Stats {
@@ -536,6 +525,3 @@ func (c *Cluster[M]) RunUntil(pred func() bool, maxTicks int) bool {
 	}
 	return pred()
 }
-
-// Pending returns the number of in-flight messages.
-func (c *Cluster[M]) Pending() int { return c.queue.count }

@@ -187,7 +187,7 @@ func TestTickDrivenSends(t *testing.T) {
 	if a.recvd == 0 || b.recvd == 0 {
 		t.Fatal("tick-driven messages never delivered")
 	}
-	if c.Pending() == 0 {
+	if c.queue.count == 0 {
 		t.Log("note: all messages flushed (MinDelay=1)")
 	}
 	c.ResetStats()
@@ -359,23 +359,23 @@ func TestDeliveryAfterRestart(t *testing.T) {
 func TestPendingAccounting(t *testing.T) {
 	fab := simnet.NewFabric(simnet.Options{DupRate: 1, Seed: 3})
 	c, nodes := ringCluster(3, 1, fab)
-	if c.Pending() != 0 {
-		t.Fatalf("fresh cluster Pending = %d", c.Pending())
+	if c.queue.count != 0 {
+		t.Fatalf("fresh cluster Pending = %d", c.queue.count)
 	}
 	c.InjectDelayed(pingMsg{from: -1, to: 0, hop: 0, kind: "ping"}, 1)
 	c.InjectDelayed(pingMsg{from: -1, to: 0, hop: 0, kind: "ping"}, 3)
-	if c.Pending() != 2 {
-		t.Fatalf("Pending after two injections = %d, want 2", c.Pending())
+	if c.queue.count != 2 {
+		t.Fatalf("Pending after two injections = %d, want 2", c.queue.count)
 	}
 	// Tick 1: first injection delivered; node 0's relay plus its fabric
 	// duplicate join the second injection in flight.
 	c.Step()
-	if c.Pending() != 3 {
-		t.Fatalf("Pending after tick 1 = %d, want 3", c.Pending())
+	if c.queue.count != 3 {
+		t.Fatalf("Pending after tick 1 = %d, want 3", c.queue.count)
 	}
 	c.Run(10)
-	if c.Pending() != 0 {
-		t.Fatalf("Pending after drain = %d, want 0", c.Pending())
+	if c.queue.count != 0 {
+		t.Fatalf("Pending after drain = %d, want 0", c.queue.count)
 	}
 	if nodes[1].received != 4 { // both relays, each duplicated
 		t.Fatalf("node 1 received %d, want 4", nodes[1].received)

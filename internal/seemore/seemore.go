@@ -181,9 +181,6 @@ func NewReplica(id types.NodeID, cfg Config) *Replica {
 	}
 }
 
-// IsPrivate reports whether a node is in the trusted private cloud.
-func (r *Replica) IsPrivate(id types.NodeID) bool { return int(id) < r.cfg.PrivateCount }
-
 // Primary returns the proposer: the first private node (modes 1-2) or
 // the first public node (mode 3).
 func (r *Replica) Primary() types.NodeID {

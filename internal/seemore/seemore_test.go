@@ -191,10 +191,6 @@ func TestClusterSizes(t *testing.T) {
 	if got := len(cl.reps[0].proxies()); got != 3*2+1 {
 		t.Fatalf("proxies = %d, want 7", got)
 	}
-	// Private/public split.
-	if !cl.reps[0].IsPrivate(0) || cl.reps[0].IsPrivate(types.NodeID(cl.cfg.PrivateCount)) {
-		t.Fatal("private/public labeling wrong")
-	}
 }
 
 func TestManyRequestsOrdered(t *testing.T) {

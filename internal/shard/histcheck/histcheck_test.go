@@ -115,7 +115,7 @@ func TestModelMatchesKVStore(t *testing.T) {
 		{kvstore.CAS("k", nil, []byte("a")), kvstore.CAS("k", []byte("a"), []byte("b")), kvstore.CAS("k", []byte("a"), []byte("c")), kvstore.Get("k")},
 		{kvstore.Incr("k", 3), kvstore.Incr("k", -4), kvstore.Get("k")},
 		{kvstore.Put("k", []byte("notanum")), kvstore.Incr("k", 1)},
-		{kvstore.Noop(), kvstore.Get("k")},
+		{kvstore.Command{Op: kvstore.OpNoop}, kvstore.Get("k")},
 	}
 	for si, seq := range seqs {
 		t.Run(fmt.Sprintf("seq%d", si), func(t *testing.T) {

@@ -127,8 +127,8 @@ func checkHistoryUnderNemesis(t *testing.T, backend string) {
 		// One tick past the last answer: histcheck orders an operation
 		// after another only if it starts strictly after that one ended.
 		s.Step()
-		id := h.Begin(0, cmd, s.Now())
-		seq := s.SubmitKV(cmd)
+		id := h.Begin(0, cmd, s.now)
+		seq := s.SubmitKVAt(s.pm.Shard(cmd.Key), cmd)
 		answered := false
 		for tick := 0; tick < 3000 && !answered; tick++ {
 			s.Step()
@@ -137,9 +137,9 @@ func checkHistoryUnderNemesis(t *testing.T, backend string) {
 					continue
 				}
 				if r.Result.Equal(ReplyLocked) {
-					h.EndRefused(id, s.Now())
+					h.EndRefused(id, s.now)
 				} else {
-					h.End(id, r.Result, s.Now())
+					h.End(id, r.Result, s.now)
 				}
 				answered = true
 			}

@@ -193,9 +193,6 @@ func (s *Service) submitTo(shard int, req types.Value) bool {
 	return s.groups[shard].Submit(req)
 }
 
-// Shards returns the shard count.
-func (s *Service) Shards() int { return s.cfg.Shards }
-
 // Map returns the partition map.
 func (s *Service) Map() PartitionMap { return s.pm }
 
@@ -204,9 +201,6 @@ func (s *Service) Groups() []Group { return s.groups }
 
 // Metrics returns the live counters.
 func (s *Service) Metrics() *Metrics { return s.metrics }
-
-// Now returns the service's tick clock.
-func (s *Service) Now() int { return s.now }
 
 // Submit starts a transaction over cmds, routing each command to its
 // key's shard, and returns the transaction ID.
@@ -244,11 +238,6 @@ func (s *Service) TxDone(tx commit.TxID) (bool, commit.Outcome) {
 	return true, rec.outcome
 }
 
-// SubmitKV routes one plain KV command by key hash.
-func (s *Service) SubmitKV(c kvstore.Command) uint64 {
-	return s.SubmitKVAt(s.pm.Shard(c.Key), c)
-}
-
 // SubmitKVAt sends one plain KV command to an explicit shard (probes
 // read marker keys back from the shard that wrote them); a GET is read,
 // not logged. The request is retried under its seqno until some replica
@@ -266,7 +255,7 @@ func (s *Service) SubmitKVAt(shard int, c kvstore.Command) uint64 {
 	return s.kvSeq
 }
 
-// TakeKVReplies drains replies to SubmitKV/SubmitKVAt requests.
+// TakeKVReplies drains replies to SubmitKVAt requests.
 func (s *Service) TakeKVReplies() []types.Reply {
 	r := s.kvReplies
 	s.kvReplies = nil

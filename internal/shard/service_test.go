@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fortyconsensus/internal/det"
 	"testing"
 
 	"fortyconsensus/internal/commit"
@@ -112,7 +113,7 @@ func TestConflictingTxnsNeverMix(t *testing.T) {
 	s.Run(200) // let followers catch up to the leaders' applied state
 	for _, g := range s.Groups() {
 		for _, st := range g.Stores() {
-			if locks := st.Locks(); len(locks) != 0 {
+			if locks := det.SortedKeys(st.locks); len(locks) != 0 {
 				t.Fatalf("locks leaked: %v", locks)
 			}
 		}
@@ -155,10 +156,10 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	// Both shards latched the same fate.
 	for _, g := range s.Groups() {
 		for r, st := range g.Stores() {
-			if got := st.Outcome(tx); got != o {
+			if got := st.outcomes[tx]; got != o {
 				t.Fatalf("replica %d outcome %v != service outcome %v", r, got, o)
 			}
-			if locks := st.Locks(); len(locks) != 0 {
+			if locks := det.SortedKeys(st.locks); len(locks) != 0 {
 				t.Fatalf("locks leaked after recovery: %v", locks)
 			}
 		}
@@ -187,7 +188,7 @@ func TestLeaderCrashDuringPrepare(t *testing.T) {
 	s.Run(300) // followers catch up
 	for _, g := range s.Groups() {
 		for r, st := range g.Stores() {
-			if got := st.Outcome(tx); got != o {
+			if got := st.outcomes[tx]; got != o {
 				t.Fatalf("replica %d outcome %v != service outcome %v", r, got, o)
 			}
 		}
@@ -202,7 +203,7 @@ func TestPartitionMapStable(t *testing.T) {
 			t.Fatalf("Shard(%q) unstable or out of range: %d/%d", k, s1, s2)
 		}
 	}
-	if NewPartitionMap(0).Shards() != 1 {
+	if NewPartitionMap(0).shards != 1 {
 		t.Fatal("zero shards must clamp to 1")
 	}
 }

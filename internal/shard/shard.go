@@ -31,10 +31,6 @@
 // atomic-commitment invariant.
 package shard
 
-import (
-	"fortyconsensus/internal/types"
-)
-
 // PartitionMap routes keys to shards by FNV-1a hash — the static hash
 // partitioning of the paper's scale-out systems (partition-level
 // consensus groups, as in Spanner directories).
@@ -50,9 +46,6 @@ func NewPartitionMap(n int) PartitionMap {
 	return PartitionMap{shards: n}
 }
 
-// Shards returns the number of shards.
-func (p PartitionMap) Shards() int { return p.shards }
-
 // Shard returns the shard owning key.
 func (p PartitionMap) Shard(key string) int {
 	var h uint64 = 0xcbf29ce484222325
@@ -61,10 +54,4 @@ func (p PartitionMap) Shard(key string) int {
 		h *= 0x100000001b3
 	}
 	return int(h % uint64(p.shards))
-}
-
-// replicaID converts a (shard, replica) pair to the service-global
-// NodeID used by fault schedules, and back.
-func replicaID(shard, replicas, replica int) types.NodeID {
-	return types.NodeID(shard*replicas + replica)
 }

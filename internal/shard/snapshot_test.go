@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fortyconsensus/internal/det"
 	"runtime"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestStoreRestoreTruncationErrors(t *testing.T) {
 			t.Fatalf("truncation to %d/%d restored without error", n, len(blob))
 		}
 		// A failed restore must leave the store untouched.
-		if r.KV().Len() != 0 || len(r.Locks()) != 0 {
+		if r.KV().Len() != 0 || len(det.SortedKeys(r.locks)) != 0 {
 			t.Fatalf("failed restore at %d mutated store", n)
 		}
 	}

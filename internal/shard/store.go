@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fortyconsensus/internal/commit"
-	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/kvstore"
 	"fortyconsensus/internal/types"
 )
@@ -93,16 +92,6 @@ func NewStore() *Store {
 
 // KV exposes the underlying committed store for local reads and audits.
 func (s *Store) KV() *kvstore.Store { return s.kv }
-
-// Outcome reports the latched participant outcome for tx.
-func (s *Store) Outcome(tx commit.TxID) commit.Outcome { return s.outcomes[tx] }
-
-// DecisionRecord reports the home-shard decision latched for tx
-// (Pending if this shard holds no record).
-func (s *Store) DecisionRecord(tx commit.TxID) commit.Outcome { return s.decided[tx] }
-
-// Locks returns the currently locked keys, sorted, for tests and audits.
-func (s *Store) Locks() []string { return det.SortedKeys(s.locks) }
 
 // TakeEvents drains the applied transaction transitions in order.
 func (s *Store) TakeEvents() []Event {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fortyconsensus/internal/det"
 	"testing"
 
 	"fortyconsensus/internal/commit"
@@ -15,7 +16,7 @@ func TestStorePrepareCommitReleasesLocks(t *testing.T) {
 	if got := s.Apply(Prepare(1, []kvstore.Command{put("a", "1"), put("b", "2")}).Encode()); !got.Equal(ReplyVoteCommit) {
 		t.Fatalf("prepare vote = %q", got)
 	}
-	if locks := s.Locks(); len(locks) != 2 {
+	if locks := det.SortedKeys(s.locks); len(locks) != 2 {
 		t.Fatalf("locks = %v, want a and b", locks)
 	}
 	// Staged writes are invisible until commit.
@@ -25,14 +26,14 @@ func TestStorePrepareCommitReleasesLocks(t *testing.T) {
 	if got := s.Apply(Commit(1).Encode()); !got.Equal(ReplyTxOK) {
 		t.Fatalf("commit = %q", got)
 	}
-	if locks := s.Locks(); len(locks) != 0 {
+	if locks := det.SortedKeys(s.locks); len(locks) != 0 {
 		t.Fatalf("locks leaked after commit: %v", locks)
 	}
 	if got := s.Apply(kvstore.Get("a").Encode()); !got.Equal(types.Value("1")) {
 		t.Fatalf("committed write lost: %q", got)
 	}
-	if s.Outcome(1) != commit.Committed {
-		t.Fatalf("outcome = %v", s.Outcome(1))
+	if s.outcomes[1] != commit.Committed {
+		t.Fatalf("outcome = %v", s.outcomes[1])
 	}
 }
 
@@ -45,7 +46,7 @@ func TestStoreAbortDiscardsStagedWrites(t *testing.T) {
 	if got := s.Apply(kvstore.Get("k").Encode()); !got.Equal(kvstore.ReplyNotFound) {
 		t.Fatalf("aborted write leaked: %q", got)
 	}
-	if len(s.Locks()) != 0 {
+	if len(det.SortedKeys(s.locks)) != 0 {
 		t.Fatal("locks leaked after abort")
 	}
 }
@@ -62,8 +63,8 @@ func TestStoreConflictingPrepareLatchesAbort(t *testing.T) {
 	if got := s.Apply(Prepare(2, []kvstore.Command{put("k", "tx2")}).Encode()); !got.Equal(ReplyVoteAbort) {
 		t.Fatalf("latched no-vote flipped: %q", got)
 	}
-	if s.Outcome(2) != commit.Aborted {
-		t.Fatalf("tx2 outcome = %v", s.Outcome(2))
+	if s.outcomes[2] != commit.Aborted {
+		t.Fatalf("tx2 outcome = %v", s.outcomes[2])
 	}
 }
 
@@ -94,8 +95,8 @@ func TestStoreOutcomeIdempotentAndConflictLatched(t *testing.T) {
 	if got := s.Apply(kvstore.Get("k").Encode()); !got.Equal(types.Value("v")) {
 		t.Fatalf("conflicting abort corrupted state: %q", got)
 	}
-	if s.Outcome(4) != commit.Committed {
-		t.Fatalf("outcome flipped to %v", s.Outcome(4))
+	if s.outcomes[4] != commit.Committed {
+		t.Fatalf("outcome flipped to %v", s.outcomes[4])
 	}
 }
 
@@ -124,8 +125,8 @@ func TestStoreDecideFirstWins(t *testing.T) {
 	if got := s.Apply(Decide(6, commit.Committed).Encode()); !got.Equal(ReplyDecidedAbort) {
 		t.Fatalf("second decide = %q, want the latched abort", got)
 	}
-	if s.DecisionRecord(6) != commit.Aborted {
-		t.Fatalf("decision record = %v", s.DecisionRecord(6))
+	if s.decided[6] != commit.Aborted {
+		t.Fatalf("decision record = %v", s.decided[6])
 	}
 	ev := s.TakeEvents()
 	if len(ev) != 1 || ev[0].Kind != EvDecided || ev[0].Outcome != commit.Aborted {
@@ -193,7 +194,7 @@ func TestStoreMalformedInputRepliesNeverPanics(t *testing.T) {
 			t.Fatalf("malformed txn input %x replied %q, want BAD_COMMAND", in, got)
 		}
 	}
-	if len(s.Locks()) != 0 || len(s.TakeEvents()) != 0 {
+	if len(det.SortedKeys(s.locks)) != 0 || len(s.TakeEvents()) != 0 {
 		t.Fatal("malformed input mutated the store")
 	}
 }

@@ -14,7 +14,7 @@ import (
 func TestTxnCmdRoundTrips(t *testing.T) {
 	cases := []Cmd{
 		Apply(1, []kvstore.Command{kvstore.Put("a", []byte("1"))}),
-		Apply(2, []kvstore.Command{kvstore.Get("a"), kvstore.Delete("b"), kvstore.Noop()}),
+		Apply(2, []kvstore.Command{kvstore.Get("a"), kvstore.Delete("b"), kvstore.Command{Op: kvstore.OpNoop}}),
 		Prepare(3, []kvstore.Command{kvstore.CAS("k", []byte("x"), []byte("y")), kvstore.Incr("n", -7)}),
 		Prepare(4, nil),
 		Commit(5),

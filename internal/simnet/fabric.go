@@ -86,10 +86,6 @@ func NewFabric(opt Options) *Fabric {
 	}
 }
 
-// RNG exposes the fabric's generator so callers that need correlated
-// randomness (e.g. fault injectors) can fork from it.
-func (f *Fabric) RNG() *RNG { return f.rng }
-
 // Classify rules on one message from -> to. A second true return value
 // in dup requests an extra delivery with its own verdict.
 func (f *Fabric) Classify(from, to types.NodeID) (v Verdict, dup Verdict, hasDup bool) {

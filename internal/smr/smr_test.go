@@ -333,8 +333,8 @@ func TestMalformedBatchAppliesNothing(t *testing.T) {
 		if r := e.Commit(types.Decision{Slot: 1, Val: v}); len(r) != 0 {
 			t.Fatalf("%x answered %+v", v, r)
 		}
-		if sm.Applied() != 0 || e.OpsApplied() != 0 || e.NextSlot() != 2 {
-			t.Fatalf("%x: %d commands run, %d ops, next slot %d; want none and slot 1 consumed", v, sm.Applied(), e.OpsApplied(), e.NextSlot())
+		if binary.BigEndian.Uint64(sm.Snapshot()) != 0 || e.OpsApplied() != 0 || e.NextSlot() != 2 {
+			t.Fatalf("%x: %d commands run, %d ops, next slot %d; want none and slot 1 consumed", v, binary.BigEndian.Uint64(sm.Snapshot()), e.OpsApplied(), e.NextSlot())
 		}
 	}
 }
@@ -347,7 +347,7 @@ func TestExecutorHoldsGaps(t *testing.T) {
 	if got := e.Commit(types.Decision{Slot: 2, Val: req(1, 2, kvstore.Put("x", []byte("v")))}); len(got) != 0 {
 		t.Fatalf("applied slot 2 before 1: %+v", got)
 	}
-	got := e.Commit(types.Decision{Slot: 1, Val: req(1, 1, kvstore.Noop())})
+	got := e.Commit(types.Decision{Slot: 1, Val: req(1, 1, kvstore.Command{Op: kvstore.OpNoop})})
 	if len(got) != 3 {
 		t.Fatalf("gap fill applied %d slots, want 3", len(got))
 	}

@@ -84,9 +84,6 @@ func (u *USIG) VerifyUI(cert Certificate, digest []byte) error {
 	return nil
 }
 
-// Counter returns the last issued counter value.
-func (u *USIG) Counter() uint64 { return u.counter }
-
 // Monitor tracks the counter stream received from one peer and enforces
 // MinBFT's reception rule: identifiers must arrive gap-free and in order,
 // otherwise the receiver holds the message. It returns whether the

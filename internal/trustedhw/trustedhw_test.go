@@ -17,8 +17,8 @@ func TestUSIGMonotonic(t *testing.T) {
 		}
 		last = c.Counter
 	}
-	if u.Counter() != 100 {
-		t.Fatalf("Counter() = %d", u.Counter())
+	if u.counter != 100 {
+		t.Fatalf("Counter() = %d", u.counter)
 	}
 }
 

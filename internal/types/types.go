@@ -141,11 +141,6 @@ type Request struct {
 	Op     Value
 }
 
-// Key returns a stable dedup key for the request.
-func (r Request) Key() string {
-	return fmt.Sprintf("%d:%d", int(r.Client), r.SeqNo)
-}
-
 // Reply is the execution result returned to a client.
 type Reply struct {
 	Client ClientID

@@ -97,14 +97,6 @@ func TestViewPrimary(t *testing.T) {
 	}
 }
 
-func TestRequestKey(t *testing.T) {
-	a := Request{Client: 1, SeqNo: 2}
-	b := Request{Client: 12, SeqNo: 2}
-	if a.Key() == b.Key() {
-		t.Fatal("distinct requests share a key")
-	}
-}
-
 func TestIDStrings(t *testing.T) {
 	if NodeID(3).String() != "n3" || ClientID(4).String() != "c4" {
 		t.Fatal("ID rendering wrong")

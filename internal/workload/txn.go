@@ -119,6 +119,3 @@ func (m *TxnMix) spread(keys []string) int {
 	}
 	return len(seen)
 }
-
-// Issued returns how many transactions have been generated.
-func (m *TxnMix) Issued() int { return m.issued }

@@ -37,8 +37,8 @@ func TestTxnMixDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if a.Issued() != 100 {
-		t.Fatalf("issued = %d", a.Issued())
+	if a.issued != 100 {
+		t.Fatalf("issued = %d", a.issued)
 	}
 }
 

@@ -16,10 +16,8 @@ import (
 
 // KeyDist selects keys for generated operations.
 type KeyDist interface {
-	// Next returns a key index in [0, Keys).
+	// Next returns a key index in [0, key-space size).
 	Next() int
-	// Keys returns the key-space size.
-	Keys() int
 }
 
 // Uniform picks keys uniformly at random.
@@ -29,7 +27,6 @@ type Uniform struct {
 }
 
 func (u *Uniform) Next() int { return u.RNG.Intn(u.N) }
-func (u *Uniform) Keys() int { return u.N }
 
 // Zipf picks keys with Zipfian skew s over N keys using inverse-CDF
 // sampling on a precomputed table; s≈0.99 is the YCSB default.
@@ -67,8 +64,6 @@ func (z *Zipf) Next() int {
 	return lo
 }
 
-func (z *Zipf) Keys() int { return z.n }
-
 // KV generates kvstore commands with a configurable read fraction.
 type KV struct {
 	Dist      KeyDist
@@ -103,9 +98,6 @@ func (g *KV) Next() types.Request {
 	}
 	return types.Request{Client: g.client, SeqNo: g.seq, Op: cmd.Encode()}
 }
-
-// Issued returns how many requests the generator has produced.
-func (g *KV) Issued() uint64 { return g.seq }
 
 // Transfer is one bank transfer between two accounts, possibly on
 // different shards — the Spanner-style 2PC workload.

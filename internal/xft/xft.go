@@ -202,12 +202,6 @@ func (r *Replica) InGroup(id types.NodeID, v types.View) bool {
 // IsLeader reports whether this replica leads the current view.
 func (r *Replica) IsLeader() bool { return r.Leader(r.view) == r.id }
 
-// View returns the current view.
-func (r *Replica) View() types.View { return r.view }
-
-// ViewChanges returns how many views this replica has installed.
-func (r *Replica) ViewChanges() int { return r.views }
-
 // ExecutedFrontier returns the contiguous executed frontier.
 func (r *Replica) ExecutedFrontier() types.Seq { return r.exec }
 

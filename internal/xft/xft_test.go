@@ -97,10 +97,10 @@ func TestGroupMemberCrashTriggersViewChange(t *testing.T) {
 	c.Crash(1) // follower of view 0's group {0,1}
 	c.submit(0, req(1, 1, kvstore.Put("k", []byte("v"))))
 	if !c.RunUntil(func() bool { return c.executedEverywhere(1, 1) }, 4000) {
-		t.Fatalf("view change never recovered (views: %d/%d)", c.Nodes[0].View(), c.Nodes[2].View())
+		t.Fatalf("view change never recovered (views: %d/%d)", c.Nodes[0].view, c.Nodes[2].view)
 	}
 	for _, rep := range []*Replica{c.Nodes[0], c.Nodes[2]} {
-		if rep.View() == 0 {
+		if rep.view == 0 {
 			t.Fatalf("replica %v still in view 0", rep.id)
 		}
 	}

@@ -42,40 +42,6 @@ func NewCluster(f, clients int, fabric *simnet.Fabric, cfg Config) *Cluster {
 	return c
 }
 
-// SpecAgreement verifies that all correct replicas' speculative logs
-// agree on every slot both hold up to the lower committed frontier, and
-// that histories are prefix-consistent (same seq ⇒ same history digest
-// implies same log). byzantine lists replicas to skip.
-func (c *Cluster) SpecAgreement(byzantine ...types.NodeID) error {
-	skip := map[types.NodeID]bool{}
-	for _, b := range byzantine {
-		skip[b] = true
-	}
-	var reps []*Replica
-	for _, r := range c.Replicas {
-		if !skip[r.id] {
-			reps = append(reps, r)
-		}
-	}
-	for i := 0; i < len(reps); i++ {
-		for j := i + 1; j < len(reps); j++ {
-			a, b := reps[i], reps[j]
-			lim := a.committed
-			if b.committed < lim {
-				lim = b.committed
-			}
-			for s := types.Seq(1); s <= lim; s++ {
-				av, aok := a.log[s]
-				bv, bok := b.log[s]
-				if aok && bok && !av.Equal(bv) {
-					return &divergence{a.id, b.id, s}
-				}
-			}
-		}
-	}
-	return nil
-}
-
 type divergence struct {
 	a, b types.NodeID
 	slot types.Seq

@@ -194,18 +194,6 @@ func (r *Replica) primary() types.NodeID { return r.view.Primary(r.cfg.N) }
 // IsPrimary reports whether this replica leads the current view.
 func (r *Replica) IsPrimary() bool { return r.primary() == r.id }
 
-// View returns the current view.
-func (r *Replica) View() types.View { return r.view }
-
-// ViewChanges returns how many view changes this replica entered.
-func (r *Replica) ViewChanges() int { return r.viewChanges }
-
-// SpecFrontier returns the speculative execution frontier.
-func (r *Replica) SpecFrontier() types.Seq { return r.seq }
-
-// CommittedFrontier returns the stable (certificate-covered) frontier.
-func (r *Replica) CommittedFrontier() types.Seq { return r.committed }
-
 // TakeDecisions drains speculative decisions in order.
 func (r *Replica) TakeDecisions() []types.Decision {
 	d := r.decisions

