@@ -155,12 +155,15 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # The size figure ROADMAP.md and CHANGES.md quote: lines of tracked
-# non-test Go outside the benchmark's own directory, then the same with
-# tests counted, so code moved into a _test.go file reads as moved, not
-# deleted.
+# non-test Go outside the benchmark's own directory and the analyzers'
+# fixtures, then the same with tests counted, so code moved into a
+# _test.go file reads as moved, not deleted; then the fixtures
+# (internal/lint/*/testdata/) alone, which are analyzer input, not
+# program.
 loc:
-	@echo "non-test $$(git ls-files '*.go' | grep -v _test.go | grep -v '^cmd/servebench' | xargs cat | wc -l)"
-	@echo "all-go   $$(git ls-files '*.go' | grep -v '^cmd/servebench' | xargs cat | wc -l)"
+	@echo "non-test $$(git ls-files '*.go' | grep -v _test.go | grep -v '^cmd/servebench' | grep -v '^internal/lint/[^/]*/testdata/' | xargs cat | wc -l)"
+	@echo "all-go   $$(git ls-files '*.go' | grep -v '^cmd/servebench' | grep -v '^internal/lint/[^/]*/testdata/' | xargs cat | wc -l)"
+	@echo "fixtures $$(git ls-files 'internal/lint/*/testdata/*.go' | xargs cat | wc -l)"
 
 # Micro-benchmarks for the simulation and protocol hot paths (runner
 # event loop, SHA256d mining substrate, PoW mining loop, raft leader

@@ -16,7 +16,9 @@
 //	maporder    no order-sensitive effects inside range-over-map
 //	quorumlit   no hand-rolled quorum arithmetic outside internal/quorum
 //	deadcode    no function or method that no main, init or
-//	            package-level initialiser of the module can reach
+//	            package-level initialiser of the module can reach, and
+//	            no field of a …Config/…Options/…Params type that none
+//	            of them sets, bar its withDefaults or Default… function
 //
 // maporder and quorumlit run over every package in the module — the
 // harness and CLIs pin golden artifacts too. The four protocol-contract
@@ -27,7 +29,8 @@
 // from quorumlit — it is where the arithmetic is supposed to live.
 // deadcode runs over every package but the test-support ones
 // (testSupport), and leaves alone the functions awaitingDurability
-// names until a program calls them.
+// names until a program calls them, and the configuration fields
+// testedKnobs names until a program sets them.
 //
 // Findings are suppressed site-by-site with
 //
@@ -117,6 +120,19 @@ var awaitingDurability = []string{
 	"fortyconsensus/internal/multipaxos.packBallot",
 }
 
+// testedKnobs names the configuration fields no program sets that a
+// test sweeps or turns an off-by-default behaviour on with (the test is
+// named). deadcode reports each once a program sets it.
+var testedKnobs = []string{
+	"fortyconsensus/internal/raft.Config.HeartbeatTicks",       // TestFreshNodeCampaignsWithinTheJitter
+	"fortyconsensus/internal/raft.Config.ElectionTimeoutTicks", // TestElectionTimerTakesTheBaseOnceATermIsSeen
+	"fortyconsensus/internal/multipaxos.Config.HeartbeatTicks", // TestFreshNodeCampaignsWithinTheJitter
+	"fortyconsensus/internal/cheapbft.Config.QuietTicks",       // switch-back: TestSwitchBackAfterQuietPeriod
+	"fortyconsensus/internal/pos.Params.Reward",                // compounding: TestProportionalRewardsAreMartingale
+	"fortyconsensus/internal/shard.Config.Backend",             // TestOutcomesConsistentAcrossBackends
+	"fortyconsensus/internal/minbft.Config.RequestTimeout",     // TestMessageSequencePinned's "view-change" trace, at 30
+}
+
 // scopes pairs every analyzer with the package prefixes it skips.
 var scopes = []struct {
 	analyzer *analysis.Analyzer
@@ -128,7 +144,7 @@ var scopes = []struct {
 	{exhaustive.Analyzer, protocolExempt},
 	{maporder.Analyzer, nil},
 	{quorumlit.Analyzer, []string{"internal/quorum"}},
-	{deadcode.New(awaitingDurability), testSupport},
+	{deadcode.New(awaitingDurability, testedKnobs), testSupport},
 }
 
 // finding is one diagnostic in the stable machine-readable form the

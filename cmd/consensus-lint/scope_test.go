@@ -75,6 +75,19 @@ var awaitingDurabilityAllowed = []string{
 	"fortyconsensus/internal/multipaxos.packBallot",
 }
 
+// testedKnobsAllowed bounds testedKnobs: configuration fields a test
+// sweeps, or turns an off-by-default behaviour on with, and no program
+// sets. The list may lose entries and never gain one.
+var testedKnobsAllowed = []string{
+	"fortyconsensus/internal/raft.Config.HeartbeatTicks",
+	"fortyconsensus/internal/raft.Config.ElectionTimeoutTicks",
+	"fortyconsensus/internal/multipaxos.Config.HeartbeatTicks",
+	"fortyconsensus/internal/cheapbft.Config.QuietTicks",
+	"fortyconsensus/internal/pos.Params.Reward",
+	"fortyconsensus/internal/shard.Config.Backend",
+	"fortyconsensus/internal/minbft.Config.RequestTimeout",
+}
+
 func moduleRoot(t *testing.T) string {
 	t.Helper()
 	dir, err := os.Getwd()
@@ -134,24 +147,29 @@ func TestScopeListsExistOnDisk(t *testing.T) {
 	check(testSupport, "testSupport")
 }
 
-// TestDeadcodeExemptionsPinned pins deadcode's two declared lists: the
-// test-support packages exactly, and the awaiting list to a subset of
-// the seven persistence functions. It also keeps deadcode among the
-// analyzers the linter runs (and -time lists).
+// TestDeadcodeExemptionsPinned pins deadcode's three declared lists:
+// the test-support packages exactly, the awaiting list to a subset of
+// the seven persistence functions, and the tested knobs to a subset of
+// the seven fields. It also keeps deadcode among the analyzers the
+// linter runs (and -time lists).
 func TestDeadcodeExemptionsPinned(t *testing.T) {
 	if strings.Join(testSupport, " ") != strings.Join(testSupportPinned, " ") {
 		t.Errorf("testSupport = %q, pinned %q", testSupport, testSupportPinned)
 	}
-	allowed := make(map[string]bool)
-	for _, name := range awaitingDurabilityAllowed {
-		allowed[name] = true
-	}
-	for _, name := range awaitingDurability {
-		if !allowed[name] {
-			t.Errorf("awaitingDurability gained %s; the list may only shrink", name)
+	shrinkOnly := func(list, allowedList []string, label string) {
+		allowed := make(map[string]bool)
+		for _, name := range allowedList {
+			allowed[name] = true
 		}
-		allowed[name] = false
+		for _, name := range list {
+			if !allowed[name] {
+				t.Errorf("%s gained %s; the list may only shrink", label, name)
+			}
+			allowed[name] = false
+		}
 	}
+	shrinkOnly(awaitingDurability, awaitingDurabilityAllowed, "awaitingDurability")
+	shrinkOnly(testedKnobs, testedKnobsAllowed, "testedKnobs")
 	ran := false
 	for _, s := range scopes {
 		if s.analyzer.Name == "deadcode" {

@@ -148,9 +148,7 @@ func Kind(m Message) string       { return m.Kind.String() }
 
 // Config tunes a replica.
 type Config struct {
-	N, F int
-	// Secret is the shared CASH attestation secret.
-	Secret []byte
+	F int
 	// RequestTimeout ages in-flight slots toward PANIC. Default 50.
 	RequestTimeout int
 	// QuietTicks of fault-free MinBFT operation trigger the switch back
@@ -158,12 +156,11 @@ type Config struct {
 	QuietTicks int
 }
 
+func (c Config) n() int { return quorum.Trusted{F: c.F}.Size() }
+
 func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 50
-	}
-	if len(c.Secret) == 0 {
-		c.Secret = []byte("cheapbft-cash")
 	}
 	return c
 }
@@ -193,13 +190,10 @@ type Replica struct {
 // NewReplica builds replica id of a 2f+1 cluster.
 func NewReplica(id types.NodeID, cfg Config) *Replica {
 	cfg = cfg.withDefaults()
-	if cfg.N == 0 {
-		cfg.N = quorum.Trusted{F: cfg.F}.Size()
-	}
 	return &Replica{
 		id:     id,
 		cfg:    cfg,
-		cash:   trustedhw.NewCASH(id, cfg.Secret),
+		cash:   trustedhw.NewCASH(id, []byte("cheapbft-cash")),
 		core:   minbft.NewCore(cfg.F),
 		panics: make(minbft.Reports),
 	}
@@ -214,7 +208,7 @@ func (r *Replica) isActive(id types.NodeID) bool {
 	}
 	base := int(r.epoch)
 	for i := 0; i <= r.cfg.F; i++ {
-		if types.NodeID((base+i)%r.cfg.N) == id {
+		if types.NodeID((base+i)%r.cfg.n()) == id {
 			return true
 		}
 	}
@@ -225,7 +219,7 @@ func (r *Replica) primary() types.NodeID { return r.leaderOf(r.epoch) }
 
 // leaderOf returns epoch e's primary, which is also the replica that
 // leads the switch into e.
-func (r *Replica) leaderOf(e uint64) types.NodeID { return types.NodeID(int(e) % r.cfg.N) }
+func (r *Replica) leaderOf(e uint64) types.NodeID { return types.NodeID(int(e) % r.cfg.n()) }
 
 func (r *Replica) view() types.View { return types.View(r.epoch) }
 
@@ -262,7 +256,7 @@ func (r *Replica) certSend(m Message, to ...types.NodeID) {
 // others lists, in ID order, every other replica that keep selects.
 func (r *Replica) others(keep func(types.NodeID) bool) []types.NodeID {
 	var ids []types.NodeID
-	for i := 0; i < r.cfg.N; i++ {
+	for i := 0; i < r.cfg.n(); i++ {
 		if id := types.NodeID(i); id != r.id && keep(id) {
 			ids = append(ids, id)
 		}

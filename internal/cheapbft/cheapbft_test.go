@@ -123,7 +123,7 @@ func TestSwitchBackAfterQuietPeriod(t *testing.T) {
 func TestEpochIsolationOfCertificates(t *testing.T) {
 	// Messages certified under the old epoch are rejected after a
 	// switch — the CASH replay protection.
-	cfg := Config{N: 3, F: 1}.withDefaults()
+	cfg := Config{F: 1}.withDefaults()
 	a := NewReplica(0, cfg)
 	b := NewReplica(1, cfg)
 	a.Submit(req(1, 1, kvstore.Command{Op: kvstore.OpNoop}))

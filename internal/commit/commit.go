@@ -171,10 +171,7 @@ type Applier func(tx TxID, op types.Value)
 // Txn is one distributed transaction as the coordinator sees it.
 type Txn struct {
 	ID      TxID
-	Ops     map[types.NodeID]types.Value // per-cohort operation
 	Outcome Outcome
-	// DecidedAt is the coordinator tick when the outcome was fixed.
-	DecidedAt int
 }
 
 // Coordinator drives transactions over a set of cohorts.
@@ -210,7 +207,7 @@ func NewCoordinator(id types.NodeID, proto Protocol) *Coordinator {
 func (c *Coordinator) Begin(tx TxID, ops map[types.NodeID]types.Value) {
 	cohorts := det.SortedKeys(ops)
 	ct := &coordTx{
-		txn:      &Txn{ID: tx, Ops: ops},
+		txn:      &Txn{ID: tx},
 		cohorts:  cohorts,
 		votes:    make(map[types.NodeID]bool),
 		preAcks:  make(map[types.NodeID]bool),
@@ -284,7 +281,6 @@ func allTrue(m map[types.NodeID]bool) bool {
 
 func (c *Coordinator) decide(ct *coordTx, o Outcome) {
 	ct.txn.Outcome = o
-	ct.txn.DecidedAt = c.now
 	if o == Committed {
 		ct.state = stCommitted
 	} else {
@@ -336,7 +332,6 @@ func (c *Coordinator) Drain() []Message {
 type Cohort struct {
 	id      types.NodeID
 	proto   Protocol
-	coord   types.NodeID
 	peers   []types.NodeID // all cohorts, for the termination protocol
 	vote    Voter
 	apply   Applier
@@ -347,10 +342,9 @@ type Cohort struct {
 }
 
 type cohortTx struct {
-	op        types.Value
-	state     txState
-	votedAt   int
-	recovered bool
+	op      types.Value
+	state   txState
+	votedAt int
 	// Termination-protocol state (when acting as recovery coordinator).
 	statuses map[types.NodeID]txState
 }
@@ -361,9 +355,9 @@ const CohortTimeout = 80
 
 // NewCohort builds a cohort. peers lists every cohort (for termination);
 // vote and apply supply application semantics.
-func NewCohort(id types.NodeID, coord types.NodeID, peers []types.NodeID, proto Protocol, vote Voter, apply Applier) *Cohort {
+func NewCohort(id types.NodeID, peers []types.NodeID, proto Protocol, vote Voter, apply Applier) *Cohort {
 	return &Cohort{
-		id: id, proto: proto, coord: coord, peers: peers,
+		id: id, proto: proto, peers: peers,
 		vote: vote, apply: apply, txns: make(map[TxID]*cohortTx),
 	}
 }
@@ -517,7 +511,6 @@ func (h *Cohort) maybeTerminate(tx TxID, t *cohortTx) {
 	// waited out by re-election ticks.
 	if len(t.statuses) >= len(h.peers)-1 { // all other cohorts answered
 		t.statuses = nil
-		t.recovered = true
 		h.finish(tx, decision)
 		for _, p := range h.peers {
 			if p != h.id {

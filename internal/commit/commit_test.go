@@ -196,7 +196,7 @@ func TestCoordinatorAbortsOnSilentCohort(t *testing.T) {
 }
 
 func TestDuplicatePrepareIgnored(t *testing.T) {
-	h := NewCohort(1, 0, []types.NodeID{1, 2}, TwoPC, nil, nil)
+	h := NewCohort(1, []types.NodeID{1, 2}, TwoPC, nil, nil)
 	h.Step(Message{Kind: MsgPrepare, From: 0, Tx: 9, Op: types.Value("op")})
 	first := h.Drain()
 	h.Step(Message{Kind: MsgPrepare, From: 0, Tx: 9, Op: types.Value("op")})

@@ -30,7 +30,7 @@ func NewCluster(cohorts int, fabric *simnet.Fabric, proto Protocol, vote Voter, 
 		if apply != nil {
 			ap = apply(id)
 		}
-		h := NewCohort(id, 0, peers, proto, vote, ap)
+		h := NewCohort(id, peers, proto, vote, ap)
 		c.Cohorts = append(c.Cohorts, h)
 		rc.Add(id, h)
 	}

@@ -136,9 +136,6 @@ func (p Phase) String() string {
 	return fmt.Sprintf("Phase(%d)", int(p))
 }
 
-// CnCPhases is the canonical framework order.
-var CnCPhases = []Phase{LeaderElection, ValueDiscovery, FTAgreement, Decision}
-
 // Profile is one protocol's fact box: its aspect vector plus the
 // arithmetic of its replication requirement.
 type Profile struct {

@@ -253,7 +253,7 @@ func F6XFT() Result {
 		rc := runner.New(runner.Config[xft.Message]{Dest: xft.Dest, Src: xft.Src, Kind: xft.Kind})
 		reps := make([]*xft.Replica, 3)
 		for i := range reps {
-			reps[i] = xft.NewReplica(types.NodeID(i), xft.Config{N: 3, F: 1})
+			reps[i] = xft.NewReplica(types.NodeID(i), xft.Config{F: 1})
 			rc.Add(types.NodeID(i), reps[i])
 		}
 		rc.Inject(xft.Message{Kind: xft.MsgRequest, From: -1, To: 0, Req: req(1)})

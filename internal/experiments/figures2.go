@@ -114,7 +114,7 @@ func F7PoWForks() Result {
 	fig2 := metrics.NewFigure("F7b — difficulty retarget: avg block spacing per interval (hash power doubles after interval 2)", "interval")
 	for iv := 1; iv <= retargetIntervals; iv++ {
 		fig2.Series("avg-spacing(ticks)").Add(float64(iv), spacings[iv-1])
-		fig2.Series("target").Add(float64(iv), float64(p.TargetSpacing))
+		fig2.Series("target").Add(float64(iv), float64(pow.TargetSpacing))
 	}
 	return Result{ID: "F7", Caption: "PoW forks and difficulty adjustment", Artifact: fig.String() + "\n" + fig2.String()}
 }
@@ -144,9 +144,8 @@ func F8PoSFairness() Result {
 // shardedBank drives the Spanner-slide architecture: Raft-replicated
 // shards with 2PC across them.
 type shardedBank struct {
-	shards   []*raft.Cluster
-	leaders  []*raft.Node
-	balances []*kvstore.Store // shard-0 replica view, for audit
+	shards  []*raft.Cluster
+	leaders []*raft.Node
 }
 
 func newShardedBank(shardCount, accounts int, seed uint64) *shardedBank {

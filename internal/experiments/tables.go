@@ -40,9 +40,8 @@ func req(seq uint64) types.Value {
 // submission to first commit and messages sent, on a uniform 1-tick
 // network at fault budget f=1.
 type protoProbe struct {
-	name  string
-	nodes int
-	run   func() (ticks int, msgs int)
+	name string
+	run  func() (ticks int, msgs int)
 }
 
 // measureSingleOp is a helper running fn after warmup and measuring the
@@ -75,21 +74,21 @@ func T1Characterization() Result {
 		"protocol", "failure", "strategy", "nodes", "quorum", "phases", "complexity", "ticks/op", "msgs/op")
 
 	probes := []protoProbe{
-		{"paxos", 3, func() (int, int) {
+		{"paxos", func() (int, int) {
 			c := paxos.NewCluster(3, nil, paxos.Config{})
 			return measure(c.Cluster, 0,
 				func() { c.Nodes[0].Propose(types.Value("v")) },
 				func() bool { _, ok := c.Nodes[0].Decided(); return ok })
 		}},
-		{"multipaxos", 3, multiPaxosProbe(multipaxos.Config{Seed: 1})},
-		{"raft", 3, func() (int, int) {
+		{"multipaxos", multiPaxosProbe(multipaxos.Config{Seed: 1})},
+		{"raft", func() (int, int) {
 			c := raft.NewCluster(3, nil, raft.Config{Seed: 2}, nil)
 			lead := c.WaitLeader(500)
 			return measure(c.Cluster, 20,
 				func() { lead.Submit(req(1)) },
 				func() bool { return lead.CommitFrontier() >= 2 }) // slot 1 is the term no-op
 		}},
-		{"fastpaxos", 4, func() (int, int) {
+		{"fastpaxos", func() (int, int) {
 			rc := runner.New(runner.Config[fastpaxos.Message]{Dest: fastpaxos.Dest, Src: fastpaxos.Src, Kind: fastpaxos.Kind})
 			cfg := fastpaxos.Config{F: 1}
 			nodes := make([]*fastpaxos.Node, 4)
@@ -105,21 +104,21 @@ func T1Characterization() Result {
 				},
 				func() bool { _, ok := nodes[0].Decided(); return ok })
 		}},
-		{"flexpaxos", 3, multiPaxosProbe(multipaxos.Config{Seed: 3, Quorums: quorum.Flexible{N: 3, Q1: 2, Q2: 2}})},
-		{"pbft", 4, func() (int, int) {
+		{"flexpaxos", multiPaxosProbe(multipaxos.Config{Seed: 3, Quorums: quorum.Flexible{N: 3, Q1: 2, Q2: 2}})},
+		{"pbft", func() (int, int) {
 			c := pbft.NewCluster(1, nil, pbft.Config{}, nil)
 			return measure(c.Cluster, 0,
 				func() { c.Submit(0, req(1)) },
 				func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 })
 		}},
-		{"zyzzyva", 4, func() (int, int) {
+		{"zyzzyva", func() (int, int) {
 			c := zyzzyva.NewCluster(1, 1, nil, zyzzyva.Config{})
 			cl := c.Clients[0]
 			return measure(c.Cluster, 0,
 				func() { cl.Submit(types.Value("v")) },
 				func() bool { return len(cl.Completions()) > 0 })
 		}},
-		{"hotstuff", 4, func() (int, int) {
+		{"hotstuff", func() (int, int) {
 			c := hotstuff.NewCluster(1, nil, hotstuff.Config{ViewTimeout: 10}, nil)
 			c.Run(30)
 			c.ResetStats()
@@ -134,25 +133,25 @@ func T1Characterization() Result {
 			}
 			return c.Now() - start, msgs
 		}},
-		{"minbft", 3, func() (int, int) {
+		{"minbft", func() (int, int) {
 			c := minbft.NewCluster(1, nil, minbft.Config{}, nil)
 			return measure(c.Cluster, 0,
 				func() { c.Submit(0, req(1)) },
 				func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 })
 		}},
-		{"cheapbft", 3, func() (int, int) {
+		{"cheapbft", func() (int, int) {
 			c := cheapbft.NewCluster(1, nil, cheapbft.Config{}, nil)
 			return measure(c.Cluster, 0,
 				func() { c.Submit(0, req(1)) },
 				func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 })
 		}},
-		{"upright", 6, func() (int, int) {
+		{"upright", func() (int, int) {
 			c := pbft.NewCluster(1, nil, pbft.Config{C: 1}, nil)
 			return measure(c.Cluster, 0,
 				func() { c.Submit(0, req(1)) },
 				func() bool { return c.Nodes[0].ExecutedFrontier() >= 1 })
 		}},
-		{"seemore", 6, func() (int, int) {
+		{"seemore", func() (int, int) {
 			cfg := seemore.Config{M: 1, C: 1, Mode: seemore.Mode1TrustedCentralized}
 			rc := runner.New(runner.Config[seemore.Message]{Dest: seemore.Dest, Src: seemore.Src, Kind: seemore.Kind})
 			reps := make([]*seemore.Replica, cfg.N())
@@ -164,11 +163,11 @@ func T1Characterization() Result {
 				func() { rc.Inject(seemore.Message{Kind: seemore.MsgRequest, From: -1, To: 0, Req: req(1)}) },
 				func() bool { return reps[0].ExecutedFrontier() >= 1 })
 		}},
-		{"xft", 3, func() (int, int) {
+		{"xft", func() (int, int) {
 			rc := runner.New(runner.Config[xft.Message]{Dest: xft.Dest, Src: xft.Src, Kind: xft.Kind})
 			reps := make([]*xft.Replica, 3)
 			for i := range reps {
-				reps[i] = xft.NewReplica(types.NodeID(i), xft.Config{N: 3, F: 1})
+				reps[i] = xft.NewReplica(types.NodeID(i), xft.Config{F: 1})
 				rc.Add(types.NodeID(i), reps[i])
 			}
 			return measure(rc, 0,

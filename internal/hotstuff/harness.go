@@ -1,7 +1,6 @@
 package hotstuff
 
 import (
-	"fortyconsensus/internal/chaincrypto"
 	"fortyconsensus/internal/quorum"
 	"fortyconsensus/internal/runner"
 	"fortyconsensus/internal/simnet"
@@ -15,13 +14,10 @@ type Cluster struct {
 	*runner.SMRCluster[Message, *Replica]
 }
 
-// NewCluster builds a 3f+1 replica cluster sharing one keyring.
+// NewCluster builds a 3f+1 replica cluster.
 func NewCluster(f int, fabric *simnet.Fabric, cfg Config, newSM func() smr.StateMachine) *Cluster {
 	n := quorum.Byzantine{F: f}.Size()
-	cfg.N, cfg.F = n, f
-	if cfg.Keyring == nil {
-		cfg.Keyring = chaincrypto.NewKeyring(n, 0x40757ff)
-	}
+	cfg.F = f
 	reps := make([]*Replica, n)
 	for i := range reps {
 		reps[i] = NewReplica(types.NodeID(i), cfg)

@@ -119,15 +119,15 @@ func Kind(m Message) string       { return m.Kind.String() }
 
 // Config tunes a replica.
 type Config struct {
-	N, F int
-	// Keyring signs votes; all replicas share one ring in simulation.
-	Keyring *chaincrypto.Keyring
+	F int
 	// ViewTimeout is how long a replica waits in a view before moving
 	// on. Default 20.
 	ViewTimeout int
 	// MaxBatch bounds requests per block. Default 16.
 	MaxBatch int
 }
+
+func (c Config) n() int { return quorum.Byzantine{F: c.F}.Size() }
 
 func (c Config) withDefaults() Config {
 	if c.ViewTimeout <= 0 {
@@ -141,8 +141,9 @@ func (c Config) withDefaults() Config {
 
 // Replica is one HotStuff node.
 type Replica struct {
-	id  types.NodeID
-	cfg Config
+	id   types.NodeID
+	cfg  Config
+	keys *chaincrypto.Keyring // every replica derives the same ring
 
 	view      types.View
 	viewTimer int
@@ -171,19 +172,14 @@ type Replica struct {
 	out []Message
 }
 
-// NewReplica builds a replica. All replicas must share cfg.Keyring.
+// NewReplica builds a replica.
 func NewReplica(id types.NodeID, cfg Config) *Replica {
 	cfg = cfg.withDefaults()
-	if cfg.N == 0 {
-		cfg.N = quorum.Byzantine{F: cfg.F}.Size()
-	}
-	if cfg.Keyring == nil {
-		cfg.Keyring = chaincrypto.NewKeyring(cfg.N, 0x40757ff)
-	}
 	g := Block{Height: 0}
 	r := &Replica{
 		id:       id,
 		cfg:      cfg,
+		keys:     chaincrypto.NewKeyring(cfg.n(), 0x40757ff),
 		blocks:   map[chaincrypto.Digest]Block{g.Hash(): g},
 		genesis:  g.Hash(),
 		votes:    make(map[chaincrypto.Digest][]chaincrypto.PartialSig),
@@ -199,7 +195,7 @@ func NewReplica(id types.NodeID, cfg Config) *Replica {
 
 func (r *Replica) quorum() int { return quorum.Byzantine{F: r.cfg.F}.Threshold() }
 
-func (r *Replica) leaderOf(v types.View) types.NodeID { return v.Primary(r.cfg.N) }
+func (r *Replica) leaderOf(v types.View) types.NodeID { return v.Primary(r.cfg.n()) }
 
 // CommittedBlocks returns how many blocks this replica has committed.
 func (r *Replica) CommittedBlocks() int { return r.committedViews }
@@ -217,7 +213,7 @@ func (r *Replica) send(m Message) {
 }
 
 func (r *Replica) broadcast(m Message) {
-	for i := 0; i < r.cfg.N; i++ {
+	for i := 0; i < r.cfg.n(); i++ {
 		if types.NodeID(i) == r.id {
 			continue
 		}
@@ -280,7 +276,7 @@ func (r *Replica) onProposal(m Message) {
 	id := b.Hash()
 	// Verify the justify certificate (genesis QCs are empty).
 	if b.Justify.Digest != r.genesis || len(b.Justify.Sigs) > 0 {
-		if err := chaincrypto.VerifyQC(r.cfg.Keyring, b.Justify, r.quorum()); err != nil {
+		if err := chaincrypto.VerifyQC(r.keys, b.Justify, r.quorum()); err != nil {
 			return
 		}
 	}
@@ -318,7 +314,7 @@ func (r *Replica) onProposal(m Message) {
 	if b.View >= r.view {
 		r.advanceTo(b.View + 1)
 	}
-	share := chaincrypto.PartialSig{Node: r.id, Sig: r.cfg.Keyring.Sign(r.id, id[:])}
+	share := chaincrypto.PartialSig{Node: r.id, Sig: r.keys.Sign(r.id, id[:])}
 	next := r.leaderOf(b.View + 1)
 	if next == r.id {
 		r.collectVote(id, share)
@@ -340,14 +336,14 @@ func (r *Replica) collectVote(id chaincrypto.Digest, share chaincrypto.PartialSi
 			return
 		}
 	}
-	if !r.cfg.Keyring.Verify(share.Node, id[:], share.Sig) {
+	if !r.keys.Verify(share.Node, id[:], share.Sig) {
 		return
 	}
 	r.votes[id] = append(r.votes[id], share)
 	if len(r.votes[id]) < r.quorum() {
 		return
 	}
-	qc, err := chaincrypto.Aggregate(r.cfg.Keyring, id, r.votes[id], r.quorum())
+	qc, err := chaincrypto.Aggregate(r.keys, id, r.votes[id], r.quorum())
 	if err != nil {
 		return
 	}
@@ -455,7 +451,7 @@ func (r *Replica) proposeAt(v types.View) {
 	r.broadcast(Message{Kind: MsgProposal, View: v, Block: b})
 	// Vote for own proposal.
 	r.lastVote = v
-	share := chaincrypto.PartialSig{Node: r.id, Sig: r.cfg.Keyring.Sign(r.id, id[:])}
+	share := chaincrypto.PartialSig{Node: r.id, Sig: r.keys.Sign(r.id, id[:])}
 	next := r.leaderOf(v + 1)
 	if next == r.id {
 		r.collectVote(id, share)
@@ -494,7 +490,7 @@ func (r *Replica) onNewView(m Message) {
 		return
 	}
 	if m.HighQC.Digest != r.genesis || len(m.HighQC.Sigs) > 0 {
-		if err := chaincrypto.VerifyQC(r.cfg.Keyring, m.HighQC, r.quorum()); err != nil {
+		if err := chaincrypto.VerifyQC(r.keys, m.HighQC, r.quorum()); err != nil {
 			return
 		}
 	}

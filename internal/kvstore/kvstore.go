@@ -222,9 +222,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return v.val, ok
 }
 
-// Len returns the number of live keys.
-func (s *Store) Len() int { return len(s.data) }
-
 // Snapshot serializes the full store deterministically (sorted keys):
 // u64 applied | u32 nKeys | nKeys × (u16 keyLen | key | u32 valLen | val).
 func (s *Store) Snapshot() []byte {

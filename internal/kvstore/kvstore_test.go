@@ -239,3 +239,6 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 		t.Fatal("snapshot bytes depend on insertion order")
 	}
 }
+
+// Len returns the number of live keys.
+func (s *Store) Len() int { return len(s.data) }

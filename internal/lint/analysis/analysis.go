@@ -45,7 +45,6 @@ type Analyzer struct {
 // A Pass hands an Analyzer one type-checked package.
 type Pass struct {
 	Analyzer  *Analyzer
-	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
@@ -87,7 +86,6 @@ func Run(prog *Program, pkg *Package, onTime func(a *Analyzer, elapsed time.Dura
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
-			Fset:      pkg.Fset,
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,

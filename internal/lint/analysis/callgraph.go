@@ -30,8 +30,6 @@ import (
 //
 // Both shapes are exercised by the callgraph unit tests.
 type Program struct {
-	Fset *token.FileSet
-
 	pkgs  map[string]*Package
 	paths []string // sorted package paths, for deterministic iteration
 
@@ -79,7 +77,6 @@ type Call struct {
 // loader's cache then also holds every module-internal dependency.
 func NewProgram(l *Loader) *Program {
 	p := &Program{
-		Fset:  l.Fset,
 		pkgs:  make(map[string]*Package),
 		funcs: make(map[*types.Func]*FuncNode),
 		impls: make(map[*types.Func][]*types.Func),

@@ -18,6 +18,12 @@
 // interface or a type parameter reaches every module method of that
 // name, whatever type declares it.
 //
+// The same walk judges configuration: a field of a module struct type
+// named …Config, …Options or …Params is a finding when nothing reached
+// sets it but a withDefaults method or a Default… function. A setting
+// only a default or a test ever chooses is a constant with a name that
+// invites change nobody makes.
+//
 // The analyzer needs the whole module in the Program: with no package
 // main loaded there is nothing to reach from, and it reports nothing.
 package deadcode
@@ -26,6 +32,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"fortyconsensus/internal/lint/analysis"
@@ -33,17 +40,16 @@ import (
 
 // New returns the deadcode analyzer. awaiting names, in
 // types.Func.FullName form, functions that stay unreached on purpose
-// until a planned caller lands; each is reported once it becomes
-// reachable, or if it names no function of its package, so the list
-// can only shrink.
-func New(awaiting []string) *analysis.Analyzer {
-	wait := make(map[string]bool, len(awaiting))
-	for _, name := range awaiting {
-		wait[name] = true
-	}
+// until a planned caller lands; knobs names, as "path.Type.Field",
+// configuration fields only tests set on purpose. Each entry is
+// reported once a program reaches or sets it, or if it names nothing
+// its package declares, so both lists can only shrink.
+func New(awaiting, knobs []string) *analysis.Analyzer {
+	listed := func(name string) bool { return slices.Contains(awaiting, name) || slices.Contains(knobs, name) }
 	var (
 		lastProg *analysis.Program
 		live     map[*types.Func]bool
+		set      map[*types.Var]bool
 	)
 	run := func(pass *analysis.Pass) (interface{}, error) {
 		if pass.Prog == nil {
@@ -51,6 +57,7 @@ func New(awaiting []string) *analysis.Analyzer {
 		}
 		if pass.Prog != lastProg {
 			lastProg, live = pass.Prog, reachable(pass.Prog)
+			set = settings(pass.Prog, live)
 		}
 		if live == nil {
 			return nil, nil
@@ -63,37 +70,123 @@ func New(awaiting []string) *analysis.Analyzer {
 			name := node.Fn.FullName()
 			declared[name] = true
 			switch {
-			case wait[name] && live[node.Fn]:
+			case listed(name) && live[node.Fn]:
 				pass.Reportf(node.Decl.Name.Pos(), "%s is reachable now; take it off the awaiting list", name)
-			case !wait[name] && !live[node.Fn]:
+			case !listed(name) && !live[node.Fn]:
 				pass.Reportf(node.Decl.Name.Pos(), "%s is unreachable from every main, init and package-level initialiser; delete it, or move it into the _test.go file that uses it", name)
 			}
 		}
-		for _, name := range awaiting {
+		scope := pass.Pkg.Scope()
+		for _, typeName := range scope.Names() {
+			st := configStruct(scope.Lookup(typeName))
+			for i := 0; st != nil && i < st.NumFields(); i++ {
+				f := st.Field(i)
+				name := pass.Pkg.Path() + "." + typeName + "." + f.Name()
+				declared[name] = true
+				switch {
+				case listed(name) && set[f]:
+					pass.Reportf(f.Pos(), "%s is set by a program now; take it off the tested-knobs list", name)
+				case !listed(name) && !set[f]:
+					pass.Reportf(f.Pos(), "%s is set by no program, only by its defaults or tests; fold it into the constant it is", name)
+				}
+			}
+		}
+		for _, name := range slices.Concat(awaiting, knobs) {
 			if !declared[name] && pkgPath(name) == pass.Pkg.Path() {
-				pass.Reportf(pass.Files[0].Name.Pos(), "awaiting list names %s, which %s does not declare", name, pass.Pkg.Path())
+				pass.Reportf(pass.Files[0].Name.Pos(), "%s is listed exempt, but %s does not declare it", name, pass.Pkg.Path())
 			}
 		}
 		return nil, nil
 	}
 	return &analysis.Analyzer{
 		Name: "deadcode",
-		Doc:  "flag functions and methods no main, init or package-level initialiser of the module can reach",
+		Doc:  "flag functions no main, init or package-level initialiser of the module can reach, and config fields none of them sets",
 		Run:  run,
 	}
 }
 
-// pkgPath returns the package path of a types.Func.FullName:
-// "path.F", "(path.T).M" or "(*path.T).M".
+// pkgPath returns the package path of a types.Func.FullName ("path.F",
+// "(path.T).M" or "(*path.T).M") or of a knob name ("path.T.F").
 func pkgPath(full string) string {
 	full = strings.TrimLeft(full, "(*")
-	if i := strings.Index(full, ")"); i >= 0 {
-		full = full[:i]
-	}
-	if i := strings.LastIndex(full, "."); i >= 0 {
-		return full[:i]
+	slash := strings.LastIndex(full, "/")
+	if i := strings.Index(full[slash+1:], "."); i >= 0 {
+		return full[:slash+1+i]
 	}
 	return ""
+}
+
+// configStruct returns obj's struct when obj names a struct type
+// …Config, …Options or …Params, and nil otherwise.
+func configStruct(obj types.Object) *types.Struct {
+	tn, ok := obj.(*types.TypeName)
+	if !ok || tn.IsAlias() || !(strings.HasSuffix(tn.Name(), "Config") ||
+		strings.HasSuffix(tn.Name(), "Options") || strings.HasSuffix(tn.Name(), "Params")) {
+		return nil
+	}
+	st, _ := tn.Type().Underlying().(*types.Struct)
+	return st
+}
+
+// settings returns every struct field a package-level initialiser or a
+// reached function sets, but for what withDefaults methods and Default…
+// functions set: a configuration's defaults are no setting of it.
+func settings(prog *analysis.Program, live map[*types.Func]bool) map[*types.Var]bool {
+	set := make(map[*types.Var]bool)
+	mark := func(f *types.Var) { set[f] = true }
+	for _, node := range prog.Funcs() {
+		name, method := node.Fn.Name(), node.Decl.Recv != nil
+		if live[node.Fn] && !(method && name == "withDefaults" || !method && strings.HasPrefix(name, "Default")) {
+			markSets(node.Pkg.TypesInfo, node.Decl.Body, mark)
+		}
+	}
+	for _, pkg := range prog.Packages() {
+		for _, gd := range varDecls(pkg) {
+			markSets(pkg.TypesInfo, gd, mark)
+		}
+	}
+	return set
+}
+
+// markSets calls mark with every struct field node sets: a key of a
+// composite literal (every field, for a literal without keys), the
+// target of an assignment, or the operand of & (flag.IntVar's). A field
+// of a generic type is marked as declared, not as instantiated.
+func markSets(info *types.Info, node ast.Node, mark func(*types.Var)) {
+	field := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok && info.Selections[sel] != nil {
+			if f, ok := info.Selections[sel].Obj().(*types.Var); ok {
+				mark(f.Origin())
+			}
+		}
+	}
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem() // an elided &T{…}
+			}
+			if st, ok := t.Underlying().(*types.Struct); ok {
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						mark(info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin())
+					} else {
+						mark(st.Field(i).Origin())
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				field(lhs)
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				field(n.X)
+			}
+		}
+		return true
+	})
 }
 
 // reachable walks the call graph from the roots and returns every
@@ -178,27 +271,30 @@ func isDynamic(fn *types.Func) bool {
 // initialiser references, by call or by value.
 func initialiserRefs(pkg *analysis.Package) []*types.Func {
 	var refs []*types.Func
+	for _, gd := range varDecls(pkg) {
+		ast.Inspect(gd, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := pkg.TypesInfo.Uses[id].(*types.Func); ok {
+					refs = append(refs, fn.Origin())
+				}
+			}
+			return true
+		})
+	}
+	return refs
+}
+
+// varDecls returns the package-level var declarations of pkg.
+func varDecls(pkg *analysis.Package) []*ast.GenDecl {
+	var decls []*ast.GenDecl
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				for _, v := range spec.(*ast.ValueSpec).Values {
-					ast.Inspect(v, func(n ast.Node) bool {
-						if id, ok := n.(*ast.Ident); ok {
-							if fn, ok := pkg.TypesInfo.Uses[id].(*types.Func); ok {
-								refs = append(refs, fn.Origin())
-							}
-						}
-						return true
-					})
-				}
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				decls = append(decls, gd)
 			}
 		}
 	}
-	return refs
+	return decls
 }
 
 // stdMethods holds the methods of every interface type the standard

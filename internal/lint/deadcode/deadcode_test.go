@@ -9,9 +9,10 @@ import (
 
 func TestDeadcode(t *testing.T) {
 	awaiting := []string{"fix/dcmain.awaited", "fix/dcmain.reachedAwaited", "fix/dcmain.gone"}
-	analysistest.Run(t, "testdata", deadcode.New(awaiting), "dcmain", "dchelp")
+	knobs := []string{"fix/dcknob.Params.Swept", "fix/dcknob.Params.NowTurned", "fix/dcknob.Params.Gone"}
+	analysistest.Run(t, "testdata", deadcode.New(awaiting, knobs), "dcmain", "dchelp", "dcknob")
 }
 
 func TestDeadcodeNeedsAMain(t *testing.T) {
-	analysistest.Run(t, "testdata/nomain", deadcode.New(nil), "dclib")
+	analysistest.Run(t, "testdata/nomain", deadcode.New(nil, nil), "dclib")
 }

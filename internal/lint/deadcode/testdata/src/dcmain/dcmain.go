@@ -1,13 +1,14 @@
 // Package main is the deadcode fixture: for each root rule one function
 // reached only that way, each beside an unreached control that must be
 // reported.
-package main // want "awaiting list names fix/dcmain.gone, which fix/dcmain does not declare"
+package main // want "fix/dcmain.gone is listed exempt, but fix/dcmain does not declare it"
 
 import (
 	"fmt"
 	"net/http"
 
 	"fix/dchelp"
+	"fix/dcknob"
 )
 
 func main() {
@@ -25,6 +26,13 @@ func main() {
 	table["a"]()
 	fmt.Println(color(1))
 	reachedAwaited()
+
+	c := dcknob.Config{ByKey: 1}
+	c.ByAssign = 2
+	fmt.Sscan("3", &c.ByAddress)
+	p := dcknob.DefaultParams()
+	p.NowTurned = 4
+	fmt.Println(dcknob.New(c), p, dcknob.Options[int]{Less: func(a, b int) bool { return a < b }})
 }
 
 func init() { fromInit() }

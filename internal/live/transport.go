@@ -30,10 +30,11 @@ type TransportConfig struct {
 
 // The transport's fixed sizes and timings.
 const (
-	// peerQueueLen bounds each peer's outbound queue. A full queue drops
-	// the new frame — best-effort delivery, the protocols' native fault
-	// model.
-	peerQueueLen = 1024
+	// peerQueueLen and peerQueueBytes bound each peer's outbound queue in
+	// frames and payload bytes (a dead peer's holds two largest frames, not
+	// a thousand); a frame past either is dropped — best-effort delivery.
+	peerQueueLen   = 1024
+	peerQueueBytes = 2 * DefaultMaxFrame
 	// writeBatchMax bounds how many waiting frames one writer pass drains
 	// before flushing: outbound batching amortizes the syscall and the
 	// TCP push over bursts.
@@ -174,20 +175,26 @@ func (t *Transport) Send(to types.NodeID, payload []byte) {
 		p = t.peerLocked(to)
 	}
 	t.mu.Unlock()
-	select {
-	case p.ch <- payload:
-	default:
-		t.dropped.Add(1)
+	n := int64(len(payload))
+	if p.queued.Add(n) <= peerQueueBytes {
+		select {
+		case p.ch <- payload:
+			return
+		default:
+		}
 	}
+	p.queued.Add(-n)
+	t.dropped.Add(1)
 }
 
 // peer is one node pair's outbound state; past the hello, only its
 // writer goroutine writes the pair's socket.
 type peer struct {
-	id    types.NodeID
-	ch    chan []byte
-	conns chan net.Conn // the pair's live connection, handed to the writer
-	conn  net.Conn      // the last one handed over; guarded by Transport.mu
+	id     types.NodeID
+	ch     chan []byte
+	conns  chan net.Conn // the pair's live connection, handed to the writer
+	conn   net.Conn      // the last one handed over; guarded by Transport.mu
+	queued atomic.Int64  // payload bytes in ch or in the writer's batch
 }
 
 // peerLocked returns id's peer, creating it and its writer on first
@@ -303,15 +310,17 @@ func (t *Transport) writeLoop(p *peer) {
 			}
 		}
 		writeErr := false
+		var size int64
 		for _, f := range batch {
-			if err := WriteFrame(bw, f); err != nil {
+			size += int64(len(f))
+			if !writeErr && WriteFrame(bw, f) != nil {
 				writeErr = true
-				break
 			}
 		}
 		if !writeErr {
 			writeErr = bw.Flush() != nil
 		}
+		p.queued.Add(-size)
 		if writeErr {
 			conn.Close()
 			conn = nil

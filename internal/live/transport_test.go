@@ -168,6 +168,33 @@ func TestTransportDropsOnUnknownPeerAndOversize(t *testing.T) {
 	}
 }
 
+// TestTransportDeadPeerQueueIsBytesBounded sends a peer that is never
+// reachable far more large frames than fit: its queue keeps only
+// peerQueueBytes of them, not peerQueueLen.
+func TestTransportDeadPeerQueueIsBytesBounded(t *testing.T) {
+	ln, addr, err := Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, deadAddr, err := Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close() // every dial is refused
+	tr := NewTransport(ln, TransportConfig{Self: 0, Addrs: map[types.NodeID]string{0: addr, 1: deadAddr}})
+	tr.Start()
+	defer tr.Close()
+
+	const sends, size = 1100, 1 << 20
+	payload := make([]byte, size)
+	for i := 0; i < sends; i++ {
+		tr.Send(1, payload)
+	}
+	if got, want := tr.Stats().Dropped, uint64(sends-peerQueueBytes/size); got < want {
+		t.Fatalf("dropped = %d of %d frames of %d bytes, want at least %d", got, sends, size, want)
+	}
+}
+
 func TestTransportCloseIdempotent(t *testing.T) {
 	var sink frameSink
 	t0, t1 := newPair(t, &sink, &sink)

@@ -17,7 +17,7 @@ type Cluster struct {
 // NewCluster builds a 2f+1 replica cluster; newSM may be nil.
 func NewCluster(f int, fabric *simnet.Fabric, cfg Config, newSM func() smr.StateMachine) *Cluster {
 	n := quorum.Trusted{F: f}.Size()
-	cfg.N, cfg.F = n, f
+	cfg.F = f
 	reps := make([]*Replica, n)
 	for i := range reps {
 		reps[i] = NewReplica(types.NodeID(i), cfg)

@@ -121,20 +121,17 @@ func Kind(m Message) string       { return m.Kind.String() }
 
 // Config tunes a replica.
 type Config struct {
-	N, F int
-	// Secret is the shared USIG attestation secret.
-	Secret []byte
+	F int
 	// RequestTimeout ages pending requests toward view changes.
 	// Default 60.
 	RequestTimeout int
 }
 
+func (c Config) n() int { return quorum.Trusted{F: c.F}.Size() }
+
 func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60
-	}
-	if len(c.Secret) == 0 {
-		c.Secret = []byte("minbft-attestation")
 	}
 	return c
 }
@@ -164,13 +161,10 @@ type heldAt struct {
 // NewReplica builds replica id of a 2f+1 cluster.
 func NewReplica(id types.NodeID, cfg Config) *Replica {
 	cfg = cfg.withDefaults()
-	if cfg.N == 0 {
-		cfg.N = quorum.Trusted{F: cfg.F}.Size()
-	}
 	return &Replica{
 		id:      id,
 		cfg:     cfg,
-		usig:    trustedhw.NewUSIG(id, cfg.Secret),
+		usig:    trustedhw.NewUSIG(id, []byte("minbft-attestation")),
 		mon:     trustedhw.NewMonitor(),
 		held:    make(map[heldAt]Message),
 		core:    NewCore(cfg.F),
@@ -179,7 +173,7 @@ func NewReplica(id types.NodeID, cfg Config) *Replica {
 }
 
 func (r *Replica) quorum() int           { return r.cfg.F + 1 }
-func (r *Replica) primary() types.NodeID { return r.view.Primary(r.cfg.N) }
+func (r *Replica) primary() types.NodeID { return r.view.Primary(r.cfg.n()) }
 
 // IsPrimary reports whether this replica leads the current view.
 func (r *Replica) IsPrimary() bool { return r.primary() == r.id }
@@ -196,7 +190,7 @@ func (r *Replica) TakeDecisions() []types.Decision { return r.core.TakeDecisions
 func (r *Replica) certifyAndBroadcast(m Message) {
 	m.From = r.id
 	m.UI = r.usig.CreateUI(m.Body())
-	for i := 0; i < r.cfg.N; i++ {
+	for i := 0; i < r.cfg.n(); i++ {
 		if types.NodeID(i) == r.id {
 			continue
 		}
@@ -266,7 +260,7 @@ func (r *Replica) onRequest(m Message) {
 	}
 	if fresh {
 		// Flood so every replica arms its timer against the primary.
-		for i := 0; i < r.cfg.N; i++ {
+		for i := 0; i < r.cfg.n(); i++ {
 			if types.NodeID(i) != r.id {
 				r.out = append(r.out, Message{Kind: MsgRequest, From: r.id, To: types.NodeID(i), Req: m.Req.Clone()})
 			}
@@ -346,7 +340,7 @@ func (r *Replica) record(v types.View, from types.NodeID, executed types.Seq, en
 	if !votes.Add(from, executed, entries) {
 		return
 	}
-	if v.Primary(r.cfg.N) == r.id && len(votes) >= r.quorum() && r.view < v {
+	if v.Primary(r.cfg.n()) == r.id && len(votes) >= r.quorum() && r.view < v {
 		exec, entries := votes.Merge(v)
 		r.certifyAndBroadcast(Message{Kind: MsgNewView, View: v, Executed: exec, Entries: entries})
 		r.applyNewView(v, exec, entries)
@@ -354,7 +348,7 @@ func (r *Replica) record(v types.View, from types.NodeID, executed types.Seq, en
 }
 
 func (r *Replica) onNewView(m Message) {
-	if m.View < r.view || m.From != m.View.Primary(r.cfg.N) {
+	if m.View < r.view || m.From != m.View.Primary(r.cfg.n()) {
 		return
 	}
 	r.applyNewView(m.View, m.Executed, m.Entries)

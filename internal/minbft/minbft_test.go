@@ -86,7 +86,7 @@ func TestUSIGPreventsEquivocation(t *testing.T) {
 func TestOutOfOrderHeldByMonitor(t *testing.T) {
 	// Deliver the primary's second prepare before its first: the
 	// receiver must hold it until the gap fills, then process both.
-	cfg := Config{N: 3, F: 1}.withDefaults()
+	cfg := Config{F: 1}.withDefaults()
 	primary := NewReplica(0, cfg)
 	backup := NewReplica(1, cfg)
 	primary.Submit(req(1, 1, kvstore.Command{Op: kvstore.OpNoop}))
@@ -112,7 +112,7 @@ func TestOutOfOrderHeldByMonitor(t *testing.T) {
 }
 
 func TestReplayRejected(t *testing.T) {
-	cfg := Config{N: 3, F: 1}.withDefaults()
+	cfg := Config{F: 1}.withDefaults()
 	primary := NewReplica(0, cfg)
 	backup := NewReplica(1, cfg)
 	primary.Submit(req(1, 1, kvstore.Incr("n", 1)))

@@ -26,12 +26,14 @@ type GenConfig struct {
 	// byzantine-muted, so generated schedules cannot trivially destroy
 	// every quorum. Default: (len(Nodes)-1)/2, the crash-fault bound.
 	MaxDown int
-	// MinWindow/MaxWindow bound each fault's active window in ticks.
-	// Defaults: 10 and Horizon/3.
-	MinWindow, MaxWindow int
-	// MaxRate bounds drop/dup burst rates. Default 0.4.
-	MaxRate float64
 }
+
+// Each fault stays active for [minWindow, max(minWindow, Horizon/3)]
+// ticks, and a drop/dup burst's rate is below maxRate.
+const (
+	minWindow = 10
+	maxRate   = 0.4
+)
 
 // DefaultClasses is the crash-model fault mix every protocol family
 // should survive.
@@ -48,18 +50,6 @@ func (g GenConfig) withDefaults() GenConfig {
 	}
 	if g.MaxDown <= 0 {
 		g.MaxDown = (len(g.Nodes) - 1) / 2
-	}
-	if g.MinWindow <= 0 {
-		g.MinWindow = 10
-	}
-	if g.MaxWindow <= 0 {
-		g.MaxWindow = g.Horizon / 3
-	}
-	if g.MaxWindow < g.MinWindow {
-		g.MaxWindow = g.MinWindow
-	}
-	if g.MaxRate <= 0 {
-		g.MaxRate = 0.4
 	}
 	return g
 }
@@ -103,6 +93,7 @@ func Generate(rng *simnet.RNG, cfg GenConfig) Schedule {
 	if lastRecovery < 2 {
 		lastRecovery = cfg.Horizon
 	}
+	maxWindow := max(cfg.Horizon/3, minWindow)
 
 	downWindows := map[types.NodeID][]window{} // crash + byz-mute per node
 	classWindows := map[Op][]window{}          // partition/drop/dup exclusivity
@@ -123,12 +114,12 @@ func Generate(rng *simnet.RNG, cfg GenConfig) Schedule {
 
 	for i := 0; i < cfg.Faults; i++ {
 		op := cfg.Classes[rng.Intn(len(cfg.Classes))]
-		maxStart := lastRecovery - cfg.MinWindow
+		maxStart := lastRecovery - minWindow
 		if maxStart < 1 {
 			maxStart = 1
 		}
 		start := rng.Intn(maxStart)
-		end := start + rng.Range(cfg.MinWindow, cfg.MaxWindow)
+		end := start + rng.Range(minWindow, maxWindow)
 		if end > lastRecovery {
 			end = lastRecovery
 		}
@@ -191,7 +182,7 @@ func Generate(rng *simnet.RNG, cfg GenConfig) Schedule {
 			if overlapping(classWindows[op], start, end) > 0 {
 				continue // recovery resets the global rate
 			}
-			rate := rng.Float64() * cfg.MaxRate
+			rate := rng.Float64() * maxRate
 			classWindows[op] = append(classWindows[op], window{start, end})
 			s.Events = append(s.Events,
 				Event{At: start, Op: op, Rate: rate},

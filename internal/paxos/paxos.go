@@ -92,11 +92,9 @@ type Config struct {
 	// RetryTicks is the proposer's base timeout before restarting a
 	// stalled ballot. Default 20.
 	RetryTicks int
-	// RandomBackoff adds a random extra delay before restarting — the
-	// slides' livelock remedy. Requires Seed.
+	// RandomBackoff adds a random extra delay of up to maxBackoffTicks
+	// before restarting — the slides' livelock remedy. Requires Seed.
 	RandomBackoff bool
-	// MaxBackoffTicks bounds the random extra delay. Default 40.
-	MaxBackoffTicks int
 	// Seed seeds the node's private RNG (backoff jitter).
 	Seed uint64
 }
@@ -105,11 +103,11 @@ func (c Config) withDefaults() Config {
 	if c.RetryTicks <= 0 {
 		c.RetryTicks = 20
 	}
-	if c.MaxBackoffTicks <= 0 {
-		c.MaxBackoffTicks = 40
-	}
 	return c
 }
+
+// maxBackoffTicks bounds RandomBackoff's extra delay.
+const maxBackoffTicks = 40
 
 type proposerPhase uint8
 
@@ -196,7 +194,7 @@ func (n *Node) startBallot() {
 func (n *Node) armRetry() {
 	n.retryIn = n.cfg.RetryTicks
 	if n.cfg.RandomBackoff {
-		n.retryIn += n.rng.Intn(n.cfg.MaxBackoffTicks + 1)
+		n.retryIn += n.rng.Intn(maxBackoffTicks + 1)
 	}
 }
 

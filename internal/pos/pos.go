@@ -72,24 +72,21 @@ type Params struct {
 	Selection Selection
 	// Seed seeds the public beacon.
 	Seed uint64
-	// MaxAge caps coin-age weighting (the "90 days" rule). Default 90.
-	MaxAge uint64
-	// MinAge is the dormancy before stake competes ("unspent for at
-	// least 30 days"). Default 0 for randomized, 3 for coin-age.
-	MinAge uint64
 	// Reward is the per-block stake reward; zero is a valid choice and
 	// isolates the selection rule from compounding.
 	Reward uint64
 }
 
-func (p Params) withDefaults() Params {
-	if p.MaxAge == 0 {
-		p.MaxAge = 90
+// maxAge caps coin-age weighting (the "90 days" rule).
+const maxAge = 90
+
+// minAge is the dormancy before stake competes ("unspent for at least
+// 30 days"): 3 slots under coin-age, none under randomized selection.
+func (p Params) minAge() uint64 {
+	if p.Selection == CoinAge {
+		return 3
 	}
-	if p.MinAge == 0 && p.Selection == CoinAge {
-		p.MinAge = 3
-	}
-	return p
+	return 0
 }
 
 // Validator is one stakeholder in the shared stake table.
@@ -136,14 +133,13 @@ type Ledger struct {
 
 // NewLedger builds a ledger over the given initial stakes.
 func NewLedger(params Params, stakes map[types.NodeID]uint64) *Ledger {
-	params = params.withDefaults()
 	l := &Ledger{
 		params: params,
 		byID:   make(map[types.NodeID]*Validator, len(stakes)),
 		wins:   make(map[types.NodeID]int),
 	}
 	for _, id := range det.SortedKeys(stakes) {
-		v := &Validator{ID: id, Stake: stakes[id], age: params.MinAge}
+		v := &Validator{ID: id, Stake: stakes[id], age: params.minAge()}
 		l.vals = append(l.vals, v)
 		l.byID[id] = v
 	}
@@ -155,11 +151,11 @@ func (l *Ledger) weight(v *Validator) uint64 {
 	switch l.params.Selection {
 	case CoinAge:
 		age := v.age
-		if age < l.params.MinAge {
+		if age < l.params.minAge() {
 			return 0
 		}
-		if age > l.params.MaxAge {
-			age = l.params.MaxAge
+		if age > maxAge {
+			age = maxAge
 		}
 		return v.Stake * age
 	case Randomized:

@@ -97,8 +97,8 @@ func TestCoinAgeBoostsDormantHolders(t *testing.T) {
 }
 
 func TestCoinAgeMinimumDormancy(t *testing.T) {
-	// A validator that just won has age 0 < MinAge and weight 0.
-	l := NewLedger(Params{Selection: CoinAge, Seed: 3, MinAge: 5}, stakes3())
+	// A validator that just won has age 0 < minAge and weight 0.
+	l := NewLedger(Params{Selection: CoinAge, Seed: 3}, stakes3())
 	b, ok := l.Advance(nil)
 	if !ok {
 		t.Fatal("no block")

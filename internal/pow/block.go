@@ -201,56 +201,42 @@ func Work(bits uint32) *big.Int {
 // ---------------------------------------------------------------------------
 // Chain parameters
 
+// The chain's laptop-scale constants: blocks every ~20 ticks, at most
+// 32 transactions each, and a coinbase reward of 50 halving every 64
+// blocks.
+const (
+	// TargetSpacing is the desired ticks between blocks.
+	TargetSpacing = 20
+	// initialBits is the genesis difficulty (very easy for simulation),
+	// and the easiest a retarget may set.
+	initialBits     = 0x1f00ffff
+	maxTxPerBlock   = 32
+	initialReward   = 50
+	halvingInterval = 64
+)
+
 // Params configures a simulated PoW network.
 type Params struct {
-	// InitialBits is the genesis difficulty (easy for simulation).
-	InitialBits uint32
-	// TargetSpacing is the desired ticks between blocks.
-	TargetSpacing int
 	// RetargetInterval is the number of blocks between difficulty
 	// adjustments (Bitcoin: 2016).
 	RetargetInterval int
-	// MaxTxPerBlock bounds block size.
-	MaxTxPerBlock int
-	// InitialReward is the coinbase reward; it halves every
-	// HalvingInterval blocks.
-	InitialReward   uint64
-	HalvingInterval int
-	// CoinbaseMaturity is how many confirmations before a reward counts
-	// as spendable (informational in the simulation).
-	CoinbaseMaturity int
 }
 
-// DefaultParams returns laptop-scale constants: blocks every ~20 ticks,
-// retarget every 16 blocks, reward 50 halving every 64 blocks.
+// DefaultParams retargets every 16 blocks.
 func DefaultParams() Params {
-	return Params{
-		InitialBits:      0x1f00ffff, // very easy
-		TargetSpacing:    20,
-		RetargetInterval: 16,
-		MaxTxPerBlock:    32,
-		InitialReward:    50,
-		HalvingInterval:  64,
-		CoinbaseMaturity: 6,
-	}
+	return Params{RetargetInterval: 16}
 }
 
-// Reward returns the coinbase subsidy at the given height.
-func (p Params) Reward(height uint64) uint64 {
-	if p.HalvingInterval <= 0 {
-		return p.InitialReward
-	}
-	halvings := height / uint64(p.HalvingInterval)
-	if halvings >= 64 {
-		return 0
-	}
-	return p.InitialReward >> halvings
+// Reward returns the coinbase subsidy at the given height; from the
+// 64th halving on, the shift leaves nothing.
+func Reward(height uint64) uint64 {
+	return initialReward >> (height / halvingInterval)
 }
 
-// GenesisBlock builds the deterministic genesis for the parameters.
-func (p Params) GenesisBlock() *Block {
+// GenesisBlock builds the deterministic genesis block.
+func GenesisBlock() *Block {
 	b := &Block{
-		Header: Header{Version: 2, Bits: p.InitialBits, Timestamp: 0},
+		Header: Header{Version: 2, Bits: initialBits, Timestamp: 0},
 		Txs:    []Tx{Tx("genesis-coinbase")},
 	}
 	b.Header.MerkleRoot = b.MerkleRoot()

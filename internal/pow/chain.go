@@ -31,7 +31,7 @@ type Chain struct {
 
 // NewChain builds a chain holding only genesis.
 func NewChain(params Params) *Chain {
-	g := params.GenesisBlock()
+	g := GenesisBlock()
 	gid := g.Hash()
 	node := &chainNode{block: g, height: 0, work: Work(g.Header.Bits)}
 	return &Chain{
@@ -84,7 +84,7 @@ func (c *Chain) nextBitsAfter(tip *chainNode) uint32 {
 		first = c.nodes[first.block.Header.PrevHash]
 	}
 	actual := int64(tip.block.Header.Timestamp) - int64(first.block.Header.Timestamp)
-	expected := int64(c.params.TargetSpacing) * int64(interval-1)
+	expected := int64(TargetSpacing) * int64(interval-1)
 	if expected <= 0 {
 		expected = 1
 	}
@@ -100,7 +100,7 @@ func (c *Chain) nextBitsAfter(tip *chainNode) uint32 {
 	oldTarget := CompactToTarget(tip.block.Header.Bits)
 	newTarget := new(big.Int).Mul(oldTarget, big.NewInt(actual))
 	newTarget.Div(newTarget, big.NewInt(expected))
-	maxTarget := CompactToTarget(c.params.InitialBits)
+	maxTarget := CompactToTarget(initialBits)
 	if newTarget.Cmp(maxTarget) > 0 {
 		newTarget = maxTarget
 	}

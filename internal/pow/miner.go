@@ -194,10 +194,10 @@ func (m *Miner) pruneMempool(b *Block) {
 func (m *Miner) buildWork() {
 	tipHash, height, _ := m.chain.Tip()
 	bits := m.chain.NextBits()
-	reward := m.cfg.Params.Reward(height + 1)
+	reward := Reward(height + 1)
 	txs := []Tx{CoinbaseFor(int(m.id), height+1, reward)}
 	for _, tx := range m.mempool {
-		if len(txs) >= m.cfg.Params.MaxTxPerBlock {
+		if len(txs) >= maxTxPerBlock {
 			break
 		}
 		txs = append(txs, tx)

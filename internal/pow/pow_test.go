@@ -49,11 +49,10 @@ func TestWorkMonotonic(t *testing.T) {
 }
 
 func TestValidateBlockRules(t *testing.T) {
-	p := DefaultParams()
-	g := p.GenesisBlock()
+	g := GenesisBlock()
 	if err := ValidateBlock(g); err != nil {
 		// Genesis may not meet PoW (no nonce grinding); mine it quickly.
-		target := CompactToTarget(p.InitialBits)
+		target := CompactToTarget(initialBits)
 		for !HashMeetsTarget(g.Hash(), target) {
 			g.Header.Nonce++
 		}
@@ -81,7 +80,7 @@ func mineOn(t *testing.T, c *Chain, miner int, now uint64) *Block {
 	bits := c.NextBits()
 	b := &Block{
 		Header: Header{Version: 2, PrevHash: tip, Timestamp: now, Bits: bits},
-		Txs:    []Tx{CoinbaseFor(miner, height+1, c.params.Reward(height+1))},
+		Txs:    []Tx{CoinbaseFor(miner, height+1, Reward(height+1))},
 	}
 	b.Header.MerkleRoot = b.MerkleRoot()
 	target := CompactToTarget(bits)
@@ -185,14 +184,14 @@ func TestDifficultyRetargetsUp(t *testing.T) {
 	// target ⇒ more work).
 	p := DefaultParams()
 	c := NewChain(p)
-	fast := uint64(p.TargetSpacing / 2)
+	fast := uint64(TargetSpacing / 2)
 	for i := uint64(1); i <= uint64(p.RetargetInterval)-1; i++ {
 		b := mineOn(t, c, 0, i*fast)
 		if _, _, err := c.Accept(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := CompactToTarget(p.InitialBits)
+	before := CompactToTarget(initialBits)
 	after := CompactToTarget(c.NextBits())
 	if after.Cmp(before) >= 0 {
 		t.Fatalf("target did not shrink after fast interval: %v -> %v", before, after)
@@ -205,14 +204,14 @@ func TestDifficultyRetargetsUp(t *testing.T) {
 }
 
 func TestDifficultyRetargetsDown(t *testing.T) {
-	// The target can never exceed the network maximum (InitialBits), so
+	// The target can never exceed the network maximum (initialBits), so
 	// to observe easing we first tighten difficulty with a fast interval
 	// and then mine a slow interval: the target must grow back (while
 	// staying at or below the maximum).
 	p := DefaultParams()
 	c := NewChain(p)
 	now := uint64(0)
-	fast := uint64(p.TargetSpacing / 4)
+	fast := uint64(TargetSpacing / 4)
 	for i := 1; i < p.RetargetInterval; i++ {
 		now += fast
 		b := mineOn(t, c, 0, now)
@@ -221,10 +220,10 @@ func TestDifficultyRetargetsDown(t *testing.T) {
 		}
 	}
 	tightened := CompactToTarget(c.NextBits())
-	if tightened.Cmp(CompactToTarget(p.InitialBits)) >= 0 {
+	if tightened.Cmp(CompactToTarget(initialBits)) >= 0 {
 		t.Fatal("setup: fast interval did not tighten difficulty")
 	}
-	slow := uint64(p.TargetSpacing * 4)
+	slow := uint64(TargetSpacing * 4)
 	for i := 0; i < p.RetargetInterval; i++ {
 		now += slow
 		b := mineOn(t, c, 0, now)
@@ -236,18 +235,17 @@ func TestDifficultyRetargetsDown(t *testing.T) {
 	if eased.Cmp(tightened) <= 0 {
 		t.Fatalf("target did not grow after slow interval: %v -> %v", tightened, eased)
 	}
-	if eased.Cmp(CompactToTarget(p.InitialBits)) > 0 {
+	if eased.Cmp(CompactToTarget(initialBits)) > 0 {
 		t.Fatal("target exceeded the network maximum")
 	}
 }
 
 func TestRewardHalving(t *testing.T) {
-	p := DefaultParams()
-	if p.Reward(0) != 50 || p.Reward(63) != 50 {
+	if Reward(0) != 50 || Reward(63) != 50 {
 		t.Fatal("pre-halving reward wrong")
 	}
-	if p.Reward(64) != 25 || p.Reward(128) != 12 {
-		t.Fatalf("halving schedule wrong: %d, %d", p.Reward(64), p.Reward(128))
+	if Reward(64) != 25 || Reward(128) != 12 {
+		t.Fatalf("halving schedule wrong: %d, %d", Reward(64), Reward(128))
 	}
 }
 

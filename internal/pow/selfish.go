@@ -37,7 +37,6 @@ type SelfishMiner struct {
 	workTarget *big.Int
 	hasher     *workHasher
 	nonce      uint32
-	mined      int
 
 	out []Message
 }
@@ -167,7 +166,6 @@ func (s *SelfishMiner) Tick() {
 			s.work.Header.Nonce = nonce
 			b := s.work
 			s.work = nil
-			s.mined++
 			if _, _, err := s.priv.Accept(b); err != nil {
 				return
 			}
@@ -181,7 +179,7 @@ func (s *SelfishMiner) Tick() {
 func (s *SelfishMiner) buildWork() {
 	tipHash, height, _ := s.priv.Tip()
 	bits := s.priv.NextBits()
-	reward := s.cfg.Params.Reward(height + 1)
+	reward := Reward(height + 1)
 	b := &Block{
 		Header: Header{Version: 2, PrevHash: tipHash, Timestamp: s.now, Bits: bits},
 		Txs:    []Tx{CoinbaseFor(int(s.id), height+1, reward)},

@@ -65,7 +65,6 @@ func (f Flexible) Valid() bool {
 	return f.Q1+f.Q2 > f.N && f.Q1 <= f.N && f.Q2 <= f.N && f.Q1 > 0 && f.Q2 > 0
 }
 
-func (f Flexible) Size() int { return f.N }
 func (f Flexible) Describe() string {
 	return fmt.Sprintf("flexible(q1=%d,q2=%d,n=%d)", f.Q1, f.Q2, f.N)
 }

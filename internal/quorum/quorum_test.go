@@ -212,6 +212,9 @@ func TestValueTallyLeaderTieBreak(t *testing.T) {
 	}
 }
 
+// Size makes Flexible a System; no program asks a Flexible its size.
+func (f Flexible) Size() int { return f.N }
+
 // System answers "how many matching votes decide?" for one vote class.
 type System interface {
 	// Size returns the cluster size the system is configured for.

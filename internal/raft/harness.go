@@ -29,13 +29,3 @@ func NewCluster(n int, fabric *simnet.Fabric, cfg Config, newSM func() smr.State
 	rc := runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind}
 	return &Cluster{runner.NewSMRCluster(rc, nodes, newSM)}
 }
-
-type logMatchError struct {
-	a, b      types.NodeID
-	agreeIdx  types.Seq
-	divergeAt types.Seq
-}
-
-func (e *logMatchError) Error() string {
-	return "raft: log matching violated between " + e.a.String() + " and " + e.b.String()
-}

@@ -344,7 +344,7 @@ func (c *Cluster) CheckLogMatching() error {
 					for l := lo + 1; l <= k; l++ {
 						ea, eb := a[l-baseA], b[l-baseB]
 						if ea.Term != eb.Term || !ea.Val.Equal(eb.Val) {
-							return &logMatchError{na.id, nb.id, k, l}
+							return &logMatchError{na.id, nb.id}
 						}
 					}
 					break
@@ -353,4 +353,12 @@ func (c *Cluster) CheckLogMatching() error {
 		}
 	}
 	return nil
+}
+
+type logMatchError struct {
+	a, b types.NodeID
+}
+
+func (e *logMatchError) Error() string {
+	return "raft: log matching violated between " + e.a.String() + " and " + e.b.String()
 }

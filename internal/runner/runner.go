@@ -98,29 +98,22 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
-// event is one queued message. The sequence number breaks ties between
-// messages due at the same tick, pinning replay order.
-type event[M any] struct {
-	seq uint64
-	msg M
-}
-
 // wheel is a power-of-two ring of FIFO buckets, one per future tick.
 // Messages are appended to the bucket for their delivery tick in send
 // order, so draining a bucket front-to-back yields exactly the
-// (tick, seq) order the previous heap implementation produced. The
+// (tick, send order) the previous heap implementation produced. The
 // wheel grows (re-bucketing in place) whenever a delay reaches its
 // horizon, so arbitrary InjectDelayed delays stay correct.
 type wheel[M any] struct {
-	buckets [][]event[M] // len(buckets) is a power of two
+	buckets [][]M // len(buckets) is a power of two
 	mask    int
 	count   int
 }
 
 const initialWheelSize = 64
 
-// push queues e for delivery at absolute tick at (> now).
-func (w *wheel[M]) push(now, at int, e event[M]) {
+// push queues m for delivery at absolute tick at (> now).
+func (w *wheel[M]) push(now, at int, m M) {
 	delay := at - now
 	if delay < 1 {
 		delay = 1
@@ -130,12 +123,12 @@ func (w *wheel[M]) push(now, at int, e event[M]) {
 		w.grow(now, delay)
 	}
 	idx := at & w.mask
-	w.buckets[idx] = append(w.buckets[idx], e)
+	w.buckets[idx] = append(w.buckets[idx], m)
 	w.count++
 }
 
-// grow resizes the ring until delay fits, re-bucketing pending events.
-// All pending events sit in (now, now+oldSize], so each maps to a
+// grow resizes the ring until delay fits, re-bucketing pending messages.
+// All pending messages sit in (now, now+oldSize], so each maps to a
 // distinct bucket in the larger ring and FIFO order is preserved.
 func (w *wheel[M]) grow(now, delay int) {
 	size := len(w.buckets)
@@ -147,7 +140,7 @@ func (w *wheel[M]) grow(now, delay int) {
 	}
 	old := w.buckets
 	oldMask := w.mask
-	w.buckets = make([][]event[M], size)
+	w.buckets = make([][]M, size)
 	w.mask = size - 1
 	for at := now + 1; at <= now+len(old); at++ {
 		b := old[at&oldMask]
@@ -158,7 +151,7 @@ func (w *wheel[M]) grow(now, delay int) {
 }
 
 // take removes and returns the bucket due at tick now.
-func (w *wheel[M]) take(now int) []event[M] {
+func (w *wheel[M]) take(now int) []M {
 	if w.count == 0 || len(w.buckets) == 0 {
 		return nil
 	}
@@ -203,7 +196,6 @@ type Cluster[M any] struct {
 	dirty []int32 // slots with possibly non-empty outboxes, deduped via isDirty
 
 	queue wheel[M]
-	seq   uint64
 	now   int
 	stats Stats
 }
@@ -404,8 +396,7 @@ func (c *Cluster[M]) InjectDelayed(m M, delay int) {
 	if delay < 1 {
 		delay = 1
 	}
-	c.seq++
-	c.queue.push(c.now, c.now+delay, event[M]{seq: c.seq, msg: m})
+	c.queue.push(c.now, c.now+delay, m)
 }
 
 // send routes one protocol-emitted message through the fabric.
@@ -416,12 +407,10 @@ func (c *Cluster[M]) send(m M) {
 	if v.Drop {
 		c.stats.Dropped++
 	} else {
-		c.seq++
-		c.queue.push(c.now, c.now+v.Delay, event[M]{seq: c.seq, msg: m})
+		c.queue.push(c.now, c.now+v.Delay, m)
 	}
 	if hasDup && !dup.Drop {
-		c.seq++
-		c.queue.push(c.now, c.now+dup.Delay, event[M]{seq: c.seq, msg: m})
+		c.queue.push(c.now, c.now+dup.Delay, m)
 	}
 }
 
@@ -487,7 +476,7 @@ func (c *Cluster[M]) Step() {
 	mask := c.queue.mask
 	if b := c.queue.take(c.now); b != nil {
 		for i := range b {
-			c.deliver(b[i].msg)
+			c.deliver(b[i])
 		}
 		// Recycle the bucket unless the wheel grew mid-delivery (the
 		// ring was reallocated) or something re-occupied the index.

@@ -122,27 +122,16 @@ func Kind(m Message) string       { return m.Kind.String() }
 // Config fixes the deployment.
 type Config struct {
 	M, C int  // byzantine budget (public) and crash budget (private)
-	Mode Mode // coordination mode
-	// Private lists the trusted (crash-only) nodes; the first c+1
-	// node IDs by convention. Everything else is public.
-	PrivateCount int
+	Mode Mode // coordination mode; there is no default
 }
 
 // N returns the required total 3m+2c+1.
 func (c Config) N() int { return quorum.Hybrid{M: c.M, C: c.C}.Size() }
 
-func (c Config) withDefaults() Config {
-	if c.Mode == 0 {
-		c.Mode = Mode1TrustedCentralized
-	}
-	if c.PrivateCount == 0 {
-		// The public cloud holds the 3m+1 proxies; the remaining 2c
-		// nodes form the private cloud. (With c=0 there is no private
-		// cloud and only mode 3 applies.)
-		c.PrivateCount = 2 * c.C
-	}
-	return c
-}
+// privateCount is how many nodes form the trusted (crash-only) private
+// cloud, node IDs [0, 2c); the public cloud holds the other 3m+1, the
+// proxies. (With c=0 there is no private cloud and only mode 3 applies.)
+func (c Config) privateCount() int { return 2 * c.C }
 
 // slot tracks one proposal.
 type slot struct {
@@ -169,9 +158,8 @@ type Replica struct {
 	out []Message
 }
 
-// NewReplica builds replica id. Node IDs [0, PrivateCount) are private.
+// NewReplica builds replica id. Node IDs [0, privateCount) are private.
 func NewReplica(id types.NodeID, cfg Config) *Replica {
-	cfg = cfg.withDefaults()
 	return &Replica{
 		id:      id,
 		cfg:     cfg,
@@ -185,7 +173,7 @@ func NewReplica(id types.NodeID, cfg Config) *Replica {
 // the first public node (mode 3).
 func (r *Replica) Primary() types.NodeID {
 	if r.cfg.Mode == Mode3UntrustedDecentralized {
-		return types.NodeID(r.cfg.PrivateCount) // first public node
+		return types.NodeID(r.cfg.privateCount()) // first public node
 	}
 	return 0
 }
@@ -196,7 +184,7 @@ func (r *Replica) IsPrimary() bool { return r.id == r.Primary() }
 // proxies returns the 3m+1 public nodes that coordinate in modes 2-3.
 func (r *Replica) proxies() []types.NodeID {
 	var ids []types.NodeID
-	for i := r.cfg.PrivateCount; i < r.cfg.N() && len(ids) < (quorum.Byzantine{F: r.cfg.M}).Size(); i++ {
+	for i := r.cfg.privateCount(); i < r.cfg.N() && len(ids) < (quorum.Byzantine{F: r.cfg.M}).Size(); i++ {
 		ids = append(ids, types.NodeID(i))
 	}
 	return ids

@@ -16,7 +16,7 @@ type cluster struct {
 }
 
 func newCluster(m, c int, mode Mode, fabric *simnet.Fabric) *cluster {
-	cfg := Config{M: m, C: c, Mode: mode}.withDefaults()
+	cfg := Config{M: m, C: c, Mode: mode}
 	rc := runner.New(runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind})
 	cl := &cluster{Cluster: rc, cfg: cfg}
 	for i := 0; i < cfg.N(); i++ {

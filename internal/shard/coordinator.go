@@ -49,8 +49,7 @@ type pendingReq struct {
 // coordTxn is the coordinator's local view of one transaction.
 type coordTxn struct {
 	tx      commit.TxID
-	shards  []int // sorted participants; shards[0] is the home shard
-	cmds    map[int][]kvstore.Command
+	shards  []int        // sorted participants; shards[0] is the home shard
 	votes   map[int]bool // vote received per shard (true = commit)
 	phase   txnPhase
 	intent  commit.Outcome // local all-yes/any-no verdict, pre-latch
@@ -64,8 +63,6 @@ type TxnResult struct {
 	Tx      commit.TxID
 	Shards  []int
 	Outcome commit.Outcome
-	BegunAt int
-	DoneAt  int
 }
 
 // Coordinator drives transactions over shard groups: the single-shard
@@ -92,24 +89,20 @@ type Coordinator struct {
 	txns    map[commit.TxID]*coordTxn // every transaction ever driven: Knows
 	open    []*coordTxn               // the unfinished ones, ascending TxID: what Tick walks
 
-	submit     func(shard int, req types.Value) bool
-	retryEvery int
-	voteWait   int
-	unsafe     bool // ship per-shard outcomes straight from votes, no TxDecide
+	submit func(shard int, req types.Value) bool
+	unsafe bool // ship per-shard outcomes straight from votes, no TxDecide
 
 	done []TxnResult
 }
 
 // NewCoordinator builds a coordinator submitting through submit.
-func NewCoordinator(client types.ClientID, retryEvery, voteWait int, unsafe bool, submit func(shard int, req types.Value) bool) *Coordinator {
+func NewCoordinator(client types.ClientID, unsafe bool, submit func(shard int, req types.Value) bool) *Coordinator {
 	return &Coordinator{
-		client:     client,
-		pending:    make(map[uint64]*pendingReq),
-		txns:       make(map[commit.TxID]*coordTxn),
-		submit:     submit,
-		retryEvery: retryEvery,
-		voteWait:   voteWait,
-		unsafe:     unsafe,
+		client:  client,
+		pending: make(map[uint64]*pendingReq),
+		txns:    make(map[commit.TxID]*coordTxn),
+		submit:  submit,
+		unsafe:  unsafe,
 	}
 }
 
@@ -139,7 +132,7 @@ func (co *Coordinator) Begin(tx commit.TxID, cmds map[int][]kvstore.Command, now
 	}
 	shards := det.SortedKeys(cmds)
 	t := &coordTxn{
-		tx: tx, shards: shards, cmds: cmds,
+		tx: tx, shards: shards,
 		votes: make(map[int]bool), acked: make(map[int]bool),
 		begunAt: now,
 	}
@@ -192,9 +185,9 @@ func (co *Coordinator) OnReply(r types.Reply, now int) {
 func (co *Coordinator) onApplyReply(p *pendingReq, t *coordTxn, res types.Value, now int) {
 	switch {
 	case res.Equal(ReplyTxOK):
-		co.finish(t, commit.Committed, now)
+		co.finish(t, commit.Committed)
 	case res.Equal(ReplyConflict):
-		co.finish(t, commit.Aborted, now)
+		co.finish(t, commit.Aborted)
 	case res.Equal(ReplyLocked):
 		// A prepared cross-shard txn holds a key we write. Its locks
 		// release once its outcome propagates; retry under a fresh seqno
@@ -311,7 +304,7 @@ func (co *Coordinator) onFinished(p *pendingReq, t *coordTxn, res types.Value, n
 				}
 			}
 		}
-		co.finish(t, out, now)
+		co.finish(t, out)
 	}
 }
 
@@ -320,25 +313,25 @@ func (co *Coordinator) openIndex(tx commit.TxID) (int, bool) {
 	return slices.BinarySearchFunc(co.open, tx, func(t *coordTxn, tx commit.TxID) int { return cmp.Compare(t.tx, tx) })
 }
 
-func (co *Coordinator) finish(t *coordTxn, o commit.Outcome, now int) {
+func (co *Coordinator) finish(t *coordTxn, o commit.Outcome) {
 	t.phase = phDone
 	if at, ok := co.openIndex(t.tx); ok {
 		co.open = slices.Delete(co.open, at, at+1)
 	}
 	co.done = append(co.done, TxnResult{
-		Tx: t.tx, Shards: t.shards, Outcome: o, BegunAt: t.begunAt, DoneAt: now,
+		Tx: t.tx, Shards: t.shards, Outcome: o,
 	})
 }
 
 // Tick drives timeouts: silent pending requests are resent under the
 // same session (dedup replays the latched answer if the original
-// landed), and a prepare round that outlived voteWait is presumed
+// landed), and a prepare round that outlived voteTimeout is presumed
 // wedged — the coordinator moves to decide an abort, which the
 // home-shard latch either confirms or overrides with an earlier commit.
 func (co *Coordinator) Tick(now int) {
 	for _, seqno := range det.SortedKeys(co.pending) {
 		p := co.pending[seqno]
-		if now-p.issuedAt >= co.retryEvery {
+		if now-p.issuedAt >= retryEvery {
 			p.issuedAt = now
 			co.submit(p.shard, co.encode(seqno, p.cmd))
 		}
@@ -347,7 +340,7 @@ func (co *Coordinator) Tick(now int) {
 		return
 	}
 	for _, t := range co.open {
-		if t.phase == phPreparing && now-t.begunAt >= co.voteWait {
+		if t.phase == phPreparing && now-t.begunAt >= voteTimeout {
 			t.intent = commit.Aborted
 			co.decide(t, now)
 		}

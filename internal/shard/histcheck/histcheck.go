@@ -31,7 +31,6 @@ const Pending = -1
 
 // Op is one recorded client operation.
 type Op struct {
-	Client  int
 	Cmd     kvstore.Command
 	Result  types.Value // response payload; ignored when End == Pending
 	Start   int         // invocation tick
@@ -45,8 +44,8 @@ type History struct {
 }
 
 // Begin records an invocation and returns the operation's id.
-func (h *History) Begin(client int, cmd kvstore.Command, now int) int {
-	h.ops = append(h.ops, Op{Client: client, Cmd: cmd, Start: now, End: Pending})
+func (h *History) Begin(cmd kvstore.Command, now int) int {
+	h.ops = append(h.ops, Op{Cmd: cmd, Start: now, End: Pending})
 	return len(h.ops) - 1
 }
 

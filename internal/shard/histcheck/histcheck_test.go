@@ -11,7 +11,7 @@ import (
 func TestSequentialHistoryOK(t *testing.T) {
 	var h History
 	record := func(cmd kvstore.Command, res types.Value, at int) {
-		id := h.Begin(0, cmd, at)
+		id := h.Begin(cmd, at)
 		h.End(id, res, at+1)
 	}
 	record(kvstore.Get("k"), kvstore.ReplyNotFound, 0)
@@ -29,9 +29,9 @@ func TestSequentialHistoryOK(t *testing.T) {
 
 func TestStaleReadCaught(t *testing.T) {
 	var h History
-	id := h.Begin(0, kvstore.Put("k", []byte("1")), 0)
+	id := h.Begin(kvstore.Put("k", []byte("1")), 0)
 	h.End(id, kvstore.ReplyOK, 10)
-	id = h.Begin(1, kvstore.Get("k"), 20)
+	id = h.Begin(kvstore.Get("k"), 20)
 	h.End(id, kvstore.ReplyNotFound, 30)
 	if err := h.Check(); err == nil {
 		t.Fatal("stale read after a completed put must be rejected")
@@ -40,11 +40,11 @@ func TestStaleReadCaught(t *testing.T) {
 
 func TestConcurrentPutsEitherOrder(t *testing.T) {
 	var h History
-	a := h.Begin(0, kvstore.Put("k", []byte("1")), 0)
+	a := h.Begin(kvstore.Put("k", []byte("1")), 0)
 	h.End(a, kvstore.ReplyOK, 10)
-	b := h.Begin(1, kvstore.Put("k", []byte("2")), 5)
+	b := h.Begin(kvstore.Put("k", []byte("2")), 5)
 	h.End(b, kvstore.ReplyOK, 15)
-	g := h.Begin(2, kvstore.Get("k"), 20)
+	g := h.Begin(kvstore.Get("k"), 20)
 	h.End(g, types.Value("1"), 30)
 	if err := h.Check(); err != nil {
 		t.Fatalf("overlapping puts may linearize in either order: %v", err)
@@ -54,8 +54,8 @@ func TestConcurrentPutsEitherOrder(t *testing.T) {
 func TestPendingOpMayOrMayNotTakeEffect(t *testing.T) {
 	for _, read := range []types.Value{types.Value("1"), kvstore.ReplyNotFound} {
 		var h History
-		h.Begin(0, kvstore.Put("k", []byte("1")), 0) // never completes
-		g := h.Begin(1, kvstore.Get("k"), 10)
+		h.Begin(kvstore.Put("k", []byte("1")), 0) // never completes
+		g := h.Begin(kvstore.Get("k"), 10)
 		h.End(g, read, 20)
 		if err := h.Check(); err != nil {
 			t.Fatalf("read %q with a pending put rejected: %v", read, err)
@@ -65,18 +65,18 @@ func TestPendingOpMayOrMayNotTakeEffect(t *testing.T) {
 
 func TestRefusedOpHasNoEffect(t *testing.T) {
 	var h History
-	id := h.Begin(0, kvstore.Put("k", []byte("1")), 0)
+	id := h.Begin(kvstore.Put("k", []byte("1")), 0)
 	h.EndRefused(id, 10) // bounced off a prepare lock
-	g := h.Begin(1, kvstore.Get("k"), 20)
+	g := h.Begin(kvstore.Get("k"), 20)
 	h.End(g, kvstore.ReplyNotFound, 30)
 	if err := h.Check(); err != nil {
 		t.Fatalf("refused put must not be required to take effect: %v", err)
 	}
 
 	var h2 History
-	id = h2.Begin(0, kvstore.Put("k", []byte("1")), 0)
+	id = h2.Begin(kvstore.Put("k", []byte("1")), 0)
 	h2.End(id, kvstore.ReplyOK, 10) // acknowledged, so it must be visible
-	g = h2.Begin(1, kvstore.Get("k"), 20)
+	g = h2.Begin(kvstore.Get("k"), 20)
 	h2.End(g, kvstore.ReplyNotFound, 30)
 	if err := h2.Check(); err == nil {
 		t.Fatal("acknowledged put that never became visible must be rejected")
@@ -85,9 +85,9 @@ func TestRefusedOpHasNoEffect(t *testing.T) {
 
 func TestKeysCheckedIndependently(t *testing.T) {
 	var h History
-	a := h.Begin(0, kvstore.Put("a", []byte("1")), 0)
+	a := h.Begin(kvstore.Put("a", []byte("1")), 0)
 	h.End(a, kvstore.ReplyOK, 10)
-	b := h.Begin(1, kvstore.Get("b"), 20)
+	b := h.Begin(kvstore.Get("b"), 20)
 	h.End(b, kvstore.ReplyNotFound, 30)
 	if err := h.Check(); err != nil {
 		t.Fatalf("independent keys rejected: %v", err)
@@ -97,7 +97,7 @@ func TestKeysCheckedIndependently(t *testing.T) {
 func TestPerKeyOpCap(t *testing.T) {
 	var h History
 	for i := 0; i < 65; i++ {
-		id := h.Begin(0, kvstore.Put("k", []byte("v")), i*2)
+		id := h.Begin(kvstore.Put("k", []byte("v")), i*2)
 		h.End(id, kvstore.ReplyOK, i*2+1)
 	}
 	if err := h.Check(); err == nil {

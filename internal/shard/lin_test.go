@@ -127,7 +127,7 @@ func checkHistoryUnderNemesis(t *testing.T, backend string) {
 		// One tick past the last answer: histcheck orders an operation
 		// after another only if it starts strictly after that one ended.
 		s.Step()
-		id := h.Begin(0, cmd, s.now)
+		id := h.Begin(cmd, s.now)
 		seq := s.SubmitKVAt(s.pm.Shard(cmd.Key), cmd)
 		answered := false
 		for tick := 0; tick < 3000 && !answered; tick++ {

@@ -20,10 +20,6 @@ type Config struct {
 	Backend  string // raft | multipaxos | pbft (default raft)
 	Seed     uint64
 
-	RetryEvery  int // ticks of silence before a same-seqno resend (default 30)
-	VoteTimeout int // ticks before a wedged prepare round decides abort (default 120)
-	AdoptAfter  int // ticks before the recovery coordinator adopts a txn (default 200)
-
 	// UnsafeCoordinator replaces the home-shard TxDecide latch with
 	// per-shard unilateral outcomes shipped straight from votes — the
 	// deliberately broken fixture the atomic-commitment invariant must
@@ -41,17 +37,15 @@ func (c Config) withDefaults() Config {
 	if c.Backend == "" {
 		c.Backend = BackendRaft
 	}
-	if c.RetryEvery <= 0 {
-		c.RetryEvery = 30
-	}
-	if c.VoteTimeout <= 0 {
-		c.VoteTimeout = 120
-	}
-	if c.AdoptAfter <= 0 {
-		c.AdoptAfter = 200
-	}
 	return c
 }
+
+// The service's timeouts, in ticks.
+const (
+	retryEvery  = 30  // silence before a same-seqno resend
+	voteTimeout = 120 // before a wedged prepare round decides abort
+	adoptAfter  = 200 // before the recovery coordinator adopts a txn
+)
 
 // Client session ranges owned by the service. Every request gets its
 // own session (client = range base + request seq): the smr dedup cache
@@ -171,7 +165,7 @@ func NewService(cfg Config) *Service {
 	for i := range s.coords {
 		s.coords[i] = NewCoordinator(
 			coordClientBase+types.ClientID(i)*coordSessionSpan,
-			cfg.RetryEvery, cfg.VoteTimeout, cfg.UnsafeCoordinator,
+			cfg.UnsafeCoordinator,
 			s.submitTo,
 		)
 	}
@@ -295,7 +289,7 @@ func (s *Service) Step() {
 	}
 	for _, seqno := range det.SortedKeys(s.kvPending) {
 		p := s.kvPending[seqno]
-		if s.now-p.issuedAt >= s.cfg.RetryEvery {
+		if s.now-p.issuedAt >= retryEvery {
 			p.issuedAt = s.now
 			s.sendKV(p)
 		}
@@ -344,7 +338,7 @@ func (s *Service) route(r types.Reply) {
 
 // adoptOverdue hands stuck transactions to whichever coordinator can
 // make progress: the recovery coordinator adopts anything older than
-// AdoptAfter, and the primary picks up registrations it missed while
+// adoptAfter, and the primary picks up registrations it missed while
 // crashed. Both paths are idempotent, and the home-shard decision latch
 // makes concurrent drivers converge.
 func (s *Service) adoptOverdue() {
@@ -353,7 +347,7 @@ func (s *Service) adoptOverdue() {
 		if !s.down[0] && !s.coords[0].Knows(tx) {
 			s.coords[0].Begin(tx, rec.cmds, s.now)
 		}
-		if s.now-rec.begunAt >= s.cfg.AdoptAfter && !s.down[1] {
+		if s.now-rec.begunAt >= adoptAfter && !s.down[1] {
 			s.coords[1].Adopt(tx, rec.cmds, s.now)
 		}
 	}

@@ -137,7 +137,7 @@ func TestOutcomesConsistentAcrossBackends(t *testing.T) {
 }
 
 func TestCoordinatorCrashRecovery(t *testing.T) {
-	s := NewService(Config{Shards: 2, Seed: 23, AdoptAfter: 120})
+	s := NewService(Config{Shards: 2, Seed: 23})
 	s.Run(50)
 	tx := s.SubmitPerShard(map[int][]kvstore.Command{
 		0: {kvstore.Put("r0", []byte("v"))},

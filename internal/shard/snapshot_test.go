@@ -100,7 +100,7 @@ func TestStoreRestoreTruncationErrors(t *testing.T) {
 			t.Fatalf("truncation to %d/%d restored without error", n, len(blob))
 		}
 		// A failed restore must leave the store untouched.
-		if r.KV().Len() != 0 || len(det.SortedKeys(r.locks)) != 0 {
+		if !bytes.Equal(r.KV().Snapshot(), kvstore.New().Snapshot()) || len(det.SortedKeys(r.locks)) != 0 {
 			t.Fatalf("failed restore at %d mutated store", n)
 		}
 	}

@@ -20,14 +20,6 @@ type KeyDist interface {
 	Next() int
 }
 
-// Uniform picks keys uniformly at random.
-type Uniform struct {
-	N   int
-	RNG *simnet.RNG
-}
-
-func (u *Uniform) Next() int { return u.RNG.Intn(u.N) }
-
 // Zipf picks keys with Zipfian skew s over N keys using inverse-CDF
 // sampling on a precomputed table; s≈0.99 is the YCSB default.
 type Zipf struct {

@@ -9,6 +9,14 @@ import (
 	"fortyconsensus/internal/smr"
 )
 
+// Uniform picks keys uniformly at random.
+type Uniform struct {
+	N   int
+	RNG *simnet.RNG
+}
+
+func (u *Uniform) Next() int { return u.RNG.Intn(u.N) }
+
 func TestUniformCoversKeySpace(t *testing.T) {
 	u := &Uniform{N: 10, RNG: simnet.NewRNG(1)}
 	seen := map[int]bool{}

@@ -108,18 +108,13 @@ func Kind(m Message) string       { return m.Kind.String() }
 
 // Config tunes a replica.
 type Config struct {
-	N, F int
-	// RequestTimeout ages stuck slots/requests toward suspicion.
-	// Default 40.
-	RequestTimeout int
+	F int
 }
 
-func (c Config) withDefaults() Config {
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 40
-	}
-	return c
-}
+func (c Config) n() int { return quorum.MajorityFor(c.F).Size() }
+
+// requestTimeout ages stuck slots/requests toward suspicion.
+const requestTimeout = 40
 
 type slot struct {
 	req       types.Value
@@ -149,7 +144,6 @@ type Replica struct {
 	changing bool
 	vcSince  int
 	vcTarget types.View
-	views    int
 
 	out []Message
 }
@@ -161,10 +155,6 @@ type pend struct {
 
 // NewReplica builds replica id of a 2f+1 cluster.
 func NewReplica(id types.NodeID, cfg Config) *Replica {
-	cfg = cfg.withDefaults()
-	if cfg.N == 0 {
-		cfg.N = quorum.MajorityFor(cfg.F).Size()
-	}
 	return &Replica{
 		id:       id,
 		cfg:      cfg,
@@ -181,13 +171,13 @@ func NewReplica(id types.NodeID, cfg Config) *Replica {
 func (r *Replica) Group(v types.View) []types.NodeID {
 	ids := make([]types.NodeID, 0, r.cfg.F+1)
 	for i := 0; i <= r.cfg.F; i++ {
-		ids = append(ids, types.NodeID((int(v)+i)%r.cfg.N))
+		ids = append(ids, types.NodeID((int(v)+i)%r.cfg.n()))
 	}
 	return ids
 }
 
 // Leader returns view v's leader.
-func (r *Replica) Leader(v types.View) types.NodeID { return v.Primary(r.cfg.N) }
+func (r *Replica) Leader(v types.View) types.NodeID { return v.Primary(r.cfg.n()) }
 
 // InGroup reports whether id belongs to view v's synchronous group.
 func (r *Replica) InGroup(id types.NodeID, v types.View) bool {
@@ -229,7 +219,7 @@ func (r *Replica) sendAll(m Message, to []types.NodeID) {
 }
 
 func (r *Replica) everyone() []types.NodeID {
-	ids := make([]types.NodeID, r.cfg.N)
+	ids := make([]types.NodeID, r.cfg.n())
 	for i := range ids {
 		ids[i] = types.NodeID(i)
 	}
@@ -238,7 +228,7 @@ func (r *Replica) everyone() []types.NodeID {
 
 func (r *Replica) passives() []types.NodeID {
 	var ids []types.NodeID
-	for i := 0; i < r.cfg.N; i++ {
+	for i := 0; i < r.cfg.n(); i++ {
 		if !r.InGroup(types.NodeID(i), r.view) {
 			ids = append(ids, types.NodeID(i))
 		}
@@ -415,7 +405,6 @@ func (r *Replica) suspect(target types.View) {
 	r.changing = true
 	r.vcTarget = target
 	r.vcSince = r.now
-	r.views++
 	r.sendAll(Message{Kind: MsgSuspect, View: target}, r.everyone())
 	r.sendViewChange(target)
 }
@@ -575,7 +564,7 @@ func (r *Replica) applyNewView(v types.View, entries []Entry) {
 func (r *Replica) Tick() {
 	r.now++
 	if r.changing {
-		if r.now-r.vcSince > 2*r.cfg.RequestTimeout {
+		if r.now-r.vcSince > 2*requestTimeout {
 			r.suspect(r.vcTarget + 1) // next group may be faulty too
 		}
 		return
@@ -583,7 +572,7 @@ func (r *Replica) Tick() {
 	if r.InGroup(r.id, r.view) {
 		//lint:allow maporder any timed-out slot raises the same suspicion of the current view; which fires first is immaterial
 		for seq, s := range r.slots {
-			if seq > r.exec && s.req != nil && !s.committed && r.now-s.started > r.cfg.RequestTimeout {
+			if seq > r.exec && s.req != nil && !s.committed && r.now-s.started > requestTimeout {
 				r.suspect(r.view + 1)
 				return
 			}
@@ -591,7 +580,7 @@ func (r *Replica) Tick() {
 	}
 	//lint:allow maporder any timed-out request raises the same suspicion of the current view; which fires first is immaterial
 	for _, p := range r.pending {
-		if r.now-p.since > r.cfg.RequestTimeout {
+		if r.now-p.since > requestTimeout {
 			r.suspect(r.view + 1)
 			return
 		}

@@ -16,7 +16,7 @@ type cluster struct {
 
 func newCluster(f int, fabric *simnet.Fabric, cfg Config) *cluster {
 	n := 2*f + 1
-	cfg.N, cfg.F = n, f
+	cfg.F = f
 	reps := make([]*Replica, n)
 	for i := range reps {
 		reps[i] = NewReplica(types.NodeID(i), cfg)
@@ -61,7 +61,7 @@ func TestCommonCaseCommit(t *testing.T) {
 }
 
 func TestSyncGroupMembership(t *testing.T) {
-	r := NewReplica(0, Config{N: 5, F: 2})
+	r := NewReplica(0, Config{F: 2})
 	g := r.Group(0)
 	if len(g) != 3 || g[0] != 0 || g[1] != 1 || g[2] != 2 {
 		t.Fatalf("group(0) = %v", g)
@@ -93,7 +93,7 @@ func TestGroupMemberCrashTriggersViewChange(t *testing.T) {
 	// Crash a follower in the synchronous group: the leader's slot
 	// stalls, suspicion fires, the next group (excluding progress on the
 	// crashed node) takes over and the request commits.
-	c := newCluster(1, nil, Config{RequestTimeout: 25})
+	c := newCluster(1, nil, Config{})
 	c.Crash(1) // follower of view 0's group {0,1}
 	c.submit(0, req(1, 1, kvstore.Put("k", []byte("v"))))
 	if !c.RunUntil(func() bool { return c.executedEverywhere(1, 1) }, 4000) {
@@ -111,7 +111,7 @@ func TestGroupMemberCrashTriggersViewChange(t *testing.T) {
 }
 
 func TestLeaderCrashRecovery(t *testing.T) {
-	c := newCluster(1, nil, Config{RequestTimeout: 25})
+	c := newCluster(1, nil, Config{})
 	c.Crash(0) // view-0 leader
 	c.submit(1, req(1, 1, kvstore.Put("k", []byte("v"))))
 	if !c.RunUntil(func() bool { return c.executedEverywhere(1, 0) }, 4000) {
@@ -126,7 +126,7 @@ func TestLeaderCrashRecovery(t *testing.T) {
 func TestCommittedEntrySurvivesViewChange(t *testing.T) {
 	// Commit through group {0,1}, then crash 1: the new group must keep
 	// slot 1 — state transfer from f+1 logs intersects the old group.
-	c := newCluster(1, nil, Config{RequestTimeout: 25})
+	c := newCluster(1, nil, Config{})
 	r1 := req(1, 1, kvstore.Put("a", []byte("1")))
 	c.submit(0, r1)
 	if !c.RunUntil(func() bool { return c.executedEverywhere(1) }, 500) {
@@ -150,7 +150,7 @@ func TestSafetyOutsideAnarchy(t *testing.T) {
 	// One byzantine replica (m=1 ≤ f) with everyone else well-connected:
 	// not anarchy, so correct replicas must stay consistent even while
 	// the byzantine node corrupts its outbound traffic.
-	c := newCluster(1, nil, Config{RequestTimeout: 30})
+	c := newCluster(1, nil, Config{})
 	c.Intercept(1, func(m Message) []Message {
 		switch m.Kind {
 		case MsgCommit, MsgViewChange, MsgUpdate:
@@ -182,7 +182,7 @@ func (c *cluster) RunPumpedTicks(n int) {
 func TestChaosConsistency(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		fab := simnet.NewFabric(simnet.Options{MinDelay: 1, MaxDelay: 4, Seed: seed})
-		c := newCluster(1, fab, Config{RequestTimeout: 35})
+		c := newCluster(1, fab, Config{})
 		for i := 1; i <= 10; i++ {
 			c.submit(types.NodeID(i%3), req(1, uint64(i), kvstore.Incr("n", 1)))
 			c.RunPumped(80)

@@ -30,7 +30,6 @@ func (p Path) String() string {
 
 // Completion describes one finished client request.
 type Completion struct {
-	Req     types.Value
 	Seq     types.Seq
 	Path    Path
 	Latency int // ticks from send to completion
@@ -48,7 +47,6 @@ type Client struct {
 	flooded   bool
 	responses map[string]map[types.NodeID]Message // match-key → responders
 	certSent  bool
-	certKey   string
 	certSeq   types.Seq
 	localOK   map[types.NodeID]bool
 
@@ -109,7 +107,7 @@ func (c *Client) Step(m Message) {
 			c.responses[k] = set
 		}
 		set[m.From] = m
-		if len(set) == c.cfg.N { // 3f+1 matching: Case 1
+		if len(set) == c.cfg.n() { // 3f+1 matching: Case 1
 			c.complete(m.Seq, PathFast)
 		}
 	case MsgLocalCommit:
@@ -124,7 +122,7 @@ func (c *Client) Step(m Message) {
 }
 
 func (c *Client) complete(seq types.Seq, p Path) {
-	c.done = append(c.done, Completion{Req: c.req, Seq: seq, Path: p, Latency: c.now - c.sentAt})
+	c.done = append(c.done, Completion{Seq: seq, Path: p, Latency: c.now - c.sentAt})
 	c.req = nil
 }
 
@@ -142,14 +140,13 @@ func (c *Client) Tick() {
 			set := c.responses[k]
 			if len(set) >= (quorum.Byzantine{F: c.cfg.F}).Threshold() {
 				c.certSent = true
-				c.certKey = k
 				ids := det.SortedKeys(set)
 				any := set[ids[0]]
 				c.certSeq = any.Seq
-				for i := 0; i < c.cfg.N; i++ {
+				for i := 0; i < c.cfg.n(); i++ {
 					c.send(Message{
 						Kind: MsgCommitCert, To: types.NodeID(i),
-						Seq: any.Seq, History: any.History, Certifiers: ids,
+						Seq: any.Seq, History: any.History,
 					})
 				}
 				break
@@ -158,16 +155,16 @@ func (c *Client) Tick() {
 	}
 	// Overall retry: flood the request so replicas arm view-change
 	// timers against a faulty primary.
-	if elapsed >= c.cfg.ClientRetry && !c.flooded {
+	if elapsed >= clientRetry && !c.flooded {
 		c.flooded = true
-		for i := 0; i < c.cfg.N; i++ {
+		for i := 0; i < c.cfg.n(); i++ {
 			c.send(Message{Kind: MsgRequest, To: types.NodeID(i), Req: c.req.Clone()})
 		}
 		c.sentAt = c.now // re-arm
 		c.certSent = false
 		c.responses = make(map[string]map[types.NodeID]Message)
 		c.localOK = make(map[types.NodeID]bool)
-	} else if elapsed >= c.cfg.ClientRetry {
+	} else if elapsed >= clientRetry {
 		c.flooded = false // allow another flood next window
 	}
 }

@@ -7,13 +7,6 @@ import (
 	"fortyconsensus/internal/types"
 )
 
-// nodeAdapter lets Replica and Client share one runner cluster.
-type nodeAdapter interface {
-	Step(Message)
-	Tick()
-	Drain() []Message
-}
-
 // Cluster bundles 3f+1 Zyzzyva replicas plus clients.
 type Cluster struct {
 	*runner.Cluster[Message]
@@ -26,7 +19,7 @@ type Cluster struct {
 // Client node IDs start at 3f+1.
 func NewCluster(f, clients int, fabric *simnet.Fabric, cfg Config) *Cluster {
 	n := quorum.Byzantine{F: f}.Size()
-	cfg.N, cfg.F = n, f
+	cfg.F = f
 	rc := runner.New(runner.Config[Message]{Fabric: fabric, Dest: Dest, Src: Src, Kind: Kind})
 	c := &Cluster{Cluster: rc, F: f}
 	for i := 0; i < n; i++ {
@@ -40,13 +33,4 @@ func NewCluster(f, clients int, fabric *simnet.Fabric, cfg Config) *Cluster {
 		rc.Add(types.NodeID(n+i), cl)
 	}
 	return c
-}
-
-type divergence struct {
-	a, b types.NodeID
-	slot types.Seq
-}
-
-func (d *divergence) Error() string {
-	return "zyzzyva: committed logs diverge at slot " + d.slot.String() + " between " + d.a.String() + " and " + d.b.String()
 }

@@ -102,8 +102,6 @@ type Message struct {
 	Req      types.Value
 	History  chaincrypto.Digest // speculative history digest after Seq
 	Result   types.Value
-	// CommitCert: the responders backing the certificate.
-	Certifiers []types.NodeID
 	// ViewChange/NewView: ordered history above the committed frontier.
 	Entries   []HistEntry
 	Committed types.Seq
@@ -116,27 +114,26 @@ func Kind(m Message) string       { return m.Kind.String() }
 
 // Config tunes replicas and clients.
 type Config struct {
-	N, F int
+	F int
 	// ClientFastWait is how long a client waits for the full 3f+1
 	// matching set before falling back to the committed path. Default 8.
 	ClientFastWait int
-	// ClientRetry is how long the client waits overall before
-	// suspecting the primary and flooding. Default 50.
-	ClientRetry int
-	// ReplicaTimeout arms the view-change timer once a forwarded request
-	// sits unordered. Default 40.
-	ReplicaTimeout int
 }
+
+func (c Config) n() int { return quorum.Byzantine{F: c.F}.Size() }
+
+const (
+	// clientRetry is how long the client waits overall before
+	// suspecting the primary and flooding.
+	clientRetry = 50
+	// replicaTimeout arms the view-change timer once a forwarded
+	// request sits unordered.
+	replicaTimeout = 40
+)
 
 func (c Config) withDefaults() Config {
 	if c.ClientFastWait <= 0 {
 		c.ClientFastWait = 8
-	}
-	if c.ClientRetry <= 0 {
-		c.ClientRetry = 50
-	}
-	if c.ReplicaTimeout <= 0 {
-		c.ReplicaTimeout = 40
 	}
 	return c
 }
@@ -162,7 +159,6 @@ type Replica struct {
 	viewChanging bool
 	vcTarget     types.View
 	vcVotes      map[types.View]map[types.NodeID]Message
-	viewChanges  int
 
 	out []Message
 }
@@ -175,9 +171,6 @@ type pendRec struct {
 // NewReplica builds a replica.
 func NewReplica(id types.NodeID, cfg Config) *Replica {
 	cfg = cfg.withDefaults()
-	if cfg.N == 0 {
-		cfg.N = quorum.Byzantine{F: cfg.F}.Size()
-	}
 	return &Replica{
 		id:      id,
 		cfg:     cfg,
@@ -189,7 +182,7 @@ func NewReplica(id types.NodeID, cfg Config) *Replica {
 }
 
 func (r *Replica) quorum() int           { return quorum.Byzantine{F: r.cfg.F}.Threshold() }
-func (r *Replica) primary() types.NodeID { return r.view.Primary(r.cfg.N) }
+func (r *Replica) primary() types.NodeID { return r.view.Primary(r.cfg.n()) }
 
 // IsPrimary reports whether this replica leads the current view.
 func (r *Replica) IsPrimary() bool { return r.primary() == r.id }
@@ -207,7 +200,7 @@ func (r *Replica) send(m Message) {
 }
 
 func (r *Replica) broadcast(m Message) {
-	for i := 0; i < r.cfg.N; i++ {
+	for i := 0; i < r.cfg.n(); i++ {
 		if types.NodeID(i) == r.id {
 			continue
 		}
@@ -369,7 +362,6 @@ func (r *Replica) startViewChange(target types.View) {
 		return
 	}
 	r.viewChanging = true
-	r.viewChanges++
 	r.vcTarget = target
 	entries := make([]HistEntry, 0, len(r.log))
 	for _, s := range det.SortedKeys(r.log) {
@@ -402,7 +394,7 @@ func (r *Replica) record(v types.View, from types.NodeID, m Message) {
 		return
 	}
 	votes[from] = m
-	if v.Primary(r.cfg.N) == r.id && len(votes) >= r.quorum() {
+	if v.Primary(r.cfg.n()) == r.id && len(votes) >= r.quorum() {
 		r.emitNewView(v, votes)
 	}
 }
@@ -461,7 +453,7 @@ func (r *Replica) emitNewView(v types.View, votes map[types.NodeID]Message) {
 }
 
 func (r *Replica) onNewView(m Message) {
-	if m.View < r.view || m.From != m.View.Primary(r.cfg.N) {
+	if m.View < r.view || m.From != m.View.Primary(r.cfg.n()) {
 		return
 	}
 	r.applyNewView(m.View, m.Committed, m.Entries)
@@ -533,7 +525,7 @@ func (r *Replica) Tick() {
 	}
 	//lint:allow maporder any timed-out request triggers the same single view change; which fires first is immaterial
 	for _, p := range r.pending {
-		if r.now-p.since > r.cfg.ReplicaTimeout {
+		if r.now-p.since > replicaTimeout {
 			r.startViewChange(r.view + 1)
 			return
 		}

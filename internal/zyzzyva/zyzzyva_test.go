@@ -108,7 +108,7 @@ func TestSequentialRequestsStayOrdered(t *testing.T) {
 func TestReplicaRejectsHistoryMismatch(t *testing.T) {
 	// A primary whose order-req carries an inconsistent history digest
 	// is caught immediately.
-	r := NewReplica(1, Config{N: 4, F: 1})
+	r := NewReplica(1, Config{F: 1})
 	r.Step(Message{Kind: MsgOrderReq, From: 0, View: 0, Seq: 1,
 		Req: types.Value("x"), History: [32]byte{0xFF}})
 	if r.seq != 0 {
@@ -121,7 +121,7 @@ func TestReplicaRejectsHistoryMismatch(t *testing.T) {
 
 func TestGapHeld(t *testing.T) {
 	// Order-req with seq 2 before seq 1 must not execute.
-	r := NewReplica(1, Config{N: 4, F: 1})
+	r := NewReplica(1, Config{F: 1})
 	r.Step(Message{Kind: MsgOrderReq, From: 0, View: 0, Seq: 2, Req: types.Value("x")})
 	if r.seq != 0 {
 		t.Fatal("gap executed out of order")
@@ -129,7 +129,7 @@ func TestGapHeld(t *testing.T) {
 }
 
 func TestCrashedPrimaryViewChangeRecovers(t *testing.T) {
-	c := NewCluster(1, 1, nil, Config{ClientRetry: 30, ReplicaTimeout: 25})
+	c := NewCluster(1, 1, nil, Config{})
 	c.Crash(0)
 	cl := c.Clients[0]
 	cl.Submit(types.Value("survive"))
@@ -151,7 +151,7 @@ func TestCrashedPrimaryViewChangeRecovers(t *testing.T) {
 func TestCommittedPrefixSurvivesViewChange(t *testing.T) {
 	// Commit a request via certificate, then crash the primary: the
 	// committed slot must survive into the new view on all replicas.
-	c := NewCluster(1, 1, nil, Config{ClientFastWait: 5, ClientRetry: 40, ReplicaTimeout: 30})
+	c := NewCluster(1, 1, nil, Config{ClientFastWait: 5})
 	c.Intercept(3, func(m Message) []Message { return nil }) // force cert path
 	cl := c.Clients[0]
 	cl.Submit(types.Value("persist"))
@@ -187,7 +187,7 @@ func TestCommittedPrefixSurvivesViewChange(t *testing.T) {
 func TestSpecSafetyUnderChaos(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		fab := simnet.NewFabric(simnet.Options{MinDelay: 1, MaxDelay: 4, DropRate: 0.05, Seed: seed})
-		c := NewCluster(1, 1, fab, Config{ClientFastWait: 8, ClientRetry: 60, ReplicaTimeout: 50})
+		c := NewCluster(1, 1, fab, Config{ClientFastWait: 8})
 		cl := c.Clients[0]
 		done := 0
 		for i := 0; i < 8; i++ {
@@ -282,4 +282,13 @@ func (c *Cluster) SpecAgreement(byzantine ...types.NodeID) error {
 		}
 	}
 	return nil
+}
+
+type divergence struct {
+	a, b types.NodeID
+	slot types.Seq
+}
+
+func (d *divergence) Error() string {
+	return "zyzzyva: committed logs diverge at slot " + d.slot.String() + " between " + d.a.String() + " and " + d.b.String()
 }

@@ -140,6 +140,9 @@ run_side() {
 }
 
 echo "pairs: $WHAT; base $BASE (${SHA:0:7}) vs working tree, $PAIRS pairs"
+# What the runs inherit from the machine: GOMAXPROCS alone moves every
+# servebench metric by up to a third, so a table read later says it.
+echo "pairs: nproc $(nproc), GOMAXPROCS ${GOMAXPROCS:-unset}, $("$GO" version)"
 for i in $(seq 1 "$PAIRS"); do
     if [ $((i % 2)) -eq 1 ]; then
         run_side "$SRC" "$SRC/$BIN" "$base_log"
