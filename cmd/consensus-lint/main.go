@@ -1,6 +1,6 @@
 // Command consensus-lint is the repo's determinism-contract
 // multichecker (DESIGN.md, "Determinism contract"). It loads the whole
-// module, builds a package-level call graph, and runs seven analyzers:
+// module, builds a package-level call graph, and runs eight analyzers:
 //
 //	nodeterm    no wall-clock, global randomness, env reads,
 //	            goroutines or channels in protocol code (direct uses,
@@ -16,9 +16,14 @@
 //	maporder    no order-sensitive effects inside range-over-map
 //	quorumlit   no hand-rolled quorum arithmetic outside internal/quorum
 //	deadcode    no function or method that no main, init or
-//	            package-level initialiser of the module can reach, and
-//	            no field of a …Config/…Options/…Params type that none
-//	            of them sets, bar its withDefaults or Default… function
+//	            package-level initialiser of the module can reach (an
+//	            interface call reaches a method only if reached code
+//	            mentions its receiver type), and no field of a
+//	            …Config/…Options/…Params type that none of them sets,
+//	            bar its withDefaults or Default… function
+//	unusedparam no named parameter its function body never reads,
+//	            unless an interface or a func-typed use fixes the
+//	            signature
 //
 // maporder and quorumlit run over every package in the module — the
 // harness and CLIs pin golden artifacts too. The four protocol-contract
@@ -30,7 +35,8 @@
 // deadcode runs over every package but the test-support ones
 // (testSupport), and leaves alone the functions awaitingDurability
 // names until a program calls them, and the configuration fields
-// testedKnobs names until a program sets them.
+// testedKnobs names until a program sets them. unusedparam runs over
+// every package.
 //
 // Findings are suppressed site-by-site with
 //
@@ -106,18 +112,34 @@ var testSupport = []string{
 	"internal/types/valuetest",
 }
 
-// awaitingDurability names the persistence functions a node restarted
-// from disk will call, and no program calls yet. deadcode leaves them
-// alone and reports each one once it becomes reachable, so the change
-// that restarts nodes from disk empties this list.
+// awaitingDurability names the persistence functions a node synced to
+// and restarted from disk will call, and no program calls yet: the
+// journal (wal), the one Persister (replog) and each backend's mapping
+// onto it. deadcode leaves them alone and reports each one once it
+// becomes reachable, so the change that restarts nodes from disk
+// empties this list.
 var awaitingDurability = []string{
+	// Sync side.
 	"fortyconsensus/internal/wal.NewJournal",
 	"(*fortyconsensus/internal/wal.Journal).Sync",
-	"fortyconsensus/internal/raft.NewPersister",
-	"(*fortyconsensus/internal/raft.Persister).Sync",
-	"fortyconsensus/internal/multipaxos.NewPersister",
-	"(*fortyconsensus/internal/multipaxos.Persister).Sync",
+	"(*fortyconsensus/internal/wal.Log).snapshot",
+	"(*fortyconsensus/internal/wal.Log).replace",
+	"(fortyconsensus/internal/wal.osFS).rename",
+	"fortyconsensus/internal/replog.NewPersister",
+	"(*fortyconsensus/internal/replog.Persister).Sync",
+	"(*fortyconsensus/internal/replog.synced).journal",
+	"(*fortyconsensus/internal/raft.Node).Journal",
+	"(*fortyconsensus/internal/multipaxos.Node).Journal",
 	"fortyconsensus/internal/multipaxos.packBallot",
+	// Restore side.
+	"(*fortyconsensus/internal/replog.Persister).Restore",
+	"(*fortyconsensus/internal/wal.Journal).Restore",
+	"(*fortyconsensus/internal/wal.Log).Replay",
+	"(*fortyconsensus/internal/wal.Log).LoadSnapshot",
+	"fortyconsensus/internal/wal.decodeSnapshotFile",
+	"fortyconsensus/internal/multipaxos.unpackBallot",
+	"(*fortyconsensus/internal/replog.Log[E]).End",
+	"(*fortyconsensus/internal/replog.Log[E]).Grow",
 }
 
 // testedKnobs names the configuration fields no program sets that a
@@ -145,6 +167,7 @@ var scopes = []struct {
 	{maporder.Analyzer, nil},
 	{quorumlit.Analyzer, []string{"internal/quorum"}},
 	{deadcode.New(awaitingDurability, testedKnobs), testSupport},
+	{deadcode.Params, nil},
 }
 
 // finding is one diagnostic in the stable machine-readable form the

@@ -31,6 +31,7 @@ var protocolPackages = []string{
 	"internal/quorum",
 	"internal/raft",
 	"internal/readindex",
+	"internal/replog",
 	"internal/seemore",
 	"internal/shard",
 	"internal/smr",
@@ -63,16 +64,31 @@ var testSupportPinned = []string{
 }
 
 // awaitingDurabilityAllowed bounds awaitingDurability: the persistence
-// functions crash-restart from disk will call. The list may lose
-// entries, as their callers land, and never gain one.
+// functions crash-restart from disk will call, the Sync side and the
+// Restore side. The list may lose entries, as their callers land, and
+// never gain one.
 var awaitingDurabilityAllowed = []string{
+	// Sync side.
 	"fortyconsensus/internal/wal.NewJournal",
 	"(*fortyconsensus/internal/wal.Journal).Sync",
-	"fortyconsensus/internal/raft.NewPersister",
-	"(*fortyconsensus/internal/raft.Persister).Sync",
-	"fortyconsensus/internal/multipaxos.NewPersister",
-	"(*fortyconsensus/internal/multipaxos.Persister).Sync",
+	"(*fortyconsensus/internal/wal.Log).snapshot",
+	"(*fortyconsensus/internal/wal.Log).replace",
+	"(fortyconsensus/internal/wal.osFS).rename",
+	"fortyconsensus/internal/replog.NewPersister",
+	"(*fortyconsensus/internal/replog.Persister).Sync",
+	"(*fortyconsensus/internal/replog.synced).journal",
+	"(*fortyconsensus/internal/raft.Node).Journal",
+	"(*fortyconsensus/internal/multipaxos.Node).Journal",
 	"fortyconsensus/internal/multipaxos.packBallot",
+	// Restore side.
+	"(*fortyconsensus/internal/replog.Persister).Restore",
+	"(*fortyconsensus/internal/wal.Journal).Restore",
+	"(*fortyconsensus/internal/wal.Log).Replay",
+	"(*fortyconsensus/internal/wal.Log).LoadSnapshot",
+	"fortyconsensus/internal/wal.decodeSnapshotFile",
+	"fortyconsensus/internal/multipaxos.unpackBallot",
+	"(*fortyconsensus/internal/replog.Log[E]).End",
+	"(*fortyconsensus/internal/replog.Log[E]).Grow",
 }
 
 // testedKnobsAllowed bounds testedKnobs: configuration fields a test
@@ -149,7 +165,7 @@ func TestScopeListsExistOnDisk(t *testing.T) {
 
 // TestDeadcodeExemptionsPinned pins deadcode's three declared lists:
 // the test-support packages exactly, the awaiting list to a subset of
-// the seven persistence functions, and the tested knobs to a subset of
+// the nineteen persistence functions, and the tested knobs to a subset of
 // the seven fields. It also keeps deadcode among the analyzers the
 // linter runs (and -time lists).
 func TestDeadcodeExemptionsPinned(t *testing.T) {

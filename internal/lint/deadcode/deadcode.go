@@ -15,8 +15,11 @@
 //
 // From the roots the walk follows the call graph's edges — calls and
 // function or method values alike — except that a call through an
-// interface or a type parameter reaches every module method of that
-// name, whatever type declares it.
+// interface or a type parameter reaches the method of every module type
+// that implements it (every module method of the name, for a generic
+// interface) only once reached code mentions that type, or a type that
+// embeds it: a type no reached code names, builds or converts to is
+// never behind the interface.
 //
 // The same walk judges configuration: a field of a module struct type
 // named …Config, …Options or …Params is a finding when nothing reached
@@ -230,18 +233,57 @@ func reachable(prog *analysis.Program) map[*types.Func]bool {
 			queue = append(queue, node.Fn)
 		}
 	}
-	dispatched := make(map[string]bool)
-	dispatch := func(name string) {
-		if !dispatched[name] {
-			dispatched[name] = true
-			for _, m := range byName[name] {
+	mentioned := make(map[*types.TypeName]bool)
+	pending := make(map[*types.TypeName][]*types.Func) // dispatched to, not yet mentioned
+	dispatch := func(callee *types.Func) {
+		impls := prog.Impls(callee)
+		if len(impls) == 0 {
+			impls = byName[callee.Name()] // a generic interface's method: every module method of the name
+		}
+		for _, m := range impls {
+			if tn := recvType(m); mentioned[tn] {
 				mark(m)
+			} else {
+				pending[tn] = append(pending[tn], m)
 			}
+		}
+	}
+	var mention func(t types.Type)
+	mention = func(t types.Type) {
+		tn := typeName(t)
+		if tn == nil || mentioned[tn] {
+			return
+		}
+		mentioned[tn] = true
+		for _, m := range pending[tn] {
+			mark(m)
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if st.Field(i).Embedded() {
+					mention(st.Field(i).Type())
+				}
+			}
+		}
+	}
+	mentions := func(info *types.Info, node ast.Node) {
+		ast.Inspect(node, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if tn, ok := info.Uses[id].(*types.TypeName); ok {
+					mention(tn.Type())
+				}
+			}
+			return true
+		})
+	}
+	for _, pkg := range prog.Packages() {
+		for _, gd := range varDecls(pkg) {
+			mentions(pkg.TypesInfo, gd)
 		}
 	}
 	for _, fn := range roots {
 		if isDynamic(fn) {
-			dispatch(fn.Name())
+			dispatch(fn)
 		} else {
 			mark(fn)
 		}
@@ -249,15 +291,33 @@ func reachable(prog *analysis.Program) map[*types.Func]bool {
 	for len(queue) > 0 {
 		fn := queue[0]
 		queue = queue[1:]
+		mentions(prog.Func(fn).Pkg.TypesInfo, prog.Func(fn).Decl)
 		for _, c := range prog.Func(fn).Calls {
 			if c.Kind == analysis.CallDynamic || isDynamic(c.Callee) {
-				dispatch(c.Callee.Name())
+				dispatch(c.Callee)
 			} else {
 				mark(c.Callee)
 			}
 		}
 	}
 	return live
+}
+
+// typeName returns the declaration of the named type t is, or points
+// to, and nil for any other type.
+func typeName(t types.Type) *types.TypeName {
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := types.Unalias(t).(*types.Named); ok {
+		return named.Origin().Obj()
+	}
+	return nil
+}
+
+// recvType returns the declaration of method fn's receiver type.
+func recvType(fn *types.Func) *types.TypeName {
+	return typeName(fn.Type().(*types.Signature).Recv().Type())
 }
 
 // isDynamic reports whether fn is an interface method — what a call
@@ -297,8 +357,9 @@ func varDecls(pkg *analysis.Package) []*ast.GenDecl {
 	return decls
 }
 
-// stdMethods holds the methods of every interface type the standard
-// library packages the module loads declare, by name.
+// stdMethods holds the methods of interface types by name: those the
+// standard library packages the module loads declare, and for Params
+// the module's own too.
 type stdMethods map[string][]*types.Signature
 
 // match reports whether a method of that name and signature would
@@ -310,6 +371,13 @@ func (s stdMethods) match(name string, sig *types.Signature) bool {
 		}
 	}
 	return false
+}
+
+func (s stdMethods) add(iface *types.Interface) {
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		s[m.Name()] = append(s[m.Name()], m.Type().(*types.Signature))
+	}
 }
 
 // stdInterfaceMethods collects the methods of every named interface
@@ -329,13 +397,8 @@ func stdInterfaceMethods(prog *analysis.Program) stdMethods {
 			if !ok || !tn.Exported() {
 				continue
 			}
-			iface, ok := tn.Type().Underlying().(*types.Interface)
-			if !ok {
-				continue
-			}
-			for i := 0; i < iface.NumMethods(); i++ {
-				m := iface.Method(i)
-				out[m.Name()] = append(out[m.Name()], m.Type().(*types.Signature))
+			if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+				out.add(iface)
 			}
 		}
 	}

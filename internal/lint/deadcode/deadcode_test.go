@@ -16,3 +16,7 @@ func TestDeadcode(t *testing.T) {
 func TestDeadcodeNeedsAMain(t *testing.T) {
 	analysistest.Run(t, "testdata/nomain", deadcode.New(nil, nil), "dclib")
 }
+
+func TestParams(t *testing.T) {
+	analysistest.Run(t, "testdata", deadcode.Params, "dcparam")
+}

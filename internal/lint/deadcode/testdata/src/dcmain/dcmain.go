@@ -19,9 +19,14 @@ func main() {
 	f()
 
 	var s shape = circle{}
-	_ = s.area() // interface dispatch reaches every area method
+	_ = s.area() // interface dispatch reaches the area of every type reached code mentions
+
+	var l labeled = tagged{}
+	_ = l.label() // and of the types those embed
 
 	_ = measure(box{}) // a type-parameter call reaches every size method
+
+	_ = fetch[int](cell{}) // a generic interface's call reaches its methods by name
 
 	table["a"]()
 	fmt.Println(color(1))
@@ -55,11 +60,21 @@ type circle struct{}
 
 func (circle) area() int { return 3 }
 
-type square struct{} // never built, yet its area is dispatch-reachable
+// square's constructor is out of reach, so no square is behind the
+// shape the interface call dispatches on.
+type square struct{}
 
-func (square) area() int { return 4 }
+func newSquare() shape { return square{} } // want "fix/dcmain.newSquare is unreachable"
 
-func (square) perimeter() int { return 16 } // want "\\(fix/dcmain.square\\).perimeter is unreachable"
+func (square) area() int { return 4 } // want "\\(fix/dcmain.square\\).area is unreachable"
+
+type labeled interface{ label() string }
+
+type base struct{}
+
+func (base) label() string { return "base" } // reached through tagged, which embeds base
+
+type tagged struct{ base }
 
 // Type-parameter calls.
 
@@ -70,6 +85,18 @@ func measure[T interface{ size() int }](v T) int { return v.size() }
 func (box) size() int { return 1 }
 
 func (box) weight() int { return 2 } // want "\\(fix/dcmain.box\\).weight is unreachable"
+
+// Generic interfaces.
+
+type getter[T any] interface{ get() T }
+
+func fetch[T any](g getter[T]) T { return g.get() }
+
+type cell struct{}
+
+func (cell) get() int { return 5 }
+
+func (cell) put(int) {} // want "\\(fix/dcmain.cell\\).put is unreachable"
 
 // Package-level initialisers.
 

@@ -200,7 +200,7 @@ func (s *Server) SnapshotKV(sh int) ([]byte, bool) {
 // onPeerFrame routes one inter-node frame to its shard group, whose
 // turn then runs on this goroutine (the peer connection's reader):
 // payload = u32 group index | module message bytes.
-func (s *Server) onPeerFrame(from types.NodeID, payload []byte) {
+func (s *Server) onPeerFrame(_ types.NodeID, payload []byte) {
 	r := wire.NewReader(payload)
 	idx := r.U32()
 	if r.Err() != nil || idx >= uint32(len(s.grs)) {

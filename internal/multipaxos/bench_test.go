@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fortyconsensus/internal/multipaxos"
+	"fortyconsensus/internal/replog"
 	"fortyconsensus/internal/types"
 	"fortyconsensus/internal/wal"
 )
@@ -126,7 +127,7 @@ func BenchmarkPersistSynced(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer l.Close()
-			p := multipaxos.NewPersister(l)
+			p := replog.NewPersister(l)
 			n := multipaxos.New(0, multipaxos.Config{Peers: []types.NodeID{0}, Seed: 11})
 			for i := 0; i < 100 && !n.IsLeader(); i++ {
 				n.Tick()

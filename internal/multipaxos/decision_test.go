@@ -78,7 +78,7 @@ func (g *trio) decided(want ...types.Value) {
 			g.tb.Fatalf("node %v's frontier is %d, want %d", n.id, n.CommitFrontier(), len(want))
 		}
 		for i, v := range want {
-			if got := n.log.get(types.Seq(i + 1)).chosen; !got.Equal(v) {
+			if got := n.log.Get(types.Seq(i + 1)).chosen; !got.Equal(v) {
 				g.tb.Fatalf("node %v decided %q at slot %d, want %q", n.id, got, i+1, v)
 			}
 		}
@@ -212,7 +212,7 @@ func TestFrontierNeverLearnsASlotAcceptedUnderAnOlderBallot(t *testing.T) {
 	deposed := g.elect(0, nil)
 	deposed.Submit(x)
 	deposed.Drain() // the accept is lost
-	if e := deposed.log.get(1); !e.val.Equal(x) {
+	if e := deposed.log.Get(1); !e.val.Equal(x) {
 		t.Fatalf("node 0 holds %+v at slot 1, want x under its own ballot", e)
 	}
 
@@ -220,7 +220,7 @@ func TestFrontierNeverLearnsASlotAcceptedUnderAnOlderBallot(t *testing.T) {
 	lead := g.elect(2, toDeposed)
 	lead.Submit(y)
 	g.pump(toDeposed)
-	if lead.CommitFrontier() != 1 || !lead.log.get(1).chosen.Equal(y) {
+	if lead.CommitFrontier() != 1 || !lead.log.Get(1).chosen.Equal(y) {
 		t.Fatalf("node 2 did not decide y at slot 1: frontier %d", lead.CommitFrontier())
 	}
 
@@ -237,12 +237,12 @@ func TestFrontierNeverLearnsASlotAcceptedUnderAnOlderBallot(t *testing.T) {
 	if !stamped {
 		t.Fatal("node 0 was not sent Accept(b, 2, z, Commit: 1)")
 	}
-	if e := deposed.log.get(2); e.num != lead.curBallot || !e.val.Equal(z) {
+	if e := deposed.log.Get(2); e.num != lead.curBallot || !e.val.Equal(z) {
 		t.Fatalf("node 0 holds %+v at slot 2, want z under %v", e, lead.curBallot)
 	}
 	if ds := deposed.TakeDecisions(); deposed.CommitFrontier() != 0 || len(ds) != 0 {
 		t.Fatalf("node 0 learned %+v from a frontier covering a slot it accepted under %v",
-			ds, deposed.log.get(1).num)
+			ds, deposed.log.Get(1).num)
 	}
 	g.pump(nil) // node 0's vote decides z
 
@@ -378,7 +378,7 @@ func TestNewLeaderRecoversOnlyTheUndecidedTail(t *testing.T) {
 			t.Fatalf("node %v's frontier is %d, want %d", n.id, n.CommitFrontier(), decided+4)
 		}
 		for i, v := range append(tail, w) {
-			if got := n.log.get(types.Seq(decided + 1 + i)).chosen; !got.Equal(v) {
+			if got := n.log.Get(types.Seq(decided + 1 + i)).chosen; !got.Equal(v) {
 				t.Fatalf("node %v decided %q at slot %d, want %q", n.id, got, decided+1+i, v)
 			}
 		}

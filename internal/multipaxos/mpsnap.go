@@ -1,11 +1,14 @@
 package multipaxos
 
 import (
+	"fmt"
 	"slices"
 
 	"fortyconsensus/internal/quorum"
+	"fortyconsensus/internal/replog"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wal"
 )
 
 // Log compaction, state-transfer catch-up, and alpha-delayed
@@ -77,17 +80,6 @@ func (n *Node) Members() []types.NodeID {
 	return append([]types.NodeID(nil), n.latestMembers()...)
 }
 
-// SnapshotIndex returns the highest compacted slot (0 = dense log).
-func (n *Node) SnapshotIndex() types.Seq { return n.compactSeq }
-
-// TakeInstalledSnapshot drains the most recently installed snapshot so
-// the host can restore its executor before consuming further decisions.
-func (n *Node) TakeInstalledSnapshot() *snapshot.Snapshot {
-	s := n.installed
-	n.installed = nil
-	return s
-}
-
 // confAllowed vets a membership change at the proposer: well-formed,
 // not a no-op, never empties the cluster, and at most one in flight —
 // the i+Alpha schedule assumes changes apply in choose order, which a
@@ -103,7 +95,7 @@ func (n *Node) confAllowed(v types.Value) bool {
 		return false // an epoch is still waiting to activate
 	}
 	for s := n.commitSeq + 1; s < n.nextSlot; s++ {
-		if sl := n.log.get(s); sl != nil && sl.votes != nil && snapshot.IsConfChange(sl.val) {
+		if sl := n.log.Get(s); sl != nil && sl.votes != nil && snapshot.IsConfChange(sl.val) {
 			return false
 		}
 	}
@@ -124,7 +116,7 @@ func (n *Node) confAllowed(v types.Value) bool {
 // by upTo+1; any later epoch survives only as its conf entry in the
 // suffix, so compaction is refused when it would delete such an entry
 // (upTo at or past a choose slot whose epoch activates above upTo+1),
-// and while this replica serves a snapshot transfer (holdCompact).
+// and while this replica serves a snapshot transfer (CompactHeld).
 // Reports whether anything was compacted. A leader first pushes each
 // follower not yet sent upTo: a tick's lag is not worth a snapshot.
 //
@@ -133,7 +125,7 @@ func (n *Node) confAllowed(v types.Value) bool {
 // compacts upTo with the same state writes the same bytes — which a
 // transfer that switches sender mid-way relies on.
 func (n *Node) Compact(upTo types.Seq, state []byte) bool {
-	if upTo <= n.compactSeq || upTo > n.commitSeq || n.CompactHeld() {
+	if upTo <= n.SnapshotIndex() || upTo > n.commitSeq || n.CompactHeld() {
 		return false
 	}
 	for _, e := range n.configs {
@@ -154,9 +146,8 @@ func (n *Node) Compact(upTo types.Seq, state []byte) bool {
 		Members:   append([]types.NodeID(nil), n.membersFor(upTo+1)...),
 		State:     state,
 	}
-	n.snapData = snapshot.Encode(snap)
-	n.compactSeq = upTo
-	n.log.dropThrough(upTo)
+	n.Compacted(snap)
+	n.log.DropThrough(upTo)
 	// Collapse epochs: everything at or below upTo+1 is summarized by
 	// the snapshot's member set.
 	eff := cfgEpoch{from: 0, members: snap.Members}
@@ -169,10 +160,6 @@ func (n *Node) Compact(upTo types.Seq, state []byte) bool {
 	n.configs = keep
 	return true
 }
-
-// CompactHeld reports whether Compact refuses for now: a snapshot
-// transfer this node serves is under way (holdCompact).
-func (n *Node) CompactHeld() bool { return n.holdCompact > 0 }
 
 // onState takes one chunk of a state-transfer snapshot at a lagging
 // replica and asks for the next. The last chunk installs it,
@@ -207,20 +194,63 @@ func (n *Node) onState(m Message) {
 // caller guarantees snap.LastIndex > commitSeq.
 func (n *Node) installSnapshot(snap *snapshot.Snapshot, raw []byte) {
 	n.commitSeq = snap.LastIndex
-	n.compactSeq = snap.LastIndex
-	n.snapData = raw
-	n.log.dropThrough(snap.LastIndex)
-	// Undrained decisions below the snapshot are subsumed by the
-	// installed state the host restores from.
-	n.decisions = nil
+	n.Installed(snap, raw)
+	n.log.DropThrough(snap.LastIndex)
 	ms := append([]types.NodeID(nil), snap.Members...)
 	slices.Sort(ms)
 	n.configs = []cfgEpoch{{from: 0, members: ms}}
-	n.installed = snap
 }
 
 // catchup asks replica to for the committed slots above the frontier,
 // naming the offset the receiver wants should they be compacted away.
 func (n *Node) catchup(to types.NodeID) {
 	n.send(Message{Kind: MsgCatchup, To: to, Slot: n.commitSeq + 1, Offset: uint32(n.recv.Offset())})
+}
+
+// Journal maps the acceptor onto its journal (replog.Persister): the
+// hard state is the promised ballot (num, owner), each accepted slot an
+// entry tagged with its accepted ballot packed into one u64, and the
+// snapshot file holds the compacted prefix's snapshot/v1 blob, of kind
+// 'M'. A slot accepted under a ballot packBallot cannot pack fails the
+// Sync. Learned values and the commit frontier above the snapshot
+// re-converge after a restore as a lagging replica's do, and membership
+// epochs are derived again from the chosen slots.
+func (n *Node) Journal() replog.Mapping {
+	return replog.Mapping{
+		Kind:  'M',
+		Hard:  wal.Hard{n.ballot.Num, uint64(n.ballot.Owner)},
+		Fresh: n.ballot.IsZero() && n.commitSeq == 0 && n.log.End() == 0,
+		Entries: func(from uint64, add func(i, tag uint64, val []byte)) (err error) {
+			n.log.Each(types.Seq(from)-1, func(s types.Seq, sl *slot) {
+				if tag, ok := packBallot(sl.num); sl.accepted && err == nil && ok {
+					add(uint64(s), tag, sl.val)
+				} else if sl.accepted && err == nil {
+					err = fmt.Errorf("multipaxos: slot %d's ballot %v does not fit a journal tag", s, sl.num)
+				}
+			})
+			return err
+		},
+		Install: n.installSnapshot,
+		Entry: func(i, tag uint64, val []byte) error {
+			sl := n.log.Grow(types.Seq(i))
+			if sl == nil {
+				return fmt.Errorf("multipaxos: journaled slot %d is too far past %d", i, n.SnapshotIndex())
+			}
+			sl.num, sl.val, sl.accepted = unpackBallot(tag), val, true
+			return nil
+		},
+		Truncate: func(keep uint64) { n.log.TruncateFrom(types.Seq(keep) + 1) },
+		SetHard:  func(h wal.Hard) { n.ballot = types.Ballot{Num: h[0], Owner: types.NodeID(h[1])} },
+		Rearm:    n.resetElectionTimer,
+	}
+}
+
+// packBallot packs b into an entry's tag: num in the high 48 bits, owner
+// in the low 16. A ballot that does not fit reports false.
+func packBallot(b types.Ballot) (uint64, bool) {
+	return b.Num<<16 | uint64(b.Owner), b.Num < 1<<48 && b.Owner >= 0 && b.Owner < 1<<16
+}
+
+func unpackBallot(tag uint64) types.Ballot {
+	return types.Ballot{Num: tag >> 16, Owner: types.NodeID(tag & 0xFFFF)}
 }

@@ -62,7 +62,7 @@ func testCompactAndStateTransferCatchUp(t *testing.T, cfg Config) {
 	var blobs [][]byte
 	for _, n := range c.Nodes {
 		if n != straggler {
-			blobs = append(blobs, n.snapData)
+			blobs = append(blobs, n.Snapshot())
 		}
 	}
 	if len(blobs) == 2 && !bytes.Equal(blobs[0], blobs[1]) {

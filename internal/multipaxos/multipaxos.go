@@ -32,6 +32,7 @@ import (
 	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/quorum"
 	"fortyconsensus/internal/readindex"
+	"fortyconsensus/internal/replog"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
@@ -186,6 +187,8 @@ const (
 
 // Node is one Multi-Paxos replica.
 type Node struct {
+	replog.Core[Message]
+
 	id  types.NodeID
 	cfg Config
 	rng *simnet.RNG
@@ -194,11 +197,11 @@ type Node struct {
 	ballot types.Ballot // promised ballot (acceptor) = current view
 	lead   types.NodeID // believed leader (-1 unknown)
 
-	// Acceptor, learner and open phase-2 state per slot (log.go).
-	log       plog
-	unsynced  types.Seq // lowest slot accepted since the last Persister.Sync; 0 = none
+	// Acceptor, learner and open phase-2 state per slot. An Accept or
+	// catch-up entry replog.MaxAhead or more past the last page is
+	// ignored; the heartbeat's catch-up heals it like any lost Accept.
+	log       replog.Log[slot]
 	commitSeq types.Seq // contiguous commit frontier
-	decisions []types.Decision
 
 	// Leader state.
 	curBallot  types.Ballot
@@ -220,14 +223,7 @@ type Node struct {
 	askIn      int // ticks until a heartbeat may draw another MsgCatchup
 	passive    bool
 
-	// Compaction: slots at or below compactSeq live only in snapData.
-	compactSeq types.Seq
-	snapData   []byte
-	installed  *snapshot.Snapshot
-	recv       snapshot.Receiver // an incoming snapshot transfer
-	// holdCompact counts down the ticks Compact still refuses: it is
-	// reset whenever this replica serves a snapshot chunk.
-	holdCompact int
+	recv snapshot.Receiver // an incoming snapshot transfer
 
 	// Membership epochs, oldest first. A config chosen at slot i takes
 	// effect for slots >= i+Alpha; configs[0] is the bootstrap config.
@@ -235,8 +231,16 @@ type Node struct {
 
 	reads     readindex.Tracker // read.go
 	readFloor types.Seq         // the last slot the leader recovered: no read confirms below it
+}
 
-	out, spare []Message // the outbox and what the last Drain handed out: swapped, never regrown
+// slot is everything a node holds about one log position.
+type slot struct {
+	num      types.Ballot  // acceptor: the ballot val was accepted under
+	val      types.Value   // acceptor: the accepted value
+	chosen   types.Value   // learner: the decided value, which an older accepted one need not equal
+	votes    *quorum.Tally // leader: the phase-2 tally of ballot num, until it is met
+	accepted bool
+	learned  bool
 }
 
 // New builds a Multi-Paxos replica.
@@ -273,17 +277,9 @@ func (n *Node) resetElectionTimer() {
 	n.electionIn = n.cfg.ElectionTimeoutTicks + n.rng.Intn(n.cfg.ElectionTimeoutTicks)
 }
 
-// touch records that slot s's accepted ballot and value changed, for
-// Persister.Sync.
-func (n *Node) touch(s types.Seq) {
-	if n.unsynced == 0 || s < n.unsynced {
-		n.unsynced = s
-	}
-}
-
 func (n *Node) send(m Message) {
 	m.From = n.id
-	n.out = append(n.out, m)
+	n.Post(m)
 }
 
 // sendAll sends m to every node in to but this one.
@@ -310,14 +306,6 @@ func (n *Node) Elections() int { return n.elections }
 // CommitFrontier returns the highest contiguously committed slot.
 func (n *Node) CommitFrontier() types.Seq { return n.commitSeq }
 
-// TakeDecisions drains newly committed (slot, value) pairs in commit
-// order.
-func (n *Node) TakeDecisions() []types.Decision {
-	d := n.decisions
-	n.decisions = nil
-	return d
-}
-
 // Submit proposes a value in the next free slot if this node leads, and
 // otherwise drops it: routing a request to the leader is the host's job
 // (Leader names the one this node believes in). The caller yields
@@ -342,9 +330,9 @@ func (n *Node) Submit(v types.Value) {
 // membership change), and counts its own vote like anyone's.
 func (n *Node) accept(slot types.Seq, v types.Value) {
 	_, q2 := n.quorumsFor(slot)
-	sl := n.log.at(slot) // never nil: a leader's slots are dense up to nextSlot
+	sl := n.log.At(slot) // never nil: a leader's slots are dense up to nextSlot
 	sl.num, sl.val, sl.accepted, sl.votes = n.curBallot, v, true, quorum.NewTally(q2)
-	n.touch(slot)
+	n.Touch(slot)
 	to := n.membersFor(slot)
 	if !snapshot.IsConfChange(v) {
 		to = quorum.Pick(n.picks, to, n.id, q2, func(p types.NodeID) types.Seq { return n.progress(p).acked })
@@ -389,8 +377,8 @@ func (n *Node) sendAccept(p types.NodeID, s types.Seq, sl *slot) {
 // follower not sent the compacted prefix is pulling the snapshot.
 func (n *Node) push(p types.NodeID, pr *progress, through types.Seq) {
 	var chosen []Entry
-	for size := 0; pr.sent >= n.compactSeq && pr.sent < through && size < snapshot.BatchBytes; {
-		sl := n.log.get(pr.sent + 1) // never nil: a leader's slots are dense up to nextSlot
+	for size := 0; pr.sent >= n.SnapshotIndex() && pr.sent < through && size < snapshot.BatchBytes; {
+		sl := n.log.Get(pr.sent + 1) // never nil: a leader's slots are dense up to nextSlot
 		if sl.learned {
 			pr.sent++
 			chosen = append(chosen, Entry{Slot: pr.sent, Val: sl.chosen})
@@ -433,7 +421,7 @@ func (n *Node) campaign() {
 	n.prepAcks = quorum.NewTally(q1)
 	n.recovered = make(map[types.Seq]Entry)
 	// Merge what an Ack of its own would carry.
-	for _, e := range n.log.acceptedAbove(n.commitSeq) {
+	for _, e := range n.acceptedAbove(n.commitSeq) {
 		n.recovered[e.Slot] = e
 	}
 	n.ackCommit, n.ackFrom = n.commitSeq, n.id
@@ -488,7 +476,7 @@ func (n *Node) onPrepare(m Message) {
 		// acker's frontier does not lead (onAck defers and catches up), so
 		// by the time becomeLeader reads what was recovered, every slot at
 		// or below this frontier is one it has learned, not one it recovers.
-		n.send(Message{Kind: MsgAck, To: m.From, Ballot: m.Ballot, Entries: n.log.acceptedAbove(n.commitSeq), Commit: n.commitSeq})
+		n.send(Message{Kind: MsgAck, To: m.From, Ballot: m.Ballot, Entries: n.acceptedAbove(n.commitSeq), Commit: n.commitSeq})
 		return
 	}
 	n.send(Message{Kind: MsgNack, To: m.From, Ballot: n.ballot})
@@ -575,13 +563,13 @@ func (n *Node) onAccept(m Message) {
 		}
 		n.resetElectionTimer()
 		// A compacted slot was decided here: vote, with nothing to hold.
-		if m.Slot > n.compactSeq {
-			sl := n.log.at(m.Slot)
+		if m.Slot > n.SnapshotIndex() {
+			sl := n.log.At(m.Slot)
 			if sl == nil {
-				return // too far ahead (maxAhead): no vote
+				return // too far ahead (MaxAhead): no vote
 			}
 			sl.num, sl.val, sl.accepted = m.Ballot, m.Val, true
-			n.touch(m.Slot)
+			n.Touch(m.Slot)
 		}
 		n.send(Message{Kind: MsgAccepted, To: m.From, Ballot: m.Ballot, Slot: m.Slot, Read: m.Read})
 		n.learnThrough(m.Ballot, m.Commit)
@@ -599,7 +587,7 @@ func (n *Node) onAccepted(m Message) {
 	pr.acked = max(pr.acked, m.Slot)
 	// An open tally is one of this ballot: a deposed leader's stay behind
 	// until the slot is accepted again or compacted.
-	if sl := n.log.get(m.Slot); sl != nil && sl.votes != nil && sl.num == n.curBallot {
+	if sl := n.log.Get(m.Slot); sl != nil && sl.votes != nil && sl.num == n.curBallot {
 		n.vote(m.Slot, sl, m.From)
 	}
 }
@@ -607,12 +595,12 @@ func (n *Node) onAccepted(m Message) {
 // learn records a chosen slot and advances the contiguous commit
 // frontier, emitting decisions in order.
 func (n *Node) learn(slot types.Seq, val types.Value) {
-	if slot <= n.compactSeq {
+	if slot <= n.SnapshotIndex() {
 		return
 	}
-	sl := n.log.at(slot)
+	sl := n.log.At(slot)
 	if sl == nil {
-		return // too far ahead (maxAhead)
+		return // too far ahead (MaxAhead)
 	}
 	if sl.learned {
 		if !sl.chosen.Equal(val) {
@@ -640,7 +628,7 @@ func (n *Node) learn(slot types.Seq, val types.Value) {
 // waits for a push or a Commit, which name values.
 func (n *Node) learnThrough(b types.Ballot, commit types.Seq) {
 	for n.commitSeq < commit {
-		sl := n.log.get(n.commitSeq + 1)
+		sl := n.log.Get(n.commitSeq + 1)
 		if sl == nil || !sl.accepted || sl.num != b {
 			return
 		}
@@ -653,13 +641,13 @@ func (n *Node) learnThrough(b types.Ballot, commit types.Seq) {
 // slots that arrived before the install filled the gap below them.
 func (n *Node) advanceFrontier() {
 	for {
-		sl := n.log.get(n.commitSeq + 1)
+		sl := n.log.Get(n.commitSeq + 1)
 		if sl == nil || !sl.learned {
 			return
 		}
 		n.commitSeq++
 		v := sl.chosen
-		n.decisions = append(n.decisions, types.Decision{Slot: n.commitSeq, Val: v})
+		n.Decide(n.commitSeq, v)
 		if snapshot.IsConfChange(v) {
 			// A config chosen at slot i governs slots >= i+Alpha. Every
 			// replica schedules the epoch at the same frontier advance, so
@@ -707,16 +695,16 @@ func (n *Node) onCatchup(m Message) {
 	}
 	// Any replica may serve catch-up: chosen values and snapshots are
 	// final facts, so a follower answering a deferring candidate is safe.
-	if m.Slot <= n.compactSeq && n.snapData != nil {
+	if m.Slot <= n.SnapshotIndex() && n.Snapshot() != nil {
 		// The requested slots were compacted away: send the snapshot's
 		// chunks from the asked offset to the end of its window instead,
 		// and compact nothing while the transfer lasts, which would start
 		// it over. The follower asks for the next window, and then for
 		// anything above the snapshot.
-		n.holdCompact = n.cfg.ElectionTimeoutTicks
+		n.HoldCompact(n.cfg.ElectionTimeoutTicks)
 		for off := int(m.Offset); ; off += snapshot.ChunkSize {
-			chunk, done := snapshot.ChunkAt(n.snapData, off)
-			n.send(Message{Kind: MsgState, To: m.From, Slot: n.compactSeq, Val: types.Value(chunk), Offset: uint32(off), Done: done, Commit: n.commitSeq})
+			chunk, done := snapshot.ChunkAt(n.Snapshot(), off)
+			n.send(Message{Kind: MsgState, To: m.From, Slot: n.SnapshotIndex(), Val: types.Value(chunk), Offset: uint32(off), Done: done, Commit: n.commitSeq})
 			if done || (off+snapshot.ChunkSize)%snapshot.Window == 0 {
 				return
 			}
@@ -728,7 +716,7 @@ func (n *Node) onCatchup(m Message) {
 	}
 	var entries []Entry
 	for s, size := m.Slot, 0; s <= n.commitSeq && size < snapshot.BatchBytes; s++ {
-		if sl := n.log.get(s); sl != nil && sl.learned {
+		if sl := n.log.Get(s); sl != nil && sl.learned {
 			entries = append(entries, Entry{Slot: s, Val: sl.chosen})
 			size += len(sl.chosen)
 		}
@@ -764,7 +752,7 @@ func (n *Node) pushRemoved() {
 // each HeartbeatTicks heartbeats one that nothing told the frontier; a
 // removed member it pushes through its removal (pushRemoved).
 func (n *Node) Tick() {
-	n.holdCompact = max(n.holdCompact-1, 0)
+	n.TickHold()
 	switch n.role {
 	case leader:
 		n.hbCooldown--
@@ -801,12 +789,13 @@ func (n *Node) Tick() {
 	}
 }
 
-// Drain returns pending outbound messages. The slice is valid until the
-// next Drain, which reuses it: a caller that keeps a message past that
-// copies it (the runner and the live host send each one on at once).
-func (n *Node) Drain() []Message {
-	out := n.out
-	clear(n.spare) // what the last Drain returned is void now: let it go
-	n.out, n.spare = n.spare[:0], out
+// acceptedAbove lists, in slot order, what the acceptor holds above from.
+func (n *Node) acceptedAbove(from types.Seq) []Entry {
+	var out []Entry
+	n.log.Each(from, func(s types.Seq, sl *slot) {
+		if sl.accepted {
+			out = append(out, Entry{Slot: s, AcceptNum: sl.num, Val: sl.val})
+		}
+	})
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fortyconsensus/internal/nemesis"
+	"fortyconsensus/internal/replog"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/types"
 )
@@ -16,7 +17,7 @@ import (
 type persistentCluster struct {
 	*Cluster
 	t    *testing.T
-	pers []*Persister
+	pers []*replog.Persister
 	cfg  Config
 }
 
@@ -70,8 +71,8 @@ func checkDecidedAgree(c *Cluster) error {
 		for j := i + 1; j < len(c.Nodes); j++ {
 			a, b := c.Nodes[i], c.Nodes[j]
 			for s := types.Seq(1); s <= min(a.commitSeq, b.commitSeq); s++ {
-				if !a.log.get(s).chosen.Equal(b.log.get(s).chosen) {
-					return fmt.Errorf("decided slot %d differs between nodes %d and %d: %q vs %q", s, i, j, a.log.get(s).chosen, b.log.get(s).chosen)
+				if !a.log.Get(s).chosen.Equal(b.log.Get(s).chosen) {
+					return fmt.Errorf("decided slot %d differs between nodes %d and %d: %q vs %q", s, i, j, a.log.Get(s).chosen, b.log.Get(s).chosen)
 				}
 			}
 		}

@@ -2,10 +2,9 @@ package multipaxos
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
-	"unsafe"
 
+	"fortyconsensus/internal/replog"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
@@ -26,7 +25,7 @@ type refNode struct {
 	decided      []types.Decision
 }
 
-// farSlot is a slot number no log here comes within maxAhead of.
+// farSlot is a slot number no log here comes within replog.MaxAhead of.
 const farSlot = types.Seq(1) << 40
 
 func (r *refNode) accept(b types.Ballot, s types.Seq, v types.Value, commit types.Seq) (voted bool) {
@@ -95,15 +94,12 @@ func acceptAt(n *Node, b types.Ballot, s types.Seq, v types.Value, commit types.
 // last call.
 func (r *refNode) same(t *testing.T, n *Node, lo, hi types.Seq, step string) {
 	t.Helper()
-	if n.commitSeq != r.commit || n.compactSeq != r.base {
-		t.Fatalf("%s: frontier %d base %d, model %d and %d", step, n.commitSeq, n.compactSeq, r.commit, r.base)
-	}
-	if o := n.log.origin; o%pageSlots != 0 || o > n.compactSeq+1 {
-		t.Fatalf("%s: origin %d with base %d", step, o, n.compactSeq)
+	if n.commitSeq != r.commit || n.SnapshotIndex() != r.base {
+		t.Fatalf("%s: frontier %d base %d, model %d and %d", step, n.commitSeq, n.SnapshotIndex(), r.commit, r.base)
 	}
 	for s := lo; s <= hi; s++ {
 		var got slot
-		if sl := n.log.get(s); sl != nil {
+		if sl := n.log.Get(s); sl != nil {
 			got = *sl
 		}
 		want := slot{}
@@ -115,7 +111,7 @@ func (r *refNode) same(t *testing.T, n *Node, lo, hi types.Seq, step string) {
 		}
 		if got.accepted != want.accepted || got.learned != want.learned || got.num != want.num ||
 			!got.val.Equal(want.val) || !got.chosen.Equal(want.chosen) || got.votes != nil {
-			t.Fatalf("%s: slot %d holds %+v, model %+v (base %d, origin %d)", step, s, got, want, r.base, n.log.origin)
+			t.Fatalf("%s: slot %d holds %+v, model %+v (base %d)", step, s, got, want, r.base)
 		}
 	}
 	var walk []Entry
@@ -124,7 +120,7 @@ func (r *refNode) same(t *testing.T, n *Node, lo, hi types.Seq, step string) {
 			walk = append(walk, Entry{Slot: s, AcceptNum: e.num, Val: e.val})
 		}
 	}
-	got := n.log.acceptedAbove(n.commitSeq)
+	got := n.acceptedAbove(n.commitSeq)
 	if len(got) != len(walk) {
 		t.Fatalf("%s: phase 1 would report %d slots, model %d", step, len(got), len(walk))
 	}
@@ -176,9 +172,9 @@ func TestPagedLogMatchesMapModel(t *testing.T) {
 			var what string
 			switch op := rng.Intn(100); {
 			case op < 30: // a run from the frontier, each accept carrying the one before
-				k := 1 + rng.Intn(pageSlots/2)
+				k := 1 + rng.Intn(replog.PageSlots/2)
 				if rng.Intn(8) == 0 {
-					k += pageSlots
+					k += replog.PageSlots
 				}
 				what = fmt.Sprintf("run of %d from %d", k, r.commit+1)
 				for s := r.commit + 1; k > 0; s, k = s+1, k-1 {
@@ -187,7 +183,7 @@ func TestPagedLogMatchesMapModel(t *testing.T) {
 			case op < 40: // ahead of the frontier, leaving a hole; sometimes pages ahead
 				s := r.commit + 2 + types.Seq(rng.Intn(8))
 				if rng.Intn(4) == 0 {
-					s += types.Seq(rng.Intn(3 * pageSlots))
+					s += types.Seq(rng.Intn(3 * replog.PageSlots))
 				}
 				what = fmt.Sprintf("accept ahead at %d", s)
 				accept(s, val(s), r.commit)
@@ -222,7 +218,7 @@ func TestPagedLogMatchesMapModel(t *testing.T) {
 					continue
 				}
 				upTo := r.base + 1 + types.Seq(rng.Intn(int(r.commit-r.base)))
-				if edge := r.commit / pageSlots * pageSlots; rng.Intn(2) == 0 && edge > r.base+1 {
+				if edge := r.commit / replog.PageSlots * replog.PageSlots; rng.Intn(2) == 0 && edge > r.base+1 {
 					upTo = min(edge-1+types.Seq(rng.Intn(3)), r.commit)
 				}
 				what = fmt.Sprintf("compact through %d", upTo)
@@ -231,9 +227,9 @@ func TestPagedLogMatchesMapModel(t *testing.T) {
 				}
 				r.drop(upTo)
 			default: // a snapshot: inside the log, at its end, pages past it
-				last := r.commit + 1 + types.Seq(rng.Intn(2*pageSlots))
+				last := r.commit + 1 + types.Seq(rng.Intn(2*replog.PageSlots))
 				if rng.Intn(3) == 0 {
-					last = top + types.Seq(rng.Intn(4*pageSlots))
+					last = top + types.Seq(rng.Intn(4*replog.PageSlots))
 				}
 				if last <= r.commit {
 					continue
@@ -249,8 +245,8 @@ func TestPagedLogMatchesMapModel(t *testing.T) {
 				top = max(top, last)
 			}
 			lo := types.Seq(0) // from a page below the base, which must read empty
-			if r.base > pageSlots {
-				lo = r.base - pageSlots
+			if r.base > replog.PageSlots {
+				lo = r.base - replog.PageSlots
 			}
 			r.same(t, n, lo, top+2, fmt.Sprintf("seed %d step %d (%s)", seed, step, what))
 		}
@@ -264,46 +260,22 @@ func TestASlotFarPastTheLogIsIgnored(t *testing.T) {
 		t.Fatal("voted for slot 1<<40")
 	}
 	n.Step(Message{Kind: MsgCommit, From: 0, To: 1, Entries: []Entry{{Slot: 1 << 40, Val: types.Value("v")}}})
-	if len(n.log.pages) != 0 || n.Leader() != 0 {
-		t.Fatalf("a far slot left %d pages and leader %v, want no page and the sender followed", len(n.log.pages), n.Leader())
+	if n.log.End() != 0 || n.Leader() != 0 {
+		t.Fatalf("a far slot grew the log to %d and left leader %v, want no page and the sender followed", n.log.End(), n.Leader())
 	}
-	if !accept(1) || !n.log.get(1).accepted {
+	if !accept(1) || !n.log.Get(1).accepted {
 		t.Fatal("slot 1 was not accepted after the far one was ignored")
 	}
-	// The bound is on how far one message reaches past the last page, and
-	// reaching it costs one page and a nil pointer for each one skipped.
-	if accept(pageSlots + maxAhead) {
+	// The bound is on how far one message reaches past the last page.
+	if accept(replog.PageSlots + replog.MaxAhead) {
 		t.Fatal("voted for the first slot past the bound")
 	}
-	if !accept(pageSlots + maxAhead - 1) {
+	if !accept(replog.PageSlots + replog.MaxAhead - 1) {
 		t.Fatal("refused the last slot within the bound")
-	}
-	held := 0
-	for _, p := range n.log.pages {
-		if p != nil {
-			held++
-		}
-	}
-	if len(n.log.pages) != 1+maxAhead/pageSlots || held != 2 {
-		t.Fatalf("%d pages, %d of them allocated; want %d and 2", len(n.log.pages), held, 1+maxAhead/pageSlots)
 	}
 }
 
 func TestNoStepIsProportionalToTheLog(t *testing.T) {
-	// Growing the log allocates the log: no copy of what is already there.
-	// A slice grown by append allocates its final size several times over.
-	const slots = 300_000
-	var before, after runtime.MemStats
-	var l plog
-	runtime.ReadMemStats(&before)
-	for s := types.Seq(1); s <= slots; s++ {
-		l.at(s).accepted = true
-	}
-	runtime.ReadMemStats(&after)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1.2*slots*float64(unsafe.Sizeof(slot{}))); got > limit {
-		t.Fatalf("%d slots of %d bytes allocated %d bytes, want at most %d", slots, unsafe.Sizeof(slot{}), got, limit)
-	}
-
 	// One write — accept, accepted, learn — allocates the same at the
 	// leader and its acceptors, and at an acceptor alone, whether the log
 	// is 1k slots long or 256k.

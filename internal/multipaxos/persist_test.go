@@ -7,30 +7,31 @@ import (
 	"reflect"
 	"testing"
 
+	"fortyconsensus/internal/replog"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
 	"fortyconsensus/internal/wal"
 )
 
-func openPersister(t testing.TB, dir string) *Persister {
+func openPersister(t testing.TB, dir string) *replog.Persister {
 	t.Helper()
 	l, err := wal.Open(dir, wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	return NewPersister(l)
+	return replog.NewPersister(l)
 }
 
 // accepted lists what n holds as an acceptor above its compacted prefix.
-func accepted(n *Node) []Entry { return n.log.acceptedAbove(n.compactSeq) }
+func accepted(n *Node) []Entry { return n.acceptedAbove(n.SnapshotIndex()) }
 
 // sameAcceptor fails unless got restored want's promise, compacted
 // prefix and accepted slots.
 func sameAcceptor(t *testing.T, got, want *Node) {
 	t.Helper()
-	if got.ballot != want.ballot || got.compactSeq != want.compactSeq {
-		t.Fatalf("restored ballot %v snapshot %d, want %v %d", got.ballot, got.compactSeq, want.ballot, want.compactSeq)
+	if got.ballot != want.ballot || got.SnapshotIndex() != want.SnapshotIndex() {
+		t.Fatalf("restored ballot %v snapshot %d, want %v %d", got.ballot, got.SnapshotIndex(), want.ballot, want.SnapshotIndex())
 	}
 	if g, w := accepted(got), accepted(want); !reflect.DeepEqual(g, w) {
 		t.Fatalf("restored accepted slots\n%+v\nwant\n%+v", g, w)
@@ -47,7 +48,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatal("no leader")
 	}
 	nodes := []*Node{lead, c.Nodes[(lead.id+1)%3]}
-	pers, dirs := make([]*Persister, 2), make([]string, 2)
+	pers, dirs := make([]*replog.Persister, 2), make([]string, 2)
 	for i := range pers {
 		dirs[i] = t.TempDir()
 		pers[i] = openPersister(t, dirs[i])
@@ -152,7 +153,8 @@ func TestRestoreRefusesARaftSnapshotFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := snapshot.Encode(snapshot.Snapshot{LastIndex: 4, LastTerm: 2, Members: []types.NodeID{0, 1, 2}})
-	if err := l.Snapshot('R', blob); err != nil {
+	none := func(uint64, func(i, tag uint64, val []byte)) error { return nil }
+	if err := wal.NewJournal(l, 'R').Sync(wal.State{SnapIndex: 4, Snapshot: blob}, none); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -185,9 +187,9 @@ func TestRestoreTakesASlotFarPastTheLastAccepted(t *testing.T) {
 	n := New(1, Config{Peers: []types.NodeID{0, 1, 2}})
 	b := types.Ballot{Num: 1}
 	acceptAt(n, b, 1, types.Value("a"), 0)
-	n.Step(Message{Kind: MsgCommit, From: 0, To: 1, Entries: []Entry{{Slot: pageSlots + maxAhead - 1, Val: types.Value("v")}}})
-	if !acceptAt(n, b, 2*maxAhead, types.Value("z"), 0) {
-		t.Fatal("refused a slot within maxAhead of its log")
+	n.Step(Message{Kind: MsgCommit, From: 0, To: 1, Entries: []Entry{{Slot: replog.PageSlots + replog.MaxAhead - 1, Val: types.Value("v")}}})
+	if !acceptAt(n, b, 2*replog.MaxAhead, types.Value("z"), 0) {
+		t.Fatal("refused a slot within replog.MaxAhead of its log")
 	}
 	if err := openPersister(t, dir).Sync(n); err != nil {
 		t.Fatal(err)
@@ -222,7 +224,7 @@ func TestJournalCarriesTheChosenValue(t *testing.T) {
 			}
 			lead.Submit(x)
 			g.pump(without(1))
-			if sl := lead.log.get(1); sl == nil || !sl.learned || !sl.chosen.Equal(x) {
+			if sl := lead.log.Get(1); sl == nil || !sl.learned || !sl.chosen.Equal(x) {
 				t.Fatal("node 0 did not choose X at slot 1 with node 2's accept")
 			}
 			if err := p.Sync(g.nodes[2]); err != nil {
@@ -250,7 +252,7 @@ func TestJournalCarriesTheChosenValue(t *testing.T) {
 					proposed = m.Val
 				}
 			}
-			sl := newLead.log.get(1)
+			sl := newLead.log.Get(1)
 			if sl == nil || !sl.learned {
 				t.Fatal("node 1 decided nothing at slot 1")
 			}
@@ -275,7 +277,7 @@ func FuzzRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	p := NewPersister(l)
+	p := replog.NewPersister(l)
 	cfg := Config{Peers: []types.NodeID{0, 1, 2}, Seed: 3}
 	n := New(1, cfg)
 	for _, m := range pinnedSteps {

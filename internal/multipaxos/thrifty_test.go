@@ -72,7 +72,7 @@ func TestEveryFollowerHoldsEverySlotWithinOneTick(t *testing.T) {
 			}
 			for _, n := range g.nodes {
 				for s := types.Seq(1); s < lead.nextSlot; s++ {
-					if sl := n.log.get(s); sl == nil || !sl.learned && (!sl.accepted || sl.num != lead.curBallot) {
+					if sl := n.log.Get(s); sl == nil || !sl.learned && (!sl.accepted || sl.num != lead.curBallot) {
 						t.Fatalf("%d nodes, round %d: node %v holds nothing of slot %d a tick after its submit", size, round, n.id, s)
 					}
 				}
@@ -239,8 +239,8 @@ func TestFarBehindFollowerCatchesUpUnderWrites(t *testing.T) {
 // same bytes, so one snapshot index names one blob.
 func TestReplicasCompactASlotToTheSameBytes(t *testing.T) {
 	a, b := compactedPair(t, []byte("state"))
-	if !bytes.Equal(a.snapData, b.snapData) {
-		t.Fatalf("replicas promised to %v and %v encoded slot %d differently", a.ballot, b.ballot, a.compactSeq)
+	if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
+		t.Fatalf("replicas promised to %v and %v encoded slot %d differently", a.ballot, b.ballot, a.SnapshotIndex())
 	}
 }
 
@@ -268,7 +268,7 @@ func TestStateTransferSwitchesSenderWithoutRestarting(t *testing.T) {
 				ask = m
 			}
 		}
-		if f.CommitFrontier() == a.compactSeq {
+		if f.CommitFrontier() == a.SnapshotIndex() {
 			if got := f.TakeInstalledSnapshot(); got == nil || !bytes.Equal(got.State, state) {
 				t.Fatalf("installed %+v", got)
 			}

@@ -443,7 +443,7 @@ func (r *Replica) maybePrepared(seq types.Seq, s *slot) {
 	s.prepared = true
 	s.commits.Add(r.id)
 	r.broadcast(Message{Kind: MsgCommit, View: r.view, Seq: seq, Digest: s.digest})
-	r.maybeCommitted(seq, s)
+	r.maybeCommitted(s)
 }
 
 func (r *Replica) onCommit(m Message) {
@@ -455,12 +455,12 @@ func (r *Replica) onCommit(m Message) {
 		return
 	}
 	s.commits.Add(m.From)
-	r.maybeCommitted(m.Seq, s)
+	r.maybeCommitted(s)
 }
 
 // maybeCommitted fires at 2f+1 commits: the slot is committed-local and
 // executes once all lower slots have.
-func (r *Replica) maybeCommitted(seq types.Seq, s *slot) {
+func (r *Replica) maybeCommitted(s *slot) {
 	if s.committed || !s.prepared || !s.commits.Reached() {
 		return
 	}

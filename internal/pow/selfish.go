@@ -89,7 +89,7 @@ func (s *SelfishMiner) Step(msg Message) {
 	switch {
 	case s.lead == 0:
 		// Nothing withheld: adopt the honest chain.
-		s.adoptPublic(b)
+		s.adoptPublic()
 	case s.lead == 1:
 		// Race: publish our single withheld block and keep mining on it.
 		s.releaseAll()
@@ -104,11 +104,11 @@ func (s *SelfishMiner) Step(msg Message) {
 	_, pubH, _ := s.pub.Tip()
 	_, privH, _ := s.priv.Tip()
 	if pubH > privH {
-		s.adoptPublic(b)
+		s.adoptPublic()
 	}
 }
 
-func (s *SelfishMiner) adoptPublic(b *Block) {
+func (s *SelfishMiner) adoptPublic() {
 	s.syncPriv()
 	s.unreleased = nil
 	s.lead = 0

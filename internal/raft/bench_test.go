@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fortyconsensus/internal/kvstore"
+	"fortyconsensus/internal/replog"
 	"fortyconsensus/internal/types"
 	"fortyconsensus/internal/wal"
 )
@@ -167,7 +168,7 @@ func BenchmarkPersistence(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	p := NewPersister(l)
+	p := replog.NewPersister(l)
 	c := NewCluster(3, nil, Config{Seed: 2}, nil)
 	lead := c.WaitLeader(1000)
 	if lead == nil {

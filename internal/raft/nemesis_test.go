@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fortyconsensus/internal/nemesis"
+	"fortyconsensus/internal/replog"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/types"
 )
@@ -17,7 +18,7 @@ import (
 type persistentCluster struct {
 	*Cluster
 	t    *testing.T
-	pers []*Persister
+	pers []*replog.Persister
 	cfg  Config
 }
 
@@ -31,7 +32,7 @@ func newPersistentCluster(t *testing.T, n int, fabric *simnet.Fabric, cfg Config
 }
 
 // syncLive journals every live node's hard-state changes — the per-tick
-// sync simplification persist.go documents.
+// sync simplification replog.Persister documents.
 func (pc *persistentCluster) syncLive() {
 	for i, n := range pc.Nodes {
 		if !pc.Crashed(types.NodeID(i)) {
@@ -78,9 +79,8 @@ func checkCommittedPrefix(c *Cluster) error {
 			if b.CommitFrontier() < min {
 				min = b.CommitFrontier()
 			}
-			la, lb := a.log, b.log
 			for k := types.Seq(1); k <= min; k++ {
-				if la[k].Term != lb[k].Term || !la[k].Val.Equal(lb[k].Val) {
+				if a.at(k).Term != b.at(k).Term || !a.at(k).Val.Equal(b.at(k).Val) {
 					return fmt.Errorf("committed prefix diverges at slot %d between nodes %d and %d", k, i, j)
 				}
 			}

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"fortyconsensus/internal/replog"
 	"fortyconsensus/internal/types"
 	"fortyconsensus/internal/wal"
 )
 
-// BenchmarkPersistSynced measures one Persister.Sync that journals k new
+// BenchmarkPersistSynced measures one replog.Persister.Sync that journals k new
 // entries with fsync on, on a single-member leader: what group commit
 // bounds at one fsync per Sync, whatever k. Written against exported
 // names only, so that a benchmark pair can lend it to an older commit.
@@ -20,7 +21,7 @@ func BenchmarkPersistSynced(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer l.Close()
-			p := NewPersister(l)
+			p := replog.NewPersister(l)
 			n := New(0, Config{Peers: []types.NodeID{0}, Seed: 11})
 			for i := 0; i < 100 && !n.IsLeader(); i++ {
 				n.Tick()

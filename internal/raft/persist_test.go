@@ -8,19 +8,20 @@ import (
 	"testing"
 
 	"fortyconsensus/internal/kvstore"
+	"fortyconsensus/internal/replog"
 	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/types"
 	"fortyconsensus/internal/wal"
 )
 
-func openPersister(t *testing.T, dir string) *Persister {
+func openPersister(t *testing.T, dir string) *replog.Persister {
 	t.Helper()
 	l, err := wal.Open(dir, wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	return NewPersister(l)
+	return replog.NewPersister(l)
 }
 
 func TestPersistRoundTrip(t *testing.T) {
@@ -53,7 +54,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatalf("log length: %d vs %d", fresh.lastIndex(), lead.lastIndex())
 	}
 	for i := types.Seq(1); i <= lead.lastIndex(); i++ {
-		if fresh.log[i].Term != lead.log[i].Term || !fresh.log[i].Val.Equal(lead.log[i].Val) {
+		if fresh.at(i).Term != lead.at(i).Term || !fresh.at(i).Val.Equal(lead.at(i).Val) {
 			t.Fatalf("entry %d differs", i)
 		}
 	}
@@ -120,8 +121,8 @@ func TestPersistTruncation(t *testing.T) {
 	if fresh.lastIndex() != 2 {
 		t.Fatalf("restored length %d, want 2 (truncated)", fresh.lastIndex())
 	}
-	if !fresh.log[2].Val.Equal(types.Value("B")) || fresh.log[2].Term != 3 {
-		t.Fatalf("restored entry 2 = %+v", fresh.log[2])
+	if !fresh.at(2).Val.Equal(types.Value("B")) || fresh.at(2).Term != 3 {
+		t.Fatalf("restored entry 2 = %+v", fresh.at(2))
 	}
 }
 
@@ -183,7 +184,7 @@ func TestSyncAfterOneAppendWritesOneRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	p := NewPersister(l)
+	p := replog.NewPersister(l)
 	n := soloLeader(t, 0)
 	for i := 0; i < 100_000; i++ {
 		n.Submit(types.Value{byte(i)})
@@ -254,7 +255,7 @@ func TestRestoreRequiresFreshNode(t *testing.T) {
 	dir := t.TempDir()
 	p := openPersister(t, dir)
 	n := New(0, Config{Peers: []types.NodeID{0}}.withDefaults())
-	n.log = append(n.log, LogEntry{Term: 1})
+	n.appendEntry(LogEntry{Term: 1})
 	if err := p.Restore(n); err == nil {
 		t.Fatal("restore into a dirty node accepted")
 	}
@@ -291,8 +292,8 @@ func TestRestoreReadsParentWrittenWAL(t *testing.T) {
 	if err := openPersister(t, dir).Restore(n); err != nil {
 		t.Fatal(err)
 	}
-	if n.term != 3 || n.votedFor != -1 || n.snapIndex != 2 || n.lastIndex() != 5 {
-		t.Fatalf("restored term=%d voted=%d snap=%d last=%d, want 3 -1 2 5", n.term, n.votedFor, n.snapIndex, n.lastIndex())
+	if n.term != 3 || n.votedFor != -1 || n.SnapshotIndex() != 2 || n.lastIndex() != 5 {
+		t.Fatalf("restored term=%d voted=%d snap=%d last=%d, want 3 -1 2 5", n.term, n.votedFor, n.SnapshotIndex(), n.lastIndex())
 	}
 	incr := smr.EncodeRequest(types.Request{Client: 9, SeqNo: 2, Op: kvstore.Incr("n", 1).Encode()})
 	if e := n.at(4); e.Term != 2 || !e.Val.Equal(incr) {
@@ -337,7 +338,7 @@ func FuzzRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	p := NewPersister(l)
+	p := replog.NewPersister(l)
 	n := New(1, Config{Peers: []types.NodeID{0, 1, 2}, Seed: 3})
 	for _, m := range []Message{
 		{Kind: MsgRequestVote, From: 0, To: 1, Term: 1},
@@ -387,13 +388,13 @@ func FuzzRestore(f *testing.F) {
 		if err := openPersister(t, again).Restore(m); err != nil {
 			t.Fatalf("re-journal of a restored node does not restore: %v", err)
 		}
-		if m.term != n.term || m.votedFor != n.votedFor || m.snapIndex != n.snapIndex || len(m.log) != len(n.log) {
-			t.Fatalf("re-journal restored term %d vote %d snap %d len %d, want %d %d %d %d",
-				m.term, m.votedFor, m.snapIndex, len(m.log), n.term, n.votedFor, n.snapIndex, len(n.log))
+		if m.term != n.term || m.votedFor != n.votedFor || m.SnapshotIndex() != n.SnapshotIndex() || m.lastIndex() != n.lastIndex() {
+			t.Fatalf("re-journal restored term %d vote %d snap %d last %d, want %d %d %d %d",
+				m.term, m.votedFor, m.SnapshotIndex(), m.lastIndex(), n.term, n.votedFor, n.SnapshotIndex(), n.lastIndex())
 		}
-		for i := range n.log {
-			if m.log[i].Term != n.log[i].Term || !m.log[i].Val.Equal(n.log[i].Val) {
-				t.Fatalf("re-journal restored entry %d as %+v, want %+v", types.Seq(i)+n.snapIndex, m.log[i], n.log[i])
+		for i := n.SnapshotIndex(); i <= n.lastIndex(); i++ {
+			if m.at(i).Term != n.at(i).Term || !m.at(i).Val.Equal(n.at(i).Val) {
+				t.Fatalf("re-journal restored entry %d as %+v, want %+v", i, m.at(i), n.at(i))
 			}
 		}
 	})

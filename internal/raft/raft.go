@@ -25,6 +25,7 @@ import (
 	"fortyconsensus/internal/core"
 	"fortyconsensus/internal/quorum"
 	"fortyconsensus/internal/readindex"
+	"fortyconsensus/internal/replog"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
@@ -179,6 +180,8 @@ const (
 
 // Node is one Raft replica.
 type Node struct {
+	replog.Core[Message]
+
 	id  types.NodeID
 	cfg Config
 	rng *simnet.RNG
@@ -189,20 +192,13 @@ type Node struct {
 	votedFor types.NodeID // -1 = none this term
 	lead     types.NodeID // -1 = unknown
 
-	// log[0] is a sentinel holding snapTerm; real entries start at global
-	// index snapIndex+1. Before any compaction snapIndex is 0 and global
-	// indices equal slice positions.
-	log         []LogEntry
-	unsynced    types.Seq // lowest index changed since the last Persister.Sync; 0 = none
+	// The log holds entries (SnapshotIndex, last]; at SnapshotIndex sits
+	// a sentinel whose term is snapTerm, the last compacted entry's.
+	log         replog.Log[LogEntry]
+	last        types.Seq
+	snapTerm    Term
 	commitIndex types.Seq
 	applied     types.Seq
-	decisions   []types.Decision
-
-	// Compaction state: everything at or below snapIndex lives only in
-	// the encoded snapshot snapData.
-	snapIndex types.Seq
-	snapTerm  Term
-	snapData  []byte
 
 	// Dynamic membership. members is the current (possibly uncommitted)
 	// config, sorted; confLog remembers the member set in force *before*
@@ -215,13 +211,6 @@ type Node struct {
 	passive       bool
 
 	recv snapshot.Receiver // an incoming snapshot transfer (follower side)
-	// holdCompact counts down the ticks Compact still refuses: it is
-	// reset whenever a follower's answer draws the next snapshot chunk.
-	holdCompact int
-	// installed surfaces the most recently installed snapshot so the
-	// host can restore its executor/state machine; drained by
-	// TakeInstalledSnapshot.
-	installed *snapshot.Snapshot
 
 	// Candidate state.
 	votes *quorum.Tally
@@ -239,8 +228,6 @@ type Node struct {
 
 	reads     readindex.Tracker // read.go
 	readFloor types.Seq         // this term's no-op: no read confirms before it commits
-
-	out, spare []Message // the outbox and what the last Drain handed out: swapped, never regrown
 }
 
 // New builds a Raft replica.
@@ -253,7 +240,6 @@ func New(id types.NodeID, cfg Config) *Node {
 		q:        quorum.Majority{N: len(cfg.Peers)},
 		votedFor: -1,
 		lead:     -1,
-		log:      []LogEntry{{}}, // sentinel at index 0
 		passive:  cfg.Passive,
 	}
 	n.members = append([]types.NodeID(nil), cfg.Peers...)
@@ -269,7 +255,7 @@ func New(id types.NodeID, cfg Config) *Node {
 // its jitter only has to order the fresh candidates, so that the first
 // one's RequestVote lands before the others fire, and one heartbeat
 // interval is the round trip the config promises. A node restored from
-// its journal holds a term and waits the full base (Persister.Restore).
+// its journal holds a term and waits the full base (its mapping's Rearm).
 func (n *Node) resetElectionTimer() {
 	if n.term == 0 {
 		n.electionIn = 1 + n.rng.Intn(n.cfg.HeartbeatTicks)
@@ -278,18 +264,23 @@ func (n *Node) resetElectionTimer() {
 	n.electionIn = n.cfg.ElectionTimeoutTicks + n.rng.Intn(n.cfg.ElectionTimeoutTicks)
 }
 
-func (n *Node) lastIndex() types.Seq { return n.snapIndex + types.Seq(len(n.log)-1) }
-func (n *Node) lastTerm() Term       { return n.log[len(n.log)-1].Term }
+func (n *Node) lastIndex() types.Seq { return n.last }
+func (n *Node) lastTerm() Term       { return n.at(n.last).Term }
 
-// at maps a global log index to its entry. Only indices in
-// [snapIndex, lastIndex] are addressable; at(snapIndex) is the sentinel
-// carrying the snapshot's term.
-func (n *Node) at(i types.Seq) LogEntry { return n.log[i-n.snapIndex] }
+// at returns the entry at global index i. Only indices in
+// [SnapshotIndex, lastIndex] are addressable; at(SnapshotIndex) is the
+// sentinel carrying the snapshot's term.
+func (n *Node) at(i types.Seq) LogEntry {
+	if i == n.SnapshotIndex() {
+		return LogEntry{Term: n.snapTerm}
+	}
+	return *n.log.Get(i)
+}
 
 func (n *Node) send(m Message) {
 	m.From = n.id
 	m.Term = n.term
-	n.out = append(n.out, m)
+	n.Post(m)
 }
 
 // IsLeader reports whether this node currently leads.
@@ -300,13 +291,6 @@ func (n *Node) Leader() types.NodeID { return n.lead }
 
 // CommitFrontier returns the commit index.
 func (n *Node) CommitFrontier() types.Seq { return n.commitIndex }
-
-// TakeDecisions drains newly committed decisions in order.
-func (n *Node) TakeDecisions() []types.Decision {
-	d := n.decisions
-	n.decisions = nil
-	return d
-}
 
 // Submit appends a value to the log if this node leads, and otherwise
 // drops it: routing a request to the leader is the host's job (Leader
@@ -339,19 +323,13 @@ func (n *Node) Submit(v types.Value) {
 // change immediately if the value is one (the single-server rule: a
 // config entry takes effect when appended, not when committed).
 func (n *Node) appendEntry(e LogEntry) {
-	n.log = append(n.log, e)
-	n.touch(n.lastIndex())
+	n.last++
+	*n.log.At(n.last) = e
+	n.Touch(n.last)
 	if snapshot.IsConfChange(e.Val) {
 		if cc, err := snapshot.DecodeConfChange(e.Val); err == nil {
 			n.applyConf(cc, n.lastIndex())
 		}
-	}
-}
-
-// touch records that the log changed at index i, for Persister.Sync.
-func (n *Node) touch(i types.Seq) {
-	if n.unsynced == 0 || i < n.unsynced {
-		n.unsynced = i
 	}
 }
 
@@ -493,7 +471,7 @@ func (n *Node) pass(beat bool) {
 // carrying entries [next, next+maxBatch) — none if next is past the log,
 // which is the heartbeat.
 func (n *Node) sendNext(p types.NodeID, pr *progress) {
-	if pr.state != stateSnapshot && pr.next <= n.snapIndex {
+	if pr.state != stateSnapshot && pr.next <= n.SnapshotIndex() {
 		pr.state, pr.snapOff, pr.behind = stateSnapshot, 0, true
 	}
 	if pr.state == stateSnapshot {
@@ -504,15 +482,17 @@ func (n *Node) sendNext(p types.NodeID, pr *progress) {
 	hi := prev
 	for size := 0; hi < n.lastIndex() && hi-prev < maxBatch && size < snapshot.BatchBytes; {
 		hi++
-		size += len(n.at(hi).Val)
+		size += len(n.log.Get(hi).Val)
 	}
 	var batch []LogEntry
 	if hi >= pr.next {
 		// Exact-size header copy: in-flight messages must not alias the
-		// log's backing array (a later truncate-and-append would rewrite
-		// them), but the Values inside are immutable and shared.
+		// log's pages (a later truncate-and-append would rewrite them),
+		// but the Values inside are immutable and shared.
 		batch = make([]LogEntry, hi-prev)
-		copy(batch, n.log[pr.next-n.snapIndex:hi-n.snapIndex+1])
+		for i := range batch {
+			batch[i] = *n.log.Get(pr.next + types.Seq(i))
+		}
 	}
 	n.send(Message{
 		Kind: MsgAppend, To: p,
@@ -595,17 +575,17 @@ func (n *Node) onAppend(m Message) {
 	}
 	n.becomeFollower(m.Term, m.From)
 	entries, prevIndex, prevTerm := m.Entries, m.PrevIndex, m.PrevTerm
-	if prevIndex < n.snapIndex {
-		// The message starts below our snapshot. Everything through
-		// snapIndex is committed state we already hold, so trim the prefix
-		// and re-anchor the consistency check at the snapshot boundary.
-		drop := n.snapIndex - prevIndex
+	if snap := n.SnapshotIndex(); prevIndex < snap {
+		// The message starts below our snapshot. Everything through it is
+		// committed state we already hold, so trim the prefix and
+		// re-anchor the consistency check at the snapshot boundary.
+		drop := snap - prevIndex
 		if types.Seq(len(entries)) <= drop {
-			n.send(Message{Kind: MsgAppendResp, To: m.From, Success: true, MatchIndex: n.snapIndex, Read: m.Read})
+			n.send(Message{Kind: MsgAppendResp, To: m.From, Success: true, MatchIndex: snap, Read: m.Read})
 			return
 		}
 		entries = entries[drop:]
-		prevIndex, prevTerm = n.snapIndex, n.snapTerm
+		prevIndex, prevTerm = snap, n.snapTerm
 	}
 	// Log Matching check. The reject echoes the PrevIndex it refused, so
 	// the leader can tell it from rejects of frames it has since resent,
@@ -732,7 +712,7 @@ func (n *Node) maybeCommit() {
 		}
 	}
 	candidate := matches[n.q.Threshold()-1]
-	if candidate > n.commitIndex && candidate > n.snapIndex && n.at(candidate).Term == n.term {
+	if candidate > n.commitIndex && candidate > n.SnapshotIndex() && n.at(candidate).Term == n.term {
 		n.advanceCommit(candidate)
 	}
 }
@@ -747,7 +727,7 @@ func (n *Node) advanceCommit(to types.Seq) {
 	n.commitIndex = to
 	for n.applied < n.commitIndex {
 		n.applied++
-		n.decisions = append(n.decisions, types.Decision{Slot: n.applied, Val: n.at(n.applied).Val})
+		n.Decide(n.applied, n.log.Get(n.applied).Val)
 	}
 	if n.selfRemovedAt > 0 && n.commitIndex >= n.selfRemovedAt && n.role == leader {
 		// The entry removing this node is committed: step down so the
@@ -758,7 +738,7 @@ func (n *Node) advanceCommit(to types.Seq) {
 
 // Tick advances timers.
 func (n *Node) Tick() {
-	n.holdCompact = max(n.holdCompact-1, 0)
+	n.TickHold()
 	switch n.role {
 	case leader:
 		n.hbIn--
@@ -780,14 +760,4 @@ func (n *Node) Tick() {
 			n.campaign()
 		}
 	}
-}
-
-// Drain returns pending outbound messages. The slice is valid until the
-// next Drain, which reuses it: a caller that keeps a message past that
-// copies it (the runner and the live host send each one on at once).
-func (n *Node) Drain() []Message {
-	out := n.out
-	clear(n.spare) // what the last Drain returned is void now: let it go
-	n.out, n.spare = n.spare[:0], out
-	return out
 }

@@ -328,21 +328,13 @@ func (c *Cluster) CheckLogMatching() error {
 	for i := 0; i < len(c.Nodes); i++ {
 		for j := i + 1; j < len(c.Nodes); j++ {
 			na, nb := c.Nodes[i], c.Nodes[j]
-			a, b := na.log, nb.log
-			baseA, baseB := na.SnapshotIndex(), nb.SnapshotIndex()
-			lo := baseA
-			if baseB > lo {
-				lo = baseB
-			}
-			hi := baseA + types.Seq(len(a)-1)
-			if h := baseB + types.Seq(len(b)-1); h < hi {
-				hi = h
-			}
+			lo := max(na.SnapshotIndex(), nb.SnapshotIndex())
+			hi := min(na.lastIndex(), nb.lastIndex())
 			for k := hi; k > lo; k-- {
-				if a[k-baseA].Term == b[k-baseB].Term {
+				if na.at(k).Term == nb.at(k).Term {
 					// Everything at and below k (that both hold) must match.
 					for l := lo + 1; l <= k; l++ {
-						ea, eb := a[l-baseA], b[l-baseB]
+						ea, eb := na.at(l), nb.at(l)
 						if ea.Term != eb.Term || !ea.Val.Equal(eb.Val) {
 							return &logMatchError{na.id, nb.id}
 						}

@@ -1,24 +1,28 @@
 package raft
 
 import (
+	"fmt"
 	"slices"
 
 	"fortyconsensus/internal/quorum"
+	"fortyconsensus/internal/replog"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
+	"fortyconsensus/internal/wal"
 )
 
 // Log compaction, InstallSnapshot transfer, and single-server membership
 // changes.
 //
 // Compaction folds the applied prefix of the log into an encoded
-// snapshot.Snapshot; the in-memory log keeps a sentinel at snapIndex
-// carrying snapTerm, so the AppendEntries consistency check still works
-// at the boundary. A follower whose next index falls at or below
-// snapIndex cannot be caught up by entries — the leader streams the
-// snapshot in offset-resumable chunks instead (MsgSnap/MsgSnapResp, into
-// the snapshot.Receiver Multi-Paxos' state transfer uses too) and
-// resumes replication above it once the follower reports the install.
+// snapshot.Snapshot and drops the log's pages below it; the node keeps
+// a sentinel at SnapshotIndex carrying snapTerm, so the AppendEntries
+// consistency check still works at the boundary. A follower whose next
+// index falls at or below SnapshotIndex cannot be caught up by entries
+// — the leader streams the snapshot in offset-resumable chunks instead
+// (MsgSnap/MsgSnapResp, into the snapshot.Receiver Multi-Paxos' state
+// transfer uses too) and resumes replication above it once the
+// follower reports the install.
 //
 // Membership uses the single-server change rule from Ongaro's
 // dissertation (§4.1): one add or remove at a time, and a node uses the
@@ -50,19 +54,6 @@ func (n *Node) isMember(id types.NodeID) bool {
 // log, committed or not).
 func (n *Node) Members() []types.NodeID {
 	return append([]types.NodeID(nil), n.members...)
-}
-
-// SnapshotIndex returns the index of the last compacted entry (0 when
-// the log is dense from index 1).
-func (n *Node) SnapshotIndex() types.Seq { return n.snapIndex }
-
-// TakeInstalledSnapshot drains the most recently installed snapshot, if
-// any, so the host can restore its executor and state machine before
-// consuming further decisions.
-func (n *Node) TakeInstalledSnapshot() *snapshot.Snapshot {
-	s := n.installed
-	n.installed = nil
-	return s
 }
 
 func (n *Node) setMembers(ms []types.NodeID) {
@@ -143,8 +134,9 @@ func (n *Node) truncateFrom(idx types.Seq) {
 	if n.selfRemovedAt >= idx {
 		n.selfRemovedAt = 0
 	}
-	n.log = n.log[:idx-n.snapIndex]
-	n.touch(idx)
+	n.log.TruncateFrom(idx)
+	n.last = idx - 1
+	n.Touch(idx)
 }
 
 // membersAt reconstructs the member set as of global index idx by
@@ -165,10 +157,11 @@ func (n *Node) membersAt(idx types.Seq) []types.NodeID {
 // bytes). upTo must be applied already; compacting at or past the apply
 // frontier would discard entries the host never saw. Reports whether
 // anything was compacted: it refuses while a follower is taking a
-// snapshot transfer (holdCompact). A leader first sends each replicating
+// snapshot transfer (CompactHeld). A leader first sends each replicating
 // follower what it lacks below upTo: a tick's lag is not worth a snapshot.
+// The entries above upTo stay where they are: whole pages below it go.
 func (n *Node) Compact(upTo types.Seq, state []byte) bool {
-	if upTo <= n.snapIndex || upTo > n.applied || n.CompactHeld() {
+	if upTo <= n.SnapshotIndex() || upTo > n.applied || n.CompactHeld() {
 		return false
 	}
 	for _, p := range n.members {
@@ -176,17 +169,12 @@ func (n *Node) Compact(upTo types.Seq, state []byte) bool {
 			n.sendNext(p, pr)
 		}
 	}
-	term := n.at(upTo).Term
-	tail := make([]LogEntry, n.lastIndex()-upTo+1)
-	tail[0] = LogEntry{Term: term}
-	copy(tail[1:], n.log[upTo-n.snapIndex+1:])
-	snap := snapshot.Snapshot{
-		LastIndex: upTo, LastTerm: uint64(term),
+	n.snapTerm = n.at(upTo).Term
+	n.Compacted(snapshot.Snapshot{
+		LastIndex: upTo, LastTerm: uint64(n.snapTerm),
 		Members: n.membersAt(upTo), State: state,
-	}
-	n.log = tail
-	n.snapIndex, n.snapTerm = upTo, term
-	n.snapData = snapshot.Encode(snap)
+	})
+	n.log.DropThrough(upTo)
 	// Config records at or below the compaction point can never be
 	// truncated (that region is committed) — drop them.
 	keep := n.confLog[:0]
@@ -199,20 +187,16 @@ func (n *Node) Compact(upTo types.Seq, state []byte) bool {
 	return true
 }
 
-// CompactHeld reports whether Compact refuses for now: a snapshot
-// transfer this node serves is under way (holdCompact).
-func (n *Node) CompactHeld() bool { return n.holdCompact > 0 }
-
 // sendSnapChunk sends p the chunk of the current snapshot at off; ask
 // asks for an answer even if p already holds it.
 func (n *Node) sendSnapChunk(p types.NodeID, off int, ask bool) {
-	if n.snapData == nil {
+	if n.Snapshot() == nil {
 		return
 	}
-	chunk, done := snapshot.ChunkAt(n.snapData, off)
+	chunk, done := snapshot.ChunkAt(n.Snapshot(), off)
 	n.send(Message{
 		Kind: MsgSnap, To: p,
-		PrevIndex: n.snapIndex, PrevTerm: n.snapTerm,
+		PrevIndex: n.SnapshotIndex(), PrevTerm: n.snapTerm,
 		LeaderCommit: n.commitIndex, Success: ask,
 		Val: types.Value(chunk), Offset: uint32(off), Done: done,
 	})
@@ -235,33 +219,28 @@ func (n *Node) onSnap(m Message) {
 	}
 	raw, snap, ask := n.recv.Take(m.PrevIndex, int(m.Offset), m.Val, m.Done)
 	if snap != nil {
-		n.installSnapshot(*snap, raw)
-		n.send(Message{Kind: MsgSnapResp, To: m.From, Success: true, Done: true, MatchIndex: n.snapIndex})
+		n.installSnapshot(snap, raw)
+		n.send(Message{Kind: MsgSnapResp, To: m.From, Success: true, Done: true, MatchIndex: n.SnapshotIndex()})
 	} else if ask || m.Success {
 		n.send(Message{Kind: MsgSnapResp, To: m.From, Success: true,
 			PrevIndex: m.PrevIndex, Offset: uint32(n.recv.Offset())})
 	}
 }
 
-// installSnapshot replaces the node's log prefix and membership with the
+// installSnapshot replaces the node's log and membership with the
 // snapshot's, keeping raw, its encoding, which the caller hands over.
 // The caller guarantees snap.LastIndex > commitIndex.
-func (n *Node) installSnapshot(snap snapshot.Snapshot, raw []byte) {
-	n.snapIndex = snap.LastIndex
+func (n *Node) installSnapshot(snap *snapshot.Snapshot, raw []byte) {
+	n.Installed(snap, raw)
 	n.snapTerm = Term(snap.LastTerm)
-	n.snapData = raw
-	n.log = []LogEntry{{Term: n.snapTerm}}
-	n.commitIndex, n.applied = n.snapIndex, n.snapIndex
-	// Undrained decisions below the snapshot are subsumed by the
-	// installed state the host restores from.
-	n.decisions = nil
+	n.log = replog.Log[LogEntry]{}
+	n.log.DropThrough(snap.LastIndex)
+	n.last, n.commitIndex, n.applied = snap.LastIndex, snap.LastIndex, snap.LastIndex
 	ms := append([]types.NodeID(nil), snap.Members...)
 	slices.Sort(ms)
 	n.confLog = nil
 	n.selfRemovedAt = 0
 	n.setMembers(ms)
-	cp := snap
-	n.installed = &cp
 }
 
 // onSnapResp handles a follower's transfer ack at the leader.
@@ -290,6 +269,35 @@ func (n *Node) onSnapResp(m Message) {
 	// over and asks for 0. While it answers, compact nothing, which
 	// would start the transfer over.
 	pr.snapOff = int(m.Offset)
-	n.holdCompact = n.cfg.ElectionTimeoutTicks
+	n.HoldCompact(n.cfg.ElectionTimeoutTicks)
 	n.sendSnapChunk(m.From, pr.snapOff, false)
+}
+
+// Journal maps the node onto its journal (replog.Persister): the hard
+// state is (term, vote+1), an entry's tag its term, and the snapshot
+// file holds a snapshot/v1 blob of kind 'R'.
+func (n *Node) Journal() replog.Mapping {
+	return replog.Mapping{
+		Kind:  'R',
+		Hard:  wal.Hard{uint64(n.term), uint64(n.votedFor) + 1}, // -1 → 0
+		Fresh: n.lastIndex() == 0 && n.term == 0,
+		Entries: func(from uint64, add func(i, tag uint64, val []byte)) error {
+			for i := types.Seq(from); i <= n.lastIndex(); i++ {
+				e := n.log.Get(i)
+				add(uint64(i), uint64(e.Term), e.Val)
+			}
+			return nil
+		},
+		Install: n.installSnapshot,
+		Entry: func(i, tag uint64, val []byte) error {
+			if types.Seq(i) != n.lastIndex()+1 {
+				return fmt.Errorf("raft: append gap: %d after %d", i, n.lastIndex())
+			}
+			n.appendEntry(LogEntry{Term: Term(tag), Val: val})
+			return nil
+		},
+		Truncate: func(keep uint64) { n.truncateFrom(types.Seq(keep) + 1) },
+		SetHard:  func(h wal.Hard) { n.term, n.votedFor = Term(h[0]), types.NodeID(h[1])-1 },
+		Rearm:    n.resetElectionTimer,
+	}
 }

@@ -3,7 +3,9 @@ package raft
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"fortyconsensus/internal/kvstore"
 	"fortyconsensus/internal/runner"
@@ -72,8 +74,8 @@ func TestCompactBounds(t *testing.T) {
 	if !n.Compact(n.CommitFrontier(), []byte("s")) {
 		t.Fatal("compaction at the commit frontier refused")
 	}
-	if n.SnapshotIndex() != n.CommitFrontier() || len(n.log) != 1 {
-		t.Fatalf("snapIndex=%d commit=%d loglen=%d", n.SnapshotIndex(), n.CommitFrontier(), len(n.log))
+	if n.SnapshotIndex() != n.CommitFrontier() || n.lastIndex() != n.SnapshotIndex() {
+		t.Fatalf("snapIndex=%d commit=%d last=%d", n.SnapshotIndex(), n.CommitFrontier(), n.lastIndex())
 	}
 	// The node keeps working past the boundary.
 	n.Submit(types.Value("after"))
@@ -624,5 +626,32 @@ func TestSnapshotTransferSurvivesCompaction(t *testing.T) {
 	}
 	if bound := chunks + ticks/5 + 8; frames > bound {
 		t.Fatalf("%d chunks over %d ticks took %d MsgSnap frames, want at most %d: the transfer started over", chunks, ticks, frames, bound)
+	}
+}
+
+// Compact drops the log's pages below the snapshot and copies nothing
+// above it: compacting the first entries of a long log allocates what
+// the snapshot needs, not the retained tail's size.
+func TestCompactCopiesNoRetainedEntry(t *testing.T) {
+	n := New(0, Config{Peers: []types.NodeID{0}})
+	for !n.IsLeader() {
+		n.Tick()
+	}
+	const entries = 20_000
+	for i := 0; i < entries; i++ {
+		n.Submit(types.Value("v"))
+	}
+	n.TakeDecisions()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if !n.Compact(10, []byte("state")) {
+		t.Fatal("compaction refused")
+	}
+	runtime.ReadMemStats(&after)
+	if got, tail := after.TotalAlloc-before.TotalAlloc, uint64(entries*unsafe.Sizeof(LogEntry{})); got >= tail/16 {
+		t.Fatalf("compacting 10 of %d entries allocated %d bytes; the retained tail is %d", entries, got, tail)
+	}
+	if n.lastIndex() != entries+1 || !n.at(11).Val.Equal(types.Value("v")) {
+		t.Fatalf("after compaction the log ends at %d, entry 11 = %+v", n.lastIndex(), n.at(11))
 	}
 }

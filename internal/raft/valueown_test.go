@@ -26,10 +26,9 @@ func TestAppendBatchOwnership(t *testing.T) {
 	// The leader reuses its buffer after the call returns. A follower
 	// that retained the loaned slice sees its log rewritten under it.
 	valuetest.Poison(batch, LogEntry{Term: 99, Val: types.Value("poison")})
-	log := n.log
-	if log[1].Term != 1 || !log[1].Val.Equal(types.Value("alpha")) ||
-		log[2].Term != 1 || !log[2].Val.Equal(types.Value("beta")) {
-		t.Fatalf("log rewritten through the loaned batch slice: %+v", log[1:])
+	if n.at(1).Term != 1 || !n.at(1).Val.Equal(types.Value("alpha")) ||
+		n.at(2).Term != 1 || !n.at(2).Val.Equal(types.Value("beta")) {
+		t.Fatalf("log rewritten through the loaned batch slice: %+v %+v", n.at(1), n.at(2))
 	}
 
 	// Committing and applying must not touch the shared bytes either.

@@ -359,7 +359,7 @@ func (r *Replica) onReplyOK(m Message) {
 	if !s.votes.Add(m.From) {
 		return
 	}
-	r.commitSlot(m.Seq, s)
+	r.commitSlot(s)
 	r.sendAll(Message{Kind: MsgCommit, Seq: m.Seq, Digest: s.digest, Req: s.req.Clone()}, r.everyone())
 }
 
@@ -403,7 +403,7 @@ func (r *Replica) maybeDecideProxy(seq types.Seq, s *slot) {
 	if s.committed || s.req == nil || !s.validated || !s.votes.Reached() {
 		return
 	}
-	r.commitSlot(seq, s)
+	r.commitSlot(s)
 	// Proxies announce the decision to everyone outside the proxy set.
 	var rest []types.NodeID
 	for i := 0; i < r.cfg.N(); i++ {
@@ -428,7 +428,7 @@ func (r *Replica) onCommitMsg(m Message) {
 		s := r.getSlot(m.Seq)
 		s.req = m.Req.Clone()
 		s.digest = m.Digest
-		r.commitSlot(m.Seq, s)
+		r.commitSlot(s)
 		return
 	}
 	if !r.isProxy(m.From) {
@@ -443,11 +443,11 @@ func (r *Replica) onCommitMsg(m Message) {
 		s := r.getSlot(m.Seq)
 		s.req = m.Req.Clone()
 		s.digest = m.Digest
-		r.commitSlot(m.Seq, s)
+		r.commitSlot(s)
 	}
 }
 
-func (r *Replica) commitSlot(seq types.Seq, s *slot) {
+func (r *Replica) commitSlot(s *slot) {
 	if s.committed {
 		return
 	}

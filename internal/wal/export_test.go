@@ -11,6 +11,20 @@ import (
 
 func checksumForTest(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
+// Snapshot is snapshot with the new journal given as records, for the
+// tests that write a snapshot file without a Journal.
+func (l *Log) Snapshot(kind uint8, payload []byte, journal ...Record) error {
+	if l.err != nil {
+		return l.err
+	}
+	jb, err := frame(l.buf[:0], journal)
+	if err != nil {
+		return err
+	}
+	l.buf = jb
+	return l.snapshot(kind, payload, jb)
+}
+
 // ErrInjected is the error every operation a Faults injects returns.
 var ErrInjected = errors.New("injected fault")
 

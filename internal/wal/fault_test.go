@@ -12,6 +12,7 @@ import (
 
 	"fortyconsensus/internal/multipaxos"
 	"fortyconsensus/internal/raft"
+	"fortyconsensus/internal/replog"
 	"fortyconsensus/internal/types"
 	"fortyconsensus/internal/wal"
 )
@@ -63,7 +64,7 @@ func restore(t *testing.T, dir string) *raft.Node {
 	}
 	defer l.Close()
 	n := raft.New(1, raft.Config{Peers: peers, Seed: 3})
-	if err := raft.NewPersister(l).Restore(n); err != nil {
+	if err := replog.NewPersister(l).Restore(n); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	return n
@@ -137,7 +138,7 @@ func TestSyncIsOneWriteAndOneFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	p := raft.NewPersister(l)
+	p := replog.NewPersister(l)
 	n := raft.New(1, raft.Config{Peers: peers, Seed: 3})
 	step(n, raft.Message{Kind: raft.MsgAppend, From: 0, Term: 2, Entries: entries(2, "a", "b", "c")})
 	if err := p.Sync(n); err != nil {
@@ -171,7 +172,7 @@ func TestSnapshotSyncOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	p := raft.NewPersister(l)
+	p := replog.NewPersister(l)
 	n := votedAndCommitted()
 	if err := p.Sync(n); err != nil {
 		t.Fatal(err)
@@ -206,7 +207,7 @@ func TestSnapshotSyncCrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := raft.NewPersister(l)
+		p := replog.NewPersister(l)
 		n := votedAndCommitted()
 		if err := p.Sync(n); err != nil {
 			t.Fatal(err)
@@ -271,7 +272,7 @@ func restoreAcceptor(t *testing.T, dir string) *multipaxos.Node {
 	}
 	defer l.Close()
 	n := multipaxos.New(1, multipaxos.Config{Peers: peers, Seed: 3})
-	if err := multipaxos.NewPersister(l).Restore(n); err != nil {
+	if err := replog.NewPersister(l).Restore(n); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	return n
@@ -311,7 +312,7 @@ func TestMultiPaxosSyncIsOneWriteAndOneFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	p := multipaxos.NewPersister(l)
+	p := replog.NewPersister(l)
 	n := multipaxos.New(1, multipaxos.Config{Peers: peers, Seed: 3})
 	for s, v := range []string{"a", "b", "c"} {
 		accept(n, ballot1, types.Seq(s+1), v)
@@ -352,7 +353,7 @@ func TestMultiPaxosSnapshotSyncCrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := multipaxos.NewPersister(l)
+		p := replog.NewPersister(l)
 		n := acceptedAndCommitted()
 		if err := p.Sync(n); err != nil {
 			t.Fatal(err)
@@ -446,7 +447,7 @@ func TestTornBatchRestoresAPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := raft.NewPersister(l)
+	p := replog.NewPersister(l)
 	n := raft.New(1, raft.Config{Peers: peers, Seed: 3})
 	step(n, raft.Message{Kind: raft.MsgAppend, From: 0, Term: 2, Entries: entries(2, "a", "b", "c")})
 	if err := p.Sync(n); err != nil {

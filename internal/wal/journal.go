@@ -10,8 +10,9 @@ import (
 // format raft and Multi-Paxos share: a two-word hard state, entries
 // keyed by index that each carry a u64 tag and a value, and
 // truncations, over a Log whose snapshot file replaces the journal
-// whole. A backend maps its own state onto it (raft.Persister,
-// multipaxos.Persister). The journal keeps a shadow of what is
+// whole. replog.Persister writes and reads it, and a backend supplies
+// only its own state's mapping onto it (raft.Node.Journal,
+// multipaxos.Node.Journal). The journal keeps a shadow of what is
 // durable, so a Sync writes what changed since the last one and
 // nothing else.
 //

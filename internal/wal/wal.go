@@ -6,13 +6,13 @@
 // (accepted ballots, log entries, votes) and replaying them on restart.
 //
 // Group commit: one Append is one write and one fsync, however many
-// records it carries. Crash order: Snapshot makes the snapshot file
+// records it carries. Crash order: a snapshot makes the snapshot file
 // durable (tmp file, fsync, rename, directory fsync) before it replaces
 // the journal the same way, so a crash leaves the old or the new
 // snapshot, the latter possibly beside the old journal; replay must
 // skip journaled state the snapshot already covers. The first failed
 // write, fsync, truncate or rename poisons the Log — what reached the
-// disk is unknown — and every later Append, Snapshot and Close returns it.
+// disk is unknown — and every later Append, snapshot and Close returns it.
 package wal
 
 import (
@@ -256,22 +256,9 @@ const (
 	snapHeaderLen = 3 + 1 + 1 + 4
 )
 
-// Snapshot replaces the log's snapshot with payload, tagged kind, then
-// its journal with journal: the records that still apply on top of the
-// snapshot. Each file is durable before the next step starts.
-func (l *Log) Snapshot(kind uint8, payload []byte, journal ...Record) error {
-	if l.err != nil {
-		return l.err
-	}
-	jb, err := frame(l.buf[:0], journal)
-	if err != nil {
-		return err
-	}
-	l.buf = jb
-	return l.snapshot(kind, payload, jb)
-}
-
-// snapshot is Snapshot with the new journal framed already, as jb.
+// snapshot replaces the log's snapshot with payload, tagged kind, then
+// its journal with jb, the framed records that still apply on top of
+// the snapshot. Each file is durable before the next step starts.
 func (l *Log) snapshot(kind uint8, payload, jb []byte) error {
 	if l.err != nil {
 		return l.err

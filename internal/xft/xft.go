@@ -302,7 +302,7 @@ func (r *Replica) prepare(req types.Value, d chaincrypto.Digest) {
 	s.started = r.now
 	s.commits.Add(r.id)
 	r.sendAll(Message{Kind: MsgPrepare, View: r.view, Seq: r.seq, Digest: d, Req: req.Clone()}, r.Group(r.view))
-	r.maybeCommit(r.seq, s)
+	r.maybeCommit(s)
 }
 
 func (r *Replica) onPrepare(m Message) {
@@ -330,7 +330,7 @@ func (r *Replica) onPrepare(m Message) {
 		r.seq = m.Seq
 	}
 	r.sendAll(Message{Kind: MsgCommit, View: r.view, Seq: m.Seq, Digest: m.Digest, Req: m.Req.Clone()}, r.Group(r.view))
-	r.maybeCommit(m.Seq, s)
+	r.maybeCommit(s)
 }
 
 func (r *Replica) onCommit(m Message) {
@@ -346,11 +346,11 @@ func (r *Replica) onCommit(m Message) {
 		return
 	}
 	s.commits.Add(m.From)
-	r.maybeCommit(m.Seq, s)
+	r.maybeCommit(s)
 }
 
 // maybeCommit requires the whole synchronous group (f+1 of f+1).
-func (r *Replica) maybeCommit(seq types.Seq, s *slot) {
+func (r *Replica) maybeCommit(s *slot) {
 	if s.committed || s.req == nil || !s.commits.Reached() {
 		return
 	}

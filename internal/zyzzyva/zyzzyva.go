@@ -238,7 +238,7 @@ func (r *Replica) onRequest(m Message) {
 		for _, s := range det.SortedKeys(r.log) {
 			if req := r.log[s]; req.Equal(m.Req) {
 				r.broadcast(Message{Kind: MsgOrderReq, View: r.view, Seq: s, Req: req.Clone(), History: r.histAt[s]})
-				r.respond(clientOf(req), s, req)
+				r.sendResponseFor(s)
 				return
 			}
 		}
@@ -248,7 +248,7 @@ func (r *Replica) onRequest(m Message) {
 		r.histAt[r.seq] = r.history
 		r.decisions = append(r.decisions, types.Decision{Slot: r.seq, Val: m.Req.Clone()})
 		r.broadcast(Message{Kind: MsgOrderReq, View: r.view, Seq: r.seq, Req: m.Req.Clone(), History: r.history})
-		r.respond(clientOf(m.Req), r.seq, m.Req)
+		r.sendResponseFor(r.seq)
 		return
 	}
 	if _, ok := r.pending[d]; !ok {
@@ -308,7 +308,7 @@ func (r *Replica) onOrderReq(m Message) {
 	// client node id is encoded by the harness in To of the original
 	// request — here we respond to all known clients via broadcast-free
 	// convention: the harness reads responses addressed to the client).
-	r.respond(clientOf(m.Req), m.Seq, m.Req)
+	r.sendResponseFor(m.Seq)
 }
 
 // clientOf extracts the requesting client's node id from the request
@@ -318,10 +318,6 @@ func clientOf(req types.Value) types.NodeID {
 		return -1
 	}
 	return types.NodeID(req[0])
-}
-
-func (r *Replica) respond(to types.NodeID, seq types.Seq, req types.Value) {
-	r.sendResponseFor(seq)
 }
 
 // sendResponseFor emits the speculative response for an executed slot.
