@@ -1,6 +1,6 @@
 // Command consensus-lint is the repo's determinism-contract
 // multichecker (DESIGN.md, "Determinism contract"). It loads the whole
-// module, builds a package-level call graph, and runs eight analyzers:
+// module, builds a package-level call graph, and runs nine analyzers:
 //
 //	nodeterm    no wall-clock, global randomness, env reads,
 //	            goroutines or channels in protocol code (direct uses,
@@ -17,13 +17,17 @@
 //	quorumlit   no hand-rolled quorum arithmetic outside internal/quorum
 //	deadcode    no function or method that no main, init or
 //	            package-level initialiser of the module can reach (an
-//	            interface call reaches a method only if reached code
-//	            mentions its receiver type), and no field of a
+//	            interface call reaches the methods of the types that
+//	            implement it, or an instance of a generic one, once
+//	            reached code mentions the type), and no field of a
 //	            …Config/…Options/…Params type that none of them sets,
 //	            bar its withDefaults or Default… function
 //	unusedparam no named parameter its function body never reads,
 //	            unless an interface or a func-typed use fixes the
 //	            signature
+//	unreadfield no struct field that no code, tests included, reads:
+//	            an assignment, ++, op= or composite-literal key only
+//	            writes it
 //
 // maporder and quorumlit run over every package in the module — the
 // harness and CLIs pin golden artifacts too. The four protocol-contract
@@ -35,8 +39,8 @@
 // deadcode runs over every package but the test-support ones
 // (testSupport), and leaves alone the functions awaitingDurability
 // names until a program calls them, and the configuration fields
-// testedKnobs names until a program sets them. unusedparam runs over
-// every package.
+// testedKnobs names until a program sets them. unusedparam and
+// unreadfield run over every package.
 //
 // Findings are suppressed site-by-site with
 //
@@ -168,6 +172,7 @@ var scopes = []struct {
 	{quorumlit.Analyzer, []string{"internal/quorum"}},
 	{deadcode.New(awaitingDurability, testedKnobs), testSupport},
 	{deadcode.Params, nil},
+	{deadcode.Fields, nil},
 }
 
 // finding is one diagnostic in the stable machine-readable form the

@@ -37,17 +37,14 @@ import (
 
 func init() {
 	core.Register(core.Profile{
-		Name:                 "cheapbft",
-		Synchrony:            core.PartiallySynchronous,
-		Failure:              core.Hybrid,
-		Strategy:             core.Optimistic,
-		Awareness:            core.KnownParticipants,
-		NodesFor:             func(f int) int { return quorum.Trusted{F: f}.Size() },
-		NodesFormula:         "f+1 active of 2f+1",
-		QuorumFor:            func(f int) int { return quorum.Trusted{F: f}.Threshold() },
-		CommitPhases:         2,
-		Complexity:           core.Linear,
-		ViewChangeComplexity: core.Linear,
+		Name:         "cheapbft",
+		Failure:      core.Hybrid,
+		Strategy:     core.Optimistic,
+		NodesFor:     func(f int) int { return quorum.Trusted{F: f}.Size() },
+		NodesFormula: "f+1 active of 2f+1",
+		QuorumFor:    func(f int) int { return quorum.Trusted{F: f}.Threshold() },
+		CommitPhases: 2,
+		Complexity:   core.Linear,
 		Decomposition: []core.Phase{
 			core.LeaderElection, core.ValueDiscovery, core.FTAgreement, core.Decision,
 		},
@@ -267,11 +264,6 @@ func (r *Replica) others(keep func(types.NodeID) bool) []types.NodeID {
 func (r *Replica) isPassive(id types.NodeID) bool { return !r.isActive(id) }
 
 func anyone(types.NodeID) bool { return true }
-
-// Submit hands a client request to this replica.
-func (r *Replica) Submit(req types.Value) {
-	r.Step(Message{Kind: MsgRequest, From: r.id, To: r.id, Req: req})
-}
 
 // Step consumes one delivered message. Requests travel uncertified;
 // every other kind must carry a CASH certificate from its sender under

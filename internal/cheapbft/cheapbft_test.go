@@ -126,7 +126,7 @@ func TestEpochIsolationOfCertificates(t *testing.T) {
 	cfg := Config{F: 1}.withDefaults()
 	a := NewReplica(0, cfg)
 	b := NewReplica(1, cfg)
-	a.Submit(req(1, 1, kvstore.Command{Op: kvstore.OpNoop}))
+	a.Step(Message{Kind: MsgRequest, To: 0, Req: req(1, 1, kvstore.Command{Op: kvstore.OpNoop})})
 	var prep Message
 	for _, m := range a.Drain() {
 		if m.Kind == MsgPrepare && m.To == 1 {

@@ -26,10 +26,8 @@ import (
 func init() {
 	core.Register(core.Profile{
 		Name:         "2pc",
-		Synchrony:    core.Synchronous,
 		Failure:      core.Crash,
 		Strategy:     core.Pessimistic,
-		Awareness:    core.KnownParticipants,
 		NodesFor:     func(f int) int { return f + 1 }, // no replication: every cohort required
 		NodesFormula: "all cohorts",
 		QuorumFor:    func(f int) int { return f + 1 },
@@ -42,10 +40,8 @@ func init() {
 	})
 	core.Register(core.Profile{
 		Name:         "3pc",
-		Synchrony:    core.Synchronous,
 		Failure:      core.Crash,
 		Strategy:     core.Pessimistic,
-		Awareness:    core.KnownParticipants,
 		NodesFor:     func(f int) int { return f + 1 },
 		NodesFormula: "all cohorts",
 		QuorumFor:    func(f int) int { return f + 1 },
@@ -239,8 +235,8 @@ func (c *Coordinator) Step(m Message) {
 		}
 		return
 	}
-	//lint:allow exhaustive the coordinator consumes only cohort-to-coordinator kinds; Prepare/PreCommit/Global/Elect/Status travel the other way
 	switch m.Kind {
+	case MsgPrepare, MsgPreCommit, MsgGlobal, MsgElect, MsgStatus: // cohort-bound
 	case MsgVoteCommit:
 		ct.votes[m.From] = true
 		if len(ct.votes) == len(ct.cohorts) && allTrue(ct.votes) {
@@ -304,8 +300,8 @@ func (c *Coordinator) Tick() {
 		if c.now < ct.deadline {
 			continue
 		}
-		//lint:allow exhaustive only prepared/pre-committed transactions carry deadlines; idle and finished ones have no timer to fire
 		switch ct.state {
+		case stIdle, stCommitted, stAborted: // no timer to fire
 		case stPrepared:
 			c.decide(ct, Aborted) // a silent cohort vetoes
 		case stPreCommitted:
@@ -386,8 +382,8 @@ func (h *Cohort) send(m Message) {
 
 // Step consumes one delivered message.
 func (h *Cohort) Step(m Message) {
-	//lint:allow exhaustive cohorts consume only coordinator-to-cohort kinds (plus Status when elected); the vote/ack kinds travel the other way
 	switch m.Kind {
+	case MsgVoteCommit, MsgVoteAbort, MsgPreAck, MsgAck: // coordinator-bound
 	case MsgPrepare:
 		h.onPrepare(m)
 	case MsgPreCommit:
@@ -431,8 +427,8 @@ func (h *Cohort) finish(tx TxID, o Outcome) {
 		t = &cohortTx{}
 		h.txns[tx] = t
 	}
-	//lint:allow exhaustive idle/prepared/pre-committed all accept the decision below; only finished states need the idempotence guards
 	switch t.state {
+	case stIdle, stPrepared, stPreCommitted: // take the decision below
 	case stCommitted:
 		if o == Aborted {
 			panic(fmt.Sprintf("commit: cohort %v tx %d committed then aborted", h.id, tx))

@@ -10,6 +10,13 @@
 // experiment harness compares those claims against *measured* behaviour
 // (replica counts, quorum sizes, phases, message complexity). That
 // claimed-versus-measured check is what reproducing a survey means.
+//
+// A Profile carries the aspects the harness reads: failure model,
+// strategy, and the complexity metrics (nodes and quorum by formula,
+// commit phases, common-case message complexity, C&C decomposition).
+// Synchrony, participant awareness and view-change complexity are not
+// declared: a column comes back together with the test that measures
+// it (ROADMAP item 11), so no claim stands that nothing checks.
 package core
 
 import (
@@ -18,27 +25,6 @@ import (
 
 	"fortyconsensus/internal/det"
 )
-
-// Synchrony is the paper's first aspect.
-type Synchrony int
-
-const (
-	Synchronous Synchrony = iota
-	Asynchronous
-	PartiallySynchronous
-)
-
-func (s Synchrony) String() string {
-	switch s {
-	case Synchronous:
-		return "synchronous"
-	case Asynchronous:
-		return "asynchronous"
-	case PartiallySynchronous:
-		return "partially-synchronous"
-	}
-	return fmt.Sprintf("Synchrony(%d)", int(s))
-}
 
 // FailureModel is the second aspect.
 type FailureModel int
@@ -74,21 +60,6 @@ func (s Strategy) String() string {
 		return "optimistic"
 	}
 	return "pessimistic"
-}
-
-// Awareness is the fourth aspect.
-type Awareness int
-
-const (
-	KnownParticipants Awareness = iota
-	UnknownParticipants
-)
-
-func (a Awareness) String() string {
-	if a == UnknownParticipants {
-		return "unknown"
-	}
-	return "known"
 }
 
 // Complexity describes a protocol's message complexity class.
@@ -139,11 +110,9 @@ func (p Phase) String() string {
 // Profile is one protocol's fact box: its aspect vector plus the
 // arithmetic of its replication requirement.
 type Profile struct {
-	Name      string
-	Synchrony Synchrony
-	Failure   FailureModel
-	Strategy  Strategy
-	Awareness Awareness
+	Name     string
+	Failure  FailureModel
+	Strategy Strategy
 
 	// NodesFor returns the total replicas required to tolerate the given
 	// fault budget (f crash or byzantine faults; hybrid protocols use m
@@ -161,8 +130,6 @@ type Profile struct {
 	AltPhases int
 	// Complexity is the common-case message complexity class.
 	Complexity Complexity
-	// ViewChangeComplexity is the leader-replacement complexity class.
-	ViewChangeComplexity Complexity
 	// Decomposition lists the C&C phases the protocol realizes, in order.
 	Decomposition []Phase
 	// Notes carries slide-level remarks (trusted hardware, pipelining...).

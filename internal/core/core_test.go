@@ -8,10 +8,8 @@ import (
 func sampleProfile(name string) Profile {
 	return Profile{
 		Name:         name,
-		Synchrony:    PartiallySynchronous,
 		Failure:      Crash,
 		Strategy:     Pessimistic,
-		Awareness:    KnownParticipants,
 		NodesFor:     func(f int) int { return 2*f + 1 },
 		NodesFormula: "2f+1",
 		QuorumFor:    func(f int) int { return f + 1 },
@@ -62,19 +60,14 @@ func TestRegisterIncompletePanics(t *testing.T) {
 
 func TestAspectStrings(t *testing.T) {
 	cases := map[string]string{
-		Synchronous.String():          "synchronous",
-		Asynchronous.String():         "asynchronous",
-		PartiallySynchronous.String(): "partially-synchronous",
-		Crash.String():                "crash",
-		Byzantine.String():            "byzantine",
-		Hybrid.String():               "hybrid",
-		Pessimistic.String():          "pessimistic",
-		Optimistic.String():           "optimistic",
-		KnownParticipants.String():    "known",
-		UnknownParticipants.String():  "unknown",
-		Linear.String():               "O(n)",
-		Quadratic.String():            "O(n²)",
-		Cubic.String():                "O(n³)",
+		Crash.String():       "crash",
+		Byzantine.String():   "byzantine",
+		Hybrid.String():      "hybrid",
+		Pessimistic.String(): "pessimistic",
+		Optimistic.String():  "optimistic",
+		Linear.String():      "O(n)",
+		Quadratic.String():   "O(n²)",
+		Cubic.String():       "O(n³)",
 	}
 	for got, want := range cases {
 		if got != want {

@@ -13,6 +13,7 @@
 package icagree
 
 import (
+	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/types"
 )
@@ -35,9 +36,8 @@ type Process struct {
 type Result map[types.NodeID]string
 
 func majority(counts map[string]int, votes int) string {
-	//lint:allow maporder at most one value can hold a strict majority, so the returned winner is order-independent
-	for v, c := range counts {
-		if 2*c > votes {
+	for _, v := range det.SortedKeys(counts) {
+		if 2*counts[v] > votes {
 			return v
 		}
 	}

@@ -31,10 +31,8 @@ import (
 func init() {
 	core.Register(core.Profile{
 		Name:         "fastpaxos",
-		Synchrony:    core.PartiallySynchronous,
 		Failure:      core.Crash,
 		Strategy:     core.Optimistic,
-		Awareness:    core.KnownParticipants,
 		NodesFor:     func(f int) int { return quorum.Fast{F: f}.Size() },
 		NodesFormula: "3f+1",
 		QuorumFor:    func(f int) int { return quorum.Fast{F: f}.Threshold() },

@@ -32,17 +32,14 @@ import (
 
 func init() {
 	core.Register(core.Profile{
-		Name:                 "hotstuff",
-		Synchrony:            core.PartiallySynchronous,
-		Failure:              core.Byzantine,
-		Strategy:             core.Pessimistic,
-		Awareness:            core.KnownParticipants,
-		NodesFor:             func(f int) int { return quorum.Byzantine{F: f}.Size() },
-		NodesFormula:         "3f+1",
-		QuorumFor:            func(f int) int { return quorum.Byzantine{F: f}.Threshold() },
-		CommitPhases:         7,
-		Complexity:           core.Linear,
-		ViewChangeComplexity: core.Linear,
+		Name:         "hotstuff",
+		Failure:      core.Byzantine,
+		Strategy:     core.Pessimistic,
+		NodesFor:     func(f int) int { return quorum.Byzantine{F: f}.Size() },
+		NodesFormula: "3f+1",
+		QuorumFor:    func(f int) int { return quorum.Byzantine{F: f}.Threshold() },
+		CommitPhases: 7,
+		Complexity:   core.Linear,
 		Decomposition: []core.Phase{
 			core.LeaderElection, core.ValueDiscovery, core.FTAgreement, core.Decision,
 		},

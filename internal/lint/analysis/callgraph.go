@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 
 	"fortyconsensus/internal/det"
@@ -37,6 +38,8 @@ type Program struct {
 	// impls maps an interface method to the concrete module methods a
 	// dynamic dispatch through it may reach.
 	impls map[*types.Func][]*types.Func
+
+	loader *Loader
 }
 
 // A FuncNode is one declared function or method of the module together
@@ -77,9 +80,10 @@ type Call struct {
 // loader's cache then also holds every module-internal dependency.
 func NewProgram(l *Loader) *Program {
 	p := &Program{
-		pkgs:  make(map[string]*Package),
-		funcs: make(map[*types.Func]*FuncNode),
-		impls: make(map[*types.Func][]*types.Func),
+		pkgs:   make(map[string]*Package),
+		funcs:  make(map[*types.Func]*FuncNode),
+		impls:  make(map[*types.Func][]*types.Func),
+		loader: l,
 	}
 	p.paths = det.SortedKeys(l.cache)
 	for _, path := range p.paths {
@@ -102,6 +106,21 @@ func (p *Program) Packages() []*Package {
 		out = append(out, p.pkgs[path])
 	}
 	return out
+}
+
+// Tests loads the _test.go files of every package, type-checked as
+// Loader.LoadTests does, in package path order. None of the call
+// graph's nodes are in them.
+func (p *Program) Tests() ([]*Package, error) {
+	var tests []*Package
+	for _, path := range p.paths {
+		ts, err := p.loader.LoadTests(p.pkgs[path])
+		if err != nil {
+			return nil, err
+		}
+		tests = append(tests, ts...)
+	}
+	return tests, nil
 }
 
 // Func returns the node for fn, or nil when fn is not declared in the
@@ -236,9 +255,12 @@ func recvIsInterface(fn *types.Func) bool {
 // resolveInterfaces computes, for every interface method appearing as
 // a CallDynamic callee, the concrete module methods a dispatch may
 // reach: every named type in the program that implements the
-// interface contributes its method of the same name. The resolution
-// is conservative — it assumes any implementing type may flow into
-// the call site.
+// interface contributes its method of the same name, its own or one
+// promoted from an embedded field. A generic interface (runner.Node[M])
+// is implemented by a type that implements one of its instances, the
+// type argument read off the candidate's own methods. The resolution
+// is conservative — it assumes any implementing type may flow into the
+// call site.
 func (p *Program) resolveInterfaces() {
 	// Gather the interface methods that appear as dynamic callees, as a
 	// position-sorted slice so everything downstream iterates stably.
@@ -269,32 +291,125 @@ func (p *Program) resolveInterfaces() {
 			if !ok || types.IsInterface(named) {
 				continue
 			}
-			ptr := types.NewPointer(named)
 			for _, m := range wanted {
-				iface, ok := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
-				if !ok {
-					continue
-				}
-				var impl types.Type
-				switch {
-				case types.Implements(named, iface):
-					impl = named
-				case types.Implements(ptr, iface):
-					impl = ptr
-				default:
+				impl := implementer(named, m.Type().(*types.Signature).Recv().Type())
+				if impl == nil {
 					continue
 				}
 				obj, _, _ := types.LookupFieldOrMethod(impl, true, m.Pkg(), m.Name())
-				if cm, ok := obj.(*types.Func); ok {
-					if p.funcs[cm.Origin()] != nil {
-						p.impls[m.Origin()] = append(p.impls[m.Origin()], cm.Origin())
-					}
+				if cm, ok := obj.(*types.Func); ok && p.funcs[cm.Origin()] != nil && !slices.Contains(p.impls[m], cm.Origin()) {
+					p.impls[m] = append(p.impls[m], cm.Origin()) // once, though several types embed it
 				}
 			}
 		}
 	}
 	for _, m := range wanted {
-		list := p.impls[m.Origin()]
+		list := p.impls[m]
 		sort.Slice(list, func(i, j int) bool { return list[i].Pos() < list[j].Pos() })
 	}
+}
+
+// implementer returns named, or a pointer to it, whichever implements
+// interface type recv, and nil when neither does. A generic interface
+// is first instantiated with the type arguments named's methods imply.
+// An interface literal whose methods mention the type parameters of
+// the declaration around it (a constraint written in place) cannot be
+// instantiated; named implements it when every method unifies.
+func implementer(named *types.Named, recv types.Type) types.Type {
+	iface, ok := recv.Underlying().(*types.Interface)
+	if !ok {
+		return nil
+	}
+	for _, impl := range []types.Type{named, types.NewPointer(named)} {
+		bound := make(map[*types.TypeParam]types.Type)
+		if !methodsUnify(impl, iface, bound) {
+			continue
+		}
+		want := iface
+		if g, ok := recv.(*types.Named); ok && g.TypeParams().Len() > 0 {
+			targs := make([]types.Type, g.TypeParams().Len())
+			for i := range targs {
+				if targs[i] = bound[g.TypeParams().At(i)]; targs[i] == nil {
+					return nil // a type parameter no method mentions
+				}
+			}
+			inst, err := types.Instantiate(nil, g, targs, true)
+			if err != nil {
+				continue
+			}
+			want = inst.Underlying().(*types.Interface)
+		} else if len(bound) > 0 {
+			return impl // a literal over its declaration's type parameters: unifying is the test
+		}
+		if types.Implements(impl, want) {
+			return impl
+		}
+	}
+	return nil
+}
+
+// methodsUnify reports whether impl's method set holds every method of
+// iface with a signature that matches it once iface's type parameters
+// are bound, binding them in bound as it goes.
+func methodsUnify(impl types.Type, iface *types.Interface, bound map[*types.TypeParam]types.Type) bool {
+	mset := types.NewMethodSet(impl)
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		sel := mset.Lookup(m.Pkg(), m.Name())
+		if sel == nil {
+			return false
+		}
+		want, got := m.Type().(*types.Signature), sel.Obj().Type().(*types.Signature)
+		if want.Variadic() != got.Variadic() ||
+			!unify(want.Params(), got.Params(), bound) || !unify(want.Results(), got.Results(), bound) {
+			return false
+		}
+	}
+	return true
+}
+
+// unify reports whether y is x with x's type parameters bound to some
+// types, recording the bindings in bound: a parameter already bound
+// must meet the same type again.
+func unify(x, y types.Type, bound map[*types.TypeParam]types.Type) bool {
+	switch x := x.(type) {
+	case *types.TypeParam:
+		if b, ok := bound[x]; ok {
+			return types.Identical(b, y)
+		}
+		bound[x] = y
+		return true
+	case *types.Tuple:
+		y, ok := y.(*types.Tuple)
+		if !ok || x.Len() != y.Len() {
+			return false
+		}
+		for i := 0; i < x.Len(); i++ {
+			if !unify(x.At(i).Type(), y.At(i).Type(), bound) {
+				return false
+			}
+		}
+		return true
+	case *types.Pointer:
+		y, ok := y.(*types.Pointer)
+		return ok && unify(x.Elem(), y.Elem(), bound)
+	case *types.Slice:
+		y, ok := y.(*types.Slice)
+		return ok && unify(x.Elem(), y.Elem(), bound)
+	case *types.Map:
+		y, ok := y.(*types.Map)
+		return ok && unify(x.Key(), y.Key(), bound) && unify(x.Elem(), y.Elem(), bound)
+	case *types.Named:
+		y, ok := y.(*types.Named)
+		if !ok || x.TypeArgs().Len() == 0 || y.TypeArgs().Len() != x.TypeArgs().Len() || x.Origin() != y.Origin() {
+			return types.Identical(x, y)
+		}
+		for i := 0; i < x.TypeArgs().Len(); i++ {
+			if !unify(x.TypeArgs().At(i), y.TypeArgs().At(i), bound) {
+				return false
+			}
+		}
+		return true
+	}
+	return types.Identical(x, y)
 }

@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -30,8 +31,10 @@ type Package struct {
 // machinery: module-internal imports resolve against the module tree on
 // disk, everything else falls back to the standard library's
 // from-source importer, so loading works offline and without build
-// artifacts. Test files (_test.go) are excluded — the determinism
-// contract governs production protocol code.
+// artifacts. Test files (_test.go) are left out of a package — the
+// determinism contract governs production protocol code — and
+// LoadTests checks them apart, for analyzers that count what tests
+// use.
 //
 // Every module package is loaded exactly once and cached, whether it
 // is a lint target or a dependency, so all packages in one Loader
@@ -72,32 +75,98 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	if p, ok := l.cache[importPath]; ok {
 		return p, nil
 	}
-	files, err := l.parseDir(dir)
+	files, err := l.parseDir(dir, false)
 	if err != nil {
 		return nil, err
 	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("no Go source in %s", dir)
+	}
+	pkg, err := l.check(dir, importPath, files, l.importPath, false)
+	if err != nil {
+		return nil, err
+	}
+	l.cache[importPath] = pkg
+	return pkg, nil
+}
+
+// LoadTests type-checks the _test.go files in pkg's directory, each
+// package of them against what its go test build sees: the in-package
+// test files together with pkg's own files, and the external _test
+// package's files against that test build of pkg. It returns one
+// Package per non-empty set, holding only the test files (and the
+// types of everything its check saw). An external test that also
+// imports a module package which imports pkg meets two builds of pkg
+// there; go test rebuilds that importer, a loader cannot, so a check
+// against a test build goes on past the mismatches that makes, and
+// its type information holds everything else.
+func (l *Loader) LoadTests(pkg *Package) ([]*Package, error) {
+	tests, err := l.parseDir(pkg.Dir, true)
+	if err != nil {
+		return nil, err
+	}
+	var in, ext []*ast.File
+	for _, f := range tests {
+		if f.Name.Name == pkg.Types.Name() {
+			in = append(in, f)
+		} else {
+			ext = append(ext, f)
+		}
+	}
+	var out []*Package
+	under := pkg.Types
+	if len(in) > 0 {
+		tp, err := l.check(pkg.Dir, pkg.Path, append(slices.Clone(pkg.Files), in...), l.importPath, false)
+		if err != nil {
+			return nil, err
+		}
+		under, tp.Files = tp.Types, in
+		out = append(out, tp)
+	}
+	if len(ext) > 0 {
+		imp := func(path string) (*types.Package, error) {
+			if path == pkg.Path {
+				return under, nil
+			}
+			return l.importPath(path)
+		}
+		xp, err := l.check(pkg.Dir, pkg.Path+"_test", ext, imp, under != pkg.Types)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, xp)
+	}
+	return out, nil
+}
+
+// check type-checks files as package importPath with full type
+// information for analysis; tolerant, it records what it can past
+// type errors and reports none.
+func (l *Loader) check(dir, importPath string, files []*ast.File, imp importerFunc, tolerant bool) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
+		Instances:  make(map[*ast.Ident]types.Instance),
 	}
-	conf := types.Config{Importer: importerFunc(l.importPath)}
+	conf := types.Config{Importer: imp}
+	if tolerant {
+		conf.Error = func(error) {}
+	}
 	tpkg, err := conf.Check(importPath, l.Fset, files, info)
-	if err != nil {
+	if err != nil && !tolerant {
 		return nil, fmt.Errorf("type-checking %s: %v", importPath, err)
 	}
-	pkg := &Package{
+	return &Package{
 		Path:      importPath,
 		Dir:       dir,
 		Fset:      l.Fset,
 		Files:     files,
 		Types:     tpkg,
 		TypesInfo: info,
-	}
-	l.cache[importPath] = pkg
-	return pkg, nil
+	}, nil
 }
 
 // importPath resolves one import for the type checker: module-internal
@@ -115,9 +184,10 @@ func (l *Loader) importPath(path string) (*types.Package, error) {
 	return l.std.Import(path)
 }
 
-// parseDir parses every non-test .go file in dir, in name order so
-// positions (and therefore diagnostic order) are stable.
-func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
+// parseDir parses the .go files in dir, the _test.go ones when tests
+// is set and the others when not, in name order so positions (and
+// therefore diagnostic order) are stable.
+func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -125,15 +195,12 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	var names []string
 	for _, e := range ents {
 		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") != tests {
 			continue
 		}
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go source in %s", dir)
-	}
 	var files []*ast.File
 	for _, n := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, n), nil, parser.ParseComments)

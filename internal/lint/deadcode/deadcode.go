@@ -16,10 +16,10 @@
 // From the roots the walk follows the call graph's edges — calls and
 // function or method values alike — except that a call through an
 // interface or a type parameter reaches the method of every module type
-// that implements it (every module method of the name, for a generic
-// interface) only once reached code mentions that type, or a type that
-// embeds it: a type no reached code names, builds or converts to is
-// never behind the interface.
+// that implements it (some instance of it, for a generic interface:
+// analysis.Program.Impls) only once reached code mentions that type, or
+// a type that embeds it: a type no reached code names, builds or
+// converts to is never behind the interface.
 //
 // The same walk judges configuration: a field of a module struct type
 // named …Config, …Options or …Params is a finding when nothing reached
@@ -196,7 +196,6 @@ func markSets(info *types.Info, node ast.Node, mark func(*types.Var)) {
 // module function it reaches, or nil when the Program holds no package
 // main.
 func reachable(prog *analysis.Program) map[*types.Func]bool {
-	byName := make(map[string][]*types.Func) // module methods by name
 	var roots []*types.Func
 	hasMain := false
 	std := stdInterfaceMethods(prog)
@@ -204,7 +203,6 @@ func reachable(prog *analysis.Program) map[*types.Func]bool {
 		fn := node.Fn
 		sig := fn.Type().(*types.Signature)
 		if sig.Recv() != nil {
-			byName[fn.Name()] = append(byName[fn.Name()], fn)
 			if std.match(fn.Name(), sig) {
 				roots = append(roots, fn)
 			}
@@ -236,11 +234,7 @@ func reachable(prog *analysis.Program) map[*types.Func]bool {
 	mentioned := make(map[*types.TypeName]bool)
 	pending := make(map[*types.TypeName][]*types.Func) // dispatched to, not yet mentioned
 	dispatch := func(callee *types.Func) {
-		impls := prog.Impls(callee)
-		if len(impls) == 0 {
-			impls = byName[callee.Name()] // a generic interface's method: every module method of the name
-		}
-		for _, m := range impls {
+		for _, m := range prog.Impls(callee) {
 			if tn := recvType(m); mentioned[tn] {
 				mark(m)
 			} else {

@@ -20,3 +20,7 @@ func TestDeadcodeNeedsAMain(t *testing.T) {
 func TestParams(t *testing.T) {
 	analysistest.Run(t, "testdata", deadcode.Params, "dcparam")
 }
+
+func TestFields(t *testing.T) {
+	analysistest.Run(t, "testdata", deadcode.Fields, "dcfield")
+}

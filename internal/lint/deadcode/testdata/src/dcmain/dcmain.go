@@ -26,7 +26,12 @@ func main() {
 
 	_ = measure(box{}) // a type-parameter call reaches every size method
 
-	_ = fetch[int](cell{}) // a generic interface's call reaches its methods by name
+	_ = fetch[int](cell{}) // a generic interface's call reaches the methods of its implementers
+
+	drive[int](&replica{}) // through an embedded generic type too
+	var st stepper         // mentioned, but no machine: it has no Tick
+	_ = st
+	_ = lowest(frontiers[int, *replica]{})
 
 	table["a"]()
 	fmt.Println(color(1))
@@ -97,6 +102,58 @@ type cell struct{}
 func (cell) get() int { return 5 }
 
 func (cell) put(int) {} // want "\\(fix/dcmain.cell\\).put is unreachable"
+
+type machine[M any] interface {
+	Step(M)
+	Tick()
+	Drain() []M
+}
+
+func drive[M any](m machine[M]) {
+	for _, msg := range m.Drain() {
+		m.Step(msg)
+	}
+	m.Tick()
+}
+
+// outbox's Drain is reached as replica's: replica implements
+// machine[int] with the Drain its embedded outbox[int] promotes.
+type outbox[M any] struct{ out []M }
+
+func (o *outbox[M]) Drain() []M { return o.out }
+
+type replica struct{ outbox[int] }
+
+func (*replica) Step(int) {}
+
+func (*replica) Tick() {}
+
+func (*replica) Frontier() int { return 0 }
+
+// stepper has machine's Step but not its Tick, so no call through a
+// machine reaches it.
+type stepper struct{}
+
+func (stepper) Step(int) {} // want "\\(fix/dcmain.stepper\\).Step is unreachable"
+
+// A constraint written in place over its declaration's type parameters
+// has no instance to test; a type implements it when every method
+// matches once those parameters are bound.
+type frontiers[M any, N interface {
+	machine[M]
+	Frontier() int
+}] struct{ nodes []N }
+
+func lowest[M any, N interface {
+	machine[M]
+	Frontier() int
+}](f frontiers[M, N]) int {
+	low := 0
+	for _, n := range f.nodes {
+		low = min(low, n.Frontier())
+	}
+	return low
+}
 
 // Package-level initialisers.
 

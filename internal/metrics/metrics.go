@@ -93,9 +93,6 @@ func (h *Histogram) Merge(o *Histogram) {
 // Count returns the number of samples.
 func (h *Histogram) Count() int { return int(h.n) }
 
-// Sum returns the total of all samples.
-func (h *Histogram) Sum() int { return int(h.sum) }
-
 // Mean returns the arithmetic mean, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
 	if h.n == 0 {

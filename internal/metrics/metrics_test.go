@@ -36,8 +36,8 @@ func TestHistogramStats(t *testing.T) {
 	for _, v := range []int{5, 1, 9, 3, 7} {
 		h.Add(v)
 	}
-	if h.Count() != 5 || h.Sum() != 25 {
-		t.Fatalf("count/sum = %d/%d", h.Count(), h.Sum())
+	if h.Count() != 5 || int(h.sum) != 25 {
+		t.Fatalf("count/sum = %d/%d", h.Count(), int(h.sum))
 	}
 	if h.Mean() != 5 {
 		t.Fatalf("mean = %v", h.Mean())

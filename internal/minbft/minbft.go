@@ -34,17 +34,14 @@ import (
 
 func init() {
 	core.Register(core.Profile{
-		Name:                 "minbft",
-		Synchrony:            core.PartiallySynchronous,
-		Failure:              core.Hybrid,
-		Strategy:             core.Pessimistic,
-		Awareness:            core.KnownParticipants,
-		NodesFor:             func(f int) int { return quorum.Trusted{F: f}.Size() },
-		NodesFormula:         "2f+1",
-		QuorumFor:            func(f int) int { return f + 1 },
-		CommitPhases:         2,
-		Complexity:           core.Linear,
-		ViewChangeComplexity: core.Quadratic,
+		Name:         "minbft",
+		Failure:      core.Hybrid,
+		Strategy:     core.Pessimistic,
+		NodesFor:     func(f int) int { return quorum.Trusted{F: f}.Size() },
+		NodesFormula: "2f+1",
+		QuorumFor:    func(f int) int { return f + 1 },
+		CommitPhases: 2,
+		Complexity:   core.Linear,
 		Decomposition: []core.Phase{
 			core.LeaderElection, core.ValueDiscovery, core.FTAgreement, core.Decision,
 		},
@@ -198,11 +195,6 @@ func (r *Replica) certifyAndBroadcast(m Message) {
 		mm.To = types.NodeID(i)
 		r.out = append(r.out, mm)
 	}
-}
-
-// Submit hands a client request to this replica.
-func (r *Replica) Submit(req types.Value) {
-	r.Step(Message{Kind: MsgRequest, From: r.id, To: r.id, Req: req})
 }
 
 // Step consumes one delivered message, enforcing per-sender USIG

@@ -89,8 +89,8 @@ func TestOutOfOrderHeldByMonitor(t *testing.T) {
 	cfg := Config{F: 1}.withDefaults()
 	primary := NewReplica(0, cfg)
 	backup := NewReplica(1, cfg)
-	primary.Submit(req(1, 1, kvstore.Command{Op: kvstore.OpNoop}))
-	primary.Submit(req(1, 2, kvstore.Command{Op: kvstore.OpNoop}))
+	primary.Step(Message{Kind: MsgRequest, To: 0, Req: req(1, 1, kvstore.Command{Op: kvstore.OpNoop})})
+	primary.Step(Message{Kind: MsgRequest, To: 0, Req: req(1, 2, kvstore.Command{Op: kvstore.OpNoop})})
 	out := primary.Drain()
 	var prepares []Message
 	for _, m := range out {
@@ -115,7 +115,7 @@ func TestReplayRejected(t *testing.T) {
 	cfg := Config{F: 1}.withDefaults()
 	primary := NewReplica(0, cfg)
 	backup := NewReplica(1, cfg)
-	primary.Submit(req(1, 1, kvstore.Incr("n", 1)))
+	primary.Step(Message{Kind: MsgRequest, To: 0, Req: req(1, 1, kvstore.Incr("n", 1))})
 	var prep Message
 	for _, m := range primary.Drain() {
 		if m.Kind == MsgPrepare && m.To == 1 {

@@ -40,18 +40,15 @@ import (
 
 func init() {
 	p := core.Profile{
-		Name:                 "multipaxos",
-		Synchrony:            core.PartiallySynchronous,
-		Failure:              core.Crash,
-		Strategy:             core.Pessimistic,
-		Awareness:            core.KnownParticipants,
-		NodesFor:             func(f int) int { return quorum.MajorityFor(f).Size() },
-		NodesFormula:         "2f+1",
-		QuorumFor:            func(f int) int { return f + 1 },
-		CommitPhases:         1, // steady state: Accept/Accepted round trip
-		AltPhases:            2, // with leader election
-		Complexity:           core.Linear,
-		ViewChangeComplexity: core.Linear,
+		Name:         "multipaxos",
+		Failure:      core.Crash,
+		Strategy:     core.Pessimistic,
+		NodesFor:     func(f int) int { return quorum.MajorityFor(f).Size() },
+		NodesFormula: "2f+1",
+		QuorumFor:    func(f int) int { return f + 1 },
+		CommitPhases: 1, // steady state: Accept/Accepted round trip
+		AltPhases:    2, // with leader election
+		Complexity:   core.Linear,
 		Decomposition: []core.Phase{
 			core.LeaderElection, core.ValueDiscovery, core.FTAgreement, core.Decision,
 		},

@@ -23,17 +23,14 @@ import (
 
 func init() {
 	core.Register(core.Profile{
-		Name:                 "paxos",
-		Synchrony:            core.PartiallySynchronous,
-		Failure:              core.Crash,
-		Strategy:             core.Pessimistic,
-		Awareness:            core.KnownParticipants,
-		NodesFor:             func(f int) int { return quorum.MajorityFor(f).Size() },
-		NodesFormula:         "2f+1",
-		QuorumFor:            func(f int) int { return f + 1 },
-		CommitPhases:         2,
-		Complexity:           core.Linear,
-		ViewChangeComplexity: core.Linear,
+		Name:         "paxos",
+		Failure:      core.Crash,
+		Strategy:     core.Pessimistic,
+		NodesFor:     func(f int) int { return quorum.MajorityFor(f).Size() },
+		NodesFormula: "2f+1",
+		QuorumFor:    func(f int) int { return f + 1 },
+		CommitPhases: 2,
+		Complexity:   core.Linear,
 		Decomposition: []core.Phase{
 			core.LeaderElection, core.ValueDiscovery, core.FTAgreement, core.Decision,
 		},

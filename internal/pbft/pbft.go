@@ -40,38 +40,32 @@ import (
 
 func init() {
 	core.Register(core.Profile{
-		Name:                 "pbft",
-		Synchrony:            core.PartiallySynchronous,
-		Failure:              core.Byzantine,
-		Strategy:             core.Pessimistic,
-		Awareness:            core.KnownParticipants,
-		NodesFor:             func(f int) int { return quorum.Byzantine{F: f}.Size() },
-		NodesFormula:         "3f+1",
-		QuorumFor:            func(f int) int { return quorum.Byzantine{F: f}.Threshold() },
-		CommitPhases:         3,
-		Complexity:           core.Quadratic,
-		ViewChangeComplexity: core.Cubic,
+		Name:         "pbft",
+		Failure:      core.Byzantine,
+		Strategy:     core.Pessimistic,
+		NodesFor:     func(f int) int { return quorum.Byzantine{F: f}.Size() },
+		NodesFormula: "3f+1",
+		QuorumFor:    func(f int) int { return quorum.Byzantine{F: f}.Threshold() },
+		CommitPhases: 3,
+		Complexity:   core.Quadratic,
 		Decomposition: []core.Phase{
 			core.LeaderElection, core.ValueDiscovery, core.FTAgreement, core.Decision,
 		},
 		Notes: "pre-prepare/prepare/commit; checkpoints every K slots",
 	})
 	core.Register(core.Profile{
-		Name:      "upright",
-		Synchrony: core.PartiallySynchronous,
-		Failure:   core.Hybrid,
-		Strategy:  core.Pessimistic,
-		Awareness: core.KnownParticipants,
+		Name:     "upright",
+		Failure:  core.Hybrid,
+		Strategy: core.Pessimistic,
 		// Profiles are one-parameter, UpRight's budget is the pair (m, c):
 		// the registry reports the pure-byzantine degenerate (c=0) so its
 		// single-parameter arithmetic stays meaningful. The canonical
 		// 3m+2c+1 is checked in the quorum package, hybrid_test.go and T4.
-		NodesFor:             func(f int) int { return quorum.Hybrid{M: f}.Size() },
-		NodesFormula:         "3m+2c+1",
-		QuorumFor:            func(f int) int { return quorum.Hybrid{M: f}.Threshold() },
-		CommitPhases:         3,
-		Complexity:           core.Quadratic,
-		ViewChangeComplexity: core.Quadratic,
+		NodesFor:     func(f int) int { return quorum.Hybrid{M: f}.Size() },
+		NodesFormula: "3m+2c+1",
+		QuorumFor:    func(f int) int { return quorum.Hybrid{M: f}.Threshold() },
+		CommitPhases: 3,
+		Complexity:   core.Quadratic,
 		Decomposition: []core.Phase{
 			core.LeaderElection, core.ValueDiscovery, core.FTAgreement, core.Decision,
 		},
@@ -296,13 +290,6 @@ func (r *Replica) broadcast(m Message) {
 		mm.To = p
 		r.send(mm)
 	}
-}
-
-// Submit hands a client request to this replica. Non-primaries relay it
-// to the primary and start the view-change timer — the defense against a
-// primary that silently drops requests.
-func (r *Replica) Submit(req types.Value) {
-	r.Step(Message{Kind: MsgRequest, From: r.id, To: r.id, Req: req})
 }
 
 func (r *Replica) getSlot(seq types.Seq) *slot {
@@ -691,9 +678,8 @@ func (r *Replica) enterView(v types.View) {
 	r.view = v
 	r.viewChanging = false
 	// Reset per-view phase state for uncommitted slots.
-	//lint:allow maporder per-slot reset touches only that slot's tallies; no cross-slot state or emission
-	for _, s := range r.slots {
-		if !s.committed {
+	for _, seq := range det.SortedKeys(r.slots) {
+		if s := r.slots[seq]; !s.committed {
 			s.prePrepared = false
 			s.prepared = false
 			s.prepares = quorum.NewTally(r.q.Threshold() - 1)
@@ -766,12 +752,12 @@ func (r *Replica) Tick() {
 		}
 		return
 	}
-	//lint:allow maporder any timed-out request triggers the same single view change; which one fires first is immaterial
+	timedOut := false
 	for _, p := range r.pending {
-		if r.now-p.since > r.cfg.RequestTimeout {
-			r.startViewChange(r.view + 1)
-			return
-		}
+		timedOut = timedOut || r.now-p.since > r.cfg.RequestTimeout
+	}
+	if timedOut {
+		r.startViewChange(r.view + 1)
 	}
 }
 

@@ -34,10 +34,8 @@ import (
 func init() {
 	core.Register(core.Profile{
 		Name:         "pos",
-		Synchrony:    core.PartiallySynchronous,
 		Failure:      core.Byzantine,
 		Strategy:     core.Optimistic,
-		Awareness:    core.UnknownParticipants,
 		NodesFor:     func(f int) int { return quorum.MajorityFor(f).Size() }, // honest-majority of stake
 		NodesFormula: "majority of stake",
 		QuorumFor:    func(f int) int { return f + 1 },

@@ -32,10 +32,8 @@ import (
 func init() {
 	core.Register(core.Profile{
 		Name:         "pow",
-		Synchrony:    core.Asynchronous,
 		Failure:      core.Byzantine,
 		Strategy:     core.Optimistic,
-		Awareness:    core.UnknownParticipants,
 		NodesFor:     func(f int) int { return quorum.MajorityFor(f).Size() }, // honest-majority of hash power
 		NodesFormula: "majority of hash power",
 		QuorumFor:    func(f int) int { return f + 1 },

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 
+	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/types"
 )
 
@@ -152,9 +153,8 @@ func (v *ValueTally) Add(n types.NodeID, key string) bool {
 // lexicographically for determinism.
 func (v *ValueTally) Leader() (string, int) {
 	best, bestN := "", -1
-	//lint:allow maporder the lexicographic tie-break makes the winner independent of iteration order
-	for k, t := range v.votes {
-		if t.Count() > bestN || (t.Count() == bestN && k < best) {
+	for _, k := range det.SortedKeys(v.votes) {
+		if t := v.votes[k]; t.Count() > bestN {
 			best, bestN = k, t.Count()
 		}
 	}

@@ -33,18 +33,15 @@ import (
 
 func init() {
 	core.Register(core.Profile{
-		Name:                 "raft",
-		Synchrony:            core.PartiallySynchronous,
-		Failure:              core.Crash,
-		Strategy:             core.Pessimistic,
-		Awareness:            core.KnownParticipants,
-		NodesFor:             func(f int) int { return quorum.MajorityFor(f).Size() },
-		NodesFormula:         "2f+1",
-		QuorumFor:            func(f int) int { return f + 1 },
-		CommitPhases:         1,
-		AltPhases:            2,
-		Complexity:           core.Linear,
-		ViewChangeComplexity: core.Linear,
+		Name:         "raft",
+		Failure:      core.Crash,
+		Strategy:     core.Pessimistic,
+		NodesFor:     func(f int) int { return quorum.MajorityFor(f).Size() },
+		NodesFormula: "2f+1",
+		QuorumFor:    func(f int) int { return f + 1 },
+		CommitPhases: 1,
+		AltPhases:    2,
+		Complexity:   core.Linear,
 		Decomposition: []core.Phase{
 			core.LeaderElection, core.ValueDiscovery, core.FTAgreement, core.Decision,
 		},

@@ -34,19 +34,16 @@ import (
 
 func init() {
 	core.Register(core.Profile{
-		Name:      "seemore",
-		Synchrony: core.PartiallySynchronous,
-		Failure:   core.Hybrid,
-		Strategy:  core.Pessimistic,
-		Awareness: core.KnownParticipants,
+		Name:     "seemore",
+		Failure:  core.Hybrid,
+		Strategy: core.Pessimistic,
 		// Single-parameter view: m=c=f (pbft's upright profile takes c=0).
-		NodesFor:             func(f int) int { return quorum.Hybrid{M: f, C: f}.Size() },
-		NodesFormula:         "3m+2c+1",
-		QuorumFor:            func(f int) int { return quorum.Hybrid{M: f, C: f}.Threshold() },
-		CommitPhases:         2,
-		AltPhases:            3,
-		Complexity:           core.Quadratic,
-		ViewChangeComplexity: core.Quadratic,
+		NodesFor:     func(f int) int { return quorum.Hybrid{M: f, C: f}.Size() },
+		NodesFormula: "3m+2c+1",
+		QuorumFor:    func(f int) int { return quorum.Hybrid{M: f, C: f}.Threshold() },
+		CommitPhases: 2,
+		AltPhases:    3,
+		Complexity:   core.Quadratic,
 		Decomposition: []core.Phase{
 			core.LeaderElection, core.ValueDiscovery, core.FTAgreement, core.Decision,
 		},
@@ -231,11 +228,6 @@ func (r *Replica) everyone() []types.NodeID {
 		ids[i] = types.NodeID(i)
 	}
 	return ids
-}
-
-// Submit hands a client request to this replica.
-func (r *Replica) Submit(req types.Value) {
-	r.Step(Message{Kind: MsgRequest, From: r.id, To: r.id, Req: req})
 }
 
 func (r *Replica) getSlot(seq types.Seq) *slot {

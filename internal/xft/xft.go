@@ -31,17 +31,14 @@ import (
 
 func init() {
 	core.Register(core.Profile{
-		Name:                 "xft",
-		Synchrony:            core.PartiallySynchronous,
-		Failure:              core.Hybrid,
-		Strategy:             core.Optimistic,
-		Awareness:            core.KnownParticipants,
-		NodesFor:             func(f int) int { return quorum.MajorityFor(f).Size() },
-		NodesFormula:         "2f+1",
-		QuorumFor:            func(f int) int { return f + 1 },
-		CommitPhases:         2,
-		Complexity:           core.Linear,
-		ViewChangeComplexity: core.Quadratic,
+		Name:         "xft",
+		Failure:      core.Hybrid,
+		Strategy:     core.Optimistic,
+		NodesFor:     func(f int) int { return quorum.MajorityFor(f).Size() },
+		NodesFormula: "2f+1",
+		QuorumFor:    func(f int) int { return f + 1 },
+		CommitPhases: 2,
+		Complexity:   core.Linear,
 		Decomposition: []core.Phase{
 			core.LeaderElection, core.ValueDiscovery, core.FTAgreement, core.Decision,
 		},
@@ -569,21 +566,17 @@ func (r *Replica) Tick() {
 		}
 		return
 	}
+	timedOut := false
 	if r.InGroup(r.id, r.view) {
-		//lint:allow maporder any timed-out slot raises the same suspicion of the current view; which fires first is immaterial
 		for seq, s := range r.slots {
-			if seq > r.exec && s.req != nil && !s.committed && r.now-s.started > requestTimeout {
-				r.suspect(r.view + 1)
-				return
-			}
+			timedOut = timedOut || seq > r.exec && s.req != nil && !s.committed && r.now-s.started > requestTimeout
 		}
 	}
-	//lint:allow maporder any timed-out request raises the same suspicion of the current view; which fires first is immaterial
 	for _, p := range r.pending {
-		if r.now-p.since > requestTimeout {
-			r.suspect(r.view + 1)
-			return
-		}
+		timedOut = timedOut || r.now-p.since > requestTimeout
+	}
+	if timedOut {
+		r.suspect(r.view + 1)
 	}
 }
 

@@ -94,8 +94,8 @@ func (c *Client) Step(m Message) {
 	if c.req == nil {
 		return
 	}
-	//lint:allow exhaustive the client consumes only the two response kinds; replica-to-replica traffic never reaches it
 	switch m.Kind {
+	case MsgRequest, MsgOrderReq, MsgCommitCert, MsgViewChange, MsgNewView, MsgFillHole: // replica-bound
 	case MsgSpecResponse:
 		if !m.Req.Equal(c.req) {
 			return

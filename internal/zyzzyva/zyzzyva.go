@@ -32,18 +32,15 @@ import (
 
 func init() {
 	core.Register(core.Profile{
-		Name:                 "zyzzyva",
-		Synchrony:            core.PartiallySynchronous,
-		Failure:              core.Byzantine,
-		Strategy:             core.Optimistic,
-		Awareness:            core.KnownParticipants,
-		NodesFor:             func(f int) int { return quorum.Byzantine{F: f}.Size() },
-		NodesFormula:         "3f+1",
-		QuorumFor:            func(f int) int { return quorum.Byzantine{F: f}.Threshold() },
-		CommitPhases:         1,
-		AltPhases:            3,
-		Complexity:           core.Linear,
-		ViewChangeComplexity: core.Quadratic,
+		Name:         "zyzzyva",
+		Failure:      core.Byzantine,
+		Strategy:     core.Optimistic,
+		NodesFor:     func(f int) int { return quorum.Byzantine{F: f}.Size() },
+		NodesFormula: "3f+1",
+		QuorumFor:    func(f int) int { return quorum.Byzantine{F: f}.Threshold() },
+		CommitPhases: 1,
+		AltPhases:    3,
+		Complexity:   core.Linear,
 		Decomposition: []core.Phase{
 			core.LeaderElection, core.ValueDiscovery, core.Decision,
 		},
@@ -212,8 +209,8 @@ func (r *Replica) broadcast(m Message) {
 
 // Step consumes one delivered message.
 func (r *Replica) Step(m Message) {
-	//lint:allow exhaustive MsgSpecResponse and MsgLocalCommit are client-bound; replicas never receive them
 	switch m.Kind {
+	case MsgSpecResponse, MsgLocalCommit: // client-bound
 	case MsgRequest:
 		r.onRequest(m)
 	case MsgOrderReq:
@@ -412,8 +409,8 @@ func (r *Replica) emitNewView(v types.View, votes map[types.NodeID]Message) {
 	// Per-slot value counting above the committed frontier.
 	counts := make(map[types.Seq]*quorum.ValueTally)
 	vals := make(map[string]types.Value)
-	//lint:allow maporder votes accumulate into commutative per-slot tallies keyed by digest; no effect depends on visit order
-	for _, vc := range votes {
+	for _, from := range det.SortedKeys(votes) {
+		vc := votes[from]
 		for _, e := range vc.Entries {
 			if e.Seq <= maxCommitted {
 				continue
@@ -519,12 +516,12 @@ func (r *Replica) Tick() {
 	if r.viewChanging {
 		return
 	}
-	//lint:allow maporder any timed-out request triggers the same single view change; which fires first is immaterial
+	timedOut := false
 	for _, p := range r.pending {
-		if r.now-p.since > replicaTimeout {
-			r.startViewChange(r.view + 1)
-			return
-		}
+		timedOut = timedOut || r.now-p.since > replicaTimeout
+	}
+	if timedOut {
+		r.startViewChange(r.view + 1)
 	}
 }
 
