@@ -184,11 +184,13 @@ bench:
 # metric each side's median [quartiles], the pairs the change won, and
 # failed ops. One 10-pair table is ≈5 min; run it on an otherwise idle
 # machine, on a seed not used while developing. Not part of ci.
+# WORKLOAD=all runs every BENCHMARK.json workload in turn, and a
+# comma-separated list the ones it names, one table each.
 PAIRS ?= 10
 SEED ?= 1
 bench-pairs:
 ifeq ($(and $(BASE),$(WORKLOAD)),)
-	$(error bench-pairs needs a base and a workload: make bench-pairs BASE=HEAD~1 WORKLOAD=raft-serial [PAIRS=10] [SEED=1])
+	$(error bench-pairs needs a base and a workload: make bench-pairs BASE=HEAD~1 WORKLOAD=raft-serial|a,b|all [PAIRS=10] [SEED=1])
 endif
 	GO=$(GO) ./scripts/servebench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
 

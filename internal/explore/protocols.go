@@ -14,6 +14,7 @@ import (
 	"fortyconsensus/internal/raft"
 	"fortyconsensus/internal/runner"
 	"fortyconsensus/internal/simnet"
+	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/types"
 )
 
@@ -46,16 +47,10 @@ func campaignFabric(seed uint64) *simnet.Fabric {
 // submitCadence is how often SMR workloads hand the cluster a command.
 const submitCadence = 20
 
-// leaderNode abstracts leader-routed submission across SMR harnesses.
-type leaderNode interface {
-	IsLeader() bool
-	Submit(v types.Value)
-}
-
 // submitToLeader hands v to the first live leader, if any. Lost
 // commands (no leader this tick) are fine: the workload only needs to
 // give live leaders something to replicate.
-func submitToLeader[N leaderNode](crashed func(types.NodeID) bool, nodes []N, v types.Value) {
+func submitToLeader[N smr.Proposer](crashed func(types.NodeID) bool, nodes []N, v types.Value) {
 	for i, n := range nodes {
 		if !crashed(types.NodeID(i)) && n.IsLeader() {
 			n.Submit(v)

@@ -46,6 +46,7 @@ type GroupStatus struct {
 	SnapIndex uint64  `json:"snap_index"`
 	Installs  int     `json:"installs"`   // snapshots installed from peers
 	Sessions  int     `json:"sessions"`   // executor dedup entries, one per client session seen
+	Waiting   int     `json:"waiting"`    // session-table entries: requests taken here, not yet answered
 	SnapBytes int     `json:"snap_bytes"` // last snapshot taken or installed: sessions + store
 	Members   []int64 `json:"members"`    // current config (sorted)
 	Digest    string  `json:"digest"`     // FNV-64 of the committed KV state

@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"fortyconsensus/internal/kvstore"
-	"fortyconsensus/internal/multipaxos"
-	"fortyconsensus/internal/raft"
 	"fortyconsensus/internal/shard"
 	"fortyconsensus/internal/snapshot"
 	"fortyconsensus/internal/types"
@@ -284,14 +282,9 @@ func TestOneReplyEntryPerSession(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			servers, addrs := startCluster(t, 3, 1, backend, 23)
 			lead := findLeader(t, servers, 0)
-			entries := func() (int, uint64) {
-				switch g := servers[lead].grs[0].(type) {
-				case *smrGroup[raft.Message]:
-					return replyEntries(g, client)
-				case *smrGroup[multipaxos.Message]:
-					return replyEntries(g, client)
-				}
-				panic("unknown group type")
+			entries := func() int {
+				st, _ := servers[lead].grs[0].status()
+				return st.Waiting
 			}
 			var release []func()
 			for i, s := range servers {
@@ -302,8 +295,8 @@ func TestOneReplyEntryPerSession(t *testing.T) {
 			c := dialRaw(t, addrs[lead])
 			for seq := uint64(1); seq <= n; seq++ {
 				c.send(t, Request{ReqID: seq, Client: client, SeqNo: seq, Op: kvstore.Incr("k", 1).Encode()})
-				waitFor(t, 5*time.Second, func() bool { _, s := entries(); return s == seq })
-				if size, _ := entries(); size != 1 {
+				waitFor(t, 5*time.Second, func() bool { return servers[lead].met.proposed.Load() == seq })
+				if size := entries(); size != 1 {
 					t.Fatalf("after seqno %d the reply table holds %d entries, want 1", seq, size)
 				}
 			}
@@ -316,7 +309,7 @@ func TestOneReplyEntryPerSession(t *testing.T) {
 				resp, _ := decodeResponse(payload)
 				t.Fatalf("a replaced attempt was answered too: %+v", resp)
 			}
-			if size, _ := entries(); size != 0 {
+			if size := entries(); size != 0 {
 				t.Fatalf("the answered session left %d entries behind", size)
 			}
 		})
@@ -333,13 +326,6 @@ func freeze(t *testing.T, s *Server) (release func()) {
 	release = func() { once.Do(func() { close(done) }) }
 	t.Cleanup(release)
 	return release
-}
-
-// replyEntries reads, in one turn, the size of g's reply table and the
-// seqno of client's entry in it.
-func replyEntries[M any](g *smrGroup[M], client types.ClientID) (size int, seqno uint64) {
-	g.node.CallWait(func() { size, seqno = len(g.pending), g.pending[client].seqno })
-	return size, seqno
 }
 
 // A connection that dies wakes every attempt waiting on it at once, well

@@ -36,11 +36,12 @@
 //	              without any protocol-level locking. Self-addressed
 //	              messages short-circuit through Step within the turn.
 //	server.go     a Server hosts one replica of every shard group (raft
-//	              or multipaxos per group). Each group is the live driver
-//	              of an smr.Replica — the same host the simulated
-//	              clusters pump — applying shard.Store; the Server routes
-//	              client requests to the owning group by key hash and
-//	              redirects non-leader submissions with a leader hint.
+//	              or multipaxos per group). Each group is the live host
+//	              of an smr.Replica applying shard.Store and of its
+//	              smr.Sessions table, the one the simulated shard groups
+//	              keep too; the Server routes client requests to the
+//	              owning group by key hash, and the group redirects the
+//	              ones its table refuses with a leader hint.
 //	client.go     the client library: leader discovery per shard,
 //	              redirect following, retry with backoff across nodes,
 //	              per-attempt timeouts, and request pipelining (many

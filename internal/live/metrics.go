@@ -24,8 +24,10 @@ type ServerMetrics struct {
 	shardNames []string            // commits' counter name per shard, built once
 
 	requests atomic.Uint64 // client requests received
-	// Client writes applied across shards, and the log entries that carried
-	// them as this node proposed them leading: on a leader, ops per entry.
+	// Client writes applied across shards (each request the executors took
+	// from the log, smr.Executor.OpsApplied), and the log entries that
+	// carried them as this node proposed them leading: on a leader, ops
+	// per entry.
 	applied, proposed atomic.Uint64
 	notLeader         atomic.Uint64 // submissions redirected
 	badReq            atomic.Uint64 // undecodable requests

@@ -319,26 +319,21 @@ type SMRModule[M any] interface {
 	ReadStats() (probes, reasked int)
 }
 
-// pendingReq is a session's accepted submission or read awaiting its
-// answer.
-type pendingReq struct {
+// waiter is what a group needs to answer a request its session table
+// took.
+type waiter struct {
 	cc    *ClientConn
 	reqID uint64
-	seqno uint64
 	start time.Time
 	read  bool
 }
 
-// smrGroup is the live driver of smr.Replica for one shard group: the
-// live.Node that serializes the module's turns, the wire codec, the
-// Replica that moves committed decisions into shard.Store and compacts
-// on cadence, and the pending-reply table. Everything below node is
-// touched only inside a turn, under the node's lock.
-//
-// The reply table holds one entry per client session. A session has one
-// request outstanding at a time (smr.Executor's dedup contract), so a
-// newer request replaces an unanswered one, whose answer nobody waits
-// for any more, and the table never outgrows the executor's sessions.
+// smrGroup is the live host of one shard group's replica: the live.Node
+// that serializes the module's turns, the wire codec, the Replica that
+// moves committed decisions into shard.Store and compacts on cadence,
+// and its smr.Sessions table, which holds each session's request until
+// its answer. Everything below node is touched only inside a turn, under
+// the node's lock.
 type smrGroup[M any] struct {
 	srv   *Server
 	idx   int
@@ -347,16 +342,16 @@ type smrGroup[M any] struct {
 	dest  func(M) types.NodeID
 	node  *Node[M]
 	rep   *smr.Replica
+	table *smr.Sessions[waiter]
 	store *shard.Store
 
 	// restoreFailed latches the first failed snapshot restore: the
-	// replica applies nothing after it, so the group stops taking
-	// client requests.
+	// replica applies nothing after it, and its table refuses client
+	// requests.
 	restoreFailed bool
 
-	pending map[types.ClientID]pendingReq
-
-	probes, reasked int // the module's read counters, as last added to srv.met
+	probes, reasked int    // the module's read counters, as last added to srv.met
+	ops             uint64 // the executor's OpsApplied, as last added to srv.met
 
 	// The believed leader as the last turn left it, for status'
 	// leader_changes and leaderless_ms (leaderChanged).
@@ -365,18 +360,17 @@ type smrGroup[M any] struct {
 	leaderlessAt  time.Time     // when the current leaderless stretch began; zero while a leader is named
 	leaderless    time.Duration // the last finished leaderless stretch
 
-	enc    []byte          // frame's scratch, reused across sends
-	writes []types.Request // serve's scratch: one turn's writes
+	enc []byte // frame's scratch, reused across sends
 }
 
 func newSMRGroup[M any](s *Server, idx int, mod SMRModule[M], codec Codec[M], dest func(M) types.NodeID) *smrGroup[M] {
 	g := &smrGroup[M]{
 		srv: s, idx: idx, mod: mod, codec: codec, dest: dest,
-		store:   shard.NewStore(),
-		pending: make(map[types.ClientID]pendingReq),
-		lead:    -1,
+		store: shard.NewStore(),
+		lead:  -1,
 	}
 	g.rep = smr.NewReplica(s.cfg.Self, mod, g.store)
+	g.table = smr.NewSessions[waiter](g.rep, mod)
 	g.node = NewNode[M](mod, s.cfg.Self, dest, g.send, g.afterTurn, NodeConfig{
 		TickEvery: s.cfg.TickEvery,
 	})
@@ -422,35 +416,23 @@ func (g *smrGroup[M]) deliver(payload []byte) {
 }
 
 // serve runs one connection's burst for this group as one turn, on the
-// connection's goroutine. Each request gets the leadership check and a
-// pending entry; a read goes to smr.Replica.Read, and the writes become
-// one Submit (smr.EncodeBatch: a lone write is its request value).
+// connection's goroutine: the session table takes or refuses each
+// request, and its writes become one Submit.
 func (g *smrGroup[M]) serve(cc *ClientConn, ops []clientOp) {
 	ok := g.node.CallWait(func() {
 		now := time.Now()
 		for _, op := range ops {
-			if g.restoreFailed {
+			req := types.Request{Client: op.Client, SeqNo: op.SeqNo, Op: op.Op}
+			switch g.table.Enter(req, op.read, waiter{cc: cc, reqID: op.ReqID, start: now, read: op.read}) {
+			case smr.Dead:
 				g.srv.respond(cc, Response{ReqID: op.ReqID, Status: StatusUnavailable, Leader: -1})
-				continue
-			}
-			if !g.mod.IsLeader() {
+			case smr.NotLeader:
 				g.srv.met.notLeader.Add(1)
 				g.redirect(cc, op.ReqID)
-				continue
 			}
-			g.pending[op.Client] = pendingReq{
-				cc: cc, reqID: op.ReqID, seqno: op.SeqNo, start: now, read: op.read,
-			}
-			if op.read {
-				g.rep.Read(op.Client, op.SeqNo, op.Op)
-				continue
-			}
-			g.writes = append(g.writes, types.Request{Client: op.Client, SeqNo: op.SeqNo, Op: op.Op})
 		}
-		if len(g.writes) > 0 {
-			g.mod.Submit(smr.EncodeBatch(g.writes))
+		if g.table.Propose() {
 			g.srv.met.proposed.Add(1)
-			g.writes = g.writes[:0]
 		}
 	})
 	if !ok {
@@ -473,50 +455,39 @@ func (g *smrGroup[M]) redirect(cc *ClientConn, reqID uint64) {
 	g.srv.respond(cc, resp)
 }
 
-// waiting takes the pending entry r answers, if the session still
-// waits for that seqno.
-func (g *smrGroup[M]) waiting(r types.Reply) (pendingReq, bool) {
-	p, ok := g.pending[r.Client]
-	if !ok || p.seqno != r.SeqNo {
-		return pendingReq{}, false
-	}
-	delete(g.pending, r.Client)
-	return p, true
-}
-
-// afterTurn ends every turn, under the node's lock: pump the replica,
-// answer the clients whose requests it applied or whose reads it served,
-// redirect those whose reads the module dropped, compact on cadence.
+// afterTurn ends every turn, under the node's lock: pump the session
+// table, answer the clients whose requests it applied or whose reads it
+// served, redirect those whose reads the module dropped, compact on
+// cadence. The turn that finds the replica dead answers every waiting
+// request StatusUnavailable.
 func (g *smrGroup[M]) afterTurn() {
-	_, replies, dropped, err := g.rep.Pump()
+	_, answered, orphans, err := g.table.Pump()
+	met := g.srv.met
 	if err != nil {
 		if !g.restoreFailed {
 			g.restoreFailed = true
-			g.srv.met.restoreFailed.Add(1)
+			met.restoreFailed.Add(1)
+		}
+		for _, w := range orphans {
+			g.srv.respond(w.cc, Response{ReqID: w.reqID, Status: StatusUnavailable, Leader: -1})
 		}
 		return
 	}
-	met := g.srv.met
-	for _, r := range replies {
-		p, ok := g.waiting(r)
-		if !ok || !p.read {
-			met.applied.Add(1) // a client write applied; a read is none
-		}
-		if !ok {
-			continue
-		}
-		if p.read {
-			met.observeRead(time.Since(p.start))
+	for _, a := range answered {
+		if a.Waiter.read {
+			met.observeRead(time.Since(a.Waiter.start))
 		} else {
-			met.observeCommit(g.idx, time.Since(p.start))
+			met.observeCommit(g.idx, time.Since(a.Waiter.start))
 		}
-		g.srv.respond(p.cc, Response{ReqID: p.reqID, Status: StatusOK, Leader: int64(g.srv.cfg.Self), Result: r.Result})
+		g.srv.respond(a.Waiter.cc, Response{ReqID: a.Waiter.reqID, Status: StatusOK, Leader: int64(g.srv.cfg.Self), Result: a.Result})
 	}
-	for _, r := range dropped {
+	for _, w := range orphans {
 		met.readsDropped.Add(1)
-		if p, ok := g.waiting(r); ok {
-			g.redirect(p.cc, p.reqID)
-		}
+		g.redirect(w.cc, w.reqID)
+	}
+	if ops := g.rep.Exec().OpsApplied(); ops != g.ops {
+		met.applied.Add(ops - g.ops)
+		g.ops = ops
 	}
 	if probes, reasked := g.mod.ReadStats(); probes != g.probes || reasked != g.reasked {
 		met.readProbes.Add(uint64(probes - g.probes))
@@ -586,6 +557,7 @@ func (g *smrGroup[M]) status() (GroupStatus, bool) {
 			Digest:   kvDigest(g.store.KV().Snapshot()),
 
 			Sessions:  g.rep.Exec().Sessions(),
+			Waiting:   g.table.Len(),
 			SnapIndex: uint64(g.rep.SnapshotIndex()),
 			SnapBytes: g.rep.SnapshotBytes(),
 

@@ -22,16 +22,13 @@ type Group interface {
 
 	// Step advances the group's runner one tick.
 	Step()
-	// Submit hands an encoded client request to the current live
-	// leader, reporting whether one was found. A false return is not an
-	// error: the caller retries after the group re-stabilizes.
-	Submit(v types.Value) bool
-	// Read is Submit for a GET: raft and Multi-Paxos serve it beside the
-	// log (smr.Replica.Read); PBFT orders it like a write.
-	Read(req types.Request) bool
-	// Pump drains newly committed decisions into the per-replica
-	// executors and returns the (replies, per-replica decisions) both
-	// produced this tick.
+	// Enter hands a client request to the session table of every live
+	// replica that takes it; if none does, the caller's retry will. A
+	// read is served beside the log on raft and Multi-Paxos; PBFT
+	// orders it like a write.
+	Enter(req types.Request, read bool)
+	// Pump drains newly committed decisions through every replica's
+	// session table: the replies it matched, and each replica's decisions.
 	Pump() ([]types.Reply, [][]types.Decision)
 	// Stores returns the per-replica shard state machines; its length
 	// is the group size.
@@ -48,19 +45,65 @@ const (
 )
 
 // group is a simulated SMR cluster of any protocol whose replicas apply
-// Store. The fault surface, Step, Pump and Stats are the embedded
-// cluster's; a backend adds its constructor and how a request enters
-// the protocol.
+// Store, each replica with its session table. The fault surface, Step
+// and Stats are the embedded cluster's; a backend adds its constructor
+// and which replicas a request enters (forwards).
 type group[M any, N runner.SMRNode[M]] struct {
 	*runner.SMRCluster[M, N]
 	stores []*Store
-	submit func(v types.Value) bool
-	read   func(req types.Request) bool
+	tables []*smr.Sessions[struct{}] // tables[i] is Reps[i]'s
+	// forwards: any replica forwards a request to the leader (PBFT), so
+	// the first live one takes it, and a read is ordered like a write.
+	// Otherwise every live claimant takes it: a deposed leader may still
+	// claim the title under a partition, and stopping at it would starve
+	// the real one. The executor dedups a write taken twice, and a
+	// deposed claimant cannot confirm a read.
+	forwards bool
 }
 
-func (g *group[M, N]) Submit(v types.Value) bool   { return g.submit(v) }
-func (g *group[M, N]) Read(req types.Request) bool { return g.read(req) }
-func (g *group[M, N]) Stores() []*Store            { return g.stores }
+// newGroup gives every replica of c a session table entering requests
+// through entry(i).
+func newGroup[M any, N runner.SMRNode[M]](c *runner.SMRCluster[M, N], stores []*Store, entry func(i int) smr.Proposer, forwards bool) *group[M, N] {
+	g := &group[M, N]{SMRCluster: c, stores: stores, forwards: forwards}
+	for i, rep := range c.Reps {
+		g.tables = append(g.tables, smr.NewSessions[struct{}](rep, entry(i)))
+	}
+	return g
+}
+
+func (g *group[M, N]) Enter(req types.Request, read bool) {
+	read = read && !g.forwards
+	for i, t := range g.tables {
+		if !g.Crashed(types.NodeID(i)) && t.Enter(req, read, struct{}{}) == smr.Taken {
+			t.Propose()
+			if g.forwards {
+				return
+			}
+		}
+	}
+}
+
+// Pump pumps every replica's table, in node order. A dropped read's
+// entry goes unreported: the service retries. A replica that cannot
+// restore an installed snapshot panics: in simulation that is a broken
+// snapshot codec, not a fault to ride out.
+func (g *group[M, N]) Pump() ([]types.Reply, [][]types.Decision) {
+	var replies []types.Reply
+	decided := make([][]types.Decision, len(g.tables))
+	for i, t := range g.tables {
+		ds, answered, _, err := t.Pump()
+		if err != nil {
+			panic(fmt.Sprintf("shard: node %d: %v", i, err))
+		}
+		decided[i] = ds
+		for _, a := range answered {
+			replies = append(replies, a.Reply)
+		}
+	}
+	return replies, decided
+}
+
+func (g *group[M, N]) Stores() []*Store { return g.stores }
 
 // NewGroup builds one shard group of the named backend over its own
 // seeded fabric. PBFT sizes itself to 3f+1 >= replicas.
@@ -75,62 +118,29 @@ func NewGroup(backend string, replicas int, seed uint64) (Group, error) {
 	switch backend {
 	case BackendRaft:
 		c := raft.NewCluster(replicas, fabric, raft.Config{Seed: seed}, newSM)
-		return leaderGroup(c.SMRCluster, stores), nil
+		return newGroup(c.SMRCluster, stores, func(i int) smr.Proposer { return c.Nodes[i] }, false), nil
 	case BackendMultiPaxos:
 		c := multipaxos.NewCluster(replicas, fabric, multipaxos.Config{Seed: seed}, newSM)
-		return leaderGroup(c.SMRCluster, stores), nil
+		return newGroup(c.SMRCluster, stores, func(i int) smr.Proposer { return c.Nodes[i] }, false), nil
 	case BackendPBFT:
 		f := (replicas - 1) / 3
 		if f < 1 {
 			f = 1
 		}
 		c := pbft.NewCluster(f, fabric, pbft.Config{}, newSM)
-		// PBFT backups forward client requests to the primary, so the
-		// first live replica is entry point enough.
-		submit := func(v types.Value) bool {
-			for i := range c.Nodes {
-				if id := types.NodeID(i); !c.Crashed(id) {
-					c.Submit(id, v)
-					return true
-				}
-			}
-			return false
-		}
-		read := func(req types.Request) bool { return submit(smr.EncodeRequest(req)) }
-		return &group[pbft.Message, *pbft.Replica]{c.SMRCluster, stores, submit, read}, nil
+		return newGroup(c.SMRCluster, stores, func(i int) smr.Proposer { return pbftEntry{c, types.NodeID(i)} }, true), nil
 	default:
 		return nil, fmt.Errorf("shard: unknown backend %q", backend)
 	}
 }
 
-// leaderNode is a replica of a protocol with a stable leader that takes
-// client requests directly.
-type leaderNode[M any] interface {
-	runner.SMRNode[M]
-	IsLeader() bool
-	Submit(types.Value)
+// pbftEntry is a session table's Proposer for PBFT replica at: it
+// claims every request, which the replica forwards to the primary unless
+// it is the primary.
+type pbftEntry struct {
+	c  *pbft.Cluster
+	at types.NodeID
 }
 
-// leaderGroup hands requests to every live node claiming leadership:
-// under a partition a deposed leader may still claim the title, and
-// stopping at the first claimant would starve the majority side's real
-// leader. Duplicates are safe: the smr executor's (client, seqno) cache
-// dedups writes, and a deposed claimant cannot confirm a read.
-func leaderGroup[M any, N leaderNode[M]](c *runner.SMRCluster[M, N], stores []*Store) *group[M, N] {
-	claimants := func(f func(i int, n N)) bool {
-		sent := false
-		for i, n := range c.Nodes {
-			if !c.Crashed(types.NodeID(i)) && n.IsLeader() {
-				f(i, n)
-				sent = true
-			}
-		}
-		return sent
-	}
-	return &group[M, N]{c, stores,
-		func(v types.Value) bool { return claimants(func(_ int, n N) { n.Submit(v) }) },
-		func(q types.Request) bool {
-			return claimants(func(i int, _ N) { c.Reps[i].Read(q.Client, q.SeqNo, q.Op) })
-		},
-	}
-}
+func (pbftEntry) IsLeader() bool         { return true }
+func (e pbftEntry) Submit(v types.Value) { e.c.Submit(e.at, v) }

@@ -7,7 +7,6 @@ import (
 	"fortyconsensus/internal/commit"
 	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/kvstore"
-	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/types"
 )
 
@@ -67,8 +66,8 @@ type TxnResult struct {
 
 // Coordinator drives transactions over shard groups: the single-shard
 // TxApply fast path, and 2PC with the decision latched in the home
-// shard's replicated log. It is driven by the Service: Begin/Adopt
-// start work, OnReply consumes routed replies, Tick retries.
+// shard's replicated log. It is driven by the Service: Begin
+// starts work, OnReply consumes routed replies, Tick retries.
 //
 // Session discipline: every request runs in its OWN smr client session
 // (Client = client base + seq, SeqNo = seq). The executor's dedup cache
@@ -89,14 +88,14 @@ type Coordinator struct {
 	txns    map[commit.TxID]*coordTxn // every transaction ever driven: Knows
 	open    []*coordTxn               // the unfinished ones, ascending TxID: what Tick walks
 
-	submit func(shard int, req types.Value) bool
+	submit func(shard int, req types.Request)
 	unsafe bool // ship per-shard outcomes straight from votes, no TxDecide
 
 	done []TxnResult
 }
 
 // NewCoordinator builds a coordinator submitting through submit.
-func NewCoordinator(client types.ClientID, unsafe bool, submit func(shard int, req types.Value) bool) *Coordinator {
+func NewCoordinator(client types.ClientID, unsafe bool, submit func(shard int, req types.Request)) *Coordinator {
 	return &Coordinator{
 		client:  client,
 		pending: make(map[uint64]*pendingReq),
@@ -113,19 +112,17 @@ func (co *Coordinator) send(kind pendingKind, tx commit.TxID, shard int, cmd Cmd
 	co.seq++
 	enc := cmd.Encode()
 	co.pending[co.seq] = &pendingReq{kind: kind, tx: tx, shard: shard, cmd: enc, issuedAt: now}
-	co.submit(shard, co.encode(co.seq, enc))
+	co.submit(shard, co.request(co.seq, enc))
 }
 
-// encode wraps an op in request seq's dedicated client session.
-func (co *Coordinator) encode(seq uint64, op types.Value) types.Value {
-	return smr.EncodeRequest(types.Request{
-		Client: co.client + types.ClientID(seq), SeqNo: seq, Op: op,
-	})
+// request wraps an op in request seq's dedicated client session.
+func (co *Coordinator) request(seq uint64, op types.Value) types.Request {
+	return types.Request{Client: co.client + types.ClientID(seq), SeqNo: seq, Op: op}
 }
 
 // Begin starts a transaction whose per-shard command lists are cmds.
 // Single-shard transactions take the TxApply fast path; cross-shard
-// ones enter 2PC. Duplicate Begin/Adopt for a known tx is a no-op.
+// ones enter 2PC. Duplicate Begin for a known tx is a no-op.
 func (co *Coordinator) Begin(tx commit.TxID, cmds map[int][]kvstore.Command, now int) {
 	if _, ok := co.txns[tx]; ok {
 		return
@@ -148,14 +145,6 @@ func (co *Coordinator) Begin(tx commit.TxID, cmds map[int][]kvstore.Command, now
 	for _, s := range shards {
 		co.send(pPrepare, tx, s, Prepare(tx, cmds[s]), now)
 	}
-}
-
-// Adopt is recovery: a second coordinator re-drives a transaction whose
-// original owner went quiet. It replays the same protocol — prepares
-// re-read latched votes, and the home-shard TxDecide latch guarantees
-// both coordinators converge on one outcome.
-func (co *Coordinator) Adopt(tx commit.TxID, cmds map[int][]kvstore.Command, now int) {
-	co.Begin(tx, cmds, now)
 }
 
 // OnReply consumes one routed client reply.
@@ -205,7 +194,7 @@ func (co *Coordinator) resend(p *pendingReq, now int) {
 	np := *p
 	np.issuedAt = now
 	co.pending[co.seq] = &np
-	co.submit(np.shard, co.encode(co.seq, np.cmd))
+	co.submit(np.shard, co.request(co.seq, np.cmd))
 }
 
 func (co *Coordinator) onVote(p *pendingReq, t *coordTxn, res types.Value, now int) {
@@ -333,7 +322,7 @@ func (co *Coordinator) Tick(now int) {
 		p := co.pending[seqno]
 		if now-p.issuedAt >= retryEvery {
 			p.issuedAt = now
-			co.submit(p.shard, co.encode(seqno, p.cmd))
+			co.submit(p.shard, co.request(seqno, p.cmd))
 		}
 	}
 	if co.unsafe {

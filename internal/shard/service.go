@@ -9,7 +9,6 @@ import (
 	"fortyconsensus/internal/kvstore"
 	"fortyconsensus/internal/metrics"
 	"fortyconsensus/internal/runner"
-	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/types"
 )
 
@@ -75,16 +74,8 @@ type txnRecord struct {
 type pendingKV struct {
 	shard    int
 	req      types.Request
-	enc      types.Value // encoded for the log; nil for a GET (Group.Read)
+	read     bool // a GET
 	issuedAt int
-}
-
-func (s *Service) sendKV(p *pendingKV) {
-	if p.enc == nil {
-		s.groups[p.shard].Read(p.req)
-	} else {
-		s.groups[p.shard].Submit(p.enc)
-	}
 }
 
 // Metrics aggregates per-shard and per-transaction counters.
@@ -166,7 +157,7 @@ func NewService(cfg Config) *Service {
 		s.coords[i] = NewCoordinator(
 			coordClientBase+types.ClientID(i)*coordSessionSpan,
 			cfg.UnsafeCoordinator,
-			s.submitTo,
+			func(sh int, req types.Request) { s.groups[sh].Enter(req, false) },
 		)
 	}
 	return s
@@ -181,10 +172,6 @@ func MixSeed(seed, i uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-func (s *Service) submitTo(shard int, req types.Value) bool {
-	return s.groups[shard].Submit(req)
 }
 
 // Map returns the partition map.
@@ -238,14 +225,11 @@ func (s *Service) TxDone(tx commit.TxID) (bool, commit.Outcome) {
 // answers; replies surface through TakeKVReplies.
 func (s *Service) SubmitKVAt(shard int, c kvstore.Command) uint64 {
 	s.kvSeq++
-	p := &pendingKV{shard: shard, issuedAt: s.now, req: types.Request{
+	p := &pendingKV{shard: shard, issuedAt: s.now, read: c.Op == kvstore.OpGet, req: types.Request{
 		Client: kvClientBase + types.ClientID(s.kvSeq), SeqNo: s.kvSeq, Op: c.Encode(),
 	}}
-	if c.Op != kvstore.OpGet {
-		p.enc = smr.EncodeRequest(p.req)
-	}
 	s.kvPending[s.kvSeq] = p
-	s.sendKV(p)
+	s.groups[shard].Enter(p.req, p.read)
 	return s.kvSeq
 }
 
@@ -291,7 +275,7 @@ func (s *Service) Step() {
 		p := s.kvPending[seqno]
 		if s.now-p.issuedAt >= retryEvery {
 			p.issuedAt = s.now
-			s.sendKV(p)
+			s.groups[p.shard].Enter(p.req, p.read)
 		}
 	}
 	for i, g := range s.groups {
@@ -313,13 +297,14 @@ func (s *Service) Run(n int) {
 	}
 }
 
-// route delivers one executor reply to its session while the request
-// it answers is still pending: every live replica of a shard emits the
-// same reply, and the first copy ends the request, so the rest find
-// nothing waiting (kvPending here, the coordinator's own table in
-// OnReply). Replies to a crashed coordinator are dropped unseen — its
-// same-seqno retry after restart re-reads the latched answer from the
-// log.
+// route delivers one answer of a replica's session table, by its
+// client's range, while the request it answers is still pending: a
+// request that entered two replicas (two claimants, or a retry) is
+// answered by each table that applies it, and the first answer ends the
+// request, so the rest find nothing waiting (kvPending here, the
+// coordinator's own table in OnReply). Answers to a crashed coordinator
+// are dropped unseen — its same-seqno retry after restart re-reads the
+// latched answer from the log.
 func (s *Service) route(r types.Reply) {
 	switch {
 	case r.Client >= kvClientBase:
@@ -339,7 +324,8 @@ func (s *Service) route(r types.Reply) {
 // adoptOverdue hands stuck transactions to whichever coordinator can
 // make progress: the recovery coordinator adopts anything older than
 // adoptAfter, and the primary picks up registrations it missed while
-// crashed. Both paths are idempotent, and the home-shard decision latch
+// crashed. Either Begins the transaction, replaying the same protocol:
+// prepares re-read latched votes, and the home-shard decision latch
 // makes concurrent drivers converge.
 func (s *Service) adoptOverdue() {
 	for _, tx := range s.txOpen {
@@ -348,7 +334,7 @@ func (s *Service) adoptOverdue() {
 			s.coords[0].Begin(tx, rec.cmds, s.now)
 		}
 		if s.now-rec.begunAt >= adoptAfter && !s.down[1] {
-			s.coords[1].Adopt(tx, rec.cmds, s.now)
+			s.coords[1].Begin(tx, rec.cmds, s.now)
 		}
 	}
 }

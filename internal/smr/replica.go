@@ -39,10 +39,11 @@ type Reader interface {
 // machine: the module's decision stream, an Executor applying it, and —
 // when the module can compact — the snapshot policy between the two;
 // when the module is a Reader, it also serves reads beside the log.
-// The simulated cluster (runner.SMRCluster) and the live runtime
-// (live.Server) are its two drivers; each calls Pump after the module
-// has taken a step. A Replica is as single-threaded as the module it
-// reads.
+// It has two drivers, each calling Pump after the module has taken a
+// step: runner.SMRCluster pumps every simulated replica, and a Sessions
+// table pumps the replica of a host that takes client requests (a
+// live.Server group, a simulated shard group). A Replica is as
+// single-threaded as the module it reads.
 type Replica struct {
 	mod    Module
 	comp   Compactor // nil: the module cannot compact

@@ -4,6 +4,12 @@
 // deduplicates client retries so a command executes exactly once even
 // when the client or the protocol retransmits — the "replicated log"
 // slides of the paper.
+//
+// Replica moves one module's decisions into its state machine. It has
+// two drivers: runner.SMRCluster pumps every simulated replica after a
+// step, and Sessions, the one client-session table, pumps the replica
+// of a host that takes client requests — live.Server's groups over TCP
+// and shard's simulated groups alike.
 package smr
 
 import (

@@ -8,6 +8,9 @@
 #       one cmd/servebench workload, `--workload WORKLOAD --seed SEED
 #       --seconds $RUN_SECONDS --trace 0`: every end-to-end metric
 #       BENCHMARK.json names, then failed and attempted ops per side.
+#       WORKLOAD may also be a comma-separated list, or `all` (every
+#       workload BENCHMARK.json declares): each runs its pairs in turn
+#       and prints its own table.
 #
 #   scripts/servebench_pairs.sh BASE ./PKG RUN [PAIRS]
 #   make bench-pair BASE=HEAD~1 PKG=./internal/raft RUN=Persistence PAIRS=10
@@ -54,6 +57,23 @@ ROOT="$(git rev-parse --show-toplevel)"
 SHA="$(git -C "$ROOT" rev-parse --verify "$BASE^{commit}")"
 OUT="$ROOT/.bench_build/pairs"
 SRC="$OUT/base-$SHA"
+
+# Several workloads: one run of this script per workload, in turn.
+case "$2" in
+all | *,*)
+    if [ "$2" = all ]; then
+        list="$(awk '/"workloads"/ { inside = 1 } inside && /\]/ { inside = 0 }
+            inside && /"name"/ { split($0, f, "\""); print f[4] }' "$ROOT/BENCHMARK.json")"
+    else
+        list="$(echo "$2" | tr , ' ')"
+    fi
+    for w in $list; do
+        echo "== $w"
+        "$0" "$1" "$w" "${@:3}"
+    done
+    exit 0
+    ;;
+esac
 
 # What differs between the two uses: what to build, where and how to run
 # it, and `readings`, which turns one run's output into lines of
