@@ -49,8 +49,8 @@ test: build lint
 
 # live.Node's single-threaded module contract rests on a mutex whose
 # only dynamic check is the TestNode* hammer tests, and live.Client's
-# combined request writes on the TestClient* ones, so they run twenty
-# times over on top of the package once.
+# combined request writes and its router on the TestClient* ones, so
+# they run twenty times over on top of the package once.
 test-race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race ./internal/live -run 'TestNode|TestTransport|TestClient' -count=20
@@ -116,13 +116,16 @@ fuzz:
 
 # Full gate: everything CI runs, in order. The golden step verifies the
 # pinned experiment artifacts byte-for-byte (no -update), and the shard
-# stack runs uncached so the 2PC and linearizability tests always fire.
+# stack and the served-path campaign (live.Server and the client's
+# router on the simulated fabric) run uncached so the 2PC and
+# linearizability tests always fire.
 # The last step is a seconds-long self-test of the pair tool, HEAD
 # against the working tree for one pair: both sides must build and
 # report; what the numbers say is not looked at.
 ci: build lint explore examples fuzz
 	$(GO) test -race ./...
 	$(GO) test $(SHARD_PKGS) -count=1
+	$(GO) test ./internal/live -run TestServedPathCampaign -count=1
 	$(GO) test ./internal/experiments -run TestGoldenArtifacts -count=1
 	$(MAKE) serve-smoke
 	$(MAKE) bench-pair BASE=HEAD PKG=./internal/kvstore RUN=. PAIRS=1

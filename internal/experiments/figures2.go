@@ -9,10 +9,9 @@ import (
 	"fortyconsensus/internal/metrics"
 	"fortyconsensus/internal/pos"
 	"fortyconsensus/internal/pow"
-	"fortyconsensus/internal/raft"
 	"fortyconsensus/internal/runner"
+	"fortyconsensus/internal/shard"
 	"fortyconsensus/internal/simnet"
-	"fortyconsensus/internal/smr"
 	"fortyconsensus/internal/types"
 	"fortyconsensus/internal/workload"
 )
@@ -141,81 +140,36 @@ func F8PoSFairness() Result {
 	return Result{ID: "F8", Caption: "Stake-proportional selection vs coin-age smoothing", Artifact: t.String()}
 }
 
-// shardedBank drives the Spanner-slide architecture: Raft-replicated
-// shards with 2PC across them.
-type shardedBank struct {
-	shards  []*raft.Cluster
-	leaders []*raft.Node
-}
-
-func newShardedBank(shardCount, accounts int, seed uint64) *shardedBank {
-	sb := &shardedBank{}
-	for s := 0; s < shardCount; s++ {
-		c := raft.NewCluster(3, nil, raft.Config{Seed: seed + uint64(s)*101}, kvSM)
-		lead := c.WaitLeader(1000)
-		for a := 0; a < accounts; a++ {
-			if a%shardCount == s {
-				lead.Submit(smr.EncodeRequest(types.Request{
-					Client: 999, SeqNo: uint64(a + 1),
-					Op: kvstore.Put(workload.AccountKey(a), []byte("1000")).Encode(),
-				}))
-			}
-		}
-		c.RunPumped(200)
-		sb.shards = append(sb.shards, c)
-		sb.leaders = append(sb.leaders, lead)
-	}
-	return sb
-}
-
-// step advances every shard one tick.
-func (sb *shardedBank) step() {
-	for _, c := range sb.shards {
-		c.Step()
-		c.Pump()
-	}
-}
-
-// replicate submits an op to a shard's Raft group and runs all shards
-// until it commits, returning elapsed ticks.
-func (sb *shardedBank) replicate(shard int, seqno uint64, cmd kvstore.Command) int {
-	lead := sb.leaders[shard]
-	before := lead.CommitFrontier()
-	lead.Submit(smr.EncodeRequest(types.Request{Client: 5, SeqNo: seqno, Op: cmd.Encode()}))
-	ticks := 0
-	for lead.CommitFrontier() <= before && ticks < 2000 {
-		sb.step()
-		ticks++
-	}
-	return ticks
-}
-
-// F11SpannerStyle2PC reproduces the Spanner slide: transactions via 2PC
-// across Paxos/Raft-replicated shards — commit latency versus shard
-// spread.
+// F11SpannerStyle2PC reproduces the Spanner slide: bank transfers as
+// transactions through shard.Service (2PC over Raft-replicated shards),
+// commit latency versus shard spread. A transfer within one shard is
+// one TxApply entry; one across two is a TxPrepare on each, the TxDecide
+// at the home shard and a TxCommit on each.
 func F11SpannerStyle2PC() Result {
 	t := metrics.NewTable("F11 — 2PC over Raft shards (bank transfers, 3 replicas per shard)",
 		"shards touched", "phase ops replicated", "ticks/txn (p50)")
-	seqno := uint64(0)
 	for _, spread := range []int{1, 2} {
-		sb := newShardedBank(2, 8, 77)
+		svc := shard.NewService(shard.Config{Shards: 2, Seed: 77})
+		svc.Run(60) // leader elections
+		// Two accounts the partition map places on the shards touched.
+		var accts []string
+		for a := 0; len(accts) < 2; a++ {
+			key := workload.AccountKey(a)
+			if want := len(accts) % spread; svc.Map().Shard(key) == want {
+				accts = append(accts, key)
+			}
+		}
 		lat := metrics.NewHistogram()
 		for txn := 0; txn < 10; txn++ {
+			tx := svc.Submit([]kvstore.Command{kvstore.Incr(accts[0], -10), kvstore.Incr(accts[1], 10)})
 			ticks := 0
-			// Phase 1 (prepare): replicate a lock/debit-check record in
-			// every touched shard's Raft log.
-			for s := 0; s < spread; s++ {
-				seqno++
-				ticks += sb.replicate(s, seqno, kvstore.Put(fmt.Sprintf("lock-%d-%d", txn, s), []byte("prep")))
-			}
-			// Phase 2 (commit): replicate the commit record.
-			for s := 0; s < spread; s++ {
-				seqno++
-				ticks += sb.replicate(s, seqno, kvstore.Incr(workload.AccountKey(s), -10))
+			for done, _ := svc.TxDone(tx); !done && ticks < 2000; done, _ = svc.TxDone(tx) {
+				svc.Step()
+				ticks++
 			}
 			lat.Add(ticks)
 		}
-		t.AddRowf(spread, 2*spread, lat.Percentile(50))
+		t.AddRowf(spread, 1+4*(spread-1), lat.Percentile(50))
 	}
 	return Result{ID: "F11", Caption: "Cross-shard transactions pay 2PC phases × replication rounds", Artifact: t.String()}
 }

@@ -97,11 +97,11 @@ type AdminConfResult struct {
 // AddPeer teaches the server's transport a late-joining node's address.
 // Module membership is governed by committed config entries, not by
 // this map — AddPeer only makes the joiner reachable.
-func (s *Server) AddPeer(id types.NodeID, addr string) { s.tr.AddPeer(id, addr) }
+func (s *Server) AddPeer(id types.NodeID, addr string) { s.peers.AddPeer(id, addr) }
 
 // handleAdmin answers one admin request on the connection's goroutine.
-func (s *Server) handleAdmin(cc *ClientConn, req Request) {
-	bad := func(why string) { s.refuse(cc, req, why) }
+func (s *Server) handleAdmin(rc replier, req Request) {
+	bad := func(why string) { s.refuse(rc, req, why) }
 	r := wire.NewReader(req.Op)
 	switch r.U8() {
 	case OpAdminStatus:
@@ -113,7 +113,7 @@ func (s *Server) handleAdmin(cc *ClientConn, req Request) {
 		for _, g := range s.grs {
 			gs, ok := g.status()
 			if !ok {
-				s.respond(cc, Response{ReqID: req.ReqID, Status: StatusUnavailable, Leader: -1})
+				s.respond(rc, Response{ReqID: req.ReqID, Status: StatusUnavailable, Leader: -1})
 				return
 			}
 			st.Groups = append(st.Groups, gs)
@@ -123,7 +123,7 @@ func (s *Server) handleAdmin(cc *ClientConn, req Request) {
 			bad(fmt.Sprintf("status encoding: %v", err))
 			return
 		}
-		s.respond(cc, Response{ReqID: req.ReqID, Status: StatusOK, Leader: int64(s.cfg.Self), Result: buf})
+		s.respond(rc, Response{ReqID: req.ReqID, Status: StatusOK, Leader: int64(s.cfg.Self), Result: buf})
 	case OpAdminAddNode:
 		id := types.NodeID(r.I64())
 		addr := string(r.View32())
@@ -132,14 +132,14 @@ func (s *Server) handleAdmin(cc *ClientConn, req Request) {
 			return
 		}
 		s.AddPeer(id, addr)
-		s.answerConf(cc, req, snapshot.ConfChange{Op: snapshot.ConfAdd, Node: id})
+		s.answerConf(rc, req, snapshot.ConfChange{Op: snapshot.ConfAdd, Node: id})
 	case OpAdminRemoveNode:
 		id := types.NodeID(r.I64())
 		if !r.Done() {
 			bad("malformed remove-node request")
 			return
 		}
-		s.answerConf(cc, req, snapshot.ConfChange{Op: snapshot.ConfRemove, Node: id})
+		s.answerConf(rc, req, snapshot.ConfChange{Op: snapshot.ConfRemove, Node: id})
 	default:
 		bad("unknown admin op")
 	}
@@ -148,7 +148,7 @@ func (s *Server) handleAdmin(cc *ClientConn, req Request) {
 // answerConf submits cc through every shard group this node leads and
 // reports the count; zero submissions with live groups is still OK —
 // the admin client broadcasts, and some other node leads.
-func (s *Server) answerConf(conn *ClientConn, req Request, cc snapshot.ConfChange) {
+func (s *Server) answerConf(rc replier, req Request, cc snapshot.ConfChange) {
 	res := AdminConfResult{Node: int64(s.cfg.Self), Groups: len(s.grs)}
 	for _, g := range s.grs {
 		if g.submitConf(cc) {
@@ -157,11 +157,10 @@ func (s *Server) answerConf(conn *ClientConn, req Request, cc snapshot.ConfChang
 	}
 	buf, err := json.Marshal(res)
 	if err != nil {
-		conn.Send(Response{ReqID: req.ReqID, Status: StatusBadRequest, Leader: -1,
-			Result: types.Value(err.Error())})
+		s.respond(rc, Response{ReqID: req.ReqID, Status: StatusBadRequest, Leader: -1, Result: types.Value(err.Error())})
 		return
 	}
-	conn.Send(Response{ReqID: req.ReqID, Status: StatusOK, Leader: int64(s.cfg.Self), Result: buf})
+	s.respond(rc, Response{ReqID: req.ReqID, Status: StatusOK, Leader: int64(s.cfg.Self), Result: buf})
 }
 
 // kvDigest fingerprints a store's KV snapshot, skipping the 8-byte

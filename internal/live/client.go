@@ -110,14 +110,13 @@ type Client struct {
 	reqID atomic.Uint64 // per-attempt match token
 	stats clientStats   // shared by every connection
 
-	// A node is referred to by its position in cfg.Addrs throughout;
-	// a hint's node ID is turned into one by position. cfg.Addrs,
-	// cfg.IDs and conns only grow, under mu, when a NotLeader reply
-	// names a node the client was not given (hint): a slice read under
-	// mu is a consistent view whose elements never change.
+	// A node is referred to by its position in route throughout. The
+	// router's nodes and conns only grow, under mu, when a NotLeader
+	// reply names a node the client was not given: a slice read under mu
+	// is a consistent view whose elements never change.
 	mu     sync.Mutex
-	conns  []*cconn // nil or dead = (re)dial
-	leader []int    // per-shard leader guess; -1 unknown
+	route  router
+	conns  []*cconn // by position; nil, dead or missing = (re)dial
 	closed bool
 	// The session window: the sessions no operation holds, and how many
 	// were ever opened — the peak number of operations in flight at once.
@@ -153,25 +152,12 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if len(cfg.IDs) != len(cfg.Addrs) && cfg.IDs != nil {
 		return nil, fmt.Errorf("live: client has %d node IDs for %d addresses", len(cfg.IDs), len(cfg.Addrs))
 	}
-	// Copies: a redirect to a node the client was not given appends to
-	// both, and must not write into the caller's arrays.
-	cfg.Addrs, cfg.IDs = slices.Clone(cfg.Addrs), slices.Clone(cfg.IDs)
-	if cfg.IDs == nil {
-		cfg.IDs = make([]types.NodeID, len(cfg.Addrs))
-		for i := range cfg.IDs {
-			cfg.IDs[i] = types.NodeID(i)
-		}
-	}
-	c := &Client{
-		cfg:    cfg,
-		pm:     shard.NewPartitionMap(cfg.Shards),
-		conns:  make([]*cconn, len(cfg.Addrs)),
-		leader: make([]int, cfg.Shards),
-	}
-	for i := range c.leader {
-		c.leader[i] = -1
-	}
-	return c, nil
+	return &Client{
+		cfg:   cfg,
+		pm:    shard.NewPartitionMap(cfg.Shards),
+		route: newRouter(cfg.Addrs, cfg.IDs, cfg.Shards),
+		conns: make([]*cconn, len(cfg.Addrs)),
+	}, nil
 }
 
 // ClientStats counts a client's request frames and the socket writes
@@ -190,38 +176,97 @@ func (c *Client) Stats() ClientStats {
 	return ClientStats{Frames: c.stats.frames.Load(), Writes: c.stats.writes.Load()}
 }
 
-// nodes returns the client's node IDs by position.
-func (c *Client) nodes() []types.NodeID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cfg.IDs
+// router is a client's routing: the nodes it knows, by position, each
+// shard's leader guess, and where an operation's next attempt goes
+// after each outcome. It starts no goroutine and reads no clock, so the
+// same code routes Client.Do, under Client.mu, and the simulated clients
+// of the served-path campaign.
+type router struct {
+	// addrs and ids name node i by address and by ID; they grow when a
+	// NotLeader reply names a node the router was not given.
+	addrs  []string
+	ids    []types.NodeID
+	leader []int // per-shard leader guess; -1 unknown
 }
 
-// position resolves a node ID to its index in ids, or -1 if ids does
-// not hold it.
-func position(ids []types.NodeID, id types.NodeID) int {
-	for i, have := range ids {
-		if have == id {
-			return i
+// newRouter knows the nodes at addrs, named by ids (nil: node i is
+// addrs[i]), and guesses no shard's leader yet.
+func newRouter(addrs []string, ids []types.NodeID, shards int) router {
+	// Copies: adopting a node appends to both, and must not write into
+	// the caller's arrays.
+	r := router{addrs: slices.Clone(addrs), ids: slices.Clone(ids), leader: make([]int, shards)}
+	if r.ids == nil {
+		r.ids = make([]types.NodeID, len(addrs))
+		for i := range r.ids {
+			r.ids[i] = types.NodeID(i)
 		}
 	}
-	return -1
+	for i := range r.leader {
+		r.leader[i] = -1
+	}
+	return r
+}
+
+// pick is the node an operation's attempt goes to: node, if it is one
+// the router knows, else the attempt's turn in node order.
+func (r *router) pick(node, attempt int) int {
+	if node < 0 || node >= len(r.ids) {
+		node = attempt % len(r.ids)
+	}
+	return node
+}
+
+// next records how an attempt at node for shard sh ended — a reply
+// resp, or lost (the connection died or the attempt timed out) — and
+// returns the node the next attempt goes to (-1: the attempt's turn)
+// and whether to back off before it. Only a NotLeader reply with a
+// fresh hint redirects at once.
+func (r *router) next(sh, node int, resp Response, lost bool) (int, bool) {
+	switch {
+	case lost:
+	case resp.Status == StatusOK:
+		r.leader[sh] = node
+		return node, false
+	case resp.Status == StatusNotLeader:
+		r.drop(sh, node)
+		if hint := r.hint(resp); hint >= 0 && hint != node {
+			return hint, false
+		}
+		return (node + 1) % len(r.ids), true
+	}
+	// Lost, StatusUnavailable and anything unknown.
+	r.drop(sh, node)
+	return -1, true
 }
 
 // hint resolves a NotLeader reply's leader to a position. A node the
-// client was not given is adopted at the address the reply carries; a
+// router was not given is adopted at the address the reply carries; a
 // hint with neither a known ID nor an address is no hint (-1).
-func (c *Client) hint(resp Response) int {
+func (r *router) hint(resp Response) int {
 	id := types.NodeID(resp.Leader)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if at := position(c.cfg.IDs, id); at >= 0 || resp.Leader < 0 || len(resp.Result) == 0 || c.closed {
+	if at := slices.Index(r.ids, id); at >= 0 || resp.Leader < 0 || len(resp.Result) == 0 {
 		return at
 	}
-	c.cfg.Addrs = append(c.cfg.Addrs, string(resp.Result))
-	c.cfg.IDs = append(c.cfg.IDs, id)
-	c.conns = append(c.conns, nil)
-	return len(c.cfg.IDs) - 1
+	r.addrs = append(r.addrs, string(resp.Result))
+	r.ids = append(r.ids, id)
+	return len(r.ids) - 1
+}
+
+// drop forgets shard sh's guess only if it still points at the node
+// that just failed (a concurrent success may have updated it).
+func (r *router) drop(sh, node int) {
+	if r.leader[sh] == node {
+		r.leader[sh] = -1
+	}
+}
+
+// forget drops every shard's guess pointing at node — called when
+// node's connection dies, so shards that never got to observe a failed
+// request don't walk into a dead leader on their next operation.
+func (r *router) forget(node int) {
+	for sh := range r.leader {
+		r.drop(sh, node)
+	}
 }
 
 // Do executes one KV command against the cluster and returns the
@@ -243,7 +288,9 @@ func (c *Client) Do(cmd kvstore.Command) (types.Value, error) {
 	req := Request{Client: sess.id, SeqNo: sess.seq, Op: cmd.Encode()}
 	sh := c.pm.Shard(cmd.Key)
 	deadline := time.Now().Add(c.cfg.Deadline)
-	node := c.leaderGuess(sh)
+	c.mu.Lock()
+	node := c.route.leader[sh]
+	c.mu.Unlock()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if time.Now().After(deadline) {
@@ -252,40 +299,32 @@ func (c *Client) Do(cmd kvstore.Command) (types.Value, error) {
 			}
 			return nil, fmt.Errorf("%w: %v", ErrDeadline, lastErr)
 		}
-		ids := c.nodes()
-		if node < 0 || node >= len(ids) {
-			node = attempt % len(ids)
-		}
+		c.mu.Lock()
+		node = c.route.pick(node, attempt)
+		id := c.route.ids[node]
+		c.mu.Unlock()
 		resp, err := c.attempt(node, req, sess)
-		if err != nil {
-			if errors.Is(err, ErrClientClosed) {
-				return nil, err
-			}
-			lastErr = fmt.Errorf("node %d: %w", ids[node], err)
-			c.dropLeader(sh, node)
-			node = -1
-			time.Sleep(retryBackoff)
-			continue
-		}
-		switch resp.Status {
-		case StatusOK:
-			c.setLeader(sh, node)
-			return resp.Result, nil
-		case StatusNotLeader:
-			lastErr = fmt.Errorf("node %d: %w", ids[node], errNotLeader)
-			c.dropLeader(sh, node)
-			if hint := c.hint(resp); hint >= 0 && hint != node {
-				node = hint // fresh hint: redirect immediately
-				continue
-			}
-			node = (node + 1) % len(ids)
-			time.Sleep(retryBackoff)
-		case StatusBadRequest:
+		switch {
+		case errors.Is(err, ErrClientClosed):
+			return nil, err
+		case err != nil:
+			lastErr = fmt.Errorf("node %d: %w", id, err)
+		case resp.Status == StatusOK:
+		case resp.Status == StatusNotLeader:
+			lastErr = fmt.Errorf("node %d: %w", id, errNotLeader)
+		case resp.Status == StatusBadRequest:
 			return nil, fmt.Errorf("live: server rejected request: %s", resp.Result)
 		default: // StatusUnavailable and anything unknown
-			lastErr = fmt.Errorf("node %d: unavailable", ids[node])
-			c.dropLeader(sh, node)
-			node = -1
+			lastErr = fmt.Errorf("node %d: unavailable", id)
+		}
+		c.mu.Lock()
+		next, backoff := c.route.next(sh, node, resp, err != nil)
+		c.mu.Unlock()
+		if err == nil && resp.Status == StatusOK {
+			return resp.Result, nil
+		}
+		node = next
+		if backoff {
 			time.Sleep(retryBackoff)
 		}
 	}
@@ -328,41 +367,6 @@ func (c *Client) takeSession() session {
 func (c *Client) putSession(s session) {
 	c.mu.Lock()
 	c.free = append(c.free, s)
-	c.mu.Unlock()
-}
-
-func (c *Client) leaderGuess(sh int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.leader[sh]
-}
-
-func (c *Client) setLeader(sh, node int) {
-	c.mu.Lock()
-	c.leader[sh] = node
-	c.mu.Unlock()
-}
-
-// dropLeader forgets the guess only if it still points at the node
-// that just failed (a concurrent success may have updated it).
-func (c *Client) dropLeader(sh, node int) {
-	c.mu.Lock()
-	if c.leader[sh] == node {
-		c.leader[sh] = -1
-	}
-	c.mu.Unlock()
-}
-
-// dropLeaderNode forgets every shard's guess pointing at node — called
-// when node's connection dies, so shards that never got to observe a
-// failed request don't walk into a dead leader on their next operation.
-func (c *Client) dropLeaderNode(node int) {
-	c.mu.Lock()
-	for sh := range c.leader {
-		if c.leader[sh] == node {
-			c.leader[sh] = -1
-		}
-	}
 	c.mu.Unlock()
 }
 
@@ -412,11 +416,14 @@ func (c *Client) conn(node int) (*cconn, error) {
 		c.mu.Unlock()
 		return nil, ErrClientClosed
 	}
+	for len(c.conns) < len(c.route.addrs) {
+		c.conns = append(c.conns, nil)
+	}
 	if cn := c.conns[node]; cn != nil && !cn.isDead() {
 		c.mu.Unlock()
 		return cn, nil
 	}
-	addr := c.cfg.Addrs[node]
+	addr := c.route.addrs[node]
 	c.mu.Unlock()
 
 	// Dial outside the lock; losers of a dial race just get replaced.
@@ -427,7 +434,11 @@ func (c *Client) conn(node int) (*cconn, error) {
 	cn := newCConn(conn, &c.stats)
 	// Any connection death invalidates every leader guess at this node;
 	// a losing dial racer triggers it too, which only costs a re-probe.
-	cn.onDead = func() { c.dropLeaderNode(node) }
+	cn.onDead = func() {
+		c.mu.Lock()
+		c.route.forget(node)
+		c.mu.Unlock()
+	}
 	// The hello leaves in the first request's write.
 	cn.out = append(binary.BigEndian.AppendUint32(nil, helloLen), encodeHello(helloClient, int64(c.cfg.SessionBase))...)
 	go cn.readLoop()
@@ -533,9 +544,7 @@ func (cn *cconn) abandon(reqID uint64, ch chan Response) {
 // attempt fails the connection, and every other waiter wakes on dead.
 func (cn *cconn) send(req Request) error {
 	cn.wmu.Lock()
-	at := len(cn.out)
-	cn.out = req.appendTo(append(cn.out, 0, 0, 0, 0))
-	binary.BigEndian.PutUint32(cn.out[at:], uint32(len(cn.out)-at-4))
+	cn.out = req.appendFrame(cn.out)
 	cn.stats.frames.Add(1)
 	if cn.writing {
 		cn.wmu.Unlock()

@@ -14,6 +14,20 @@ import (
 	"fortyconsensus/internal/types"
 )
 
+// leaderGuess is the client's guess at shard sh's leader, by position.
+func (c *Client) leaderGuess(sh int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.route.leader[sh]
+}
+
+// nodes returns the client's node IDs by position.
+func (c *Client) nodes() []types.NodeID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.route.ids
+}
+
 // blockingConn is a client connection's socket whose every Write waits
 // until the test releases it, with the error to return. Only Write and
 // Close are called on it: no readLoop runs over it.
@@ -298,5 +312,51 @@ func TestClientAdoptsALeaderItWasNotGiven(t *testing.T) {
 	}
 	if guess := cl.leaderGuess(0); guess != 1 {
 		t.Fatalf("leader cache holds position %d, want 1 (node 9's)", guess)
+	}
+}
+
+// The router's rules, one outcome at a time: an answer from the leader
+// becomes the shard's guess; a NotLeader reply redirects at once to a
+// fresh hint, by node ID or, for a node the router was not given, by
+// the address it carries, and otherwise moves to the next node after a
+// backoff; Unavailable and a lost attempt drop the guess and back off.
+func TestClientRouter(t *testing.T) {
+	r := newRouter([]string{"a:1", "b:2"}, []types.NodeID{4, 7}, 2)
+	if got := r.pick(r.leader[1], 3); got != 1 {
+		t.Fatalf("pick with no guess, attempt 3: %d, want the attempt's turn 1", got)
+	}
+	steps := []struct {
+		name     string
+		node     int
+		resp     Response
+		lost     bool
+		next     int
+		backoff  bool
+		guess    int // shard 1's guess after it
+		position int // where node 9 sits, -1 unknown
+	}{
+		{"ok", 1, Response{Status: StatusOK}, false, 1, false, 1, -1},
+		{"lost", 1, Response{}, true, -1, true, -1, -1},
+		{"hint by id", 0, Response{Status: StatusNotLeader, Leader: 7}, false, 1, false, -1, -1},
+		{"hint by address", 1, Response{Status: StatusNotLeader, Leader: 9, Result: types.Value("c:3")}, false, 2, false, -1, 2},
+		{"stale hint", 2, Response{Status: StatusNotLeader, Leader: 9}, false, 0, true, -1, 2},
+		{"no hint", 0, Response{Status: StatusNotLeader, Leader: -1}, false, 1, true, -1, 2},
+		{"ok again", 2, Response{Status: StatusOK}, false, 2, false, 2, 2},
+		{"unavailable", 2, Response{Status: StatusUnavailable}, false, -1, true, -1, 2},
+	}
+	for _, s := range steps {
+		next, backoff := r.next(1, s.node, s.resp, s.lost)
+		if next != s.next || backoff != s.backoff || r.leader[1] != s.guess || slices.Index(r.ids, 9) != s.position {
+			t.Fatalf("%s: next %d backoff %v guess %d node 9 at %d; want %d %v %d %d",
+				s.name, next, backoff, r.leader[1], slices.Index(r.ids, 9), s.next, s.backoff, s.guess, s.position)
+		}
+	}
+	if r.addrs[2] != "c:3" || r.leader[0] != -1 {
+		t.Fatalf("addrs %v, shard 0's guess %d", r.addrs, r.leader[0])
+	}
+	r.leader = []int{2, 2}
+	r.forget(2)
+	if r.leader[0] != -1 || r.leader[1] != -1 {
+		t.Fatalf("guesses %v after node 2's connection died, want none", r.leader)
 	}
 }

@@ -41,11 +41,14 @@
 //	              smr.Sessions table, the one the simulated shard groups
 //	              keep too; the Server routes client requests to the
 //	              owning group by key hash, and the group redirects the
-//	              ones its table refuses with a leader hint.
+//	              ones its table refuses with a leader hint. It sends
+//	              through one seam, peerWire and replier, whose TCP side
+//	              is Transport and ClientConn.
 //	client.go     the client library: leader discovery per shard,
 //	              redirect following, retry with backoff across nodes,
 //	              per-attempt timeouts, and request pipelining (many
-//	              in-flight requests demultiplexed by request ID).
+//	              in-flight requests demultiplexed by request ID), routed
+//	              by the router, which reads no clock.
 //	metrics.go    mutex-guarded per-shard counters and a submit→apply
 //	              metrics.Histogram (fixed-size), served as JSON over HTTP.
 //
@@ -75,12 +78,16 @@
 // frames coalesce into one write there, and a slow peer or client fills
 // its own bounded queue, not a group's turn.
 //
+// The served path has a second driver, served_test.go: Servers and
+// routed clients on a runner.Cluster, every frame the seam hands out a
+// simulated message, so explore sweeps and shrinks the code that serves.
+//
 // What carries over from the simulation and what does not: replica
 // state transitions remain deterministic functions of the delivered
 // message sequence (the modules are the very ones the simulator and the
 // fault campaigns verify), and the smr executor's session dedup makes
-// client retries exactly-once. Scheduling, however, is real — message
-// interleavings and election timing vary run to run — so live runs are
-// not replayable; internal/simnet remains the verification substrate,
-// and the live-vs-sim equivalence test pins the bridge between the two.
+// client retries exactly-once. Over TCP, scheduling is real — message
+// interleavings and election timing vary run to run — so TCP runs are
+// not replayable; the simulated driver is, and the live-vs-sim
+// equivalence test pins the bridge between the two.
 package live

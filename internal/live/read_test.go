@@ -123,8 +123,8 @@ func TestReadsLeaveTheLogAndNeverGoBackAcrossALeaderClose(t *testing.T) {
 // A read the module drops — its node stopped leading before a quorum
 // confirmed it — is answered StatusNotLeader with the new leader at
 // once, not left to the client's attempt timeout. And what nobody could
-// receive is counted: a response a closed client connection refused, a
-// peer frame that does not decode.
+// receive is counted: a response or an admin reply a closed client
+// connection refused, a peer frame that does not decode.
 func TestDroppedReadIsRedirectedAtOnce(t *testing.T) {
 	ln, addr, err := Listen()
 	if err != nil {
@@ -171,11 +171,12 @@ func TestDroppedReadIsRedirectedAtOnce(t *testing.T) {
 
 	cc.Close()
 	g.serve(cc, []clientOp{{Request{ReqID: 6, Client: 1, SeqNo: 2, Op: kvstore.Get("k").Encode()}, true}})
+	s.route(cc, Request{ReqID: 7, Client: 1, SeqNo: 3, Op: AdminAddNodeOp(3, "127.0.0.1:1")}, nil)
 	s.onPeerFrame(1, []byte{0, 0, 0, 0, 0xff})
 	s.onPeerFrame(1, []byte{0, 0})
 	m := s.met.snapshot(s.tr)
-	if m.Reads["dropped_not_leader"] != 1 || m.ReplyDropped != 1 || m.PeerDecodeErrors != 2 {
-		t.Fatalf("reads %+v, reply_dropped %d, peer_decode_errors %d; want 1 dropped read, 1 refused reply, 2 bad frames",
+	if m.Reads["dropped_not_leader"] != 1 || m.ReplyDropped != 2 || m.PeerDecodeErrors != 2 {
+		t.Fatalf("reads %+v, reply_dropped %d, peer_decode_errors %d; want 1 dropped read, 2 refused replies (a read's, an admin op's), 2 bad frames",
 			m.Reads, m.ReplyDropped, m.PeerDecodeErrors)
 	}
 }

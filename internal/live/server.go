@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -71,15 +72,33 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // shard group (each behind its own live.Node lock), and the client
 // request path routing operations to the owning group by key hash.
 type Server struct {
-	cfg ServerConfig
-	pm  shard.PartitionMap
-	tr  *Transport
-	grs []hostedGroup
-	met *ServerMetrics
+	cfg   ServerConfig
+	pm    shard.PartitionMap
+	tr    *Transport // the TCP host: listener, dialers, connections
+	peers peerWire   // where the groups send; tr over TCP
+	grs   []hostedGroup
+	met   *ServerMetrics
 
 	mu     sync.Mutex
 	closed bool
 	http   []*http.Server
+}
+
+// peerWire is the one seam between a Server and what carries its peer
+// traffic: the groups' frames go out through Send, and a redirect names
+// the leader at peerAddr. *Transport is the TCP one; a simulated wire
+// turns each frame into a message on a simulated fabric.
+type peerWire interface {
+	Send(to types.NodeID, payload []byte)
+	peerAddr(id types.NodeID) string
+	AddPeer(id types.NodeID, addr string)
+}
+
+// replier answers one client connection: every response, redirect,
+// refusal and admin reply leaves through Send, which reports false for a
+// connection that refused it. *ClientConn is the TCP one.
+type replier interface {
+	Send(Response) bool
 }
 
 // hostedGroup erases the message-type parameter so the server can mix
@@ -88,7 +107,7 @@ type hostedGroup interface {
 	start()
 	close()
 	deliver(payload []byte)
-	serve(cc *ClientConn, ops []clientOp)
+	serve(rc replier, ops []clientOp)
 	leaderInfo() (isLeader bool, leader types.NodeID, ok bool)
 	inspect(fn func(st *shard.Store)) bool
 	status() (GroupStatus, bool)
@@ -112,6 +131,23 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 
 // NewServerOn is NewServer over a pre-bound listener (see Listen).
 func NewServerOn(ln net.Listener, cfg ServerConfig) (*Server, error) {
+	s, err := newServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.tr = NewTransport(ln, TransportConfig{
+		Self:        s.cfg.Self,
+		Addrs:       s.cfg.Addrs,
+		OnPeerFrame: s.onPeerFrame,
+		OnClient:    func(cc *ClientConn) { s.serveClient(cc.br, cc) },
+	})
+	s.peers = s.tr
+	return s, nil
+}
+
+// newServer builds a node's groups with no wire: its caller sets peers
+// before the first turn.
+func newServer(cfg ServerConfig) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("live: empty address map")
@@ -121,12 +157,6 @@ func NewServerOn(ln net.Listener, cfg ServerConfig) (*Server, error) {
 		pm:  shard.NewPartitionMap(cfg.Shards),
 		met: newServerMetrics(cfg.Shards),
 	}
-	s.tr = NewTransport(ln, TransportConfig{
-		Self:        cfg.Self,
-		Addrs:       cfg.Addrs,
-		OnPeerFrame: s.onPeerFrame,
-		OnClient:    s.serveClient,
-	})
 	peers := det.SortedKeys(cfg.Addrs)
 	for i := 0; i < cfg.Shards; i++ {
 		g, err := newGroup(s, i, peers)
@@ -210,25 +240,26 @@ func (s *Server) onPeerFrame(_ types.NodeID, payload []byte) {
 	s.grs[idx].deliver(r.View(r.Len()))
 }
 
-// serveClient runs one client connection's request loop. A pass reads
-// the next request, then every request frame the connection's read
-// buffer already holds whole — a burst bounded by the buffer, read with
-// no further syscall — and hands each shard group its share of the
-// burst as one turn.
-func (s *Server) serveClient(cc *ClientConn) {
+// serveClient runs one client connection's request loop over br,
+// answering through rc, until br fails (a TCP connection's socket dies;
+// a simulated delivery's bytes run out). A pass reads the next request,
+// then every request frame br's buffer already holds whole — a burst
+// bounded by the buffer, read with no further syscall — and hands each
+// shard group its share of the burst as one turn.
+func (s *Server) serveClient(br *bufio.Reader, rc replier) {
 	shares := make([][]clientOp, len(s.grs))
 	for {
-		req, err := cc.ReadRequest()
+		req, err := readRequest(br)
 		for err == nil {
-			s.route(cc, req, shares)
-			if !frameBuffered(cc.br) {
+			s.route(rc, req, shares)
+			if !frameBuffered(br) {
 				break
 			}
-			req, err = cc.ReadRequest()
+			req, err = readRequest(br)
 		}
 		for i, share := range shares {
 			if len(share) > 0 {
-				s.grs[i].serve(cc, share)
+				s.grs[i].serve(rc, share)
 				shares[i] = share[:0]
 			}
 		}
@@ -246,21 +277,21 @@ type clientOp struct {
 
 // route answers an admin or malformed request at once and appends any
 // other to its shard group's share of the burst.
-func (s *Server) route(cc *ClientConn, req Request, shares [][]clientOp) {
+func (s *Server) route(rc replier, req Request, shares [][]clientOp) {
 	s.met.requests.Add(1)
 	if req.Client < 0 {
 		// A log value starts with its client ID, and the conf-change and
 		// batch magics both start with the high bit set.
-		s.refuse(cc, req, "reserved client id")
+		s.refuse(rc, req, "reserved client id")
 		return
 	}
 	if len(req.Op) > 0 && req.Op[0] >= OpAdminStatus && req.Op[0] <= opAdminMax {
-		s.handleAdmin(cc, req)
+		s.handleAdmin(rc, req)
 		return
 	}
 	op, key, _, _, ok := kvstore.View(req.Op)
 	if !ok || req.SeqNo == 0 {
-		s.refuse(cc, req, "undecodable command")
+		s.refuse(rc, req, "undecodable command")
 		return
 	}
 	sh := s.pm.Shard(string(key))
@@ -268,15 +299,15 @@ func (s *Server) route(cc *ClientConn, req Request, shares [][]clientOp) {
 }
 
 // refuse answers a request the server cannot take StatusBadRequest.
-func (s *Server) refuse(cc *ClientConn, req Request, why string) {
+func (s *Server) refuse(rc replier, req Request, why string) {
 	s.met.badReq.Add(1)
-	s.respond(cc, Response{ReqID: req.ReqID, Status: StatusBadRequest, Leader: -1, Result: types.Value(why)})
+	s.respond(rc, Response{ReqID: req.ReqID, Status: StatusBadRequest, Leader: -1, Result: types.Value(why)})
 }
 
 // respond queues a response on the client's connection, counting one the
 // connection refused (its queue is full, or it has closed).
-func (s *Server) respond(cc *ClientConn, resp Response) {
-	if !cc.Send(resp) {
+func (s *Server) respond(rc replier, resp Response) {
+	if !rc.Send(resp) {
 		s.met.replyDropped.Add(1)
 	}
 }
@@ -322,7 +353,7 @@ type SMRModule[M any] interface {
 // waiter is what a group needs to answer a request its session table
 // took.
 type waiter struct {
-	cc    *ClientConn
+	rc    replier
 	reqID uint64
 	start time.Time
 	read  bool
@@ -377,10 +408,10 @@ func newSMRGroup[M any](s *Server, idx int, mod SMRModule[M], codec Codec[M], de
 	return g
 }
 
-// send encodes one outbound module message and hands it to the
-// transport, prefixed with the group index.
+// send encodes one outbound module message and hands it to the wire,
+// prefixed with the group index.
 func (g *smrGroup[M]) send(m M) {
-	g.srv.tr.Send(g.dest(m), g.frame(m))
+	g.srv.peers.Send(g.dest(m), g.frame(m))
 }
 
 // maxFrameScratch is the largest encoding buffer a group keeps between
@@ -418,17 +449,17 @@ func (g *smrGroup[M]) deliver(payload []byte) {
 // serve runs one connection's burst for this group as one turn, on the
 // connection's goroutine: the session table takes or refuses each
 // request, and its writes become one Submit.
-func (g *smrGroup[M]) serve(cc *ClientConn, ops []clientOp) {
+func (g *smrGroup[M]) serve(rc replier, ops []clientOp) {
 	ok := g.node.CallWait(func() {
 		now := time.Now()
 		for _, op := range ops {
 			req := types.Request{Client: op.Client, SeqNo: op.SeqNo, Op: op.Op}
-			switch g.table.Enter(req, op.read, waiter{cc: cc, reqID: op.ReqID, start: now, read: op.read}) {
+			switch g.table.Enter(req, op.read, waiter{rc: rc, reqID: op.ReqID, start: now, read: op.read}) {
 			case smr.Dead:
-				g.srv.respond(cc, Response{ReqID: op.ReqID, Status: StatusUnavailable, Leader: -1})
+				g.srv.respond(rc, Response{ReqID: op.ReqID, Status: StatusUnavailable, Leader: -1})
 			case smr.NotLeader:
 				g.srv.met.notLeader.Add(1)
-				g.redirect(cc, op.ReqID)
+				g.redirect(rc, op.ReqID)
 			}
 		}
 		if g.table.Propose() {
@@ -437,22 +468,22 @@ func (g *smrGroup[M]) serve(cc *ClientConn, ops []clientOp) {
 	})
 	if !ok {
 		for _, op := range ops {
-			g.srv.respond(cc, Response{ReqID: op.ReqID, Status: StatusUnavailable, Leader: -1})
+			g.srv.respond(rc, Response{ReqID: op.ReqID, Status: StatusUnavailable, Leader: -1})
 		}
 	}
 }
 
 // redirect answers reqID StatusNotLeader, naming the group's leader by
-// ID and, in Result, by the address this node's transport dials it at
+// ID and, in Result, by the address this node's wire dials it at
 // (joiners that AddPeer taught it included), so a client that was not
 // given the leader's address can still reach it.
-func (g *smrGroup[M]) redirect(cc *ClientConn, reqID uint64) {
+func (g *smrGroup[M]) redirect(rc replier, reqID uint64) {
 	lead := g.mod.Leader()
 	resp := Response{ReqID: reqID, Status: StatusNotLeader, Leader: int64(lead)}
 	if lead >= 0 {
-		resp.Result = types.Value(g.srv.tr.peerAddr(lead))
+		resp.Result = types.Value(g.srv.peers.peerAddr(lead))
 	}
-	g.srv.respond(cc, resp)
+	g.srv.respond(rc, resp)
 }
 
 // afterTurn ends every turn, under the node's lock: pump the session
@@ -469,7 +500,7 @@ func (g *smrGroup[M]) afterTurn() {
 			met.restoreFailed.Add(1)
 		}
 		for _, w := range orphans {
-			g.srv.respond(w.cc, Response{ReqID: w.reqID, Status: StatusUnavailable, Leader: -1})
+			g.srv.respond(w.rc, Response{ReqID: w.reqID, Status: StatusUnavailable, Leader: -1})
 		}
 		return
 	}
@@ -479,11 +510,11 @@ func (g *smrGroup[M]) afterTurn() {
 		} else {
 			met.observeCommit(g.idx, time.Since(a.Waiter.start))
 		}
-		g.srv.respond(a.Waiter.cc, Response{ReqID: a.Waiter.reqID, Status: StatusOK, Leader: int64(g.srv.cfg.Self), Result: a.Result})
+		g.srv.respond(a.Waiter.rc, Response{ReqID: a.Waiter.reqID, Status: StatusOK, Leader: int64(g.srv.cfg.Self), Result: a.Result})
 	}
 	for _, w := range orphans {
 		met.readsDropped.Add(1)
-		g.redirect(w.cc, w.reqID)
+		g.redirect(w.rc, w.reqID)
 	}
 	if ops := g.rep.Exec().OpsApplied(); ops != g.ops {
 		met.applied.Add(ops - g.ops)

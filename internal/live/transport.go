@@ -458,8 +458,11 @@ func newClientConn(c net.Conn, br *bufio.Reader) *ClientConn {
 }
 
 // ReadRequest reads and decodes the next request frame.
-func (cc *ClientConn) ReadRequest() (Request, error) {
-	payload, err := readFrameInPlace(cc.br)
+func (cc *ClientConn) ReadRequest() (Request, error) { return readRequest(cc.br) }
+
+// readRequest reads and decodes the next request frame from br.
+func readRequest(br *bufio.Reader) (Request, error) {
+	payload, err := readFrameInPlace(br)
 	if err != nil {
 		return Request{}, err
 	}

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"encoding/binary"
+
 	"fortyconsensus/internal/types"
 	"fortyconsensus/internal/wire"
 )
@@ -50,6 +52,14 @@ func (q Request) appendTo(b []byte) []byte {
 	b = appendI64(b, int64(q.Client))
 	b = appendU64(b, q.SeqNo)
 	b = wire.AppendBytes32(b, q.Op)
+	return b
+}
+
+// appendFrame appends the request to b as one length-prefixed frame.
+func (q Request) appendFrame(b []byte) []byte {
+	at := len(b)
+	b = q.appendTo(append(b, 0, 0, 0, 0))
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 	return b
 }
 

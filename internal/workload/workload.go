@@ -91,33 +91,26 @@ func (g *KV) Next() types.Request {
 	return types.Request{Client: g.client, SeqNo: g.seq, Op: cmd.Encode()}
 }
 
-// Transfer is one bank transfer between two accounts, possibly on
-// different shards — the Spanner-style 2PC workload.
+// Transfer is one bank transfer between two accounts — the
+// Spanner-style 2PC workload. Where an account lives is the service's
+// partition map's to say.
 type Transfer struct {
-	From, To   int // account indices
-	Amount     int64
-	FromShard  int
-	ToShard    int
-	CrossShard bool
+	From, To int // account indices
+	Amount   int64
 }
 
-// Bank generates transfers over accounts partitioned across shards by
-// account % shards.
+// Bank generates transfers over accounts.
 type Bank struct {
 	Accounts int
-	Shards   int
 	rng      *simnet.RNG
 }
 
 // NewBank builds a transfer generator.
-func NewBank(accounts, shards int, rng *simnet.RNG) *Bank {
+func NewBank(accounts int, rng *simnet.RNG) *Bank {
 	if accounts < 2 {
 		accounts = 2
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	return &Bank{Accounts: accounts, Shards: shards, rng: rng}
+	return &Bank{Accounts: accounts, rng: rng}
 }
 
 // Next produces a transfer between two distinct accounts.
@@ -127,14 +120,7 @@ func (b *Bank) Next() Transfer {
 	if to >= from {
 		to++
 	}
-	t := Transfer{
-		From: from, To: to,
-		Amount:    int64(1 + b.rng.Intn(100)),
-		FromShard: from % b.Shards,
-		ToShard:   to % b.Shards,
-	}
-	t.CrossShard = t.FromShard != t.ToShard
-	return t
+	return Transfer{From: from, To: to, Amount: int64(1 + b.rng.Intn(100))}
 }
 
 // AccountKey names the kvstore key holding an account balance.
