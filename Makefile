@@ -70,8 +70,12 @@ test-race:
 # last two put the trusted-counter pair under loss, duplication and a
 # muted or duplicating replica: both used to break log-prefix agreement
 # there, and a view change (CheapSwitch) is where they did. The last puts
-# Multi-Paxos under loss: its tick push and the catch-up request that
-# rewinds it are what heal a lost Accept or Commit.
+# Multi-Paxos under loss: the tick push, the catch-up request that
+# rewinds it and the heartbeat that resends the slot a still frontier
+# waits on are what heal a lost Accept or Commit. A crash-model run
+# counts as ok only if every replica decided after the schedule's last
+# event; ci's explore stall test runs this sweep, and Flexible Paxos's,
+# and fails on a stall.
 explore:
 	$(GO) run ./cmd/consensus-explore -protocol all -seeds 48 -faults 4 -workers 0
 	$(GO) run ./cmd/consensus-explore -protocol raft -seeds 96 -faults 5 -workers 0 -classes drop,dup,delay,crash,partition
@@ -116,9 +120,10 @@ fuzz:
 
 # Full gate: everything CI runs, in order. The golden step verifies the
 # pinned experiment artifacts byte-for-byte (no -update), and the shard
-# stack and the served-path campaign (live.Server and the client's
-# router on the simulated fabric) run uncached so the 2PC and
-# linearizability tests always fire.
+# stack, the served-path campaign (live.Server and the client's router
+# on the simulated fabric) and the Multi-Paxos loss sweep that fails on
+# any stall run uncached so the 2PC, linearizability and liveness tests
+# always fire.
 # The last step is a seconds-long self-test of the pair tool, HEAD
 # against the working tree for one pair: both sides must build and
 # report; what the numbers say is not looked at.
@@ -126,6 +131,7 @@ ci: build lint explore examples fuzz
 	$(GO) test -race ./...
 	$(GO) test $(SHARD_PKGS) -count=1
 	$(GO) test ./internal/live -run TestServedPathCampaign -count=1
+	$(GO) test ./internal/explore -run TestCrashModelPaxosKeepsDecidingAfterTheHeal -count=1
 	$(GO) test ./internal/experiments -run TestGoldenArtifacts -count=1
 	$(MAKE) serve-smoke
 	$(MAKE) bench-pair BASE=HEAD PKG=./internal/kvstore RUN=. PAIRS=1

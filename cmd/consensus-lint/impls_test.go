@@ -11,9 +11,9 @@ import (
 
 // TestGenericInterfaceImplsPinned pins what a call through the module's
 // generic interfaces reaches: runner.Node[M]'s Step every simulated
-// replica's (servebench's idle module too), its Drain the replicas' own
-// or the one replog.Core promotes into raft's and Multi-Paxos' nodes,
-// and live.SMRModule[M]'s Submit the two hostable backends'.
+// replica's (servebench's idle module too), its Drain the one
+// types.Outbox every module embeds (and the idle module's), and
+// live.SMRModule[M]'s Submit the two hostable backends'.
 func TestGenericInterfaceImplsPinned(t *testing.T) {
 	root := moduleRoot(t)
 	loader := analysis.NewLoader("fortyconsensus", root)
@@ -33,13 +33,12 @@ func TestGenericInterfaceImplsPinned(t *testing.T) {
 		"minbft.Replica", "multipaxos.Node", "paxos.Node", "pbft.Replica", "pow.Miner", "pow.SelfishMiner",
 		"raft.Node", "seemore.Replica", "xft.Replica", "zyzzyva.Client", "zyzzyva.Replica",
 	}
-	drainers := slices.DeleteFunc(slices.Clone(steppers), func(s string) bool { return s == "raft.Node" || s == "multipaxos.Node" })
 	for _, c := range []struct {
 		pkg, iface, method string
 		want               []string
 	}{
 		{"internal/runner", "Node", "Step", append(internalMethods(steppers, "Step"), "(*fortyconsensus/cmd/servebench.idleModule).Step")},
-		{"internal/runner", "Node", "Drain", append(internalMethods(append(drainers, "replog.Core[M]"), "Drain"), "(*fortyconsensus/cmd/servebench.idleModule).Drain")},
+		{"internal/runner", "Node", "Drain", append(internalMethods([]string{"types.Outbox[M]"}, "Drain"), "(*fortyconsensus/cmd/servebench.idleModule).Drain")},
 		{"internal/live", "SMRModule", "Submit", internalMethods([]string{"multipaxos.Node", "raft.Node"}, "Submit")},
 	} {
 		tn := prog.Package("fortyconsensus/" + c.pkg).Types.Scope().Lookup(c.iface).(*types.TypeName)

@@ -36,8 +36,48 @@ func TestExperimentIndexNamesDeclaredTests(t *testing.T) {
 	}
 
 	declared := make(map[string]bool)
+	for _, f := range parseModule(t, token.NewFileSet(), func(path string) bool { return strings.HasSuffix(path, "_test.go") }) {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				declared[fn.Name.Name] = true
+			}
+		}
+	}
+	for _, m := range named {
+		if !declared[m[1]] {
+			t.Errorf("DESIGN.md's experiment index names %s, which no _test.go file declares", m[1])
+		}
+	}
+}
+
+// TestOneOutbox keeps the output half of the module contract written
+// once: types.Outbox holds every module's Drain and types.Decisions its
+// TakeDecisions, so no other program file declares either method (as
+// the contract has it, without parameters; shard.Service's per-shard
+// TakeDecisions is a host's view of its replicas). servebench's idle
+// module is the one exception.
+func TestOneOutbox(t *testing.T) {
+	own := func(path string) bool {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		return !strings.HasSuffix(path, "_test.go") && dir != "internal/types" && dir != "cmd/servebench"
+	}
 	fset := token.NewFileSet()
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	for _, f := range parseModule(t, fset, own) {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil && fn.Type.Params.NumFields() == 0 &&
+				(fn.Name.Name == "Drain" || fn.Name.Name == "TakeDecisions") {
+				t.Errorf("%s declares its own %s: embed types.Outbox or types.Decisions", fset.Position(fn.Pos()), fn.Name.Name)
+			}
+		}
+	}
+}
+
+// parseModule parses into fset every Go file of the module that keep
+// selects, outside testdata and hidden or underscore directories.
+func parseModule(t *testing.T, fset *token.FileSet, keep func(path string) bool) []*ast.File {
+	t.Helper()
+	var files []*ast.File
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -48,26 +88,18 @@ func TestExperimentIndexNamesDeclaredTests(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") || !keep(path) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-				declared[fn.Name.Name] = true
-			}
-		}
+		files = append(files, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range named {
-		if !declared[m[1]] {
-			t.Errorf("DESIGN.md's experiment index names %s, which no _test.go file declares", m[1])
-		}
-	}
+	return files
 }

@@ -164,6 +164,9 @@ func (c Config) withDefaults() Config {
 
 // Replica is one CheapBFT node.
 type Replica struct {
+	types.Outbox[Message]
+	*types.Decisions // core's stream
+
 	id   types.NodeID
 	cfg  Config
 	cash *trustedhw.CASH
@@ -180,20 +183,20 @@ type Replica struct {
 	switchVote  *quorum.Tally
 	switchSince int
 	quietSince  int
-
-	out []Message
 }
 
 // NewReplica builds replica id of a 2f+1 cluster.
 func NewReplica(id types.NodeID, cfg Config) *Replica {
 	cfg = cfg.withDefaults()
-	return &Replica{
+	r := &Replica{
 		id:     id,
 		cfg:    cfg,
 		cash:   trustedhw.NewCASH(id, []byte("cheapbft-cash")),
 		core:   minbft.NewCore(cfg.F),
 		panics: make(minbft.Reports),
 	}
+	r.Decisions = &r.core.Decisions
+	return r
 }
 
 // isActive reports whether the given replica is in the active set. In
@@ -229,12 +232,9 @@ func (r *Replica) Mode() Mode { return r.mode }
 // ExecutedFrontier returns the contiguous executed slot frontier.
 func (r *Replica) ExecutedFrontier() types.Seq { return r.core.ExecutedFrontier() }
 
-// TakeDecisions drains executed decisions in order.
-func (r *Replica) TakeDecisions() []types.Decision { return r.core.TakeDecisions() }
-
 func (r *Replica) send(m Message) {
 	m.From = r.id
-	r.out = append(r.out, m)
+	r.Post(m)
 }
 
 // certSend certifies m with CASH under the current epoch and sends it to
@@ -243,10 +243,8 @@ func (r *Replica) certSend(m Message, to ...types.NodeID) {
 	m.From = r.id
 	m.Epoch = r.epoch
 	m.Cert = r.cash.CreateCert(m.body())
-	for _, t := range to {
-		mm := m
-		mm.To = t
-		r.out = append(r.out, mm)
+	for _, m.To = range to {
+		r.Post(m)
 	}
 }
 
@@ -513,11 +511,4 @@ func (r *Replica) onSwitchBack(m Message) {
 		return
 	}
 	r.enterEpoch(r.epoch+1, ModeCheapTiny)
-}
-
-// Drain returns pending outbound messages.
-func (r *Replica) Drain() []Message {
-	out := r.out
-	r.out = nil
-	return out
 }

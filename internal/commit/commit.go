@@ -172,12 +172,12 @@ type Txn struct {
 
 // Coordinator drives transactions over a set of cohorts.
 type Coordinator struct {
+	types.Outbox[Message]
 	id       types.NodeID
 	proto    Protocol
 	now      int
 	txns     map[TxID]*coordTx
 	finished []*Txn
-	out      []Message
 }
 
 type coordTx struct {
@@ -219,7 +219,7 @@ func (c *Coordinator) Begin(tx TxID, ops map[types.NodeID]types.Value) {
 
 func (c *Coordinator) send(m Message) {
 	m.From = c.id
-	c.out = append(c.out, m)
+	c.Post(m)
 }
 
 // Step consumes one delivered message.
@@ -315,17 +315,11 @@ func (c *Coordinator) Tick() {
 	}
 }
 
-// Drain returns pending outbound messages.
-func (c *Coordinator) Drain() []Message {
-	out := c.out
-	c.out = nil
-	return out
-}
-
 // ---------------------------------------------------------------------------
 
 // Cohort is a transaction participant.
 type Cohort struct {
+	types.Outbox[Message]
 	id      types.NodeID
 	proto   Protocol
 	peers   []types.NodeID // all cohorts, for the termination protocol
@@ -334,7 +328,6 @@ type Cohort struct {
 	now     int
 	txns    map[TxID]*cohortTx
 	blocked int // prepared txns past their decision deadline (2PC metric)
-	out     []Message
 }
 
 type cohortTx struct {
@@ -377,7 +370,7 @@ func (h *Cohort) Outcome(tx TxID) Outcome {
 
 func (h *Cohort) send(m Message) {
 	m.From = h.id
-	h.out = append(h.out, m)
+	h.Post(m)
 }
 
 // Step consumes one delivered message.
@@ -556,11 +549,4 @@ func (h *Cohort) lowestPeer() types.NodeID {
 		}
 	}
 	return low
-}
-
-// Drain returns pending outbound messages.
-func (h *Cohort) Drain() []Message {
-	out := h.out
-	h.out = nil
-	return out
 }

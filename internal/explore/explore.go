@@ -45,6 +45,9 @@ type Episode struct {
 	// live protocol should be healthy by the end). An unhealthy,
 	// unviolated run is a stall.
 	Healthy func() bool
+	// Settle, if set, is called once the schedule's last event (tick 0
+	// if none) has fired, for a Healthy that asks for progress since.
+	Settle func()
 	// Stats returns the runner's message and fault-exposure counters.
 	Stats func() runner.Stats
 }
@@ -114,8 +117,15 @@ func RunOnce(p Protocol, seed uint64, nodes, horizon int, sched nemesis.Schedule
 		Protocol: p.Name, Nodes: nodes, Seed: seed, Horizon: horizon,
 		Outcome: OutcomeOK, ViolationAt: -1,
 	}
+	settle := 0
+	for _, e := range sched.Events {
+		settle = max(settle, e.At)
+	}
 	for now := 0; now < horizon; now++ {
 		inj.Fire(ep.Target, now)
+		if now == settle && ep.Settle != nil {
+			ep.Settle()
+		}
 		ep.Tick(now)
 		fmt.Fprintf(h, "t%d %s\n", now, ep.Fingerprint())
 		if v := ep.Check(); v != nil {

@@ -253,3 +253,20 @@ func TestShrinkKeepsEssentialFault(t *testing.T) {
 		t.Fatal("raft violated under a crash-model schedule")
 	}
 }
+
+// TestCrashModelPaxosKeepsDecidingAfterTheHeal sweeps Multi-Paxos and
+// Flexible Paxos as make explore's loss sweep does — every network
+// fault with crashes, 300 seeds × 4 faults — and fails on any stall: a
+// replica that decided nothing after the schedule's last event. Before
+// a leader resent the slot a still frontier waits on, 49 and 15 of
+// those runs stopped deciding for good, and the check that every
+// replica decided something once could not tell.
+func TestCrashModelPaxosKeepsDecidingAfterTheHeal(t *testing.T) {
+	lossy := []nemesis.Op{nemesis.OpDropRate, nemesis.OpDupRate, nemesis.OpDelaySet, nemesis.OpCrash, nemesis.OpPartition}
+	for _, name := range []string{"multipaxos", "flexpaxos"} {
+		res := Campaign{Proto: mustLookup(t, name), Seeds: 300, SeedBase: 1, Faults: 4, Classes: lossy}.Run()
+		if res.Outcomes[OutcomeOK] != res.Runs {
+			t.Errorf("%s: %d runs, outcomes %v", name, res.Runs, res.Outcomes)
+		}
+	}
+}

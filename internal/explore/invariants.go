@@ -44,6 +44,7 @@ type LogTracker struct {
 	canonical map[types.Seq]types.Value
 	lastSlot  []types.Seq // highest committed slot per node
 	count     []int       // committed decisions per node
+	mark      []int       // count at Mark
 	fp        uint64      // rolling fingerprint over (node, slot, value)
 	violation *Violation
 }
@@ -54,6 +55,7 @@ func NewLogTracker(n int) *LogTracker {
 		canonical: make(map[types.Seq]types.Value),
 		lastSlot:  make([]types.Seq, n),
 		count:     make([]int, n),
+		mark:      make([]int, n),
 		fp:        fnvOffset,
 	}
 }
@@ -124,14 +126,16 @@ func (t *LogTracker) Violation() *Violation { return t.violation }
 // Fingerprint returns a compact digest of everything observed so far.
 func (t *LogTracker) Fingerprint() string { return fmt.Sprintf("%016x", t.fp) }
 
-// MinCount returns the smallest per-node committed-decision count —
-// zero means some node committed nothing.
-func (t *LogTracker) MinCount() int {
-	min := int(^uint(0) >> 1)
-	for _, c := range t.count {
-		if c < min {
-			min = c
+// Mark records every node's committed-decision count, for Progressed.
+func (t *LogTracker) Mark() { copy(t.mark, t.count) }
+
+// Progressed reports whether every node committed a decision since the
+// last Mark (since the start, before any).
+func (t *LogTracker) Progressed() bool {
+	for i, c := range t.count {
+		if c <= t.mark[i] {
+			return false
 		}
 	}
-	return min
+	return true
 }

@@ -114,7 +114,7 @@ func newRaftMemberEpisode(n int, seed uint64) *Episode {
 			return fmt.Sprintf("%016x", fp)
 		},
 		Healthy: func() bool {
-			if ep.tr.MinCount() < 1 || len(ep.pending) > 0 {
+			if !ep.tr.Progressed() || len(ep.pending) > 0 {
 				return false
 			}
 			return !ep.expectInstall || ep.installs > 0

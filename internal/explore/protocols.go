@@ -109,10 +109,12 @@ func newPaxosEpisode(n int, seed uint64) *Episode {
 // smrEpisode is the episode every log-committing protocol runs: on its
 // cadence submit hands the cluster one command, cmd(now), its own way,
 // the cluster steps, and each replica's drained decisions feed the
-// log-prefix tracker.
-func smrEpisode[M any, N runner.SMRNode[M]](c *runner.SMRCluster[M, N], cadence int, submit func(now int)) *Episode {
+// log-prefix tracker. Healthy asks every replica for a decision; if
+// healed, one after the schedule's last event (the BFT horizons leave
+// their view changes no room after the heal: ROADMAP).
+func smrEpisode[M any, N runner.SMRNode[M]](c *runner.SMRCluster[M, N], cadence int, healed bool, submit func(now int)) *Episode {
 	tr := NewLogTracker(len(c.Nodes))
-	return &Episode{
+	ep := &Episode{
 		Target: c.Cluster,
 		Tick: func(now int) {
 			if now%cadence == 5 {
@@ -125,14 +127,18 @@ func smrEpisode[M any, N runner.SMRNode[M]](c *runner.SMRCluster[M, N], cadence 
 		},
 		Check:       tr.Violation,
 		Fingerprint: tr.Fingerprint,
-		Healthy:     func() bool { return tr.MinCount() >= 1 },
+		Healthy:     tr.Progressed,
 		Stats:       c.Stats,
 	}
+	if healed {
+		ep.Settle = tr.Mark
+	}
+	return ep
 }
 
 func newRaftEpisode(n int, seed uint64) *Episode {
 	c := raft.NewCluster(n, campaignFabric(seed), raft.Config{Seed: seed}, nil)
-	return smrEpisode(c.SMRCluster, submitCadence, func(now int) {
+	return smrEpisode(c.SMRCluster, submitCadence, true, func(now int) {
 		submitToLeader(c.Crashed, c.Nodes, cmd(now))
 	})
 }
@@ -153,7 +159,7 @@ func newFlexPaxosEpisode(n int, seed uint64) *Episode {
 
 func multiPaxosEpisode(n int, cfg multipaxos.Config) *Episode {
 	c := multipaxos.NewCluster(n, campaignFabric(cfg.Seed), cfg, nil)
-	return smrEpisode(c.SMRCluster, submitCadence, func(now int) {
+	return smrEpisode(c.SMRCluster, submitCadence, true, func(now int) {
 		submitToLeader(c.Crashed, c.Nodes, cmd(now))
 	})
 }
@@ -177,7 +183,7 @@ func newUpRightEpisode(_ int, seed uint64) *Episode {
 
 func pbftEpisode(f, crash int, seed uint64) *Episode {
 	c := pbft.NewCluster(f, campaignFabric(seed), pbft.Config{C: crash}, nil)
-	return smrEpisode(c.SMRCluster, bftCadence, submitRotating(len(c.Nodes), c.Crashed, c.Submit))
+	return smrEpisode(c.SMRCluster, bftCadence, false, submitRotating(len(c.Nodes), c.Crashed, c.Submit))
 }
 
 // submitRotating is the primary-backup BFT workload: it rotates the
@@ -200,17 +206,17 @@ func trustedFaults(n int) int { return max((n-1)/2, 1) }
 
 func newMinBFTEpisode(n int, seed uint64) *Episode {
 	c := minbft.NewCluster(trustedFaults(n), campaignFabric(seed), minbft.Config{}, nil)
-	return smrEpisode(c.SMRCluster, bftCadence, submitRotating(len(c.Nodes), c.Crashed, c.Submit))
+	return smrEpisode(c.SMRCluster, bftCadence, false, submitRotating(len(c.Nodes), c.Crashed, c.Submit))
 }
 
 func newCheapBFTEpisode(n int, seed uint64) *Episode {
 	c := cheapbft.NewCluster(trustedFaults(n), campaignFabric(seed), cheapbft.Config{}, nil)
-	return smrEpisode(c.SMRCluster, bftCadence, submitRotating(len(c.Nodes), c.Crashed, c.Submit))
+	return smrEpisode(c.SMRCluster, bftCadence, false, submitRotating(len(c.Nodes), c.Crashed, c.Submit))
 }
 
 func newHotStuffEpisode(n int, seed uint64) *Episode {
 	c := hotstuff.NewCluster(bftFaults(n), campaignFabric(seed), hotstuff.Config{}, nil)
-	return smrEpisode(c.SMRCluster, bftCadence, func(now int) {
+	return smrEpisode(c.SMRCluster, bftCadence, false, func(now int) {
 		c.Submit(cmd(now)) // broadcast; rotating leaders pick it up
 	})
 }

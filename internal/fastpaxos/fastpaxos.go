@@ -121,6 +121,7 @@ var fastBallot = types.Ballot{}
 
 // Node is one Fast Paxos acceptor; node 0 additionally coordinates.
 type Node struct {
+	types.Outbox[Message]
 	id  types.NodeID
 	cfg Config
 	now int
@@ -146,8 +147,6 @@ type Node struct {
 
 	decided  bool
 	decision types.Value
-
-	out []Message
 }
 
 // NewNode builds acceptor id.
@@ -173,17 +172,14 @@ func (n *Node) ClassicRounds() int { return n.classicRounds }
 
 func (n *Node) send(m Message) {
 	m.From = n.id
-	n.out = append(n.out, m)
+	n.Post(m)
 }
 
 func (n *Node) broadcast(m Message) {
-	for i := 0; i < n.cfg.N(); i++ {
-		if types.NodeID(i) == n.id {
-			continue
+	for i := range n.cfg.N() {
+		if m.To = types.NodeID(i); m.To != n.id {
+			n.send(m)
 		}
-		mm := m
-		mm.To = types.NodeID(i)
-		n.send(mm)
 	}
 }
 
@@ -378,11 +374,4 @@ func (n *Node) Tick() {
 		// The classic round itself stalled (crashes): retry higher.
 		n.startClassicRound()
 	}
-}
-
-// Drain returns pending outbound messages.
-func (n *Node) Drain() []Message {
-	out := n.out
-	n.out = nil
-	return out
 }

@@ -138,6 +138,8 @@ func (c Config) withDefaults() Config {
 
 // Replica is one HotStuff node.
 type Replica struct {
+	types.Outbox[Message]
+	types.Decisions
 	id   types.NodeID
 	cfg  Config
 	keys *chaincrypto.Keyring // every replica derives the same ring
@@ -157,16 +159,13 @@ type Replica struct {
 	// NewView collection per view (leader side).
 	newViews map[types.View]map[types.NodeID]chaincrypto.QC
 
-	executed  uint64 // committed height frontier
-	execSlot  types.Seq
-	decisions []types.Decision
+	executed uint64 // committed height frontier
+	execSlot types.Seq
 
 	pending []types.Value
 	done    map[chaincrypto.Digest]bool
 
 	committedViews int // metric: blocks committed
-
-	out []Message
 }
 
 // NewReplica builds a replica.
@@ -197,26 +196,16 @@ func (r *Replica) leaderOf(v types.View) types.NodeID { return v.Primary(r.cfg.n
 // CommittedBlocks returns how many blocks this replica has committed.
 func (r *Replica) CommittedBlocks() int { return r.committedViews }
 
-// TakeDecisions drains committed request decisions in order.
-func (r *Replica) TakeDecisions() []types.Decision {
-	d := r.decisions
-	r.decisions = nil
-	return d
-}
-
 func (r *Replica) send(m Message) {
 	m.From = r.id
-	r.out = append(r.out, m)
+	r.Post(m)
 }
 
 func (r *Replica) broadcast(m Message) {
-	for i := 0; i < r.cfg.n(); i++ {
-		if types.NodeID(i) == r.id {
-			continue
+	for i := range r.cfg.n() {
+		if m.To = types.NodeID(i); m.To != r.id {
+			r.send(m)
 		}
-		mm := m
-		mm.To = types.NodeID(i)
-		r.send(mm)
 	}
 }
 
@@ -409,7 +398,7 @@ func (r *Replica) executeTo(b0 Block) {
 			}
 			r.done[d] = true
 			r.execSlot++
-			r.decisions = append(r.decisions, types.Decision{Slot: r.execSlot, Val: req.Clone()})
+			r.Decide(r.execSlot, req.Clone())
 		}
 	}
 }
@@ -522,11 +511,4 @@ func (r *Replica) Tick() {
 		return
 	}
 	r.send(Message{Kind: MsgNewView, To: lead, View: r.view, HighQC: r.highQC})
-}
-
-// Drain returns pending outbound messages.
-func (r *Replica) Drain() []Message {
-	out := r.out
-	r.out = nil
-	return out
 }

@@ -27,6 +27,7 @@ type Entry struct {
 // slot numbering and the contiguous execute loop, a replica's report,
 // and the install step a view change or a switch ends with.
 type Core struct {
+	types.Decisions
 	quorum int
 	now    int
 
@@ -34,7 +35,6 @@ type Core struct {
 	next    types.Seq // highest slot number proposed or accepted
 	exec    types.Seq
 	settled types.Seq // highest merged frontier installed; may pass exec
-	decided []types.Decision
 
 	pending map[chaincrypto.Digest]pend
 	done    map[chaincrypto.Digest]bool
@@ -73,13 +73,6 @@ func (c *Core) Now() int { return c.now }
 
 // ExecutedFrontier returns the contiguous executed slot frontier.
 func (c *Core) ExecutedFrontier() types.Seq { return c.exec }
-
-// TakeDecisions drains executed decisions in order.
-func (c *Core) TakeDecisions() []types.Decision {
-	d := c.decided
-	c.decided = nil
-	return d
-}
 
 func (c *Core) slot(seq types.Seq) *slot {
 	s, ok := c.slots[seq]
@@ -224,14 +217,14 @@ func (c *Core) Commit(seq types.Seq, req types.Value, d chaincrypto.Digest, v ty
 // executeReady executes every committed slot contiguous with the
 // frontier and returns the new decisions (valid until TakeDecisions).
 func (c *Core) executeReady() []types.Decision {
-	from := len(c.decided)
+	from := len(c.Decided())
 	for {
 		s, ok := c.slots[c.exec+1]
 		if !ok || !s.committed {
-			return c.decided[from:]
+			return c.Decided()[from:]
 		}
 		c.exec++
-		c.decided = append(c.decided, types.Decision{Slot: c.exec, Val: s.req})
+		c.Decide(c.exec, s.req)
 		c.done[s.digest] = true
 		delete(c.pending, s.digest)
 	}
@@ -244,7 +237,7 @@ func (c *Core) Learn(seq types.Seq, req types.Value) {
 		return
 	}
 	c.exec = seq
-	c.decided = append(c.decided, types.Decision{Slot: seq, Val: req.Clone()})
+	c.Decide(seq, req.Clone())
 	d := chaincrypto.Hash(req)
 	c.done[d] = true
 	delete(c.pending, d)

@@ -135,6 +135,9 @@ func (c Config) withDefaults() Config {
 
 // Replica is one MinBFT node.
 type Replica struct {
+	types.Outbox[Message]
+	*types.Decisions // core's stream
+
 	id   types.NodeID
 	cfg  Config
 	usig *trustedhw.USIG
@@ -146,8 +149,6 @@ type Replica struct {
 	viewChanging bool
 	vcTarget     types.View
 	vcVotes      map[types.View]Reports
-
-	out []Message
 }
 
 type heldAt struct {
@@ -158,7 +159,7 @@ type heldAt struct {
 // NewReplica builds replica id of a 2f+1 cluster.
 func NewReplica(id types.NodeID, cfg Config) *Replica {
 	cfg = cfg.withDefaults()
-	return &Replica{
+	r := &Replica{
 		id:      id,
 		cfg:     cfg,
 		usig:    trustedhw.NewUSIG(id, []byte("minbft-attestation")),
@@ -167,6 +168,8 @@ func NewReplica(id types.NodeID, cfg Config) *Replica {
 		core:    NewCore(cfg.F),
 		vcVotes: make(map[types.View]Reports),
 	}
+	r.Decisions = &r.core.Decisions
+	return r
 }
 
 func (r *Replica) quorum() int           { return r.cfg.F + 1 }
@@ -178,22 +181,16 @@ func (r *Replica) IsPrimary() bool { return r.primary() == r.id }
 // ExecutedFrontier returns the contiguous executed slot frontier.
 func (r *Replica) ExecutedFrontier() types.Seq { return r.core.ExecutedFrontier() }
 
-// TakeDecisions drains executed decisions in order.
-func (r *Replica) TakeDecisions() []types.Decision { return r.core.TakeDecisions() }
-
 // certifyAndBroadcast signs one logical message with the next USIG
 // counter and multicasts it (one counter per multicast: every receiver
 // sees the same certificate).
 func (r *Replica) certifyAndBroadcast(m Message) {
 	m.From = r.id
 	m.UI = r.usig.CreateUI(m.Body())
-	for i := 0; i < r.cfg.n(); i++ {
-		if types.NodeID(i) == r.id {
-			continue
+	for i := range r.cfg.n() {
+		if m.To = types.NodeID(i); m.To != r.id {
+			r.Post(m)
 		}
-		mm := m
-		mm.To = types.NodeID(i)
-		r.out = append(r.out, mm)
 	}
 }
 
@@ -254,7 +251,7 @@ func (r *Replica) onRequest(m Message) {
 		// Flood so every replica arms its timer against the primary.
 		for i := 0; i < r.cfg.n(); i++ {
 			if types.NodeID(i) != r.id {
-				r.out = append(r.out, Message{Kind: MsgRequest, From: r.id, To: types.NodeID(i), Req: m.Req.Clone()})
+				r.Post(Message{Kind: MsgRequest, From: r.id, To: types.NodeID(i), Req: m.Req.Clone()})
 			}
 		}
 	}
@@ -368,11 +365,4 @@ func (r *Replica) Tick() {
 	if !r.viewChanging && r.core.Waiting(r.cfg.RequestTimeout) {
 		r.startViewChange(r.view + 1)
 	}
-}
-
-// Drain returns pending outbound messages.
-func (r *Replica) Drain() []Message {
-	out := r.out
-	r.out = nil
-	return out
 }

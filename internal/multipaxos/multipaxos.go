@@ -205,10 +205,12 @@ type Node struct {
 	prs        map[types.NodeID]*progress // per follower, reset by becomeLeader
 	picks      []types.NodeID             // accept's scratch: whom a new slot goes to
 	prepAcks   *quorum.Tally
+	prepTo     []types.NodeID      // the member set the campaign's Prepare went to, whose Q1 prepAcks counts
 	recovered  map[types.Seq]Entry // merged from acks
 	nextSlot   types.Seq
 	elections  int // leader elections started (metric)
 	hbCooldown int
+	lastBeat   types.Seq // 1 + the commit frontier at this leadership's last heartbeat; 0 = none yet
 	// Highest commit frontier reported in this campaign's acks, and who
 	// reported it: a candidate behind it must catch up before leading
 	// (its quorum may have compacted the slots it is missing).
@@ -281,13 +283,10 @@ func (n *Node) send(m Message) {
 
 // sendAll sends m to every node in to but this one.
 func (n *Node) sendAll(to []types.NodeID, m Message) {
-	for _, p := range to {
-		if p == n.id {
-			continue
+	for _, m.To = range to {
+		if m.To != n.id {
+			n.send(m)
 		}
-		mm := m
-		mm.To = p
-		n.send(mm)
 	}
 }
 
@@ -416,6 +415,7 @@ func (n *Node) campaign() {
 	n.curBallot = n.ballot
 	q1, _ := n.quorumsFor(n.commitSeq + 1)
 	n.prepAcks = quorum.NewTally(q1)
+	n.prepTo = n.membersFor(n.commitSeq + 1)
 	n.recovered = make(map[types.Seq]Entry)
 	// Merge what an Ack of its own would carry.
 	for _, e := range n.acceptedAbove(n.commitSeq) {
@@ -423,7 +423,7 @@ func (n *Node) campaign() {
 	}
 	n.ackCommit, n.ackFrom = n.commitSeq, n.id
 	n.resetElectionTimer()
-	n.sendAll(n.membersFor(n.commitSeq+1), Message{Kind: MsgPrepare, Ballot: n.curBallot})
+	n.sendAll(n.prepTo, Message{Kind: MsgPrepare, Ballot: n.curBallot})
 	if n.prepAcks.Add(n.id) {
 		n.becomeLeader() // an election quorum of one: nobody to wait for
 	}
@@ -447,6 +447,7 @@ func (n *Node) Step(m Message) {
 			for _, e := range m.Entries {
 				n.learn(e.Slot, e.Val)
 			}
+			n.win()
 		}
 	case MsgHeartbeat:
 		n.onHeartbeat(m)
@@ -455,6 +456,7 @@ func (n *Node) Step(m Message) {
 	case MsgState:
 		if n.role != leader { // as MsgCommit
 			n.onState(m)
+			n.win()
 		}
 	case MsgRead:
 		n.onRead(m)
@@ -505,14 +507,29 @@ func (n *Node) onAck(m Message) {
 	if !n.prepAcks.Add(m.From) {
 		return
 	}
-	if n.ackCommit > n.commitSeq {
+	if n.ackCommit > n.commitSeq && !asked {
 		// An acker is committed past us and may have compacted the slots
 		// we are missing — leading now would no-op-fill chosen slots.
 		// Catch up from that acker, once: asking again on a later ack
 		// would start a snapshot transfer over from its first chunk.
-		if !asked {
-			n.catchup(n.ackFrom)
-		}
+		n.catchup(n.ackFrom)
+	}
+	n.win()
+}
+
+// win ends a campaign whose election quorum answered once no acker is
+// committed past the candidate: at the last ack, or at the answer to
+// the catch-up onAck asked for rather than at the election timer, where
+// the next candidate behind would do the same. The tally, and what the
+// acks recovered, speak for the member set the Prepare went to; a
+// candidate that has since learned into another epoch may miss what
+// that epoch's quorums chose, so it campaigns again from its frontier.
+func (n *Node) win() {
+	if n.role != candidate || !n.prepAcks.Reached() || n.commitSeq < n.ackCommit {
+		return
+	}
+	if !slices.Equal(n.membersFor(n.commitSeq+1), n.prepTo) {
+		n.campaign()
 		return
 	}
 	n.becomeLeader()
@@ -538,6 +555,7 @@ func (n *Node) becomeLeader() {
 		n.accept(s, n.recovered[s].Val)
 	}
 	n.hbCooldown = 0 // heartbeat immediately to assert leadership
+	n.lastBeat = 0
 }
 
 func (n *Node) onNack(m Message) {
@@ -747,21 +765,32 @@ func (n *Node) pushRemoved() {
 // Tick advances timers. The leader pushes every follower of the newest
 // epoch (a joiner too) what it lacks, so a stalled pick costs a tick, and
 // each HeartbeatTicks heartbeats one that nothing told the frontier; a
-// removed member it pushes through its removal (pushRemoved).
+// removed member it pushes through its removal (pushRemoved). A frontier
+// that stood still for a whole interval below an open slot waits on
+// Accepts or votes the network lost: the heartbeat rewinds the push of
+// each follower that has not voted on that slot, which sends it again.
 func (n *Node) Tick() {
 	n.TickHold()
 	switch n.role {
 	case leader:
 		n.hbCooldown--
 		beat := n.hbCooldown <= 0
+		var waiting *quorum.Tally // the votes of the slot a still frontier waits on
 		if beat {
 			n.hbCooldown = n.cfg.HeartbeatTicks
+			if n.lastBeat == n.commitSeq+1 && n.commitSeq+1 < n.nextSlot {
+				waiting = n.log.Get(n.commitSeq + 1).votes
+			}
+			n.lastBeat = n.commitSeq + 1
 		}
 		for _, p := range n.latestMembers() {
 			if p == n.id {
 				continue
 			}
 			pr := n.progress(p)
+			if waiting != nil && pr.sent > n.commitSeq && !waiting.Has(p) {
+				pr.sent = n.commitSeq
+			}
 			n.push(p, pr, n.nextSlot-1)
 			if beat {
 				if pr.told != n.commitSeq+1 {

@@ -118,6 +118,7 @@ const (
 // Node is one Paxos process, playing proposer, acceptor, and learner.
 // It is a deterministic state machine driven by the runner.
 type Node struct {
+	types.Outbox[Message]
 	id  types.NodeID
 	cfg Config
 	rng *simnet.RNG
@@ -142,8 +143,6 @@ type Node struct {
 	// Learner state.
 	decided  bool
 	decision types.Value
-
-	out []Message
 }
 
 // New builds a Paxos node.
@@ -197,7 +196,7 @@ func (n *Node) armRetry() {
 
 func (n *Node) send(m Message) {
 	m.From = n.id
-	n.out = append(n.out, m)
+	n.Post(m)
 }
 
 // Step consumes one delivered message.
@@ -324,11 +323,4 @@ func (n *Node) Tick() {
 	if n.retryIn <= 0 {
 		n.startBallot()
 	}
-}
-
-// Drain returns pending outbound messages.
-func (n *Node) Drain() []Message {
-	out := n.out
-	n.out = nil
-	return out
 }

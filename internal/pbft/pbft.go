@@ -193,6 +193,8 @@ type slot struct {
 
 // Replica is one PBFT node.
 type Replica struct {
+	types.Outbox[Message]
+	types.Decisions
 	id  types.NodeID
 	cfg Config
 	q   quorum.Hybrid // cfg.Quorums()
@@ -202,7 +204,6 @@ type Replica struct {
 	seqCounter types.Seq // primary's next sequence number
 	slots      map[types.Seq]*slot
 	executed   types.Seq // contiguous execution frontier
-	decisions  []types.Decision
 	// archive keeps every executed value for straggler catch-up. A
 	// production deployment transfers checkpointed application snapshots
 	// below the stable checkpoint instead of raw history; retaining the
@@ -233,8 +234,6 @@ type Replica struct {
 
 	// metrics
 	viewChanges int
-
-	out []Message
 }
 
 // NewReplica builds replica id of a cfg.Quorums().Size() cluster.
@@ -268,27 +267,16 @@ func (r *Replica) IsPrimary() bool { return r.primary() == r.id }
 // ExecutedFrontier returns the contiguous execution frontier.
 func (r *Replica) ExecutedFrontier() types.Seq { return r.executed }
 
-// TakeDecisions drains executed (slot, value) pairs in order.
-func (r *Replica) TakeDecisions() []types.Decision {
-	d := r.decisions
-	r.decisions = nil
-	return d
-}
-
 func (r *Replica) send(m Message) {
 	m.From = r.id
-	r.out = append(r.out, m)
+	r.Post(m)
 }
 
 func (r *Replica) broadcast(m Message) {
-	for i := 0; i < r.q.Size(); i++ {
-		p := types.NodeID(i)
-		if p == r.id {
-			continue
+	for i := range r.q.Size() {
+		if m.To = types.NodeID(i); m.To != r.id {
+			r.send(m)
 		}
-		mm := m
-		mm.To = p
-		r.send(mm)
 	}
 }
 
@@ -462,7 +450,7 @@ func (r *Replica) executeReady() {
 			return
 		}
 		r.executed++
-		r.decisions = append(r.decisions, types.Decision{Slot: r.executed, Val: s.req})
+		r.Decide(r.executed, s.req)
 		r.archive[r.executed] = s.req
 		delete(r.pending, s.digest)
 		r.done[s.digest] = true
@@ -759,11 +747,4 @@ func (r *Replica) Tick() {
 	if timedOut {
 		r.startViewChange(r.view + 1)
 	}
-}
-
-// Drain returns pending outbound messages.
-func (r *Replica) Drain() []Message {
-	out := r.out
-	r.out = nil
-	return out
 }

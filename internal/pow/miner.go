@@ -59,6 +59,7 @@ type MinerConfig struct {
 // Miner is one mining node: it maintains a chain replica, mines on the
 // best tip with real double-SHA256 attempts, and gossips blocks.
 type Miner struct {
+	types.Outbox[Message]
 	id    types.NodeID
 	cfg   MinerConfig
 	chain *Chain
@@ -75,8 +76,6 @@ type Miner struct {
 	nonce      uint32
 
 	mined int // blocks this miner found
-
-	out []Message
 }
 
 // NewMiner builds a miner.
@@ -113,7 +112,7 @@ func (m *Miner) SubmitTx(tx Tx) {
 
 func (m *Miner) send(msg Message) {
 	msg.From = m.id
-	m.out = append(m.out, msg)
+	m.Post(msg)
 }
 
 func (m *Miner) gossip(msg Message) {
@@ -248,13 +247,6 @@ func (m *Miner) foundBlock() {
 	// Confirmed transactions leave the mempool.
 	m.pruneMempool(b)
 	m.gossip(Message{Kind: MsgBlock, Block: b})
-}
-
-// Drain returns pending outbound messages.
-func (m *Miner) Drain() []Message {
-	out := m.out
-	m.out = nil
-	return out
 }
 
 // RewardShare tallies best-chain coinbases per miner on this miner's

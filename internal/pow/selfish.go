@@ -23,6 +23,7 @@ import (
 //	honest block arrives, lead 2 → publish everything (orphan honest)
 //	honest block arrives, lead ≥3 → publish one block, keep mining
 type SelfishMiner struct {
+	types.Outbox[Message]
 	id   types.NodeID
 	cfg  MinerConfig
 	pub  *Chain // the attacker's view of the public chain
@@ -37,8 +38,6 @@ type SelfishMiner struct {
 	workTarget *big.Int
 	hasher     *workHasher
 	nonce      uint32
-
-	out []Message
 }
 
 // NewSelfishMiner builds the attacker.
@@ -57,7 +56,7 @@ func NewSelfishMiner(id types.NodeID, cfg MinerConfig) *SelfishMiner {
 
 func (s *SelfishMiner) send(msg Message) {
 	msg.From = s.id
-	s.out = append(s.out, msg)
+	s.Post(msg)
 }
 
 func (s *SelfishMiner) gossip(b *Block) {
@@ -189,11 +188,4 @@ func (s *SelfishMiner) buildWork() {
 	s.workTarget = CompactToTarget(bits)
 	s.hasher = newWorkHasher(&b.Header, s.workTarget)
 	s.nonce = uint32(s.rng.Uint64())
-}
-
-// Drain returns pending outbound messages.
-func (s *SelfishMiner) Drain() []Message {
-	out := s.out
-	s.out = nil
-	return out
 }

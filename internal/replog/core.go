@@ -10,11 +10,11 @@ import (
 // compaction hold and the mark of what changed since the last Sync.
 // raft.Node and multipaxos.Node embed it.
 type Core[M any] struct {
+	types.Outbox[M]
+	types.Decisions
 	synced
-	installed  *snapshot.Snapshot // the last one installed, until TakeInstalledSnapshot
-	hold       int                // ticks Compact still refuses: a transfer this node serves would start over
-	decisions  []types.Decision
-	out, spare []M // the outbox and what the last Drain handed out: swapped, never regrown
+	installed *snapshot.Snapshot // the last one installed, until TakeInstalledSnapshot
+	hold      int                // ticks Compact still refuses: a transfer this node serves would start over
 }
 
 // synced is the part of a Core a Persister reads.
@@ -41,31 +41,6 @@ func (s *synced) SnapshotIndex() types.Seq { return s.snapIndex }
 // Snapshot returns the encoded snapshot, or nil before the first.
 func (s *synced) Snapshot() []byte { return s.snapData }
 
-// Post queues m for the next Drain.
-func (c *Core[M]) Post(m M) { c.out = append(c.out, m) }
-
-// Drain returns pending outbound messages. The slice is valid until the
-// next Drain, which reuses it: a caller that keeps a message past that
-// copies it (the runner and the live host send each one on at once).
-func (c *Core[M]) Drain() []M {
-	out := c.out
-	clear(c.spare) // what the last Drain returned is void now: let it go
-	c.out, c.spare = c.spare[:0], out
-	return out
-}
-
-// Decide appends slot's decision to the stream.
-func (c *Core[M]) Decide(slot types.Seq, v types.Value) {
-	c.decisions = append(c.decisions, types.Decision{Slot: slot, Val: v})
-}
-
-// TakeDecisions drains newly committed decisions in order.
-func (c *Core[M]) TakeDecisions() []types.Decision {
-	d := c.decisions
-	c.decisions = nil
-	return d
-}
-
 // Compacted keeps snap, which covers everything through its LastIndex.
 func (c *Core[M]) Compacted(snap snapshot.Snapshot) {
 	c.snapIndex, c.snapData = snap.LastIndex, snapshot.Encode(snap)
@@ -74,7 +49,7 @@ func (c *Core[M]) Compacted(snap snapshot.Snapshot) {
 // Installed keeps snap, encoded as raw, and surfaces it to the host.
 // Undrained decisions below it are subsumed by the state it carries.
 func (c *Core[M]) Installed(snap *snapshot.Snapshot, raw []byte) {
-	c.snapIndex, c.snapData, c.installed, c.decisions = snap.LastIndex, raw, snap, nil
+	c.snapIndex, c.snapData, c.installed, c.Decisions = snap.LastIndex, raw, snap, types.Decisions{}
 }
 
 // TakeInstalledSnapshot drains the most recently installed snapshot, if

@@ -142,17 +142,16 @@ type slot struct {
 
 // Replica is one SeeMoRe node.
 type Replica struct {
+	types.Outbox[Message]
+	types.Decisions
 	id  types.NodeID
 	cfg Config
 
-	seq       types.Seq
-	slots     map[types.Seq]*slot
-	exec      types.Seq
-	decisions []types.Decision
-	done      map[chaincrypto.Digest]bool
-	commits   map[types.Seq]*quorum.ValueTally // non-proxy learning (m+1 rule)
-
-	out []Message
+	seq     types.Seq
+	slots   map[types.Seq]*slot
+	exec    types.Seq
+	done    map[chaincrypto.Digest]bool
+	commits map[types.Seq]*quorum.ValueTally // non-proxy learning (m+1 rule)
 }
 
 // NewReplica builds replica id. Node IDs [0, privateCount) are private.
@@ -199,26 +198,16 @@ func (r *Replica) isProxy(id types.NodeID) bool {
 // ExecutedFrontier returns the contiguous executed frontier.
 func (r *Replica) ExecutedFrontier() types.Seq { return r.exec }
 
-// TakeDecisions drains executed decisions in order.
-func (r *Replica) TakeDecisions() []types.Decision {
-	d := r.decisions
-	r.decisions = nil
-	return d
-}
-
 func (r *Replica) send(m Message) {
 	m.From = r.id
-	r.out = append(r.out, m)
+	r.Post(m)
 }
 
 func (r *Replica) sendAll(m Message, to []types.NodeID) {
-	for _, t := range to {
-		if t == r.id {
-			continue
+	for _, m.To = range to {
+		if m.To != r.id {
+			r.send(m)
 		}
-		mm := m
-		mm.To = t
-		r.send(mm)
 	}
 }
 
@@ -450,7 +439,7 @@ func (r *Replica) commitSlot(s *slot) {
 			return
 		}
 		r.exec++
-		r.decisions = append(r.decisions, types.Decision{Slot: r.exec, Val: next.req})
+		r.Decide(r.exec, next.req)
 		r.done[next.digest] = true
 	}
 }
@@ -459,10 +448,3 @@ func (r *Replica) commitSlot(s *slot) {
 // SeeMoRe reconfigures the mode (the paper delegates it to a classic
 // view change among the surviving cloud).
 func (r *Replica) Tick() {}
-
-// Drain returns pending outbound messages.
-func (r *Replica) Drain() []Message {
-	out := r.out
-	r.out = nil
-	return out
-}

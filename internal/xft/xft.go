@@ -123,15 +123,16 @@ type slot struct {
 
 // Replica is one XFT node.
 type Replica struct {
+	types.Outbox[Message]
+	types.Decisions
 	id  types.NodeID
 	cfg Config
 	now int
 
-	view      types.View
-	seq       types.Seq
-	slots     map[types.Seq]*slot
-	exec      types.Seq
-	decisions []types.Decision
+	view  types.View
+	seq   types.Seq
+	slots map[types.Seq]*slot
+	exec  types.Seq
 
 	pending map[chaincrypto.Digest]pend
 	done    map[chaincrypto.Digest]bool
@@ -141,8 +142,6 @@ type Replica struct {
 	changing bool
 	vcSince  int
 	vcTarget types.View
-
-	out []Message
 }
 
 type pend struct {
@@ -192,26 +191,16 @@ func (r *Replica) IsLeader() bool { return r.Leader(r.view) == r.id }
 // ExecutedFrontier returns the contiguous executed frontier.
 func (r *Replica) ExecutedFrontier() types.Seq { return r.exec }
 
-// TakeDecisions drains executed decisions in order.
-func (r *Replica) TakeDecisions() []types.Decision {
-	d := r.decisions
-	r.decisions = nil
-	return d
-}
-
 func (r *Replica) send(m Message) {
 	m.From = r.id
-	r.out = append(r.out, m)
+	r.Post(m)
 }
 
 func (r *Replica) sendAll(m Message, to []types.NodeID) {
-	for _, t := range to {
-		if t == r.id {
-			continue
+	for _, m.To = range to {
+		if m.To != r.id {
+			r.send(m)
 		}
-		mm := m
-		mm.To = t
-		r.send(mm)
 	}
 }
 
@@ -362,7 +351,7 @@ func (r *Replica) executeReady() {
 			return
 		}
 		r.exec++
-		r.decisions = append(r.decisions, types.Decision{Slot: r.exec, Val: s.req})
+		r.Decide(r.exec, s.req)
 		r.done[s.digest] = true
 		delete(r.pending, s.digest)
 		if r.IsLeader() {
@@ -578,11 +567,4 @@ func (r *Replica) Tick() {
 	if timedOut {
 		r.suspect(r.view + 1)
 	}
-}
-
-// Drain returns pending outbound messages.
-func (r *Replica) Drain() []Message {
-	out := r.out
-	r.out = nil
-	return out
 }

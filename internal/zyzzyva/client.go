@@ -38,6 +38,7 @@ type Completion struct {
 // Client is the Zyzzyva client — an active protocol participant that
 // performs commitment. It runs as a node on the same fabric.
 type Client struct {
+	types.Outbox[Message]
 	id  types.NodeID
 	cfg Config
 	now int
@@ -51,7 +52,6 @@ type Client struct {
 	localOK   map[types.NodeID]bool
 
 	done []Completion
-	out  []Message
 }
 
 // NewClient builds a client with the given node id (outside 0..N-1).
@@ -81,7 +81,7 @@ func (c *Client) Completions() []Completion {
 
 func (c *Client) send(m Message) {
 	m.From = c.id
-	c.out = append(c.out, m)
+	c.Post(m)
 }
 
 func matchKey(m Message) string {
@@ -167,11 +167,4 @@ func (c *Client) Tick() {
 	} else if elapsed >= clientRetry {
 		c.flooded = false // allow another flood next window
 	}
-}
-
-// Drain returns pending outbound messages.
-func (c *Client) Drain() []Message {
-	out := c.out
-	c.out = nil
-	return out
 }

@@ -135,8 +135,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Replica is one Zyzzyva server.
+// Replica is one Zyzzyva server. Its decisions are speculative.
 type Replica struct {
+	types.Outbox[Message]
+	types.Decisions
 	id  types.NodeID
 	cfg Config
 	now int
@@ -148,7 +150,6 @@ type Replica struct {
 	log     map[types.Seq]types.Value
 	// committed is the stable frontier (covered by commit certificates).
 	committed types.Seq
-	decisions []types.Decision // speculative decisions (slot, value)
 
 	// Pending forwarded requests: digest → since (view-change timers).
 	pending map[chaincrypto.Digest]pendRec
@@ -156,8 +157,6 @@ type Replica struct {
 	viewChanging bool
 	vcTarget     types.View
 	vcVotes      map[types.View]map[types.NodeID]Message
-
-	out []Message
 }
 
 type pendRec struct {
@@ -184,26 +183,16 @@ func (r *Replica) primary() types.NodeID { return r.view.Primary(r.cfg.n()) }
 // IsPrimary reports whether this replica leads the current view.
 func (r *Replica) IsPrimary() bool { return r.primary() == r.id }
 
-// TakeDecisions drains speculative decisions in order.
-func (r *Replica) TakeDecisions() []types.Decision {
-	d := r.decisions
-	r.decisions = nil
-	return d
-}
-
 func (r *Replica) send(m Message) {
 	m.From = r.id
-	r.out = append(r.out, m)
+	r.Post(m)
 }
 
 func (r *Replica) broadcast(m Message) {
-	for i := 0; i < r.cfg.n(); i++ {
-		if types.NodeID(i) == r.id {
-			continue
+	for i := range r.cfg.n() {
+		if m.To = types.NodeID(i); m.To != r.id {
+			r.send(m)
 		}
-		mm := m
-		mm.To = types.NodeID(i)
-		r.send(mm)
 	}
 }
 
@@ -243,7 +232,7 @@ func (r *Replica) onRequest(m Message) {
 		r.log[r.seq] = m.Req.Clone()
 		r.history = chaincrypto.Hash(r.history[:], d[:])
 		r.histAt[r.seq] = r.history
-		r.decisions = append(r.decisions, types.Decision{Slot: r.seq, Val: m.Req.Clone()})
+		r.Decide(r.seq, m.Req.Clone())
 		r.broadcast(Message{Kind: MsgOrderReq, View: r.view, Seq: r.seq, Req: m.Req.Clone(), History: r.history})
 		r.sendResponseFor(r.seq)
 		return
@@ -299,7 +288,7 @@ func (r *Replica) onOrderReq(m Message) {
 	r.history = want
 	r.histAt[m.Seq] = want
 	delete(r.pending, d)
-	r.decisions = append(r.decisions, types.Decision{Slot: m.Seq, Val: m.Req.Clone()})
+	r.Decide(m.Seq, m.Req.Clone())
 	// Reply to every client; in simulation the client ID rides on the
 	// request envelope, so respond to the spec-response collector (the
 	// client node id is encoded by the harness in To of the original
@@ -487,7 +476,7 @@ func (r *Replica) applyNewView(v types.View, committed types.Seq, entries []Hist
 		newHist[e.Seq] = hist
 		seq = e.Seq
 		if e.Seq > oldSeq {
-			r.decisions = append(r.decisions, types.Decision{Slot: e.Seq, Val: e.Req.Clone()})
+			r.Decide(e.Seq, e.Req.Clone())
 		}
 	}
 	r.log = newLog
@@ -523,11 +512,4 @@ func (r *Replica) Tick() {
 	if timedOut {
 		r.startViewChange(r.view + 1)
 	}
-}
-
-// Drain returns pending outbound messages.
-func (r *Replica) Drain() []Message {
-	out := r.out
-	r.out = nil
-	return out
 }
