@@ -63,16 +63,16 @@ test-race:
 # second sweep puts raft under message loss, duplication and reordering
 # (the default mix has neither drop nor dup): those are the faults its
 # replication flow control recovers from — a reject round trip, a stale
-# or repeated answer, the heartbeat rewind. The third turns on
-# membership churn (rmnode) against raft-member, whose compaction-bound,
-# snapshot-install, and config-safety invariants gate every remove →
-# compact → re-add → InstallSnapshot pipeline the generator finds. The
+# or repeated answer, the heartbeat rewind. The third and fourth turn on
+# membership churn (rmnode) against raft-member and multipaxos-member,
+# whose compaction-bound, snapshot-install, and config-safety invariants
+# gate every remove → compact → re-add → InstallSnapshot pipeline the
+# generator finds. The
 # last two put the trusted-counter pair under loss, duplication and a
 # muted or duplicating replica: both used to break log-prefix agreement
 # there, and a view change (CheapSwitch) is where they did. The last puts
-# Multi-Paxos under loss: the tick push, the catch-up request that
-# rewinds it and the heartbeat that resends the slot a still frontier
-# waits on are what heal a lost Accept or Commit. A crash-model run
+# Multi-Paxos under loss: the replication core's reject round trip and
+# heartbeat rewind are what heal a lost Accept. A crash-model run
 # counts as ok only if every replica decided after the schedule's last
 # event; ci's explore stall test runs this sweep, and Flexible Paxos's,
 # and fails on a stall.
@@ -80,6 +80,7 @@ explore:
 	$(GO) run ./cmd/consensus-explore -protocol all -seeds 48 -faults 4 -workers 0
 	$(GO) run ./cmd/consensus-explore -protocol raft -seeds 96 -faults 5 -workers 0 -classes drop,dup,delay,crash,partition
 	$(GO) run ./cmd/consensus-explore -protocol raft-member -seeds 128 -faults 3 -workers 0 -classes rmnode,crash,partition
+	$(GO) run ./cmd/consensus-explore -protocol multipaxos-member -seeds 128 -faults 3 -workers 0 -classes rmnode,crash,partition
 	$(GO) run ./cmd/consensus-explore -protocol minbft -seeds 600 -faults 4 -workers 0 -classes crash,partition,drop,dup,delay,byz
 	$(GO) run ./cmd/consensus-explore -protocol cheapbft -seeds 600 -faults 4 -workers 0 -classes crash,partition,drop,dup,delay,byz
 	$(GO) run ./cmd/consensus-explore -protocol multipaxos -seeds 300 -faults 4 -workers 0 -classes drop,dup,delay,crash,partition

@@ -134,29 +134,24 @@ var awaitingDurability = []string{
 	"(*fortyconsensus/internal/replog.synced).journal",
 	"(*fortyconsensus/internal/raft.Node).Journal",
 	"(*fortyconsensus/internal/multipaxos.Node).Journal",
-	"fortyconsensus/internal/multipaxos.packBallot",
+	"(*fortyconsensus/internal/replog.Core[M]).Mapping",
 	// Restore side.
 	"(*fortyconsensus/internal/replog.Persister).Restore",
 	"(*fortyconsensus/internal/wal.Journal).Restore",
 	"(*fortyconsensus/internal/wal.Log).Replay",
 	"(*fortyconsensus/internal/wal.Log).LoadSnapshot",
 	"fortyconsensus/internal/wal.decodeSnapshotFile",
-	"fortyconsensus/internal/multipaxos.unpackBallot",
-	"(*fortyconsensus/internal/replog.Log[E]).End",
-	"(*fortyconsensus/internal/replog.Log[E]).Grow",
 }
 
 // testedKnobs names the configuration fields no program sets that a
 // test sweeps or turns an off-by-default behaviour on with (the test is
 // named). deadcode reports each once a program sets it.
 var testedKnobs = []string{
-	"fortyconsensus/internal/raft.Config.HeartbeatTicks",       // TestFreshNodeCampaignsWithinTheJitter
-	"fortyconsensus/internal/raft.Config.ElectionTimeoutTicks", // TestElectionTimerTakesTheBaseOnceATermIsSeen
-	"fortyconsensus/internal/multipaxos.Config.HeartbeatTicks", // TestFreshNodeCampaignsWithinTheJitter
-	"fortyconsensus/internal/cheapbft.Config.QuietTicks",       // switch-back: TestSwitchBackAfterQuietPeriod
-	"fortyconsensus/internal/pos.Params.Reward",                // compounding: TestProportionalRewardsAreMartingale
-	"fortyconsensus/internal/shard.Config.Backend",             // TestOutcomesConsistentAcrossBackends
-	"fortyconsensus/internal/minbft.Config.RequestTimeout",     // TestMessageSequencePinned's "view-change" trace, at 30
+	"fortyconsensus/internal/replog.ElectorConfig.HeartbeatTicks", // TestFreshNodeCampaignsWithinTheJitter (raft, multipaxos)
+	"fortyconsensus/internal/cheapbft.Config.QuietTicks",          // switch-back: TestSwitchBackAfterQuietPeriod
+	"fortyconsensus/internal/pos.Params.Reward",                   // compounding: TestProportionalRewardsAreMartingale
+	"fortyconsensus/internal/shard.Config.Backend",                // TestOutcomesConsistentAcrossBackends
+	"fortyconsensus/internal/minbft.Config.RequestTimeout",        // TestMessageSequencePinned's "view-change" trace, at 30
 }
 
 // scopes pairs every analyzer with the package prefixes it skips.

@@ -79,25 +79,20 @@ var awaitingDurabilityAllowed = []string{
 	"(*fortyconsensus/internal/replog.synced).journal",
 	"(*fortyconsensus/internal/raft.Node).Journal",
 	"(*fortyconsensus/internal/multipaxos.Node).Journal",
-	"fortyconsensus/internal/multipaxos.packBallot",
+	"(*fortyconsensus/internal/replog.Core[M]).Mapping", // both backends' mappings, moved into the core
 	// Restore side.
 	"(*fortyconsensus/internal/replog.Persister).Restore",
 	"(*fortyconsensus/internal/wal.Journal).Restore",
 	"(*fortyconsensus/internal/wal.Log).Replay",
 	"(*fortyconsensus/internal/wal.Log).LoadSnapshot",
 	"fortyconsensus/internal/wal.decodeSnapshotFile",
-	"fortyconsensus/internal/multipaxos.unpackBallot",
-	"(*fortyconsensus/internal/replog.Log[E]).End",
-	"(*fortyconsensus/internal/replog.Log[E]).Grow",
 }
 
 // testedKnobsAllowed bounds testedKnobs: configuration fields a test
 // sweeps, or turns an off-by-default behaviour on with, and no program
 // sets. The list may lose entries and never gain one.
 var testedKnobsAllowed = []string{
-	"fortyconsensus/internal/raft.Config.HeartbeatTicks",
-	"fortyconsensus/internal/raft.Config.ElectionTimeoutTicks",
-	"fortyconsensus/internal/multipaxos.Config.HeartbeatTicks",
+	"fortyconsensus/internal/replog.ElectorConfig.HeartbeatTicks", // raft's and multipaxos', folded into the one elector config
 	"fortyconsensus/internal/cheapbft.Config.QuietTicks",
 	"fortyconsensus/internal/pos.Params.Reward",
 	"fortyconsensus/internal/shard.Config.Backend",

@@ -87,13 +87,20 @@ func paxosDemo() (diverged bool) {
 		return false
 	}
 	victim := (lead.Leader() + 1) % 3
-	// The byzantine leader forges the value of the Accept to one acceptor —
-	// Multi-Paxos acceptors trust their leader (crash model assumes no
-	// lies), and learn what they accepted once its commit frontier, on the
-	// next heartbeat, passes the slot.
+	// The byzantine leader forges the values its Accepts carry to one
+	// acceptor — Multi-Paxos acceptors trust their leader (crash model
+	// assumes no lies), and learn what they accepted once its commit
+	// frontier, on the next Accept or heartbeat, passes the slot.
+	forged := req(99, kvstore.Put("balance", []byte("999999")))
 	c.Intercept(lead.Leader(), func(m multipaxos.Message) []multipaxos.Message {
 		if m.Kind == multipaxos.MsgAccept && m.To == victim {
-			m.Val = req(99, kvstore.Put("balance", []byte("999999")))
+			es := make([]multipaxos.Entry, len(m.Entries))
+			for i, e := range m.Entries {
+				if es[i] = e; e.Val != nil {
+					es[i].Val = forged
+				}
+			}
+			m.Entries = es
 		}
 		return []multipaxos.Message{m}
 	})

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"fortyconsensus/internal/replog"
 
 	"fortyconsensus/internal/core"
 	"fortyconsensus/internal/core/icagree"
@@ -105,7 +106,7 @@ func F3FlexibleQuorums() Result {
 		// The election timeout outlasts a round trip on the slow links
 		// (80–100 ticks): a slow acceptor's timer must not depend on how
 		// the link delays happen to fall.
-		c := multipaxos.NewCluster(5, fab, multipaxos.Config{Seed: 42, Quorums: q, ElectionTimeoutTicks: 100}, nil)
+		c := multipaxos.NewCluster(5, fab, multipaxos.Config{Seed: 42, Quorums: q, ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: 100}}, nil)
 		lead := c.WaitLeader(1000)
 		if lead == nil {
 			panic(fmt.Sprintf("F3: no leader under %s", q.Describe()))

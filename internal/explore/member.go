@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 
+	"fortyconsensus/internal/multipaxos"
 	"fortyconsensus/internal/nemesis"
 	"fortyconsensus/internal/raft"
 	"fortyconsensus/internal/runner"
@@ -15,7 +16,8 @@ import (
 	"fortyconsensus/internal/types"
 )
 
-// The raft-member episode drives Raft under membership churn with
+// The member episodes (raft-member, multipaxos-member) drive a backend
+// under membership churn with
 // aggressive log compaction, so nemesis rmnode/addnode events exercise
 // the whole reconfiguration + snapshot-transfer machinery: a removed
 // node is voted out and killed; its re-admission replaces it with a
@@ -25,7 +27,13 @@ import (
 // still counts the node, and a counted member that forgets its term,
 // its vote and the entries it acknowledged is the one fault Raft's
 // crash-recovery model does not allow (agreement broke on 3 of 400
-// seeds when the swap was immediate).
+// seeds when the swap was immediate). Multi-Paxos' old epoch still
+// counts the node for Alpha slots past its committed removal, and the
+// swap does not wait for them: the node was killed before its removal
+// was proposed, so every quorum that chose the removal leaves it out,
+// and an old-epoch majority that counts the fresh instance meets one of
+// those quorums at a node that holds the log through the removal and
+// the ballot that chose it.
 //
 // Every node is hosted the way a live group hosts it: an smr.Replica
 // over a state machine (here a digest of the commands applied), whose
@@ -55,11 +63,29 @@ const (
 	memberCompactLag = 12
 )
 
-type memberEpisode struct {
-	c    *raft.Cluster
-	tr   *LogTracker
-	seed uint64
-	size int
+// memberNode is a replica a member episode churns: a log-committing node
+// with a membership, a compacting log and a snapshot transfer.
+type memberNode[M any] interface {
+	runner.SMRNode[M]
+	memberModule
+	IsLeader() bool
+	Submit(types.Value)
+	Members() []types.NodeID
+	CommitFrontier() types.Seq
+}
+
+// memberModule is what a member episode's replica reads of its node.
+type memberModule interface {
+	smr.Module
+	smr.Compactor
+	smr.Reader
+}
+
+type memberEpisode[M any, N memberNode[M]] struct {
+	c     *runner.SMRCluster[M, N]
+	fresh func(id types.NodeID) N // a passive joiner under id
+	tr    *LogTracker
+	churn
 
 	// Canonical committed history, folded in contiguous slot order.
 	cursor  types.Seq            // highest slot folded so far
@@ -71,17 +97,39 @@ type memberEpisode struct {
 
 	lastSnap []types.Seq // per node: last seen snapshot index
 
-	pending       []nemesis.Event // membership changes awaiting commitment
-	swapped       bool            // pending[0] is an add whose fresh instance is in
+	swapped       bool // pending[0] is an add whose fresh instance is in
 	installs      int
 	expectInstall bool // an add happened after every member had compacted
 	violation     *Violation
 }
 
+// churn is the membership queue memberTarget feeds.
+type churn struct {
+	size    int
+	pending []nemesis.Event // membership changes awaiting commitment
+}
+
 func newRaftMemberEpisode(n int, seed uint64) *Episode {
 	c := raft.NewCluster(n, campaignFabric(seed), raft.Config{Seed: seed}, nil)
-	ep := &memberEpisode{
-		c: c, tr: NewLogTracker(n), seed: seed, size: n,
+	return newMemberEpisode(c.SMRCluster, func(id types.NodeID) *raft.Node {
+		return raft.New(id, raft.Config{Peers: nodeIDs(n), Passive: true, Seed: seed ^ uint64(id)<<32})
+	})
+}
+
+// newMultiPaxosMemberEpisode is raft-member on Multi-Paxos: the same
+// remove → compact → re-add → snapshot-install churn, which its epochs
+// take Alpha slots after each change is chosen.
+func newMultiPaxosMemberEpisode(n int, seed uint64) *Episode {
+	c := multipaxos.NewCluster(n, campaignFabric(seed), multipaxos.Config{Seed: seed}, nil)
+	return newMemberEpisode(c.SMRCluster, func(id types.NodeID) *multipaxos.Node {
+		return multipaxos.New(id, multipaxos.Config{Peers: nodeIDs(n), Passive: true, Seed: seed ^ uint64(id)<<32})
+	})
+}
+
+func newMemberEpisode[M any, N memberNode[M]](c *runner.SMRCluster[M, N], fresh func(types.NodeID) N) *Episode {
+	n := len(c.Nodes)
+	ep := &memberEpisode[M, N]{
+		c: c, fresh: fresh, tr: NewLogTracker(n), churn: churn{size: n},
 		canonFp:  fnvOffset,
 		canon:    smr.NewExecutor(0, &digestSM{fnvOffset}),
 		stateAt:  map[types.Seq][]byte{},
@@ -93,7 +141,7 @@ func newRaftMemberEpisode(n int, seed uint64) *Episode {
 		ep.host(i)
 	}
 	return &Episode{
-		Target: memberTarget{Cluster: c.Cluster, ep: ep},
+		Target: memberTarget[M]{Cluster: c.Cluster, churn: &ep.churn},
 		Tick: func(now int) {
 			ep.driveMembership()
 			if now%memberCadence == 2 {
@@ -123,7 +171,7 @@ func newRaftMemberEpisode(n int, seed uint64) *Episode {
 	}
 }
 
-// digestSM is the state machine a raft-member replica hosts: a rolling
+// digestSM is the state machine a member replica hosts: a rolling
 // digest of the commands applied, which is all its snapshot holds.
 type digestSM struct{ fp uint64 }
 
@@ -147,26 +195,28 @@ func (s *digestSM) Restore(snap []byte) error {
 	return nil
 }
 
-// watchedNode is the module node i's replica reads: the raft node, with
-// every snapshot it installed checked on its way to the replica.
+// watchedNode is the module node i's replica reads: the node, with every
+// snapshot it installed checked on its way to the replica.
 type watchedNode struct {
-	*raft.Node
-	ep *memberEpisode
-	i  int
+	memberModule
+	installed func(*snapshot.Snapshot)
 }
 
 func (w watchedNode) TakeInstalledSnapshot() *snapshot.Snapshot {
-	snap := w.Node.TakeInstalledSnapshot()
+	snap := w.memberModule.TakeInstalledSnapshot()
 	if snap != nil {
-		w.ep.installs++
-		w.ep.checkInstall(w.i, snap)
+		w.installed(snap)
 	}
 	return snap
 }
 
 // host puts node i behind a fresh replica over an empty digest.
-func (ep *memberEpisode) host(i int) {
-	ep.c.Reps[i] = smr.NewReplica(types.NodeID(i), watchedNode{ep.c.Nodes[i], ep, i}, &digestSM{fnvOffset})
+func (ep *memberEpisode[M, N]) host(i int) {
+	w := watchedNode{ep.c.Nodes[i], func(snap *snapshot.Snapshot) {
+		ep.installs++
+		ep.checkInstall(i, snap)
+	}}
+	ep.c.Reps[i] = smr.NewReplica(types.NodeID(i), w, &digestSM{fnvOffset})
 }
 
 // memberTarget extends the runner cluster with nemesis.MemberTarget:
@@ -174,32 +224,29 @@ func (ep *memberEpisode) host(i int) {
 // queues the conf-add, and driveMembership swaps in the fresh instance
 // when the add reaches the head of the queue — that is, once the
 // removal ahead of it has committed.
-type memberTarget struct {
-	*runner.Cluster[raft.Message]
-	ep *memberEpisode
+type memberTarget[M any] struct {
+	*runner.Cluster[M]
+	*churn
 }
 
-func (t memberTarget) RemoveNode(id types.NodeID) {
+func (t memberTarget[M]) RemoveNode(id types.NodeID) {
 	t.Cluster.Crash(id)
-	t.ep.pending = append(t.ep.pending, nemesis.Event{Op: nemesis.OpRemoveNode, Node: id})
+	t.pending = append(t.pending, nemesis.Event{Op: nemesis.OpRemoveNode, Node: id})
 }
 
-func (t memberTarget) AddNode(id types.NodeID) {
-	if int(id) < 0 || int(id) >= t.ep.size {
+func (t memberTarget[M]) AddNode(id types.NodeID) {
+	if int(id) < 0 || int(id) >= t.size {
 		return
 	}
-	t.ep.pending = append(t.ep.pending, nemesis.Event{Op: nemesis.OpAddNode, Node: id})
+	t.pending = append(t.pending, nemesis.Event{Op: nemesis.OpAddNode, Node: id})
 }
 
 // swapIn replaces node id with a fresh, stateless instance and starts
 // it. A fresh joiner must start passive: it has no log, no config, and
 // must not disrupt the incumbent leader with early campaigns.
-func (ep *memberEpisode) swapIn(id types.NodeID) {
+func (ep *memberEpisode[M, N]) swapIn(id types.NodeID) {
 	i := int(id)
-	fresh := raft.New(id, raft.Config{
-		Peers: nodeIDs(ep.size), Passive: true, Seed: ep.seed ^ uint64(id)<<32,
-	})
-	ep.c.Set(id, fresh, nil)
+	ep.c.Set(id, ep.fresh(id), nil)
 	ep.host(i)
 	ep.tr.Reset(i)
 	ep.lastSnap[i] = 0
@@ -222,7 +269,7 @@ func (ep *memberEpisode) swapIn(id types.NodeID) {
 // canonical committed history reflects it, resubmitting through
 // whichever node currently leads (leader churn, truncation-reverted
 // conf entries, and refused overlapping changes all end in a retry).
-func (ep *memberEpisode) driveMembership() {
+func (ep *memberEpisode[M, N]) driveMembership() {
 	if len(ep.pending) == 0 {
 		return
 	}
@@ -256,7 +303,7 @@ func (ep *memberEpisode) driveMembership() {
 // observe pumps every node's replica — installs restored, decisions
 // applied — folds the canonical history forward, compacts eager nodes,
 // and runs the per-tick invariant checks.
-func (ep *memberEpisode) observe() {
+func (ep *memberEpisode[M, N]) observe() {
 	for i, rep := range ep.c.Reps {
 		ds, _, _, err := rep.Pump()
 		if err != nil {
@@ -287,7 +334,7 @@ func (ep *memberEpisode) observe() {
 }
 
 // violate records the episode's first violation.
-func (ep *memberEpisode) violate(invariant, format string, args ...any) {
+func (ep *memberEpisode[M, N]) violate(invariant, format string, args ...any) {
 	if ep.violation == nil {
 		ep.violation = &Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)}
 	}
@@ -295,7 +342,7 @@ func (ep *memberEpisode) violate(invariant, format string, args ...any) {
 
 // checkInstall verifies an installed snapshot against the canonical
 // committed history at its index.
-func (ep *memberEpisode) checkInstall(node int, snap *snapshot.Snapshot) {
+func (ep *memberEpisode[M, N]) checkInstall(node int, snap *snapshot.Snapshot) {
 	want, ok := ep.stateAt[snap.LastIndex]
 	if !ok {
 		ep.violate("snapshot-install", "node %d installed a snapshot at %d, beyond the canonical frontier %d",
@@ -313,7 +360,7 @@ func (ep *memberEpisode) checkInstall(node int, snap *snapshot.Snapshot) {
 // of slots some node has committed, folding config entries into the
 // canonical member set and recording what a replica holds after each
 // slot for install checks.
-func (ep *memberEpisode) foldCanonical() {
+func (ep *memberEpisode[M, N]) foldCanonical() {
 	for {
 		v, ok := ep.tr.canonical[ep.cursor+1]
 		if !ok {

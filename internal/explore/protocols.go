@@ -36,6 +36,7 @@ func init() {
 	Register(Protocol{Name: "cheapbft", Nodes: 3, MinNodes: 3, Horizon: 400, New: newCheapBFTEpisode})
 	Register(Protocol{Name: "2pc", Nodes: 4, MinNodes: 3, Horizon: 600, New: newCommitEpisode(commit.TwoPC)})
 	Register(Protocol{Name: "3pc", Nodes: 4, MinNodes: 3, Horizon: 600, New: newCommitEpisode(commit.ThreePC)})
+	Register(Protocol{Name: "multipaxos-member", Nodes: 5, MinNodes: 3, Horizon: 600, New: newMultiPaxosMemberEpisode})
 }
 
 // campaignFabric is the network every episode runs on: light jitter so

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"strconv"
@@ -326,16 +327,17 @@ func TestClientSessionWindow(t *testing.T) {
 	})
 }
 
-// TestClientRetriesStayExactlyOnce gives a client an AttemptTimeout of
-// about one round trip, so a large share of its attempts are given up on
-// while their request is already in the log, and the operation is sent
-// again — same session, same seqno, fresh ReqID — to be answered from the
-// dedup table while the first reply arrives for an attempt nobody waits
-// on. However often that happens, every acknowledged Incr moved its
-// counter by exactly one and no two of them saw the same value.
+// TestClientRetriesStayExactlyOnce puts a TCP proxy between a client and
+// each server that holds every other reply back past the client's attempt
+// timeout, so a large share of its attempts are given up on while their
+// request is already in the log, and the operation is sent again — same
+// session, same seqno, fresh ReqID — to be answered from the dedup table
+// while the first reply arrives for an attempt nobody waits on. However
+// often that happens, every acknowledged Incr moved its counter by exactly
+// one and no two of them saw the same value.
 func TestClientRetriesStayExactlyOnce(t *testing.T) {
 	servers, addrs := startCluster(t, 3, 2, BackendRaft, 23)
-	newClient := func(base types.ClientID, attempt time.Duration) *Client {
+	newClient := func(addrs []string, base types.ClientID, attempt time.Duration) *Client {
 		cl, err := NewClient(ClientConfig{
 			Addrs: addrs, Shards: 2, SessionBase: base,
 			AttemptTimeout: attempt, Deadline: 10 * time.Second,
@@ -346,7 +348,7 @@ func TestClientRetriesStayExactlyOnce(t *testing.T) {
 		t.Cleanup(cl.Close)
 		return cl
 	}
-	patient := newClient(170_000, 2*time.Second)
+	patient := newClient(addrs, 170_000, 2*time.Second)
 	const callers, each, keys = 4, 40, 8
 	counters := func() (vals [keys]int) {
 		for k := range vals {
@@ -416,23 +418,79 @@ func TestClientRetriesStayExactlyOnce(t *testing.T) {
 		return lat[len(lat)/2], requests - callers*each
 	}
 
-	// The patient client measures the round trip under this load; the
-	// timeout then halves until at least a fifth of the operations commit
-	// twice (the first round usually does: about half its attempts lose).
-	attempt, _ := round(patient)
-	for base := types.ClientID(180_000); ; base, attempt = base+10_000, attempt/2 {
-		if attempt < 10*time.Microsecond {
-			t.Fatal("no attempt timeout forced retries")
-		}
-		_, copies := round(newClient(base, attempt))
-		t.Logf("attempt timeout %v: %d second copies committed over %d operations", attempt, copies, callers*each)
-		if copies >= callers*each/5 {
-			break
-		}
+	// Every other reply a proxy carries arrives past the attempt timeout:
+	// at least a fifth of the operations commit twice however fast the
+	// host is, and the other replies, which pass at once, ack them.
+	const attempt = 50 * time.Millisecond
+	proxied := make([]string, len(addrs))
+	for i, a := range addrs {
+		proxied[i] = holdReplies(t, a, 3*attempt)
+	}
+	_, copies := round(newClient(proxied, 180_000, attempt))
+	t.Logf("attempt timeout %v: %d second copies committed over %d operations", attempt, copies, callers*each)
+	if copies < callers*each/5 {
+		t.Fatalf("%d of %d operations committed twice, want at least a fifth", copies, callers*each)
 	}
 	for sh := 0; sh < 2; sh++ {
 		waitFor(t, 10*time.Second, func() bool { return sameKV(sh, servers...) })
 	}
+}
+
+// holdReplies is a TCP proxy to target for a client: requests pass at
+// once, and every other reply frame is held back for hold while the ones
+// after it go on. It returns the proxy's address.
+func holdReplies(t *testing.T, target string, hold time.Duration) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			s, err := net.Dial("tcp", target)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			go func() {
+				io.Copy(s, c)
+				s.Close()
+				c.Close()
+			}()
+			go func() {
+				var mu sync.Mutex
+				var held sync.WaitGroup
+				for n := 0; ; n++ {
+					f, err := ReadFrame(s, DefaultMaxFrame)
+					if err != nil {
+						break
+					}
+					send := func() {
+						mu.Lock()
+						WriteFrame(c, f)
+						mu.Unlock()
+					}
+					if n%2 == 1 {
+						send()
+						continue
+					}
+					held.Add(1)
+					time.AfterFunc(hold, func() {
+						send()
+						held.Done()
+					})
+				}
+				held.Wait()
+				c.Close()
+			}()
+		}
+	}()
+	return ln.Addr().String()
 }
 
 // TestClusterMultiPaxosBackend runs the same client path over the

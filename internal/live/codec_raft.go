@@ -61,7 +61,7 @@ func (RaftCodec) Decode(b []byte) (raft.Message, error) {
 	if n > 0 {
 		m.Entries = make([]raft.LogEntry, n)
 		for i := range m.Entries {
-			m.Entries[i].Term = raft.Term(r.U64())
+			m.Entries[i].Term = r.U64()
 			m.Entries[i].Val = r.Copy32()
 		}
 	}

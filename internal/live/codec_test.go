@@ -37,20 +37,27 @@ func raftMessages() []raft.Message {
 }
 
 func paxosMessages() []multipaxos.Message {
+	b3, t2 := types.Ballot{Num: 3, Owner: 1}, uint64(2<<16)
 	return []multipaxos.Message{
-		{Kind: multipaxos.MsgPrepare, From: 1, To: 2, Ballot: types.Ballot{Num: 3, Owner: 1}},
+		{Kind: multipaxos.MsgPrepare, From: 1, To: 2, Ballot: b3, Slot: 4},
 		{
-			Kind: multipaxos.MsgAck, From: 2, To: 1, Ballot: types.Ballot{Num: 3, Owner: 1},
+			Kind: multipaxos.MsgAck, From: 2, To: 1, Ballot: b3, Slot: 4, Commit: 5,
 			Entries: []multipaxos.Entry{
-				{Slot: 5, AcceptNum: types.Ballot{Num: 2, Owner: 0}, Val: types.Value("old")},
-				{Slot: 6, AcceptNum: types.Ballot{Num: 1, Owner: 2}, Val: nil},
+				{Term: t2, Val: types.Value("old")},
+				{Term: 1<<16 | 2, Val: nil}, // a no-op: nil value survives
 			},
 		},
-		{Kind: multipaxos.MsgAccept, From: 1, To: 0, Ballot: types.Ballot{Num: 3, Owner: 1}, Slot: 7, Val: types.Value("v")},
-		{Kind: multipaxos.MsgCatchup, From: 0, To: 1, Slot: 12, Offset: 8192},
-		{Kind: multipaxos.MsgState, From: 1, To: 0, Slot: 30, Val: types.Value("snapshot chunk bytes"), Offset: 8192, Done: true, Commit: 40},
-		{Kind: multipaxos.MsgRead, From: 1, To: 2, Ballot: types.Ballot{Num: 3, Owner: 1}, Read: 1 << 40},
-		{Kind: multipaxos.MsgReadResp, From: 2, To: 1, Ballot: types.Ballot{Num: 3, Owner: 1}, Read: 17},
+		{Kind: multipaxos.MsgNack, From: 2, To: 1, Ballot: types.Ballot{Num: 4, Owner: 0}},
+		{
+			Kind: multipaxos.MsgAccept, From: 1, To: 0, Ballot: b3, Slot: 6, Prev: t2, Commit: 5, Read: 9,
+			Entries: []multipaxos.Entry{{Term: 3<<16 | 1, Val: types.Value("v")}, {Term: 3<<16 | 1, Val: types.Value{}}},
+		},
+		{Kind: multipaxos.MsgAccepted, From: 0, To: 1, Ballot: b3, OK: true, Match: 8, Read: 9},
+		{Kind: multipaxos.MsgAccepted, From: 0, To: 1, Ballot: b3, Slot: 6, Match: 4},
+		{Kind: multipaxos.MsgState, From: 1, To: 0, Ballot: b3, Slot: 30, Val: types.Value("snapshot chunk bytes"), Offset: 8192, Done: true, Commit: 40},
+		{Kind: multipaxos.MsgStateResp, From: 0, To: 1, Ballot: b3, Slot: 30, OK: true, Offset: 12288},
+		{Kind: multipaxos.MsgRead, From: 1, To: 2, Ballot: b3, Read: 1 << 40},
+		{Kind: multipaxos.MsgReadResp, From: 2, To: 1, Ballot: b3, Read: 17},
 	}
 }
 
@@ -133,31 +140,42 @@ func TestRaftCodecTruncation(t *testing.T) {
 }
 
 // What an acceptor answers a Prepare with is a frame, and a frame has a
-// limit: the Ack names the slots above the acceptor's commit frontier, so
-// its size does not follow the log's. With every accepted slot in it,
-// this one was 300,000 entries and 18,900,057 bytes.
+// limit: the Ack names the slots past the candidate's commit frontier,
+// and an acceptor refuses a candidate so far behind its own that they
+// would not fit, so its size does not follow the log's. With every
+// accepted slot in it, this one was 300,000 entries and 18,900,057 bytes.
 func TestLongLogAckFitsAFrame(t *testing.T) {
 	const slots = 300_000
 	lead := types.Ballot{Num: 1, Owner: 0}
+	tag := uint64(1 << 16)
 	acc := multipaxos.New(1, multipaxos.Config{Peers: []types.NodeID{0, 1, 2}})
 	val := types.Value(strings.Repeat("v", 23))
 	for s := types.Seq(1); s <= slots; s++ {
-		acc.Step(multipaxos.Message{Kind: multipaxos.MsgAccept, From: 0, To: 1, Ballot: lead, Slot: s, Val: val, Commit: s - 1})
+		prev := tag
+		if s == 1 {
+			prev = 0
+		}
+		acc.Step(multipaxos.Message{Kind: multipaxos.MsgAccept, From: 0, To: 1, Ballot: lead, Slot: s - 1, Prev: prev,
+			Entries: []multipaxos.Entry{{Term: tag, Val: val}}, Commit: s - 1})
 		acc.Drain()
 	}
 	if acc.CommitFrontier() != slots-1 {
 		t.Fatalf("acceptor learned %d of %d slots from the frontiers its accepts carried", acc.CommitFrontier(), slots-1)
 	}
-	acc.Step(multipaxos.Message{Kind: multipaxos.MsgPrepare, From: 2, To: 1, Ballot: types.Ballot{Num: 2, Owner: 2}})
+	acc.Step(multipaxos.Message{Kind: multipaxos.MsgPrepare, From: 2, To: 1, Ballot: types.Ballot{Num: 2, Owner: 2}, Slot: slots - 1})
 	out := acc.Drain()
 	if len(out) != 1 || out[0].Kind != multipaxos.MsgAck || out[0].Commit != slots-1 {
 		t.Fatalf("answer to the prepare: %+v", out)
 	}
-	if es := out[0].Entries; len(es) != 1 || es[0].Slot != slots || es[0].AcceptNum != lead {
+	if es := out[0].Entries; len(es) != 1 || out[0].Slot != slots-1 || es[0].Term != tag {
 		t.Fatalf("ack carries %d entries, want the one undecided slot", len(es))
 	}
 	if n := len(MultiPaxosCodec{}.Append(nil, out[0])); n >= 1<<10 {
 		t.Fatalf("ack encodes to %d bytes (DefaultMaxFrame %d)", n, DefaultMaxFrame)
+	}
+	acc.Step(multipaxos.Message{Kind: multipaxos.MsgPrepare, From: 2, To: 1, Ballot: types.Ballot{Num: 3, Owner: 2}})
+	if out := acc.Drain(); len(out) != 1 || out[0].Kind != multipaxos.MsgNack {
+		t.Fatalf("answer to a prepare %d slots behind: %+v, want a refusal", slots-1, out)
 	}
 }
 

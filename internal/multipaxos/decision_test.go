@@ -79,7 +79,7 @@ func (g *trio) decided(want ...types.Value) {
 			g.tb.Fatalf("node %v's frontier is %d, want %d", n.id, n.CommitFrontier(), len(want))
 		}
 		for i, v := range want {
-			if got := n.log.Get(types.Seq(i + 1)).chosen; !got.Equal(v) {
+			if got := n.At(types.Seq(i + 1)).Val; !got.Equal(v) {
 				g.tb.Fatalf("node %v decided %q at slot %d, want %q", n.id, got, i+1, v)
 			}
 		}
@@ -94,20 +94,14 @@ func kinds(sent []Message) map[MsgKind]int {
 	return count
 }
 
-// pushes are the heartbeats in sent that carry chosen slots.
-func pushes(sent []Message) []Message {
-	var out []Message
-	for _, m := range sent {
-		if m.Kind == MsgHeartbeat && len(m.Entries) > 0 {
-			out = append(out, m)
-		}
-	}
-	return out
+// carries reports whether m is an Accept carrying slot s.
+func carries(m Message, s types.Seq) bool {
+	return m.Kind == MsgAccept && m.Slot < s && s <= m.Slot+types.Seq(len(m.Entries))
 }
 
 // Pipelined submits go to the pick alone, an accept and an accepted per
 // value; the first tick sends the other follower every decided value in
-// one unanswered heartbeat.
+// one Accept, which it acknowledges.
 func TestPipelinedSubmitsCostTwoMessagesEach(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
@@ -132,8 +126,8 @@ func TestPipelinedSubmitsCostTwoMessagesEach(t *testing.T) {
 	}
 	lead.Tick()
 	push := g.pump(nil)
-	if len(push) != 1 || push[0].Kind != MsgHeartbeat || push[0].To != 1 || len(push[0].Entries) != 32 {
-		t.Fatalf("the tick sent %+v, want one heartbeat of 32 to node 1", push)
+	if len(push) != 2 || push[0].Kind != MsgAccept || push[0].To != 1 || len(push[0].Entries) != 32 || push[1].Kind != MsgAccepted {
+		t.Fatalf("the tick sent %+v, want one accept of 32 to node 1 and its answer", push)
 	}
 	if got := g.nodes[1].CommitFrontier(); got != 32 {
 		t.Fatalf("node 1 learned %d of the 32 slots the tick sent it", got)
@@ -167,7 +161,7 @@ func TestCommitAdvanceSendsNothing(t *testing.T) {
 		t.Fatalf("the next submit sent %d messages, want one accept to the pick", len(out))
 	}
 	for _, m := range out {
-		if m.Kind != MsgAccept || m.Slot != 2 || m.Commit != 1 {
+		if !carries(m, 2) || m.Commit != 1 {
 			t.Fatalf("next accept %+v, want slot 2 carrying frontier 1", m)
 		}
 		g.nodes[m.To].Step(m)
@@ -178,10 +172,9 @@ func TestCommitAdvanceSendsNothing(t *testing.T) {
 }
 
 // When the traffic stops, the last decisions reach the acceptors within
-// HeartbeatTicks, one frame each, and nobody has to ask for a value it
-// already holds: the follower the submits skipped in the tick's push, a
-// heartbeat that names them, and the pick in a bare heartbeat — the one
-// follower no frame this interval told the frontier.
+// HeartbeatTicks, one frame each: the follower the submits skipped in
+// the tick's Accept, which names them, and the pick in a bare heartbeat
+// — the one follower no frame this interval told the frontier.
 func TestIdleFollowersLearnTheLastCommitAtTheHeartbeat(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
@@ -192,28 +185,28 @@ func TestIdleFollowersLearnTheLastCommitAtTheHeartbeat(t *testing.T) {
 	g.pump(nil)
 	sent := g.heartbeat(lead)
 	g.decided(vals...)
-	if k := kinds(sent); len(sent) != 2 || k[MsgHeartbeat] != 2 || len(sent[0].Entries) != 3 || len(sent[1].Entries) != 0 {
-		t.Fatalf("the heartbeat interval cost %d messages (%v), want a push of 3 slots and a bare heartbeat", len(sent), k)
+	if k := kinds(sent); len(sent) != 3 || k[MsgAccept] != 2 || len(sent[0].Entries) != 3 || len(sent[2].Entries) != 0 {
+		t.Fatalf("the heartbeat interval cost %d messages (%v), want an accept of 3 slots, its answer and a bare heartbeat", len(sent), k)
 	}
-	if sent[0].To != 1 || sent[1].To != 2 {
-		t.Fatalf("the push went to %v and the bare heartbeat to %v, want 1 and 2", sent[0].To, sent[1].To)
+	if sent[0].To != 1 || sent[2].To != 2 {
+		t.Fatalf("the accept went to %v and the bare heartbeat to %v, want 1 and 2", sent[0].To, sent[2].To)
 	}
 }
 
 // The rule that makes the frontier safe. Node 0 holds (b_old, 1, x): it
 // proposed x as leader and nobody heard. Node 2 then leads under b with
-// node 1's vote, decides y at slot 1, and node 0 misses that Accept too.
-// Node 1's vote for z at slot 2 is lost, so the tick sends node 0
-// Accept(b, 2, z, Commit: 1), and the push naming y beside it is lost:
-// node 0 holds a value at slot 1 and the leader says slot 1 is decided,
-// but the value is from another ballot and is not the one decided.
+// node 1's vote and decides y at slot 1, and node 0 misses that Accept.
+// An Accept of slot 2 under b that names slot 1's entry and frontier 1
+// reaches node 0: it holds a value at slot 1 and the leader says slot 1
+// is decided, but the value is from another ballot and is not the one
+// decided, so node 0 refuses, and learns y when the leader resends it.
 func TestFrontierNeverLearnsASlotAcceptedUnderAnOlderBallot(t *testing.T) {
 	g := newTrio(t)
 	x, y, z := types.Value("x"), types.Value("y"), types.Value("z")
 	deposed := g.elect(0, nil)
 	deposed.Submit(x)
 	deposed.Drain() // the accept is lost
-	if e := deposed.log.Get(1); !e.val.Equal(x) {
+	if e := deposed.At(1); !e.Val.Equal(x) {
 		t.Fatalf("node 0 holds %+v at slot 1, want x under its own ballot", e)
 	}
 
@@ -221,44 +214,31 @@ func TestFrontierNeverLearnsASlotAcceptedUnderAnOlderBallot(t *testing.T) {
 	lead := g.elect(2, toDeposed)
 	lead.Submit(y)
 	g.pump(toDeposed)
-	if lead.CommitFrontier() != 1 || !lead.log.Get(1).chosen.Equal(y) {
+	if lead.CommitFrontier() != 1 || !lead.At(1).Val.Equal(y) {
 		t.Fatalf("node 2 did not decide y at slot 1: frontier %d", lead.CommitFrontier())
 	}
-
 	lead.Submit(z)
-	g.pump(func(m Message) bool { return m.Kind == MsgAccepted })
-	lead.Tick()
-	var stamped bool
-	for _, m := range lead.Drain() {
-		stamped = stamped || (m.Kind == MsgAccept && m.To == 0 && m.Slot == 2 && m.Commit == 1)
-		if len(pushes([]Message{m})) == 0 {
-			g.nodes[m.To].Step(m)
-		}
-	}
-	if !stamped {
-		t.Fatal("node 0 was not sent Accept(b, 2, z, Commit: 1)")
-	}
-	if e := deposed.log.Get(2); e.num != lead.curBallot || !e.val.Equal(z) {
-		t.Fatalf("node 0 holds %+v at slot 2, want z under %v", e, lead.curBallot)
-	}
-	if ds := deposed.TakeDecisions(); deposed.CommitFrontier() != 0 || len(ds) != 0 {
-		t.Fatalf("node 0 learned %+v from a frontier covering a slot it accepted under %v",
-			ds, deposed.log.Get(1).num)
-	}
-	g.pump(nil) // node 0's vote decides z
+	g.pump(toDeposed)
 
-	// The heartbeat names the frontier again; node 0 still cannot take its
-	// own word for slot 1, asks, and is told y.
-	sent := g.heartbeat(lead)
-	if k := kinds(sent); k[MsgCatchup] != 1 || len(pushes(sent)) != 1 {
-		t.Fatalf("heartbeat interval %v, want one catch-up request and one push", k)
+	deposed.Step(Message{Kind: MsgAccept, From: 2, To: 0, Ballot: lead.ballot, Slot: 1, Prev: lead.At(1).Term,
+		Entries: []Entry{lead.At(2)}, Commit: 1})
+	if ds := deposed.TakeDecisions(); deposed.CommitFrontier() != 0 || len(ds) != 0 {
+		t.Fatalf("node 0 learned %+v from a frontier covering a slot it accepted under %v", ds, unpackBallot(deposed.At(1).Term))
 	}
+	out := deposed.Drain()
+	if len(out) != 1 || out[0].Kind != MsgAccepted || out[0].OK || out[0].Slot != 1 {
+		t.Fatalf("node 0 answered %+v, want a refusal of slot 1", out)
+	}
+	lead.Step(out[0])
+	g.pump(nil)
+	g.heartbeat(lead)
 	g.decided(y, z)
 }
 
-// An Accept lost on its way to the pick costs a tick: the tick sends the
-// other follower the slot, whose vote decides it. The pick takes the
-// slots around the hole, asks for it at the heartbeat, and is sent it.
+// An Accept lost on its way to the pick costs a round trip: the pick
+// refuses the next Accept, which does not follow its log, and the
+// leader resends from the hole. A refusal duplicated on the way rewinds
+// the leader again, and taking the slots a second time is no event.
 func TestLostAcceptIsHealedFromTheHeartbeat(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
@@ -266,37 +246,34 @@ func TestLostAcceptIsHealedFromTheHeartbeat(t *testing.T) {
 	for _, v := range vals {
 		lead.Submit(v)
 	}
-	g.pump(func(m Message) bool { return m.Kind == MsgAccept && m.To == 2 && m.Slot == 2 })
-	if lead.CommitFrontier() != 1 {
-		t.Fatalf("leader's frontier is %d with the pick's vote for slot 2 lost, want 1", lead.CommitFrontier())
-	}
-	sent := g.heartbeat(lead)
-	if lead.CommitFrontier() != 3 {
-		t.Fatalf("leader decided %d of 3 a heartbeat interval later", lead.CommitFrontier())
-	}
-	g.decided(vals...)
-	var asked []Message
-	for _, m := range sent {
-		if m.Kind == MsgCatchup {
-			asked = append(asked, m)
+	var refused []Message
+	lost := false
+	for _, m := range g.pump(func(m Message) bool {
+		if lost || m.To != 2 || !carries(m, 2) {
+			return false
+		}
+		lost = true
+		return true
+	}) {
+		if m.Kind == MsgAccepted && !m.OK {
+			refused = append(refused, m)
 		}
 	}
-	if len(asked) != 1 || asked[0].From != 2 || asked[0].Slot != 2 {
-		t.Fatalf("catch-up requests %+v, want one from node 2 starting at slot 2", asked)
+	if lead.CommitFrontier() != 3 || len(refused) != 1 || refused[0].From != 2 || refused[0].Slot != 2 {
+		t.Fatalf("leader's frontier is %d after refusals %+v, want 3 after one refusal of slot 2 by node 2", lead.CommitFrontier(), refused)
 	}
+	g.heartbeat(lead)
+	g.decided(vals...)
 
-	// A catch-up request that was duplicated on the way rewinds the push
-	// again, and is answered with slots its sender has since learned:
-	// learning a slot twice with one value is not an event.
-	for _, n := range g.nodes[1:] {
+	for _, n := range g.nodes {
 		n.TakeDecisions()
-		lead.Step(Message{Kind: MsgCatchup, From: n.id, To: lead.id, Slot: 1})
 	}
-	if sent := g.pump(nil); len(sent) != 2 || len(pushes(sent)) != 2 {
-		t.Fatalf("answers to the repeated requests: %v, want 2 pushes", kinds(sent))
+	lead.Step(refused[0])
+	if sent := g.pump(nil); len(sent) != 2 || sent[0].Kind != MsgAccept || sent[1].Kind != MsgAccepted {
+		t.Fatalf("a repeated refusal drew %+v, want one accept and its answer", sent)
 	}
 	g.decided(vals...)
-	for _, n := range g.nodes[1:] {
+	for _, n := range g.nodes {
 		if ds := n.TakeDecisions(); len(ds) != 0 {
 			t.Fatalf("node %v decided %+v a second time", n.id, ds)
 		}
@@ -304,11 +281,9 @@ func TestLostAcceptIsHealedFromTheHeartbeat(t *testing.T) {
 }
 
 // Every Accept of slot 2 is lost, to the pick at submit and to the
-// other follower at the tick's push, while the slots around it are
-// voted and decided. No follower is behind the leader's frontier, so
-// nobody asks for a catch-up: the frontier stands still, and the
-// heartbeat after a whole still interval sends slot 2 again to both
-// followers, neither of which voted on it.
+// other follower at the tick, while slot 1 is voted and decided. The
+// frontier stands still, and the heartbeat after a whole still interval
+// sends slot 2 again to both followers, neither of which voted on it.
 func TestAcceptLostToEveryFollowerIsResent(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
@@ -316,11 +291,11 @@ func TestAcceptLostToEveryFollowerIsResent(t *testing.T) {
 	for _, v := range vals {
 		lead.Submit(v)
 	}
-	lost := func(m Message) bool { return m.Kind == MsgAccept && m.Slot == 2 }
+	lost := func(m Message) bool { return carries(m, 2) }
 	g.pump(lost)
 	lead.Tick()
 	if sent := g.pump(lost); kinds(sent)[MsgAccept] == 0 || lead.CommitFrontier() != 1 {
-		t.Fatalf("the tick sent %v, frontier %d: want slot 2 pushed and lost, frontier 1", kinds(sent), lead.CommitFrontier())
+		t.Fatalf("the tick sent %v, frontier %d: want slot 2 sent and lost, frontier 1", kinds(sent), lead.CommitFrontier())
 	}
 	for i := 0; i < 2*lead.cfg.HeartbeatTicks && lead.CommitFrontier() < 3; i++ {
 		lead.Tick()
@@ -334,10 +309,12 @@ func TestAcceptLostToEveryFollowerIsResent(t *testing.T) {
 }
 
 // A candidate whose quorum is committed past it catches up before it
-// leads, and the catch-up answer ends its campaign. Without that it
-// waits out its election timer, and so does each later candidate behind
-// the frontier: seed 138 of make explore's Multi-Paxos loss sweep led
-// nobody from tick 454 to the end of its 600-tick run.
+// leads: an Ack carries what the acker holds past the candidate's
+// frontier, and the slots the acker decided the candidate learns. Without
+// that it would fill chosen slots with no-ops, or wait out its election
+// timer while each later candidate behind the frontier does the same:
+// seed 138 of make explore's Multi-Paxos loss sweep once led nobody from
+// tick 454 to the end of its 600-tick run.
 func TestCandidateLeadsOnceCaughtUp(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
@@ -358,9 +335,14 @@ func TestCandidateLeadsOnceCaughtUp(t *testing.T) {
 	for i := 0; i < 200 && late.role == follower; i++ {
 		late.Tick()
 	}
-	sent := g.pump(nil)
-	if !late.IsLeader() || kinds(sent)[MsgCatchup] != 1 {
-		t.Fatalf("node 2 leads: %v, after %v", late.IsLeader(), kinds(sent))
+	var ahead int
+	for _, m := range g.pump(nil) {
+		if m.Kind == MsgAck && m.Commit == 2 && m.Slot == 0 && len(m.Entries) == 2 {
+			ahead++
+		}
+	}
+	if !late.IsLeader() || ahead == 0 {
+		t.Fatalf("node 2 leads: %v, after %d acks carrying the decided slots", late.IsLeader(), ahead)
 	}
 	late.Submit(types.Value("c"))
 	g.pump(nil)
@@ -372,10 +354,11 @@ func TestCandidateLeadsOnceCaughtUp(t *testing.T) {
 // Node 1 is cut off at frontier 0 while leader 2 adds node 3 and then
 // removes node 0 at slot j: slots from j+Alpha on are {1,2,3}'s, and
 // {2,3} decide them. Node 1 campaigns in the bootstrap epoch {0,1,2},
-// hearing only node 0, whose ack names frontier j. The catch-up answer
-// brings node 1 into the epoch {0,1,2,3}, where {0,1} is no election
-// quorum and disjoint from the {2,3} that decided past j+Alpha: it must
-// campaign again there rather than lead on the tally it has.
+// hearing only node 0, whose ack names a frontier past j. Learning from
+// it brings node 1 into a later epoch — {0,1,2,3}, where {0,1} is no
+// election quorum, or {1,2,3}, which node 0 is not in — disjoint from the
+// {2,3} that decided past j+Alpha: it must campaign again there rather
+// than lead on the tally it has.
 func TestCandidateCaughtUpIntoAnotherEpochCampaignsAgain(t *testing.T) {
 	boot := []types.NodeID{0, 1, 2}
 	g := &trio{tb: t}
@@ -385,27 +368,28 @@ func TestCandidateCaughtUpIntoAnotherEpochCampaignsAgain(t *testing.T) {
 	g.nodes = append(g.nodes, New(3, Config{Peers: []types.NodeID{0, 1, 2, 3}, Passive: true, Seed: 41}))
 	cut := func(m Message) bool { return m.From == 1 || m.To == 1 }
 	lead := g.elect(2, cut)
-	write := func(v types.Value) {
+	write := func(v types.Value) types.Seq {
 		lead.Submit(v)
+		at := lead.LastIndex()
 		for range 2 {
 			lead.Tick()
 			g.pump(cut)
 		}
+		return at
 	}
 	write(confVal(snapshot.ConfAdd, 3))
 	for i := 0; i < Alpha; i++ {
 		write(types.Value(fmt.Sprint("a", i)))
 	}
-	write(confVal(snapshot.ConfRemove, 0))
+	j := write(confVal(snapshot.ConfRemove, 0))
 	for i := 0; i < Alpha+2; i++ {
 		write(types.Value(fmt.Sprint("b", i)))
 	}
-	if len(lead.configs) != 3 || lead.CommitFrontier() < lead.configs[2].from {
-		t.Fatalf("leader's epochs %v at frontier %d: want three, the last active", lead.configs, lead.CommitFrontier())
+	if !slices.Equal(lead.Members(), []types.NodeID{1, 2, 3}) || lead.CommitFrontier() < j+Alpha {
+		t.Fatalf("leader's members %v at frontier %d: want [1 2 3], active from %d", lead.Members(), lead.CommitFrontier(), j+Alpha)
 	}
-	j := lead.configs[2].from - Alpha
-	if f := g.nodes[0].CommitFrontier(); f < j || f >= j+Alpha-1 {
-		t.Fatalf("removed node 0's frontier is %d, want [%d, %d)", f, j, j+Alpha-1)
+	if f := g.nodes[0].CommitFrontier(); f < j || f >= j+Alpha {
+		t.Fatalf("removed node 0's frontier is %d, want [%d, %d)", f, j, j+Alpha)
 	}
 
 	late := g.nodes[1]
@@ -420,12 +404,11 @@ func TestCandidateCaughtUpIntoAnotherEpochCampaignsAgain(t *testing.T) {
 	if late.IsLeader() {
 		t.Fatalf("node 1 leads on {0,1} at frontier %d, though slot %d is the epoch %v's", late.CommitFrontier(), late.CommitFrontier()+1, late.membersFor(late.CommitFrontier()+1))
 	}
-	if !slices.Equal(late.prepTo, []types.NodeID{0, 1, 2, 3}) {
-		t.Fatalf("node 1's last Prepare went to %v, want the epoch it is in, [0 1 2 3]", late.prepTo)
+	if in := late.membersFor(late.CommitFrontier() + 1); !slices.Equal(late.prepTo, in) || slices.Equal(in, boot) {
+		t.Fatalf("node 1's last Prepare went to %v, want the epoch it is in, %v", late.prepTo, in)
 	}
 
-	// Healed, the group decides on: every slot any node learned agrees
-	// (learn panics on a second value), and a new write reaches {1,2,3}.
+	// Healed, the group decides on, and a new write reaches {1,2,3}.
 	for range 400 {
 		for _, n := range g.nodes {
 			n.Tick()
@@ -444,27 +427,34 @@ func TestCandidateCaughtUpIntoAnotherEpochCampaignsAgain(t *testing.T) {
 	now.Submit(types.Value("after"))
 	g.heartbeat(now)
 	for _, id := range []types.NodeID{1, 2, 3} {
-		if f := g.nodes[id].CommitFrontier(); f != now.CommitFrontier() || !g.nodes[id].log.Get(f).chosen.Equal(types.Value("after")) {
+		if f := g.nodes[id].CommitFrontier(); f != now.CommitFrontier() || !g.nodes[id].At(f).Val.Equal(types.Value("after")) {
 			t.Fatalf("node %v's frontier %d, leader %v's %d: want both at the write after the heal", id, f, now.id, now.CommitFrontier())
 		}
 	}
 }
 
-// learnThrough trusts that a leader's frontier moved by its own tallies.
-// A catch-up answer that reaches a node while it leads — the request
-// went out before it was elected and took its time — may name a value
-// decided under a later ballot for a slot this leader has in flight with
-// another. It must not move the frontier the leader stamps on Accepts.
+// A leader's frontier moves by its own tallies alone. Answers that reach
+// a node once it leads — an Accept naming a decided slot and a whole
+// snapshot, sent under the ballot of the leader before it and slow on the
+// way — are refused: they must not move the frontier the leader stamps
+// on its Accepts, nor install anything.
 func TestLeaderIgnoresCatchUpAnswers(t *testing.T) {
 	g := newTrio(t)
+	old := g.elect(1, nil).ballot
 	lead := g.elect(0, nil)
 	lead.Submit(types.Value("x"))
 	lead.Drain()
-	lead.Step(Message{Kind: MsgCommit, From: 1, To: 0, Entries: []Entry{{Slot: 1, Val: types.Value("y")}}})
+	tag, _ := packBallot(old)
+	lead.Step(Message{Kind: MsgAccept, From: 1, To: 0, Ballot: old, Entries: []Entry{{Term: tag, Val: types.Value("y")}}, Commit: 1})
 	snap := snapshot.Encode(snapshot.Snapshot{LastIndex: 4, Members: []types.NodeID{0, 1, 2}})
-	lead.Step(Message{Kind: MsgState, From: 1, To: 0, Slot: 4, Val: types.Value(snap), Done: true, Commit: 4})
-	if lead.CommitFrontier() != 0 || lead.TakeInstalledSnapshot() != nil || len(lead.TakeDecisions()) != 0 {
-		t.Fatalf("a leader learned from a catch-up answer: frontier %d", lead.CommitFrontier())
+	lead.Step(Message{Kind: MsgState, From: 1, To: 0, Ballot: old, Slot: 4, Val: types.Value(snap), Done: true, Commit: 4})
+	if lead.CommitFrontier() != 0 || lead.TakeInstalledSnapshot() != nil || len(lead.TakeDecisions()) != 0 || !lead.IsLeader() {
+		t.Fatalf("a leader learned from a late answer: frontier %d", lead.CommitFrontier())
+	}
+	for _, m := range lead.Drain() {
+		if m.OK || m.Ballot != lead.ballot {
+			t.Fatalf("the late answers drew %+v, want refusals under the leader's ballot", m)
+		}
 	}
 	lead.Submit(types.Value("z"))
 	for _, m := range lead.Drain() {
@@ -477,9 +467,8 @@ func TestLeaderIgnoresCatchUpAnswers(t *testing.T) {
 // Phase 1 is about the undecided tail, however long the log under it. A
 // leader decides 5,000 slots, gets three more accepted and is lost before
 // it hears a vote. The next leader recovers exactly those three from an
-// Ack that carries nothing else — the acker's frontier rides Commit, and a
-// candidate behind it would catch up before leading — decides them, and
-// goes on to new writes.
+// Ack that carries nothing else — it carries what the acker holds past
+// the candidate's frontier — decides them, and goes on to new writes.
 func TestNewLeaderRecoversOnlyTheUndecidedTail(t *testing.T) {
 	g := newTrio(t)
 	old := g.elect(0, nil)
@@ -506,9 +495,9 @@ func TestNewLeaderRecoversOnlyTheUndecidedTail(t *testing.T) {
 			continue
 		}
 		acks++
-		if len(m.Entries) != len(tail) || m.Entries[0].Slot != decided+1 || m.Commit != decided {
-			t.Fatalf("ack from node %v carries %d entries at frontier %d, want slots %d..%d only",
-				m.From, len(m.Entries), m.Commit, decided+1, decided+len(tail))
+		if len(m.Entries) != len(tail) || m.Slot != decided || m.Commit != decided {
+			t.Fatalf("ack from node %v carries %d entries after slot %d at frontier %d, want slots %d..%d only",
+				m.From, len(m.Entries), m.Slot, m.Commit, decided+1, decided+len(tail))
 		}
 	}
 	if acks != 1 || !next.IsLeader() {
@@ -526,7 +515,7 @@ func TestNewLeaderRecoversOnlyTheUndecidedTail(t *testing.T) {
 			t.Fatalf("node %v's frontier is %d, want %d", n.id, n.CommitFrontier(), decided+4)
 		}
 		for i, v := range append(tail, w) {
-			if got := n.log.Get(types.Seq(decided + 1 + i)).chosen; !got.Equal(v) {
+			if got := n.At(types.Seq(decided + 1 + i)).Val; !got.Equal(v) {
 				t.Fatalf("node %v decided %q at slot %d, want %q", n.id, got, decided+1+i, v)
 			}
 		}

@@ -1,6 +1,7 @@
 package multipaxos
 
 import (
+	"fortyconsensus/internal/replog"
 	"slices"
 	"testing"
 
@@ -31,7 +32,7 @@ func nextCampaign(n *Node, limit int) int {
 func TestFreshNodeCampaignsWithinTheJitter(t *testing.T) {
 	const timeout, heartbeat = 30, 5
 	for seed := uint64(1); seed <= 50; seed++ {
-		n := New(1, Config{Peers: trioPeers, HeartbeatTicks: heartbeat, ElectionTimeoutTicks: timeout, Seed: seed})
+		n := New(1, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{HeartbeatTicks: heartbeat, ElectionTimeoutTicks: timeout}, Seed: seed})
 		if at := nextCampaign(n, 2*timeout); at == 0 || at > heartbeat {
 			t.Fatalf("seed %d: a fresh node first campaigned at tick %d, want 1..%d", seed, at, heartbeat)
 		}
@@ -48,19 +49,19 @@ func TestElectionTimerTakesTheBaseOnceABallotIsSeen(t *testing.T) {
 	}
 	lead := types.Ballot{Num: 1, Owner: 2}
 	for seed := uint64(1); seed <= 50; seed++ {
-		heard := New(1, Config{Peers: trioPeers, ElectionTimeoutTicks: timeout, Seed: seed})
-		heard.Step(Message{Kind: MsgHeartbeat, From: 2, To: 1, Ballot: lead})
+		heard := New(1, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: timeout}, Seed: seed})
+		heard.Step(Message{Kind: MsgAccept, From: 2, To: 1, Ballot: lead})
 		inBase(t, "heard a leader", seed, heard)
 		for i := 0; i < 3; i++ { // the leader's later heartbeats re-arm it
-			heard.Step(Message{Kind: MsgHeartbeat, From: 2, To: 1, Ballot: lead})
+			heard.Step(Message{Kind: MsgAccept, From: 2, To: 1, Ballot: lead})
 			inBase(t, "heard a heartbeat", seed, heard)
 		}
 
-		promised := New(1, Config{Peers: trioPeers, ElectionTimeoutTicks: timeout, Seed: seed})
+		promised := New(1, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: timeout}, Seed: seed})
 		promised.Step(Message{Kind: MsgPrepare, From: 2, To: 1, Ballot: lead})
 		inBase(t, "promised a ballot", seed, promised)
 
-		ran := New(1, Config{Peers: trioPeers, ElectionTimeoutTicks: timeout, Seed: seed})
+		ran := New(1, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: timeout}, Seed: seed})
 		if nextCampaign(ran, timeout) == 0 {
 			t.Fatalf("seed %d: a fresh node did not campaign within %d ticks", seed, timeout)
 		}
@@ -77,13 +78,13 @@ func TestElectionTimerTakesTheBaseOnceABallotIsSeen(t *testing.T) {
 func TestRestoredNodeWaitsTheFullBase(t *testing.T) {
 	const timeout = 30
 	dir := t.TempDir()
-	old := New(2, Config{Peers: trioPeers, ElectionTimeoutTicks: timeout, Seed: 1})
+	old := New(2, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: timeout}, Seed: 1})
 	old.Step(Message{Kind: MsgAccept, From: 1, To: 2, Ballot: types.Ballot{Num: 3, Owner: 1}, Slot: 1, Val: types.Value("x")})
 	if err := openPersister(t, dir).Sync(old); err != nil {
 		t.Fatal(err)
 	}
 	for seed := uint64(1); seed <= 20; seed++ {
-		n := New(2, Config{Peers: trioPeers, ElectionTimeoutTicks: timeout, Seed: seed})
+		n := New(2, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: timeout}, Seed: seed})
 		if err := openPersister(t, dir).Restore(n); err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +102,7 @@ func TestRestoredNodeWaitsTheFullBase(t *testing.T) {
 func TestPassiveFreshNodeNeverCampaigns(t *testing.T) {
 	const timeout, heartbeat = 30, 5
 	for seed := uint64(1); seed <= 20; seed++ {
-		n := New(3, Config{Peers: trioPeers, HeartbeatTicks: heartbeat, ElectionTimeoutTicks: timeout, Seed: seed, Passive: true})
+		n := New(3, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{HeartbeatTicks: heartbeat, ElectionTimeoutTicks: timeout}, Seed: seed, Passive: true})
 		for tick := 0; tick < 20*timeout; tick++ {
 			n.Tick()
 			if n.electionIn > heartbeat {
@@ -124,21 +125,21 @@ func TestRemovedMemberNeverCampaigns(t *testing.T) {
 	const timeout = 30
 	for _, size := range []int{3, 5} {
 		for seed := uint64(1); seed <= 40; seed++ {
-			c := NewCluster(size, nil, Config{ElectionTimeoutTicks: timeout, Seed: seed}, kvSM)
+			c := NewCluster(size, nil, Config{ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: timeout}, Seed: seed}, kvSM)
 			lead := c.WaitLeader(500)
 			if lead == nil {
 				t.Fatalf("%d nodes, seed %d: no leader", size, seed)
 			}
 			removed := c.Nodes[(int(lead.id)+1)%size]
-			elections, ballot := removed.Elections(), lead.curBallot
+			elections, ballot := removed.Elections(), lead.ballot
 			lead.Submit(confVal(snapshot.ConfRemove, removed.id))
 			c.RunPumped(10 * 2 * timeout) // ten of the longest timeouts
 			if slices.Contains(lead.Members(), removed.id) {
 				t.Fatalf("%d nodes, seed %d: node %v was not removed", size, seed, removed.id)
 			}
-			if removed.Elections() != elections || !lead.IsLeader() || lead.curBallot != ballot {
+			if removed.Elections() != elections || !lead.IsLeader() || lead.ballot != ballot {
 				t.Fatalf("%d nodes, seed %d: removed node %v ran %d elections; leader %v holds ballot %v, had %v",
-					size, seed, removed.id, removed.Elections()-elections, lead.IsLeader(), lead.curBallot, ballot)
+					size, seed, removed.id, removed.Elections()-elections, lead.IsLeader(), lead.ballot, ballot)
 			}
 		}
 	}
@@ -160,7 +161,7 @@ func bootElections(t *testing.T, size, runs int) (median, longest, sum, split in
 		}
 		ticks = append(ticks, c.Now())
 		sum += c.Now()
-		if lead.curBallot.Num > 1 {
+		if lead.ballot.Num > 1 {
 			split++
 		}
 	}

@@ -136,9 +136,9 @@ func TestConfChangeEffectiveAtAlpha(t *testing.T) {
 		t.Fatalf("post-activation quorum %d, want 3", q)
 	}
 	// A second change is refused while this one's epoch is pending.
-	before := lead.nextSlot
+	before := lead.LastIndex() + 1
 	lead.Submit(confVal(snapshot.ConfAdd, 4))
-	if lead.nextSlot != before {
+	if (lead.LastIndex() + 1) != before {
 		t.Fatal("overlapping conf change proposed")
 	}
 	// Every replica scheduled the identical epoch.
@@ -334,7 +334,8 @@ func TestStateTransferChunkLossResumesAtOffset(t *testing.T) {
 // A replica serving a snapshot compacts nothing until the transfer ends:
 // a compaction would name a new snapshot and start the transfer over, so
 // under steady writes a transfer longer than the compaction cadence
-// would never finish.
+// would never finish. Raft's TestSnapshotTransferSurvivesCompaction on
+// the same core.
 func TestStateTransferSurvivesCompaction(t *testing.T) {
 	stateLen := 64 * snapshot.ChunkSize
 	frames, _, ticks, state := stateTransfer(t, stateLen, 0, 0, nil, true)
@@ -342,7 +343,8 @@ func TestStateTransferSurvivesCompaction(t *testing.T) {
 	if !bytes.Equal(state, bytes.Repeat([]byte{0xA5}, stateLen)) {
 		t.Fatalf("installed %d state bytes, not the leader's %d", len(state), stateLen)
 	}
-	if frames > stateLen/snapshot.ChunkSize+1 {
-		t.Fatalf("%d MsgState frames for %d chunks: some chunk went twice", frames, stateLen/snapshot.ChunkSize+1)
+	chunks := stateLen/snapshot.ChunkSize + 1
+	if bound := chunks + ticks/5 + 8; frames > bound {
+		t.Fatalf("%d chunks over %d ticks took %d MsgState frames, want at most %d: the transfer started over", chunks, ticks, frames, bound)
 	}
 }

@@ -77,8 +77,8 @@ func TestReplicateAndApply(t *testing.T) {
 func TestSubmitOffLeaderSendsNothing(t *testing.T) {
 	fresh := New(0, Config{Peers: []types.NodeID{0, 1, 2}, Seed: 3})
 	fresh.Submit(req(7, 1, kvstore.Put("x", []byte("y"))))
-	if out := fresh.Drain(); len(out) != 0 || fresh.nextSlot != 1 {
-		t.Fatalf("leaderless node sent %+v, next slot %d", out, fresh.nextSlot)
+	if out := fresh.Drain(); len(out) != 0 || (fresh.LastIndex()+1) != 1 {
+		t.Fatalf("leaderless node sent %+v, next slot %d", out, (fresh.LastIndex() + 1))
 	}
 	c := NewCluster(3, nil, Config{Seed: 3}, kvSM)
 	lead := c.WaitLeader(500)

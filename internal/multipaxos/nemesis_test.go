@@ -70,9 +70,9 @@ func checkDecidedAgree(c *Cluster) error {
 	for i := 0; i < len(c.Nodes); i++ {
 		for j := i + 1; j < len(c.Nodes); j++ {
 			a, b := c.Nodes[i], c.Nodes[j]
-			for s := types.Seq(1); s <= min(a.commitSeq, b.commitSeq); s++ {
-				if !a.log.Get(s).chosen.Equal(b.log.Get(s).chosen) {
-					return fmt.Errorf("decided slot %d differs between nodes %d and %d: %q vs %q", s, i, j, a.log.Get(s).chosen, b.log.Get(s).chosen)
+			for s := max(a.SnapshotIndex(), b.SnapshotIndex()) + 1; s <= min(a.CommitFrontier(), b.CommitFrontier()); s++ {
+				if !a.At(s).Val.Equal(b.At(s).Val) {
+					return fmt.Errorf("decided slot %d differs between nodes %d and %d: %q vs %q", s, i, j, a.At(s).Val, b.At(s).Val)
 				}
 			}
 		}

@@ -24,7 +24,7 @@ func openPersister(t testing.TB, dir string) *replog.Persister {
 }
 
 // accepted lists what n holds as an acceptor above its compacted prefix.
-func accepted(n *Node) []Entry { return n.acceptedAbove(n.SnapshotIndex()) }
+func accepted(n *Node) []Entry { return n.Held(n.SnapshotIndex()) }
 
 // sameAcceptor fails unless got restored want's promise, compacted
 // prefix and accepted slots.
@@ -67,7 +67,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	for _, n := range nodes {
 		if !n.Compact(2, []byte("state@2")) {
-			t.Fatalf("node %v did not compact (frontier %d)", n.id, n.commitSeq)
+			t.Fatalf("node %v did not compact (frontier %d)", n.id, n.CommitFrontier())
 		}
 	}
 	for _, v := range []string{"six", "seven"} {
@@ -95,14 +95,20 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// pinnedSteps: node 1 promises ballot 1.0, accepts slots 1–3 under it,
-// then ballot 2.2 overwrites slot 2.
+// The ballots of pinnedSteps, and their entry tags.
+var (
+	b10, b22     = types.Ballot{Num: 1, Owner: 0}, types.Ballot{Num: 2, Owner: 2}
+	tag10, tag22 = uint64(1 << 16), uint64(2<<16 | 2)
+)
+
+// pinnedSteps: node 1 promises ballot 1.0, accepts slots 1–3 under it
+// and learns that slot 1 is decided, then ballot 2.2 overwrites slot 2.
 var pinnedSteps = []Message{
-	{Kind: MsgPrepare, From: 0, To: 1, Ballot: types.Ballot{Num: 1, Owner: 0}},
-	{Kind: MsgAccept, From: 0, To: 1, Ballot: types.Ballot{Num: 1, Owner: 0}, Slot: 1, Val: types.Value("a")},
-	{Kind: MsgAccept, From: 0, To: 1, Ballot: types.Ballot{Num: 1, Owner: 0}, Slot: 2, Val: types.Value("b")},
-	{Kind: MsgAccept, From: 0, To: 1, Ballot: types.Ballot{Num: 1, Owner: 0}, Slot: 3, Val: types.Value("c")},
-	{Kind: MsgAccept, From: 2, To: 1, Ballot: types.Ballot{Num: 2, Owner: 2}, Slot: 2, Val: types.Value("B")},
+	{Kind: MsgPrepare, From: 0, To: 1, Ballot: b10},
+	{Kind: MsgAccept, From: 0, To: 1, Ballot: b10, Slot: 0, Entries: []Entry{{Term: tag10, Val: types.Value("a")}}},
+	{Kind: MsgAccept, From: 0, To: 1, Ballot: b10, Slot: 1, Prev: tag10, Entries: []Entry{{Term: tag10, Val: types.Value("b")}}},
+	{Kind: MsgAccept, From: 0, To: 1, Ballot: b10, Slot: 2, Prev: tag10, Entries: []Entry{{Term: tag10, Val: types.Value("c")}}, Commit: 1},
+	{Kind: MsgAccept, From: 2, To: 1, Ballot: b22, Slot: 1, Prev: tag10, Entries: []Entry{{Term: tag22, Val: types.Value("B")}}},
 }
 
 // The journal pinnedSteps write, one Sync each, is pinned byte for byte:
@@ -164,41 +170,22 @@ func TestRestoreRefusesARaftSnapshotFile(t *testing.T) {
 	}
 }
 
-// A slot accepted under a ballot that does not pack into a tag fails the
-// Sync, which writes nothing.
+// A message under a ballot that does not pack into a tag is dropped: the
+// node promises and accepts nothing, and its Sync writes nothing.
 func TestSyncRefusesABallotThatDoesNotFit(t *testing.T) {
 	dir := t.TempDir()
 	p := openPersister(t, dir)
 	n := New(1, Config{Peers: []types.NodeID{0, 1, 2}})
-	n.Step(Message{Kind: MsgAccept, From: 0, To: 1, Ballot: types.Ballot{Num: 1 << 48}, Slot: 1, Val: types.Value("x")})
-	if err := p.Sync(n); err == nil {
-		t.Fatal("a 49-bit ballot number journaled")
+	n.Step(Message{Kind: MsgAccept, From: 0, To: 1, Ballot: types.Ballot{Num: 1 << 48}, Entries: []Entry{{Term: 1 << 16, Val: types.Value("x")}}})
+	if !n.ballot.IsZero() || n.LastIndex() != 0 || len(n.Drain()) != 0 {
+		t.Fatalf("a 49-bit ballot number was taken: promised %v, log through %d", n.ballot, n.LastIndex())
+	}
+	if err := p.Sync(n); err != nil {
+		t.Fatal(err)
 	}
 	if b, err := os.ReadFile(filepath.Join(dir, "000001.wal")); err != nil || len(b) != 0 {
-		t.Fatalf("the failed Sync left %d bytes (%v)", len(b), err)
+		t.Fatalf("the Sync left %d bytes (%v)", len(b), err)
 	}
-}
-
-// An acceptor whose log grew by learning chosen slots may accept a slot
-// further past its last accepted one than maxAhead. Restore replays the
-// accepted slots alone, and takes it all the same.
-func TestRestoreTakesASlotFarPastTheLastAccepted(t *testing.T) {
-	dir := t.TempDir()
-	n := New(1, Config{Peers: []types.NodeID{0, 1, 2}})
-	b := types.Ballot{Num: 1}
-	acceptAt(n, b, 1, types.Value("a"), 0)
-	n.Step(Message{Kind: MsgCommit, From: 0, To: 1, Entries: []Entry{{Slot: replog.PageSlots + replog.MaxAhead - 1, Val: types.Value("v")}}})
-	if !acceptAt(n, b, 2*replog.MaxAhead, types.Value("z"), 0) {
-		t.Fatal("refused a slot within replog.MaxAhead of its log")
-	}
-	if err := openPersister(t, dir).Sync(n); err != nil {
-		t.Fatal(err)
-	}
-	fresh := New(1, n.cfg)
-	if err := openPersister(t, dir).Restore(fresh); err != nil {
-		t.Fatal(err)
-	}
-	sameAcceptor(t, fresh, n)
 }
 
 // The negative control for the journal: leader 0 gets X chosen at slot 1
@@ -224,7 +211,7 @@ func TestJournalCarriesTheChosenValue(t *testing.T) {
 			}
 			lead.Submit(x)
 			g.pump(without(1))
-			if sl := lead.log.Get(1); sl == nil || !sl.learned || !sl.chosen.Equal(x) {
+			if lead.CommitFrontier() < 1 || !lead.At(1).Val.Equal(x) {
 				t.Fatal("node 0 did not choose X at slot 1 with node 2's accept")
 			}
 			if err := p.Sync(g.nodes[2]); err != nil {
@@ -248,18 +235,18 @@ func TestJournalCarriesTheChosenValue(t *testing.T) {
 			sent = append(sent, g.pump(without(0))...)
 			var proposed types.Value
 			for _, m := range sent {
-				if m.Kind == MsgAccept && m.Slot == 1 {
-					proposed = m.Val
+				if carries(m, 1) {
+					proposed = m.Entries[0-m.Slot].Val
 				}
 			}
-			sl := newLead.log.Get(1)
-			if sl == nil || !sl.learned {
+			if newLead.CommitFrontier() < 1 {
 				t.Fatal("node 1 decided nothing at slot 1")
 			}
-			if journaled && (!proposed.Equal(x) || !sl.chosen.Equal(x)) {
-				t.Fatalf("restored from its journal: node 1 proposed %q and decided %q at slot 1, want X", proposed, sl.chosen)
+			chosen := newLead.At(1).Val
+			if journaled && (!proposed.Equal(x) || !chosen.Equal(x)) {
+				t.Fatalf("restored from its journal: node 1 proposed %q and decided %q at slot 1, want X", proposed, chosen)
 			}
-			if !journaled && sl.chosen.Equal(x) {
+			if !journaled && chosen.Equal(x) {
 				t.Fatal("restarted fresh, node 2 still carried X: the control shows nothing")
 			}
 		})
@@ -293,11 +280,10 @@ func FuzzRestore(f *testing.F) {
 		f.Add(snap, journal)
 	}
 	seed()
-	n.Step(Message{Kind: MsgCommit, From: 2, To: 1, Entries: []Entry{{Slot: 1, Val: types.Value("a")}, {Slot: 2, Val: types.Value("B")}}})
 	if !n.Compact(1, []byte("state@1")) {
 		f.Fatal("compact")
 	}
-	n.Step(Message{Kind: MsgAccept, From: 2, To: 1, Ballot: types.Ballot{Num: 2, Owner: 2}, Slot: 4, Val: types.Value("d")})
+	n.Step(Message{Kind: MsgAccept, From: 2, To: 1, Ballot: b22, Slot: 2, Prev: tag22, Entries: []Entry{{Term: tag22, Val: types.Value("d")}}})
 	if err := p.Sync(n); err != nil {
 		f.Fatal(err)
 	}

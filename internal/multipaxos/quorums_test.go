@@ -64,7 +64,7 @@ func TestRemoveDownToOneMemberKeepsCommitting(t *testing.T) {
 	}
 	seq := uint64(0)
 	// The window's slots still need both old members' votes.
-	for lead.CommitFrontier() < lead.configs[1].from {
+	for from := lead.configs[1].from; lead.CommitFrontier() < from; {
 		seq++
 		if !commits(c, lead, seq, 200) {
 			t.Fatalf("stalled at slot %d inside the alpha window", lead.CommitFrontier()+1)

@@ -55,7 +55,7 @@ func TestReadAnswersUnderAnOlderBallotNeverCount(t *testing.T) {
 	lead := g.elect(0, nil)
 	lead.ReadIndex(1)
 	probe := lead.Drain()[0]
-	older := types.Ballot{Num: lead.curBallot.Num - 1, Owner: 0}
+	older := types.Ballot{Num: lead.ballot.Num - 1, Owner: 0}
 	for _, from := range []types.NodeID{1, 2} {
 		lead.Step(Message{Kind: MsgReadResp, From: from, To: 0, Ballot: older, Read: probe.Read})
 	}

@@ -132,7 +132,7 @@ func BenchmarkElectionTimeout(b *testing.B) {
 		b.Run(fmt.Sprintf("timeout=%d", timeout), func(b *testing.B) {
 			var failover int
 			for i := 0; i < b.N; i++ {
-				c := NewCluster(3, nil, Config{Seed: uint64(i), ElectionTimeoutTicks: timeout}, nil)
+				c := NewCluster(3, nil, Config{Seed: uint64(i), ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: timeout}}, nil)
 				lead := c.WaitLeader(2000)
 				if lead == nil {
 					b.Fatal("no leader")

@@ -1,6 +1,7 @@
 package raft
 
 import (
+	"fortyconsensus/internal/replog"
 	"slices"
 	"testing"
 
@@ -29,7 +30,7 @@ func nextCampaign(n *Node, limit int) int {
 func TestFreshNodeCampaignsWithinTheJitter(t *testing.T) {
 	const timeout, heartbeat = 30, 5
 	for seed := uint64(1); seed <= 50; seed++ {
-		n := New(1, Config{Peers: trioPeers, HeartbeatTicks: heartbeat, ElectionTimeoutTicks: timeout, Seed: seed})
+		n := New(1, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{HeartbeatTicks: heartbeat, ElectionTimeoutTicks: timeout}, Seed: seed})
 		if at := nextCampaign(n, 2*timeout); at == 0 || at > heartbeat {
 			t.Fatalf("seed %d: a fresh node first campaigned at tick %d, want 1..%d", seed, at, heartbeat)
 		}
@@ -45,7 +46,7 @@ func TestElectionTimerTakesTheBaseOnceATermIsSeen(t *testing.T) {
 		}
 	}
 	for seed := uint64(1); seed <= 50; seed++ {
-		heard := New(1, Config{Peers: trioPeers, ElectionTimeoutTicks: timeout, Seed: seed})
+		heard := New(1, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: timeout}, Seed: seed})
 		heard.Step(Message{Kind: MsgAppend, From: 2, To: 1, Term: 1})
 		inBase(t, "heard a leader", seed, heard)
 		for i := 0; i < 3; i++ { // the leader's later heartbeats re-arm it
@@ -53,7 +54,7 @@ func TestElectionTimerTakesTheBaseOnceATermIsSeen(t *testing.T) {
 			inBase(t, "heard a heartbeat", seed, heard)
 		}
 
-		ran := New(1, Config{Peers: trioPeers, ElectionTimeoutTicks: timeout, Seed: seed})
+		ran := New(1, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: timeout}, Seed: seed})
 		if nextCampaign(ran, timeout) == 0 {
 			t.Fatalf("seed %d: a fresh node did not campaign within %d ticks", seed, timeout)
 		}
@@ -69,7 +70,7 @@ func TestElectionTimerTakesTheBaseOnceATermIsSeen(t *testing.T) {
 func TestPassiveFreshNodeNeverCampaigns(t *testing.T) {
 	const timeout, heartbeat = 30, 5
 	for seed := uint64(1); seed <= 20; seed++ {
-		n := New(3, Config{Peers: trioPeers, HeartbeatTicks: heartbeat, ElectionTimeoutTicks: timeout, Seed: seed, Passive: true})
+		n := New(3, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{HeartbeatTicks: heartbeat, ElectionTimeoutTicks: timeout}, Seed: seed, Passive: true})
 		for tick := 0; tick < 20*timeout; tick++ {
 			n.Tick()
 			if n.electionIn > heartbeat {
@@ -91,13 +92,13 @@ func TestPassiveFreshNodeNeverCampaigns(t *testing.T) {
 func TestRestoredNodeWaitsTheFullBase(t *testing.T) {
 	const timeout = 30
 	dir := t.TempDir()
-	old := New(2, Config{Peers: trioPeers, ElectionTimeoutTicks: timeout, Seed: 1})
+	old := New(2, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: timeout}, Seed: 1})
 	old.Step(Message{Kind: MsgAppend, From: 1, To: 2, Term: 3, Entries: []LogEntry{{Term: 3, Val: types.Value("x")}}})
 	if err := openPersister(t, dir).Sync(old); err != nil {
 		t.Fatal(err)
 	}
 	for seed := uint64(1); seed <= 20; seed++ {
-		n := New(2, Config{Peers: trioPeers, ElectionTimeoutTicks: timeout, Seed: seed})
+		n := New(2, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: timeout}, Seed: seed})
 		if err := openPersister(t, dir).Restore(n); err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestBootElectionPinned(t *testing.T) {
 func TestRejectedCandidateDoesNotHoldOffAFollower(t *testing.T) {
 	const timeout = 30
 	for seed := uint64(1); seed <= 20; seed++ {
-		n := New(1, Config{Peers: trioPeers, ElectionTimeoutTicks: timeout, Seed: seed})
+		n := New(1, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: timeout}, Seed: seed})
 		n.Step(Message{Kind: MsgAppend, From: 2, To: 1, Term: 1, Entries: []LogEntry{{Term: 1, Val: types.Value("x")}}})
 		n.Tick()
 		armed := n.electionIn

@@ -3,6 +3,7 @@ package raft
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"fortyconsensus/internal/snapshot"
@@ -40,11 +41,7 @@ func newGroup(tb testing.TB, n int) *trio {
 	if !g.lead.IsLeader() {
 		tb.Fatal("node 0 did not win the election")
 	}
-	for p, pr := range g.lead.prs {
-		if pr.state != stateReplicate || pr.match != g.lead.lastIndex() {
-			tb.Fatalf("follower %v not caught up after the election: %+v", p, *pr)
-		}
-	}
+	g.replicated()
 	return g
 }
 
@@ -72,7 +69,7 @@ func (g *trio) pump(drop func(Message) bool) []Message {
 
 // burst submits k distinct values to the leader without draining.
 func (g *trio) burst(k int) {
-	base := g.lead.lastIndex()
+	base := g.lead.LastIndex()
 	for i := 0; i < k; i++ {
 		g.lead.Submit(types.Value(fmt.Sprintf("v%d", int(base)+i+1)))
 	}
@@ -94,13 +91,13 @@ func (g *trio) heartbeat() []Message {
 // behind — LeaderCommit rides the next append or the heartbeat.
 func (g *trio) replicated() {
 	g.tb.Helper()
-	last := g.lead.lastIndex()
+	last := g.lead.LastIndex()
 	if g.lead.CommitFrontier() != last {
 		g.tb.Fatalf("leader committed %d of %d", g.lead.CommitFrontier(), last)
 	}
 	for _, n := range g.nodes {
-		if n.lastIndex() != last {
-			g.tb.Fatalf("node %v's log ends at %d, leader's at %d", n.id, n.lastIndex(), last)
+		if n.LastIndex() != last {
+			g.tb.Fatalf("node %v's log ends at %d, leader's at %d", n.id, n.LastIndex(), last)
 		}
 	}
 }
@@ -109,7 +106,7 @@ func (g *trio) replicated() {
 func (g *trio) converged() {
 	g.tb.Helper()
 	g.replicated()
-	last := g.lead.lastIndex()
+	last := g.lead.LastIndex()
 	for _, n := range g.nodes {
 		if n.CommitFrontier() != last {
 			g.tb.Fatalf("node %v committed %d of %d", n.id, n.CommitFrontier(), last)
@@ -134,7 +131,7 @@ func entriesTo(sent []Message, p types.NodeID) map[types.Seq]int {
 // the other follower all of it, once, in one append.
 func TestBurstSendsEveryEntryOnce(t *testing.T) {
 	g := newTrio(t)
-	base := g.lead.lastIndex()
+	base := g.lead.LastIndex()
 	g.burst(32)
 	sent := g.pump(nil)
 	// 1 append and 1 ack per entry and nothing for the commits:
@@ -216,7 +213,7 @@ func TestIdleFollowersLearnTheLastCommitAtTheHeartbeat(t *testing.T) {
 	if len(sent) != 3 {
 		t.Fatalf("the heartbeat interval cost %d messages, want 3: %+v", len(sent), sent)
 	}
-	last := g.lead.lastIndex()
+	last := g.lead.LastIndex()
 	if m := sent[0]; m.Kind != MsgAppend || m.To != 1 || len(m.Entries) != 3 || m.LeaderCommit != last {
 		t.Fatalf("tick frame %+v, want node 1's three entries carrying commit %d", m, last)
 	}
@@ -227,7 +224,7 @@ func TestIdleFollowersLearnTheLastCommitAtTheHeartbeat(t *testing.T) {
 
 func TestLostAppendRecoversThroughReject(t *testing.T) {
 	g := newTrio(t)
-	base := g.lead.lastIndex()
+	base := g.lead.LastIndex()
 	g.burst(32)
 	lost, dropped := base+10, false
 	sent := g.pump(func(m Message) bool {
@@ -238,8 +235,8 @@ func TestLostAppendRecoversThroughReject(t *testing.T) {
 		return false
 	})
 	// No Tick anywhere: the reject did it, for the pick.
-	if g.nodes[2].lastIndex() != base+32 || g.lead.CommitFrontier() != base+32 {
-		t.Fatalf("node 2 holds %d, leader committed %d; want %d", g.nodes[2].lastIndex(), g.lead.CommitFrontier(), base+32)
+	if g.nodes[2].LastIndex() != base+32 || g.lead.CommitFrontier() != base+32 {
+		t.Fatalf("node 2 holds %d, leader committed %d; want %d", g.nodes[2].LastIndex(), g.lead.CommitFrontier(), base+32)
 	}
 	count := entriesTo(sent, 2)
 	for idx := base + 1; idx <= base+32; idx++ {
@@ -278,7 +275,7 @@ func TestAllInFlightLostRecoversAtHeartbeat(t *testing.T) {
 			}
 		}
 	}
-	if got := g.lead.CommitFrontier(); got != g.lead.lastIndex()-8 {
+	if got := g.lead.CommitFrontier(); got != g.lead.LastIndex()-8 {
 		t.Fatalf("commit moved to %d with every append lost", got)
 	}
 	g.lead.Tick()
@@ -292,7 +289,7 @@ func TestLostAckRecoversAtHeartbeat(t *testing.T) {
 	g := newTrio(t)
 	g.burst(4)
 	g.pump(func(m Message) bool { return m.Kind == MsgAppendResp })
-	if got := g.lead.CommitFrontier(); got != g.lead.lastIndex()-4 {
+	if got := g.lead.CommitFrontier(); got != g.lead.LastIndex()-4 {
 		t.Fatalf("commit moved to %d with every ack lost", got)
 	}
 	g.heartbeat()
@@ -304,22 +301,33 @@ func TestLostAckRecoversAtHeartbeat(t *testing.T) {
 // Duplicated and reordered acks and stale rejects: next never falls
 // below match+1, match never falls, and nothing is resent until a reject
 // that is news arrives — which is answered by exactly one resend however
-// often it is repeated.
+// often it is repeated. The leader's record is replog's; replog's
+// TestLeaderProgressIgnoresStaleResponses reads it, this test what it
+// sends.
 func TestStaleResponsesMoveNothing(t *testing.T) {
 	g := newTrio(t)
-	base := g.lead.lastIndex()
+	base := g.lead.LastIndex()
 	term := g.lead.term
 	g.burst(4)
 	g.lead.Drain() // node 1's frames: this test answers for it
-	pr := g.lead.prs[1]
-	resent := func() int {
-		k := 0
+	// The leader's record of node 1 shows in what it sends it: in
+	// replicate, a submit goes to node 1 (the pick, once ahead of node 2)
+	// at once, past what it is sent; in probe, only the probe goes.
+	resent := func() []Message {
+		var out []Message
 		for _, m := range g.lead.Drain() {
 			if m.Kind == MsgAppend && m.To == 1 && len(m.Entries) > 0 {
-				k++
+				out = append(out, m)
 			}
 		}
-		return k
+		return out
+	}
+	sentFrom := func(out []Message) []types.Seq {
+		var prevs []types.Seq
+		for _, m := range out {
+			prevs = append(prevs, m.PrevIndex+1)
+		}
+		return prevs
 	}
 	ack := func(match types.Seq) Message {
 		return Message{Kind: MsgAppendResp, From: 1, To: 0, Term: term, Success: true, MatchIndex: match}
@@ -332,34 +340,43 @@ func TestStaleResponsesMoveNothing(t *testing.T) {
 		reject(base+1, base), reject(base+3, base+2), reject(base+4, base+3), // of frames since acknowledged
 	} {
 		g.lead.Step(m)
-		if pr.match != base+4 || pr.next != base+5 || pr.state != stateReplicate {
-			t.Fatalf("response %d moved the progress: %+v", i, *pr)
+		if out := resent(); len(out) != 0 {
+			t.Fatalf("response %d caused %d resend(s): from %v", i, len(out), sentFrom(out))
 		}
-		if k := resent(); k != 0 {
-			t.Fatalf("response %d caused %d resend(s)", i, k)
-		}
+	}
+	if got := g.lead.CommitFrontier(); got != base+4 {
+		t.Fatalf("commit %d after node 1 acknowledged %d", got, base+4)
 	}
 
+	// Still replicating from base+5: each submit goes out at once.
 	g.burst(2)
-	g.lead.Drain()
-	// Node 1 missed base+5: it refuses base+6, three times over.
-	total := 0
+	if from := sentFrom(resent()); !slices.Equal(from, []types.Seq{base + 5, base + 6}) {
+		t.Fatalf("the next two submits went to node 1 from %v, want from [%d %d]", from, base+5, base+6)
+	}
+	// Node 1 missed base+5: it refuses base+6, three times over; one
+	// probe from base+5 answers all three, never from at or below its
+	// match.
+	var probes []Message
 	for i := 0; i < 3; i++ {
 		g.lead.Step(reject(base+5, base+4))
-		if pr.next <= pr.match {
-			t.Fatalf("next %d at or below match %d", pr.next, pr.match)
-		}
-		total += resent()
+		probes = append(probes, resent()...)
 	}
-	if total != 1 {
-		t.Fatalf("a repeated reject caused %d resends, want 1", total)
+	if from := sentFrom(probes); !slices.Equal(from, []types.Seq{base + 5}) {
+		t.Fatalf("a repeated reject was answered from %v, want one probe from %d", from, base+5)
 	}
-	if pr.state != stateProbe || pr.next != base+5 {
-		t.Fatalf("after the reject: %+v, want a probe from %d", *pr, base+5)
+	// Probing: a submit sends node 1 nothing. The probe's ack ends it:
+	// node 1 replicates again from base+7, which the next submit carries.
+	g.burst(1)
+	if from := sentFrom(resent()); len(from) != 0 {
+		t.Fatalf("a submit during the probe went to node 1 from %v", from)
 	}
 	g.lead.Step(ack(base + 6))
-	if pr.state != stateReplicate || pr.match != base+6 || pr.next != base+7 {
-		t.Fatalf("after the probe's ack: %+v", *pr)
+	if got := g.lead.CommitFrontier(); got != base+6 {
+		t.Fatalf("commit %d after node 1 acknowledged %d", got, base+6)
+	}
+	g.burst(1)
+	if from := sentFrom(resent()); !slices.Equal(from, []types.Seq{base + 7}) {
+		t.Fatalf("the probe's ack and a submit after it went to node 1 from %v, want from %d", from, base+7)
 	}
 }
 
@@ -446,9 +463,9 @@ func TestOutstandingSnapshotChunkNotResentBySubmit(t *testing.T) {
 	nodes := map[types.NodeID]*Node{0: lead, 1: joiner}
 	joiner.Step(again[0])
 	shuttle(nodes, 100, nil)
-	if joiner.TakeInstalledSnapshot() == nil || joiner.CommitFrontier() != lead.CommitFrontier() || joiner.lastIndex() != lead.lastIndex() {
+	if joiner.TakeInstalledSnapshot() == nil || joiner.CommitFrontier() != lead.CommitFrontier() || joiner.LastIndex() != lead.LastIndex() {
 		t.Fatalf("joiner at last=%d commit=%d, leader at %d/%d",
-			joiner.lastIndex(), joiner.CommitFrontier(), lead.lastIndex(), lead.CommitFrontier())
+			joiner.LastIndex(), joiner.CommitFrontier(), lead.LastIndex(), lead.CommitFrontier())
 	}
 }
 
@@ -457,20 +474,29 @@ func TestOutstandingSnapshotChunkNotResentBySubmit(t *testing.T) {
 // a lost probe is repeated within one interval.
 func TestSubmitsDoNotStarveALostProbe(t *testing.T) {
 	g := newTrio(t)
-	base := g.lead.lastIndex()
+	base := g.lead.LastIndex()
 	// Node 1 loses base+1, sent by the first tick, refuses base+2, sent
 	// by the second, and the probe that answers the reject is lost too.
 	lost := func(m Message) bool {
 		return m.Kind == MsgAppend && m.To == 1 && len(m.Entries) > 0 && m.PrevIndex == base
 	}
+	var last []Message
 	for i := 0; i < 2; i++ {
 		g.burst(1)
 		g.pump(nil)
 		g.lead.Tick()
-		g.pump(lost)
+		last = g.pump(lost)
 	}
-	if pr := g.lead.prs[1]; pr.state != stateProbe {
-		t.Fatalf("node 1 should be left probing: %+v", *pr)
+	// Left probing: node 1 refused base+2, and the probe that answered
+	// was lost.
+	refused, probeLost := false, false
+	for _, m := range last {
+		refused = refused || m.Kind == MsgAppendResp && m.From == 1 && !m.Success
+		probeLost = probeLost || refused && lost(m)
+	}
+	if !probeLost || g.nodes[1].LastIndex() != base {
+		t.Fatalf("node 1 should be left probing: its log ends at %d of %d, refused %v, probe lost %v",
+			g.nodes[1].LastIndex(), g.lead.LastIndex(), refused, probeLost)
 	}
 	for i := 0; i < g.lead.cfg.HeartbeatTicks; i++ {
 		g.burst(1)
@@ -491,7 +517,7 @@ func TestRemovedFollowerIsSentItsRemoval(t *testing.T) {
 	g.burst(3)
 	g.lead.Drain() // the burst is lost on the way to both followers
 	g.lead.Submit(confVal(snapshot.ConfRemove, 2))
-	removal := g.lead.lastIndex()
+	removal := g.lead.LastIndex()
 	var toGone []Message
 	for _, m := range g.lead.Drain() {
 		if m.To == 2 {
@@ -501,8 +527,8 @@ func TestRemovedFollowerIsSentItsRemoval(t *testing.T) {
 	if len(toGone) != 1 || len(toGone[0].Entries) != 1 || toGone[0].PrevIndex != removal-1 {
 		t.Fatalf("removed follower was sent %+v, want one append carrying entry %d", toGone, removal)
 	}
-	if g.lead.prs[2] != nil {
-		t.Fatal("leader kept the progress of a member that left")
+	if slices.Contains(g.lead.Peers(), 2) {
+		t.Fatalf("leader still replicates to a member that left: %v", g.lead.Peers())
 	}
 	// The removal arrives past the lost burst and is refused; the leader
 	// has forgotten node 2, so the reject resends nothing.

@@ -80,7 +80,7 @@ func checkCommittedPrefix(c *Cluster) error {
 				min = b.CommitFrontier()
 			}
 			for k := types.Seq(1); k <= min; k++ {
-				if a.at(k).Term != b.at(k).Term || !a.at(k).Val.Equal(b.at(k).Val) {
+				if a.At(k).Term != b.At(k).Term || !a.At(k).Val.Equal(b.At(k).Val) {
 					return fmt.Errorf("committed prefix diverges at slot %d between nodes %d and %d", k, i, j)
 				}
 			}

@@ -50,11 +50,11 @@ func TestPersistRoundTrip(t *testing.T) {
 	if fresh.term != lead.term || fresh.votedFor != lead.votedFor {
 		t.Fatalf("hard state: got (%d,%v), want (%d,%v)", fresh.term, fresh.votedFor, lead.term, lead.votedFor)
 	}
-	if fresh.lastIndex() != lead.lastIndex() {
-		t.Fatalf("log length: %d vs %d", fresh.lastIndex(), lead.lastIndex())
+	if fresh.LastIndex() != lead.LastIndex() {
+		t.Fatalf("log length: %d vs %d", fresh.LastIndex(), lead.LastIndex())
 	}
-	for i := types.Seq(1); i <= lead.lastIndex(); i++ {
-		if fresh.at(i).Term != lead.at(i).Term || !fresh.at(i).Val.Equal(lead.at(i).Val) {
+	for i := types.Seq(1); i <= lead.LastIndex(); i++ {
+		if fresh.At(i).Term != lead.At(i).Term || !fresh.At(i).Val.Equal(lead.At(i).Val) {
 			t.Fatalf("entry %d differs", i)
 		}
 	}
@@ -85,8 +85,8 @@ func TestPersistIncrementalSyncs(t *testing.T) {
 	if err := p2.Restore(fresh); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.lastIndex() != lead.lastIndex() {
-		t.Fatalf("log length after incremental syncs: %d vs %d", fresh.lastIndex(), lead.lastIndex())
+	if fresh.LastIndex() != lead.LastIndex() {
+		t.Fatalf("log length after incremental syncs: %d vs %d", fresh.LastIndex(), lead.LastIndex())
 	}
 }
 
@@ -96,7 +96,7 @@ func TestPersistTruncation(t *testing.T) {
 	dir := t.TempDir()
 	p := openPersister(t, dir)
 
-	cfg := Config{Peers: []types.NodeID{0, 1, 2}, Seed: 3}.withDefaults()
+	cfg := Config{Peers: []types.NodeID{0, 1, 2}, Seed: 3}
 	n := New(1, cfg)
 	// Feed divergent entries directly: term-2 leader appends 3 entries.
 	n.Step(Message{Kind: MsgAppend, From: 0, To: 1, Term: 2, PrevIndex: 0, PrevTerm: 0,
@@ -118,11 +118,11 @@ func TestPersistTruncation(t *testing.T) {
 	if err := p2.Restore(fresh); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.lastIndex() != 2 {
-		t.Fatalf("restored length %d, want 2 (truncated)", fresh.lastIndex())
+	if fresh.LastIndex() != 2 {
+		t.Fatalf("restored length %d, want 2 (truncated)", fresh.LastIndex())
 	}
-	if !fresh.at(2).Val.Equal(types.Value("B")) || fresh.at(2).Term != 3 {
-		t.Fatalf("restored entry 2 = %+v", fresh.at(2))
+	if !fresh.At(2).Val.Equal(types.Value("B")) || fresh.At(2).Term != 3 {
+		t.Fatalf("restored entry 2 = %+v", fresh.At(2))
 	}
 }
 
@@ -155,7 +155,7 @@ func TestCrashRecoveryPreservesSafety(t *testing.T) {
 	if err := p2.Restore(reborn); err != nil {
 		t.Fatal(err)
 	}
-	if reborn.term == 0 || reborn.lastIndex() == 0 {
+	if reborn.term == 0 || reborn.LastIndex() == 0 {
 		t.Fatal("journal restored nothing")
 	}
 	c.Set(2, reborn, kvstore.New())
@@ -205,7 +205,7 @@ func TestSyncAfterOneAppendWritesOneRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := records() - before; got != 1 {
-		t.Fatalf("a Sync after one append on a %d-entry log wrote %d records, want 1", n.lastIndex(), got)
+		t.Fatalf("a Sync after one append on a %d-entry log wrote %d records, want 1", n.LastIndex(), got)
 	}
 	if err := p.Sync(n); err != nil {
 		t.Fatal(err)
@@ -254,8 +254,10 @@ func TestJournalBytesPinned(t *testing.T) {
 func TestRestoreRequiresFreshNode(t *testing.T) {
 	dir := t.TempDir()
 	p := openPersister(t, dir)
-	n := New(0, Config{Peers: []types.NodeID{0}}.withDefaults())
-	n.appendEntry(LogEntry{Term: 1})
+	n := New(0, Config{Peers: []types.NodeID{0}})
+	if err := n.Journal().Entry(1, 1, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := p.Restore(n); err == nil {
 		t.Fatal("restore into a dirty node accepted")
 	}
@@ -288,18 +290,18 @@ func TestRestoreReadsParentWrittenWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n := New(1, Config{Peers: []types.NodeID{0, 1, 2}, Seed: 3}.withDefaults())
+	n := New(1, Config{Peers: []types.NodeID{0, 1, 2}, Seed: 3})
 	if err := openPersister(t, dir).Restore(n); err != nil {
 		t.Fatal(err)
 	}
-	if n.term != 3 || n.votedFor != -1 || n.SnapshotIndex() != 2 || n.lastIndex() != 5 {
-		t.Fatalf("restored term=%d voted=%d snap=%d last=%d, want 3 -1 2 5", n.term, n.votedFor, n.SnapshotIndex(), n.lastIndex())
+	if n.term != 3 || n.votedFor != -1 || n.SnapshotIndex() != 2 || n.LastIndex() != 5 {
+		t.Fatalf("restored term=%d voted=%d snap=%d last=%d, want 3 -1 2 5", n.term, n.votedFor, n.SnapshotIndex(), n.LastIndex())
 	}
 	incr := smr.EncodeRequest(types.Request{Client: 9, SeqNo: 2, Op: kvstore.Incr("n", 1).Encode()})
-	if e := n.at(4); e.Term != 2 || !e.Val.Equal(incr) {
+	if e := n.At(4); e.Term != 2 || !e.Val.Equal(incr) {
 		t.Fatalf("entry 4 = %+v", e)
 	}
-	if e := n.at(5); e.Term != 3 || e.Val != nil {
+	if e := n.At(5); e.Term != 3 || e.Val != nil {
 		t.Fatalf("entry 5 = %+v, want the term-3 no-op that replaced %q", e, "doomed")
 	}
 	snap := n.TakeInstalledSnapshot()
@@ -388,13 +390,13 @@ func FuzzRestore(f *testing.F) {
 		if err := openPersister(t, again).Restore(m); err != nil {
 			t.Fatalf("re-journal of a restored node does not restore: %v", err)
 		}
-		if m.term != n.term || m.votedFor != n.votedFor || m.SnapshotIndex() != n.SnapshotIndex() || m.lastIndex() != n.lastIndex() {
+		if m.term != n.term || m.votedFor != n.votedFor || m.SnapshotIndex() != n.SnapshotIndex() || m.LastIndex() != n.LastIndex() {
 			t.Fatalf("re-journal restored term %d vote %d snap %d last %d, want %d %d %d %d",
-				m.term, m.votedFor, m.SnapshotIndex(), m.lastIndex(), n.term, n.votedFor, n.SnapshotIndex(), n.lastIndex())
+				m.term, m.votedFor, m.SnapshotIndex(), m.LastIndex(), n.term, n.votedFor, n.SnapshotIndex(), n.LastIndex())
 		}
-		for i := n.SnapshotIndex(); i <= n.lastIndex(); i++ {
-			if m.at(i).Term != n.at(i).Term || !m.at(i).Val.Equal(n.at(i).Val) {
-				t.Fatalf("re-journal restored entry %d as %+v, want %+v", i, m.at(i), n.at(i))
+		for i := n.SnapshotIndex(); i <= n.LastIndex(); i++ {
+			if m.At(i).Term != n.At(i).Term || !m.At(i).Val.Equal(n.At(i).Val) {
+				t.Fatalf("re-journal restored entry %d as %+v, want %+v", i, m.At(i), n.At(i))
 			}
 		}
 	})

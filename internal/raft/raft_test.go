@@ -68,8 +68,8 @@ func TestReplicationAndApply(t *testing.T) {
 func TestSubmitOffLeaderSendsNothing(t *testing.T) {
 	fresh := New(0, Config{Peers: []types.NodeID{0, 1, 2}, Seed: 2})
 	fresh.Submit(req(5, 1, kvstore.Put("f", []byte("v"))))
-	if out := fresh.Drain(); len(out) != 0 || fresh.lastIndex() != 0 {
-		t.Fatalf("leaderless node sent %+v, log at %d", out, fresh.lastIndex())
+	if out := fresh.Drain(); len(out) != 0 || fresh.LastIndex() != 0 {
+		t.Fatalf("leaderless node sent %+v, log at %d", out, fresh.LastIndex())
 	}
 	c := NewCluster(3, nil, Config{Seed: 2}, kvSM)
 	lead := c.WaitLeader(500)
@@ -84,11 +84,11 @@ func TestSubmitOffLeaderSendsNothing(t *testing.T) {
 		if n.Leader() != lead.id {
 			t.Fatalf("follower %v believes in %v, want %v", n.id, n.Leader(), lead.id)
 		}
-		last := n.lastIndex()
+		last := n.LastIndex()
 		n.Drain()
 		n.Submit(req(5, 1, kvstore.Put("f", []byte("v"))))
-		if out := n.Drain(); len(out) != 0 || n.lastIndex() != last {
-			t.Fatalf("follower %v sent %+v, log %d -> %d", n.id, out, last, n.lastIndex())
+		if out := n.Drain(); len(out) != 0 || n.LastIndex() != last {
+			t.Fatalf("follower %v sent %+v, log %d -> %d", n.id, out, last, n.LastIndex())
 		}
 	}
 	if replies := c.RunPumped(150); len(replies) != 0 {
@@ -329,12 +329,12 @@ func (c *Cluster) CheckLogMatching() error {
 		for j := i + 1; j < len(c.Nodes); j++ {
 			na, nb := c.Nodes[i], c.Nodes[j]
 			lo := max(na.SnapshotIndex(), nb.SnapshotIndex())
-			hi := min(na.lastIndex(), nb.lastIndex())
+			hi := min(na.LastIndex(), nb.LastIndex())
 			for k := hi; k > lo; k-- {
-				if na.at(k).Term == nb.at(k).Term {
+				if na.At(k).Term == nb.At(k).Term {
 					// Everything at and below k (that both hold) must match.
 					for l := lo + 1; l <= k; l++ {
-						ea, eb := na.at(l), nb.at(l)
+						ea, eb := na.At(l), nb.At(l)
 						if ea.Term != eb.Term || !ea.Val.Equal(eb.Val) {
 							return &logMatchError{na.id, nb.id}
 						}

@@ -74,14 +74,14 @@ func TestCompactBounds(t *testing.T) {
 	if !n.Compact(n.CommitFrontier(), []byte("s")) {
 		t.Fatal("compaction at the commit frontier refused")
 	}
-	if n.SnapshotIndex() != n.CommitFrontier() || n.lastIndex() != n.SnapshotIndex() {
-		t.Fatalf("snapIndex=%d commit=%d last=%d", n.SnapshotIndex(), n.CommitFrontier(), n.lastIndex())
+	if n.SnapshotIndex() != n.CommitFrontier() || n.LastIndex() != n.SnapshotIndex() {
+		t.Fatalf("snapIndex=%d commit=%d last=%d", n.SnapshotIndex(), n.CommitFrontier(), n.LastIndex())
 	}
 	// The node keeps working past the boundary.
 	n.Submit(types.Value("after"))
 	n.TakeDecisions()
-	if n.lastIndex() != n.SnapshotIndex()+1 {
-		t.Fatalf("lastIndex=%d snapIndex=%d", n.lastIndex(), n.SnapshotIndex())
+	if n.LastIndex() != n.SnapshotIndex()+1 {
+		t.Fatalf("lastIndex=%d snapIndex=%d", n.LastIndex(), n.SnapshotIndex())
 	}
 	if n.Compact(n.SnapshotIndex(), nil) {
 		t.Fatal("re-compacting at the same index should be a no-op")
@@ -200,8 +200,8 @@ func TestSnapshotOverridesConflictingSuffix(t *testing.T) {
 		{Term: 1, Val: types.Value("stale-3")},
 	}})
 	f.Drain()
-	if f.lastIndex() != 3 || f.CommitFrontier() != 0 {
-		t.Fatalf("setup: last=%d commit=%d", f.lastIndex(), f.CommitFrontier())
+	if f.LastIndex() != 3 || f.CommitFrontier() != 0 {
+		t.Fatalf("setup: last=%d commit=%d", f.LastIndex(), f.CommitFrontier())
 	}
 	raw := snapshot.Encode(snapshot.Snapshot{
 		LastIndex: 5, LastTerm: 2,
@@ -209,8 +209,8 @@ func TestSnapshotOverridesConflictingSuffix(t *testing.T) {
 	})
 	f.Step(Message{Kind: MsgSnap, From: 0, To: 1, Term: 2,
 		PrevIndex: 5, PrevTerm: 2, Val: types.Value(raw), Offset: 0, Done: true})
-	if f.SnapshotIndex() != 5 || f.lastIndex() != 5 || f.CommitFrontier() != 5 {
-		t.Fatalf("post-install: snap=%d last=%d commit=%d", f.SnapshotIndex(), f.lastIndex(), f.CommitFrontier())
+	if f.SnapshotIndex() != 5 || f.LastIndex() != 5 || f.CommitFrontier() != 5 {
+		t.Fatalf("post-install: snap=%d last=%d commit=%d", f.SnapshotIndex(), f.LastIndex(), f.CommitFrontier())
 	}
 	if snap := f.TakeInstalledSnapshot(); snap == nil || !bytes.Equal(snap.State, []byte("winner")) {
 		t.Fatal("install not surfaced")
@@ -253,8 +253,8 @@ func TestInstallSnapshotDuringInflightAppend(t *testing.T) {
 			t.Fatalf("stale append not absorbed at boundary: %+v", m)
 		}
 	}
-	if f.lastIndex() != 4 {
-		t.Fatalf("stale append changed the log: last=%d", f.lastIndex())
+	if f.LastIndex() != 4 {
+		t.Fatalf("stale append changed the log: last=%d", f.LastIndex())
 	}
 
 	// Straddling append: the prefix at or below the snapshot trims away
@@ -267,15 +267,15 @@ func TestInstallSnapshotDuringInflightAppend(t *testing.T) {
 	f.Step(Message{Kind: MsgAppend, From: 0, To: 1, Term: 1,
 		PrevIndex: 2, PrevTerm: 1, Entries: straddle, LeaderCommit: 5})
 	f.Drain()
-	if f.lastIndex() != 5 || f.CommitFrontier() != 5 {
-		t.Fatalf("straddling append: last=%d commit=%d", f.lastIndex(), f.CommitFrontier())
+	if f.LastIndex() != 5 || f.CommitFrontier() != 5 {
+		t.Fatalf("straddling append: last=%d commit=%d", f.LastIndex(), f.CommitFrontier())
 	}
-	if got := f.at(5).Val; !got.Equal(types.Value("five")) {
+	if got := f.At(5).Val; !got.Equal(types.Value("five")) {
 		t.Fatalf("index 5 = %q", got)
 	}
 	// The loaned batch stays the sender's; published bytes stay intact.
 	valuetest.Poison(straddle, LogEntry{Term: 9, Val: types.Value("poison")})
-	if got := f.at(5).Val; !got.Equal(types.Value("five")) {
+	if got := f.At(5).Val; !got.Equal(types.Value("five")) {
 		t.Fatal("follower retained the loaned straddling batch")
 	}
 	f.TakeDecisions()
@@ -360,9 +360,9 @@ func TestConfChangeValidation(t *testing.T) {
 		t.Fatal("setup: no leader")
 	}
 	n.Drain()
-	base := n.lastIndex()
+	base := n.LastIndex()
 	n.Submit(confVal(snapshot.ConfAdd, 3)) // in flight, uncommitted
-	if n.lastIndex() != base+1 {
+	if n.LastIndex() != base+1 {
 		t.Fatal("valid conf change not appended")
 	}
 	for name, v := range map[string]types.Value{
@@ -370,7 +370,7 @@ func TestConfChangeValidation(t *testing.T) {
 		"adding an existing member":            confVal(snapshot.ConfRemove, 3), // 3 is now a member; still rejected: one in flight
 	} {
 		n.Submit(v)
-		if n.lastIndex() != base+1 {
+		if n.LastIndex() != base+1 {
 			t.Fatalf("%s was appended", name)
 		}
 	}
@@ -384,7 +384,7 @@ func TestConfChangeValidation(t *testing.T) {
 		t.Fatal("removed the last member")
 	}
 	solo.Submit(confVal(snapshot.ConfAdd, 7))
-	if solo.lastIndex() != 1 { // just the election no-op
+	if solo.LastIndex() != 1 { // just the election no-op
 		t.Fatal("no-op add of an existing member was appended")
 	}
 }
@@ -493,11 +493,11 @@ func TestPersisterSnapshotThenSuffix(t *testing.T) {
 	if fresh.SnapshotIndex() != 8 {
 		t.Fatalf("restored snapIndex %d, want 8", fresh.SnapshotIndex())
 	}
-	if fresh.lastIndex() != n.lastIndex() || fresh.term != n.term {
-		t.Fatalf("restored last=%d term=%d, want %d/%d", fresh.lastIndex(), fresh.term, n.lastIndex(), n.term)
+	if fresh.LastIndex() != n.LastIndex() || fresh.term != n.term {
+		t.Fatalf("restored last=%d term=%d, want %d/%d", fresh.LastIndex(), fresh.term, n.LastIndex(), n.term)
 	}
-	for i := types.Seq(9); i <= n.lastIndex(); i++ {
-		if fresh.at(i).Term != n.at(i).Term || !fresh.at(i).Val.Equal(n.at(i).Val) {
+	for i := types.Seq(9); i <= n.LastIndex(); i++ {
+		if fresh.At(i).Term != n.At(i).Term || !fresh.At(i).Val.Equal(n.At(i).Val) {
 			t.Fatalf("suffix entry %d differs", i)
 		}
 	}
@@ -651,7 +651,7 @@ func TestCompactCopiesNoRetainedEntry(t *testing.T) {
 	if got, tail := after.TotalAlloc-before.TotalAlloc, uint64(entries*unsafe.Sizeof(LogEntry{})); got >= tail/16 {
 		t.Fatalf("compacting 10 of %d entries allocated %d bytes; the retained tail is %d", entries, got, tail)
 	}
-	if n.lastIndex() != entries+1 || !n.at(11).Val.Equal(types.Value("v")) {
-		t.Fatalf("after compaction the log ends at %d, entry 11 = %+v", n.lastIndex(), n.at(11))
+	if n.LastIndex() != entries+1 || !n.At(11).Val.Equal(types.Value("v")) {
+		t.Fatalf("after compaction the log ends at %d, entry 11 = %+v", n.LastIndex(), n.At(11))
 	}
 }

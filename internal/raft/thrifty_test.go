@@ -15,15 +15,31 @@ import (
 // flight, not lost.
 func TestHeartbeatDoesNotResendAnAppendInFlight(t *testing.T) {
 	g := newTrio(t)
-	// Node 1 probing: a submit reaches only node 2, which no longer pushes
-	// the heartbeat back.
-	g.lead.prs[1].state = stateProbe
-	for g.lead.hbIn > 1 {
+	// Node 1 probing — a reject of a frame past its log makes it one: a
+	// submit reaches only node 2, which no longer pushes the heartbeat
+	// back.
+	last := g.lead.LastIndex()
+	g.lead.Step(Message{Kind: MsgAppendResp, From: 1, To: 0, Term: g.lead.term, PrevIndex: last + 1, MatchIndex: last})
+	probe := g.lead.Drain()
+	if len(probe) != 1 || probe[0].To != 1 || probe[0].PrevIndex != last || len(probe[0].Entries) != 0 {
+		t.Fatalf("the reject was answered with %+v, want one empty probe of node 1 at %d", probe, last)
+	}
+	g.nodes[1].Step(probe[0])
+	g.pump(nil)
+	// Tick to the heartbeat, the tick that sends idle node 2 an append,
+	// and on to the tick before the next one.
+	for beat := false; !beat; {
+		g.lead.Tick()
+		for _, m := range g.pump(nil) {
+			beat = beat || (m.Kind == MsgAppend && m.To == 2)
+		}
+	}
+	for i := 1; i < g.lead.cfg.HeartbeatTicks; i++ {
 		g.lead.Tick()
 	}
 	g.pump(nil)
 	g.lead.Submit(types.Value("x"))
-	idx := g.lead.lastIndex()
+	idx := g.lead.LastIndex()
 	g.lead.Tick() // the heartbeat, in the tick the append to node 2 left
 	if n := entriesTo(g.lead.Drain(), 2)[idx]; n != 1 {
 		t.Fatalf("entry %d went to node 2 %d times before its ack could return, want 1", idx, n)
@@ -38,7 +54,7 @@ func TestStalledPickDelaysACommitByAtMostOneTick(t *testing.T) {
 	silent := func(m Message) bool { return m.To == 2 || m.From == 2 }
 	g.burst(1)
 	g.pump(silent)
-	want := g.lead.lastIndex()
+	want := g.lead.LastIndex()
 	if g.lead.CommitFrontier() == want {
 		t.Fatal("committed with the pick silent and nothing sent to node 1")
 	}
@@ -49,8 +65,8 @@ func TestStalledPickDelaysACommitByAtMostOneTick(t *testing.T) {
 	}
 	g.burst(1)
 	g.pump(silent)
-	if got := g.lead.CommitFrontier(); got != g.lead.lastIndex() {
-		t.Fatalf("the next submit committed %d of %d without a tick: node 1 is not the pick", got, g.lead.lastIndex())
+	if got := g.lead.CommitFrontier(); got != g.lead.LastIndex() {
+		t.Fatalf("the next submit committed %d of %d without a tick: node 1 is not the pick", got, g.lead.LastIndex())
 	}
 }
 
@@ -74,8 +90,8 @@ func TestEveryFollowerHoldsEveryEntryWithinOneTick(t *testing.T) {
 				t.Fatalf("%d nodes, round %d: the tick sent %d appends, want one to each of %d lagging followers", size, round, appends, want)
 			}
 			for _, n := range g.nodes {
-				if n.lastIndex() != g.lead.lastIndex() {
-					t.Fatalf("%d nodes, round %d: node %v holds %d of %d a tick after the submits", size, round, n.id, n.lastIndex(), g.lead.lastIndex())
+				if n.LastIndex() != g.lead.LastIndex() {
+					t.Fatalf("%d nodes, round %d: node %v holds %d of %d a tick after the submits", size, round, n.id, n.LastIndex(), g.lead.LastIndex())
 				}
 			}
 		}
@@ -87,8 +103,8 @@ func TestSingleNodeSubmitSendsNothing(t *testing.T) {
 	n := soloLeader(t, 0)
 	n.Submit(types.Value("x"))
 	n.Tick()
-	if out := n.Drain(); len(out) != 0 || n.CommitFrontier() != n.lastIndex() {
-		t.Fatalf("single node sent %+v and committed %d of %d", out, n.CommitFrontier(), n.lastIndex())
+	if out := n.Drain(); len(out) != 0 || n.CommitFrontier() != n.LastIndex() {
+		t.Fatalf("single node sent %+v and committed %d of %d", out, n.CommitFrontier(), n.LastIndex())
 	}
 }
 

@@ -19,16 +19,16 @@ func TestAppendBatchOwnership(t *testing.T) {
 		{Term: 1, Val: g.Publish("entry 2", types.Value("beta"))},
 	}
 	n.Step(Message{Kind: MsgAppend, From: 0, To: 1, Term: 1, PrevIndex: 0, PrevTerm: 0, Entries: batch})
-	if got := n.lastIndex(); got != 2 {
+	if got := n.LastIndex(); got != 2 {
 		t.Fatalf("lastIndex = %d, want 2", got)
 	}
 
 	// The leader reuses its buffer after the call returns. A follower
 	// that retained the loaned slice sees its log rewritten under it.
 	valuetest.Poison(batch, LogEntry{Term: 99, Val: types.Value("poison")})
-	if n.at(1).Term != 1 || !n.at(1).Val.Equal(types.Value("alpha")) ||
-		n.at(2).Term != 1 || !n.at(2).Val.Equal(types.Value("beta")) {
-		t.Fatalf("log rewritten through the loaned batch slice: %+v %+v", n.at(1), n.at(2))
+	if n.At(1).Term != 1 || !n.At(1).Val.Equal(types.Value("alpha")) ||
+		n.At(2).Term != 1 || !n.At(2).Val.Equal(types.Value("beta")) {
+		t.Fatalf("log rewritten through the loaned batch slice: %+v %+v", n.At(1), n.At(2))
 	}
 
 	// Committing and applying must not touch the shared bytes either.

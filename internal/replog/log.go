@@ -1,8 +1,12 @@
-// Package replog holds what a log-replication node keeps whichever rule
-// elects its leader — Raft's vote or Paxos' phase 1 (Howard & Mortier,
-// "Paxos vs Raft"): the paged log (Log), the outbox, decision stream,
-// snapshot and dirty mark both nodes embed (Core), and the one mapping
-// of that state onto the journal (Persister).
+// Package replog is the one log replication both consensus backends run
+// — Raft's, which Multi-Paxos shares (Howard & Mortier, "Paxos vs Raft"):
+// one core, two electors. Core is raft's replication half, moved: the
+// paged log (Log), follower progress, phase 2 to a quorum, the per-tick
+// pass and heartbeat rewind, commit, compaction, the snapshot transfer
+// and reads, with the outbox and decision stream a host drains. It asks
+// its Elector — raft's vote rule, or Paxos' phase 1 and Value Discovery
+// — only for a term, the member set and Q2 of an index, and hooks; and
+// Persister maps its state onto the journal.
 package replog
 
 import "fortyconsensus/internal/types"
@@ -10,15 +14,9 @@ import "fortyconsensus/internal/types"
 const (
 	// PageSlots is how many entries one page of a Log holds.
 	PageSlots = 256
-	// MaxAhead is how far past the end of its log one message may make a
-	// node grow it. An index is a wire integer and must not size memory:
-	// an entry further ahead is ignored, and the protocol heals it like
-	// any lost message.
+	// MaxAhead is how far past the end of its log one write may make a
+	// node grow it. An index is a wire integer and must not size memory.
 	MaxAhead = 1 << 20
-	// maxGrow bounds how far past origin Grow takes an entry: a journal
-	// may hold entries further apart than MaxAhead, but an index must not
-	// size memory without bound. 2^30 entries are 32 MiB of page pointers.
-	maxGrow = 1 << 30
 )
 
 type page[E any] [PageSlots]E
@@ -59,33 +57,6 @@ func (l *Log[E]) At(s types.Seq) *E {
 		l.pages[i] = new(page[E])
 	}
 	return &l.pages[i][(s-l.origin)%PageSlots]
-}
-
-// End returns the first index past the log's last page.
-func (l *Log[E]) End() types.Seq { return l.origin + types.Seq(len(l.pages))*PageSlots }
-
-// Grow is At with maxGrow past origin in place of the MaxAhead bound:
-// it first adds nil pages up to the one s falls in.
-func (l *Log[E]) Grow(s types.Seq) *E {
-	if s-l.origin >= maxGrow {
-		return nil
-	}
-	for s >= l.origin && l.End() <= s {
-		l.pages = append(l.pages, nil)
-	}
-	return l.At(s)
-}
-
-// Each calls f, in index order, with every entry above from that an
-// allocated page holds, written or not.
-func (l *Log[E]) Each(from types.Seq, f func(s types.Seq, e *E)) {
-	for i := int((max(from+1, l.origin) - l.origin) / PageSlots); i < len(l.pages); i++ {
-		for j := 0; l.pages[i] != nil && j < PageSlots; j++ {
-			if s := l.origin + types.Seq(i*PageSlots+j); s > from {
-				f(s, &l.pages[i][j])
-			}
-		}
-	}
 }
 
 // DropThrough forgets every entry at or below upTo, which is at or above

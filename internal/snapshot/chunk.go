@@ -2,11 +2,11 @@ package snapshot
 
 import "fortyconsensus/internal/types"
 
-// Chunked, offset-resumable transfer, the one both raft and Multi-Paxos
-// use. The sender slices one immutable encoded snapshot into fixed-size
-// chunks addressed by byte offset; the receiver assembles them in offset
-// order and asks for the next offset it needs (raft after every chunk,
-// Multi-Paxos after every Window). Because every chunk names its offset,
+// Chunked, offset-resumable transfer, replog's, which raft and
+// Multi-Paxos share. The sender slices one immutable encoded snapshot
+// into fixed-size chunks addressed by byte offset; the receiver assembles
+// them in offset order and asks for the next offset it needs after every
+// chunk. Because every chunk names its offset,
 // a transfer survives loss and retransmission from any position: the
 // receiver re-states the offset it wants and the sender resumes there.
 // A chunk the receiver already holds draws no answer, so a duplicated
@@ -30,27 +30,25 @@ func ChunkAt(data []byte, off int) ([]byte, bool) {
 // ChunkSize is the snapshot transfer chunk size.
 const ChunkSize = 4096
 
-// Window is how much of a snapshot one Multi-Paxos pull asks for: a
-// pull at off is answered by the chunks from off to the next multiple of
-// Window, and taking the last of them asks for the next window.
+// Window is how far past Offset a Receiver holds a chunk that overtook
+// the ones before it.
 const Window = 16 * ChunkSize
 
-// BatchBytes bounds the values one catch-up batch carries (a raft
-// append, a Multi-Paxos MsgCommit): a batch stops at the entry that
-// reaches it, so it always carries one and stays far below a transport's
-// frame limit however large the entries are.
+// BatchBytes bounds the values one catch-up batch carries (an append,
+// or the decided slots of a Multi-Paxos Ack): a batch stops at the entry
+// that reaches it, so it always carries one and stays far below a
+// transport's frame limit however large the entries are.
 const BatchBytes = 1 << 20
 
 // Receiver assembles the transfer of one snapshot, named by its
 // LastIndex. A chunk of another index starts the transfer over. The
 // blob grows in offset order; a chunk less than a Window past Offset
-// waits until the chunks before it arrive, as one pull's chunks may
-// overtake each other.
+// waits until the chunks before it arrive, as a resend and the chunk
+// after it may overtake each other.
 type Receiver struct {
 	index types.Seq
 	buf   []byte
 	ahead map[int]pending // chunks past Offset, by offset
-	seen  [2]int          // Offset at the last two Stalled calls, older first
 }
 
 type pending struct {
@@ -60,16 +58,6 @@ type pending struct {
 
 // Offset returns the next byte offset the receiver needs.
 func (r *Receiver) Offset() int { return len(r.buf) }
-
-// Stalled reports whether Offset has not moved since the call before
-// last: a host that calls it once a heartbeat re-asks only for a
-// transfer that lost a chunk or its request, not for a window still on
-// its way.
-func (r *Receiver) Stalled() bool {
-	stalled := r.seen[0] == len(r.buf)
-	r.seen = [2]int{r.seen[1], len(r.buf)}
-	return stalled
-}
 
 // Take steps one chunk at off of the snapshot whose LastIndex is index;
 // last marks the final chunk. Once the final chunk completes a blob that
@@ -109,9 +97,8 @@ func (r *Receiver) Take(index types.Seq, off int, chunk []byte, last bool) (raw 
 	return raw, &s, false
 }
 
-// reset empties the receiver for a transfer of index. An empty receiver
-// is stalled at once, so the next heartbeat asks for what it needs.
+// reset empties the receiver for a transfer of index.
 func (r *Receiver) reset(index types.Seq) {
-	r.index, r.buf, r.seen = index, nil, [2]int{}
+	r.index, r.buf = index, nil
 	clear(r.ahead)
 }

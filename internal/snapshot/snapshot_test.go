@@ -155,8 +155,8 @@ func TestReceiverTakesChunksInOrder(t *testing.T) {
 	}
 }
 
-// One pull's chunks may overtake each other: a chunk less than a Window
-// past Offset waits for the ones before it; one farther is let go.
+// Chunks may overtake each other: a chunk less than a Window past
+// Offset waits for the ones before it; one farther is let go.
 func TestReceiverHoldsChunksThatOvertake(t *testing.T) {
 	data := Encode(Snapshot{LastIndex: 5, State: bytes.Repeat([]byte{3}, Window)}) // one chunk past a window
 	var r Receiver
@@ -178,28 +178,6 @@ func TestReceiverHoldsChunksThatOvertake(t *testing.T) {
 	}
 	if snap == nil || !bytes.Equal(raw, data) {
 		t.Fatal("the snapshot did not install byte-identical")
-	}
-}
-
-// Stalled is true at a transfer's start, once Offset has stood still
-// for two calls (not after one: a window may still be on its way), and
-// right after the transfer starts over.
-func TestReceiverStalled(t *testing.T) {
-	var r Receiver
-	if !r.Stalled() {
-		t.Fatal("a receiver with nothing is not stalled")
-	}
-	data := Encode(Snapshot{LastIndex: 5, State: bytes.Repeat([]byte{3}, ChunkSize)})
-	first, _ := ChunkAt(data, 0)
-	r.Take(5, 0, first, false)
-	for i, want := range []bool{false, false, true, true} {
-		if got := r.Stalled(); got != want {
-			t.Fatalf("call %d after a chunk: stalled %v, want %v", i+1, got, want)
-		}
-	}
-	r.Take(6, ChunkSize, first, false) // a newer snapshot: the transfer starts over
-	if !r.Stalled() {
-		t.Fatal("a receiver that started over is not stalled")
 	}
 }
 

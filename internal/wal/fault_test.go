@@ -22,7 +22,7 @@ var peers = []types.NodeID{0, 1, 2}
 func entries(term raft.Term, vals ...string) []raft.LogEntry {
 	es := make([]raft.LogEntry, len(vals))
 	for i, v := range vals {
-		es[i] = raft.LogEntry{Term: term, Val: types.Value(v)}
+		es[i] = raft.LogEntry{Term: uint64(term), Val: types.Value(v)}
 	}
 	return es
 }
@@ -246,8 +246,15 @@ func TestSnapshotSyncCrashMatrix(t *testing.T) {
 
 var ballot1, ballot2 = types.Ballot{Num: 1, Owner: 0}, types.Ballot{Num: 2, Owner: 2}
 
+// tag is b packed as an entry's tag: num in the high 48 bits, owner in
+// the low 16.
+func tag(b types.Ballot) uint64 { return b.Num<<16 | uint64(b.Owner) }
+
+// accept hands n an Accept under b of val at slot, from a leader whose
+// log agrees with n's below it.
 func accept(n *multipaxos.Node, b types.Ballot, slot types.Seq, val string) {
-	n.Step(multipaxos.Message{Kind: multipaxos.MsgAccept, From: b.Owner, To: 1, Ballot: b, Slot: slot, Val: types.Value(val)})
+	n.Step(multipaxos.Message{Kind: multipaxos.MsgAccept, From: b.Owner, To: 1, Ballot: b, Slot: slot - 1, Prev: n.At(slot - 1).Term,
+		Entries: []multipaxos.Entry{{Term: tag(b), Val: types.Value(val)}}})
 	n.Drain()
 }
 
@@ -258,7 +265,7 @@ func acceptedAndCommitted() *multipaxos.Node {
 	for s := types.Seq(1); s <= 5; s++ {
 		accept(n, ballot1, s, fmt.Sprint("e", s))
 	}
-	n.Step(multipaxos.Message{Kind: multipaxos.MsgHeartbeat, From: 0, To: 1, Ballot: ballot1, Commit: 5})
+	n.Step(multipaxos.Message{Kind: multipaxos.MsgAccept, From: 0, To: 1, Ballot: ballot1, Slot: 5, Prev: tag(ballot1), Commit: 5})
 	n.Drain()
 	n.TakeDecisions()
 	return n
@@ -294,17 +301,18 @@ func acceptorState(n *multipaxos.Node) (types.Ballot, []string) {
 	for i := types.Seq(1); i <= n.SnapshotIndex(); i++ {
 		out = append(out, "snap")
 	}
-	n.Step(multipaxos.Message{Kind: multipaxos.MsgPrepare, From: 2, To: 1, Ballot: types.Ballot{Num: 99, Owner: 2}})
+	n.Step(multipaxos.Message{Kind: multipaxos.MsgPrepare, From: 2, To: 1, Ballot: types.Ballot{Num: 99, Owner: 2}, Slot: n.SnapshotIndex()})
 	for _, m := range n.Drain() {
-		for _, e := range m.Entries {
-			out = append(out, fmt.Sprintf("%d:%v:%s", e.Slot, e.AcceptNum, e.Val))
+		for k, e := range m.Entries {
+			b := types.Ballot{Num: e.Term >> 16, Owner: types.NodeID(e.Term & 0xFFFF)}
+			out = append(out, fmt.Sprintf("%d:%v:%s", m.Slot+1+types.Seq(k), b, e.Val))
 		}
 	}
 	return promised, out
 }
 
 // One Multi-Paxos Sync that journals a ballot change, an overwritten slot
-// and 64 new accepts is one write and one fsync.
+// and 64 accepts past it is one write and one fsync.
 func TestMultiPaxosSyncIsOneWriteAndOneFsync(t *testing.T) {
 	f := &wal.Faults{}
 	l, err := wal.OpenFaulty(t.TempDir(), wal.Options{}, f)
@@ -321,7 +329,7 @@ func TestMultiPaxosSyncIsOneWriteAndOneFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	accept(n, ballot2, 2, "B")
-	for s := types.Seq(4); s < 4+64; s++ {
+	for s := types.Seq(3); s < 3+64; s++ {
 		accept(n, ballot2, s, fmt.Sprint("v", s))
 	}
 	f.Ops = nil
@@ -336,8 +344,8 @@ func TestMultiPaxosSyncIsOneWriteAndOneFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first Sync: promise and three slots; the second: promise,
-	// truncate to slot 1, slots 2 and 3 again and the 64 new ones.
-	if want := 1 + 3 + 1 + 1 + 2 + 64; records != want {
+	// truncate to slot 1, slot 2 again and the 64 past it.
+	if want := 1 + 3 + 1 + 1 + 1 + 64; records != want {
 		t.Fatalf("journal holds %d records, want %d", records, want)
 	}
 }
