@@ -5,9 +5,9 @@
 // Two shards each replicate account balances over a 3-node Raft group,
 // hosted by shard.Service, whose partition map places every account.
 // A transfer reads the debit account's balance and, if it covers the
-// amount, runs as one transaction: two-phase commit with the decision
-// latched at the home shard when the two accounts live on different
-// shards, one replicated entry when they share one. The example audits
+// amount, runs as one transaction: two-phase commit, whose outcome is
+// the AND of the votes the two shards' logs latched, when the accounts
+// live on different shards, one replicated entry when they share one. The example audits
 // that money is conserved, that no account goes negative, and that
 // every replica of each shard holds the same store.
 //

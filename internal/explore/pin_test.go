@@ -31,6 +31,10 @@ var pinSeeds = []uint64{1, 2, 3}
 // again when Multi-Paxos became a Paxos elector on raft's replication
 // core (its frames, catch-up and heartbeat are raft's now; raft's rows
 // did not move). multipaxos-member joined then, after every other name.
+// shard again when the home-shard decision round left cross-shard
+// commit: a transaction's outcome became the AND of the votes its
+// participants' logs latched, one replicated round fewer per
+// cross-shard transaction.
 // minbft and
 // cheapbft joined when they got campaigns: minbft's rows are its parent
 // commit's, and so is cheapbft's seed-2 row; seeds 1 and 3 PANIC, and
@@ -54,7 +58,7 @@ var pinnedHashes = map[string][]string{
 	"pbft":              {"464dae8fae68dec3098a6ddce5dd155b", "bc44e7a244089401ec15e606d478a9b2", "9a63c9851448337cebf8685db05a22f2"},
 	"raft":              {"d1e4f614fa68260704d42c4f2309b2cd", "6d4b2923f5195c5b7c79deeb84fc0601", "e4c5ff9f61406d66fe984ecac5023541"},
 	"raft-member":       {"b6c1bd7c64d0bd5860cd2f167caeab19", "5fb483fcb1b450dd394a2cf8bcd0fbbb", "08062a4939b2dd280c9d066c4ff6c67e"},
-	"shard":             {"d74051313af2606dcedaff8064159c1a", "525aa0d30d20c1e6cebf9bf3e6672ef4", "7b31b07fc2bf754a64b8f3103e3ea715"},
+	"shard":             {"da24e96ee2d619023b7b3b20ef76dc30", "fa9603133d180952bf0be20656eae58a", "dad8da0a99d5d988b54cf071da4af57d"},
 	"upright":           {"75d2c0b713a9a4ef7757e6487fde346c", "8c76cd9d1b1a24b5685168b3ef40f015", "ee5348e9a1e5909d4d09589be5f2bf40"},
 }
 
@@ -102,8 +106,9 @@ func TestRunOnceHashesPinned(t *testing.T) {
 // surface, which the shard row above (the default crash-model mix)
 // never does. Re-recorded when a fresh group's first election stopped
 // waiting the election-timeout base, and when its jitter shrank to one
-// heartbeat interval.
-var shardAllClassesHashes = []string{"5420cfd5a24ce70647a2ebf4417ec1f4", "7b70f0d208363b003be934f101b6dc03", "83d25e78c4938f212cbb32f84d4e2a50"}
+// heartbeat interval, and when the home-shard decision round left
+// cross-shard commit (one replicated round fewer per transaction).
+var shardAllClassesHashes = []string{"936356c1a8180b04c24d07de59406e95", "09eb7d71d40f2816f307c1868e4d5d38", "491c80116e0d9a4e4deb8237c137d7e4"}
 
 func TestShardAllClassesHashesPinned(t *testing.T) {
 	p := mustLookup(t, "shard")

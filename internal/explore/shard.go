@@ -25,12 +25,12 @@ func newShardEpisode(n int, seed uint64) *Episode {
 }
 
 // shardTxnCadence spaces transaction waves far enough apart for a full
-// prepare/decide/propagate round plus coordinator retries between them.
+// prepare/propagate round plus coordinator retries between them.
 const shardTxnCadence = 60
 
 // shardEpisode builds the sharded-KV episode; unsafe swaps in the
-// broken coordinator fixture (unilateral per-shard outcomes, no
-// replicated decision point) that campaign regression tests use to
+// broken coordinator fixture (each shard's outcome shipped straight
+// from its own vote) that campaign regression tests use to
 // prove the atomic-commitment invariant can catch real violations.
 func shardEpisode(n int, seed uint64, unsafe bool) *Episode {
 	shards := (n - 2) / 3

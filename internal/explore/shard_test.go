@@ -6,9 +6,9 @@ import (
 	"fortyconsensus/internal/nemesis"
 )
 
-// brokenShard wraps the shard harness with the unsafe coordinator: no
-// home-shard decision latch, per-shard outcomes shipped straight from
-// votes. Its workload contains a guaranteed vote split (the chaser
+// brokenShard wraps the shard harness with the unsafe coordinator:
+// each shard's outcome shipped straight from its own vote, before the
+// other votes are known. Its workload contains a guaranteed vote split (the chaser
 // transaction), so the atomic-commitment invariant must fire even on a
 // fault-free run — and the shrinker must therefore strip every fault.
 func brokenShard() Protocol {

@@ -89,10 +89,12 @@ func BenchmarkLeaderAppendBatch(b *testing.B) {
 
 // BenchmarkLeaderPipelined is servebench's raft.d32 round without the
 // codec: a burst of 32 submits at the leader, then deliveries until the
-// group is quiet, driven by hand with both followers acknowledging. One
-// op is one committed entry; entries-sent/op is how many times the
-// leader put an entry into an AppendEntries per commit (2 = once per
-// follower, the floor).
+// group is quiet, driven by hand. The burst goes to the pick alone, so
+// the leader's heartbeats then run until every follower holds and has
+// committed the whole log. One op is one committed entry; entries-sent/op
+// is how many times the leader put an entry into an AppendEntries per
+// commit: 2, once per follower — to the pick at submit, to the other
+// follower at the heartbeat.
 func BenchmarkLeaderPipelined(b *testing.B) {
 	const depth = 32
 	g := newTrio(b)
@@ -104,15 +106,12 @@ func BenchmarkLeaderPipelined(b *testing.B) {
 		for i := 0; i < depth; i++ {
 			g.lead.Submit(val)
 		}
-		for quiet := false; !quiet; {
-			quiet = true
-			for _, n := range g.nodes {
-				for _, m := range n.Drain() {
-					entries += len(m.Entries)
-					g.nodes[m.To].Step(m)
-					quiet = false
-				}
-			}
+		sent := g.pump(nil)
+		for hb := 0; hb < 10 && !g.committedEverywhere(); hb++ {
+			sent = append(sent, g.heartbeat()...)
+		}
+		for _, m := range sent {
+			entries += len(m.Entries)
 		}
 		for _, n := range g.nodes {
 			n.TakeDecisions()

@@ -114,6 +114,17 @@ func (g *trio) converged() {
 	}
 }
 
+// committedEverywhere reports whether every node has committed the
+// leader's whole log.
+func (g *trio) committedEverywhere() bool {
+	for _, n := range g.nodes {
+		if n.CommitFrontier() != g.lead.LastIndex() {
+			return false
+		}
+	}
+	return true
+}
+
 // entriesTo counts how often each log index was sent to p.
 func entriesTo(sent []Message, p types.NodeID) map[types.Seq]int {
 	count := map[types.Seq]int{}

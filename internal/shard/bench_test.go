@@ -35,8 +35,8 @@ func runTx(b *testing.B, s *Service, perShard map[int][]kvstore.Command) {
 }
 
 // BenchmarkCrossShardCommit measures the full 2PC commit path — prepare
-// on both shards through their replicated logs, the TxDecide latch at
-// the home shard, and outcome propagation — for one two-shard
+// on both shards through their replicated logs, then outcome
+// propagation once both votes are in — for one two-shard
 // transaction per iteration. allocs/op tracks the per-message Value
 // cloning the ownership discipline removes.
 func BenchmarkCrossShardCommit(b *testing.B) {
@@ -53,7 +53,7 @@ func BenchmarkCrossShardCommit(b *testing.B) {
 }
 
 // BenchmarkSingleShardCommit measures the TxApply fast path: one
-// single-shard transaction per iteration, no prepare/decide rounds.
+// single-shard transaction per iteration, no prepare round.
 func BenchmarkSingleShardCommit(b *testing.B) {
 	s := benchService(b)
 	b.ReportAllocs()

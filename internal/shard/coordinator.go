@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"cmp"
-	"slices"
-
 	"fortyconsensus/internal/commit"
 	"fortyconsensus/internal/det"
 	"fortyconsensus/internal/kvstore"
@@ -15,8 +12,7 @@ type txnPhase uint8
 
 const (
 	phApplying    txnPhase = iota + 1 // single-shard fast path: TxApply in flight
-	phPreparing                       // TxPrepare outstanding, collecting votes
-	phDeciding                        // TxDecide outstanding at the home shard
+	phPreparing                       // collecting votes
 	phPropagating                     // TxCommit/TxAbort outstanding at participants
 	phDone
 )
@@ -30,9 +26,8 @@ const (
 type pendingKind uint8
 
 const (
-	pApply pendingKind = iota + 1
-	pPrepare
-	pDecide
+	pApply   pendingKind = iota + 1
+	pPrepare             // a TxPrepare, or the TxVoteAbort that replaced it
 	pFinish
 )
 
@@ -48,11 +43,10 @@ type pendingReq struct {
 // coordTxn is the coordinator's local view of one transaction.
 type coordTxn struct {
 	tx      commit.TxID
-	shards  []int        // sorted participants; shards[0] is the home shard
+	shards  []int        // sorted participants
 	votes   map[int]bool // vote received per shard (true = commit)
 	phase   txnPhase
-	intent  commit.Outcome // local all-yes/any-no verdict, pre-latch
-	outcome commit.Outcome // latched outcome read back from TxDecide
+	outcome commit.Outcome // the AND of the votes, once all are known
 	acked   map[int]bool   // finish acknowledged per shard
 	begunAt int
 }
@@ -65,9 +59,13 @@ type TxnResult struct {
 }
 
 // Coordinator drives transactions over shard groups: the single-shard
-// TxApply fast path, and 2PC with the decision latched in the home
-// shard's replicated log. It is driven by the Service: Begin
-// starts work, OnReply consumes routed replies, Tick retries.
+// TxApply fast path, and 2PC whose outcome is the AND of the votes the
+// participants' logs latched (Paxos Commit: each vote is a consensus
+// instance, so no decision needs one of its own). Any coordinator that
+// reads every vote computes the same outcome, which is what lets a
+// recovery coordinator duel the primary safely. It is driven by the
+// Service: Begin starts work, OnReply consumes routed replies, Tick
+// retries.
 //
 // Session discipline: every request runs in its OWN smr client session
 // (Client = client base + seq, SeqNo = seq). The executor's dedup cache
@@ -86,10 +84,9 @@ type Coordinator struct {
 	seq     uint64
 	pending map[uint64]*pendingReq
 	txns    map[commit.TxID]*coordTxn // every transaction ever driven: Knows
-	open    []*coordTxn               // the unfinished ones, ascending TxID: what Tick walks
 
 	submit func(shard int, req types.Request)
-	unsafe bool // ship per-shard outcomes straight from votes, no TxDecide
+	unsafe bool // ship each shard's outcome straight from its own vote
 
 	done []TxnResult
 }
@@ -134,8 +131,6 @@ func (co *Coordinator) Begin(tx commit.TxID, cmds map[int][]kvstore.Command, now
 		begunAt: now,
 	}
 	co.txns[tx] = t
-	at, _ := co.openIndex(tx)
-	co.open = slices.Insert(co.open, at, t)
 	if len(shards) == 1 {
 		t.phase = phApplying
 		co.send(pApply, tx, shards[0], Apply(tx, cmds[shards[0]]), now)
@@ -163,8 +158,6 @@ func (co *Coordinator) OnReply(r types.Reply, now int) {
 		co.onApplyReply(p, t, r.Result, now)
 	case pPrepare:
 		co.onVote(p, t, r.Result, now)
-	case pDecide:
-		co.onDecided(p, t, r.Result, now)
 	case pFinish:
 		co.onFinished(p, t, r.Result, now)
 	}
@@ -213,7 +206,7 @@ func (co *Coordinator) onVote(p *pendingReq, t *coordTxn, res types.Value, now i
 	}
 	if co.unsafe {
 		// Broken fixture: ship this shard's outcome straight from its
-		// vote — no replicated decision point. Two interleaved
+		// vote, before the others are known. Two interleaved
 		// transactions can then commit on one shard and abort on the
 		// other, which the atomic-commitment invariant must catch.
 		out := Abort(t.tx)
@@ -221,43 +214,22 @@ func (co *Coordinator) onVote(p *pendingReq, t *coordTxn, res types.Value, now i
 			out = Commit(t.tx)
 		}
 		co.send(pFinish, t.tx, p.shard, out, now)
-		return
 	}
 	if t.phase != phPreparing || len(t.votes) < len(t.shards) {
 		return
 	}
-	t.intent = commit.Committed
+	// Every vote is known, and each is latched in its shard's log, so
+	// this outcome is the one any other coordinator computes too.
+	t.phase = phPropagating
+	t.outcome = commit.Committed
 	for _, s := range t.shards {
 		if !t.votes[s] {
-			t.intent = commit.Aborted
-			break
+			t.outcome = commit.Aborted
 		}
 	}
-	co.decide(t, now)
-}
-
-// decide moves to the TxDecide round at the home shard.
-func (co *Coordinator) decide(t *coordTxn, now int) {
-	t.phase = phDeciding
-	co.send(pDecide, t.tx, t.shards[0], Decide(t.tx, t.intent), now)
-}
-
-func (co *Coordinator) onDecided(p *pendingReq, t *coordTxn, res types.Value, now int) {
-	switch {
-	case res.Equal(ReplyDecidedCommit):
-		t.outcome = commit.Committed
-	case res.Equal(ReplyDecidedAbort):
-		t.outcome = commit.Aborted
-	default:
-		co.resend(p, now)
+	if co.unsafe {
 		return
 	}
-	if t.phase != phDeciding {
-		return
-	}
-	// Propagate the LATCHED outcome — never the local intent. A dueling
-	// coordinator that latched first already fixed the answer.
-	t.phase = phPropagating
 	out := Abort(t.tx)
 	if t.outcome == commit.Committed {
 		out = Commit(t.tx)
@@ -281,32 +253,12 @@ func (co *Coordinator) onFinished(p *pendingReq, t *coordTxn, res types.Value, n
 		return
 	}
 	if len(t.acked) == len(t.shards) && t.phase != phDone {
-		out := t.outcome
-		if co.unsafe || out == commit.Pending {
-			out = t.intent
-			if co.unsafe {
-				out = commit.Committed
-				for _, s := range t.shards {
-					if !t.votes[s] {
-						out = commit.Aborted
-					}
-				}
-			}
-		}
-		co.finish(t, out)
+		co.finish(t, t.outcome)
 	}
-}
-
-// openIndex finds tx's place in co.open.
-func (co *Coordinator) openIndex(tx commit.TxID) (int, bool) {
-	return slices.BinarySearchFunc(co.open, tx, func(t *coordTxn, tx commit.TxID) int { return cmp.Compare(t.tx, tx) })
 }
 
 func (co *Coordinator) finish(t *coordTxn, o commit.Outcome) {
 	t.phase = phDone
-	if at, ok := co.openIndex(t.tx); ok {
-		co.open = slices.Delete(co.open, at, at+1)
-	}
 	co.done = append(co.done, TxnResult{
 		Tx: t.tx, Shards: t.shards, Outcome: o,
 	})
@@ -314,24 +266,21 @@ func (co *Coordinator) finish(t *coordTxn, o commit.Outcome) {
 
 // Tick drives timeouts: silent pending requests are resent under the
 // same session (dedup replays the latched answer if the original
-// landed), and a prepare round that outlived voteTimeout is presumed
-// wedged — the coordinator moves to decide an abort, which the
-// home-shard latch either confirms or overrides with an earlier commit.
+// landed), and a prepare that outlived voteTimeout is presumed wedged —
+// the coordinator replaces it with a TxVoteAbort under a fresh session,
+// whose reply is the shard's vote: abort, or the yes an earlier prepare
+// already latched there.
 func (co *Coordinator) Tick(now int) {
 	for _, seqno := range det.SortedKeys(co.pending) {
 		p := co.pending[seqno]
-		if now-p.issuedAt >= retryEvery {
+		switch {
+		case !co.unsafe && p.cmd[0] == TxPrepare && now-co.txns[p.tx].begunAt >= voteTimeout:
+			p.cmd = VoteAbort(p.tx).Encode()
+			co.resend(p, now)
+			delete(co.pending, seqno)
+		case now-p.issuedAt >= retryEvery:
 			p.issuedAt = now
 			co.submit(p.shard, co.request(seqno, p.cmd))
-		}
-	}
-	if co.unsafe {
-		return
-	}
-	for _, t := range co.open {
-		if t.phase == phPreparing && now-t.begunAt >= voteTimeout {
-			t.intent = commit.Aborted
-			co.decide(t, now)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"fortyconsensus/internal/commit"
 	"fortyconsensus/internal/kvstore"
 )
 
@@ -13,7 +12,7 @@ import (
 
 func FuzzDecodeCmd(f *testing.F) {
 	ops := []kvstore.Command{kvstore.Put("x", []byte("y")), kvstore.Delete("z")}
-	for _, c := range []Cmd{Apply(1, ops), Prepare(2, ops[:1]), Prepare(3, nil), Commit(4), Abort(5), Decide(6, commit.Committed)} {
+	for _, c := range []Cmd{Apply(1, ops), Prepare(2, ops[:1]), Prepare(3, nil), Commit(4), Abort(5), VoteAbort(6)} {
 		f.Add([]byte(c.Encode()))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -29,7 +28,7 @@ func FuzzStoreRestore(f *testing.F) {
 	s.Apply(kvstore.Put("base", []byte("v0")).Encode())
 	s.Apply(Prepare(11, []kvstore.Command{kvstore.Put("acct", []byte("50")), kvstore.Delete("zed")}).Encode())
 	s.Apply(Prepare(12, []kvstore.Command{kvstore.Put("acct", []byte("999"))}).Encode())
-	s.Apply(Decide(13, commit.Committed).Encode())
+	s.Apply(VoteAbort(13).Encode())
 	f.Add(s.Snapshot())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := NewStore()

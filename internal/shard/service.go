@@ -19,10 +19,9 @@ type Config struct {
 	Backend  string // raft | multipaxos | pbft (default raft)
 	Seed     uint64
 
-	// UnsafeCoordinator replaces the home-shard TxDecide latch with
-	// per-shard unilateral outcomes shipped straight from votes — the
-	// deliberately broken fixture the atomic-commitment invariant must
-	// catch.
+	// UnsafeCoordinator ships each shard's outcome straight from its
+	// own vote, before the other votes are known — the deliberately
+	// broken fixture the atomic-commitment invariant must catch.
 	UnsafeCoordinator bool
 }
 
@@ -42,7 +41,7 @@ func (c Config) withDefaults() Config {
 // The service's timeouts, in ticks.
 const (
 	retryEvery  = 30  // silence before a same-seqno resend
-	voteTimeout = 120 // before a wedged prepare round decides abort
+	voteTimeout = 120 // before a wedged prepare becomes a TxVoteAbort
 	adoptAfter  = 200 // before the recovery coordinator adopts a txn
 )
 
@@ -209,8 +208,9 @@ func (s *Service) SubmitPerShard(perShard map[int][]kvstore.Command) commit.TxID
 	return tx
 }
 
-// TxDone reports whether tx has finished, and the outcome the driving
-// coordinator read back from the home shard's decision latch.
+// TxDone reports whether tx has finished, and its outcome: the AND of
+// the votes its participants' logs latched, as the coordinator that
+// finished it read them.
 func (s *Service) TxDone(tx commit.TxID) (bool, commit.Outcome) {
 	rec := s.txns[tx]
 	if rec == nil || !rec.done {
@@ -325,8 +325,8 @@ func (s *Service) route(r types.Reply) {
 // make progress: the recovery coordinator adopts anything older than
 // adoptAfter, and the primary picks up registrations it missed while
 // crashed. Either Begins the transaction, replaying the same protocol:
-// prepares re-read latched votes, and the home-shard decision latch
-// makes concurrent drivers converge.
+// prepares re-read latched votes, so concurrent drivers compute one
+// outcome from them.
 func (s *Service) adoptOverdue() {
 	for _, tx := range s.txOpen {
 		rec := s.txns[tx]

@@ -207,3 +207,114 @@ func TestPartitionMapStable(t *testing.T) {
 		t.Fatal("zero shards must clamp to 1")
 	}
 }
+
+// heldGroup holds back every reply to the primary coordinator's
+// sessions while hold.on is set, and hands them all over once it is
+// cleared: a primary that is slow, not crashed.
+type heldGroup struct {
+	Group
+	hold *heldReplies
+}
+
+type heldReplies struct {
+	on    bool
+	queue []types.Reply
+}
+
+func (g heldGroup) Pump() ([]types.Reply, [][]types.Decision) {
+	replies, decided := g.Group.Pump()
+	var pass []types.Reply
+	for _, r := range replies {
+		if r.Client >= coordClientBase && r.Client < coordClientBase+coordSessionSpan {
+			g.hold.queue = append(g.hold.queue, r)
+		} else {
+			pass = append(pass, r)
+		}
+	}
+	if !g.hold.on {
+		pass = append(pass, g.hold.queue...)
+		g.hold.queue = nil
+	}
+	return pass, decided
+}
+
+// Two coordinators drive one transaction at once: the primary, deaf to
+// its replies until the recovery coordinator has adopted and finished
+// the transaction, times out and sends TxVoteAbort meanwhile. The sweep
+// begins the primary late (its vote-abort lands between the recovery's
+// prepare and its commit) or keeps shard 1 down (the vote-abort and the
+// recovery's prepare race in shard 1's log). Whichever way, both
+// coordinators compute one outcome and every replica of both shards
+// latches it: a vote-abort after a prepare reads the yes back, and a
+// prepare after a vote-abort votes no.
+func TestDuelingCoordinatorsNeverSplit(t *testing.T) {
+	outcomes := map[commit.Outcome]int{}
+	for late := 0; late <= 100; late += 2 {
+		outcomes[duel(t, late, 0)]++
+	}
+	for down := 100; down <= 300; down += 4 {
+		outcomes[duel(t, 0, down)]++
+	}
+	t.Logf("%v", outcomes)
+	if outcomes[commit.Committed] == 0 || outcomes[commit.Aborted] == 0 {
+		t.Fatalf("outcomes over the sweep: %v, want both", outcomes)
+	}
+}
+
+// duel runs one dueling-coordinator transaction: the primary Begins
+// late ticks after the submit, shard 1's replicas are down for the
+// first down ticks, and the primary's replies are held until the
+// transaction is done. It fails t unless both coordinators and every
+// replica agree, and returns the outcome.
+func duel(t *testing.T, late, down int) commit.Outcome {
+	t.Helper()
+	s := NewService(Config{Shards: 2, Seed: 31})
+	hold := &heldReplies{on: true}
+	for i, g := range s.groups {
+		s.groups[i] = heldGroup{g, hold}
+	}
+	s.Run(50)
+	s.Crash(s.coordBase())
+	for id := types.NodeID(3); id < 6; id++ {
+		s.Crash(id)
+	}
+	tx := s.SubmitPerShard(map[int][]kvstore.Command{
+		0: {kvstore.Put("d0", []byte("v"))},
+		1: {kvstore.Put("d1", []byte("v"))},
+	})
+	for now := 0; now <= max(late, down) || !s.txns[tx].done; now++ {
+		if now == late {
+			s.Restart(s.coordBase()) // the primary Begins at this Step
+		}
+		if now == down {
+			for id := types.NodeID(3); id < 6; id++ {
+				s.Restart(id)
+			}
+		}
+		if now > 2000 {
+			t.Fatalf("late=%d down=%d: tx %d unresolved", late, down, tx)
+		}
+		s.Step()
+	}
+	_, o := s.TxDone(tx)
+	hold.on = false
+	primary, recovery := s.coords[0].txns[tx], s.coords[1].txns[tx]
+	for i := 0; i < 600 && primary.phase != phDone; i++ {
+		s.Step()
+	}
+	if primary.phase != phDone || primary.outcome != o || recovery == nil || recovery.outcome != o {
+		t.Fatalf("late=%d down=%d: primary %v (phase %d), recovery %+v, service %v", late, down, primary.outcome, primary.phase, recovery, o)
+	}
+	s.Run(300) // followers catch up
+	for sh, g := range s.Groups() {
+		for r, st := range g.Stores() {
+			if got := st.outcomes[tx]; got != o {
+				t.Fatalf("late=%d down=%d: shard %d replica %d latched %v, the coordinators %v", late, down, sh, r, got, o)
+			}
+			if locks := det.SortedKeys(st.locks); len(locks) != 0 {
+				t.Fatalf("late=%d down=%d: locks leaked: %v", late, down, locks)
+			}
+		}
+	}
+	return o
+}

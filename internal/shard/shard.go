@@ -9,20 +9,25 @@
 // or PBFT) whose replicas apply a shard state machine (Store) wrapping
 // the deterministic kvstore. Multi-key transactions spanning shards are
 // driven by a coordinator running 2PC over the shard groups, with every
-// protocol action — prepare-locks, votes, the commit/abort decision,
-// and its application — recorded in the shards' replicated logs:
+// protocol action — prepare-locks, votes, and the outcome's
+// application — recorded in the shards' replicated logs:
 //
 //	TxPrepare  staged writes + locks enter the participant's log;
-//	           the replicated state machine computes the vote, so a
-//	           leader crash never forgets a vote.
-//	TxDecide   the outcome is latched in the transaction's home shard's
-//	           log (Gray & Lamport's "the commit decision must itself
-//	           be fault-tolerant"); every coordinator — original or
-//	           recovery — adopts whatever outcome latched first, so
-//	           dueling coordinators cannot split a transaction.
+//	           the replicated state machine computes the vote, and the
+//	           first vote to apply latches, so each shard's log is the
+//	           consensus instance on its vote (Gray & Lamport's Paxos
+//	           Commit). The transaction commits exactly when every
+//	           participant's log chose yes: every coordinator — original
+//	           or recovery — that reads all the votes computes the same
+//	           outcome, so dueling coordinators cannot split a
+//	           transaction, and no decision record is needed.
+//	TxVoteAbort
+//	           a coordinator tired of waiting for a vote latches a no
+//	           where none is cast yet, or reads back the vote that is.
 //	TxCommit / TxAbort
-//	           participants apply or discard the staged writes; both
-//	           transitions latch, so retries and duplicates are no-ops.
+//	           once every vote is known, participants apply or discard
+//	           the staged writes; both transitions latch, so retries and
+//	           duplicates are no-ops.
 //
 // The whole service runs deterministically over internal/simnet fabrics
 // under the runner timing wheel, satisfies nemesis.Target (global node

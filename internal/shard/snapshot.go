@@ -13,21 +13,19 @@ import (
 
 // Store snapshot codec. A shard replica's transaction correctness
 // depends on more than the committed KV: a restored node must also hold
-// the prepare-lock table, the staged (prepared, undecided) write sets,
-// the latched per-transaction outcomes, and the home-shard decision
-// records — otherwise a node joining from a snapshot could grant a
-// conflicting prepare or forget a vote it already cast. All five
-// components serialize in sorted order so replicas at the same log
-// frontier produce identical bytes. Drained events are transient and
-// excluded.
+// the prepare-lock table, the staged (prepared, undecided) write sets
+// and the latched per-transaction outcomes — otherwise a node joining
+// from a snapshot could grant a conflicting prepare or forget a vote it
+// already cast. All four components serialize in sorted order so
+// replicas at the same log frontier produce identical bytes. Drained
+// events are transient and excluded.
 //
-// Format: u8 ver=1 | u32 kvLen | kv | u32 nLocks | nLocks × (u16 keyLen
+// Format: u8 ver=2 | u32 kvLen | kv | u32 nLocks | nLocks × (u16 keyLen
 // | key | u64 tx) | u32 nStaged | nStaged × (u64 tx | u32 nCmds |
 // nCmds × (u32 len | cmd) | u32 nKeys | nKeys × (u16 len | key)) |
-// u32 nOutcomes | nOutcomes × (u64 tx | u8 o) | u32 nDecided |
-// nDecided × (u64 tx | u8 o)
+// u32 nOutcomes | nOutcomes × (u64 tx | u8 o)
 
-const storeSnapVersion = 1
+const storeSnapVersion = 2
 
 // ErrSnapshot reports a malformed shard store snapshot.
 var ErrSnapshot = errors.New("shard: malformed store snapshot")
@@ -63,16 +61,11 @@ func (s *Store) Snapshot() []byte {
 		}
 	}
 
-	buf = appendOutcomeMap(buf, s.outcomes)
-	return appendOutcomeMap(buf, s.decided)
-}
-
-func appendOutcomeMap(buf []byte, m map[commit.TxID]commit.Outcome) []byte {
-	txs := det.SortedKeys(m)
+	txs := det.SortedKeys(s.outcomes)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(txs)))
 	for _, tx := range txs {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(tx))
-		buf = append(buf, byte(m[tx]))
+		buf = append(buf, byte(s.outcomes[tx]))
 	}
 	return buf
 }
@@ -121,9 +114,14 @@ func (s *Store) Restore(snap []byte) error {
 		staged[tx], prevTx = st, tx
 	}
 
-	outcomes, decided := readOutcomeMap(&r), readOutcomeMap(&r)
-	if outcomes == nil || decided == nil {
-		return errSnapOrder
+	n := r.Count(8 + 1)
+	outcomes := make(map[commit.TxID]commit.Outcome, n)
+	for i := 0; i < n; i++ {
+		tx := commit.TxID(r.U64())
+		if i > 0 && tx <= prevTx {
+			return errSnapOrder
+		}
+		outcomes[tx], prevTx = commit.Outcome(r.U8()), tx
 	}
 	if !r.Done() {
 		return fmt.Errorf("%w: truncated or trailing bytes", ErrSnapshot)
@@ -133,23 +131,7 @@ func (s *Store) Restore(snap []byte) error {
 		return err
 	}
 	s.kv = kv
-	s.locks, s.staged = locks, staged
-	s.outcomes, s.decided = outcomes, decided
+	s.locks, s.staged, s.outcomes = locks, staged, outcomes
 	s.events = nil
 	return nil
-}
-
-// readOutcomeMap returns nil if the transactions do not ascend strictly.
-func readOutcomeMap(r *wire.Reader) map[commit.TxID]commit.Outcome {
-	n := r.Count(8 + 1)
-	m := make(map[commit.TxID]commit.Outcome, n)
-	var prev commit.TxID
-	for i := 0; i < n; i++ {
-		tx := commit.TxID(r.U64())
-		if i > 0 && tx <= prev {
-			return nil
-		}
-		m[tx], prev = commit.Outcome(r.U8()), tx
-	}
-	return m
 }

@@ -6,9 +6,9 @@ import (
 	"encoding/hex"
 	"fortyconsensus/internal/det"
 	"runtime"
+	"strings"
 	"testing"
 
-	"fortyconsensus/internal/commit"
 	"fortyconsensus/internal/kvstore"
 )
 
@@ -26,8 +26,8 @@ func TestStoreSnapshotRestoreMidTransaction(t *testing.T) {
 	s.Apply(Cmd{Kind: TxPrepare, Tx: 12, Cmds: []kvstore.Command{
 		kvstore.Put("acct", []byte("999")),
 	}}.Encode())
-	// Tx 13: home-shard decision record.
-	s.Apply(Cmd{Kind: TxDecide, Tx: 13, Outcome: commit.Committed}.Encode())
+	// Tx 13: a timed-out coordinator's vote-abort latched before any prepare.
+	s.Apply(VoteAbort(13).Encode())
 	s.TakeEvents()
 
 	blob := s.Snapshot()
@@ -45,9 +45,9 @@ func TestStoreSnapshotRestoreMidTransaction(t *testing.T) {
 	if got := r.Apply(Cmd{Kind: TxPrepare, Tx: 12}.Encode()); !got.Equal(ReplyVoteAbort) {
 		t.Fatalf("restored node forgot its vote: %q", got)
 	}
-	// (3) The decision record replays identically.
-	if got := r.Apply(Cmd{Kind: TxDecide, Tx: 13, Outcome: commit.Aborted}.Encode()); !got.Equal(ReplyDecidedCommit) {
-		t.Fatalf("restored node lost decision record: %q", got)
+	// (3) So does tx 13's: its late prepare votes abort.
+	if got := r.Apply(Prepare(13, []kvstore.Command{kvstore.Put("late", nil)}).Encode()); !got.Equal(ReplyVoteAbort) {
+		t.Fatalf("restored node forgot a vote-abort: %q", got)
 	}
 	// (4) Committing tx 11 applies the staged writes from the snapshot.
 	if got := r.Apply(Cmd{Kind: TxCommit, Tx: 11}.Encode()); !got.Equal(ReplyTxOK) {
@@ -70,7 +70,7 @@ func TestStoreSnapshotDeterministic(t *testing.T) {
 		s.Apply(Cmd{Kind: TxPrepare, Tx: 5, Cmds: []kvstore.Command{
 			kvstore.Put("k3", []byte("c")), kvstore.Put("k4", []byte("d")),
 		}}.Encode())
-		s.Apply(Cmd{Kind: TxDecide, Tx: 6, Outcome: commit.Aborted}.Encode())
+		s.Apply(VoteAbort(6).Encode())
 		return s
 	}
 	if !bytes.Equal(build().Snapshot(), build().Snapshot()) {
@@ -134,15 +134,22 @@ func TestStoreRestoreTruncationErrors(t *testing.T) {
 	}
 }
 
-// A store snapshot written by the commit before internal/wire existed:
-// the parent's Snapshot() of this exact store. The format is pinned in
-// both directions.
+// The bytes of this exact store's snapshot, pinned in both directions.
+// v1Hex is the version-1 encoding written before the home-shard
+// decision records left the store (tx 13 was a committed decision
+// record then, the fifth table's one row): a version-2 store refuses it.
 func TestStoreSnapshotFormatPinned(t *testing.T) {
-	const parentHex = "01000000250000000000000002000000020004616363740000000331303000046261736500000002763000" +
-		"000002000461636374000000000000000b00037a6564000000000000000b00000001000000000000000b0000000200000011" +
-		"02000461636374000000023530000000000000000e0300037a656400000000000000000000000200046163637400037a6564" +
-		"00000001000000000000000c0200000001000000000000000d01"
-	parent, err := hex.DecodeString(parentHex)
+	const (
+		v2Hex = "02000000250000000000000002000000020004616363740000000331303000046261736500000002763000" +
+			"000002000461636374000000000000000b00037a6564000000000000000b00000001000000000000000b0000000200000011" +
+			"02000461636374000000023530000000000000000e0300037a656400000000000000000000000200046163637400037a6564" +
+			"00000002000000000000000c02000000000000000d02"
+		v1Hex = "01000000250000000000000002000000020004616363740000000331303000046261736500000002763000" +
+			"000002000461636374000000000000000b00037a6564000000000000000b00000001000000000000000b0000000200000011" +
+			"02000461636374000000023530000000000000000e0300037a656400000000000000000000000200046163637400037a6564" +
+			"00000001000000000000000c0200000001000000000000000d01"
+	)
+	pinned, err := hex.DecodeString(v2Hex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,18 +162,25 @@ func TestStoreSnapshotFormatPinned(t *testing.T) {
 	s.Apply(Cmd{Kind: TxPrepare, Tx: 12, Cmds: []kvstore.Command{
 		kvstore.Put("acct", []byte("999")),
 	}}.Encode())
-	s.Apply(Cmd{Kind: TxDecide, Tx: 13, Outcome: commit.Committed}.Encode())
-	if got := s.Snapshot(); !bytes.Equal(got, parent) {
-		t.Fatalf("Snapshot() differs from the parent's bytes:\n got %x\nwant %x", got, parent)
+	s.Apply(VoteAbort(13).Encode())
+	if got := s.Snapshot(); !bytes.Equal(got, pinned) {
+		t.Fatalf("Snapshot() differs from the pinned bytes:\n got %x\nwant %x", got, pinned)
 	}
 	r := NewStore()
-	if err := r.Restore(parent); err != nil {
-		t.Fatalf("parent-written snapshot does not restore: %v", err)
+	if err := r.Restore(pinned); err != nil {
+		t.Fatalf("pinned snapshot does not restore: %v", err)
 	}
-	if got := r.Snapshot(); !bytes.Equal(got, parent) {
-		t.Fatalf("restore → snapshot differs from the parent's bytes:\n got %x", got)
+	if got := r.Snapshot(); !bytes.Equal(got, pinned) {
+		t.Fatalf("restore → snapshot differs from the pinned bytes:\n got %x", got)
 	}
 	if got := r.Apply(kvstore.Put("zed", nil).Encode()); !got.Equal(ReplyLocked) {
 		t.Fatalf("restored store lost tx 11's lock on zed: %q", got)
+	}
+	v1, err := hex.DecodeString(v1Hex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewStore().Restore(v1); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 snapshot: err = %v, want a version error", err)
 	}
 }

@@ -8,13 +8,11 @@ import (
 
 // Shard-level reply payloads, alongside kvstore's.
 var (
-	ReplyVoteCommit    = types.Value("TX_VOTE_COMMIT")
-	ReplyVoteAbort     = types.Value("TX_VOTE_ABORT")
-	ReplyTxOK          = types.Value("TX_OK")
-	ReplyConflict      = types.Value("TX_CONFLICT")
-	ReplyLocked        = types.Value("TX_LOCKED")
-	ReplyDecidedCommit = types.Value("TX_DECIDED_COMMIT")
-	ReplyDecidedAbort  = types.Value("TX_DECIDED_ABORT")
+	ReplyVoteCommit = types.Value("TX_VOTE_COMMIT")
+	ReplyVoteAbort  = types.Value("TX_VOTE_ABORT")
+	ReplyTxOK       = types.Value("TX_OK")
+	ReplyConflict   = types.Value("TX_CONFLICT")
+	ReplyLocked     = types.Value("TX_LOCKED")
 )
 
 // EventKind classifies transaction transitions a Store applied.
@@ -25,7 +23,6 @@ const (
 	EvVoteAbort
 	EvCommitted
 	EvAborted
-	EvDecided
 )
 
 func (k EventKind) String() string {
@@ -38,8 +35,6 @@ func (k EventKind) String() string {
 		return "committed"
 	case EvAborted:
 		return "aborted"
-	case EvDecided:
-		return "decided"
 	}
 	return "unknown"
 }
@@ -49,9 +44,8 @@ func (k EventKind) String() string {
 // event stream because events are a pure function of the replicated
 // log.
 type Event struct {
-	Tx      commit.TxID
-	Kind    EventKind
-	Outcome commit.Outcome // EvDecided only
+	Tx   commit.TxID
+	Kind EventKind
 }
 
 // stagedTxn is a prepared transaction awaiting its outcome.
@@ -69,13 +63,15 @@ type stagedTxn struct {
 // Every transition latches: once a transaction votes, commits, or
 // aborts here, re-applying any transaction command yields the same
 // answer. That idempotence is what makes coordinator retries (fresh or
-// duplicate log entries) safe.
+// duplicate log entries) safe, and the latched vote is what makes the
+// shard's log the consensus instance on its vote: a transaction
+// commits exactly when every participant's log chose "yes" (Gray and
+// Lamport's Paxos Commit), so no separate decision record exists.
 type Store struct {
 	kv       *kvstore.Store
 	locks    map[string]commit.TxID     // key -> owning prepared txn
 	staged   map[commit.TxID]*stagedTxn // prepared, undecided txns
 	outcomes map[commit.TxID]commit.Outcome
-	decided  map[commit.TxID]commit.Outcome // home-shard decision records
 	events   []Event
 }
 
@@ -86,7 +82,6 @@ func NewStore() *Store {
 		locks:    make(map[string]commit.TxID),
 		staged:   make(map[commit.TxID]*stagedTxn),
 		outcomes: make(map[commit.TxID]commit.Outcome),
-		decided:  make(map[commit.TxID]commit.Outcome),
 	}
 }
 
@@ -117,14 +112,12 @@ func (s *Store) Apply(cmd types.Value) types.Value {
 	switch c.Kind {
 	case TxApply:
 		return s.applyBatch(c)
-	case TxPrepare:
+	case TxPrepare, TxVoteAbort:
 		return s.applyPrepare(c)
 	case TxCommit:
 		return s.applyOutcome(c.Tx, commit.Committed)
 	case TxAbort:
 		return s.applyOutcome(c.Tx, commit.Aborted)
-	case TxDecide:
-		return s.applyDecide(c)
 	}
 	return kvstore.ReplyBadCmd
 }
@@ -182,9 +175,12 @@ func (s *Store) applyBatch(c Cmd) types.Value {
 	return ReplyTxOK
 }
 
-// applyPrepare stages a participant's write set and computes its vote.
-// The vote latches with the first prepare to reach the log: duplicates
-// (coordinator retries, recovery re-prepares) re-read it.
+// applyPrepare computes a participant's vote: a TxPrepare stages its
+// write set and votes yes unless a key it writes is locked by another
+// transaction, and a TxVoteAbort votes no. The vote latches with the
+// first of either to reach the log: later ones (coordinator retries,
+// recovery re-prepares, a timed-out coordinator's TxVoteAbort) re-read
+// it, and never touch a staged yes or its locks.
 func (s *Store) applyPrepare(c Cmd) types.Value {
 	if o := s.outcomes[c.Tx]; o == commit.Committed {
 		return ReplyVoteCommit
@@ -194,17 +190,18 @@ func (s *Store) applyPrepare(c Cmd) types.Value {
 	if _, ok := s.staged[c.Tx]; ok {
 		return ReplyVoteCommit // already prepared
 	}
+	no := c.Kind == TxVoteAbort
 	for _, kc := range c.Cmds {
-		if !isWrite(kc.Op) {
-			continue
+		if owner, held := s.locks[kc.Key]; held && owner != c.Tx && isWrite(kc.Op) {
+			no = true // conflict
 		}
-		if owner, held := s.locks[kc.Key]; held && owner != c.Tx {
-			// Conflict: vote no, and latch the abort so no later
-			// coordinator can extract a yes from this shard.
-			s.outcomes[c.Tx] = commit.Aborted
-			s.events = append(s.events, Event{Tx: c.Tx, Kind: EvVoteAbort})
-			return ReplyVoteAbort
-		}
+	}
+	if no {
+		// Latch the abort so no later coordinator can extract a yes
+		// from this shard.
+		s.outcomes[c.Tx] = commit.Aborted
+		s.events = append(s.events, Event{Tx: c.Tx, Kind: EvVoteAbort})
+		return ReplyVoteAbort
 	}
 	st := &stagedTxn{cmds: c.Cmds}
 	for _, kc := range c.Cmds {
@@ -250,21 +247,4 @@ func (s *Store) applyOutcome(tx commit.TxID, o commit.Outcome) types.Value {
 	}
 	s.outcomes[tx] = o
 	return ReplyTxOK
-}
-
-// applyDecide latches the home-shard decision record: the first
-// TxDecide in the log wins, and every later one — from any coordinator
-// — reads the latched outcome back. This is the single replicated
-// commit point that makes dueling coordinators converge.
-func (s *Store) applyDecide(c Cmd) types.Value {
-	o, ok := s.decided[c.Tx]
-	if !ok {
-		o = c.Outcome
-		s.decided[c.Tx] = o
-		s.events = append(s.events, Event{Tx: c.Tx, Kind: EvDecided, Outcome: o})
-	}
-	if o == commit.Committed {
-		return ReplyDecidedCommit
-	}
-	return ReplyDecidedAbort
 }

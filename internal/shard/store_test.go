@@ -116,21 +116,39 @@ func TestStoreAbortOfUnknownTxnLatches(t *testing.T) {
 	}
 }
 
-func TestStoreDecideFirstWins(t *testing.T) {
+// A TxVoteAbort latches a no only where no vote is cast yet: after a
+// yes it reads the yes back and leaves the staged writes and their
+// locks alone, and a prepare after it votes no. Each shard's log is the
+// consensus instance on its vote, so nothing may change a vote once cast.
+func TestStoreVoteAbortLatchesOnlyAnUncastVote(t *testing.T) {
 	s := NewStore()
-	if got := s.Apply(Decide(6, commit.Aborted).Encode()); !got.Equal(ReplyDecidedAbort) {
-		t.Fatalf("first decide = %q", got)
+	s.Apply(Prepare(6, []kvstore.Command{put("k", "v")}).Encode())
+	if got := s.Apply(VoteAbort(6).Encode()); !got.Equal(ReplyVoteCommit) {
+		t.Fatalf("vote-abort after a yes = %q, want the latched TX_VOTE_COMMIT", got)
 	}
-	// A dueling coordinator's opposite decision reads the latch back.
-	if got := s.Apply(Decide(6, commit.Committed).Encode()); !got.Equal(ReplyDecidedAbort) {
-		t.Fatalf("second decide = %q, want the latched abort", got)
+	if s.staged[6] == nil || s.locks["k"] != 6 || s.outcomes[6] != commit.Pending {
+		t.Fatalf("vote-abort touched the staged yes: staged=%v locks=%v outcome=%v", s.staged[6], s.locks, s.outcomes[6])
 	}
-	if s.decided[6] != commit.Aborted {
-		t.Fatalf("decision record = %v", s.decided[6])
+	if got := s.Apply(put("k", "x").Encode()); !got.Equal(ReplyLocked) {
+		t.Fatalf("write to the yes's locked key = %q", got)
+	}
+	s.Apply(Commit(6).Encode())
+	if got := s.Apply(kvstore.Get("k").Encode()); !got.Equal(types.Value("v")) {
+		t.Fatalf("staged write lost: k = %q", got)
+	}
+
+	if got := s.Apply(VoteAbort(7).Encode()); !got.Equal(ReplyVoteAbort) {
+		t.Fatalf("vote-abort of an unvoted txn = %q", got)
+	}
+	if got := s.Apply(Prepare(7, []kvstore.Command{put("j", "v")}).Encode()); !got.Equal(ReplyVoteAbort) {
+		t.Fatalf("prepare after a vote-abort = %q, want TX_VOTE_ABORT", got)
+	}
+	if len(det.SortedKeys(s.locks)) != 0 || s.staged[7] != nil {
+		t.Fatal("prepare after a vote-abort staged its writes")
 	}
 	ev := s.TakeEvents()
-	if len(ev) != 1 || ev[0].Kind != EvDecided || ev[0].Outcome != commit.Aborted {
-		t.Fatalf("decide events = %+v", ev)
+	if len(ev) != 3 || ev[0].Kind != EvPrepared || ev[1].Kind != EvCommitted || ev[2] != (Event{Tx: 7, Kind: EvVoteAbort}) {
+		t.Fatalf("events = %+v, want prepared, committed, then tx 7's vote-abort", ev)
 	}
 }
 
@@ -183,8 +201,8 @@ func TestStoreBatchBouncesOffForeignLock(t *testing.T) {
 func TestStoreMalformedInputRepliesNeverPanics(t *testing.T) {
 	s := NewStore()
 	inputs := []types.Value{
-		{TxPrepare},                              // truncated header
-		{TxDecide, 0, 0, 0, 0, 0, 0, 0, 0, 0x7F}, // bad outcome byte
+		{TxPrepare}, // truncated header
+		{TxVoteAbort, 0, 0, 0, 0, 0, 0, 0, 0, 0x7F}, // trailing byte
 		Prepare(1, []kvstore.Command{put("k", "v")}).Encode()[:12],
 		{0xFF, 0xFF},
 		nil,

@@ -14,11 +14,11 @@ import (
 // shard log. The 0xE0 range cannot collide with kvstore's 1..6, so
 // Store.Apply can dispatch on the first byte.
 const (
-	TxApply   uint8 = 0xE1 + iota // atomic multi-op batch, single log entry (single-shard fast path)
-	TxPrepare                     // stage writes + take locks, reply with the vote
-	TxCommit                      // apply staged writes, release locks
-	TxAbort                       // discard staged writes, release locks
-	TxDecide                      // latch the transaction outcome (home shard only)
+	TxApply     uint8 = 0xE1 + iota // atomic multi-op batch, single log entry (single-shard fast path)
+	TxPrepare                       // stage writes + take locks, reply with the vote
+	TxCommit                        // apply staged writes, release locks
+	TxAbort                         // discard staged writes, release locks
+	TxVoteAbort                     // vote abort unless the shard already voted
 )
 
 // MaxTxnOps bounds the command count inside one TxApply/TxPrepare so a
@@ -27,10 +27,9 @@ const MaxTxnOps = 64
 
 // Cmd is one decoded shard-log transaction command.
 type Cmd struct {
-	Kind    uint8
-	Tx      commit.TxID
-	Cmds    []kvstore.Command // TxApply, TxPrepare
-	Outcome commit.Outcome    // TxDecide
+	Kind uint8
+	Tx   commit.TxID
+	Cmds []kvstore.Command // TxApply, TxPrepare
 }
 
 // ErrDecode reports a malformed encoded transaction command.
@@ -39,7 +38,7 @@ var ErrDecode = errors.New("shard: malformed txn command")
 // IsTxnCmd reports whether v starts a shard transaction command rather
 // than a plain kvstore command.
 func IsTxnCmd(v types.Value) bool {
-	return len(v) > 0 && v[0] >= TxApply && v[0] <= TxDecide
+	return len(v) > 0 && v[0] >= TxApply && v[0] <= TxVoteAbort
 }
 
 // Encode serializes the command:
@@ -48,9 +47,8 @@ func IsTxnCmd(v types.Value) bool {
 //
 // where payload is, per kind:
 //
-//	TxApply/TxPrepare  u16 count | count × (u32 len | kvstore command)
-//	TxCommit/TxAbort   empty
-//	TxDecide           u8 outcome
+//	TxApply/TxPrepare             u16 count | count × (u32 len | kvstore command)
+//	TxCommit/TxAbort/TxVoteAbort  empty
 func (c Cmd) Encode() types.Value {
 	buf := make([]byte, 0, 9+16*len(c.Cmds))
 	buf = append(buf, c.Kind)
@@ -61,8 +59,6 @@ func (c Cmd) Encode() types.Value {
 		for _, kc := range c.Cmds {
 			buf = wire.AppendBytes32(buf, kc.Encode())
 		}
-	case TxDecide:
-		buf = append(buf, uint8(c.Outcome))
 	}
 	return types.Value(buf)
 }
@@ -87,12 +83,7 @@ func DecodeCmd(v types.Value) (Cmd, error) {
 			}
 			c.Cmds = append(c.Cmds, kc)
 		}
-	case TxCommit, TxAbort:
-	case TxDecide:
-		c.Outcome = commit.Outcome(r.U8())
-		if c.Outcome != commit.Committed && c.Outcome != commit.Aborted {
-			return Cmd{}, ErrDecode
-		}
+	case TxCommit, TxAbort, TxVoteAbort:
 	default:
 		return Cmd{}, ErrDecode
 	}
@@ -121,7 +112,7 @@ func Commit(tx commit.TxID) Cmd { return Cmd{Kind: TxCommit, Tx: tx} }
 // Abort builds a participant's abort command.
 func Abort(tx commit.TxID) Cmd { return Cmd{Kind: TxAbort, Tx: tx} }
 
-// Decide builds the home-shard decision record.
-func Decide(tx commit.TxID, o commit.Outcome) Cmd {
-	return Cmd{Kind: TxDecide, Tx: tx, Outcome: o}
-}
+// VoteAbort builds the command a coordinator sends a participant whose
+// vote it has waited for too long: it latches an abort vote where none
+// is latched yet, and otherwise reads back the vote already cast.
+func VoteAbort(tx commit.TxID) Cmd { return Cmd{Kind: TxVoteAbort, Tx: tx} }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"fortyconsensus/internal/commit"
 	"fortyconsensus/internal/kvstore"
 	"fortyconsensus/internal/simnet"
 	"fortyconsensus/internal/types"
@@ -19,8 +18,8 @@ func TestTxnCmdRoundTrips(t *testing.T) {
 		Prepare(4, nil),
 		Commit(5),
 		Abort(6),
-		Decide(7, commit.Committed),
-		Decide(8, commit.Aborted),
+		VoteAbort(7),
+		VoteAbort(1 << 62),
 		Apply(1<<60, []kvstore.Command{kvstore.Put("", nil)}),
 	}
 	for i, c := range cases {
@@ -29,7 +28,7 @@ func TestTxnCmdRoundTrips(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Kind != c.Kind || got.Tx != c.Tx || got.Outcome != c.Outcome {
+			if got.Kind != c.Kind || got.Tx != c.Tx {
 				t.Fatalf("header round trip: got %+v, want %+v", got, c)
 			}
 			if len(got.Cmds) != len(c.Cmds) {
@@ -49,7 +48,7 @@ func TestTxnCmdRoundTrips(t *testing.T) {
 // must return ErrDecode without panicking.
 func TestTxnDecodeRejectsMalformed(t *testing.T) {
 	prepare := Prepare(9, []kvstore.Command{kvstore.Put("k", []byte("v")), kvstore.Get("k")}).Encode()
-	decide := Decide(9, commit.Committed).Encode()
+	voteAbort := VoteAbort(9).Encode()
 
 	oversized := func() types.Value {
 		// Count prefix claims MaxTxnOps+1 commands.
@@ -64,11 +63,6 @@ func TestTxnDecodeRejectsMalformed(t *testing.T) {
 		return b
 	}()
 	trailing := append(Commit(9).Encode().Clone(), 0x00)
-	badOutcome := func() types.Value {
-		b := decide.Clone()
-		b[len(b)-1] = 0x7F // neither Committed nor Aborted
-		return b
-	}()
 	countOverrun := func() types.Value {
 		// Count says 3 but only 2 commands are present.
 		b := prepare.Clone()
@@ -93,9 +87,8 @@ func TestTxnDecodeRejectsMalformed(t *testing.T) {
 		{"prepare-huge-cmd-len", hugeLen},
 		{"prepare-trailing-garbage", append(prepare.Clone(), 0xAB)},
 		{"commit-trailing-byte", trailing},
-		{"decide-missing-outcome", decide[:9]},
-		{"decide-bad-outcome", badOutcome},
-		{"decide-trailing-garbage", append(decide.Clone(), 0x01)},
+		{"vote-abort-truncated-tx", voteAbort[:8]},
+		{"vote-abort-trailing-garbage", append(voteAbort.Clone(), 0x01)},
 		{"unknown-kind", types.Value{0xDD, 0, 0, 0, 0, 0, 0, 0, 0}},
 		{"kvstore-cmd-rejected", func() types.Value {
 			// Inner payload is a valid length prefix around garbage the
@@ -125,7 +118,7 @@ func TestTxnDecodeSeededMutationsNeverPanic(t *testing.T) {
 		Apply(11, []kvstore.Command{kvstore.Put("key-000001", []byte("payload")), kvstore.Incr("n", 3)}).Encode(),
 		Prepare(12, []kvstore.Command{kvstore.CAS("k", nil, []byte("v"))}).Encode(),
 		Commit(13).Encode(),
-		Decide(14, commit.Aborted).Encode(),
+		VoteAbort(14).Encode(),
 	}
 	r := simnet.NewRNG(0xF0F0)
 	for round := 0; round < 2000; round++ {
@@ -154,12 +147,12 @@ func TestIsTxnCmdBoundaries(t *testing.T) {
 	if IsTxnCmd(nil) || IsTxnCmd(types.Value{}) {
 		t.Fatal("empty values are not txn commands")
 	}
-	for _, kind := range []uint8{TxApply, TxPrepare, TxCommit, TxAbort, TxDecide} {
+	for _, kind := range []uint8{TxApply, TxPrepare, TxCommit, TxAbort, TxVoteAbort} {
 		if !IsTxnCmd(types.Value{kind}) {
 			t.Fatalf("kind 0x%X not recognized", kind)
 		}
 	}
-	if IsTxnCmd(types.Value{TxApply - 1}) || IsTxnCmd(types.Value{TxDecide + 1}) {
+	if IsTxnCmd(types.Value{TxApply - 1}) || IsTxnCmd(types.Value{TxVoteAbort + 1}) {
 		t.Fatal("out-of-range kinds recognized as txn commands")
 	}
 	if IsTxnCmd(kvstore.Put("k", []byte("v")).Encode()) {
