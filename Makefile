@@ -132,6 +132,12 @@ ci: build lint explore examples fuzz
 	$(GO) test -race ./...
 	$(GO) test $(SHARD_PKGS) -count=1
 	$(GO) test ./internal/live -run TestServedPathCampaign -count=1
+	# The lease-safety tests, uncached: the served-path campaign cannot
+	# tell a read lease with its voting rule from one without it (0
+	# violations either way), and never restores a node from its
+	# journal, so these are the only check that catches a lease without
+	# the rule, or a restart that forgets it.
+	$(GO) test ./internal/raft ./internal/multipaxos -run '^(TestLeaseHoldsAgainstACutOffCandidate|TestRestoredFollowerKeepsTheVotingRule)$$' -count=1
 	$(GO) test ./internal/explore -run TestCrashModelPaxosKeepsDecidingAfterTheHeal -count=1
 	$(GO) test ./internal/experiments -run TestGoldenArtifacts -count=1
 	$(MAKE) serve-smoke

@@ -162,6 +162,13 @@ func TestLongLogAckFitsAFrame(t *testing.T) {
 	if acc.CommitFrontier() != slots-1 {
 		t.Fatalf("acceptor learned %d of %d slots from the frontiers its accepts carried", acc.CommitFrontier(), slots-1)
 	}
+	// A Prepare reaches an acceptor only once its leader has been quiet
+	// for an election timeout: until then it ignores another candidate.
+	// By then its own timer may have fired; what it sent is not the test.
+	for range 30 { // multipaxos' default ElectionTimeoutTicks
+		acc.Tick()
+	}
+	acc.Drain()
 	acc.Step(multipaxos.Message{Kind: multipaxos.MsgPrepare, From: 2, To: 1, Ballot: types.Ballot{Num: 2, Owner: 2}, Slot: slots - 1})
 	out := acc.Drain()
 	if len(out) != 1 || out[0].Kind != multipaxos.MsgAck || out[0].Commit != slots-1 {

@@ -39,8 +39,9 @@ type ServerMetrics struct {
 	peerDecodeErrors atomic.Uint64 // peer frames that did not decode
 
 	// Reads, served beside the log: answered, dropped as the module
-	// stopped leading, probes sent, answered only after a tick re-asked.
-	readsServed, readsDropped, readProbes, readsReasked atomic.Uint64
+	// stopped leading, probes sent, answered only after a tick re-asked,
+	// answered on the leader's lease with no round.
+	readsServed, readsDropped, readProbes, readsReasked, readsLeased atomic.Uint64
 
 	started time.Time
 }
@@ -131,7 +132,7 @@ func (m *ServerMetrics) snapshot(tr *Transport) metricsSnapshot {
 		Commits:   commits,
 		Latency:   lat,
 		Reads: map[string]uint64{"served": m.readsServed.Load(), "dropped_not_leader": m.readsDropped.Load(),
-			"probes_sent": m.readProbes.Load(), "answered_after_reask": m.readsReasked.Load()},
+			"probes_sent": m.readProbes.Load(), "answered_after_reask": m.readsReasked.Load(), "leased": m.readsLeased.Load()},
 		Transport: tr.Stats(),
 
 		RestoreFailed:    m.restoreFailed.Load(),

@@ -38,6 +38,15 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // after hook. The mutex keeps the simulator's single-threaded module
 // contract, so the protocol needs no locking of its own; all module
 // access from outside goes through CallWait.
+//
+// A started node whose module may hold a read lease keeps its tick count
+// within a tick of the wall clock: a turn that finds it more than one
+// tick behind (the ticker starved, or a turn held the lock) first runs
+// the ticks it missed, until the module's lease has lapsed. A leader's
+// lease is counted in its ticks and its voters' refusal in theirs, so a
+// leader's clock may not stall while its voters' runs on. Any other
+// node lets missed ticks go, as a starved ticker does: a voter whose
+// clock lags only refuses other candidates for longer.
 type Node[M any] struct {
 	mod   Module[M]
 	self  types.NodeID
@@ -49,6 +58,9 @@ type Node[M any] struct {
 	mu      sync.Mutex // held for a whole turn
 	started bool
 	stopped bool
+	epoch   time.Time      // when Start ran: tick k is due at epoch + k·TickEvery
+	ticks   int64          // ticks run since Start
+	lease   leaser         // mod, if it may hold a read lease
 	stop    chan struct{}  // closed by Close: ends the ticker
 	ticker  sync.WaitGroup // the ticker goroutine
 }
@@ -62,11 +74,13 @@ type Node[M any] struct {
 // has the turn: they must not block and must not call back into this
 // Node.
 func NewNode[M any](mod Module[M], self types.NodeID, dest func(M) types.NodeID, send func(M), after func(), cfg NodeConfig) *Node[M] {
-	return &Node[M]{
+	n := &Node[M]{
 		mod: mod, self: self, dest: dest, send: send, after: after,
 		cfg:  cfg.withDefaults(),
 		stop: make(chan struct{}),
 	}
+	n.lease, _ = mod.(leaser)
+	return n
 }
 
 // Start launches the ticker, the one goroutine a node owns. Deliver
@@ -78,6 +92,7 @@ func (n *Node[M]) Start() {
 		return
 	}
 	n.started = true
+	n.epoch = time.Now()
 	n.ticker.Add(1)
 	go n.tickLoop()
 }
@@ -91,11 +106,51 @@ func (n *Node[M]) tickLoop() {
 		select {
 		case <-n.stop:
 			return
-		case <-t.C:
-			n.turn(n.mod.Tick)
+		case now := <-t.C:
+			n.turn(func() { n.onTicker(now) })
 		}
 	}
 }
+
+// onTicker is the ticker's event, stamped now: the tick due then, unless
+// a turn that caught up already ran it. Missed ticks it lets go.
+func (n *Node[M]) onTicker(now time.Time) {
+	due := int64(now.Sub(n.epoch) / n.cfg.TickEvery)
+	if n.ticks < due {
+		n.tick()
+	}
+	n.ticks = max(n.ticks, due-1)
+}
+
+func (n *Node[M]) tick() {
+	n.mod.Tick()
+	n.ticks++
+}
+
+// clock, at a started node's turn, runs the ticks the node missed while
+// its module is Leasing: only then is the wall clock read. It leaves one
+// tick for the ticker, whose normal lag that is; catching it up at every
+// turn would move ticks off the ticker and onto the request path. The
+// loop stops as soon as the module stops Leasing, when every lease has
+// lapsed whatever the election timeout, so a far-behind leader runs only
+// the ticks its lease spans and a follower runs none: under the race
+// detector a far-behind follower's tick can outlast the tick interval,
+// and catching it up would spend each turn on ticks (Multi-Paxos'
+// TestJoinerCatchesUpUnderWrites).
+func (n *Node[M]) clock() {
+	if n.lease == nil || !n.lease.Leasing() {
+		return
+	}
+	due := int64(time.Since(n.epoch) / n.cfg.TickEvery)
+	for due-n.ticks > 1 && n.lease.Leasing() {
+		n.tick()
+	}
+	n.ticks = max(n.ticks, due-1)
+}
+
+// leaser is the module surface the clock rule reads: whether the module
+// may answer a read on a lease (replog.Core.Leasing).
+type leaser interface{ Leasing() bool }
 
 // turn runs one event to completion under the node's mutex, reporting
 // false (event not run) if the node has stopped.
@@ -104,6 +159,9 @@ func (n *Node[M]) turn(event func()) bool {
 	defer n.mu.Unlock()
 	if n.stopped {
 		return false
+	}
+	if n.started {
+		n.clock()
 	}
 	event()
 	n.pump()

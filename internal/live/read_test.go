@@ -51,6 +51,11 @@ func TestReadsLeaveTheLogAndNeverGoBackAcrossALeaderClose(t *testing.T) {
 			if after := commit(); after != before {
 				t.Fatalf("50 gets moved the leader's applied frontier %d -> %d", before, after)
 			}
+			// Each Get was a burst with no write, on a started server: the
+			// leader answers it on its lease once a round has been answered.
+			if r := servers[lead].met.snapshot(servers[lead].tr).Reads; r["leased"] == 0 || r["leased"] > r["served"] {
+				t.Fatalf("the leader's reads after 50 lone gets: %v; want some answered on its lease", r)
+			}
 
 			var acked atomic.Int64 // the highest value an Incr was acknowledged with
 			acked.Store(1)
@@ -153,7 +158,7 @@ func TestDroppedReadIsRedirectedAtOnce(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c2.Close()
 	cc := newClientConn(c1, bufio.NewReader(c1))
-	g.serve(cc, []clientOp{{Request{ReqID: 5, Client: 1, SeqNo: 1, Op: kvstore.Get("k").Encode()}, true}})
+	g.serve(cc, []clientOp{{Request{ReqID: 5, Client: 1, SeqNo: 1, Op: kvstore.Get("k").Encode()}, true}}, false)
 	select {
 	case resp := <-cc.out:
 		t.Fatalf("an unconfirmed read was answered: %+v", resp)
@@ -170,7 +175,7 @@ func TestDroppedReadIsRedirectedAtOnce(t *testing.T) {
 	}
 
 	cc.Close()
-	g.serve(cc, []clientOp{{Request{ReqID: 6, Client: 1, SeqNo: 2, Op: kvstore.Get("k").Encode()}, true}})
+	g.serve(cc, []clientOp{{Request{ReqID: 6, Client: 1, SeqNo: 2, Op: kvstore.Get("k").Encode()}, true}}, false)
 	s.route(cc, Request{ReqID: 7, Client: 1, SeqNo: 3, Op: AdminAddNodeOp(3, "127.0.0.1:1")}, nil)
 	s.onPeerFrame(1, []byte{0, 0, 0, 0, 0xff})
 	s.onPeerFrame(1, []byte{0, 0})

@@ -64,7 +64,7 @@ func checkRestoreFailure(t *testing.T, serveFirst bool) {
 	defer cc.Close()
 	// put sends one write and wants it answered StatusUnavailable.
 	put := func(reqID uint64) {
-		g.serve(cc, []clientOp{{Request{ReqID: reqID, Client: 1, SeqNo: reqID, Op: kvstore.Put("k", []byte("v")).Encode()}, false}})
+		g.serve(cc, []clientOp{{Request{ReqID: reqID, Client: 1, SeqNo: reqID, Op: kvstore.Put("k", []byte("v")).Encode()}, false}}, false)
 		select {
 		case resp := <-cc.out:
 			if resp.ReqID != reqID || resp.Status != StatusUnavailable {

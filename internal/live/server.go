@@ -107,7 +107,7 @@ type hostedGroup interface {
 	start()
 	close()
 	deliver(payload []byte)
-	serve(rc replier, ops []clientOp)
+	serve(rc replier, ops []clientOp, lease bool)
 	leaderInfo() (isLeader bool, leader types.NodeID, ok bool)
 	inspect(fn func(st *shard.Store)) bool
 	status() (GroupStatus, bool)
@@ -246,6 +246,12 @@ func (s *Server) onPeerFrame(_ types.NodeID, payload []byte) {
 // then every request frame br's buffer already holds whole — a burst
 // bounded by the buffer, read with no further syscall — and hands each
 // shard group its share of the burst as one turn.
+//
+// The reads of a burst that carries no write, on any shard, may be
+// answered on the leader's read lease. A burst with a write takes a
+// round for its reads as well: a Get answered at once would split the
+// callers whose requests now share the write's round trip (DESIGN.md
+// "Reads").
 func (s *Server) serveClient(br *bufio.Reader, rc replier) {
 	shares := make([][]clientOp, len(s.grs))
 	for {
@@ -257,9 +263,15 @@ func (s *Server) serveClient(br *bufio.Reader, rc replier) {
 			}
 			req, err = readRequest(br)
 		}
+		lease := true
+		for _, share := range shares {
+			for _, op := range share {
+				lease = lease && op.read
+			}
+		}
 		for i, share := range shares {
 			if len(share) > 0 {
-				s.grs[i].serve(rc, share)
+				s.grs[i].serve(rc, share, lease)
 				shares[i] = share[:0]
 			}
 		}
@@ -347,7 +359,7 @@ type SMRModule[M any] interface {
 	IsLeader() bool
 	Leader() types.NodeID
 	Members() []types.NodeID
-	ReadStats() (probes, reasked int)
+	ReadStats() (probes, reasked, leased int)
 }
 
 // waiter is what a group needs to answer a request its session table
@@ -381,8 +393,8 @@ type smrGroup[M any] struct {
 	// requests.
 	restoreFailed bool
 
-	probes, reasked int    // the module's read counters, as last added to srv.met
-	ops             uint64 // the executor's OpsApplied, as last added to srv.met
+	probes, reasked, leased int    // the module's read counters, as last added to srv.met
+	ops                     uint64 // the executor's OpsApplied, as last added to srv.met
 
 	// The believed leader as the last turn left it, for status'
 	// leader_changes and leaderless_ms (leaderChanged).
@@ -448,13 +460,17 @@ func (g *smrGroup[M]) deliver(payload []byte) {
 
 // serve runs one connection's burst for this group as one turn, on the
 // connection's goroutine: the session table takes or refuses each
-// request, and its writes become one Submit.
-func (g *smrGroup[M]) serve(rc replier, ops []clientOp) {
+// request, and its writes become one Submit. lease lets its reads be
+// answered on the leader's read lease, which only a node whose ticker
+// runs asks for: a lease is counted in ticks, and a node that is not
+// started (the simulator's) has no clock to hold it by.
+func (g *smrGroup[M]) serve(rc replier, ops []clientOp, lease bool) {
 	ok := g.node.CallWait(func() {
 		now := time.Now()
+		lease = lease && g.node.started
 		for _, op := range ops {
 			req := types.Request{Client: op.Client, SeqNo: op.SeqNo, Op: op.Op}
-			switch g.table.Enter(req, op.read, waiter{rc: rc, reqID: op.ReqID, start: now, read: op.read}) {
+			switch g.table.Enter(req, op.read, lease, waiter{rc: rc, reqID: op.ReqID, start: now, read: op.read}) {
 			case smr.Dead:
 				g.srv.respond(rc, Response{ReqID: op.ReqID, Status: StatusUnavailable, Leader: -1})
 			case smr.NotLeader:
@@ -520,10 +536,11 @@ func (g *smrGroup[M]) afterTurn() {
 		met.applied.Add(ops - g.ops)
 		g.ops = ops
 	}
-	if probes, reasked := g.mod.ReadStats(); probes != g.probes || reasked != g.reasked {
+	if probes, reasked, leased := g.mod.ReadStats(); probes != g.probes || reasked != g.reasked || leased != g.leased {
 		met.readProbes.Add(uint64(probes - g.probes))
 		met.readsReasked.Add(uint64(reasked - g.reasked))
-		g.probes, g.reasked = probes, reasked
+		met.readsLeased.Add(uint64(leased - g.leased))
+		g.probes, g.reasked, g.leased = probes, reasked, leased
 	}
 	if lead := g.mod.Leader(); lead != g.lead {
 		g.leaderChanged(lead)

@@ -53,6 +53,9 @@ func (n *Node) Quorum(i types.Seq) ([]types.NodeID, int, types.Seq) {
 	return n.configs[0].members, q2, through
 }
 
+// latestFrom is the first slot the newest epoch governs.
+func (n *Node) latestFrom() types.Seq { return n.configs[len(n.configs)-1].from }
+
 // latestMembers returns the newest epoch's member set, active or not.
 func (n *Node) latestMembers() []types.NodeID {
 	return n.configs[len(n.configs)-1].members
@@ -104,7 +107,7 @@ func (n *Node) confAllowed(v types.Value) bool {
 	if err != nil || n.cfg.flexible() {
 		return false
 	}
-	if n.configs[len(n.configs)-1].from > n.CommitFrontier() {
+	if n.latestFrom() > n.CommitFrontier() {
 		return false // an epoch is still waiting to activate
 	}
 	for s := n.CommitFrontier() + 1; s <= n.LastIndex(); s++ {
@@ -148,11 +151,13 @@ func (n *Node) Adopt(ms []types.NodeID) {
 // compacted prefix's snapshot/v1 blob, of kind 'M'. The commit frontier
 // above the snapshot re-converges after a restore as a lagging
 // replica's does, and membership epochs are derived again from the
-// chosen slots.
+// chosen slots. Rearm restarts the voting rule's clock with the
+// election timer, as raft's does: an acceptor restored with a promise
+// may have answered a lease round just before it went down.
 func (n *Node) Journal() replog.Mapping {
 	return n.Mapping('M', wal.Hard{n.ballot.Num, uint64(n.ballot.Owner)},
 		func(h wal.Hard) { n.ballot = types.Ballot{Num: h[0], Owner: types.NodeID(h[1])} },
-		n.resetElectionTimer)
+		func() { n.quiet = 0; n.resetElectionTimer() })
 }
 
 // packBallot packs b into an entry's tag: num in the high 48 bits, owner

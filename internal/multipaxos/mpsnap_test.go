@@ -96,7 +96,7 @@ func TestCompactBoundsAndPendingEpoch(t *testing.T) {
 	// choose slot: the snapshot's single member set cannot encode the
 	// pending switch.
 	lead.Submit(confVal(snapshot.ConfAdd, 9))
-	c.RunPumped(100)
+	c.RunPumped(20) // chosen; an idle leader fills the window by a no-op a heartbeat
 	if len(lead.configs) < 2 {
 		t.Fatal("setup: epoch not scheduled")
 	}
@@ -119,7 +119,7 @@ func TestConfChangeEffectiveAtAlpha(t *testing.T) {
 		t.Fatal("no leader")
 	}
 	lead.Submit(confVal(snapshot.ConfAdd, 3))
-	c.RunPumped(100)
+	c.RunPumped(20) // chosen; an idle leader fills the window by a no-op a heartbeat
 	ep := lead.configs[len(lead.configs)-1]
 	if len(ep.members) != 4 {
 		t.Fatalf("scheduled epoch members %v", ep.members)

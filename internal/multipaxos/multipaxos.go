@@ -212,6 +212,7 @@ type Node struct {
 	elections int // leader elections started (metric)
 
 	electionIn int
+	quiet      int // ticks since the leader was last heard: the voting rule's clock
 	passive    bool
 
 	// Membership epochs, oldest first. A config chosen at slot i takes
@@ -232,6 +233,7 @@ func New(id types.NodeID, cfg Config) *Node {
 		cfg:     cfg,
 		rng:     simnet.NewRNG(cfg.Seed ^ (uint64(id)+1)<<24),
 		lead:    -1,
+		quiet:   cfg.ElectionTimeoutTicks, // it has heard no leader
 		passive: cfg.Passive,
 	}
 	boot := append([]types.NodeID(nil), cfg.Peers...)
@@ -328,7 +330,7 @@ func (n *Node) campaign() {
 // no ballot this node may promise: the message is dropped.
 func (n *Node) Step(m Message) {
 	b, ok := packBallot(m.Ballot)
-	if !ok {
+	if !ok || m.Kind == MsgPrepare && n.heeding(m.From) {
 		return
 	}
 	if m.Kind == MsgPrepare && n.behind(m.Slot) {
@@ -403,9 +405,20 @@ func (n *Node) onPrepare(m Message) {
 	n.send(Message{Kind: MsgAck, To: m.From, Ballot: m.Ballot, Slot: m.Slot, Commit: n.CommitFrontier(), Entries: n.Held(m.Slot)})
 }
 
+// heeding is raft.Node.heeding's voting rule for a Prepare from another
+// node than the leader: a follower that heard from its leader within
+// ElectionTimeoutTicks ignores it — no promise, no higher ballot, no
+// answer. A Prepare from the node it follows (a candidate it promised,
+// campaigning again) is answered. Only Heard restarts the clock: a
+// promise names a leader, but hears none.
+func (n *Node) heeding(from types.NodeID) bool {
+	return n.role == follower && n.lead != from && n.quiet < n.cfg.ElectionTimeoutTicks
+}
+
 // Heard is an Accept, chunk or probe of the promised ballot from its
 // leader.
 func (n *Node) Heard(lead types.NodeID) {
+	n.quiet = 0
 	if n.lead != lead || n.role != follower {
 		n.becomeFollowerOf(lead)
 		return
@@ -515,9 +528,16 @@ func (n *Node) Committed(i types.Seq, v types.Value) {
 // Tick advances timers.
 func (n *Node) Tick() {
 	n.TickHold()
+	n.quiet++
 	switch n.role {
 	case leader:
-		n.Beat()
+		// A scheduled epoch opens only once the slots before it are
+		// decided: a leader with nothing to write fills them, a no-op a
+		// heartbeat (as hole filling does), or the next membership change
+		// waits on client writes forever.
+		if n.Beat() && n.latestFrom() > n.LastIndex() {
+			n.Propose(nil, false)
+		}
 	case follower, candidate:
 		n.electionIn--
 		if n.electionIn <= 0 {

@@ -219,12 +219,13 @@ func TestJournalCarriesTheChosenValue(t *testing.T) {
 			}
 
 			reborn := New(2, g.nodes[2].cfg)
+			g.nodes[2] = reborn
 			if journaled {
 				if err := p.Restore(reborn); err != nil {
 					t.Fatal(err)
 				}
+				g.outwait(2) // a restored node refuses other candidates for a timeout
 			}
-			g.nodes[2] = reborn
 			g.nodes[1].campaign()
 			sent := g.pump(without(0))
 			newLead := g.nodes[1]

@@ -56,20 +56,15 @@ func TestRemoveDownToOneMemberKeepsCommitting(t *testing.T) {
 	other := c.Nodes[1-int(lead.id)]
 	lead.Submit(confVal(snapshot.ConfRemove, other.id))
 	// Idle: the removed node is pushed its removal and goes quiet, so
-	// the survivor still leads, and its quorum — the next slot is still
-	// inside the alpha window — counts the node it removed.
+	// the survivor still leads. Its quorum counts the node it removed
+	// until the alpha window's slots are decided, and it fills them with
+	// a no-op a heartbeat, which both old members vote on: the epoch of
+	// one opens with no client write.
 	c.RunPumped(400)
-	if len(lead.configs) != 2 || c.WaitLeader(500) != lead {
-		t.Fatalf("survivor did not lead again after the removal (configs %v, elections %d)", lead.configs, lead.Elections())
+	if len(lead.configs) != 1 || c.WaitLeader(500) != lead {
+		t.Fatalf("survivor did not lead the epoch of one after the removal (configs %v, elections %d)", lead.configs, lead.Elections())
 	}
 	seq := uint64(0)
-	// The window's slots still need both old members' votes.
-	for from := lead.configs[1].from; lead.CommitFrontier() < from; {
-		seq++
-		if !commits(c, lead, seq, 200) {
-			t.Fatalf("stalled at slot %d inside the alpha window", lead.CommitFrontier()+1)
-		}
-	}
 	if got := lead.Members(); len(got) != 1 || got[0] != lead.id {
 		t.Fatalf("members %v after removing %v", got, other.id)
 	}

@@ -27,7 +27,7 @@ func takeReads(n *Node) []types.ReadState {
 func TestReadNeedsAQuorumOfAnswersToARoundIssuedAfterIt(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
-	lead.ReadIndex(1)
+	lead.ReadIndex(1, false)
 	out := lead.Drain()
 	if to := probes(out); len(out) != 1 || len(to) != 1 || to[0] != 2 {
 		t.Fatalf("read 1 sent %+v, want one probe, to node 2: Q2 of three is the leader and one acceptor", out)
@@ -37,7 +37,7 @@ func TestReadNeedsAQuorumOfAnswersToARoundIssuedAfterIt(t *testing.T) {
 	}
 	g.nodes[2].Step(out[0])
 	answer := g.nodes[2].Drain()[0]
-	lead.ReadIndex(2)
+	lead.ReadIndex(2, false)
 	probe2 := lead.Drain()[0]
 	lead.Step(answer)
 	if rs := takeReads(lead); len(rs) != 1 || rs[0] != (types.ReadState{ID: 1, Index: lead.CommitFrontier()}) {
@@ -53,7 +53,7 @@ func TestReadNeedsAQuorumOfAnswersToARoundIssuedAfterIt(t *testing.T) {
 func TestReadAnswersUnderAnOlderBallotNeverCount(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
-	lead.ReadIndex(1)
+	lead.ReadIndex(1, false)
 	probe := lead.Drain()[0]
 	older := types.Ballot{Num: lead.ballot.Num - 1, Owner: 0}
 	for _, from := range []types.NodeID{1, 2} {
@@ -79,7 +79,7 @@ func TestCutOffLeaderNeverConfirmsAndDropsTheReadWhenItStepsDown(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
 	cut := func(m Message) bool { return m.From == 0 || m.To == 0 }
-	lead.ReadIndex(1)
+	lead.ReadIndex(1, false)
 	for i := 0; i < 10*lead.cfg.HeartbeatTicks; i++ {
 		lead.Tick()
 		g.pump(cut)
@@ -114,7 +114,7 @@ func TestThriftyProbeFallsBackToTheHeartbeat(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
 	down := func(m Message) bool { return m.From == 2 || m.To == 2 }
-	lead.ReadIndex(1)
+	lead.ReadIndex(1, false)
 	if to := probes(g.pump(down)); len(to) != 1 || to[0] != 2 {
 		t.Fatalf("first probe went to %v, want [2]", to)
 	}
@@ -129,10 +129,10 @@ func TestThriftyProbeFallsBackToTheHeartbeat(t *testing.T) {
 	if confirmedAt != 2 {
 		t.Fatalf("read 1 confirmed at tick %d of node 2 going silent, want 2", confirmedAt)
 	}
-	if probes, reasked := lead.ReadStats(); probes != 3 || reasked != 1 {
+	if probes, reasked, _ := lead.ReadStats(); probes != 3 || reasked != 1 {
 		t.Fatalf("read stats: %d probes, %d re-asked reads; want 3 and 1", probes, reasked)
 	}
-	lead.ReadIndex(2)
+	lead.ReadIndex(2, false)
 	if to := probes(g.pump(down)); len(to) != 1 || to[0] != 1 {
 		t.Fatalf("second read probed %v, want [1]: node 1 answered the newest round", to)
 	}
@@ -162,7 +162,7 @@ func TestReadWaitsForTheSlotsTheLeaderRecovered(t *testing.T) {
 	if lead.CommitFrontier() != 0 || len(held) == 0 {
 		t.Fatalf("setup: frontier %d, %d votes held", lead.CommitFrontier(), len(held))
 	}
-	lead.ReadIndex(1)
+	lead.ReadIndex(1, false)
 	if to := probes(g.pump(hold)); len(to) != 1 {
 		t.Fatalf("probes %v", to)
 	}
@@ -186,7 +186,7 @@ func TestFlexibleQ2OfOneReadSendsNothing(t *testing.T) {
 		g.nodes[i] = New(types.NodeID(i), Config{Peers: peers, Seed: 41, Quorums: quorum.Flexible{N: 3, Q1: 3, Q2: 1}})
 	}
 	lead := g.elect(0, nil)
-	lead.ReadIndex(1)
+	lead.ReadIndex(1, false)
 	if out := lead.Drain(); len(out) != 0 {
 		t.Fatalf("Q2 = 1 sent %+v", out)
 	}
@@ -204,7 +204,7 @@ func TestDrainedMessagesSurviveTheNextStep(t *testing.T) {
 	out := lead.Drain()
 	held := append([]Message(nil), out...)
 	lead.Submit(types.Value("b"))
-	lead.ReadIndex(1)
+	lead.ReadIndex(1, false)
 	for i := range out {
 		if out[i].Kind != held[i].Kind || out[i].To != held[i].To || out[i].Slot != held[i].Slot || !out[i].Val.Equal(held[i].Val) {
 			t.Fatalf("message %d changed under a step: %+v, was %+v", i, out[i], held[i])
@@ -225,7 +225,7 @@ func TestReadReachesTheScheduledEpochToo(t *testing.T) {
 	lead := g.elect(0, nil)
 	lead.configs = append(lead.configs, cfgEpoch{from: lead.CommitFrontier() + Alpha, members: []types.NodeID{0, 1, 2, 3}})
 	absent := func(m Message) bool { return m.To == 3 }
-	lead.ReadIndex(1)
+	lead.ReadIndex(1, false)
 	if to := probes(g.pump(absent)); !slices.Equal(to, []types.NodeID{2, 3, 2}) {
 		t.Fatalf("probes to %v, want node 2 for {0,1,2}, nodes 3 and 2 for {0,1,2,3}", to)
 	}
@@ -249,7 +249,7 @@ func TestReadReachesTheScheduledEpochToo(t *testing.T) {
 func TestAnAcceptedForALaterAcceptConfirmsARead(t *testing.T) {
 	g := newTrio(t)
 	lead := g.elect(0, nil)
-	lead.ReadIndex(1)
+	lead.ReadIndex(1, false)
 	lead.Drain() // the probe, to node 2, is lost
 	lead.Submit(types.Value("w"))
 	g.pump(func(m Message) bool { return m.To == 1 || m.From == 1 })

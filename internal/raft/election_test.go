@@ -158,10 +158,24 @@ func TestBootElectionPinned(t *testing.T) {
 // off the up-to-date nodes that could.
 func TestRejectedCandidateDoesNotHoldOffAFollower(t *testing.T) {
 	const timeout = 30
+	ran := 0
 	for seed := uint64(1); seed <= 20; seed++ {
 		n := New(1, Config{Peers: trioPeers, ElectorConfig: replog.ElectorConfig{ElectionTimeoutTicks: timeout}, Seed: seed})
 		n.Step(Message{Kind: MsgAppend, From: 2, To: 1, Term: 1, Entries: []LogEntry{{Term: 1, Val: types.Value("x")}}})
-		n.Tick()
+		// A RequestVote reaches a follower only once its leader has been
+		// quiet for an election timeout (the voting rule, heeding). A seed
+		// whose jitter draws 0 campaigns at that very tick, as a follower
+		// should, and has no countdown left to test.
+		for range timeout {
+			n.Tick()
+		}
+		if n.heeding(3) {
+			t.Fatalf("seed %d: still heeding its leader an election timeout after its append", seed)
+		}
+		if n.role != follower {
+			continue
+		}
+		ran++
 		armed := n.electionIn
 		// A candidate whose log lacks the entry: the vote is refused.
 		n.Step(Message{Kind: MsgRequestVote, From: 3, To: 1, Term: 4})
@@ -173,5 +187,8 @@ func TestRejectedCandidateDoesNotHoldOffAFollower(t *testing.T) {
 		if n.votedFor != 3 || n.electionIn < timeout {
 			t.Fatalf("seed %d: after a granted vote: voted %v, timer %d", seed, n.votedFor, n.electionIn)
 		}
+	}
+	if ran < 18 {
+		t.Fatalf("only %d of 20 seeds were still following an election timeout after the append", ran)
 	}
 }

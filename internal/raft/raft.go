@@ -200,6 +200,7 @@ type Node struct {
 
 	electionIn int
 	elections  int
+	quiet      int // ticks since the leader was last heard: the voting rule's clock
 }
 
 // New builds a Raft replica.
@@ -213,6 +214,7 @@ func New(id types.NodeID, cfg Config) *Node {
 		votedFor: -1,
 		lead:     -1,
 		passive:  cfg.Passive,
+		quiet:    cfg.ElectionTimeoutTicks, // it has heard no leader
 	}
 	n.members = append([]types.NodeID(nil), cfg.Peers...)
 	slices.Sort(n.members)
@@ -260,7 +262,21 @@ func (n *Node) Quorum(types.Seq) ([]types.NodeID, int, types.Seq) {
 }
 
 // Heard is an append, chunk or probe of this term from its leader.
-func (n *Node) Heard(lead types.NodeID) { n.becomeFollower(n.term, lead) }
+func (n *Node) Heard(lead types.NodeID) {
+	n.quiet = 0
+	n.becomeFollower(n.term, lead)
+}
+
+// heeding is the voting rule (the dissertation's §4.2.3): a follower that
+// heard from its leader within ElectionTimeoutTicks ignores a
+// RequestVote from any other node — it keeps its term, its vote and its
+// silence — so that a leader's read lease (replog) cannot outlast its
+// quorum's loyalty. The leader's own request is answered: campaigning,
+// it has given its lease up. A leader still steps down for a higher
+// term.
+func (n *Node) heeding(from types.NodeID) bool {
+	return n.role == follower && n.lead != from && n.quiet < n.cfg.ElectionTimeoutTicks
+}
 
 // Submit appends a value to the log if this node leads, and otherwise
 // drops it: routing a request to the leader is the host's job (Leader
@@ -328,6 +344,9 @@ func (n *Node) becomeLeader() {
 
 // Step consumes one delivered message.
 func (n *Node) Step(m Message) {
+	if m.Kind == MsgRequestVote && n.heeding(m.From) {
+		return
+	}
 	if m.Term > n.term {
 		// A follower's countdown runs on: only its leader's message or a
 		// vote it grants re-arms it (Raft's Figure 2), so a lagging node
@@ -388,6 +407,7 @@ func (n *Node) Committed(i types.Seq, _ types.Value) {
 // Tick advances timers.
 func (n *Node) Tick() {
 	n.TickHold()
+	n.quiet++
 	switch n.role {
 	case leader:
 		n.Beat()

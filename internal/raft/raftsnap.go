@@ -132,9 +132,13 @@ func (n *Node) Compacting(upTo types.Seq) ([]types.NodeID, bool) {
 
 // Journal maps the node onto its journal (replog.Persister): the hard
 // state is (term, vote+1), an entry's tag its term, and the snapshot
-// file holds a snapshot/v1 blob of kind 'R'.
+// file holds a snapshot/v1 blob of kind 'R'. A node restored with a
+// term may have answered a leader's lease round just before it went
+// down, and remembers no leader, so Rearm restarts the voting rule's
+// clock (quiet) as well as the election timer: it refuses other
+// candidates for an election timeout from the restore.
 func (n *Node) Journal() replog.Mapping {
 	return n.Mapping('R', wal.Hard{uint64(n.term), uint64(n.votedFor) + 1}, // -1 → 0
 		func(h wal.Hard) { n.term, n.votedFor = Term(h[0]), types.NodeID(h[1])-1 },
-		n.resetElectionTimer)
+		func() { n.quiet = 0; n.resetElectionTimer() })
 }

@@ -26,7 +26,7 @@ func takeReads(n *Node) []types.ReadState {
 
 func TestReadNeedsAQuorumOfAnswersToARoundIssuedAfterIt(t *testing.T) {
 	g := newTrio(t)
-	g.lead.ReadIndex(1)
+	g.lead.ReadIndex(1, false)
 	out := g.lead.Drain()
 	if to := probes(out); len(out) != 1 || len(to) != 1 || to[0] != 2 {
 		t.Fatalf("read 1 sent %+v, want one probe, to node 2: a majority of three is the leader and one follower", out)
@@ -39,7 +39,7 @@ func TestReadNeedsAQuorumOfAnswersToARoundIssuedAfterIt(t *testing.T) {
 
 	// Read 2 arrives while read 1's answer is on its way: that answer is to
 	// a round issued before read 2, and confirms read 1 only.
-	g.lead.ReadIndex(2)
+	g.lead.ReadIndex(2, false)
 	probe2 := g.lead.Drain()[0]
 	g.lead.Step(answer)
 	if rs := takeReads(g.lead); len(rs) != 1 || rs[0] != (types.ReadState{ID: 1, Index: g.lead.CommitFrontier()}) {
@@ -54,7 +54,7 @@ func TestReadNeedsAQuorumOfAnswersToARoundIssuedAfterIt(t *testing.T) {
 
 func TestReadAnswersUnderAnOlderTermNeverCount(t *testing.T) {
 	g := newTrio(t)
-	g.lead.ReadIndex(1)
+	g.lead.ReadIndex(1, false)
 	probe := g.lead.Drain()[0]
 	for _, from := range []types.NodeID{1, 2} {
 		g.lead.Step(Message{Kind: MsgReadResp, From: from, To: 0, Term: g.lead.term - 1, Read: probe.Read})
@@ -78,7 +78,7 @@ func TestReadAnswersUnderAnOlderTermNeverCount(t *testing.T) {
 func TestCutOffLeaderNeverConfirmsAndDropsTheReadWhenItStepsDown(t *testing.T) {
 	g := newTrio(t)
 	cut := func(m Message) bool { return m.From == 0 || m.To == 0 }
-	g.lead.ReadIndex(1)
+	g.lead.ReadIndex(1, false)
 	for i := 0; i < 10*g.lead.cfg.HeartbeatTicks; i++ {
 		g.lead.Tick()
 		g.pump(cut)
@@ -108,7 +108,7 @@ func TestCutOffLeaderNeverConfirmsAndDropsTheReadWhenItStepsDown(t *testing.T) {
 func TestThriftyProbeFallsBackToTheHeartbeat(t *testing.T) {
 	g := newTrio(t)
 	down := func(m Message) bool { return m.From == 2 || m.To == 2 }
-	g.lead.ReadIndex(1)
+	g.lead.ReadIndex(1, false)
 	if to := probes(g.pump(down)); len(to) != 1 || to[0] != 2 {
 		t.Fatalf("first probe went to %v, want [2]", to)
 	}
@@ -124,10 +124,10 @@ func TestThriftyProbeFallsBackToTheHeartbeat(t *testing.T) {
 		t.Fatalf("read 1 confirmed at tick %d of node 2 going silent, want 2", confirmedAt)
 	}
 	// The tick re-asked both followers: neither had answered.
-	if probes, reasked := g.lead.ReadStats(); probes != 3 || reasked != 1 {
+	if probes, reasked, _ := g.lead.ReadStats(); probes != 3 || reasked != 1 {
 		t.Fatalf("read stats: %d probes, %d re-asked reads; want 3 and 1", probes, reasked)
 	}
-	g.lead.ReadIndex(2)
+	g.lead.ReadIndex(2, false)
 	if to := probes(g.pump(down)); len(to) != 1 || to[0] != 1 {
 		t.Fatalf("second read probed %v, want [1]: node 1 answered the newest round", to)
 	}
@@ -152,7 +152,7 @@ func TestReadWaitsForTheLeadersFirstCommit(t *testing.T) {
 	if !g.lead.IsLeader() || g.lead.CommitFrontier() != 0 {
 		t.Fatalf("setup: leading %v, commit %d", g.lead.IsLeader(), g.lead.CommitFrontier())
 	}
-	g.lead.ReadIndex(1)
+	g.lead.ReadIndex(1, false)
 	if to := probes(g.pump(appends)); len(to) != 1 {
 		t.Fatalf("probes %v", to)
 	}
@@ -172,7 +172,7 @@ func TestSingleNodeReadSendsNothing(t *testing.T) {
 		n.Tick()
 	}
 	n.Drain()
-	n.ReadIndex(1)
+	n.ReadIndex(1, false)
 	if out := n.Drain(); len(out) != 0 {
 		t.Fatalf("a one-node group sent %+v", out)
 	}
@@ -184,7 +184,7 @@ func TestSingleNodeReadSendsNothing(t *testing.T) {
 // A node that does not lead drops a read at once.
 func TestFollowerDropsAReadAtOnce(t *testing.T) {
 	g := newTrio(t)
-	g.nodes[1].ReadIndex(9)
+	g.nodes[1].ReadIndex(9, false)
 	if rs := g.nodes[1].TakeReads(); len(rs) != 1 || rs[0] != (types.ReadState{ID: 9, Dropped: true}) {
 		t.Fatalf("follower: %+v", rs)
 	}
@@ -198,7 +198,7 @@ func TestDrainedMessagesSurviveTheNextStep(t *testing.T) {
 	out := g.lead.Drain()
 	held := append([]Message(nil), out...)
 	g.lead.Submit(types.Value("b"))
-	g.lead.ReadIndex(1)
+	g.lead.ReadIndex(1, false)
 	for i := range out {
 		if out[i].Kind != held[i].Kind || out[i].To != held[i].To || len(out[i].Entries) != len(held[i].Entries) ||
 			!out[i].Entries[0].Val.Equal(held[i].Entries[0].Val) {
@@ -215,7 +215,7 @@ func TestDrainedMessagesSurviveTheNextStep(t *testing.T) {
 // probe lost, a write that leaves after the read confirms it.
 func TestAnAckToALaterAppendConfirmsARead(t *testing.T) {
 	g := newTrio(t)
-	g.lead.ReadIndex(1)
+	g.lead.ReadIndex(1, false)
 	g.lead.Drain() // the probe, to node 2, is lost
 	g.lead.Submit(types.Value("w"))
 	g.pump(func(m Message) bool { return m.To == 1 || m.From == 1 })

@@ -6,6 +6,13 @@
 // the newest round too, so under write load their acks answer as well.
 // Each backend decides which answers count and which quorums a read must
 // reach.
+//
+// A leader may also hold a lease (the dissertation's §6.4.1): while a
+// quorum has answered a round it issued in this term fewer than Lease of
+// its own ticks ago, it answers a read that asks for the lease at once,
+// with no round. The lease is sound only beside the voting rule — a
+// voter that heard from its leader within an election timeout answers
+// no other candidate — which the electors keep, not this package.
 package readindex
 
 import (
@@ -21,10 +28,13 @@ type read struct {
 	reasked   bool
 }
 
-// Tracker is one node's reads; the zero value is ready. Rounds number up
-// for the node's whole life: a late answer to an old term's round never
-// stands for a newer one.
+// Tracker is one node's reads; the zero value is ready, and grants no
+// lease. Rounds number up for the node's whole life: a late answer to an
+// old term's round never stands for a newer one.
 type Tracker struct {
+	// Lease is the lease's length in the leader's ticks; 0 grants none.
+	Lease uint64
+
 	round    uint64                  // newest round issued
 	ticked   uint64                  // newest round issued at the last Aged call
 	answered map[types.NodeID]uint64 // newest round each follower answered
@@ -32,8 +42,15 @@ type Tracker struct {
 	done     []types.ReadState
 	ranked   []types.NodeID
 
-	probes, reasks int
+	now   uint64 // ticks counted by Aged: the leader's clock
+	marks []mark // rounds of this term's last Lease ticks, by the tick they were issued at
+	renew bool   // the lease answered a read since the last Renew
+
+	probes, reasks, leased int
 }
+
+// mark is the first round issued at a tick.
+type mark struct{ round, tick uint64 }
 
 // Issue opens a round for read id at commit frontier index, or reports
 // the read dropped when the node does not lead.
@@ -42,8 +59,16 @@ func (t *Tracker) Issue(id uint64, index types.Seq, leading bool) uint64 {
 		t.done = append(t.done, types.ReadState{ID: id, Dropped: true})
 		return 0
 	}
+	t.pending = append(t.pending, read{id: id, round: t.open(), index: index})
+	return t.round
+}
+
+// open issues the next round, marking the tick it leaves at.
+func (t *Tracker) open() uint64 {
 	t.round++
-	t.pending = append(t.pending, read{id: id, round: t.round, index: index})
+	if n := len(t.marks); n == 0 || t.marks[n-1].tick != t.now {
+		t.marks = append(t.marks, mark{round: t.round, tick: t.now})
+	}
 	return t.round
 }
 
@@ -88,10 +113,16 @@ func (t *Tracker) Reached(members []types.NodeID, self types.NodeID, need int) u
 	return t.round
 }
 
-// Aged, called once a tick, reports whether a read has waited through a
-// whole tick and was never re-asked: one issued before the previous call
-// still waits.
+// Aged, called once a tick, counts the tick and reports whether a read
+// has waited through a whole tick and was never re-asked: one issued
+// before the previous call still waits.
 func (t *Tracker) Aged() bool {
+	t.now++
+	k := 0
+	for k < len(t.marks) && t.now-t.marks[k].tick >= t.Lease {
+		k++
+	}
+	t.marks = append(t.marks[:0], t.marks[k:]...)
 	aged := false
 	for _, r := range t.pending {
 		if r.round > t.ticked {
@@ -138,14 +169,45 @@ func (t *Tracker) Confirm(through uint64, floor types.Seq) {
 	t.pending = append(t.pending[:0], t.pending[n:]...)
 }
 
-// Reset drops every waiting read and forgets every answer: the node
-// stopped leading.
+// Held reports whether the lease holds: through, the newest round a
+// quorum answered, was issued in this term fewer than Lease ticks ago.
+// Aged keeps only the marks of the last Lease ticks, and Reset drops an
+// earlier term's, so such a round is one at or above the first mark.
+func (t *Tracker) Held(through uint64) bool {
+	return t.Leasing() && t.marks[0].round <= through
+}
+
+// Leasing reports whether a round of the last Lease ticks is on record:
+// the lease holds, or will once a quorum answers it.
+func (t *Tracker) Leasing() bool { return t.Lease > 0 && len(t.marks) > 0 }
+
+// Lend confirms read id at index at once, on the lease.
+func (t *Tracker) Lend(id uint64, index types.Seq) {
+	t.done = append(t.done, types.ReadState{ID: id, Index: index})
+	t.leased++
+	t.renew = true
+}
+
+// Renew, on a heartbeat, opens a round with no read of its own when the
+// lease answered a read since the last call, so that the lease outlives
+// the interval; 0 when it answered none.
+func (t *Tracker) Renew() uint64 {
+	if !t.renew {
+		return 0
+	}
+	t.renew = false
+	return t.open()
+}
+
+// Reset drops every waiting read, forgets every answer and ends the
+// lease: the node stopped leading.
 func (t *Tracker) Reset() {
 	for _, r := range t.pending {
 		t.done = append(t.done, types.ReadState{ID: r.id, Dropped: true})
 	}
 	t.pending = t.pending[:0]
 	clear(t.answered)
+	t.marks, t.renew = t.marks[:0], false
 }
 
 // Waiting reports whether any read waits for confirmation.
@@ -162,6 +224,6 @@ func (t *Tracker) Take() []types.ReadState {
 	return out
 }
 
-// Stats returns the probes sent and the reads confirmed only after a
-// tick re-asked: the thrifty pick's misses.
-func (t *Tracker) Stats() (probes, reasks int) { return t.probes, t.reasks }
+// Stats returns the probes sent, the reads confirmed only after a tick
+// re-asked (the thrifty pick's misses), and the reads the lease answered.
+func (t *Tracker) Stats() (probes, reasks, leased int) { return t.probes, t.reasks, t.leased }

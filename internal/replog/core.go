@@ -112,6 +112,7 @@ func DefaultElector(t ElectorConfig) ElectorConfig {
 // acceptor's (see Core.keep).
 func (c *Core[M]) Init(id types.NodeID, el Elector[M], t ElectorConfig, peers []types.NodeID, keep bool) {
 	c.id, c.el, c.timers, c.peers, c.keep = id, el, t, peers, keep
+	c.reads.Lease = leaseTicks(t.ElectionTimeoutTicks)
 }
 
 // synced is the part of a Core a Persister reads.

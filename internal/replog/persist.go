@@ -31,7 +31,7 @@ type Mapping struct {
 	Entry    func(i, tag uint64, val []byte) error
 	Truncate func(keep uint64)
 	SetHard  func(h wal.Hard) // the hard state the journal ended with, set last
-	Rearm    func()           // the election timer, once a restored node has heard a leader
+	Rearm    func()           // the election timer and the voting rule, once a restored node has heard a leader
 }
 
 // Durable is a node a Persister journals: one that embeds a Core, whose
@@ -92,7 +92,9 @@ func (p *Persister) Restore(n Durable) error {
 	if hard != (wal.Hard{}) {
 		// New armed the fresh node's short timer; a node that has seen a
 		// term or promised a ballot heard a leader, and waits the full
-		// base, so it cannot unseat a live one.
+		// base, so it cannot unseat a live one. It may also have answered
+		// that leader's lease round (read.go) just before it went down,
+		// so it refuses other candidates for an election timeout.
 		m.Rearm()
 	}
 	return nil

@@ -253,15 +253,18 @@ func (c *Core[M]) replicateTo(p types.NodeID) {
 	}
 }
 
-// Beat is a leader's tick: every HeartbeatTicks it is the heartbeat.
-func (c *Core[M]) Beat() {
+// Beat is a leader's tick: every HeartbeatTicks it is the heartbeat,
+// and it reports so.
+func (c *Core[M]) Beat() bool {
 	c.hbIn--
 	beat := c.hbIn <= 0
 	if beat {
 		c.hbIn = c.timers.HeartbeatTicks
+		c.renew()
 	}
 	c.pass(beat)
 	c.reask(beat)
+	return beat
 }
 
 // pass, every tick, sends each replicating follower one batch of what it

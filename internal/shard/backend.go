@@ -74,7 +74,7 @@ func newGroup[M any, N runner.SMRNode[M]](c *runner.SMRCluster[M, N], stores []*
 func (g *group[M, N]) Enter(req types.Request, read bool) {
 	read = read && !g.forwards
 	for i, t := range g.tables {
-		if !g.Crashed(types.NodeID(i)) && t.Enter(req, read, struct{}{}) == smr.Taken {
+		if !g.Crashed(types.NodeID(i)) && t.Enter(req, read, false, struct{}{}) == smr.Taken {
 			t.Propose()
 			if g.forwards {
 				return

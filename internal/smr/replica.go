@@ -27,11 +27,12 @@ type Compactor interface {
 
 // Reader is the optional module surface for reads that never enter the
 // log; raft.Node and multipaxos.Node provide it. ReadIndex asks the
-// module, as leader, to confirm read id; TakeReads reports each such read
-// once, confirmed at the commit frontier it must be served at or above,
-// or dropped because the module stopped leading first.
+// module, as leader, to confirm read id — with lease set, at once if it
+// holds a read lease; TakeReads reports each such read once, confirmed at
+// the commit frontier it must be served at or above, or dropped because
+// the module stopped leading first.
 type Reader interface {
-	ReadIndex(id uint64)
+	ReadIndex(id uint64, lease bool)
 	TakeReads() []types.ReadState
 }
 
@@ -89,11 +90,12 @@ func NewReplica(node types.NodeID, mod Module, sm StateMachine) *Replica {
 // (client, seqno) without a log entry: the module, which must be a
 // Reader, confirms that it still leads, and a Pump answers the read
 // through StateMachine.Query once the state machine has applied through
-// the index the confirmation names — or reports it dropped.
-func (r *Replica) Read(client types.ClientID, seqno uint64, op types.Value) {
+// the index the confirmation names — or reports it dropped. lease lets
+// the module confirm it on its read lease (Reader).
+func (r *Replica) Read(client types.ClientID, seqno uint64, op types.Value, lease bool) {
 	r.readID++
 	r.reads[r.readID] = read{Reply: types.Reply{Client: client, SeqNo: seqno, Node: r.exec.node}, op: op}
-	r.reader.ReadIndex(r.readID)
+	r.reader.ReadIndex(r.readID, lease)
 }
 
 // Pump moves what the module committed since the last call into the

@@ -225,7 +225,7 @@ type fakeReader struct {
 	states []types.ReadState
 }
 
-func (m *fakeReader) ReadIndex(id uint64) { m.asked = append(m.asked, id) }
+func (m *fakeReader) ReadIndex(id uint64, _ bool) { m.asked = append(m.asked, id) }
 
 func (m *fakeReader) TakeReads() []types.ReadState {
 	s := m.states
@@ -248,7 +248,7 @@ func TestReplicaReadChangesNothing(t *testing.T) {
 	mustPump(t, r)
 	snap, applied := string(r.Exec().SnapshotState()), binary.BigEndian.Uint64(store.Snapshot())
 
-	r.Read(8, 1, readN())
+	r.Read(8, 1, readN(), false)
 	if len(mod.asked) != 1 {
 		t.Fatalf("module asked %v", mod.asked)
 	}
@@ -270,8 +270,8 @@ func TestReplicaReadWaitsForItsIndex(t *testing.T) {
 	mod.decided = []types.Decision{incr(1, 1)}
 	mustPump(t, r)
 
-	r.Read(8, 1, readN())
-	r.Read(9, 1, readN())
+	r.Read(8, 1, readN(), false)
+	r.Read(9, 1, readN(), false)
 	mod.states = []types.ReadState{{ID: 1, Index: 3}, {ID: 2, Dropped: true}}
 	_, replies, dropped, err := r.Pump()
 	if err != nil || len(replies) != 0 || len(dropped) != 1 || dropped[0].Client != 9 {

@@ -53,9 +53,10 @@ func NewSessions[W any](rep *Replica, mod Proposer) *Sessions[W] {
 }
 
 // Enter makes w the waiting entry of req's session, and sends a read to
-// Replica.Read or keeps a write for Propose. A dead replica or a module
-// that does not claim to lead refuses it, and nothing is kept.
-func (s *Sessions[W]) Enter(req types.Request, read bool, w W) Refusal {
+// Replica.Read (lease passed on) or keeps a write for Propose. A dead
+// replica or a module that does not claim to lead refuses it, and
+// nothing is kept.
+func (s *Sessions[W]) Enter(req types.Request, read, lease bool, w W) Refusal {
 	switch {
 	case s.rep.err != nil:
 		return Dead
@@ -64,7 +65,7 @@ func (s *Sessions[W]) Enter(req types.Request, read bool, w W) Refusal {
 	}
 	s.waiting[req.Client] = waiter[W]{req.SeqNo, w}
 	if read {
-		s.rep.Read(req.Client, req.SeqNo, req.Op)
+		s.rep.Read(req.Client, req.SeqNo, req.Op, lease)
 	} else {
 		s.writes = append(s.writes, req)
 	}

@@ -39,7 +39,7 @@ func incrReq(client types.ClientID, seqno uint64) types.Request {
 // write enters one write under w and proposes it.
 func write(t *testing.T, s *Sessions[string], req types.Request, w string) {
 	t.Helper()
-	if got := s.Enter(req, false, w); got != Taken {
+	if got := s.Enter(req, false, false, w); got != Taken {
 		t.Fatalf("Enter(%+v) refused: %d", req, got)
 	}
 	if !s.Propose() {
@@ -112,7 +112,7 @@ func TestSessionsDroppedReadIsHandedBack(t *testing.T) {
 	s, mod := newSessions()
 	get := kvstore.Get("n").Encode()
 	for c, w := range []string{"kept", "lost"} {
-		if got := s.Enter(types.Request{Client: types.ClientID(c + 1), SeqNo: 1, Op: get}, true, w); got != Taken {
+		if got := s.Enter(types.Request{Client: types.ClientID(c + 1), SeqNo: 1, Op: get}, true, false, w); got != Taken {
 			t.Fatalf("read %s refused: %d", w, got)
 		}
 	}
@@ -132,10 +132,10 @@ func TestSessionsDroppedReadIsHandedBack(t *testing.T) {
 func TestSessionsRefusedOpCreatesNoEntry(t *testing.T) {
 	s, mod := newSessions()
 	mod.leads = false
-	if got := s.Enter(incrReq(7, 1), false, "w"); got != NotLeader {
+	if got := s.Enter(incrReq(7, 1), false, false, "w"); got != NotLeader {
 		t.Fatalf("Enter on a follower: %d, want NotLeader", got)
 	}
-	if got := s.Enter(types.Request{Client: 8, SeqNo: 1, Op: kvstore.Get("n").Encode()}, true, "r"); got != NotLeader {
+	if got := s.Enter(types.Request{Client: 8, SeqNo: 1, Op: kvstore.Get("n").Encode()}, true, false, "r"); got != NotLeader {
 		t.Fatalf("a read on a follower: %d, want NotLeader", got)
 	}
 	if s.Len() != 0 || s.Propose() || len(mod.asked) != 0 {
@@ -152,7 +152,7 @@ func TestSessionsRefusedOpCreatesNoEntry(t *testing.T) {
 	if !errors.Is(err, ErrDecode) || len(answered) != 0 || !slices.Equal(orphans, []string{"a", "b"}) {
 		t.Fatalf("the failed install: answered %d, handed back %q, err %v; want [a b], ErrDecode", len(answered), orphans, err)
 	}
-	if got := s.Enter(incrReq(7, 2), false, "w"); got != Dead || s.Len() != 0 {
+	if got := s.Enter(incrReq(7, 2), false, false, "w"); got != Dead || s.Len() != 0 {
 		t.Fatalf("Enter on a dead replica: %d with %d entries, want Dead and none", got, s.Len())
 	}
 }

@@ -282,6 +282,14 @@ func restoreAcceptor(t *testing.T, dir string) *multipaxos.Node {
 	if err := replog.NewPersister(l).Restore(n); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
+	// A restored acceptor ignores other nodes' Prepares for an election
+	// timeout (the voting rule), and acceptorState reads it with two.
+	for i := 0; i < replog.DefaultElector(replog.ElectorConfig{}).ElectionTimeoutTicks; i++ {
+		n.Tick()
+	}
+	if sent := n.Drain(); len(sent) != 0 {
+		t.Fatalf("the restored acceptor sent %d messages while its voting rule ran out", len(sent))
+	}
 	return n
 }
 
